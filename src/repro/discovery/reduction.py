@@ -1,3 +1,4 @@
+# gqbe: contract[deterministic]
 """Unimportant-edge removal: the reduced neighborhood graph (Sec. III-C).
 
 The neighborhood graph ``H_t`` can contain many edges that clearly do not
@@ -25,6 +26,8 @@ weakly connected component containing all query entities still exists; the
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.exceptions import DiscoveryError
 from repro.graph.knowledge_graph import Edge, KnowledgeGraph
@@ -110,12 +113,100 @@ def _removed_edges(neighborhood: NeighborhoodGraph) -> set[Edge]:
     return removed
 
 
+_LOST_CONNECTION = (
+    "reduced neighborhood graph lost the connection between query "
+    "entities; this contradicts Theorem 2 and indicates the input "
+    "neighborhood graph was not weakly connected to begin with"
+)
+
+
+def _component_neighborhood(
+    neighborhood: NeighborhoodGraph, edges: list[Edge], distances: dict[str, int]
+) -> NeighborhoodGraph:
+    """The reduced neighborhood over ``edges`` (the query entities'
+    component, in ``H_t``'s edge order) with ``dist_q`` of its nodes."""
+    component_graph = KnowledgeGraph()
+    for entity in neighborhood.query_tuple:
+        component_graph.add_node(entity)
+    for edge in edges:
+        component_graph.add_edge_object(edge)
+    return NeighborhoodGraph(
+        graph=component_graph,
+        query_tuple=neighborhood.query_tuple,
+        d=neighborhood.d,
+        distances={
+            node: distances[node] for node in component_graph.nodes if node in distances
+        },
+    )
+
+
+def _is_member(values: "np.ndarray", members: "np.ndarray") -> "np.ndarray":
+    """``np.isin(values, members)`` for few members: sorts only ``members``."""
+    if not len(members):
+        return np.zeros(len(values), dtype=bool)
+    members = np.sort(members)
+    slots = np.minimum(np.searchsorted(members, values), len(members) - 1)
+    return members[slots] == values
+
+
+def _reduce_columns(neighborhood: NeighborhoodGraph) -> NeighborhoodGraph:
+    """:func:`reduce_neighborhood_graph` over the id columns of ``H_t``.
+
+    Evaluates the rule of :func:`_removed_edges` as array masks, sweeps
+    the query entities' component over the surviving rows, and decodes
+    only those rows into the reduced graph — in ``H_t``'s edge order, so
+    the result equals the string path's, adjacency orders included.
+    """
+    columns = neighborhood.columns
+    subjects, labels, objects = columns.subjects, columns.labels, columns.objects
+    # Columns hold BFS positions and the near (<= d - 1 hops) nodes come
+    # first: an endpoint is near iff its position is small.
+    subject_side = objects < columns.near_count  # important from the subject's side
+    object_side = subjects < columns.near_count
+    # Every edge of H_t has a near endpoint, so an edge that is not
+    # important from one side hangs off a near node on that side, and the
+    # important siblings it is compared with join two near nodes.
+    core = subject_side & object_side
+    # (node, label) keys per orientation; positions and label ids are both
+    # small, whatever the vocabulary's size.
+    width = int(labels.max()) + 1 if len(labels) else 1
+    out_keys = subjects * width + labels
+    in_keys = objects * width + labels
+    removed = np.zeros(len(labels), dtype=bool)
+    for side, keys in ((subject_side, out_keys), (object_side, in_keys)):
+        candidates = np.flatnonzero(~side)
+        removed[candidates] = _is_member(keys[candidates], keys[core])
+    kept = np.flatnonzero(~removed)
+
+    # Grow the first query entity's component over the kept edges.
+    kept_subjects, kept_objects = subjects[kept], objects[kept]
+    reached = np.zeros(len(columns.node_ids), dtype=bool)
+    reached[0] = True
+    while True:
+        crossing = reached[kept_subjects] != reached[kept_objects]
+        if not crossing.any():
+            break
+        reached[kept_subjects[crossing]] = True
+        reached[kept_objects[crossing]] = True
+    entities = neighborhood.query_tuple
+    # The BFS starts from the query entities, so they hold the first positions.
+    if not reached[: len(entities)].all():
+        raise DiscoveryError(_LOST_CONNECTION)
+
+    edges, edge_distances = columns.decode(kept[reached[kept_subjects]])
+    return _component_neighborhood(
+        neighborhood, edges, dict.fromkeys(entities, 0) | edge_distances
+    )
+
+
 def reduce_neighborhood_graph(neighborhood: NeighborhoodGraph) -> NeighborhoodGraph:
     """Remove unimportant edges and return the reduced neighborhood graph.
 
     The result is the weakly connected component (after removal) that
     contains all query entities; Theorem 2 guarantees it exists.
     """
+    if neighborhood.columns is not None:
+        return _reduce_columns(neighborhood)
     graph = neighborhood.graph
     removed = _removed_edges(neighborhood)
     kept = [edge for edge in graph.edges if edge not in removed]
@@ -137,27 +228,10 @@ def reduce_neighborhood_graph(neighborhood: NeighborhoodGraph) -> NeighborhoodGr
                 keeper.add(other)
                 stack.append(other)
     if not all(entity in keeper for entity in entities):
-        raise DiscoveryError(
-            "reduced neighborhood graph lost the connection between query "
-            "entities; this contradicts Theorem 2 and indicates the input "
-            "neighborhood graph was not weakly connected to begin with"
-        )
+        raise DiscoveryError(_LOST_CONNECTION)
 
-    component_graph = KnowledgeGraph()
-    for entity in entities:
-        component_graph.add_node(entity)
-    for edge in kept:
-        if edge.subject in keeper and edge.object in keeper:
-            component_graph.add_edge_object(edge)
-
-    distances = {
-        node: neighborhood.distances[node]
-        for node in component_graph.nodes
-        if node in neighborhood.distances
-    }
-    return NeighborhoodGraph(
-        graph=component_graph,
-        query_tuple=neighborhood.query_tuple,
-        d=neighborhood.d,
-        distances=distances,
+    return _component_neighborhood(
+        neighborhood,
+        [e for e in kept if e.subject in keeper and e.object in keeper],
+        neighborhood.distances,
     )

@@ -1,3 +1,4 @@
+# gqbe: contract[deterministic]
 """Neighborhood graph extraction (Definition 1 of the paper).
 
 The *neighborhood graph* ``H_t`` of a query tuple ``t`` is the subgraph of
@@ -18,23 +19,25 @@ because an edge one of whose endpoints lies within ``d − 1`` hops of a query
 entity lies on an undirected path of length ≤ ``d`` starting at that entity.
 
 Over a :class:`~repro.graph.mapped.MappedKnowledgeGraph` (a v3 sharded
-snapshot) the same BFS runs on the mapped int64 CSR columns: nodes are
-dense ids, frontier expansion slices the adjacency arrays, and
-:class:`~repro.graph.knowledge_graph.Edge` objects are materialized only
-for the edges that make it into ``H_t``.  The traversal orders mirror the
-dict-of-lists implementation exactly (out-slice then in-slice, per node,
-in per-node insertion order), so the extracted neighborhood — and every
-answer downstream of it — is byte-identical across backings.
+snapshot) or a :class:`~repro.graph.delta.DeltaKnowledgeGraph` the BFS
+runs on the int64 CSR columns and ``H_t`` itself stays in id space
+(:class:`NeighborhoodColumns`), gathered with whole-array operations:
+most of it is noise the reduction of Sec. III-C is about to remove, so
+:class:`~repro.graph.knowledge_graph.Edge` objects are built only for
+the edges that survive it (or for all of ``H_t`` if someone asks for
+``.graph``).  The column orders mirror the dict-of-lists implementation
+exactly (out list then in list, per node, in per-node insertion order),
+so the neighborhood — and every answer downstream of it — is
+byte-identical across backings.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from repro._kernels import _pure as _pure_kernels
 from repro._kernels import kernels
 from repro.exceptions import QueryError, UnknownEntityError
 from repro.graph.delta import DeltaKnowledgeGraph
@@ -42,7 +45,57 @@ from repro.graph.knowledge_graph import Edge, KnowledgeGraph
 from repro.graph.mapped import MappedKnowledgeGraph
 
 
-@dataclass
+class NeighborhoodColumns(NamedTuple):
+    """``H_t`` in id space: what a mapped or delta graph's neighborhood is
+    until someone asks for strings.
+
+    ``node_ids`` / ``node_distances`` list the nodes of ``H_t`` in BFS
+    order, so the ``near_count`` nodes within ``d - 1`` hops come first.
+    The three edge columns list the edges in ``H_t``'s edge order;
+    ``subjects`` and ``objects`` are *positions into* ``node_ids`` rather
+    than raw ids, so "is this endpoint near" is one comparison and every
+    key the reduction builds is bounded by the neighborhood's size, never
+    by the vocabulary's.
+    """
+
+    term_of: Callable[[int], str]
+    label_strings: Sequence[str]
+    node_ids: "np.ndarray"
+    node_distances: "np.ndarray"
+    near_count: int
+    subjects: "np.ndarray"
+    labels: "np.ndarray"
+    objects: "np.ndarray"
+
+    def terms(self, positions: "np.ndarray | slice" = slice(None)) -> list[str]:
+        """The entity strings of the nodes at ``positions`` (default: all)."""
+        term_of = self.term_of
+        return [term_of(node_id) for node_id in self.node_ids[positions].tolist()]
+
+    def decode(
+        self, rows: "np.ndarray | slice" = slice(None)
+    ) -> tuple[list[Edge], dict[str, int]]:
+        """The edges at ``rows`` of the edge columns (default: all) as
+        :class:`Edge` objects, and ``dist_q`` of every node they touch."""
+        subjects = self.subjects[rows]
+        # One term lookup per distinct node, not per edge endpoint.
+        used, inverse = np.unique(
+            np.concatenate((subjects, self.objects[rows])), return_inverse=True
+        )
+        terms = self.terms(used)
+        label_strings = self.label_strings
+        count = len(subjects)
+        edges = [
+            Edge(terms[subject], label_strings[label], terms[obj])
+            for subject, label, obj in zip(
+                inverse[:count].tolist(),
+                self.labels[rows].tolist(),
+                inverse[count:].tolist(),
+            )
+        ]
+        return edges, dict(zip(terms, self.node_distances[used].tolist()))
+
+
 class NeighborhoodGraph:
     """The neighborhood graph ``H_t`` plus the bookkeeping GQBE needs later.
 
@@ -57,21 +110,64 @@ class NeighborhoodGraph:
     distances:
         ``dist_q(v)`` — minimum undirected distance from any query entity,
         for every node of ``H_t``.
+    columns:
+        ``H_t`` as :class:`NeighborhoodColumns` when it was extracted from
+        a mapped or delta graph, else ``None``.  ``graph`` and
+        ``distances`` are then decoded from the columns on first access;
+        the reduction reads the columns and never asks.
     """
 
-    graph: KnowledgeGraph
-    query_tuple: tuple[str, ...]
-    d: int
-    distances: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("query_tuple", "d", "columns", "_graph", "_distances")
+
+    def __init__(
+        self,
+        *,
+        query_tuple: tuple[str, ...],
+        d: int,
+        graph: KnowledgeGraph | None = None,
+        distances: dict[str, int] | None = None,
+        columns: NeighborhoodColumns | None = None,
+    ) -> None:
+        self.query_tuple = query_tuple
+        self.d = d
+        self.columns = columns
+        self._graph = graph
+        self._distances = distances
+
+    @property
+    def graph(self) -> KnowledgeGraph:
+        """``H_t`` as a :class:`KnowledgeGraph` (decoded once if columnar)."""
+        if self._graph is None:
+            graph = KnowledgeGraph()
+            for term in self.columns.terms():
+                graph.add_node(term)
+            for edge in self.columns.decode()[0]:
+                graph.add_edge_object(edge)
+            self._graph = graph
+        return self._graph
+
+    @property
+    def distances(self) -> dict[str, int]:
+        """``dist_q`` per node of ``H_t`` (decoded once if columnar)."""
+        if self._distances is None:
+            columns = self.columns
+            self._distances = dict(
+                zip(columns.terms(), columns.node_distances.tolist())
+            )
+        return self._distances
 
     @property
     def num_nodes(self) -> int:
         """Number of nodes in ``H_t``."""
+        if self.columns is not None:
+            return len(self.columns.node_ids)
         return self.graph.num_nodes
 
     @property
     def num_edges(self) -> int:
         """Number of edges in ``H_t``."""
+        if self.columns is not None:
+            return len(self.columns.subjects)
         return self.graph.num_edges
 
     def distance(self, node: str) -> int:
@@ -93,14 +189,6 @@ def _validate_query_tuple(graph: KnowledgeGraph, query_tuple: Sequence[str]) -> 
         if not graph.has_node(entity):
             raise UnknownEntityError(entity)
     return entities
-
-
-# The whole-frontier gather and its adaptive threshold live with the
-# kernels now (repro/_kernels/_pure.py); these aliases keep the
-# historical names importable (ROADMAP and older profiles refer to
-# repro.graph.neighborhood._gather_frontier).
-_GATHER_MIN_FRONTIER = _pure_kernels.GATHER_MIN_FRONTIER
-_gather_frontier = _pure_kernels._gather_frontier
 
 
 def _mapped_distance_ids(
@@ -258,9 +346,15 @@ def neighborhood_graph(
         raise QueryError(f"path length threshold d must be >= 1, got {d}")
     entities = _validate_query_tuple(graph, query_tuple)
     if isinstance(graph, MappedKnowledgeGraph):
-        return _mapped_neighborhood_graph(graph, entities, d)
+        columns = _neighborhood_columns(
+            graph, graph, _mapped_distance_ids(graph, entities, d), d
+        )
+        return NeighborhoodGraph(query_tuple=entities, d=d, columns=columns)
     if isinstance(graph, DeltaKnowledgeGraph):
-        return _delta_neighborhood_graph(graph, entities, d)
+        columns = _neighborhood_columns(
+            graph, graph.base, _delta_distance_ids(graph, entities, d), d
+        )
+        return NeighborhoodGraph(query_tuple=entities, d=d, columns=columns)
     distances = query_entity_distances(graph, entities, cutoff=d)
 
     subgraph = KnowledgeGraph()
@@ -282,128 +376,86 @@ def neighborhood_graph(
     )
 
 
-def _mapped_neighborhood_graph(
-    graph: MappedKnowledgeGraph, entities: tuple[str, ...], d: int
-) -> NeighborhoodGraph:
-    """The :func:`neighborhood_graph` construction over mapped CSR columns.
+def _csr_runs(
+    indptr: "np.ndarray", nodes: "np.ndarray"
+) -> tuple["np.ndarray", "np.ndarray"]:
+    """Positions of the CSR slices of ``nodes``, back to back, and for each
+    position the index into ``nodes`` of the slice it belongs to."""
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    ends = np.cumsum(counts)
+    owners = np.repeat(np.arange(len(nodes)), counts)
+    positions = np.arange(len(owners)) + (starts - ends + counts)[owners]
+    return positions, owners
 
-    Runs entirely on int ids; entity strings decode once per node of
-    ``H_t`` and :class:`Edge` objects exist only for the edges of the
-    extracted subgraph.  The per-node expansion order (out slice, then in
-    slice without self-loops) mirrors ``KnowledgeGraph.incident_edges``
-    so the subgraph — including its adjacency-list insertion orders — is
-    byte-identical to the dict-of-lists path.
+
+def _extra_runs(
+    extras: Callable[[int], list[tuple[int, int]]], nodes: list[int]
+) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+    """A delta overlay's appended edges at ``nodes`` as (owner index,
+    label id, other node id) columns, in per-node append order."""
+    rows = [
+        (owner, label_id, other)
+        for owner, node_id in enumerate(nodes)
+        for label_id, other in extras(node_id)
+    ]
+    columns = np.array(rows, dtype=np.int64).reshape(len(rows), 3)
+    return columns[:, 0], columns[:, 1], columns[:, 2]
+
+
+def _neighborhood_columns(
+    graph: MappedKnowledgeGraph | DeltaKnowledgeGraph,
+    base: MappedKnowledgeGraph,
+    distance_ids: dict[int, int],
+    d: int,
+) -> NeighborhoodColumns:
+    """Gather ``H_t`` off the CSR columns as :class:`NeighborhoodColumns`.
+
+    Every edge incident on a node within ``d - 1`` hops belongs to
+    ``H_t``.  The owned-graph construction visits those near nodes in BFS
+    order, each one's out list then its in list (self-loops skipped), and
+    keeps an edge the first time it comes up; an adjacency list here is
+    the base CSR slice followed by the delta's appends (none over a plain
+    mapped graph).  An edge comes up twice exactly when both endpoints are
+    near, so "first time" is: at the subject unless the object is earlier
+    in BFS order, at the object only if it is strictly earlier.
     """
-    distance_ids = _mapped_distance_ids(graph, entities, cutoff=d)
-    labels = graph.label_strings
-    # term_of carries its own hot-term decode cache; bind it directly.
-    term = graph.vocabulary.term_of
+    node_ids = np.fromiter(distance_ids, np.int64, len(distance_ids))
+    node_distances = np.fromiter(distance_ids.values(), np.int64, len(node_ids))
+    # BFS order is by distance, so the near nodes are a prefix.
+    near_count = int(np.searchsorted(node_distances, d - 1, side="right"))
+    near = node_ids[:near_count]
 
-    subgraph = KnowledgeGraph()
-    for node_id in distance_ids:
-        subgraph.add_node(term(node_id))
-    out_indptr = graph.out_indptr
-    out_objects = graph.out_objects
-    out_label_ids = graph.out_label_ids
-    in_indptr = graph.in_indptr
-    in_subjects = graph.in_subjects
-    in_label_ids = graph.in_label_ids
-    add_edge = subgraph.add_edge_object
-    for node_id, dist in distance_ids.items():
-        if dist > d - 1:
-            continue
-        node_term = term(node_id)
-        # Slice + tolist turns the mapped columns into plain-int lists in
-        # two C calls per node — per-position ndarray indexing is ~10x
-        # slower and this loop runs for every near node of every query.
-        start = int(out_indptr[node_id])
-        end = int(out_indptr[node_id + 1])
-        if start != end:
-            for other, label_id in zip(
-                out_objects[start:end].tolist(),
-                out_label_ids[start:end].tolist(),
-            ):
-                if other in distance_ids:
-                    add_edge(Edge(node_term, labels[label_id], term(other)))
-        start = int(in_indptr[node_id])
-        end = int(in_indptr[node_id + 1])
-        if start != end:
-            for other, label_id in zip(
-                in_subjects[start:end].tolist(),
-                in_label_ids[start:end].tolist(),
-            ):
-                # Self-loops already appeared in the out slice.
-                if other != node_id and other in distance_ids:
-                    add_edge(Edge(term(other), labels[label_id], node_term))
-    kept_distances = {
-        term(node_id): dist for node_id, dist in distance_ids.items()
-    }
-    return NeighborhoodGraph(
-        graph=subgraph, query_tuple=entities, d=d, distances=kept_distances
-    )
+    # One piece per adjacency segment, each (sort key, label id, other
+    # node id); segment s of the near node at BFS position v sorts at
+    # 4 * v + s: base out, delta out, base in, delta in.
+    based = np.flatnonzero(near < base.num_nodes)  # nodes the delta added have no slice
+    rows, owners = _csr_runs(base.out_indptr, near[based])
+    pieces = [(based[owners] * 4, base.out_label_ids[rows], base.out_objects[rows])]
+    rows, owners = _csr_runs(base.in_indptr, near[based])
+    pieces.append((based[owners] * 4 + 2, base.in_label_ids[rows], base.in_subjects[rows]))
+    if graph is not base:
+        near_list = near.tolist()
+        for segment, extras in ((1, graph.out_extras), (3, graph.in_extras)):
+            owners, labels, others = _extra_runs(extras, near_list)
+            pieces.append((owners * 4 + segment, labels, others))
+    keys, labels, others = (np.concatenate(column) for column in zip(*pieces))
 
-
-def _delta_neighborhood_graph(
-    graph: DeltaKnowledgeGraph, entities: tuple[str, ...], d: int
-) -> NeighborhoodGraph:
-    """:func:`neighborhood_graph` over a live (base + delta) overlay.
-
-    Edge visitation per near node is base out slice, delta out appends,
-    base in slice (self-loops skipped), delta in appends (self-loops
-    skipped) — the merged owned graph's ``incident_edges`` order — so
-    the extracted subgraph is byte-identical to a from-scratch build of
-    base plus delta.
-    """
-    distance_ids = _delta_distance_ids(graph, entities, cutoff=d)
-    labels = graph.label_strings
-    term = graph.vocabulary.term_of
-
-    subgraph = KnowledgeGraph()
-    for node_id in distance_ids:
-        subgraph.add_node(term(node_id))
-    base = graph.base
-    base_nodes = base.num_nodes
-    out_indptr = base.out_indptr
-    out_objects = base.out_objects
-    out_label_ids = base.out_label_ids
-    in_indptr = base.in_indptr
-    in_subjects = base.in_subjects
-    in_label_ids = base.in_label_ids
-    add_edge = subgraph.add_edge_object
-    for node_id, dist in distance_ids.items():
-        if dist > d - 1:
-            continue
-        node_term = term(node_id)
-        if node_id < base_nodes:
-            start = int(out_indptr[node_id])
-            end = int(out_indptr[node_id + 1])
-            if start != end:
-                for other, label_id in zip(
-                    out_objects[start:end].tolist(),
-                    out_label_ids[start:end].tolist(),
-                ):
-                    if other in distance_ids:
-                        add_edge(Edge(node_term, labels[label_id], term(other)))
-        for label_id, other in graph.out_extras(node_id):
-            if other in distance_ids:
-                add_edge(Edge(node_term, labels[label_id], term(other)))
-        if node_id < base_nodes:
-            start = int(in_indptr[node_id])
-            end = int(in_indptr[node_id + 1])
-            if start != end:
-                for other, label_id in zip(
-                    in_subjects[start:end].tolist(),
-                    in_label_ids[start:end].tolist(),
-                ):
-                    # Self-loops already appeared in the out slice.
-                    if other != node_id and other in distance_ids:
-                        add_edge(Edge(term(other), labels[label_id], node_term))
-        for label_id, other in graph.in_extras(node_id):
-            if other != node_id and other in distance_ids:
-                add_edge(Edge(term(other), labels[label_id], node_term))
-    kept_distances = {
-        term(node_id): dist for node_id, dist in distance_ids.items()
-    }
-    return NeighborhoodGraph(
-        graph=subgraph, query_tuple=entities, d=d, distances=kept_distances
+    # Node id -> BFS position, through a sorted copy of the ids.
+    by_id = np.argsort(node_ids)
+    others = by_id[np.searchsorted(node_ids[by_id], others)]
+    owners = keys >> 2
+    incoming = (keys & 2).astype(bool)
+    first = np.flatnonzero(np.where(incoming, others > owners, others >= owners))
+    first = first[np.argsort(keys[first], kind="stable")]
+    owners, others, incoming = owners[first], others[first], incoming[first]
+    return NeighborhoodColumns(
+        term_of=graph.vocabulary.term_of,
+        label_strings=graph.label_strings,
+        node_ids=node_ids,
+        node_distances=node_distances,
+        near_count=near_count,
+        subjects=np.where(incoming, others, owners),
+        labels=labels[first],
+        objects=np.where(incoming, owners, others),
     )

@@ -36,7 +36,12 @@ import sys
 import threading
 import time
 from collections.abc import Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    BrokenExecutor,
+    ProcessPoolExecutor,
+    wait,
+)
 from dataclasses import replace
 from os import PathLike
 from pathlib import Path
@@ -224,9 +229,14 @@ class WorkerPool:
             # Each submit sees every existing worker still blocked in its
             # initializer (no idle workers), so the executor forks a new
             # one — N no-op tasks therefore fork the full fleet here.
-            futures = [
-                self._executor.submit(os.getpid) for _ in range(self.workers)
-            ]
+            try:
+                futures = [
+                    self._executor.submit(os.getpid) for _ in range(self.workers)
+                ]
+            except BrokenExecutor as error:
+                # A worker that died before the last submit has already
+                # broken the executor; same clean failure as below.
+                self._abort_init(error)
             self._await_fork_init(futures)
 
     def _await_fork_init(self, futures) -> None:

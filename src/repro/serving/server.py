@@ -53,7 +53,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from os import PathLike
 
 from repro.core.answer import QueryResult
-from repro.core.config import GQBEConfig
 from repro.core.gqbe import GQBE
 from repro.exceptions import GQBEError
 from repro.serving.batching import QueryBatcher
@@ -282,13 +281,13 @@ class ServingCore:
     def _load_snapshot_locked(self, path: str | PathLike) -> int:
         """:meth:`load_snapshot` body; caller holds ``_mutate_lock``."""
         graph_store = GraphStore.load(path)
-        config = GQBEConfig(
+        # The running config survives the reload (mqg_size, node_budget,
+        # max_join_rows, ... are the operator's, not the snapshot's); only
+        # the engine flags a snapshot is built with follow the new one.
+        config = replace(
+            self._system.config,
             intern_entities=graph_store.intern_entities,
             columnar=graph_store.columnar,
-            # Engine-selection knobs that are not snapshot properties
-            # survive the reload; everything else re-derives from the
-            # new snapshot's flags.
-            native_kernels=self._system.config.native_kernels,
         )
         system = GQBE(config=config, graph_store=graph_store)
         system._snapshot_path = str(path)

@@ -7,7 +7,7 @@ import pytest
 from repro.core.config import GQBEConfig
 from repro.core.gqbe import GQBE
 from repro.datasets.example_graph import figure1_excerpt, figure1_ground_truth
-from repro.datasets.synthetic import FreebaseLikeGenerator
+from repro.datasets.synthetic import DBpediaLikeGenerator, FreebaseLikeGenerator
 from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.graph.statistics import GraphStatistics
 from repro.storage.store import VerticalPartitionStore
@@ -68,3 +68,41 @@ def chain_graph() -> KnowledgeGraph:
     graph.add_edge("c", "attr", "y")
     graph.add_edge("e", "r1", "b")
     return graph
+
+
+def _domain_split(dataset):
+    """Split a synthetic dataset into (base, delta, example tuples of arity 1-3).
+
+    The delta is the tail of the edge stream (so many near nodes get delta
+    appends after their base slice) plus edges that touch the example
+    entities directly: new nodes past the vocabulary arena, a new label,
+    and self-loops on an old and on a new node.
+    """
+    edges = [tuple(edge) for edge in dataset.graph.edges]
+    cut = int(len(edges) * 0.85)
+    rows = [dataset.table(name)[0] for name in dataset.table_names()[:4]]
+    fresh = []
+    for index, row in enumerate(rows):
+        new_node = f"Ingested_{index}"
+        old_label = dataset.graph.incident_edges(row[0])[0].label
+        fresh += [
+            (row[0], "ingested_link", new_node),
+            (new_node, old_label, row[-1]),
+            (row[0], "ingested_self", row[0]),
+            (new_node, old_label, new_node),
+        ]
+    tuples = [tuple(row[:arity]) for row in rows for arity in range(1, len(row) + 1)]
+    tuples += [("Ingested_0",), (rows[0][0], "Ingested_0")]
+    return edges[:cut], edges[cut:] + fresh, tuples
+
+
+@pytest.fixture(scope="session", params=["freebase", "dbpedia"])
+def domain_backings(request):
+    """(example tuples, owned graph, mapped v3 graph, delta overlay) of one
+    synthetic domain — the same edge set behind every backing."""
+    from graph_backings import three_backings
+
+    generator = FreebaseLikeGenerator if request.param == "freebase" else DBpediaLikeGenerator
+    base, delta, tuples = _domain_split(generator(seed=5, scale=0.2).generate())
+    with three_backings(base, delta) as (owned, mapped, overlay):
+        yield tuples, owned, mapped, overlay

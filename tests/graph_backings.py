@@ -1,0 +1,78 @@
+"""One edge set behind each graph backing, and an order-sensitive comparison.
+
+The owned :class:`KnowledgeGraph` path is the executable spec of
+neighborhood extraction and reduction; the mapped v3 graph and the delta
+overlay run them on id columns.  Algorithm 1's tie-breaks read edge,
+adjacency and node order, so equivalence here means equal *sequences*.
+"""
+
+from __future__ import annotations
+
+import random
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
+
+from repro.graph.delta import DeltaKnowledgeGraph
+from repro.graph.knowledge_graph import KnowledgeGraph
+from repro.graph.mapped import MappedKnowledgeGraph
+from repro.graph.neighborhood import NeighborhoodGraph
+from repro.storage.snapshot import GraphStore
+
+Triple = tuple[str, str, str]
+
+
+@contextmanager
+def three_backings(base: list[Triple], delta: list[Triple]):
+    """Yield ``base + delta`` as (owned, mapped, overlay) graphs.
+
+    ``owned`` is built from the merged stream, ``mapped`` is its v3
+    snapshot reopened, ``overlay`` is a v3 snapshot of ``base`` with
+    ``delta`` ingested on top.
+    """
+    owned = KnowledgeGraph(base + delta)
+    with tempfile.TemporaryDirectory() as directory:
+        GraphStore.build(owned).save(Path(directory, "merged"), format="v3")
+        merged_store = GraphStore.load(Path(directory, "merged"))
+        GraphStore.build(KnowledgeGraph(base)).save(Path(directory, "base"), format="v3")
+        overlay_store = GraphStore.load(Path(directory, "base"))
+        overlay_store.ingest(delta)
+        mapped, overlay = merged_store.graph, overlay_store.graph
+        assert isinstance(mapped, MappedKnowledgeGraph)
+        assert isinstance(overlay, DeltaKnowledgeGraph)
+        yield owned, mapped, overlay
+
+
+def ordered_view(neighborhood: NeighborhoodGraph) -> dict:
+    """Everything downstream code can read off a neighborhood, order included."""
+    graph = neighborhood.graph
+    nodes = list(graph.nodes)
+    return {
+        "query_tuple": neighborhood.query_tuple,
+        "d": neighborhood.d,
+        "edges": list(graph.edges),
+        "nodes": nodes,
+        "out": [graph.out_edges(node) for node in nodes],
+        "in": [graph.in_edges(node) for node in nodes],
+        "labels": list(graph.labels),
+        "distances": list(neighborhood.distances.items()),
+    }
+
+
+def random_multigraph(seed: int) -> tuple[list[Triple], list[Triple], list[str]]:
+    """(base, delta, nodes) of a small multigraph with self-loops, parallel
+    edges under different labels and one hub every node points at; the
+    delta adds a node past the arena, a new label and a self-loop on it."""
+    rng = random.Random(seed)
+    nodes = [f"n{i}" for i in range(rng.randint(4, 12))]
+    labels = [f"r{i}" for i in range(4)]
+    triples = {(node, rng.choice(labels), "n0") for node in nodes}
+    for _ in range(rng.randint(5, 30)):
+        subject, obj = rng.choice(nodes), rng.choice(nodes)
+        for label in rng.sample(labels, rng.randint(1, 2)):
+            triples.add((subject, label, obj))
+    stream = sorted(triples)
+    rng.shuffle(stream)
+    cut = rng.randint(1, len(stream))
+    delta = stream[cut:] + [("fresh", "r_new", nodes[1]), ("fresh", "r0", "fresh")]
+    return stream[:cut], delta, nodes + ["fresh"]

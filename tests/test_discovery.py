@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
+from graph_backings import ordered_view, random_multigraph, three_backings
 
 from repro.discovery.merge import merge_maximal_query_graphs, virtual_entity
 from repro.discovery.mqg import (
@@ -11,11 +15,19 @@ from repro.discovery.mqg import (
     discover_maximal_query_graph,
     select_mqg_edges,
 )
-from repro.discovery.reduction import reduce_neighborhood_graph
+from repro.discovery.reduction import (
+    _removed_edges,
+    _unimportant_edges,
+    reduce_neighborhood_graph,
+)
 from repro.discovery.weights import discovery_edge_weights, edge_depths, mqg_edge_weights
 from repro.exceptions import DisconnectedQueryError, DiscoveryError
 from repro.graph.knowledge_graph import Edge, KnowledgeGraph
-from repro.graph.neighborhood import neighborhood_graph
+from repro.graph.neighborhood import (
+    NeighborhoodColumns,
+    NeighborhoodGraph,
+    neighborhood_graph,
+)
 from repro.graph.statistics import GraphStatistics
 
 
@@ -75,6 +87,118 @@ class TestReduction:
     def test_important_edges_on_inter_entity_paths_survive(self, figure1_neighborhood):
         reduced = reduce_neighborhood_graph(figure1_neighborhood)
         assert reduced.graph.has_edge("Jerry Yang", "founded", "Yahoo!")
+
+
+def _reduction_outcome(graph, query_tuple, d):
+    """The reduced neighborhood's ordered view, or the error it raises."""
+    neighborhood = neighborhood_graph(graph, query_tuple, d=d)
+    try:
+        reduced = reduce_neighborhood_graph(neighborhood)
+    except DiscoveryError as error:
+        return type(error), str(error)
+    if neighborhood.columns is not None:
+        # The reduction read the id columns; nothing decoded H_t itself.
+        assert neighborhood._graph is None and neighborhood._distances is None
+    assert reduced.columns is None
+    return ordered_view(reduced)
+
+
+class TestIdSpaceReduction:
+    """Reduction over id columns (mapped, delta overlay) against the string
+    spec on the owned graph: equal reduced graphs as ordered sequences."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_domains_match_string_spec(self, domain_backings, d):
+        tuples, owned, mapped, overlay = domain_backings
+        for query_tuple in tuples:
+            spec = _reduction_outcome(owned, query_tuple, d)
+            assert _reduction_outcome(mapped, query_tuple, d) == spec
+            assert _reduction_outcome(overlay, query_tuple, d) == spec
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_multigraphs_match_string_spec(self, seed):
+        base, delta, nodes = random_multigraph(seed)
+        rng = random.Random(seed)
+        with three_backings(base, delta) as (owned, mapped, overlay):
+            for arity in (1, 2, 3):
+                query_tuple = tuple(rng.sample(nodes, arity))
+                for d in (1, 2, 3):
+                    spec = _reduction_outcome(owned, query_tuple, d)
+                    assert _reduction_outcome(mapped, query_tuple, d) == spec
+                    assert _reduction_outcome(overlay, query_tuple, d) == spec
+
+    def test_disconnected_tuple_raises_the_same_error(self):
+        triples = [("a", "r", "b"), ("c", "r", "d")]
+        with three_backings(triples[:1], triples[1:]) as (owned, mapped, overlay):
+            spec = _reduction_outcome(owned, ("a", "c"), 2)
+            assert spec[0] is DiscoveryError
+            assert _reduction_outcome(mapped, ("a", "c"), 2) == spec
+            assert _reduction_outcome(overlay, ("a", "c"), 2) == spec
+
+    def test_unreduced_ablation_discovers_the_same_mqg(self, domain_backings):
+        tuples, owned, mapped, overlay = domain_backings
+        stats = GraphStatistics(owned)
+        for query_tuple in tuples[:6]:
+            mqgs = []
+            for graph in (owned, mapped, overlay):
+                neighborhood = neighborhood_graph(graph, query_tuple, d=2)
+                try:
+                    mqg = discover_maximal_query_graph(
+                        neighborhood, stats, r=8, reduce_first=False
+                    )
+                except DiscoveryError as error:
+                    mqgs.append(type(error))
+                    continue
+                mqgs.append((list(mqg.graph.edges), mqg.edge_weights, mqg.core_edges))
+            assert mqgs[1] == mqgs[0] and mqgs[2] == mqgs[0]
+
+    def test_keys_do_not_overflow_on_a_large_vocabulary(self):
+        # Node ids past 2**31 and 2**16 + labels: a key built as
+        # id * num_labels * num_nodes would wrap int64; keys built from
+        # positions in the neighborhood cannot.
+        node_ids = np.array([2**62, 2**40 + 7, 2**31, 2**33 + 1, 2**50], dtype=np.int64)
+        names = {int(node_id): f"e{rank}" for rank, node_id in enumerate(node_ids)}
+        label_strings = [f"l{index}" for index in range(2**16 + 3)]
+        rows = [  # (subject position, label id, object position), e0 is the query entity
+            (0, 2**16 + 2, 1),
+            (0, 5, 2),
+            (3, 2**16 + 2, 1),  # far sibling of an important in-edge of e1: removed
+            (2, 5, 4),
+            (1, 2**16 + 1, 3),
+        ]
+        subjects, labels, objects = (np.array(column, dtype=np.int64) for column in zip(*rows))
+        columns = NeighborhoodColumns(
+            term_of=names.__getitem__,
+            label_strings=label_strings,
+            node_ids=node_ids,
+            node_distances=np.array([0, 1, 1, 2, 2], dtype=np.int64),
+            near_count=3,
+            subjects=subjects,
+            labels=labels,
+            objects=objects,
+        )
+        lazy = NeighborhoodGraph(query_tuple=("e0",), d=2, columns=columns)
+        spec = NeighborhoodGraph(
+            graph=KnowledgeGraph(
+                (f"e{s}", label_strings[label], f"e{o}") for s, label, o in rows
+            ),
+            query_tuple=("e0",),
+            d=2,
+            distances={f"e{rank}": dist for rank, dist in enumerate([0, 1, 1, 2, 2])},
+        )
+        assert _removed_edges(spec) == {Edge("e3", label_strings[2**16 + 2], "e1")}
+        assert ordered_view(reduce_neighborhood_graph(lazy)) == ordered_view(
+            reduce_neighborhood_graph(spec)
+        )
+
+    def test_two_pass_removal_matches_per_node_spec(self, domain_backings):
+        tuples, owned, _mapped, _overlay = domain_backings
+        for query_tuple in tuples[:4]:
+            neighborhood = neighborhood_graph(owned, query_tuple, d=2)
+            per_node = set()
+            for node in neighborhood.graph.nodes:
+                per_node |= _unimportant_edges(neighborhood, node)
+            assert _removed_edges(neighborhood) == per_node
 
 
 class TestMQGDiscovery:

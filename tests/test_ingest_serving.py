@@ -34,7 +34,7 @@ from repro.datasets.example_graph import figure1_excerpt
 from repro.exceptions import EvaluationError, SnapshotError
 from repro.serving.async_server import AsyncGQBEServer
 from repro.serving.metrics import parse_prometheus_text
-from repro.serving.server import GQBEServer
+from repro.serving.server import GQBEServer, ServingCore
 from repro.storage.generations import (
     generation_number,
     generation_path,
@@ -305,6 +305,47 @@ class TestThreadedIngest:
             assert "snapshot" in body["error"]
         finally:
             server.stop()
+
+
+class TestConfigSurvivesReload:
+    def test_compaction_and_reload_keep_the_running_config(
+        self, figure1_graph, tmp_path
+    ):
+        """A reload swaps the snapshot, not the operator's engine config."""
+        path = _snapshot(figure1_graph, tmp_path)
+        config = GQBEConfig(mqg_size=6, k_prime=7, node_budget=40, max_join_rows=5_000)
+        core = ServingCore(
+            GQBE.from_snapshot(path, config), snapshot_path=path,
+            batch_window_seconds=0.002,
+        )
+        try:
+            status, _ = core.handle_ingest({"triples": BURSTS[0]})
+            assert status == 200
+            status, before = core.handle_query({"tuple": QUERY, "k": 10})
+            assert status == 200
+            # The config shows in the result: the default one discovers a
+            # larger MQG for this query.
+            merged = _merged(figure1_graph, BURSTS[0])
+            assert before["mqg_edges"] == GQBE(merged, config).query(tuple(QUERY)).mqg.num_edges
+            assert before["mqg_edges"] < GQBE(merged).query(tuple(QUERY)).mqg.num_edges
+
+            status, compacted = core.handle_compact()
+            assert status == 200
+            assert core.system.config == config
+            status, after = core.handle_query({"tuple": QUERY, "k": 10})
+            assert status == 200 and not after["cached"]
+            assert (after["answers"], after["mqg_edges"]) == (
+                before["answers"],
+                before["mqg_edges"],
+            )
+
+            core.load_snapshot(compacted["snapshot"])
+            assert core.system.config == config
+            status, reloaded = core.handle_query({"tuple": QUERY, "k": 10})
+            assert status == 200 and reloaded["answers"] == before["answers"]
+            assert reloaded["mqg_edges"] == before["mqg_edges"]
+        finally:
+            core.close_engine()
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from graph_backings import ordered_view, random_multigraph, three_backings
 
 from repro.exceptions import QueryError, UnknownEntityError
 from repro.graph.knowledge_graph import KnowledgeGraph
@@ -100,3 +103,56 @@ class TestNeighborhoodGraph:
         graph = KnowledgeGraph([("a", "r", "b"), ("c", "r", "d")])
         neighborhood = neighborhood_graph(graph, ("a", "c"), d=2)
         assert not neighborhood.graph.is_weakly_connected()
+
+
+def _check_lazy_neighborhood(spec, candidate):
+    """``candidate`` answers sizes off its columns and decodes to ``spec``."""
+    assert candidate.columns is not None
+    assert (candidate.num_nodes, candidate.num_edges) == (spec.num_nodes, spec.num_edges)
+    assert candidate._graph is None and candidate._distances is None
+    assert ordered_view(candidate) == ordered_view(spec)
+
+
+class TestIdSpaceNeighborhood:
+    """Mapped and delta-overlay graphs extract ``H_t`` as id columns; decoded
+    on demand it is the owned-graph ``H_t``, every order included."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_domains_match_owned_graph(self, domain_backings, d):
+        tuples, owned, mapped, overlay = domain_backings
+        for query_tuple in tuples:
+            spec = neighborhood_graph(owned, query_tuple, d=d)
+            assert spec.columns is None
+            for graph in (mapped, overlay):
+                _check_lazy_neighborhood(spec, neighborhood_graph(graph, query_tuple, d=d))
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_multigraphs_match_owned_graph(self, seed):
+        base, delta, nodes = random_multigraph(seed)
+        rng = random.Random(seed)
+        with three_backings(base, delta) as (owned, mapped, overlay):
+            for arity in (1, 2, 3):
+                query_tuple = tuple(rng.sample(nodes, arity))
+                for d in (1, 2, 3):
+                    spec = neighborhood_graph(owned, query_tuple, d=d)
+                    for graph in (mapped, overlay):
+                        _check_lazy_neighborhood(
+                            spec, neighborhood_graph(graph, query_tuple, d=d)
+                        )
+
+    def test_distances_match_across_backings(self, domain_backings):
+        tuples, owned, mapped, overlay = domain_backings
+        for query_tuple in tuples[:4]:
+            spec = list(query_entity_distances(owned, query_tuple, cutoff=2).items())
+            for graph in (mapped, overlay):
+                assert list(query_entity_distances(graph, query_tuple, cutoff=2).items()) == spec
+
+    def test_isolated_query_entity(self):
+        # A delta-only node whose only edge is a self-loop, and a tuple
+        # whose near nodes have no base slice at all.
+        with three_backings([("a", "r", "b")], [("c", "r", "c")]) as backings:
+            owned, mapped, overlay = backings
+            for query_tuple in (("c",), ("a", "c")):
+                spec = neighborhood_graph(owned, query_tuple, d=2)
+                for graph in (mapped, overlay):
+                    _check_lazy_neighborhood(spec, neighborhood_graph(graph, query_tuple, d=2))

@@ -202,6 +202,28 @@ def test_dying_worker_in_initializer_fails_fast(workload):
     assert time.monotonic() - started < 30
 
 
+def test_executor_breaking_between_fork_submits_fails_clean(workload, monkeypatch):
+    """The same death, one step earlier: a worker that exits before the
+    last fork-fleet submit breaks the executor, and ``submit`` itself
+    raises — that must surface as the same clean GQBEError."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    original = ProcessPoolExecutor.submit
+    submitted = []
+
+    def submit(self, *args, **kwargs):
+        if submitted:
+            raise BrokenProcessPool("a child process terminated abruptly")
+        submitted.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+    system = GQBE(workload.dataset.graph, config=GQBEConfig(**_CONFIG))
+    with pytest.raises(GQBEError, match="pool failed during initialization"):
+        WorkerPool(workers=2, system=system)
+
+
 def test_chunk_balancing():
     assert _chunk(list(range(5)), 2) == [[0, 1, 2], [3, 4]]
     assert _chunk(list(range(2)), 8) == [[0], [1]]

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from graph_backings import ordered_view, three_backings
 
+from repro.discovery.reduction import reduce_neighborhood_graph
 from repro.evaluation.metrics import (
     average_precision,
     ndcg_at_k,
     pearson_correlation,
     precision_at_k,
 )
+from repro.exceptions import DiscoveryError
 from repro.graph.knowledge_graph import Edge, KnowledgeGraph
 from repro.graph.neighborhood import neighborhood_graph
 from repro.graph.statistics import GraphStatistics
@@ -80,6 +83,34 @@ def test_neighborhood_is_monotone_in_d(triples, d):
     assert set(smaller.graph.nodes) <= set(larger.graph.nodes)
     assert set(smaller.graph.edges) <= set(larger.graph.edges)
     assert all(dist <= d for dist in smaller.distances.values())
+
+
+@given(
+    _triples,
+    st.integers(min_value=0, max_value=30),
+    st.lists(_node, min_size=1, max_size=3, unique=True),
+    st.integers(min_value=1, max_value=3),
+)
+@_slow
+def test_id_space_front_half_matches_string_spec(triples, cut, entities, d):
+    """Neighborhood + reduction over the mapped graph and over a delta overlay
+    (any split of the stream) equal the owned-graph spec, order included."""
+    triples = list(dict.fromkeys(triples))
+    cut = 1 + cut % len(triples)
+    with three_backings(triples[:cut], triples[cut:]) as (owned, mapped, overlay):
+        query_tuple = tuple(entity for entity in entities if owned.has_node(entity))
+        if not query_tuple:
+            return
+        outcomes = []
+        for graph in (owned, mapped, overlay):
+            neighborhood = neighborhood_graph(graph, query_tuple, d=d)
+            try:
+                reduced = reduce_neighborhood_graph(neighborhood)
+            except DiscoveryError as error:
+                outcomes.append((None, str(error)))
+                continue
+            outcomes.append((ordered_view(neighborhood), ordered_view(reduced)))
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
 
 @given(_triples)
