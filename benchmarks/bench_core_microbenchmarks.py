@@ -148,6 +148,100 @@ def test_bench_bulk_fanout_join(system, benchmark):
     assert relation.num_rows > 0
 
 
+def test_bench_overflowing_hub_join(benchmark):
+    """A join that overflows a 10k-row cap: decided from the match counts.
+
+    5 000 probe rows each bound to one of five hubs with 2 000 members:
+    ten million candidate rows, none of which is expanded.  Sized by hand,
+    not by ``GQBE_BENCH_SCALE`` — the cap is what is being timed.
+    """
+    import numpy as np
+
+    from repro.exceptions import LatticeError
+    from repro.graph.knowledge_graph import Edge, KnowledgeGraph
+    from repro.storage.join import ColumnarRelation, extend_with_edge
+    from repro.storage.store import VerticalPartitionStore
+
+    hubs = [f"hub{j}" for j in range(5)]
+    graph = KnowledgeGraph(
+        [(f"member{i}", "member_of", hub) for hub in hubs for i in range(2_000)]
+    )
+    store = VerticalPartitionStore(graph)
+    id_of = store.vocabulary.id_of
+    rows = np.arange(5_000)
+    relation = ColumnarRelation(
+        ("x", "h"),
+        [id_of("member0") + rows, np.array([id_of(hub) for hub in hubs])[rows % 5]],
+    )
+
+    def overflows() -> bool:
+        try:
+            extend_with_edge(store, relation, Edge("m", "member_of", "h"), max_rows=10_000)
+        except LatticeError:
+            return True
+        return False
+
+    assert benchmark(overflows)
+
+
+def test_bench_record_self_matching_relation(benchmark):
+    """Folding one lattice node's 10k-row relation into the answer table.
+
+    Seven columns, ~600 distinct answers, three rows in ten binding some
+    column to its own query node; half of the answers are already in the
+    table from an earlier node.  Sized by hand (see above).
+    """
+    import numpy as np
+
+    from repro._kernels import kernels
+    from repro.discovery.mqg import MaximalQueryGraph
+    from repro.graph.knowledge_graph import Edge, KnowledgeGraph
+    from repro.lattice.exploration import AnswerAccumulator
+    from repro.lattice.query_graph import LatticeSpace
+    from repro.storage.join import ColumnarRelation
+    from repro.storage.store import VerticalPartitionStore
+
+    variables = ("q", "a", "b", "c", "d", "e", "f")
+    edges = [Edge("q", f"r{i}", node) for i, node in enumerate(variables[1:])]
+    space = LatticeSpace(
+        MaximalQueryGraph(
+            graph=KnowledgeGraph(edges),
+            query_tuple=("q",),
+            edge_weights={edge: 1.0 + i / 8 for i, edge in enumerate(edges)},
+            core_edges=frozenset(),
+        )
+    )
+    others = [f"x{i}" for i in range(3_000)]
+    store = VerticalPartitionStore(
+        KnowledgeGraph([(node, "exists", node) for node in (*variables, *others)])
+    )
+    id_of = store.vocabulary.id_of
+    rng = np.random.default_rng(14)
+
+    def relation(num_rows: int, answers: "np.ndarray") -> ColumnarRelation:
+        columns = [answers[rng.integers(0, len(answers), num_rows)]]
+        for name in variables[1:]:
+            column = rng.integers(id_of(others[0]), id_of(others[-1]) + 1, num_rows)
+            column[rng.random(num_rows) < 0.05] = id_of(name)  # ~30 % of rows over six columns
+            columns.append(column)
+        return ColumnarRelation(variables, columns)
+
+    pool = np.array([id_of(name) for name in others[:900]])
+    earlier = relation(2_000, pool[:600])
+    node = relation(10_000, pool[300:])
+
+    def fresh():
+        accumulator = AnswerAccumulator(space, store, {("q",)})
+        accumulator.record(space.full_mask ^ 1, earlier)
+        return (accumulator, kernels.TopKThreshold(100).note), {}
+
+    def fold(accumulator, note):
+        accumulator.record(space.full_mask, node, note)
+        return len(accumulator)
+
+    assert benchmark.pedantic(fold, setup=fresh, rounds=30) > 600
+
+
 def test_bench_offline_precomputation(harness, benchmark):
     """Time to build statistics + vertical partition store for the data graph."""
     graph = harness.freebase_workload().dataset.graph

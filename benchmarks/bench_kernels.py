@@ -5,11 +5,10 @@ Two benchmark pairs, gated by ``check_regression.py --speedup-pair``:
 * ``test_fig14_kernel_hot_paths_{python,native}`` — replays the exact
   kernel-call trace of the full Fig. 14 Freebase workload over a v3
   mapped snapshot (every ``bfs_expand``, ``csr_neighbors``,
-  ``probe_tail``, ``filter_pairs``, score accumulation and
-  threshold-heap operation the 20 queries issue, with the same
-  arguments) against one backend.  This isolates the interpreter loops
-  the native extension replaces; CI gates the native side at >= 2x the
-  pure side.
+  ``probe_tail``, ``filter_pairs`` and threshold-heap operation the 20
+  queries issue, with the same arguments) against one backend.  This
+  isolates the interpreter loops the native extension replaces; CI
+  gates the native side at >= 2x the pure side.
 * ``test_fig14_explore_{python,native}`` — the end-to-end lattice
   exploration of the same workload per backend.  The explore phase is
   numpy-dominated (the vectorized join core), so the honest end-to-end
@@ -18,10 +17,10 @@ Two benchmark pairs, gated by ``check_regression.py --speedup-pair``:
 The trace is captured once by substituting recording wrappers into the
 live kernel namespace and running every workload query below the GQBE
 facade (which would re-assert its kernel mode and unbind the recorder).
-Dicts the kernels mutate in place (BFS distance maps, score records)
-are snapshotted at call time; each replay starts from fresh copies and
-prebound backend callables, both rebuilt in the benchmark's untimed
-setup phase, so the timed region runs kernel calls only.
+Dicts the kernels mutate in place (BFS distance maps) are snapshotted
+at call time; each replay starts from fresh copies and prebound backend
+callables, both rebuilt in the benchmark's untimed setup phase, so the
+timed region runs kernel calls only.
 """
 
 from __future__ import annotations
@@ -57,8 +56,8 @@ class _Recorder:
     """Records every kernel call issued by the engine into a trace.
 
     Each trace entry is ``(op, args...)`` where mutable arguments
-    (``distances``, ``records``) are snapshotted at call time;
-    :func:`_materialize` rebuilds fresh copies before every replay.
+    (``distances``) are snapshotted at call time; :func:`_materialize`
+    rebuilds fresh copies before every replay.
     Threshold heaps are stateful, so their ``note``/``threshold`` calls
     are recorded per instance and replayed against a fresh heap of the
     backend under test.
@@ -95,26 +94,6 @@ class _Recorder:
                            pairs))
         return self.backend.filter_pairs(rows, subject_col, object_col, pairs)
 
-    def accumulate_structure(self, answers, excluded, records, mask_structure,
-                             mask, on_structure_improved):
-        # The callback feeds the live threshold heap; its note() calls are
-        # recorded separately by the _RecordingTopK wrapper below, so the
-        # replayed accumulation runs callback-free.
-        self.trace.append(("accumulate_structure", answers, excluded,
-                           _copy_records(records), mask_structure, mask))
-        return self.backend.accumulate_structure(
-            answers, excluded, records, mask_structure, mask,
-            on_structure_improved)
-
-    def accumulate_content(self, matches, records, mask_structure, mask,
-                           content_of):
-        self.trace.append(("accumulate_content", matches,
-                           _copy_records(records), mask_structure, mask,
-                           content_of))
-        return self.backend.accumulate_content(matches, records,
-                                               mask_structure, mask,
-                                               content_of)
-
     def TopKThreshold(self, k_prime):
         recorder = self
 
@@ -136,10 +115,6 @@ class _Recorder:
                 return len(inner._top)
 
         return _RecordingTopK()
-
-
-def _copy_records(records):
-    return {answer: list(record) for answer, record in records.items()}
 
 
 def _record_workload_trace(harness, graph_store):
@@ -179,15 +154,12 @@ def _materialize(trace, backend):
     nothing but kernel calls: per-op loops with exact arities (direct
     vectorcalls, no ``*args`` unpacking), prebound backend callables,
     fresh copies of the in-place-mutated dicts, and fresh threshold
-    heaps of the backend under test.  ``content_of`` is replayed as a
-    lookup into a precomputed signature→score table — the traced
-    callback runs identical Python scoring code under either backend,
-    so timing it would only dilute the kernel comparison.  Replay order
-    is per-op instead of interleaved; every call's inputs are
-    independent snapshots, and each heap's note/threshold sequence is
-    preserved, so the work per call is unchanged.
+    heaps of the backend under test.  Replay order is per-op instead
+    of interleaved; every call's inputs are independent snapshots, and
+    each heap's note/threshold sequence is preserved, so the work per
+    call is unchanged.
     """
-    bfs, csr, probe, filt, acc_s, acc_c, topk = [], [], [], [], [], [], []
+    bfs, csr, probe, filt, topk = [], [], [], [], []
     tops: dict[int, object] = {}
     for entry in trace:
         op = entry[0]
@@ -200,17 +172,6 @@ def _materialize(trace, backend):
             probe.append(entry[1:])
         elif op == "filter_pairs":
             filt.append(entry[1:])
-        elif op == "accumulate_structure":
-            acc_s.append(entry[1:3] + (_copy_records(entry[3]),)
-                         + entry[4:])
-        elif op == "accumulate_content":
-            table: dict[int, float] = {}
-            content_of = entry[5]
-            for _answer, signature in entry[1]:
-                if signature not in table:
-                    table[signature] = content_of(signature)
-            acc_c.append((entry[1], _copy_records(entry[2]), entry[3],
-                          entry[4], table.__getitem__))
         elif op == "topk_new":
             tops[entry[1]] = backend.TopKThreshold(entry[2])
         elif op == "topk_note":
@@ -220,12 +181,12 @@ def _materialize(trace, backend):
             topk.append(
                 (lambda _answer, _score, _top=top: _top.threshold(),
                  None, None))
-    return backend, (bfs, csr, probe, filt, acc_s, acc_c, topk)
+    return backend, (bfs, csr, probe, filt, topk)
 
 
 def _replay(backend, batches):
     """Run every traced kernel call; the whole loop is kernel time."""
-    bfs, csr, probe, filt, acc_s, acc_c, topk = batches
+    bfs, csr, probe, filt, topk = batches
     bfs_expand = backend.bfs_expand
     for frontier, out_ip, out_obj, in_ip, in_subj, distances, depth in bfs:
         bfs_expand(frontier, out_ip, out_obj, in_ip, in_subj, distances,
@@ -239,14 +200,6 @@ def _replay(backend, batches):
     filter_pairs = backend.filter_pairs
     for rows, subject_col, object_col, pairs in filt:
         filter_pairs(rows, subject_col, object_col, pairs)
-    accumulate_structure = backend.accumulate_structure
-    for answers, excluded, records, mask_structure, mask in acc_s:
-        accumulate_structure(answers, excluded, records, mask_structure,
-                             mask, None)
-    accumulate_content = backend.accumulate_content
-    for matches, records, mask_structure, mask, content_of in acc_c:
-        accumulate_content(matches, records, mask_structure, mask,
-                           content_of)
     for note, answer, score in topk:
         note(answer, score)
     return sum(map(len, batches))

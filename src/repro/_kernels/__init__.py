@@ -1,8 +1,7 @@
 """Kernel backend selection: native C extension vs pure-Python fallback.
 
 The engine's innermost scalar loops (CSR frontier expansion, the ≤64-row
-scalar join-probe tail, top-k' threshold maintenance, structure-score
-accumulation) exist twice: as the pure-Python reference in
+scalar join-probe tail, top-k' threshold maintenance) exist twice: as the pure-Python reference in
 :mod:`repro._kernels._pure` and as a C extension in
 ``repro._kernels._native`` (built by ``pip install``; optional, the
 build may fail or be skipped).  Both implement the same functions with
@@ -77,8 +76,6 @@ class _KernelNamespace:
         "csr_neighbors",
         "probe_tail",
         "filter_pairs",
-        "accumulate_structure",
-        "accumulate_content",
         "TopKThreshold",
     )
 
@@ -88,8 +85,6 @@ class _KernelNamespace:
         self.csr_neighbors = module.csr_neighbors
         self.probe_tail = module.probe_tail
         self.filter_pairs = module.filter_pairs
-        self.accumulate_structure = module.accumulate_structure
-        self.accumulate_content = module.accumulate_content
         self.TopKThreshold = module.TopKThreshold
 
 

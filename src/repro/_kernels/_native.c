@@ -3,8 +3,8 @@
  * Each function here is the compiled twin of one function in
  * repro/_kernels/_pure.py and must stay byte-identical to it: same
  * match/visit order, same dict insertion order, same overflow timing,
- * same Python object semantics (tuple concat, membership tests, dict
- * max-merges).  tests/test_native_kernels.py pins every pair.
+ * same Python object semantics (tuple concat, membership tests).
+ * tests/test_native_kernels.py pins every pair.
  *
  * Int64 columns arrive as C-contiguous read-only buffers (numpy arrays
  * or mmap-backed views); row data arrives as the interpreter objects
@@ -74,8 +74,8 @@ check_dict(const char *name, PyObject *obj)
     return 0;
 }
 
-/* PyFloat_AsDouble with the exact-float unbox inlined; the score
- * records hold floats except when user code stored something odd. */
+/* PyFloat_AsDouble with the exact-float unbox inlined; scores are
+ * floats except when user code passed something odd. */
 static inline double
 as_double(PyObject *obj)
 {
@@ -523,226 +523,6 @@ fail:
 }
 
 /* ------------------------------------------------------------------ */
-/* accumulate_structure                                               */
-/* ------------------------------------------------------------------ */
-
-static PyObject *
-kernel_accumulate_structure(PyObject *Py_UNUSED(module),
-                            PyObject *const *args, Py_ssize_t nargs)
-{
-    if (check_arity("accumulate_structure", nargs, 6) < 0)
-        return NULL;
-    PyObject *answers = args[0], *excluded = args[1], *records = args[2];
-    PyObject *mask_structure_obj = args[3], *mask_obj = args[4];
-    PyObject *callback = args[5];
-    if (check_dict("records", records) < 0)
-        return NULL;
-
-    double mask_structure = as_double(mask_structure_obj);
-    if (mask_structure == -1.0 && PyErr_Occurred())
-        return NULL;
-    int has_callback = callback != Py_None;
-
-    PyObject *zero = PyFloat_FromDouble(0.0);
-    if (zero == NULL)
-        return NULL;
-    /* Materialize the answer set once (same iteration order) and walk
-     * borrowed references: cheaper than a per-item PyIter_Next round
-     * trip on the hottest per-answer loop of the exploration. */
-    PyObject *fast = PySequence_Fast(answers,
-                                     "distinct_answers must be iterable");
-    if (fast == NULL) {
-        Py_DECREF(zero);
-        return NULL;
-    }
-    /* An empty exclusion set (the common case outside the workload
-     * queries themselves) skips the per-answer membership test. */
-    int check_excluded =
-        !PyAnySet_Check(excluded) || PySet_GET_SIZE(excluded) > 0;
-
-    Py_ssize_t n_answers = PySequence_Fast_GET_SIZE(fast);
-    PyObject **answer_items = PySequence_Fast_ITEMS(fast);
-    for (Py_ssize_t i = 0; i < n_answers; i++) {
-        PyObject *answer = answer_items[i];
-        if (check_excluded) {
-            int skip = PySet_Contains(excluded, answer);
-            if (skip < 0)
-                goto fail;
-            if (skip)
-                continue;
-        }
-        /* Lattice nodes overlap heavily in their answer sets, so most
-         * answers already hold a record: look up first (one hash, no
-         * allocation on the hot merge path) and only build the fresh
-         * 4-list on a miss. */
-        PyObject *record = PyDict_GetItemWithError(records, answer);
-        if (record == NULL) {
-            if (PyErr_Occurred())
-                goto fail;
-            PyObject *fresh = PyList_New(4);
-            if (fresh == NULL)
-                goto fail;
-            Py_INCREF(mask_structure_obj);
-            PyList_SET_ITEM(fresh, 0, mask_structure_obj);
-            Py_INCREF(mask_structure_obj);
-            PyList_SET_ITEM(fresh, 1, mask_structure_obj);
-            Py_INCREF(zero);
-            PyList_SET_ITEM(fresh, 2, zero);
-            Py_INCREF(mask_obj);
-            PyList_SET_ITEM(fresh, 3, mask_obj);
-            int failed = PyDict_SetItem(records, answer, fresh) < 0;
-            Py_DECREF(fresh);
-            if (failed)
-                goto fail;
-            if (has_callback) {
-                PyObject *cbargs[2] = {answer, mask_structure_obj};
-                PyObject *result =
-                    PyObject_Vectorcall(callback, cbargs, 2, NULL);
-                if (result == NULL)
-                    goto fail;
-                Py_DECREF(result);
-            }
-        } else {
-            if (!PyList_Check(record) || PyList_GET_SIZE(record) != 4) {
-                PyErr_SetString(PyExc_TypeError,
-                                "records must hold 4-item lists");
-                goto fail;
-            }
-            double structure = as_double(PyList_GET_ITEM(record, 0));
-            if (structure == -1.0 && PyErr_Occurred())
-                goto fail;
-            if (mask_structure > structure) {
-                Py_INCREF(mask_structure_obj);
-                if (PyList_SetItem(record, 0, mask_structure_obj) < 0)
-                    goto fail;
-                if (has_callback) {
-                    PyObject *cbargs[2] = {answer, mask_structure_obj};
-                    PyObject *result =
-                        PyObject_Vectorcall(callback, cbargs, 2, NULL);
-                    if (result == NULL)
-                        goto fail;
-                    Py_DECREF(result);
-                }
-            }
-            double full = as_double(PyList_GET_ITEM(record, 1));
-            if (full == -1.0 && PyErr_Occurred())
-                goto fail;
-            if (mask_structure > full) {
-                Py_INCREF(mask_structure_obj);
-                if (PyList_SetItem(record, 1, mask_structure_obj) < 0)
-                    goto fail;
-                Py_INCREF(zero);
-                if (PyList_SetItem(record, 2, zero) < 0)
-                    goto fail;
-                Py_INCREF(mask_obj);
-                if (PyList_SetItem(record, 3, mask_obj) < 0)
-                    goto fail;
-            }
-        }
-    }
-    Py_DECREF(fast);
-    Py_DECREF(zero);
-    Py_RETURN_NONE;
-
-fail:
-    Py_DECREF(fast);
-    Py_DECREF(zero);
-    return NULL;
-}
-
-/* ------------------------------------------------------------------ */
-/* accumulate_content                                                 */
-/* ------------------------------------------------------------------ */
-
-static PyObject *
-kernel_accumulate_content(PyObject *Py_UNUSED(module), PyObject *const *args,
-                          Py_ssize_t nargs)
-{
-    if (check_arity("accumulate_content", nargs, 5) < 0)
-        return NULL;
-    PyObject *matches = args[0], *records = args[1];
-    PyObject *mask_structure_obj = args[2], *mask_obj = args[3];
-    PyObject *content_of = args[4];
-    if (check_dict("records", records) < 0)
-        return NULL;
-
-    double mask_structure = as_double(mask_structure_obj);
-    if (mask_structure == -1.0 && PyErr_Occurred())
-        return NULL;
-    PyObject *cache = PyDict_New();
-    if (cache == NULL)
-        return NULL;
-    PyObject *fast = PySequence_Fast(matches, "matches must be a sequence");
-    if (fast == NULL) {
-        Py_DECREF(cache);
-        return NULL;
-    }
-
-    Py_ssize_t n_matches = PySequence_Fast_GET_SIZE(fast);
-    PyObject **items = PySequence_Fast_ITEMS(fast);
-    for (Py_ssize_t i = 0; i < n_matches; i++) {
-        PyObject *pair = items[i];
-        if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2) {
-            PyErr_SetString(PyExc_TypeError,
-                            "matches must hold (answer, signature) pairs");
-            goto fail;
-        }
-        PyObject *answer = PyTuple_GET_ITEM(pair, 0);
-        PyObject *signature = PyTuple_GET_ITEM(pair, 1);
-        PyObject *record = PyDict_GetItemWithError(records, answer);
-        if (record == NULL) {
-            if (PyErr_Occurred())
-                goto fail;
-            continue; /* excluded answer (skipped by the structure sweep) */
-        }
-        if (!PyList_Check(record) || PyList_GET_SIZE(record) != 4) {
-            PyErr_SetString(PyExc_TypeError, "records must hold 4-item lists");
-            goto fail;
-        }
-        PyObject *content_obj = PyDict_GetItemWithError(cache, signature);
-        if (content_obj == NULL) {
-            if (PyErr_Occurred())
-                goto fail;
-            content_obj = PyObject_Vectorcall(content_of, &signature, 1, NULL);
-            if (content_obj == NULL)
-                goto fail;
-            int failed = PyDict_SetItem(cache, signature, content_obj) < 0;
-            Py_DECREF(content_obj); /* cache keeps it alive below */
-            if (failed)
-                goto fail;
-        }
-        double content = as_double(content_obj);
-        if (content == -1.0 && PyErr_Occurred())
-            goto fail;
-        double full = mask_structure + content;
-        double best = as_double(PyList_GET_ITEM(record, 1));
-        if (best == -1.0 && PyErr_Occurred())
-            goto fail;
-        if (full > best) {
-            PyObject *full_obj = PyFloat_FromDouble(full);
-            if (full_obj == NULL)
-                goto fail;
-            if (PyList_SetItem(record, 1, full_obj) < 0)
-                goto fail;
-            Py_INCREF(content_obj);
-            if (PyList_SetItem(record, 2, content_obj) < 0)
-                goto fail;
-            Py_INCREF(mask_obj);
-            if (PyList_SetItem(record, 3, mask_obj) < 0)
-                goto fail;
-        }
-    }
-    Py_DECREF(fast);
-    Py_DECREF(cache);
-    Py_RETURN_NONE;
-
-fail:
-    Py_DECREF(fast);
-    Py_DECREF(cache);
-    return NULL;
-}
-
-/* ------------------------------------------------------------------ */
 /* TopKThreshold                                                      */
 /* ------------------------------------------------------------------ */
 
@@ -998,12 +778,6 @@ static PyMethodDef module_methods[] = {
     {"filter_pairs", (PyCFunction)(void (*)(void))kernel_filter_pairs,
      METH_FASTCALL,
      "Scalar both-endpoints-bound join filter over a pair set."},
-    {"accumulate_structure",
-     (PyCFunction)(void (*)(void))kernel_accumulate_structure, METH_FASTCALL,
-     "Fold distinct answers into the per-answer score records."},
-    {"accumulate_content",
-     (PyCFunction)(void (*)(void))kernel_accumulate_content, METH_FASTCALL,
-     "Fold self-match content scores into the per-answer records."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -148,69 +148,6 @@ def filter_pairs(rows, subject_col, object_col, pairs):
     return [row for row in rows if (row[subject_col], row[object_col]) in pairs]
 
 
-def accumulate_structure(
-    distinct_answers, excluded, records, mask_structure, mask, on_structure_improved
-):
-    """Fold one lattice node's distinct answers into the score records.
-
-    Every answer gets at least ``(structure=mask_structure, full=
-    mask_structure, content=0.0, mask)``; existing records are max-merged
-    field by field.  ``on_structure_improved`` (may be ``None``) fires
-    whenever an answer's best structure score strictly increases.  The
-    record layout is pinned by ``lattice/exploration.py``
-    (``STRUCTURE, FULL, CONTENT, MASK = range(4)``).
-    """
-    # gqbe: ignore[DET001] -- order-independent: each answer updates
-    # its own record with max-merges; the final records dict content
-    # is identical under any iteration order, and ranking happens
-    # later over the records, not over this loop's side effects.
-    for answer in distinct_answers:
-        if answer in excluded:
-            continue
-        record = records.get(answer)
-        if record is None:
-            records[answer] = [mask_structure, mask_structure, 0.0, mask]
-            if on_structure_improved is not None:
-                on_structure_improved(answer, mask_structure)
-        else:
-            if mask_structure > record[0]:
-                record[0] = mask_structure
-                if on_structure_improved is not None:
-                    on_structure_improved(answer, mask_structure)
-            if mask_structure > record[1]:
-                record[1] = mask_structure
-                record[2] = 0.0
-                record[3] = mask
-
-
-def accumulate_content(matches, records, mask_structure, mask, content_of):
-    """Fold the self-match rows' content scores into the score records.
-
-    ``matches`` is a sequence of ``(answer, signature)`` pairs where
-    ``signature`` is the bitmask of answer columns bound to their own
-    query node.  Distinct signatures repeat heavily within one relation,
-    so ``content_of(signature)`` (the Python scoring callback) runs once
-    per distinct signature and is cached for the rest of the call.
-    Answers without a record were excluded by the structure sweep and
-    are skipped.  The record layout is pinned by
-    ``lattice/exploration.py`` (``STRUCTURE, FULL, CONTENT, MASK``).
-    """
-    content_cache: dict[int, float] = {}
-    for answer, signature in matches:
-        record = records.get(answer)
-        if record is None:
-            continue  # excluded answer (skipped by the structure sweep)
-        content = content_cache.get(signature)
-        if content is None:
-            content = content_of(signature)
-            content_cache[signature] = content
-        full = mask_structure + content
-        if full > record[1]:
-            record[1] = full
-            record[2] = content
-            record[3] = mask
-
-
 class TopKThreshold:
     """Bounded min-heap of the current top-``k_prime`` per-answer scores.
 

@@ -21,16 +21,10 @@ from collections.abc import Iterable
 
 from repro.exceptions import LatticeError
 from repro.lattice.exploration import (
-    CONTENT,
-    FULL,
-    MASK,
-    STRUCTURE,
     AnswerAccumulator,
     ExplorationResult,
     ExplorationStatistics,
     LatticeNodeEvaluator,
-    RankedAnswer,
-    drop_trivial_self_match,
 )
 from repro.lattice.minimal_trees import minimal_query_trees
 from repro.lattice.query_graph import LatticeSpace
@@ -88,14 +82,12 @@ class BreadthFirstExplorer(LatticeNodeEvaluator):
             if relation is None:
                 self._stats.nodes_skipped += 1
                 continue
-            identity_info = self._answers.identity_info(relation.variables)
-            effective = drop_trivial_self_match(relation, identity_info[0])
-            if effective.is_empty():
+            if self._answers.is_null(relation):
                 self._stats.null_nodes += 1
                 self._add_null_mask(mask)
                 continue
             self._evaluated[mask] = relation
-            self._answers.record(mask, effective, identity_info=identity_info)
+            self._answers.record(mask, relation)
             for parent in self.space.parents_of(mask):
                 if parent not in enqueued and not self._is_pruned(parent):
                     enqueued.add(parent)
@@ -104,23 +96,7 @@ class BreadthFirstExplorer(LatticeNodeEvaluator):
         self._stats.answers_found = len(self._answers)
         self._stats.elapsed_seconds = time.perf_counter() - start
         return ExplorationResult(
-            answers=self._final_ranking(),
+            answers=self._answers.ranked(self.k),
             statistics=self._stats,
             lattice_size_hint=2 ** self.space.num_edges,
         )
-
-    def _final_ranking(self) -> list[RankedAnswer]:
-        ranked = sorted(
-            self._answers.decoded_items(),
-            key=lambda item: (-item[1][FULL], item[0]),
-        )[: self.k]
-        return [
-            RankedAnswer(
-                entities=answer,
-                score=record[FULL],
-                structure_score=record[STRUCTURE],
-                content_score=record[CONTENT],
-                query_graph_mask=record[MASK],
-            )
-            for answer, record in ranked
-        ]

@@ -28,12 +28,19 @@ Performance notes (the hot path of the Fig. 14/16 experiments):
 
 * join relations carry **interned int entity ids** (see
   :mod:`repro.storage.vocabulary`); answers are decoded back to entity
-  strings only in :meth:`BestFirstExplorer._final_ranking`;
-* under a columnar store the relations are
-  :class:`~repro.storage.join.ColumnarRelation` column arrays; the
-  self-match filter and the answer-recording sweep below vectorize over
-  them for bulk relations and fall back to the tuple-row code path for
-  tiny ones (``prefers_columns``);
+  strings only in :meth:`AnswerAccumulator.ranked`, and only those that
+  can still make the top-k';
+* the per-answer scores live in arrays sorted by an answer key
+  (:class:`AnswerAccumulator`): a lattice node's relation is folded in
+  as one matrix with whole-array operations — its rows never become
+  Python tuples — and Python touches only the distinct self-match
+  signatures and the answers whose structure score rose, and none of
+  those once the node scores at or below a full threshold heap.  The
+  fold is a fixed few dozen numpy calls whatever the relation's size or
+  width, which is what a node of a handful of rows pays for;
+* a node's trivial self-match, and the rows of an excluded query tuple,
+  are dropped inside that fold by their signature bits instead of being
+  filtered out of every column first;
 * ``Q_best`` selection uses a lazy-deletion max-heap instead of scanning
   every LF node per iteration;
 * the stage-one k'-threshold is maintained incrementally with a bounded
@@ -48,31 +55,26 @@ from __future__ import annotations
 import heapq
 import time
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
-from itertools import filterfalse
-from operator import itemgetter
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.exceptions import LatticeError
 from repro.storage.batch import OVERFLOW
 from repro.lattice.minimal_trees import minimal_query_trees
 from repro.lattice.query_graph import LatticeSpace
 from repro._kernels import kernels
-from repro.lattice.scoring import (
-    accumulate_content_scores,
-    accumulate_structure_scores,
-    content_score_from_matched,
-    structure_score,
-)
+from repro.lattice.scoring import content_score_from_matched
 from repro.storage.join import (
     _SCALAR_TAIL_ROWS,
     ColumnarRelation,
     Relation,
+    _columns_from_rows,
     evaluate_query_edges,
     extend_with_edge,
-    np,
 )
 from repro.storage.store import VerticalPartitionStore
-from repro.storage.vocabulary import EntityId
+from repro.storage.vocabulary import EntityId, IdentityVocabulary
 
 #: Default stage-one oversampling: the paper reports best accuracy with
 #: k' ≈ 100 for k between 10 and 25.
@@ -120,83 +122,45 @@ class ExplorationResult:
         return [answer.entities for answer in self.answers]
 
 
-def drop_trivial_self_match(
-    relation: Relation, identity_row: Sequence[EntityId | None] | None = None
-) -> Relation:
-    """Remove the identity match (the query graph matching itself).
-
-    Definition 3 of the paper excludes the trivial answer graph in which
-    every query-graph node is mapped to itself; a lattice node whose only
-    match is that identity mapping is therefore a *null* node.
-
-    ``identity_row`` holds, per column, the interned id of the column's own
-    variable name (``None`` when the variable is not a data entity).  It
-    defaults to the variable names themselves, which is correct for
-    relations produced by an identity-vocabulary (string path) store.
-
-    A row is the trivial self-match exactly when *every* column equals its
-    own variable's id — i.e. when the row equals ``identity_row`` as a
-    tuple — and rows are unique, so removal is a single C-level
-    ``list.index`` scan plus two slices (tuple rows) or one vectorized
-    equality mask (columnar).  (If any variable has no id,
-    ``identity_row`` contains ``None`` and no row can equal it.)
-    """
-    variables = relation.variables
-    identity = tuple(identity_row) if identity_row is not None else variables
-
-    if isinstance(relation, ColumnarRelation):
-        if not variables or relation.is_empty() or None in identity:
-            return relation
-        if relation.prefers_columns():
-            match = relation.columns[0] == identity[0]
-            for column, ident in zip(relation.columns[1:], identity[1:]):
-                match &= column == ident
-            hits = np.nonzero(match)[0]
-            if not len(hits):
-                return relation
-            keep = ~match
-            return ColumnarRelation(
-                variables,
-                [column[keep] for column in relation.columns],
-                index=relation._index,
-            )
-        rows = relation.to_rows()
-        try:
-            at = rows.index(identity)
-        except ValueError:
-            return relation
-        return ColumnarRelation(
-            variables, rows=rows[:at] + rows[at + 1:], index=relation._index
-        )
-
-    rows = relation.rows
-    try:
-        at = rows.index(identity)
-    except ValueError:
-        return relation
-    return Relation(variables, rows[:at] + rows[at + 1:], index=relation._index)
+def _run_starts(ordered: "np.ndarray") -> "np.ndarray":
+    """Start offsets of the runs of equal values in a sorted, non-empty array."""
+    first = np.empty(len(ordered), dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return first.nonzero()[0]
 
 
-#: Index layout of a per-answer record list: the best structure score over
-#: all answer graphs projecting to the answer, the best full (Eq. 5) score,
-#: and the content score / query-graph mask of that best full answer graph.
-#: Plain lists instead of a dataclass: the update runs once per join row on
-#: the hottest loop of the exploration.
-STRUCTURE, FULL, CONTENT, MASK = range(4)
+#: Rows of :attr:`AnswerAccumulator._table`, and the column a new answer
+#: enters with: below every score, recorded by no query graph yet.
+_STRUCTURE, _FULL, _CONTENT, _RECORDED = range(4)
+_UNSEEN = np.array([[-np.inf], [-np.inf], [0.0], [-1.0]])
 
-AnswerRecord = list  # [structure: float, full: float, content: float, mask: int]
+#: Column ``i`` bound to its own query node sets bit ``i`` of a row's signature.
+_BIT_WEIGHTS = 1 << np.arange(63)
 
 
 class AnswerAccumulator:
-    """Interning-aware per-answer score bookkeeping shared by the explorers.
+    """The per-answer score table of Eq. 1/5, shared by the explorers.
 
-    Answers are keyed by their interned id tuples — or, for single-entity
-    query tuples, by the bare id, which keeps the hot path free of
-    one-element tuple packing — while the exploration runs;
-    :meth:`decoded_items` converts them back to entity-string tuples when
-    the final ranking is materialized.  Excluded tuples are interned once
-    up front (a tuple containing an entity unknown to the data graph can
-    never be produced, so it is dropped).
+    One entry per distinct answer tuple seen so far: a sorted array of
+    *answer keys* and, aligned with it, one ``(4, n)`` float table holding
+    the best structure score over the query graphs that produced the
+    answer, the best full score (Eq. 5), and the content score and query
+    graph behind that best full score (the graph as an ordinal into the
+    list of recorded masks, which are unbounded ints; ordinals are exact
+    in a float64).  The key is the interned entity id for single-entity
+    query tuples and a mixed-radix int64 over ``len(vocabulary)``
+    otherwise; where ids are not ints (the
+    :class:`~repro.storage.vocabulary.IdentityVocabulary` string path) or
+    the radix would not fit, the same code runs on an object-dtype array
+    of id tuples.  Keys are decoded to entity strings only in
+    :meth:`ranked`.
+
+    Excluded tuples are interned once up front (a tuple containing an
+    entity unknown to the data graph can never be produced, so it is
+    dropped) and sit in the table from the start with infinite scores and
+    ordinal -1: no query graph ever improves on them, so :meth:`record`
+    has no step for them, and the readers skip them.
     """
 
     def __init__(
@@ -206,172 +170,236 @@ class AnswerAccumulator:
         excluded_tuples: Iterable[tuple[str, ...]],
     ) -> None:
         self.space = space
-        self.vocabulary = store.vocabulary
-        self._arity_one = len(space.query_tuple) == 1
-        self.records: dict[EntityId | tuple[EntityId, ...], AnswerRecord] = {}
-        id_of = self.vocabulary.id_of
-        self._excluded: set[EntityId | tuple[EntityId, ...]] = set()
-        for entities in excluded_tuples:
-            ids = tuple(id_of(entity) for entity in entities)
-            if None not in ids:
-                self._excluded.add(ids[0] if self._arity_one else ids)
+        self.vocabulary = vocabulary = store.vocabulary
+        self._arity = arity = len(space.query_tuple)
+        interned = not isinstance(vocabulary, IdentityVocabulary)
+        self._id_dtype = np.int64 if interned else object
+        #: Base of the mixed-radix answer key; ``None`` selects id tuples.
+        self._radix: int | None = None
+        if interned and len(vocabulary) ** arity < 2**63:
+            self._radix = len(vocabulary)
+        id_of = vocabulary.id_of
+        excluded = sorted(
+            {
+                ids
+                for ids in (tuple(map(id_of, entities)) for entities in excluded_tuples)
+                if len(ids) == arity and None not in ids
+            }
+        )
+        #: Whether the query tuple itself is excluded (it usually is).
+        self._query_excluded = tuple(map(id_of, space.query_tuple)) in excluded
+        # Sorted id tuples give sorted keys: the radix key is monotone in them.
+        self._keys = self._answer_keys(_columns_from_rows(excluded, arity, self._id_dtype))
+        self._num_excluded = len(self._keys)
+        self._table = np.full((4, self._num_excluded), np.inf)
+        self._table[_RECORDED] = -1
+        self._masks: list[int] = []
         #: Variable names are always MQG nodes; resolving them against this
-        #: small mapping keeps identity_info off the full vocabulary dict.
-        self._node_ids: dict[str, EntityId | None] = {
-            node: id_of(node) for node in space.mqg.graph.nodes
+        #: small mapping keeps identity rows off the full vocabulary.  Ids
+        #: are non-negative ints or strings, so -1 equals none of them.
+        self._node_ids: dict[str, EntityId] = {
+            node: -1 if (own := id_of(node)) is None else own
+            for node in space.mqg.graph.nodes
         }
-        #: variables -> (identity row, self-match checks, identity id set).
-        self._identity_info: dict[
-            tuple[str, ...],
-            tuple[
-                tuple[EntityId | None, ...],
-                list[tuple[int, EntityId, str]],
-                frozenset[EntityId],
-            ],
-        ] = {}
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._keys) - self._num_excluded
 
-    def identity_info(
-        self, variables: tuple[str, ...]
-    ) -> tuple[
-        tuple[EntityId | None, ...],
-        list[tuple[int, EntityId, str]],
-        frozenset[EntityId],
-    ]:
-        """(identity row, self-match checks, identity id set) — memoized.
+    def structure_scores(self) -> "np.ndarray":
+        """Every answer's best structure score so far (a copy, unordered)."""
+        return self._table[_STRUCTURE][self._table[_RECORDED] >= 0]
 
-        Variable names are MQG nodes, so their ids are resolved through a
-        small per-space mapping built once instead of the full vocabulary.
+    def identity_row(self, variables: tuple[str, ...]) -> list[EntityId]:
+        """Each variable's own entity id (-1 if it is not a data entity).
+
+        Definition 3 of the paper excludes the trivial answer graph that
+        maps every query-graph node to itself: the row of a match relation
+        that equals this one.  Rows are unique, so it occurs at most once
+        (and a row never holds a -1).
         """
-        info = self._identity_info.get(variables)
-        if info is None:
-            node_ids = self._node_ids
-            identity = tuple(map(node_ids.get, variables))
-            checks = [
-                (i, ident, variables[i])
-                for i, ident in enumerate(identity)
-                if ident is not None
-            ]
-            values = frozenset(ident for _, ident, _ in checks)
-            info = (identity, checks, values)
-            self._identity_info[variables] = info
-        return info
+        return list(map(self._node_ids.__getitem__, variables))
+
+    def is_null(self, relation: Relation) -> bool:
+        """Whether ``relation`` holds no match besides the trivial one."""
+        if relation.num_rows > 1:
+            return False
+        rows = relation.to_rows()
+        return not rows or list(rows[0]) == self.identity_row(relation.variables)
+
+    def _answer_keys(self, columns: "Sequence[np.ndarray]") -> "np.ndarray":
+        """One sortable key per row of the query-entity ``columns``."""
+        radix = self._radix
+        if radix is None:
+            return np.fromiter(
+                zip(*(column.tolist() for column in columns)),
+                dtype=object,
+                count=len(columns[0]),
+            )
+        keys = columns[0]
+        for column in columns[1:]:
+            keys = keys * radix + column
+        return keys
+
+    def _entities_of(self, key) -> tuple[str, ...]:
+        radix = self._radix
+        if radix is None:
+            return self.vocabulary.decode_row(key)
+        ids = []
+        for _ in range(self._arity):
+            key, entity_id = divmod(key, radix)
+            ids.append(entity_id)
+        return self.vocabulary.decode_row(ids[::-1])
 
     def record(
         self,
         mask: int,
         relation: Relation,
-        on_structure_improved: Callable[[tuple[EntityId, ...], float], None] | None = None,
-        identity_info: tuple | None = None,
+        on_structure_improved: Callable[[object, float], None] | None = None,
     ) -> None:
-        """Fold every row of ``relation`` into the per-answer records.
+        """Fold the match relation of query graph ``mask`` into the table.
 
-        ``on_structure_improved`` is called whenever an answer's best
-        structure score strictly increases (used by the best-first
-        explorer to maintain its stage-one threshold heap).  Callers that
-        already hold the relation's :meth:`identity_info` pass it through
-        to skip the lookup.
+        Every row but the trivial one (:meth:`identity_row`) contributes
+        ``(structure, content)`` to the answer it projects to.  The
+        structure score is the query graph's; the content score depends
+        only on the row's *signature* — which columns are bound to their
+        own query node — so it is computed once per distinct signature
+        (:func:`~repro.lattice.scoring.content_score_from_matched`).
+        Rows are reduced to one best content score per distinct answer with
+        one sort, and the distinct answers are merged into the table with
+        one binary search.
+
+        ``content_score`` does not depend on row order: ``structure +
+        content`` grows with ``content``, so the best content also gives
+        the best full score, and rows that tie on the full score — a small
+        credit absorbed next to a large structure score — resolve to the
+        larger content whatever order they come in.  An answer already
+        holding an equal or better full score keeps it, content and query
+        graph included.
+
+        ``on_structure_improved(answer key, score)`` is called for every
+        answer whose best structure score strictly increases (it feeds the
+        best-first explorer's stage-one threshold heap).
+
+        The relation is read as one ``(columns, rows)`` matrix, so the
+        number of numpy calls does not grow with its width: most lattice
+        nodes of a small graph hold a handful of rows, and there the calls
+        are the whole cost.
         """
         space = self.space
-        entities = space.query_tuple
+        variables = relation.variables
         try:
-            entity_columns = [relation.column(entity) for entity in entities]
+            entity_columns = [relation.column(entity) for entity in space.query_tuple]
         except KeyError:
             # A valid query graph always covers the query entities; missing
             # columns mean the relation is degenerate (empty schema).
             return
-        mask_structure = structure_score(space, mask)
-        if identity_info is None:
-            identity_info = self.identity_info(relation.variables)
-        _, checks, identity_values = identity_info
-        records = self.records
-        excluded = self._excluded
-
-        # Every row contributes at least (structure, content=0) to its
-        # answer; rows that bind some query node to itself additionally
-        # contribute their content score, and only those need per-row
-        # Python work.  The content-0 sweep therefore runs over the
-        # *distinct* answers.  Both branches below produce the same
-        # distinct-answer set and the same (answer, signature) matches —
-        # the columnar one extracts them with whole-array operations (for
-        # relations past the scalar-tail threshold), the tuple-row one at
-        # C speed via itemgetter/filterfalse.
-        matches: "Sequence[tuple[EntityId | tuple[EntityId, ...], int]]"
-        if isinstance(relation, ColumnarRelation) and relation.prefers_columns():
-            columns = relation.columns
-            answer_columns = [columns[i] for i in entity_columns]
-            if self._arity_one:
-                distinct_answers = set(answer_columns[0].tolist())
-            else:
-                distinct_answers = set(
-                    zip(*(column.tolist() for column in answer_columns))
-                )
-            if checks:
-                # Per-row bitmask of the columns bound to their own query
-                # node; rows with signature 0 have no self-match.
-                signature_array = np.zeros(relation.num_rows, dtype=np.int64)
-                for i, ident, _name in checks:
-                    signature_array |= (columns[i] == ident).astype(np.int64) << i
-                hit_rows = np.nonzero(signature_array)[0]
-            else:
-                hit_rows = ()
-            if len(hit_rows):
-                signatures = signature_array[hit_rows].tolist()
-                if self._arity_one:
-                    hit_answers = answer_columns[0][hit_rows].tolist()
-                else:
-                    hit_answers = list(
-                        zip(*(column[hit_rows].tolist() for column in answer_columns))
-                    )
-                matches = list(zip(hit_answers, signatures))
-            else:
-                matches = ()
+        if isinstance(relation, ColumnarRelation):
+            matrix = relation.columns
         else:
-            rows = relation.rows
-            answer_of = itemgetter(*entity_columns)  # bare id when arity is one
-            if identity_values:
-                matched_rows = filterfalse(identity_values.isdisjoint, rows)
-            else:
-                matched_rows = ()
-            distinct_answers = set(map(answer_of, rows))
-            matches = []
-            for row in matched_rows:
-                signature = 0
-                for i, ident, _name in checks:
-                    if row[i] == ident:
-                        signature |= 1 << i
-                if signature:  # 0: shared id at a different column only
-                    matches.append((answer_of(row), signature))
-
-        accumulate_structure_scores(
-            distinct_answers, excluded, records, mask_structure, mask,
-            on_structure_improved,
-        )
-
-        if not matches:
+            matrix = _columns_from_rows(relation.rows, len(variables), self._id_dtype)
+        if not matrix.shape[1]:
             return
-        edges = space.edges_of(mask)
+        identity = np.array(self.identity_row(variables), dtype=self._id_dtype)
+        keys = self._answer_keys([matrix[i] for i in entity_columns])
+        signature = _BIT_WEIGHTS[: len(variables)] @ (matrix == identity[:, None])
+        # A row that binds every query entity to itself projects to the
+        # query tuple.  Most self-matching rows do, and the query tuple is
+        # usually excluded: they go before anything is scored.  Otherwise
+        # only the trivial row goes, the one with every bit set.
+        dead = (1 << len(variables)) - 1
+        if self._query_excluded:
+            dead = sum({1 << column for column in entity_columns})
+        keep = (signature & dead) != dead
+        keys, signature = keys[keep], signature[keep]
+        if not len(keys):
+            return
 
-        def content_of(signature: int) -> float:
-            matched = {name for i, ident, name in checks if signature & (1 << i)}
-            return content_score_from_matched(space, edges, matched)
+        content = np.zeros(len(keys))
+        matched = signature.nonzero()[0]
+        if len(matched):
+            bits = signature[matched]
+            distinct = sorted(set(bits.tolist()))
+            edges = space.edges_of(mask)
+            content[matched] = np.array(
+                [
+                    content_score_from_matched(
+                        space,
+                        edges,
+                        {name for i, name in enumerate(variables) if own >> i & 1},
+                    )
+                    for own in distinct
+                ]
+            )[np.array(distinct).searchsorted(bits)]
 
-        accumulate_content_scores(
-            matches, records, mask_structure, mask, content_of
-        )
+        # Group the rows by answer; the maximum does not need a stable sort.
+        order = keys.argsort()
+        keys = keys[order]
+        starts = _run_starts(keys)
+        answers = keys[starts]
+        content = np.maximum.reduceat(content[order], starts)
 
-    def decoded_items(self) -> list[tuple[tuple[str, ...], AnswerRecord]]:
-        """All ``(decoded entity-string tuple, record)`` pairs, unordered."""
-        if self._arity_one:
-            term_of = self.vocabulary.term_of
-            return [
-                ((term_of(answer),), record)
-                for answer, record in self.records.items()
-            ]
-        decode = self.vocabulary.decode_row
-        return [(decode(answer), record) for answer, record in self.records.items()]
+        structure = space.weight_of_mask(mask)
+        full = structure + content
+        recorded = len(self._masks)
+        self._masks.append(mask)
+        slots = self._keys.searchsorted(answers)
+        if len(self._keys):
+            unseen = (self._keys.take(slots, mode="clip") != answers).nonzero()[0]
+        else:
+            unseen = np.arange(len(answers))
+        if len(unseen):
+            # New answers enter below every score and rise with the rest.
+            self._keys = np.insert(self._keys, slots[unseen], answers[unseen])
+            self._table = np.insert(self._table, slots[unseen], _UNSEEN, axis=1)
+            slots = self._keys.searchsorted(answers)
+        table = self._table
+        rose = (structure > table[_STRUCTURE][slots]).nonzero()[0]
+        if len(rose):
+            table[_STRUCTURE, slots[rose]] = structure
+            if on_structure_improved is not None:
+                for answer in answers[rose].tolist():
+                    on_structure_improved(answer, structure)
+        better = (full > table[_FULL][slots]).nonzero()[0]
+        if len(better):
+            at = slots[better]
+            table[_FULL, at] = full[better]
+            table[_CONTENT, at] = content[better]
+            table[_RECORDED, at] = recorded
+
+    def ranked(self, k: int, k_prime: int | None = None) -> list[RankedAnswer]:
+        """The top-``k`` answers by full score (stage two of Sec. V-B).
+
+        With ``k_prime`` the candidates are first cut to the top-k' by
+        structure score.  Ties break on the decoded entity names, exactly
+        as the string-path engine does, so only the answers at or above
+        each cut's score are decoded and sorted.
+        """
+        structure, full, content, recorded = self._table
+        rows = (recorded >= 0).nonzero()[0]
+        entities: dict[int, tuple[str, ...]] = {}
+        for scores, count in ((structure, k_prime), (full, k)):
+            if count is None:
+                continue
+            if len(rows) > count:
+                chosen = scores[rows]
+                rows = rows[chosen >= np.partition(chosen, -count)[-count]]
+            for row, key in zip(rows.tolist(), self._keys[rows].tolist()):
+                if row not in entities:
+                    entities[row] = self._entities_of(key)
+            best = sorted(
+                zip((-scores[rows]).tolist(), map(entities.get, rows.tolist()), rows.tolist())
+            )[:count]
+            rows = np.array([row for _, _, row in best], dtype=np.intp)
+        return [
+            RankedAnswer(
+                entities=entities[row],
+                score=float(full[row]),
+                structure_score=float(structure[row]),
+                content_score=float(content[row]),
+                query_graph_mask=self._masks[int(recorded[row])],
+            )
+            for row in rows.tolist()
+        ]
 
 
 class LatticeNodeEvaluator:
@@ -653,12 +681,6 @@ class BestFirstExplorer(LatticeNodeEvaluator):
     # ------------------------------------------------------------------
     # termination
     # ------------------------------------------------------------------
-    def _note_structure_improved(
-        self, answer: tuple[EntityId, ...], score: float
-    ) -> None:
-        """Maintain the bounded top-k' min-heap after a score improvement."""
-        self._threshold_top.note(answer, score)
-
     def _stage_one_threshold(self) -> float | None:
         """Structure score of the current k'-th best answer (None if too few)."""
         return self._threshold_top.threshold()
@@ -705,9 +727,10 @@ class BestFirstExplorer(LatticeNodeEvaluator):
         pop_best = self._pop_best_mask
         is_pruned = self._is_pruned
         evaluate = self._evaluate_mask
-        identity_info_of = self._answers.identity_info
+        is_null = self._answers.is_null
         record = self._answers.record
         note_improved = self._threshold_top.note
+        structure_of = self.space.weight_of_mask
         parents_of = self.space.parents_of
         add_to_frontier = self._add_to_lower_frontier
         should_terminate = self._should_terminate
@@ -733,22 +756,25 @@ class BestFirstExplorer(LatticeNodeEvaluator):
 
             # The trivial self-match does not count as an answer graph
             # (Definition 3), so a node whose only match is the identity
-            # mapping is a null node.  The unfiltered relation is still kept
-            # for extending parents (Property 1 works on all matches).
-            identity_info = identity_info_of(relation.variables)
-            effective = drop_trivial_self_match(relation, identity_info[0])
-            if effective.is_empty():
+            # mapping is a null node.  The unfiltered relation is kept for
+            # extending parents (Property 1 works on all matches).
+            if is_null(relation):
                 stats.null_nodes += 1
                 self._add_null_mask(best_mask)
                 self._recompute_upper_frontier(best_mask)
                 null_masks = self._null_masks  # _add_null_mask rebinds it
             else:
                 evaluated[best_mask] = relation
+                # Once k' answers are live, a node scoring at or below the
+                # k'-th of them cannot change the heap: every live answer
+                # already scores at least that, and no other is admitted.
+                threshold = self._stage_one_threshold()
                 record(
                     best_mask,
-                    effective,
-                    note_improved,
-                    identity_info=identity_info,
+                    relation,
+                    note_improved
+                    if threshold is None or structure_of(best_mask) > threshold
+                    else None,
                 )
                 for parent in parents_of(best_mask):
                     add_to_frontier(parent)
@@ -761,32 +787,7 @@ class BestFirstExplorer(LatticeNodeEvaluator):
         self._stats.answers_found = len(self._answers)
         self._stats.elapsed_seconds = time.perf_counter() - start
         return ExplorationResult(
-            answers=self._final_ranking(),
+            answers=self._answers.ranked(self.k, self.k_prime),
             statistics=self._stats,
             lattice_size_hint=2 ** self.space.num_edges,
         )
-
-    def _final_ranking(self) -> list[RankedAnswer]:
-        """Stage two: re-rank the top-k' answers by the full score, keep top-k.
-
-        Answers are decoded to entity strings *before* sorting so that the
-        deterministic tie-breaks compare entity names, exactly as the
-        string-path engine does.
-        """
-        by_structure = sorted(
-            self._answers.decoded_items(),
-            key=lambda item: (-item[1][STRUCTURE], item[0]),
-        )[: self.k_prime]
-        by_full = sorted(
-            by_structure, key=lambda item: (-item[1][FULL], item[0])
-        )[: self.k]
-        return [
-            RankedAnswer(
-                entities=answer,
-                score=record[FULL],
-                structure_score=record[STRUCTURE],
-                content_score=record[CONTENT],
-                query_graph_mask=record[MASK],
-            )
-            for answer, record in by_full
-        ]

@@ -19,9 +19,8 @@ answer graph that projects to it.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence, Set
+from collections.abc import Mapping, Sequence, Set
 
-from repro._kernels import kernels
 from repro.graph.knowledge_graph import Edge
 from repro.lattice.query_graph import LatticeSpace
 
@@ -29,51 +28,6 @@ from repro.lattice.query_graph import LatticeSpace
 def structure_score(space: LatticeSpace, mask: int) -> float:
     """s_score(Q): total edge weight of the query graph ``mask``."""
     return space.weight_of_mask(mask)
-
-
-def accumulate_structure_scores(
-    distinct_answers: Set,
-    excluded: Set,
-    records: dict,
-    mask_structure: float,
-    mask: int,
-    on_structure_improved: Callable | None,
-) -> None:
-    """Fold one lattice node's distinct answers into the score records.
-
-    Every (non-excluded) answer gets at least ``(structure=mask_structure,
-    full=mask_structure, content=0.0, mask)``; existing records are
-    max-merged field by field, and ``on_structure_improved`` fires on
-    every strict increase of an answer's best structure score.  This is
-    the content-0 sweep of Eq. 5 — the structure score is a property of
-    the query graph alone — and the hottest per-answer loop of the
-    exploration, so it runs in the active kernel backend
-    (:data:`repro._kernels.kernels`).
-    """
-    kernels.accumulate_structure(
-        distinct_answers, excluded, records, mask_structure, mask,
-        on_structure_improved,
-    )
-
-
-def accumulate_content_scores(
-    matches: Sequence,
-    records: dict,
-    mask_structure: float,
-    mask: int,
-    content_of: Callable[[int], float],
-) -> None:
-    """Fold the self-match rows' content scores into the score records.
-
-    ``matches`` holds ``(answer, signature)`` pairs — ``signature`` is
-    the bitmask of answer columns bound to their own query node —
-    produced by the relation sweep of Eq. 5's content term.  Distinct
-    signatures repeat heavily within one relation, so ``content_of``
-    runs once per distinct signature; answers without a record were
-    excluded by the structure sweep and are skipped.  Runs in the active
-    kernel backend, like the structure sweep.
-    """
-    kernels.accumulate_content(matches, records, mask_structure, mask, content_of)
 
 
 def match_credit(

@@ -40,6 +40,7 @@ end-to-end by ``tests/test_columnar_equivalence.py``.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import chain
 
 from repro._kernels import kernels
 from repro.exceptions import LatticeError
@@ -144,15 +145,16 @@ class ColumnarRelation:
     """A set of variable bindings with a dual columnar/row layout.
 
     The columnar twin of :class:`Relation`: logically the same ordered
-    multiset of rows, physically stored as one int64 numpy array per
-    variable (``columns[i]`` binds ``variables[i]``), as a cached list of
+    multiset of rows, physically stored as one ``(width, rows)`` int64
+    matrix (``columns[i]`` binds ``variables[i]``), as a cached list of
     python-int tuple rows, or both.  The engine's bulk kernels read
     :attr:`columns`; its scalar tails (tiny relations, where fixed numpy
     call overhead dominates) read :meth:`to_rows`.  Each layout
     materializes lazily from the other on first use and is then cached,
-    so chains of scalar extensions never touch numpy and chains of bulk
-    extensions never build tuples.  Callers must treat both layouts as
-    immutable.
+    so a chain of scalar extensions joins without numpy and a chain of
+    bulk extensions never builds tuples (the exploration's answer table
+    reads the matrix of every node it keeps).  Callers must treat both
+    layouts as immutable.
 
     Only produced by stores built over the interning vocabulary (int ids).
     """
@@ -162,13 +164,18 @@ class ColumnarRelation:
     def __init__(
         self,
         variables: tuple[str, ...],
-        columns: "list[np.ndarray] | None" = None,
+        columns: "np.ndarray | Sequence[np.ndarray] | None" = None,
         index: dict[str, int] | None = None,
         rows: list[tuple[int, ...]] | None = None,
     ) -> None:
         if columns is None and rows is None:
             raise ValueError("a ColumnarRelation needs columns or rows")
         self.variables = variables
+        if columns is not None and not isinstance(columns, np.ndarray):
+            # A list of column arrays (tests, callers outside the engine).
+            columns = np.array(columns, dtype=np.int64).reshape(
+                len(variables), len(columns[0]) if columns else 0
+            )
         self._columns = columns
         self._rows = rows
         self._index = (
@@ -184,10 +191,13 @@ class ColumnarRelation:
         )
 
     @property
-    def columns(self) -> "list[np.ndarray]":
-        """The column arrays (materialized from cached rows if needed)."""
+    def columns(self) -> "np.ndarray":
+        """The ``(width, rows)`` matrix: row ``i`` is the column of
+        ``variables[i]`` (materialized from cached rows if needed)."""
         if self._columns is None:
-            self._columns = _columns_from_rows(self._rows, len(self.variables))
+            self._columns = _columns_from_rows(
+                self._rows, len(self.variables), np.int64
+            )
         return self._columns
 
     @property
@@ -195,7 +205,7 @@ class ColumnarRelation:
         """Number of binding rows."""
         if self._rows is not None:
             return len(self._rows)
-        return len(self._columns[0]) if self._columns else 0
+        return self._columns.shape[1]
 
     def is_empty(self) -> bool:
         """Whether the relation has no rows."""
@@ -222,12 +232,7 @@ class ColumnarRelation:
         """The rows as a list of python-int tuples (row order preserved,
         materialized from the columns on first call, then cached)."""
         if self._rows is None:
-            if not self._columns:
-                self._rows = []
-            else:
-                self._rows = list(
-                    zip(*(column.tolist() for column in self._columns))
-                )
+            self._rows = list(zip(*self._columns.tolist()))
         return self._rows
 
     def bindings(self) -> Iterable[dict[str, int]]:
@@ -264,12 +269,16 @@ def _raise_max_rows(max_rows: int) -> None:
     raise LatticeError(f"intermediate relation exceeded max_rows={max_rows}")
 
 
-def _columns_from_rows(rows: list[tuple[int, ...]], width: int) -> "list[np.ndarray]":
-    """Rebuild int64 column arrays from materialized tuple rows."""
-    if not rows:
-        return [np.empty(0, dtype=np.int64) for _ in range(width)]
-    matrix = np.array(rows, dtype=np.int64)
-    return [matrix[:, i] for i in range(width)]
+def _columns_from_rows(
+    rows: list[tuple[EntityId, ...]], width: int, dtype
+) -> "np.ndarray":
+    """Materialized tuple rows as one ``(width, len(rows))`` array of columns.
+
+    ``dtype`` is int64 for interned ids and ``object`` for the string ids
+    of the identity-vocabulary reference path.
+    """
+    flat = np.fromiter(chain.from_iterable(rows), dtype, len(rows) * width)
+    return flat.reshape(len(rows), width).T
 
 
 def _extend_columnar_scalar(
@@ -287,9 +296,8 @@ def _extend_columnar_scalar(
     Mirrors the tuple-row engine's loops statement for statement (same
     match order, same injectivity test, same per-probe-row ``max_rows``
     check) over the columnar table's lazy dict buckets.  Inputs and
-    outputs use the relation's row layout, so scalar chains never touch
-    numpy; the column arrays materialize lazily only if a later bulk
-    kernel asks for them.
+    outputs use the relation's row layout; the column arrays materialize
+    lazily when a bulk consumer asks for them.
     """
     in_rows = relation.to_rows()
     if has_subject and has_object:
@@ -315,13 +323,27 @@ def _extend_columnar_scalar(
         new_variable = subject_var
     new_variables = relation.variables + (new_variable,)
 
+    if max_rows is not None:
+        # The floor of _extend_columnar's counts pre-pass, read off the
+        # bucket lengths: a hub bucket is not expanded just to be discarded.
+        counts = [
+            len(matches) for row in in_rows if (matches := buckets.get(row[bound_col]))
+        ]
+        if sum(counts) > max_rows:
+            spare = len(relation.variables) if injective else 0
+            if sum(count - spare for count in counts if count > spare) > max_rows:
+                _raise_max_rows(max_rows)
     out_rows = kernels.probe_tail(
         in_rows, buckets, bound_col, injective,
         -1 if max_rows is None else max_rows,
     )
     if out_rows is None:
         _raise_max_rows(max_rows)
-    return ColumnarRelation(new_variables, rows=out_rows)
+    return ColumnarRelation(
+        new_variables,
+        rows=out_rows,
+        index={**relation._index, new_variable: len(relation.variables)},
+    )
 
 
 def _extend_columnar(
@@ -336,10 +358,17 @@ def _extend_columnar(
     Mirrors the tuple-row engine branch for branch: first edge, pure
     filter (both endpoints bound) and one-sided probe.  The ``max_rows``
     cap raises exactly when the tuple-row engine would (its incremental
-    checks fire iff the final surviving row count exceeds the cap); probe
-    expansions above :data:`_EXPANSION_CHUNK_ROWS` candidate rows are
-    processed in probe-row slices so the check can fire before a huge
-    intermediate is fully materialized.
+    checks fire iff the final surviving row count exceeds the cap), but
+    most overflows are decided from the per-probe-row match counts alone,
+    before anything is expanded: a table holds distinct ``(subj, obj)``
+    pairs, so the ``c`` values matching one probe row are distinct and
+    the injective filter — which drops a value already present among the
+    row's ``w`` bindings — removes at most ``min(c, w)`` of them (none
+    without it).  When that floor, summed over the probe rows, exceeds
+    the cap, so does the result.  Expansions that pass it and are still
+    above :data:`_EXPANSION_CHUNK_ROWS` candidate rows are processed in
+    probe-row slices so the check can fire before a huge intermediate is
+    fully materialized.
     """
     table = store.table_or_empty(edge.label)
     subject_var, object_var = edge.subject, edge.object
@@ -348,12 +377,12 @@ def _extend_columnar(
         subjects, objects = table.subject_ids(), table.object_ids()
         if subject_var == object_var:
             loops = subjects[subjects == objects]
-            out = ColumnarRelation((subject_var,), [loops])
+            out = ColumnarRelation((subject_var,), loops[None, :])
         else:
+            pairs = np.array([subjects, objects])
             if injective:
-                keep = subjects != objects
-                subjects, objects = subjects[keep], objects[keep]
-            out = ColumnarRelation((subject_var, object_var), [subjects, objects])
+                pairs = pairs[:, subjects != objects]
+            out = ColumnarRelation((subject_var, object_var), pairs)
         if max_rows is not None and out.num_rows > max_rows:
             _raise_max_rows(max_rows)
         return out
@@ -378,9 +407,7 @@ def _extend_columnar(
             relation.columns[relation.column(object_var)],
         )
         out = ColumnarRelation(
-            relation.variables,
-            [column[keep] for column in relation.columns],
-            index=relation._index,
+            relation.variables, relation.columns[:, keep], index=relation._index
         )
         if max_rows is not None and out.num_rows > max_rows:
             _raise_max_rows(max_rows)
@@ -389,18 +416,25 @@ def _extend_columnar(
     # One-sided probe: expand each probe row by its matches in the table.
     if has_subject:
         bound = relation.columns[relation.column(subject_var)]
-        count_matches = table.probe_counts_subject
-        expand = table.probe_expand_subject
+        probe, expand = table.probe_subject, table.expand_subject
         new_variable = object_var
     else:
         bound = relation.columns[relation.column(object_var)]
-        count_matches = table.probe_counts_object
-        expand = table.probe_expand_object
+        probe, expand = table.probe_object, table.expand_object
         new_variable = subject_var
     new_variables = relation.variables + (new_variable,)
 
+    counts, starts = probe(bound)
+    total_candidates = int(counts.sum())
+    if max_rows is not None and total_candidates > max_rows:
+        # At least ``c - min(c, w)`` of a probe row's ``c`` distinct
+        # matches survive the injective filter (docstring).
+        spare = len(relation.columns) if injective else 0
+        if int(np.maximum(counts - spare, 0).sum()) > max_rows:
+            _raise_max_rows(max_rows)
+
     def probe_slice(lo: int, hi: int) -> tuple["np.ndarray", "np.ndarray"]:
-        probe_idx, new_values = expand(bound[lo:hi])
+        probe_idx, new_values = expand(counts[lo:hi], starts[lo:hi])
         if injective and len(new_values):
             violates = np.zeros(len(new_values), dtype=bool)
             for column in relation.columns:
@@ -409,46 +443,38 @@ def _extend_columnar(
             probe_idx, new_values = probe_idx[keep], new_values[keep]
         return probe_idx + lo, new_values
 
-    # The counts pre-pass exists only to bound memory under a row cap; the
-    # uncapped hot path goes straight to one expansion (a single index
-    # lookup).
-    if max_rows is None:
+    if max_rows is None or total_candidates <= _EXPANSION_CHUNK_ROWS:
         probe_idx, new_values = probe_slice(0, relation.num_rows)
+        if max_rows is not None and len(new_values) > max_rows:
+            _raise_max_rows(max_rows)
     else:
-        counts = count_matches(bound)
-        total_candidates = int(counts.sum())
-        if total_candidates <= _EXPANSION_CHUNK_ROWS:
-            probe_idx, new_values = probe_slice(0, relation.num_rows)
-            if len(new_values) > max_rows:
+        # Split the probe rows so each slice expands to at most roughly
+        # one chunk of candidate rows, raising as soon as the surviving
+        # row count crosses the cap.
+        boundaries = np.searchsorted(
+            np.cumsum(counts),
+            np.arange(_EXPANSION_CHUNK_ROWS, total_candidates, _EXPANSION_CHUNK_ROWS),
+            side="left",
+        )
+        cut_points = [0, *(int(b) + 1 for b in boundaries), relation.num_rows]
+        pieces: list[tuple[np.ndarray, np.ndarray]] = []
+        kept = 0
+        for lo, hi in zip(cut_points, cut_points[1:]):
+            if lo >= hi:
+                continue
+            piece = probe_slice(lo, hi)
+            kept += len(piece[0])
+            if kept > max_rows:
                 _raise_max_rows(max_rows)
-        else:
-            # Split the probe rows so each slice expands to at most
-            # roughly one chunk of candidate rows, raising as soon as the
-            # surviving row count crosses the cap.
-            boundaries = np.searchsorted(
-                np.cumsum(counts),
-                np.arange(
-                    _EXPANSION_CHUNK_ROWS, total_candidates, _EXPANSION_CHUNK_ROWS
-                ),
-                side="left",
-            )
-            cut_points = [0, *(int(b) + 1 for b in boundaries), relation.num_rows]
-            pieces: list[tuple[np.ndarray, np.ndarray]] = []
-            kept = 0
-            for lo, hi in zip(cut_points, cut_points[1:]):
-                if lo >= hi:
-                    continue
-                piece = probe_slice(lo, hi)
-                kept += len(piece[0])
-                if kept > max_rows:
-                    _raise_max_rows(max_rows)
-                pieces.append(piece)
-            probe_idx = np.concatenate([piece[0] for piece in pieces])
-            new_values = np.concatenate([piece[1] for piece in pieces])
+            pieces.append(piece)
+        probe_idx = np.concatenate([piece[0] for piece in pieces])
+        new_values = np.concatenate([piece[1] for piece in pieces])
 
-    out_columns = [column[probe_idx] for column in relation.columns]
-    out_columns.append(new_values)
-    return ColumnarRelation(new_variables, out_columns)
+    out = np.empty((len(new_variables), len(probe_idx)), dtype=np.int64)
+    # mode="clip" only skips numpy's bounce buffer; the indices are valid.
+    np.take(relation.columns, probe_idx, axis=1, out=out[:-1], mode="clip")
+    out[-1] = new_values
+    return ColumnarRelation(new_variables, out)
 
 
 def extend_with_edge(
@@ -604,9 +630,7 @@ def _pad_empty_schema(
     ]
     variables = relation.variables + tuple(dict.fromkeys(missing))
     if store.is_columnar:
-        return ColumnarRelation(
-            variables, [np.empty(0, dtype=np.int64) for _ in variables]
-        )
+        return ColumnarRelation(variables, np.empty((len(variables), 0), dtype=np.int64))
     return Relation(variables=variables, rows=[])
 
 

@@ -11,7 +11,7 @@ Two layouts implement the same table contract:
   parallel int64 id columns; probes are answered from lazily built,
   numpy-sorted CSR-style group indexes so a whole *vector* of probe
   keys is matched in a handful of C-level array operations
-  (:meth:`~ColumnarEdgeTable.probe_expand_subject` and friends).
+  (:meth:`~ColumnarEdgeTable.probe_subject` and friends).
 * :class:`EdgeTable` — the original tuple-row layout with per-key dict
   buckets.  It is kept as the reference engine for the columnar
   equivalence tests and as the fallback when numpy is unavailable or when
@@ -501,37 +501,47 @@ class ColumnarEdgeTable:
             self._object_buckets = buckets
         return self._object_buckets
 
-    def probe_counts_subject(self, keys: "np.ndarray") -> "np.ndarray":
-        """Number of rows matching each probe key on the ``subj`` column."""
-        if not len(self):
-            return np.zeros(len(keys), dtype=np.int64)
-        return self._subject_group_index().lookup(keys)[0]
+    def probe_subject(self, keys: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
+        """Vectorized subject probe: ``(counts, starts)`` per probe key.
 
-    def probe_counts_object(self, keys: "np.ndarray") -> "np.ndarray":
-        """Number of rows matching each probe key on the ``obj`` column."""
+        ``counts`` is the number of rows matching each key — enough to size
+        a join before paying for it; ``starts`` locates each key's run in
+        the group index, for :meth:`expand_subject`.
+        """
+        if not len(self):  # the group index is only built for non-empty columns
+            none = np.zeros(len(keys), dtype=np.int64)
+            return none, none
+        return self._subject_group_index().lookup(keys)
+
+    def probe_object(self, keys: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
+        """Vectorized object probe: ``(counts, starts)`` per probe key."""
         if not len(self):
-            return np.zeros(len(keys), dtype=np.int64)
-        return self._object_group_index().lookup(keys)[0]
+            none = np.zeros(len(keys), dtype=np.int64)
+            return none, none
+        return self._object_group_index().lookup(keys)
 
     def _expand(
-        self, index: _SortedGroupIndex, keys: "np.ndarray", values: "np.ndarray"
+        self,
+        index: _SortedGroupIndex,
+        counts: "np.ndarray",
+        starts: "np.ndarray",
+        values: "np.ndarray",
     ) -> tuple["np.ndarray", "np.ndarray"]:
-        counts, starts = index.lookup(keys)
         total = int(counts.sum())
         if total == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        probe_idx = np.repeat(np.arange(len(keys), dtype=np.int64), counts)
+        probe_idx = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
         offsets = np.cumsum(counts)
         # Position of each expanded slot within its probe key's group.
         local = np.arange(total, dtype=np.int64) - np.repeat(offsets - counts, counts)
         source_rows = index.order[np.repeat(starts, counts) + local]
         return probe_idx, values[source_rows]
 
-    def probe_expand_subject(
-        self, keys: "np.ndarray"
+    def expand_subject(
+        self, counts: "np.ndarray", starts: "np.ndarray"
     ) -> tuple["np.ndarray", "np.ndarray"]:
-        """Vectorized subject probe for a whole column of keys.
+        """Expand a :meth:`probe_subject` result, or a slice of one.
 
         Returns ``(probe_idx, objects)``: for every match, the position of
         the probe key that produced it and the matched row's ``obj`` value.
@@ -541,16 +551,16 @@ class ColumnarEdgeTable:
         if not len(self):
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        return self._expand(self._subject_group_index(), keys, self.object_ids())
+        return self._expand(self._subject_group_index(), counts, starts, self.object_ids())
 
-    def probe_expand_object(
-        self, keys: "np.ndarray"
+    def expand_object(
+        self, counts: "np.ndarray", starts: "np.ndarray"
     ) -> tuple["np.ndarray", "np.ndarray"]:
-        """Vectorized object probe: ``(probe_idx, subjects)`` per match."""
+        """Expand a :meth:`probe_object` result: ``(probe_idx, subjects)``."""
         if not len(self):
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        return self._expand(self._object_group_index(), keys, self.subject_ids())
+        return self._expand(self._object_group_index(), counts, starts, self.subject_ids())
 
     def _ensure_pair_index(self) -> None:
         if self._pair_keys is None:

@@ -18,8 +18,23 @@ from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.graph.mapped import MappedKnowledgeGraph
 from repro.graph.neighborhood import NeighborhoodGraph
 from repro.storage.snapshot import GraphStore
+from repro.storage.store import VerticalPartitionStore
 
 Triple = tuple[str, str, str]
+
+
+@contextmanager
+def _three_graph_stores(base: list[Triple], delta: list[Triple]):
+    owned = KnowledgeGraph(base + delta)
+    with tempfile.TemporaryDirectory() as directory:
+        GraphStore.build(owned).save(Path(directory, "merged"), format="v3")
+        merged_store = GraphStore.load(Path(directory, "merged"))
+        GraphStore.build(KnowledgeGraph(base)).save(Path(directory, "base"), format="v3")
+        overlay_store = GraphStore.load(Path(directory, "base"))
+        overlay_store.ingest(delta)
+        assert isinstance(merged_store.graph, MappedKnowledgeGraph)
+        assert isinstance(overlay_store.graph, DeltaKnowledgeGraph)
+        yield owned, merged_store, overlay_store
 
 
 @contextmanager
@@ -30,17 +45,16 @@ def three_backings(base: list[Triple], delta: list[Triple]):
     snapshot reopened, ``overlay`` is a v3 snapshot of ``base`` with
     ``delta`` ingested on top.
     """
-    owned = KnowledgeGraph(base + delta)
-    with tempfile.TemporaryDirectory() as directory:
-        GraphStore.build(owned).save(Path(directory, "merged"), format="v3")
-        merged_store = GraphStore.load(Path(directory, "merged"))
-        GraphStore.build(KnowledgeGraph(base)).save(Path(directory, "base"), format="v3")
-        overlay_store = GraphStore.load(Path(directory, "base"))
-        overlay_store.ingest(delta)
-        mapped, overlay = merged_store.graph, overlay_store.graph
-        assert isinstance(mapped, MappedKnowledgeGraph)
-        assert isinstance(overlay, DeltaKnowledgeGraph)
-        yield owned, mapped, overlay
+    with _three_graph_stores(base, delta) as (owned, merged_store, overlay_store):
+        yield owned, merged_store.graph, overlay_store.graph
+
+
+@contextmanager
+def three_stores(base: list[Triple], delta: list[Triple]):
+    """The join stores behind the same three backings: owned columns,
+    mapped shard tables, and mapped tables with ``delta`` ingested."""
+    with _three_graph_stores(base, delta) as (owned, merged_store, overlay_store):
+        yield VerticalPartitionStore(owned), merged_store.store, overlay_store.store
 
 
 def ordered_view(neighborhood: NeighborhoodGraph) -> dict:

@@ -20,7 +20,7 @@ from repro.core.gqbe import GQBE
 from repro.datasets.synthetic import FreebaseLikeGenerator
 from repro.discovery.mqg import MaximalQueryGraph
 from repro.graph.knowledge_graph import Edge, KnowledgeGraph
-from repro.lattice.exploration import STRUCTURE, BestFirstExplorer
+from repro.lattice.exploration import BestFirstExplorer
 from repro.lattice.query_graph import LatticeSpace
 from repro.storage.store import VerticalPartitionStore
 from repro.storage.vocabulary import IdentityVocabulary
@@ -116,13 +116,10 @@ class _CrossCheckingExplorer(BestFirstExplorer):
 
     def _stage_one_threshold(self):
         value = super()._stage_one_threshold()
-        records = self._answers.records
-        if len(records) < self.k_prime:
+        scores = sorted(self._answers.structure_scores().tolist(), reverse=True)
+        if len(scores) < self.k_prime:
             assert value is None
         else:
-            scores = sorted(
-                (record[STRUCTURE] for record in records.values()), reverse=True
-            )
             assert value == scores[self.k_prime - 1]
         return value
 

@@ -182,76 +182,6 @@ class TestProbeTailKernel:
 
 
 @needs_native
-class TestAccumulateKernels:
-    def test_accumulate_structure_parity_and_callback_order(self):
-        rng = random.Random(21)
-        answers = [f"a{i}" for i in range(40)]
-        excluded = {"a3", "a17"}
-        pure_records, native_records = {}, {}
-        pure_calls, native_calls = [], []
-        for step in range(6):
-            batch = rng.sample(answers, 15)
-            mask_structure = rng.random() * 10
-            mask = rng.randrange(1 << 8)
-            _pure.accumulate_structure(
-                batch, excluded, pure_records, mask_structure, mask,
-                lambda a, s: pure_calls.append((a, s)),
-            )
-            native.accumulate_structure(
-                batch, excluded, native_records, mask_structure, mask,
-                lambda a, s: native_calls.append((a, s)),
-            )
-        assert native_records == pure_records
-        assert native_calls == pure_calls
-
-    def test_accumulate_structure_without_callback(self):
-        pure_records, native_records = {}, {}
-        for records, kernel in (
-            (pure_records, _pure.accumulate_structure),
-            (native_records, native.accumulate_structure),
-        ):
-            kernel(["x", "y"], set(), records, 2.5, 3, None)
-            kernel(["y", "z"], set(), records, 4.0, 5, None)
-        assert native_records == pure_records
-
-    def test_accumulate_content_parity_and_cache(self):
-        rng = random.Random(34)
-        answers = [f"a{i}" for i in range(20)]
-        signatures = [rng.randrange(1 << 6) for _ in range(50)]
-        matches = [(rng.choice(answers), rng.choice(signatures)) for _ in range(120)]
-
-        def fresh_records():
-            return {
-                answer: [1.0, 1.5, 0.5, 7]
-                for answer in answers
-                if answer not in ("a4", "a9")  # records absent → skipped
-            }
-
-        pure_records, native_records = fresh_records(), fresh_records()
-        pure_calls, native_calls = [], []
-
-        def content_of(calls):
-            def inner(signature):
-                calls.append(signature)
-                return signature * 0.01
-
-            return inner
-
-        _pure.accumulate_content(
-            matches, pure_records, 3.0, 11, content_of(pure_calls)
-        )
-        native.accumulate_content(
-            matches, native_records, 3.0, 11, content_of(native_calls)
-        )
-        assert native_records == pure_records
-        # The per-call signature cache is part of the contract: the
-        # Python callback runs once per distinct signature, in first-
-        # occurrence order, on both backends.
-        assert native_calls == pure_calls
-        assert len(native_calls) == len(set(native_calls))
-
-
-@needs_native
 class TestTopKThresholdKernel:
     @pytest.mark.parametrize("k_prime", [1, 3, 25])
     def test_threshold_sequence_parity(self, k_prime):

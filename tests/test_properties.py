@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from graph_backings import ordered_view, three_backings
+from graph_backings import ordered_view, three_backings, three_stores
 
 from repro.discovery.reduction import reduce_neighborhood_graph
 from repro.evaluation.metrics import (
@@ -13,14 +17,15 @@ from repro.evaluation.metrics import (
     pearson_correlation,
     precision_at_k,
 )
-from repro.exceptions import DiscoveryError
+from repro.exceptions import DiscoveryError, LatticeError
 from repro.graph.knowledge_graph import Edge, KnowledgeGraph
 from repro.graph.neighborhood import neighborhood_graph
 from repro.graph.statistics import GraphStatistics
 from repro.graph.triples import format_triple, triples_from_strings
 from repro.lattice.query_graph import LatticeSpace
 from repro.discovery.mqg import MaximalQueryGraph
-from repro.storage.join import evaluate_query_edges
+from repro.storage import join as join_module
+from repro.storage.join import ColumnarRelation, evaluate_query_edges, extend_with_edge
 from repro.storage.store import VerticalPartitionStore
 
 # ----------------------------------------------------------------------
@@ -133,6 +138,95 @@ def test_single_edge_join_matches_label_table(triples):
     expected = {(e.subject, e.object) for e in graph.edges if e.label == label}
     decoded = {store.vocabulary.decode_row(row) for row in relation.rows}
     assert decoded == expected
+
+
+def _brute_force_extension(triples, variables, rows, edge, injective):
+    """Rows of ``extend_with_edge`` by definition, as a sorted multiset."""
+    pairs = sorted({(s, o) for s, label, o in triples if label == edge.label})
+    out = []
+    for row in rows:
+        binding = dict(zip(variables, row))
+        for subject, obj in pairs:
+            if binding.get(edge.subject, subject) != subject:
+                continue
+            if binding.get(edge.object, obj) != obj:
+                continue
+            new = [v for name, v in ((edge.subject, subject), (edge.object, obj))
+                   if name not in binding]
+            if injective and any(value in row for value in new):
+                continue
+            out.append(row + tuple(new))
+    return sorted(out)
+
+
+@given(
+    _triples,
+    st.booleans(),
+    st.integers(min_value=0, max_value=30),
+    st.lists(st.tuples(_node, _node, _node), min_size=1, max_size=12),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from(["subject", "object", "both"]),
+    _label,
+    st.booleans(),
+)
+@_slow
+def test_row_cap_raises_iff_the_uncapped_join_is_larger(
+    triples, hub, cut, rows, width, bound, label, injective
+):
+    """``extend_with_edge(..., max_rows=c)`` raises iff the uncapped result
+    has more than ``c`` rows and otherwise returns it unchanged, row order
+    included — over owned, mapped and ingested tables, on the scalar tail,
+    the bulk path and the sliced bulk path, for caps around the true size."""
+    triples = list(dict.fromkeys(triples))
+    if hub:  # every node points at n0, and n0 at itself
+        triples += [t for t in ((f"n{i}", label, "n0") for i in range(8)) if t not in triples]
+    cut = 1 + cut % len(triples)
+    variables = ("a", "b", "c")[:width]
+    rows = [row[:width] for row in rows]
+    if bound == "both" and width == 1:
+        edge = Edge("a", label, "a")  # a self-loop filter
+    elif bound == "both":
+        edge = Edge("a", label, "b")
+    else:
+        edge = Edge("a", label, "new") if bound == "subject" else Edge("new", label, "a")
+    expected = _brute_force_extension(triples, variables, rows, edge, injective)
+
+    def probes(store):
+        id_of = store.vocabulary.id_of
+        ids = [tuple(id_of(node) for node in row) for row in rows]
+        ids = [row for row in ids if None not in row]
+        columns = [np.array([row[i] for row in ids], dtype=np.int64) for i in range(width)]
+        whole = join_module._EXPANSION_CHUNK_ROWS
+        for path, tail, chunk, relation in (
+            ("scalar tail", 64, whole, ColumnarRelation(variables, rows=ids)),
+            ("bulk", -1, whole, ColumnarRelation(variables, columns)),
+            ("sliced bulk", -1, 3, ColumnarRelation(variables, columns)),
+        ):
+            yield path, {"_SCALAR_TAIL_ROWS": tail, "_EXPANSION_CHUNK_ROWS": chunk}, relation
+
+    with three_stores(triples[:cut], triples[cut:]) as stores:
+        for store in stores:
+            known = set(store.vocabulary)
+            expected_here = [row for row in expected if known.issuperset(row[:width])]
+            for path, patched, relation in probes(store):
+                with mock.patch.multiple(join_module, **patched):
+                    uncapped = extend_with_edge(store, relation, edge, injective=injective)
+                    full = uncapped.to_rows()
+                    decoded = sorted(store.vocabulary.decode_row(row) for row in full)
+                    assert decoded == expected_here, path
+                    size = len(full)
+                    for cap in {0, 1, size - 1, size, size + 1, 2 * size + 3} - {-1}:
+                        if size > cap:
+                            with pytest.raises(LatticeError, match=f"max_rows={cap}"):
+                                extend_with_edge(
+                                    store, relation, edge, injective=injective, max_rows=cap
+                                )
+                        else:
+                            capped = extend_with_edge(
+                                store, relation, edge, injective=injective, max_rows=cap
+                            )
+                            assert capped.variables == uncapped.variables, path
+                            assert capped.to_rows() == full, path
 
 
 @given(_triples)

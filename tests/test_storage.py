@@ -91,7 +91,7 @@ class TestColumnarEdgeTable:
         table.add_row(7, 8)
         assert list(table.subject_ids()) == [1, 1, 5, 7]
         assert table.contains_pairs(np.array([7]), np.array([8])).all()
-        probe_idx, objects = table.probe_expand_subject(np.array([7, 1]))
+        probe_idx, objects = table.expand_subject(*table.probe_subject(np.array([7, 1])))
         assert probe_idx.tolist() == [0, 1, 1]
         assert objects.tolist() == [8, 2, 4]
 
