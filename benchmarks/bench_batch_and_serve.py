@@ -1,36 +1,25 @@
-"""Batched multi-query execution vs sequential queries (Fig. 14 workload).
+"""Warm starts, the pooled batch and the serve layer (Fig. 14 workload).
 
-Two workload shapes, both answering with byte-identical ranked results
-(pinned by ``tests/test_batch_equivalence.py``):
+* the **v2 / v3 sharded snapshot warm start** pairs: a manifest-only
+  open (no section deserialization, no shard maps) and a cold open
+  through the first answered query.  v3 maps the vocabulary (string
+  arena), the graph (CSR) and the participation statistics instead of
+  pickling them, so its first query runs its front half on id columns;
+* the **pooled batch**: the 20 queries of the Fig. 14 workload sharded
+  across a snapshot-backed process pool.  The pooled numbers are
+  core-count-bound: on a single-core runner the pool pays IPC for no
+  parallelism; with N cores the window parallelizes up to
+  min(N, workers)×;
+* one steady-state **serve-layer load pass** over HTTP (threaded server
+  + batcher + answer cache), and the same pass through the asyncio
+  frontend (admission control + metrics on the request path) so a
+  regression in the event-loop hot path is caught next to its threaded
+  twin.  The absolute serve-throughput artifact for CI comes from
+  ``gqbe bench-serve`` (see ``.github/workflows/ci.yml``).
 
-* the **20 unique queries** of the Fig. 14 workload — here the batch
-  arena can only share what the queries' MQGs actually overlap on
-  (~5-10% of lattice evaluations on the synthetic graphs, since the 20
-  ground-truth regions are nearly disjoint), so batch ≈ sequential;
-* the **serving window**: the same workload arriving from several
-  concurrent users (duplicates in one batching window) — duplicate
-  collapse makes ``query_batch`` several times faster than the
-  sequential loop, which is the case the serve layer's batcher exists
-  for.
-
-A third benchmark times one steady-state serve-layer load pass over HTTP
-(threaded server + batcher + answer cache) to keep the full frontend
-under the regression gate, and a fourth runs the same pass through the
-asyncio frontend (admission control + metrics on the request path) so a
-regression in the event-loop hot path is caught next to its threaded
-twin.  The absolute serve-throughput artifact for CI comes from
-``gqbe bench-serve`` (see ``.github/workflows/ci.yml``).
-
-PR 4 additions: the **v2 sharded snapshot warm start** (manifest-only
-open — no section deserialization, no shard maps) and the **pooled
-batch** path (the Fig. 14 window sharded across a snapshot-backed
-process pool).  Note the pooled numbers are core-count-bound: on a
-single-core runner the pool pays IPC for no parallelism; with N cores
-the window parallelizes up to min(N, workers)×.
-
-PR 5 additions: the **v3 warm start** pair — v3 maps the vocabulary
-(string arena) and graph (CSR) instead of pickling them, so the
-first-query path swaps graph-section deserialization for two mmaps.
+Inline sequential / batched query latency is not timed here any more:
+``perfbench/`` measures it end to end (``single_r15``, ``multi_large``,
+``serve_mixed``) at scales where the work dominates the noise.
 """
 
 from __future__ import annotations
@@ -39,10 +28,6 @@ import pytest
 
 from repro.core.config import GQBEConfig
 from repro.core.gqbe import GQBE
-from repro.storage.snapshot import GraphStore
-
-#: Concurrent users replaying the Fig. 14 workload inside one window.
-WINDOW_USERS = 3
 
 #: Process-pool width for the pooled benchmarks.
 POOL_WORKERS = 4
@@ -57,39 +42,11 @@ def batch_system(harness):
     )
     system = GQBE(workload.dataset.graph, config=config)
     tuples = [query.query_tuple for query in workload.queries]
-    # Warm the table-level lazy indexes so both variants measure
+    # Warm the table-level lazy indexes so the serve-layer passes measure
     # steady-state query work, not first-touch index builds.
     for query_tuple in tuples:
         system.query(query_tuple, k=10)
     return system, tuples
-
-
-def test_bench_fig14_sequential_queries(batch_system, benchmark):
-    system, tuples = batch_system
-    results = benchmark(lambda: [system.query(t, k=10) for t in tuples])
-    assert len(results) == 20 and all(r.answers for r in results)
-
-
-def test_bench_fig14_query_batch(batch_system, benchmark):
-    system, tuples = batch_system
-    results = benchmark(system.query_batch, tuples, 10)
-    assert len(results) == 20 and all(r.answers for r in results)
-
-
-def test_bench_fig14_serving_window_sequential(batch_system, benchmark):
-    system, tuples = batch_system
-    window = tuples * WINDOW_USERS
-    results = benchmark(lambda: [system.query(t, k=10) for t in window])
-    assert len(results) == 20 * WINDOW_USERS
-
-
-def test_bench_fig14_serving_window_query_batch(batch_system, benchmark):
-    system, tuples = batch_system
-    window = tuples * WINDOW_USERS
-    results = benchmark(system.query_batch, window, 10)
-    assert len(results) == 20 * WINDOW_USERS
-    # The window's duplicates collapse to 20 evaluations; answers fan out.
-    assert all(results[i].answers for i in range(len(window)))
 
 
 @pytest.fixture(scope="module")
@@ -206,9 +163,8 @@ def worker_pool(v2_snapshot, batch_system):
 def test_bench_fig14_pooled_query_batch(worker_pool, batch_system, benchmark):
     """The Fig. 14 window sharded across the process pool.
 
-    Compare against ``test_bench_fig14_query_batch`` (inline): the delta
-    is IPC + result pickling vs min(cores, workers)× parallel lattice
-    exploration.
+    Against the same batch run inline the delta is IPC + result pickling
+    vs min(cores, workers)× parallel lattice exploration.
     """
     _system, tuples = batch_system
     results = benchmark(worker_pool.query_batch, tuples, 10)
