@@ -17,7 +17,7 @@
   twin.  The absolute serve-throughput artifact for CI comes from
   ``gqbe bench-serve`` (see ``.github/workflows/ci.yml``).
 
-Inline sequential / batched query latency is not timed here any more:
+Inline sequential / batched query latency is not timed here:
 ``perfbench/`` measures it end to end (``single_r15``, ``multi_large``,
 ``serve_mixed``) at scales where the work dominates the noise.
 """

@@ -10,20 +10,31 @@ The top-level package re-exports the public API:
   — query results.
 """
 
-from importlib import metadata as _metadata
-
 from repro.core.answer import AnswerTuple, QueryResult
 from repro.core.config import GQBEConfig
 from repro.core.gqbe import GQBE
 from repro.graph.knowledge_graph import Edge, KnowledgeGraph
 
-# The single source of truth for the version is the package metadata
-# (pyproject.toml); a source tree that was never pip-installed has none,
-# which the fallback marks explicitly instead of faking a release.
-try:
-    __version__ = _metadata.version("gqbe-repro")
-except _metadata.PackageNotFoundError:  # pragma: no cover - dev checkouts
-    __version__ = "0.0.0+uninstalled"
+
+def __getattr__(name: str) -> str:
+    """``repro.__version__``, resolved when someone asks.
+
+    The single source of truth for the version is the package metadata
+    (pyproject.toml); a source tree that was never pip-installed has none,
+    which the fallback marks explicitly instead of faking a release.
+    Reading it imports ``importlib.metadata`` (and with it ``email``,
+    ``zipfile``, ...), which only ``gqbe --version`` needs: a serving
+    process that restarts should not pay for it.
+    """
+    if name != "__version__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import metadata
+
+    try:
+        return metadata.version("gqbe-repro")
+    except metadata.PackageNotFoundError:  # pragma: no cover - dev checkouts
+        return "0.0.0+uninstalled"
+
 
 __all__ = [
     "GQBE",

@@ -2,9 +2,10 @@
 
 This package implements Section III of the paper:
 
-* :mod:`repro.discovery.weights` — the edge-weighting heuristics
-  (inverse edge-label frequency / participation degree, Eq. 2; the
-  depth-adjusted weight used for answer scoring, Eq. 8).
+* :mod:`repro.discovery.weights` — edge depth (Eq. 7) and the
+  depth-adjusted weight used for answer scoring (Eq. 8); the Eq. 2
+  discovery weight (inverse edge-label frequency / participation
+  degree) comes from :mod:`repro.graph.statistics`.
 * :mod:`repro.discovery.reduction` — the preprocessing step that removes
   *unimportant* edges from the neighborhood graph (Sec. III-C, Theorem 2).
 * :mod:`repro.discovery.mqg` — Algorithm 1: divide-and-conquer greedy
@@ -16,18 +17,13 @@ This package implements Section III of the paper:
 from repro.discovery.merge import merge_maximal_query_graphs
 from repro.discovery.mqg import MaximalQueryGraph, discover_maximal_query_graph
 from repro.discovery.reduction import reduce_neighborhood_graph
-from repro.discovery.weights import (
-    discovery_edge_weights,
-    edge_depths,
-    mqg_edge_weights,
-)
+from repro.discovery.weights import edge_depths, mqg_edge_weights
 
 __all__ = [
     "MaximalQueryGraph",
     "discover_maximal_query_graph",
     "merge_maximal_query_graphs",
     "reduce_neighborhood_graph",
-    "discovery_edge_weights",
     "edge_depths",
     "mqg_edge_weights",
 ]

@@ -34,7 +34,7 @@ from repro.graph.knowledge_graph import Edge, KnowledgeGraph
 from repro.graph.neighborhood import NeighborhoodGraph
 from repro.graph.statistics import GraphStatistics
 from repro.discovery.reduction import reduce_neighborhood_graph
-from repro.discovery.weights import discovery_edge_weights, mqg_edge_weights
+from repro.discovery.weights import mqg_edge_weights
 
 #: Default MQG size target used throughout the paper's experiments.
 DEFAULT_MQG_SIZE = 15
@@ -457,14 +457,23 @@ def discover_maximal_query_graph(
     neighborhood:
         The neighborhood graph ``H_t`` (Definition 1).
     stats:
-        Offline statistics of the *data graph* (not of the neighborhood),
-        used for the Eq. 2 discovery weights and Eq. 8 scoring weights.
+        Offline statistics of the *data graph* (not of the neighborhood):
+        the source of the Eq. 2 discovery weights, one lookup round per
+        neighborhood.  The Eq. 8 scoring weights of the chosen edges are
+        those same weights divided by the squared depth.
     r:
         Target MQG size (number of edges); the paper uses ``r = 15``.
     reduce_first:
         Apply the unimportant-edge reduction of Sec. III-C before running
         Algorithm 1 (the paper always does; disabling it is useful for
         ablation experiments).
+
+    Where the weights come from follows where the neighborhood came from:
+    one extracted from a mapped or delta graph carries id columns, reduced
+    or not, and ``stats.weights_for`` receives them next to the edges —
+    mapped statistics then compute Eq. 2 for all rows as one array, dict
+    statistics (the executable spec, and all an owned graph has) look each
+    edge up by its strings.  The floats are the same either way.
     """
     entities = neighborhood.query_tuple
     working = reduce_neighborhood_graph(neighborhood) if reduce_first else neighborhood
@@ -476,7 +485,7 @@ def discover_maximal_query_graph(
         if not any(set(entities) <= component for component in components):
             raise DisconnectedQueryError(entities, neighborhood.d)
 
-    weights = discovery_edge_weights(stats, graph.edges)
+    weights = stats.weights_for(graph.edges, working.columns)
     mqg_edges, core_selection = select_mqg_edges(graph, entities, weights, r=r)
 
     mqg_graph = KnowledgeGraph()
@@ -485,12 +494,12 @@ def discover_maximal_query_graph(
     for edge in mqg_edges:
         mqg_graph.add_edge_object(edge)
 
-    scoring_weights = mqg_edge_weights(stats, mqg_graph, entities)
+    discovery_weights = {edge: weights[edge] for edge in mqg_edges}
     core_in_mqg = frozenset(edge for edge in core_selection if edge in mqg_edges)
     return MaximalQueryGraph(
         graph=mqg_graph,
         query_tuple=tuple(entities),
-        edge_weights=scoring_weights,
+        edge_weights=mqg_edge_weights(mqg_graph, entities, discovery_weights),
         core_edges=core_in_mqg,
-        discovery_weights={edge: weights[edge] for edge in mqg_edges},
+        discovery_weights=discovery_weights,
     )

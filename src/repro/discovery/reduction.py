@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.exceptions import DiscoveryError
 from repro.graph.knowledge_graph import Edge, KnowledgeGraph
-from repro.graph.neighborhood import NeighborhoodGraph
+from repro.graph.neighborhood import NeighborhoodColumns, NeighborhoodGraph
 
 
 def _important_edges(
@@ -121,10 +121,14 @@ _LOST_CONNECTION = (
 
 
 def _component_neighborhood(
-    neighborhood: NeighborhoodGraph, edges: list[Edge], distances: dict[str, int]
+    neighborhood: NeighborhoodGraph,
+    edges: list[Edge],
+    distances: dict[str, int],
+    columns: NeighborhoodColumns | None = None,
 ) -> NeighborhoodGraph:
     """The reduced neighborhood over ``edges`` (the query entities'
-    component, in ``H_t``'s edge order) with ``dist_q`` of its nodes."""
+    component, in ``H_t``'s edge order) with ``dist_q`` of its nodes;
+    ``columns`` are the id rows ``edges`` were decoded from, if any."""
     component_graph = KnowledgeGraph()
     for entity in neighborhood.query_tuple:
         component_graph.add_node(entity)
@@ -137,6 +141,7 @@ def _component_neighborhood(
         distances={
             node: distances[node] for node in component_graph.nodes if node in distances
         },
+        columns=columns,
     )
 
 
@@ -155,7 +160,10 @@ def _reduce_columns(neighborhood: NeighborhoodGraph) -> NeighborhoodGraph:
     Evaluates the rule of :func:`_removed_edges` as array masks, sweeps
     the query entities' component over the surviving rows, and decodes
     only those rows into the reduced graph — in ``H_t``'s edge order, so
-    the result equals the string path's, adjacency orders included.
+    the result equals the string path's, adjacency orders included.  The
+    surviving rows stay on the result as its ``columns``, aligned with
+    ``graph.edges``: MQG discovery weighs the edges on those ids instead
+    of turning the decoded strings back into ids.
     """
     columns = neighborhood.columns
     subjects, labels, objects = columns.subjects, columns.labels, columns.objects
@@ -193,9 +201,10 @@ def _reduce_columns(neighborhood: NeighborhoodGraph) -> NeighborhoodGraph:
     if not reached[: len(entities)].all():
         raise DiscoveryError(_LOST_CONNECTION)
 
-    edges, edge_distances = columns.decode(kept[reached[kept_subjects]])
+    survivors = columns.take(kept[reached[kept_subjects]])
+    edges, edge_distances = survivors.decode()
     return _component_neighborhood(
-        neighborhood, edges, dict.fromkeys(entities, 0) | edge_distances
+        neighborhood, edges, dict.fromkeys(entities, 0) | edge_distances, survivors
     )
 
 

@@ -5,7 +5,8 @@ Two weighting functions are used at different stages:
 * **Discovery weight** (Eq. 2): ``w(e) = ief(e) / p(e)``.  Used while
   discovering the maximal query graph from the neighborhood graph; it is
   deliberately independent of the distance to the query entities so the MQG
-  stays balanced between near and far edges.
+  stays balanced between near and far edges.  Computed by the statistics
+  (:meth:`repro.graph.statistics.GraphStatistics.weights_for`).
 
 * **MQG / scoring weight** (Eq. 8): ``w(e) = ief(e) / (p(e) · depth(e)²)``.
   Used once the MQG is fixed, when scoring answer graphs (Eq. 5–6); edges
@@ -23,17 +24,9 @@ weight finite.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from repro.graph.knowledge_graph import Edge, KnowledgeGraph
-from repro.graph.statistics import GraphStatistics
-
-
-def discovery_edge_weights(
-    stats: GraphStatistics, edges: Iterable[Edge]
-) -> dict[Edge, float]:
-    """Eq. 2 weights (``ief / p``) for every edge in ``edges``."""
-    return {edge: stats.base_edge_weight(edge) for edge in edges}
 
 
 def edge_depths(
@@ -69,14 +62,15 @@ def edge_depths(
 
 
 def mqg_edge_weights(
-    stats: GraphStatistics,
     mqg_graph: KnowledgeGraph,
     query_tuple: Sequence[str],
+    discovery_weights: Mapping[Edge, float],
 ) -> dict[Edge, float]:
-    """Eq. 8 weights (``ief / (p · depth²)``) for every edge of the MQG."""
+    """Eq. 8 weights (``ief / (p · depth²)``) for every edge of the MQG:
+    its Eq. 2 ``discovery_weights`` divided by the squared depth."""
     depths = edge_depths(mqg_graph, query_tuple)
     weights: dict[Edge, float] = {}
     for edge in mqg_graph.edges:
         depth = depths[edge]
-        weights[edge] = stats.base_edge_weight(edge) / (depth * depth)
+        weights[edge] = discovery_weights[edge] / (depth * depth)
     return weights

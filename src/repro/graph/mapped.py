@@ -6,12 +6,14 @@ store's interned entity ids — plus the label strings.  This module's
 :class:`MappedKnowledgeGraph` serves the read API of
 :class:`~repro.graph.knowledge_graph.KnowledgeGraph` directly over those
 mapped columns, so a serve worker reopening a v3 snapshot carries **no**
-private copy of the adjacency: the hot consumers — neighborhood
-extraction (:mod:`repro.graph.neighborhood`) and the participation-degree
-membership checks of :mod:`repro.graph.statistics` — run on the int
-arrays and materialize :class:`~repro.graph.knowledge_graph.Edge`
-objects only for the handful of edges that end up inside a query's
-neighborhood subgraph.
+private copy of the adjacency: the hot consumer — neighborhood
+extraction (:mod:`repro.graph.neighborhood`) — runs on the int arrays
+and materializes :class:`~repro.graph.knowledge_graph.Edge` objects only
+for the edges that survive the reduction, and the Eq. 2 weights of those
+edges are computed on the same ids (:mod:`repro.graph.statistics`).  The
+string-keyed read API below (``has_edge``, ``out_edges``, ...) pays one
+vocabulary binary search per entity it is handed; a query calls it for
+its own entities only.
 
 Two ordering invariants make answers byte-identical to the dict-of-lists
 graph (and are guaranteed by the shard writer):

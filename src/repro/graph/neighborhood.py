@@ -72,24 +72,29 @@ class NeighborhoodColumns(NamedTuple):
         term_of = self.term_of
         return [term_of(node_id) for node_id in self.node_ids[positions].tolist()]
 
-    def decode(
-        self, rows: "np.ndarray | slice" = slice(None)
-    ) -> tuple[list[Edge], dict[str, int]]:
-        """The edges at ``rows`` of the edge columns (default: all) as
-        :class:`Edge` objects, and ``dist_q`` of every node they touch."""
-        subjects = self.subjects[rows]
+    def take(self, rows: "np.ndarray") -> "NeighborhoodColumns":
+        """The same nodes with only the edges at ``rows`` of the edge columns."""
+        return self._replace(
+            subjects=self.subjects[rows],
+            labels=self.labels[rows],
+            objects=self.objects[rows],
+        )
+
+    def decode(self) -> tuple[list[Edge], dict[str, int]]:
+        """The edge columns as :class:`Edge` objects, row by row, and
+        ``dist_q`` of every node they touch."""
         # One term lookup per distinct node, not per edge endpoint.
         used, inverse = np.unique(
-            np.concatenate((subjects, self.objects[rows])), return_inverse=True
+            np.concatenate((self.subjects, self.objects)), return_inverse=True
         )
         terms = self.terms(used)
         label_strings = self.label_strings
-        count = len(subjects)
+        count = len(self.subjects)
         edges = [
             Edge(terms[subject], label_strings[label], terms[obj])
             for subject, label, obj in zip(
                 inverse[:count].tolist(),
-                self.labels[rows].tolist(),
+                self.labels.tolist(),
                 inverse[count:].tolist(),
             )
         ]
@@ -114,7 +119,12 @@ class NeighborhoodGraph:
         ``H_t`` as :class:`NeighborhoodColumns` when it was extracted from
         a mapped or delta graph, else ``None``.  ``graph`` and
         ``distances`` are then decoded from the columns on first access;
-        the reduction reads the columns and never asks.
+        the reduction reads the columns and never asks.  A *reduced*
+        neighborhood of such an ``H_t`` carries its decoded graph and
+        the columns of the rows that survived: row ``i`` of the edge
+        columns is the ``i``-th edge of ``graph.edges`` either way (the
+        rows of ``H_t`` are distinct triples, inserted in row order), so
+        whoever needs a per-edge number can compute it on the ids.
     """
 
     __slots__ = ("query_tuple", "d", "columns", "_graph", "_distances")
@@ -158,17 +168,17 @@ class NeighborhoodGraph:
 
     @property
     def num_nodes(self) -> int:
-        """Number of nodes in ``H_t``."""
-        if self.columns is not None:
+        """Number of nodes in ``H_t`` (read off the columns while undecoded)."""
+        if self._graph is None:
             return len(self.columns.node_ids)
-        return self.graph.num_nodes
+        return self._graph.num_nodes
 
     @property
     def num_edges(self) -> int:
-        """Number of edges in ``H_t``."""
-        if self.columns is not None:
+        """Number of edges in ``H_t`` (read off the columns while undecoded)."""
+        if self._graph is None:
             return len(self.columns.subjects)
-        return self.graph.num_edges
+        return self._graph.num_edges
 
     def distance(self, node: str) -> int:
         """``dist_q(node)``; raises ``KeyError`` for nodes outside ``H_t``."""

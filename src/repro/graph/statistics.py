@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from typing import TYPE_CHECKING
 
 try:  # pragma: no cover - numpy is present everywhere mapped snapshots are
     import numpy as np
@@ -34,6 +35,9 @@ except ImportError:  # pragma: no cover
 
 from repro.exceptions import GraphError
 from repro.graph.knowledge_graph import Edge, KnowledgeGraph
+
+if TYPE_CHECKING:  # pragma: no cover - repro.graph.neighborhood imports the graphs
+    from repro.graph.neighborhood import NeighborhoodColumns
 
 
 class GraphStatistics:
@@ -157,8 +161,17 @@ class GraphStatistics:
             self._base_weight_cache[edge] = weight
         return weight
 
-    def weights_for(self, edges: Iterable[Edge]) -> dict[Edge, float]:
-        """Convenience: Eq. 2 weights for every edge in ``edges``."""
+    def weights_for(
+        self, edges: Iterable[Edge], columns: "NeighborhoodColumns | None" = None
+    ) -> dict[Edge, float]:
+        """Eq. 2 weights for every edge in ``edges`` — the discovery weights.
+
+        ``columns`` are the id rows the edges were decoded from, when
+        they came out of a mapped or delta graph (one row per edge, in
+        order).  Dict statistics have no use for them: they look every
+        edge up by its strings and are the executable spec;
+        :class:`MappedGraphStatistics` computes the same floats on the ids.
+        """
         return {edge: self.base_edge_weight(edge) for edge in edges}
 
     def __repr__(self) -> str:
@@ -176,46 +189,81 @@ class _MappedCountView:
 
     The v3 snapshot persists each participation-count dict as a pair of
     columns: sorted composite keys (``node_id * num_labels + label_id``)
-    and their counts.  Reads binary-search the key column; live-ingest
-    writes land in a small overlay dict of absolute values that reads
-    prefer, so :meth:`GraphStatistics.apply_edge`'s read-modify-write
-    works unchanged.  Only the dict operations the statistics code uses
-    are implemented (``get`` / ``__setitem__`` / ``items``).
+    and their counts.  Node ids are the vocabulary's; label ids are the
+    *statistics shard's own* (its label table is sorted, the graph
+    shard's is in first-seen order), extended past ``num_labels`` by the
+    labels live ingest brings.  Live-ingest writes (:meth:`add_one`)
+    land in a small overlay dict of absolute values, keyed by the same
+    id pair, that reads prefer.
+
+    Two read surfaces: :meth:`counts_of` answers a whole column of id
+    pairs with one ``np.searchsorted`` and is what a query uses; the
+    string-keyed ``get`` / ``items`` of the dict these columns replace
+    serve the per-edge spec methods and resaves, at one vocabulary
+    binary search per key.
     """
 
-    __slots__ = ("_keys", "_counts", "_vocabulary", "_labels", "_label_ids", "_overlay")
+    __slots__ = ("_keys", "_counts", "_vocabulary", "_labels", "_label_ids", "_width", "_overlay")
 
-    def __init__(self, keys, counts, vocabulary, labels) -> None:
+    def __init__(self, keys, counts, vocabulary, labels, label_ids) -> None:
         self._keys = keys
         self._counts = counts
         self._vocabulary = vocabulary
+        # Shared with the sibling view, so both agree on an ingested label's id.
         self._labels = labels
-        self._label_ids = {label: index for index, label in enumerate(labels)}
-        self._overlay: dict[tuple[str, str], int] = {}
+        self._label_ids = label_ids
+        self._width = max(len(labels), 1)  # write_statistics_shard's num_labels
+        self._overlay: dict[tuple[int, int], int] = {}
 
-    def _base(self, key: tuple[str, str]) -> int:
+    def counts_of(self, node_ids: "np.ndarray", label_ids: "np.ndarray") -> "np.ndarray":
+        """The counts at ``(node_ids[i], label_ids[i])`` as one owned array
+        (0 where there is none)."""
+        keys = self._keys
+        composite = node_ids * self._width + label_ids
+        slots = np.searchsorted(keys, composite)  # past the end: clipped below
+        # A label that came with an ingest has no base key at all: its
+        # composite would alias a key of the next node.  (An ingested
+        # node's composite lies past every key.)
+        found = (keys.take(slots, mode="clip") == composite) & (label_ids < self._width)
+        counts = np.where(found, self._counts.take(slots, mode="clip"), 0)
+        if self._overlay:
+            # Overlay values are absolute: laid over the base count, not added.
+            overlay = self._overlay.get
+            for row, key in enumerate(zip(node_ids.tolist(), label_ids.tolist())):
+                value = overlay(key)
+                if value is not None:
+                    counts[row] = value
+        return counts
+
+    def _count_at(self, node_id: int, label_id: int) -> int:
+        """:meth:`counts_of` for one id pair, on Python ints (ingest asks
+        twice per triple; a one-row array costs several times this)."""
+        value = self._overlay.get((node_id, label_id))
+        if value is None and label_id < self._width:
+            composite = node_id * self._width + label_id
+            slot = int(np.searchsorted(self._keys, composite))
+            if slot < len(self._keys) and int(self._keys[slot]) == composite:
+                return int(self._counts[slot])
+        return value or 0
+
+    def get(self, key: tuple[str, str], default: int = 0):
+        term, label = key
+        label_id = self._label_ids.get(label)
+        node_id = None if label_id is None else self._vocabulary.id_of(term)
+        if node_id is None:
+            return default
+        return self._count_at(node_id, label_id) or default
+
+    def add_one(self, key: tuple[str, str]) -> None:
+        """Count one more edge at ``key`` (live ingest); a label or an
+        entity the snapshot never saw gets its id here."""
         term, label = key
         label_id = self._label_ids.get(label)
         if label_id is None:
-            return 0
-        node_id = self._vocabulary.id_of(term)
-        if node_id is None:
-            return 0
-        composite = node_id * len(self._labels) + label_id
-        index = int(np.searchsorted(self._keys, composite))
-        if index < len(self._keys) and int(self._keys[index]) == composite:
-            return int(self._counts[index])
-        return 0
-
-    def get(self, key: tuple[str, str], default: int = 0):
-        value = self._overlay.get(key)
-        if value is not None:
-            return value
-        base = self._base(key)
-        return base if base else default
-
-    def __setitem__(self, key: tuple[str, str], value: int) -> None:
-        self._overlay[key] = value
+            label_id = self._label_ids[label] = len(self._labels)
+            self._labels.append(label)
+        node_id = self._vocabulary.intern(term)
+        self._overlay[node_id, label_id] = self._count_at(node_id, label_id) + 1
 
     def items(self):
         """Every ``((term, label), count)`` pair, overlay winning.
@@ -225,14 +273,14 @@ class _MappedCountView:
         operations) use it — queries never do.
         """
         term_of = self._vocabulary.term_of
-        num_labels = len(self._labels)
+        labels = self._labels
         overlay = self._overlay
-        for index in range(len(self._keys)):
-            composite = int(self._keys[index])
-            key = (term_of(composite // num_labels), self._labels[composite % num_labels])
-            if key not in overlay:
-                yield key, int(self._counts[index])
-        yield from overlay.items()
+        for composite, count in zip(self._keys.tolist(), self._counts.tolist()):
+            id_key = divmod(composite, self._width)
+            if id_key not in overlay:
+                yield (term_of(id_key[0]), labels[id_key[1]]), count
+        for (node_id, label_id), count in overlay.items():
+            yield (term_of(node_id), labels[label_id]), count
 
 
 def _restore_plain_statistics(total_edges, label_counts, out_counts, in_counts):
@@ -259,6 +307,14 @@ class MappedGraphStatistics(GraphStatistics):
     byte-identical.  Live ingest accumulates into per-view overlay
     dicts; pickling reduces to a plain :class:`GraphStatistics` (resaves
     re-encode the merged counts instead).
+
+    A query never hands these statistics a string: its neighborhood
+    comes from the same snapshot as id columns, and :meth:`weights_for`
+    computes Eq. 2 for all of its rows on those ids
+    (:meth:`column_weights`).  The inherited per-edge methods
+    (``participation_degree`` / ``base_edge_weight``) still answer for
+    any :class:`Edge`, through one vocabulary binary search per lookup;
+    they are the spec the array path is tested against.
     """
 
     def __init__(
@@ -278,13 +334,57 @@ class MappedGraphStatistics(GraphStatistics):
         self._graph = graph
         self._total_edges = int(total_edges)
         self._label_counts = dict(label_counts)
+        labels = list(labels)
+        self._label_ids = {label: index for index, label in enumerate(labels)}
         self._out_label_counts = _MappedCountView(
-            out_keys, out_counts, vocabulary, labels
+            out_keys, out_counts, vocabulary, labels, self._label_ids
         )
         self._in_label_counts = _MappedCountView(
-            in_keys, in_counts, vocabulary, labels
+            in_keys, in_counts, vocabulary, labels, self._label_ids
         )
+        # Per-edge spec calls memoize as in the dict class; a query never
+        # makes one (see weights_for), so serving does not fill this.
         self._base_weight_cache = {}
+
+    def apply_edge(self, edge: Edge) -> None:
+        self._total_edges += 1
+        self._label_counts[edge.label] = self._label_counts.get(edge.label, 0) + 1
+        self._out_label_counts.add_one((edge.subject, edge.label))
+        self._in_label_counts.add_one((edge.object, edge.label))
+
+    def column_weights(self, columns: "NeighborhoodColumns") -> "np.ndarray":
+        """Eq. 2 for every row of ``columns``, as one float64 array.
+
+        Bit for bit what :meth:`base_edge_weight` returns for the decoded
+        rows: the same integers, ``ief`` from the same ``math.log``, one
+        float64 division.  A row of ``H_t`` *is* an edge of the graph, so
+        the overlap term of Eq. 4 is 1 without a membership probe.
+        """
+        graph_labels = columns.label_strings
+        # Graph label id -> this shard's label id and ief, per label in use.
+        # A label the statistics never saw has no count anywhere.
+        unseen = len(self._label_ids)
+        own_ids = np.full(len(graph_labels), unseen, dtype=np.int64)
+        ief = np.zeros(len(graph_labels))
+        for label_id in set(columns.labels.tolist()):
+            label = graph_labels[label_id]
+            own_ids[label_id] = self._label_ids.get(label, unseen)
+            ief[label_id] = self.inverse_edge_label_frequency(label)
+        labels = own_ids[columns.labels]
+        same_subject = self._out_label_counts.counts_of(
+            columns.node_ids[columns.subjects], labels
+        )
+        same_object = self._in_label_counts.counts_of(
+            columns.node_ids[columns.objects], labels
+        )
+        return ief[columns.labels] / np.maximum(same_subject + same_object - 1, 1)
+
+    def weights_for(
+        self, edges: Iterable[Edge], columns: "NeighborhoodColumns | None" = None
+    ) -> dict[Edge, float]:
+        if columns is None:
+            return super().weights_for(edges)
+        return dict(zip(edges, self.column_weights(columns).tolist(), strict=True))
 
     def __reduce__(self):
         # A pickled copy cannot carry the mmap-backed columns; it

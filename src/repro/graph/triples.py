@@ -22,8 +22,6 @@ numbers on malformed input via :class:`~repro.exceptions.TripleParseError`.
 
 from __future__ import annotations
 
-import csv
-import gzip
 import io
 from collections.abc import Iterable, Iterator
 from pathlib import Path
@@ -118,6 +116,8 @@ def _resolve_csv_columns(header: list[str], line_number: int, line: str) -> tupl
 
 def _iter_csv_triples(lines: Iterable[str]) -> Iterator[Triple]:
     """Parse a Neo4j/AGE-style relationship CSV export into triples."""
+    import csv  # here, not at the top: a snapshot-backed process never parses
+
     columns: tuple[int, int, int] | None = None
     for line_number, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -181,6 +181,8 @@ def triples_from_strings(text: str, fmt: str = "auto") -> list[Triple]:
 def _open_text(path: str | Path, mode: str = "r") -> io.TextIOBase:
     """Open a triple file for text I/O, decompressing ``.gz`` transparently."""
     if str(path).endswith(".gz"):
+        import gzip  # as csv above
+
         return gzip.open(path, mode + "t", encoding="utf-8")
     return open(path, mode, encoding="utf-8")
 

@@ -431,10 +431,13 @@ class ServingCore:
                     tmp.unlink()
                 raise
             os.replace(tmp, target)
+            # Counted before the swap publishes the new path (``/healthz``
+            # reads it without a lock): whoever sees the new generation
+            # also sees it counted.
+            self._count("compactions")
+            self._note_compaction()
             generation = self._load_snapshot_locked(target)
             prune_generations(target, keep=2)
-        self._count("compactions")
-        self._note_compaction()
         return {
             "compacted": True,
             "snapshot": str(target),
@@ -452,7 +455,8 @@ class ServingCore:
             return 400, {"error": str(error), "type": type(error).__name__}
 
     def _note_compaction(self) -> None:
-        """Hook for frontends to observe completed compactions (metrics)."""
+        """Hook for frontends to observe compactions (metrics); called with
+        the new generation on disk, just before it is swapped in."""
 
     def _maybe_start_compaction(self, delta_edges: int) -> bool:
         """Kick off a background compaction when the delta is big enough.

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.config import GQBEConfig
@@ -11,6 +16,28 @@ from repro.datasets.synthetic import DBpediaLikeGenerator, FreebaseLikeGenerator
 from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.graph.statistics import GraphStatistics
 from repro.storage.store import VerticalPartitionStore
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """``fresh_python(script, *argv)``: run ``script`` in a new interpreter
+    that can import ``repro`` and the test modules; asserts it exits 0 and
+    returns its stdout."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH", "")]
+    )
+
+    def run(script: str, *argv: str) -> str:
+        completed = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env=env, cwd=tests.parent,
+        )
+        assert completed.returncode == 0, completed.stderr
+        return completed.stdout
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,10 @@ Triple = tuple[str, str, str]
 
 
 @contextmanager
-def _three_graph_stores(base: list[Triple], delta: list[Triple]):
+def three_graph_stores(base: list[Triple], delta: list[Triple]):
+    """Yield ``base + delta`` as the owned graph and two loaded
+    :class:`GraphStore` bundles (graph, statistics, join store): the merged
+    stream's v3 snapshot, and ``base``'s with ``delta`` ingested on top."""
     owned = KnowledgeGraph(base + delta)
     with tempfile.TemporaryDirectory() as directory:
         GraphStore.build(owned).save(Path(directory, "merged"), format="v3")
@@ -45,7 +48,7 @@ def three_backings(base: list[Triple], delta: list[Triple]):
     snapshot reopened, ``overlay`` is a v3 snapshot of ``base`` with
     ``delta`` ingested on top.
     """
-    with _three_graph_stores(base, delta) as (owned, merged_store, overlay_store):
+    with three_graph_stores(base, delta) as (owned, merged_store, overlay_store):
         yield owned, merged_store.graph, overlay_store.graph
 
 
@@ -53,7 +56,7 @@ def three_backings(base: list[Triple], delta: list[Triple]):
 def three_stores(base: list[Triple], delta: list[Triple]):
     """The join stores behind the same three backings: owned columns,
     mapped shard tables, and mapped tables with ``delta`` ingested."""
-    with _three_graph_stores(base, delta) as (owned, merged_store, overlay_store):
+    with three_graph_stores(base, delta) as (owned, merged_store, overlay_store):
         yield VerticalPartitionStore(owned), merged_store.store, overlay_store.store
 
 

@@ -265,11 +265,13 @@ def test_an_equal_full_score_from_a_later_query_graph_does_not_replace():
 # ----------------------------------------------------------------------
 # best-first against the breadth-first Baseline
 # ----------------------------------------------------------------------
+GENERATED_CONFIG = GQBEConfig(mqg_size=8, k_prime=20, max_join_rows=100_000)
+
+
 @pytest.fixture(scope="module")
 def generated():
     dataset = FreebaseLikeGenerator(seed=3, scale=0.2).generate()
-    config = GQBEConfig(mqg_size=8, k_prime=20, max_join_rows=100_000)
-    return dataset, GQBE(dataset.graph, config=config)
+    return dataset, GQBE(dataset.graph, config=GENERATED_CONFIG)
 
 
 def test_best_first_agrees_with_breadth_first_baseline(generated):
@@ -304,29 +306,63 @@ def test_best_first_agrees_with_breadth_first_baseline(generated):
 # ----------------------------------------------------------------------
 # golden ranked answers
 # ----------------------------------------------------------------------
-def _ranked(system, query_tuple):
-    mqg = system.discover_query_graph(query_tuple)
-    return system.explore_mqg(mqg, k=10, excluded_tuples={query_tuple}).answers
+def _ranked_rows(system, keys):
+    """Per ``"entity|entity"`` key the full ``RankedAnswer``s as fixture rows."""
+    rows = {}
+    for key in keys:
+        query_tuple = tuple(key.split("|"))
+        mqg = system.discover_query_graph(query_tuple)
+        answers = system.explore_mqg(mqg, k=10, excluded_tuples={query_tuple}).answers
+        rows[key] = [
+            [list(a.entities), a.score, a.structure_score, a.content_score, a.query_graph_mask]
+            for a in answers
+        ]
+    return rows
 
 
-def _check_against_golden(system, golden):
+def _check_against_golden(rows, golden):
+    assert list(rows) == list(golden)
     for key, expected in golden.items():
-        answers = _ranked(system, tuple(key.split("|")))
-        assert [list(a.entities) for a in answers] == [row[0] for row in expected], key
-        assert [a.query_graph_mask for a in answers] == [row[4] for row in expected], key
+        answers = rows[key]
+        assert [row[0] for row in answers] == [row[0] for row in expected], key
+        assert [row[4] for row in answers] == [row[4] for row in expected], key
         for answer, (_, score, structure, content, _mask) in zip(answers, expected):
             # Edge weights go through math.log: leave room for the libm.
-            assert answer.score == pytest.approx(score, rel=1e-12), key
-            assert answer.structure_score == pytest.approx(structure, rel=1e-12), key
-            assert answer.content_score == pytest.approx(content, rel=1e-12, abs=1e-15), key
+            assert answer[1] == pytest.approx(score, rel=1e-12), key
+            assert answer[2] == pytest.approx(structure, rel=1e-12), key
+            assert answer[3] == pytest.approx(content, rel=1e-12, abs=1e-15), key
 
 
 def test_figure1_ranked_answers_match_golden():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["figure1"]
-    _check_against_golden(GQBE(figure1_excerpt(), config=GQBEConfig(mqg_size=10)), golden)
+    system = GQBE(figure1_excerpt(), config=GQBEConfig(mqg_size=10))
+    _check_against_golden(_ranked_rows(system, golden), golden)
 
 
 def test_generated_domain_ranked_answers_match_golden(generated):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["freebase_like"]
     assert len(golden) > 30
-    _check_against_golden(generated[1], golden)
+    _check_against_golden(_ranked_rows(generated[1], golden), golden)
+
+
+def test_generated_domain_ranked_answers_match_golden_in_a_fresh_process_over_v3(
+    generated, tmp_path, fresh_python
+):
+    """The same fixture answered cold by a new interpreter that maps a v3
+    snapshot: neighborhood, reduction and Eq. 2 weights all on id columns,
+    no memo warm, another string hash seed."""
+    _dataset, system = generated
+    snapshot = tmp_path / "generated.snapdir3"
+    system.graph_store.save(snapshot, format="v3")
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["freebase_like"]
+    script = (
+        "import json, sys\n"
+        "from repro.core.gqbe import GQBE\n"
+        "from repro.graph.statistics import MappedGraphStatistics\n"
+        "import test_answer_accumulator as tests\n"
+        "system = GQBE.from_snapshot(sys.argv[1], tests.GENERATED_CONFIG)\n"
+        "assert isinstance(system.statistics, MappedGraphStatistics)\n"
+        "json.dump(tests._ranked_rows(system, json.loads(sys.argv[2])), sys.stdout)\n"
+    )
+    answered = fresh_python(script, str(snapshot), json.dumps(list(golden)))
+    _check_against_golden(json.loads(answered), golden)

@@ -20,7 +20,7 @@ from repro.discovery.reduction import (
     _unimportant_edges,
     reduce_neighborhood_graph,
 )
-from repro.discovery.weights import discovery_edge_weights, edge_depths, mqg_edge_weights
+from repro.discovery.weights import edge_depths, mqg_edge_weights
 from repro.exceptions import DisconnectedQueryError, DiscoveryError
 from repro.graph.knowledge_graph import Edge, KnowledgeGraph
 from repro.graph.neighborhood import (
@@ -50,8 +50,8 @@ class TestEdgeDepths:
         assert founded < hq < in_state
 
     def test_depth_adjusted_weights_decrease_with_depth(self, figure1_graph, figure1_stats):
-        weights = mqg_edge_weights(figure1_stats, figure1_graph, ("Jerry Yang",))
-        base = discovery_edge_weights(figure1_stats, figure1_graph.edges)
+        base = figure1_stats.weights_for(figure1_graph.edges)
+        weights = mqg_edge_weights(figure1_graph, ("Jerry Yang",), base)
         far_edge = Edge("Sunnyvale", "in_state", "California")
         near_edge = Edge("Jerry Yang", "founded", "Yahoo!")
         assert weights[near_edge] == pytest.approx(base[near_edge])
@@ -96,10 +96,13 @@ def _reduction_outcome(graph, query_tuple, d):
         reduced = reduce_neighborhood_graph(neighborhood)
     except DiscoveryError as error:
         return type(error), str(error)
-    if neighborhood.columns is not None:
-        # The reduction read the id columns; nothing decoded H_t itself.
+    if neighborhood.columns is None:
+        assert reduced.columns is None
+    else:
+        # The reduction read the id columns; nothing decoded H_t itself,
+        # and the surviving rows stay beside the edges decoded from them.
         assert neighborhood._graph is None and neighborhood._distances is None
-    assert reduced.columns is None
+        assert reduced.columns.decode()[0] == list(reduced.graph.edges)
     return ordered_view(reduced)
 
 

@@ -143,3 +143,28 @@ class TestSyntheticIntegration:
         answers = result.answer_tuples()
         assert answers
         assert any(answer in truth for answer in answers)
+
+
+def test_importing_the_engine_leaves_out_what_a_restart_never_runs(fresh_python):
+    """A serving process that restarts pays for its imports before its first
+    answer.  The triple readers' ``csv`` / ``gzip`` and the package metadata
+    machinery behind ``repro.__version__`` (``importlib.metadata`` pulls in
+    ``email`` and ``zipfile``) load when used, not with the engine."""
+    script = (
+        "import sys\n"
+        "try:\n"
+        "    import numpy\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "before = set(sys.modules)\n"
+        "from repro.core.gqbe import GQBE\n"
+        "added = set(sys.modules) - before\n"
+        "late = {'importlib.metadata', 'email', 'zipfile', 'csv', 'gzip'}\n"
+        "assert not late & added, sorted(late & added)\n"
+        "import repro\n"
+        "assert repro.__version__ and isinstance(repro.__version__, str)\n"
+        "assert 'importlib.metadata' in sys.modules\n"
+        "from repro import __version__\n"
+        "print(__version__)\n"
+    )
+    assert fresh_python(script).strip()

@@ -526,6 +526,43 @@ class TestAsyncIngest:
         finally:
             server.stop()
 
+    def test_compaction_is_counted_no_later_than_its_generation_is_visible(
+        self, figure1_graph, tmp_path, monkeypatch
+    ):
+        """``/healthz`` reads the snapshot path without a lock.  Hold the
+        compaction right after its swap (pruning old generations comes
+        next): a reader that sees the new generation must see it counted."""
+        from repro.serving import server as server_module
+
+        path = _snapshot(figure1_graph, tmp_path)
+        swapped, release = threading.Event(), threading.Event()
+
+        def held_prune(*args, **kwargs):
+            swapped.set()
+            assert release.wait(30)
+            return prune_generations(*args, **kwargs)
+
+        monkeypatch.setattr(server_module, "prune_generations", held_prune)
+        server = AsyncGQBEServer(
+            GQBE.from_snapshot(path), snapshot_path=path, port=0
+        ).start()
+        compaction = threading.Thread(target=server.compact)
+        try:
+            status, _body = _post(server, "/admin/ingest", {"triples": BURSTS[0]})
+            assert status == 200
+            compaction.start()
+            assert swapped.wait(30)
+            _status, health = _get(server, "/healthz")
+            assert health["snapshot"] == str(generation_path(path, 1))
+            _status, text = _get(server, "/metrics")
+            assert parse_prometheus_text(text)[("gqbe_compactions_total", ())] == 1
+            _status, stats = _get(server, "/stats")
+            assert stats["ingest"]["compactions"] == 1
+        finally:
+            release.set()
+            compaction.join(30)
+            server.stop()
+
     def test_threshold_config_field_validates(self):
         # The serving default comes from GQBEConfig.serve_compact_threshold
         # (wired through `gqbe serve --compact-threshold`).

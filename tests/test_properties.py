@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from graph_backings import ordered_view, three_backings, three_stores
+from graph_backings import ordered_view, three_backings, three_graph_stores, three_stores
 
+from repro.discovery.mqg import discover_maximal_query_graph
 from repro.discovery.reduction import reduce_neighborhood_graph
 from repro.evaluation.metrics import (
     average_precision,
@@ -116,6 +117,63 @@ def test_id_space_front_half_matches_string_spec(triples, cut, entities, d):
                 continue
             outcomes.append((ordered_view(neighborhood), ordered_view(reduced)))
         assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+
+def _mqg_weights(neighborhood, statistics):
+    """The Eq. 2 and Eq. 8 weights of the discovered MQG, or why there is none
+    (a node whose only edge is a self-loop has an empty neighborhood)."""
+    try:
+        mqg = discover_maximal_query_graph(neighborhood, statistics, r=6)
+    except DiscoveryError as error:
+        return str(error)
+    return mqg.discovery_weights, mqg.edge_weights
+
+
+@given(
+    _triples,
+    st.sets(_node, min_size=3),
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=1, max_value=2),
+)
+@_slow
+def test_id_column_weights_equal_the_dict_statistics_bit_for_bit(triples, hub, cut, d):
+    """Eq. 2 computed on the id columns of a mapped or ingested snapshot ==
+    ``GraphStatistics.base_edge_weight`` of a from-scratch build of the same
+    edges, for every edge of every neighborhood, reduced or not — and each
+    row of the columns is the edge at its place in ``graph.edges``.
+
+    The graphs have a hub (several nodes point at ``n0`` under one label),
+    self-loops and parallel edges under different labels (eight nodes, four
+    labels).  The first label seen sorts last, so the graph shard's label
+    ids and the statistics shard's differ.  The ingested part always brings
+    a new entity, a new label, and a second edge onto an existing
+    ``(subject, label)`` and an existing ``(object, label)`` key, so an
+    overlay count sits on top of a base count.
+    """
+    triples = list(dict.fromkeys(
+        [("n0", "z_first", "n1")] + [(node, "r1", "n0") for node in sorted(hub)] + triples
+    ))
+    cut = 1 + cut % len(triples)
+    subject, label, obj = triples[cut - 1]
+    delta = triples[cut:] + [
+        (subject, label, "fresh"), ("fresh", label, obj), ("fresh", "r_new", obj),
+    ]
+    with three_graph_stores(triples[:cut], delta) as (owned, merged, ingested):
+        spec = GraphStatistics(owned)
+        for bundle in (merged, ingested):
+            statistics = bundle.statistics
+            for node in owned.nodes:
+                neighborhood = neighborhood_graph(bundle.graph, (node,), d=d)
+                reduced = reduce_neighborhood_graph(neighborhood)
+                for columnar in (neighborhood, reduced):
+                    edges = list(columnar.graph.edges)
+                    assert columnar.columns.decode()[0] == edges
+                    assert statistics.column_weights(columnar.columns).tolist() == [
+                        spec.base_edge_weight(edge) for edge in edges
+                    ]
+                assert _mqg_weights(neighborhood, statistics) == _mqg_weights(
+                    neighborhood_graph(owned, (node,), d=d), spec
+                )
 
 
 @given(_triples)

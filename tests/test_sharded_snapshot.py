@@ -33,7 +33,9 @@ from repro.core.config import GQBEConfig
 from repro.core.gqbe import GQBE
 from repro.datasets.synthetic import FreebaseLikeGenerator
 from repro.exceptions import SnapshotError
+from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.graph.mapped import MappedKnowledgeGraph
+from repro.graph.neighborhood import neighborhood_graph
 from repro.graph.triples import write_triples
 from repro.storage.shards import MANIFEST_NAME, ShardedSnapshotReader
 from repro.storage.snapshot import GraphStore, read_snapshot_meta
@@ -304,6 +306,41 @@ class TestV3MappedSections:
         meta = read_snapshot_meta(snapshot_v3_dir)
         assert meta["num_edges"] == dataset.graph.num_edges
         assert meta["num_nodes"] == dataset.graph.num_nodes
+
+
+    def test_cold_query_vocabulary_searches_do_not_grow_with_the_neighborhood(
+        self, tmp_path, monkeypatch
+    ):
+        """``MappedVocabulary._find_mapped`` is a binary search written in
+        Python.  A cold query makes a few per query entity and one per MQG
+        node; what it must not do is make some for every neighborhood edge
+        (the statistics weigh those on their id columns)."""
+        labels = [f"l{i}" for i in range(4)]
+        hub = [("hub", labels[i % 4], f"spoke{i}") for i in range(400)]
+        leaf = [("leaf", label, f"twig{i}") for i, label in enumerate(labels)]
+        path = tmp_path / "star.snapdir3"
+        GraphStore.build(KnowledgeGraph(hub + leaf)).save(path, format="v3")
+
+        searches = []
+        find_mapped = MappedVocabulary._find_mapped
+        monkeypatch.setattr(
+            MappedVocabulary,
+            "_find_mapped",
+            lambda self, term: searches.append(term) or find_mapped(self, term),
+        )
+        made, sizes = {}, {}
+        mqg_size = 4
+        for entity in ("hub", "leaf"):
+            system = GQBE.from_snapshot(path, GQBEConfig(mqg_size=mqg_size))
+            searches.clear()
+            result = system.query((entity,), k=5)
+            made[entity] = len(searches)
+            assert result.mqg.num_edges > 0
+            sizes[entity] = neighborhood_graph(system.graph, (entity,), d=2).num_edges
+        assert sizes["hub"] == 100 * sizes["leaf"]
+        # Per query entity: validation, the BFS seed, the explorer's own
+        # lookups; per MQG node (at most r + 1 of them): one.
+        assert made["hub"] == made["leaf"] <= 4 + (mqg_size + 1)
 
 
 class TestLazyLoading:

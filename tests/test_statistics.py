@@ -114,3 +114,57 @@ class TestBaseWeight:
 
     def test_total_edges_property(self, stats_graph):
         assert GraphStatistics(stats_graph).total_edges == 10
+
+
+class TestMappedStatistics:
+    """The v3 snapshot's statistics: counts in mapped id columns."""
+
+    #: ``z`` is seen first and sorts last, so the graph shard's label ids
+    #: (first-seen order) and the statistics shard's (sorted) differ.  ``b``
+    #: is the node after ``a`` and has three out-edges under the label that
+    #: sorts first: the key ``(a, one past the last label)`` would alias.
+    TRIPLES = [
+        ("a", "z", "b"), ("b", "e", "c"), ("b", "e", "a"), ("b", "e", "b"), ("c", "q", "a"),
+    ]
+
+    @pytest.fixture
+    def loaded(self, tmp_path):
+        from repro.storage.snapshot import GraphStore
+
+        GraphStore.build(KnowledgeGraph(self.TRIPLES)).save(tmp_path / "snap", format="v3")
+        return GraphStore.load(tmp_path / "snap")
+
+    def test_per_edge_methods_equal_the_dict_statistics(self, loaded):
+        from repro.graph.statistics import MappedGraphStatistics
+
+        spec = GraphStatistics(KnowledgeGraph(self.TRIPLES))
+        assert isinstance(loaded.statistics, MappedGraphStatistics)
+        for triple in self.TRIPLES + [("a", "e", "c"), ("nobody", "e", "c"), ("a", "nothing", "b")]:
+            edge = Edge(*triple)
+            assert loaded.statistics.participation_degree(edge) == spec.participation_degree(edge)
+            assert loaded.statistics.base_edge_weight(edge) == spec.base_edge_weight(edge)
+
+    def test_ingested_counts_are_laid_over_the_base_counts(self, loaded):
+        delta = [("b", "e", "new"), ("new", "fresh_label", "a"), ("c", "z", "b")]
+        loaded.ingest(delta)
+        spec = GraphStatistics(KnowledgeGraph(self.TRIPLES + delta))
+        assert dict(loaded.statistics._out_label_counts.items()) == spec._out_label_counts
+        assert dict(loaded.statistics._in_label_counts.items()) == spec._in_label_counts
+        for edge in spec.graph.edges:
+            assert loaded.statistics.base_edge_weight(edge) == spec.base_edge_weight(edge)
+
+    def test_a_label_the_statistics_never_saw_counts_nothing(self, loaded):
+        # An edge put into an overlay behind the statistics' back: its label
+        # has no id in the counts columns, and must not pick up the count of
+        # whichever key its composite would land on.
+        from repro.graph.delta import DeltaKnowledgeGraph
+        from repro.graph.neighborhood import neighborhood_graph
+
+        overlay = DeltaKnowledgeGraph(loaded.graph)
+        overlay.add_delta_edge("a", "unseen", "c")
+        neighborhood = neighborhood_graph(overlay, ("a",), d=1)
+        weights = loaded.statistics.weights_for(neighborhood.graph.edges, neighborhood.columns)
+        assert Edge("a", "unseen", "c") in weights
+        assert weights == {
+            edge: loaded.statistics.base_edge_weight(edge) for edge in neighborhood.graph.edges
+        }
