@@ -293,9 +293,9 @@ kernel_probe_tail(PyObject *Py_UNUSED(module), PyObject *const *args,
     Py_ssize_t n_rows = PySequence_Fast_GET_SIZE(fast);
     PyObject **row_items = PySequence_Fast_ITEMS(fast);
 
-    /* Phase 1: probe every row's bucket once, remember the match lists
+    /* Phase 1: probe every row's bucket once, remember the match tuples
      * (owned — a user __eq__ in the injective scan may mutate buckets,
-     * and the pure loop's local binding keeps its list alive the same
+     * and the pure loop's local binding keeps its tuple alive the same
      * way), and sum an output upper bound.  The tail is at most the
      * vectorization threshold (64 rows); larger inputs spill to the
      * heap rather than being rejected. */
@@ -323,12 +323,12 @@ kernel_probe_tail(PyObject *Py_UNUSED(module), PyObject *const *args,
         if (matches == NULL && PyErr_Occurred())
             goto fail;
         if (matches != NULL) {
-            if (!PyList_Check(matches)) {
+            if (!PyTuple_Check(matches)) {
                 PyErr_SetString(PyExc_TypeError,
-                                "bucket values must be lists");
+                                "bucket values must be tuples");
                 goto fail;
             }
-            upper += PyList_GET_SIZE(matches);
+            upper += PyTuple_GET_SIZE(matches);
             Py_INCREF(matches);
         }
         matches_by_row[i] = matches;
@@ -347,7 +347,7 @@ kernel_probe_tail(PyObject *Py_UNUSED(module), PyObject *const *args,
         PyObject *matches = matches_by_row[i];
         if (matches == NULL)
             continue;
-        Py_ssize_t n_matches = PyList_GET_SIZE(matches);
+        Py_ssize_t n_matches = PyTuple_GET_SIZE(matches);
         if (n_matches == 0)
             continue;
         PyObject *row = row_items[i];
@@ -362,7 +362,7 @@ kernel_probe_tail(PyObject *Py_UNUSED(module), PyObject *const *args,
         int64_t cells[64];
         int cells_known = -1;
         for (Py_ssize_t m = 0; m < n_matches; m++) {
-            PyObject *value = PyList_GET_ITEM(matches, m);
+            PyObject *value = PyTuple_GET_ITEM(matches, m);
             if (injective) {
                 if (cells_known < 0) {
                     cells_known = row_len <= 64;

@@ -132,18 +132,16 @@ def merge_maximal_query_graphs(
             trimmed.add_edge_object(edge)
         merged_graph = trimmed
         merged_weights = {edge: merged_weights[edge] for edge in selected}
-        core_edges = frozenset(core_selection)
     else:
         _, core_selection = select_mqg_edges(
             merged_graph, virtual_tuple, merged_weights, r=max(merged_graph.num_edges, 1)
         )
-        core_edges = frozenset(core_selection)
 
     return MaximalQueryGraph(
         graph=merged_graph,
         query_tuple=virtual_tuple,
         edge_weights=merged_weights,
-        core_edges=core_edges,
+        core_edges=frozenset(core_selection),
         discovery_weights=dict(merged_weights),
     )
 

@@ -1,3 +1,4 @@
+# gqbe: contract[deterministic]
 """Maximal query graph discovery (Definition 5, Algorithm 1, Theorem 1).
 
 Finding the exact maximum-weight connected subgraph with ``m`` edges that
@@ -22,16 +23,27 @@ divide-and-conquer heuristic:
 The returned :class:`MaximalQueryGraph` also remembers which of its edges
 belong to the core component, because the minimal query trees of the lattice
 (Sec. IV-A) are enumerated from the core.
+
+All three steps run on :class:`_EdgeRows`: one row per edge, endpoints as
+node positions, weights as one float array.  A neighborhood extracted
+from a mapped or delta graph already is that (its id columns, reduced or
+not), so nothing is decoded but the node terms that order tied weights
+and the ``r`` or so rows that end up in the MQG; a graph held as strings
+(an owned :class:`KnowledgeGraph`, the merged virtual graph of Sec. III-D)
+numbers its nodes first.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.exceptions import DisconnectedQueryError, DiscoveryError
 from repro.graph.knowledge_graph import Edge, KnowledgeGraph
-from repro.graph.neighborhood import NeighborhoodGraph
+from repro.graph.neighborhood import NeighborhoodColumns, NeighborhoodGraph
 from repro.graph.statistics import GraphStatistics
 from repro.discovery.reduction import reduce_neighborhood_graph
 from repro.discovery.weights import mqg_edge_weights
@@ -98,291 +110,316 @@ class MaximalQueryGraph:
 
 
 # ----------------------------------------------------------------------
+# A graph as Algorithm 1 reads it
+# ----------------------------------------------------------------------
+class _EdgeRows(NamedTuple):
+    """One row per edge, endpoints as node positions.
+
+    The query entities hold positions ``0 .. n - 1``.  ``ranks`` is each
+    row's rank in :class:`Edge` order (subject, label, object strings):
+    the tie-break of every weight order below, so equal weights fall the
+    same way whatever the rows were numbered from.  ``edges_at`` turns
+    row numbers back into edges.
+    """
+
+    subjects: "np.ndarray"
+    objects: "np.ndarray"
+    num_nodes: int
+    ranks: "np.ndarray"
+    edges_at: Callable[[Sequence[int]], list[Edge]]
+
+
+def _ranks(items: Sequence) -> "np.ndarray":
+    """The rank of each of the (distinct) ``items`` in their sorted order."""
+    ranks = np.empty(len(items), dtype=np.int64)
+    ranks[sorted(range(len(items)), key=items.__getitem__)] = np.arange(len(items))
+    return ranks
+
+
+def _rows_of_columns(columns: NeighborhoodColumns) -> _EdgeRows:
+    """The id columns of a neighborhood, as they are: the BFS they came
+    from started at the query entities, so those hold the first positions."""
+    terms = columns.terms()
+    label_strings = columns.label_strings
+    subjects, labels, objects = columns.subjects, columns.labels, columns.objects
+    node_ranks = _ranks(terms)
+    used_labels, label_slots = np.unique(labels, return_inverse=True)
+    label_ranks = _ranks([label_strings[label] for label in used_labels.tolist()])
+    ranks = np.empty(len(labels), dtype=np.int64)
+    ranks[
+        np.lexsort((node_ranks[objects], label_ranks[label_slots], node_ranks[subjects]))
+    ] = np.arange(len(labels))
+
+    def edges_at(rows: Sequence[int]) -> list[Edge]:
+        return [
+            Edge(terms[subject], label_strings[label], terms[obj])
+            for subject, label, obj in zip(
+                subjects[rows].tolist(), labels[rows].tolist(), objects[rows].tolist()
+            )
+        ]
+
+    return _EdgeRows(subjects, objects, len(terms), ranks, edges_at)
+
+
+def _rows_of_edges(edges: Sequence[Edge], query_tuple: Sequence[str]) -> _EdgeRows:
+    """Number the nodes of a graph held as strings, query entities first."""
+    positions = {entity: position for position, entity in enumerate(query_tuple)}
+    subjects = [positions.setdefault(edge.subject, len(positions)) for edge in edges]
+    objects = [positions.setdefault(edge.object, len(positions)) for edge in edges]
+    return _EdgeRows(
+        np.array(subjects, dtype=np.int64),
+        np.array(objects, dtype=np.int64),
+        len(positions),
+        _ranks(edges),
+        lambda rows: [edges[row] for row in rows],
+    )
+
+
+# ----------------------------------------------------------------------
 # Partitioning the neighborhood graph (divide step)
 # ----------------------------------------------------------------------
-def _individual_node_sets(
-    graph: KnowledgeGraph, query_tuple: Sequence[str]
-) -> dict[str, set[str]]:
-    """Nodes that reach the *other* query entities only through each entity.
+def _divide(rows: _EdgeRows, arity: int) -> "np.ndarray":
+    """The part each row falls in: ``i`` for the individual subgraph of
+    query entity ``i``, ``arity`` for the core graph.
 
-    For entity ``v_i`` this is the set of nodes that, once ``v_i`` is
-    removed from the graph, can no longer reach any other query entity.
-    For a single-entity tuple every other node qualifies.
+    A node belongs to entity ``v_i`` when, with ``v_i`` taken out of the
+    graph, it can no longer reach any other query entity (for a
+    single-entity tuple every other node does); an edge with such an
+    endpoint belongs to the first entity, in tuple order, that owns one,
+    and every other edge is core.  One sweep per entity grows the set
+    reached from the *other* entities over the edges that avoid it.
     """
-    entities = list(query_tuple)
-    result: dict[str, set[str]] = {}
-    for entity in entities:
-        others = [e for e in entities if e != entity]
-        # Undirected BFS from the other query entities avoiding `entity`.
-        reachable: set[str] = set()
-        frontier: list[str] = []
-        for other in others:
-            if other not in reachable:
-                reachable.add(other)
-                frontier.append(other)
-        while frontier:
-            node = frontier.pop()
-            for neighbor in graph.neighbors(node):
-                if neighbor == entity or neighbor in reachable:
-                    continue
-                reachable.add(neighbor)
-                frontier.append(neighbor)
-        exclusive = {
-            node
-            for node in graph.nodes
-            if node != entity and node not in reachable
-        }
-        result[entity] = exclusive
-    return result
-
-
-def _partition_edges(
-    graph: KnowledgeGraph, query_tuple: Sequence[str]
-) -> tuple[set[Edge], dict[str, set[Edge]]]:
-    """Split the graph's edges into core edges and per-entity edges."""
-    exclusive_nodes = _individual_node_sets(graph, query_tuple)
-    individual_edges: dict[str, set[Edge]] = {entity: set() for entity in query_tuple}
-    core_edges: set[Edge] = set()
-    for edge in graph.edges:
-        owner: str | None = None
-        for entity, nodes in exclusive_nodes.items():
-            if edge.subject in nodes or edge.object in nodes:
-                owner = entity
+    subjects, objects = rows.subjects, rows.objects
+    owner = np.full(rows.num_nodes, arity, dtype=np.int64)
+    for entity in reversed(range(arity)):  # earlier entities overwrite later ones
+        avoiding = (subjects != entity) & (objects != entity)
+        side_a, side_b = subjects[avoiding], objects[avoiding]
+        reached = np.zeros(rows.num_nodes, dtype=bool)
+        reached[:arity] = True
+        reached[entity] = False
+        while True:
+            crossing = reached[side_a] != reached[side_b]
+            if not crossing.any():
                 break
-        if owner is None:
-            core_edges.add(edge)
-        else:
-            individual_edges[owner].add(edge)
-    return core_edges, individual_edges
+            reached[side_a[crossing]] = True
+            reached[side_b[crossing]] = True
+        reached[entity] = True  # an entity is not its own
+        owner[~reached] = entity
+    return np.minimum(owner[subjects], owner[objects])
 
 
 # ----------------------------------------------------------------------
 # Greedy component selection (conquer step)
 # ----------------------------------------------------------------------
-class _UnionFind:
-    """Incremental union-find over node names with per-component edge counts.
+class _Forest:
+    """Union-find over node positions with an edge count per component.
 
-    The structure behind the Alg. 1 prefix scan of :func:`_select_component`
-    (grow components edge by edge, never rebuild) — also reused by
-    :func:`_trim_component`'s reverse sweeps.  ``find`` uses path halving;
-    unions attach the smaller component (by edge count) under the larger.
+    Grown edge by edge, never rebuilt.  Unions hang the component with
+    fewer edges under the other and finds leave the paths alone (depth
+    stays within log2 of the edge count), so the last edge added can be
+    taken back: a scan that overshoots its budget steps back one edge
+    instead of starting over.
     """
 
-    __slots__ = ("_parent", "_edge_counts")
+    __slots__ = ("_subjects", "_objects", "_parent", "_edge_counts", "_last")
 
-    def __init__(self) -> None:
-        self._parent: dict[str, str] = {}
-        self._edge_counts: dict[str, int] = {}
+    def __init__(self, subjects: list[int], objects: list[int], num_nodes: int) -> None:
+        self._subjects = subjects  # of every row that may be added
+        self._objects = objects
+        self._parent = list(range(num_nodes))
+        self._edge_counts = [0] * num_nodes
+        self._last = (0, 0)
 
-    def find(self, node: str) -> str:
+    def _find(self, node: int) -> int:
         parent = self._parent
-        root = node
-        while parent[root] != root:
-            root = parent[root]
-        while parent[node] != root:
-            parent[node], node = root, parent[node]
-        return root
+        while parent[node] != node:
+            node = parent[node]
+        return node
 
-    def add_edge(self, subject: str, obj: str) -> None:
-        """Add one edge, creating endpoints and merging components."""
-        parent = self._parent
-        edge_counts = self._edge_counts
-        if subject not in parent:
-            parent[subject] = subject
-            edge_counts[subject] = 0
-        if obj not in parent:
-            parent[obj] = obj
-            edge_counts[obj] = 0
-        subject_root = self.find(subject)
-        object_root = self.find(obj)
-        if subject_root == object_root:
-            edge_counts[subject_root] += 1
-        else:
-            if edge_counts[subject_root] < edge_counts[object_root]:
-                subject_root, object_root = object_root, subject_root
-            parent[object_root] = subject_root
-            edge_counts[subject_root] += edge_counts[object_root] + 1
+    def grow(
+        self, rows: Sequence[int], required: Sequence[int], enough: int
+    ) -> tuple[int, int, int]:
+        """Add ``rows`` one by one until the component that holds every
+        ``required`` node has ``enough`` edges.
 
-    def component_edges(self, root: str) -> int:
-        """Edge count of the component rooted at ``root``."""
-        return self._edge_counts[root]
-
-    def connected_root(self, nodes: Iterable[str]) -> str | None:
-        """The common component root of ``nodes``, or ``None``.
-
-        ``None`` means some node is absent (isolated) or the nodes span
-        multiple components — the same "not connected here" answer
-        :func:`_component_containing` gives.
+        Returns ``(rows added, that component's edge count, its edge count
+        one row earlier)``; a count is 0 while the required nodes are
+        apart, or while the only one has no edge yet.
         """
-        root: str | None = None
-        for node in nodes:
-            if node not in self._parent:
-                return None
-            node_root = self.find(node)
-            if root is None:
-                root = node_root
-            elif node_root != root:
-                return None
-        return root
+        subjects, objects = self._subjects, self._objects
+        parent, edge_counts = self._parent, self._edge_counts
+        first, others = required[0], required[1:]
+        upper = lower = self._find(first)
+        size = edge_counts[upper] if all(self._find(node) == upper for node in others) else 0
+        before, added = size, 0
+        for row in rows:
+            upper = subjects[row]
+            while parent[upper] != upper:
+                upper = parent[upper]
+            lower = objects[row]
+            while parent[lower] != lower:
+                lower = parent[lower]
+            if upper == lower:
+                edge_counts[upper] += 1
+            else:
+                if edge_counts[upper] < edge_counts[lower]:
+                    upper, lower = lower, upper
+                parent[lower] = upper
+                edge_counts[upper] += edge_counts[lower] + 1
+            added += 1
+            before = size
+            # Only the component just touched can be the required one, changed.
+            root = first
+            while parent[root] != root:
+                root = parent[root]
+            if root == upper:
+                for node in others:
+                    while parent[node] != node:
+                        node = parent[node]
+                    if node != upper:
+                        break
+                else:
+                    size = edge_counts[upper]
+                    if size >= enough:
+                        break
+        if added:
+            self._last = (upper, lower)
+        return added, size, before
+
+    def take_back(self) -> None:
+        """Undo the last row :meth:`grow` added (once)."""
+        upper, lower = self._last
+        if upper == lower:
+            self._edge_counts[upper] -= 1
+        else:
+            self._parent[lower] = lower
+            self._edge_counts[upper] -= self._edge_counts[lower] + 1
+
+    def component(self, rows: Sequence[int], node: int) -> list[int]:
+        """Those of the added ``rows`` that lie in ``node``'s component."""
+        root = self._find(node)
+        find, subjects = self._find, self._subjects
+        return [row for row in rows if find(subjects[row]) == root]
 
 
-def _component_containing(
-    edges: Sequence[Edge], required: set[str]
-) -> tuple[set[Edge], bool]:
-    """Weakly connected component (as an edge set) containing ``required``.
+class _Selection:
+    """Algorithm 1's conquer step over one graph's rows and weights."""
 
-    Returns ``(component_edges, exists)``.  ``exists`` is False when the
-    required nodes are missing or split across components.
-    """
-    adjacency: dict[str, list[Edge]] = {}
-    for edge in edges:
-        adjacency.setdefault(edge.subject, []).append(edge)
-        adjacency.setdefault(edge.object, []).append(edge)
-    for node in required:
-        if node not in adjacency:
-            return set(), False
+    def __init__(self, rows: _EdgeRows, weights: "np.ndarray") -> None:
+        self._ranks = rows.ranks
+        self._weights = weights
+        self._subjects = rows.subjects.tolist()
+        self._objects = rows.objects.tolist()
+        self._num_nodes = rows.num_nodes
 
-    start = next(iter(required))
-    seen_nodes = {start}
-    component: set[Edge] = set()
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        for edge in adjacency.get(node, ()):
-            component.add(edge)
-            other = edge.other(node)
-            if other not in seen_nodes:
-                seen_nodes.add(other)
-                stack.append(other)
-    if not required <= seen_nodes:
-        return set(), False
-    return component, True
+    def _forest(self) -> _Forest:
+        return _Forest(self._subjects, self._objects, self._num_nodes)
 
+    def select(self, ordered: list[int], required: Sequence[int], budget: int) -> list[int]:
+        """The rows of one part that go into the MQG.
 
-def _trim_component(
-    component: set[Edge],
-    required: set[str],
-    weights: Mapping[Edge, float],
-    target: int,
-) -> set[Edge]:
-    """Shrink a too-large component back towards ``target`` edges.
+        ``ordered`` holds the part's rows by descending weight.  Alg. 1
+        asks, for each prefix, for the component containing ``required``
+        and takes the one with exactly ``budget`` edges if a prefix has
+        one, else the largest below, else the smallest above (trimmed back
+        towards the budget, so hub entities cannot blow the MQG and with
+        it the query lattice up).  That component only ever grows, so the
+        first prefix to reach the budget settles which of the three it is
+        and the scan stops there.  Empty when no prefix connects
+        ``required``.
+        """
+        forest = self._forest()
+        length, size, below = forest.grow(ordered, required, budget)
+        if not size:
+            return []
+        if size > budget:
+            if not below:
+                above = forest.component(ordered[:length], required[0])
+                return self._trim(above, required, budget)
+            forest.take_back()
+            length -= 1
+        return forest.component(ordered[:length], required[0])
 
-    Low-weight edges are removed greedily as long as the remaining edges
-    still form a weakly connected graph containing every ``required`` node
-    (removals that disconnect a fragment from the required nodes drop the
-    whole fragment).  This keeps the MQG close to the requested size even
-    when the prefix component found by the greedy scan jumps far past the
-    target (which happens around hub entities such as popular awards).
+    def _trim(self, component: list[int], required: Sequence[int], budget: int) -> list[int]:
+        """Shrink a too-large component back towards ``budget`` edges.
 
-    The naive greedy rebuilds the required component per removed edge
-    (quadratic, with a sort per removal on top).  This implementation
-    produces the *same* result with reverse union-find sweeps: removing
-    the ascending-weight prefix ``ordered[:s]`` leaves the suffix
-    ``ordered[s:]``, so adding edges in reverse order yields, per ``s``,
-    both the connectivity of the required nodes and their component's
-    edge count — i.e. the whole greedy trajectory — in one O(E α) pass.
-    A removal that would disconnect the required nodes (a rejected edge)
-    permanently re-enters the graph: bridges stay bridges under further
-    removals, so rejected edges are final and only trigger a fresh sweep
-    seeded with them.  Total cost O((rejections + 1) · E α) instead of
-    O(E² log E).
-    """
-    if len(component) <= target:
-        return component
-    ordered = sorted(component, key=lambda e: (weights.get(e, 0.0), e))
-    total = len(ordered)
-    kept: list[Edge] = []  # rejected removals: required-bridges, kept forever
-    segment_start = 0
-    while True:
-        # State s == the greedy's graph after processing ordered[:s]:
-        # kept ∪ ordered[s:].  Sweep s from `total` down to the segment
-        # start, recording required-connectivity and component size.
-        connected = [False] * (total + 1)
-        sizes = [0] * (total + 1)
-        union_find = _UnionFind()
-        for edge in kept:
-            union_find.add_edge(edge.subject, edge.object)
-        for s in range(total, segment_start - 1, -1):
-            if s < total:
-                union_find.add_edge(ordered[s].subject, ordered[s].object)
-            root = union_find.connected_root(required)
-            if root is not None:
-                connected[s] = True
-                sizes[s] = union_find.component_edges(root)
-
-        rejected_at: int | None = None
-        stop_at: int | None = None
-        for s in range(segment_start, total):
-            if sizes[s] <= target:
-                stop_at = s  # the greedy's size check before each removal
-                break
-            if not connected[s + 1]:
-                rejected_at = s  # removing ordered[s] splits the required
-                break
-        if rejected_at is None:
-            final = total if stop_at is None else stop_at
-            return _component_containing(kept + ordered[final:], required)[0]
-        kept.append(ordered[rejected_at])
-        segment_start = rejected_at + 1
+        The greedy removes edges by ascending weight for as long as the
+        rest still connects every ``required`` node (a removal that cuts a
+        fragment off drops the whole fragment) and stops once the
+        component is down to the budget.  Removing the lightest edges
+        leaves the heaviest, so the same trajectory is read off by
+        *adding* edges from the heaviest down: the required component
+        appears at some point and grows from there, and the greedy ends
+        at the last point where it is within budget.  If it is already
+        over budget when it appears, the edge that completed it is one the
+        greedy would have refused to remove; bridges stay bridges under
+        further removals, so it is kept for good and the sweep starts
+        over with it in place.
+        """
+        rows = np.array(component, dtype=np.int64)
+        ascending = np.lexsort((self._ranks[rows], self._weights[rows]))
+        descending = rows[ascending[::-1]].tolist()
+        kept: list[int] = []  # refused removals
+        limit = len(descending)  # descending[limit:] are decided: removed, or in `kept`
+        while True:
+            forest = self._forest()
+            _, size, _ = forest.grow(kept, required, len(kept) + 1)
+            top = 0
+            if not size:
+                top, size, _ = forest.grow(descending, required, 1)
+                if size > budget:
+                    kept.append(descending[top - 1])
+                    limit = top - 1
+                    continue
+            # Within budget (or `kept` alone is over it, and stays): heavier
+            # edges come back in for as long as it remains so.
+            more, size, _ = forest.grow(descending[top:limit], required, budget + 1)
+            if more and size > budget:
+                forest.take_back()
+                more -= 1
+            return forest.component(kept + descending[: top + more], required[0])
 
 
-def _select_component(
-    edges: set[Edge],
-    required: set[str],
-    weights: Mapping[Edge, float],
-    target: int,
-) -> set[Edge]:
-    """Greedy Alg. 1 selection for one part of the divide-and-conquer.
+def _select_rows(
+    rows: _EdgeRows,
+    weights: "np.ndarray",
+    query_tuple: tuple[str, ...],
+    r: int,
+    d: int,
+) -> tuple[list[int], list[int]]:
+    """Divide and conquer over ``rows``: ``(MQG rows, core component rows)``,
+    both ascending."""
+    arity = len(query_tuple)
+    if not arity:
+        raise DiscoveryError("query tuple must contain at least one entity")
+    budget = max(r // (arity + 1), 1)
 
-    Scans prefixes of the weight-ordered edge list and returns the component
-    containing ``required`` whose edge count is exactly ``target`` if such a
-    prefix exists, otherwise the largest count below ``target``, otherwise
-    the smallest count above (trimmed back down towards the target).
-    """
-    if not edges:
-        return set()
-    if target <= 0:
-        target = 1
-    ordered = sorted(edges, key=lambda e: (-weights.get(e, 0.0), e))
+    parts = _divide(rows, arity)
+    # One sort serves every part: descending weight, Edge order within ties.
+    order = np.lexsort((rows.ranks, -weights))
+    parts_in_order = parts[order]
+    selection = _Selection(rows, weights)
 
-    # Alg. 1 scans the prefixes of the weight-ordered edge list and asks,
-    # for each, for the component containing the required nodes.  Instead
-    # of rebuilding that component per prefix (quadratic), grow a
-    # union-find incrementally, tracking the edge count per component, and
-    # materialize only the prefix that wins the preference order below.
-    union_find = _UnionFind()
-    required_list = list(required)
-    s_exact: int | None = None
-    s_below: int | None = None
-    s_above: int | None = None
-
-    for s, edge in enumerate(ordered, 1):
-        union_find.add_edge(edge.subject, edge.object)
-        root = union_find.connected_root(required_list)
-        if root is None:
-            continue
-        size = union_find.component_edges(root)
-        if size == target:
-            s_exact = s
-            break
-        if size < target:
-            # keep the largest-below candidate (later prefixes grow it)
-            s_below = s
-        elif s_above is None:
-            s_above = s
-
-    # Algorithm 1's preference order: exact size m, else the largest
-    # component below m (s1), else the smallest component above m (s2),
-    # the latter trimmed back towards m so hub entities cannot blow the
-    # MQG (and with it the query lattice) up arbitrarily.
-    if s_exact is not None:
-        return _component_containing(ordered[:s_exact], required)[0]
-    if s_below is not None:
-        return _component_containing(ordered[:s_below], required)[0]
-    if s_above is not None:
-        component, _ = _component_containing(ordered[:s_above], required)
-        return _trim_component(component, required, weights, target)
-    return set()
+    core: list[int] = []
+    if arity > 1:
+        # A path between two query entities runs through core edges only,
+        # so a core that never joins them means the tuple is disconnected.
+        core = selection.select(
+            order[parts_in_order == arity].tolist(), range(arity), budget
+        )
+        if not core:
+            raise DisconnectedQueryError(query_tuple, d)
+    selected = list(core)
+    for entity in range(arity):
+        selected += selection.select(
+            order[parts_in_order == entity].tolist(), (entity,), budget
+        )
+    if not selected:
+        raise DiscoveryError(
+            "MQG discovery selected no edges; the neighborhood of the query "
+            "tuple is empty"
+        )
+    return sorted(selected), sorted(core)
 
 
 # ----------------------------------------------------------------------
@@ -393,55 +430,18 @@ def select_mqg_edges(
     query_tuple: Sequence[str],
     weights: Mapping[Edge, float],
     r: int = DEFAULT_MQG_SIZE,
-) -> tuple[set[Edge], set[Edge]]:
+) -> tuple[list[Edge], list[Edge]]:
     """Run the divide-and-conquer greedy selection on an arbitrary graph.
 
-    Returns ``(mqg_edges, core_component_edges)``.  This low-level function
-    is reused to trim merged multi-tuple MQGs (whose weights come from the
-    merge, not from graph statistics).
+    Returns ``(mqg_edges, core_component_edges)``, both in the graph's edge
+    order.  This low-level function is reused to trim merged multi-tuple
+    MQGs (whose weights come from the merge, not from graph statistics).
     """
-    entities = tuple(query_tuple)
-    if not entities:
-        raise DiscoveryError("query tuple must contain at least one entity")
-    per_part_budget = max(r // (len(entities) + 1), 1)
-
-    core_edges, individual_edges = _partition_edges(graph, entities)
-
-    selected: set[Edge] = set()
-    core_required = set(entities)
-    core_selection: set[Edge] = set()
-    if core_edges and len(entities) > 1:
-        core_selection = _select_component(
-            core_edges, core_required, weights, per_part_budget
-        )
-        if not core_selection:
-            # Fall back to the whole core; connectivity of the query
-            # entities must be preserved even if it exceeds the budget.
-            core_selection, exists = _component_containing(
-                sorted(core_edges), core_required
-            )
-            if not exists:
-                raise DisconnectedQueryError(entities, d=0)
-            core_selection = _trim_component(
-                core_selection, core_required, weights, per_part_budget
-            )
-        selected |= core_selection
-
-    for entity in entities:
-        part_edges = individual_edges.get(entity, set())
-        if not part_edges:
-            continue
-        part_selection = _select_component(
-            part_edges, {entity}, weights, per_part_budget
-        )
-        selected |= part_selection
-
-    if not selected:
-        raise DiscoveryError(
-            "MQG discovery selected no edges; the neighborhood of the query "
-            "tuple is empty"
-        )
-    return selected, core_selection
+    edges = list(graph.edges)
+    rows = _rows_of_edges(edges, query_tuple)
+    edge_weights = np.array([weights.get(edge, 0.0) for edge in edges], dtype=np.float64)
+    selected, core = _select_rows(rows, edge_weights, tuple(query_tuple), r, d=0)
+    return rows.edges_at(selected), rows.edges_at(core)
 
 
 def discover_maximal_query_graph(
@@ -468,38 +468,39 @@ def discover_maximal_query_graph(
         Algorithm 1 (the paper always does; disabling it is useful for
         ablation experiments).
 
-    Where the weights come from follows where the neighborhood came from:
-    one extracted from a mapped or delta graph carries id columns, reduced
-    or not, and ``stats.weights_for`` receives them next to the edges —
-    mapped statistics then compute Eq. 2 for all rows as one array, dict
-    statistics (the executable spec, and all an owned graph has) look each
-    edge up by its strings.  The floats are the same either way.
+    A neighborhood extracted from a mapped or delta graph carries id
+    columns, reduced or not, and stays undecoded: ``stats.column_weights``
+    weighs its rows (mapped statistics on the ids, dict statistics by
+    decoding them — the same floats) and Algorithm 1 reads the columns.
+    A neighborhood of an owned graph is numbered from its edges and each
+    edge looked up by its strings.
     """
     entities = neighborhood.query_tuple
     working = reduce_neighborhood_graph(neighborhood) if reduce_first else neighborhood
 
-    graph = working.graph
-    if len(entities) > 1:
-        # All query entities must be weakly connected in the neighborhood.
-        components = graph.weakly_connected_components()
-        if not any(set(entities) <= component for component in components):
-            raise DisconnectedQueryError(entities, neighborhood.d)
-
-    weights = stats.weights_for(graph.edges, working.columns)
-    mqg_edges, core_selection = select_mqg_edges(graph, entities, weights, r=r)
+    if working.columns is not None:
+        rows = _rows_of_columns(working.columns)
+        weights = stats.column_weights(working.columns)
+    else:
+        edges = list(working.graph.edges)
+        rows = _rows_of_edges(edges, entities)
+        weights = np.array(
+            [stats.base_edge_weight(edge) for edge in edges], dtype=np.float64
+        )
+    selected, core = _select_rows(rows, weights, entities, r, neighborhood.d)
 
     mqg_graph = KnowledgeGraph()
     for entity in entities:
         mqg_graph.add_node(entity)
+    mqg_edges = rows.edges_at(selected)
     for edge in mqg_edges:
         mqg_graph.add_edge_object(edge)
 
-    discovery_weights = {edge: weights[edge] for edge in mqg_edges}
-    core_in_mqg = frozenset(edge for edge in core_selection if edge in mqg_edges)
+    discovery_weights = dict(zip(mqg_edges, weights[selected].tolist()))
     return MaximalQueryGraph(
         graph=mqg_graph,
         query_tuple=tuple(entities),
         edge_weights=mqg_edge_weights(mqg_graph, entities, discovery_weights),
-        core_edges=core_in_mqg,
+        core_edges=frozenset(rows.edges_at(core)),
         discovery_weights=discovery_weights,
     )

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.exceptions import DiscoveryError
 from repro.graph.knowledge_graph import Edge, KnowledgeGraph
-from repro.graph.neighborhood import NeighborhoodColumns, NeighborhoodGraph
+from repro.graph.neighborhood import NeighborhoodGraph
 
 
 def _important_edges(
@@ -120,31 +120,6 @@ _LOST_CONNECTION = (
 )
 
 
-def _component_neighborhood(
-    neighborhood: NeighborhoodGraph,
-    edges: list[Edge],
-    distances: dict[str, int],
-    columns: NeighborhoodColumns | None = None,
-) -> NeighborhoodGraph:
-    """The reduced neighborhood over ``edges`` (the query entities'
-    component, in ``H_t``'s edge order) with ``dist_q`` of its nodes;
-    ``columns`` are the id rows ``edges`` were decoded from, if any."""
-    component_graph = KnowledgeGraph()
-    for entity in neighborhood.query_tuple:
-        component_graph.add_node(entity)
-    for edge in edges:
-        component_graph.add_edge_object(edge)
-    return NeighborhoodGraph(
-        graph=component_graph,
-        query_tuple=neighborhood.query_tuple,
-        d=neighborhood.d,
-        distances={
-            node: distances[node] for node in component_graph.nodes if node in distances
-        },
-        columns=columns,
-    )
-
-
 def _is_member(values: "np.ndarray", members: "np.ndarray") -> "np.ndarray":
     """``np.isin(values, members)`` for few members: sorts only ``members``."""
     if not len(members):
@@ -157,13 +132,12 @@ def _is_member(values: "np.ndarray", members: "np.ndarray") -> "np.ndarray":
 def _reduce_columns(neighborhood: NeighborhoodGraph) -> NeighborhoodGraph:
     """:func:`reduce_neighborhood_graph` over the id columns of ``H_t``.
 
-    Evaluates the rule of :func:`_removed_edges` as array masks, sweeps
-    the query entities' component over the surviving rows, and decodes
-    only those rows into the reduced graph — in ``H_t``'s edge order, so
-    the result equals the string path's, adjacency orders included.  The
-    surviving rows stay on the result as its ``columns``, aligned with
-    ``graph.edges``: MQG discovery weighs the edges on those ids instead
-    of turning the decoded strings back into ids.
+    Evaluates the rule of :func:`_removed_edges` as array masks and sweeps
+    the query entities' component over the surviving rows.  The result is
+    those rows and the nodes they touch, still as id columns and in
+    ``H_t``'s edge order, so decoding it gives the string path's reduced
+    graph, adjacency orders included — and MQG discovery, which reads the
+    columns, never does.
     """
     columns = neighborhood.columns
     subjects, labels, objects = columns.subjects, columns.labels, columns.objects
@@ -201,10 +175,10 @@ def _reduce_columns(neighborhood: NeighborhoodGraph) -> NeighborhoodGraph:
     if not reached[: len(entities)].all():
         raise DiscoveryError(_LOST_CONNECTION)
 
-    survivors = columns.take(kept[reached[kept_subjects]])
-    edges, edge_distances = survivors.decode()
-    return _component_neighborhood(
-        neighborhood, edges, dict.fromkeys(entities, 0) | edge_distances, survivors
+    return NeighborhoodGraph(
+        query_tuple=entities,
+        d=neighborhood.d,
+        columns=columns.take(kept[reached[kept_subjects]], np.flatnonzero(reached)),
     )
 
 
@@ -239,8 +213,18 @@ def reduce_neighborhood_graph(neighborhood: NeighborhoodGraph) -> NeighborhoodGr
     if not all(entity in keeper for entity in entities):
         raise DiscoveryError(_LOST_CONNECTION)
 
-    return _component_neighborhood(
-        neighborhood,
-        [e for e in kept if e.subject in keeper and e.object in keeper],
-        neighborhood.distances,
+    component_graph = KnowledgeGraph()
+    for entity in entities:
+        component_graph.add_node(entity)
+    for edge in kept:
+        if edge.subject in keeper and edge.object in keeper:
+            component_graph.add_edge_object(edge)
+    distances = neighborhood.distances
+    return NeighborhoodGraph(
+        graph=component_graph,
+        query_tuple=entities,
+        d=neighborhood.d,
+        distances={
+            node: distances[node] for node in component_graph.nodes if node in distances
+        },
     )

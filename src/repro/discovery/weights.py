@@ -6,7 +6,8 @@ Two weighting functions are used at different stages:
   discovering the maximal query graph from the neighborhood graph; it is
   deliberately independent of the distance to the query entities so the MQG
   stays balanced between near and far edges.  Computed by the statistics
-  (:meth:`repro.graph.statistics.GraphStatistics.weights_for`).
+  (:meth:`repro.graph.statistics.GraphStatistics.base_edge_weight`, or
+  ``column_weights`` for every row of a neighborhood's id columns).
 
 * **MQG / scoring weight** (Eq. 8): ``w(e) = ief(e) / (p(e) · depth(e)²)``.
   Used once the MQG is fixed, when scoring answer graphs (Eq. 5–6); edges

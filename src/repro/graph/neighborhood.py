@@ -72,33 +72,31 @@ class NeighborhoodColumns(NamedTuple):
         term_of = self.term_of
         return [term_of(node_id) for node_id in self.node_ids[positions].tolist()]
 
-    def take(self, rows: "np.ndarray") -> "NeighborhoodColumns":
-        """The same nodes with only the edges at ``rows`` of the edge columns."""
+    def take(self, rows: "np.ndarray", nodes: "np.ndarray") -> "NeighborhoodColumns":
+        """Only the edges at ``rows``, over only the nodes at ``nodes``
+        (ascending positions that cover every endpoint of those rows, so
+        BFS order and the near prefix carry over)."""
+        positions = np.empty(len(self.node_ids), dtype=np.int64)
+        positions[nodes] = np.arange(len(nodes))
         return self._replace(
-            subjects=self.subjects[rows],
+            node_ids=self.node_ids[nodes],
+            node_distances=self.node_distances[nodes],
+            near_count=int(np.searchsorted(nodes, self.near_count)),
+            subjects=positions[self.subjects[rows]],
             labels=self.labels[rows],
-            objects=self.objects[rows],
+            objects=positions[self.objects[rows]],
         )
 
-    def decode(self) -> tuple[list[Edge], dict[str, int]]:
-        """The edge columns as :class:`Edge` objects, row by row, and
-        ``dist_q`` of every node they touch."""
-        # One term lookup per distinct node, not per edge endpoint.
-        used, inverse = np.unique(
-            np.concatenate((self.subjects, self.objects)), return_inverse=True
-        )
-        terms = self.terms(used)
+    def decode(self) -> list[Edge]:
+        """The edge columns as :class:`Edge` objects, row by row."""
+        terms = self.terms()
         label_strings = self.label_strings
-        count = len(self.subjects)
-        edges = [
+        return [
             Edge(terms[subject], label_strings[label], terms[obj])
             for subject, label, obj in zip(
-                inverse[:count].tolist(),
-                self.labels.tolist(),
-                inverse[count:].tolist(),
+                self.subjects.tolist(), self.labels.tolist(), self.objects.tolist()
             )
         ]
-        return edges, dict(zip(terms, self.node_distances[used].tolist()))
 
 
 class NeighborhoodGraph:
@@ -119,12 +117,14 @@ class NeighborhoodGraph:
         ``H_t`` as :class:`NeighborhoodColumns` when it was extracted from
         a mapped or delta graph, else ``None``.  ``graph`` and
         ``distances`` are then decoded from the columns on first access;
-        the reduction reads the columns and never asks.  A *reduced*
-        neighborhood of such an ``H_t`` carries its decoded graph and
-        the columns of the rows that survived: row ``i`` of the edge
-        columns is the ``i``-th edge of ``graph.edges`` either way (the
-        rows of ``H_t`` are distinct triples, inserted in row order), so
-        whoever needs a per-edge number can compute it on the ids.
+        the reduction and MQG discovery read the columns and never ask.
+        A *reduced* neighborhood of such an ``H_t`` is the same thing
+        over the rows and nodes that survived.  Row ``i`` of the edge
+        columns is the ``i``-th edge of ``graph.edges`` (the rows of
+        ``H_t`` are distinct triples, inserted in row order), and the
+        graph's nodes are the query entities followed by the other nodes
+        in the order the rows first mention them — for ``H_t`` itself
+        that is BFS order, the order of the node columns.
     """
 
     __slots__ = ("query_tuple", "d", "columns", "_graph", "_distances")
@@ -149,9 +149,9 @@ class NeighborhoodGraph:
         """``H_t`` as a :class:`KnowledgeGraph` (decoded once if columnar)."""
         if self._graph is None:
             graph = KnowledgeGraph()
-            for term in self.columns.terms():
-                graph.add_node(term)
-            for edge in self.columns.decode()[0]:
+            for entity in self.query_tuple:
+                graph.add_node(entity)
+            for edge in self.columns.decode():
                 graph.add_edge_object(edge)
             self._graph = graph
         return self._graph
@@ -161,9 +161,8 @@ class NeighborhoodGraph:
         """``dist_q`` per node of ``H_t`` (decoded once if columnar)."""
         if self._distances is None:
             columns = self.columns
-            self._distances = dict(
-                zip(columns.terms(), columns.node_distances.tolist())
-            )
+            by_term = dict(zip(columns.terms(), columns.node_distances.tolist()))
+            self._distances = {node: by_term[node] for node in self.graph.nodes}
         return self._distances
 
     @property

@@ -161,18 +161,19 @@ class GraphStatistics:
             self._base_weight_cache[edge] = weight
         return weight
 
-    def weights_for(
-        self, edges: Iterable[Edge], columns: "NeighborhoodColumns | None" = None
-    ) -> dict[Edge, float]:
-        """Eq. 2 weights for every edge in ``edges`` — the discovery weights.
-
-        ``columns`` are the id rows the edges were decoded from, when
-        they came out of a mapped or delta graph (one row per edge, in
-        order).  Dict statistics have no use for them: they look every
-        edge up by its strings and are the executable spec;
-        :class:`MappedGraphStatistics` computes the same floats on the ids.
-        """
+    def weights_for(self, edges: Iterable[Edge]) -> dict[Edge, float]:
+        """Eq. 2 weights for every edge in ``edges`` — the discovery weights."""
         return {edge: self.base_edge_weight(edge) for edge in edges}
+
+    def column_weights(self, columns: "NeighborhoodColumns") -> "np.ndarray":
+        """Eq. 2 for every row of a neighborhood's id columns, as one
+        float64 array.  Dict statistics have no use for ids: they decode
+        the rows and look every edge up by its strings, and are the
+        executable spec; :class:`MappedGraphStatistics` computes the same
+        floats on the ids."""
+        return np.array(
+            [self.base_edge_weight(edge) for edge in columns.decode()], dtype=np.float64
+        )
 
     def __repr__(self) -> str:
         return (
@@ -309,9 +310,9 @@ class MappedGraphStatistics(GraphStatistics):
     re-encode the merged counts instead).
 
     A query never hands these statistics a string: its neighborhood
-    comes from the same snapshot as id columns, and :meth:`weights_for`
-    computes Eq. 2 for all of its rows on those ids
-    (:meth:`column_weights`).  The inherited per-edge methods
+    comes from the same snapshot as id columns, and
+    :meth:`column_weights` computes Eq. 2 for all of its rows on those
+    ids.  The inherited per-edge methods
     (``participation_degree`` / ``base_edge_weight``) still answer for
     any :class:`Edge`, through one vocabulary binary search per lookup;
     they are the spec the array path is tested against.
@@ -343,7 +344,7 @@ class MappedGraphStatistics(GraphStatistics):
             in_keys, in_counts, vocabulary, labels, self._label_ids
         )
         # Per-edge spec calls memoize as in the dict class; a query never
-        # makes one (see weights_for), so serving does not fill this.
+        # makes one (see column_weights), so serving does not fill this.
         self._base_weight_cache = {}
 
     def apply_edge(self, edge: Edge) -> None:
@@ -378,13 +379,6 @@ class MappedGraphStatistics(GraphStatistics):
             columns.node_ids[columns.objects], labels
         )
         return ief[columns.labels] / np.maximum(same_subject + same_object - 1, 1)
-
-    def weights_for(
-        self, edges: Iterable[Edge], columns: "NeighborhoodColumns | None" = None
-    ) -> dict[Edge, float]:
-        if columns is None:
-            return super().weights_for(edges)
-        return dict(zip(edges, self.column_weights(columns).tolist(), strict=True))
 
     def __reduce__(self):
         # A pickled copy cannot carry the mmap-backed columns; it

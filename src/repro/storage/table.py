@@ -206,6 +206,20 @@ class _SortedGroupIndex:
         return counts, starts
 
 
+def _buckets(keys: Sequence[int], values: Sequence[int]) -> dict[int, tuple[int, ...]]:
+    """``key -> values`` in row order.  The values are tuples of ints: the
+    cycle collector stops tracking those the first time it sees them, so a
+    full collection does not walk one container per distinct key."""
+    buckets: dict[int, list[int]] = {}
+    for key, value in zip(keys, values):
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = [value]
+        else:
+            bucket.append(value)
+    return {key: tuple(bucket) for key, bucket in buckets.items()}
+
+
 class ColumnarEdgeTable:
     """All edges of one label as two parallel id columns (struct-of-arrays).
 
@@ -472,33 +486,21 @@ class ColumnarEdgeTable:
             self._object_group_index()
             self._ensure_pair_index()
 
-    def subject_buckets(self) -> dict[int, list[int]]:
+    def subject_buckets(self) -> dict[int, tuple[int, ...]]:
         """Scalar probe index: subject -> matched ``obj`` values, in row
         insertion order (lazy; used by the join's small-relation tail,
         where per-key dict lookups beat whole-array numpy calls)."""
         if self._subject_buckets is None:
-            buckets: dict[int, list[int]] = {}
-            for subject, obj in zip(*self._column_values()):
-                bucket = buckets.get(subject)
-                if bucket is None:
-                    buckets[subject] = [obj]
-                else:
-                    bucket.append(obj)
-            self._subject_buckets = buckets
+            subjects, objects = self._column_values()
+            self._subject_buckets = _buckets(subjects, objects)
         return self._subject_buckets
 
-    def object_buckets(self) -> dict[int, list[int]]:
+    def object_buckets(self) -> dict[int, tuple[int, ...]]:
         """Scalar probe index: object -> matched ``subj`` values, in row
         insertion order (lazy)."""
         if self._object_buckets is None:
-            buckets: dict[int, list[int]] = {}
-            for subject, obj in zip(*self._column_values()):
-                bucket = buckets.get(obj)
-                if bucket is None:
-                    buckets[obj] = [subject]
-                else:
-                    bucket.append(subject)
-            self._object_buckets = buckets
+            subjects, objects = self._column_values()
+            self._object_buckets = _buckets(objects, subjects)
         return self._object_buckets
 
     def probe_subject(self, keys: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:

@@ -6,12 +6,17 @@ import random
 
 import numpy as np
 import pytest
-from graph_backings import ordered_view, random_multigraph, three_backings
+from graph_backings import (
+    ordered_view,
+    random_multigraph,
+    three_backings,
+    three_graph_stores,
+)
 
 from repro.discovery.merge import merge_maximal_query_graphs, virtual_entity
 from repro.discovery.mqg import (
-    _component_containing,
-    _trim_component,
+    _rows_of_edges,
+    _Selection,
     discover_maximal_query_graph,
     select_mqg_edges,
 )
@@ -102,7 +107,7 @@ def _reduction_outcome(graph, query_tuple, d):
         # The reduction read the id columns; nothing decoded H_t itself,
         # and the surviving rows stay beside the edges decoded from them.
         assert neighborhood._graph is None and neighborhood._distances is None
-        assert reduced.columns.decode()[0] == list(reduced.graph.edges)
+        assert reduced.columns.decode() == list(reduced.graph.edges)
     return ordered_view(reduced)
 
 
@@ -255,9 +260,34 @@ class TestMQGDiscovery:
         assert mqg.incident_count("Jerry Yang") >= 1
 
 
+# ----------------------------------------------------------------------
+# Algorithm 1 written from the paper, on strings: the oracle
+# ----------------------------------------------------------------------
+def _component_containing(edges, required):
+    """``(edges of the weakly connected component containing every required
+    node, whether there is one)``, by a traversal from scratch."""
+    adjacency = {}
+    for edge in edges:
+        adjacency.setdefault(edge.subject, []).append(edge)
+        adjacency.setdefault(edge.object, []).append(edge)
+    if not all(node in adjacency for node in required):
+        return set(), False
+    start = min(required)
+    seen, component, stack = {start}, set(), [start]
+    while stack:
+        node = stack.pop()
+        for edge in adjacency[node]:
+            component.add(edge)
+            other = edge.other(node)
+            if other not in seen:
+                seen.add(other)
+                stack.append(other)
+    return (component, True) if set(required) <= seen else (set(), False)
+
+
 def _trim_component_reference(component, required, weights, target):
-    """The original quadratic greedy — kept as the executable spec for
-    :func:`_trim_component`'s union-find reimplementation."""
+    """The quadratic greedy: remove the lightest edge whose removal keeps
+    the required nodes connected, rebuild their component, repeat."""
     if len(component) <= target:
         return component
     current = set(component)
@@ -272,6 +302,153 @@ def _trim_component_reference(component, required, weights, target):
         if exists:
             current = trimmed
     return current
+
+
+def _select_component_reference(edges, required, weights, target):
+    """Rebuild the required component for every prefix of the weight order;
+    exact size, else the largest below, else the smallest above, trimmed."""
+    ordered = sorted(edges, key=lambda e: (-weights.get(e, 0.0), e))
+    exact = below = above = None
+    for length in range(1, len(ordered) + 1):
+        component, exists = _component_containing(ordered[:length], required)
+        if not exists:
+            continue
+        if len(component) == target:
+            exact = exact or component
+        elif len(component) < target:
+            below = component
+        else:
+            above = above or component
+    if exact or below:
+        return exact or below
+    return _trim_component_reference(above, required, weights, target) if above else set()
+
+
+def _select_mqg_edges_reference(graph, query_tuple, weights, r):
+    """Divide (core graph, one individual subgraph per entity) and conquer."""
+    budget = max(r // (len(query_tuple) + 1), 1)
+    parts = {entity: set() for entity in query_tuple}
+    core = set()
+    exclusive = {}
+    for entity in query_tuple:
+        # Nodes that, with `entity` gone, reach no other query entity.
+        others = [other for other in query_tuple if other != entity]
+        reachable, frontier = set(others), list(others)
+        while frontier:
+            for neighbor in graph.neighbors(frontier.pop()):
+                if neighbor != entity and neighbor not in reachable:
+                    reachable.add(neighbor)
+                    frontier.append(neighbor)
+        exclusive[entity] = set(graph.nodes) - reachable - {entity}
+    for edge in graph.edges:
+        owners = [e for e in query_tuple if {edge.subject, edge.object} & exclusive[e]]
+        (parts[owners[0]] if owners else core).add(edge)
+
+    core_selection = set()
+    if len(query_tuple) > 1:
+        core_selection = _select_component_reference(core, set(query_tuple), weights, budget)
+        if not core_selection:
+            raise DisconnectedQueryError(tuple(query_tuple), 0)
+    selected = set(core_selection)
+    for entity in query_tuple:
+        selected |= _select_component_reference(parts[entity], {entity}, weights, budget)
+    if not selected:
+        raise DiscoveryError("nothing selected")
+    return selected, core_selection
+
+
+def _outcome(function, *args, **kwargs):
+    """What ``function`` returns, or the type of the error it raises."""
+    try:
+        return function(*args, **kwargs)
+    except DiscoveryError as error:
+        return type(error)
+
+
+def _tied_weights(graph, rng):
+    """Coarse random weights: plenty of ties for the Edge order to break."""
+    return {edge: rng.randrange(4) / 2.0 for edge in graph.edges}
+
+
+class TestAlgorithmOneOracle:
+    """The positional implementation against the oracle above."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_multigraphs_match_the_oracle(self, seed):
+        # random_multigraph has a hub every node points at: with a small r
+        # its component overshoots the budget and has to be trimmed.
+        base, delta, nodes = random_multigraph(seed)
+        graph = KnowledgeGraph(base + delta)
+        rng = random.Random(seed)
+        weights = _tied_weights(graph, rng)
+        edge_order = list(graph.edges)
+        for arity in (1, 2, 3):
+            query_tuple = tuple(rng.sample(nodes, arity))
+            for r in (2, 5, 9, 40):
+                spec = _outcome(_select_mqg_edges_reference, graph, query_tuple, weights, r)
+                got = _outcome(select_mqg_edges, graph, query_tuple, weights, r)
+                if isinstance(spec, type):
+                    assert got is spec
+                    continue
+                selected, core = got
+                assert (set(selected), set(core)) == spec
+                # Both come back in the graph's own edge order, each edge once.
+                assert selected == [edge for edge in edge_order if edge in spec[0]]
+                assert core == [edge for edge in edge_order if edge in spec[1]]
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_sparse_graphs_in_pieces_match_the_oracle(self, seed):
+        # No hub: tuples fall apart (DisconnectedQueryError on both sides)
+        # and pieces that hold no query entity belong to the first one.
+        rng = random.Random(seed)
+        nodes = [f"n{i}" for i in range(rng.randint(5, 14))]
+        graph = KnowledgeGraph(
+            (rng.choice(nodes), f"r{rng.randrange(3)}", rng.choice(nodes))
+            for _ in range(rng.randint(4, 16))
+        )
+        weights = _tied_weights(graph, rng)
+        present = sorted(graph.nodes)
+        for arity in (1, 2, 3, 4):
+            query_tuple = tuple(rng.sample(present, arity))
+            for r in (3, 8):
+                spec = _outcome(_select_mqg_edges_reference, graph, query_tuple, weights, r)
+                got = _outcome(select_mqg_edges, graph, query_tuple, weights, r)
+                if isinstance(spec, type):
+                    assert got is spec
+                else:
+                    assert (set(got[0]), set(got[1])) == spec
+
+    def test_scan_stops_at_the_first_prefix_that_reaches_the_budget(self, monkeypatch):
+        # A star of 200 edges around the query entity, budget 3: the first
+        # three edges settle the outcome and nothing past them is looked at.
+        from repro.discovery import mqg as mqg_module
+
+        graph = KnowledgeGraph((("q", "r", f"n{i:03d}") for i in range(200)))
+        weights = {edge: 1.0 for edge in graph.edges}
+        added = []
+        original = mqg_module._Forest.grow
+
+        def counting(self, rows, required, enough):
+            grown = original(self, rows, required, enough)
+            added.append(grown[0])
+            return grown
+
+        monkeypatch.setattr(mqg_module._Forest, "grow", counting)
+        selected, _core = select_mqg_edges(graph, ("q",), weights, r=6)
+        assert selected == sorted(graph.edges)[:3]
+        assert added == [3]
+
+
+def _trim(component, required, weights, target):
+    """``_Selection._trim`` over a component given as strings."""
+    edges = sorted(component)
+    query_tuple = tuple(sorted(required))
+    rows = _rows_of_edges(edges, query_tuple)
+    selection = _Selection(
+        rows, np.array([weights.get(edge, 0.0) for edge in edges], dtype=np.float64)
+    )
+    kept = selection._trim(list(range(len(edges))), range(len(query_tuple)), target)
+    return set(rows.edges_at(kept))
 
 
 class TestTrimComponent:
@@ -302,13 +479,13 @@ class TestTrimComponent:
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_quadratic_reference(self, seed):
         component, required, weights, target = self._random_case(seed)
-        fast = _trim_component(set(component), required, weights, target)
+        fast = _trim(set(component), required, weights, target)
         reference = _trim_component_reference(set(component), required, weights, target)
         assert fast == reference
 
     def test_untrimmed_when_small_enough(self):
         edges = {Edge("a", "r", "b"), Edge("b", "r", "c")}
-        assert _trim_component(set(edges), {"a"}, {}, 5) == edges
+        assert _trim(set(edges), {"a"}, {}, 5) == edges
 
     def test_keeps_required_bridge(self):
         # a-b is the only connection between the required nodes and has the
@@ -322,8 +499,113 @@ class TestTrimComponent:
         }
         weights = {edge: 1.0 for edge in edges}
         weights[bridge] = 0.0
-        trimmed = _trim_component(set(edges), {"a", "b"}, weights, 1)
+        trimmed = _trim(set(edges), {"a", "b"}, weights, 1)
         assert bridge in trimmed
+
+
+def _mqg_view(mqg):
+    """An MQG as the four things downstream code reads, floats compared exactly."""
+    return sorted(mqg.graph.edges), mqg.edge_weights, mqg.core_edges, mqg.discovery_weights
+
+
+def _discover_reference(graph, stats, query_tuple, d, r, reduce_first):
+    """Discovery over an owned graph with the oracle in place of Alg. 1."""
+    working = neighborhood_graph(graph, query_tuple, d=d)
+    if reduce_first:
+        working = reduce_neighborhood_graph(working)
+    weights = stats.weights_for(working.graph.edges)
+    selected, core = _select_mqg_edges_reference(working.graph, query_tuple, weights, r)
+    mqg_graph = KnowledgeGraph(selected)
+    discovery_weights = {edge: weights[edge] for edge in selected}
+    return (
+        sorted(selected),
+        mqg_edge_weights(mqg_graph, query_tuple, discovery_weights),
+        frozenset(core),
+        discovery_weights,
+    )
+
+
+class TestIdSpaceDiscovery:
+    """MQG discovery over id columns (mapped, ingested overlay) against the
+    owned graph, and the owned graph against the oracle."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_three_backings_discover_the_same_mqg(self, seed):
+        base, delta, nodes = random_multigraph(seed)
+        rng = random.Random(seed)
+        with three_graph_stores(base, delta) as (owned, merged_store, overlay_store):
+            owned_stats = GraphStatistics(owned)
+            backings = [
+                (owned, owned_stats),
+                (merged_store.graph, merged_store.statistics),
+                (overlay_store.graph, overlay_store.statistics),
+            ]
+            for arity in (1, 2, 3):
+                query_tuple = tuple(rng.sample(nodes, arity))
+                for d, r, reduce_first in [(2, 6, True), (2, 6, False), (1, 3, True), (3, 15, False)]:
+                    views = []
+                    for graph, stats in backings:
+                        neighborhood = neighborhood_graph(graph, query_tuple, d=d)
+                        mqg = _outcome(
+                            discover_maximal_query_graph,
+                            neighborhood, stats, r=r, reduce_first=reduce_first,
+                        )
+                        views.append(mqg if isinstance(mqg, type) else _mqg_view(mqg))
+                    assert views[1] == views[0] and views[2] == views[0]
+                    spec = _outcome(
+                        _discover_reference, owned, owned_stats, query_tuple, d, r, reduce_first
+                    )
+                    if spec is DisconnectedQueryError:
+                        # The oracle has no d to report; the type is the claim.
+                        assert views[0] is DisconnectedQueryError
+                    else:
+                        assert views[0] == spec
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_nothing_is_decoded_but_the_mqg(self, seed):
+        base, delta, nodes = random_multigraph(seed)
+        rng = random.Random(seed)
+        with three_graph_stores(base, delta) as (_owned, merged_store, overlay_store):
+            for store in (merged_store, overlay_store):
+                for arity in (1, 2, 3):
+                    query_tuple = tuple(rng.sample(nodes, arity))
+                    neighborhood = neighborhood_graph(store.graph, query_tuple, d=2)
+                    reduced = reduce_neighborhood_graph(neighborhood)
+                    for working, reduce_first in ((neighborhood, True), (reduced, False)):
+                        mqg = discover_maximal_query_graph(
+                            working, store.statistics, r=6, reduce_first=reduce_first
+                        )
+                        assert mqg.num_edges
+                    for lazy in (neighborhood, reduced):
+                        assert lazy._graph is None and lazy._distances is None
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_three_backings_merge_the_same_mqg(self, seed):
+        base, delta, nodes = random_multigraph(seed)
+        rng = random.Random(seed)
+        with three_graph_stores(base, delta) as (owned, merged_store, overlay_store):
+            backings = [
+                (owned, GraphStatistics(owned)),
+                (merged_store.graph, merged_store.statistics),
+                (overlay_store.graph, overlay_store.statistics),
+            ]
+            for arity in (1, 2, 3):
+                tuples = [tuple(rng.sample(nodes, arity)) for _ in range(3)]
+                for r in (4, 12):
+                    views = []
+                    for graph, stats in backings:
+
+                        def merged(graph=graph, stats=stats):
+                            mqgs = [
+                                discover_maximal_query_graph(
+                                    neighborhood_graph(graph, query_tuple, d=2), stats, r=r
+                                )
+                                for query_tuple in tuples
+                            ]
+                            return _mqg_view(merge_maximal_query_graphs(mqgs, r=r))
+
+                        views.append(_outcome(merged))
+                    assert views[1] == views[0] and views[2] == views[0]
 
 
 class TestMerging:

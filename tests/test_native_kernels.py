@@ -130,7 +130,7 @@ class TestProbeTailKernel:
             for _ in range(80)
         ]
         buckets = {
-            value: [rng.choice(values) for _ in range(rng.randrange(0, 4))]
+            value: tuple(rng.choice(values) for _ in range(rng.randrange(0, 4)))
             for value in values
         }
         return rows, buckets
@@ -154,7 +154,7 @@ class TestProbeTailKernel:
 
     def test_probe_tail_overflow_returns_none(self):
         rows = [(1,)] * 10
-        buckets = {1: [2, 3]}
+        buckets = {1: (2, 3)}
         assert _pure.probe_tail(rows, buckets, 0, False, 5) is None
         assert native.probe_tail(rows, buckets, 0, False, 5) is None
         # At exactly the cap the output survives on both backends.
@@ -164,7 +164,7 @@ class TestProbeTailKernel:
 
     def test_probe_tail_empty_and_missing_buckets(self):
         rows = [(1, 2), (9, 9), (3, 1)]
-        buckets = {1: [], 3: [7]}
+        buckets = {1: (), 3: (7,)}
         assert native.probe_tail(rows, buckets, 0, True, -1) == _pure.probe_tail(
             rows, buckets, 0, True, -1
         )

@@ -167,7 +167,7 @@ def test_id_column_weights_equal_the_dict_statistics_bit_for_bit(triples, hub, c
                 reduced = reduce_neighborhood_graph(neighborhood)
                 for columnar in (neighborhood, reduced):
                     edges = list(columnar.graph.edges)
-                    assert columnar.columns.decode()[0] == edges
+                    assert columnar.columns.decode() == edges
                     assert statistics.column_weights(columnar.columns).tolist() == [
                         spec.base_edge_weight(edge) for edge in edges
                     ]

@@ -163,8 +163,8 @@ class TestMappedStatistics:
         overlay = DeltaKnowledgeGraph(loaded.graph)
         overlay.add_delta_edge("a", "unseen", "c")
         neighborhood = neighborhood_graph(overlay, ("a",), d=1)
-        weights = loaded.statistics.weights_for(neighborhood.graph.edges, neighborhood.columns)
-        assert Edge("a", "unseen", "c") in weights
-        assert weights == {
-            edge: loaded.statistics.base_edge_weight(edge) for edge in neighborhood.graph.edges
-        }
+        edges = neighborhood.columns.decode()
+        assert Edge("a", "unseen", "c") in edges
+        assert loaded.statistics.column_weights(neighborhood.columns).tolist() == [
+            loaded.statistics.base_edge_weight(edge) for edge in edges
+        ]
