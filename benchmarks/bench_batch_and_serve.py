@@ -1,21 +1,19 @@
 """Warm starts, the pooled batch and the serve layer (Fig. 14 workload).
 
-* the **v2 / v3 sharded snapshot warm start** pairs: a manifest-only
-  open (no section deserialization, no shard maps) and a cold open
-  through the first answered query.  v3 maps the vocabulary (string
-  arena), the graph (CSR) and the participation statistics instead of
-  pickling them, so its first query runs its front half on id columns;
+* the **snapshot warm start** pair: a manifest-only open (no section
+  deserialization, no shard maps) and a cold open through the first
+  answered query, which maps the vocabulary (string arena), the graph
+  (CSR) and the participation statistics and runs its front half on id
+  columns;
 * the **pooled batch**: the 20 queries of the Fig. 14 workload sharded
   across a snapshot-backed process pool.  The pooled numbers are
   core-count-bound: on a single-core runner the pool pays IPC for no
   parallelism; with N cores the window parallelizes up to
   min(N, workers)×;
-* one steady-state **serve-layer load pass** over HTTP (threaded server
-  + batcher + answer cache), and the same pass through the asyncio
-  frontend (admission control + metrics on the request path) so a
-  regression in the event-loop hot path is caught next to its threaded
-  twin.  The absolute serve-throughput artifact for CI comes from
-  ``gqbe bench-serve`` (see ``.github/workflows/ci.yml``).
+* one steady-state **serve-layer load pass** over HTTP (asyncio
+  frontend: admission control + metrics on the request path, batcher,
+  answer cache).  The absolute serve-throughput artifact for CI comes
+  from ``gqbe bench-serve`` (see ``.github/workflows/ci.yml``).
 
 Inline sequential / batched query latency is not timed here:
 ``perfbench/`` measures it end to end (``single_r15``, ``multi_large``,
@@ -50,63 +48,19 @@ def batch_system(harness):
 
 
 @pytest.fixture(scope="module")
-def v2_snapshot(batch_system, tmp_path_factory):
-    """The Fig. 14 workload graph saved as a v2 sharded snapshot."""
-    system, _tuples = batch_system
-    directory = tmp_path_factory.mktemp("snapv2") / "workload.snapdir"
-    system.graph_store.save(directory, format="v2")
-    return directory
-
-
-def test_bench_v2_warm_start(v2_snapshot, benchmark):
-    """Opening a v2 snapshot: manifest read + system wiring, nothing else.
-
-    The contract being timed: no section pickles load and no label shard
-    is mapped until a query needs them.
-    """
-
-    def warm_start():
-        system = GQBE.from_snapshot(v2_snapshot)
-        return system.graph_store.lazy_report()
-
-    report = benchmark(warm_start)
-    assert report["tables_opened"] == 0
-    assert report["sections_loaded"] == []
-
-
-def test_bench_v2_warm_start_first_query(v2_snapshot, batch_system, benchmark):
-    """v2 cold open through the first answered query (partial shard load)."""
-    _system, tuples = batch_system
-    config = GQBEConfig(
-        mqg_size=10, k_prime=25, node_budget=1000, max_join_rows=100_000
-    )
-
-    def open_and_query():
-        system = GQBE.from_snapshot(v2_snapshot, config=config)
-        result = system.query(tuples[0], k=10)
-        return system.graph_store.lazy_report(), result
-
-    report, result = benchmark(open_and_query)
-    assert result.answers
-    # Partial load: the query's plan probes a few labels, not all 60+.
-    assert 0 < report["tables_opened"] < report["tables_total"]
-
-
-@pytest.fixture(scope="module")
 def v3_snapshot(batch_system, tmp_path_factory):
-    """The Fig. 14 workload graph saved as a v3 sharded snapshot
-    (mapped vocabulary arena + graph CSR on top of the v2 table shards)."""
+    """The Fig. 14 workload graph saved as a snapshot."""
     system, _tuples = batch_system
     directory = tmp_path_factory.mktemp("snapv3") / "workload.snapdir"
-    system.graph_store.save(directory, format="v3")
+    system.graph_store.save(directory)
     return directory
 
 
 def test_bench_v3_warm_start(v3_snapshot, benchmark):
-    """Opening a v3 snapshot: manifest read + system wiring, nothing else.
+    """Opening a snapshot: manifest read + system wiring, nothing else.
 
-    Same contract as the v2 warm start — no section pickles, no shard
-    maps, no vocabulary/graph arena until a query needs them.
+    The contract being timed: no section pickles, no shard maps, no
+    vocabulary/graph arena until a query needs them.
     """
 
     def warm_start():
@@ -120,12 +74,8 @@ def test_bench_v3_warm_start(v3_snapshot, benchmark):
 
 
 def test_bench_v3_warm_start_first_query(v3_snapshot, batch_system, benchmark):
-    """v3 cold open through the first answered query.
-
-    Versus v2 this maps the vocabulary arena and graph CSR instead of
-    unpickling them — the graph section deserialization drops out of the
-    first-query latency entirely.
-    """
+    """Cold open through the first answered query (partial shard load:
+    the query's plan probes a few labels, not all 60+)."""
     _system, tuples = batch_system
     config = GQBEConfig(
         mqg_size=10, k_prime=25, node_budget=1000, max_join_rows=100_000
@@ -144,7 +94,7 @@ def test_bench_v3_warm_start_first_query(v3_snapshot, batch_system, benchmark):
 
 
 @pytest.fixture(scope="module")
-def worker_pool(v2_snapshot, batch_system):
+def worker_pool(v3_snapshot, batch_system):
     """A warm snapshot-backed process pool (spawn + shard maps prepaid)."""
     from repro.serving.pool import WorkerPool
 
@@ -153,7 +103,7 @@ def worker_pool(v2_snapshot, batch_system):
         mqg_size=10, k_prime=25, node_budget=1000, max_join_rows=100_000
     )
     pool = WorkerPool(
-        workers=POOL_WORKERS, snapshot_path=v2_snapshot, config=config
+        workers=POOL_WORKERS, snapshot_path=v3_snapshot, config=config
     )
     pool.query_batch(tuples, k=10)  # fork workers, map shards, warm memos
     yield pool
@@ -171,40 +121,9 @@ def test_bench_fig14_pooled_query_batch(worker_pool, batch_system, benchmark):
     assert len(results) == 20 and all(r.answers for r in results)
 
 
-def test_bench_serve_layer_load_pass(batch_system, benchmark):
-    """One steady-state HTTP load pass through batcher + answer cache."""
-    from repro.serving.loadgen import run_load
-    from repro.serving.server import GQBEServer
-
-    system, tuples = batch_system
-    server = GQBEServer(
-        system, port=0, batch_window_seconds=0.001, cache_size=256
-    ).start()
-    try:
-        # Warm pass fills the answer cache; the measured pass is the
-        # cache-hot serving hot path.
-        run_load(server.host, server.port, tuples, k=10, requests=20, concurrency=4)
-        report = benchmark(
-            run_load,
-            server.host,
-            server.port,
-            tuples,
-            10,
-            40,
-            4,
-        )
-        assert report["errors"] == 0 and report["completed"] == 40
-    finally:
-        server.stop()
-
-
 def test_bench_async_serve_layer_load_pass(batch_system, benchmark):
-    """The same cache-hot load pass through the asyncio frontend.
-
-    Measured against ``test_bench_serve_layer_load_pass``: the delta is
-    the event loop + admission control (gate, metrics, per-stage timers)
-    replacing thread-per-connection dispatch on the hot path.
-    """
+    """One steady-state, cache-hot HTTP load pass: event loop, admission
+    control (gate, metrics, per-stage timers), batcher, answer cache."""
     from repro.serving.async_server import AsyncGQBEServer
     from repro.serving.loadgen import run_load
 
@@ -213,6 +132,8 @@ def test_bench_async_serve_layer_load_pass(batch_system, benchmark):
         system, port=0, batch_window_seconds=0.001, cache_size=256
     ).start()
     try:
+        # Warm pass fills the answer cache; the measured pass is the
+        # cache-hot serving hot path.
         run_load(server.host, server.port, tuples, k=10, requests=20, concurrency=4)
         report = benchmark(
             run_load,

@@ -59,7 +59,7 @@ def mapped_graph(system, tmp_path_factory):
     """The benchmark graph reopened as a v3 mapped CSR view."""
     gqbe, _workload = system
     directory = tmp_path_factory.mktemp("bench_v3") / "freebase.snapdir3"
-    GraphStore.build(gqbe.graph).save(directory, format="v3")
+    GraphStore.build(gqbe.graph).save(directory)
     return GraphStore.load(directory).graph
 
 
@@ -249,36 +249,6 @@ def test_bench_cold_start_from_triples(harness, benchmark, tmp_path_factory):
     assert system.store.num_rows == graph.num_edges
 
 
-def test_bench_snapshot_warm_start(harness, benchmark, tmp_path_factory):
-    """Time to warm-start a system from an index snapshot.
-
-    The ratio of ``cold_start_from_triples`` (or ``offline_precomputation``
-    for the in-memory-graph comparison) to this benchmark is the
-    warm-start speedup the snapshot subsystem exists for (>=5x on the
-    synthetic benchmark graph; see ROADMAP.md for measured medians).
-    Sections deserialize lazily, so this measures envelope verification
-    plus system wiring — the actual warm start a `gqbe query --snapshot`
-    performs before query processing begins.
-    """
-    graph = harness.freebase_workload().dataset.graph
-    path = tmp_path_factory.mktemp("bench_snapshot") / "freebase.snap"
-    GraphStore.build(graph).save(path)
-    system = benchmark(
-        lambda: GQBE(config=GQBEConfig(), graph_store=GraphStore.load(path))
-    )
-    assert system.graph_store is not None
-
-
-def test_bench_snapshot_load_materialized(harness, benchmark, tmp_path_factory):
-    """Snapshot load with every section forced to deserialize eagerly —
-    the upper bound a first query pays on top of the lazy warm start."""
-    graph = harness.freebase_workload().dataset.graph
-    path = tmp_path_factory.mktemp("bench_snapshot") / "freebase.snap"
-    GraphStore.build(graph).save(path)
-    loaded = benchmark(lambda: GraphStore.load(path).materialize())
-    assert loaded.store.num_rows == graph.num_edges
-
-
 def test_bench_snapshot_save(harness, benchmark, tmp_path_factory):
     """Time to serialize the offline state (the build-index write path)."""
     graph = harness.freebase_workload().dataset.graph
@@ -289,7 +259,7 @@ def test_bench_snapshot_save(harness, benchmark, tmp_path_factory):
 
 
 def test_bench_streaming_build(harness, benchmark, tmp_path_factory):
-    """The out-of-core v3 build, dump to committed snapshot.
+    """The out-of-core build, dump to committed snapshot.
 
     Pairs with ``test_bench_cold_start_from_triples`` +
     ``test_bench_snapshot_save``: the streaming path trades some wall
@@ -311,7 +281,6 @@ def test_bench_streaming_build(harness, benchmark, tmp_path_factory):
         return build_streaming_snapshot(
             dump,
             scratch / f"out_{next(counter)}",
-            snapshot_format="v3",
             memory_budget_mb=1,
         )
 

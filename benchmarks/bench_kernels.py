@@ -227,7 +227,7 @@ def kernel_trace(trace_harness, tmp_path_factory):
     """The Fig. 14 workload's kernel-call trace over a v3 snapshot."""
     workload = trace_harness.freebase_workload()
     path = tmp_path_factory.mktemp("kernel-bench") / "freebase.snap"
-    GraphStore.build(workload.dataset.graph).save(path, format="v3")
+    GraphStore.build(workload.dataset.graph).save(path)
     trace = _record_workload_trace(trace_harness, GraphStore.load(path))
     assert trace, "the Fig. 14 workload issued no kernel calls"
     return trace

@@ -128,8 +128,6 @@ def main(argv=None) -> int:
                 "build-index",
                 str(dump),
                 str(streamed),
-                "--format",
-                "v3",
                 "--streaming",
                 "--memory-budget-mb",
                 str(args.memory_budget_mb),
@@ -145,8 +143,6 @@ def main(argv=None) -> int:
                 "build-index",
                 str(dump),
                 str(in_memory),
-                "--format",
-                "v3",
                 "--quiet",
             ]
         )

@@ -5,9 +5,9 @@ single-query engine:
 
 1. :meth:`GQBE.query_batch` — answer many queries in one call, sharing
    join work across them (byte-identical to sequential ``query`` calls);
-2. :class:`~repro.serving.server.GQBEServer` — a threaded HTTP server
-   with request micro-batching and an LRU answer cache, queried here
-   over real sockets.
+2. :class:`~repro.serving.async_server.AsyncGQBEServer` — the asyncio
+   HTTP server with request micro-batching and an LRU answer cache,
+   queried here over real sockets.
 
 Run with::
 
@@ -22,7 +22,7 @@ import time
 
 from repro import GQBE, GQBEConfig
 from repro.datasets.workloads import build_freebase_workload
-from repro.serving.server import GQBEServer
+from repro.serving.async_server import AsyncGQBEServer
 
 
 def main() -> None:
@@ -56,7 +56,7 @@ def main() -> None:
     )
 
     # --- the serving frontend over real HTTP ---------------------------
-    server = GQBEServer(
+    server = AsyncGQBEServer(
         system, port=0, batch_window_seconds=0.002, cache_size=256
     ).start()
     print(f"\nServing on http://{server.host}:{server.port}")

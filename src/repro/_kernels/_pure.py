@@ -19,10 +19,7 @@ from __future__ import annotations
 
 import heapq
 
-try:  # numpy is optional: without it only the scalar BFS path runs.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    np = None
+import numpy as np
 
 #: Below this many frontier nodes the per-node slice loop beats the
 #: vectorized gather's fixed numpy overhead (a handful of array allocs).
@@ -83,7 +80,7 @@ def bfs_expand(
     insertion order — and everything derived from it — is identical.
     """
     next_frontier: list[int] = []
-    if np is not None and len(frontier) >= GATHER_MIN_FRONTIER:
+    if len(frontier) >= GATHER_MIN_FRONTIER:
         for neighbor in _gather_frontier(
             frontier, out_indptr, out_objects, in_indptr, in_subjects
         ):

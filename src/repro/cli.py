@@ -9,18 +9,16 @@ Subcommands
         gqbe query --snapshot data.snap --tuple "Jerry Yang,Yahoo!"
 ``gqbe build-index``
     Run the offline build for a triple file and save it as an index
-    snapshot for instant warm starts (``--format v2``/``v3`` write the
-    sharded, memory-mappable directory layouts; v3 additionally maps
-    the vocabulary and graph so serve workers share those pages too)::
+    snapshot — a directory of memory-mappable shards — for instant warm
+    starts (``--streaming`` builds it out-of-core)::
 
         gqbe build-index data.tsv data.snap
-        gqbe build-index data.tsv data.snapdir --format v3
 ``gqbe serve``
     Start the long-lived HTTP serving frontend over one warm snapshot
     (request batching + LRU answer cache; ``--workers N`` shards each
     batching window across a process pool; see :mod:`repro.serving`)::
 
-        gqbe serve --snapshot data.snapdir --port 8080 --workers 4
+        gqbe serve --snapshot data.snap --port 8080 --workers 4
 ``gqbe bench-serve``
     Load-test a serving frontend (embedded, over a snapshot or a built-in
     synthetic workload) and report throughput/latency::
@@ -127,39 +125,27 @@ def _build_index_footer(rows: int, seconds: float) -> str:
 
 def _cmd_build_index(args: argparse.Namespace) -> int:
     say = (lambda *_: None) if args.quiet else print
-    kind = "sharded directory" if args.format in ("v2", "v3") else "file"
     if args.streaming:
-        if args.rows:
-            print(
-                "--streaming builds the columnar engine; it cannot be "
-                "combined with --rows",
-                file=sys.stderr,
-            )
-            return 2
         from repro.storage.build import build_streaming_snapshot
 
         report = build_streaming_snapshot(
             args.graph,
             args.output,
-            snapshot_format=args.format,
             workers=args.build_workers,
             memory_budget_mb=args.memory_budget_mb,
         )
         say(
             f"indexed {report['edges']} edges ({report['nodes']} nodes, "
             f"{report['labels']} labels) to {args.output} "
-            f"({args.format} {kind}, {report['bytes_written']} bytes, streaming)"
+            f"({report['bytes_written']} bytes, streaming)\n"
+            f"pass1 {report['pass1_seconds']:.3f}s  "
+            f"pass2 {report['pass2_seconds']:.3f}s  "
+            f"finalize {report['finalize_labels_seconds'] + report['finalize_shards_seconds']:.3f}s  "
+            f"({report['duplicates']} duplicates, "
+            f"{report['spill_runs']} spill runs, "
+            f"{report['workers']} workers, "
+            f"budget {report['memory_budget_mb']} MB)"
         )
-        if report["streaming"]:
-            say(
-                f"pass1 {report['pass1_seconds']:.3f}s  "
-                f"pass2 {report['pass2_seconds']:.3f}s  "
-                f"finalize {report['finalize_labels_seconds'] + report['finalize_shards_seconds']:.3f}s  "
-                f"({report['duplicates']} duplicates, "
-                f"{report['spill_runs']} spill runs, "
-                f"{report['workers']} workers, "
-                f"budget {report['memory_budget_mb']} MB)"
-            )
         say(_build_index_footer(report["triples_read"], report["total_seconds"]))
         return 0
 
@@ -169,16 +155,16 @@ def _cmd_build_index(args: argparse.Namespace) -> int:
     load_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    graph_store = GraphStore.build(graph, columnar=not args.rows)
+    graph_store = GraphStore.build(graph)
     build_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    size = graph_store.save(args.output, format=args.format)
+    size = graph_store.save(args.output)
     save_seconds = time.perf_counter() - started
     say(
         f"indexed {graph.num_edges} edges ({graph.num_nodes} nodes, "
         f"{graph.num_labels} labels) to {args.output} "
-        f"({args.format} {kind}, {size} bytes)\n"
+        f"({size} bytes)\n"
         f"load {load_seconds:.3f}s  build {build_seconds:.3f}s  "
         f"save {save_seconds:.3f}s"
     )
@@ -258,7 +244,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             return 1
         print(
             f"compacted {body.get('delta_edges')} delta edges into "
-            f"{body.get('snapshot')} ({body.get('format')})"
+            f"{body.get('snapshot')}"
         )
     return 0
 
@@ -298,29 +284,24 @@ def _load_system(args: argparse.Namespace) -> tuple[GQBE, str | None] | int:
 
 
 def build_frontend(system: GQBE, snapshot_path: str | None, args: argparse.Namespace):
-    """Construct the serving frontend the parsed ``serve``/``bench-serve``
-    argv asks for (shared with ``tools/check_docs.py``, which replays the
+    """Construct the server the parsed ``serve``/``bench-serve`` argv
+    asks for (shared with ``tools/check_docs.py``, which replays the
     documented console blocks against a real server)."""
-    options = {
-        "snapshot_path": snapshot_path,
-        "host": args.host,
-        "port": args.port,
-        "batch_window_seconds": args.batch_window_ms / 1000.0,
-        "max_batch": args.max_batch,
-        "cache_size": args.cache_size,
-        "workers": args.workers,
-        "compact_threshold": args.compact_threshold,
-    }
-    if args.max_body_bytes is not None:
-        options["max_body_bytes"] = args.max_body_bytes
-    if args.frontend == "threaded":
-        from repro.serving.server import GQBEServer
-
-        return GQBEServer(system, **options)
     from repro.serving.async_server import AsyncGQBEServer
 
+    options = {}
+    if args.max_body_bytes is not None:
+        options["max_body_bytes"] = args.max_body_bytes
     return AsyncGQBEServer(
         system,
+        snapshot_path=snapshot_path,
+        host=args.host,
+        port=args.port,
+        batch_window_seconds=args.batch_window_ms / 1000.0,
+        max_batch=args.max_batch,
+        cache_size=args.cache_size,
+        workers=args.workers,
+        compact_threshold=args.compact_threshold,
         high_water=args.high_water,
         deadline_ms=args.deadline_ms,
         rate_limit_rps=args.rate_limit_rps,
@@ -338,21 +319,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     system, snapshot_path = loaded
     server = build_frontend(system, snapshot_path, args)
     meta = system.graph_store.meta()
-    extras = ""
-    if args.frontend == "async":
-        extras = (
-            f", high water {args.high_water}"
-            + (f", deadline {args.deadline_ms}ms" if args.deadline_ms else "")
-            + (
-                f", rate limit {args.rate_limit_rps:g} rps"
-                if args.rate_limit_rps
-                else ""
-            )
-        )
+    extras = (
+        f", high water {args.high_water}"
+        + (f", deadline {args.deadline_ms}ms" if args.deadline_ms else "")
+        + (f", rate limit {args.rate_limit_rps:g} rps" if args.rate_limit_rps else "")
+    )
     print(
         f"serving {meta.get('num_edges')} edges ({meta.get('num_nodes')} nodes) "
         f"on http://{server.host}:{server.port}  "
-        f"[{args.frontend} frontend, batch window {args.batch_window_ms:g}ms, "
+        f"[batch window {args.batch_window_ms:g}ms, "
         f"max batch {args.max_batch}, cache {args.cache_size}, "
         f"workers {args.workers}{extras}]"
     )
@@ -387,18 +362,14 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
         )
         workload = build(scale=args.scale)
         if args.workers > 1:
-            # Pooled runs serve from a real sharded snapshot (v3 by
-            # default) so the workers memory-map shared pages instead of
-            # each forking a private copy of the workload graph.
+            # Pooled runs serve from a real snapshot so the workers
+            # memory-map shared pages instead of each forking a private
+            # copy of the workload graph.
             import tempfile
 
-            from repro.storage.snapshot import GraphStore as _GraphStore
-
             scratch_dir = tempfile.mkdtemp(prefix="gqbe-bench-")
-            snapshot_path = str(Path(scratch_dir) / "workload.snapdir")
-            _GraphStore.build(workload.dataset.graph).save(
-                snapshot_path, format=args.snapshot_format
-            )
+            snapshot_path = str(Path(scratch_dir) / "workload.snap")
+            GraphStore.build(workload.dataset.graph).save(snapshot_path)
             system = GQBE.from_snapshot(snapshot_path)
         else:
             system = GQBE(workload.dataset.graph)
@@ -624,30 +595,15 @@ def build_parser() -> argparse.ArgumentParser:
         "graph",
         help="path to a TSV, NT or CSV-export triple file (.gz accepted)",
     )
-    build_index.add_argument("output", help="output snapshot path")
-    build_index.add_argument(
-        "--rows",
-        action="store_true",
-        help="build tuple-row tables (the reference engine) instead of columnar",
-    )
-    build_index.add_argument(
-        "--format",
-        choices=("v1", "v2", "v3"),
-        default="v1",
-        help="v1: single-file snapshot; v2: sharded directory whose label "
-        "tables reopen as zero-copy memory-mapped shards (partial loads, "
-        "page sharing across serve workers); v3: v2 plus a mapped "
-        "vocabulary string arena and a graph CSR shard, so serve workers "
-        "share those pages too",
-    )
+    build_index.add_argument("output", help="output snapshot directory")
     build_index.add_argument(
         "--streaming",
         action="store_true",
         help="build out-of-core: stream the dump in bounded chunks, "
         "external-sort the vocabulary and per-label rows through disk "
-        "spill runs, and write the v3 shards incrementally — same bytes "
-        "as the in-memory build, without holding the graph in memory "
-        "(v1/v2 accept the flag but still materialize; see docs/building.md)",
+        "spill runs, and write the shards incrementally — same bytes as "
+        "the in-memory build, without holding the graph in memory "
+        "(see docs/building.md)",
     )
     build_index.add_argument(
         "--build-workers",
@@ -715,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=1,
             help="process-pool width for batch execution: each worker opens "
-            "the served snapshot (shared mapped pages with a v2/v3 snapshot) "
+            "the served snapshot (shared mapped pages) "
             "and batching windows are sharded across them; 1 = inline",
         )
         parser.add_argument(
@@ -729,19 +685,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         defaults = GQBEConfig()
         parser.add_argument(
-            "--frontend",
-            choices=("async", "threaded"),
-            default="async",
-            help="async: event-loop frontend with admission control and "
-            "/metrics (the default); threaded: the original "
-            "thread-per-connection frontend",
-        )
-        parser.add_argument(
             "--high-water",
             type=int,
             default=defaults.serve_high_water,
             dest="high_water",
-            help="admission high-water mark of the async frontend: requests "
+            help="admission high-water mark: requests "
             "past this many in flight are shed with 429 + Retry-After",
         )
         parser.add_argument(
@@ -749,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=defaults.serve_deadline_ms,
             dest="deadline_ms",
-            help="per-request engine deadline (ms) of the async frontend; "
+            help="per-request engine deadline (ms); "
             "expired requests get 504 and their batch slot is abandoned "
             "(default: no deadline)",
         )
@@ -781,8 +729,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=float,
             default=defaults.serve_cache_ttl_seconds,
             dest="cache_ttl_seconds",
-            help="time-to-live for answer-cache entries of the async "
-            "frontend (default: no TTL, pure LRU)",
+            help="time-to-live for answer-cache entries "
+            "(default: no TTL, pure LRU)",
         )
         parser.add_argument(
             "--compact-threshold",
@@ -816,15 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_serve.add_argument(
         "--scale", type=float, default=0.5, help="workload scale for --workload"
-    )
-    bench_serve.add_argument(
-        "--snapshot-format",
-        choices=("v2", "v3"),
-        default="v3",
-        dest="snapshot_format",
-        help="sharded snapshot format for the scratch snapshot a pooled "
-        "--workload run serves from (v3 additionally maps the vocabulary "
-        "and graph, minimizing per-worker incremental RSS)",
     )
     bench_serve.add_argument(
         "--tuple",

@@ -79,37 +79,28 @@ class GQBEConfig:
         thread.  ``"pool"`` shards the batch across a process pool
         (:class:`~repro.serving.pool.WorkerPool`) of ``pool_workers``
         workers — each worker opens the same snapshot (zero-copy shared
-        pages with a v2 mapped snapshot), bypassing the GIL for
+        pages of the mapped snapshot), bypassing the GIL for
         CPU-bound explorations.  Ranked answers are byte-identical
         either way; single queries and multi-tuple queries always run
         inline.
     pool_workers:
         Number of worker processes for ``execution="pool"``.  ``None``
         picks ``os.cpu_count()`` (capped at 8).
-    prefetch_shards:
-        Issue read-ahead hints for memory-mapped snapshot shards: when a
-        join plan is formed, every label shard the plan will probe is
-        opened immediately (with ``madvise(WILLNEED)``, where the
-        platform has it) so the kernel faults pages in while execution
-        is still setting up.  Only affects systems loaded from a sharded
-        (v2/v3) snapshot; answers are identical either way.  Disable to
-        keep shard opening strictly probe-driven (e.g. when measuring
-        lazy-load behavior).
     serve_high_water:
-        Admission high-water mark of the async serving frontend
+        Admission high-water mark of the serving frontend
         (:class:`~repro.serving.async_server.AsyncGQBEServer`): the
         maximum number of admitted in-flight requests.  Past it, new
         queries are shed with ``429`` + ``Retry-After`` instead of
         queueing unboundedly.  Only read by the serving tier (``gqbe
         serve --high-water``); the engine itself ignores it.
     serve_deadline_ms:
-        Per-request engine deadline of the async frontend, in
+        Per-request engine deadline of the serving frontend, in
         milliseconds.  A request whose engine work has not finished
         inside the deadline is answered ``504`` and its batcher slot
         abandoned.  ``None`` disables deadlines (the serving
         ``request_timeout`` still caps batcher waits with ``503``).
     serve_rate_limit_rps:
-        Per-client sustained rate limit of the async frontend, in
+        Per-client sustained rate limit of the serving frontend, in
         requests/second (token bucket keyed by API key).  ``None``
         disables rate limiting.
     serve_rate_limit_burst:
@@ -117,7 +108,7 @@ class GQBEConfig:
         previously idle client may issue back-to-back before the
         sustained ``serve_rate_limit_rps`` applies.
     serve_cache_ttl_seconds:
-        Time-to-live for answer-cache entries of the async frontend: an
+        Time-to-live for answer-cache entries of the serving frontend: an
         entry older than this is treated as a miss and evicted on
         access.  ``None`` keeps pure LRU (entries live until evicted or
         invalidated by ``/admin/reload``).
@@ -141,7 +132,6 @@ class GQBEConfig:
     native_kernels: str = "auto"
     execution: str = "inline"
     pool_workers: int | None = None
-    prefetch_shards: bool = True
     serve_high_water: int = 64
     serve_deadline_ms: int | None = None
     serve_rate_limit_rps: float | None = None

@@ -56,7 +56,7 @@ class GQBE:
         _kernels.select(self.config.native_kernels)
         #: Where this system was loaded from (set by :meth:`from_snapshot`);
         #: pooled execution hands it to the workers so each opens the same
-        #: (ideally memory-mapped v2) snapshot itself.
+        #: memory-mapped snapshot itself.
         self._snapshot_path: str | None = None
         self._pool = None
         self._pool_lock = threading.Lock()
@@ -79,7 +79,6 @@ class GQBE:
                     "or adjust the config"
                 )
             self._graph_store = graph_store
-            graph_store.set_prefetch(self.config.prefetch_shards)
         else:
             # Cold start: run the offline build now.  Entities are interned
             # to dense int ids (and decoded back to strings only when
@@ -386,7 +385,7 @@ class GQBE:
         """The process pool backing ``execution="pool"`` (built lazily).
 
         Snapshot-loaded systems hand each worker the snapshot path to
-        reopen (zero-copy shared pages with a v2 mapped snapshot), plus
+        reopen (zero-copy shared mapped pages), plus
         any pending ingest delta to replay on top; graph-built systems
         fall back to fork-time inheritance (the forked image already
         contains the delta).  Call :meth:`close` to shut the workers

@@ -21,7 +21,7 @@ byte-identical to a from-scratch build of the merged graph
 
 Compaction folds the overlay back into CSR form via
 :meth:`DeltaKnowledgeGraph.csr_lists`; pickling materializes the merged
-owned graph, so a delta-carrying bundle still saves as v1/v2.
+owned graph.
 """
 
 from __future__ import annotations
@@ -406,7 +406,7 @@ class DeltaKnowledgeGraph:
         return _knowledge_graph_from_csr(*self._csr_state())
 
     # Like the mapped base, a delta view pickles as the equivalent owned
-    # merged KnowledgeGraph (v1/v2 resaves of a mutated bundle).
+    # merged KnowledgeGraph.
     def __reduce__(self):
         return (_knowledge_graph_from_csr, self._csr_state())
 

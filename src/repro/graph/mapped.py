@@ -25,8 +25,7 @@ graph (and are guaranteed by the shard writer):
 
 Pickling a mapped graph materializes an equivalent
 :class:`~repro.graph.knowledge_graph.KnowledgeGraph` (per-node adjacency
-orders preserved), so a v3 → v1 resave stays self-contained and
-byte-compatible.
+orders preserved), so a pickle never holds a handle onto mapped pages.
 """
 
 from __future__ import annotations
@@ -375,8 +374,8 @@ class MappedKnowledgeGraph:
         return _knowledge_graph_from_csr(*self._csr_state())
 
     # Mapped buffers must never leak into a pickle; a mapped graph
-    # serializes as the equivalent owned KnowledgeGraph (v3 → v1 resave,
-    # fork-free worker transports).
+    # serializes as the equivalent owned KnowledgeGraph (fork-free
+    # worker transports).
     def __reduce__(self):
         return (_knowledge_graph_from_csr, self._csr_state())
 

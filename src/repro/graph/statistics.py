@@ -28,10 +28,7 @@ import math
 from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
-try:  # pragma: no cover - numpy is present everywhere mapped snapshots are
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
+import numpy as np
 
 from repro.exceptions import GraphError
 from repro.graph.knowledge_graph import Edge, KnowledgeGraph
@@ -70,16 +67,6 @@ class GraphStatistics:
         # and are requested for the same neighborhood edges query after
         # query, so they are memoized per edge.
         self._base_weight_cache: dict[Edge, float] = {}
-
-    # ------------------------------------------------------------------
-    # The snapshot subsystem serializes statistics *without* the graph
-    # back-reference (the graph is its own snapshot section) and re-wires
-    # ``_graph`` on load; the memo cache is rebuilt on demand.
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["_graph"] = None
-        state["_base_weight_cache"] = {}
-        return state
 
     # ------------------------------------------------------------------
     @property
@@ -382,8 +369,8 @@ class MappedGraphStatistics(GraphStatistics):
 
     def __reduce__(self):
         # A pickled copy cannot carry the mmap-backed columns; it
-        # becomes an equivalent plain-dict GraphStatistics (the v1/v2
-        # save paths and any cross-process handoff hit this).
+        # becomes an equivalent plain-dict GraphStatistics (any
+        # cross-process handoff hits this).
         return (
             _restore_plain_statistics,
             (

@@ -6,27 +6,22 @@ north star is serving heavy traffic.  This package adds the missing layer:
 * :class:`~repro.serving.cache.AnswerCache` — a thread-safe LRU of
   serialized answers keyed on the canonicalized query, with
   generation-based invalidation so a snapshot reload can never serve a
-  stale answer (:class:`~repro.serving.limits.TTLAnswerCache` adds
-  per-entry time-to-live on top);
+  stale answer, and an optional per-entry time-to-live;
 * :class:`~repro.serving.batching.QueryBatcher` — a micro-batching worker
   that groups requests arriving within a small window into one
   :meth:`~repro.core.gqbe.GQBE.query_batch` call;
-* :class:`~repro.serving.server.ServingCore` — the frontend-agnostic
-  engine (cache + batcher + pool + reload) both HTTP frontends share;
-* :class:`~repro.serving.async_server.AsyncGQBEServer` — the default
-  asyncio frontend: admission control (bounded in-flight queue,
+* :class:`~repro.serving.server.ServingCore` — the transport-agnostic
+  engine (cache + batcher + pool + reload + ingest + compaction);
+* :class:`~repro.serving.async_server.AsyncGQBEServer` — the asyncio
+  HTTP frontend over it: admission control (bounded in-flight queue,
   per-client token-bucket rate limits, request deadlines) and a
   Prometheus-text ``GET /metrics`` endpoint on top of the core's
   ``POST /query``, ``GET /healthz``, ``GET /stats`` and
   ``POST /admin/reload``;
-* :class:`~repro.serving.server.GQBEServer` — the original threaded HTTP
-  frontend (stdlib ``ThreadingHTTPServer``), kept as
-  ``gqbe serve --frontend threaded`` and as the equivalence reference
-  (both frontends serve byte-identical answers);
 * :class:`~repro.serving.pool.WorkerPool` — a process pool that shards
-  a batch window across N workers, each holding the same (ideally
-  memory-mapped v2) snapshot open, bypassing the GIL for CPU-bound
-  explorations (``gqbe serve --workers N``);
+  a batch window across N workers, each holding the same memory-mapped
+  snapshot open, bypassing the GIL for CPU-bound explorations
+  (``gqbe serve --workers N``);
 * :mod:`~repro.serving.loadgen` — the ``gqbe bench-serve`` load driver
   (closed-loop capacity and open-loop overload arrivals) that measures
   serve throughput, latency percentiles and shed behavior.
@@ -46,12 +41,11 @@ programmatically::
 from repro.serving.batching import QueryBatcher
 from repro.serving.cache import AnswerCache
 from repro.serving.pool import WorkerPool
-from repro.serving.server import GQBEServer, ServingCore
+from repro.serving.server import ServingCore
 
 __all__ = [
     "AnswerCache",
     "QueryBatcher",
-    "GQBEServer",
     "ServingCore",
     "WorkerPool",
 ]

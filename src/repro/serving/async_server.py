@@ -1,6 +1,6 @@
 """Asyncio HTTP frontend with admission control and ``/metrics``.
 
-The default ``gqbe serve`` frontend.  One event loop accepts every
+The ``gqbe serve`` frontend.  One event loop accepts every
 connection (``asyncio.start_server``; stdlib-only, no aiohttp), parses
 HTTP/1.1 with keep-alive, and applies admission control *before* any
 request is allowed to touch the engine:
@@ -12,7 +12,7 @@ request is allowed to touch the engine:
    (:class:`~repro.serving.limits.RateLimiter`); a client over its
    sustained rate is shed with ``429`` + ``Retry-After``.
 3. **Answer cache** — duplicate queries are answered from the
-   generation-guarded :class:`~repro.serving.limits.TTLAnswerCache`
+   generation-guarded :class:`~repro.serving.cache.AnswerCache`
    without consuming an admission slot.
 4. **Admission gate** — a bounded in-flight counter
    (:class:`~repro.serving.limits.AdmissionGate`); past the high-water
@@ -25,10 +25,10 @@ request is allowed to touch the engine:
    executor thread and is discarded).
 
 Admitted work runs on a thread pool via ``run_in_executor`` feeding the
-exact same :class:`~repro.serving.server.ServingCore` the threaded
-frontend uses — answers are byte-identical between frontends (the SLO
-gate asserts this per commit).  ``GET /metrics`` exposes the Prometheus
-text exposition built by :mod:`repro.serving.metrics`.
+:class:`~repro.serving.server.ServingCore` this class extends — answers
+are byte-identical to calling the engine directly (the SLO gate asserts
+this per commit).  ``GET /metrics`` exposes the Prometheus text
+exposition built by :mod:`repro.serving.metrics`.
 
 Event-loop confinement: the rate limiter and admission gate are only
 touched from coroutines on the loop thread and therefore hold no locks;
@@ -48,12 +48,7 @@ from os import PathLike
 
 from repro.core.gqbe import GQBE
 from repro.exceptions import GQBEError
-from repro.serving.limits import (
-    AdmissionGate,
-    RateLimiter,
-    TTLAnswerCache,
-    retry_after_header,
-)
+from repro.serving.limits import AdmissionGate, RateLimiter, retry_after_header
 from repro.serving.metrics import (
     BATCH_SIZE_BUCKETS,
     LATENCY_BUCKETS,
@@ -99,7 +94,7 @@ _REASONS = {
 
 
 class AsyncGQBEServer(ServingCore):
-    """The asyncio frontend over a shared :class:`ServingCore`.
+    """The asyncio HTTP transport over :class:`ServingCore`.
 
     Parameters beyond :class:`ServingCore`'s:
 
@@ -117,8 +112,6 @@ class AsyncGQBEServer(ServingCore):
     api_keys:
         Optional allowlist; when set, requests must present
         ``Authorization: Bearer <key>``.
-    cache_ttl_seconds:
-        TTL for answer-cache entries (``None`` keeps pure LRU).
     """
 
     def __init__(
@@ -132,20 +125,11 @@ class AsyncGQBEServer(ServingCore):
         rate_limit_rps: float | None = None,
         rate_limit_burst: int = 32,
         api_keys: tuple[str, ...] | list[str] | None = None,
-        cache_ttl_seconds: float | None = None,
-        cache_size: int = 1024,
         **core_kwargs,
     ) -> None:
         if deadline_ms is not None and deadline_ms < 1:
             raise ValueError(f"deadline_ms must be >= 1 or None, got {deadline_ms}")
-        cache = TTLAnswerCache(cache_size, ttl_seconds=cache_ttl_seconds)
-        super().__init__(
-            system,
-            snapshot_path=snapshot_path,
-            cache_size=cache_size,
-            cache=cache,
-            **core_kwargs,
-        )
+        super().__init__(system, snapshot_path=snapshot_path, **core_kwargs)
         self._requested_host = host
         self._requested_port = port
         self.high_water = high_water
@@ -438,6 +422,11 @@ class AsyncGQBEServer(ServingCore):
             self._count("request_errors")
             status, payload, extra = error.status, {"error": error.message}, error.headers
             keep_alive = False
+        except asyncio.IncompleteReadError:
+            # Only the stream reads above raise this: the client hung up
+            # inside the head or the body.  Not a server error and nobody
+            # to answer; _handle_connection closes the socket quietly.
+            raise
         # gqbe: ignore[EXC001] -- the top-of-request net: any unhandled
         # failure becomes a logged traceback plus a generic 500 rather
         # than a dropped connection or a leaked stack trace.
@@ -595,8 +584,7 @@ class AsyncGQBEServer(ServingCore):
     ) -> tuple[int, object, dict]:
         # The generation must be read before computing: if a snapshot
         # reload lands mid-flight, this answer describes the old graph
-        # and the put below is dropped (same contract as the threaded
-        # frontend; tests/test_async_serving.py pins it).
+        # and the put below is dropped (tests/test_serving.py pins it).
         generation = self._cache.generation
         loop = asyncio.get_running_loop()
         deadline_seconds = (

@@ -1,11 +1,11 @@
 """Thread-safe LRU answer cache with generation-based invalidation.
 
 The serve layer caches *serialized response payloads* keyed on the
-canonicalized query (``(query tuples, k, k_prime)``).  Two properties
+canonicalized query (``(query tuples, k, k_prime)``).  Three properties
 matter beyond plain LRU semantics:
 
-* **Thread safety** — the HTTP server handles requests on one thread per
-  connection; every cache operation holds one lock.
+* **Thread safety** — lookups happen on the server's event loop, puts on
+  its executor threads; every cache operation holds one lock.
 * **Staleness safety across snapshot reloads** — a request may be in
   flight (computing against the *old* snapshot) while an operator swaps
   in a new one.  A plain ``put`` after the swap would poison the cache
@@ -15,13 +15,21 @@ matter beyond plain LRU semantics:
   the generation the caller observed *before* it started computing — a
   put tagged with an outdated generation is dropped.  This is pinned by
   ``tests/test_serving.py``.
+* **Optional time-to-live** — with ``ttl_seconds`` set, an entry older
+  than that is treated as a miss and evicted on access, so long-lived
+  duplicate-heavy traffic cannot pin answers forever on a server that
+  never reloads.  Duplicate queries answered here never consume an
+  admission slot, which is what makes the cache an admission-control
+  lever and not just a latency one.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
-from typing import Any, Hashable
+from collections.abc import Callable, Hashable
+from typing import Any
 
 
 class AnswerCache:
@@ -33,13 +41,28 @@ class AnswerCache:
         Maximum number of cached answers; the least recently used entry
         is evicted first.  ``0`` disables caching entirely (every
         ``get`` misses, every ``put`` is dropped).
+    ttl_seconds:
+        Per-entry time-to-live; ``None`` (the default) disables expiry
+        (pure LRU).
+    clock:
+        Injectable so expiry is testable without sleeping.
     """
 
-    def __init__(self, capacity: int = 1024) -> None:
+    def __init__(
+        self,
+        capacity: int = 1024,
+        ttl_seconds: float | None = None,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
+        if ttl_seconds is not None and ttl_seconds <= 0:
+            raise ValueError(f"ttl_seconds must be > 0 or None, got {ttl_seconds}")
         self.capacity = capacity
-        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
+        self.ttl_seconds = ttl_seconds
+        self._now = clock
+        #: key -> (payload, expiry time or None)
+        self._entries: OrderedDict[Hashable, tuple[Any, float | None]] = OrderedDict()
         self._lock = threading.Lock()
         self._generation = 0
         self.hits = 0
@@ -47,6 +70,7 @@ class AnswerCache:
         self.stale_puts = 0
         self.evictions = 0
         self.invalidations = 0
+        self.expirations = 0
 
     @property
     def generation(self) -> int:
@@ -62,12 +86,16 @@ class AnswerCache:
         """The cached payload for ``key`` (marking it recently used)."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
+            if entry is not None:
+                value, expires_at = entry
+                if expires_at is None or self._now() < expires_at:
+                    self._entries.move_to_end(key)
+                    self.hits += 1
+                    return value
+                del self._entries[key]
+                self.expirations += 1
+            self.misses += 1
+            return None
 
     def put(self, key: Hashable, value: Any, generation: int) -> bool:
         """Insert ``value`` if ``generation`` is still current.
@@ -83,7 +111,10 @@ class AnswerCache:
                 return False
             if self.capacity == 0:
                 return False
-            self._entries[key] = value
+            expires_at = (
+                None if self.ttl_seconds is None else self._now() + self.ttl_seconds
+            )
+            self._entries[key] = (value, expires_at)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -98,7 +129,7 @@ class AnswerCache:
             self.invalidations += 1
             return self._generation
 
-    def stats(self) -> dict[str, int]:
+    def stats(self) -> dict[str, float | None]:
         """Counter snapshot for the ``/stats`` endpoint."""
         with self._lock:
             return {
@@ -110,4 +141,6 @@ class AnswerCache:
                 "stale_puts": self.stale_puts,
                 "evictions": self.evictions,
                 "invalidations": self.invalidations,
+                "ttl_seconds": self.ttl_seconds,
+                "expirations": self.expirations,
             }

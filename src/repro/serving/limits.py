@@ -1,41 +1,30 @@
-"""Admission control for the async serving frontend.
+"""Admission control for the serving frontend.
 
-Three levers, applied in order by
-:class:`~repro.serving.async_server.AsyncGQBEServer` before a request is
-allowed to touch the batcher/pool:
+Two levers, applied by
+:class:`~repro.serving.async_server.AsyncGQBEServer` (around the answer
+cache, which absorbs duplicates between them) before a request is allowed
+to touch the batcher/pool:
 
 1. :class:`RateLimiter` — per-client token buckets keyed by API key
    (``Authorization`` header).  A client above its sustained rate is
    shed with ``429`` + ``Retry-After`` computed from its bucket's refill
    time, so one hot client cannot starve the rest.
-2. :class:`TTLAnswerCache` — the cross-batch answer cache (LRU +
-   generation guard inherited from
-   :class:`~repro.serving.cache.AnswerCache`, plus per-entry TTL expiry).
-   Duplicate-heavy traffic short-circuits here without consuming an
-   admission slot, which is what makes the cache an admission-control
-   lever and not just a latency one.
-3. :class:`AdmissionGate` — a bounded in-flight counter.  Past the
+2. :class:`AdmissionGate` — a bounded in-flight counter.  Past the
    high-water mark the request is shed with ``429`` + ``Retry-After``
-   instead of queueing unboundedly (the failure mode of the threaded
-   frontend: one thread per connection, no backpressure).
+   instead of queueing unboundedly.
 
 Thread-safety note: :class:`RateLimiter` and :class:`AdmissionGate` are
 **event-loop confined** — they are only ever touched from coroutines on
 the server's loop thread, which serializes access, so they deliberately
 own no locks.  Mutating them from a foreign thread would be a bug; the
 ``CON005`` analyzer (``tools/gqbecheck``) polices exactly that pattern.
-:class:`TTLAnswerCache` inherits the parent cache's lock because cache
-puts also happen on executor threads.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable, Hashable
-from typing import Any
-
-from repro.serving.cache import AnswerCache
+from collections.abc import Callable
 
 
 class TokenBucket:
@@ -183,59 +172,3 @@ class AdmissionGate:
 def retry_after_header(seconds: float) -> str:
     """``Retry-After`` delay-seconds: a positive integer, rounded up."""
     return str(max(1, math.ceil(seconds)))
-
-
-class TTLAnswerCache(AnswerCache):
-    """The LRU answer cache plus per-entry time-to-live expiry.
-
-    Everything the parent guarantees still holds — thread safety, LRU
-    eviction, and the generation guard that drops puts computed against
-    a pre-reload snapshot (``tests/test_serving.py`` pins it; the async
-    reload test re-pins it through this class).  On top of that, an
-    entry older than ``ttl_seconds`` is treated as a miss and evicted on
-    access, so long-lived duplicate-heavy traffic cannot pin answers
-    forever on a server that never reloads.  ``ttl_seconds=None``
-    disables expiry (pure LRU, byte-compatible with the parent).
-    """
-
-    def __init__(
-        self,
-        capacity: int = 1024,
-        ttl_seconds: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ValueError(f"ttl_seconds must be > 0 or None, got {ttl_seconds}")
-        super().__init__(capacity)
-        self.ttl_seconds = ttl_seconds
-        self._now = clock
-        self.expirations = 0
-
-    def get(self, key: Hashable) -> Any | None:
-        if self.ttl_seconds is None:
-            return super().get(key)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                value, expires_at = entry
-                if self._now() < expires_at:
-                    self._entries.move_to_end(key)
-                    self.hits += 1
-                    return value
-                del self._entries[key]
-                self.expirations += 1
-            self.misses += 1
-            return None
-
-    def put(self, key: Hashable, value: Any, generation: int) -> bool:
-        if self.ttl_seconds is None:
-            return super().put(key, value, generation)
-        wrapped = (value, self._now() + self.ttl_seconds)
-        return super().put(key, wrapped, generation)
-
-    def stats(self) -> dict[str, float]:
-        return {
-            **super().stats(),
-            "ttl_seconds": self.ttl_seconds,
-            "expirations": self.expirations,
-        }

@@ -1,10 +1,10 @@
 """Load driver for the serve layer (the ``gqbe bench-serve`` subcommand).
 
-Fires ``requests`` HTTP queries at a running server (threaded or async
-frontend), measures per-request latency, and folds in the server's own
-``/stats`` counters (cache hit rate, batch sizes).  The report is
-printed as a table by the CLI and written as JSON for CI to upload next
-to the bench-gate artifact.
+Fires ``requests`` HTTP queries at a running server, measures
+per-request latency, and folds in the server's own ``/stats`` counters
+(cache hit rate, batch sizes).  The report is printed as a table by the
+CLI and written as JSON for CI to upload next to the bench-gate
+artifact.
 
 Two arrival modes:
 
@@ -15,7 +15,7 @@ Two arrival modes:
 * ``open`` — requests are dispatched on a fixed schedule of ``rate``
   requests/second regardless of completions, each on its own
   connection.  Measures overload behavior: past the admission high-water
-  mark the async frontend must shed with ``429`` + ``Retry-After``
+  mark the server must shed with ``429`` + ``Retry-After``
   instead of queueing, and the report counts exactly that
   (``status_counts``, ``retry_after_seen``, ``transport_errors``).
 """
@@ -327,9 +327,8 @@ def bench_serve(
         # opens the snapshot and touches every section/shard, minus the
         # interpreter+numpy floor.  Live worker RSS is dominated by
         # transient query allocations; this figure isolates what the
-        # snapshot format itself costs each worker (v2 maps the tables;
-        # v3 additionally maps the vocabulary and graph, pushing it
-        # toward the statistics pickle alone).
+        # snapshot itself costs each worker (every shard is mapped, so
+        # it tends toward the two section pickles alone).
         from repro.serving.pool import (
             interpreter_floor_rss_bytes,
             snapshot_worker_structural_rss_bytes,

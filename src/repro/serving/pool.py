@@ -6,11 +6,11 @@ can use one core no matter how many serving threads pile up.
 one :meth:`~repro.core.gqbe.GQBE.query_batch` window across them:
 
 * **snapshot-backed** pools give each worker its *own*
-  ``GQBE.from_snapshot(path)`` over the same snapshot.  With a v2
-  sharded snapshot every worker memory-maps the same shard files, so
-  the big columns and probe indexes live in shared page-cache pages —
-  the incremental RSS per worker is the vocabulary plus python objects,
-  not another copy of the graph;
+  ``GQBE.from_snapshot(path)`` over the same snapshot.  Every worker
+  memory-maps the same shard files, so the columns, probe indexes,
+  vocabulary and graph live in shared page-cache pages — the
+  incremental RSS per worker is python objects, not another copy of
+  the graph;
 * **fork-inherited** pools (no snapshot path; requires the ``fork``
   start method) hand the parent's already-built system to the children
   through copy-on-write memory.
@@ -19,8 +19,8 @@ Answers are **byte-identical** to inline execution: each worker runs an
 ordinary ``query_batch`` over its chunk (itself pinned byte-identical
 to sequential ``query()`` calls), duplicate tuples are collapsed in the
 parent and fanned back out, and chunk results are merged in input
-order.  ``tests/test_pool_execution.py`` pins the 4-way equivalence
-(v1-loaded / v2-mapped / inline / pooled).
+order.  ``tests/test_pool_execution.py`` pins the equivalence
+(cold-built / snapshot-mapped, inline / pooled).
 
 Wired up by ``GQBEConfig(execution="pool", pool_workers=N)`` on the
 facade, and by ``gqbe serve --workers N`` /
@@ -92,8 +92,8 @@ def _init_worker(
     if snapshot_path is not None:
         from repro.core.gqbe import GQBE
 
-        # Each worker opens the snapshot itself.  For v2/v3 this maps the
-        # shard files read-only: all workers share the physical pages.
+        # Each worker opens the snapshot itself, mapping the shard files
+        # read-only: all workers share the physical pages.
         _WORKER_SYSTEM = GQBE.from_snapshot(snapshot_path, config=config)
         if delta_triples:
             _WORKER_SYSTEM.ingest(delta_triples)
@@ -489,23 +489,17 @@ _STRUCTURAL_SCRIPT = (
 )
 
 
-def snapshot_worker_structural_rss_bytes(
-    snapshot_path, strict: bool = False
-) -> int | None:
+def snapshot_worker_structural_rss_bytes(snapshot_path) -> int | None:
     """RSS of a worker that opened ``snapshot_path`` and touched everything.
 
     Spawns a fresh process that materializes every section and maps
     every table shard, then reports its ``VmRSS`` — the *structural*
     per-worker footprint, free of transient query allocations (which
-    dwarf the sections under load and make live worker RSS useless for
-    format comparisons).  Subtract :func:`interpreter_floor_rss_bytes`
-    to get the incremental bytes a worker pays for the graph itself:
-    v2 drops the table columns+indexes from that figure, v3 additionally
-    drops the vocabulary and the graph adjacency.
-
-    ``strict=True`` (the CI gate) raises on probe failure — surfacing
-    the child's stderr — instead of returning ``None``; a broken probe
-    must fail the gate loudly, not silently disable it.
+    dwarf the sections under load).  Subtract
+    :func:`interpreter_floor_rss_bytes` to get the incremental bytes a
+    worker pays for the graph itself; the mapped shards are shared
+    pages, so that figure is the two small section pickles plus python
+    objects.  ``None`` when the probe cannot run.
     """
     samples = []
     for _ in range(2):  # min of two runs damps allocator/procfs noise
@@ -517,16 +511,7 @@ def snapshot_worker_structural_rss_bytes(
                 check=True,
             )
             samples.append(int(completed.stdout))
-        except subprocess.CalledProcessError as error:
-            if strict:
-                raise RuntimeError(
-                    "structural RSS probe failed:\n"
-                    + error.stderr.decode("utf-8", errors="replace")
-                ) from error
-            return None
         except (OSError, ValueError, subprocess.SubprocessError):
-            if strict:
-                raise
             return None
     return min(samples) or None
 

@@ -1,17 +1,16 @@
-"""Threaded HTTP frontend serving GQBE queries from one warm snapshot.
+"""The serving engine behind the HTTP frontend: cache, batcher, pool, reload.
 
-``gqbe serve --snapshot data.snap`` wires this up from the CLI; tests and
-the ``bench-serve`` load driver embed :class:`GQBEServer` directly.  The
-server is deliberately stdlib-only (``http.server``): one daemon thread
-runs a ``ThreadingHTTPServer`` (a handler thread per connection), handler
-threads funnel single-tuple queries through the shared
-:class:`~repro.serving.batching.QueryBatcher` (so concurrent requests
-are executed as one :meth:`~repro.core.gqbe.GQBE.query_batch`), and a
-generation-guarded :class:`~repro.serving.cache.AnswerCache` short-cuts
-repeat queries entirely.
+:class:`ServingCore` owns everything about serving GQBE queries from one
+warm snapshot that is not a socket: single-tuple queries funnel through
+the shared :class:`~repro.serving.batching.QueryBatcher` (so concurrent
+requests are executed as one :meth:`~repro.core.gqbe.GQBE.query_batch`),
+a generation-guarded :class:`~repro.serving.cache.AnswerCache`
+short-cuts repeat queries entirely, and snapshot reloads, live ingest
+and compaction swap the engine under one lock order.  The transport —
+:class:`~repro.serving.async_server.AsyncGQBEServer`, which ``gqbe serve
+--snapshot data.snap`` wires up — subclasses it and maps these routes
+onto its methods:
 
-Endpoints
----------
 ``POST /query``
     Body ``{"tuple": ["Jerry Yang", "Yahoo!"], "k": 10}`` for a
     single-tuple query, or ``{"tuples": [[...], [...]], ...}`` for a
@@ -42,14 +41,12 @@ Endpoints
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import shutil
 import threading
 import time
 from dataclasses import replace
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from os import PathLike
 
 from repro.core.answer import QueryResult
@@ -67,15 +64,6 @@ logger = logging.getLogger("repro.serving")
 #: unbounded ``Content-Length`` would let one request allocate arbitrary
 #: memory.
 DEFAULT_MAX_BODY_BYTES = 4 * 1024 * 1024
-
-
-class _RequestBodyError(Exception):
-    """A request body that must be rejected before reading/parsing it."""
-
-    def __init__(self, status: int, message: str) -> None:
-        self.status = status
-        self.message = message
-        super().__init__(message)
 
 
 def _result_payload(result: QueryResult) -> dict:
@@ -102,13 +90,12 @@ def _result_payload(result: QueryResult) -> dict:
 
 
 class ServingCore:
-    """The frontend-agnostic serving engine: cache, batcher, pool, reload.
+    """The transport-agnostic serving engine: cache, batcher, pool, reload.
 
-    Both HTTP frontends — the threaded :class:`GQBEServer` below and the
-    asyncio :class:`~repro.serving.async_server.AsyncGQBEServer` — are
-    thin transports over this core, so answers, caching semantics and
-    reload behavior are identical regardless of which frontend accepted
-    the connection.
+    :class:`~repro.serving.async_server.AsyncGQBEServer` is the HTTP
+    transport over this core; :meth:`handle_query` and friends are
+    plain methods so tests and probes can drive the serving semantics
+    without a socket.
 
     Parameters
     ----------
@@ -120,6 +107,8 @@ class ServingCore:
         Micro-batching knobs (see :class:`~repro.serving.batching.QueryBatcher`).
     cache_size:
         LRU answer-cache capacity (``0`` disables caching).
+    cache_ttl_seconds:
+        TTL for answer-cache entries (``None`` keeps pure LRU).
     request_timeout:
         Per-request cap on waiting for a batch slot plus execution.
     max_body_bytes:
@@ -131,14 +120,9 @@ class ServingCore:
         --workers``).  With ``workers > 1`` every multi-query batching
         window is sharded across a
         :class:`~repro.serving.pool.WorkerPool` whose workers each open
-        the served snapshot (shared mapped pages with a v2 snapshot),
+        the served snapshot (shared mapped pages),
         bypassing the GIL for CPU-bound explorations; ``1`` keeps the
         inline single-process path.
-    cache:
-        An :class:`~repro.serving.cache.AnswerCache` instance to use
-        instead of constructing one from ``cache_size`` — the async
-        frontend passes a :class:`~repro.serving.limits.TTLAnswerCache`
-        here.
     compact_threshold:
         Trigger a background compaction once the in-memory delta holds
         at least this many edges (``gqbe serve --compact-threshold``).
@@ -156,7 +140,7 @@ class ServingCore:
         request_timeout: float = 60.0,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         workers: int = 1,
-        cache: AnswerCache | None = None,
+        cache_ttl_seconds: float | None = None,
         compact_threshold: int | None = None,
     ) -> None:
         if workers < 1:
@@ -179,7 +163,7 @@ class ServingCore:
         # actual swap.  Lock order is always mutate -> exec, never the
         # reverse — query execution takes only ``_exec_lock``.
         self._mutate_lock = threading.Lock()
-        self._cache = cache if cache is not None else AnswerCache(cache_size)
+        self._cache = AnswerCache(cache_size, ttl_seconds=cache_ttl_seconds)
         self._pool = self._make_pool()
         self._batcher = QueryBatcher(
             self._run_batch,
@@ -188,7 +172,7 @@ class ServingCore:
             pool=self._pool,
         )
         self._started_at = time.monotonic()
-        # Handler threads are concurrent; counter updates take this lock
+        # Executor threads are concurrent; counter updates take this lock
         # (a bare += is a lost-update race across threads).
         self._counter_lock = threading.Lock()
         self.requests_served = 0
@@ -255,8 +239,8 @@ class ServingCore:
         return self._system
 
     def close_engine(self) -> None:
-        """Shut the batching worker and the pool down (frontends call
-        this from their own ``stop``)."""
+        """Shut the batching worker and the pool down (the transport
+        calls this from its own ``stop``)."""
         self._batcher.close()
         if self._pool is not None:
             self._pool.close()
@@ -406,29 +390,18 @@ class ServingCore:
             delta_edges = len(graph_store.delta_triples)
             target = next_generation_path(self.snapshot_path)
             tmp = target.with_name(target.name + ".tmp")
-            # The compacted generation keeps the store's own layout: a
-            # columnar+interned store flushes to a v3 directory even if
-            # the base was a v1 file (load auto-detects either).
-            fmt = (
-                "v3"
-                if graph_store.columnar and graph_store.intern_entities
-                else "v1"
-            )
             try:
                 # Held across the save so no query can trigger lazy
                 # section materialization while the writer iterates the
                 # store (writes still serialize via _mutate_lock).
                 with self._exec_lock:
-                    graph_store.save(tmp, format=fmt)
+                    graph_store.save(tmp)
             # gqbe: ignore[EXC001] -- cleanup-and-reraise: whatever
             # interrupted the save (including KeyboardInterrupt), the
             # half-written tmp dir must not survive to be mistaken for
             # a generation; the exception itself propagates unchanged.
             except BaseException:
-                if tmp.is_dir():
-                    shutil.rmtree(tmp, ignore_errors=True)
-                elif tmp.exists():
-                    tmp.unlink()
+                shutil.rmtree(tmp, ignore_errors=True)
                 raise
             os.replace(tmp, target)
             # Counted before the swap publishes the new path (``/healthz``
@@ -443,7 +416,6 @@ class ServingCore:
             "snapshot": str(target),
             "generation": generation,
             "delta_edges": delta_edges,
-            "format": fmt,
         }
 
     def handle_compact(self) -> tuple[int, dict]:
@@ -455,8 +427,8 @@ class ServingCore:
             return 400, {"error": str(error), "type": type(error).__name__}
 
     def _note_compaction(self) -> None:
-        """Hook for frontends to observe compactions (metrics); called with
-        the new generation on disk, just before it is swapped in."""
+        """Hook for the transport to observe compactions (metrics); called
+        with the new generation on disk, just before it is swapped in."""
 
     def _maybe_start_compaction(self, delta_edges: int) -> bool:
         """Kick off a background compaction when the delta is big enough.
@@ -641,7 +613,7 @@ class ServingCore:
         """Parent and per-worker RSS (Linux procfs; best-effort elsewhere).
 
         ``gqbe bench-serve --json`` records this next to the throughput
-        numbers: with a v2 mapped snapshot the per-worker RSS stays
+        numbers: over a mapped snapshot the per-worker RSS stays
         nearly flat as ``--workers`` grows, because the shard pages are
         shared, not copied.  The ``peak`` fields are ``VmHWM`` —
         high-water marks, immune to pages being reclaimed before
@@ -661,8 +633,8 @@ class ServingCore:
         )
         # The interpreter+numpy floor turns absolute worker RSS into the
         # *incremental* cost of serving this graph — the figure the
-        # mapped snapshot formats (v2 tables, v3 vocabulary+graph) drive
-        # toward zero.  Only measured when there are workers to compare.
+        # mapped snapshot shards drive toward zero.  Only measured when
+        # there are workers to compare.
         floor = interpreter_floor_rss_bytes() if worker_rss else None
         incremental = (
             [max(0, rss - floor) for rss in worker_rss] if floor else []
@@ -678,187 +650,4 @@ class ServingCore:
             "interpreter_floor_rss_bytes": floor,
             "worker_incremental_rss_bytes": incremental,
             "total_worker_incremental_rss_bytes": sum(incremental),
-        }
-
-
-class GQBEServer(ServingCore):
-    """One warm GQBE system behind a threaded HTTP server.
-
-    The original (threaded) frontend: one daemon thread runs a
-    ``ThreadingHTTPServer`` — a handler thread per connection — over the
-    shared :class:`ServingCore`.  ``gqbe serve --frontend threaded``
-    selects it; the asyncio frontend
-    (:class:`~repro.serving.async_server.AsyncGQBEServer`) is the
-    default and adds admission control and ``/metrics``.
-
-    Takes every :class:`ServingCore` parameter plus ``host`` / ``port``
-    (``port=0`` picks an ephemeral port; read :attr:`port` after
-    construction).
-    """
-
-    def __init__(
-        self,
-        system: GQBE,
-        snapshot_path: str | PathLike | None = None,
-        host: str = "127.0.0.1",
-        port: int = 8080,
-        **core_kwargs,
-    ) -> None:
-        super().__init__(system, snapshot_path=snapshot_path, **core_kwargs)
-        self._http = _Http((host, port), _Handler)
-        self._http.daemon_threads = True
-        self._http.app = self  # type: ignore[attr-defined] - handler backref
-        self._thread: threading.Thread | None = None
-
-    @property
-    def host(self) -> str:
-        """The bound host address."""
-        return self._http.server_address[0]
-
-    @property
-    def port(self) -> int:
-        """The bound port (useful with ``port=0``)."""
-        return self._http.server_address[1]
-
-    def start(self) -> "GQBEServer":
-        """Serve in a background daemon thread; returns ``self``."""
-        if self._thread is not None:
-            raise RuntimeError("server already started")
-        self._thread = threading.Thread(
-            target=self._http.serve_forever, name="gqbe-serve", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (the ``gqbe serve`` entry point)."""
-        self._http.serve_forever()
-
-    def stop(self) -> None:
-        """Shut the HTTP listener, the batching worker and the pool down."""
-        self._http.shutdown()
-        self._http.server_close()
-        self.close_engine()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-
-class _Http(ThreadingHTTPServer):
-    daemon_threads = True
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Maps HTTP routes onto the owning :class:`GQBEServer`."""
-
-    server_version = "gqbe-serve/1.0"
-    protocol_version = "HTTP/1.1"
-    # Send each small JSON response immediately instead of letting Nagle's
-    # algorithm hold the tail segment for the client's delayed ACK — that
-    # interaction costs a flat ~40ms per keep-alive request on loopback.
-    disable_nagle_algorithm = True
-
-    @property
-    def app(self) -> GQBEServer:
-        return self.server.app  # type: ignore[attr-defined]
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # access logs stay off; /stats carries the counters
-
-    def _send_json(self, status: int, body: dict) -> None:
-        data = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _read_json(self):
-        """Parse the request body, bounding it *before* reading a byte.
-
-        ``Content-Length`` is attacker-controlled: an unbounded
-        ``rfile.read(length)`` would allocate whatever the header claims.
-        A malformed value is a 400 naming the header (it used to fall
-        through to the generic "not valid JSON" 400, which misdirects
-        debugging); a value over the server's cap is a 413.
-        """
-        raw_length = self.headers.get("Content-Length")
-        try:
-            length = int(raw_length) if raw_length is not None else 0
-        except ValueError:
-            raise _RequestBodyError(
-                400, f"invalid Content-Length header: {raw_length!r}"
-            ) from None
-        if length < 0:
-            raise _RequestBodyError(
-                400, f"invalid Content-Length header: {raw_length!r}"
-            )
-        cap = self.app.max_body_bytes
-        if length > cap:
-            raise _RequestBodyError(
-                413,
-                f"request body of {length} bytes exceeds the "
-                f"{cap}-byte limit",
-            )
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            return None
-        return json.loads(raw)
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        if self.path == "/healthz":
-            self._send_json(200, self.app.healthz())
-        elif self.path == "/stats":
-            self._send_json(200, self.app.stats())
-        else:
-            self._send_json(404, {"error": f"unknown path {self.path!r}"})
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        try:
-            payload = self._read_json()
-        except _RequestBodyError as error:
-            self.app._count("request_errors")
-            # The body was never read off the socket, so the connection
-            # cannot be reused for another request.
-            self.close_connection = True
-            self._send_json(error.status, {"error": error.message})
-            return
-        except ValueError:
-            self.app._count("request_errors")
-            self._send_json(400, {"error": "request body is not valid JSON"})
-            return
-        try:
-            if self.path == "/query":
-                status, body = self.app.handle_query(payload)
-            elif self.path == "/admin/reload":
-                status, body = self._handle_reload(payload)
-            elif self.path == "/admin/ingest":
-                status, body = self.app.handle_ingest(payload)
-            elif self.path == "/admin/compact":
-                status, body = self.app.handle_compact()
-            else:
-                status, body = 404, {"error": f"unknown path {self.path!r}"}
-        # gqbe: ignore[EXC001] -- the top-of-request net: any unhandled
-        # failure becomes a logged traceback plus a generic 500 rather
-        # than a dropped connection or a leaked stack trace.
-        except Exception as error:  # noqa: BLE001 - last-resort 500
-            # Log the traceback server-side; never echo exception details
-            # to the client.
-            self.app.note_internal_error(self.path, error)
-            status, body = 500, {"error": "internal server error"}
-        self._send_json(status, body)
-
-    def _handle_reload(self, payload) -> tuple[int, dict]:
-        if not isinstance(payload, dict) or not isinstance(
-            payload.get("snapshot"), str
-        ):
-            return 400, {"error": 'body must be {"snapshot": "<path>"}'}
-        try:
-            generation = self.app.load_snapshot(payload["snapshot"])
-        except GQBEError as error:
-            return 400, {"error": str(error), "type": type(error).__name__}
-        return 200, {
-            "reloaded": True,
-            "snapshot": payload["snapshot"],
-            "generation": generation,
         }

@@ -1,9 +1,9 @@
-"""Out-of-core streaming build: triple dump → v3 snapshot in bounded memory.
+"""Out-of-core streaming build: triple dump → snapshot in bounded memory.
 
 ``GraphStore.build`` materializes the whole :class:`KnowledgeGraph` in
 Python objects before saving, which caps the offline phase (paper Sec. V-A)
 at graphs that fit in one box's RAM.  :func:`build_streaming_snapshot`
-produces the *byte-identical* v3 snapshot directory from a triple file
+produces the *byte-identical* snapshot directory from a triple file
 without ever holding the graph, the vocabulary dict, or more than one
 label's columns at a time:
 
@@ -15,7 +15,7 @@ Pass 1 — vocabulary (external merge sort)
     by first occurrence — which *is* the dense-id order the in-memory
     build assigns (``VerticalPartitionStore`` interns nodes in graph
     insertion order: subject before object, duplicates skipped) — and the
-    ordered stream is written straight into the v3 vocabulary arena shard
+    ordered stream is written straight into the vocabulary arena shard
     through :class:`~repro.storage.shards.ShardStreamWriter`.
 
 Pass 2 — tables (spill runs → per-label shards)
@@ -44,11 +44,6 @@ floor: the O(nodes) int64 arrays behind the arena permutation and CSR
 index pointers, the columns of the single largest label while its shard is
 written (the same transient the in-memory writer has per label), and the
 interpreter + numpy baseline.
-
-The v1/v2 formats have no mapped sections to stream into, so for them the
-streaming entry point degrades gracefully: it feeds the chunked reader
-into an ordinary in-memory build (still byte-identical — the deduped
-stream *is* the graph) and only the v3 path is truly out-of-core.
 """
 
 from __future__ import annotations
@@ -67,10 +62,13 @@ import time
 from array import array
 from pathlib import Path
 
+import numpy as np
+
 from repro.exceptions import GraphError, SnapshotError
 from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.graph.triples import iter_triples_chunked
 from repro.storage.shards import (
+    FORMAT_VERSION,
     MANIFEST_MAGIC,
     MANIFEST_NAME,
     SHARD_MAGIC,
@@ -80,9 +78,9 @@ from repro.storage.shards import (
     _align,
     write_table_shard,
 )
-from repro.storage.snapshot import _PICKLE_PROTOCOL, GraphStore
+from repro.storage.snapshot import _PICKLE_PROTOCOL
 from repro.storage.store import VerticalPartitionStore
-from repro.storage.table import ColumnarEdgeTable, np
+from repro.storage.table import ColumnarEdgeTable
 from repro.storage.vocabulary import MappedVocabulary
 
 #: Disk record layouts for the spill files (all little-endian).
@@ -215,7 +213,7 @@ def _build_vocabulary_arena(
     scratch: Path,
     plan: BuildPlan,
 ) -> tuple[dict, int, int]:
-    """Pass 1: stream the dump into the v3 vocabulary arena shard.
+    """Pass 1: stream the dump into the vocabulary arena shard.
 
     Returns ``(manifest entry, term count, raw triple count)``.  Peak
     memory is one term buffer + one occurrence buffer; the only O(nodes)
@@ -720,12 +718,12 @@ def _write_graph_shard_streaming(
 
 
 # ----------------------------------------------------------------------
-# sections + manifest (mirrors GraphStore._save_sharded byte-for-byte)
+# sections + manifest (mirrors GraphStore.save byte-for-byte)
 # ----------------------------------------------------------------------
 def _store_skeleton_bytes() -> bytes:
-    """The pickled v3 store skeleton, byte-identical to the in-memory save.
+    """The pickled store skeleton, byte-identical to the in-memory save.
 
-    ``_save_sharded`` pickles a copy of the built store with its tables,
+    ``GraphStore.save`` pickles a copy of the built store with its tables,
     vocabulary and lazy state stripped — which leaves only the constructor
     defaults.  Building one from an empty graph reproduces the identical
     ``__dict__`` (same keys, same insertion order, same values).
@@ -738,7 +736,7 @@ def _store_skeleton_bytes() -> bytes:
     return pickle.dumps(skeleton, protocol=_PICKLE_PROTOCOL)
 
 
-def _write_v3_snapshot(
+def _write_snapshot(
     source: Path,
     output: Path,
     fmt: str,
@@ -747,7 +745,7 @@ def _write_v3_snapshot(
     scratch: Path,
     report: dict,
 ) -> None:
-    """The out-of-core v3 pipeline (see the module docstring for stages)."""
+    """The out-of-core pipeline (see the module docstring for stages)."""
     output.mkdir(parents=True, exist_ok=True)
     (output / "tables").mkdir(exist_ok=True)
     run_dir = scratch / "rows"
@@ -819,7 +817,7 @@ def _write_v3_snapshot(
 
     manifest = {
         "magic": MANIFEST_MAGIC,
-        "format_version": 3,
+        "format_version": FORMAT_VERSION,
         "pickle_protocol": _PICKLE_PROTOCOL,
         "meta": {
             "intern_entities": True,
@@ -885,50 +883,26 @@ def build_streaming_snapshot(
     processes, and ``memory_budget_mb`` bounds the streaming state (see
     the module docstring for exactly what scales with data instead).
 
-    Only ``v3`` streams; ``v1``/``v2`` have no mapped layout to stream
-    into, so they build in memory from the same chunked reader (identical
-    output, without the bounded-memory property).  Returns a report dict
-    with row counts, per-stage timings and spill statistics.  The output
-    is byte-identical to ``GraphStore.build`` + ``save`` over
-    ``load_graph`` of the same dump — the repo's standing equivalence
-    discipline, enforced by ``tests/test_streaming_build.py``.
+    ``snapshot_format`` names the one layout there is (``"v3"``) and
+    rejects anything else.  Returns a report dict with row counts,
+    per-stage timings and spill statistics.  The output is byte-identical
+    to ``GraphStore.build`` + ``save`` over ``load_graph`` of the same
+    dump — the repo's standing equivalence discipline, enforced by
+    ``tests/test_streaming_build.py``.
     """
-    if np is None:  # pragma: no cover - numpy-less installs only
-        raise SnapshotError("the streaming build requires numpy")
     source = Path(source)
     output = Path(output)
-    if snapshot_format not in ("v1", "v2", "v3"):
+    if snapshot_format != "v3":
         raise SnapshotError(
-            f"unknown snapshot format {snapshot_format!r}; choose v1, v2 or v3"
+            f"unknown snapshot format {snapshot_format!r}; the only "
+            "snapshot format is v3"
         )
     plan = BuildPlan(memory_budget_mb)
     report: dict = {
-        "format": snapshot_format,
-        "streaming": snapshot_format == "v3",
         "workers": workers,
         "memory_budget_mb": memory_budget_mb,
     }
     overall = time.perf_counter()
-    if snapshot_format in ("v1", "v2"):
-        graph = KnowledgeGraph()
-        triples = 0
-        for chunk in iter_triples_chunked(
-            source, fmt=fmt, chunk_size=plan.chunk_triples
-        ):
-            for subject, label, obj in chunk:
-                graph.add_edge(subject, label, obj)
-            triples += len(chunk)
-        bundle = GraphStore.build(graph)
-        report["bytes_written"] = bundle.save(output, format=snapshot_format)
-        report["triples_read"] = triples
-        report["nodes"] = graph.num_nodes
-        report["edges"] = graph.num_edges
-        report["labels"] = graph.num_labels
-        report["duplicates"] = triples - graph.num_edges
-        report["spill_runs"] = 0
-        report["total_seconds"] = time.perf_counter() - overall
-        return report
-
     scratch = Path(
         tempfile.mkdtemp(
             prefix="gqbe-build-",
@@ -936,7 +910,7 @@ def build_streaming_snapshot(
         )
     )
     try:
-        _write_v3_snapshot(source, output, fmt, workers, plan, scratch, report)
+        _write_snapshot(source, output, fmt, workers, plan, scratch, report)
     except OSError as error:
         raise SnapshotError(
             f"streaming build of {output!s} failed: {error}"

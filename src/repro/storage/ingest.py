@@ -15,12 +15,12 @@ triples and lands in exactly the parent's state.
 Two graph shapes exist at runtime:
 
 * an **owned** :class:`~repro.graph.knowledge_graph.KnowledgeGraph`
-  (v1 snapshots, v2 snapshots, cold builds) mutates in place via
+  (cold builds) mutates in place via
   ``add_edge``; the store vocabulary interns subject-then-object
   afterwards, matching the id order a from-scratch build of the merged
   graph would produce;
 * a **mapped** :class:`~repro.graph.mapped.MappedKnowledgeGraph`
-  (v3 snapshots) is immutable, so the first applied triple wraps it in
+  (snapshots) is immutable, so the first applied triple wraps it in
   a :class:`~repro.graph.delta.DeltaKnowledgeGraph` union view — the
   caller must adopt the returned graph.
 """

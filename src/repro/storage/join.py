@@ -42,17 +42,14 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from itertools import chain
 
+import numpy as np
+
 from repro._kernels import kernels
 from repro.exceptions import LatticeError
 from repro.graph.knowledge_graph import Edge
 from repro.storage.plan import plan_join_order
 from repro.storage.store import VerticalPartitionStore
 from repro.storage.vocabulary import EntityId
-
-try:  # numpy is optional: without it only the tuple-row engine runs.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    np = None
 
 #: Probe expansions larger than this many candidate rows are processed in
 #: slices so a hub-heavy join cannot materialize an arbitrarily large

@@ -1,20 +1,18 @@
-"""Sharded snapshot formats v2/v3: a directory of memory-mappable shards.
+"""The snapshot layout: a directory of memory-mappable shards.
 
-The v1 snapshot (:mod:`repro.storage.snapshot`) is one pickle-backed
-file: loading deserializes every edge table into private process memory,
-so a graph must fit in RAM per process and every serving worker pays a
-full copy.  Format v2 splits the offline state into a *directory* of
-independently verifiable shards:
+A snapshot splits the offline state into a *directory* of independently
+verifiable files:
 
 ``MANIFEST.json``
     The envelope: magic, format version, the snapshot ``meta`` mapping,
     and a catalog of every other file with its SHA-256 digest, byte size
     and (for table shards) label and row count.  Reading the manifest is
-    the whole cost of opening a sharded snapshot.
-``graph.section`` / ``statistics.section`` / ``store.section``
-    Independent pickles of the three v1 sections — except that the store
-    section is a *skeleton*: vocabulary, engine flags, no tables.  Each
-    deserializes lazily on first access, exactly like the v1 blobs.
+    the whole cost of opening a snapshot.  It is written last, so a
+    directory without a valid one is a build that never finished.
+``statistics.section`` / ``store.section``
+    Two small pickles: the statistics header (edge total and per-label
+    counts) and the store *skeleton* (engine flags; no vocabulary, no
+    tables).  Each deserializes lazily on first access.
 ``tables/NNNNN.shard``
     One binary shard per label's
     :class:`~repro.storage.table.ColumnarEdgeTable`: the two int64 id
@@ -26,9 +24,6 @@ independently verifiable shards:
     so N worker processes mapping the same snapshot share one set of
     physical pages, and a label table that no query probes is never
     faulted in at all.
-
-Format **v3** maps the two sections v2 still pickled:
-
 ``vocabulary.arena``
     The entity vocabulary as a string arena: every term's UTF-8 bytes
     concatenated in id order (``blob``), an int64 offset column
@@ -40,15 +35,20 @@ Format **v3** maps the two sections v2 still pickled:
     The data graph as CSR adjacency over the interned ids: ``out_indptr``
     / ``out_objects`` / ``out_labels`` and ``in_indptr`` / ``in_subjects``
     / ``in_labels`` (label ids index the label list carried in the shard
-    header).  Per-node slices preserve the original adjacency-list
+    header).  Per-node slices preserve the graph's adjacency-list
     orders, which is what keeps neighborhood extraction — and therefore
-    every ranked answer — byte-identical to the pickled graph.  Reopens
+    every ranked answer — byte-identical to the in-memory graph.  Reopens
     as a :class:`~repro.graph.mapped.MappedKnowledgeGraph`.
+``statistics.counts``
+    The ``(node, label)`` participation counts of Eq. 4 as sorted
+    composite-key / count int64 column pairs, reopened as the columns of
+    a :class:`~repro.graph.statistics.MappedGraphStatistics`.
 
-A v3 directory has **no** ``graph.section`` and its ``store.section``
-skeleton carries no vocabulary, so the only per-worker private memory
-left is the (comparatively small) statistics section plus interpreter
-state.  v2 directories keep loading unchanged.
+So the only per-worker private memory is the two small sections plus
+interpreter state.  The manifest's ``format_version`` is
+:data:`FORMAT_VERSION`; a directory that says anything else, or lacks
+one of the three mapped-shard entries, is refused — a snapshot is a
+cache of the offline build, and the fix is to rebuild it.
 
 Shard binary layout (little-endian)::
 
@@ -70,9 +70,9 @@ are verified when they deserialize; a binary shard is verified the first
 time it is opened (one streamed read that also warms the page cache),
 then structurally validated (offset bounds, CSR monotonicity) before any
 view is handed out, so corruption is still caught per shard without
-forcing an eager read of shards the workload never touches.  Like v1,
-the section pickles are **trusted local artifacts** — load only
-snapshots you built yourself.
+forcing an eager read of shards the workload never touches.  The section
+pickles are **trusted local artifacts** — load only snapshots you built
+yourself.
 
 Opened shards are hinted with ``madvise(MADV_WILLNEED)`` (where the
 platform supports it) so the kernel reads ahead while the engine is
@@ -94,16 +94,17 @@ from pathlib import Path
 from repro.exceptions import SnapshotError
 from repro.graph.delta import DeltaKnowledgeGraph
 from repro.graph.mapped import MappedKnowledgeGraph
-from repro.storage.table import ColumnarEdgeTable, _SortedGroupIndex, np
+import numpy as np
+
+from repro.storage.table import ColumnarEdgeTable, _SortedGroupIndex
 from repro.storage.vocabulary import MappedVocabulary
 
 SHARD_MAGIC = b"GQBESHRD"
 SHARD_VERSION = 1
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_MAGIC = "GQBESNAP2"
-#: Every sharded-directory format this build reads (the writer emits the
-#: version ``GraphStore.save`` was asked for: 2 or 3).
-SUPPORTED_SHARDED_VERSIONS = (2, 3)
+#: The manifest ``format_version`` this build writes and reads.
+FORMAT_VERSION = 3
 _ALIGNMENT = 64
 _SHARD_HEADER = struct.Struct("<8sII")
 
@@ -498,20 +499,25 @@ def _close_quietly(mapped: mmap.mmap) -> None:
 
 
 class ShardedSnapshotReader:
-    """Opens a v2/v3 snapshot directory and hands out sections and shards.
+    """Opens a snapshot directory and hands out sections and shards.
 
     Construction reads and validates only ``MANIFEST.json``.  Sections,
-    table shards and (v3) the vocabulary arena / graph CSR load lazily
-    through :meth:`load_section` / :meth:`load_table` /
-    :meth:`load_vocabulary` / :meth:`load_graph`; the reader counts what
-    it opened (:attr:`tables_opened`, :attr:`opened_labels`,
-    :attr:`sections_loaded`) so tests and ``/stats`` can prove that a
-    warm start touched nothing it did not need.
+    table shards, the vocabulary arena, the graph CSR and the statistics
+    counts load lazily through :meth:`load_section` /
+    :meth:`load_table` / :meth:`load_vocabulary` / :meth:`load_graph` /
+    :meth:`load_statistics_counts`; the reader counts what it opened
+    (:attr:`tables_opened`, :attr:`opened_labels`,
+    :attr:`sections_loaded`) so tests can prove that a warm start
+    touched nothing it did not need.
     """
 
-    def __init__(self, directory: str | PathLike, prefetch: bool = True) -> None:
+    def __init__(self, directory: str | PathLike) -> None:
         self.directory = Path(directory)
-        self.prefetch = prefetch
+        if self.directory.is_file():
+            raise SnapshotError(
+                f"{self.directory!s} is a regular file; a snapshot is a "
+                "directory — rebuild it with `gqbe build-index`"
+            )
         manifest_path = self.directory / MANIFEST_NAME
         try:
             raw = manifest_path.read_bytes()
@@ -527,20 +533,24 @@ class ShardedSnapshotReader:
             ) from error
         if not isinstance(manifest, dict) or manifest.get("magic") != MANIFEST_MAGIC:
             raise SnapshotError(
-                f"{manifest_path!s} is not a v2/v3 snapshot manifest (magic "
+                f"{manifest_path!s} is not a snapshot manifest (magic "
                 f"{manifest.get('magic') if isinstance(manifest, dict) else None!r}, "
-                f"expected {MANIFEST_MAGIC!r}) — a v1 single-file snapshot "
-                "cannot be wrapped in a directory; rebuild with "
-                "`gqbe build-index --format v3`"
+                f"expected {MANIFEST_MAGIC!r}) — rebuild it with "
+                "`gqbe build-index`"
             )
         version = manifest.get("format_version")
-        if version not in SUPPORTED_SHARDED_VERSIONS:
-            supported = "/".join(str(v) for v in SUPPORTED_SHARDED_VERSIONS)
+        if version != FORMAT_VERSION:
             raise SnapshotError(
                 f"snapshot {self.directory!s} uses format version {version}; "
-                f"this build supports versions {supported} — rebuild it with "
-                "`gqbe build-index --format v3`"
+                f"this build supports version {FORMAT_VERSION} — rebuild it "
+                "with `gqbe build-index`"
             )
+        for name in ("vocabulary", "graph", "statistics_counts"):
+            if not isinstance(manifest.get(name), dict):
+                raise SnapshotError(
+                    f"snapshot {self.directory!s} has no {name!r} shard in "
+                    "its manifest — rebuild it with `gqbe build-index`"
+                )
         self.manifest = manifest
         self.format_version: int = version
         self.meta: dict = dict(manifest.get("meta", {}))
@@ -558,26 +568,6 @@ class ShardedSnapshotReader:
     def tables_opened(self) -> int:
         """How many table shards have been mapped so far."""
         return len(self.opened_labels)
-
-    @property
-    def has_mapped_vocabulary(self) -> bool:
-        """Whether this snapshot carries a vocabulary arena shard (v3)."""
-        return "vocabulary" in self.manifest
-
-    @property
-    def has_mapped_graph(self) -> bool:
-        """Whether this snapshot carries a graph CSR shard (v3)."""
-        return "graph" in self.manifest
-
-    @property
-    def has_mapped_statistics(self) -> bool:
-        """Whether this snapshot carries a statistics counts shard.
-
-        v3 snapshots written since the statistics columns landed carry
-        one; older v3 directories pickle the full statistics section and
-        keep loading unchanged.
-        """
-        return "statistics_counts" in self.manifest
 
     def label_rows(self) -> dict[str, int]:
         """Per-label row counts straight from the manifest (no shard I/O)."""
@@ -635,10 +625,6 @@ class ShardedSnapshotReader:
         :attr:`_maps`) or close it; on any :class:`SnapshotError` the
         map is closed here.
         """
-        if np is None:  # pragma: no cover - numpy-less installs only
-            raise SnapshotError(
-                "sharded snapshots require numpy to map their binary shards"
-            )
         path = self._verify_file(entry["file"], entry["sha256"])
         try:
             with open(path, "rb") as handle:
@@ -647,16 +633,15 @@ class ShardedSnapshotReader:
             raise SnapshotError(
                 f"cannot map snapshot shard {path!s}: {error}"
             ) from error
-        if self.prefetch:
-            try:
-                # Read-ahead hint: the kernel starts faulting the shard in
-                # while the engine is still planning (no-op where absent).
-                mapped.madvise(mmap.MADV_WILLNEED)
-            # gqbe: ignore[EXC002] -- madvise is a purely advisory
-            # read-ahead hint; its failure changes timing, not
-            # correctness, so it must never surface as SnapshotError.
-            except (AttributeError, ValueError, OSError):  # pragma: no cover
-                pass
+        try:
+            # Read-ahead hint: the kernel starts faulting the shard in
+            # while the engine is still planning (no-op where absent).
+            mapped.madvise(mmap.MADV_WILLNEED)
+        # gqbe: ignore[EXC002] -- madvise is a purely advisory
+        # read-ahead hint; its failure changes timing, not
+        # correctness, so it must never surface as SnapshotError.
+        except (AttributeError, ValueError, OSError):  # pragma: no cover
+            pass
         try:
             header, view = self._parse_shard(path, mapped)
         except SnapshotError:
@@ -762,14 +747,8 @@ class ShardedSnapshotReader:
 
     # ------------------------------------------------------------------
     def load_vocabulary(self) -> MappedVocabulary:
-        """Map the v3 vocabulary arena as a :class:`MappedVocabulary`."""
-        entry = self.manifest.get("vocabulary")
-        if entry is None:
-            raise SnapshotError(
-                f"snapshot {self.directory!s} has no vocabulary arena shard "
-                "(v2 snapshots carry the vocabulary inside store.section)"
-            )
-        path, mapped, header, view = self._map_shard(entry)
+        """Map the vocabulary arena as a :class:`MappedVocabulary`."""
+        path, mapped, header, view = self._map_shard(self.manifest["vocabulary"])
         try:
             vocabulary = self._vocabulary_from_header(path, header, view)
         except SnapshotError:
@@ -851,12 +830,9 @@ class ShardedSnapshotReader:
         zero-copy int64 views ready for
         :class:`~repro.graph.statistics.MappedGraphStatistics`.
         """
-        entry = self.manifest.get("statistics_counts")
-        if entry is None:
-            raise SnapshotError(
-                f"snapshot {self.directory!s} has no statistics counts shard"
-            )
-        path, mapped, header, view = self._map_shard(entry)
+        path, mapped, header, view = self._map_shard(
+            self.manifest["statistics_counts"]
+        )
         try:
             result = self._statistics_from_header(path, header, view)
         except SnapshotError:
@@ -899,14 +875,8 @@ class ShardedSnapshotReader:
 
     # ------------------------------------------------------------------
     def load_graph(self, vocabulary: MappedVocabulary) -> MappedKnowledgeGraph:
-        """Map the v3 graph CSR shard as a :class:`MappedKnowledgeGraph`."""
-        entry = self.manifest.get("graph")
-        if entry is None:
-            raise SnapshotError(
-                f"snapshot {self.directory!s} has no graph CSR shard "
-                "(v2 snapshots carry the graph as graph.section)"
-            )
-        path, mapped, header, view = self._map_shard(entry)
+        """Map the graph CSR shard as a :class:`MappedKnowledgeGraph`."""
+        path, mapped, header, view = self._map_shard(self.manifest["graph"])
         try:
             graph = self._graph_from_header(path, header, view, vocabulary)
         except SnapshotError:

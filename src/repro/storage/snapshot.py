@@ -6,70 +6,25 @@ is query-independent, so it only ever needs to run once per data graph.
 :class:`GraphStore` bundles everything that phase produces (the data
 graph, its :class:`~repro.graph.statistics.GraphStatistics` and the
 :class:`~repro.storage.store.VerticalPartitionStore` with its vocabulary)
-and serializes the bundle to a single snapshot file.
+and serializes the bundle to a snapshot directory.
 
-Loading is **lazy**: :meth:`GraphStore.load` verifies the envelope and
-keeps the three sections as raw bytes; each section deserializes on first
-access (the first query, in practice).  The warm *start* therefore costs
-one file read plus a checksum — 20-40x faster than the cold offline
-build — and even start + full materialization beats re-running the build
-from a triple file (see ROADMAP.md for measured medians).
+A snapshot is a **rebuildable cache** of the offline phase, not a
+document format: there is one layout (the sharded directory of
+:mod:`repro.storage.shards`), no migration path, and a directory written
+by a build that laid it out differently is refused with a
+:class:`~repro.exceptions.SnapshotError` that says to rebuild it with
+``gqbe build-index``.
 
-Three on-disk formats share this module's :class:`GraphStore` API:
-
-* **v1** — the single-file envelope documented below.  Everything is a
-  pickle; loading deserializes each section into private process memory.
-* **v2** — the *sharded directory* layout of
-  :mod:`repro.storage.shards` (``GraphStore.save(path, format="v2")``):
-  a JSON manifest, per-section pickle files, and one raw binary shard
-  per label table whose int64 columns and probe indexes reopen as
-  zero-copy read-only ``mmap`` views.  A v2 warm start reads only the
-  manifest; label tables map on first probe, and N processes mapping the
-  same snapshot share the physical pages.
-* **v3** — v2 plus mapped shards for the two sections v2 still pickled
-  (``gqbe build-index --format v3``): the vocabulary becomes an
-  offset-indexed UTF-8 string arena
-  (:class:`~repro.storage.vocabulary.MappedVocabulary`) and the data
-  graph a CSR adjacency shard
-  (:class:`~repro.graph.mapped.MappedKnowledgeGraph`), so a reopening
-  worker's private memory excludes the vocabulary and the graph too —
-  only the statistics section still unpickles per process.
-
-``GraphStore.load`` auto-detects: a regular file is v1, a directory is
-v2/v3 (the manifest's ``format_version`` decides).  Older formats keep
-loading unchanged.
-
-File format (version 1)
------------------------
-
-Everything is little-endian::
-
-    offset  size  field
-    0       8     magic ``b"GQBESNAP"``
-    8       4     format version (uint32)
-    12      4     payload pickle protocol (uint32)
-    16      32    SHA-256 digest of the payload
-    48      8     payload length in bytes (uint64)
-    56      n     payload
-
-The payload is a pickle of ``{"meta": {...}, "graph": bytes,
-"statistics": bytes, "store": bytes}``; the three ``bytes`` values are
-themselves independent pickles of the section objects, which is what
-makes section-at-a-time lazy loading possible.  To avoid serializing the
-data graph three times, the statistics and store sections are written
-*without* their graph back-reference (see ``__getstate__`` on each);
-:class:`GraphStore` re-wires the reference when a section materializes.
-The ``meta`` mapping records the engine flags the store was built with
-(``intern_entities``, ``columnar``) plus basic shape counters, and can be
-read cheaply via :func:`read_snapshot_meta`.
-
-Loading verifies, in order: the magic (is this a snapshot at all?), the
-format version (newer/older writers raise
-:class:`~repro.exceptions.SnapshotError` instead of misparsing), the
-payload length and the SHA-256 digest (truncation and bit-rot are
-reported as corruption before any pickle bytes are trusted).  Snapshots
-are pickle-based and therefore **trusted local artifacts** — load only
-files you built yourself, like any cache directory.
+Loading is **lazy**: :meth:`GraphStore.load` reads only the manifest.
+The vocabulary arena, the graph CSR shard and the statistics counts
+shard map on first access (zero-copy, read-only ``mmap`` views shared
+between every process that opens the same snapshot), each label table
+maps its shard on first probe, and only two small pickles — the
+statistics header and the store skeleton — deserialize per process.
+Every file is verified against the SHA-256 the manifest records the
+first time it is opened.  The section pickles make a snapshot a
+**trusted local artifact** — load only directories you built yourself,
+like any cache directory.
 
 CLI workflow
 ------------
@@ -91,7 +46,6 @@ import copy
 import hashlib
 import json
 import pickle
-import struct
 from os import PathLike
 from pathlib import Path
 
@@ -99,6 +53,7 @@ from repro.exceptions import SnapshotError
 from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.graph.statistics import GraphStatistics, MappedGraphStatistics
 from repro.storage.shards import (
+    FORMAT_VERSION,
     MANIFEST_MAGIC,
     MANIFEST_NAME,
     ShardedSnapshotReader,
@@ -110,12 +65,7 @@ from repro.storage.shards import (
 from repro.storage.store import VerticalPartitionStore
 from repro.storage.vocabulary import IdentityVocabulary
 
-MAGIC = b"GQBESNAP"
-FORMAT_VERSION = 1
-#: The snapshot formats ``GraphStore.save`` accepts.
-SNAPSHOT_FORMATS = ("v1", "v2", "v3")
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
-_HEADER = struct.Struct("<8sII32sQ")
 
 
 class GraphStore:
@@ -124,32 +74,29 @@ class GraphStore:
     Bundles the data graph, its precomputed statistics and the
     vertical-partition store (which owns the vocabulary and the probe
     indexes), and knows how to round-trip the bundle through a snapshot
-    file.  :class:`~repro.core.gqbe.GQBE` accepts a ``GraphStore`` in
-    place of a raw graph to skip the entire offline build.
+    directory.  :class:`~repro.core.gqbe.GQBE` accepts a ``GraphStore``
+    in place of a raw graph to skip the entire offline build.
 
-    A loaded bundle starts *lazy*: sections are held as verified pickle
-    bytes and deserialize on first property access, so constructing a
-    warm system is nearly free and the deserialization cost lands on the
-    first query that needs each section.
+    A loaded bundle starts *lazy*: only the manifest has been read, and
+    each section maps (or, for the two small pickles, deserializes) on
+    first property access, so constructing a warm system is nearly free
+    and the cost lands on the first query that needs each section.
     """
 
     def __init__(
         self,
-        graph: KnowledgeGraph,
-        statistics: GraphStatistics,
-        store: VerticalPartitionStore,
+        graph: KnowledgeGraph | None,
+        statistics: GraphStatistics | None,
+        store: VerticalPartitionStore | None,
+        reader: ShardedSnapshotReader | None = None,
     ) -> None:
-        self._graph: KnowledgeGraph | None = graph
-        self._statistics: GraphStatistics | None = statistics
-        self._store: VerticalPartitionStore | None = store
-        self._blobs: dict[str, bytes] | None = None
-        self._reader: ShardedSnapshotReader | None = None
-        self._meta: dict | None = None
+        self._graph = graph
+        self._statistics = statistics
+        self._store = store
+        self._reader = reader
+        self._meta: dict | None = dict(reader.meta) if reader is not None else None
         self._mapped_vocabulary = None
         self._delta_triples: list[tuple[str, str, str]] = []
-        #: Whether stores materialized from this bundle issue shard
-        #: prefetch hints at join-plan time (see ``GQBEConfig.prefetch_shards``).
-        self.prefetch_hints = True
 
     @classmethod
     def build(
@@ -167,137 +114,71 @@ class GraphStore:
         )
         return cls(graph, statistics, store)
 
-    @classmethod
-    def _from_blobs(cls, meta: dict, blobs: dict[str, bytes]) -> "GraphStore":
-        bundle = cls.__new__(cls)
-        bundle._graph = None
-        bundle._statistics = None
-        bundle._store = None
-        bundle._blobs = blobs
-        bundle._reader = None
-        bundle._meta = meta
-        bundle._mapped_vocabulary = None
-        bundle._delta_triples = []
-        bundle.prefetch_hints = True
-        return bundle
-
-    @classmethod
-    def _from_reader(cls, reader: ShardedSnapshotReader) -> "GraphStore":
-        bundle = cls.__new__(cls)
-        bundle._graph = None
-        bundle._statistics = None
-        bundle._store = None
-        bundle._blobs = None
-        bundle._reader = reader
-        bundle._meta = dict(reader.meta)
-        bundle._mapped_vocabulary = None
-        bundle._delta_triples = []
-        bundle.prefetch_hints = True
-        return bundle
-
     def _vocabulary_from_arena(self):
-        """The snapshot's mapped vocabulary (v3), shared by graph and store."""
+        """The snapshot's mapped vocabulary, shared by graph and store."""
         if self._mapped_vocabulary is None:
             self._mapped_vocabulary = self._reader.load_vocabulary()
         return self._mapped_vocabulary
 
-    def set_prefetch(self, enabled: bool) -> None:
-        """Enable/disable shard read-ahead everywhere it is acted on.
-
-        One owner for the invariant: the flag reaches the reader's
-        ``madvise(WILLNEED)`` at shard open, any already-materialized
-        store's plan-time prefetching, and (via :attr:`prefetch_hints`)
-        stores that materialize later.  Wired from
-        ``GQBEConfig.prefetch_shards`` by :class:`~repro.core.gqbe.GQBE`.
-        """
-        self.prefetch_hints = enabled
-        if self._reader is not None:
-            self._reader.prefetch = enabled
-        if self._store is not None:
-            self._store._prefetch_hints = enabled
-
     # ------------------------------------------------------------------
     # sections (lazy)
     # ------------------------------------------------------------------
-    def _section_bytes(self, name: str) -> bytes:
-        if self._blobs is not None:
-            return self._blobs[name]
-        return self._reader.load_section(name)
-
     @property
     def graph(self) -> KnowledgeGraph:
-        """The data graph (materialized on first access).
+        """The data graph (mapped on first access).
 
-        From a v3 snapshot this maps the graph CSR shard (a
-        :class:`~repro.graph.mapped.MappedKnowledgeGraph` over shared
-        pages) instead of unpickling a private copy.
+        From a snapshot this is a
+        :class:`~repro.graph.mapped.MappedKnowledgeGraph` over the graph
+        CSR shard's shared pages, not a private copy.
         """
         if self._graph is None:
-            if self._reader is not None and self._reader.has_mapped_graph:
-                self._graph = self._reader.load_graph(self._vocabulary_from_arena())
-            else:
-                self._graph = pickle.loads(self._section_bytes("graph"))
+            self._graph = self._reader.load_graph(self._vocabulary_from_arena())
         return self._graph
 
     @property
     def statistics(self) -> GraphStatistics:
-        """The precomputed graph statistics (materialized on first access).
+        """The precomputed graph statistics (mapped on first access).
 
-        From a v3 snapshot with a statistics counts shard the two
-        ``(node, label)`` participation dicts become mapped binary-
-        searchable columns (shared pages) and only the small header —
-        edge total and per-label counts — unpickles per process.
+        From a snapshot the two ``(node, label)`` participation dicts
+        are mapped binary-searchable columns (shared pages) and only the
+        small header — edge total and per-label counts — unpickles per
+        process.
         """
         if self._statistics is None:
-            section = pickle.loads(self._section_bytes("statistics"))
-            if (
-                isinstance(section, dict)
-                and self._reader is not None
-                and self._reader.has_mapped_statistics
-            ):
-                labels, columns = self._reader.load_statistics_counts()
-                statistics = MappedGraphStatistics(
-                    self.graph,
-                    self._vocabulary_from_arena(),
-                    labels,
-                    section["total_edges"],
-                    section["label_counts"],
-                    *columns,
-                )
-            else:
-                statistics = section
-                # The snapshot strips the graph back-reference to avoid
-                # serializing the graph twice; re-wire it here.
-                statistics._graph = self.graph
-            self._statistics = statistics
+            header = pickle.loads(self._reader.load_section("statistics"))
+            labels, columns = self._reader.load_statistics_counts()
+            self._statistics = MappedGraphStatistics(
+                self.graph,
+                self._vocabulary_from_arena(),
+                labels,
+                header["total_edges"],
+                header["label_counts"],
+                *columns,
+            )
         return self._statistics
 
     @property
     def store(self) -> VerticalPartitionStore:
         """The vertical-partition store (materialized on first access).
 
-        From a v2 snapshot only the store *skeleton* (vocabulary, engine
-        flags) deserializes here; the per-label tables stay as unopened
-        shards that the reader maps on first probe.
+        From a snapshot only the store *skeleton* (engine flags)
+        deserializes here; it adopts the mapped vocabulary, and the
+        per-label tables stay as unopened shards that the reader maps on
+        first probe.
         """
         if self._store is None:
-            store = pickle.loads(self._section_bytes("store"))
+            store = pickle.loads(self._reader.load_section("store"))
             store._graph = self.graph
-            if self._reader is not None:
-                if self._reader.has_mapped_vocabulary:
-                    # v3: the skeleton was written without its vocabulary;
-                    # adopt the mapped string arena instead.
-                    store._vocabulary = self._vocabulary_from_arena()
-                store._attach_lazy_tables(self._reader, self._reader.label_rows())
-                store._prefetch_hints = self.prefetch_hints
+            store._vocabulary = self._vocabulary_from_arena()
+            store._attach_lazy_tables(self._reader, self._reader.label_rows())
             self._store = store
         return self._store
 
     def materialize(self) -> "GraphStore":
-        """Force all three sections to deserialize now; returns ``self``.
+        """Force all three sections to load now; returns ``self``.
 
         Lazily sharded tables are *not* resolved here — that is what
-        keeps v2 partial loading useful; call ``store.build_indexes()``
+        keeps partial loading useful; call ``store.build_indexes()``
         (or :meth:`save`) to force every shard open.
         """
         _ = self.graph
@@ -308,9 +189,10 @@ class GraphStore:
     def lazy_report(self) -> dict:
         """What this bundle has actually loaded so far.
 
-        For a v2 snapshot: which sections were read and which label
-        shards were mapped (``tables_opened`` / ``tables_total``).  Used
-        by tests to prove partial loading and by ``/stats`` to expose it.
+        Which sections were read and which label shards were mapped
+        (``tables_opened`` / ``tables_total``).  Used by tests and
+        benchmarks to prove partial loading; a bundle built in memory
+        reports everything as loaded.
         """
         if self._reader is not None:
             return {
@@ -320,25 +202,12 @@ class GraphStore:
                 "tables_total": len(self._reader.label_rows()),
                 "opened_labels": list(self._reader.opened_labels),
             }
-        tables_total = None
-        if self._meta is not None:
-            tables_total = self._meta.get("num_labels")
-        loaded = self._store is not None
         return {
-            "format": "v1" if self._blobs is not None or self._meta else "built",
-            "sections_loaded": [
-                name
-                for name, section in (
-                    ("graph", self._graph),
-                    ("statistics", self._statistics),
-                    ("store", self._store),
-                )
-                if section is not None
-            ],
-            # v1 deserializes every table with the store section.
-            "tables_opened": (self._store.num_tables if loaded else 0),
-            "tables_total": tables_total,
-            "opened_labels": sorted(self._store.labels()) if loaded else [],
+            "format": "built",
+            "sections_loaded": ["graph", "statistics", "store"],
+            "tables_opened": self._store.num_tables,
+            "tables_total": self._store.num_tables,
+            "opened_labels": sorted(self._store.labels()),
         }
 
     # ------------------------------------------------------------------
@@ -385,7 +254,7 @@ class GraphStore:
 
         Materializes the three sections, routes them through
         :func:`repro.storage.ingest.apply_triples`, and adopts the
-        returned graph (a mapped v3 graph gets wrapped in a
+        returned graph (a mapped graph gets wrapped in a
         :class:`~repro.graph.delta.DeltaKnowledgeGraph` union view on
         the first applied triple).  Returns ``{"applied": n,
         "duplicates": m, "delta_edges": total}``.
@@ -413,17 +282,17 @@ class GraphStore:
         }
 
     # ------------------------------------------------------------------
-    def save(self, path: str | PathLike, format: str = "v1") -> int:
-        """Serialize the bundle to ``path``; returns the bytes written.
+    def save(self, path: str | PathLike) -> int:
+        """Write the bundle as a snapshot directory; returns the bytes written.
 
-        ``format="v1"`` writes the single-file envelope; ``format="v2"``
-        writes the sharded directory layout (one memory-mappable shard
-        per label table — see :mod:`repro.storage.shards`);
-        ``format="v3"`` additionally maps the vocabulary (string arena
-        shard) and the data graph (CSR adjacency shard), which is what
-        ``gqbe build-index --format v3`` produces.  Probe indexes are
-        materialized first so the snapshot carries them and a loaded
-        store answers its first query without an index-build pause.
+        One memory-mappable shard per label table, the vocabulary as a
+        string arena, the data graph as a CSR adjacency shard and the
+        participation counts as sorted columns (see
+        :mod:`repro.storage.shards`) — what ``gqbe build-index``
+        produces.  Probe indexes are materialized first so the snapshot
+        carries them and a loaded store answers its first query without
+        an index-build pause.  ``MANIFEST.json`` is written last: a
+        crash leaves an unreadable directory, never a torn snapshot.
 
         Example::
 
@@ -432,57 +301,23 @@ class GraphStore:
             bundle = GraphStore.build(graph)        # offline phase, once
             size = bundle.save("data.snap")
             assert size > 0
-        """
-        if format not in SNAPSHOT_FORMATS:
-            raise SnapshotError(
-                f"unknown snapshot format {format!r}; choose one of "
-                f"{', '.join(SNAPSHOT_FORMATS)}"
-            )
-        if format in ("v2", "v3"):
-            return self._save_sharded(Path(path), version=int(format[1:]))
-        self.materialize()
-        self.store.build_indexes()
-        payload = pickle.dumps(
-            {
-                "meta": self.meta(),
-                "graph": pickle.dumps(self.graph, protocol=_PICKLE_PROTOCOL),
-                "statistics": pickle.dumps(
-                    self.statistics, protocol=_PICKLE_PROTOCOL
-                ),
-                "store": pickle.dumps(self.store, protocol=_PICKLE_PROTOCOL),
-            },
-            protocol=_PICKLE_PROTOCOL,
-        )
-        header = _HEADER.pack(
-            MAGIC,
-            FORMAT_VERSION,
-            _PICKLE_PROTOCOL,
-            hashlib.sha256(payload).digest(),
-            len(payload),
-        )
-        data = header + payload
-        try:
-            Path(path).write_bytes(data)
-        except OSError as error:
-            raise SnapshotError(f"cannot write snapshot {path!s}: {error}") from error
-        return len(data)
 
-    def _save_sharded(self, directory: Path, version: int = 3) -> int:
-        """Write the sharded directory layout; returns total bytes.
-
-        ``version=2`` pickles the graph section and a store skeleton that
-        still carries the vocabulary; ``version=3`` replaces both with
-        mapped shards (vocabulary string arena + graph CSR) so reopening
-        workers share those pages too.
+        Raises
+        ------
+        SnapshotError
+            If the store runs one of the in-memory reference engines
+            (tuple rows or string ids), or the directory cannot be
+            written.
         """
+        directory = Path(path)
         self.materialize()
         store = self.store
         if not store.is_columnar:
             raise SnapshotError(
-                f"the v{version} sharded format stores raw int64 column "
-                "shards and requires the columnar interned engine; rebuild "
-                "the store with columnar=True (and interned entities) or "
-                "save as v1"
+                "a snapshot stores raw int64 column shards and requires "
+                "the columnar interned engine; the tuple-row and string "
+                "reference engines (columnar=False / intern_entities=False) "
+                "are in-memory only"
             )
         store.build_indexes()
         try:
@@ -495,35 +330,24 @@ class GraphStore:
             skeleton._tables = {}
             skeleton._lazy_loader = None
             skeleton._lazy_rows = None
-            if version >= 3:
-                # The vocabulary ships as a mapped arena: strip it from
-                # the skeleton so the store section carries only flags.
-                skeleton._vocabulary = None
-                # The participation counts ship as mapped columns (see
-                # write_statistics_shard below); the section keeps only
-                # the small header the mapped statistics need.
-                statistics_header = {
-                    "kind": "mapped-statistics",
-                    "total_edges": self.statistics.total_edges,
-                    "label_counts": dict(self.statistics._label_counts),
-                }
-                payloads = [
-                    (
-                        "statistics",
-                        pickle.dumps(statistics_header, protocol=_PICKLE_PROTOCOL),
-                    ),
-                ]
-            else:
-                payloads = [
-                    ("graph", pickle.dumps(self.graph, protocol=_PICKLE_PROTOCOL)),
-                    (
-                        "statistics",
-                        pickle.dumps(self.statistics, protocol=_PICKLE_PROTOCOL),
-                    ),
-                ]
-            payloads.append(
-                ("store", pickle.dumps(skeleton, protocol=_PICKLE_PROTOCOL))
-            )
+            # The vocabulary ships as a mapped arena: strip it from the
+            # skeleton so the store section carries only flags.
+            skeleton._vocabulary = None
+            # The participation counts ship as mapped columns (see
+            # write_statistics_shard below); the section keeps only the
+            # small header the mapped statistics need.
+            statistics_header = {
+                "kind": "mapped-statistics",
+                "total_edges": self.statistics.total_edges,
+                "label_counts": dict(self.statistics._label_counts),
+            }
+            payloads = [
+                (
+                    "statistics",
+                    pickle.dumps(statistics_header, protocol=_PICKLE_PROTOCOL),
+                ),
+                ("store", pickle.dumps(skeleton, protocol=_PICKLE_PROTOCOL)),
+            ]
             for name, payload in payloads:
                 file_name = f"{name}.section"
                 (directory / file_name).write_bytes(payload)
@@ -536,36 +360,35 @@ class GraphStore:
 
             manifest = {
                 "magic": MANIFEST_MAGIC,
-                "format_version": version,
+                "format_version": FORMAT_VERSION,
                 "pickle_protocol": _PICKLE_PROTOCOL,
                 "meta": self.meta(),
                 "sections": sections,
             }
 
-            if version >= 3:
-                vocabulary_entry = write_vocabulary_shard(
-                    directory / "vocabulary.arena", store.vocabulary
-                )
-                vocabulary_entry["file"] = "vocabulary.arena"
-                manifest["vocabulary"] = vocabulary_entry
-                total += vocabulary_entry["bytes"]
+            vocabulary_entry = write_vocabulary_shard(
+                directory / "vocabulary.arena", store.vocabulary
+            )
+            vocabulary_entry["file"] = "vocabulary.arena"
+            manifest["vocabulary"] = vocabulary_entry
+            total += vocabulary_entry["bytes"]
 
-                graph_entry = write_graph_shard(
-                    directory / "graph.csr", self.graph, store.vocabulary
-                )
-                graph_entry["file"] = "graph.csr"
-                manifest["graph"] = graph_entry
-                total += graph_entry["bytes"]
+            graph_entry = write_graph_shard(
+                directory / "graph.csr", self.graph, store.vocabulary
+            )
+            graph_entry["file"] = "graph.csr"
+            manifest["graph"] = graph_entry
+            total += graph_entry["bytes"]
 
-                statistics_entry = write_statistics_shard(
-                    directory / "statistics.counts",
-                    self.statistics._out_label_counts,
-                    self.statistics._in_label_counts,
-                    store.vocabulary,
-                )
-                statistics_entry["file"] = "statistics.counts"
-                manifest["statistics_counts"] = statistics_entry
-                total += statistics_entry["bytes"]
+            statistics_entry = write_statistics_shard(
+                directory / "statistics.counts",
+                self.statistics._out_label_counts,
+                self.statistics._in_label_counts,
+                store.vocabulary,
+            )
+            statistics_entry["file"] = "statistics.counts"
+            manifest["statistics_counts"] = statistics_entry
+            total += statistics_entry["bytes"]
 
             tables = []
             # Snapshot the label list first: resolving a lazy table in
@@ -584,94 +407,42 @@ class GraphStore:
             (directory / MANIFEST_NAME).write_bytes(manifest_bytes)
         except OSError as error:
             raise SnapshotError(
-                f"cannot write sharded snapshot {directory!s}: {error}"
+                f"cannot write snapshot {directory!s}: {error}"
             ) from error
         return total + len(manifest_bytes)
 
     @classmethod
     def load(cls, path: str | PathLike) -> "GraphStore":
-        """Read and verify a snapshot; sections stay lazy until accessed.
+        """Open a snapshot directory; sections stay lazy until accessed.
 
-        A regular file is read as a v1 single-file snapshot; a directory
-        is opened as a v2/v3 sharded snapshot (only its manifest is read
-        — sections deserialize on first access, each label table maps
-        its shard on first probe, and a v3 snapshot's vocabulary arena
-        and graph CSR map on first graph/store access).
+        Only the manifest is read here — sections load on first access,
+        each label table maps its shard on first probe.
 
         Example::
 
             from repro.core.gqbe import GQBE
             from repro.storage.snapshot import GraphStore
 
-            bundle = GraphStore.load("data.snap")   # verify + lazy sections
+            bundle = GraphStore.load("data.snap")   # manifest only
             system = GQBE(graph_store=bundle)       # warm start
             # or in one step: GQBE.from_snapshot("data.snap")
 
         Raises
         ------
         SnapshotError
-            If the file is not a snapshot, was written by an unsupported
-            format version, is truncated, or fails its checksum.
+            If ``path`` is not a snapshot directory this build can read:
+            missing, a regular file, an unreadable or foreign manifest,
+            or one laid out by another version of the format.
         """
-        if Path(path).is_dir():
-            return cls._from_reader(ShardedSnapshotReader(path))
-        try:
-            data = Path(path).read_bytes()
-        except OSError as error:
-            raise SnapshotError(f"cannot read snapshot {path!s}: {error}") from error
-        payload = _verify_envelope(data, path)
-        try:
-            outer = pickle.loads(payload)
-            meta = outer["meta"]
-            blobs = {key: outer[key] for key in ("graph", "statistics", "store")}
-        # gqbe: ignore[EXC001] -- unpickling raises arbitrary types from
-        # arbitrary reduce hooks; everything is rewrapped as the
-        # documented SnapshotError with the original chained.
-        except Exception as error:
-            raise SnapshotError(
-                f"snapshot {path!s} passed its checksum but failed to "
-                f"deserialize ({error}); it was likely written by an "
-                "incompatible library version"
-            ) from error
-        return cls._from_blobs(meta, blobs)
-
-
-def _verify_envelope(data: bytes, path: str | PathLike) -> bytes:
-    """Check magic, version, length and digest; return the payload bytes."""
-    if len(data) < _HEADER.size or not data.startswith(MAGIC):
-        raise SnapshotError(f"{path!s} is not a GQBE index snapshot (bad magic)")
-    _magic, version, _protocol, digest, length = _HEADER.unpack_from(data)
-    if version != FORMAT_VERSION:
-        raise SnapshotError(
-            f"snapshot {path!s} uses format version {version}; this build "
-            f"supports version {FORMAT_VERSION} — rebuild it with "
-            "`gqbe build-index`"
-        )
-    payload = data[_HEADER.size:]
-    if len(payload) != length:
-        raise SnapshotError(
-            f"snapshot {path!s} is truncated: header promises {length} "
-            f"payload bytes, found {len(payload)}"
-        )
-    if hashlib.sha256(payload).digest() != digest:
-        raise SnapshotError(f"snapshot {path!s} is corrupt (checksum mismatch)")
-    return payload
+        return cls(None, None, None, reader=ShardedSnapshotReader(path))
 
 
 def read_snapshot_meta(path: str | PathLike) -> dict:
-    """Read and verify a snapshot, returning only its ``meta`` mapping.
+    """Validate a snapshot's manifest and return only its ``meta`` mapping.
 
-    Verifies the full envelope (so corruption is still reported) but
-    never deserializes the heavy sections; used by tooling that only
-    needs to inspect what a snapshot contains.
+    Never opens a shard or a section; used by tooling that only needs to
+    inspect what a snapshot contains, and by
+    :func:`~repro.storage.generations.resolve_latest_generation` to skip
+    generations whose write never completed.
     """
-    if Path(path).is_dir():
-        return dict(ShardedSnapshotReader(path).meta)
-    try:
-        data = Path(path).read_bytes()
-    except OSError as error:
-        raise SnapshotError(f"cannot read snapshot {path!s}: {error}") from error
-    payload = _verify_envelope(data, path)
-    meta = pickle.loads(payload).get("meta", {})
-    # Round-trip through JSON to guarantee the result is plain data.
-    return json.loads(json.dumps(meta))
+    return dict(ShardedSnapshotReader(path).meta)

@@ -17,7 +17,7 @@ the string-keyed engine (used as the reference in equivalence tests).
 Tables default to the columnar struct-of-arrays layout
 (:class:`~repro.storage.table.ColumnarEdgeTable`), which the vectorized
 numpy join engine runs on.  ``columnar=False`` — or an identity
-vocabulary, or a missing numpy — selects the tuple-row
+vocabulary — selects the tuple-row
 :class:`~repro.storage.table.EdgeTable` reference layout instead.
 """
 
@@ -27,7 +27,7 @@ from collections.abc import Iterator
 
 from repro.exceptions import GraphError
 from repro.graph.knowledge_graph import KnowledgeGraph
-from repro.storage.table import ColumnarEdgeTable, EdgeTable, np
+from repro.storage.table import ColumnarEdgeTable, EdgeTable
 from repro.storage.vocabulary import IdentityVocabulary, Vocabulary
 
 
@@ -42,12 +42,10 @@ class VerticalPartitionStore:
     ) -> None:
         self._graph = graph
         self._vocabulary = vocabulary if vocabulary is not None else Vocabulary()
-        # The columnar layout needs int ids and numpy; otherwise fall back
-        # to the tuple-row reference layout.
-        self._columnar = (
-            columnar
-            and np is not None
-            and not isinstance(self._vocabulary, IdentityVocabulary)
+        # The columnar layout needs int ids; otherwise fall back to the
+        # tuple-row reference layout.
+        self._columnar = columnar and not isinstance(
+            self._vocabulary, IdentityVocabulary
         )
         table_class = ColumnarEdgeTable if self._columnar else EdgeTable
         intern = self._vocabulary.intern
@@ -60,12 +58,11 @@ class VerticalPartitionStore:
         # filled through plain lookups.
         lookup = self._vocabulary.id_of
         self._tables: dict[str, EdgeTable | ColumnarEdgeTable] = {}
-        # Lazy-table state: a v2/v3 sharded snapshot attaches a loader
-        # plus the manifest's per-label row counts, so unopened labels
-        # can answer cardinality/labels questions without mapping a shard.
+        # Lazy-table state: a snapshot attaches a loader plus the
+        # manifest's per-label row counts, so unopened labels can answer
+        # cardinality/labels questions without mapping a shard.
         self._lazy_loader = None
         self._lazy_rows: dict[str, int] | None = None
-        self._prefetch_hints = True
         tables = self._tables
         for edge in graph.edges:
             table = tables.get(edge.label)
@@ -80,7 +77,7 @@ class VerticalPartitionStore:
         return cls(graph)
 
     # The snapshot subsystem serializes the store *without* the graph
-    # back-reference (the graph is its own snapshot section) and re-wires
+    # back-reference (the graph is its own snapshot shard) and re-wires
     # ``_graph`` on load.  A lazily sharded store resolves every pending
     # table first — the pickle must be self-contained, never a handle
     # onto someone else's snapshot directory.
@@ -90,17 +87,18 @@ class VerticalPartitionStore:
         state["_graph"] = None
         state["_lazy_loader"] = None
         state["_lazy_rows"] = None
+        # This state is the snapshot's ``store.section``.  The key below
+        # is a constant every snapshot carries; writing it keeps the
+        # section, and so ``MANIFEST.json``, byte for byte what it was.
+        state["_prefetch_hints"] = True
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        # Pickles written before the lazy-table state existed.
-        self.__dict__.setdefault("_lazy_loader", None)
-        self.__dict__.setdefault("_lazy_rows", None)
-        self.__dict__.setdefault("_prefetch_hints", True)
+        self.__dict__.pop("_prefetch_hints", None)
 
     # ------------------------------------------------------------------
-    # lazy table resolution (v2 sharded snapshots)
+    # lazy table resolution (snapshot shards)
     # ------------------------------------------------------------------
     def _attach_lazy_tables(self, loader, label_rows: dict[str, int]) -> None:
         """Adopt a shard loader: tables materialize per label on demand.
@@ -139,11 +137,10 @@ class VerticalPartitionStore:
         join so the kernel can fault the shards in (the reader issues
         ``madvise(WILLNEED)`` at open) while execution is still setting
         up, instead of blocking on the first probe of each table.  A
-        no-op for already-resolved labels, unknown labels, non-sharded
-        stores, and when disabled (``GQBEConfig.prefetch_shards=False``).
-        Returns how many shards were opened.
+        no-op for already-resolved labels, unknown labels and stores
+        built in memory.  Returns how many shards were opened.
         """
-        if self._lazy_loader is None or not self._prefetch_hints:
+        if self._lazy_loader is None:
             return 0
         opened = 0
         for label in labels:

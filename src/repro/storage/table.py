@@ -14,14 +14,14 @@ Two layouts implement the same table contract:
   (:meth:`~ColumnarEdgeTable.probe_subject` and friends).
 * :class:`EdgeTable` — the original tuple-row layout with per-key dict
   buckets.  It is kept as the reference engine for the columnar
-  equivalence tests and as the fallback when numpy is unavailable or when
-  the store runs on raw entity strings.
+  equivalence tests and as the fallback when the store runs on raw
+  entity strings.
 
 A :class:`ColumnarEdgeTable` works over either of two column backings:
 
 * **owned** — mutable ``array('q')`` columns filled by :meth:`add_row`
-  (the cold offline build, and every v1 snapshot);
-* **mapped** — read-only int64 views over a memory-mapped v2 snapshot
+  (the cold offline build);
+* **mapped** — read-only int64 views over a memory-mapped snapshot
   shard (:meth:`ColumnarEdgeTable.from_mapped`), including the persisted
   probe indexes, so opening a table costs no copy and no sort.  The first
   mutation *promotes* the table copy-on-write: the mapped buffers are
@@ -43,12 +43,9 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 
-from repro.storage.vocabulary import EntityId
+import numpy as np
 
-try:  # numpy is optional: without it the store falls back to EdgeTable.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    np = None
+from repro.storage.vocabulary import EntityId
 
 #: One ``(subj, obj)`` row of interned entity ids.
 Row = tuple[EntityId, EntityId]
@@ -175,7 +172,7 @@ class _SortedGroupIndex:
     ) -> "_SortedGroupIndex":
         """Adopt prebuilt (possibly memory-mapped, read-only) index arrays.
 
-        The v2 snapshot shards persist the three arrays exactly as this
+        The snapshot shards persist the three arrays exactly as this
         class lays them out, so a warm start rebuilds nothing: the index
         is a handle over the mapped buffers.
         """
@@ -184,12 +181,6 @@ class _SortedGroupIndex:
         index.bounds = bounds
         index.order = order
         return index
-
-    def __getstate__(self):
-        return (self.keys, self.bounds, self.order)
-
-    def __setstate__(self, state):
-        self.keys, self.bounds, self.order = state
 
     def lookup(self, probe: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
         """Per-probe-key ``(counts, starts)`` into :attr:`order`.
@@ -229,7 +220,7 @@ class ColumnarEdgeTable:
     appends per edge and the index cost is amortized at C speed.  Any
     mutation after an index was built invalidates the cached indexes.
 
-    A table opened from a v2 snapshot shard (:meth:`from_mapped`) holds
+    A table opened from a snapshot shard (:meth:`from_mapped`) holds
     read-only mapped int64 views instead of owned columns; the first
     :meth:`add_row` promotes it copy-on-write (see the module docstring).
 
@@ -254,11 +245,6 @@ class ColumnarEdgeTable:
     )
 
     def __init__(self, label: str, rows: Iterable[tuple[int, int]] = ()) -> None:
-        if np is None:  # pragma: no cover - numpy-less installs only
-            raise RuntimeError(
-                "ColumnarEdgeTable requires numpy; build the store with "
-                "columnar=False to use the tuple-row engine"
-            )
         self._label = label
         self._subjects = array("q")
         self._objects = array("q")
@@ -284,10 +270,8 @@ class ColumnarEdgeTable:
         ``subjects``/``objects`` — and the optional persisted probe
         indexes — are adopted as-is, zero-copy.  The columns must be
         parallel, deduplicated ``(subj, obj)`` rows in insertion order,
-        which is exactly what the v2 shard writer persists.
+        which is exactly what the shard writer persists.
         """
-        if np is None:  # pragma: no cover - numpy-less installs only
-            raise RuntimeError("mapped ColumnarEdgeTable requires numpy")
         table = cls.__new__(cls)
         table._label = label
         table._subjects = None
@@ -336,36 +320,6 @@ class ColumnarEdgeTable:
         self._object_buckets = None
         self._pair_keys = None
         self._pair_stride = 0
-
-    # Explicit (get/set)state: spelling the state out keeps the snapshot
-    # layout stable, and the dedup set — a pure function of the columns —
-    # is dropped from it (rebuilt lazily by :meth:`_dedup_set`), which is
-    # the single largest python-object cost of loading a table.  A mapped
-    # table pickles as its owned equivalent: the columns convert to
-    # ``array('q')`` and the mapped flag clears.  The probe indexes are
-    # *kept* — pickling an ndarray view copies its data, so the result is
-    # self-contained (no mmap handle leaks) and a v2→v1 resave still
-    # ships warm indexes, the v1 format's documented guarantee.
-    def __getstate__(self):
-        state = {slot: getattr(self, slot) for slot in self.__slots__}
-        state["_row_set"] = None
-        state["_subject_buckets"] = None
-        state["_object_buckets"] = None
-        if self._mapped:
-            state["_subjects"] = array("q", self._subject_np.tolist())
-            state["_objects"] = array("q", self._object_np.tolist())
-            state["_subject_np"] = None
-            state["_object_np"] = None
-            state["_mapped"] = False
-        return state
-
-    def __setstate__(self, state):
-        for slot in self.__slots__:
-            # Tolerate pickles written before a slot existed (e.g. v1
-            # snapshots from an older build that had no ``_mapped`` flag).
-            object.__setattr__(self, slot, state.get(slot, None))
-        if self._mapped is None:
-            object.__setattr__(self, "_mapped", False)
 
     def _dedup_set(self) -> set[tuple[int, int]]:
         if self._row_set is None:

@@ -54,16 +54,6 @@ class Vocabulary:
         for term in terms:
             self.intern(term)
 
-    # The id map is a pure function of the term list, so snapshots carry
-    # only the terms and the map is rebuilt with one C-level dict(zip(...))
-    # — both smaller on disk and faster to load than pickling the dict.
-    def __getstate__(self):
-        return self._terms
-
-    def __setstate__(self, terms: list[str]) -> None:
-        self._terms = terms
-        self._ids = dict(zip(terms, range(len(terms))))
-
     def intern(self, term: str) -> int:
         """Return the id of ``term``, assigning the next free id if new."""
         entity_id = self._ids.get(term)
@@ -228,8 +218,7 @@ class MappedVocabulary:
         yield from self._extra_terms
 
     # A mapped vocabulary pickles as the equivalent owned Vocabulary:
-    # mapped buffers must never leak into a pickle, and a v3→v1 resave
-    # has to stay self-contained.
+    # mapped buffers must never leak into a pickle.
     def __reduce__(self):
         return (Vocabulary, (list(self),))
 

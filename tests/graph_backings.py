@@ -30,9 +30,9 @@ def three_graph_stores(base: list[Triple], delta: list[Triple]):
     stream's v3 snapshot, and ``base``'s with ``delta`` ingested on top."""
     owned = KnowledgeGraph(base + delta)
     with tempfile.TemporaryDirectory() as directory:
-        GraphStore.build(owned).save(Path(directory, "merged"), format="v3")
+        GraphStore.build(owned).save(Path(directory, "merged"))
         merged_store = GraphStore.load(Path(directory, "merged"))
-        GraphStore.build(KnowledgeGraph(base)).save(Path(directory, "base"), format="v3")
+        GraphStore.build(KnowledgeGraph(base)).save(Path(directory, "base"))
         overlay_store = GraphStore.load(Path(directory, "base"))
         overlay_store.ingest(delta)
         assert isinstance(merged_store.graph, MappedKnowledgeGraph)
@@ -93,3 +93,13 @@ def random_multigraph(seed: int) -> tuple[list[Triple], list[Triple], list[str]]
     cut = rng.randint(1, len(stream))
     delta = stream[cut:] + [("fresh", "r_new", nodes[1]), ("fresh", "r0", "fresh")]
     return stream[:cut], delta, nodes + ["fresh"]
+
+
+def copy_snapshot(source, target):
+    """Copy a snapshot directory file by file (for tests that damage one)."""
+    for item in source.rglob("*"):
+        if item.is_file():
+            destination = target / item.relative_to(source)
+            destination.parent.mkdir(parents=True, exist_ok=True)
+            destination.write_bytes(item.read_bytes())
+    return target

@@ -353,7 +353,7 @@ def test_generated_domain_ranked_answers_match_golden_in_a_fresh_process_over_v3
     no memo warm, another string hash seed."""
     _dataset, system = generated
     snapshot = tmp_path / "generated.snapdir3"
-    system.graph_store.save(snapshot, format="v3")
+    system.graph_store.save(snapshot)
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["freebase_like"]
     script = (
         "import json, sys\n"

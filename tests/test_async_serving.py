@@ -1,16 +1,17 @@
-"""Async-frontend tests: admission control, limits, metrics, deadlines.
+"""Frontend tests: admission control, limits, metrics, deadlines.
 
-Pins the serving-tier acceptance criteria for the asyncio frontend:
+Pins the serving-tier acceptance criteria for the asyncio frontend
+(``tests/test_serving.py`` holds the request/response and reload cases):
 
-* answers are byte-identical to the threaded frontend (and to a direct
-  ``GQBE.query`` call);
+* answers are byte-identical to a direct ``GQBE.query`` call;
 * a shed request (``429`` past the high-water mark) carries
   ``Retry-After`` and never touches the batcher;
 * rate-limited clients recover as their token bucket refills;
 * a deadline expiry answers ``504`` while the cache generation guard
   stays intact — the abandoned result can never be served later;
-* the TTL answer cache never serves a stale generation after
-  ``POST /admin/reload``;
+* answer-cache entries expire after their TTL and keep the generation
+  guard;
+* a client that hangs up mid-request is not counted as a server error;
 * ``GET /metrics`` renders a parseable Prometheus text exposition whose
   counters reconcile with the requests the test itself issued.
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -33,19 +35,17 @@ from repro.core.config import GQBEConfig
 from repro.core.gqbe import GQBE
 from repro.exceptions import EvaluationError
 from repro.serving.async_server import AsyncGQBEServer
+from repro.serving.cache import AnswerCache
 from repro.serving.limits import (
     AdmissionGate,
     RateLimiter,
     TokenBucket,
-    TTLAnswerCache,
     retry_after_header,
 )
 from repro.serving.metrics import (
     MetricsRegistry,
     parse_prometheus_text,
 )
-from repro.serving.server import GQBEServer
-from repro.storage.snapshot import GraphStore
 
 
 class FakeClock:
@@ -145,32 +145,23 @@ def test_retry_after_header_is_a_positive_integer_rounded_up():
 
 
 # ----------------------------------------------------------------------
-# TTLAnswerCache
+# AnswerCache time-to-live (LRU + generation guard: tests/test_serving.py)
 # ----------------------------------------------------------------------
 def test_ttl_cache_expires_entries_on_access():
     clock = FakeClock()
-    cache = TTLAnswerCache(capacity=8, ttl_seconds=10.0, clock=clock)
+    cache = AnswerCache(capacity=8, ttl_seconds=10.0, clock=clock)
     assert cache.put("key", {"answers": []}, cache.generation)
     assert cache.get("key") == {"answers": []}
     clock.advance(10.5)
     assert cache.get("key") is None
     assert cache.expirations == 1
     assert len(cache) == 0
-
-
-def test_ttl_cache_none_ttl_is_pure_lru_passthrough():
-    cache = TTLAnswerCache(capacity=2, ttl_seconds=None)
-    cache.put("a", 1, cache.generation)
-    assert cache.get("a") == 1  # unwrapped: byte-compatible with parent
-    cache.put("b", 2, cache.generation)
-    assert cache.get("a") == 1  # refresh "a": now "b" is least recent
-    cache.put("c", 3, cache.generation)
-    assert cache.get("b") is None and cache.evictions == 1
+    assert cache.stats()["expirations"] == 1 and cache.stats()["ttl_seconds"] == 10.0
 
 
 def test_ttl_cache_keeps_generation_guard():
     clock = FakeClock()
-    cache = TTLAnswerCache(capacity=8, ttl_seconds=60.0, clock=clock)
+    cache = AnswerCache(capacity=8, ttl_seconds=60.0, clock=clock)
     old_generation = cache.generation
     cache.invalidate()
     assert not cache.put("key", "stale", old_generation)
@@ -182,7 +173,7 @@ def test_ttl_cache_keeps_generation_guard():
 
 def test_ttl_cache_rejects_non_positive_ttl():
     with pytest.raises(ValueError, match="ttl_seconds"):
-        TTLAnswerCache(capacity=8, ttl_seconds=0)
+        AnswerCache(capacity=8, ttl_seconds=0)
 
 
 # ----------------------------------------------------------------------
@@ -302,27 +293,12 @@ def async_server(figure1_graph):
 
 
 # ----------------------------------------------------------------------
-# Equivalence: async answers == threaded answers == direct query
+# Equivalence: served answers == direct query
 # ----------------------------------------------------------------------
-def test_async_answers_match_threaded_and_direct(
-    async_server, figure1_graph, figure1_system
-):
+def test_async_answers_match_direct(async_server, figure1_system):
     payload = {"tuple": ["Jerry Yang", "Yahoo!"], "k": 5}
     status, via_async = _post(async_server, "/query", payload)
     assert status == 200 and via_async["cached"] is False
-
-    threaded = GQBEServer(
-        GQBE(figure1_graph, config=GQBEConfig(mqg_size=10)),
-        port=0,
-        batch_window_seconds=0.002,
-        cache_size=64,
-    ).start()
-    try:
-        status, via_threaded = _post(threaded, "/query", payload)
-    finally:
-        threaded.stop()
-    assert status == 200
-    assert via_async["answers"] == via_threaded["answers"]
 
     direct = figure1_system.query(("Jerry Yang", "Yahoo!"), k=5)
     assert [tuple(a["entities"]) for a in via_async["answers"]] == [
@@ -394,6 +370,42 @@ def test_async_stats_and_metrics_endpoints(async_server):
     assert after[count_key] >= before.get(count_key, 0) + 1
     total_key = ("gqbe_stage_seconds_count", (("stage", "total"),))
     assert after[total_key] > before.get(total_key, 0)
+
+
+# ----------------------------------------------------------------------
+# A client that hangs up mid-request is not a server error
+# ----------------------------------------------------------------------
+def test_client_hangup_mid_request_is_not_a_server_error(figure1_graph, caplog):
+    server = AsyncGQBEServer(
+        GQBE(figure1_graph, config=GQBEConfig(mqg_size=10)), port=0, cache_size=0
+    ).start()
+    try:
+        torn = [
+            # a body one byte long where the head promised a hundred
+            b"POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: 100\r\n\r\n{",
+            # a connection closed inside the header line
+            b"POST /query HTTP/1.1\r\nContent-Le",
+        ]
+        for raw in torn:
+            with socket.create_connection((server.host, server.port), timeout=30) as sock:
+                sock.sendall(raw)
+                sock.shutdown(socket.SHUT_WR)
+                assert sock.recv(65536) == b""  # closed, nothing written back
+        status, body = _post(
+            server, "/query", {"tuple": ["Jerry Yang", "Yahoo!"], "k": 3}
+        )
+        assert status == 200 and body["answers"]
+        stats = server.stats()
+        assert stats["internal_errors"] == 0 and stats["request_errors"] == 0
+        metrics = _scrape(server)
+        assert metrics[("gqbe_http_internal_errors_total", ())] == 0
+        assert not [
+            key for key in metrics
+            if key[0] == "gqbe_http_requests_total" and ("code", "500") in key[1]
+        ]
+        assert "Traceback" not in caplog.text
+    finally:
+        server.stop()
 
 
 # ----------------------------------------------------------------------
@@ -576,74 +588,6 @@ def test_async_deadline_expiry_504_generation_guard_intact(figure1_graph):
 
 
 # ----------------------------------------------------------------------
-# Reload: the TTL cache never serves a stale generation
-# ----------------------------------------------------------------------
-def _reordered_graph():
-    """A graph where the Fig. 1 founder query ranks different answers."""
-    from repro.graph.knowledge_graph import KnowledgeGraph
-
-    graph = KnowledgeGraph()
-    for founder, company in [
-        ("Jerry Yang", "Yahoo!"),
-        ("Ada Lovelace", "Analytical Engines Ltd"),
-        ("Grace Hopper", "COBOL Systems"),
-    ]:
-        graph.add_edge(founder, "founded", company)
-        graph.add_edge(founder, "profession", "Engineer")
-        graph.add_edge(company, "industry", "Computing")
-    return graph
-
-
-def test_async_ttl_cache_never_stale_after_reload(figure1_graph, tmp_path):
-    snap_a = tmp_path / "a.snap"
-    snap_b = tmp_path / "b.snap"
-    GraphStore.build(figure1_graph).save(snap_a)
-    graph_b = _reordered_graph()
-    GraphStore.build(graph_b).save(snap_b)
-
-    server = AsyncGQBEServer.from_snapshot(
-        snap_a,
-        port=0,
-        batch_window_seconds=0.001,
-        cache_size=64,
-        cache_ttl_seconds=3600.0,
-    ).start()
-    try:
-        assert isinstance(server._cache, TTLAnswerCache)
-        payload = {"tuple": ["Jerry Yang", "Yahoo!"], "k": 5}
-        _, before = _post(server, "/query", payload)
-        _, before_again = _post(server, "/query", payload)
-        assert before_again["cached"] is True
-
-        generation_metric = _scrape(server)[("gqbe_snapshot_generation", ())]
-        status, reload_body = _post(
-            server, "/admin/reload", {"snapshot": str(snap_b)}
-        )
-        assert status == 200 and reload_body["reloaded"] is True
-        assert reload_body["generation"] > before["generation"]
-
-        _, after = _post(server, "/query", payload)
-        assert after["cached"] is False
-        assert after["generation"] > before["generation"]
-        expected = GQBE(graph_b).query(("Jerry Yang", "Yahoo!"), k=5)
-        assert [tuple(a["entities"]) for a in after["answers"]] == [
-            answer.entities for answer in expected.answers
-        ]
-        assert after["answers"] != before["answers"]
-        assert _scrape(server)[("gqbe_snapshot_generation", ())] > generation_metric
-    finally:
-        server.stop()
-
-
-def test_async_in_flight_result_cannot_poison_ttl_cache():
-    cache = TTLAnswerCache(capacity=64, ttl_seconds=3600.0)
-    generation_before = cache.generation
-    cache.invalidate()  # a reload lands while the answer is computing
-    assert not cache.put(("q",), {"answers": ["old"]}, generation_before)
-    assert cache.get(("q",)) is None
-
-
-# ----------------------------------------------------------------------
 # CLI wiring: every admission flag defaults from its GQBEConfig field
 # ----------------------------------------------------------------------
 def test_cli_serve_admission_flags_default_from_config():
@@ -651,7 +595,6 @@ def test_cli_serve_admission_flags_default_from_config():
 
     defaults = GQBEConfig()
     args = build_parser().parse_args(["serve", "--snapshot", "x.snap"])
-    assert args.frontend == "async"
     assert args.high_water == defaults.serve_high_water == 64
     assert args.deadline_ms == defaults.serve_deadline_ms is None
     assert args.rate_limit_rps == defaults.serve_rate_limit_rps is None
@@ -664,8 +607,6 @@ def test_cli_serve_admission_flags_default_from_config():
             "serve",
             "--snapshot",
             "x.snap",
-            "--frontend",
-            "threaded",
             "--high-water",
             "8",
             "--deadline-ms",
@@ -682,7 +623,6 @@ def test_cli_serve_admission_flags_default_from_config():
             "30",
         ]
     )
-    assert args.frontend == "threaded"
     assert args.high_water == 8
     assert args.deadline_ms == 250
     assert args.rate_limit_rps == 5.5
@@ -715,28 +655,29 @@ def test_config_validates_serve_fields():
         GQBEConfig(serve_cache_ttl_seconds=0)
 
 
-def test_build_frontend_selects_by_flag(figure1_graph):
+def test_build_frontend_wires_the_flags(figure1_graph):
     from repro.cli import build_frontend, build_parser
 
     system = GQBE(figure1_graph, config=GQBEConfig(mqg_size=10))
     args = build_parser().parse_args(
-        ["serve", "--snapshot", "x.snap", "--frontend", "threaded"]
-    )
-    server = build_frontend(system, None, args)
-    try:
-        assert isinstance(server, GQBEServer)
-        assert not isinstance(server, AsyncGQBEServer)
-    finally:
-        server._batcher.close()
-
-    args = build_parser().parse_args(
-        ["serve", "--snapshot", "x.snap", "--high-water", "7", "--deadline-ms", "123"]
+        [
+            "serve",
+            "--snapshot",
+            "x.snap",
+            "--high-water",
+            "7",
+            "--deadline-ms",
+            "123",
+            "--cache-ttl-seconds",
+            "30",
+        ]
     )
     server = build_frontend(system, None, args)
     try:
         assert isinstance(server, AsyncGQBEServer)
         assert server.high_water == 7
         assert server.deadline_ms == 123
+        assert server.stats()["cache"]["ttl_seconds"] == 30.0
     finally:
         server._executor.shutdown(wait=False)
         server._batcher.close()

@@ -158,7 +158,7 @@ class TestCommittedBaseline:
             "test_bench_mqg_discovery_with_reduction",
             "test_bench_v3_warm_start_first_query",
             "test_bench_offline_precomputation",
-            "test_bench_snapshot_warm_start",
+            "test_bench_v3_warm_start",
             "test_bench_cold_start_from_triples",
             "test_fig14_kernel_hot_paths_python",
             "test_fig14_kernel_hot_paths_native",

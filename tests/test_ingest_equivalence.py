@@ -5,8 +5,8 @@ delta) answers **byte-identically** to a system built from scratch over
 the merged edge set.  These tests split seeded random triple streams into
 (base, delta) at varying ratios and pin that promise across:
 
-* the v3 mapped base (``DeltaKnowledgeGraph`` overlay over the CSR view),
-* the v1 owned base (in-place mutation of the owned graph),
+* the mapped base (``DeltaKnowledgeGraph`` overlay over the CSR view),
+* the owned base of a cold build (in-place mutation of the owned graph),
 * pooled execution (workers reopen the snapshot and replay the delta),
 * the compacted generation (the overlay folded back to disk and reloaded).
 
@@ -100,7 +100,7 @@ class TestOverlayEquivalence:
     ):
         base, delta, duplicates = _split_stream(dataset, ratio, seed=ratio)
         directory = tmp_path / "base.snapdir3"
-        GraphStore.build(KnowledgeGraph(base)).save(directory, format="v3")
+        GraphStore.build(KnowledgeGraph(base)).save(directory)
 
         overlay = GQBE(config=config, graph_store=GraphStore.load(directory))
         result = overlay.ingest(delta + duplicates)
@@ -117,17 +117,14 @@ class TestOverlayEquivalence:
                 reference.query(query_tuple, k=10)
             )
 
-    def test_v1_owned_base_matches_merged_build(self, dataset, config, tmp_path):
+    def test_owned_base_matches_merged_build(self, dataset, config):
         base, delta, duplicates = _split_stream(dataset, 0.5, seed=99)
-        path = tmp_path / "base.snap"
-        GraphStore.build(KnowledgeGraph(base)).save(path)
-
-        overlay = GQBE(config=config, graph_store=GraphStore.load(path))
+        overlay = GQBE(KnowledgeGraph(base), config=config)
         result = overlay.ingest(delta + duplicates)
         assert result["applied"] == len(delta)
         assert result["duplicates"] == len(duplicates)
-        # A v1 base loads as an owned graph: the delta mutates it in
-        # place instead of stacking an overlay.
+        # A cold build owns its graph: the delta mutates it in place
+        # instead of stacking an overlay.
         assert isinstance(overlay.graph, KnowledgeGraph)
 
         reference = _merged_reference(config, base, delta)
@@ -139,7 +136,7 @@ class TestOverlayEquivalence:
     def test_repeat_ingest_is_idempotent(self, dataset, config, tmp_path):
         base, delta, _ = _split_stream(dataset, 0.5, seed=3)
         directory = tmp_path / "base.snapdir3"
-        GraphStore.build(KnowledgeGraph(base)).save(directory, format="v3")
+        GraphStore.build(KnowledgeGraph(base)).save(directory)
         overlay = GQBE(config=config, graph_store=GraphStore.load(directory))
         first = overlay.ingest(delta)
         again = overlay.ingest(delta)
@@ -154,7 +151,7 @@ class TestOverlayEquivalence:
     ):
         base, delta, _ = _split_stream(dataset, 0.5, seed=4)
         directory = tmp_path / "base.snapdir3"
-        GraphStore.build(KnowledgeGraph(base)).save(directory, format="v3")
+        GraphStore.build(KnowledgeGraph(base)).save(directory)
         overlay = GQBE(config=config, graph_store=GraphStore.load(directory))
         with pytest.raises(GraphError):
             overlay.ingest([delta[0], ("subject", "", "object")])
@@ -166,7 +163,7 @@ class TestPooledEquivalence:
     def test_pooled_workers_replay_the_delta(self, dataset, config, tmp_path):
         base, delta, _ = _split_stream(dataset, 0.5, seed=21)
         directory = tmp_path / "base.snapdir3"
-        GraphStore.build(KnowledgeGraph(base)).save(directory, format="v3")
+        GraphStore.build(KnowledgeGraph(base)).save(directory)
         pooled_config = replace(config, execution="pool", pool_workers=2)
         pooled = GQBE.from_snapshot(directory, config=pooled_config)
         try:
@@ -183,18 +180,17 @@ class TestPooledEquivalence:
 
 
 class TestCompactedEquivalence:
-    @pytest.mark.parametrize("fmt", ["v1", "v3"])
     def test_compacted_generation_matches_merged_build(
-        self, dataset, config, tmp_path, fmt
+        self, dataset, config, tmp_path
     ):
         base, delta, _ = _split_stream(dataset, 0.5, seed=42)
         directory = tmp_path / "base.snapdir3"
-        GraphStore.build(KnowledgeGraph(base)).save(directory, format="v3")
+        GraphStore.build(KnowledgeGraph(base)).save(directory)
         overlay = GQBE(config=config, graph_store=GraphStore.load(directory))
         overlay.ingest(delta)
 
-        compacted_path = tmp_path / f"compacted.{fmt}"
-        overlay.graph_store.save(compacted_path, format=fmt)
+        compacted_path = tmp_path / "compacted"
+        overlay.graph_store.save(compacted_path)
         compacted = GQBE(
             config=config, graph_store=GraphStore.load(compacted_path)
         )

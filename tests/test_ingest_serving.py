@@ -1,7 +1,7 @@
 """Serving-layer tests for the write path: ingest, compaction, crash safety.
 
 Pins the operational guarantees of ``POST /admin/ingest`` and
-``POST /admin/compact`` on both HTTP frontends:
+``POST /admin/compact``:
 
 * ingested edges become queryable immediately and the answer cache is
   invalidated — no response sent after the ingest ack describes the
@@ -34,7 +34,7 @@ from repro.datasets.example_graph import figure1_excerpt
 from repro.exceptions import EvaluationError, SnapshotError
 from repro.serving.async_server import AsyncGQBEServer
 from repro.serving.metrics import parse_prometheus_text
-from repro.serving.server import GQBEServer, ServingCore
+from repro.serving.server import ServingCore
 from repro.storage.generations import (
     generation_number,
     generation_path,
@@ -113,9 +113,9 @@ def _expected_entities(graph, k=10):
     return [tuple(answer.entities) for answer in result.answers]
 
 
-def _snapshot(figure1_graph, tmp_path, fmt="v3"):
-    path = tmp_path / ("fig1.snapdir" if fmt == "v3" else "fig1.snap")
-    GraphStore.build(figure1_graph).save(path, format=fmt)
+def _snapshot(figure1_graph, tmp_path):
+    path = tmp_path / "fig1.snapdir"
+    GraphStore.build(figure1_graph).save(path)
     return path
 
 
@@ -146,9 +146,7 @@ class TestGenerations:
         root = _snapshot(figure1_graph, tmp_path)
         assert [number for number, _ in list_generations(root)] == [0]
         assert next_generation_path(root).name == root.name + ".gen1"
-        GraphStore.build(figure1_graph).save(
-            generation_path(root, 1), format="v3"
-        )
+        GraphStore.build(figure1_graph).save(generation_path(root, 1))
         assert [number for number, _ in list_generations(root)] == [0, 1]
         assert next_generation_path(root).name == root.name + ".gen2"
         # .tmp wreckage is never listed as a generation.
@@ -159,9 +157,7 @@ class TestGenerations:
         self, figure1_graph, tmp_path
     ):
         root = _snapshot(figure1_graph, tmp_path)
-        GraphStore.build(figure1_graph).save(
-            generation_path(root, 1), format="v3"
-        )
+        GraphStore.build(figure1_graph).save(generation_path(root, 1))
         # gen2 is a torn write: a directory with no manifest.
         generation_path(root, 2).mkdir()
         orphan = tmp_path / (root.name + ".gen3.tmp")
@@ -181,9 +177,7 @@ class TestGenerations:
     def test_prune_keeps_newest_and_never_the_root(self, figure1_graph, tmp_path):
         root = _snapshot(figure1_graph, tmp_path)
         for number in (1, 2, 3):
-            GraphStore.build(figure1_graph).save(
-                generation_path(root, number), format="v3"
-            )
+            GraphStore.build(figure1_graph).save(generation_path(root, number))
         removed = prune_generations(generation_path(root, 3), keep=2)
         assert removed == [generation_path(root, 1)]
         assert root.exists()
@@ -193,13 +187,13 @@ class TestGenerations:
 
 
 # ----------------------------------------------------------------------
-# threaded frontend
+# ingest and compaction over HTTP
 # ----------------------------------------------------------------------
-class TestThreadedIngest:
+class TestAsyncIngest:
     @pytest.fixture()
     def server(self, figure1_graph, tmp_path):
         path = _snapshot(figure1_graph, tmp_path)
-        server = GQBEServer.from_snapshot(
+        server = AsyncGQBEServer.from_snapshot(
             path, port=0, batch_window_seconds=0.002, cache_size=64
         ).start()
         yield server
@@ -273,7 +267,6 @@ class TestThreadedIngest:
         status, body = _post(server, "/admin/compact")
         assert status == 200
         assert body["compacted"]
-        assert body["format"] == "v3"
         assert body["delta_edges"] == len(BURSTS[0])
         assert generation_number(body["snapshot"]) == 1
         assert generation_root(body["snapshot"]) == generation_root(base)
@@ -296,7 +289,7 @@ class TestThreadedIngest:
         ).num_edges
 
     def test_compact_without_snapshot_is_400(self, figure1_system):
-        server = GQBEServer(
+        server = AsyncGQBEServer(
             figure1_system, port=0, batch_window_seconds=0.002
         ).start()
         try:
@@ -305,65 +298,6 @@ class TestThreadedIngest:
             assert "snapshot" in body["error"]
         finally:
             server.stop()
-
-
-class TestConfigSurvivesReload:
-    def test_compaction_and_reload_keep_the_running_config(
-        self, figure1_graph, tmp_path
-    ):
-        """A reload swaps the snapshot, not the operator's engine config."""
-        path = _snapshot(figure1_graph, tmp_path)
-        config = GQBEConfig(mqg_size=6, k_prime=7, node_budget=40, max_join_rows=5_000)
-        core = ServingCore(
-            GQBE.from_snapshot(path, config), snapshot_path=path,
-            batch_window_seconds=0.002,
-        )
-        try:
-            status, _ = core.handle_ingest({"triples": BURSTS[0]})
-            assert status == 200
-            status, before = core.handle_query({"tuple": QUERY, "k": 10})
-            assert status == 200
-            # The config shows in the result: the default one discovers a
-            # larger MQG for this query.
-            merged = _merged(figure1_graph, BURSTS[0])
-            assert before["mqg_edges"] == GQBE(merged, config).query(tuple(QUERY)).mqg.num_edges
-            assert before["mqg_edges"] < GQBE(merged).query(tuple(QUERY)).mqg.num_edges
-
-            status, compacted = core.handle_compact()
-            assert status == 200
-            assert core.system.config == config
-            status, after = core.handle_query({"tuple": QUERY, "k": 10})
-            assert status == 200 and not after["cached"]
-            assert (after["answers"], after["mqg_edges"]) == (
-                before["answers"],
-                before["mqg_edges"],
-            )
-
-            core.load_snapshot(compacted["snapshot"])
-            assert core.system.config == config
-            status, reloaded = core.handle_query({"tuple": QUERY, "k": 10})
-            assert status == 200 and reloaded["answers"] == before["answers"]
-            assert reloaded["mqg_edges"] == before["mqg_edges"]
-        finally:
-            core.close_engine()
-
-
-# ----------------------------------------------------------------------
-# async frontend
-# ----------------------------------------------------------------------
-class TestAsyncIngest:
-    @pytest.fixture()
-    def server(self, figure1_graph, tmp_path):
-        path = _snapshot(figure1_graph, tmp_path)
-        server = AsyncGQBEServer(
-            GQBE.from_snapshot(path),
-            snapshot_path=path,
-            port=0,
-            batch_window_seconds=0.002,
-            cache_size=64,
-        ).start()
-        yield server
-        server.stop()
 
     def test_ingest_visibility_and_metrics(self, server, figure1_graph):
         _post(server, "/query", {"tuple": QUERY, "k": 10})
@@ -578,14 +512,52 @@ class TestAsyncIngest:
             )
 
 
+class TestConfigSurvivesReload:
+    def test_compaction_and_reload_keep_the_running_config(
+        self, figure1_graph, tmp_path
+    ):
+        """A reload swaps the snapshot, not the operator's engine config."""
+        path = _snapshot(figure1_graph, tmp_path)
+        config = GQBEConfig(mqg_size=6, k_prime=7, node_budget=40, max_join_rows=5_000)
+        core = ServingCore(
+            GQBE.from_snapshot(path, config), snapshot_path=path,
+            batch_window_seconds=0.002,
+        )
+        try:
+            status, _ = core.handle_ingest({"triples": BURSTS[0]})
+            assert status == 200
+            status, before = core.handle_query({"tuple": QUERY, "k": 10})
+            assert status == 200
+            # The config shows in the result: the default one discovers a
+            # larger MQG for this query.
+            merged = _merged(figure1_graph, BURSTS[0])
+            assert before["mqg_edges"] == GQBE(merged, config).query(tuple(QUERY)).mqg.num_edges
+            assert before["mqg_edges"] < GQBE(merged).query(tuple(QUERY)).mqg.num_edges
+
+            status, compacted = core.handle_compact()
+            assert status == 200
+            assert core.system.config == config
+            status, after = core.handle_query({"tuple": QUERY, "k": 10})
+            assert status == 200 and not after["cached"]
+            assert (after["answers"], after["mqg_edges"]) == (
+                before["answers"],
+                before["mqg_edges"],
+            )
+
+            core.load_snapshot(compacted["snapshot"])
+            assert core.system.config == config
+            status, reloaded = core.handle_query({"tuple": QUERY, "k": 10})
+            assert status == 200 and reloaded["answers"] == before["answers"]
+            assert reloaded["mqg_edges"] == before["mqg_edges"]
+        finally:
+            core.close_engine()
+
+
 # ----------------------------------------------------------------------
 # concurrency: queries racing ingest + compaction
 # ----------------------------------------------------------------------
 class TestConcurrentMutation:
-    @pytest.mark.parametrize("frontend", ["threaded", "async"])
-    def test_queries_always_see_a_consistent_stage(
-        self, figure1_graph, tmp_path, frontend
-    ):
+    def test_queries_always_see_a_consistent_stage(self, figure1_graph, tmp_path):
         """Hammer /query while ingest bursts and a compaction land.
 
         Every successful response must equal one of the cumulative
@@ -602,18 +574,9 @@ class TestConcurrentMutation:
         # would be vacuous.
         assert stages[0] != stages[1] != stages[2]
 
-        if frontend == "threaded":
-            server = GQBEServer.from_snapshot(
-                path, port=0, batch_window_seconds=0.001, cache_size=64
-            ).start()
-        else:
-            server = AsyncGQBEServer(
-                GQBE.from_snapshot(path),
-                snapshot_path=path,
-                port=0,
-                batch_window_seconds=0.001,
-                cache_size=64,
-            ).start()
+        server = AsyncGQBEServer.from_snapshot(
+            path, port=0, batch_window_seconds=0.001, cache_size=64
+        ).start()
         failures: list[str] = []
         stop = threading.Event()
 
@@ -665,7 +628,7 @@ class TestCrashSafety:
         self, figure1_graph, tmp_path, monkeypatch
     ):
         path = _snapshot(figure1_graph, tmp_path)
-        server = GQBEServer.from_snapshot(
+        server = AsyncGQBEServer.from_snapshot(
             path, port=0, batch_window_seconds=0.002
         ).start()
         try:
@@ -707,7 +670,7 @@ class TestCrashSafety:
         must not stop the server family from loading the last good
         state."""
         path = _snapshot(figure1_graph, tmp_path)
-        server = GQBEServer.from_snapshot(
+        server = AsyncGQBEServer.from_snapshot(
             path, port=0, batch_window_seconds=0.002
         ).start()
         try:

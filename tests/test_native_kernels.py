@@ -8,7 +8,7 @@ pure reference (``repro._kernels._pure``):
   documented in-place dict/list mutations and callback firing order),
   produces identical outputs on both backends;
 * end-to-end parity — ranked answers are identical across the whole
-  v1 / v2 / v3 × inline / pooled matrix with ``native_kernels="on"``
+  built / snapshot × inline / pooled matrix with ``native_kernels="on"``
   versus ``"off"`` (the same matrix ``test_pool_execution.py`` pins);
 * the fallback contract — ``GQBE_FORCE_PURE=1`` forces the pure backend
   in a fresh interpreter even under ``native_kernels="on"``, and
@@ -209,7 +209,7 @@ class TestTopKThresholdKernel:
 
 
 # ----------------------------------------------------------------------
-# end-to-end: the v1/v2/v3 × inline/pooled matrix, native vs fallback
+# end-to-end: the built/snapshot × inline/pooled matrix, native vs fallback
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def workload():
@@ -217,14 +217,10 @@ def workload():
 
 
 @pytest.fixture(scope="module")
-def snapshots(workload, tmp_path_factory):
-    root = tmp_path_factory.mktemp("kernels")
-    paths = {}
-    for fmt, name in (("v1", "g.snap"), ("v2", "g.snapdir"), ("v3", "g.snapdir3")):
-        path = root / name
-        GraphStore.build(workload.dataset.graph).save(path, format=fmt)
-        paths[fmt] = path
-    return paths
+def snapshot(workload, tmp_path_factory):
+    path = tmp_path_factory.mktemp("kernels") / "g.snapdir"
+    GraphStore.build(workload.dataset.graph).save(path)
+    return path
 
 
 def _answer_key(result):
@@ -236,15 +232,15 @@ def _answer_key(result):
 
 @needs_native
 def test_native_matches_fallback_across_formats_and_execution(
-    workload, snapshots
+    workload, snapshot
 ):
-    """native_kernels="on" ≡ "off" over v1/v2/v3 × inline/pooled."""
+    """native_kernels="on" ≡ "off" over owned/mapped × inline/pooled."""
     tuples = [query.query_tuple for query in workload.queries[:6]]
     reference = None
-    for fmt in ("v1", "v2", "v3"):
+    for backing in ("built", "snapshot"):
         for execution in ("inline", "pool"):
-            if execution == "pool" and fmt == "v1":
-                continue  # pooled workers require a mapped snapshot
+            if execution == "pool" and backing == "built":
+                continue  # fork-inherited pools: tests/test_pool_execution.py
             by_mode = {}
             for mode in ("off", "on"):
                 config = GQBEConfig(
@@ -253,13 +249,16 @@ def test_native_matches_fallback_across_formats_and_execution(
                     execution=execution,
                     pool_workers=2 if execution == "pool" else None,
                 )
-                system = GQBE.from_snapshot(snapshots[fmt], config=config)
+                if backing == "built":
+                    system = GQBE(workload.dataset.graph, config=config)
+                else:
+                    system = GQBE.from_snapshot(snapshot, config=config)
                 try:
                     results = system.query_batch(tuples, k=5)
                     by_mode[mode] = [_answer_key(r) for r in results]
                 finally:
                     system.close()
-            cell = f"{fmt}/{execution}"
+            cell = f"{backing}/{execution}"
             assert by_mode["on"] == by_mode["off"], cell
             if reference is None:
                 reference = by_mode["off"]

@@ -2,9 +2,9 @@
 
 The acceptance contract of the pooled backend (``serving/pool.py``):
 ranked answers — entities, scores, ranks — and their order are identical
-across **v1-loaded**, **v2-mapped**, **v3-mapped**, **inline** and
-**pooled** execution (pooled over both mapped formats), for batch sizes
-1, 2 and the full 20-query Fig. 14-style workload (mirroring
+across **cold-built inline**, **snapshot-mapped inline** and **pooled**
+execution, for batch sizes 1, 2 and the full 20-query Fig. 14-style
+workload (mirroring
 ``tests/test_batch_equivalence.py``).  Also covers duplicate fan-out
 through the pool, the serve layer's pooled dispatch, error handling
 (including a worker dying inside the fork-pool initializer, which must
@@ -45,28 +45,14 @@ def tuples(workload):
 
 
 @pytest.fixture(scope="module")
-def snapshot_v1(workload, tmp_path_factory):
-    path = tmp_path_factory.mktemp("pool") / "workload.snap"
+def snapshot(workload, tmp_path_factory):
+    path = tmp_path_factory.mktemp("pool") / "workload.snapdir"
     GraphStore.build(workload.dataset.graph).save(path)
     return path
 
 
 @pytest.fixture(scope="module")
-def snapshot_v2(workload, tmp_path_factory):
-    path = tmp_path_factory.mktemp("pool") / "workload.snapdir"
-    GraphStore.build(workload.dataset.graph).save(path, format="v2")
-    return path
-
-
-@pytest.fixture(scope="module")
-def snapshot_v3(workload, tmp_path_factory):
-    path = tmp_path_factory.mktemp("pool") / "workload.snapdir3"
-    GraphStore.build(workload.dataset.graph).save(path, format="v3")
-    return path
-
-
-@pytest.fixture(scope="module")
-def systems(workload, snapshot_v1, snapshot_v2, snapshot_v3):
+def systems(workload, snapshot):
     """The execution variants of the acceptance criterion."""
     inline_config = GQBEConfig(**_CONFIG)
     pooled_config = GQBEConfig(
@@ -74,15 +60,11 @@ def systems(workload, snapshot_v1, snapshot_v2, snapshot_v3):
     )
     built = {
         "inline": GQBE(workload.dataset.graph, config=inline_config),
-        "v1-loaded": GQBE.from_snapshot(snapshot_v1, config=inline_config),
-        "v2-mapped": GQBE.from_snapshot(snapshot_v2, config=inline_config),
-        "v3-mapped": GQBE.from_snapshot(snapshot_v3, config=inline_config),
-        "pooled": GQBE.from_snapshot(snapshot_v2, config=pooled_config),
-        "pooled-v3": GQBE.from_snapshot(snapshot_v3, config=pooled_config),
+        "mapped": GQBE.from_snapshot(snapshot, config=inline_config),
+        "pooled": GQBE.from_snapshot(snapshot, config=pooled_config),
     }
     yield built
     built["pooled"].close()
-    built["pooled-v3"].close()
 
 
 def answer_key(result):
@@ -94,11 +76,11 @@ def answer_key(result):
 
 @pytest.mark.parametrize("batch_size", [1, 2, 20])
 def test_format_and_execution_equivalence(systems, tuples, batch_size):
-    """v1 / v2 / v3 × inline / pooled all rank byte-identically."""
+    """Cold-built / snapshot-mapped × inline / pooled rank byte-identically."""
     batch = tuples[:batch_size]
     assert len(batch) == batch_size
     reference = [answer_key(r) for r in systems["inline"].query_batch(batch, k=5)]
-    for name in ("v1-loaded", "v2-mapped", "v3-mapped", "pooled", "pooled-v3"):
+    for name in ("mapped", "pooled"):
         results = systems[name].query_batch(batch, k=5)
         assert [answer_key(r) for r in results] == reference, name
 
@@ -135,11 +117,11 @@ def test_fork_inherited_pool_matches(systems, workload, tuples):
         system.close()
 
 
-def test_single_query_stays_inline(snapshot_v2, tuples):
+def test_single_query_stays_inline(snapshot, tuples):
     """One-element batches take the inline path — no pool is created
     just for them."""
     fresh = GQBE.from_snapshot(
-        snapshot_v2,
+        snapshot,
         config=GQBEConfig(**_CONFIG, execution="pool", pool_workers=POOL_WORKERS),
     )
     try:
@@ -150,9 +132,9 @@ def test_single_query_stays_inline(snapshot_v2, tuples):
         fresh.close()
 
 
-def test_pool_propagates_engine_errors(systems, snapshot_v2):
+def test_pool_propagates_engine_errors(systems, snapshot):
     pooled = GQBE.from_snapshot(
-        snapshot_v2,
+        snapshot,
         config=GQBEConfig(**_CONFIG, execution="pool", pool_workers=POOL_WORKERS),
     )
     try:
@@ -253,19 +235,18 @@ def test_pool_rss_reporting(systems, tuples):
 
 class TestServingPoolDispatch:
     def test_server_with_workers_answers_identically(
-        self, systems, snapshot_v2, tuples
+        self, systems, snapshot, tuples
     ):
-        from repro.serving.server import GQBEServer
+        from repro.serving.server import ServingCore
 
         config = GQBEConfig(**_CONFIG)
-        server = GQBEServer(
-            GQBE.from_snapshot(snapshot_v2, config=config),
-            snapshot_path=snapshot_v2,
-            port=0,
+        server = ServingCore(
+            GQBE.from_snapshot(snapshot, config=config),
+            snapshot_path=snapshot,
             batch_window_seconds=0.001,
             cache_size=0,
             workers=POOL_WORKERS,
-        ).start()
+        )
         try:
             reference = systems["inline"].query(tuples[0], k=5)
             status, body = server.handle_query(
@@ -283,7 +264,7 @@ class TestServingPoolDispatch:
             memory = server.memory_stats()
             assert memory["workers"] == POOL_WORKERS
         finally:
-            server.stop()
+            server.close_engine()
 
     def test_batcher_pool_failure_falls_back(self, systems, tuples):
         """A broken pool degrades to the inline runner, not to errors."""

@@ -21,8 +21,10 @@ from repro.core.gqbe import GQBE
 from repro.exceptions import UnknownEntityError
 from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.serving.batching import QueryBatcher
+from repro.serving.async_server import AsyncGQBEServer
 from repro.serving.cache import AnswerCache
-from repro.serving.server import GQBEServer
+from repro.serving.metrics import parse_prometheus_text
+from repro.serving.server import ServingCore
 from repro.storage.snapshot import GraphStore
 
 
@@ -139,7 +141,7 @@ def test_batcher_close_rejects_new_submissions():
 
 
 # ----------------------------------------------------------------------
-# GQBEServer over HTTP
+# AsyncGQBEServer over HTTP (admission control: tests/test_async_serving.py)
 # ----------------------------------------------------------------------
 def _second_graph() -> KnowledgeGraph:
     """A graph where the Fig. 1 founder query has different answers."""
@@ -157,7 +159,7 @@ def _second_graph() -> KnowledgeGraph:
 
 @pytest.fixture(scope="module")
 def figure1_server(figure1_graph):
-    server = GQBEServer(
+    server = AsyncGQBEServer(
         GQBE(figure1_graph, config=GQBEConfig(mqg_size=10)),
         port=0,
         batch_window_seconds=0.002,
@@ -188,6 +190,15 @@ def _get(server, path):
         connection.request("GET", path)
         response = connection.getresponse()
         return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+def _scrape(server):
+    connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    try:
+        connection.request("GET", "/metrics")
+        return parse_prometheus_text(connection.getresponse().read().decode())
     finally:
         connection.close()
 
@@ -297,7 +308,7 @@ def test_serve_caps_oversized_request_bodies(figure1_server):
 
 
 def test_serve_accepts_bodies_under_the_cap(figure1_graph, tmp_path):
-    server = GQBEServer(
+    server = AsyncGQBEServer(
         GQBE(figure1_graph, config=GQBEConfig(mqg_size=10)),
         port=0,
         cache_size=0,
@@ -340,14 +351,14 @@ def test_serve_malformed_content_length_is_accurate_400(figure1_server):
 def test_serve_internal_errors_are_opaque(figure1_graph, monkeypatch):
     """Satellite: the last-resort 500 must not leak exception details to
     the client; the traceback is logged server-side and counted."""
-    server = GQBEServer(
+    server = AsyncGQBEServer(
         GQBE(figure1_graph, config=GQBEConfig(mqg_size=10)), port=0, cache_size=0
     ).start()
     try:
         def explode(payload):
             raise TypeError("secret internal detail: /etc/gqbe/snapshot.bin")
 
-        monkeypatch.setattr(server, "handle_query", explode)
+        monkeypatch.setattr(server, "_parse_query_payload", explode)
         status, body = _post(
             server, "/query", {"tuple": ["Jerry Yang", "Yahoo!"]}
         )
@@ -356,6 +367,7 @@ def test_serve_internal_errors_are_opaque(figure1_graph, monkeypatch):
         stats = server.stats()
         assert stats["internal_errors"] == 1
         assert stats["request_errors"] >= 1
+        assert _scrape(server)[("gqbe_http_internal_errors_total", ())] == 1
     finally:
         server.stop()
 
@@ -380,8 +392,12 @@ def test_serve_cache_never_stale_after_snapshot_reload(figure1_graph, tmp_path):
     graph_b = _second_graph()
     GraphStore.build(graph_b).save(snap_b)
 
-    server = GQBEServer.from_snapshot(
-        snap_a, port=0, batch_window_seconds=0.001, cache_size=64
+    server = AsyncGQBEServer.from_snapshot(
+        snap_a,
+        port=0,
+        batch_window_seconds=0.001,
+        cache_size=64,
+        cache_ttl_seconds=3600.0,  # a live TTL must not outlive a reload either
     ).start()
     try:
         payload = {"tuple": ["Jerry Yang", "Yahoo!"], "k": 5}
@@ -389,10 +405,13 @@ def test_serve_cache_never_stale_after_snapshot_reload(figure1_graph, tmp_path):
         _, before_again = _post(server, "/query", payload)
         assert before_again["cached"] is True
 
+        generation_metric = _scrape(server)[("gqbe_snapshot_generation", ())]
         status, reload_body = _post(
             server, "/admin/reload", {"snapshot": str(snap_b)}
         )
         assert status == 200 and reload_body["reloaded"] is True
+        assert reload_body["generation"] > before["generation"]
+        assert _scrape(server)[("gqbe_snapshot_generation", ())] > generation_metric
 
         _, after = _post(server, "/query", payload)
         assert after["cached"] is False
@@ -418,12 +437,13 @@ def test_serve_reload_failures_are_clean_400s(figure1_server, tmp_path):
     assert body["type"] == "SnapshotError"
     assert "missing.snap" in body["error"]
 
-    corrupt = tmp_path / "corrupt.snap"
-    corrupt.write_bytes(b"NOTASNAP" + b"\x00" * 64)
+    retired = tmp_path / "retired.snap"  # a single-file snapshot
+    retired.write_bytes(b"GQBESNAP" + b"\x00" * 64)
     status, body = _post(
-        figure1_server, "/admin/reload", {"snapshot": str(corrupt)}
+        figure1_server, "/admin/reload", {"snapshot": str(retired)}
     )
     assert status == 400 and body["type"] == "SnapshotError"
+    assert "gqbe build-index" in body["error"]
 
     corrupt_dir = tmp_path / "corrupt.snapdir"
     corrupt_dir.mkdir()
@@ -442,7 +462,7 @@ def test_serve_in_flight_result_cannot_poison_cache_after_reload(
     """A put computed against the old snapshot is dropped by the guard."""
     snap = tmp_path / "a.snap"
     GraphStore.build(figure1_graph).save(snap)
-    server = GQBEServer.from_snapshot(snap, port=0, cache_size=64)
+    server = ServingCore.from_snapshot(snap, cache_size=64)
     try:
         generation_before = server._cache.generation
         status, body = server.handle_query(
@@ -457,7 +477,7 @@ def test_serve_in_flight_result_cannot_poison_cache_after_reload(
         )
         assert status == 200 and after["cached"] is False
     finally:
-        server._batcher.close()
+        server.close_engine()
 
 
 # ----------------------------------------------------------------------
@@ -532,7 +552,22 @@ def test_cli_serve_parser_wiring():
     )
     assert args.max_body_bytes == 1024
 
-    args = build_parser().parse_args(
-        ["bench-serve", "--workload", "freebase", "--snapshot-format", "v2"]
-    )
-    assert args.snapshot_format == "v2"
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--snapshot", "x.snap", "--frontend", "threaded"],
+        ["bench-serve", "--workload", "freebase", "--snapshot-format", "v2"],
+        ["build-index", "in.tsv", "out.snap", "--format", "v1"],
+        ["build-index", "in.tsv", "out.snap", "--rows"],
+    ],
+)
+def test_cli_retired_selectors_are_gone(argv, capsys):
+    """One format, one frontend: the flags that chose another are usage
+    errors, not silently ignored."""
+    from repro.cli import build_parser
+
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

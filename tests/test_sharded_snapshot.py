@@ -1,22 +1,21 @@
-"""Tests for the v2/v3 sharded snapshot formats (``storage/shards.py``).
+"""Tests for the snapshot's shards (``storage/shards.py``).
 
 Pins the contracts the mmap path must guarantee:
 
-* a v2-mapped and a v3-mapped system answer **byte-identically** to the
-  cold build and to a v1-loaded system;
+* a snapshot-mapped system answers **byte-identically** to the cold
+  build;
 * warm starts are *partial* — only the manifest is read up front, and a
   query maps only the label shards its plan actually probes (asserted
   via the reader's lazy-load counters);
 * mapped tables promote copy-on-write on mutation and never write
   through to the snapshot files;
-* v3 maps the remaining pickled sections: the vocabulary reopens as a
-  :class:`MappedVocabulary` string arena and the graph as a
-  :class:`MappedKnowledgeGraph` CSR view, while plain v2 directories
-  keep loading unchanged;
+* the vocabulary reopens as a :class:`MappedVocabulary` string arena and
+  the graph as a :class:`MappedKnowledgeGraph` CSR view;
 * every corruption mode — truncated shard, checksum mismatch, missing
-  shard file, a directory carrying a v1 magic, a truncated vocabulary
-  arena, out-of-range arena offsets, a non-monotonic CSR indptr —
-  raises ``SnapshotError`` naming the offending path, for all formats.
+  shard file, a manifest carrying a foreign magic, a truncated
+  vocabulary arena, out-of-range arena offsets, a non-monotonic CSR
+  indptr — raises ``SnapshotError`` naming the offending path
+  (``tests/test_snapshot.py`` damages every file kind wholesale).
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import struct
 import numpy as np
 import pytest
 
-from repro.cli import main
+from graph_backings import copy_snapshot
 from repro.core.config import GQBEConfig
 from repro.core.gqbe import GQBE
 from repro.datasets.synthetic import FreebaseLikeGenerator
@@ -36,7 +35,6 @@ from repro.exceptions import SnapshotError
 from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.graph.mapped import MappedKnowledgeGraph
 from repro.graph.neighborhood import neighborhood_graph
-from repro.graph.triples import write_triples
 from repro.storage.shards import MANIFEST_NAME, ShardedSnapshotReader
 from repro.storage.snapshot import GraphStore, read_snapshot_meta
 from repro.storage.vocabulary import MappedVocabulary, Vocabulary
@@ -55,22 +53,8 @@ def config():
 @pytest.fixture(scope="module")
 def snapshot_dir(dataset, tmp_path_factory):
     directory = tmp_path_factory.mktemp("snap") / "freebase.snapdir"
-    GraphStore.build(dataset.graph).save(directory, format="v2")
+    GraphStore.build(dataset.graph).save(directory)
     return directory
-
-
-@pytest.fixture(scope="module")
-def snapshot_v3_dir(dataset, tmp_path_factory):
-    directory = tmp_path_factory.mktemp("snap") / "freebase.snapdir3"
-    GraphStore.build(dataset.graph).save(directory, format="v3")
-    return directory
-
-
-@pytest.fixture(scope="module")
-def v1_path(dataset, tmp_path_factory):
-    path = tmp_path_factory.mktemp("snap") / "freebase.snap"
-    GraphStore.build(dataset.graph).save(path)
-    return path
 
 
 def _answer_key(result):
@@ -78,16 +62,6 @@ def _answer_key(result):
         (a.rank, a.entities, a.score, a.structure_score, a.content_score)
         for a in result.answers
     ]
-
-
-def _copy_snapshot_dir(source, target):
-    target.mkdir()
-    (target / "tables").mkdir()
-    for item in source.rglob("*"):
-        if item.is_file():
-            destination = target / item.relative_to(source)
-            destination.write_bytes(item.read_bytes())
-    return target
 
 
 def _patch_shard_array(path, name, transform):
@@ -124,17 +98,13 @@ def _refresh_manifest_sha(directory, *keys):
 
 
 class TestRoundTrip:
-    def test_byte_identical_to_cold_and_v1(
-        self, dataset, config, snapshot_dir, v1_path
-    ):
+    def test_byte_identical_to_cold(self, dataset, config, snapshot_dir):
         cold = GQBE(dataset.graph, config=config)
-        warm_v1 = GQBE(config=config, graph_store=GraphStore.load(v1_path))
-        warm_v2 = GQBE(config=config, graph_store=GraphStore.load(snapshot_dir))
+        warm = GQBE(config=config, graph_store=GraphStore.load(snapshot_dir))
         for table_name in dataset.table_names()[:2]:
             query_tuple = tuple(dataset.table(table_name)[0])
             reference = _answer_key(cold.query(query_tuple, k=10))
-            assert _answer_key(warm_v1.query(query_tuple, k=10)) == reference
-            assert _answer_key(warm_v2.query(query_tuple, k=10)) == reference
+            assert _answer_key(warm.query(query_tuple, k=10)) == reference
 
     def test_shape_flags_and_meta(self, dataset, snapshot_dir):
         loaded = GraphStore.load(snapshot_dir)
@@ -148,49 +118,22 @@ class TestRoundTrip:
         assert loaded.store.num_tables == dataset.graph.num_labels
         assert loaded.lazy_report()["tables_opened"] == 0
 
-    def test_v2_refuses_rows_engine(self, dataset, tmp_path):
-        bundle = GraphStore.build(dataset.graph, columnar=False)
+    @pytest.mark.parametrize(
+        "flags", [{"columnar": False}, {"intern_entities": False}]
+    )
+    def test_refuses_reference_engines(self, dataset, tmp_path, flags):
+        """The tuple-row and string engines are in-memory oracles."""
+        bundle = GraphStore.build(dataset.graph, **flags)
         with pytest.raises(SnapshotError, match="columnar"):
-            bundle.save(tmp_path / "rows.snapdir", format="v2")
-
-    def test_unknown_format_rejected(self, dataset, tmp_path):
-        bundle = GraphStore.build(dataset.graph)
-        with pytest.raises(SnapshotError, match="unknown snapshot format"):
-            bundle.save(tmp_path / "x.snap", format="v9")
-
-    def test_v2_resaves_as_v1(self, dataset, config, snapshot_dir, tmp_path):
-        """A mapped bundle can be re-serialized self-contained (no mmap
-        handles leak into the pickle)."""
-        mapped = GraphStore.load(snapshot_dir)
-        resaved = tmp_path / "resaved.snap"
-        mapped.save(resaved)
-        system = GQBE.from_snapshot(resaved, config=config)
-        query_tuple = tuple(dataset.table(dataset.table_names()[0])[0])
-        reference = GQBE(config=config, graph_store=GraphStore.load(snapshot_dir))
-        assert _answer_key(system.query(query_tuple, k=5)) == _answer_key(
-            reference.query(query_tuple, k=5)
-        )
+            bundle.save(tmp_path / "rows.snapdir")
+        assert not (tmp_path / "rows.snapdir").exists()
 
 
 class TestV3MappedSections:
-    """The v3 tentpole: vocabulary arena + graph CSR are mapped shards."""
+    """Vocabulary arena + graph CSR are mapped shards."""
 
-    def test_byte_identical_to_cold_v1_v2(
-        self, dataset, config, snapshot_dir, snapshot_v3_dir, v1_path
-    ):
-        cold = GQBE(dataset.graph, config=config)
-        warm_v1 = GQBE(config=config, graph_store=GraphStore.load(v1_path))
-        warm_v2 = GQBE(config=config, graph_store=GraphStore.load(snapshot_dir))
-        warm_v3 = GQBE(config=config, graph_store=GraphStore.load(snapshot_v3_dir))
-        for table_name in dataset.table_names()[:2]:
-            query_tuple = tuple(dataset.table(table_name)[0])
-            reference = _answer_key(cold.query(query_tuple, k=10))
-            assert _answer_key(warm_v1.query(query_tuple, k=10)) == reference
-            assert _answer_key(warm_v2.query(query_tuple, k=10)) == reference
-            assert _answer_key(warm_v3.query(query_tuple, k=10)) == reference
-
-    def test_vocabulary_and_graph_are_mapped(self, dataset, config, snapshot_v3_dir):
-        bundle = GraphStore.load(snapshot_v3_dir)
+    def test_vocabulary_and_graph_are_mapped(self, dataset, config, snapshot_dir):
+        bundle = GraphStore.load(snapshot_dir)
         system = GQBE(config=config, graph_store=bundle)
         assert isinstance(system.graph, MappedKnowledgeGraph)
         assert isinstance(system.store.vocabulary, MappedVocabulary)
@@ -198,20 +141,20 @@ class TestV3MappedSections:
         assert report["format"] == "v3"
         assert "vocabulary" in report["sections_loaded"]
         assert "graph" in report["sections_loaded"]
-        # The v3 store skeleton carries no vocabulary and there is no
+        # The store skeleton carries no vocabulary and there is no
         # pickled graph section at all.
-        assert not (snapshot_v3_dir / "graph.section").exists()
-        assert (snapshot_v3_dir / "vocabulary.arena").exists()
-        assert (snapshot_v3_dir / "graph.csr").exists()
+        assert not (snapshot_dir / "graph.section").exists()
+        assert (snapshot_dir / "vocabulary.arena").exists()
+        assert (snapshot_dir / "graph.csr").exists()
 
-    def test_warm_start_is_lazy(self, snapshot_v3_dir):
-        bundle = GraphStore.load(snapshot_v3_dir)
+    def test_warm_start_is_lazy(self, snapshot_dir):
+        bundle = GraphStore.load(snapshot_dir)
         report = bundle.lazy_report()
         assert report["sections_loaded"] == [] and report["tables_opened"] == 0
 
-    def test_mapped_graph_matches_built_graph(self, dataset, snapshot_v3_dir):
+    def test_mapped_graph_matches_built_graph(self, dataset, snapshot_dir):
         graph = dataset.graph
-        mapped = GraphStore.load(snapshot_v3_dir).graph
+        mapped = GraphStore.load(snapshot_dir).graph
         assert mapped.num_nodes == graph.num_nodes
         assert mapped.num_edges == graph.num_edges
         assert mapped.num_labels == graph.num_labels
@@ -231,8 +174,8 @@ class TestV3MappedSections:
             assert mapped.neighbors(node) == graph.neighbors(node)
         assert mapped.to_knowledge_graph() == graph
 
-    def test_mapped_vocabulary_contract(self, snapshot_v3_dir):
-        vocabulary = GraphStore.load(snapshot_v3_dir)._vocabulary_from_arena()
+    def test_mapped_vocabulary_contract(self, snapshot_dir):
+        vocabulary = GraphStore.load(snapshot_dir)._vocabulary_from_arena()
         terms = list(vocabulary)
         assert len(terms) == len(vocabulary)
         for index in (0, len(terms) // 2, len(terms) - 1):
@@ -251,59 +194,35 @@ class TestV3MappedSections:
         assert vocabulary.id_of("overlay-term") == new_id
 
     def test_v3_resaves_stay_self_contained(
-        self, dataset, config, snapshot_v3_dir, tmp_path
+        self, dataset, config, snapshot_dir, tmp_path
     ):
-        """v3 → v1 / v2 / v3 resaves carry no mapped handles and answer
-        byte-identically."""
+        """Resaving a mapped bundle writes the same bytes it was loaded
+        from, and the copy answers byte-identically."""
         query_tuple = tuple(dataset.table(dataset.table_names()[0])[0])
         reference = _answer_key(
-            GQBE(config=config, graph_store=GraphStore.load(snapshot_v3_dir)).query(
+            GQBE(config=config, graph_store=GraphStore.load(snapshot_dir)).query(
                 query_tuple, k=5
             )
         )
-        for format, name in (("v1", "re.snap"), ("v2", "re.v2dir"), ("v3", "re.v3dir")):
-            target = tmp_path / name
-            GraphStore.load(snapshot_v3_dir).save(target, format=format)
-            system = GQBE.from_snapshot(target, config=config)
-            assert _answer_key(system.query(query_tuple, k=5)) == reference, format
+        target = tmp_path / "resaved"
+        GraphStore.load(snapshot_dir).save(target)
+        assert (target / MANIFEST_NAME).read_bytes() == (
+            snapshot_dir / MANIFEST_NAME
+        ).read_bytes()
+        system = GQBE.from_snapshot(target, config=config)
+        assert _answer_key(system.query(query_tuple, k=5)) == reference
 
-    def test_v3_mapped_vocabulary_pickles_as_owned(self, snapshot_v3_dir):
+    def test_v3_mapped_vocabulary_pickles_as_owned(self, snapshot_dir):
         import pickle
 
-        vocabulary = GraphStore.load(snapshot_v3_dir)._vocabulary_from_arena()
+        vocabulary = GraphStore.load(snapshot_dir)._vocabulary_from_arena()
         clone = pickle.loads(pickle.dumps(vocabulary))
         assert isinstance(clone, Vocabulary)
         assert list(clone) == list(vocabulary)
         assert clone.id_of(next(iter(vocabulary))) == 0
 
-    def test_query_still_maps_only_probed_shards(
-        self, dataset, config, snapshot_v3_dir
-    ):
-        bundle = GraphStore.load(snapshot_v3_dir)
-        system = GQBE(config=config, graph_store=bundle)
-        query_tuple = tuple(dataset.table(dataset.table_names()[0])[0])
-        system.query(query_tuple, k=5)
-        report = bundle.lazy_report()
-        assert 0 < report["tables_opened"] < report["tables_total"]
-
-    def test_prefetch_can_be_disabled(self, dataset, config, snapshot_v3_dir):
-        from dataclasses import replace
-
-        bundle = GraphStore.load(snapshot_v3_dir)
-        system = GQBE(
-            config=replace(config, prefetch_shards=False), graph_store=bundle
-        )
-        # The flag reaches both layers: plan-time opening on the store
-        # and madvise read-ahead on the shard reader.
-        assert bundle._reader.prefetch is False
-        query_tuple = tuple(dataset.table(dataset.table_names()[0])[0])
-        assert system.store.prefetch_labels(["anything"]) == 0
-        system.query(query_tuple, k=5)
-        report = bundle.lazy_report()
-        assert 0 < report["tables_opened"] < report["tables_total"]
-
-    def test_meta_reads_without_touching_shards(self, dataset, snapshot_v3_dir):
-        meta = read_snapshot_meta(snapshot_v3_dir)
+    def test_meta_reads_without_touching_shards(self, dataset, snapshot_dir):
+        meta = read_snapshot_meta(snapshot_dir)
         assert meta["num_edges"] == dataset.graph.num_edges
         assert meta["num_nodes"] == dataset.graph.num_nodes
 
@@ -319,7 +238,7 @@ class TestV3MappedSections:
         hub = [("hub", labels[i % 4], f"spoke{i}") for i in range(400)]
         leaf = [("leaf", label, f"twig{i}") for i, label in enumerate(labels)]
         path = tmp_path / "star.snapdir3"
-        GraphStore.build(KnowledgeGraph(hub + leaf)).save(path, format="v3")
+        GraphStore.build(KnowledgeGraph(hub + leaf)).save(path)
 
         searches = []
         find_mapped = MappedVocabulary._find_mapped
@@ -382,13 +301,21 @@ class TestLazyLoading:
         for path, original in shard_bytes.items():
             assert path.read_bytes() == original
 
+    def test_reader_counts_are_exposed(self, snapshot_dir):
+        reader = ShardedSnapshotReader(snapshot_dir)
+        assert reader.tables_opened == 0
+        label = next(iter(reader.label_rows()))
+        table = reader.load_table(label)
+        assert len(table) == reader.label_rows()[label]
+        assert reader.tables_opened == 1 and reader.opened_labels == [label]
+
 
 class TestCorruptionPaths:
     """Satellite: every corruption mode raises SnapshotError naming the
-    offending path, across both formats."""
+    offending path."""
 
     def test_truncated_shard(self, snapshot_dir, tmp_path):
-        broken = _copy_snapshot_dir(snapshot_dir, tmp_path / "truncated")
+        broken = copy_snapshot(snapshot_dir, tmp_path / "truncated")
         manifest = json.loads((broken / MANIFEST_NAME).read_text())
         entry = manifest["tables"][0]
         shard = broken / entry["file"]
@@ -397,7 +324,7 @@ class TestCorruptionPaths:
             GraphStore.load(broken).store.table(entry["label"])
 
     def test_shard_checksum_mismatch(self, snapshot_dir, tmp_path):
-        broken = _copy_snapshot_dir(snapshot_dir, tmp_path / "bitrot")
+        broken = copy_snapshot(snapshot_dir, tmp_path / "bitrot")
         manifest = json.loads((broken / MANIFEST_NAME).read_text())
         entry = manifest["tables"][0]
         shard = broken / entry["file"]
@@ -410,7 +337,7 @@ class TestCorruptionPaths:
         assert entry["file"].split("/")[-1] in str(excinfo.value)
 
     def test_missing_shard_file(self, snapshot_dir, tmp_path):
-        broken = _copy_snapshot_dir(snapshot_dir, tmp_path / "missing")
+        broken = copy_snapshot(snapshot_dir, tmp_path / "missing")
         manifest = json.loads((broken / MANIFEST_NAME).read_text())
         entry = manifest["tables"][0]
         (broken / entry["file"]).unlink()
@@ -418,17 +345,17 @@ class TestCorruptionPaths:
             GraphStore.load(broken).store.table(entry["label"])
         assert entry["file"].split("/")[-1] in str(excinfo.value)
 
-    def test_v2_directory_with_v1_magic(self, snapshot_dir, tmp_path):
-        broken = _copy_snapshot_dir(snapshot_dir, tmp_path / "wrongmagic")
+    def test_manifest_with_foreign_magic(self, snapshot_dir, tmp_path):
+        broken = copy_snapshot(snapshot_dir, tmp_path / "wrongmagic")
         manifest = json.loads((broken / MANIFEST_NAME).read_text())
-        manifest["magic"] = "GQBESNAP"  # the v1 magic
+        manifest["magic"] = "GQBESNAP"
         (broken / MANIFEST_NAME).write_text(json.dumps(manifest))
-        with pytest.raises(SnapshotError, match="not a v2/v3 snapshot") as excinfo:
+        with pytest.raises(SnapshotError, match="not a snapshot manifest") as excinfo:
             GraphStore.load(broken)
         assert MANIFEST_NAME in str(excinfo.value)
 
     def test_future_manifest_version(self, snapshot_dir, tmp_path):
-        broken = _copy_snapshot_dir(snapshot_dir, tmp_path / "future")
+        broken = copy_snapshot(snapshot_dir, tmp_path / "future")
         manifest = json.loads((broken / MANIFEST_NAME).read_text())
         manifest["format_version"] = 99
         (broken / MANIFEST_NAME).write_text(json.dumps(manifest))
@@ -436,7 +363,7 @@ class TestCorruptionPaths:
             GraphStore.load(broken)
 
     def test_manifest_not_json(self, snapshot_dir, tmp_path):
-        broken = _copy_snapshot_dir(snapshot_dir, tmp_path / "badjson")
+        broken = copy_snapshot(snapshot_dir, tmp_path / "badjson")
         (broken / MANIFEST_NAME).write_text("{not json")
         with pytest.raises(SnapshotError, match="not valid JSON"):
             GraphStore.load(broken)
@@ -449,7 +376,7 @@ class TestCorruptionPaths:
         assert MANIFEST_NAME in str(excinfo.value)
 
     def test_corrupt_section(self, snapshot_dir, tmp_path):
-        broken = _copy_snapshot_dir(snapshot_dir, tmp_path / "badsection")
+        broken = copy_snapshot(snapshot_dir, tmp_path / "badsection")
         section = broken / "statistics.section"
         data = bytearray(section.read_bytes())
         data[0] ^= 0xFF
@@ -458,12 +385,12 @@ class TestCorruptionPaths:
         with pytest.raises(SnapshotError, match="statistics.section"):
             _ = bundle.statistics
 
-    # --- v3 mapped-section shards (vocabulary arena + graph CSR) ------
-    def _broken_v3(self, snapshot_v3_dir, tmp_path, name):
-        return _copy_snapshot_dir(snapshot_v3_dir, tmp_path / name)
+    # --- mapped-section shards (vocabulary arena + graph CSR) ---------
+    def _broken_v3(self, snapshot_dir, tmp_path, name):
+        return copy_snapshot(snapshot_dir, tmp_path / name)
 
-    def test_truncated_vocabulary_arena(self, snapshot_v3_dir, tmp_path):
-        broken = self._broken_v3(snapshot_v3_dir, tmp_path, "truncarena")
+    def test_truncated_vocabulary_arena(self, snapshot_dir, tmp_path):
+        broken = self._broken_v3(snapshot_dir, tmp_path, "truncarena")
         arena = broken / "vocabulary.arena"
         arena.write_bytes(arena.read_bytes()[:128])
         _refresh_manifest_sha(broken, "vocabulary")
@@ -471,8 +398,8 @@ class TestCorruptionPaths:
             GraphStore.load(broken).store
         assert "vocabulary.arena" in str(excinfo.value)
 
-    def test_vocabulary_arena_checksum_mismatch(self, snapshot_v3_dir, tmp_path):
-        broken = self._broken_v3(snapshot_v3_dir, tmp_path, "arenarot")
+    def test_vocabulary_arena_checksum_mismatch(self, snapshot_dir, tmp_path):
+        broken = self._broken_v3(snapshot_dir, tmp_path, "arenarot")
         arena = broken / "vocabulary.arena"
         data = bytearray(arena.read_bytes())
         data[-1] ^= 0xFF
@@ -481,8 +408,8 @@ class TestCorruptionPaths:
             GraphStore.load(broken).store
         assert "vocabulary.arena" in str(excinfo.value)
 
-    def test_vocabulary_offsets_out_of_range(self, snapshot_v3_dir, tmp_path):
-        broken = self._broken_v3(snapshot_v3_dir, tmp_path, "badoffsets")
+    def test_vocabulary_offsets_out_of_range(self, snapshot_dir, tmp_path):
+        broken = self._broken_v3(snapshot_dir, tmp_path, "badoffsets")
 
         def overflow(offsets):
             offsets[-1] += 4096  # addresses bytes past the blob
@@ -493,8 +420,8 @@ class TestCorruptionPaths:
             GraphStore.load(broken).store
         assert "vocabulary.arena" in str(excinfo.value)
 
-    def test_vocabulary_offsets_non_monotonic(self, snapshot_v3_dir, tmp_path):
-        broken = self._broken_v3(snapshot_v3_dir, tmp_path, "zigzag")
+    def test_vocabulary_offsets_non_monotonic(self, snapshot_dir, tmp_path):
+        broken = self._broken_v3(snapshot_dir, tmp_path, "zigzag")
 
         def zigzag(offsets):
             if len(offsets) > 2:
@@ -506,11 +433,11 @@ class TestCorruptionPaths:
             GraphStore.load(broken).store
         assert "vocabulary.arena" in str(excinfo.value)
 
-    def test_vocabulary_sort_permutation_scrambled(self, snapshot_v3_dir, tmp_path):
+    def test_vocabulary_sort_permutation_scrambled(self, snapshot_dir, tmp_path):
         """A permutation that no longer sorts the terms must be reported
         as corruption — a silent load would break id_of and turn valid
         queries into UnknownEntityError."""
-        broken = self._broken_v3(snapshot_v3_dir, tmp_path, "scrambledperm")
+        broken = self._broken_v3(snapshot_dir, tmp_path, "scrambledperm")
 
         def swap_extremes(sorted_ids):
             sorted_ids[0], sorted_ids[-1] = sorted_ids[-1], sorted_ids[0]
@@ -521,8 +448,8 @@ class TestCorruptionPaths:
             GraphStore.load(broken).store
         assert "vocabulary.arena" in str(excinfo.value)
 
-    def test_graph_csr_non_monotonic_indptr(self, snapshot_v3_dir, tmp_path):
-        broken = self._broken_v3(snapshot_v3_dir, tmp_path, "badindptr")
+    def test_graph_csr_non_monotonic_indptr(self, snapshot_dir, tmp_path):
+        broken = self._broken_v3(snapshot_dir, tmp_path, "badindptr")
 
         def scramble(indptr):
             indptr[len(indptr) // 2] = -5  # guaranteed descent mid-array
@@ -533,8 +460,8 @@ class TestCorruptionPaths:
             GraphStore.load(broken).graph
         assert "graph.csr" in str(excinfo.value)
 
-    def test_graph_csr_ids_out_of_range(self, snapshot_v3_dir, tmp_path):
-        broken = self._broken_v3(snapshot_v3_dir, tmp_path, "badids")
+    def test_graph_csr_ids_out_of_range(self, snapshot_dir, tmp_path):
+        broken = self._broken_v3(snapshot_dir, tmp_path, "badids")
 
         def escape(objects):
             objects[0] = 2**40  # far outside the node-id range
@@ -545,36 +472,12 @@ class TestCorruptionPaths:
             GraphStore.load(broken).graph
         assert "graph.csr" in str(excinfo.value)
 
-    def test_missing_graph_shard(self, snapshot_v3_dir, tmp_path):
-        broken = self._broken_v3(snapshot_v3_dir, tmp_path, "nograph")
+    def test_missing_graph_shard(self, snapshot_dir, tmp_path):
+        broken = self._broken_v3(snapshot_dir, tmp_path, "nograph")
         (broken / "graph.csr").unlink()
         with pytest.raises(SnapshotError, match="cannot read") as excinfo:
             GraphStore.load(broken).graph
         assert "graph.csr" in str(excinfo.value)
-
-    # --- the same satellite guarantees on the v1 single file ----------
-    def test_v1_truncation_names_path(self, v1_path, tmp_path):
-        data = v1_path.read_bytes()
-        path = tmp_path / "truncated.snap"
-        path.write_bytes(data[:-50])
-        with pytest.raises(SnapshotError, match="truncated") as excinfo:
-            GraphStore.load(path)
-        assert path.name in str(excinfo.value)
-
-    def test_v1_checksum_names_path(self, v1_path, tmp_path):
-        data = bytearray(v1_path.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        path = tmp_path / "corrupt.snap"
-        path.write_bytes(bytes(data))
-        with pytest.raises(SnapshotError, match="corrupt") as excinfo:
-            GraphStore.load(path)
-        assert path.name in str(excinfo.value)
-
-    def test_v1_missing_file_names_path(self, tmp_path):
-        path = tmp_path / "nope.snap"
-        with pytest.raises(SnapshotError, match="cannot read") as excinfo:
-            GraphStore.load(path)
-        assert path.name in str(excinfo.value)
 
 
 class TestPartialGenerations:
@@ -582,18 +485,18 @@ class TestPartialGenerations:
     generation directory must be skipped by startup resolution and must
     raise ``SnapshotError`` if loaded directly."""
 
-    def _family(self, snapshot_v3_dir, tmp_path):
+    def _family(self, snapshot_dir, tmp_path):
         from repro.storage.generations import generation_path
 
-        root = _copy_snapshot_dir(snapshot_v3_dir, tmp_path / "base.snapdir")
+        root = copy_snapshot(snapshot_dir, tmp_path / "base.snapdir")
         return root, generation_path(root, 1)
 
     def test_manifestless_generation_is_skipped_and_unloadable(
-        self, snapshot_v3_dir, tmp_path
+        self, snapshot_dir, tmp_path
     ):
         from repro.storage.generations import resolve_latest_generation
 
-        root, gen1 = self._family(snapshot_v3_dir, tmp_path)
+        root, gen1 = self._family(snapshot_dir, tmp_path)
         gen1.mkdir()  # a compaction that died before any manifest write
         assert resolve_latest_generation(root) == root
         with pytest.raises(SnapshotError, match="cannot read") as excinfo:
@@ -601,12 +504,12 @@ class TestPartialGenerations:
         assert MANIFEST_NAME in str(excinfo.value)
 
     def test_generation_with_truncated_section_fails_closed(
-        self, snapshot_v3_dir, tmp_path
+        self, snapshot_dir, tmp_path
     ):
         from repro.storage.generations import resolve_latest_generation
 
-        root, gen1 = self._family(snapshot_v3_dir, tmp_path)
-        _copy_snapshot_dir(snapshot_v3_dir, gen1)
+        root, gen1 = self._family(snapshot_dir, tmp_path)
+        copy_snapshot(snapshot_dir, gen1)
         section = gen1 / "statistics.section"
         section.write_bytes(section.read_bytes()[:10])
         # The manifest is intact, so resolution (manifest-only) accepts
@@ -617,83 +520,13 @@ class TestPartialGenerations:
             _ = GraphStore.load(gen1).statistics
 
     def test_generation_with_corrupt_manifest_is_skipped(
-        self, snapshot_v3_dir, tmp_path
+        self, snapshot_dir, tmp_path
     ):
         from repro.storage.generations import resolve_latest_generation
 
-        root, gen1 = self._family(snapshot_v3_dir, tmp_path)
-        _copy_snapshot_dir(snapshot_v3_dir, gen1)
+        root, gen1 = self._family(snapshot_dir, tmp_path)
+        copy_snapshot(snapshot_dir, gen1)
         (gen1 / MANIFEST_NAME).write_text("{not json")
         assert resolve_latest_generation(root) == root
         with pytest.raises(SnapshotError, match="not valid JSON"):
             GraphStore.load(gen1)
-
-
-class TestCLIWorkflow:
-    def test_build_index_v2_then_query(self, tmp_path, capsys, figure1_graph):
-        triples = tmp_path / "fig1.tsv"
-        write_triples(sorted(figure1_graph.edges), triples)
-        snapshot = tmp_path / "fig1.snapdir"
-
-        assert (
-            main(["build-index", str(triples), str(snapshot), "--format", "v2"])
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "v2 sharded directory" in out
-        assert (snapshot / MANIFEST_NAME).exists()
-
-        code = main(
-            [
-                "query",
-                "--snapshot",
-                str(snapshot),
-                "--tuple",
-                "Jerry Yang,Yahoo!",
-                "--k",
-                "3",
-                "--mqg-size",
-                "8",
-            ]
-        )
-        assert code == 0
-        assert "Top-3 answers" in capsys.readouterr().out
-
-    def test_build_index_v3_then_query(self, tmp_path, capsys, figure1_graph):
-        triples = tmp_path / "fig1.tsv"
-        write_triples(sorted(figure1_graph.edges), triples)
-        snapshot = tmp_path / "fig1.snapdir3"
-
-        assert (
-            main(["build-index", str(triples), str(snapshot), "--format", "v3"])
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "v3 sharded directory" in out
-        assert (snapshot / "vocabulary.arena").exists()
-        assert (snapshot / "graph.csr").exists()
-        assert not (snapshot / "graph.section").exists()
-
-        code = main(
-            [
-                "query",
-                "--snapshot",
-                str(snapshot),
-                "--tuple",
-                "Jerry Yang,Yahoo!",
-                "--k",
-                "3",
-                "--mqg-size",
-                "8",
-            ]
-        )
-        assert code == 0
-        assert "Top-3 answers" in capsys.readouterr().out
-
-    def test_reader_counts_are_exposed(self, snapshot_dir):
-        reader = ShardedSnapshotReader(snapshot_dir)
-        assert reader.tables_opened == 0
-        label = next(iter(reader.label_rows()))
-        table = reader.load_table(label)
-        assert len(table) == reader.label_rows()[label]
-        assert reader.tables_opened == 1 and reader.opened_labels == [label]

@@ -2,30 +2,30 @@
 
 Covers the property the warm-start path must guarantee — a loaded
 snapshot answers queries byte-identically to the cold build it was saved
-from, on random synthetic graphs — plus the failure modes of the
-versioned envelope: wrong magic, unsupported version, truncation and
-bit-level corruption, all surfaced as ``SnapshotError`` before any pickle
-bytes are trusted.
+from, on random synthetic graphs — plus the failure modes of the one
+format: a retired layout (a single file, an older manifest), truncation,
+bit-level corruption and missing files, all surfaced as ``SnapshotError``
+before any pickle bytes are trusted.  ``tests/test_sharded_snapshot.py``
+holds the structural checks on what the shards contain.
 """
 
 from __future__ import annotations
 
-import struct
+import json
+import time
 
 import pytest
 
+from graph_backings import copy_snapshot
 from repro.cli import main
 from repro.core.config import GQBEConfig
 from repro.core.gqbe import GQBE
 from repro.datasets.synthetic import FreebaseLikeGenerator
 from repro.exceptions import SnapshotError
 from repro.graph.triples import write_triples
-from repro.storage.snapshot import (
-    FORMAT_VERSION,
-    MAGIC,
-    GraphStore,
-    read_snapshot_meta,
-)
+from repro.storage.generations import generation_path, resolve_latest_generation
+from repro.storage.shards import MANIFEST_NAME
+from repro.storage.snapshot import GraphStore, read_snapshot_meta
 
 
 @pytest.fixture(scope="module")
@@ -75,14 +75,6 @@ class TestRoundTrip:
         assert loaded.columnar and loaded.intern_entities
         assert loaded.statistics.total_edges == dataset.graph.num_edges
 
-    def test_rows_engine_round_trip(self, dataset, tmp_path):
-        path = tmp_path / "rows.snap"
-        GraphStore.build(dataset.graph, columnar=False).save(path)
-        loaded = GraphStore.load(path)
-        assert not loaded.columnar
-        system = GQBE.from_snapshot(path)
-        assert not system.store.is_columnar
-
     def test_meta_readable_without_adopting_store(self, snapshot_path, dataset):
         meta = read_snapshot_meta(snapshot_path)
         assert meta["columnar"] is True
@@ -98,41 +90,95 @@ class TestRoundTrip:
             )
 
 
+def _touch_everything(path):
+    bundle = GraphStore.load(path).materialize()
+    bundle.store.build_indexes()
+
+
+#: One file of every kind a snapshot directory holds, manifest aside.
+_SNAPSHOT_FILES = [
+    "store.section",
+    "statistics.section",
+    "vocabulary.arena",
+    "graph.csr",
+    "statistics.counts",
+    "tables/00000.shard",
+]
+
+
 class TestEnvelopeFailureModes:
+    def _retired(self, kind, snapshot_path, target):
+        """Input a build that knew other layouts would have accepted."""
+        if kind == "single-file":
+            target.write_bytes(b"GQBESNAP" + b"\x00" * 64)
+            return target
+        copy_snapshot(snapshot_path, target)
+        manifest = json.loads((target / MANIFEST_NAME).read_text())
+        if kind == "v2-manifest":
+            manifest["format_version"] = 2
+        else:
+            del manifest["statistics_counts"]
+        (target / MANIFEST_NAME).write_text(json.dumps(manifest))
+        return target
+
+    @pytest.mark.parametrize(
+        "kind", ["single-file", "v2-manifest", "v3-without-statistics-counts"]
+    )
+    def test_retired_input_is_refused(self, kind, snapshot_path, tmp_path):
+        """A snapshot is a rebuildable cache: what this build does not
+        write it does not read, and it says how to get a readable one."""
+        root = copy_snapshot(snapshot_path, tmp_path / "family.snap")
+        retired = self._retired(kind, snapshot_path, generation_path(root, 1))
+        started = time.monotonic()
+        for entry_point in (GraphStore.load, read_snapshot_meta):
+            with pytest.raises(SnapshotError, match="gqbe build-index") as excinfo:
+                entry_point(retired)
+            assert retired.name in str(excinfo.value)
+        # Startup resolution skips it instead of loading it.
+        assert resolve_latest_generation(root) == root
+        assert time.monotonic() - started < 5
+
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bogus.snap"
         path.write_bytes(b"NOTASNAP" + b"\x00" * 64)
-        with pytest.raises(SnapshotError, match="bad magic"):
+        with pytest.raises(SnapshotError, match="regular file"):
             GraphStore.load(path)
 
-    def test_too_short_to_hold_a_header(self, tmp_path):
-        path = tmp_path / "tiny.snap"
-        path.write_bytes(MAGIC)
-        with pytest.raises(SnapshotError, match="bad magic"):
-            GraphStore.load(path)
+    def test_truncated_manifest(self, snapshot_path, tmp_path):
+        broken = copy_snapshot(snapshot_path, tmp_path / "truncated.snap")
+        manifest = broken / MANIFEST_NAME
+        manifest.write_bytes(manifest.read_bytes()[:-100])
+        for entry_point in (GraphStore.load, read_snapshot_meta):
+            with pytest.raises(SnapshotError, match="not valid JSON") as excinfo:
+                entry_point(broken)
+            assert MANIFEST_NAME in str(excinfo.value)
 
-    def test_version_mismatch(self, snapshot_path, tmp_path):
-        data = bytearray(snapshot_path.read_bytes())
-        data[8:12] = struct.pack("<I", FORMAT_VERSION + 1)
-        path = tmp_path / "future.snap"
-        path.write_bytes(bytes(data))
-        with pytest.raises(SnapshotError, match="format version"):
-            GraphStore.load(path)
+    @pytest.mark.parametrize("name", _SNAPSHOT_FILES)
+    def test_truncated_file_is_reported(self, name, snapshot_path, tmp_path):
+        broken = copy_snapshot(snapshot_path, tmp_path / "truncated.snap")
+        data = (broken / name).read_bytes()
+        (broken / name).write_bytes(data[: len(data) - 9])
+        with pytest.raises(SnapshotError, match="corrupt") as excinfo:
+            _touch_everything(broken)
+        assert name.split("/")[-1] in str(excinfo.value)
 
-    def test_truncated_payload(self, snapshot_path, tmp_path):
-        data = snapshot_path.read_bytes()
-        path = tmp_path / "truncated.snap"
-        path.write_bytes(data[: len(data) - 100])
-        with pytest.raises(SnapshotError, match="truncated"):
-            GraphStore.load(path)
-
-    def test_flipped_payload_byte_fails_checksum(self, snapshot_path, tmp_path):
-        data = bytearray(snapshot_path.read_bytes())
+    @pytest.mark.parametrize("name", _SNAPSHOT_FILES)
+    def test_flipped_byte_fails_checksum(self, name, snapshot_path, tmp_path):
+        broken = copy_snapshot(snapshot_path, tmp_path / "corrupt.snap")
+        data = bytearray((broken / name).read_bytes())
         data[len(data) // 2] ^= 0xFF
-        path = tmp_path / "corrupt.snap"
-        path.write_bytes(bytes(data))
-        with pytest.raises(SnapshotError, match="corrupt"):
-            GraphStore.load(path)
+        (broken / name).write_bytes(bytes(data))
+        with pytest.raises(SnapshotError, match="checksum mismatch") as excinfo:
+            _touch_everything(broken)
+        assert name.split("/")[-1] in str(excinfo.value)
+
+    @pytest.mark.parametrize("name", _SNAPSHOT_FILES)
+    def test_missing_shard_file_is_reported(self, name, snapshot_path, tmp_path):
+        broken = copy_snapshot(snapshot_path, tmp_path / "missing.snap")
+        (broken / name).unlink()
+        with pytest.raises(SnapshotError, match="cannot read") as excinfo:
+            _touch_everything(broken)
+        assert name.split("/")[-1] in str(excinfo.value)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(SnapshotError, match="cannot read"):
@@ -151,7 +197,8 @@ class TestCLIWorkflow:
 
         assert main(["build-index", str(triples), str(snapshot)]) == 0
         assert "indexed" in capsys.readouterr().out
-        assert snapshot.exists()
+        for name in (MANIFEST_NAME, "vocabulary.arena", "graph.csr"):
+            assert (snapshot / name).exists()
 
         code = main(
             [

@@ -131,7 +131,7 @@ class TestMappedStatistics:
     def loaded(self, tmp_path):
         from repro.storage.snapshot import GraphStore
 
-        GraphStore.build(KnowledgeGraph(self.TRIPLES)).save(tmp_path / "snap", format="v3")
+        GraphStore.build(KnowledgeGraph(self.TRIPLES)).save(tmp_path / "snap")
         return GraphStore.load(tmp_path / "snap")
 
     def test_per_edge_methods_equal_the_dict_statistics(self, loaded):

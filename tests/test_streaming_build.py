@@ -2,9 +2,9 @@
 
 The contract under test: ``build_streaming_snapshot`` produces output that
 is **byte-identical** to building the same dump in memory via
-``GraphStore.build(load_graph(dump)).save(...)`` — shard for shard, for
-every snapshot format — while reading the dump in bounded chunks and
-spilling intermediate state to disk.
+``GraphStore.build(load_graph(dump)).save(...)`` — shard for shard —
+while reading the dump in bounded chunks and spilling intermediate state
+to disk.
 """
 
 from __future__ import annotations
@@ -42,15 +42,12 @@ def _write_dump(tmp_path, seed=3, scale=0.2, duplicates=100, generator=None, nam
     return path
 
 
-def _build_in_memory(dump, output, fmt):
-    store = GraphStore.build(load_graph(dump), columnar=True)
-    store.save(output, format=fmt)
+def _build_in_memory(dump, output):
+    GraphStore.build(load_graph(dump)).save(output)
     return output
 
 
 def _snapshot_files(root):
-    if root.is_file():
-        return {"<single-file snapshot>": root.read_bytes()}
     return {
         str(p.relative_to(root)): p.read_bytes()
         for p in sorted(root.rglob("*"))
@@ -72,7 +69,7 @@ class TestByteIdentity:
         report = build_streaming_snapshot(
             dump, tmp_path / "streamed", snapshot_format="v3", memory_budget_mb=1
         )
-        _build_in_memory(dump, tmp_path / "reference", "v3")
+        _build_in_memory(dump, tmp_path / "reference")
         _assert_identical(tmp_path / "streamed", tmp_path / "reference")
         # A 1 MB budget on this dump must actually exercise the external
         # sort, otherwise the test silently degrades to the trivial path.
@@ -91,7 +88,7 @@ class TestByteIdentity:
             dump, tmp_path / "streamed", snapshot_format="v3", memory_budget_mb=1
         )
         assert report["nodes"] > 1024  # the eviction path really ran
-        _build_in_memory(dump, tmp_path / "reference", "v3")
+        _build_in_memory(dump, tmp_path / "reference")
         _assert_identical(tmp_path / "streamed", tmp_path / "reference")
 
     def test_v3_dbpedia_domain(self, tmp_path):
@@ -101,7 +98,7 @@ class TestByteIdentity:
         build_streaming_snapshot(
             dump, tmp_path / "streamed", snapshot_format="v3", memory_budget_mb=2
         )
-        _build_in_memory(dump, tmp_path / "reference", "v3")
+        _build_in_memory(dump, tmp_path / "reference")
         _assert_identical(tmp_path / "streamed", tmp_path / "reference")
 
     def test_v3_parallel_workers_match_serial(self, tmp_path):
@@ -118,24 +115,13 @@ class TestByteIdentity:
         )
         _assert_identical(tmp_path / "parallel", tmp_path / "serial")
 
-    @pytest.mark.parametrize("fmt", ["v1", "v2"])
-    def test_v1_v2_degrade_gracefully(self, tmp_path, fmt):
-        dump = _write_dump(tmp_path, duplicates=20)
-        report = build_streaming_snapshot(
-            dump, tmp_path / "streamed", snapshot_format=fmt, memory_budget_mb=4
-        )
-        _build_in_memory(dump, tmp_path / "reference", fmt)
-        _assert_identical(tmp_path / "streamed", tmp_path / "reference")
-        assert report["streaming"] is False
-        assert report["spill_runs"] == 0
-
     def test_gzip_dump_matches_plain(self, tmp_path):
         plain = _write_dump(tmp_path, seed=7, duplicates=30, name="dump.tsv")
         gz = _write_dump(tmp_path, seed=7, duplicates=30, name="dump.tsv.gz")
         build_streaming_snapshot(
             gz, tmp_path / "from_gz", snapshot_format="v3", memory_budget_mb=2
         )
-        _build_in_memory(plain, tmp_path / "reference", "v3")
+        _build_in_memory(plain, tmp_path / "reference")
         _assert_identical(tmp_path / "from_gz", tmp_path / "reference")
 
     def test_streamed_snapshot_loads_and_answers(self, tmp_path):
@@ -169,8 +155,12 @@ class TestFailureModes:
             build_streaming_snapshot(
                 dump, tmp_path / "out", snapshot_format="v3", memory_budget_mb=0
             )
-        with pytest.raises(SnapshotError):
-            build_streaming_snapshot(dump, tmp_path / "out", snapshot_format="v9")
+        for retired_or_unknown in ("v1", "v2", "v9"):
+            with pytest.raises(SnapshotError, match="only snapshot format is v3"):
+                build_streaming_snapshot(
+                    dump, tmp_path / "out", snapshot_format=retired_or_unknown
+                )
+        assert not (tmp_path / "out").exists()
         with pytest.raises(SnapshotError):
             BuildPlan(-1)
 
@@ -202,7 +192,7 @@ class TestFailureModes:
         build_streaming_snapshot(
             dump, output, snapshot_format="v3", memory_budget_mb=2
         )
-        _build_in_memory(dump, tmp_path / "reference", "v3")
+        _build_in_memory(dump, tmp_path / "reference")
         _assert_identical(output, tmp_path / "reference")
 
     def test_manifest_is_canonical_json(self, tmp_path):
@@ -226,8 +216,6 @@ class TestCLI:
                 "build-index",
                 str(dump),
                 str(tmp_path / "streamed"),
-                "--format",
-                "v3",
                 "--streaming",
                 "--memory-budget-mb",
                 "4",
@@ -238,7 +226,7 @@ class TestCLI:
         assert "streaming" in out
         assert "rows/s" in out
         assert "spill runs" in out
-        _build_in_memory(dump, tmp_path / "reference", "v3")
+        _build_in_memory(dump, tmp_path / "reference")
         _assert_identical(tmp_path / "streamed", tmp_path / "reference")
 
     def test_build_index_quiet_suppresses_output(self, tmp_path, capsys):
@@ -250,16 +238,6 @@ class TestCLI:
         )
         assert code == 0
         assert capsys.readouterr().out == ""
-
-    def test_build_index_rows_conflicts_with_streaming(self, tmp_path, capsys):
-        from repro.cli import main
-
-        dump = _write_dump(tmp_path, duplicates=0)
-        code = main(
-            ["build-index", str(dump), str(tmp_path / "out"), "--streaming", "--rows"]
-        )
-        assert code == 2
-        assert "--rows" in capsys.readouterr().err
 
 
 class TestBuildPlan:
