@@ -8,7 +8,7 @@
 * the **pooled batch**: the 20 queries of the Fig. 14 workload sharded
   across a snapshot-backed process pool.  The pooled numbers are
   core-count-bound: on a single-core runner the pool pays IPC for no
-  parallelism; with N cores the window parallelizes up to
+  parallelism; with N cores the batch parallelizes up to
   min(N, workers)×;
 * one steady-state **serve-layer load pass** over HTTP (asyncio
   frontend: admission control + metrics on the request path, batcher,
@@ -111,7 +111,7 @@ def worker_pool(v3_snapshot, batch_system):
 
 
 def test_bench_fig14_pooled_query_batch(worker_pool, batch_system, benchmark):
-    """The Fig. 14 window sharded across the process pool.
+    """The Fig. 14 batch sharded across the process pool.
 
     Against the same batch run inline the delta is IPC + result pickling
     vs min(cores, workers)× parallel lattice exploration.
@@ -128,9 +128,7 @@ def test_bench_async_serve_layer_load_pass(batch_system, benchmark):
     from repro.serving.loadgen import run_load
 
     system, tuples = batch_system
-    server = AsyncGQBEServer(
-        system, port=0, batch_window_seconds=0.001, cache_size=256
-    ).start()
+    server = AsyncGQBEServer(system, port=0, cache_size=256).start()
     try:
         # Warm pass fills the answer cache; the measured pass is the
         # cache-hot serving hot path.

@@ -34,14 +34,14 @@ def main() -> None:
     system = GQBE(graph, config=config)
     tuples = [query.query_tuple for query in workload.queries]
 
-    # --- batched vs sequential (a serving window: 3 concurrent users) --
-    window = tuples * 3
+    # --- batched vs sequential (a serving burst: 3 concurrent users) ---
+    burst = tuples * 3
     started = time.perf_counter()
-    sequential = [system.query(t, k=10) for t in window]
+    sequential = [system.query(t, k=10) for t in burst]
     sequential_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    batched = system.query_batch(window, k=10)
+    batched = system.query_batch(burst, k=10)
     batch_seconds = time.perf_counter() - started
 
     identical = all(
@@ -49,16 +49,14 @@ def main() -> None:
         for seq, bat in zip(sequential, batched)
     )
     print(
-        f"\n{len(window)} queries: sequential {sequential_seconds * 1000:.1f} ms, "
+        f"\n{len(burst)} queries: sequential {sequential_seconds * 1000:.1f} ms, "
         f"query_batch {batch_seconds * 1000:.1f} ms "
         f"({sequential_seconds / batch_seconds:.1f}x) — "
         f"answers identical: {identical}"
     )
 
     # --- the serving frontend over real HTTP ---------------------------
-    server = AsyncGQBEServer(
-        system, port=0, batch_window_seconds=0.002, cache_size=256
-    ).start()
+    server = AsyncGQBEServer(system, port=0, cache_size=256).start()
     print(f"\nServing on http://{server.host}:{server.port}")
     connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
     try:

@@ -15,8 +15,8 @@ Subcommands
         gqbe build-index data.tsv data.snap
 ``gqbe serve``
     Start the long-lived HTTP serving frontend over one warm snapshot
-    (request batching + LRU answer cache; ``--workers N`` shards each
-    batching window across a process pool; see :mod:`repro.serving`)::
+    (request batching + LRU answer cache; ``--workers N`` runs the
+    batches on a process pool; see :mod:`repro.serving`)::
 
         gqbe serve --snapshot data.snap --port 8080 --workers 4
 ``gqbe bench-serve``
@@ -297,7 +297,6 @@ def build_frontend(system: GQBE, snapshot_path: str | None, args: argparse.Names
         snapshot_path=snapshot_path,
         host=args.host,
         port=args.port,
-        batch_window_seconds=args.batch_window_ms / 1000.0,
         max_batch=args.max_batch,
         cache_size=args.cache_size,
         workers=args.workers,
@@ -327,8 +326,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"serving {meta.get('num_edges')} edges ({meta.get('num_nodes')} nodes) "
         f"on http://{server.host}:{server.port}  "
-        f"[batch window {args.batch_window_ms:g}ms, "
-        f"max batch {args.max_batch}, cache {args.cache_size}, "
+        f"[max batch {args.max_batch}, cache {args.cache_size}, "
         f"workers {args.workers}{extras}]"
     )
     try:
@@ -645,19 +643,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="TCP port (0 picks an ephemeral port)",
         )
         parser.add_argument(
-            "--batch-window-ms",
-            type=float,
-            default=5.0,
-            dest="batch_window_ms",
-            help="how long to keep collecting concurrent requests into one "
-            "query_batch call",
-        )
-        parser.add_argument(
             "--max-batch",
             type=int,
             default=64,
             dest="max_batch",
-            help="maximum requests per batched execution",
+            help="maximum requests per batched execution (a batch is "
+            "whatever queued while the engine was busy)",
         )
         parser.add_argument(
             "--cache-size",
@@ -672,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=1,
             help="process-pool width for batch execution: each worker opens "
             "the served snapshot (shared mapped pages) "
-            "and batching windows are sharded across them; 1 = inline",
+            "and up to N batches run on them at once; 1 = inline",
         )
         parser.add_argument(
             "--max-body-bytes",

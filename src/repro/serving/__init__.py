@@ -8,7 +8,7 @@ north star is serving heavy traffic.  This package adds the missing layer:
   generation-based invalidation so a snapshot reload can never serve a
   stale answer, and an optional per-entry time-to-live;
 * :class:`~repro.serving.batching.QueryBatcher` — a micro-batching worker
-  that groups requests arriving within a small window into one
+  that runs whatever queued while the engine was busy as one
   :meth:`~repro.core.gqbe.GQBE.query_batch` call;
 * :class:`~repro.serving.server.ServingCore` — the transport-agnostic
   engine (cache + batcher + pool + reload + ingest + compaction);
@@ -19,7 +19,7 @@ north star is serving heavy traffic.  This package adds the missing layer:
   ``POST /query``, ``GET /healthz``, ``GET /stats`` and
   ``POST /admin/reload``;
 * :class:`~repro.serving.pool.WorkerPool` — a process pool that shards
-  a batch window across N workers, each holding the same memory-mapped
+  a batch across N workers, each holding the same memory-mapped
   snapshot open, bypassing the GIL for CPU-bound explorations
   (``gqbe serve --workers N``);
 * :mod:`~repro.serving.loadgen` — the ``gqbe bench-serve`` load driver

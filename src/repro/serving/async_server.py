@@ -235,25 +235,22 @@ class AsyncGQBEServer(ServingCore):
         )
         self._m_batch_size = registry.histogram(
             "gqbe_batch_size",
-            "Requests per executed batch window.",
+            "Requests per engine batch call, inline or pooled.",
             buckets=BATCH_SIZE_BUCKETS,
         )
         self._m_stage_seconds = registry.histogram(
             "gqbe_stage_seconds",
-            "Per-stage latency: execute (engine batch) and total (handler).",
+            "Per-stage latency of POST /query: admission, queue (batcher "
+            "wait), execute (engine batch call) and total (handler).",
             buckets=LATENCY_BUCKETS,
             label_names=("stage",),
         )
 
-    def _run_batch(self, tuples, k, k_prime):
-        started = time.monotonic()
-        try:
-            return super()._run_batch(tuples, k, k_prime)
-        finally:
-            self._m_batch_size.observe(len(tuples))
-            self._m_stage_seconds.observe(
-                time.monotonic() - started, stage="execute"
-            )
+    def _observe_batch(self, size, queue_waits, execute_seconds):
+        self._m_batch_size.observe(size)
+        for wait in queue_waits:
+            self._m_stage_seconds.observe(wait, stage="queue")
+        self._m_stage_seconds.observe(execute_seconds, stage="execute")
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -436,7 +433,8 @@ class AsyncGQBEServer(ServingCore):
             status, payload, extra = 500, {"error": "internal server error"}, {}
             keep_alive = False
         self._m_requests.inc(path=self._metric_route(route), code=str(status))
-        self._m_stage_seconds.observe(time.monotonic() - started, stage="total")
+        if route == "/query":
+            self._m_stage_seconds.observe(time.monotonic() - started, stage="total")
         await self._send_response(writer, status, payload, extra, keep_alive)
         return keep_alive
 

@@ -1,22 +1,23 @@
 """Micro-batching of concurrent queries into ``query_batch`` calls.
 
-Requests that arrive while the engine is busy (or within a small batching
-window of each other) are grouped and executed as one
-:meth:`~repro.core.gqbe.GQBE.query_batch` call: duplicates collapse to a
-single evaluation and shared join prefixes are paid once, while every
-caller still receives the exact answers a standalone
+Requests that queue while the engine is busy are grouped and executed as
+one :meth:`~repro.core.gqbe.GQBE.query_batch` call: duplicates collapse
+to a single evaluation and shared join prefixes are paid once, while
+every caller still receives the exact answers a standalone
 :meth:`~repro.core.gqbe.GQBE.query` would have produced.
 
-The batcher owns one daemon worker thread.  :meth:`QueryBatcher.submit`
-enqueues a request and blocks the calling (HTTP handler) thread until the
-worker fills in the result.  The worker sleeps until a request arrives,
-then keeps collecting until the window elapses or ``max_batch`` requests
-are pending, groups the collected requests by ``(k, k_prime)`` (a batch
-call has uniform ranking parameters) and runs each group.
+The batcher owns one daemon dispatch thread per batch that may run at
+once: one inline, one per pool worker up to the CPU count (more would
+only time-share cores).  :meth:`QueryBatcher.submit` blocks its caller
+until a free dispatch thread has taken the request, at once, with up to
+``max_batch`` of whatever else queued, run its ``(k, k_prime)`` group (a
+batch call has uniform ranking parameters) and woken it: a lone request
+runs immediately and a burst becomes the next batch.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections.abc import Callable, Sequence
@@ -27,16 +28,20 @@ from repro.core.answer import QueryResult
 class _Pending:
     """One submitted query waiting for its batch to run."""
 
-    __slots__ = ("query_tuple", "k", "k_prime", "event", "result", "error", "abandoned")
+    __slots__ = (
+        "query_tuple", "k", "k_prime", "submitted",
+        "event", "result", "error", "abandoned",
+    )
 
     def __init__(self, query_tuple: tuple[str, ...], k: int, k_prime: int | None):
         self.query_tuple = query_tuple
         self.k = k
         self.k_prime = k_prime
+        self.submitted = time.monotonic()
         self.event = threading.Event()
         self.result: QueryResult | None = None
         self.error: BaseException | None = None
-        #: Set when the submitter gave up (timeout); the worker sheds
+        #: Set when the submitter gave up (timeout); the batcher sheds
         #: abandoned requests instead of computing answers nobody reads.
         self.abandoned = False
 
@@ -54,36 +59,37 @@ class QueryBatcher:
         exception is delivered to that query's caller alone, so one
         invalid query cannot poison its batch-mates; an exception
         *raised* by the runner is delivered to every caller of the batch.
-    window_seconds:
-        How long the worker keeps collecting after the first request of a
-        batch arrives.  ``0`` still batches whatever queued up while the
-        previous batch was executing.
     max_batch:
         Hard cap on requests per batch; the rest wait for the next one.
     pool:
         Optional :class:`~repro.serving.pool.WorkerPool`.  When set,
-        multi-query windows are dispatched to the pool — sharded across
-        worker *processes* and merged byte-identically — instead of the
-        inline runner; single-query windows and pool failures fall back
-        to ``runner``.  The attribute is mutable: a snapshot reload
-        swaps in a pool over the new snapshot.
+        every batch runs on the pool — sharded across worker *processes*
+        and merged byte-identically — with one batch in flight per
+        worker up to the CPU count; a pool failure falls back to
+        ``runner``.  The attribute is mutable: a reload swaps in a pool
+        of the same width.
+    on_batch:
+        Optional ``on_batch(size, queue_waits, execute_seconds)``, called
+        once per engine call (one per ``(k, k_prime)`` group of a batch),
+        inline or pooled, just before its callers are woken: the call's
+        query count, each member's seconds from submit to the call's
+        start, and the call's seconds.  An exception it raises reaches
+        those callers like an engine error.
     """
 
     def __init__(
         self,
         runner: Callable[[Sequence[tuple[str, ...]], int, int | None], list[QueryResult]],
-        window_seconds: float = 0.005,
         max_batch: int = 64,
         pool=None,
+        on_batch: Callable[[int, list[float], float], None] | None = None,
     ) -> None:
-        if window_seconds < 0:
-            raise ValueError(f"window_seconds must be >= 0, got {window_seconds}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self._runner = runner
-        self.window_seconds = window_seconds
         self.max_batch = max_batch
         self.pool = pool
+        self._on_batch = on_batch
         self._pending: list[_Pending] = []
         self._condition = threading.Condition()
         self._closed = False
@@ -91,10 +97,12 @@ class QueryBatcher:
         self.queries_batched = 0
         self.largest_batch = 0
         self.pooled_batches = 0
-        self._worker = threading.Thread(
-            target=self._run_worker, name="gqbe-batcher", daemon=True
-        )
-        self._worker.start()
+        self._threads = [
+            threading.Thread(target=self._dispatch, name="gqbe-batcher", daemon=True)
+            for _ in range(min(pool.workers, os.cpu_count() or 1) if pool else 1)
+        ]
+        for thread in self._threads:
+            thread.start()
 
     # ------------------------------------------------------------------
     def submit(
@@ -117,7 +125,7 @@ class QueryBatcher:
             self._condition.notify_all()
         if not pending.event.wait(timeout):
             # Shed the load: drop the entry if still queued, and mark it
-            # abandoned so a worker that already dequeued it skips it —
+            # abandoned so a dispatch thread that dequeued it skips it —
             # otherwise every timed-out request would still consume a
             # full execution slot during exactly the overload that made
             # it time out.
@@ -136,50 +144,35 @@ class QueryBatcher:
         return pending.result
 
     def close(self) -> None:
-        """Stop the worker; outstanding requests fail with ``RuntimeError``."""
+        """Stop dispatching; outstanding requests fail with ``RuntimeError``."""
         with self._condition:
             self._closed = True
             self._condition.notify_all()
-        self._worker.join(timeout=5)
+        for thread in self._threads:
+            thread.join(timeout=5)
 
     # ------------------------------------------------------------------
-    def _take_batch(self) -> list[_Pending]:
-        """Block until requests exist, collect through the window, dequeue."""
-        with self._condition:
-            while not self._pending and not self._closed:
-                self._condition.wait()
-            if self._closed:
-                group = self._pending[:]
-                self._pending.clear()
-                return group
-            deadline = time.monotonic() + self.window_seconds
-            while len(self._pending) < self.max_batch:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or self._closed:
-                    break
-                self._condition.wait(remaining)
-            group = self._pending[: self.max_batch]
-            del self._pending[: self.max_batch]
-            return group
-
-    def _run_worker(self) -> None:
+    def _dispatch(self) -> None:
         while True:
-            group = self._take_batch()
             with self._condition:
+                while not self._pending and not self._closed:
+                    self._condition.wait()
                 closed = self._closed
+                if closed:
+                    group, self._pending = self._pending, []
+                else:
+                    group = self._pending[: self.max_batch]
+                    del self._pending[: self.max_batch]
+                    # stats() runs on handler threads; an unlocked += here
+                    # is load/add/store and loses increments under contention.
+                    self.batches_run += 1
+                    self.queries_batched += len(group)
+                    self.largest_batch = max(self.largest_batch, len(group))
             if closed:
                 for pending in group:
                     pending.error = RuntimeError("QueryBatcher is closed")
                     pending.event.set()
                 return
-            if not group:
-                continue
-            with self._condition:
-                # stats() runs on handler threads; an unlocked += here is
-                # load/add/store and loses increments under contention.
-                self.batches_run += 1
-                self.queries_batched += len(group)
-                self.largest_batch = max(self.largest_batch, len(group))
             # One query_batch call needs uniform (k, k_prime); group by it,
             # preserving arrival order inside each subgroup.
             subgroups: dict[tuple[int, int | None], list[_Pending]] = {}
@@ -187,36 +180,48 @@ class QueryBatcher:
                 subgroups.setdefault((pending.k, pending.k_prime), []).append(pending)
             for (k, k_prime), members in subgroups.items():
                 members = [member for member in members if not member.abandoned]
-                if not members:
-                    continue
-                tuples = [member.query_tuple for member in members]
-                try:
-                    results = self._execute(tuples, k, k_prime)
-                # gqbe: ignore[EXC001] -- worker thread must never die: every
-                # failure (including KeyboardInterrupt-class) is forwarded to
-                # the waiting caller, which re-raises it on its own thread.
-                except BaseException as error:  # noqa: BLE001 - forwarded to callers
-                    for member in members:
-                        member.error = error
+                if members:
+                    self._run_subgroup(members, k, k_prime)
+
+    def _run_subgroup(self, members: list[_Pending], k, k_prime) -> None:
+        """Run one engine call, report it to ``on_batch``, wake its callers."""
+        started = time.monotonic()
+        try:
+            try:
+                results = self._execute(
+                    [member.query_tuple for member in members], k, k_prime
+                )
+            finally:
+                if self._on_batch is not None:
+                    self._on_batch(
+                        len(members),
+                        [started - member.submitted for member in members],
+                        time.monotonic() - started,
+                    )
+        # gqbe: ignore[EXC001] -- a dispatch thread must never die: every
+        # failure (including KeyboardInterrupt-class) is forwarded to the
+        # waiting callers, which re-raise it on their own threads.
+        except BaseException as error:  # noqa: BLE001 - forwarded to callers
+            for member in members:
+                member.error = error
+        else:
+            for member, result in zip(members, results):
+                if isinstance(result, BaseException):
+                    member.error = result
                 else:
-                    for member, result in zip(members, results):
-                        if isinstance(result, BaseException):
-                            member.error = result
-                        else:
-                            member.result = result
-                for member in members:
-                    member.event.set()
+                    member.result = result
+        for member in members:
+            member.event.set()
 
     def _execute(self, tuples, k, k_prime):
-        """One subgroup execution: process pool when it helps, else runner.
+        """One subgroup execution: the process pool if any, else runner.
 
-        The pool only pays off when a window has several queries to
-        shard; a pool failure of any kind (engine error on one tuple, a
-        broken worker) degrades to the inline runner, which does its own
+        A pool failure of any kind (engine error on one tuple, a broken
+        worker) degrades to the inline runner, which does its own
         per-query error isolation.
         """
         pool = self.pool
-        if pool is not None and len(tuples) > 1:
+        if pool is not None:
             try:
                 results = pool.query_batch(tuples, k=k, k_prime=k_prime)
             # gqbe: ignore[EXC001] -- deliberate degrade path: any pool
@@ -237,7 +242,6 @@ class QueryBatcher:
             largest = self.largest_batch
             pooled = self.pooled_batches
         return {
-            "window_seconds": self.window_seconds,
             "max_batch": self.max_batch,
             "batches_run": batches,
             "queries_batched": queries,

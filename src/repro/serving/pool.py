@@ -3,7 +3,7 @@
 The inline engine is CPU-bound pure Python — under the GIL, one process
 can use one core no matter how many serving threads pile up.
 :class:`WorkerPool` forks N worker processes and shards the queries of
-one :meth:`~repro.core.gqbe.GQBE.query_batch` window across them:
+one :meth:`~repro.core.gqbe.GQBE.query_batch` call across them:
 
 * **snapshot-backed** pools give each worker its *own*
   ``GQBE.from_snapshot(path)`` over the same snapshot.  Every worker
@@ -135,7 +135,7 @@ def _chunk(items: list, parts: int) -> list[list]:
 
 
 class WorkerPool:
-    """N worker processes answering sharded ``query_batch`` windows.
+    """N worker processes answering sharded ``query_batch`` calls.
 
     Parameters
     ----------

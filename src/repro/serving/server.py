@@ -103,8 +103,9 @@ class ServingCore:
         The (already built or snapshot-loaded) engine to serve.
     snapshot_path:
         Recorded for ``/healthz`` and reload bookkeeping (optional).
-    batch_window_seconds / max_batch:
-        Micro-batching knobs (see :class:`~repro.serving.batching.QueryBatcher`).
+    max_batch:
+        Cap on requests per batch (see
+        :class:`~repro.serving.batching.QueryBatcher`).
     cache_size:
         LRU answer-cache capacity (``0`` disables caching).
     cache_ttl_seconds:
@@ -117,9 +118,9 @@ class ServingCore:
         the body is read; a malformed ``Content-Length`` is a ``400``.
     workers:
         Process-pool width for batch execution (``gqbe serve
-        --workers``).  With ``workers > 1`` every multi-query batching
-        window is sharded across a
-        :class:`~repro.serving.pool.WorkerPool` whose workers each open
+        --workers``).  With ``workers > 1`` every batch runs on a
+        :class:`~repro.serving.pool.WorkerPool`, up to ``workers``
+        batches at once, sharded across workers that each open
         the served snapshot (shared mapped pages),
         bypassing the GIL for CPU-bound explorations; ``1`` keeps the
         inline single-process path.
@@ -134,7 +135,6 @@ class ServingCore:
         self,
         system: GQBE,
         snapshot_path: str | PathLike | None = None,
-        batch_window_seconds: float = 0.005,
         max_batch: int = 64,
         cache_size: int = 1024,
         request_timeout: float = 60.0,
@@ -167,9 +167,9 @@ class ServingCore:
         self._pool = self._make_pool()
         self._batcher = QueryBatcher(
             self._run_batch,
-            window_seconds=batch_window_seconds,
             max_batch=max_batch,
             pool=self._pool,
+            on_batch=self._observe_batch,
         )
         self._started_at = time.monotonic()
         # Executor threads are concurrent; counter updates take this lock
@@ -429,6 +429,13 @@ class ServingCore:
     def _note_compaction(self) -> None:
         """Hook for the transport to observe compactions (metrics); called
         with the new generation on disk, just before it is swapped in."""
+
+    def _observe_batch(
+        self, size: int, queue_waits: list[float], execute_seconds: float
+    ) -> None:
+        """Hook for the transport to observe each engine call, inline or
+        pooled (the batcher's ``on_batch``; see
+        :class:`~repro.serving.batching.QueryBatcher`)."""
 
     def _maybe_start_compaction(self, delta_edges: int) -> bool:
         """Kick off a background compaction when the delta is big enough.

@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -38,6 +40,59 @@ def fresh_python():
         return completed.stdout
 
     return run
+
+
+class HeldRunner:
+    """A batcher runner whose first call blocks until :meth:`release`.
+
+    While the worker is held inside that call, later submissions queue
+    up, so the batch after it is exactly what queued meanwhile: batch
+    composition without a wall-clock window.  ``calls`` records every
+    ``(tuples, k, k_prime)`` the runner saw.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls: list[tuple[list, int, int | None]] = []
+        self.entered = threading.Event()
+        self._release = threading.Event()
+
+    def __call__(self, tuples, k, k_prime):
+        self.calls.append((list(tuples), k, k_prime))
+        if not self.entered.is_set():
+            self.entered.set()
+            self._release.wait(timeout=30)
+        return self.inner(tuples, k, k_prime)
+
+    def release(self) -> None:
+        self._release.set()
+
+    @staticmethod
+    def wait_queued(batcher, count: int, timeout: float = 10.0) -> None:
+        """Block until ``count`` submissions wait in ``batcher``'s queue."""
+        deadline = time.monotonic() + timeout
+        while True:
+            with batcher._condition:
+                queued = len(batcher._pending)
+            if queued == count:
+                return
+            assert time.monotonic() < deadline, f"{queued} queued, expected {count}"
+            time.sleep(0.002)
+
+
+@pytest.fixture()
+def held_runner():
+    """``held_runner(inner)`` -> a :class:`HeldRunner`; every one made is
+    released at teardown so no batcher worker stays blocked."""
+    made: list[HeldRunner] = []
+
+    def make(inner) -> HeldRunner:
+        made.append(HeldRunner(inner))
+        return made[-1]
+
+    yield make
+    for runner in made:
+        runner.release()
 
 
 @pytest.fixture(scope="session")

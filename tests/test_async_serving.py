@@ -25,9 +25,11 @@ from __future__ import annotations
 
 import http.client
 import json
+import multiprocessing
 import socket
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -285,7 +287,6 @@ def async_server(figure1_graph):
     server = AsyncGQBEServer(
         GQBE(figure1_graph, config=GQBEConfig(mqg_size=10)),
         port=0,
-        batch_window_seconds=0.002,
         cache_size=64,
     ).start()
     yield server
@@ -372,6 +373,78 @@ def test_async_stats_and_metrics_endpoints(async_server):
     assert after[total_key] > before.get(total_key, 0)
 
 
+def test_total_stage_is_observed_for_query_requests_only(async_server):
+    """``admission`` / ``queue`` / ``execute`` / ``total`` describe one
+    query: info and admin routes stay out of ``total``."""
+    total_key = ("gqbe_stage_seconds_count", (("stage", "total"),))
+    before = _scrape(async_server).get(total_key, 0)
+    assert _get(async_server, "/stats")[0] == 200
+    assert _get(async_server, "/healthz")[0] == 200
+    assert _get(async_server, "/nope")[0] == 404
+    assert _post(async_server, "/admin/compact", None)[0] == 400
+    assert _scrape(async_server).get(total_key, 0) == before
+    assert _post(async_server, "/query", {"tuple": ["Bill Gates", "Microsoft"]})[0] == 200
+    assert _scrape(async_server)[total_key] == before + 1
+
+
+# ----------------------------------------------------------------------
+# The batcher is the one place a batch is observed, inline or pooled
+# ----------------------------------------------------------------------
+_FOUNDERS = [
+    ["Jerry Yang", "Yahoo!"],
+    ["Steve Wozniak", "Apple Inc."],
+    ["Sergey Brin", "Google"],
+    ["Bill Gates", "Microsoft"],
+]
+
+
+@pytest.mark.parametrize(
+    "workers",
+    [
+        pytest.param(1, id="inline"),
+        pytest.param(
+            2,
+            id="pooled",
+            marks=pytest.mark.skipif(
+                "fork" not in multiprocessing.get_all_start_methods(),
+                reason="a pool over an owned graph needs the fork start method",
+            ),
+        ),
+    ],
+)
+def test_every_batch_reaches_metrics(figure1_graph, workers):
+    """``gqbe_batch_size`` and the ``queue`` / ``execute`` stages reconcile
+    with ``/stats`` for four concurrent misses, whatever batches they
+    form, on the inline runner and on the pool alike."""
+    server = AsyncGQBEServer(
+        GQBE(figure1_graph, config=GQBEConfig(mqg_size=10)),
+        port=0,
+        cache_size=0,
+        workers=workers,
+    ).start()
+    try:
+        with ThreadPoolExecutor(max_workers=len(_FOUNDERS)) as pool:
+            responses = list(
+                pool.map(
+                    lambda query: _post(server, "/query", {"tuple": query, "k": 3}),
+                    _FOUNDERS,
+                )
+            )
+        assert [status for status, _ in responses] == [200] * len(_FOUNDERS)
+        stats = server.stats()["batcher"]
+        assert stats["queries_batched"] == len(_FOUNDERS)
+        assert stats["pooled_batches"] == (stats["batches_run"] if workers > 1 else 0)
+        metrics = _scrape(server)
+        assert metrics[("gqbe_batch_size_count", ())] == stats["batches_run"]
+        assert metrics[("gqbe_batch_size_sum", ())] == stats["queries_batched"]
+        stage = "gqbe_stage_seconds_count"
+        assert metrics[(stage, (("stage", "execute"),))] == stats["batches_run"]
+        assert metrics[(stage, (("stage", "queue"),))] == stats["queries_batched"]
+        assert metrics[(stage, (("stage", "total"),))] == len(_FOUNDERS)
+    finally:
+        server.stop()
+
+
 # ----------------------------------------------------------------------
 # A client that hangs up mid-request is not a server error
 # ----------------------------------------------------------------------
@@ -417,7 +490,6 @@ def test_async_queue_full_429_never_touches_batcher(figure1_graph):
         port=0,
         high_water=1,
         cache_size=0,
-        batch_window_seconds=0.001,
     ).start()
     inner = server._batcher._runner
     try:
@@ -475,7 +547,6 @@ def test_async_rate_limit_sheds_then_recovers(figure1_graph):
         rate_limit_rps=2.0,
         rate_limit_burst=2,
         cache_size=64,
-        batch_window_seconds=0.001,
     ).start()
     try:
         payload = {"tuple": ["Jerry Yang", "Yahoo!"], "k": 3}
@@ -506,7 +577,6 @@ def test_async_api_key_allowlist(figure1_graph):
         port=0,
         api_keys=["secret-key"],
         cache_size=0,
-        batch_window_seconds=0.001,
     ).start()
     try:
         payload = {"tuple": ["Jerry Yang", "Yahoo!"], "k": 3}
@@ -546,7 +616,6 @@ def test_async_deadline_expiry_504_generation_guard_intact(figure1_graph):
         port=0,
         deadline_ms=100,
         cache_size=64,
-        batch_window_seconds=0.001,
     ).start()
     inner = server._batcher._runner
     try:
@@ -584,6 +653,52 @@ def test_async_deadline_expiry_504_generation_guard_intact(figure1_graph):
         assert after["generation"] == generation_before
     finally:
         server._batcher._runner = inner
+        server.stop()
+
+
+def test_deadline_abandoned_batcher_slot_does_not_leak(figure1_graph, held_runner):
+    """Fault: a request queued behind a held engine call misses its
+    deadline.  It is answered 504, leaves the batcher queue without ever
+    reaching the runner, frees its admission slot, and the server then
+    answers the next query 200 in bounded time."""
+    server = AsyncGQBEServer(
+        GQBE(figure1_graph, config=GQBEConfig(mqg_size=10)),
+        port=0,
+        deadline_ms=100,
+        cache_size=0,
+    ).start()
+    batcher = server._batcher
+    runner = held_runner(batcher._runner)
+    batcher._runner = runner
+    try:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            first = pool.submit(
+                _post, server, "/query", {"tuple": ["Jerry Yang", "Yahoo!"], "k": 3}
+            )
+            assert runner.entered.wait(timeout=10)
+            status, body = _post(
+                server, "/query", {"tuple": ["Sergey Brin", "Google"], "k": 3}
+            )
+            assert status == 504 and "deadline" in body["error"]
+            assert first.result(timeout=10)[0] == 504
+        # The abandoned entry leaves the queue before the worker is free.
+        runner.wait_queued(batcher, 0)
+        runner.release()
+
+        started = time.monotonic()
+        status, body = _post(
+            server, "/query", {"tuple": ["Steve Wozniak", "Apple Inc."], "k": 3}
+        )
+        assert status == 200 and body["answers"]
+        assert time.monotonic() - started < 10
+        assert [tuples for tuples, _, _ in runner.calls] == [
+            [("Jerry Yang", "Yahoo!")],
+            [("Steve Wozniak", "Apple Inc.")],
+        ]
+        metrics = _scrape(server)
+        assert metrics[("gqbe_queue_depth", ())] == 0
+        assert metrics[("gqbe_http_timeouts_total", (("kind", "deadline"),))] == 2
+    finally:
         server.stop()
 
 

@@ -193,9 +193,7 @@ class TestAsyncIngest:
     @pytest.fixture()
     def server(self, figure1_graph, tmp_path):
         path = _snapshot(figure1_graph, tmp_path)
-        server = AsyncGQBEServer.from_snapshot(
-            path, port=0, batch_window_seconds=0.002, cache_size=64
-        ).start()
+        server = AsyncGQBEServer.from_snapshot(path, port=0, cache_size=64).start()
         yield server
         server.stop()
 
@@ -289,9 +287,7 @@ class TestAsyncIngest:
         ).num_edges
 
     def test_compact_without_snapshot_is_400(self, figure1_system):
-        server = AsyncGQBEServer(
-            figure1_system, port=0, batch_window_seconds=0.002
-        ).start()
+        server = AsyncGQBEServer(figure1_system, port=0).start()
         try:
             status, body = _post(server, "/admin/compact")
             assert status == 400
@@ -521,7 +517,6 @@ class TestConfigSurvivesReload:
         config = GQBEConfig(mqg_size=6, k_prime=7, node_budget=40, max_join_rows=5_000)
         core = ServingCore(
             GQBE.from_snapshot(path, config), snapshot_path=path,
-            batch_window_seconds=0.002,
         )
         try:
             status, _ = core.handle_ingest({"triples": BURSTS[0]})
@@ -574,9 +569,7 @@ class TestConcurrentMutation:
         # would be vacuous.
         assert stages[0] != stages[1] != stages[2]
 
-        server = AsyncGQBEServer.from_snapshot(
-            path, port=0, batch_window_seconds=0.001, cache_size=64
-        ).start()
+        server = AsyncGQBEServer.from_snapshot(path, port=0, cache_size=64).start()
         failures: list[str] = []
         stop = threading.Event()
 
@@ -628,9 +621,7 @@ class TestCrashSafety:
         self, figure1_graph, tmp_path, monkeypatch
     ):
         path = _snapshot(figure1_graph, tmp_path)
-        server = AsyncGQBEServer.from_snapshot(
-            path, port=0, batch_window_seconds=0.002
-        ).start()
+        server = AsyncGQBEServer.from_snapshot(path, port=0).start()
         try:
             _post(server, "/admin/ingest", {"triples": BURSTS[0]})
 
@@ -670,9 +661,7 @@ class TestCrashSafety:
         must not stop the server family from loading the last good
         state."""
         path = _snapshot(figure1_graph, tmp_path)
-        server = AsyncGQBEServer.from_snapshot(
-            path, port=0, batch_window_seconds=0.002
-        ).start()
+        server = AsyncGQBEServer.from_snapshot(path, port=0).start()
         try:
             _post(server, "/admin/ingest", {"triples": BURSTS[0]})
             status, body = _post(server, "/admin/compact")

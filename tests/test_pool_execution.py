@@ -243,7 +243,6 @@ class TestServingPoolDispatch:
         server = ServingCore(
             GQBE.from_snapshot(snapshot, config=config),
             snapshot_path=snapshot,
-            batch_window_seconds=0.001,
             cache_size=0,
             workers=POOL_WORKERS,
         )
@@ -268,37 +267,36 @@ class TestServingPoolDispatch:
 
     def test_batcher_pool_failure_falls_back(self, systems, tuples):
         """A broken pool degrades to the inline runner, not to errors."""
+        from concurrent.futures import ThreadPoolExecutor
+
         from repro.serving.batching import QueryBatcher
 
         inline = systems["inline"]
+        pool_calls = []
+        runner_calls = []
 
         class _ExplodingPool:
-            def query_batch(self, *args, **kwargs):
+            workers = 2
+
+            def query_batch(self, batch, **kwargs):
+                pool_calls.append(list(batch))
                 raise RuntimeError("pool is broken")
 
         def runner(batch, k, k_prime):
+            runner_calls.append(list(batch))
             return inline.query_batch(list(batch), k=k, k_prime=k_prime)
 
-        batcher = QueryBatcher(
-            runner, window_seconds=0.05, max_batch=8, pool=_ExplodingPool()
-        )
+        batcher = QueryBatcher(runner, max_batch=8, pool=_ExplodingPool())
         try:
-            import threading
-
-            results = {}
-            threads = [
-                threading.Thread(
-                    target=lambda t=t: results.__setitem__(
-                        t, batcher.submit(t, k=5, timeout=30)
-                    )
-                )
-                for t in tuples[:2]
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert len(results) == 2
+            with ThreadPoolExecutor(max_workers=3) as executor:
+                futures = {
+                    t: executor.submit(batcher.submit, t, 5, None, 30)
+                    for t in tuples[:3]
+                }
+                results = {t: f.result(timeout=30) for t, f in futures.items()}
+            # Every batch, lone queries included, went to the pool first.
+            assert sorted(pool_calls) == sorted(runner_calls)
+            assert sorted(t for batch in pool_calls for t in batch) == sorted(tuples[:3])
             for t, result in results.items():
                 assert answer_key(result) == answer_key(inline.query(t, k=5))
         finally:

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 
@@ -64,55 +66,127 @@ def test_cache_zero_capacity_disables_caching():
 # ----------------------------------------------------------------------
 # QueryBatcher
 # ----------------------------------------------------------------------
-def test_batcher_groups_concurrent_submissions():
-    calls = []
-    started = threading.Barrier(5)
+def _echo(tuples, k, k_prime):
+    return [("result", tuple(t), k, k_prime) for t in tuples]
 
-    def runner(tuples, k, k_prime):
-        calls.append(list(tuples))
-        return [("result", tuple(t), k, k_prime) for t in tuples]
 
-    batcher = QueryBatcher(runner, window_seconds=0.2, max_batch=16)
+def test_batcher_groups_concurrent_submissions(held_runner):
+    """Natural batching: the first submission runs alone, at once, and
+    the N that queued behind it form exactly the next batch.  The
+    observer sees each engine call once, with one queue wait per member."""
+    observed = []
+    runner = held_runner(_echo)
+    batcher = QueryBatcher(
+        runner,
+        max_batch=16,
+        on_batch=lambda size, waits, execute: observed.append(
+            (size, len(waits), execute)
+        ),
+    )
     try:
-        def submit(i):
-            started.wait(timeout=5)
-            return batcher.submit(("entity", str(i)), k=3)
-
-        with ThreadPoolExecutor(max_workers=5) as pool:
-            results = list(pool.map(submit, range(5)))
-        assert sorted(r[1][1] for r in results) == [str(i) for i in range(5)]
-        # All five arrived within the window: one batched runner call.
-        assert len(calls) == 1 and len(calls[0]) == 5
-        assert batcher.stats()["largest_batch"] == 5
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            first = pool.submit(batcher.submit, ("entity", "first"), 3)
+            # No window to sit out: the lone request is already running.
+            assert runner.entered.wait(timeout=10)
+            runner.wait_queued(batcher, 0)
+            futures = [
+                pool.submit(batcher.submit, ("entity", str(i)), 3) for i in range(5)
+            ]
+            runner.wait_queued(batcher, 5)
+            runner.release()
+            results = [future.result(timeout=10) for future in futures]
+        assert first.result()[1] == ("entity", "first")
+        assert [r[1] for r in results] == [("entity", str(i)) for i in range(5)]
+        # The five that queued behind the held call: one batched runner call.
+        assert [len(tuples) for tuples, _, _ in runner.calls] == [1, 5]
+        assert [(size, waits) for size, waits, _ in observed] == [(1, 1), (5, 5)]
+        assert all(execute >= 0 for _, _, execute in observed)
+        stats = batcher.stats()
+        assert (stats["batches_run"], stats["queries_batched"]) == (2, 6)
+        assert stats["largest_batch"] == 5
     finally:
         batcher.close()
 
 
-def test_batcher_groups_by_ranking_parameters():
-    calls = []
+def test_batcher_caps_a_batch_at_max_batch(held_runner):
+    runner = held_runner(_echo)
+    batcher = QueryBatcher(runner, max_batch=4)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            pool.submit(batcher.submit, ("first",), 3)
+            assert runner.entered.wait(timeout=10)
+            queued = [pool.submit(batcher.submit, (str(i),), 3) for i in range(6)]
+            runner.wait_queued(batcher, 6)
+            runner.release()
+            for future in queued:
+                future.result(timeout=10)
+        assert [len(tuples) for tuples, _, _ in runner.calls] == [1, 4, 2]
+    finally:
+        batcher.close()
 
-    def runner(tuples, k, k_prime):
-        calls.append((list(tuples), k, k_prime))
-        return [("ok", k) for _ in tuples]
 
-    batcher = QueryBatcher(runner, window_seconds=0.2, max_batch=16)
+def test_batcher_groups_by_ranking_parameters(held_runner):
+    runner = held_runner(lambda tuples, k, k_prime: [("ok", k) for _ in tuples])
+    batcher = QueryBatcher(runner, max_batch=16)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
+            pool.submit(batcher.submit, ("first",), 5)
+            assert runner.entered.wait(timeout=10)
             futures = [
                 pool.submit(batcher.submit, ("e",), 5),
                 pool.submit(batcher.submit, ("f",), 5),
                 pool.submit(batcher.submit, ("g",), 9),
             ]
-            results = [f.result(timeout=5) for f in futures]
+            runner.wait_queued(batcher, 3)
+            runner.release()
+            results = [f.result(timeout=10) for f in futures]
         assert sorted(r[1] for r in results) == [5, 5, 9]
-        ks = sorted(k for _, k, _ in calls)
-        assert ks == [5, 9]  # one subgroup per (k, k_prime)
+        # One batch of three, one runner call per (k, k_prime) in it.
+        assert sorted((len(tuples), k) for tuples, k, _ in runner.calls[1:]) == [
+            (1, 9),
+            (2, 5),
+        ]
+        assert batcher.stats()["batches_run"] == 2
     finally:
         batcher.close()
 
 
-def test_batcher_per_query_errors_do_not_poison_batchmates():
-    def runner(tuples, k, k_prime):
+def test_batcher_wakes_each_ranking_group_as_soon_as_it_has_run(held_runner):
+    """In a batch with mixed ``k``, a caller whose group is done has its
+    answer while a later group of the same batch is still running."""
+    slow_entered, slow_gate = threading.Event(), threading.Event()
+
+    def inner(tuples, k, k_prime):
+        if k == 9:
+            slow_entered.set()
+            slow_gate.wait(timeout=30)
+        return _echo(tuples, k, k_prime)
+
+    runner = held_runner(inner)
+    batcher = QueryBatcher(runner, max_batch=16)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            pool.submit(batcher.submit, ("first",), 3)
+            assert runner.entered.wait(timeout=10)
+            quick = pool.submit(batcher.submit, ("quick",), 5)
+            runner.wait_queued(batcher, 1)
+            slow = pool.submit(batcher.submit, ("slow",), 9)
+            runner.wait_queued(batcher, 2)
+            runner.release()
+            assert slow_entered.wait(timeout=10)
+            # The k=9 call is still held: the k=5 caller is answered anyway.
+            assert quick.result(timeout=10) == ("result", ("quick",), 5, None)
+            assert not slow.done()
+            slow_gate.set()
+            assert slow.result(timeout=10) == ("result", ("slow",), 9, None)
+        assert batcher.stats()["batches_run"] == 2
+    finally:
+        slow_gate.set()
+        batcher.close()
+
+
+def test_batcher_per_query_errors_do_not_poison_batchmates(held_runner):
+    def inner(tuples, k, k_prime):
         out = []
         for t in tuples:
             if t[0] == "bad":
@@ -121,14 +195,57 @@ def test_batcher_per_query_errors_do_not_poison_batchmates():
                 out.append(("ok", t))
         return out
 
-    batcher = QueryBatcher(runner, window_seconds=0.1, max_batch=8)
+    runner = held_runner(inner)
+    batcher = QueryBatcher(runner, max_batch=8)
     try:
-        with ThreadPoolExecutor(max_workers=2) as pool:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            pool.submit(batcher.submit, ("first",), 3)
+            assert runner.entered.wait(timeout=10)
             good = pool.submit(batcher.submit, ("good",), 3)
             bad = pool.submit(batcher.submit, ("bad",), 3)
-            assert good.result(timeout=5) == ("ok", ("good",))
+            runner.wait_queued(batcher, 2)
+            runner.release()
+            assert good.result(timeout=10) == ("ok", ("good",))
             with pytest.raises(UnknownEntityError):
-                bad.result(timeout=5)
+                bad.result(timeout=10)
+        # Both rode in one runner call.
+        assert len(runner.calls) == 2 and len(runner.calls[1][0]) == 2
+    finally:
+        batcher.close()
+
+
+def test_batcher_observer_failure_reaches_callers_not_the_dispatcher():
+    failures = iter([RuntimeError("observer broke")])
+
+    def on_batch(size, waits, execute):
+        failure = next(failures, None)
+        if failure is not None:
+            raise failure
+
+    batcher = QueryBatcher(_echo, on_batch=on_batch)
+    try:
+        with pytest.raises(RuntimeError, match="observer broke"):
+            batcher.submit(("first",), 3, timeout=10)
+        assert batcher.submit(("second",), 3, timeout=10)[1] == ("second",)
+    finally:
+        batcher.close()
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one batch in flight per CPU")
+def test_batcher_keeps_one_batch_in_flight_per_pool_worker(held_runner):
+    """With a pool, a lone request does not wait for an unrelated batch:
+    while one pool call is held, the next request runs beside it."""
+    pool = SimpleNamespace(workers=2, query_batch=held_runner(_echo))
+    batcher = QueryBatcher(_echo, pool=pool)
+    try:
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            held = executor.submit(batcher.submit, ("held",), 3)
+            assert pool.query_batch.entered.wait(timeout=10)
+            assert batcher.submit(("next",), 3, timeout=10)[1] == ("next",)
+            assert not held.done()
+            pool.query_batch.release()
+            assert held.result(timeout=10)[1] == ("held",)
+        assert batcher.stats()["pooled_batches"] == 2
     finally:
         batcher.close()
 
@@ -162,7 +279,6 @@ def figure1_server(figure1_graph):
     server = AsyncGQBEServer(
         GQBE(figure1_graph, config=GQBEConfig(mqg_size=10)),
         port=0,
-        batch_window_seconds=0.002,
         cache_size=64,
     ).start()
     yield server
@@ -395,7 +511,6 @@ def test_serve_cache_never_stale_after_snapshot_reload(figure1_graph, tmp_path):
     server = AsyncGQBEServer.from_snapshot(
         snap_a,
         port=0,
-        batch_window_seconds=0.001,
         cache_size=64,
         cache_ttl_seconds=3600.0,  # a live TTL must not outlive a reload either
     ).start()
@@ -539,11 +654,11 @@ def test_cli_serve_parser_wiring():
     from repro.cli import build_parser
 
     args = build_parser().parse_args(
-        ["serve", "--snapshot", "x.snap", "--port", "0", "--batch-window-ms", "2"]
+        ["serve", "--snapshot", "x.snap", "--port", "0", "--max-batch", "8"]
     )
     assert args.snapshot == "x.snap"
     assert args.port == 0
-    assert args.batch_window_ms == 2.0
+    assert args.max_batch == 8
     assert args.max_body_bytes is None  # server default (4 MiB) applies
     assert args.func.__name__ == "_cmd_serve"
 
@@ -560,11 +675,13 @@ def test_cli_serve_parser_wiring():
         ["bench-serve", "--workload", "freebase", "--snapshot-format", "v2"],
         ["build-index", "in.tsv", "out.snap", "--format", "v1"],
         ["build-index", "in.tsv", "out.snap", "--rows"],
+        ["serve", "--snapshot", "x.snap", "--batch-window-ms", "2"],
+        ["bench-serve", "--workload", "freebase", "--batch-window-ms", "0"],
     ],
 )
 def test_cli_retired_selectors_are_gone(argv, capsys):
-    """One format, one frontend: the flags that chose another are usage
-    errors, not silently ignored."""
+    """One format, one frontend, no batching window: the flags that chose
+    another are usage errors, not silently ignored."""
     from repro.cli import build_parser
 
     with pytest.raises(SystemExit) as excinfo:
