@@ -181,7 +181,6 @@ def test_bench_record_self_matching_relation(benchmark):
     """
     import numpy as np
 
-    from repro._kernels import kernels
     from repro.discovery.mqg import MaximalQueryGraph
     from repro.graph.knowledge_graph import Edge, KnowledgeGraph
     from repro.lattice.exploration import AnswerAccumulator
@@ -221,10 +220,10 @@ def test_bench_record_self_matching_relation(benchmark):
     def fresh():
         accumulator = AnswerAccumulator(space, store, {("q",)})
         accumulator.record(space.full_mask ^ 1, earlier)
-        return (accumulator, kernels.TopKThreshold(100).note), {}
+        return (accumulator,), {}
 
-    def fold(accumulator, note):
-        accumulator.record(space.full_mask, node, note)
+    def fold(accumulator):
+        accumulator.record(space.full_mask, node)
         return len(accumulator)
 
     assert benchmark.pedantic(fold, setup=fresh, rounds=30) > 600

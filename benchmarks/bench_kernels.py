@@ -5,8 +5,8 @@ Two benchmark pairs, gated by ``check_regression.py --speedup-pair``:
 * ``test_fig14_kernel_hot_paths_{python,native}`` — replays the exact
   kernel-call trace of the full Fig. 14 Freebase workload over a v3
   mapped snapshot (every ``bfs_expand``, ``csr_neighbors``,
-  ``probe_tail``, ``filter_pairs`` and threshold-heap operation the 20
-  queries issue, with the same arguments) against one backend.  This
+  ``probe_tail`` and ``filter_pairs`` call the 20 queries issue, with
+  the same arguments) against one backend.  This
   isolates the interpreter loops the native extension replaces; CI
   gates the native side at >= 2x the pure side.
 * ``test_fig14_explore_{python,native}`` — the end-to-end lattice
@@ -58,9 +58,6 @@ class _Recorder:
     Each trace entry is ``(op, args...)`` where mutable arguments
     (``distances``) are snapshotted at call time; :func:`_materialize`
     rebuilds fresh copies before every replay.
-    Threshold heaps are stateful, so their ``note``/``threshold`` calls
-    are recorded per instance and replayed against a fresh heap of the
-    backend under test.
     """
 
     def __init__(self, backend):
@@ -93,28 +90,6 @@ class _Recorder:
         self.trace.append(("filter_pairs", rows, subject_col, object_col,
                            pairs))
         return self.backend.filter_pairs(rows, subject_col, object_col, pairs)
-
-    def TopKThreshold(self, k_prime):
-        recorder = self
-
-        class _RecordingTopK:
-            def __init__(inner):
-                inner._top = recorder.backend.TopKThreshold(k_prime)
-                inner._id = len(recorder.trace)
-                recorder.trace.append(("topk_new", inner._id, k_prime))
-
-            def note(inner, answer, score):
-                recorder.trace.append(("topk_note", inner._id, answer, score))
-                return inner._top.note(answer, score)
-
-            def threshold(inner):
-                recorder.trace.append(("topk_threshold", inner._id))
-                return inner._top.threshold()
-
-            def __len__(inner):
-                return len(inner._top)
-
-        return _RecordingTopK()
 
 
 def _record_workload_trace(harness, graph_store):
@@ -152,15 +127,12 @@ def _materialize(trace, backend):
 
     Built in the benchmark's untimed setup phase so the timed region is
     nothing but kernel calls: per-op loops with exact arities (direct
-    vectorcalls, no ``*args`` unpacking), prebound backend callables,
-    fresh copies of the in-place-mutated dicts, and fresh threshold
-    heaps of the backend under test.  Replay order is per-op instead
-    of interleaved; every call's inputs are independent snapshots, and
-    each heap's note/threshold sequence is preserved, so the work per
-    call is unchanged.
+    vectorcalls, no ``*args`` unpacking), prebound backend callables and
+    fresh copies of the in-place-mutated dicts.  Replay order is per-op
+    instead of interleaved; every call's inputs are independent
+    snapshots, so the work per call is unchanged.
     """
-    bfs, csr, probe, filt, topk = [], [], [], [], []
-    tops: dict[int, object] = {}
+    bfs, csr, probe, filt = [], [], [], []
     for entry in trace:
         op = entry[0]
         if op == "bfs_expand":
@@ -172,21 +144,12 @@ def _materialize(trace, backend):
             probe.append(entry[1:])
         elif op == "filter_pairs":
             filt.append(entry[1:])
-        elif op == "topk_new":
-            tops[entry[1]] = backend.TopKThreshold(entry[2])
-        elif op == "topk_note":
-            topk.append((tops[entry[1]].note, entry[2], entry[3]))
-        elif op == "topk_threshold":
-            top = tops[entry[1]]
-            topk.append(
-                (lambda _answer, _score, _top=top: _top.threshold(),
-                 None, None))
-    return backend, (bfs, csr, probe, filt, topk)
+    return backend, (bfs, csr, probe, filt)
 
 
 def _replay(backend, batches):
     """Run every traced kernel call; the whole loop is kernel time."""
-    bfs, csr, probe, filt, topk = batches
+    bfs, csr, probe, filt = batches
     bfs_expand = backend.bfs_expand
     for frontier, out_ip, out_obj, in_ip, in_subj, distances, depth in bfs:
         bfs_expand(frontier, out_ip, out_obj, in_ip, in_subj, distances,
@@ -200,8 +163,6 @@ def _replay(backend, batches):
     filter_pairs = backend.filter_pairs
     for rows, subject_col, object_col, pairs in filt:
         filter_pairs(rows, subject_col, object_col, pairs)
-    for note, answer, score in topk:
-        note(answer, score)
     return sum(map(len, batches))
 
 

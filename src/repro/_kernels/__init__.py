@@ -1,11 +1,11 @@
 """Kernel backend selection: native C extension vs pure-Python fallback.
 
-The engine's innermost scalar loops (CSR frontier expansion, the ≤64-row
-scalar join-probe tail, top-k' threshold maintenance) exist twice: as the pure-Python reference in
-:mod:`repro._kernels._pure` and as a C extension in
-``repro._kernels._native`` (built by ``pip install``; optional, the
-build may fail or be skipped).  Both implement the same functions with
-the same signatures and byte-identical outputs
+The engine's innermost scalar loops (CSR frontier expansion, and the
+≤64-row scalar join-probe tail and pair filter) exist twice: as the
+pure-Python reference in :mod:`repro._kernels._pure` and as a C
+extension in ``repro._kernels._native`` (built by ``pip install``;
+optional, the build may fail or be skipped).  Both implement the same
+functions with the same signatures and byte-identical outputs
 (``tests/test_native_kernels.py``).
 
 Call sites import the module-level :data:`kernels` namespace and read
@@ -76,7 +76,6 @@ class _KernelNamespace:
         "csr_neighbors",
         "probe_tail",
         "filter_pairs",
-        "TopKThreshold",
     )
 
     def _bind(self, module, backend: str) -> None:
@@ -85,7 +84,6 @@ class _KernelNamespace:
         self.csr_neighbors = module.csr_neighbors
         self.probe_tail = module.probe_tail
         self.filter_pairs = module.filter_pairs
-        self.TopKThreshold = module.TopKThreshold
 
 
 #: The active backend.  Read attributes at call time (never ``from

@@ -74,16 +74,6 @@ check_dict(const char *name, PyObject *obj)
     return 0;
 }
 
-/* PyFloat_AsDouble with the exact-float unbox inlined; scores are
- * floats except when user code passed something odd. */
-static inline double
-as_double(PyObject *obj)
-{
-    if (PyFloat_CheckExact(obj))
-        return PyFloat_AS_DOUBLE(obj);
-    return PyFloat_AsDouble(obj);
-}
-
 /* ------------------------------------------------------------------ */
 /* bfs_expand                                                         */
 /* ------------------------------------------------------------------ */
@@ -523,245 +513,6 @@ fail:
 }
 
 /* ------------------------------------------------------------------ */
-/* TopKThreshold                                                      */
-/* ------------------------------------------------------------------ */
-
-/* A bounded min-heap of (score, answer) compared by score only.  The
- * pure twin keeps a (score, answer)-tuple heapq, whose ties compare the
- * answer objects; comparing scores only is answer-equivalent because
- * the multiset of live scores — the only thing threshold() exposes —
- * is invariant under which of two score-tied entries gets evicted (see
- * docs/native-kernels.md for the full argument).  Staleness is the
- * credit-mismatch predicate: an entry is live iff credit[answer] holds
- * exactly its score; per-answer scores strictly increase, so superseded
- * and evicted entries can never be mistaken for live ones. */
-
-typedef struct {
-    PyObject_HEAD
-    Py_ssize_t k_prime;
-    Py_ssize_t size;
-    Py_ssize_t capacity;
-    double *scores;
-    PyObject **answers;
-    PyObject *credit; /* dict: answer -> float (its live score) */
-} TopKObject;
-
-static int
-topk_reserve(TopKObject *self)
-{
-    if (self->size < self->capacity)
-        return 0;
-    Py_ssize_t capacity = self->capacity ? self->capacity * 2 : 64;
-    double *scores = PyMem_Realloc(self->scores, capacity * sizeof(double));
-    if (scores == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    self->scores = scores;
-    PyObject **answers =
-        PyMem_Realloc(self->answers, capacity * sizeof(PyObject *));
-    if (answers == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    self->answers = answers;
-    self->capacity = capacity;
-    return 0;
-}
-
-/* Append (score, answer) and bubble it up.  Steals no reference; the
- * caller's answer is increfed here. */
-static int
-topk_push(TopKObject *self, double score, PyObject *answer)
-{
-    if (topk_reserve(self) < 0)
-        return -1;
-    Py_ssize_t pos = self->size++;
-    while (pos > 0) {
-        Py_ssize_t parent = (pos - 1) >> 1;
-        if (self->scores[parent] <= score)
-            break;
-        self->scores[pos] = self->scores[parent];
-        self->answers[pos] = self->answers[parent];
-        pos = parent;
-    }
-    self->scores[pos] = score;
-    Py_INCREF(answer);
-    self->answers[pos] = answer;
-    return 0;
-}
-
-/* Remove the root; returns the owned answer reference of the removed
- * entry.  The heap must be non-empty. */
-static PyObject *
-topk_pop(TopKObject *self)
-{
-    PyObject *popped = self->answers[0];
-    Py_ssize_t size = --self->size;
-    if (size == 0)
-        return popped;
-    double score = self->scores[size];
-    PyObject *answer = self->answers[size];
-    Py_ssize_t pos = 0;
-    for (;;) {
-        Py_ssize_t child = 2 * pos + 1;
-        if (child >= size)
-            break;
-        if (child + 1 < size && self->scores[child + 1] < self->scores[child])
-            child += 1;
-        if (score <= self->scores[child])
-            break;
-        self->scores[pos] = self->scores[child];
-        self->answers[pos] = self->answers[child];
-        pos = child;
-    }
-    self->scores[pos] = score;
-    self->answers[pos] = answer;
-    return popped;
-}
-
-/* Drop stale roots (credit missing or holding a different score). */
-static int
-topk_prune(TopKObject *self)
-{
-    while (self->size) {
-        PyObject *credited =
-            PyDict_GetItemWithError(self->credit, self->answers[0]);
-        if (credited == NULL) {
-            if (PyErr_Occurred())
-                return -1;
-        } else {
-            double live = as_double(credited);
-            if (live == -1.0 && PyErr_Occurred())
-                return -1;
-            if (live == self->scores[0])
-                break;
-        }
-        Py_DECREF(topk_pop(self));
-    }
-    return 0;
-}
-
-static PyObject *
-topk_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
-{
-    Py_ssize_t k_prime;
-    static char *keywords[] = {"k_prime", NULL};
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "n:TopKThreshold",
-                                     keywords, &k_prime))
-        return NULL;
-    TopKObject *self = (TopKObject *)type->tp_alloc(type, 0);
-    if (self == NULL)
-        return NULL;
-    self->k_prime = k_prime;
-    self->size = 0;
-    self->capacity = 0;
-    self->scores = NULL;
-    self->answers = NULL;
-    self->credit = PyDict_New();
-    if (self->credit == NULL) {
-        Py_DECREF(self);
-        return NULL;
-    }
-    return (PyObject *)self;
-}
-
-static void
-topk_dealloc(TopKObject *self)
-{
-    for (Py_ssize_t i = 0; i < self->size; i++)
-        Py_DECREF(self->answers[i]);
-    PyMem_Free(self->scores);
-    PyMem_Free(self->answers);
-    Py_XDECREF(self->credit);
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
-static PyObject *
-topk_note(TopKObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (check_arity("note", nargs, 2) < 0)
-        return NULL;
-    PyObject *answer = args[0], *score_obj = args[1];
-    double score = as_double(score_obj);
-    if (score == -1.0 && PyErr_Occurred())
-        return NULL;
-
-    PyObject *credited = PyDict_GetItemWithError(self->credit, answer);
-    if (credited == NULL) {
-        if (PyErr_Occurred())
-            return NULL;
-        if (PyDict_GET_SIZE(self->credit) >= self->k_prime) {
-            /* Full: admit only past the current k'-th best, evicting
-             * that minimum.  (The old entry of a superseded answer goes
-             * stale automatically: its credit no longer matches.) */
-            if (topk_prune(self) < 0)
-                return NULL;
-            if (self->size && score <= self->scores[0])
-                Py_RETURN_NONE;
-            if (self->size == 0) {
-                PyErr_SetString(PyExc_IndexError, "pop from an empty heap");
-                return NULL;
-            }
-            PyObject *evicted = topk_pop(self);
-            int failed = PyDict_DelItem(self->credit, evicted) < 0;
-            Py_DECREF(evicted);
-            if (failed)
-                return NULL;
-        }
-    }
-    if (PyDict_SetItem(self->credit, answer, score_obj) < 0)
-        return NULL;
-    if (topk_push(self, score, answer) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-topk_threshold(TopKObject *self, PyObject *Py_UNUSED(ignored))
-{
-    if (PyDict_GET_SIZE(self->credit) < self->k_prime)
-        Py_RETURN_NONE;
-    if (topk_prune(self) < 0)
-        return NULL;
-    if (self->size == 0) {
-        PyErr_SetString(PyExc_IndexError, "index out of range");
-        return NULL;
-    }
-    return PyFloat_FromDouble(self->scores[0]);
-}
-
-static Py_ssize_t
-topk_length(TopKObject *self)
-{
-    return PyDict_GET_SIZE(self->credit);
-}
-
-static PyMethodDef topk_methods[] = {
-    {"note", (PyCFunction)(void (*)(void))topk_note, METH_FASTCALL,
-     "Record an answer's improved score (scores only increase)."},
-    {"threshold", (PyCFunction)topk_threshold, METH_NOARGS,
-     "Score of the current k'-th best answer (None if too few)."},
-    {NULL, NULL, 0, NULL},
-};
-
-static PySequenceMethods topk_as_sequence = {
-    .sq_length = (lenfunc)topk_length,
-};
-
-static PyTypeObject TopKType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro._kernels._native.TopKThreshold",
-    .tp_basicsize = sizeof(TopKObject),
-    .tp_dealloc = (destructor)topk_dealloc,
-    .tp_as_sequence = &topk_as_sequence,
-    .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "Bounded min-heap of the current top-k' per-answer scores.",
-    .tp_methods = topk_methods,
-    .tp_new = topk_new,
-};
-
-/* ------------------------------------------------------------------ */
 /* module                                                             */
 /* ------------------------------------------------------------------ */
 
@@ -784,7 +535,7 @@ static PyMethodDef module_methods[] = {
 static struct PyModuleDef native_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro._kernels._native",
-    .m_doc = "Native kernels for the lattice and join hot paths.",
+    .m_doc = "Native kernels for the neighborhood and join hot paths.",
     .m_size = -1,
     .m_methods = module_methods,
 };
@@ -792,14 +543,5 @@ static struct PyModuleDef native_module = {
 PyMODINIT_FUNC
 PyInit__native(void)
 {
-    PyObject *module = PyModule_Create(&native_module);
-    if (module == NULL)
-        return NULL;
-    if (PyType_Ready(&TopKType) < 0 ||
-        PyModule_AddObjectRef(module, "TopKThreshold",
-                              (PyObject *)&TopKType) < 0) {
-        Py_DECREF(module);
-        return NULL;
-    }
-    return module;
+    return PyModule_Create(&native_module);
 }

@@ -2,13 +2,12 @@
 """Pure-Python reference kernels (the fallback backend).
 
 These are the innermost interpreter loops of the engine, factored out of
-``storage/join.py``, ``graph/neighborhood.py``, ``graph/mapped.py`` and
-``lattice/exploration.py`` verbatim so the native extension
-(:mod:`repro._kernels._native`) has a pinned reference to be
-byte-identical against.  This module is the *current code*, not a
-simplification: the adaptive gather/scalar BFS split, the per-probe-row
-``max_rows`` timing and the lazy-deletion threshold heap are preserved
-statement for statement.
+``storage/join.py``, ``graph/neighborhood.py`` and ``graph/mapped.py``
+verbatim so the native extension (:mod:`repro._kernels._native`) has a
+pinned reference to be byte-identical against.  This module is the
+*current code*, not a simplification: the adaptive gather/scalar BFS
+split and the per-probe-row ``max_rows`` timing are preserved statement
+for statement.
 
 Every function here must stay a pure function of its inputs (plus the
 documented in-place dict/list mutations); ``tests/test_native_kernels.py``
@@ -16,8 +15,6 @@ pins each one against the native implementation.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
@@ -144,57 +141,3 @@ def filter_pairs(rows, subject_col, object_col, pairs):
     """The scalar both-endpoints-bound join filter over a pair set."""
     return [row for row in rows if (row[subject_col], row[object_col]) in pairs]
 
-
-class TopKThreshold:
-    """Bounded min-heap of the current top-``k_prime`` per-answer scores.
-
-    The stage-one termination threshold of Theorem 4, maintained
-    incrementally: :meth:`note` records an answer's strictly increased
-    structure score (superseding its live entry, or evicting the current
-    minimum once the heap is full), :meth:`threshold` returns the current
-    k'-th best score (``None`` while fewer than k' answers are live).
-    Superseded entries are lazy-deleted via a stale set.
-    """
-
-    __slots__ = ("k_prime", "_heap", "_credit", "_stale")
-
-    def __init__(self, k_prime):
-        self.k_prime = k_prime
-        self._heap: list[tuple[float, object]] = []
-        self._credit: dict[object, float] = {}
-        self._stale: set[tuple[float, object]] = set()
-
-    def note(self, answer, score):
-        """Record ``answer``'s improved ``score`` (scores only increase)."""
-        heap = self._heap
-        credit = self._credit
-        credited = credit.get(answer)
-        if credited is not None:
-            # Already live: supersede its entry in place.
-            self._stale.add((credited, answer))
-        elif len(credit) >= self.k_prime:
-            # Heap is full: admit only if the score beats the current
-            # k'-th best, evicting that minimum.
-            self._prune_top()
-            if heap and score <= heap[0][0]:
-                return
-            _evicted_score, evicted_answer = heapq.heappop(heap)
-            del credit[evicted_answer]
-        credit[answer] = score
-        heapq.heappush(heap, (score, answer))
-
-    def _prune_top(self):
-        heap = self._heap
-        stale = self._stale
-        while heap and heap[0] in stale:
-            stale.remove(heapq.heappop(heap))
-
-    def threshold(self):
-        """Score of the current k'-th best answer (``None`` if too few)."""
-        if len(self._credit) < self.k_prime:
-            return None
-        self._prune_top()
-        return self._heap[0][0]
-
-    def __len__(self):
-        return len(self._credit)

@@ -24,6 +24,8 @@ class GQBEConfig:
     mqg_size:
         Target number of edges ``r`` of the maximal query graph
         (Sec. III-A); the paper uses an empirically chosen ``r = 15``.
+        At most 62: a query graph's self-match signature holds one bit
+        per node in an int64.
     k_prime:
         Stage-one oversampling for the two-stage ranking (Sec. V-B).
         ``None`` lets the explorer pick ``max(100, 4·k)``.
@@ -62,8 +64,7 @@ class GQBEConfig:
         for the lifetime of the batch.  ``None`` caches everything.
     native_kernels:
         Backend for the engine's innermost scalar loops (CSR frontier
-        expansion, the scalar join-probe tail, top-k' threshold
-        maintenance, structure-score accumulation).  ``"auto"`` (the
+        expansion, the scalar join-probe tail).  ``"auto"`` (the
         default) uses the compiled extension
         (``repro._kernels._native``) when it imported and falls back to
         the pure-Python kernels otherwise; ``"on"`` requires the
@@ -142,8 +143,8 @@ class GQBEConfig:
     def __post_init__(self) -> None:
         if self.d < 1:
             raise EvaluationError(f"d must be >= 1, got {self.d}")
-        if self.mqg_size < 1:
-            raise EvaluationError(f"mqg_size must be >= 1, got {self.mqg_size}")
+        if not 1 <= self.mqg_size <= 62:
+            raise EvaluationError(f"mqg_size must be in [1, 62], got {self.mqg_size}")
         if self.k_prime is not None and self.k_prime < 1:
             raise EvaluationError(f"k_prime must be >= 1, got {self.k_prime}")
         if self.max_join_rows is not None and self.max_join_rows < 1:

@@ -23,7 +23,6 @@ from repro.lattice.minimal_trees import minimal_query_trees
 from repro.lattice.query_graph import LatticeSpace, QueryGraph
 from repro.lattice.scoring import (
     content_score,
-    content_score_from_matched,
     match_credit,
     structure_score,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "minimal_query_trees",
     "structure_score",
     "content_score",
-    "content_score_from_matched",
     "match_credit",
     "AnswerAccumulator",
     "BestFirstExplorer",

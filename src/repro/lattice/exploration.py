@@ -33,19 +33,19 @@ Performance notes (the hot path of the Fig. 14/16 experiments):
 * the per-answer scores live in arrays sorted by an answer key
   (:class:`AnswerAccumulator`): a lattice node's relation is folded in
   as one matrix with whole-array operations — its rows never become
-  Python tuples — and Python touches only the distinct self-match
-  signatures and the answers whose structure score rose, and none of
-  those once the node scores at or below a full threshold heap.  The
-  fold is a fixed few dozen numpy calls whatever the relation's size or
-  width, which is what a node of a handful of rows pays for;
+  Python tuples, and no Python loop runs over its answers.  The fold is
+  a fixed few dozen numpy calls whatever the relation's size or width,
+  which is what a node of a handful of rows pays for; Python touches
+  only the node's distinct self-match signatures, each summed from
+  per-edge credit tables built once per accumulator;
 * a node's trivial self-match, and the rows of an excluded query tuple,
   are dropped inside that fold by their signature bits instead of being
   filtered out of every column first;
 * ``Q_best`` selection uses a lazy-deletion max-heap instead of scanning
   every LF node per iteration;
-* the stage-one k'-threshold is maintained incrementally with a bounded
-  min-heap of the current top-k' structure scores instead of sorting all
-  answers per iteration;
+* the stage-one k'-threshold is read off the score table with one
+  partition, and only after a node lifted some answer above the current
+  threshold: scores only rise, so no other node can move it;
 * structure scores are memoized per mask in the
   :class:`~repro.lattice.query_graph.LatticeSpace`.
 """
@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +63,7 @@ from repro.exceptions import LatticeError
 from repro.storage.batch import OVERFLOW
 from repro.lattice.minimal_trees import minimal_query_trees
 from repro.lattice.query_graph import LatticeSpace
-from repro._kernels import kernels
-from repro.lattice.scoring import content_score_from_matched
+from repro.lattice.scoring import match_credit
 from repro.storage.join import (
     _SCALAR_TAIL_ROWS,
     ColumnarRelation,
@@ -135,7 +134,9 @@ def _run_starts(ordered: "np.ndarray") -> "np.ndarray":
 _STRUCTURE, _FULL, _CONTENT, _RECORDED = range(4)
 _UNSEEN = np.array([[-np.inf], [-np.inf], [0.0], [-1.0]])
 
-#: Column ``i`` bound to its own query node sets bit ``i`` of a row's signature.
+#: Column ``i`` bound to its own query node sets bit ``i`` of a row's
+#: signature.  A connected query graph of at most 62 edges (the cap on
+#: ``GQBEConfig.mqg_size``) has at most 63 nodes, one weight each.
 _BIT_WEIGHTS = 1 << np.arange(63)
 
 
@@ -201,6 +202,18 @@ class AnswerAccumulator:
             node: -1 if (own := id_of(node)) is None else own
             for node in space.mqg.graph.nodes
         }
+        #: Per MQG edge, in bit order: its endpoints and the Eq. 6 credit
+        #: for a subject-only, object-only and two-sided self-match.
+        self._edge_credits = tuple(
+            (
+                edge.subject,
+                edge.object,
+                match_credit(space, edge, True, False),
+                match_credit(space, edge, False, True),
+                match_credit(space, edge, True, True),
+            )
+            for edge in space.edge_list
+        )
 
     def __len__(self) -> int:
         return len(self._keys) - self._num_excluded
@@ -208,6 +221,17 @@ class AnswerAccumulator:
     def structure_scores(self) -> "np.ndarray":
         """Every answer's best structure score so far (a copy, unordered)."""
         return self._table[_STRUCTURE][self._table[_RECORDED] >= 0]
+
+    def structure_threshold(self, k_prime: int) -> float | None:
+        """The k'-th largest structure score (``None`` while fewer answers).
+
+        Excluded tuples hold infinite scores and sort above every answer,
+        so one partition of the whole row finds it.
+        """
+        at = len(self) - k_prime
+        if at < 0:
+            return None
+        return float(np.partition(self._table[_STRUCTURE], at)[at])
 
     def identity_row(self, variables: tuple[str, ...]) -> list[EntityId]:
         """Each variable's own entity id (-1 if it is not a data entity).
@@ -250,12 +274,7 @@ class AnswerAccumulator:
             ids.append(entity_id)
         return self.vocabulary.decode_row(ids[::-1])
 
-    def record(
-        self,
-        mask: int,
-        relation: Relation,
-        on_structure_improved: Callable[[object, float], None] | None = None,
-    ) -> None:
+    def record(self, mask: int, relation: Relation) -> int:
         """Fold the match relation of query graph ``mask`` into the table.
 
         Every row but the trivial one (:meth:`identity_row`) contributes
@@ -263,10 +282,9 @@ class AnswerAccumulator:
         structure score is the query graph's; the content score depends
         only on the row's *signature* — which columns are bound to their
         own query node — so it is computed once per distinct signature
-        (:func:`~repro.lattice.scoring.content_score_from_matched`).
-        Rows are reduced to one best content score per distinct answer with
-        one sort, and the distinct answers are merged into the table with
-        one binary search.
+        (:meth:`_content_scores`).  Rows are reduced to one best content
+        score per distinct answer with one sort, and the distinct answers
+        are merged into the table with one binary search.
 
         ``content_score`` does not depend on row order: ``structure +
         content`` grows with ``content``, so the best content also gives
@@ -276,9 +294,8 @@ class AnswerAccumulator:
         holding an equal or better full score keeps it, content and query
         graph included.
 
-        ``on_structure_improved(answer key, score)`` is called for every
-        answer whose best structure score strictly increases (it feeds the
-        best-first explorer's stage-one threshold heap).
+        Returns how many answers' best structure score strictly rose (the
+        best-first explorer re-reads its stage-one threshold only then).
 
         The relation is read as one ``(columns, rows)`` matrix, so the
         number of numpy calls does not grow with its width: most lattice
@@ -292,13 +309,13 @@ class AnswerAccumulator:
         except KeyError:
             # A valid query graph always covers the query entities; missing
             # columns mean the relation is degenerate (empty schema).
-            return
+            return 0
         if isinstance(relation, ColumnarRelation):
             matrix = relation.columns
         else:
             matrix = _columns_from_rows(relation.rows, len(variables), self._id_dtype)
         if not matrix.shape[1]:
-            return
+            return 0
         identity = np.array(self.identity_row(variables), dtype=self._id_dtype)
         keys = self._answer_keys([matrix[i] for i in entity_columns])
         signature = _BIT_WEIGHTS[: len(variables)] @ (matrix == identity[:, None])
@@ -312,24 +329,16 @@ class AnswerAccumulator:
         keep = (signature & dead) != dead
         keys, signature = keys[keep], signature[keep]
         if not len(keys):
-            return
+            return 0
 
         content = np.zeros(len(keys))
         matched = signature.nonzero()[0]
         if len(matched):
             bits = signature[matched]
             distinct = sorted(set(bits.tolist()))
-            edges = space.edges_of(mask)
-            content[matched] = np.array(
-                [
-                    content_score_from_matched(
-                        space,
-                        edges,
-                        {name for i, name in enumerate(variables) if own >> i & 1},
-                    )
-                    for own in distinct
-                ]
-            )[np.array(distinct).searchsorted(bits)]
+            content[matched] = self._content_scores(mask, relation._index, distinct)[
+                np.array(distinct).searchsorted(bits)
+            ]
 
         # Group the rows by answer; the maximum does not need a stable sort.
         order = keys.argsort()
@@ -356,15 +365,45 @@ class AnswerAccumulator:
         rose = (structure > table[_STRUCTURE][slots]).nonzero()[0]
         if len(rose):
             table[_STRUCTURE, slots[rose]] = structure
-            if on_structure_improved is not None:
-                for answer in answers[rose].tolist():
-                    on_structure_improved(answer, structure)
         better = (full > table[_FULL][slots]).nonzero()[0]
         if len(better):
             at = slots[better]
             table[_FULL, at] = full[better]
             table[_CONTENT, at] = content[better]
             table[_RECORDED, at] = recorded
+        return len(rose)
+
+    def _content_scores(
+        self, mask: int, columns: dict[str, int], signatures: list[int]
+    ) -> "np.ndarray":
+        """c_score_Q (Eq. 6) of query graph ``mask`` per self-match signature.
+
+        Bit ``columns[node]`` of a signature says ``node`` is bound to
+        itself.  Each sum adds the credits of the mask's edges in bit order,
+        the additions :func:`~repro.lattice.scoring.content_score` makes,
+        so the floats are the same.
+        """
+        credits = self._edge_credits
+        terms = []
+        remaining = mask
+        while remaining:
+            low = remaining & -remaining
+            remaining ^= low
+            subject, object_, subject_only, object_only, both = credits[
+                low.bit_length() - 1
+            ]
+            subject_bit, object_bit = 1 << columns[subject], 1 << columns[object_]
+            terms.append((subject_bit, object_bit, subject_only, object_only, both))
+        scores = []
+        for own in signatures:
+            total = 0.0
+            for subject_bit, object_bit, subject_only, object_only, both in terms:
+                if own & subject_bit:
+                    total += both if own & object_bit else subject_only
+                elif own & object_bit:
+                    total += object_only
+            scores.append(total)
+        return np.array(scores)
 
     def ranked(self, k: int, k_prime: int | None = None) -> list[RankedAnswer]:
         """The top-``k`` answers by full score (stage two of Sec. V-B).
@@ -548,12 +587,9 @@ class BestFirstExplorer(LatticeNodeEvaluator):
         self._lower_frontier: dict[int, float] = {}
         self._lf_heap: list[tuple[float, int, int]] = []
         self._answers = AnswerAccumulator(space, store, excluded_tuples)
-        #: Bounded min-heap of the current top-k' structure scores (the
-        #: stage-one threshold of Theorem 4), maintained by the active
-        #: kernel backend.  Scores only ever increase, so the live entries
-        #: are always exactly the top ``min(len(answers), k')`` per-answer
-        #: structure scores.
-        self._threshold_top = kernels.TopKThreshold(self.k_prime)
+        #: The k'-th best structure score so far (the stage-one threshold
+        #: of Theorem 4), ``None`` while fewer than k' answers are known.
+        self._threshold: float | None = None
         self._stats = ExplorationStatistics()
 
     # ------------------------------------------------------------------
@@ -683,7 +719,7 @@ class BestFirstExplorer(LatticeNodeEvaluator):
     # ------------------------------------------------------------------
     def _stage_one_threshold(self) -> float | None:
         """Structure score of the current k'-th best answer (None if too few)."""
-        return self._threshold_top.threshold()
+        return self._threshold
 
     def _should_terminate(self) -> bool:
         if not self._lower_frontier:
@@ -729,7 +765,8 @@ class BestFirstExplorer(LatticeNodeEvaluator):
         evaluate = self._evaluate_mask
         is_null = self._answers.is_null
         record = self._answers.record
-        note_improved = self._threshold_top.note
+        threshold_of = self._answers.structure_threshold
+        k_prime = self.k_prime
         structure_of = self.space.weight_of_mask
         parents_of = self.space.parents_of
         add_to_frontier = self._add_to_lower_frontier
@@ -765,17 +802,13 @@ class BestFirstExplorer(LatticeNodeEvaluator):
                 null_masks = self._null_masks  # _add_null_mask rebinds it
             else:
                 evaluated[best_mask] = relation
-                # Once k' answers are live, a node scoring at or below the
-                # k'-th of them cannot change the heap: every live answer
-                # already scores at least that, and no other is admitted.
-                threshold = self._stage_one_threshold()
-                record(
-                    best_mask,
-                    relation,
-                    note_improved
-                    if threshold is None or structure_of(best_mask) > threshold
-                    else None,
-                )
+                # Scores only rise, so the k'-th best moves only when this
+                # node lifted some answer, and only if it scores above it.
+                threshold = self._threshold
+                if record(best_mask, relation) and (
+                    threshold is None or structure_of(best_mask) > threshold
+                ):
+                    self._threshold = threshold_of(k_prime)
                 for parent in parents_of(best_mask):
                     add_to_frontier(parent)
 

@@ -19,7 +19,7 @@ answer graph that projects to it.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence, Set
+from collections.abc import Mapping, Sequence
 
 from repro.graph.knowledge_graph import Edge
 from repro.lattice.query_graph import LatticeSpace
@@ -49,27 +49,6 @@ def match_credit(
     return weight / object_incident
 
 
-def content_score_from_matched(
-    space: LatticeSpace,
-    edges: Sequence[Edge],
-    matched: Set[str],
-) -> float:
-    """c_score_Q(A) given the set of query nodes bound to themselves.
-
-    The interned engine never materializes a string binding: it compares
-    interned row ids against the interned query-node ids and collects the
-    *matched* node names directly, so this entry point skips building the
-    ``{variable: entity}`` dict of :func:`content_score`.
-    """
-    total = 0.0
-    for edge in edges:
-        subject_matched = edge.subject in matched
-        object_matched = edge.object in matched
-        if subject_matched or object_matched:
-            total += match_credit(space, edge, subject_matched, object_matched)
-    return total
-
-
 def content_score(
     space: LatticeSpace,
     edges: Sequence[Edge],
@@ -82,7 +61,13 @@ def content_score(
     to itself — i.e. the answer reuses the exact entity of the MQG.
     """
     matched = {node for node, value in binding.items() if value == node}
-    return content_score_from_matched(space, edges, matched)
+    total = 0.0
+    for edge in edges:
+        subject_matched = edge.subject in matched
+        object_matched = edge.object in matched
+        if subject_matched or object_matched:
+            total += match_credit(space, edge, subject_matched, object_matched)
+    return total
 
 
 def answer_graph_score(

@@ -362,10 +362,11 @@ def _extend_columnar(
     the injective filter — which drops a value already present among the
     row's ``w`` bindings — removes at most ``min(c, w)`` of them (none
     without it).  When that floor, summed over the probe rows, exceeds
-    the cap, so does the result.  Expansions that pass it and are still
-    above :data:`_EXPANSION_CHUNK_ROWS` candidate rows are processed in
-    probe-row slices so the check can fire before a huge intermediate is
-    fully materialized.
+    the cap, so does the result.  A capped expansion that passes it with
+    more than ``min(max_rows + 1, _EXPANSION_CHUNK_ROWS)`` candidates is
+    processed in probe-row slices of about that many, and raises once the
+    survivors so far plus the floor of the probe rows left exceed the
+    cap, before the rest is expanded.
     """
     table = store.table_or_empty(edge.label)
     subject_var, object_var = edge.subject, edge.object
@@ -423,11 +424,18 @@ def _extend_columnar(
 
     counts, starts = probe(bound)
     total_candidates = int(counts.sum())
-    if max_rows is not None and total_candidates > max_rows:
+    # Past the cap, the candidates go in slices of one more than it: most
+    # survive the injective filter, so such a join overflows inside its
+    # first slice instead of after expanding every candidate.
+    chunk = _EXPANSION_CHUNK_ROWS
+    if max_rows is not None:
+        chunk = min(chunk, max_rows + 1)
+    if max_rows is not None and total_candidates >= chunk:
         # At least ``c - min(c, w)`` of a probe row's ``c`` distinct
         # matches survive the injective filter (docstring).
         spare = len(relation.columns) if injective else 0
-        if int(np.maximum(counts - spare, 0).sum()) > max_rows:
+        floors = np.maximum(counts - spare, 0).cumsum()
+        if int(floors[-1]) > max_rows:
             _raise_max_rows(max_rows)
 
     def probe_slice(lo: int, hi: int) -> tuple["np.ndarray", "np.ndarray"]:
@@ -440,17 +448,17 @@ def _extend_columnar(
             probe_idx, new_values = probe_idx[keep], new_values[keep]
         return probe_idx + lo, new_values
 
-    if max_rows is None or total_candidates <= _EXPANSION_CHUNK_ROWS:
+    if max_rows is None or total_candidates <= chunk:
         probe_idx, new_values = probe_slice(0, relation.num_rows)
         if max_rows is not None and len(new_values) > max_rows:
             _raise_max_rows(max_rows)
     else:
         # Split the probe rows so each slice expands to at most roughly
         # one chunk of candidate rows, raising as soon as the surviving
-        # row count crosses the cap.
+        # rows, plus the floor of the rows still to expand, pass the cap.
         boundaries = np.searchsorted(
             np.cumsum(counts),
-            np.arange(_EXPANSION_CHUNK_ROWS, total_candidates, _EXPANSION_CHUNK_ROWS),
+            np.arange(chunk, total_candidates, chunk),
             side="left",
         )
         cut_points = [0, *(int(b) + 1 for b in boundaries), relation.num_rows]
@@ -461,7 +469,7 @@ def _extend_columnar(
                 continue
             piece = probe_slice(lo, hi)
             kept += len(piece[0])
-            if kept > max_rows:
+            if kept + int(floors[-1] - floors[hi - 1]) > max_rows:
                 _raise_max_rows(max_rows)
             pieces.append(piece)
         probe_idx = np.concatenate([piece[0] for piece in pieces])

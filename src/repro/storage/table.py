@@ -488,10 +488,10 @@ class ColumnarEdgeTable:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
         probe_idx = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        offsets = np.cumsum(counts)
-        # Position of each expanded slot within its probe key's group.
-        local = np.arange(total, dtype=np.int64) - np.repeat(offsets - counts, counts)
-        source_rows = index.order[np.repeat(starts, counts) + local]
+        # Slot j of the expansion, the i-th match of its probe key, reads
+        # group position starts[key] + i = j + (starts - first slot)[key].
+        shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        source_rows = index.order[np.arange(total, dtype=np.int64) + shift]
         return probe_idx, values[source_rows]
 
     def expand_subject(

@@ -207,12 +207,8 @@ def test_matches_row_by_row_fold_on_random_relations(shape, seed):
     for name, store, relation_of in _layouts(universe):
         accumulator = AnswerAccumulator(space, store, excluded)
         for (mask, variables, rows), expected in zip(recordings, expected_rises):
-            noted = []
-            accumulator.record(
-                mask, relation_of(store, variables, rows), lambda key, score: noted.append((key, score))
-            )
-            assert len(noted) == len(expected), name
-            assert {score for _, score in noted} <= {space.weight_of_mask(mask)}, name
+            rose = accumulator.record(mask, relation_of(store, variables, rows))
+            assert rose == len(expected), name
         assert len(accumulator) == len(oracle.best), name
         assert sorted(accumulator.structure_scores().tolist()) == sorted(
             held[0] for held in oracle.best.values()
@@ -246,6 +242,29 @@ def test_rows_tying_on_the_full_score_resolve_the_same_in_any_order():
             ranked = _as_tuples(accumulator.ranked(5))
             assert ranked == [(("x",), scores[0], structure, 2.5, mask)], name
             assert ranked == oracle.ranked(5), name
+
+
+def test_the_widest_query_graph_the_config_allows():
+    """``mqg_size`` is at most 62 (``GQBEConfig``): a 62-edge star spans 63
+    nodes, one signature bit each, the last one bit 62 of an int64."""
+    assert GQBEConfig(mqg_size=62).mqg_size == 62
+    leaves = [f"n{i}" for i in range(62)]
+    edges = [("q", f"r{i}", leaf) for i, leaf in enumerate(leaves)]
+    space = _star_space(("q",), edges, [1.0 + i / 64 for i in range(62)])
+    variables = ("q", *leaves)
+    rows = [
+        variables,
+        ("x", *leaves),
+        ("y", *(f"o{i}" if i % 2 else leaf for i, leaf in enumerate(leaves))),
+        ("z", *(f"o{i}" for i in range(62))),
+    ]
+    oracle = RowByRowOracle(space, ())
+    oracle.record(space.full_mask, variables, rows)
+    universe = [*variables, "x", "y", "z", *(f"o{i}" for i in range(62))]
+    for name, store, relation_of in _layouts(universe):
+        accumulator = AnswerAccumulator(space, store, ())
+        assert accumulator.record(space.full_mask, relation_of(store, variables, rows)) == 3
+        assert _as_tuples(accumulator.ranked(5)) == oracle.ranked(5), name
 
 
 def test_an_equal_full_score_from_a_later_query_graph_does_not_replace():

@@ -107,6 +107,8 @@ class TestValidationAndConfig:
             GQBEConfig(d=0)
         with pytest.raises(EvaluationError):
             GQBEConfig(mqg_size=0)
+        with pytest.raises(EvaluationError, match="mqg_size"):
+            GQBEConfig(mqg_size=63)  # a 63-edge query graph can span 64 nodes
         with pytest.raises(EvaluationError):
             GQBEConfig(k_prime=0)
         with pytest.raises(EvaluationError):

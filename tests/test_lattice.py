@@ -1,12 +1,17 @@
-"""Unit tests for the lattice space, minimal query trees and scoring."""
+"""Unit tests for the lattice space, minimal query trees, scoring and the
+best-first explorer's frontier and threshold bookkeeping."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.config import GQBEConfig
+from repro.core.gqbe import GQBE
+from repro.datasets.synthetic import FreebaseLikeGenerator
 from repro.discovery.mqg import MaximalQueryGraph
 from repro.exceptions import LatticeError
 from repro.graph.knowledge_graph import Edge, KnowledgeGraph
+from repro.lattice.exploration import BestFirstExplorer
 from repro.lattice.minimal_trees import minimal_query_trees
 from repro.lattice.query_graph import LatticeSpace
 from repro.lattice.scoring import (
@@ -208,3 +213,68 @@ class TestScoring:
         )
         # Property 2 of the paper.
         assert structure_score(space, small) < structure_score(space, large)
+
+
+class _CrossCheckingExplorer(BestFirstExplorer):
+    """Asserts the LF heap and the k'-threshold match naive scans.
+
+    The LF pop must be the naive maximum over the lower frontier, and the
+    stage-one threshold the k'-th largest of every answer's structure
+    score, each time the explorer reads it.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.bound_thresholds = 0
+
+    def _pop_best_mask(self):
+        expected = None
+        if self._lower_frontier:
+            expected = max(
+                self._lower_frontier,
+                key=lambda m: (self._lower_frontier[m], -m.bit_count(), m),
+            )
+        popped = super()._pop_best_mask()
+        assert popped == expected
+        return popped
+
+    def _stage_one_threshold(self):
+        value = super()._stage_one_threshold()
+        scores = sorted(self._answers.structure_scores().tolist(), reverse=True)
+        if len(scores) < self.k_prime:
+            assert value is None
+        else:
+            assert value == scores[self.k_prime - 1]
+            self.bound_thresholds += 1
+        return value
+
+
+class TestFrontierAndThresholdBookkeeping:
+    """On interned columnar stores, with a k' small enough to bind."""
+
+    def _check(self, space, store, query_tuple, k):
+        checked = _CrossCheckingExplorer(
+            space, store, k=k, k_prime=k, excluded_tuples={query_tuple}
+        )
+        result = checked.run()
+        plain = BestFirstExplorer(
+            space, store, k=k, k_prime=k, excluded_tuples={query_tuple}
+        ).run()
+        assert store.is_columnar
+        assert checked.bound_thresholds > 0
+        assert result.answer_tuples() == plain.answer_tuples()
+        assert result.statistics.nodes_evaluated == plain.statistics.nodes_evaluated
+        return result
+
+    def test_figure1(self, figure1_system, figure1_store):
+        query_tuple = ("Jerry Yang", "Yahoo!")
+        space = LatticeSpace(figure1_system.discover_query_graph(query_tuple))
+        self._check(space, figure1_store, query_tuple, k=3)
+
+    def test_synthetic_run_stopped_by_the_threshold(self):
+        dataset = FreebaseLikeGenerator(seed=7, scale=0.2).generate()
+        system = GQBE(dataset.graph, config=GQBEConfig(mqg_size=15, max_join_rows=100_000))
+        query_tuple = tuple(dataset.table("club_owners")[0])
+        space = LatticeSpace(system.discover_query_graph(query_tuple))
+        result = self._check(space, system.store, query_tuple, k=3)
+        assert result.statistics.terminated_early

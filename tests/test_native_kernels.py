@@ -181,33 +181,6 @@ class TestProbeTailKernel:
         )
 
 
-@needs_native
-class TestTopKThresholdKernel:
-    @pytest.mark.parametrize("k_prime", [1, 3, 25])
-    def test_threshold_sequence_parity(self, k_prime):
-        rng = random.Random(k_prime)
-        pure_topk = _pure.TopKThreshold(k_prime)
-        native_topk = native.TopKThreshold(k_prime)
-        best: dict[str, float] = {}
-        for _ in range(400):
-            answer = f"a{rng.randrange(40)}"
-            # Scores only increase per answer (the kernel's precondition).
-            score = best.get(answer, 0.0) + rng.random()
-            best[answer] = score
-            pure_topk.note(answer, score)
-            native_topk.note(answer, score)
-            assert native_topk.threshold() == pure_topk.threshold()
-            assert len(native_topk) == len(pure_topk)
-
-    def test_threshold_none_below_k_prime(self):
-        topk = native.TopKThreshold(3)
-        topk.note("a", 1.0)
-        topk.note("b", 2.0)
-        assert topk.threshold() is None
-        topk.note("c", 0.5)
-        assert topk.threshold() == 0.5
-
-
 # ----------------------------------------------------------------------
 # end-to-end: the built/snapshot × inline/pooled matrix, native vs fallback
 # ----------------------------------------------------------------------

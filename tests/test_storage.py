@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import GraphError, LatticeError
 from repro.graph.knowledge_graph import Edge, KnowledgeGraph
-from repro.storage.join import Relation, evaluate_query_edges, extend_with_edge
+from repro.storage.join import (
+    ColumnarRelation,
+    Relation,
+    evaluate_query_edges,
+    extend_with_edge,
+)
 from repro.storage.plan import plan_join_order
 from repro.storage.store import VerticalPartitionStore
-from repro.storage.table import EdgeTable
+from repro.storage.table import ColumnarEdgeTable, EdgeTable
 from repro.storage.vocabulary import IdentityVocabulary, Vocabulary
 
 
@@ -72,8 +78,6 @@ class TestColumnarEdgeTable:
     def test_mutation_invalidates_scalar_buckets(self):
         """Regression: buckets built before numpy columns existed went
         stale because add_row only checked the numpy cache."""
-        from repro.storage.table import ColumnarEdgeTable
-
         table = ColumnarEdgeTable("r", [(1, 2)])
         assert table.subject_buckets() == {1: (2,)}
         assert table.object_buckets() == {2: (1,)}
@@ -86,8 +90,6 @@ class TestColumnarEdgeTable:
         index holds one per distinct key (~116 k on a 177 k-edge graph)."""
         import gc
 
-        from repro.storage.table import ColumnarEdgeTable
-
         table = ColumnarEdgeTable("r", [(s, o) for s in range(50) for o in range(s % 4 + 1)])
         buckets = [table.subject_buckets(), table.object_buckets()]
         gc.collect()
@@ -95,9 +97,6 @@ class TestColumnarEdgeTable:
             assert index and not any(gc.is_tracked(values) for values in index.values())
 
     def test_mutation_invalidates_vector_indexes(self):
-        from repro.storage.table import ColumnarEdgeTable
-        import numpy as np
-
         table = ColumnarEdgeTable("r", [(1, 2), (1, 4), (5, 2)])
         table.build_indexes()
         assert table.contains_pairs(np.array([1]), np.array([4])).all()
@@ -109,8 +108,6 @@ class TestColumnarEdgeTable:
         assert objects.tolist() == [8, 2, 4]
 
     def test_duplicates_ignored_and_iteration(self):
-        from repro.storage.table import ColumnarEdgeTable
-
         table = ColumnarEdgeTable("r", [(0, 1), (0, 1), (2, 3)])
         assert len(table) == 2
         assert list(table) == [(0, 1), (2, 3)]
@@ -359,3 +356,76 @@ class TestJoinEvaluation:
         relation = evaluate_query_edges(figure1_string_store, [])
         assert relation.is_empty()
         assert relation.variables == ()
+
+
+class TestJoinPastTheRowCap:
+    """One-sided probes whose counts floor is within ``max_rows`` but whose
+    candidates are not: they expand in slices of ``max_rows + 1``."""
+
+    @staticmethod
+    def _probe(matches):
+        """1 000 probe rows ``(x_i, h_i)``, and label ``r`` from each ``h_i``
+        to every entity of ``matches(i)``."""
+        triples, rows = [], []
+        for i in range(1_000):
+            rows.append((f"x{i}", f"h{i}"))
+            triples.extend((f"h{i}", "r", target) for target in matches(i))
+        store = VerticalPartitionStore(KnowledgeGraph(triples + [(x, "at", h) for x, h in rows]))
+        id_of = store.vocabulary.id_of
+        relation = ColumnarRelation(
+            ("x", "h"), [np.array([id_of(value) for value in column]) for column in zip(*rows)]
+        )
+        return store, relation
+
+    @staticmethod
+    def _spy_expansions(monkeypatch):
+        expanded = []
+        for name in ("expand_subject", "expand_object"):
+            inner = getattr(ColumnarEdgeTable, name)
+
+            def spy(self, counts, starts, _inner=inner):
+                probe_idx, values = _inner(self, counts, starts)
+                expanded.append(len(values))
+                return probe_idx, values
+
+            monkeypatch.setattr(ColumnarEdgeTable, name, spy)
+        return expanded
+
+    def test_overflow_raises_within_two_slices(self, monkeypatch):
+        # Three matches a row, none of them already bound: 3 000 candidates
+        # that all survive, against a floor of 1 000.
+        store, relation = self._probe(lambda i: [f"t{i}_{j}" for j in range(3)])
+        expanded = self._spy_expansions(monkeypatch)
+        with pytest.raises(LatticeError):
+            extend_with_edge(store, relation, Edge("h", "r", "y"), max_rows=1_000)
+        assert 0 < sum(expanded) <= 2 * (1_000 + 1)
+
+    def test_overflow_counts_the_floor_of_the_rows_left(self, monkeypatch):
+        # Five matches a row, floor 3: even rows match their own x and h
+        # (3 survive), odd rows five fresh targets.  The first slice keeps
+        # ~2 800 rows, the other ~300 probe rows add at least 900.
+        def matches(i):
+            own = [f"x{i}", f"h{i}"] if i % 2 == 0 else [f"u{i}", f"v{i}"]
+            return [*own, *(f"t{i}_{j}" for j in range(3))]
+
+        store, relation = self._probe(matches)
+        expanded = self._spy_expansions(monkeypatch)
+        with pytest.raises(LatticeError):
+            extend_with_edge(store, relation, Edge("h", "r", "y"), max_rows=3_500)
+        assert len(expanded) == 1  # the first slice decides it
+
+    def test_under_the_cap_equals_the_uncapped_join(self, monkeypatch):
+        # Every row matches its own x and h (dropped as not injective) and
+        # one or two fresh targets: 3 334 candidates, 1 334 survivors.
+        def matches(i):
+            return [f"x{i}", f"h{i}", f"t{i}", *([f"u{i}"] if i % 3 == 0 else [])]
+
+        store, relation = self._probe(matches)
+        edge = Edge("h", "r", "y")
+        uncapped = extend_with_edge(store, relation, edge)
+        expanded = self._spy_expansions(monkeypatch)
+        capped = extend_with_edge(store, relation, edge, max_rows=1_500)
+        assert len(expanded) > 1  # it took the sliced path
+        assert uncapped.num_rows == 1_334
+        assert capped.variables == uncapped.variables == ("x", "h", "y")
+        assert np.array_equal(capped.columns, uncapped.columns)
