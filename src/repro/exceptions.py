@@ -27,6 +27,22 @@ class TripleParseError(GraphError):
         super().__init__(f"line {line_number}: {reason}: {line!r}")
 
 
+class EntityIdOverflowError(GraphError):
+    """Raised when interning would assign an id past the int32 ceiling.
+
+    Join relations hold entity ids as int32, so no vocabulary assigns an
+    id above ``2**31 - 1``
+    (:data:`~repro.storage.vocabulary.MAX_ENTITY_ID`).
+    """
+
+    def __init__(self, entity_id: int) -> None:
+        self.entity_id = entity_id
+        super().__init__(
+            f"entity id {entity_id} exceeds the int32 ceiling 2**31 - 1: "
+            "the graph has more distinct entities than join relations can hold"
+        )
+
+
 class QueryError(GQBEError):
     """Raised for invalid query tuples (unknown entities, empty tuples...)."""
 

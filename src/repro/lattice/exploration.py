@@ -47,7 +47,20 @@ Performance notes (the hot path of the Fig. 14/16 experiments):
   partition, and only after a node lifted some answer above the current
   threshold: scores only rise, so no other node can move it;
 * structure scores are memoized per mask in the
-  :class:`~repro.lattice.query_graph.LatticeSpace`.
+  :class:`~repro.lattice.query_graph.LatticeSpace`;
+* the relations a node keeps in ``_evaluated`` (the probe relations of
+  its parents) set a query's peak memory, so they hold int32 ids: on
+  perfbench's ``single_r15`` one query keeps 576 of them, 2.11 M rows
+  for 582 answers, 62.5 MB (125.0 MB as int64).
+
+A node relation is *not* projected onto the columns its answers and its
+parents' join keys read, nor deduplicated on them: that would change
+answers.  Definition 3's injective filter compares every value a later
+extension binds against every column of the probe row, so a dropped
+column would let a parent bind the entity it held.  And the ``max_rows``
+verdict counts matches, not projections, so a deduplicated relation
+would overflow on fewer nodes.  Halving the width of an id is the
+memory win that keeps every row.
 """
 
 from __future__ import annotations
@@ -149,12 +162,12 @@ class AnswerAccumulator:
     answer, the best full score (Eq. 5), and the content score and query
     graph behind that best full score (the graph as an ordinal into the
     list of recorded masks, which are unbounded ints; ordinals are exact
-    in a float64).  The key is the interned entity id for single-entity
-    query tuples and a mixed-radix int64 over ``len(vocabulary)``
-    otherwise; where ids are not ints (the
-    :class:`~repro.storage.vocabulary.IdentityVocabulary` string path) or
-    the radix would not fit, the same code runs on an object-dtype array
-    of id tuples.  Keys are decoded to entity strings only in
+    in a float64).  The key, an int64 widened from the relations' int32
+    ids, is the interned entity id for single-entity query tuples and a
+    mixed-radix number over ``len(vocabulary)`` otherwise; where ids are
+    not ints (the :class:`~repro.storage.vocabulary.IdentityVocabulary`
+    string path) or the radix would not fit, the same code runs on an
+    object-dtype array of id tuples.  Keys are decoded to entity strings only in
     :meth:`ranked`.
 
     Excluded tuples are interned once up front (a tuple containing an
@@ -174,7 +187,7 @@ class AnswerAccumulator:
         self.vocabulary = vocabulary = store.vocabulary
         self._arity = arity = len(space.query_tuple)
         interned = not isinstance(vocabulary, IdentityVocabulary)
-        self._id_dtype = np.int64 if interned else object
+        self._id_dtype = np.int32 if interned else object
         #: Base of the mixed-radix answer key; ``None`` selects id tuples.
         self._radix: int | None = None
         if interned and len(vocabulary) ** arity < 2**63:
@@ -259,7 +272,9 @@ class AnswerAccumulator:
                 dtype=object,
                 count=len(columns[0]),
             )
-        keys = columns[0]
+        # Relation columns are int32; the key is built in int64 whatever
+        # the arity, so ``keys * radix`` cannot wrap.
+        keys = columns[0].astype(np.int64)
         for column in columns[1:]:
             keys = keys * radix + column
         return keys
@@ -316,7 +331,9 @@ class AnswerAccumulator:
             matrix = _columns_from_rows(relation.rows, len(variables), self._id_dtype)
         if not matrix.shape[1]:
             return 0
-        identity = np.array(self.identity_row(variables), dtype=self._id_dtype)
+        # The matrix's own dtype: comparing against an int64 row would
+        # upcast the whole int32 ``(width, rows)`` matrix first.
+        identity = np.array(self.identity_row(variables), dtype=matrix.dtype)
         keys = self._answer_keys([matrix[i] for i in entity_columns])
         signature = _BIT_WEIGHTS[: len(variables)] @ (matrix == identity[:, None])
         # A row that binds every query entity to itself projects to the

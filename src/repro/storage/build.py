@@ -81,7 +81,7 @@ from repro.storage.shards import (
 from repro.storage.snapshot import _PICKLE_PROTOCOL
 from repro.storage.store import VerticalPartitionStore
 from repro.storage.table import ColumnarEdgeTable
-from repro.storage.vocabulary import MappedVocabulary
+from repro.storage.vocabulary import MappedVocabulary, check_entity_id
 
 #: Disk record layouts for the spill files (all little-endian).
 _TERM_RECORD = struct.Struct("<IQ")  # term length, occurrence — then term bytes
@@ -273,6 +273,8 @@ def _build_vocabulary_arena(
         spill_occ_buffer()
     for path in runs:
         path.unlink()
+    # Terms get ids 0 .. terms - 1; refuse before any of them is written.
+    check_entity_id(terms - 1)
 
     # Merge by occurrence → terms stream past in dense-id order.  The
     # arena writer needs two scans (offsets + permutation, then the

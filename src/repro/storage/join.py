@@ -15,13 +15,17 @@ decode rows through ``store.vocabulary`` when materializing answers.
 
 Two relation layouts back the same join semantics:
 
-* :class:`ColumnarRelation` — the default engine: one int64 numpy array
-  per variable.  Probes, filters and injectivity checks run as whole-array
-  operations (:func:`_extend_columnar`); a store built ``columnar=True``
-  produces these.
+* :class:`ColumnarRelation` — the default engine: one ``(width, rows)``
+  int32 matrix, a row per variable.  Entity ids are dense vocabulary
+  indexes capped at ``2**31 - 1`` (:data:`~repro.storage.vocabulary.
+  MAX_ENTITY_ID`), so a node's retained matches cost half what int64 ids
+  would; the label tables stay int64, and the values a probe matches are
+  narrowed once per expansion slice.  Probes, filters and injectivity
+  checks run as whole-array operations (:func:`_extend_columnar`); a store
+  built ``columnar=True`` produces these.
 * :class:`Relation` — the original list-of-tuple-rows layout, kept as the
-  reference engine (and the only engine for string ids / numpy-less
-  installs).
+  reference engine for ``columnar=False`` and the engine of the string
+  ids of the identity-vocabulary path.
 
 Both are produced by the same two entry points, which dispatch on the
 store's layout:
@@ -142,7 +146,7 @@ class ColumnarRelation:
     """A set of variable bindings with a dual columnar/row layout.
 
     The columnar twin of :class:`Relation`: logically the same ordered
-    multiset of rows, physically stored as one ``(width, rows)`` int64
+    multiset of rows, physically stored as one ``(width, rows)`` int32
     matrix (``columns[i]`` binds ``variables[i]``), as a cached list of
     python-int tuple rows, or both.  The engine's bulk kernels read
     :attr:`columns`; its scalar tails (tiny relations, where fixed numpy
@@ -170,7 +174,7 @@ class ColumnarRelation:
         self.variables = variables
         if columns is not None and not isinstance(columns, np.ndarray):
             # A list of column arrays (tests, callers outside the engine).
-            columns = np.array(columns, dtype=np.int64).reshape(
+            columns = np.array(columns, dtype=np.int32).reshape(
                 len(variables), len(columns[0]) if columns else 0
             )
         self._columns = columns
@@ -193,7 +197,7 @@ class ColumnarRelation:
         ``variables[i]`` (materialized from cached rows if needed)."""
         if self._columns is None:
             self._columns = _columns_from_rows(
-                self._rows, len(self.variables), np.int64
+                self._rows, len(self.variables), np.int32
             )
         return self._columns
 
@@ -271,7 +275,7 @@ def _columns_from_rows(
 ) -> "np.ndarray":
     """Materialized tuple rows as one ``(width, len(rows))`` array of columns.
 
-    ``dtype`` is int64 for interned ids and ``object`` for the string ids
+    ``dtype`` is int32 for interned ids and ``object`` for the string ids
     of the identity-vocabulary reference path.
     """
     flat = np.fromiter(chain.from_iterable(rows), dtype, len(rows) * width)
@@ -374,10 +378,10 @@ def _extend_columnar(
     if not relation.variables:
         subjects, objects = table.subject_ids(), table.object_ids()
         if subject_var == object_var:
-            loops = subjects[subjects == objects]
+            loops = subjects[subjects == objects].astype(np.int32)
             out = ColumnarRelation((subject_var,), loops[None, :])
         else:
-            pairs = np.array([subjects, objects])
+            pairs = np.array([subjects, objects], dtype=np.int32)
             if injective:
                 pairs = pairs[:, subjects != objects]
             out = ColumnarRelation((subject_var, object_var), pairs)
@@ -440,6 +444,8 @@ def _extend_columnar(
 
     def probe_slice(lo: int, hi: int) -> tuple["np.ndarray", "np.ndarray"]:
         probe_idx, new_values = expand(counts[lo:hi], starts[lo:hi])
+        # The table's int64 values, narrowed to the relation's int32 once.
+        new_values = new_values.astype(np.int32)
         if injective and len(new_values):
             violates = np.zeros(len(new_values), dtype=bool)
             for column in relation.columns:
@@ -475,7 +481,7 @@ def _extend_columnar(
         probe_idx = np.concatenate([piece[0] for piece in pieces])
         new_values = np.concatenate([piece[1] for piece in pieces])
 
-    out = np.empty((len(new_variables), len(probe_idx)), dtype=np.int64)
+    out = np.empty((len(new_variables), len(probe_idx)), dtype=np.int32)
     # mode="clip" only skips numpy's bounce buffer; the indices are valid.
     np.take(relation.columns, probe_idx, axis=1, out=out[:-1], mode="clip")
     out[-1] = new_values
@@ -635,7 +641,7 @@ def _pad_empty_schema(
     ]
     variables = relation.variables + tuple(dict.fromkeys(missing))
     if store.is_columnar:
-        return ColumnarRelation(variables, np.empty((len(variables), 0), dtype=np.int64))
+        return ColumnarRelation(variables, np.empty((len(variables), 0), dtype=np.int32))
     return Relation(variables=variables, rows=[])
 
 

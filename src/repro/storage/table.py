@@ -531,11 +531,15 @@ class ColumnarEdgeTable:
     def contains_pairs(
         self, subjects: "np.ndarray", objects: "np.ndarray"
     ) -> "np.ndarray":
-        """Vectorized row membership: a bool per ``(subjects[i], objects[i])``."""
+        """Vectorized row membership: a bool per ``(subjects[i], objects[i])``
+        (int32 relation columns or int64 table columns alike)."""
         if not len(self):
             return np.zeros(len(subjects), dtype=bool)
         self._ensure_pair_index()
-        keys = subjects * self._pair_stride + objects
+        # Relations hold int32 ids.  Widen them first: in int32 a product
+        # past 2**31 (subject and stride ~46 k each) wraps, and can land
+        # on another pair's key.
+        keys = subjects.astype(np.int64) * self._pair_stride + objects
         # Objects outside the stride cannot encode an existing pair.
         in_range = (objects >= 0) & (objects < self._pair_stride)
         position = np.searchsorted(self._pair_keys, keys)

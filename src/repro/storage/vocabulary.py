@@ -30,6 +30,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING
 
+from repro.exceptions import EntityIdOverflowError
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     import numpy as np
 
@@ -38,12 +40,26 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 #: :class:`IdentityVocabulary` reference path.
 EntityId = int | str
 
+#: The largest id any vocabulary assigns.  Join relations hold entity ids
+#: as int32 (:class:`~repro.storage.join.ColumnarRelation`); tables and
+#: snapshot shards stay int64.
+MAX_ENTITY_ID = 2**31 - 1
+
+
+def check_entity_id(entity_id: int) -> int:
+    """``entity_id`` itself, or :class:`~repro.exceptions.EntityIdOverflowError`
+    if it is past :data:`MAX_ENTITY_ID`."""
+    if entity_id > MAX_ENTITY_ID:
+        raise EntityIdOverflowError(entity_id)
+    return entity_id
+
 
 class Vocabulary:
     """A bidirectional ``entity string <-> dense int id`` mapping.
 
     Ids are assigned in first-intern order starting at 0, so the reverse
-    mapping is a plain list and decoding is an O(1) index.
+    mapping is a plain list and decoding is an O(1) index.  Interning past
+    :data:`MAX_ENTITY_ID` raises.
     """
 
     __slots__ = ("_ids", "_terms")
@@ -58,7 +74,7 @@ class Vocabulary:
         """Return the id of ``term``, assigning the next free id if new."""
         entity_id = self._ids.get(term)
         if entity_id is None:
-            entity_id = len(self._terms)
+            entity_id = check_entity_id(len(self._terms))
             self._ids[term] = entity_id
             self._terms.append(term)
         return entity_id
@@ -171,7 +187,7 @@ class MappedVocabulary:
         """Return the id of ``term``, assigning an overlay id if new."""
         entity_id = self.id_of(term)
         if entity_id is None:
-            entity_id = self._base + len(self._extra_terms)
+            entity_id = check_entity_id(self._base + len(self._extra_terms))
             self._extra_ids[term] = entity_id
             self._extra_terms.append(term)
         return entity_id

@@ -12,12 +12,14 @@ workload) and on the Fig. 1 running example.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.config import GQBEConfig
 from repro.core.gqbe import GQBE
 from repro.datasets.workloads import build_freebase_workload
 from repro.exceptions import QueryError
+from repro.storage.batch import JoinMemoArena
 
 #: Engine layouts under test: the default columnar engine, the tuple-row
 #: interned engine, and the string-id reference engine.
@@ -157,6 +159,33 @@ def test_duplicate_queries_collapse_and_fan_out(systems, workload):
     # Fan-out results are independent objects sharing no mutable state.
     assert results[0].answers is not results[2].answers
     assert results[0].statistics is not results[2].statistics
+
+
+def test_arena_replayed_first_edges_are_int32(systems, workload, monkeypatch):
+    """First-edge scans replayed from the arena keep the int32 matrix, and
+    the batch that replays them still equals sequential ``query()``."""
+    system = systems["columnar"]
+    tuples = [query.query_tuple for query in workload.queries]
+    sequential = [system.query(t, k=5) for t in tuples]
+
+    replayed = []
+    first_edge_relation = JoinMemoArena.first_edge_relation
+
+    def spy(arena, store, edge, injective):
+        hits = arena.first_edge_hits
+        relation = first_edge_relation(arena, store, edge, injective)
+        if arena.first_edge_hits > hits:
+            replayed.append(relation)
+        return relation
+
+    monkeypatch.setattr(JoinMemoArena, "first_edge_relation", spy)
+    batched = system.query_batch(tuples, k=5)
+    assert replayed
+    for relation in replayed:
+        assert relation.columns.dtype == np.int32
+    for seq, bat in zip(sequential, batched):
+        assert answer_key(seq) == answer_key(bat)
+        assert stats_key(seq) == stats_key(bat)
 
 
 def test_batch_arena_is_discarded_between_calls(systems, workload):

@@ -3,7 +3,12 @@ best-first explorer's frontier and threshold bookkeeping."""
 
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
+
+import repro.core.gqbe as gqbe_module
 
 from repro.core.config import GQBEConfig
 from repro.core.gqbe import GQBE
@@ -278,3 +283,46 @@ class TestFrontierAndThresholdBookkeeping:
         space = LatticeSpace(system.discover_query_graph(query_tuple))
         result = self._check(space, system.store, query_tuple, k=3)
         assert result.statistics.terminated_early
+
+
+class TestRetainedRelations:
+    """The match relations a node keeps for its parents are int32."""
+
+    def test_club_owners_r15_keeps_int32_relations_and_golden_answers(self, monkeypatch):
+        from test_answer_accumulator import (
+            GENERATED_CONFIG,
+            GOLDEN,
+            _check_against_golden,
+            _ranked_rows,
+        )
+
+        explorers = []
+
+        class Capturing(BestFirstExplorer):
+            def run(self):
+                explorers.append(self)
+                return super().run()
+
+        monkeypatch.setattr(gqbe_module, "BestFirstExplorer", Capturing)
+        dataset = FreebaseLikeGenerator(seed=3, scale=0.2).generate()
+        query_tuple = tuple(dataset.table("club_owners")[0])
+        key = "|".join(query_tuple)
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["freebase_like"]
+        # The fixture's own configuration (r=8) and the Fig. 14 one (r=15).
+        for mqg_size in (GENERATED_CONFIG.mqg_size, 15):
+            config = GQBEConfig(
+                mqg_size=mqg_size,
+                k_prime=GENERATED_CONFIG.k_prime,
+                max_join_rows=GENERATED_CONFIG.max_join_rows,
+            )
+            system = GQBE(dataset.graph, config=config)
+            rows = _ranked_rows(system, [key])
+            if mqg_size == GENERATED_CONFIG.mqg_size:
+                _check_against_golden(rows, {key: golden[key]})
+            assert rows[key]
+            evaluated = explorers[-1]._evaluated
+            assert len(evaluated) > 1
+            for relation in evaluated.values():
+                matrix = relation.columns
+                assert matrix.dtype == np.int32
+                assert matrix.nbytes == 4 * len(relation.variables) * relation.num_rows

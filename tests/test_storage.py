@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import GraphError, LatticeError
+from repro.exceptions import EntityIdOverflowError, GraphError, LatticeError
 from repro.graph.knowledge_graph import Edge, KnowledgeGraph
 from repro.storage.join import (
     ColumnarRelation,
@@ -16,13 +16,33 @@ from repro.storage.join import (
 from repro.storage.plan import plan_join_order
 from repro.storage.store import VerticalPartitionStore
 from repro.storage.table import ColumnarEdgeTable, EdgeTable
-from repro.storage.vocabulary import IdentityVocabulary, Vocabulary
+from repro.storage.vocabulary import (
+    MAX_ENTITY_ID,
+    IdentityVocabulary,
+    MappedVocabulary,
+    Vocabulary,
+)
 
 
 @pytest.fixture(scope="module")
 def figure1_string_store(figure1_graph) -> VerticalPartitionStore:
     """The Fig. 1 store on the identity-vocabulary (string) reference path."""
     return VerticalPartitionStore(figure1_graph, vocabulary=IdentityVocabulary())
+
+
+class _Counted(list):
+    """A term list that claims ``n`` entries: ids near the ceiling without
+    two billion terms."""
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def append(self, term) -> None:
+        self.n += 1
 
 
 class TestVocabulary:
@@ -41,6 +61,35 @@ class TestVocabulary:
         assert vocab.decode_row((1, 0)) == ("y", "x")
         assert "x" in vocab
         assert list(vocab) == ["x", "y"]
+
+    def test_ceiling_is_the_int32_maximum(self):
+        assert MAX_ENTITY_ID == np.iinfo(np.int32).max == 2**31 - 1
+
+    def test_owned_intern_refuses_an_id_past_the_ceiling(self):
+        vocab = Vocabulary(["a"])
+        vocab._terms = _Counted(MAX_ENTITY_ID)
+        assert vocab.intern("last") == MAX_ENTITY_ID
+        with pytest.raises(EntityIdOverflowError) as info:
+            vocab.intern("one too many")
+        assert info.value.entity_id == MAX_ENTITY_ID + 1
+        assert vocab.id_of("one too many") is None
+        assert vocab.intern("last") == MAX_ENTITY_ID
+
+    def test_mapped_overlay_intern_refuses_an_id_past_the_ceiling(self):
+        """The overlay ids live ingest assigns continue past the mapped
+        terms; they stop at the same ceiling."""
+        vocab = MappedVocabulary(
+            offsets=np.array([0, 1, 2], dtype=np.int64),
+            sorted_ids=np.array([0, 1], dtype=np.int64),
+            blob=np.frombuffer(b"ab", dtype=np.uint8),
+        )
+        assert vocab.intern("b") == 1 and vocab.intern("c") == 2
+        vocab._extra_terms = _Counted(MAX_ENTITY_ID - 2)
+        assert vocab.intern("last") == MAX_ENTITY_ID
+        with pytest.raises(EntityIdOverflowError):
+            vocab.intern("one too many")
+        assert vocab.id_of("one too many") is None
+        assert vocab.id_of("a") == 0 and vocab.intern("last") == MAX_ENTITY_ID
 
     def test_identity_vocabulary_is_a_no_op(self):
         vocab = IdentityVocabulary()
@@ -106,6 +155,17 @@ class TestColumnarEdgeTable:
         probe_idx, objects = table.expand_subject(*table.probe_subject(np.array([7, 1])))
         assert probe_idx.tolist() == [0, 1, 1]
         assert objects.tolist() == [8, 2, 4]
+
+    def test_contains_pairs_widens_int32_columns_past_2_31(self):
+        """Relation columns are int32 and the pair key is
+        ``subject * stride + object``.  Here the stride is 2**16, so probe
+        ``(65537, 5)`` has key ``2**32 + 65541``.  In int32 that wraps to
+        65541, the key of the stored pair ``(1, 5)``."""
+        table = ColumnarEdgeTable("r", [(1, 5), (2, 2**16 - 1)])
+        subjects = np.array([65537, 1, 65537], dtype=np.int32)
+        objects = np.array([5, 5, 2**16 - 1], dtype=np.int32)
+        assert 65537 * 2**16 + 5 > 2**31
+        assert table.contains_pairs(subjects, objects).tolist() == [False, True, False]
 
     def test_duplicates_ignored_and_iteration(self):
         table = ColumnarEdgeTable("r", [(0, 1), (0, 1), (2, 3)])

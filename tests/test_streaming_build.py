@@ -15,7 +15,12 @@ import json
 import pytest
 
 from repro.datasets.synthetic import DBpediaLikeGenerator, FreebaseLikeGenerator
-from repro.exceptions import GraphError, SnapshotError, TripleParseError
+from repro.exceptions import (
+    EntityIdOverflowError,
+    GraphError,
+    SnapshotError,
+    TripleParseError,
+)
 from repro.graph.triples import load_graph, write_triples
 from repro.storage.build import BuildPlan, build_streaming_snapshot
 from repro.storage.snapshot import GraphStore
@@ -142,6 +147,22 @@ class TestFailureModes:
         with pytest.raises(TripleParseError) as info:
             build_streaming_snapshot(dump, tmp_path / "out", snapshot_format="v3")
         assert info.value.line_number == 2
+
+    def test_ids_past_the_ceiling_are_refused(self, tmp_path, monkeypatch):
+        """Three terms take ids 0-2.  With the ceiling lowered to 1 the
+        build raises before it writes a manifest; at 2 it succeeds."""
+        import repro.storage.vocabulary as vocabulary_module
+
+        dump = tmp_path / "three.tsv"
+        dump.write_text("a\tr\tb\nb\tr\tc\n", encoding="utf-8")
+        monkeypatch.setattr(vocabulary_module, "MAX_ENTITY_ID", 1)
+        with pytest.raises(EntityIdOverflowError) as info:
+            build_streaming_snapshot(dump, tmp_path / "refused")
+        assert info.value.entity_id == 2
+        assert not (tmp_path / "refused" / "MANIFEST.json").exists()
+        monkeypatch.setattr(vocabulary_module, "MAX_ENTITY_ID", 2)
+        build_streaming_snapshot(dump, tmp_path / "fits")
+        assert len(GraphStore.load(tmp_path / "fits").store.vocabulary) == 3
 
     def test_empty_dump_raises_graph_error(self, tmp_path):
         dump = tmp_path / "empty.tsv"
