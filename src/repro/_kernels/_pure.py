@@ -1,13 +1,12 @@
 # gqbe: contract[deterministic]
 """Pure-Python reference kernels (the fallback backend).
 
-These are the innermost interpreter loops of the engine, factored out of
-``storage/join.py``, ``graph/neighborhood.py`` and ``graph/mapped.py``
-verbatim so the native extension (:mod:`repro._kernels._native`) has a
-pinned reference to be byte-identical against.  This module is the
-*current code*, not a simplification: the adaptive gather/scalar BFS
-split and the per-probe-row ``max_rows`` timing are preserved statement
-for statement.
+These are the innermost interpreter loops of the engine: the scalar tail
+of the join in ``storage/join.py`` and the CSR frontier expansion of
+``graph/neighborhood.py`` and ``graph/mapped.py``.  The native extension
+(:mod:`repro._kernels._native`) is pinned byte-identical against them,
+including the adaptive gather/scalar BFS split and the per-probe-row
+``max_rows`` check.
 
 Every function here must stay a pure function of its inputs (plus the
 documented in-place dict/list mutations); ``tests/test_native_kernels.py``

@@ -28,7 +28,7 @@ from repro.lattice.exploration import (
 )
 from repro.lattice.minimal_trees import minimal_query_trees
 from repro.lattice.query_graph import LatticeSpace
-from repro.storage.join import Relation
+from repro.storage.join import ColumnarRelation
 from repro.storage.store import VerticalPartitionStore
 
 
@@ -52,7 +52,7 @@ class BreadthFirstExplorer(LatticeNodeEvaluator):
         self.max_rows = max_rows
         self.node_budget = node_budget
 
-        self._evaluated: dict[int, Relation] = {}
+        self._evaluated: dict[int, ColumnarRelation] = {}
         self._null_masks: list[int] = []
         self._answers = AnswerAccumulator(space, store, excluded_tuples)
         self._stats = ExplorationStatistics()

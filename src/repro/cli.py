@@ -68,14 +68,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        graph_store = GraphStore.load(args.snapshot)
-        config = GQBEConfig(
-            d=args.d,
-            mqg_size=args.mqg_size,
-            intern_entities=graph_store.intern_entities,
-            columnar=graph_store.columnar,
-        )
-        system = GQBE(config=config, graph_store=graph_store)
+        config = GQBEConfig(d=args.d, mqg_size=args.mqg_size)
+        system = GQBE(config=config, graph_store=GraphStore.load(args.snapshot))
     elif args.graph is not None:
         config = GQBEConfig(d=args.d, mqg_size=args.mqg_size)
         system = GQBE(load_graph(args.graph), config=config)

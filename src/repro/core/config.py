@@ -38,17 +38,6 @@ class GQBEConfig:
     node_budget:
         Optional cap on the number of lattice nodes evaluated per query;
         ``None`` disables the cap.
-    intern_entities:
-        Build the vertical-partition store over interned integer entity
-        ids (the fast path).  Disabling it runs the engine on raw entity
-        strings via the identity vocabulary — the reference path used by
-        the interning equivalence tests.
-    columnar:
-        Store edge tables column-wise and run the vectorized numpy join
-        engine (the default).  Disabling it keeps the tuple-row join
-        engine — the reference path of the columnar equivalence tests.
-        The columnar engine requires interned ids and numpy; when either
-        is missing the store silently falls back to tuple rows.
     batch_join_memo:
         Share join work across the queries of one
         :meth:`~repro.core.gqbe.GQBE.query_batch` call through a
@@ -126,8 +115,6 @@ class GQBEConfig:
     reduce_neighborhood: bool = True
     max_join_rows: int | None = None
     node_budget: int | None = None
-    intern_entities: bool = True
-    columnar: bool = True
     batch_join_memo: bool = True
     batch_memo_max_rows: int | None = 1_000_000
     native_kernels: str = "auto"

@@ -26,7 +26,7 @@ from repro.core.answer import AnswerTuple, QueryResult
 from repro.core.config import GQBEConfig
 from repro.discovery.merge import merge_maximal_query_graphs
 from repro.discovery.mqg import MaximalQueryGraph, discover_maximal_query_graph
-from repro.exceptions import QueryError, SnapshotError
+from repro.exceptions import QueryError
 from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.graph.neighborhood import neighborhood_graph
 from repro.graph.statistics import GraphStatistics
@@ -35,7 +35,6 @@ from repro.lattice.query_graph import LatticeSpace
 from repro.storage.batch import JoinMemoArena
 from repro.storage.snapshot import GraphStore
 from repro.storage.store import VerticalPartitionStore
-from repro.storage.vocabulary import IdentityVocabulary
 
 
 class GQBE:
@@ -61,40 +60,16 @@ class GQBE:
         self._pool = None
         self._pool_lock = threading.Lock()
         if graph_store is not None:
-            # Warm start: adopt the precomputed offline state.  The engine
-            # flags must agree with the config, otherwise queries would run
-            # on a different engine than the caller asked for.  (Checked
-            # against the snapshot metadata — a lazily loaded bundle stays
-            # unmaterialized until the first query touches it.)
-            if graph_store.intern_entities != self.config.intern_entities or (
-                self.config.intern_entities
-                and graph_store.columnar != self.config.columnar
-            ):
-                raise SnapshotError(
-                    "snapshot engine flags (intern_entities="
-                    f"{graph_store.intern_entities}, columnar="
-                    f"{graph_store.columnar}) do not match the config "
-                    f"(intern_entities={self.config.intern_entities}, "
-                    f"columnar={self.config.columnar}); rebuild the index "
-                    "or adjust the config"
-                )
+            # Warm start: adopt the precomputed offline state (a lazily
+            # loaded bundle stays unmaterialized until the first query
+            # touches it).
             self._graph_store = graph_store
         else:
             # Cold start: run the offline build now.  Entities are interned
-            # to dense int ids (and decoded back to strings only when
-            # answers are materialized) unless the config selects the
-            # string-path reference engine; tables are columnar unless the
-            # config selects the tuple-row reference engine.
+            # to dense int ids, decoded back to strings only when answers
+            # are materialized.
             self._graph_store = GraphStore(
-                graph,
-                GraphStatistics(graph),
-                VerticalPartitionStore(
-                    graph,
-                    vocabulary=(
-                        None if self.config.intern_entities else IdentityVocabulary()
-                    ),
-                    columnar=self.config.columnar,
-                ),
+                graph, GraphStatistics(graph), VerticalPartitionStore(graph)
             )
         #: Recently built lattice spaces, keyed by the identity of their
         #: MQG.  A LatticeSpace is a pure function of its MQG and carries
@@ -131,9 +106,7 @@ class GQBE:
 
         Loads the :class:`~repro.storage.snapshot.GraphStore` saved by
         ``gqbe build-index`` (or :meth:`GraphStore.save`) and skips the
-        entire offline build.  When ``config`` is omitted, a default
-        config matching the snapshot's engine flags is used; an explicit
-        config must agree with them (see :class:`GQBE`).
+        entire offline build.  ``config`` defaults to ``GQBEConfig()``.
 
         Example::
 
@@ -144,13 +117,7 @@ class GQBE:
             system = GQBE.from_snapshot("data.snap")    # warm start
             result = system.query(("Jerry Yang", "Yahoo!"), k=10)
         """
-        graph_store = GraphStore.load(path)
-        if config is None:
-            config = GQBEConfig(
-                intern_entities=graph_store.intern_entities,
-                columnar=graph_store.columnar,
-            )
-        system = cls(config=config, graph_store=graph_store)
+        system = cls(config=config, graph_store=GraphStore.load(path))
         system._snapshot_path = str(path)
         return system
 

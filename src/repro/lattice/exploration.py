@@ -80,13 +80,12 @@ from repro.lattice.scoring import match_credit
 from repro.storage.join import (
     _SCALAR_TAIL_ROWS,
     ColumnarRelation,
-    Relation,
     _columns_from_rows,
     evaluate_query_edges,
     extend_with_edge,
 )
 from repro.storage.store import VerticalPartitionStore
-from repro.storage.vocabulary import EntityId, IdentityVocabulary
+from repro.storage.vocabulary import EntityId
 
 #: Default stage-one oversampling: the paper reports best accuracy with
 #: k' ≈ 100 for k between 10 and 25.
@@ -164,10 +163,9 @@ class AnswerAccumulator:
     list of recorded masks, which are unbounded ints; ordinals are exact
     in a float64).  The key, an int64 widened from the relations' int32
     ids, is the interned entity id for single-entity query tuples and a
-    mixed-radix number over ``len(vocabulary)`` otherwise; where ids are
-    not ints (the :class:`~repro.storage.vocabulary.IdentityVocabulary`
-    string path) or the radix would not fit, the same code runs on an
-    object-dtype array of id tuples.  Keys are decoded to entity strings only in
+    mixed-radix number over ``len(vocabulary)`` otherwise; where the radix
+    would not fit an int64, the same code runs on an object-dtype array
+    of id tuples.  Keys are decoded to entity strings only in
     :meth:`ranked`.
 
     Excluded tuples are interned once up front (a tuple containing an
@@ -186,11 +184,9 @@ class AnswerAccumulator:
         self.space = space
         self.vocabulary = vocabulary = store.vocabulary
         self._arity = arity = len(space.query_tuple)
-        interned = not isinstance(vocabulary, IdentityVocabulary)
-        self._id_dtype = np.int32 if interned else object
         #: Base of the mixed-radix answer key; ``None`` selects id tuples.
         self._radix: int | None = None
-        if interned and len(vocabulary) ** arity < 2**63:
+        if len(vocabulary) ** arity < 2**63:
             self._radix = len(vocabulary)
         id_of = vocabulary.id_of
         excluded = sorted(
@@ -203,14 +199,14 @@ class AnswerAccumulator:
         #: Whether the query tuple itself is excluded (it usually is).
         self._query_excluded = tuple(map(id_of, space.query_tuple)) in excluded
         # Sorted id tuples give sorted keys: the radix key is monotone in them.
-        self._keys = self._answer_keys(_columns_from_rows(excluded, arity, self._id_dtype))
+        self._keys = self._answer_keys(_columns_from_rows(excluded, arity))
         self._num_excluded = len(self._keys)
         self._table = np.full((4, self._num_excluded), np.inf)
         self._table[_RECORDED] = -1
         self._masks: list[int] = []
         #: Variable names are always MQG nodes; resolving them against this
         #: small mapping keeps identity rows off the full vocabulary.  Ids
-        #: are non-negative ints or strings, so -1 equals none of them.
+        #: are non-negative, so -1 equals none of them.
         self._node_ids: dict[str, EntityId] = {
             node: -1 if (own := id_of(node)) is None else own
             for node in space.mqg.graph.nodes
@@ -256,7 +252,7 @@ class AnswerAccumulator:
         """
         return list(map(self._node_ids.__getitem__, variables))
 
-    def is_null(self, relation: Relation) -> bool:
+    def is_null(self, relation: ColumnarRelation) -> bool:
         """Whether ``relation`` holds no match besides the trivial one."""
         if relation.num_rows > 1:
             return False
@@ -289,7 +285,7 @@ class AnswerAccumulator:
             ids.append(entity_id)
         return self.vocabulary.decode_row(ids[::-1])
 
-    def record(self, mask: int, relation: Relation) -> int:
+    def record(self, mask: int, relation: ColumnarRelation) -> int:
         """Fold the match relation of query graph ``mask`` into the table.
 
         Every row but the trivial one (:meth:`identity_row`) contributes
@@ -325,10 +321,7 @@ class AnswerAccumulator:
             # A valid query graph always covers the query entities; missing
             # columns mean the relation is degenerate (empty schema).
             return 0
-        if isinstance(relation, ColumnarRelation):
-            matrix = relation.columns
-        else:
-            matrix = _columns_from_rows(relation.rows, len(variables), self._id_dtype)
+        matrix = relation.columns
         if not matrix.shape[1]:
             return 0
         # The matrix's own dtype: comparing against an int64 row would
@@ -426,9 +419,8 @@ class AnswerAccumulator:
         """The top-``k`` answers by full score (stage two of Sec. V-B).
 
         With ``k_prime`` the candidates are first cut to the top-k' by
-        structure score.  Ties break on the decoded entity names, exactly
-        as the string-path engine does, so only the answers at or above
-        each cut's score are decoded and sorted.
+        structure score.  Ties break on the decoded entity names, so only the
+        answers at or above each cut's score are decoded and sorted.
         """
         structure, full, content, recorded = self._table
         rows = (recorded >= 0).nonzero()[0]
@@ -490,7 +482,7 @@ class LatticeNodeEvaluator:
         ]
         self._null_masks.append(mask)
 
-    def _evaluate_mask(self, mask: int) -> Relation | None:
+    def _evaluate_mask(self, mask: int) -> ColumnarRelation | None:
         """Materialize the answers of ``mask``, reusing an evaluated child.
 
         Among the already evaluated children the one with the fewest rows is
@@ -594,7 +586,7 @@ class BestFirstExplorer(LatticeNodeEvaluator):
             arena.intern_edges(space.edge_list) if arena is not None else None
         )
 
-        self._evaluated: dict[int, Relation] = {}
+        self._evaluated: dict[int, ColumnarRelation] = {}
         self._null_masks: list[int] = []
         self._upper_frontier: set[int] = {space.full_mask}
         #: mask -> current upper bound; the source of truth for LF

@@ -264,16 +264,9 @@ class ServingCore:
 
     def _load_snapshot_locked(self, path: str | PathLike) -> int:
         """:meth:`load_snapshot` body; caller holds ``_mutate_lock``."""
-        graph_store = GraphStore.load(path)
         # The running config survives the reload (mqg_size, node_budget,
-        # max_join_rows, ... are the operator's, not the snapshot's); only
-        # the engine flags a snapshot is built with follow the new one.
-        config = replace(
-            self._system.config,
-            intern_entities=graph_store.intern_entities,
-            columnar=graph_store.columnar,
-        )
-        system = GQBE(config=config, graph_store=graph_store)
+        # max_join_rows, ... are the operator's, not the snapshot's).
+        system = GQBE(config=self._system.config, graph_store=GraphStore.load(path))
         system._snapshot_path = str(path)
         old_pool = None
         with self._exec_lock:
@@ -587,10 +580,6 @@ class ServingCore:
                 "nodes": meta.get("num_nodes"),
                 "edges": meta.get("num_edges"),
                 "labels": meta.get("num_labels"),
-            },
-            "engine": {
-                "intern_entities": bool(meta.get("intern_entities")),
-                "columnar": bool(meta.get("columnar")),
             },
         }
 

@@ -8,10 +8,9 @@ is then a multi-way join over these tables; this package provides:
 * :mod:`repro.storage.vocabulary` — the entity interning layer: entities
   are mapped to dense int ids once, offline, so the join engine hashes and
   compares machine ints instead of strings,
-* :class:`~repro.storage.table.ColumnarEdgeTable` — the default per-label
-  table: parallel ``array('q')``/numpy id columns with lazily built sorted
-  probe indexes (:class:`~repro.storage.table.EdgeTable` is the tuple-row
-  reference layout),
+* :class:`~repro.storage.table.ColumnarEdgeTable` — the per-label table:
+  parallel ``array('q')``/numpy id columns with lazily built sorted probe
+  indexes,
 * :class:`~repro.storage.store.VerticalPartitionStore` — the collection of
   all per-label tables for a data graph plus their shared vocabulary,
 * :mod:`repro.storage.plan` — join-order planning for a query graph,
@@ -19,39 +18,31 @@ is then a multi-way join over these tables; this package provides:
   kernels with scalar tails for tiny relations), including the one-edge
   *extension* step used by the lattice exploration to reuse a child query
   graph's materialized answers,
-* :mod:`repro.storage.snapshot` — versioned on-disk snapshots of the
-  whole offline state (:class:`~repro.storage.snapshot.GraphStore`) for
+* :mod:`repro.storage.snapshot` — on-disk snapshots of the whole
+  offline state (:class:`~repro.storage.snapshot.GraphStore`) for
   instant warm starts.
 """
 
 from repro.storage.join import (
     ColumnarRelation,
-    Relation,
     evaluate_query_edges,
     extend_with_edge,
 )
 from repro.storage.plan import JoinPlan, plan_join_order
 from repro.storage.snapshot import GraphStore, read_snapshot_meta
 from repro.storage.store import VerticalPartitionStore
-from repro.storage.table import ColumnarEdgeTable, EdgeTable
-from repro.storage.vocabulary import (
-    IdentityVocabulary,
-    MappedVocabulary,
-    Vocabulary,
-)
+from repro.storage.table import ColumnarEdgeTable
+from repro.storage.vocabulary import MappedVocabulary, Vocabulary
 
 __all__ = [
-    "EdgeTable",
     "ColumnarEdgeTable",
     "Vocabulary",
-    "IdentityVocabulary",
     "MappedVocabulary",
     "VerticalPartitionStore",
     "GraphStore",
     "read_snapshot_meta",
     "JoinPlan",
     "plan_join_order",
-    "Relation",
     "ColumnarRelation",
     "evaluate_query_edges",
     "extend_with_edge",

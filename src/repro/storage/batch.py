@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.graph.knowledge_graph import Edge
-from repro.storage.join import ColumnarRelation, Relation, extend_with_edge
+from repro.storage.join import ColumnarRelation, extend_with_edge
 from repro.storage.plan import JoinPlan, plan_join_order
 from repro.storage.store import VerticalPartitionStore
 
@@ -107,14 +107,14 @@ class JoinMemoArena:
         self.max_rows = max_rows
         self.cache_row_cap = cache_row_cap
         self._plans: dict[frozenset[Edge], JoinPlan] = {}
-        #: ordered plan prefix -> Relation | OVERFLOW
+        #: ordered plan prefix -> ColumnarRelation | OVERFLOW
         self._prefixes: dict[tuple[Edge, ...], object] = {}
-        #: (label, is_self_loop, injective) -> layout-specific payload
+        #: (label, is_self_loop, injective) -> the scan's ``(width, rows)`` matrix
         self._first_edges: dict[tuple[str, bool, bool], object] = {}
         #: arena-interned edge id, assigned on first sight of each Edge;
         #: lets hot-path memo keys hash small ints instead of Edge tuples.
         self._edge_ids: dict[Edge, int] = {}
-        #: edge-id set -> Relation | OVERFLOW, from child-extension evaluations
+        #: edge-id set -> ColumnarRelation | OVERFLOW, from child-extension evaluations
         self._extended: dict[frozenset[int], object] = {}
         self.plan_hits = 0
         self.plan_misses = 0
@@ -147,7 +147,7 @@ class JoinMemoArena:
     # ------------------------------------------------------------------
     def longest_prefix(
         self, order: tuple[Edge, ...]
-    ) -> tuple[int, "Relation | ColumnarRelation | _Overflow | None"]:
+    ) -> tuple[int, "ColumnarRelation | _Overflow | None"]:
         """Longest memoized prefix of ``order``: ``(length, value)``.
 
         ``(0, None)`` when nothing is cached.  The value is either the
@@ -165,7 +165,7 @@ class JoinMemoArena:
     def remember_prefix(
         self,
         prefix: tuple[Edge, ...],
-        value: "Relation | ColumnarRelation | _Overflow",
+        value: "ColumnarRelation | _Overflow",
     ) -> None:
         """Memoize the relation (or overflow marker) of one plan prefix."""
         if value is not OVERFLOW:
@@ -197,7 +197,7 @@ class JoinMemoArena:
 
     def extended_get(
         self, edges: frozenset[int]
-    ) -> "Relation | ColumnarRelation | _Overflow | None":
+    ) -> "ColumnarRelation | _Overflow | None":
         """A memoized child-extension result for this exact edge set.
 
         A lattice node's match relation is a pure function of its edge set
@@ -222,7 +222,7 @@ class JoinMemoArena:
     def extended_put(
         self,
         edges: frozenset[int],
-        value: "Relation | ColumnarRelation | _Overflow",
+        value: "ColumnarRelation | _Overflow",
     ) -> None:
         """Memoize one child-extension evaluation (or its overflow)."""
         if value is not OVERFLOW:
@@ -239,13 +239,13 @@ class JoinMemoArena:
         store: VerticalPartitionStore,
         edge: Edge,
         injective: bool,
-    ) -> "Relation | ColumnarRelation":
+    ) -> ColumnarRelation:
         """The first-edge relation of a plan, cached per label.
 
         The full-table scan that opens every join plan depends on the edge
         only through its *label*, whether it is a self-loop and the
         injectivity flag; the variable names merely rename the columns.
-        The scanned payload is cached under that key and re-wrapped with
+        The scanned matrix is cached under that key and re-wrapped with
         the caller's variable names, preserving row order exactly.  No
         ``max_rows`` handling happens here: callers cap the returned
         relation's row count themselves (the first-edge output never
@@ -256,33 +256,25 @@ class JoinMemoArena:
         """
         self_loop = edge.subject == edge.object
         key = (edge.label, self_loop, injective)
-        payload = self._first_edges.get(key)
-        if payload is None:
+        columns = self._first_edges.get(key)
+        if columns is None:
             self.first_edge_misses += 1
             relation = extend_with_edge(
                 store,
-                _empty_probe(store),
+                ColumnarRelation(variables=(), columns=[]),
                 edge,
                 injective=injective,
                 max_rows=None,
             )
             cap = self.cache_row_cap
-            if cap is not None and relation.num_rows > cap:
-                return relation
-            if isinstance(relation, ColumnarRelation):
-                payload = ("columns", relation.columns)
-            else:
-                payload = ("rows", relation.rows)
-            self._first_edges[key] = payload
+            if cap is None or relation.num_rows <= cap:
+                self._first_edges[key] = relation.columns
             return relation
         self.first_edge_hits += 1
         variables = (
             (edge.subject,) if self_loop else (edge.subject, edge.object)
         )
-        kind, data = payload
-        if kind == "columns":
-            return ColumnarRelation(variables, columns=data)
-        return Relation(variables, rows=data)
+        return ColumnarRelation(variables, columns=columns)
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, int]:
@@ -307,10 +299,3 @@ class JoinMemoArena:
             f"{type(self).__name__}(prefixes={len(self._prefixes)}, "
             f"plans={len(self._plans)}, hits={self.prefix_hits})"
         )
-
-
-def _empty_probe(store: VerticalPartitionStore) -> "Relation | ColumnarRelation":
-    """A zero-column probe relation matching the store's layout."""
-    if store.is_columnar:
-        return ColumnarRelation(variables=(), columns=[])
-    return Relation(variables=(), rows=[])

@@ -48,13 +48,10 @@ interpreter + numpy baseline.
 
 from __future__ import annotations
 
-import copy
-import hashlib
 import heapq
 import itertools
 import json
 import mmap
-import pickle
 import shutil
 import struct
 import tempfile
@@ -65,21 +62,16 @@ from pathlib import Path
 import numpy as np
 
 from repro.exceptions import GraphError, SnapshotError
-from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.graph.triples import iter_triples_chunked
 from repro.storage.shards import (
-    FORMAT_VERSION,
-    MANIFEST_MAGIC,
-    MANIFEST_NAME,
     SHARD_MAGIC,
     SHARD_VERSION,
     ShardStreamWriter,
     _SHARD_HEADER,
     _align,
+    write_manifest,
     write_table_shard,
 )
-from repro.storage.snapshot import _PICKLE_PROTOCOL
-from repro.storage.store import VerticalPartitionStore
 from repro.storage.table import ColumnarEdgeTable
 from repro.storage.vocabulary import MappedVocabulary, check_entity_id
 
@@ -719,25 +711,6 @@ def _write_graph_shard_streaming(
     return {"nodes": num_nodes, "edges": num_edges, **entry}
 
 
-# ----------------------------------------------------------------------
-# sections + manifest (mirrors GraphStore.save byte-for-byte)
-# ----------------------------------------------------------------------
-def _store_skeleton_bytes() -> bytes:
-    """The pickled store skeleton, byte-identical to the in-memory save.
-
-    ``GraphStore.save`` pickles a copy of the built store with its tables,
-    vocabulary and lazy state stripped — which leaves only the constructor
-    defaults.  Building one from an empty graph reproduces the identical
-    ``__dict__`` (same keys, same insertion order, same values).
-    """
-    skeleton = copy.copy(VerticalPartitionStore(KnowledgeGraph()))
-    skeleton._tables = {}
-    skeleton._lazy_loader = None
-    skeleton._lazy_rows = None
-    skeleton._vocabulary = None
-    return pickle.dumps(skeleton, protocol=_PICKLE_PROTOCOL)
-
-
 def _write_snapshot(
     source: Path,
     output: Path,
@@ -757,7 +730,6 @@ def _write_snapshot(
     vocabulary_entry, num_nodes, total_triples = _build_vocabulary_arena(
         source, fmt, output / "vocabulary.arena", scratch, plan
     )
-    vocabulary_entry["file"] = "vocabulary.arena"
     report["pass1_seconds"] = time.perf_counter() - started
     report["triples_read"] = total_triples
     report["nodes"] = num_nodes
@@ -794,77 +766,26 @@ def _write_snapshot(
     report["duplicates"] = total_triples - num_edges
 
     started = time.perf_counter()
-    sections: dict[str, dict] = {}
-    total = 0
-    statistics_header = {
-        "kind": "mapped-statistics",
-        "total_edges": num_edges,
-        "label_counts": {
-            result["label"]: result["rows"] for result in results
-        },
-    }
-    payloads = [
-        ("statistics", pickle.dumps(statistics_header, protocol=_PICKLE_PROTOCOL)),
-        ("store", _store_skeleton_bytes()),
-    ]
-    for name, payload in payloads:
-        file_name = f"{name}.section"
-        (output / file_name).write_bytes(payload)
-        sections[name] = {
-            "file": file_name,
-            "bytes": len(payload),
-            "sha256": hashlib.sha256(payload).hexdigest(),
-        }
-        total += len(payload)
-
-    manifest = {
-        "magic": MANIFEST_MAGIC,
-        "format_version": FORMAT_VERSION,
-        "pickle_protocol": _PICKLE_PROTOCOL,
-        "meta": {
-            "intern_entities": True,
-            "columnar": True,
-            "num_nodes": num_nodes,
-            "num_edges": num_edges,
-            "num_labels": len(labels),
-        },
-        "sections": sections,
-    }
-    manifest["vocabulary"] = vocabulary_entry
-    total += vocabulary_entry["bytes"]
-
     graph_entry = _write_graph_shard_streaming(
         output / "graph.csr", results, labels, num_nodes, num_edges, scratch, plan
     )
-    graph_entry["file"] = "graph.csr"
-    manifest["graph"] = graph_entry
-    total += graph_entry["bytes"]
-
     statistics_entry = _write_statistics_shard_streaming(
         output / "statistics.counts", results, labels, scratch, plan
     )
-    statistics_entry["file"] = "statistics.counts"
-    manifest["statistics_counts"] = statistics_entry
-    total += statistics_entry["bytes"]
-
-    tables = []
-    for result in results:
-        entry = {
-            "label": result["label"],
-            "rows": result["rows"],
-            **result["entry"],
-        }
-        entry["file"] = f"tables/{result['label_id']:05d}.shard"
-        tables.append(entry)
-        total += entry["bytes"]
-    manifest["tables"] = tables
-
-    # The manifest is the commit point: until this write lands, the
-    # directory is an unreadable work area, never a torn snapshot.
-    manifest_bytes = json.dumps(manifest, indent=1, sort_keys=True).encode("utf-8")
-    (output / MANIFEST_NAME).write_bytes(manifest_bytes)
+    report["bytes_written"] = write_manifest(
+        output,
+        meta={"num_nodes": num_nodes, "num_edges": num_edges, "num_labels": len(labels)},
+        total_edges=num_edges,
+        label_counts={result["label"]: result["rows"] for result in results},
+        vocabulary={**vocabulary_entry, "file": "vocabulary.arena"},
+        graph={**graph_entry, "file": "graph.csr"},
+        statistics_counts={**statistics_entry, "file": "statistics.counts"},
+        tables=[
+            {**result["entry"], "file": f"tables/{result['label_id']:05d}.shard"}
+            for result in results
+        ],
+    )
     report["finalize_shards_seconds"] = time.perf_counter() - started
-    report["bytes_written"] = total + len(manifest_bytes)
 
 
 def build_streaming_snapshot(

@@ -6,29 +6,22 @@ bindings (one row per candidate answer graph).  Definition 3 of the paper
 requires the node mapping to be a bijection, so rows never bind two distinct
 query nodes to the same data entity when ``injective=True`` (the default).
 
-Column names (the ``variables``) are query-graph node strings, but the row
-*values* are whatever ids the store's vocabulary produced — dense ints for
-the interning :class:`~repro.storage.vocabulary.Vocabulary`, raw strings
-for the :class:`~repro.storage.vocabulary.IdentityVocabulary` reference
-path.  The join logic is id-type agnostic; callers that need entity strings
-decode rows through ``store.vocabulary`` when materializing answers.
+Column names (the ``variables``) are query-graph node strings; the row
+*values* are the dense int ids of the store's
+:class:`~repro.storage.vocabulary.Vocabulary`.  Callers that need entity
+strings decode rows through ``store.vocabulary`` when materializing
+answers.
 
-Two relation layouts back the same join semantics:
+A :class:`ColumnarRelation` holds one ``(width, rows)`` int32 matrix, a
+row per variable.  Entity ids are dense vocabulary indexes capped at
+``2**31 - 1`` (:data:`~repro.storage.vocabulary.MAX_ENTITY_ID`), so a
+node's retained matches cost half what int64 ids would; the label tables
+stay int64, and the values a probe matches are narrowed once per
+expansion slice.  Probes, filters and injectivity checks run as
+whole-array operations (:func:`extend_with_edge`), with a scalar tail over
+dict buckets for tiny probe relations (:func:`_extend_columnar_scalar`).
 
-* :class:`ColumnarRelation` — the default engine: one ``(width, rows)``
-  int32 matrix, a row per variable.  Entity ids are dense vocabulary
-  indexes capped at ``2**31 - 1`` (:data:`~repro.storage.vocabulary.
-  MAX_ENTITY_ID`), so a node's retained matches cost half what int64 ids
-  would; the label tables stay int64, and the values a probe matches are
-  narrowed once per expansion slice.  Probes, filters and injectivity
-  checks run as whole-array operations (:func:`_extend_columnar`); a store
-  built ``columnar=True`` produces these.
-* :class:`Relation` — the original list-of-tuple-rows layout, kept as the
-  reference engine for ``columnar=False`` and the engine of the string
-  ids of the identity-vocabulary path.
-
-Both are produced by the same two entry points, which dispatch on the
-store's layout:
+Two entry points:
 
 * :func:`evaluate_query_edges` — evaluate a whole query graph from scratch
   using a right-deep chain of hash joins in a planned order.
@@ -36,9 +29,10 @@ store's layout:
   exploration (Sec. V-B): take the materialized answers of a child query
   graph ``Q' = Q − e`` as the probe relation and join one more edge ``e``.
 
-The two engines are equivalent by construction — identical rows, row
-counts and ``max_rows`` overflow behavior — and the equivalence is pinned
-end-to-end by ``tests/test_columnar_equivalence.py``.
+The scalar tail, the bulk path and its sliced variant return the same
+rows in the same order and raise ``max_rows`` overflow on the same
+inputs; the brute-force Definition 3 join in ``tests/test_properties.py``
+pins each of them.
 """
 
 from __future__ import annotations
@@ -53,7 +47,6 @@ from repro.exceptions import LatticeError
 from repro.graph.knowledge_graph import Edge
 from repro.storage.plan import plan_join_order
 from repro.storage.store import VerticalPartitionStore
-from repro.storage.vocabulary import EntityId
 
 #: Probe expansions larger than this many candidate rows are processed in
 #: slices so a hub-heavy join cannot materialize an arbitrarily large
@@ -61,94 +54,19 @@ from repro.storage.vocabulary import EntityId
 _EXPANSION_CHUNK_ROWS = 1 << 20
 
 #: Probe relations at or below this many rows take the scalar tail of the
-#: columnar engine: python loops over dict buckets, exactly mirroring the
-#: tuple-row engine.  Fixed numpy call overhead (~a few µs per kernel)
-#: dominates whole-array wins below roughly this size, and lattice
-#: explorations evaluate thousands of such tiny relations per query.
+#: engine: python loops over dict buckets.  Fixed numpy call overhead (~a
+#: few µs per kernel) dominates whole-array wins below roughly this size,
+#: and lattice explorations evaluate thousands of such tiny relations per
+#: query.
 _SCALAR_TAIL_ROWS = 64
-
-
-class Relation:
-    """A set of variable bindings produced by joining query-graph edges.
-
-    Attributes
-    ----------
-    variables:
-        Query-graph node names, in column order.
-    rows:
-        Interned entity-id tuples aligned with ``variables`` (ints under
-        the interning vocabulary, strings under the identity vocabulary).
-    """
-
-    __slots__ = ("variables", "rows", "_index")
-
-    def __init__(
-        self,
-        variables: tuple[str, ...],
-        rows: list[tuple[EntityId, ...]] | None = None,
-        index: dict[str, int] | None = None,
-    ) -> None:
-        self.variables = variables
-        self.rows = rows if rows is not None else []
-        # Schema-preserving operations (join filters, self-match removal)
-        # pass the probe relation's column index through instead of
-        # rebuilding the dict.
-        self._index = (
-            index
-            if index is not None
-            else {var: i for i, var in enumerate(variables)}
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(variables={self.variables!r}, "
-            f"rows={len(self.rows)})"
-        )
-
-    @property
-    def num_rows(self) -> int:
-        """Number of binding rows."""
-        return len(self.rows)
-
-    def is_empty(self) -> bool:
-        """Whether the relation has no rows."""
-        return not self.rows
-
-    def has_variable(self, variable: str) -> bool:
-        """Whether ``variable`` is one of the columns."""
-        return variable in self._index
-
-    def column(self, variable: str) -> int:
-        """Column index of ``variable``; raises ``KeyError`` if absent."""
-        return self._index[variable]
-
-    def bindings(self) -> Iterable[dict[str, EntityId]]:
-        """Yield each row as a ``{variable: entity id}`` mapping."""
-        for row in self.rows:
-            yield dict(zip(self.variables, row))
-
-    def project(self, variables: Sequence[str]) -> list[tuple[EntityId, ...]]:
-        """Project rows onto ``variables`` (order preserved, duplicates kept)."""
-        indexes = [self._index[var] for var in variables]
-        return [tuple(row[i] for i in indexes) for row in self.rows]
-
-    def distinct_projection(self, variables: Sequence[str]) -> set[tuple[EntityId, ...]]:
-        """Distinct projection of rows onto ``variables``."""
-        return set(self.project(variables))
-
-    def to_rows(self) -> list[tuple[EntityId, ...]]:
-        """The rows as a fresh list of tuples (shared accessor with
-        :class:`ColumnarRelation` for tests and answer materialization)."""
-        return list(self.rows)
 
 
 class ColumnarRelation:
     """A set of variable bindings with a dual columnar/row layout.
 
-    The columnar twin of :class:`Relation`: logically the same ordered
-    multiset of rows, physically stored as one ``(width, rows)`` int32
-    matrix (``columns[i]`` binds ``variables[i]``), as a cached list of
-    python-int tuple rows, or both.  The engine's bulk kernels read
+    Logically an ordered multiset of rows, physically stored as one
+    ``(width, rows)`` int32 matrix (``columns[i]`` binds ``variables[i]``),
+    as a cached list of python-int tuple rows, or both.  The engine's bulk kernels read
     :attr:`columns`; its scalar tails (tiny relations, where fixed numpy
     call overhead dominates) read :meth:`to_rows`.  Each layout
     materializes lazily from the other on first use and is then cached,
@@ -156,8 +74,6 @@ class ColumnarRelation:
     bulk extensions never builds tuples (the exploration's answer table
     reads the matrix of every node it keeps).  Callers must treat both
     layouts as immutable.
-
-    Only produced by stores built over the interning vocabulary (int ids).
     """
 
     __slots__ = ("variables", "_columns", "_rows", "_index")
@@ -196,9 +112,7 @@ class ColumnarRelation:
         """The ``(width, rows)`` matrix: row ``i`` is the column of
         ``variables[i]`` (materialized from cached rows if needed)."""
         if self._columns is None:
-            self._columns = _columns_from_rows(
-                self._rows, len(self.variables), np.int32
-            )
+            self._columns = _columns_from_rows(self._rows, len(self.variables))
         return self._columns
 
     @property
@@ -260,45 +174,36 @@ class ColumnarRelation:
         return self._columns is not None and self.num_rows > _SCALAR_TAIL_ROWS
 
 
-def _empty_relation(store: VerticalPartitionStore) -> "Relation | ColumnarRelation":
-    if store.is_columnar:
-        return ColumnarRelation(variables=(), columns=[])
-    return Relation(variables=(), rows=[])
+def _empty_relation() -> ColumnarRelation:
+    return ColumnarRelation(variables=(), columns=[])
 
 
 def _raise_max_rows(max_rows: int) -> None:
     raise LatticeError(f"intermediate relation exceeded max_rows={max_rows}")
 
 
-def _columns_from_rows(
-    rows: list[tuple[EntityId, ...]], width: int, dtype
-) -> "np.ndarray":
-    """Materialized tuple rows as one ``(width, len(rows))`` array of columns.
-
-    ``dtype`` is int32 for interned ids and ``object`` for the string ids
-    of the identity-vocabulary reference path.
-    """
-    flat = np.fromiter(chain.from_iterable(rows), dtype, len(rows) * width)
+def _columns_from_rows(rows: list[tuple[int, ...]], width: int) -> "np.ndarray":
+    """Materialized tuple rows as one ``(width, len(rows))`` int32 matrix."""
+    flat = np.fromiter(chain.from_iterable(rows), np.int32, len(rows) * width)
     return flat.reshape(len(rows), width).T
 
 
 def _extend_columnar_scalar(
     table,
-    relation: "ColumnarRelation",
+    relation: ColumnarRelation,
     subject_var: str,
     object_var: str,
     has_subject: bool,
     has_object: bool,
     injective: bool,
     max_rows: int | None,
-) -> "ColumnarRelation":
-    """The scalar tail of the columnar engine, for tiny probe relations.
+) -> ColumnarRelation:
+    """The scalar tail of the engine, for tiny probe relations.
 
-    Mirrors the tuple-row engine's loops statement for statement (same
-    match order, same injectivity test, same per-probe-row ``max_rows``
-    check) over the columnar table's lazy dict buckets.  Inputs and
-    outputs use the relation's row layout; the column arrays materialize
-    lazily when a bulk consumer asks for them.
+    Python loops over the table's lazy dict buckets, with the bulk path's
+    match order and ``max_rows`` verdict.  Inputs and outputs use the
+    relation's row layout; the column arrays materialize lazily when a
+    bulk consumer asks for them.
     """
     in_rows = relation.to_rows()
     if has_subject and has_object:
@@ -325,7 +230,7 @@ def _extend_columnar_scalar(
     new_variables = relation.variables + (new_variable,)
 
     if max_rows is not None:
-        # The floor of _extend_columnar's counts pre-pass, read off the
+        # The floor of extend_with_edge's counts pre-pass, read off the
         # bucket lengths: a hub bucket is not expanded just to be discarded.
         counts = [
             len(matches) for row in in_rows if (matches := buckets.get(row[bound_col]))
@@ -347,21 +252,44 @@ def _extend_columnar_scalar(
     )
 
 
-def _extend_columnar(
+def extend_with_edge(
     store: VerticalPartitionStore,
-    relation: "ColumnarRelation",
+    relation: ColumnarRelation,
     edge: Edge,
-    injective: bool,
-    max_rows: int | None,
-) -> "ColumnarRelation":
-    """Vectorized one-edge hash join over columnar tables and relations.
+    injective: bool = True,
+    max_rows: int | None = None,
+) -> ColumnarRelation:
+    """Join one more query-graph ``edge`` onto an existing ``relation``.
 
-    Mirrors the tuple-row engine branch for branch: first edge, pure
-    filter (both endpoints bound) and one-sided probe.  The ``max_rows``
-    cap raises exactly when the tuple-row engine would (its incremental
-    checks fire iff the final surviving row count exceeds the cap), but
-    most overflows are decided from the per-probe-row match counts alone,
-    before anything is expanded: a table holds distinct ``(subj, obj)``
+    The edge's subject/object are query-graph node names.  Whichever of the
+    two is already a column of ``relation`` is used to probe the hash index
+    of the edge's label table; unbound endpoints become new columns.
+
+    Parameters
+    ----------
+    store:
+        The vertical-partition store of the data graph.
+    relation:
+        Materialized bindings of the query graph evaluated so far.  Must be
+        non-degenerate: at least one endpoint of ``edge`` must already be a
+        column, unless ``relation`` has no columns at all (first edge).
+    injective:
+        Enforce the Definition-3 bijection (no two query nodes bound to the
+        same entity).
+    max_rows:
+        Optional cap on the size of the output; exceeding it raises
+        :class:`~repro.exceptions.LatticeError` so callers can fall back or
+        abort gracefully rather than exhaust memory.  The cap is enforced
+        on every appended row, including the self-loop
+        (``subject_var == object_var``) path of the first edge.
+
+    Three branches: first edge, pure filter (both endpoints bound) and
+    one-sided probe; a probe relation held as rows, or of at most
+    ``_SCALAR_TAIL_ROWS`` rows, takes :func:`_extend_columnar_scalar`.
+    The ``max_rows`` cap raises
+    exactly when the surviving row count exceeds it, but most overflows
+    are decided from the per-probe-row match counts alone, before
+    anything is expanded: a table holds distinct ``(subj, obj)``
     pairs, so the ``c`` values matching one probe row are distinct and
     the injective filter — which drops a value already present among the
     row's ``w`` bindings — removes at most ``min(c, w)`` of them (none
@@ -488,146 +416,9 @@ def _extend_columnar(
     return ColumnarRelation(new_variables, out)
 
 
-def extend_with_edge(
-    store: VerticalPartitionStore,
-    relation: "Relation | ColumnarRelation",
-    edge: Edge,
-    injective: bool = True,
-    max_rows: int | None = None,
-) -> "Relation | ColumnarRelation":
-    """Join one more query-graph ``edge`` onto an existing ``relation``.
-
-    The edge's subject/object are query-graph node names.  Whichever of the
-    two is already a column of ``relation`` is used to probe the hash index
-    of the edge's label table; unbound endpoints become new columns.
-
-    Parameters
-    ----------
-    store:
-        The vertical-partition store of the data graph.
-    relation:
-        Materialized bindings of the query graph evaluated so far.  Must be
-        non-degenerate: at least one endpoint of ``edge`` must already be a
-        column, unless ``relation`` has no columns at all (first edge).
-    injective:
-        Enforce the Definition-3 bijection (no two query nodes bound to the
-        same entity).
-    max_rows:
-        Optional cap on the size of the output; exceeding it raises
-        :class:`~repro.exceptions.LatticeError` so callers can fall back or
-        abort gracefully rather than exhaust memory.  The cap is enforced
-        on every appended row, including the self-loop
-        (``subject_var == object_var``) path of the first edge.
-
-    The join layout follows the store: a columnar store takes the
-    vectorized :func:`_extend_columnar` path and returns a
-    :class:`ColumnarRelation`; otherwise the tuple-row code below runs.
-    """
-    if store.is_columnar:
-        return _extend_columnar(store, relation, edge, injective, max_rows)
-    table = store.table_or_empty(edge.label)
-    subject_var, object_var = edge.subject, edge.object
-
-    if not relation.variables:
-        variables = (
-            (subject_var,) if subject_var == object_var else (subject_var, object_var)
-        )
-        rows: list[tuple[EntityId, ...]] = []
-        for subj, obj in table:
-            if subject_var == object_var:
-                if subj != obj:
-                    continue
-                candidate = (subj,)
-            else:
-                candidate = (subj, obj)
-                if injective and subj == obj:
-                    continue
-            rows.append(candidate)
-            if max_rows is not None and len(rows) > max_rows:
-                raise LatticeError(
-                    f"intermediate relation exceeded max_rows={max_rows}"
-                )
-        return Relation(variables=variables, rows=rows)
-
-    has_subject = relation.has_variable(subject_var)
-    has_object = relation.has_variable(object_var)
-    if not has_subject and not has_object:
-        raise LatticeError(
-            f"edge {edge!r} shares no variable with the probe relation "
-            f"{relation.variables!r}; join plans must stay connected"
-        )
-
-    new_variables = relation.variables
-    if not has_subject:
-        new_variables = new_variables + (subject_var,)
-    if not has_object and object_var != subject_var:
-        new_variables = new_variables + (object_var,)
-
-    # Probe rows produced under ``injective=True`` are injective already,
-    # so a one-column extension violates injectivity exactly when the new
-    # value is already present in the row — a C-level membership test
-    # instead of building a set per candidate row.  (Callers must not mix
-    # an ``injective=False`` probe relation into an ``injective=True``
-    # extension; the explorers never do.)
-    out_rows: list[tuple[EntityId, ...]] = []
-    append = out_rows.append
-
-    if has_subject and has_object:
-        subject_col = relation.column(subject_var)
-        object_col = relation.column(object_var)
-        row_set = table.row_set
-        for row in relation.rows:
-            if (row[subject_col], row[object_col]) in row_set:
-                append(row)
-        # Pure filter: the output never outgrows the (already capped) input,
-        # but honor an explicitly smaller cap.
-        if max_rows is not None and len(out_rows) > max_rows:
-            raise LatticeError(f"intermediate relation exceeded max_rows={max_rows}")
-        return Relation(new_variables, out_rows, index=relation._index)
-    elif has_subject:
-        # A self-loop edge (subject_var == object_var) can never reach this
-        # branch: both lookups hit the same column, so it either takes the
-        # filter branch above or the first-edge path.
-        subject_col = relation.column(subject_var)
-        by_subject = table.by_subject
-        for row in relation.rows:
-            bound = row[subject_col]
-            matches = by_subject.get(bound)
-            if not matches:
-                continue
-            for _, obj in matches:
-                if injective and obj in row:
-                    continue
-                append(row + (obj,))
-            if max_rows is not None and len(out_rows) > max_rows:
-                raise LatticeError(
-                    f"intermediate relation exceeded max_rows={max_rows}"
-                )
-    else:
-        object_col = relation.column(object_var)
-        by_object = table.by_object
-        for row in relation.rows:
-            bound = row[object_col]
-            matches = by_object.get(bound)
-            if not matches:
-                continue
-            for subj, _ in matches:
-                if injective and subj in row:
-                    continue
-                append(row + (subj,))
-            if max_rows is not None and len(out_rows) > max_rows:
-                raise LatticeError(
-                    f"intermediate relation exceeded max_rows={max_rows}"
-                )
-
-    return Relation(new_variables, out_rows)
-
-
 def _pad_empty_schema(
-    store: VerticalPartitionStore,
-    relation: "Relation | ColumnarRelation",
-    plan_edges: Iterable[Edge],
-) -> "Relation | ColumnarRelation":
+    relation: ColumnarRelation, plan_edges: Iterable[Edge]
+) -> ColumnarRelation:
     """An empty relation carrying every node of the plan as a column.
 
     Joins short-circuit as soon as an intermediate relation runs dry; the
@@ -640,9 +431,7 @@ def _pad_empty_schema(
         if node not in relation.variables
     ]
     variables = relation.variables + tuple(dict.fromkeys(missing))
-    if store.is_columnar:
-        return ColumnarRelation(variables, np.empty((len(variables), 0), dtype=np.int32))
-    return Relation(variables=variables, rows=[])
+    return ColumnarRelation(variables, np.empty((len(variables), 0), dtype=np.int32))
 
 
 def evaluate_query_edges(
@@ -651,13 +440,12 @@ def evaluate_query_edges(
     injective: bool = True,
     max_rows: int | None = None,
     arena=None,
-) -> "Relation | ColumnarRelation":
+) -> ColumnarRelation:
     """Evaluate a weakly connected query graph given as a list of edges.
 
     Returns the relation whose columns are the query graph's nodes and whose
     rows are all matches (answer-graph node mappings).  The relation is
-    empty if the query graph has no answers.  The relation layout
-    (columnar or tuple rows) follows the store's.
+    empty if the query graph has no answers.
 
     ``arena`` — an optional :class:`~repro.storage.batch.JoinMemoArena` —
     memoizes the join plan and every plan-prefix relation so overlapping
@@ -668,7 +456,7 @@ def evaluate_query_edges(
     its memos would describe a different join.
     """
     if not edges:
-        return _empty_relation(store)
+        return _empty_relation()
     if arena is not None and (not injective or max_rows != arena.max_rows):
         arena = None
     if arena is None:
@@ -676,13 +464,13 @@ def evaluate_query_edges(
         # Read-ahead: open (and madvise) every shard this plan will probe
         # before execution starts; a no-op on non-sharded stores.
         store.prefetch_labels({edge.label for edge in plan.order})
-        relation = _empty_relation(store)
+        relation = _empty_relation()
         for edge in plan:
             relation = extend_with_edge(
                 store, relation, edge, injective=injective, max_rows=max_rows
             )
             if relation.is_empty():
-                return _pad_empty_schema(store, relation, plan)
+                return _pad_empty_schema(relation, plan)
         return relation
 
     order = arena.plan_for(edges, store).order
@@ -701,7 +489,7 @@ def evaluate_query_edges(
         arena.remember_prefix(order[:1], relation)
         start = 1
     if relation.is_empty():
-        return _pad_empty_schema(store, relation, order)
+        return _pad_empty_schema(relation, order)
     for at in range(start, len(order)):
         try:
             relation = extend_with_edge(
@@ -714,5 +502,5 @@ def evaluate_query_edges(
             raise
         arena.remember_prefix(order[: at + 1], relation)
         if relation.is_empty():
-            return _pad_empty_schema(store, relation, order)
+            return _pad_empty_schema(relation, order)
     return relation

@@ -14,9 +14,7 @@ requiring a full cost model.
 The greedy selection runs off a lazy-deletion min-heap keyed on
 ``(cardinality, edge)`` that is fed incident edges as nodes become bound,
 instead of rescanning every remaining edge per step — same order, one
-heap pop per chosen edge.  Both join engines (columnar and tuple-row)
-consume the same plan, which keeps their intermediate relations — and
-therefore their ``max_rows`` behavior — aligned row for row.
+heap pop per chosen edge.
 """
 
 from __future__ import annotations

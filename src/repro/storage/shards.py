@@ -11,8 +11,9 @@ verifiable files:
     directory without a valid one is a build that never finished.
 ``statistics.section`` / ``store.section``
     Two small pickles: the statistics header (edge total and per-label
-    counts) and the store *skeleton* (engine flags; no vocabulary, no
-    tables).  Each deserializes lazily on first access.
+    counts) and the store *skeleton* (no graph, vocabulary or tables;
+    loading attaches the mapped ones).  Each deserializes lazily on first
+    access.
 ``tables/NNNNN.shard``
     One binary shard per label's
     :class:`~repro.storage.table.ColumnarEdgeTable`: the two int64 id
@@ -86,6 +87,7 @@ from __future__ import annotations
 import hashlib
 import json
 import mmap
+import pickle
 import struct
 from collections.abc import Callable, Sequence
 from os import PathLike
@@ -96,6 +98,7 @@ from repro.graph.delta import DeltaKnowledgeGraph
 from repro.graph.mapped import MappedKnowledgeGraph
 import numpy as np
 
+from repro.storage.store import VerticalPartitionStore
 from repro.storage.table import ColumnarEdgeTable, _SortedGroupIndex
 from repro.storage.vocabulary import MappedVocabulary
 
@@ -105,6 +108,7 @@ MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_MAGIC = "GQBESNAP2"
 #: The manifest ``format_version`` this build writes and reads.
 FORMAT_VERSION = 3
+_PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 _ALIGNMENT = 64
 _SHARD_HEADER = struct.Struct("<8sII")
 
@@ -485,6 +489,66 @@ def write_graph_shard(path: Path, graph, vocabulary) -> dict:
         arrays,
     )
     return {"nodes": graph.num_nodes, "edges": graph.num_edges, **entry}
+
+
+def write_manifest(
+    directory: Path,
+    *,
+    meta: dict,
+    total_edges: int,
+    label_counts: dict[str, int],
+    vocabulary: dict,
+    graph: dict,
+    statistics_counts: dict,
+    tables: list[dict],
+) -> int:
+    """Finish a snapshot whose shards are on disk; returns its total bytes.
+
+    Writes the two section pickles — the statistics header and the store
+    skeleton — and then ``MANIFEST.json``, which catalogs them with the
+    shard entries passed in (each carrying its ``file``).  The manifest
+    is the commit point: until it lands, ``directory`` is an unreadable
+    work area, never a torn snapshot.  Both writers, ``GraphStore.save``
+    and the streaming build, finish here, so their manifests are equal
+    byte for byte whenever their shards are.
+    """
+    statistics_header = {
+        "kind": "mapped-statistics",
+        "total_edges": total_edges,
+        "label_counts": label_counts,
+    }
+    payloads = {
+        "statistics": pickle.dumps(statistics_header, protocol=_PICKLE_PROTOCOL),
+        "store": pickle.dumps(
+            VerticalPartitionStore.skeleton(), protocol=_PICKLE_PROTOCOL
+        ),
+    }
+    sections = {}
+    for name, payload in payloads.items():
+        file_name = f"{name}.section"
+        (directory / file_name).write_bytes(payload)
+        sections[name] = {
+            "file": file_name,
+            "bytes": len(payload),
+            "sha256": hashlib.sha256(payload).hexdigest(),
+        }
+    manifest = {
+        "magic": MANIFEST_MAGIC,
+        "format_version": FORMAT_VERSION,
+        "pickle_protocol": _PICKLE_PROTOCOL,
+        "meta": meta,
+        "sections": sections,
+        "vocabulary": vocabulary,
+        "graph": graph,
+        "statistics_counts": statistics_counts,
+        "tables": tables,
+    }
+    manifest_bytes = json.dumps(manifest, indent=1, sort_keys=True).encode("utf-8")
+    (directory / MANIFEST_NAME).write_bytes(manifest_bytes)
+    return sum(
+        entry["bytes"]
+        for entry in (*sections.values(), vocabulary, graph, statistics_counts, *tables)
+    ) + len(manifest_bytes)
 
 
 # ----------------------------------------------------------------------

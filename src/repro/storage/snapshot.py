@@ -42,9 +42,6 @@ Programmatically::
 
 from __future__ import annotations
 
-import copy
-import hashlib
-import json
 import pickle
 from os import PathLike
 from pathlib import Path
@@ -53,19 +50,14 @@ from repro.exceptions import SnapshotError
 from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.graph.statistics import GraphStatistics, MappedGraphStatistics
 from repro.storage.shards import (
-    FORMAT_VERSION,
-    MANIFEST_MAGIC,
-    MANIFEST_NAME,
     ShardedSnapshotReader,
     write_graph_shard,
+    write_manifest,
     write_statistics_shard,
     write_table_shard,
     write_vocabulary_shard,
 )
 from repro.storage.store import VerticalPartitionStore
-from repro.storage.vocabulary import IdentityVocabulary
-
-_PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 
 class GraphStore:
@@ -99,20 +91,9 @@ class GraphStore:
         self._delta_triples: list[tuple[str, str, str]] = []
 
     @classmethod
-    def build(
-        cls,
-        graph: KnowledgeGraph,
-        intern_entities: bool = True,
-        columnar: bool = True,
-    ) -> "GraphStore":
+    def build(cls, graph: KnowledgeGraph) -> "GraphStore":
         """Run the offline phase for ``graph`` (the cold-start path)."""
-        statistics = GraphStatistics(graph)
-        store = VerticalPartitionStore(
-            graph,
-            vocabulary=None if intern_entities else IdentityVocabulary(),
-            columnar=columnar,
-        )
-        return cls(graph, statistics, store)
+        return cls(graph, GraphStatistics(graph), VerticalPartitionStore(graph))
 
     def _vocabulary_from_arena(self):
         """The snapshot's mapped vocabulary, shared by graph and store."""
@@ -161,10 +142,9 @@ class GraphStore:
     def store(self) -> VerticalPartitionStore:
         """The vertical-partition store (materialized on first access).
 
-        From a snapshot only the store *skeleton* (engine flags)
-        deserializes here; it adopts the mapped vocabulary, and the
-        per-label tables stay as unopened shards that the reader maps on
-        first probe.
+        From a snapshot only the store *skeleton* deserializes here; it
+        adopts the mapped graph and vocabulary, and the per-label tables
+        stay as unopened shards that the reader maps on first probe.
         """
         if self._store is None:
             store = pickle.loads(self._reader.load_section("store"))
@@ -211,27 +191,11 @@ class GraphStore:
         }
 
     # ------------------------------------------------------------------
-    @property
-    def intern_entities(self) -> bool:
-        """Whether the store interns entities to int ids."""
-        if self._meta is not None:
-            return bool(self._meta["intern_entities"])
-        return not isinstance(self.store.vocabulary, IdentityVocabulary)
-
-    @property
-    def columnar(self) -> bool:
-        """Whether the store uses the columnar table layout."""
-        if self._meta is not None:
-            return bool(self._meta["columnar"])
-        return self.store.is_columnar
-
     def meta(self) -> dict:
         """The snapshot metadata describing this bundle."""
         if self._meta is not None:
             return dict(self._meta)
         return {
-            "intern_entities": self.intern_entities,
-            "columnar": self.columnar,
             "num_nodes": self.graph.num_nodes,
             "num_edges": self.graph.num_edges,
             "num_labels": self.graph.num_labels,
@@ -305,111 +269,48 @@ class GraphStore:
         Raises
         ------
         SnapshotError
-            If the store runs one of the in-memory reference engines
-            (tuple rows or string ids), or the directory cannot be
-            written.
+            If the directory cannot be written.
         """
         directory = Path(path)
         self.materialize()
         store = self.store
-        if not store.is_columnar:
-            raise SnapshotError(
-                "a snapshot stores raw int64 column shards and requires "
-                "the columnar interned engine; the tuple-row and string "
-                "reference engines (columnar=False / intern_entities=False) "
-                "are in-memory only"
-            )
         store.build_indexes()
+        vocabulary = store.vocabulary
         try:
-            directory.mkdir(parents=True, exist_ok=True)
-            (directory / "tables").mkdir(exist_ok=True)
-
-            sections: dict[str, dict] = {}
-            total = 0
-            skeleton = copy.copy(store)
-            skeleton._tables = {}
-            skeleton._lazy_loader = None
-            skeleton._lazy_rows = None
-            # The vocabulary ships as a mapped arena: strip it from the
-            # skeleton so the store section carries only flags.
-            skeleton._vocabulary = None
-            # The participation counts ship as mapped columns (see
-            # write_statistics_shard below); the section keeps only the
-            # small header the mapped statistics need.
-            statistics_header = {
-                "kind": "mapped-statistics",
-                "total_edges": self.statistics.total_edges,
-                "label_counts": dict(self.statistics._label_counts),
-            }
-            payloads = [
-                (
-                    "statistics",
-                    pickle.dumps(statistics_header, protocol=_PICKLE_PROTOCOL),
-                ),
-                ("store", pickle.dumps(skeleton, protocol=_PICKLE_PROTOCOL)),
-            ]
-            for name, payload in payloads:
-                file_name = f"{name}.section"
-                (directory / file_name).write_bytes(payload)
-                sections[name] = {
-                    "file": file_name,
-                    "bytes": len(payload),
-                    "sha256": hashlib.sha256(payload).hexdigest(),
-                }
-                total += len(payload)
-
-            manifest = {
-                "magic": MANIFEST_MAGIC,
-                "format_version": FORMAT_VERSION,
-                "pickle_protocol": _PICKLE_PROTOCOL,
-                "meta": self.meta(),
-                "sections": sections,
-            }
-
+            (directory / "tables").mkdir(parents=True, exist_ok=True)
             vocabulary_entry = write_vocabulary_shard(
-                directory / "vocabulary.arena", store.vocabulary
+                directory / "vocabulary.arena", vocabulary
             )
-            vocabulary_entry["file"] = "vocabulary.arena"
-            manifest["vocabulary"] = vocabulary_entry
-            total += vocabulary_entry["bytes"]
-
             graph_entry = write_graph_shard(
-                directory / "graph.csr", self.graph, store.vocabulary
+                directory / "graph.csr", self.graph, vocabulary
             )
-            graph_entry["file"] = "graph.csr"
-            manifest["graph"] = graph_entry
-            total += graph_entry["bytes"]
-
             statistics_entry = write_statistics_shard(
                 directory / "statistics.counts",
                 self.statistics._out_label_counts,
                 self.statistics._in_label_counts,
-                store.vocabulary,
+                vocabulary,
             )
-            statistics_entry["file"] = "statistics.counts"
-            manifest["statistics_counts"] = statistics_entry
-            total += statistics_entry["bytes"]
-
             tables = []
             # Snapshot the label list first: resolving a lazy table in
             # store.table() mutates the _tables dict mid-iteration.
             for index, label in enumerate(list(store.labels())):
                 file_name = f"tables/{index:05d}.shard"
                 entry = write_table_shard(directory / file_name, store.table(label))
-                entry["file"] = file_name
-                tables.append(entry)
-                total += entry["bytes"]
-            manifest["tables"] = tables
-
-            manifest_bytes = json.dumps(manifest, indent=1, sort_keys=True).encode(
-                "utf-8"
+                tables.append({**entry, "file": file_name})
+            return write_manifest(
+                directory,
+                meta=self.meta(),
+                total_edges=self.statistics.total_edges,
+                label_counts=dict(self.statistics._label_counts),
+                vocabulary={**vocabulary_entry, "file": "vocabulary.arena"},
+                graph={**graph_entry, "file": "graph.csr"},
+                statistics_counts={**statistics_entry, "file": "statistics.counts"},
+                tables=tables,
             )
-            (directory / MANIFEST_NAME).write_bytes(manifest_bytes)
         except OSError as error:
             raise SnapshotError(
                 f"cannot write snapshot {directory!s}: {error}"
             ) from error
-        return total + len(manifest_bytes)
 
     @classmethod
     def load(cls, path: str | PathLike) -> "GraphStore":

@@ -1,4 +1,4 @@
-"""The vertical-partition triple store: one :class:`EdgeTable` per label.
+"""The vertical-partition triple store: one edge table per label.
 
 The store is built once from a :class:`~repro.graph.knowledge_graph.KnowledgeGraph`
 and is the only structure the join engine touches at query time, mirroring
@@ -10,15 +10,11 @@ every node of the data graph is interned to a dense integer id (in node
 insertion order, so ids are deterministic per graph), and the per-label
 tables store ``(subj_id, obj_id)`` int rows.  Query-time joins therefore
 never touch an entity string; decoding happens only when answers are
-materialized.  Passing an
-:class:`~repro.storage.vocabulary.IdentityVocabulary` instead reproduces
-the string-keyed engine (used as the reference in equivalence tests).
+materialized.
 
-Tables default to the columnar struct-of-arrays layout
-(:class:`~repro.storage.table.ColumnarEdgeTable`), which the vectorized
-numpy join engine runs on.  ``columnar=False`` — or an identity
-vocabulary — selects the tuple-row
-:class:`~repro.storage.table.EdgeTable` reference layout instead.
+Tables use the columnar struct-of-arrays layout
+(:class:`~repro.storage.table.ColumnarEdgeTable`) that the vectorized
+numpy join engine runs on.
 """
 
 from __future__ import annotations
@@ -27,27 +23,18 @@ from collections.abc import Iterator
 
 from repro.exceptions import GraphError
 from repro.graph.knowledge_graph import KnowledgeGraph
-from repro.storage.table import ColumnarEdgeTable, EdgeTable
-from repro.storage.vocabulary import IdentityVocabulary, Vocabulary
+from repro.storage.table import ColumnarEdgeTable
+from repro.storage.vocabulary import MappedVocabulary, Vocabulary
 
 
 class VerticalPartitionStore:
     """All per-label edge tables of a data graph, hash-indexed in memory."""
 
     def __init__(
-        self,
-        graph: KnowledgeGraph,
-        vocabulary: Vocabulary | IdentityVocabulary | None = None,
-        columnar: bool = True,
+        self, graph: KnowledgeGraph, vocabulary: Vocabulary | None = None
     ) -> None:
         self._graph = graph
         self._vocabulary = vocabulary if vocabulary is not None else Vocabulary()
-        # The columnar layout needs int ids; otherwise fall back to the
-        # tuple-row reference layout.
-        self._columnar = columnar and not isinstance(
-            self._vocabulary, IdentityVocabulary
-        )
-        table_class = ColumnarEdgeTable if self._columnar else EdgeTable
         intern = self._vocabulary.intern
         # Intern every node first (not just edge endpoints) so the
         # vocabulary covers isolated nodes too and ids follow the graph's
@@ -57,7 +44,7 @@ class VerticalPartitionStore:
         # After the node pass every endpoint is interned, so table rows are
         # filled through plain lookups.
         lookup = self._vocabulary.id_of
-        self._tables: dict[str, EdgeTable | ColumnarEdgeTable] = {}
+        self._tables: dict[str, ColumnarEdgeTable] = {}
         # Lazy-table state: a snapshot attaches a loader plus the
         # manifest's per-label row counts, so unopened labels can answer
         # cardinality/labels questions without mapping a shard.
@@ -67,7 +54,7 @@ class VerticalPartitionStore:
         for edge in graph.edges:
             table = tables.get(edge.label)
             if table is None:
-                table = table_class(edge.label)
+                table = ColumnarEdgeTable(edge.label)
                 tables[edge.label] = table
             table.add_row(lookup(edge.subject), lookup(edge.object))
 
@@ -76,25 +63,36 @@ class VerticalPartitionStore:
         """Build a store for ``graph`` (alias of the constructor)."""
         return cls(graph)
 
-    # The snapshot subsystem serializes the store *without* the graph
-    # back-reference (the graph is its own snapshot shard) and re-wires
-    # ``_graph`` on load.  A lazily sharded store resolves every pending
-    # table first — the pickle must be self-contained, never a handle
-    # onto someone else's snapshot directory.
+    @classmethod
+    def skeleton(cls) -> "VerticalPartitionStore":
+        """A store with no graph, vocabulary or tables: what a snapshot's
+        ``store.section`` pickles.  Loading a snapshot attaches the mapped
+        graph, vocabulary and table shards to it."""
+        store = cls.__new__(cls)
+        store._graph = None
+        store._vocabulary = None
+        store._tables = {}
+        store._lazy_loader = None
+        store._lazy_rows = None
+        return store
+
+    # The store pickles *without* the graph back-reference (the graph is
+    # its own snapshot shard); the loader re-wires ``_graph``.  A lazily
+    # sharded store resolves every pending table first — the pickle must
+    # be self-contained, never a handle onto someone else's snapshot
+    # directory.
     def __getstate__(self):
         self._resolve_all_tables()
         state = dict(self.__dict__)
         state["_graph"] = None
         state["_lazy_loader"] = None
         state["_lazy_rows"] = None
-        # This state is the snapshot's ``store.section``.  The key below
-        # is a constant every snapshot carries; writing it keeps the
-        # section, and so ``MANIFEST.json``, byte for byte what it was.
-        state["_prefetch_hints"] = True
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
+        # Keys a ``store.section`` written by an older build still carries.
+        self.__dict__.pop("_columnar", None)
         self.__dict__.pop("_prefetch_hints", None)
 
     # ------------------------------------------------------------------
@@ -155,14 +153,9 @@ class VerticalPartitionStore:
         return self._graph
 
     @property
-    def vocabulary(self) -> Vocabulary | IdentityVocabulary:
+    def vocabulary(self) -> Vocabulary | MappedVocabulary:
         """The entity vocabulary the tables were interned with."""
         return self._vocabulary
-
-    @property
-    def is_columnar(self) -> bool:
-        """Whether the tables use the columnar numpy layout."""
-        return self._columnar
 
     def build_indexes(self) -> None:
         """Materialize every lazy probe index now.
@@ -173,9 +166,8 @@ class VerticalPartitionStore:
         store this resolves every pending table first.
         """
         self._resolve_all_tables()
-        if self._columnar:
-            for table in self._tables.values():
-                table.build_indexes()
+        for table in self._tables.values():
+            table.build_indexes()
 
     def ingest_row(self, label: str, subject_id: int, object_id: int) -> None:
         """Insert one interned row, creating the label's table if needed.
@@ -189,8 +181,7 @@ class VerticalPartitionStore:
         """
         table = self._resolve_table(label)
         if table is None:
-            table_class = ColumnarEdgeTable if self._columnar else EdgeTable
-            table = table_class(label)
+            table = ColumnarEdgeTable(label)
             self._tables[label] = table
         table.add_row(subject_id, object_id)
 
@@ -242,24 +233,25 @@ class VerticalPartitionStore:
             return label in self._lazy_rows or label in self._tables
         return label in self._tables
 
-    def table(self, label: str) -> EdgeTable | ColumnarEdgeTable:
+    def table(self, label: str) -> ColumnarEdgeTable:
         """Return the table for ``label``; raise for unknown labels."""
         table = self._resolve_table(label)
         if table is None:
             raise GraphError(f"no edges with label {label!r} in the data graph")
         return table
 
-    def table_or_empty(self, label: str) -> EdgeTable | ColumnarEdgeTable:
+    def table_or_empty(self, label: str) -> ColumnarEdgeTable:
         """Return the table for ``label`` or an empty table if unknown.
 
         The lookup must distinguish "label unknown" from "table present":
         a table with zero rows is falsy, so the obvious
-        ``get(label) or EdgeTable(label)`` would silently replace a stored
-        (possibly indexed-but-empty) table with a fresh throwaway one.
+        ``get(label) or ColumnarEdgeTable(label)`` would silently replace
+        a stored (possibly indexed-but-empty) table with a fresh throwaway
+        one.
         """
         table = self._resolve_table(label)
         if table is None:
-            return ColumnarEdgeTable(label) if self._columnar else EdgeTable(label)
+            return ColumnarEdgeTable(label)
         return table
 
     def cardinality(self, label: str) -> int:

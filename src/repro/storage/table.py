@@ -5,19 +5,13 @@ The vertical-partitioning scheme stores every edge label as its own
 per-column lookup indexes, mirroring the paper's description of building
 both hash tables before any query arrives.
 
-Two layouts implement the same table contract:
-
-* :class:`ColumnarEdgeTable` — the default engine.  Rows live as two
-  parallel int64 id columns; probes are answered from lazily built,
-  numpy-sorted CSR-style group indexes so a whole *vector* of probe
-  keys is matched in a handful of C-level array operations
-  (:meth:`~ColumnarEdgeTable.probe_subject` and friends).
-* :class:`EdgeTable` — the original tuple-row layout with per-key dict
-  buckets.  It is kept as the reference engine for the columnar
-  equivalence tests and as the fallback when the store runs on raw
-  entity strings.
-
-A :class:`ColumnarEdgeTable` works over either of two column backings:
+A :class:`ColumnarEdgeTable` keeps its rows as two parallel int64 id
+columns; probes are answered from lazily built, numpy-sorted CSR-style
+group indexes so a whole *vector* of probe keys is matched in a handful
+of C-level array operations (:meth:`~ColumnarEdgeTable.probe_subject` and
+friends), and tiny probes from per-key dict buckets
+(:meth:`~ColumnarEdgeTable.subject_buckets`).  It works over either of
+two column backings:
 
 * **owned** — mutable ``array('q')`` columns filled by :meth:`add_row`
   (the cold offline build);
@@ -32,10 +26,7 @@ A :class:`ColumnarEdgeTable` works over either of two column backings:
 Rows hold **interned entity ids** (dense ints produced by the store's
 :class:`~repro.storage.vocabulary.Vocabulary`), so every probe, membership
 test and injectivity check compares machine ints instead of entity
-strings.  :class:`EdgeTable` is agnostic to the id type: a store built
-with the :class:`~repro.storage.vocabulary.IdentityVocabulary` fills it
-with raw strings and everything still works (the string reference engine
-used in tests).  :class:`ColumnarEdgeTable` requires int ids.
+strings.
 """
 
 from __future__ import annotations
@@ -45,115 +36,13 @@ from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.storage.vocabulary import EntityId
-
-#: One ``(subj, obj)`` row of interned entity ids.
-Row = tuple[EntityId, EntityId]
-
-
-class EdgeTable:
-    """All edges of a single label, as a two-column ``(subj, obj)`` table."""
-
-    __slots__ = ("_label", "_rows", "_by_subject", "_by_object", "_row_set")
-
-    def __init__(self, label: str, rows: Iterable[Row] = ()) -> None:
-        self._label = label
-        self._rows: list[Row] = []
-        self._by_subject: dict[EntityId, list[Row]] = {}
-        self._by_object: dict[EntityId, list[Row]] = {}
-        self._row_set: set[Row] = set()
-        for subject, obj in rows:
-            self.add_row(subject, obj)
-
-    @property
-    def label(self) -> str:
-        """The edge label this table stores."""
-        return self._label
-
-    def add_row(self, subject: EntityId, obj: EntityId) -> None:
-        """Insert one ``(subj, obj)`` row (duplicates are ignored)."""
-        row = (subject, obj)
-        if row in self._row_set:
-            return
-        self._row_set.add(row)
-        self._rows.append(row)
-        bucket = self._by_subject.get(subject)
-        if bucket is None:
-            self._by_subject[subject] = [row]
-        else:
-            bucket.append(row)
-        bucket = self._by_object.get(obj)
-        if bucket is None:
-            self._by_object[obj] = [row]
-        else:
-            bucket.append(row)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __iter__(self) -> Iterator[Row]:
-        return iter(self._rows)
-
-    def __contains__(self, row: object) -> bool:
-        return row in self._row_set
-
-    def rows(self) -> list[Row]:
-        """All rows, in insertion order."""
-        return list(self._rows)
-
-    @property
-    def row_set(self) -> set[Row]:
-        """The row set itself — the join's filter path probes it directly.
-
-        Callers must treat it as read-only.
-        """
-        return self._row_set
-
-    @property
-    def by_subject(self) -> dict[EntityId, list[Row]]:
-        """The subject hash index itself (read-only for callers).
-
-        The join's probe loops hit this once per probe row; handing out
-        the dict avoids a method call and a default-argument allocation
-        per probe.
-        """
-        return self._by_subject
-
-    @property
-    def by_object(self) -> dict[EntityId, list[Row]]:
-        """The object hash index itself (read-only for callers)."""
-        return self._by_object
-
-    def probe_subject(self, subject: EntityId) -> list[Row]:
-        """Rows whose ``subj`` equals ``subject`` (hash lookup)."""
-        return self._by_subject.get(subject, [])
-
-    def probe_object(self, obj: EntityId) -> list[Row]:
-        """Rows whose ``obj`` equals ``obj`` (hash lookup)."""
-        return self._by_object.get(obj, [])
-
-    def has_row(self, subject: EntityId, obj: EntityId) -> bool:
-        """Whether the exact ``(subject, obj)`` row exists."""
-        return (subject, obj) in self._row_set
-
-    def subjects(self) -> set[EntityId]:
-        """Distinct values in the ``subj`` column."""
-        return set(self._by_subject)
-
-    def objects(self) -> set[EntityId]:
-        """Distinct values in the ``obj`` column."""
-        return set(self._by_object)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(label={self._label!r}, rows={len(self._rows)})"
-
 
 class _SortedGroupIndex:
     """CSR-style group index over one id column.
 
     ``order`` is a stable permutation sorting the column; equal keys keep
     their insertion order, so expanding a probe enumerates matches in the
-    same order as :class:`EdgeTable`'s dict buckets.  ``keys`` holds the
+    same order as the table's dict buckets.  ``keys`` holds the
     distinct sorted key values and ``bounds[i]:bounds[i+1]`` delimits the
     rows of ``keys[i]`` inside ``order``.
     """
@@ -223,9 +112,6 @@ class ColumnarEdgeTable:
     A table opened from a snapshot shard (:meth:`from_mapped`) holds
     read-only mapped int64 views instead of owned columns; the first
     :meth:`add_row` promotes it copy-on-write (see the module docstring).
-
-    Only interned **int** ids are supported; the string reference path
-    keeps using :class:`EdgeTable`.
     """
 
     __slots__ = (
@@ -501,8 +387,8 @@ class ColumnarEdgeTable:
 
         Returns ``(probe_idx, objects)``: for every match, the position of
         the probe key that produced it and the matched row's ``obj`` value.
-        Matches of one key appear in row insertion order, exactly like the
-        dict buckets of :class:`EdgeTable`.
+        Matches of one key appear in row insertion order, exactly like
+        :meth:`subject_buckets`.
         """
         if not len(self):
             empty = np.empty(0, dtype=np.int64)

@@ -11,11 +11,6 @@ hash indexes and intermediate join relations then carry ints, and answers
 are decoded back to entity strings only when they are materialized for the
 user (``lattice.exploration`` / ``core.answer``).
 
-:class:`IdentityVocabulary` keeps the engine's *string path* alive: it maps
-every term to itself, so a store built with it reproduces the pre-interning
-behavior exactly.  The property tests use it as the reference engine to
-assert that interning never changes an answer.
-
 :class:`MappedVocabulary` is the zero-copy variant behind the v3 sharded
 snapshot (:mod:`repro.storage.shards`): the terms live in one UTF-8 blob
 addressed by an int64 offset column, both memory-mapped straight out of
@@ -35,10 +30,8 @@ from repro.exceptions import EntityIdOverflowError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     import numpy as np
 
-#: An entity identifier inside the engine: a dense ``int`` under the
-#: interning :class:`Vocabulary`, or the entity string itself under the
-#: :class:`IdentityVocabulary` reference path.
-EntityId = int | str
+#: An entity identifier inside the engine: a dense vocabulary index.
+EntityId = int
 
 #: The largest id any vocabulary assigns.  Join relations hold entity ids
 #: as int32 (:class:`~repro.storage.join.ColumnarRelation`); tables and
@@ -243,30 +236,3 @@ class MappedVocabulary:
             f"{type(self).__name__}(size={len(self)}, mapped={self._base}, "
             f"overlay={len(self._extra_terms)})"
         )
-
-
-class IdentityVocabulary:
-    """A no-op vocabulary: every term is its own id.
-
-    A :class:`~repro.storage.store.VerticalPartitionStore` built with this
-    vocabulary runs the whole engine on raw entity strings — the exact
-    pre-interning behavior — which makes it the reference implementation
-    for the interning equivalence tests.
-    """
-
-    __slots__ = ()
-
-    def intern(self, term: str) -> str:
-        return term
-
-    def id_of(self, term: str) -> str:
-        return term
-
-    def term_of(self, entity_id: str) -> str:
-        return entity_id
-
-    def decode_row(self, row: Sequence[str]) -> tuple[str, ...]:
-        return tuple(row)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.storage.join as join_module
 from repro.core.config import GQBEConfig
 from repro.core.gqbe import GQBE
 from repro.datasets.example_graph import figure1_excerpt, figure1_ground_truth
@@ -93,6 +94,36 @@ def held_runner():
     yield make
     for runner in made:
         runner.release()
+
+
+class JoinRegime:
+    """The join engine's dispatch regime for one test.
+
+    ``adaptive`` is the shipped behavior (the Python scalar tail below
+    ``_SCALAR_TAIL_ROWS`` rows, the numpy kernels above); ``vectorized``
+    sends every join operation through the numpy kernels and ``scalar``
+    through the Python tail.  :meth:`use` switches regime mid-test.
+    """
+
+    THRESHOLDS = {
+        "adaptive": join_module._SCALAR_TAIL_ROWS,
+        "vectorized": -1,
+        "scalar": 1 << 60,
+    }
+
+    def __init__(self, name: str, monkeypatch) -> None:
+        self.name = name
+        self._monkeypatch = monkeypatch
+        self.use(name)
+
+    def use(self, name: str) -> None:
+        self._monkeypatch.setattr(join_module, "_SCALAR_TAIL_ROWS", self.THRESHOLDS[name])
+
+
+@pytest.fixture(params=sorted(JoinRegime.THRESHOLDS))
+def join_regime(request, monkeypatch) -> JoinRegime:
+    """Run the test once per join dispatch regime."""
+    return JoinRegime(request.param, monkeypatch)
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,9 @@
 """The array-backed answer accumulator against oracles that do not share its code.
 
 * a row-by-row fold of Eq. 1/5 written with the string scoring API
-  (``answer_graph_score`` / ``content_score``), over random relations in
-  every relation layout and id type;
+  (``answer_graph_score`` / ``content_score``), over random relations
+  held as columns or as cached rows, and with answer keys that are
+  mixed-radix ints or, past the int64 radix, id tuples;
 * the paper's exhaustive breadth-first Baseline, which must agree with
   best-first on the top-k wherever best-first is not cut short;
 * ``tests/fixtures/ranked_answers.json``: full ``RankedAnswer`` lists
@@ -35,9 +36,9 @@ from repro.graph.knowledge_graph import Edge, KnowledgeGraph
 from repro.lattice.exploration import AnswerAccumulator, BestFirstExplorer
 from repro.lattice.query_graph import LatticeSpace
 from repro.lattice.scoring import answer_graph_score, content_score
-from repro.storage.join import ColumnarRelation, Relation
+from repro.storage.join import ColumnarRelation
 from repro.storage.store import VerticalPartitionStore
-from repro.storage.vocabulary import IdentityVocabulary, Vocabulary
+from repro.storage.vocabulary import Vocabulary
 
 GOLDEN = Path(__file__).with_name("fixtures") / "ranked_answers.json"
 
@@ -129,10 +130,9 @@ class _WideVocabulary(Vocabulary):
 
 
 def _layouts(entities):
-    """(name, store, relation factory) per relation layout and id type."""
+    """(name, store, relation factory) per relation layout and answer key."""
     graph = KnowledgeGraph([(entity, "exists", entity) for entity in entities])
     interned = VerticalPartitionStore(graph)
-    strings = VerticalPartitionStore(graph, vocabulary=IdentityVocabulary())
     wide = VerticalPartitionStore(graph, vocabulary=_WideVocabulary())
 
     def ids(store, rows):
@@ -145,14 +145,9 @@ def _layouts(entities):
     def columnar_rows(store, variables, rows):
         return ColumnarRelation(variables, rows=ids(store, rows))
 
-    def tuple_rows(store, variables, rows):
-        return Relation(variables, ids(store, rows))
-
     return [
         ("columns", interned, columnar),
         ("cached-rows", interned, columnar_rows),
-        ("tuple-rows", interned, tuple_rows),
-        ("string-ids", strings, tuple_rows),
         ("id-tuples", wide, columnar),
     ]
 

@@ -5,9 +5,11 @@ plan-prefix relations, first-edge scans and child-extension relations
 across the queries of one batch.  Every memo replays work a sequential
 query would have computed identically, so the ranked answers — entities,
 scores, ranks — and the exploration statistics must match exactly, for
-every engine layout and batch size.  These tests pin that contract on the
-Fig. 14-style synthetic workload (batch sizes 1, 2 and the full 20-query
-workload) and on the Fig. 1 running example.
+every batch size and join dispatch regime (the ``join_regime`` fixture:
+the Python scalar tail, the numpy kernels, or the adaptive mix that
+ships).  These tests pin that contract on the Fig. 14-style synthetic
+workload (batch sizes 1, 2 and the full 20-query workload) and on the
+Fig. 1 running example.
 """
 
 from __future__ import annotations
@@ -21,14 +23,6 @@ from repro.datasets.workloads import build_freebase_workload
 from repro.exceptions import QueryError
 from repro.storage.batch import JoinMemoArena
 
-#: Engine layouts under test: the default columnar engine, the tuple-row
-#: interned engine, and the string-id reference engine.
-ENGINES = {
-    "columnar": {"intern_entities": True, "columnar": True},
-    "rows-int": {"intern_entities": True, "columnar": False},
-    "rows-str": {"intern_entities": False, "columnar": False},
-}
-
 
 @pytest.fixture(scope="module")
 def workload():
@@ -36,19 +30,9 @@ def workload():
 
 
 @pytest.fixture(scope="module")
-def systems(workload):
-    graph = workload.dataset.graph
-    built = {}
-    for name, flags in ENGINES.items():
-        config = GQBEConfig(
-            mqg_size=8,
-            k_prime=20,
-            node_budget=500,
-            max_join_rows=50_000,
-            **flags,
-        )
-        built[name] = GQBE(graph, config=config)
-    return built
+def system(workload):
+    config = GQBEConfig(mqg_size=8, k_prime=20, node_budget=500, max_join_rows=50_000)
+    return GQBE(workload.dataset.graph, config=config)
 
 
 def answer_key(result):
@@ -77,10 +61,8 @@ def stats_key(result):
     )
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize("batch_size", [1, 2, 20])
-def test_batch_matches_sequential(systems, workload, engine, batch_size):
-    system = systems[engine]
+def test_batch_matches_sequential(system, workload, join_regime, batch_size):
     tuples = [query.query_tuple for query in workload.queries][:batch_size]
     assert len(tuples) == batch_size
 
@@ -94,10 +76,8 @@ def test_batch_matches_sequential(systems, workload, engine, batch_size):
         assert stats_key(seq) == stats_key(bat)
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINES))
-def test_batch_matches_sequential_with_k_prime_override(systems, workload, engine):
+def test_batch_matches_sequential_with_k_prime_override(system, workload, join_regime):
     """The Fig. 14 efficiency protocol (k' = k) must stay identical too."""
-    system = systems[engine]
     tuples = [query.query_tuple for query in workload.queries]
     sequential = [system.query(t, k=5, k_prime=5) for t in tuples]
     batched = system.query_batch(tuples, k=5, k_prime=5)
@@ -106,9 +86,8 @@ def test_batch_matches_sequential_with_k_prime_override(systems, workload, engin
         assert stats_key(seq) == stats_key(bat)
 
 
-def test_batch_with_memo_disabled_matches(systems, workload):
+def test_batch_with_memo_disabled_matches(system, workload):
     """batch_join_memo=False must take the plain per-query path."""
-    reference = systems["columnar"]
     config = GQBEConfig(
         mqg_size=8,
         k_prime=20,
@@ -116,17 +95,16 @@ def test_batch_with_memo_disabled_matches(systems, workload):
         max_join_rows=50_000,
         batch_join_memo=False,
     )
-    system = GQBE(workload.dataset.graph, config=config)
+    batching = GQBE(workload.dataset.graph, config=config)
     tuples = [query.query_tuple for query in workload.queries][:5]
-    batched = system.query_batch(tuples, k=5)
-    sequential = [reference.query(t, k=5) for t in tuples]
+    batched = batching.query_batch(tuples, k=5)
+    sequential = [system.query(t, k=5) for t in tuples]
     for seq, bat in zip(sequential, batched):
         assert answer_key(seq) == answer_key(bat)
 
 
-def test_batch_with_memo_row_cap_zero_matches(systems, workload):
+def test_batch_with_memo_row_cap_zero_matches(system, workload):
     """batch_memo_max_rows=0 caches nothing yet answers stay identical."""
-    reference = systems["columnar"]
     config = GQBEConfig(
         mqg_size=8,
         k_prime=20,
@@ -134,17 +112,16 @@ def test_batch_with_memo_row_cap_zero_matches(systems, workload):
         max_join_rows=50_000,
         batch_memo_max_rows=0,
     )
-    system = GQBE(workload.dataset.graph, config=config)
+    batching = GQBE(workload.dataset.graph, config=config)
     tuples = [query.query_tuple for query in workload.queries][:5]
-    batched = system.query_batch(tuples, k=5)
-    sequential = [reference.query(t, k=5) for t in tuples]
+    batched = batching.query_batch(tuples, k=5)
+    sequential = [system.query(t, k=5) for t in tuples]
     for seq, bat in zip(sequential, batched):
         assert answer_key(seq) == answer_key(bat)
 
 
-def test_duplicate_queries_collapse_and_fan_out(systems, workload):
+def test_duplicate_queries_collapse_and_fan_out(system, workload):
     """Duplicates are evaluated once but every caller gets full answers."""
-    system = systems["columnar"]
     base = workload.queries[0].query_tuple
     other = workload.queries[1].query_tuple
     batch = [base, other, base, base, other]
@@ -161,10 +138,9 @@ def test_duplicate_queries_collapse_and_fan_out(systems, workload):
     assert results[0].statistics is not results[2].statistics
 
 
-def test_arena_replayed_first_edges_are_int32(systems, workload, monkeypatch):
+def test_arena_replayed_first_edges_are_int32(system, workload, monkeypatch):
     """First-edge scans replayed from the arena keep the int32 matrix, and
     the batch that replays them still equals sequential ``query()``."""
-    system = systems["columnar"]
     tuples = [query.query_tuple for query in workload.queries]
     sequential = [system.query(t, k=5) for t in tuples]
 
@@ -188,9 +164,8 @@ def test_arena_replayed_first_edges_are_int32(systems, workload, monkeypatch):
         assert stats_key(seq) == stats_key(bat)
 
 
-def test_batch_arena_is_discarded_between_calls(systems, workload):
+def test_batch_arena_is_discarded_between_calls(system, workload):
     """Two identical batch calls return identical answers (no state leak)."""
-    system = systems["columnar"]
     tuples = [query.query_tuple for query in workload.queries][:6]
     first = system.query_batch(tuples, k=5)
     second = system.query_batch(tuples, k=5)

@@ -1,5 +1,6 @@
 """Unit tests for the lattice space, minimal query trees, scoring and the
-best-first explorer's frontier and threshold bookkeeping."""
+best-first explorer's frontier and threshold bookkeeping, including the
+upper-frontier antichain invariant of Algorithm 3."""
 
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from repro.lattice.scoring import (
     match_credit,
     structure_score,
 )
+from repro.storage.store import VerticalPartitionStore
 
 
 def _make_mqg() -> MaximalQueryGraph:
@@ -255,7 +257,7 @@ class _CrossCheckingExplorer(BestFirstExplorer):
 
 
 class TestFrontierAndThresholdBookkeeping:
-    """On interned columnar stores, with a k' small enough to bind."""
+    """With a k' small enough to bind."""
 
     def _check(self, space, store, query_tuple, k):
         checked = _CrossCheckingExplorer(
@@ -265,7 +267,6 @@ class TestFrontierAndThresholdBookkeeping:
         plain = BestFirstExplorer(
             space, store, k=k, k_prime=k, excluded_tuples={query_tuple}
         ).run()
-        assert store.is_columnar
         assert checked.bound_thresholds > 0
         assert result.answer_tuples() == plain.answer_tuples()
         assert result.statistics.nodes_evaluated == plain.statistics.nodes_evaluated
@@ -283,6 +284,66 @@ class TestFrontierAndThresholdBookkeeping:
         space = LatticeSpace(system.discover_query_graph(query_tuple))
         result = self._check(space, system.store, query_tuple, k=3)
         assert result.statistics.terminated_early
+
+
+class _AntichainCheckingExplorer(BestFirstExplorer):
+    """Asserts the UF is an antichain after every Algorithm 3 recompute."""
+
+    recomputations = 0
+
+    def _recompute_upper_frontier(self, null_mask):
+        super()._recompute_upper_frontier(null_mask)
+        type(self).recomputations += 1
+        frontier = list(self._upper_frontier)
+        for i, a in enumerate(frontier):
+            for b in frontier[i + 1:]:
+                assert (a | b) != a and (a | b) != b, (
+                    f"UF not an antichain: {a:b} and {b:b} are nested"
+                )
+
+
+class TestUpperFrontierAntichain:
+    def test_recompute_evicts_subsumed_members(self):
+        """Regression: a candidate that subsumes a retained UF member must
+        evict it, otherwise the non-maximal member survives forever."""
+        graph = KnowledgeGraph(
+            [("a", "r1", "b"), ("b", "r2", "c"), ("c", "r3", "d")]
+        )
+        weights = {edge: 1.0 for edge in graph.edges}
+        mqg = MaximalQueryGraph(
+            graph=graph,
+            query_tuple=("a",),
+            edge_weights=weights,
+            core_edges=frozenset(),
+        )
+        space = LatticeSpace(mqg)
+        explorer = BestFirstExplorer(space, VerticalPartitionStore(graph), k=1)
+        mask_ab = space.mask_of([Edge("a", "r1", "b")])
+        mask_cd = space.mask_of([Edge("c", "r3", "d")])
+        candidate = space.mask_of([Edge("a", "r1", "b"), Edge("b", "r2", "c")])
+        # Seed a (hypothetically corrupted) non-antichain-prone state: the
+        # full mask will be pruned and replaced by `candidate`, which
+        # strictly subsumes the retained member `mask_ab`.
+        explorer._upper_frontier = {space.full_mask, mask_ab}
+        explorer._null_masks.append(mask_cd)
+        explorer._recompute_upper_frontier(mask_cd)
+        assert explorer._upper_frontier == {candidate}
+
+    def test_antichain_invariant_holds_during_runs(self, tiny_dataset):
+        _AntichainCheckingExplorer.recomputations = 0
+        system = GQBE(
+            tiny_dataset.graph,
+            config=GQBEConfig(mqg_size=8, k_prime=20, max_join_rows=100_000),
+        )
+        for table_name in tiny_dataset.table_names()[:4]:
+            query_tuple = tuple(tiny_dataset.table(table_name)[0])
+            mqg = system.discover_query_graph(query_tuple)
+            space = LatticeSpace(mqg)
+            _AntichainCheckingExplorer(
+                space, system.store, k=10, excluded_tuples={query_tuple}
+            ).run()
+        # The invariant check is only meaningful if pruning happened.
+        assert _AntichainCheckingExplorer.recomputations > 0
 
 
 class TestRetainedRelations:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 import struct
 
 import numpy as np
@@ -106,9 +107,8 @@ class TestRoundTrip:
             reference = _answer_key(cold.query(query_tuple, k=10))
             assert _answer_key(warm.query(query_tuple, k=10)) == reference
 
-    def test_shape_flags_and_meta(self, dataset, snapshot_dir):
+    def test_shape_and_meta(self, dataset, snapshot_dir):
         loaded = GraphStore.load(snapshot_dir)
-        assert loaded.columnar and loaded.intern_entities
         meta = read_snapshot_meta(snapshot_dir)
         assert meta["num_edges"] == dataset.graph.num_edges
         assert meta["num_labels"] == dataset.graph.num_labels
@@ -118,15 +118,44 @@ class TestRoundTrip:
         assert loaded.store.num_tables == dataset.graph.num_labels
         assert loaded.lazy_report()["tables_opened"] == 0
 
-    @pytest.mark.parametrize(
-        "flags", [{"columnar": False}, {"intern_entities": False}]
-    )
-    def test_refuses_reference_engines(self, dataset, tmp_path, flags):
-        """The tuple-row and string engines are in-memory oracles."""
-        bundle = GraphStore.build(dataset.graph, **flags)
-        with pytest.raises(SnapshotError, match="columnar"):
-            bundle.save(tmp_path / "rows.snapdir")
-        assert not (tmp_path / "rows.snapdir").exists()
+
+class TestRetiredEngineFlags:
+    """``GQBEConfig`` once had two engine flags, ``intern_entities`` and
+    ``columnar``; a snapshot written then carries them in its manifest
+    ``meta`` and as store attributes in ``store.section``."""
+
+    def test_config_refuses_the_flags(self):
+        for flag in ("intern_entities", "columnar"):
+            with pytest.raises(TypeError):
+                GQBEConfig(**{flag: False})
+
+    def test_a_snapshot_carrying_them_loads_and_answers_the_same(
+        self, dataset, config, snapshot_dir, tmp_path
+    ):
+        old = copy_snapshot(snapshot_dir, tmp_path / "old.snapdir")
+        manifest = json.loads((old / MANIFEST_NAME).read_text())
+        manifest["meta"].update(intern_entities=True, columnar=True)
+        section = old / manifest["sections"]["store"]["file"]
+        skeleton = pickle.loads(section.read_bytes())
+        skeleton.__dict__.update(_columnar=True, _prefetch_hints=True)
+        payload = pickle.dumps(skeleton, protocol=manifest["pickle_protocol"])
+        assert b"_columnar" in payload and b"_prefetch_hints" in payload
+        section.write_bytes(payload)
+        manifest["sections"]["store"].update(
+            sha256=hashlib.sha256(payload).hexdigest(), bytes=len(payload)
+        )
+        (old / MANIFEST_NAME).write_text(json.dumps(manifest))
+
+        patched = GQBE.from_snapshot(old, config)
+        store = patched.store
+        assert not hasattr(store, "_columnar")
+        assert not hasattr(store, "_prefetch_hints")
+        unpatched = GQBE.from_snapshot(snapshot_dir, config)
+        for table_name in dataset.table_names()[:2]:
+            query_tuple = tuple(dataset.table(table_name)[0])
+            assert _answer_key(patched.query(query_tuple, k=10)) == _answer_key(
+                unpatched.query(query_tuple, k=10)
+            )
 
 
 class TestV3MappedSections:

@@ -67,27 +67,17 @@ class TestRoundTrip:
                 cold.query(query_tuple, k=10), warm.query(query_tuple, k=10)
             )
 
-    def test_round_trip_preserves_shape_and_flags(self, dataset, snapshot_path):
+    def test_round_trip_preserves_shape(self, dataset, snapshot_path):
         loaded = GraphStore.load(snapshot_path)
         assert loaded.graph.num_edges == dataset.graph.num_edges
         assert loaded.graph.num_nodes == dataset.graph.num_nodes
         assert loaded.store.num_rows == dataset.graph.num_edges
-        assert loaded.columnar and loaded.intern_entities
         assert loaded.statistics.total_edges == dataset.graph.num_edges
 
     def test_meta_readable_without_adopting_store(self, snapshot_path, dataset):
         meta = read_snapshot_meta(snapshot_path)
-        assert meta["columnar"] is True
-        assert meta["intern_entities"] is True
+        assert set(meta) == {"num_nodes", "num_edges", "num_labels"}
         assert meta["num_edges"] == dataset.graph.num_edges
-
-    def test_from_snapshot_rejects_mismatched_config(self, snapshot_path):
-        with pytest.raises(SnapshotError):
-            GQBE.from_snapshot(snapshot_path, config=GQBEConfig(columnar=False))
-        with pytest.raises(SnapshotError):
-            GQBE.from_snapshot(
-                snapshot_path, config=GQBEConfig(intern_entities=False)
-            )
 
 
 def _touch_everything(path):

@@ -9,25 +9,13 @@ from repro.exceptions import EntityIdOverflowError, GraphError, LatticeError
 from repro.graph.knowledge_graph import Edge, KnowledgeGraph
 from repro.storage.join import (
     ColumnarRelation,
-    Relation,
     evaluate_query_edges,
     extend_with_edge,
 )
 from repro.storage.plan import plan_join_order
 from repro.storage.store import VerticalPartitionStore
-from repro.storage.table import ColumnarEdgeTable, EdgeTable
-from repro.storage.vocabulary import (
-    MAX_ENTITY_ID,
-    IdentityVocabulary,
-    MappedVocabulary,
-    Vocabulary,
-)
-
-
-@pytest.fixture(scope="module")
-def figure1_string_store(figure1_graph) -> VerticalPartitionStore:
-    """The Fig. 1 store on the identity-vocabulary (string) reference path."""
-    return VerticalPartitionStore(figure1_graph, vocabulary=IdentityVocabulary())
+from repro.storage.table import ColumnarEdgeTable
+from repro.storage.vocabulary import MAX_ENTITY_ID, MappedVocabulary, Vocabulary
 
 
 class _Counted(list):
@@ -90,37 +78,6 @@ class TestVocabulary:
             vocab.intern("one too many")
         assert vocab.id_of("one too many") is None
         assert vocab.id_of("a") == 0 and vocab.intern("last") == MAX_ENTITY_ID
-
-    def test_identity_vocabulary_is_a_no_op(self):
-        vocab = IdentityVocabulary()
-        assert vocab.intern("a") == "a"
-        assert vocab.id_of("anything") == "anything"
-        assert vocab.term_of("a") == "a"
-        assert vocab.decode_row(("a", "b")) == ("a", "b")
-
-
-class TestEdgeTable:
-    def test_add_and_probe(self):
-        table = EdgeTable("r", [(0, 1), (0, 2), (3, 1)])
-        assert len(table) == 3
-        assert table.probe_subject(0) == [(0, 1), (0, 2)]
-        assert table.probe_object(1) == [(0, 1), (3, 1)]
-        assert table.has_row(0, 1)
-        assert not table.has_row(1, 0)
-
-    def test_duplicates_ignored(self):
-        table = EdgeTable("r", [(0, 1), (0, 1)])
-        assert len(table) == 1
-
-    def test_subjects_objects_sets(self):
-        table = EdgeTable("r", [(0, 1), (2, 1)])
-        assert table.subjects() == {0, 2}
-        assert table.objects() == {1}
-
-    def test_contains_and_iter(self):
-        table = EdgeTable("r", [(0, 1)])
-        assert (0, 1) in table
-        assert list(table) == [(0, 1)]
 
 
 class TestColumnarEdgeTable:
@@ -204,10 +161,6 @@ class TestStore:
         founded = store.table("founded")
         assert store.cardinality("founded") == len(founded)
 
-    def test_string_path_with_identity_vocabulary(self, figure1_graph):
-        store = VerticalPartitionStore(figure1_graph, vocabulary=IdentityVocabulary())
-        assert store.table("founded").has_row("Jerry Yang", "Yahoo!")
-
     def test_unknown_label(self, figure1_graph):
         store = VerticalPartitionStore(figure1_graph)
         with pytest.raises(GraphError):
@@ -218,28 +171,20 @@ class TestStore:
 
     def test_table_or_empty_returns_stored_empty_table(self):
         """Regression: an *empty* stored table is falsy, and the old
-        ``get(label) or EdgeTable(label)`` replaced it with a throwaway."""
+        ``get(label) or ColumnarEdgeTable(label)`` replaced it with a
+        throwaway."""
         graph = KnowledgeGraph([("a", "r", "b")])
-        store = VerticalPartitionStore(graph, columnar=False)
-        table = store.table("r")
-        # Force the stored table empty (simulates a label whose rows were
+        store = VerticalPartitionStore(graph)
+        # Store an empty, indexed table (simulates a label whose rows were
         # all removed, e.g. by a future delete path).
-        table._rows.clear()
-        table._row_set.clear()
-        table._by_subject.clear()
-        table._by_object.clear()
+        table = ColumnarEdgeTable("r")
+        table.build_indexes()
+        store._tables["r"] = table
+        assert not table
         assert store.table_or_empty("r") is table
         # Unknown labels still yield a fresh empty table, not an error.
         assert store.table_or_empty("missing") is not table
         assert len(store.table_or_empty("missing")) == 0
-
-    def test_columnar_flag_and_fallbacks(self, figure1_graph):
-        assert VerticalPartitionStore(figure1_graph).is_columnar
-        assert not VerticalPartitionStore(figure1_graph, columnar=False).is_columnar
-        # The string reference path never goes columnar.
-        assert not VerticalPartitionStore(
-            figure1_graph, vocabulary=IdentityVocabulary()
-        ).is_columnar
 
 
 class TestJoinPlanning:
@@ -277,17 +222,18 @@ class TestJoinPlanning:
             plan_join_order([], figure1_store)
 
 
+def _decoded(store, rows) -> set[tuple[str, ...]]:
+    """Interned join rows as entity-string tuples."""
+    return {store.vocabulary.decode_row(row) for row in rows}
+
+
 class TestJoinEvaluation:
-    """Join semantics, exercised on the readable string (identity) path.
+    """Join semantics on the interned Fig. 1 store, rows compared as the
+    entity strings they decode to."""
 
-    The interned path runs the very same join code on int rows; the
-    equivalence of the two engines is asserted end-to-end in
-    ``test_interning_equivalence.py``.
-    """
-
-    def test_single_edge_query(self, figure1_string_store):
+    def test_single_edge_query(self, figure1_store):
         relation = evaluate_query_edges(
-            figure1_string_store, [Edge("q_person", "founded", "q_company")]
+            figure1_store, [Edge("q_person", "founded", "q_company")]
         )
         assert relation.num_rows == 5
         assert set(relation.variables) == {"q_person", "q_company"}
@@ -296,21 +242,22 @@ class TestJoinEvaluation:
         relation = evaluate_query_edges(
             figure1_store, [Edge("q_person", "founded", "q_company")]
         )
-        decoded = {store_row for store_row in map(figure1_store.vocabulary.decode_row, relation.rows)}
-        assert ("Jerry Yang", "Yahoo!") in decoded
+        assert ("Jerry Yang", "Yahoo!") in _decoded(figure1_store, relation.rows)
         assert all(isinstance(v, int) for row in relation.rows for v in row)
 
-    def test_two_edge_path_query(self, figure1_string_store):
+    def test_two_edge_path_query(self, figure1_store):
         edges = [
             Edge("person", "founded", "company"),
             Edge("company", "headquartered_in", "city"),
         ]
-        relation = evaluate_query_edges(figure1_string_store, edges)
-        projected = relation.distinct_projection(["person", "company"])
+        relation = evaluate_query_edges(figure1_store, edges)
+        projected = _decoded(
+            figure1_store, relation.distinct_projection(["person", "company"])
+        )
         assert ("Jerry Yang", "Yahoo!") in projected
         assert ("Bill Gates", "Microsoft") in projected
 
-    def test_cycle_closing_edge_filters(self, figure1_string_store):
+    def test_cycle_closing_edge_filters(self, figure1_store):
         # person founded company, person lived in city, company HQ in city2,
         # both city and city2 in the same state.
         edges = [
@@ -320,45 +267,46 @@ class TestJoinEvaluation:
             Edge("city", "in_state", "state"),
             Edge("hq", "in_state", "state"),
         ]
-        relation = evaluate_query_edges(figure1_string_store, edges)
-        people = {row[relation.column("person")] for row in relation.rows}
+        relation = evaluate_query_edges(figure1_store, edges)
+        people = {person for (person,) in _decoded(figure1_store, relation.project(["person"]))}
         # Bill Gates lived in Medina (Washington) and Microsoft is in
         # Washington, so he qualifies too; the Californians all qualify.
         assert "Jerry Yang" in people
         assert "Steve Wozniak" in people
 
-    def test_no_match_returns_empty_with_schema(self, figure1_string_store):
-        edges = [
-            Edge("person", "founded", "company"),
-            Edge("person", "board_member", "company2"),
-        ]
-        relation = evaluate_query_edges(figure1_string_store, edges)
-        assert relation.is_empty()
-        assert "person" in relation.variables
+    def test_no_match_returns_empty_with_schema(self, figure1_store):
+        # A label with no matching row, and a label the graph never had.
+        for label in ("board_member", "never_seen_label"):
+            edges = [
+                Edge("person", "founded", "company"),
+                Edge("person", label, "company2"),
+            ]
+            relation = evaluate_query_edges(figure1_store, edges)
+            assert relation.is_empty()
+            assert set(relation.variables) == {"person", "company", "company2"}
 
     def test_injectivity_enforced(self):
         graph = KnowledgeGraph([("a", "likes", "a"), ("a", "likes", "b")])
-        store = VerticalPartitionStore(graph, vocabulary=IdentityVocabulary())
+        store = VerticalPartitionStore(graph)
         relation = evaluate_query_edges(store, [Edge("x", "likes", "y")])
-        assert ("a", "a") not in set(relation.rows)
-        assert ("a", "b") in set(relation.rows)
+        assert _decoded(store, relation.rows) == {("a", "b")}
 
     def test_injectivity_can_be_disabled(self):
         graph = KnowledgeGraph([("a", "likes", "a")])
-        store = VerticalPartitionStore(graph, vocabulary=IdentityVocabulary())
+        store = VerticalPartitionStore(graph)
         relation = evaluate_query_edges(store, [Edge("x", "likes", "y")], injective=False)
-        assert ("a", "a") in set(relation.rows)
+        assert ("a", "a") in _decoded(store, relation.rows)
 
     def test_self_loop_query_edge(self):
         graph = KnowledgeGraph([("a", "likes", "a"), ("a", "likes", "b")])
-        store = VerticalPartitionStore(graph, vocabulary=IdentityVocabulary())
+        store = VerticalPartitionStore(graph)
         relation = evaluate_query_edges(store, [Edge("x", "likes", "x")])
-        assert relation.rows == [("a",)]
+        assert [store.vocabulary.decode_row(row) for row in relation.rows] == [("a",)]
 
-    def test_max_rows_cap_raises(self, figure1_string_store):
+    def test_max_rows_cap_raises(self, figure1_store):
         with pytest.raises(LatticeError):
             evaluate_query_edges(
-                figure1_string_store,
+                figure1_store,
                 [Edge("person", "nationality", "country")],
                 max_rows=2,
             )
@@ -380,15 +328,15 @@ class TestJoinEvaluation:
         )
         assert relation.num_rows == 10
 
-    def test_extend_with_edge_matches_from_scratch(self, figure1_string_store):
+    def test_extend_with_edge_matches_from_scratch(self, figure1_store):
         base = evaluate_query_edges(
-            figure1_string_store, [Edge("person", "founded", "company")]
+            figure1_store, [Edge("person", "founded", "company")]
         )
         extended = extend_with_edge(
-            figure1_string_store, base, Edge("company", "headquartered_in", "city")
+            figure1_store, base, Edge("company", "headquartered_in", "city")
         )
         scratch = evaluate_query_edges(
-            figure1_string_store,
+            figure1_store,
             [
                 Edge("person", "founded", "company"),
                 Edge("company", "headquartered_in", "city"),
@@ -398,22 +346,22 @@ class TestJoinEvaluation:
             extended.distinct_projection(["person", "company", "city"])
         ) == set(scratch.distinct_projection(["person", "company", "city"]))
 
-    def test_extend_requires_shared_variable(self, figure1_string_store):
+    def test_extend_requires_shared_variable(self, figure1_store):
         base = evaluate_query_edges(
-            figure1_string_store, [Edge("person", "founded", "company")]
+            figure1_store, [Edge("person", "founded", "company")]
         )
         with pytest.raises(LatticeError):
-            extend_with_edge(figure1_string_store, base, Edge("city", "in_state", "state"))
+            extend_with_edge(figure1_store, base, Edge("city", "in_state", "state"))
 
-    def test_relation_bindings_and_projection(self, figure1_string_store):
-        relation = evaluate_query_edges(figure1_string_store, [Edge("p", "founded", "c")])
+    def test_relation_bindings_and_projection(self, figure1_store):
+        relation = evaluate_query_edges(figure1_store, [Edge("p", "founded", "c")])
         bindings = list(relation.bindings())
         assert all(set(b) == {"p", "c"} for b in bindings)
         assert relation.has_variable("p")
         assert not relation.has_variable("zzz")
 
-    def test_empty_edge_list_returns_empty_relation(self, figure1_string_store):
-        relation = evaluate_query_edges(figure1_string_store, [])
+    def test_empty_edge_list_returns_empty_relation(self, figure1_store):
+        relation = evaluate_query_edges(figure1_store, [])
         assert relation.is_empty()
         assert relation.variables == ()
 

@@ -23,10 +23,10 @@ from .suppressions import is_suppressed, scan_pragmas
 
 #: Path fragments (posix, root-relative) that imply a contract.  The
 #: ``deterministic`` set is exactly the equivalence-pinned surface: the
-#: modules whose ranked output must stay byte-identical across the
-#: string/interned/columnar engines, v1/v2/v3 snapshots and
-#: inline/pooled execution (including the NESS and breadth-first
-#: reference baselines).
+#: modules whose ranked output must stay byte-identical across cold
+#: builds, mapped snapshots, live ingest, batched and inline/pooled
+#: execution (including the NESS and breadth-first reference
+#: baselines).
 CONTRACT_PATHS: dict[str, tuple[str, ...]] = {
     "deterministic": (
         "repro/lattice/",
