@@ -4,9 +4,9 @@ Two benchmark pairs, gated by ``check_regression.py --speedup-pair``:
 
 * ``test_fig14_kernel_hot_paths_{python,native}`` — replays the exact
   kernel-call trace of the full Fig. 14 Freebase workload over a v3
-  mapped snapshot (every ``bfs_expand``, ``csr_neighbors``,
-  ``probe_tail`` and ``filter_pairs`` call the 20 queries issue, with
-  the same arguments) against one backend.  This
+  mapped snapshot (every ``csr_neighbors``, ``probe_tail`` and
+  ``filter_pairs`` call the 20 queries make, with the same arguments)
+  against one backend.  This
   isolates the interpreter loops the native extension replaces; CI
   gates the native side at >= 2x the pure side.
 * ``test_fig14_explore_{python,native}`` — the end-to-end lattice
@@ -17,10 +17,9 @@ Two benchmark pairs, gated by ``check_regression.py --speedup-pair``:
 The trace is captured once by substituting recording wrappers into the
 live kernel namespace and running every workload query below the GQBE
 facade (which would re-assert its kernel mode and unbind the recorder).
-Dicts the kernels mutate in place (BFS distance maps) are snapshotted
-at call time; each replay starts from fresh copies and prebound backend
-callables, both rebuilt in the benchmark's untimed setup phase, so the
-timed region runs kernel calls only.
+Each replay starts from prebound backend callables, rebuilt in the
+benchmark's untimed setup phase, so the timed region runs kernel calls
+only.
 """
 
 from __future__ import annotations
@@ -55,23 +54,12 @@ TRACE_SCALE = max(float(os.environ.get("GQBE_BENCH_SCALE", "0.5")), 0.5)
 class _Recorder:
     """Records every kernel call issued by the engine into a trace.
 
-    Each trace entry is ``(op, args...)`` where mutable arguments
-    (``distances``) are snapshotted at call time; :func:`_materialize`
-    rebuilds fresh copies before every replay.
+    Each trace entry is ``(op, args...)``.
     """
 
     def __init__(self, backend):
         self.backend = backend
         self.trace: list[tuple] = []
-
-    def bfs_expand(self, frontier, out_indptr, out_objects, in_indptr,
-                   in_subjects, distances, depth):
-        self.trace.append(("bfs_expand", list(frontier), out_indptr,
-                           out_objects, in_indptr, in_subjects,
-                           dict(distances), depth))
-        return self.backend.bfs_expand(frontier, out_indptr, out_objects,
-                                       in_indptr, in_subjects, distances,
-                                       depth)
 
     def csr_neighbors(self, node_id, out_indptr, out_objects, in_indptr,
                       in_subjects):
@@ -123,37 +111,29 @@ def _record_workload_trace(harness, graph_store):
 
 
 def _materialize(trace, backend):
-    """Per-op call batches with fresh copies of mutable args.
+    """Per-op call batches.
 
     Built in the benchmark's untimed setup phase so the timed region is
     nothing but kernel calls: per-op loops with exact arities (direct
-    vectorcalls, no ``*args`` unpacking), prebound backend callables and
-    fresh copies of the in-place-mutated dicts.  Replay order is per-op
-    instead of interleaved; every call's inputs are independent
-    snapshots, so the work per call is unchanged.
+    vectorcalls, no ``*args`` unpacking) and prebound backend callables.
+    Replay order is per-op instead of interleaved; no kernel mutates its
+    inputs, so the work per call is unchanged.
     """
-    bfs, csr, probe, filt = [], [], [], []
+    csr, probe, filt = [], [], []
     for entry in trace:
         op = entry[0]
-        if op == "bfs_expand":
-            bfs.append((list(entry[1]), entry[2], entry[3], entry[4],
-                        entry[5], dict(entry[6]), entry[7]))
-        elif op == "csr_neighbors":
+        if op == "csr_neighbors":
             csr.append(entry[1:])
         elif op == "probe_tail":
             probe.append(entry[1:])
         elif op == "filter_pairs":
             filt.append(entry[1:])
-    return backend, (bfs, csr, probe, filt)
+    return backend, (csr, probe, filt)
 
 
 def _replay(backend, batches):
     """Run every traced kernel call; the whole loop is kernel time."""
-    bfs, csr, probe, filt = batches
-    bfs_expand = backend.bfs_expand
-    for frontier, out_ip, out_obj, in_ip, in_subj, distances, depth in bfs:
-        bfs_expand(frontier, out_ip, out_obj, in_ip, in_subj, distances,
-                   depth)
+    csr, probe, filt = batches
     csr_neighbors = backend.csr_neighbors
     for node_id, out_ip, out_obj, in_ip, in_subj in csr:
         csr_neighbors(node_id, out_ip, out_obj, in_ip, in_subj)

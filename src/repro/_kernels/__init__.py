@@ -1,7 +1,7 @@
 """Kernel backend selection: native C extension vs pure-Python fallback.
 
-The engine's innermost scalar loops (CSR frontier expansion, and the
-≤64-row scalar join-probe tail and pair filter) exist twice: as the
+The engine's innermost scalar loops (a node's CSR neighbor list, and
+the ≤64-row scalar join-probe tail and pair filter) exist twice: as the
 pure-Python reference in :mod:`repro._kernels._pure` and as a C
 extension in ``repro._kernels._native`` (built by ``pip install``;
 optional, the build may fail or be skipped).  Both implement the same
@@ -72,7 +72,6 @@ class _KernelNamespace:
 
     __slots__ = (
         "backend",
-        "bfs_expand",
         "csr_neighbors",
         "probe_tail",
         "filter_pairs",
@@ -80,14 +79,13 @@ class _KernelNamespace:
 
     def _bind(self, module, backend: str) -> None:
         self.backend = backend
-        self.bfs_expand = module.bfs_expand
         self.csr_neighbors = module.csr_neighbors
         self.probe_tail = module.probe_tail
         self.filter_pairs = module.filter_pairs
 
 
 #: The active backend.  Read attributes at call time (never ``from
-#: kernels import bfs_expand``) so a later :func:`select` takes effect.
+#: kernels import probe_tail``) so a later :func:`select` takes effect.
 kernels = _KernelNamespace()
 
 

@@ -2,8 +2,8 @@
  *
  * Each function here is the compiled twin of one function in
  * repro/_kernels/_pure.py and must stay byte-identical to it: same
- * match/visit order, same dict insertion order, same overflow timing,
- * same Python object semantics (tuple concat, membership tests).
+ * match/visit order, same overflow timing, same Python object
+ * semantics (tuple concat, membership tests).
  * tests/test_native_kernels.py pins every pair.
  *
  * Int64 columns arrive as C-contiguous read-only buffers (numpy arrays
@@ -72,112 +72,6 @@ check_dict(const char *name, PyObject *obj)
         return -1;
     }
     return 0;
-}
-
-/* ------------------------------------------------------------------ */
-/* bfs_expand                                                         */
-/* ------------------------------------------------------------------ */
-
-/* Visit arr[start:end]; first-occurrence ids go into distances (at
- * depth_obj) and next_frontier.  Returns 0 on success. */
-static int
-expand_slice(const int64_t *arr, int64_t start, int64_t end,
-             PyObject *distances, PyObject *depth_obj, PyObject *next_frontier)
-{
-    for (int64_t j = start; j < end; j++) {
-        PyObject *key = PyLong_FromLongLong((long long)arr[j]);
-        if (key == NULL)
-            return -1;
-        int present = PyDict_Contains(distances, key);
-        if (present < 0) {
-            Py_DECREF(key);
-            return -1;
-        }
-        if (!present) {
-            if (PyDict_SetItem(distances, key, depth_obj) < 0 ||
-                PyList_Append(next_frontier, key) < 0) {
-                Py_DECREF(key);
-                return -1;
-            }
-        }
-        Py_DECREF(key);
-    }
-    return 0;
-}
-
-static PyObject *
-kernel_bfs_expand(PyObject *Py_UNUSED(module), PyObject *const *args,
-                  Py_ssize_t nargs)
-{
-    if (check_arity("bfs_expand", nargs, 7) < 0)
-        return NULL;
-    PyObject *frontier = args[0];
-    PyObject *out_indptr_obj = args[1], *out_objects_obj = args[2];
-    PyObject *in_indptr_obj = args[3], *in_subjects_obj = args[4];
-    PyObject *distances = args[5], *depth_obj = args[6];
-    if (check_dict("distances", distances) < 0)
-        return NULL;
-
-    I64Buffer out_indptr, out_objects, in_indptr, in_subjects;
-    if (i64_acquire(out_indptr_obj, &out_indptr) < 0)
-        return NULL;
-    if (i64_acquire(out_objects_obj, &out_objects) < 0) {
-        i64_release(&out_indptr);
-        return NULL;
-    }
-    if (i64_acquire(in_indptr_obj, &in_indptr) < 0) {
-        i64_release(&out_indptr);
-        i64_release(&out_objects);
-        return NULL;
-    }
-    if (i64_acquire(in_subjects_obj, &in_subjects) < 0) {
-        i64_release(&out_indptr);
-        i64_release(&out_objects);
-        i64_release(&in_indptr);
-        return NULL;
-    }
-
-    PyObject *next_frontier = NULL;
-    PyObject *fast = PySequence_Fast(frontier, "frontier must be a sequence");
-    if (fast == NULL)
-        goto done;
-    next_frontier = PyList_New(0);
-    if (next_frontier == NULL)
-        goto done;
-
-    Py_ssize_t n_frontier = PySequence_Fast_GET_SIZE(fast);
-    PyObject **items = PySequence_Fast_ITEMS(fast);
-    Py_ssize_t out_nodes = out_indptr.len - 1;
-    Py_ssize_t in_nodes = in_indptr.len - 1;
-    for (Py_ssize_t i = 0; i < n_frontier; i++) {
-        long long node = PyLong_AsLongLong(items[i]);
-        if (node == -1 && PyErr_Occurred())
-            goto fail;
-        if (node < 0 || node >= out_nodes || node >= in_nodes) {
-            PyErr_Format(PyExc_IndexError,
-                         "frontier node id %lld out of range", node);
-            goto fail;
-        }
-        if (expand_slice(out_objects.data, out_indptr.data[node],
-                         out_indptr.data[node + 1], distances, depth_obj,
-                         next_frontier) < 0)
-            goto fail;
-        if (expand_slice(in_subjects.data, in_indptr.data[node],
-                         in_indptr.data[node + 1], distances, depth_obj,
-                         next_frontier) < 0)
-            goto fail;
-    }
-    goto done;
-
-fail:
-    Py_CLEAR(next_frontier);
-done:
-    Py_XDECREF(fast);
-    i64_release(&out_indptr);
-    i64_release(&out_objects);
-    i64_release(&in_indptr);
-    i64_release(&in_subjects);
-    return next_frontier;
 }
 
 /* ------------------------------------------------------------------ */
@@ -517,9 +411,6 @@ fail:
 /* ------------------------------------------------------------------ */
 
 static PyMethodDef module_methods[] = {
-    {"bfs_expand", (PyCFunction)(void (*)(void))kernel_bfs_expand,
-     METH_FASTCALL,
-     "Expand one BFS depth over mapped CSR columns, in place."},
     {"csr_neighbors", (PyCFunction)(void (*)(void))kernel_csr_neighbors,
      METH_FASTCALL,
      "Undirected neighbor ids of one node, out slice then in slice."},

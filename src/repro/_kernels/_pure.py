@@ -2,102 +2,18 @@
 """Pure-Python reference kernels (the fallback backend).
 
 These are the innermost interpreter loops of the engine: the scalar tail
-of the join in ``storage/join.py`` and the CSR frontier expansion of
-``graph/neighborhood.py`` and ``graph/mapped.py``.  The native extension
-(:mod:`repro._kernels._native`) is pinned byte-identical against them,
-including the adaptive gather/scalar BFS split and the per-probe-row
-``max_rows`` check.
+of the join in ``storage/join.py`` and the per-node CSR neighbor list of
+``graph/mapped.py``.  The native extension (:mod:`repro._kernels._native`)
+is pinned byte-identical against them, including the per-probe-row
+``max_rows`` check.  (Neighborhood extraction expands a whole BFS frontier
+with numpy in ``graph/neighborhood.py`` and needs no kernel.)
 
-Every function here must stay a pure function of its inputs (plus the
-documented in-place dict/list mutations); ``tests/test_native_kernels.py``
-pins each one against the native implementation.
+Every function here must stay a pure function of its inputs;
+``tests/test_native_kernels.py`` pins each one against the native
+implementation.
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-#: Below this many frontier nodes the per-node slice loop beats the
-#: vectorized gather's fixed numpy overhead (a handful of array allocs).
-GATHER_MIN_FRONTIER = 16
-
-
-def _gather_frontier(frontier, out_indptr, out_objects, in_indptr, in_subjects):
-    """All neighbors of ``frontier``, in per-node out-then-in slice order.
-
-    One fancy-indexed gather replaces ``2 * len(frontier)`` per-node
-    slice+tolist round trips.  The output is laid out exactly as the
-    scalar loop would visit it — for each frontier node, its out slice
-    then its in slice — so feeding it through the same first-occurrence
-    dedup yields an identical ``distances`` insertion order.
-    """
-    nodes = np.asarray(frontier, dtype=np.int64)
-    out_starts = out_indptr[nodes]
-    out_counts = out_indptr[nodes + 1] - out_starts
-    in_starts = in_indptr[nodes]
-    in_counts = in_indptr[nodes + 1] - in_starts
-    totals = out_counts + in_counts
-    total = int(totals.sum())
-    if total == 0:
-        return []
-    dest_base = np.cumsum(totals) - totals
-    gathered = np.empty(total, dtype=np.int64)
-    out_total = int(out_counts.sum())
-    if out_total:
-        # Positions within each node's run: a global arange minus each
-        # run's starting rank, broadcast per-element via repeat.
-        offsets = np.arange(out_total, dtype=np.int64) - np.repeat(
-            np.cumsum(out_counts) - out_counts, out_counts
-        )
-        source = np.repeat(out_starts, out_counts) + offsets
-        dest = np.repeat(dest_base, out_counts) + offsets
-        gathered[dest] = out_objects[source]
-    if total - out_total:
-        in_total = total - out_total
-        offsets = np.arange(in_total, dtype=np.int64) - np.repeat(
-            np.cumsum(in_counts) - in_counts, in_counts
-        )
-        source = np.repeat(in_starts, in_counts) + offsets
-        dest = np.repeat(dest_base + out_counts, in_counts) + offsets
-        gathered[dest] = in_subjects[source]
-    return gathered.tolist()
-
-
-def bfs_expand(
-    frontier, out_indptr, out_objects, in_indptr, in_subjects, distances, depth
-):
-    """Expand one BFS depth over mapped CSR columns, in place.
-
-    For each frontier node (in order) visits its out slice then its in
-    slice; first-occurrence neighbors are recorded in ``distances`` at
-    ``depth`` and returned as the next frontier.  Wide frontiers expand
-    through one whole-frontier numpy gather instead of per-node slices;
-    the gather emits neighbors in the same order, so the resulting
-    insertion order — and everything derived from it — is identical.
-    """
-    next_frontier: list[int] = []
-    if len(frontier) >= GATHER_MIN_FRONTIER:
-        for neighbor in _gather_frontier(
-            frontier, out_indptr, out_objects, in_indptr, in_subjects
-        ):
-            if neighbor not in distances:
-                distances[neighbor] = depth
-                next_frontier.append(neighbor)
-        return next_frontier
-    for node_id in frontier:
-        start = int(out_indptr[node_id])
-        end = int(out_indptr[node_id + 1])
-        for neighbor in out_objects[start:end].tolist():
-            if neighbor not in distances:
-                distances[neighbor] = depth
-                next_frontier.append(neighbor)
-        start = int(in_indptr[node_id])
-        end = int(in_indptr[node_id + 1])
-        for neighbor in in_subjects[start:end].tolist():
-            if neighbor not in distances:
-                distances[neighbor] = depth
-                next_frontier.append(neighbor)
-    return next_frontier
 
 
 def csr_neighbors(node_id, out_indptr, out_objects, in_indptr, in_subjects):

@@ -28,7 +28,8 @@ class GQBEConfig:
         per node in an int64.
     k_prime:
         Stage-one oversampling for the two-stage ranking (Sec. V-B).
-        ``None`` lets the explorer pick ``max(100, 4·k)``.
+        ``None`` lets the explorer pick ``max(100, 4·k)``; a value below
+        a query's ``k`` counts as ``k``.
     reduce_neighborhood:
         Apply the unimportant-edge reduction of Sec. III-C before MQG
         discovery.  Disabling it is only useful for ablation studies.

@@ -212,7 +212,9 @@ class GQBE:
         """Answer a single-tuple query: the top-k most similar entity tuples.
 
         ``k_prime`` overrides the configured stage-one oversampling for this
-        query only (the efficiency experiments use ``k_prime = k``).
+        query only (the efficiency experiments use ``k_prime = k``).  Stage
+        one keeps at least ``k`` answers whatever ``k_prime`` says: a
+        ``k_prime`` below ``k`` counts as ``k``.
 
         Example::
 

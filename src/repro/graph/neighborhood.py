@@ -38,7 +38,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro._kernels import kernels
 from repro.exceptions import QueryError, UnknownEntityError
 from repro.graph.delta import DeltaKnowledgeGraph
 from repro.graph.knowledge_graph import Edge, KnowledgeGraph
@@ -200,55 +199,79 @@ def _validate_query_tuple(graph: KnowledgeGraph, query_tuple: Sequence[str]) -> 
     return entities
 
 
+def _gather_frontier(
+    frontier: "np.ndarray",
+    out_indptr: "np.ndarray",
+    out_objects: "np.ndarray",
+    in_indptr: "np.ndarray",
+    in_subjects: "np.ndarray",
+) -> "np.ndarray":
+    """All neighbors of ``frontier``, in per-node out-then-in slice order.
+
+    One gather per CSR direction; a stable sort on the owning frontier
+    index then lays them out as a per-node loop would visit them (each
+    node's out slice, then its in slice).
+    """
+    out_rows, out_owners = _csr_runs(out_indptr, frontier)
+    in_rows, in_owners = _csr_runs(in_indptr, frontier)
+    order = np.argsort(np.concatenate((out_owners, in_owners)), kind="stable")
+    return np.concatenate((out_objects[out_rows], in_subjects[in_rows]))[order]
+
+
+def _level_distances(levels: list["np.ndarray"]) -> "np.ndarray":
+    """The distance of every node of the BFS levels, concatenated."""
+    return np.repeat(np.arange(len(levels)), [len(level) for level in levels])
+
+
 def _mapped_distance_ids(
     graph: MappedKnowledgeGraph,
     entities: Sequence[str],
     cutoff: int | None,
-) -> dict[int, int]:
+) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
     """The BFS of :func:`query_entity_distances` over mapped CSR ids.
 
-    Expansion order matches the adjacency-map path exactly (out slice
-    then in slice per frontier node), so the returned dict's insertion
-    order — and everything derived from it — is identical.  Each depth
-    expands through one ``kernels.bfs_expand`` call: the compiled
-    kernel when selected, else the pure twin (whose wide frontiers
-    expand through one whole-frontier numpy gather emitting neighbors
-    in the same order, so the result is unchanged).
+    Returns the reached node ids in BFS order, their distances, and one
+    int32 array over the graph's nodes that is both the visited set and
+    the id -> BFS position map (0 unvisited, else position + 1).  Each
+    depth is one whole-frontier gather (:func:`_gather_frontier`) that
+    keeps the first occurrence of every unvisited id in gather order,
+    so the order is the adjacency-map path's exactly.
     """
-    entity_ids = [graph.node_id(entity) for entity in entities]
-    distances: dict[int, int] = {entity_id: 0 for entity_id in entity_ids}
-    frontier = entity_ids
-    depth = 0
-    out_indptr = graph.out_indptr
-    out_objects = graph.out_objects
-    in_indptr = graph.in_indptr
-    in_subjects = graph.in_subjects
-    bfs_expand = kernels.bfs_expand
-    while frontier and (cutoff is None or depth < cutoff):
-        depth += 1
-        frontier = bfs_expand(
-            frontier, out_indptr, out_objects, in_indptr, in_subjects,
-            distances, depth,
-        )
-    return distances
+    frontier = np.array([graph.node_id(entity) for entity in entities], dtype=np.int64)
+    positions = np.zeros(graph.num_nodes, dtype=np.int32)
+    positions[frontier] = np.arange(1, len(frontier) + 1)
+    levels = [frontier]
+    reached = len(frontier)
+    columns = (graph.out_indptr, graph.out_objects, graph.in_indptr, graph.in_subjects)
+    while len(frontier) and (cutoff is None or len(levels) <= cutoff):
+        neighbors = _gather_frontier(frontier, *columns)
+        neighbors = neighbors[positions[neighbors] == 0]
+        _, first = np.unique(neighbors, return_index=True)
+        frontier = neighbors[np.sort(first)]
+        positions[frontier] = np.arange(reached + 1, reached + len(frontier) + 1)
+        reached += len(frontier)
+        levels.append(frontier)
+    return np.concatenate(levels), _level_distances(levels), positions
 
 
 def _delta_distance_ids(
     graph: DeltaKnowledgeGraph,
     entities: Sequence[str],
     cutoff: int | None,
-) -> dict[int, int]:
-    """The BFS of :func:`query_entity_distances` over a delta overlay.
+) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+    """The BFS of :func:`query_entity_distances` over a delta overlay,
+    returning what :func:`_mapped_distance_ids` returns.
 
     Per frontier node the expansion order is base out slice, delta out
     appends, base in slice, delta in appends — exactly the adjacency
-    list order of the merged owned graph, so the insertion order (and
-    every answer downstream) is byte-identical to a from-scratch build.
+    list order of the merged owned graph, so the BFS order (and every
+    answer downstream) is byte-identical to a fresh build of the union.
+    The appends interleave per node, so this stays a per-node loop.
     """
     entity_ids = [graph.node_id(entity) for entity in entities]
-    distances: dict[int, int] = {entity_id: 0 for entity_id in entity_ids}
+    visited = set(entity_ids)
     frontier = entity_ids
-    depth = 0
+    levels = [np.array(entity_ids, dtype=np.int64)]
     base = graph.base
     base_nodes = base.num_nodes
     out_indptr = base.out_indptr
@@ -257,34 +280,37 @@ def _delta_distance_ids(
     in_subjects = base.in_subjects
     out_extras = graph.out_extras
     in_extras = graph.in_extras
-    while frontier and (cutoff is None or depth < cutoff):
-        depth += 1
+    while frontier and (cutoff is None or len(levels) <= cutoff):
         next_frontier: list[int] = []
         for node_id in frontier:
             if node_id < base_nodes:
                 start = int(out_indptr[node_id])
                 end = int(out_indptr[node_id + 1])
                 for neighbor in out_objects[start:end].tolist():
-                    if neighbor not in distances:
-                        distances[neighbor] = depth
+                    if neighbor not in visited:
+                        visited.add(neighbor)
                         next_frontier.append(neighbor)
             for _, neighbor in out_extras(node_id):
-                if neighbor not in distances:
-                    distances[neighbor] = depth
+                if neighbor not in visited:
+                    visited.add(neighbor)
                     next_frontier.append(neighbor)
             if node_id < base_nodes:
                 start = int(in_indptr[node_id])
                 end = int(in_indptr[node_id + 1])
                 for neighbor in in_subjects[start:end].tolist():
-                    if neighbor not in distances:
-                        distances[neighbor] = depth
+                    if neighbor not in visited:
+                        visited.add(neighbor)
                         next_frontier.append(neighbor)
             for _, neighbor in in_extras(node_id):
-                if neighbor not in distances:
-                    distances[neighbor] = depth
+                if neighbor not in visited:
+                    visited.add(neighbor)
                     next_frontier.append(neighbor)
         frontier = next_frontier
-    return distances
+        levels.append(np.array(frontier, dtype=np.int64))
+    node_ids = np.concatenate(levels)
+    positions = np.zeros(graph.num_nodes, dtype=np.int32)
+    positions[node_ids] = np.arange(1, len(node_ids) + 1)
+    return node_ids, _level_distances(levels), positions
 
 
 def query_entity_distances(
@@ -295,22 +321,14 @@ def query_entity_distances(
     Only nodes within ``cutoff`` hops are returned (all nodes if ``None``).
     """
     entities = _validate_query_tuple(graph, query_tuple)
-    if isinstance(graph, MappedKnowledgeGraph):
-        term_of = graph.term
-        return {
-            term_of(node_id): dist
-            for node_id, dist in _mapped_distance_ids(
-                graph, entities, cutoff
-            ).items()
-        }
-    if isinstance(graph, DeltaKnowledgeGraph):
-        term_of = graph.term
-        return {
-            term_of(node_id): dist
-            for node_id, dist in _delta_distance_ids(
-                graph, entities, cutoff
-            ).items()
-        }
+    if isinstance(graph, (MappedKnowledgeGraph, DeltaKnowledgeGraph)):
+        bfs = (
+            _mapped_distance_ids
+            if isinstance(graph, MappedKnowledgeGraph)
+            else _delta_distance_ids
+        )
+        node_ids, node_distances, _ = bfs(graph, entities, cutoff)
+        return dict(zip(map(graph.term, node_ids.tolist()), node_distances.tolist()))
     distances = {entity: 0 for entity in entities}
     frontier = list(entities)
     depth = 0
@@ -356,12 +374,12 @@ def neighborhood_graph(
     entities = _validate_query_tuple(graph, query_tuple)
     if isinstance(graph, MappedKnowledgeGraph):
         columns = _neighborhood_columns(
-            graph, graph, _mapped_distance_ids(graph, entities, d), d
+            graph, graph, *_mapped_distance_ids(graph, entities, d), d
         )
         return NeighborhoodGraph(query_tuple=entities, d=d, columns=columns)
     if isinstance(graph, DeltaKnowledgeGraph):
         columns = _neighborhood_columns(
-            graph, graph.base, _delta_distance_ids(graph, entities, d), d
+            graph, graph.base, *_delta_distance_ids(graph, entities, d), d
         )
         return NeighborhoodGraph(query_tuple=entities, d=d, columns=columns)
     distances = query_entity_distances(graph, entities, cutoff=d)
@@ -415,7 +433,9 @@ def _extra_runs(
 def _neighborhood_columns(
     graph: MappedKnowledgeGraph | DeltaKnowledgeGraph,
     base: MappedKnowledgeGraph,
-    distance_ids: dict[int, int],
+    node_ids: "np.ndarray",
+    node_distances: "np.ndarray",
+    positions: "np.ndarray",
     d: int,
 ) -> NeighborhoodColumns:
     """Gather ``H_t`` off the CSR columns as :class:`NeighborhoodColumns`.
@@ -429,8 +449,6 @@ def _neighborhood_columns(
     near, so "first time" is: at the subject unless the object is earlier
     in BFS order, at the object only if it is strictly earlier.
     """
-    node_ids = np.fromiter(distance_ids, np.int64, len(distance_ids))
-    node_distances = np.fromiter(distance_ids.values(), np.int64, len(node_ids))
     # BFS order is by distance, so the near nodes are a prefix.
     near_count = int(np.searchsorted(node_distances, d - 1, side="right"))
     near = node_ids[:near_count]
@@ -450,9 +468,8 @@ def _neighborhood_columns(
             pieces.append((owners * 4 + segment, labels, others))
     keys, labels, others = (np.concatenate(column) for column in zip(*pieces))
 
-    # Node id -> BFS position, through a sorted copy of the ids.
-    by_id = np.argsort(node_ids)
-    others = by_id[np.searchsorted(node_ids[by_id], others)]
+    # Node id -> BFS position: the BFS left position + 1 at every id it reached.
+    others = positions[others] - 1
     owners = keys >> 2
     incoming = (keys & 2).astype(bool)
     first = np.flatnonzero(np.where(incoming, others > owners, others >= owners))

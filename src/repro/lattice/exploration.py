@@ -27,9 +27,11 @@ and returns the top-k.
 Performance notes (the hot path of the Fig. 14/16 experiments):
 
 * join relations carry **interned int entity ids** (see
-  :mod:`repro.storage.vocabulary`); answers are decoded back to entity
-  strings only in :meth:`AnswerAccumulator.ranked`, and only those that
-  can still make the top-k';
+  :mod:`repro.storage.vocabulary`), and so does the ranking: score ties
+  break on the vocabulary's string-order keys
+  (:meth:`~repro.storage.vocabulary.Vocabulary.order_keys`), so
+  :meth:`AnswerAccumulator.ranked` decodes only the top-k answers it
+  returns;
 * the per-answer scores live in arrays sorted by an answer key
   (:class:`AnswerAccumulator`): a lattice node's relation is folded in
   as one matrix with whole-array operations — its rows never become
@@ -166,7 +168,7 @@ class AnswerAccumulator:
     mixed-radix number over ``len(vocabulary)`` otherwise; where the radix
     would not fit an int64, the same code runs on an object-dtype array
     of id tuples.  Keys are decoded to entity strings only in
-    :meth:`ranked`.
+    :meth:`ranked`, and only for the answers it returns.
 
     Excluded tuples are interned once up front (a tuple containing an
     entity unknown to the data graph can never be produced, so it is
@@ -274,16 +276,6 @@ class AnswerAccumulator:
         for column in columns[1:]:
             keys = keys * radix + column
         return keys
-
-    def _entities_of(self, key) -> tuple[str, ...]:
-        radix = self._radix
-        if radix is None:
-            return self.vocabulary.decode_row(key)
-        ids = []
-        for _ in range(self._arity):
-            key, entity_id = divmod(key, radix)
-            ids.append(entity_id)
-        return self.vocabulary.decode_row(ids[::-1])
 
     def record(self, mask: int, relation: ColumnarRelation) -> int:
         """Fold the match relation of query graph ``mask`` into the table.
@@ -415,38 +407,54 @@ class AnswerAccumulator:
             scores.append(total)
         return np.array(scores)
 
+    def _entity_ids(self, keys: "np.ndarray") -> "np.ndarray":
+        """The ``(arity, len(keys))`` entity ids the answer ``keys`` encode."""
+        radix = self._radix
+        if radix is None:
+            return np.array(keys.tolist(), dtype=np.int64).reshape(len(keys), self._arity).T
+        ids = np.empty((self._arity, len(keys)), dtype=np.int64)
+        for column in range(self._arity - 1, -1, -1):
+            keys, ids[column] = np.divmod(keys, radix)
+        return ids
+
     def ranked(self, k: int, k_prime: int | None = None) -> list[RankedAnswer]:
         """The top-``k`` answers by full score (stage two of Sec. V-B).
 
         With ``k_prime`` the candidates are first cut to the top-k' by
-        structure score.  Ties break on the decoded entity names, so only the
-        answers at or above each cut's score are decoded and sorted.
+        structure score.  Ties break on the entity names, compared through
+        the vocabulary's string-order keys: each cut is one lexsort of the
+        answers at or above its score, and only the returned answers are
+        decoded.
         """
         structure, full, content, recorded = self._table
         rows = (recorded >= 0).nonzero()[0]
-        entities: dict[int, tuple[str, ...]] = {}
+        names = None  # per entity column, the string-order key of each row
         for scores, count in ((structure, k_prime), (full, k)):
             if count is None:
                 continue
             if len(rows) > count:
                 chosen = scores[rows]
-                rows = rows[chosen >= np.partition(chosen, -count)[-count]]
-            for row, key in zip(rows.tolist(), self._keys[rows].tolist()):
-                if row not in entities:
-                    entities[row] = self._entities_of(key)
-            best = sorted(
-                zip((-scores[rows]).tolist(), map(entities.get, rows.tolist()), rows.tolist())
-            )[:count]
-            rows = np.array([row for _, _, row in best], dtype=np.intp)
+                keep = chosen >= np.partition(chosen, -count)[-count]
+                rows = rows[keep]
+                if names is not None:
+                    names = names[:, keep]
+            if names is None:
+                ids = self._entity_ids(self._keys[rows])
+                names = self.vocabulary.order_keys(ids.ravel()).reshape(ids.shape)
+            best = np.lexsort((*names[::-1], -scores[rows]))[:count]
+            rows, names = rows[best], names[:, best]
+        decode_row = self.vocabulary.decode_row
         return [
             RankedAnswer(
-                entities=entities[row],
+                entities=decode_row(entity_ids),
                 score=float(full[row]),
                 structure_score=float(structure[row]),
                 content_score=float(content[row]),
                 query_graph_mask=self._masks[int(recorded[row])],
             )
-            for row in rows.tolist()
+            for row, entity_ids in zip(
+                rows.tolist(), self._entity_ids(self._keys[rows]).T.tolist()
+            )
         ]
 
 
@@ -574,7 +582,9 @@ class BestFirstExplorer(LatticeNodeEvaluator):
         self.space = space
         self.store = store
         self.k = k
-        self.k_prime = k_prime if k_prime is not None else max(DEFAULT_K_PRIME, 4 * k)
+        # Stage one oversamples (k' >= k, Sec. V-B): a smaller k' would
+        # cut the answers to fewer than k.
+        self.k_prime = max(k_prime, k) if k_prime is not None else max(DEFAULT_K_PRIME, 4 * k)
         self.max_rows = max_rows
         self.node_budget = node_budget
         #: Batch-scoped join memo shared across the explorations of one

@@ -22,13 +22,11 @@ serve worker's private RSS free of the vocabulary entirely.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
-from typing import TYPE_CHECKING
+from collections.abc import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.exceptions import EntityIdOverflowError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    import numpy as np
 
 #: An entity identifier inside the engine: a dense vocabulary index.
 EntityId = int
@@ -45,6 +43,15 @@ def check_entity_id(entity_id: int) -> int:
     if entity_id > MAX_ENTITY_ID:
         raise EntityIdOverflowError(entity_id)
     return entity_id
+
+
+def _term_ranks(ids: "np.ndarray", term_of: Callable[[int], str]) -> "np.ndarray":
+    """Per id, the rank of its term among the distinct terms ``ids`` name."""
+    distinct, inverse = np.unique(ids, return_inverse=True)
+    terms = list(map(term_of, distinct.tolist()))
+    ranks = np.empty(len(terms), dtype=np.int64)
+    ranks[sorted(range(len(terms)), key=terms.__getitem__)] = np.arange(len(terms))
+    return ranks[inverse]
 
 
 class Vocabulary:
@@ -85,6 +92,12 @@ class Vocabulary:
         terms = self._terms
         return tuple(terms[entity_id] for entity_id in row)
 
+    def order_keys(self, ids: "np.ndarray") -> "np.ndarray":
+        """Int64 keys, one per id, whose order is the string order of the
+        terms (equal ids, equal keys).  Keys compare within one call only:
+        they rank the distinct terms of ``ids``, read off the term list."""
+        return _term_ranks(np.asarray(ids, dtype=np.int64), self._terms.__getitem__)
+
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -110,9 +123,10 @@ class MappedVocabulary:
         ``n + 1`` int64 offsets; term ``i`` is ``blob[offsets[i] :
         offsets[i + 1]]``.
     ``sorted_ids``
-        The term ids sorted by UTF-8 byte order — the binary-search index
-        behind :meth:`id_of`, so the string→id direction also needs no
-        materialized ``dict``.
+        The term ids sorted by UTF-8 byte order (which is code point
+        order, Python's string order) — the binary-search index behind
+        :meth:`id_of`, so the string→id direction also needs no
+        materialized ``dict``, and the order :meth:`order_keys` reads.
 
     The mapped portion is immutable; :meth:`intern` of a *new* term goes
     to a small in-process overlay (ids continue past the mapped range),
@@ -136,6 +150,8 @@ class MappedVocabulary:
         "_base",
         "_extra_ids",
         "_extra_terms",
+        "_extra_positions",
+        "_ranks",
         "_decoded",
     )
 
@@ -151,6 +167,10 @@ class MappedVocabulary:
         self._base = len(offsets) - 1
         self._extra_ids: dict[str, int] = {}
         self._extra_terms: list[str] = []
+        #: Per overlay term, how many mapped terms sort before it.
+        self._extra_positions: list[int] = []
+        #: Mapped id -> rank in string order, built on first use.
+        self._ranks: "np.ndarray | None" = None
         self._decoded: dict[int, str] = {}
 
     # ------------------------------------------------------------------
@@ -158,8 +178,9 @@ class MappedVocabulary:
         offsets = self._offsets
         return bytes(self._blob[int(offsets[entity_id]) : int(offsets[entity_id + 1])])
 
-    def _find_mapped(self, term: str) -> int | None:
-        """Binary search the sort permutation for ``term`` (None if absent)."""
+    def _find_mapped(self, term: str) -> tuple[int | None, int]:
+        """Binary search the sort permutation for ``term``: its id (None if
+        absent) and how many mapped terms sort before it."""
         encoded = term.encode("utf-8")
         sorted_ids = self._sorted_ids
         lo, hi = 0, self._base
@@ -172,22 +193,25 @@ class MappedVocabulary:
             elif candidate > encoded:
                 hi = mid
             else:
-                return candidate_id
-        return None
+                return candidate_id, mid
+        return None, lo
 
     # ------------------------------------------------------------------
     def intern(self, term: str) -> int:
         """Return the id of ``term``, assigning an overlay id if new."""
-        entity_id = self.id_of(term)
+        entity_id, position = self._find_mapped(term)
+        if entity_id is None:
+            entity_id = self._extra_ids.get(term)
         if entity_id is None:
             entity_id = check_entity_id(self._base + len(self._extra_terms))
             self._extra_ids[term] = entity_id
             self._extra_terms.append(term)
+            self._extra_positions.append(position)
         return entity_id
 
     def id_of(self, term: str) -> int | None:
         """The id of ``term`` if present (binary search, no dict)."""
-        entity_id = self._find_mapped(term)
+        entity_id = self._find_mapped(term)[0]
         if entity_id is None and self._extra_ids:
             return self._extra_ids.get(term)
         return entity_id
@@ -214,6 +238,34 @@ class MappedVocabulary:
     def decode_row(self, row: Sequence[int]) -> tuple[str, ...]:
         """Decode a tuple of ids back to the entity strings."""
         return tuple(self.term_of(int(entity_id)) for entity_id in row)
+
+    def order_keys(self, ids: "np.ndarray") -> "np.ndarray":
+        """Int64 keys, one per id, whose order is the string order of the
+        terms (equal ids, equal keys), decoding nothing.
+
+        A mapped term's key is ``rank << 31`` plus :data:`MAX_ENTITY_ID`,
+        its rank read off the inverse of the sort permutation.  An overlay
+        term's is ``position << 31`` plus its rank among the overlay terms
+        of ``ids``, where ``position`` counts the mapped terms before it
+        (recorded by :meth:`intern`): it sorts after mapped rank
+        ``position - 1`` and before mapped rank ``position``.  Keys
+        compare within one call only.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        if self._ranks is None:
+            self._ranks = np.empty(self._base, dtype=np.int64)
+            self._ranks[self._sorted_ids] = np.arange(self._base)
+        keys = np.full(len(ids), MAX_ENTITY_ID, dtype=np.int64)
+        mapped = ids < self._base
+        keys[mapped] += self._ranks[ids[mapped]] << 31
+        overlay = np.flatnonzero(~mapped)
+        if len(overlay):
+            extra = ids[overlay] - self._base
+            positions = self._extra_positions
+            keys[overlay] = (
+                np.array([positions[i] for i in extra.tolist()], dtype=np.int64) << 31
+            ) + _term_ranks(extra, self._extra_terms.__getitem__)
+        return keys
 
     def __len__(self) -> int:
         return self._base + len(self._extra_terms)

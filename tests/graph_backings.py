@@ -76,10 +76,18 @@ def ordered_view(neighborhood: NeighborhoodGraph) -> dict:
     }
 
 
-def random_multigraph(seed: int) -> tuple[list[Triple], list[Triple], list[str]]:
+def random_multigraph(
+    seed: int, hub_leaves: int = 0
+) -> tuple[list[Triple], list[Triple], list[str]]:
     """(base, delta, nodes) of a small multigraph with self-loops, parallel
     edges under different labels and one hub every node points at; the
-    delta adds a node past the arena, a new label and a self-loop on it."""
+    delta adds a node past the arena, a new label and a self-loop on it.
+
+    With ``hub_leaves``, two more hubs ``h0`` and ``h1``, each with a
+    self-loop and an edge to ``n0``, get that many leaves apiece (edges
+    either way, some under two labels); half of ``h0``'s leaves are also
+    ``h1``'s.
+    """
     rng = random.Random(seed)
     nodes = [f"n{i}" for i in range(rng.randint(4, 12))]
     labels = [f"r{i}" for i in range(4)]
@@ -88,11 +96,19 @@ def random_multigraph(seed: int) -> tuple[list[Triple], list[Triple], list[str]]
         subject, obj = rng.choice(nodes), rng.choice(nodes)
         for label in rng.sample(labels, rng.randint(1, 2)):
             triples.add((subject, label, obj))
+    hubs = ["h0", "h1"] if hub_leaves else []
+    leaves = [f"leaf{i}" for i in range(hub_leaves + hub_leaves // 2)]
+    for index, hub in enumerate(hubs):
+        triples.update({(hub, "r0", hub), (hub, "r1", "n0")})
+        for leaf in leaves[index * (hub_leaves // 2) :][:hub_leaves]:
+            subject, obj = (hub, leaf) if rng.random() < 0.5 else (leaf, hub)
+            for label in rng.sample(labels, rng.randint(1, 2)):
+                triples.add((subject, label, obj))
     stream = sorted(triples)
     rng.shuffle(stream)
     cut = rng.randint(1, len(stream))
     delta = stream[cut:] + [("fresh", "r_new", nodes[1]), ("fresh", "r0", "fresh")]
-    return stream[:cut], delta, nodes + ["fresh"]
+    return stream[:cut], delta, nodes + hubs + leaves + ["fresh"]
 
 
 def copy_snapshot(source, target):

@@ -2,8 +2,11 @@
 
 * a row-by-row fold of Eq. 1/5 written with the string scoring API
   (``answer_graph_score`` / ``content_score``), over random relations
-  held as columns or as cached rows, and with answer keys that are
-  mixed-radix ints or, past the int64 radix, id tuples;
+  held as columns or as cached rows, with answer keys that are
+  mixed-radix ints or, past the int64 radix, id tuples, and over every
+  vocabulary backing (owned, mapped, mapped with ingested overlay
+  terms): the oracle breaks score ties on decoded strings, the
+  accumulator on the vocabulary's string-order keys;
 * the paper's exhaustive breadth-first Baseline, which must agree with
   best-first on the top-k wherever best-first is not cut short;
 * ``tests/fixtures/ranked_answers.json``: full ``RankedAnswer`` lists
@@ -21,10 +24,12 @@ from __future__ import annotations
 
 import json
 import random
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
+from graph_backings import three_stores
 
 from repro.baselines.breadth_first import BreadthFirstExplorer
 from repro.core.config import GQBEConfig
@@ -37,8 +42,9 @@ from repro.lattice.exploration import AnswerAccumulator, BestFirstExplorer
 from repro.lattice.query_graph import LatticeSpace
 from repro.lattice.scoring import answer_graph_score, content_score
 from repro.storage.join import ColumnarRelation
+from repro.storage.snapshot import GraphStore
 from repro.storage.store import VerticalPartitionStore
-from repro.storage.vocabulary import Vocabulary
+from repro.storage.vocabulary import MappedVocabulary, Vocabulary
 
 GOLDEN = Path(__file__).with_name("fixtures") / "ranked_answers.json"
 
@@ -129,11 +135,29 @@ class _WideVocabulary(Vocabulary):
         return 1 << 31
 
 
+#: Entity names a byte- or case-naive sort gets wrong: upper vs lower
+#: case, é vs z, CJK, an astral-plane emoji, strict prefixes ("ab" of
+#: "abc", "中" of "中文").
+TERMS = ["X", "x", "é", "z", "中文", "中", "😀", "ab", "abc", "B"]
+
+
+@contextmanager
 def _layouts(entities):
-    """(name, store, relation factory) per relation layout and answer key."""
-    graph = KnowledgeGraph([(entity, "exists", entity) for entity in entities])
-    interned = VerticalPartitionStore(graph)
+    """(name, store, relation factory) per relation layout, answer key and
+    vocabulary backing.
+
+    The mapped stores hold every entity: one as a v3 snapshot, one as a
+    snapshot of two thirds of them with the rest ingested on top.  Those
+    overlay terms include the first and the last in string order and
+    some between two mapped terms.
+    """
+    triples = [(entity, "exists", entity) for entity in entities]
+    graph = KnowledgeGraph(triples)
     wide = VerticalPartitionStore(graph, vocabulary=_WideVocabulary())
+    ordered = sorted(entities)
+    ingested = {*ordered[::3], ordered[-1]}
+    base = [triple for triple in triples if triple[0] not in ingested]
+    delta = [triple for triple in triples if triple[0] in ingested]
 
     def ids(store, rows):
         return [tuple(store.vocabulary.id_of(entity) for entity in row) for row in rows]
@@ -145,11 +169,16 @@ def _layouts(entities):
     def columnar_rows(store, variables, rows):
         return ColumnarRelation(variables, rows=ids(store, rows))
 
-    return [
-        ("columns", interned, columnar),
-        ("cached-rows", interned, columnar_rows),
-        ("id-tuples", wide, columnar),
-    ]
+    with three_stores(base, delta) as (owned, mapped, overlay):
+        assert isinstance(overlay.vocabulary, MappedVocabulary)
+        assert overlay.vocabulary.id_of(ordered[0]) >= len(base)
+        yield [
+            ("columns", owned, columnar),
+            ("cached-rows", owned, columnar_rows),
+            ("id-tuples", wide, columnar),
+            ("mapped", mapped, columnar),
+            ("overlay", overlay, columnar),
+        ]
 
 
 QUERY_SHAPES = [
@@ -171,7 +200,7 @@ def test_matches_row_by_row_fold_on_random_relations(shape, seed):
     weights = [rng.choice([0.5, 1.0, 1.5, 2.25]) for _ in edges]
     space = _star_space(query_tuple, edges, weights)
     nodes = list(space.mqg.graph.nodes)
-    others = [f"x{i}" for i in range(6)]
+    others = TERMS
     universe = nodes + others
     excluded = [tuple(rng.choice(others) for _ in query_tuple), ("nowhere",) * len(query_tuple)]
     if seed % 2:  # otherwise only skipping the trivial row keeps the query tuple out
@@ -199,17 +228,99 @@ def test_matches_row_by_row_fold_on_random_relations(shape, seed):
     expected_rises = [oracle.record(*recording) for recording in recordings]
     assert oracle.best, "the generated relations produced no answer at all"
 
-    for name, store, relation_of in _layouts(universe):
-        accumulator = AnswerAccumulator(space, store, excluded)
-        for (mask, variables, rows), expected in zip(recordings, expected_rises):
-            rose = accumulator.record(mask, relation_of(store, variables, rows))
-            assert rose == len(expected), name
-        assert len(accumulator) == len(oracle.best), name
-        assert sorted(accumulator.structure_scores().tolist()) == sorted(
-            held[0] for held in oracle.best.values()
-        ), name
-        for k, k_prime in ((3, None), (5, 4), (1000, None), (1000, 1000)):
-            assert _as_tuples(accumulator.ranked(k, k_prime)) == oracle.ranked(k, k_prime), name
+    with _layouts(universe) as layouts:
+        for name, store, relation_of in layouts:
+            accumulator = AnswerAccumulator(space, store, excluded)
+            for (mask, variables, rows), expected in zip(recordings, expected_rises):
+                rose = accumulator.record(mask, relation_of(store, variables, rows))
+                assert rose == len(expected), name
+            assert len(accumulator) == len(oracle.best), name
+            assert sorted(accumulator.structure_scores().tolist()) == sorted(
+                held[0] for held in oracle.best.values()
+            ), name
+            for k, k_prime in ((3, None), (5, 4), (1000, None), (1000, 1000)):
+                assert _as_tuples(accumulator.ranked(k, k_prime)) == oracle.ranked(k, k_prime), name
+
+
+def test_ties_wider_than_k_prime_break_on_string_order_decoding_only_k(monkeypatch):
+    """Every answer of a query graph shares its structure score, so the
+    k'-cut falls inside a tie group dozens of times k' wide, and answers
+    whose rows bind no query node to itself tie on the full score too.
+    Every backing ranks as the oracle sorts decoded strings, and decodes
+    only the answers it returns."""
+    rng = random.Random(29)
+    edges = [("q", "r1", "p"), ("q", "r2", "a")]
+    space = _star_space(("q", "p"), edges, [1.0, 2.0])
+    universe = [*space.mqg.graph.nodes, *TERMS]
+    recordings = []
+    for mask in (0b01, space.full_mask):
+        variables = tuple(sorted(space.nodes_of(mask)))
+        rows = {variables} | {
+            tuple(rng.choice(universe) for _ in variables) for _ in range(400)
+        }
+        recordings.append((mask, variables, sorted(rows)))
+    oracle = RowByRowOracle(space, [("q", "p")])
+    for recording in recordings:
+        oracle.record(*recording)
+    top_structure = max(held[0] for held in oracle.best.values())
+    assert sum(held[0] == top_structure for held in oracle.best.values()) > 25 * 4
+
+    with _layouts(universe) as layouts:
+        for name, store, relation_of in layouts:
+            accumulator = AnswerAccumulator(space, store, [("q", "p")])
+            for mask, variables, rows in recordings:
+                accumulator.record(mask, relation_of(store, variables, rows))
+            decoded = []
+            vocabulary_type = type(store.vocabulary)
+            decode_row = vocabulary_type.decode_row
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    vocabulary_type,
+                    "decode_row",
+                    lambda self, row: decoded.append(row) or decode_row(self, row),
+                )
+                for k, k_prime in ((3, 4), (4, 4), (2, 10), (6, 3), (5, None)):
+                    decoded.clear()
+                    ranked = _as_tuples(accumulator.ranked(k, k_prime))
+                    assert ranked == oracle.ranked(k, k_prime), (name, k, k_prime)
+                    assert len(decoded) == len(ranked) <= k, (name, k, k_prime)
+
+
+def test_mapped_order_keys_cost_nothing_per_mapped_term_after_an_ingest(
+    tmp_path, monkeypatch
+):
+    """A mapped vocabulary inverts its sort permutation once; an ingested
+    term's place in string order is the insertion point of the binary
+    search ``intern`` runs anyway, so neither the ingest nor later keys
+    touch the mapped terms again."""
+    mapped_terms = ["B", "ab", "abc", "x", "é", "中"]
+    overlay_terms = ["A", "aa", "abd", "z", "中文", "😀"]  # first, between, last
+    GraphStore.build(KnowledgeGraph([(t, "exists", t) for t in mapped_terms])).save(
+        tmp_path / "mapped"
+    )
+    bundle = GraphStore.load(tmp_path / "mapped")
+    vocabulary = bundle.store.vocabulary
+    assert isinstance(vocabulary, MappedVocabulary)
+    vocabulary.order_keys(np.arange(len(mapped_terms)))
+    ranks = vocabulary._ranks
+
+    searches = []
+    find_mapped = MappedVocabulary._find_mapped
+    monkeypatch.setattr(
+        MappedVocabulary,
+        "_find_mapped",
+        lambda self, term: searches.append(term) or find_mapped(self, term),
+    )
+    bundle.ingest([(t, "exists", t) for t in overlay_terms])
+    searches.clear()
+    vocabulary.intern("abz")  # one search gives the id and the place
+    assert searches == ["abz"]
+    terms = [*mapped_terms, *overlay_terms, "abz"]
+    ids = np.array([vocabulary.id_of(t) for t in terms])
+    searches.clear()
+    keys = vocabulary.order_keys(ids)
+    assert searches == [] and vocabulary._ranks is ranks
+    assert [vocabulary.term_of(i) for i in ids[np.argsort(keys)].tolist()] == sorted(terms)
 
 
 def test_rows_tying_on_the_full_score_resolve_the_same_in_any_order():
@@ -228,15 +339,16 @@ def test_rows_tying_on_the_full_score_resolve_the_same_in_any_order():
     assert scores[0] == scores[1] > structure and contents == [2.0, 2.5]
 
     universe = ["q", "h", "a", "b", "x", "h1", "h2", "a2", "b1"]
-    for rows in ([row_a, row_b], [row_b, row_a]):
-        oracle = RowByRowOracle(space, ())
-        oracle.record(mask, variables, rows)
-        for name, store, relation_of in _layouts(universe):
-            accumulator = AnswerAccumulator(space, store, ())
-            accumulator.record(mask, relation_of(store, variables, rows))
-            ranked = _as_tuples(accumulator.ranked(5))
-            assert ranked == [(("x",), scores[0], structure, 2.5, mask)], name
-            assert ranked == oracle.ranked(5), name
+    with _layouts(universe) as layouts:
+        for rows in ([row_a, row_b], [row_b, row_a]):
+            oracle = RowByRowOracle(space, ())
+            oracle.record(mask, variables, rows)
+            for name, store, relation_of in layouts:
+                accumulator = AnswerAccumulator(space, store, ())
+                accumulator.record(mask, relation_of(store, variables, rows))
+                ranked = _as_tuples(accumulator.ranked(5))
+                assert ranked == [(("x",), scores[0], structure, 2.5, mask)], name
+                assert ranked == oracle.ranked(5), name
 
 
 def test_the_widest_query_graph_the_config_allows():
@@ -256,10 +368,11 @@ def test_the_widest_query_graph_the_config_allows():
     oracle = RowByRowOracle(space, ())
     oracle.record(space.full_mask, variables, rows)
     universe = [*variables, "x", "y", "z", *(f"o{i}" for i in range(62))]
-    for name, store, relation_of in _layouts(universe):
-        accumulator = AnswerAccumulator(space, store, ())
-        assert accumulator.record(space.full_mask, relation_of(store, variables, rows)) == 3
-        assert _as_tuples(accumulator.ranked(5)) == oracle.ranked(5), name
+    with _layouts(universe) as layouts:
+        for name, store, relation_of in layouts:
+            accumulator = AnswerAccumulator(space, store, ())
+            assert accumulator.record(space.full_mask, relation_of(store, variables, rows)) == 3
+            assert _as_tuples(accumulator.ranked(5)) == oracle.ranked(5), name
 
 
 def test_an_equal_full_score_from_a_later_query_graph_does_not_replace():

@@ -116,6 +116,17 @@ class TestValidationAndConfig:
         with pytest.raises(EvaluationError):
             GQBEConfig(node_budget=0)
 
+    def test_k_prime_below_k_still_returns_k_answers(self, figure1_graph):
+        """Stage one oversamples (k' >= k, Sec. V-B): a k' below k, passed
+        to the call or configured, counts as k."""
+        query_tuple = ("Jerry Yang", "Yahoo!")
+        system = GQBE(figure1_graph, config=GQBEConfig(mqg_size=10))
+        expected = system.query(query_tuple, k=4, k_prime=4).answer_tuples()
+        assert len(expected) == 4
+        assert system.query(query_tuple, k=4, k_prime=2).answer_tuples() == expected
+        configured = GQBE(figure1_graph, config=GQBEConfig(mqg_size=10, k_prime=2))
+        assert configured.query(query_tuple, k=4).answer_tuples() == expected
+
     def test_default_config_used_when_omitted(self, figure1_graph):
         system = GQBE(figure1_graph)
         assert system.config.d == 2

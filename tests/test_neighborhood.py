@@ -128,11 +128,15 @@ class TestIdSpaceNeighborhood:
 
     @pytest.mark.parametrize("seed", range(25))
     def test_random_multigraphs_match_owned_graph(self, seed):
-        base, delta, nodes = random_multigraph(seed)
+        """Hubs whose BFS frontiers run to dozens of nodes, parallel edges,
+        self-loops, and query entities that share neighbors (two hubs with
+        common leaves, two leaves of one hub)."""
+        base, delta, nodes = random_multigraph(seed, hub_leaves=24)
         rng = random.Random(seed)
+        tuples = [tuple(rng.sample(nodes, arity)) for arity in (1, 2, 3)]
+        tuples += [("h0",), ("h0", "h1"), ("leaf0", "leaf1", "n1")]
         with three_backings(base, delta) as (owned, mapped, overlay):
-            for arity in (1, 2, 3):
-                query_tuple = tuple(rng.sample(nodes, arity))
+            for query_tuple in tuples:
                 for d in (1, 2, 3):
                     spec = neighborhood_graph(owned, query_tuple, d=d)
                     for graph in (mapped, overlay):
