@@ -1,51 +1,80 @@
 #!/usr/bin/env python
-"""CI gate: the streaming build's peak RSS sits under its memory budget.
+"""CI gate: the streaming build's peak RSS stays within its budget plus floors.
 
 ``gqbe build-index --streaming`` promises bounded peak memory: working
-buffers scale with ``--memory-budget-mb``, not with the dump (see
-docs/building.md).  This script generates a synthetic dump at least
-``--min-dump-ratio`` times the budget, builds it twice in fresh child
-processes — streaming under the budget, then in-memory — and
-hard-asserts the separation on each child's own ``ru_maxrss``:
+buffers scale with ``--memory-budget-mb``, not with the dump, and the few
+footprints that do scale with the data are documented floors (see
+docs/building.md, "Memory-budget semantics").  This script builds
+synthetic dumps in fresh child processes and hard-asserts on each child's
+own ``VmHWM`` (peak resident size since its exec, so nothing of this
+generating process carries over), incremental over the import floor
+(interpreter + numpy + repro, probed by a child that only imports):
 
-* the streaming build's peak RSS, measured *incrementally over the
-  import floor* (interpreter + numpy + repro, probed by an identical
-  child that only imports), stays **under** the budget;
-* the in-memory build's incremental peak **exceeds** the budget (if it
-  did not, the gate would be vacuous at this scale);
-* the two outputs are byte-identical (manifest equality is sufficient:
-  the manifest records every shard's SHA-256).
+* a dump at least ``--min-dump-ratio`` times the budget, built streaming
+  under the budget, stays under ``budget + floors``; the floors come from
+  the build's own manifest and the dump's label counts: the vocabulary
+  arena's bytes, 8 bytes per node and ``FINALIZE_BYTES_PER_ROW`` per row
+  routed to the largest label (duplicates included: a label's finalize
+  reads its whole spill run before it drops them);
+* the same dump built in memory **exceeds** that bound (if it did not,
+  the gate would be vacuous at this scale), and the two outputs are
+  byte-identical (manifest equality is sufficient: the manifest records
+  every shard's SHA-256);
+* a duplicate-heavy dump — a smaller graph written ``DUPLICATE_COPIES``
+  times over, so every triple repeats across spill segments — built at
+  ``DUPLICATE_BUDGET_MB`` stays under its own ``budget + floors``.
 
 Run from the repository root (CI's tests job does)::
 
     python benchmarks/check_build_rss.py
 
-Exits 0 with a notice where ``resource`` rusage probes are unavailable.
+Exits 0 with a notice where ``/proc/self/status`` has no ``VmHWM``.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
+import json
 import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-_FLOOR_PROBE = (
-    "import resource, numpy, repro.cli, repro.storage.build;"
-    "print('PEAK', resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+#: Bytes a label's finalize may hold per row routed to it (measured ~106
+#: with no duplicates: the run, one sort order, one CSR run, then the
+#: table's columns and probe indexes; ~60 per raw row while duplicates
+#: are dropped).
+FINALIZE_BYTES_PER_ROW = 128
+#: The duplicate-heavy case: this scale's graph written this many times,
+#: built under this budget (the smallest, so spill segments are shortest).
+DUPLICATE_SCALE = 25.0
+DUPLICATE_COPIES = 4
+DUPLICATE_BUDGET_MB = 1
+
+_PEAK = (
+    "print('PEAK', [line.split()[1] for line in open('/proc/self/status')"
+    " if line.startswith('VmHWM:')][0])"
 )
+_FLOOR_PROBE = "import numpy, repro.cli, repro.storage.build;" + _PEAK
 _BUILD_PROBE = (
-    "import resource, sys;"
+    "import sys;"
     "from repro.cli import main;"
-    "rc = main(sys.argv[1:]);"
-    "print('PEAK', resource.getrusage(resource.RUSAGE_SELF).ru_maxrss);"
-    "sys.exit(rc)"
+    "rc = main(sys.argv[1:]);" + _PEAK + ";sys.exit(rc)"
 )
+
+
+def _vm_hwm_available() -> bool:
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            return any(line.startswith("VmHWM:") for line in status)
+    except OSError:
+        return False
 
 
 def _child_peak_bytes(command: list[str]) -> int:
@@ -58,10 +87,69 @@ def _child_peak_bytes(command: list[str]) -> int:
         raise SystemExit(f"probe child failed: {' '.join(command[:3])}...")
     for line in result.stdout.splitlines():
         if line.startswith("PEAK "):
-            kilobytes = int(line.split()[1])
-            # ru_maxrss is kilobytes on Linux, bytes on macOS.
-            return kilobytes if sys.platform == "darwin" else kilobytes * 1024
+            return int(line.split()[1]) * 1024  # VmHWM is in KiB
     raise SystemExit("probe child printed no PEAK line")
+
+
+def _build_peak_bytes(dump: Path, output: Path, budget_mb: int | None) -> int:
+    """Peak RSS of ``gqbe build-index`` in a child: streaming under
+    ``budget_mb``, or in memory when it is None."""
+    command = [sys.executable, "-c", _BUILD_PROBE, "build-index", str(dump), str(output)]
+    if budget_mb is not None:
+        command += ["--streaming", "--memory-budget-mb", str(budget_mb)]
+    return _child_peak_bytes(command + ["--quiet"])
+
+
+def _write_dump(path: Path, scale: float, copies: int = 1) -> tuple[Counter, str]:
+    """Write a Freebase-like dump ``copies`` times over; return the rows
+    per label it holds and a one-line description."""
+    from repro.datasets.synthetic import FreebaseLikeGenerator
+    from repro.graph.triples import write_triples
+
+    graph = FreebaseLikeGenerator(seed=7, scale=scale).generate().graph
+    edges = list(graph.edges)
+    write_triples(itertools.chain.from_iterable(itertools.repeat(edges, copies)), path)
+    per_copy = Counter(edge.label for edge in edges)
+    label_rows = Counter({label: rows * copies for label, rows in per_copy.items()})
+    return label_rows, (
+        f"freebase scale {scale} x {copies} ({len(edges)} distinct edges, "
+        f"{graph.num_nodes} nodes, {path.stat().st_size / 1e6:.1f} MB)"
+    )
+
+
+def _floor_bytes(manifest: dict, label_rows: Counter) -> tuple[int, str]:
+    """The documented floors of a build, from its manifest and the rows
+    its dump routes to each label, and a breakdown."""
+    arena = manifest["vocabulary"]["bytes"]
+    nodes = manifest["graph"]["nodes"]
+    largest = max(label_rows.values())
+    floors = arena + 8 * nodes + FINALIZE_BYTES_PER_ROW * largest
+    return floors, (
+        f"arena {arena / 1e6:.1f} MB + {nodes} nodes x 8 B + largest label "
+        f"{largest} rows x {FINALIZE_BYTES_PER_ROW} B = {floors / 1e6:.1f} MB"
+    )
+
+
+def _check_streaming(
+    name: str, dump: Path, output: Path, budget_mb: int, label_rows: Counter, floor: int
+) -> tuple[int, list[str]]:
+    """Build ``dump`` streaming; return its bound and any failure."""
+    incremental = _build_peak_bytes(dump, output, budget_mb) - floor
+    floors, breakdown = _floor_bytes(
+        json.loads((output / "MANIFEST.json").read_text(encoding="utf-8")), label_rows
+    )
+    bound = budget_mb * 1e6 + floors
+    print(
+        f"{name}: floors {breakdown}\n"
+        f"{name}: bound budget {budget_mb} MB + floors = {bound / 1e6:.1f} MB, "
+        f"streaming incremental peak {incremental / 1e6:.1f} MB"
+    )
+    if incremental < bound:
+        return bound, []
+    return bound, [
+        f"{name}: streaming incremental peak {incremental / 1e6:.1f} MB "
+        f"is not under the {bound / 1e6:.1f} MB bound"
+    ]
 
 
 def main(argv=None) -> int:
@@ -71,7 +159,7 @@ def main(argv=None) -> int:
         type=float,
         default=100.0,
         help="freebase workload scale; must make the in-memory build's "
-        "incremental RSS clearly exceed the budget (default 100.0, "
+        "incremental RSS clearly exceed the bound (default 100.0, "
         "~440k edges, ~17 MB dump)",
     )
     parser.add_argument(
@@ -89,82 +177,39 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    try:
-        import resource  # noqa: F401
-    except ImportError:
-        print("resource rusage probes unavailable on this platform; skipping")
+    if not _vm_hwm_available():
+        print("no VmHWM in /proc/self/status on this platform; skipping")
         return 0
 
-    from repro.datasets.synthetic import FreebaseLikeGenerator
-    from repro.graph.triples import write_triples
-
-    budget_bytes = args.memory_budget_mb * 1e6
-    graph = FreebaseLikeGenerator(seed=7, scale=args.scale).generate().graph
+    failures = []
     with tempfile.TemporaryDirectory(prefix="gqbe-build-rss-") as scratch:
-        dump = Path(scratch) / "dump.tsv"
-        write_triples(graph.edges, dump)
-        dump_bytes = dump.stat().st_size
-        print(
-            f"dump: freebase scale {args.scale} ({graph.num_edges} edges, "
-            f"{graph.num_nodes} nodes, {dump_bytes / 1e6:.1f} MB); "
-            f"budget {args.memory_budget_mb} MB"
-        )
-        if dump_bytes < args.min_dump_ratio * budget_bytes:
+        scratch = Path(scratch)
+        dump = scratch / "dump.tsv"
+        label_rows, description = _write_dump(dump, args.scale)
+        ratio = dump.stat().st_size / (args.memory_budget_mb * 1e6)
+        print(f"dump: {description}; budget {args.memory_budget_mb} MB")
+        if ratio < args.min_dump_ratio:
             print(
-                f"FAIL: dump is only {dump_bytes / budget_bytes:.1f}x the "
-                f"budget (need >= {args.min_dump_ratio}x); raise --scale"
+                f"FAIL: dump is only {ratio:.1f}x the budget "
+                f"(need >= {args.min_dump_ratio}x); raise --scale"
             )
             return 1
 
         floor = _child_peak_bytes([sys.executable, "-c", _FLOOR_PROBE])
         print(f"import floor (interpreter + numpy + repro): {floor / 1e6:.1f} MB")
 
-        streamed = Path(scratch) / "streamed"
-        streaming_peak = _child_peak_bytes(
-            [
-                sys.executable,
-                "-c",
-                _BUILD_PROBE,
-                "build-index",
-                str(dump),
-                str(streamed),
-                "--streaming",
-                "--memory-budget-mb",
-                str(args.memory_budget_mb),
-                "--quiet",
-            ]
+        streamed = scratch / "streamed"
+        bound, failed = _check_streaming(
+            "dump", dump, streamed, args.memory_budget_mb, label_rows, floor
         )
-        in_memory = Path(scratch) / "in_memory"
-        in_memory_peak = _child_peak_bytes(
-            [
-                sys.executable,
-                "-c",
-                _BUILD_PROBE,
-                "build-index",
-                str(dump),
-                str(in_memory),
-                "--quiet",
-            ]
-        )
-        streaming_incr = streaming_peak - floor
-        in_memory_incr = in_memory_peak - floor
-        print(
-            f"streaming: peak {streaming_peak / 1e6:.1f} MB "
-            f"(incremental {streaming_incr / 1e6:.1f} MB)\n"
-            f"in-memory: peak {in_memory_peak / 1e6:.1f} MB "
-            f"(incremental {in_memory_incr / 1e6:.1f} MB)"
-        )
-
-        failures = []
-        if streaming_incr >= budget_bytes:
-            failures.append(
-                f"streaming incremental peak {streaming_incr / 1e6:.1f} MB "
-                f"is not under the {args.memory_budget_mb} MB budget"
-            )
-        if in_memory_incr <= budget_bytes:
+        failures += failed
+        in_memory = scratch / "in_memory"
+        in_memory_incr = _build_peak_bytes(dump, in_memory, None) - floor
+        print(f"dump: in-memory incremental peak {in_memory_incr / 1e6:.1f} MB")
+        if in_memory_incr <= bound:
             failures.append(
                 f"in-memory incremental peak {in_memory_incr / 1e6:.1f} MB "
-                "does not exceed the budget — the gate is vacuous at this "
+                "does not exceed the bound — the gate is vacuous at this "
                 "scale; raise --scale"
             )
         streamed_manifest = (streamed / "MANIFEST.json").read_bytes()
@@ -174,10 +219,24 @@ def main(argv=None) -> int:
                 "streaming and in-memory manifests differ — the builds are "
                 "no longer byte-identical (the manifest hashes every shard)"
             )
-        if failures:
-            for failure in failures:
-                print(f"FAIL: {failure}")
-            return 1
+
+        duplicated = scratch / "duplicated.tsv"
+        label_rows, description = _write_dump(
+            duplicated, DUPLICATE_SCALE, copies=DUPLICATE_COPIES
+        )
+        print(f"duplicated dump: {description}; budget {DUPLICATE_BUDGET_MB} MB")
+        failures += _check_streaming(
+            "duplicated dump",
+            duplicated,
+            scratch / "duplicated",
+            DUPLICATE_BUDGET_MB,
+            label_rows,
+            floor,
+        )[1]
+    if failures:
+        for failure in failures:
+            print(f"FAIL: {failure}")
+        return 1
     print("ok: streaming build is memory-bounded and byte-identical at scale")
     return 0
 

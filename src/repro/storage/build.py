@@ -19,30 +19,35 @@ Pass 1 — vocabulary (external merge sort)
     through :class:`~repro.storage.shards.ShardStreamWriter`.
 
 Pass 2 — tables (spill runs → per-label shards)
-    Re-read the dump, map terms to dense ids through the *mapped* arena
-    (binary search plus a bounded cache; per-chunk unique-term batching
-    keeps lookups off the hot path), and route ``(subject, object, seq)``
-    rows to per-label spill runs, each run sorted and locally deduped with
-    numpy before it hits disk.
+    Re-read the dump and map terms to dense ids through the *mapped*
+    arena behind a bounded cache.  Ids are first-occurrence ranks and this
+    pass reads the stream in pass 1's order, so a term the cache misses is
+    usually new: one bytes compare against the arena term at the next id
+    not yet met confirms it.  Only a term evicted from the cache is binary
+    searched.  ``(subject, object, seq)`` rows route to per-label spill
+    runs, each sorted and locally deduped with numpy before it hits disk.
 
-Finalize — per-label k-way merges (parallelizable)
-    Each label's runs merge into globally ``(subject, object, seq)``-sorted
-    rows; duplicates collapse to their first occurrence, a stable re-sort
-    by ``seq`` restores stream order, and the label's table shard is
-    written through the same ``write_table_shard`` as the in-memory path —
-    so the shard bytes cannot differ.  Workers own disjoint labels
-    (``workers > 1`` fans the per-label work out over processes); each
-    label also contributes sorted statistics columns and ``(node, seq)``-
-    sorted CSR runs, which a final merge streams into the statistics and
-    graph shards.  ``MANIFEST.json`` is written last, so a crash at any
-    point leaves no torn snapshot — just an unreadable directory.
+Finalize — per label (parallelizable), then two block merges
+    Each label's run file is read whole and sorted with numpy; duplicates
+    collapse to their first occurrence, a stable re-sort by ``seq``
+    restores stream order, and the label's table shard is written through
+    the same ``write_table_shard`` as the in-memory path — so the shard
+    bytes cannot differ.  Workers own disjoint labels (``workers > 1``
+    fans the per-label work out over processes); each label also writes
+    sorted statistics runs and ``(node, seq)``-sorted CSR runs, which a
+    block-wise numpy merge (:func:`_merge_runs`) streams into the
+    statistics and graph shards.  ``MANIFEST.json`` is written last, so a
+    crash at any point leaves no torn snapshot — just an unreadable
+    directory.
 
 Memory-budget semantics: ``memory_budget_mb`` bounds the *streaming state*
-— read chunks, spill buffers, and the id-lookup cache are all sized from
-it.  Three footprints scale with the data instead and are the documented
-floor: the O(nodes) int64 arrays behind the arena permutation and CSR
-index pointers, the columns of the single largest label while its shard is
-written (the same transient the in-memory writer has per label), and the
+— read chunks, spill buffers, the id-lookup cache and the merge blocks
+are all sized from it.  Footprints that scale with the data instead are
+the documented floor: one O(nodes) int64 array at a time (the arena
+permutation in pass 1, the CSR index pointers at the end), the mapped
+arena while pass 2 reads it, about 110 bytes per row routed to the
+largest label while its shard is finalized (duplicate triples included:
+they are dropped only once its run is read and sorted), and the
 interpreter + numpy baseline.
 """
 
@@ -50,7 +55,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
+import math
 import mmap
 import shutil
 import struct
@@ -64,11 +69,8 @@ import numpy as np
 from repro.exceptions import GraphError, SnapshotError
 from repro.graph.triples import iter_triples_chunked
 from repro.storage.shards import (
-    SHARD_MAGIC,
-    SHARD_VERSION,
     ShardStreamWriter,
-    _SHARD_HEADER,
-    _align,
+    parse_shard,
     write_manifest,
     write_table_shard,
 )
@@ -81,6 +83,7 @@ _OCC_RECORD = struct.Struct("<QQI")  # occurrence, byte rank, term length — th
 _ORDERED_RECORD = struct.Struct("<QI")  # byte rank, term length — then term bytes
 _ROW_WIDTH = 3  # (subject_id, object_id, seq) int64 row-run records
 _CSR_WIDTH = 4  # (node_id, seq, label_id, other_id) int64 CSR-run records
+_STAT_WIDTH = 2  # (node_id * labels + stat_label_id, count) statistics-run records
 
 _DTYPE = "<i8"
 _BYTE_DTYPE = "u1"
@@ -142,44 +145,110 @@ def _iter_occ_run(path: Path):
             yield occurrence, rank, handle.read(length)
 
 
-def _iter_row_segments(path: Path, segments: list[int], io_elements: int):
-    """Yield each sorted segment of a label run file as row-tuple iterators."""
-    offset = 0
-    for rows in segments:
-        yield _iter_rows(path, offset, rows, io_elements)
-        offset += rows * _ROW_WIDTH * 8
+def _rows_at_most(columns: np.ndarray, bound: tuple[int, ...]) -> int:
+    """How many leading rows of the sorted ``(width, n)`` ``columns`` are
+    ``<= bound`` in lexicographic order: a searchsorted per column over
+    the rows still equal to ``bound`` so far, until none is."""
+    low, high = 0, columns.shape[1]
+    for column, value in zip(columns, bound):
+        keys = column[low:high]
+        end = int(np.searchsorted(keys, value, "right"))
+        if end == 0 or keys[end - 1] != value:
+            return low + end
+        high = low + end
+        low += int(np.searchsorted(keys[:end], value, "left"))
+    return high
 
 
-def _iter_rows(path: Path, offset: int, rows: int, io_elements: int):
-    """Yield ``(subject, object, seq)`` tuples from one sorted segment."""
-    per_read = max(1, io_elements // _ROW_WIDTH)
-    with open(path, "rb", buffering=1 << 20) as handle:
-        handle.seek(offset)
-        remaining = rows
-        while remaining:
-            take = min(per_read, remaining)
-            block = handle.read(take * _ROW_WIDTH * 8)
-            chunk = np.frombuffer(block, dtype=np.int64).reshape(-1, _ROW_WIDTH)
-            if not len(chunk):
-                raise SnapshotError(
-                    f"row run {path!s} is shorter than its recorded segments"
-                )
-            remaining -= len(chunk)
-            for row in chunk:
-                yield (int(row[0]), int(row[1]), int(row[2]))
+def _sorted_rows(parts: list[np.ndarray]) -> np.ndarray:
+    """The rows of sorted ``(width, n)`` column blocks as one sorted
+    C-ordered ``(n, width)`` array."""
+    if len(parts) == 1:
+        return np.ascontiguousarray(parts[0].T)
+    columns = np.concatenate(parts, axis=1)
+    return np.ascontiguousarray(columns.T[np.lexsort(columns[::-1])])
 
 
-def _iter_csr_run(path: Path, io_elements: int):
-    """Yield ``(node, seq, label, other)`` tuples from one sorted CSR run."""
-    per_read = max(1, io_elements // _CSR_WIDTH)
-    with open(path, "rb", buffering=1 << 20) as handle:
-        while True:
-            block = handle.read(per_read * _CSR_WIDTH * 8)
-            if not block:
-                return
-            chunk = np.frombuffer(block, dtype=np.int64).reshape(-1, _CSR_WIDTH)
-            for row in chunk:
-                yield (int(row[0]), int(row[1]), int(row[2]), int(row[3]))
+def _merge_group(paths: list[Path], width: int, pool_rows: int):
+    """Merge a few sorted run files, each read ``pool_rows // len(paths)``
+    rows at a time into its own column-major block.  No unread row of a
+    run sorts before the last row read from it, so a round takes from each
+    block its prefix up to the smallest such row among the runs still on
+    disk, sorts the union and refills the blocks it emptied: O(runs) numpy
+    work plus a searchsorted per giving block, never a rescan."""
+    block_rows = max(1, pool_rows // len(paths))
+    sizes = [path.stat().st_size // (8 * width) for path in paths]
+    done = [0] * len(paths)
+    blocks = [np.empty((width, 0), dtype=np.int64)] * len(paths)
+    # The first column of each block's first unconsumed row (max if none).
+    heads = np.full(len(paths), np.iinfo(np.int64).max, dtype=np.int64)
+    # Runs with rows still on disk -> the last row read from them.
+    last: dict[int, tuple[int, ...]] = {}
+
+    def read(run: int) -> None:
+        count = min(block_rows, sizes[run] - done[run])
+        if not count:
+            return
+        rows = np.fromfile(
+            paths[run], dtype=np.int64, count=count * width, offset=done[run] * width * 8
+        ).reshape(-1, width)
+        done[run] += count
+        blocks[run] = np.ascontiguousarray(rows.T)
+        heads[run] = rows[0, 0]
+        if done[run] < sizes[run]:
+            last[run] = tuple(rows[-1].tolist())
+        else:
+            last.pop(run, None)
+
+    for run in range(len(paths)):
+        read(run)
+    while last:
+        bound = min(last.values())
+        parts = []
+        for run in np.flatnonzero(heads <= bound[0]).tolist():
+            block = blocks[run]
+            count = _rows_at_most(block, bound)
+            if count:
+                parts.append(block[:, :count])
+                blocks[run] = block = block[:, count:]
+                heads[run] = block[0, 0] if block.shape[1] else np.iinfo(np.int64).max
+        yield _sorted_rows(parts)
+        for run in [run for run, row in last.items() if row == bound]:
+            read(run)
+    parts = [block for block in blocks if block.shape[1]]
+    if parts:
+        yield _sorted_rows(parts)
+
+
+def _merge_runs(paths: list[Path], width: int, io_elements: int):
+    """Yield the rows of lexicographically sorted int64 run files, merged,
+    as sorted ``(n, width)`` blocks: the order ``heapq.merge`` gives their
+    row tuples.
+
+    About ``io_elements`` elements are buffered whatever the number of
+    runs.  At most ``sqrt(io_elements / width)`` runs merge at once, so a
+    run's block never shrinks below that many rows; more runs (a dump with
+    thousands of labels) are first merged a group at a time into files
+    beside them, a level at a time, and those files are deleted once read.
+    """
+    pool_rows = max(1, io_elements // width)
+    fan_in = max(2, math.isqrt(pool_rows))
+    level: list[Path] = []
+    while len(paths) > fan_in:
+        merged = []
+        for start in range(0, len(paths), fan_in):
+            group = paths[start : start + fan_in]
+            merged.append(group[0].with_name(group[0].name + ".merged"))
+            with open(merged[-1], "wb") as handle:
+                for rows in _merge_group(group, width, pool_rows):
+                    rows.tofile(handle)
+        for path in level:
+            path.unlink()
+        level = paths = merged
+    if paths:
+        yield from _merge_group(paths, width, pool_rows)
+    for path in level:
+        path.unlink()
 
 
 # ----------------------------------------------------------------------
@@ -325,31 +394,28 @@ def _build_vocabulary_arena(
 def _map_arena(path: Path) -> MappedVocabulary:
     """Open the just-written arena shard as a :class:`MappedVocabulary`.
 
-    A private mini-reader: the full :class:`ShardedSnapshotReader` needs a
-    manifest, which by design does not exist until the build finishes.
+    The full :class:`ShardedSnapshotReader` needs a manifest, which by
+    design does not exist until the build finishes.
     """
     with open(path, "rb") as handle:
         mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    magic, version, header_length = _SHARD_HEADER.unpack_from(mapped, 0)
-    if magic != SHARD_MAGIC or version != SHARD_VERSION:
-        raise SnapshotError(f"freshly written arena {path!s} failed to verify")
-    header = json.loads(
-        mapped[_SHARD_HEADER.size : _SHARD_HEADER.size + header_length].decode("utf-8")
-    )
-    base = _align(_SHARD_HEADER.size + header_length)
-    views = {}
-    for name, entry in header["arrays"].items():
-        start = base + entry["offset"]
-        dtype = np.uint8 if entry["dtype"] == _BYTE_DTYPE else np.int64
-        views[name] = np.frombuffer(
-            mapped, dtype=dtype, count=entry["count"], offset=start
-        )
-    return MappedVocabulary(views["offsets"], views["sorted_ids"], views["blob"])
+    _, view = parse_shard(path, mapped)
+    return MappedVocabulary(view("offsets"), view("sorted_ids"), view("blob"))
 
 
 # ----------------------------------------------------------------------
 # pass 2: route rows to per-label spill runs
 # ----------------------------------------------------------------------
+def _first_occurrences(rows: np.ndarray) -> np.ndarray:
+    """``(subject, object, seq)`` rows sorted, each triple kept once with
+    its minimum seq — so the eventual stream-order restore matches
+    add_edge's first-wins dedup."""
+    rows = rows[np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:, 0] != rows[:-1, 0]) | (rows[1:, 1] != rows[:-1, 1])
+    return rows[keep]
+
+
 def _spill_row_buffers(
     buffers: dict[int, array],
     run_dir: Path,
@@ -357,20 +423,11 @@ def _spill_row_buffers(
 ) -> None:
     """Sort, locally dedup, and append every label buffer to its run file."""
     for label_id in sorted(buffers):
-        flat = buffers[label_id]
-        rows = np.frombuffer(flat, dtype=np.int64).reshape(-1, _ROW_WIDTH)
-        order = np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))
-        rows = rows[order]
-        # Duplicates are adjacent after the sort; keep the first (minimum
-        # seq) so the eventual stream-order restore matches add_edge's
-        # first-wins dedup.
-        if len(rows) > 1:
-            keep = np.empty(len(rows), dtype=bool)
-            keep[0] = True
-            keep[1:] = (rows[1:, 0] != rows[:-1, 0]) | (rows[1:, 1] != rows[:-1, 1])
-            rows = rows[keep]
+        rows = _first_occurrences(
+            np.frombuffer(buffers[label_id], dtype=np.int64).reshape(-1, _ROW_WIDTH)
+        )
         with open(run_dir / f"{label_id:05d}.rows", "ab") as handle:
-            handle.write(np.ascontiguousarray(rows).tobytes())
+            rows.tofile(handle)
         segments.setdefault(label_id, []).append(len(rows))
     buffers.clear()
 
@@ -388,6 +445,10 @@ def _route_rows(
     Returns the labels in first-appearance order (= dense label ids and
     table-shard order, exactly as ``KnowledgeGraph`` label insertion
     produces) and each label's run segment row counts.
+
+    A cache miss is first compared with the arena term at the next id not
+    yet met (ids are first-occurrence ranks, met in the same order here);
+    only a term evicted from the cache is binary searched.
     """
     label_ids: dict[str, int] = {}
     segments: dict[int, list[int]] = {}
@@ -395,37 +456,43 @@ def _route_rows(
     cache: dict[str, int] = {}
     buffered_rows = 0
     seq = 0
-    id_of = vocabulary.id_of
+    next_id = 0
+    terms = len(vocabulary)
+    term_bytes = vocabulary._term_bytes
+
+    def resolve(term: str) -> int:
+        nonlocal next_id
+        if len(cache) >= plan.lookup_cache:
+            cache.clear()
+        if next_id < terms and term_bytes(next_id) == term.encode("utf-8"):
+            term_id = next_id
+            next_id += 1
+        else:
+            term_id = vocabulary.id_of(term)
+            if term_id is None:
+                raise SnapshotError(
+                    f"term {term!r} missing from the pass-1 arena; "
+                    "the source changed between streaming passes"
+                )
+        cache[term] = term_id
+        return term_id
+
     for chunk in iter_triples_chunked(source, fmt=fmt, chunk_size=plan.chunk_triples):
-        # Resolve each distinct term in the chunk once: the binary search
-        # against the arena is the expensive step, and real dumps repeat
-        # terms heavily within a chunk.
         for subject, label, obj in chunk:
-            row_ids = []
-            for term in (subject, obj):
-                term_id = cache.get(term)
-                if term_id is None:
-                    # Hold resolved ids in row_ids, not the cache: the
-                    # clear below may evict the subject while the object
-                    # is being resolved.
-                    if len(cache) >= plan.lookup_cache:
-                        cache.clear()
-                    term_id = id_of(term)
-                    if term_id is None:
-                        raise SnapshotError(
-                            f"term {term!r} missing from the pass-1 arena; "
-                            "the source changed between streaming passes"
-                        )
-                    cache[term] = term_id
-                row_ids.append(term_id)
+            subject_id = cache.get(subject)
+            if subject_id is None:
+                subject_id = resolve(subject)
+            object_id = cache.get(obj)
+            if object_id is None:
+                object_id = resolve(obj)
             label_id = label_ids.get(label)
             if label_id is None:
                 label_id = label_ids.setdefault(label, len(label_ids))
             buffer = buffers.get(label_id)
             if buffer is None:
                 buffer = buffers.setdefault(label_id, array("q"))
-            buffer.append(row_ids[0])
-            buffer.append(row_ids[1])
+            buffer.append(subject_id)
+            buffer.append(object_id)
             buffer.append(seq)
             seq += 1
         buffered_rows += len(chunk)
@@ -449,80 +516,57 @@ def _finalize_label(task: dict) -> dict:
     """Merge one label's runs and write its table shard + side outputs.
 
     Runs in a worker process when ``workers > 1`` — everything in ``task``
-    and the return value is plain picklable data.  Peak memory is the
-    label's deduped columns (the same per-label transient the in-memory
-    shard writer has).
+    and the return value is plain picklable data.  The run is read whole
+    and sorted in numpy, so peak memory is about 110 bytes per row pass 2
+    routed to the label: duplicates count until that sort drops them.
     """
     label = task["label"]
     run_path = Path(task["run_path"])
     scratch = Path(task["scratch"])
-    shard_path = Path(task["shard_path"])
     label_id = task["label_id"]
-    io_elements = task["io_elements"]
 
-    merged = heapq.merge(
-        *_iter_row_segments(run_path, task["segments"], io_elements)
-    )
-    subjects = array("q")
-    objects = array("q")
-    seqs = array("q")
-    previous_subject = previous_object = None
-    for subject, obj, seq in merged:
-        if subject == previous_subject and obj == previous_object:
-            continue  # duplicate triple: keep the first occurrence
-        previous_subject, previous_object = subject, obj
-        subjects.append(subject)
-        objects.append(obj)
-        seqs.append(seq)
-    subjects = np.frombuffer(subjects, dtype=np.int64)
-    objects = np.frombuffer(objects, dtype=np.int64)
-    seqs = np.frombuffer(seqs, dtype=np.int64)
-    # Restore stream order: the in-memory table's row order is the order
-    # add_edge saw the (deduped) triples.
-    order = np.argsort(seqs, kind="stable")
-    final_subjects = np.ascontiguousarray(subjects[order])
-    final_objects = np.ascontiguousarray(objects[order])
-    table = ColumnarEdgeTable.from_mapped(label, final_subjects, final_objects)
-    entry = write_table_shard(shard_path, table)
-
-    # Participation statistics: np.unique returns sorted nodes, so each
-    # label contributes pre-sorted (node, count) columns the statistics
-    # assembly can k-way merge without re-sorting.  One .npy per column —
-    # the assembly opens them with mmap_mode="r" so merging every label
-    # at once never materializes more than an I/O chunk per label.
-    out_nodes, out_counts = np.unique(final_subjects, return_counts=True)
-    in_nodes, in_counts = np.unique(final_objects, return_counts=True)
-    stats_prefix = scratch / f"stats.{label_id:05d}"
-    np.save(f"{stats_prefix}.out_nodes.npy", out_nodes)
-    np.save(f"{stats_prefix}.out_counts.npy", out_counts.astype(np.int64))
-    np.save(f"{stats_prefix}.in_nodes.npy", in_nodes)
-    np.save(f"{stats_prefix}.in_counts.npy", in_counts.astype(np.int64))
+    # The run's segments are each sorted and deduped; one sort of them all
+    # finishes the dedup across segments.
+    if run_path.stat().st_size != task["run_rows"] * _ROW_WIDTH * 8:
+        raise SnapshotError(f"row run {run_path!s} does not match its recorded segments")
+    rows = _first_occurrences(np.fromfile(run_path, dtype=np.int64).reshape(-1, _ROW_WIDTH))
+    subjects, objects, seqs = rows[:, 0], rows[:, 1], rows[:, 2]
 
     # CSR runs: this label's rows sorted by (node, seq); the global merge
     # across labels then yields every node's adjacency in stream order —
     # the per-node slice order the in-memory CSR writer preserves.
-    label_column = np.full(len(seqs), label_id, dtype=np.int64)
-    out_run = scratch / f"csr_out.{label_id:05d}.run"
-    out_order = np.lexsort((seqs, subjects))
-    np.column_stack(
-        (subjects[out_order], seqs[out_order], label_column, objects[out_order])
-    ).tofile(out_run)
-    in_run = scratch / f"csr_in.{label_id:05d}.run"
-    in_order = np.lexsort((seqs, objects))
-    np.column_stack(
-        (objects[in_order], seqs[in_order], label_column, subjects[in_order])
-    ).tofile(in_run)
+    outputs = {}
+    label_column = np.full(len(rows), label_id, dtype=np.int64)
+    for direction, nodes, others in (("out", subjects, objects), ("in", objects, subjects)):
+        order = np.lexsort((seqs, nodes))
+        run = outputs[f"csr_{direction}"] = str(scratch / f"csr_{direction}.{label_id:05d}.run")
+        np.column_stack((nodes[order], seqs[order], label_column, others[order])).tofile(run)
+    del label_column, order
 
+    # Participation statistics: np.unique returns sorted nodes, so each
+    # label contributes a run of (composite key, count) rows already in
+    # the statistics shard's key order, for the assembly to merge.
+    for direction, nodes in (("out", subjects), ("in", objects)):
+        nodes, counts = np.unique(nodes, return_counts=True)
+        outputs[f"stats_{direction}"] = str(scratch / f"stats_{direction}.{label_id:05d}.run")
+        np.column_stack(
+            (nodes * task["stat_stride"] + task["stat_label_id"], counts)
+        ).tofile(outputs[f"stats_{direction}"])
+        outputs[f"{direction}_entries"] = int(len(nodes))
+
+    # Restore stream order: the in-memory table's row order is the order
+    # add_edge saw the (deduped) triples.
+    order = np.argsort(seqs, kind="stable")
+    final_subjects = subjects[order]
+    final_objects = objects[order]
+    del rows, subjects, objects, seqs, order
+    table = ColumnarEdgeTable.from_mapped(label, final_subjects, final_objects)
     return {
         "label": label,
         "label_id": label_id,
-        "rows": int(len(seqs)),
-        "entry": entry,
-        "stats_prefix": str(stats_prefix),
-        "csr_out": str(out_run),
-        "csr_in": str(in_run),
-        "out_entries": int(len(out_nodes)),
-        "in_entries": int(len(in_nodes)),
+        "rows": len(table),
+        "entry": write_table_shard(Path(task["shard_path"]), table),
+        **outputs,
     }
 
 
@@ -546,21 +590,24 @@ def _run_label_partitions(
 # ----------------------------------------------------------------------
 # finalize: statistics + graph CSR shards
 # ----------------------------------------------------------------------
-def _iter_stat_column(
-    prefix: str, direction: str, stride: int, stat_label_id: int, io_elements: int
-):
-    """Yield sorted ``(composite key, count)`` pairs for one label column.
-
-    The columns open as read-only memmaps, so merging every label's
-    stream at once keeps only an I/O chunk per label resident.
-    """
-    nodes = np.load(f"{prefix}.{direction}_nodes.npy", mmap_mode="r")
-    counts = np.load(f"{prefix}.{direction}_counts.npy", mmap_mode="r")
-    for start in range(0, len(nodes), io_elements):
-        keys = nodes[start : start + io_elements] * stride + stat_label_id
-        values = np.asarray(counts[start : start + io_elements])
-        for index in range(len(keys)):
-            yield int(keys[index]), int(values[index])
+def _append_columns(
+    writer: ShardStreamWriter,
+    spool: Path,
+    width: int,
+    columns: list[tuple[str, int]],
+    io_elements: int,
+) -> None:
+    """Append columns of a spooled file of ``width``-wide int64 rows to
+    ``writer`` (one scan per column, in catalog order), then delete it."""
+    per_read = max(1, io_elements // width)
+    for name, column in columns:
+        with open(spool, "rb") as handle:
+            while True:
+                rows = np.fromfile(handle, dtype=np.int64, count=per_read * width)
+                if not len(rows):
+                    break
+                writer.append(name, np.ascontiguousarray(rows.reshape(-1, width)[:, column]))
+    spool.unlink()
 
 
 def _write_statistics_shard_streaming(
@@ -570,24 +617,20 @@ def _write_statistics_shard_streaming(
     scratch: Path,
     plan: BuildPlan,
 ) -> dict:
-    """Stream the per-label sorted stat columns into the statistics shard.
+    """Merge the per-label statistics runs into the statistics shard.
 
     Reproduces ``write_statistics_shard`` byte-for-byte: stat labels are
     sorted alphabetically, composite keys are ``node * num_labels +
-    label`` in globally sorted order (unique by construction, so a k-way
-    merge of the per-label sorted columns is exactly the in-memory sort).
-    The counts column trails its keys column in the shard layout, so the
-    merge streams keys to the writer directly and spools counts to a
-    scratch file scanned back afterwards — never a whole column in memory.
+    label`` in globally sorted order (unique by construction, so a merge
+    of the per-label sorted runs is exactly the in-memory sort).  The
+    merged rows are spooled to scratch, so keys and counts can be written
+    as two columns without holding either.
     """
-    stat_labels = sorted(labels)
-    stat_ids = {label: index for index, label in enumerate(stat_labels)}
-    stride = max(len(stat_labels), 1)
     out_total = sum(result["out_entries"] for result in results)
     in_total = sum(result["in_entries"] for result in results)
     writer = ShardStreamWriter(
         path,
-        {"kind": "statistics", "labels": stat_labels},
+        {"kind": "statistics", "labels": sorted(labels)},
         [
             ("out_keys", out_total, _DTYPE),
             ("out_counts", out_total, _DTYPE),
@@ -596,44 +639,13 @@ def _write_statistics_shard_streaming(
         ],
     )
     for direction in ("out", "in"):
-        streams = [
-            _iter_stat_column(
-                result["stats_prefix"],
-                direction,
-                stride,
-                stat_ids[result["label"]],
-                plan.io_elements,
-            )
-            for result in results
-        ]
-        spool_path = scratch / f"stats_{direction}.counts"
-        keys_buffer = array("q")
-        counts_buffer = array("q")
-        with open(spool_path, "wb", buffering=1 << 20) as spool:
-            for key, count in heapq.merge(*streams):
-                keys_buffer.append(key)
-                counts_buffer.append(count)
-                if len(keys_buffer) >= plan.io_elements:
-                    writer.append(
-                        f"{direction}_keys", np.frombuffer(keys_buffer, dtype=np.int64)
-                    )
-                    spool.write(counts_buffer.tobytes())
-                    keys_buffer = array("q")
-                    counts_buffer = array("q")
-            if len(keys_buffer):
-                writer.append(
-                    f"{direction}_keys", np.frombuffer(keys_buffer, dtype=np.int64)
-                )
-                spool.write(counts_buffer.tobytes())
-        with open(spool_path, "rb", buffering=1 << 20) as spool:
-            while True:
-                block = spool.read(plan.io_elements * 8)
-                if not block:
-                    break
-                writer.append(
-                    f"{direction}_counts", np.frombuffer(block, dtype=np.int64)
-                )
-        spool_path.unlink()
+        runs = [Path(result[f"stats_{direction}"]) for result in results]
+        spool = scratch / f"stats_{direction}.merged"
+        with open(spool, "wb") as handle:
+            for rows in _merge_runs(runs, _STAT_WIDTH, plan.io_elements):
+                rows.tofile(handle)
+        columns = [(f"{direction}_keys", 0), (f"{direction}_counts", 1)]
+        _append_columns(writer, spool, _STAT_WIDTH, columns, plan.io_elements)
     entry = writer.close()
     return {"entries": int(out_total + in_total), **entry}
 
@@ -649,10 +661,10 @@ def _write_graph_shard_streaming(
 ) -> dict:
     """Merge the per-label CSR runs into the graph CSR shard.
 
-    Index pointers come from per-label degree histograms (O(nodes) int64,
-    the documented floor); the adjacency columns stream through a single
-    global ``(node, seq)`` merge per direction, spooled to one flat file
-    so the two column arrays can be written in catalog order.
+    Per direction, one global ``(node, seq)`` merge is spooled to scratch;
+    the node degrees it passes accumulate into the index pointers (one
+    O(nodes) int64 array, the documented floor), which precede the two
+    adjacency columns read back from the spool in catalog order.
     """
     writer = ShardStreamWriter(
         path,
@@ -667,46 +679,19 @@ def _write_graph_shard_streaming(
         ],
     )
     for direction, other_name in (("out", "out_objects"), ("in", "in_subjects")):
-        degrees = np.zeros(num_nodes, dtype=np.int64)
-        for result in results:
-            prefix = result["stats_prefix"]
-            nodes = np.load(f"{prefix}.{direction}_nodes.npy", mmap_mode="r")
-            counts = np.load(f"{prefix}.{direction}_counts.npy", mmap_mode="r")
-            degrees[nodes] += counts
-        indptr = np.empty(num_nodes + 1, dtype=np.int64)
-        indptr[0] = 0
-        np.cumsum(degrees, out=indptr[1:])
-        del degrees
+        runs = [Path(result[f"csr_{direction}"]) for result in results]
+        spool = scratch / f"csr_{direction}.merged"
+        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        with open(spool, "wb") as handle:
+            for rows in _merge_runs(runs, _CSR_WIDTH, plan.io_elements):
+                rows.tofile(handle)
+                nodes, counts = np.unique(rows[:, 0], return_counts=True)
+                indptr[nodes + 1] += counts
+        np.cumsum(indptr, out=indptr)
         writer.append(f"{direction}_indptr", indptr)
         del indptr
-
-        merged_path = scratch / f"csr_{direction}.merged"
-        buffer = array("q")
-        with open(merged_path, "wb", buffering=1 << 20) as handle:
-            for row in heapq.merge(
-                *(
-                    _iter_csr_run(Path(result[f"csr_{direction}"]), plan.io_elements)
-                    for result in results
-                )
-            ):
-                buffer.extend(row)
-                if len(buffer) >= plan.io_elements:
-                    handle.write(buffer.tobytes())
-                    buffer = array("q")
-            if len(buffer):
-                handle.write(buffer.tobytes())
-        per_read = max(1, plan.io_elements // _CSR_WIDTH)
-        for array_name, column in ((other_name, 3), (f"{direction}_labels", 2)):
-            with open(merged_path, "rb", buffering=1 << 20) as handle:
-                while True:
-                    block = handle.read(per_read * _CSR_WIDTH * 8)
-                    if not block:
-                        break
-                    chunk = np.frombuffer(block, dtype=np.int64).reshape(
-                        -1, _CSR_WIDTH
-                    )
-                    writer.append(array_name, np.ascontiguousarray(chunk[:, column]))
-        merged_path.unlink()
+        columns = [(other_name, 3), (f"{direction}_labels", 2)]
+        _append_columns(writer, spool, _CSR_WIDTH, columns, plan.io_elements)
     entry = writer.close()
     return {"nodes": num_nodes, "edges": num_edges, **entry}
 
@@ -735,25 +720,28 @@ def _write_snapshot(
     report["nodes"] = num_nodes
 
     started = time.perf_counter()
-    vocabulary = _map_arena(output / "vocabulary.arena")
+    # The mapping lives for this pass only: its pages leave the RSS after.
     labels, segments = _route_rows(
-        source, fmt, vocabulary, run_dir, plan, total_triples
+        source, fmt, _map_arena(output / "vocabulary.arena"), run_dir, plan, total_triples
     )
     report["pass2_seconds"] = time.perf_counter() - started
     report["spill_runs"] = sum(len(runs) for runs in segments.values())
 
     started = time.perf_counter()
+    # The statistics shard numbers labels in sorted order.
+    stat_ids = {label: index for index, label in enumerate(sorted(labels))}
     tasks = [
         {
             "label": label,
             "label_id": label_id,
             "run_path": str(run_dir / f"{label_id:05d}.rows"),
-            "segments": segments[label_id],
+            "run_rows": sum(segments[label_id]),
             "scratch": str(scratch),
             # Table order is label first-appearance order — identical to
             # the in-memory save's enumerate(store.labels()).
             "shard_path": str(output / "tables" / f"{label_id:05d}.shard"),
-            "io_elements": plan.io_elements,
+            "stat_label_id": stat_ids[label],
+            "stat_stride": max(len(labels), 1),
         }
         for label_id, label in enumerate(labels)
     ]

@@ -562,6 +562,49 @@ def _close_quietly(mapped: mmap.mmap) -> None:
         pass
 
 
+def parse_shard(
+    path: Path, mapped: mmap.mmap
+) -> tuple[dict, Callable[[str], "np.ndarray | None"]]:
+    """Check a mapped shard's magic and version and read its JSON header;
+    returns the header and a factory of read-only views of its arrays."""
+    if len(mapped) < _SHARD_HEADER.size:
+        raise SnapshotError(f"snapshot shard {path!s} is truncated (no header)")
+    magic, version, header_length = _SHARD_HEADER.unpack_from(mapped, 0)
+    if magic != SHARD_MAGIC:
+        raise SnapshotError(f"snapshot shard {path!s} has a bad magic ({magic!r})")
+    if version != SHARD_VERSION:
+        raise SnapshotError(
+            f"snapshot shard {path!s} uses shard version {version}; "
+            f"this build supports {SHARD_VERSION}"
+        )
+    header_end = _SHARD_HEADER.size + header_length
+    if len(mapped) < header_end:
+        raise SnapshotError(f"snapshot shard {path!s} is truncated (header)")
+    try:
+        header = json.loads(mapped[_SHARD_HEADER.size : header_end])
+    except ValueError as error:
+        raise SnapshotError(
+            f"snapshot shard {path!s} has an unreadable header: {error}"
+        ) from error
+    base = _align(header_end)
+
+    def view(name: str) -> "np.ndarray | None":
+        spec = header.get("arrays", {}).get(name)
+        if spec is None:
+            return None
+        dtype = spec.get("dtype", _DTYPE)
+        start = base + spec["offset"]
+        end = start + spec["count"] * _ITEMSIZES.get(dtype, 8)
+        if end > len(mapped):
+            raise SnapshotError(
+                f"snapshot shard {path!s} is truncated: array {name!r} "
+                f"ends at byte {end}, file has {len(mapped)}"
+            )
+        return np.frombuffer(mapped, dtype=dtype, count=spec["count"], offset=start)
+
+    return header, view
+
+
 class ShardedSnapshotReader:
     """Opens a snapshot directory and hands out sections and shards.
 
@@ -707,55 +750,11 @@ class ShardedSnapshotReader:
         except (AttributeError, ValueError, OSError):  # pragma: no cover
             pass
         try:
-            header, view = self._parse_shard(path, mapped)
+            header, view = parse_shard(path, mapped)
         except SnapshotError:
             _close_quietly(mapped)
             raise
         return path, mapped, header, view
-
-    def _parse_shard(
-        self, path: Path, mapped: mmap.mmap
-    ) -> tuple[dict, Callable[[str], "np.ndarray | None"]]:
-        if len(mapped) < _SHARD_HEADER.size:
-            raise SnapshotError(f"snapshot shard {path!s} is truncated (no header)")
-        magic, version, header_length = _SHARD_HEADER.unpack_from(mapped, 0)
-        if magic != SHARD_MAGIC:
-            raise SnapshotError(
-                f"snapshot shard {path!s} has a bad magic ({magic!r})"
-            )
-        if version != SHARD_VERSION:
-            raise SnapshotError(
-                f"snapshot shard {path!s} uses shard version {version}; "
-                f"this build supports {SHARD_VERSION}"
-            )
-        header_end = _SHARD_HEADER.size + header_length
-        if len(mapped) < header_end:
-            raise SnapshotError(f"snapshot shard {path!s} is truncated (header)")
-        try:
-            header = json.loads(mapped[_SHARD_HEADER.size : header_end])
-        except ValueError as error:
-            raise SnapshotError(
-                f"snapshot shard {path!s} has an unreadable header: {error}"
-            ) from error
-        base = _align(header_end)
-
-        def view(name: str) -> "np.ndarray | None":
-            spec = header.get("arrays", {}).get(name)
-            if spec is None:
-                return None
-            dtype = spec.get("dtype", _DTYPE)
-            start = base + spec["offset"]
-            end = start + spec["count"] * _ITEMSIZES.get(dtype, 8)
-            if end > len(mapped):
-                raise SnapshotError(
-                    f"snapshot shard {path!s} is truncated: array {name!r} "
-                    f"ends at byte {end}, file has {len(mapped)}"
-                )
-            return np.frombuffer(
-                mapped, dtype=dtype, count=spec["count"], offset=start
-            )
-
-        return header, view
 
     # ------------------------------------------------------------------
     def load_table(self, label: str) -> ColumnarEdgeTable:

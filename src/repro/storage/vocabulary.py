@@ -161,9 +161,12 @@ class MappedVocabulary:
         sorted_ids: "np.ndarray",
         blob: "np.ndarray",
     ) -> None:
-        self._offsets = offsets
-        self._sorted_ids = sorted_ids
-        self._blob = blob
+        # Per-element reads go through memoryviews of the mapped arrays:
+        # indexing one yields a plain int (or a byte slice) where indexing
+        # the ndarray would box a numpy scalar.
+        self._offsets = memoryview(np.ascontiguousarray(offsets, dtype=np.int64))
+        self._sorted_ids = memoryview(np.ascontiguousarray(sorted_ids, dtype=np.int64))
+        self._blob = memoryview(np.ascontiguousarray(blob, dtype=np.uint8))
         self._base = len(offsets) - 1
         self._extra_ids: dict[str, int] = {}
         self._extra_terms: list[str] = []
@@ -176,18 +179,20 @@ class MappedVocabulary:
     # ------------------------------------------------------------------
     def _term_bytes(self, entity_id: int) -> bytes:
         offsets = self._offsets
-        return bytes(self._blob[int(offsets[entity_id]) : int(offsets[entity_id + 1])])
+        return bytes(self._blob[offsets[entity_id] : offsets[entity_id + 1]])
 
     def _find_mapped(self, term: str) -> tuple[int | None, int]:
         """Binary search the sort permutation for ``term``: its id (None if
         absent) and how many mapped terms sort before it."""
         encoded = term.encode("utf-8")
         sorted_ids = self._sorted_ids
+        offsets = self._offsets
+        blob = self._blob
         lo, hi = 0, self._base
         while lo < hi:
             mid = (lo + hi) // 2
-            candidate_id = int(sorted_ids[mid])
-            candidate = self._term_bytes(candidate_id)
+            candidate_id = sorted_ids[mid]
+            candidate = bytes(blob[offsets[candidate_id] : offsets[candidate_id + 1]])
             if candidate < encoded:
                 lo = mid + 1
             elif candidate > encoded:
@@ -254,7 +259,7 @@ class MappedVocabulary:
         ids = np.asarray(ids, dtype=np.int64)
         if self._ranks is None:
             self._ranks = np.empty(self._base, dtype=np.int64)
-            self._ranks[self._sorted_ids] = np.arange(self._base)
+            self._ranks[np.frombuffer(self._sorted_ids, dtype=np.int64)] = np.arange(self._base)
         keys = np.full(len(ids), MAX_ENTITY_ID, dtype=np.int64)
         mapped = ids < self._base
         keys[mapped] += self._ranks[ids[mapped]] << 31

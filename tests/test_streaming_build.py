@@ -10,8 +10,11 @@ to disk.
 from __future__ import annotations
 
 import gzip
+import heapq
 import json
+import shutil
 
+import numpy as np
 import pytest
 
 from repro.datasets.synthetic import DBpediaLikeGenerator, FreebaseLikeGenerator
@@ -22,8 +25,9 @@ from repro.exceptions import (
     TripleParseError,
 )
 from repro.graph.triples import load_graph, write_triples
-from repro.storage.build import BuildPlan, build_streaming_snapshot
+from repro.storage.build import BuildPlan, _merge_runs, build_streaming_snapshot
 from repro.storage.snapshot import GraphStore
+from repro.storage.vocabulary import MappedVocabulary
 
 
 def _write_dump(tmp_path, seed=3, scale=0.2, duplicates=100, generator=None, name="dump.tsv"):
@@ -68,6 +72,34 @@ def _assert_identical(streamed, reference):
         assert left[name] == right[name], f"shard {name} differs byte-for-byte"
 
 
+def _count_binary_searches(monkeypatch):
+    """Record every term ``MappedVocabulary._find_mapped`` searches for."""
+    searches = []
+    find_mapped = MappedVocabulary._find_mapped
+
+    def counting(self, term):
+        searches.append(term)
+        return find_mapped(self, term)
+
+    monkeypatch.setattr(MappedVocabulary, "_find_mapped", counting)
+    return searches
+
+
+def _second_pass_reads(monkeypatch, changed):
+    """Make the build's second read of its source stream ``changed``."""
+    import repro.storage.build as build_module
+
+    reads = []
+    iter_chunked = build_module.iter_triples_chunked
+
+    def swapped(source, **kwargs):
+        reads.append(source)
+        return iter_chunked(changed if len(reads) > 1 else source, **kwargs)
+
+    monkeypatch.setattr(build_module, "iter_triples_chunked", swapped)
+    return reads
+
+
 class TestByteIdentity:
     def test_v3_freebase_with_duplicates_and_spills(self, tmp_path):
         dump = _write_dump(tmp_path, duplicates=150)
@@ -82,17 +114,31 @@ class TestByteIdentity:
         assert report["duplicates"] == 150
         assert report["edges"] == report["triples_read"] - 150
 
-    def test_v3_lookup_cache_eviction(self, tmp_path):
+    def test_v3_lookup_cache_eviction(self, tmp_path, monkeypatch):
         # Enough distinct terms to overflow the pass-2 lookup cache at the
         # 1 MB floor (cap 1024 entries): eviction while one row's object
-        # resolves must not lose the row's already-resolved subject.
+        # resolves must not lose the row's already-resolved subject, and a
+        # term met again after its eviction is found by binary search.
         dump = _write_dump(
             tmp_path, generator=FreebaseLikeGenerator(seed=2, scale=2.0), duplicates=80
         )
+        searches = _count_binary_searches(monkeypatch)
         report = build_streaming_snapshot(
             dump, tmp_path / "streamed", snapshot_format="v3", memory_budget_mb=1
         )
         assert report["nodes"] > 1024  # the eviction path really ran
+        assert len(searches) > 0
+        _build_in_memory(dump, tmp_path / "reference")
+        _assert_identical(tmp_path / "streamed", tmp_path / "reference")
+
+    def test_a_cache_holding_every_term_makes_no_binary_search(self, tmp_path, monkeypatch):
+        """Pass 2 meets each term first in id order, so with nothing
+        evicted every id comes from the next-id check."""
+        dump = _write_dump(tmp_path, duplicates=40)
+        searches = _count_binary_searches(monkeypatch)
+        report = build_streaming_snapshot(dump, tmp_path / "streamed")
+        assert report["nodes"] < BuildPlan(256).lookup_cache
+        assert searches == []
         _build_in_memory(dump, tmp_path / "reference")
         _assert_identical(tmp_path / "streamed", tmp_path / "reference")
 
@@ -163,6 +209,33 @@ class TestFailureModes:
         monkeypatch.setattr(vocabulary_module, "MAX_ENTITY_ID", 2)
         build_streaming_snapshot(dump, tmp_path / "fits")
         assert len(GraphStore.load(tmp_path / "fits").store.vocabulary) == 3
+
+    @pytest.mark.parametrize(
+        "changed",
+        [
+            "a\tr\tb\nb\tr\tz\n",  # z fails the next-id check (c is next)
+            "a\tr\tz\nb\tr\tc\n",  # z takes the slot where b is next
+            "a\tr\tb\nb\tr\tc\nc\tr\tz\n",  # z comes after every id is met
+        ],
+    )
+    def test_a_term_missing_from_pass_one_is_refused(self, tmp_path, monkeypatch, changed):
+        dump = tmp_path / "dump.tsv"
+        dump.write_text("a\tr\tb\nb\tr\tc\n", encoding="utf-8")
+        (tmp_path / "changed.tsv").write_text(changed, encoding="utf-8")
+        reads = _second_pass_reads(monkeypatch, tmp_path / "changed.tsv")
+        with pytest.raises(SnapshotError, match="'z' missing from the pass-1 arena"):
+            build_streaming_snapshot(dump, tmp_path / "out")
+        assert len(reads) == 2
+        assert not (tmp_path / "out" / "MANIFEST.json").exists()
+
+    def test_a_triple_count_changed_between_passes_is_refused(self, tmp_path, monkeypatch):
+        dump = tmp_path / "dump.tsv"
+        dump.write_text("a\tr\tb\nb\tr\tc\n", encoding="utf-8")
+        (tmp_path / "changed.tsv").write_text("a\tr\tb\nb\tr\tc\nc\tr\ta\n", encoding="utf-8")
+        _second_pass_reads(monkeypatch, tmp_path / "changed.tsv")
+        with pytest.raises(SnapshotError, match="3 triples on pass 2 but 2 on pass 1"):
+            build_streaming_snapshot(dump, tmp_path / "out")
+        assert not (tmp_path / "out" / "MANIFEST.json").exists()
 
     def test_empty_dump_raises_graph_error(self, tmp_path):
         dump = tmp_path / "empty.tsv"
@@ -259,6 +332,66 @@ class TestCLI:
         )
         assert code == 0
         assert capsys.readouterr().out == ""
+
+
+class TestBlockMerge:
+    """``_merge_runs`` yields what ``heapq.merge`` yields over the runs'
+    row tuples, in blocks no larger than its ``io_elements`` share, and
+    leaves only its input files behind."""
+
+    @staticmethod
+    def _check(tmp_path, runs, io_elements):
+        width = runs[0].shape[1]
+        directory = tmp_path / f"runs.{io_elements}"
+        directory.mkdir()
+        paths = []
+        for index, run in enumerate(runs):
+            paths.append(directory / f"{index:05d}.run")
+            run.astype(np.int64).tofile(paths[-1])
+        blocks = list(_merge_runs(paths, width, io_elements))
+        merged = [tuple(row) for block in blocks for row in block.tolist()]
+        assert merged == list(heapq.merge(*(map(tuple, run.tolist()) for run in runs)))
+        assert all(0 < len(block) <= max(2, io_elements // width) for block in blocks)
+        assert sorted(directory.iterdir()) == paths
+        shutil.rmtree(directory)
+
+    def test_a_bound_row_shared_by_several_runs(self, tmp_path):
+        # One-row blocks: runs 0 and 1 both end blocks on (2, 0) while
+        # more of it waits on disk, and run 2 is empty.
+        runs = [
+            np.array([[1, 5], [2, 0], [2, 0], [2, 0], [3, 1]]),
+            np.array([[2, 0], [2, 0], [9, 9]]),
+            np.empty((0, 2), dtype=np.int64),
+            np.array([[2, 0]]),
+        ]
+        for io_elements in (1, 4, 16, 1000):
+            self._check(tmp_path, runs, io_elements)
+
+    def test_random_runs_match_heapq_merge(self, tmp_path):
+        rng = np.random.default_rng(11)
+        for trial in range(60):
+            width = int(rng.integers(1, 5))
+            runs = []
+            for _ in range(int(rng.integers(1, 8))):
+                # Empty runs, one-row runs and longer ones; a small value
+                # range makes equal rows across runs common.
+                length = int(rng.choice([0, 1, int(rng.integers(2, 50))]))
+                run = rng.integers(0, 4, size=(length, width))
+                runs.append(run[np.lexsort(run.T[::-1])])
+            for io_elements in (1, width * len(runs) * 3, 10_000):
+                self._check(tmp_path, runs, io_elements)
+
+    def test_more_runs_than_one_merge_takes(self, tmp_path):
+        # 300 runs against a fan-in of 4 (16 pooled rows): four levels of
+        # group merges into files beside the runs before the last merge;
+        # at 1000 elements (fan-in 22) one level.
+        rng = np.random.default_rng(5)
+        runs = []
+        for _ in range(300):
+            run = rng.integers(0, 50, size=(int(rng.integers(0, 12)), 2))
+            runs.append(run[np.lexsort(run.T[::-1])])
+        for io_elements in (32, 1000):
+            self._check(tmp_path, runs, io_elements)
 
 
 class TestBuildPlan:
