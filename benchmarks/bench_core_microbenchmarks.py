@@ -47,7 +47,7 @@ def _reduced_neighborhood(graph, query_tuple):
 
 
 def test_bench_reduced_neighborhood(system, benchmark):
-    """The front half over the owned dict-of-lists graph (the string spec)."""
+    """The front half over a graph built in memory (``GQBE(graph)``)."""
     gqbe, workload = system
     query = workload.query("F18")
     result = benchmark(_reduced_neighborhood, gqbe.graph, query.query_tuple)
@@ -59,16 +59,16 @@ def mapped_graph(system, tmp_path_factory):
     """The benchmark graph reopened as a v3 mapped CSR view."""
     gqbe, _workload = system
     directory = tmp_path_factory.mktemp("bench_v3") / "freebase.snapdir3"
-    GraphStore.build(gqbe.graph).save(directory)
+    gqbe.graph_store.save(directory)
     return GraphStore.load(directory).graph
 
 
 def test_bench_mapped_neighborhood_extraction(system, mapped_graph, benchmark):
     """The front half over the mapped CSR columns — the serve path.
 
-    Pairs with ``test_bench_reduced_neighborhood`` (the owned graph):
-    here the gather and the reduction run on id columns and only the
-    surviving edges are decoded.
+    Pairs with ``test_bench_reduced_neighborhood`` (the same arrays, built
+    in memory): the gather and the reduction run on id columns and only
+    the surviving edges are decoded.
     """
     _gqbe, workload = system
     query = workload.query("F18")
@@ -148,13 +148,13 @@ def test_bench_overflowing_hub_join(benchmark):
     from repro.exceptions import LatticeError
     from repro.graph.knowledge_graph import Edge, KnowledgeGraph
     from repro.storage.join import ColumnarRelation, extend_with_edge
-    from repro.storage.store import VerticalPartitionStore
+    from repro.storage.snapshot import GraphStore
 
     hubs = [f"hub{j}" for j in range(5)]
     graph = KnowledgeGraph(
         [(f"member{i}", "member_of", hub) for hub in hubs for i in range(2_000)]
     )
-    store = VerticalPartitionStore(graph)
+    store = GraphStore.build(graph).store
     id_of = store.vocabulary.id_of
     rows = np.arange(5_000)
     relation = ColumnarRelation(
@@ -186,7 +186,7 @@ def test_bench_record_self_matching_relation(benchmark):
     from repro.lattice.exploration import AnswerAccumulator
     from repro.lattice.query_graph import LatticeSpace
     from repro.storage.join import ColumnarRelation
-    from repro.storage.store import VerticalPartitionStore
+    from repro.storage.snapshot import GraphStore
 
     variables = ("q", "a", "b", "c", "d", "e", "f")
     edges = [Edge("q", f"r{i}", node) for i, node in enumerate(variables[1:])]
@@ -199,9 +199,9 @@ def test_bench_record_self_matching_relation(benchmark):
         )
     )
     others = [f"x{i}" for i in range(3_000)]
-    store = VerticalPartitionStore(
+    store = GraphStore.build(
         KnowledgeGraph([(node, "exists", node) for node in (*variables, *others)])
-    )
+    ).store
     id_of = store.vocabulary.id_of
     rng = np.random.default_rng(14)
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI gate: the streaming build's peak RSS stays within its budget plus floors.
 
-``gqbe build-index --streaming`` promises bounded peak memory: working
+``gqbe build-index`` (the streaming build) promises bounded peak memory: working
 buffers scale with ``--memory-budget-mb``, not with the dump, and the few
 footprints that do scale with the data are documented floors (see
 docs/building.md, "Memory-budget semantics").  This script builds
@@ -16,10 +16,11 @@ generating process carries over), incremental over the import floor
   arena's bytes, 8 bytes per node and ``FINALIZE_BYTES_PER_ROW`` per row
   routed to the largest label (duplicates included: a label's finalize
   reads its whole spill run before it drops them);
-* the same dump built in memory **exceeds** that bound (if it did not,
-  the gate would be vacuous at this scale), and the two outputs are
-  byte-identical (manifest equality is sufficient: the manifest records
-  every shard's SHA-256);
+* the same dump built in memory — ``GraphStore.build(load_graph(dump))
+  .save(...)`` — **exceeds** that bound (if it did not, the gate would be
+  vacuous at this scale), and the two outputs are byte-identical
+  (manifest equality is sufficient: the manifest records every shard's
+  SHA-256);
 * a duplicate-heavy dump — a smaller graph written ``DUPLICATE_COPIES``
   times over, so every triple repeats across spill segments — built at
   ``DUPLICATE_BUDGET_MB`` stays under its own ``budget + floors``.
@@ -67,6 +68,12 @@ _BUILD_PROBE = (
     "from repro.cli import main;"
     "rc = main(sys.argv[1:]);" + _PEAK + ";sys.exit(rc)"
 )
+_IN_MEMORY_PROBE = (
+    "import sys;"
+    "from repro.graph.triples import load_graph;"
+    "from repro.storage.snapshot import GraphStore;"
+    "GraphStore.build(load_graph(sys.argv[1])).save(sys.argv[2]);" + _PEAK
+)
 
 
 def _vm_hwm_available() -> bool:
@@ -92,12 +99,16 @@ def _child_peak_bytes(command: list[str]) -> int:
 
 
 def _build_peak_bytes(dump: Path, output: Path, budget_mb: int | None) -> int:
-    """Peak RSS of ``gqbe build-index`` in a child: streaming under
-    ``budget_mb``, or in memory when it is None."""
-    command = [sys.executable, "-c", _BUILD_PROBE, "build-index", str(dump), str(output)]
-    if budget_mb is not None:
-        command += ["--streaming", "--memory-budget-mb", str(budget_mb)]
-    return _child_peak_bytes(command + ["--quiet"])
+    """Peak RSS of a build in a child: ``gqbe build-index`` under
+    ``budget_mb``, or ``GraphStore.build`` + ``save`` when it is None."""
+    if budget_mb is None:
+        return _child_peak_bytes(
+            [sys.executable, "-c", _IN_MEMORY_PROBE, str(dump), str(output)]
+        )
+    return _child_peak_bytes(
+        [sys.executable, "-c", _BUILD_PROBE, "build-index", str(dump), str(output),
+         "--memory-budget-mb", str(budget_mb), "--quiet"]
+    )
 
 
 def _write_dump(path: Path, scale: float, copies: int = 1) -> tuple[Counter, str]:

@@ -8,9 +8,8 @@ Subcommands
 
         gqbe query --snapshot data.snap --tuple "Jerry Yang,Yahoo!"
 ``gqbe build-index``
-    Run the offline build for a triple file and save it as an index
-    snapshot — a directory of memory-mappable shards — for instant warm
-    starts (``--streaming`` builds it out-of-core)::
+    Stream a triple file out-of-core into an index snapshot — a
+    directory of memory-mappable shards — for instant warm starts::
 
         gqbe build-index data.tsv data.snap
 ``gqbe serve``
@@ -47,7 +46,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -118,51 +116,28 @@ def _build_index_footer(rows: int, seconds: float) -> str:
 
 
 def _cmd_build_index(args: argparse.Namespace) -> int:
+    from repro.storage.build import build_streaming_snapshot
+
     say = (lambda *_: None) if args.quiet else print
-    if args.streaming:
-        from repro.storage.build import build_streaming_snapshot
-
-        report = build_streaming_snapshot(
-            args.graph,
-            args.output,
-            workers=args.build_workers,
-            memory_budget_mb=args.memory_budget_mb,
-        )
-        say(
-            f"indexed {report['edges']} edges ({report['nodes']} nodes, "
-            f"{report['labels']} labels) to {args.output} "
-            f"({report['bytes_written']} bytes, streaming)\n"
-            f"pass1 {report['pass1_seconds']:.3f}s  "
-            f"pass2 {report['pass2_seconds']:.3f}s  "
-            f"finalize {report['finalize_labels_seconds'] + report['finalize_shards_seconds']:.3f}s  "
-            f"({report['duplicates']} duplicates, "
-            f"{report['spill_runs']} spill runs, "
-            f"{report['workers']} workers, "
-            f"budget {report['memory_budget_mb']} MB)"
-        )
-        say(_build_index_footer(report["triples_read"], report["total_seconds"]))
-        return 0
-
-    overall = time.perf_counter()
-    started = time.perf_counter()
-    graph = load_graph(args.graph)
-    load_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    graph_store = GraphStore.build(graph)
-    build_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    size = graph_store.save(args.output)
-    save_seconds = time.perf_counter() - started
-    say(
-        f"indexed {graph.num_edges} edges ({graph.num_nodes} nodes, "
-        f"{graph.num_labels} labels) to {args.output} "
-        f"({size} bytes)\n"
-        f"load {load_seconds:.3f}s  build {build_seconds:.3f}s  "
-        f"save {save_seconds:.3f}s"
+    report = build_streaming_snapshot(
+        args.graph,
+        args.output,
+        workers=args.build_workers,
+        memory_budget_mb=args.memory_budget_mb,
     )
-    say(_build_index_footer(graph.num_edges, time.perf_counter() - overall))
+    say(
+        f"indexed {report['edges']} edges ({report['nodes']} nodes, "
+        f"{report['labels']} labels) to {args.output} "
+        f"({report['bytes_written']} bytes)\n"
+        f"pass1 {report['pass1_seconds']:.3f}s  "
+        f"pass2 {report['pass2_seconds']:.3f}s  "
+        f"finalize {report['finalize_labels_seconds'] + report['finalize_shards_seconds']:.3f}s  "
+        f"({report['duplicates']} duplicates, "
+        f"{report['spill_runs']} spill runs, "
+        f"{report['workers']} workers, "
+        f"budget {report['memory_budget_mb']} MB)"
+    )
+    say(_build_index_footer(report["triples_read"], report["total_seconds"]))
     return 0
 
 
@@ -581,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     build_index = subparsers.add_parser(
         "build-index",
-        help="run the offline build once and save it as an index snapshot",
+        help="stream a triple file into an index snapshot (the offline build, once)",
     )
     build_index.add_argument(
         "graph",
@@ -589,29 +564,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     build_index.add_argument("output", help="output snapshot directory")
     build_index.add_argument(
-        "--streaming",
-        action="store_true",
-        help="build out-of-core: stream the dump in bounded chunks, "
-        "external-sort the vocabulary and per-label rows through disk "
-        "spill runs, and write the shards incrementally — same bytes as "
-        "the in-memory build, without holding the graph in memory "
-        "(see docs/building.md)",
-    )
-    build_index.add_argument(
         "--build-workers",
         type=int,
         default=1,
         metavar="N",
         help="fan the per-label shard writers out over N processes "
-        "(streaming only; each worker owns disjoint labels)",
+        "(each worker owns disjoint labels)",
     )
     build_index.add_argument(
         "--memory-budget-mb",
         type=int,
         default=256,
         metavar="M",
-        help="bound the streaming build's chunk and spill buffers to "
-        "roughly M megabytes (streaming only; smaller budgets spill more)",
+        help="bound the build's chunk and spill buffers to roughly M "
+        "megabytes (smaller budgets spill more; see docs/building.md)",
     )
     build_index.add_argument(
         "--quiet",

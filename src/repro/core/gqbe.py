@@ -65,12 +65,11 @@ class GQBE:
             # touches it).
             self._graph_store = graph_store
         else:
-            # Cold start: run the offline build now.  Entities are interned
-            # to dense int ids, decoded back to strings only when answers
-            # are materialized.
-            self._graph_store = GraphStore(
-                graph, GraphStatistics(graph), VerticalPartitionStore(graph)
-            )
+            # Cold start: run the offline build now, in memory, into the
+            # arrays a snapshot holds.  Entities are interned to dense int
+            # ids, decoded back to strings only when answers are
+            # materialized.
+            self._graph_store = GraphStore.build(graph)
         #: Recently built lattice spaces, keyed by the identity of their
         #: MQG.  A LatticeSpace is a pure function of its MQG and carries
         #: warm memos (structure scores, minimal trees), so repeated
@@ -79,8 +78,10 @@ class GQBE:
         self._space_cache: dict[int, tuple[MaximalQueryGraph, LatticeSpace]] = {}
 
     @property
-    def graph(self) -> KnowledgeGraph:
-        """The data graph (materializes a lazily loaded snapshot section)."""
+    def graph(self):
+        """The data graph: a :class:`~repro.graph.mapped.MappedKnowledgeGraph`
+        (a :class:`~repro.graph.delta.DeltaKnowledgeGraph` after an ingest),
+        mapped on first access."""
         return self._graph_store.graph
 
     @property

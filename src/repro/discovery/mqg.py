@@ -25,12 +25,11 @@ belong to the core component, because the minimal query trees of the lattice
 (Sec. IV-A) are enumerated from the core.
 
 All three steps run on :class:`_EdgeRows`: one row per edge, endpoints as
-node positions, weights as one float array.  A neighborhood extracted
-from a mapped or delta graph already is that (its id columns, reduced or
-not), so nothing is decoded but the node terms that order tied weights
-and the ``r`` or so rows that end up in the MQG; a graph held as strings
-(an owned :class:`KnowledgeGraph`, the merged virtual graph of Sec. III-D)
-numbers its nodes first.
+node positions, weights as one float array.  A neighborhood already is
+that (its id columns, reduced or not), so nothing is decoded but the node
+terms that order tied weights and the ``r`` or so rows that end up in the
+MQG; the merged virtual graph of Sec. III-D, held as strings, numbers its
+nodes first.
 """
 
 from __future__ import annotations
@@ -468,25 +467,14 @@ def discover_maximal_query_graph(
         Algorithm 1 (the paper always does; disabling it is useful for
         ablation experiments).
 
-    A neighborhood extracted from a mapped or delta graph carries id
-    columns, reduced or not, and stays undecoded: ``stats.column_weights``
-    weighs its rows (mapped statistics on the ids, dict statistics by
-    decoding them — the same floats) and Algorithm 1 reads the columns.
-    A neighborhood of an owned graph is numbered from its edges and each
-    edge looked up by its strings.
+    The neighborhood's id columns, reduced or not, stay undecoded:
+    ``stats.column_weights`` weighs their rows on the ids and Algorithm 1
+    reads them.
     """
     entities = neighborhood.query_tuple
     working = reduce_neighborhood_graph(neighborhood) if reduce_first else neighborhood
-
-    if working.columns is not None:
-        rows = _rows_of_columns(working.columns)
-        weights = stats.column_weights(working.columns)
-    else:
-        edges = list(working.graph.edges)
-        rows = _rows_of_edges(edges, entities)
-        weights = np.array(
-            [stats.base_edge_weight(edge) for edge in edges], dtype=np.float64
-        )
+    rows = _rows_of_columns(working.columns)
+    weights = stats.column_weights(working.columns)
     selected, core = _select_rows(rows, weights, entities, r, neighborhood.d)
 
     mqg_graph = KnowledgeGraph()

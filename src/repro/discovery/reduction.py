@@ -30,87 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import DiscoveryError
-from repro.graph.knowledge_graph import Edge, KnowledgeGraph
 from repro.graph.neighborhood import NeighborhoodGraph
-
-
-def _important_edges(
-    neighborhood: NeighborhoodGraph, node: str
-) -> tuple[set[Edge], list[Edge]]:
-    """Return (IE(node), all incident edges) for ``node`` in ``H_t``."""
-    graph = neighborhood.graph
-    d = neighborhood.d
-    distances = neighborhood.distances
-    incident = graph.incident_edges(node)
-    important: set[Edge] = set()
-    for edge in incident:
-        other = edge.other(node)
-        other_distance = distances.get(other)
-        if other_distance is not None and other_distance <= d - 1:
-            important.add(edge)
-    return important, incident
-
-
-def _unimportant_edges(
-    neighborhood: NeighborhoodGraph, node: str
-) -> set[Edge]:
-    """UE(node): same-label, same-orientation siblings of important edges."""
-    important, incident = _important_edges(neighborhood, node)
-    if not important:
-        return set()
-    outgoing_labels = {e.label for e in important if e.subject == node}
-    incoming_labels = {e.label for e in important if e.object == node}
-    unimportant: set[Edge] = set()
-    for edge in incident:
-        if edge in important:
-            continue
-        if edge.subject == node and edge.label in outgoing_labels:
-            unimportant.add(edge)
-        elif edge.object == node and edge.label in incoming_labels:
-            unimportant.add(edge)
-    return unimportant
-
-
-def _removed_edges(neighborhood: NeighborhoodGraph) -> set[Edge]:
-    """Union of UE(v) over all nodes, computed in two passes over the edges.
-
-    Equivalent to running :func:`_unimportant_edges` per node (the
-    per-node form is kept above as the executable spec and for tests), but
-    without materializing incident-edge lists for every node: pass one
-    collects, per node, the labels of its important outgoing/incoming
-    edges; pass two flags every non-important edge that shares a label and
-    orientation with an important sibling at either endpoint.
-    """
-    d = neighborhood.d
-    distances = neighborhood.distances
-    threshold = d - 1
-    outgoing_labels: dict[str, set[str]] = {}
-    incoming_labels: dict[str, set[str]] = {}
-    # Per-edge importance flags in edge-list order (parallel lists instead
-    # of an Edge-keyed dict: Edge tuples hash three strings each).
-    edges = list(neighborhood.graph.edges)
-    subject_flags: list[bool] = []
-    object_flags: list[bool] = []
-
-    far = threshold + 1  # sentinel distance: "outside the d-1 ball"
-    for subject, label, obj in edges:
-        subject_side = distances.get(obj, far) <= threshold
-        object_side = distances.get(subject, far) <= threshold
-        subject_flags.append(subject_side)
-        object_flags.append(object_side)
-        if subject_side:
-            outgoing_labels.setdefault(subject, set()).add(label)
-        if object_side:
-            incoming_labels.setdefault(obj, set()).add(label)
-
-    removed: set[Edge] = set()
-    empty: set[str] = set()
-    for edge, subject_side, object_side in zip(edges, subject_flags, object_flags):
-        if not subject_side and edge.label in outgoing_labels.get(edge.subject, empty):
-            removed.add(edge)
-        elif not object_side and edge.label in incoming_labels.get(edge.object, empty):
-            removed.add(edge)
-    return removed
 
 
 _LOST_CONNECTION = (
@@ -129,15 +49,16 @@ def _is_member(values: "np.ndarray", members: "np.ndarray") -> "np.ndarray":
     return members[slots] == values
 
 
-def _reduce_columns(neighborhood: NeighborhoodGraph) -> NeighborhoodGraph:
-    """:func:`reduce_neighborhood_graph` over the id columns of ``H_t``.
+def reduce_neighborhood_graph(neighborhood: NeighborhoodGraph) -> NeighborhoodGraph:
+    """Remove unimportant edges and return the reduced neighborhood graph.
 
-    Evaluates the rule of :func:`_removed_edges` as array masks and sweeps
-    the query entities' component over the surviving rows.  The result is
-    those rows and the nodes they touch, still as id columns and in
-    ``H_t``'s edge order, so decoding it gives the string path's reduced
-    graph, adjacency orders included — and MQG discovery, which reads the
-    columns, never does.
+    The result is the weakly connected component (after removal) that
+    contains all query entities; Theorem 2 guarantees it exists.  The
+    rule is evaluated as array masks over the id columns of ``H_t`` and
+    the component swept over the surviving rows; the result is those
+    rows and the nodes they touch, still as id columns and in ``H_t``'s
+    edge order, so MQG discovery, which reads the columns, never decodes
+    them.
     """
     columns = neighborhood.columns
     subjects, labels, objects = columns.subjects, columns.labels, columns.objects
@@ -179,52 +100,4 @@ def _reduce_columns(neighborhood: NeighborhoodGraph) -> NeighborhoodGraph:
         query_tuple=entities,
         d=neighborhood.d,
         columns=columns.take(kept[reached[kept_subjects]], np.flatnonzero(reached)),
-    )
-
-
-def reduce_neighborhood_graph(neighborhood: NeighborhoodGraph) -> NeighborhoodGraph:
-    """Remove unimportant edges and return the reduced neighborhood graph.
-
-    The result is the weakly connected component (after removal) that
-    contains all query entities; Theorem 2 guarantees it exists.
-    """
-    if neighborhood.columns is not None:
-        return _reduce_columns(neighborhood)
-    graph = neighborhood.graph
-    removed = _removed_edges(neighborhood)
-    kept = [edge for edge in graph.edges if edge not in removed]
-
-    # Keep only the component containing the query entities, computed over
-    # a plain adjacency map (no intermediate KnowledgeGraph build).
-    adjacency: dict[str, list[str]] = {}
-    for edge in kept:
-        adjacency.setdefault(edge.subject, []).append(edge.object)
-        adjacency.setdefault(edge.object, []).append(edge.subject)
-    entities = neighborhood.query_tuple
-    start = entities[0]
-    keeper = {start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        for other in adjacency.get(node, ()):
-            if other not in keeper:
-                keeper.add(other)
-                stack.append(other)
-    if not all(entity in keeper for entity in entities):
-        raise DiscoveryError(_LOST_CONNECTION)
-
-    component_graph = KnowledgeGraph()
-    for entity in entities:
-        component_graph.add_node(entity)
-    for edge in kept:
-        if edge.subject in keeper and edge.object in keeper:
-            component_graph.add_edge_object(edge)
-    distances = neighborhood.distances
-    return NeighborhoodGraph(
-        graph=component_graph,
-        query_tuple=entities,
-        d=neighborhood.d,
-        distances={
-            node: distances[node] for node in component_graph.nodes if node in distances
-        },
     )

@@ -9,9 +9,8 @@ the vocabulary's existing overlay (``MappedVocabulary.intern``), new
 edges append to per-node extra-adjacency lists, and every reader sees
 the union *base slice first, delta appends after*.
 
-That ordering is the whole equivalence argument.  In an owned
-:class:`~repro.graph.knowledge_graph.KnowledgeGraph` built from the
-merged triple stream, a node's adjacency list holds its base-era edges
+That ordering is the whole equivalence argument.  In a fresh build of
+the merged triple stream, a node's CSR slice holds its base-era edges
 (in base insertion order) followed by its delta-era edges (in ingest
 order) — exactly base-CSR-slice followed by the extras list here.  The
 BFS in :mod:`repro.graph.neighborhood` walks both representations in
@@ -20,8 +19,7 @@ byte-identical to a from-scratch build of the merged graph
 (``tests/test_ingest_equivalence.py`` pins this).
 
 Compaction folds the overlay back into CSR form via
-:meth:`DeltaKnowledgeGraph.csr_lists`; pickling materializes the merged
-owned graph.
+:meth:`DeltaKnowledgeGraph.csr_lists`.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from collections.abc import Iterator
 
 from repro.exceptions import GraphError
 from repro.graph.knowledge_graph import Edge
-from repro.graph.mapped import MappedKnowledgeGraph, _knowledge_graph_from_csr
+from repro.graph.mapped import MappedKnowledgeGraph
 
 
 class DeltaKnowledgeGraph:
@@ -353,7 +351,7 @@ class DeltaKnowledgeGraph:
         return ids
 
     # ------------------------------------------------------------------
-    # materialization / compaction / pickling
+    # compaction
     # ------------------------------------------------------------------
     def csr_lists(self) -> tuple[list[str], list[int], list[int], list[int], list[int], list[int], list[int]]:
         """The merged union as CSR lists (labels + six columns).
@@ -395,20 +393,6 @@ class DeltaKnowledgeGraph:
             in_subjects,
             in_labels,
         )
-
-    def _csr_state(self) -> tuple:
-        term_of = self._vocabulary.term_of
-        terms = [term_of(node_id) for node_id in range(self._num_nodes)]
-        return (terms, *self.csr_lists())
-
-    def to_knowledge_graph(self):
-        """Materialize the merged union as an owned ``KnowledgeGraph``."""
-        return _knowledge_graph_from_csr(*self._csr_state())
-
-    # Like the mapped base, a delta view pickles as the equivalent owned
-    # merged KnowledgeGraph.
-    def __reduce__(self):
-        return (_knowledge_graph_from_csr, self._csr_state())
 
     def __contains__(self, item: object) -> bool:
         if isinstance(item, Edge):

@@ -1,31 +1,29 @@
-"""A read-only knowledge-graph view over memory-mapped CSR adjacency.
+"""A read-only knowledge-graph view over CSR adjacency arrays.
 
-The v3 sharded snapshot (:mod:`repro.storage.shards`) persists the data
-graph as six int64 columns — out- and in-adjacency in CSR form over the
-store's interned entity ids — plus the label strings.  This module's
-:class:`MappedKnowledgeGraph` serves the read API of
+A snapshot (:mod:`repro.storage.shards`) persists the data graph as six
+int64 columns — out- and in-adjacency in CSR form over the vocabulary's
+entity ids — plus the label strings; ``GraphStore.build`` computes the
+same columns in memory.  This module's :class:`MappedKnowledgeGraph`
+serves the read API of
 :class:`~repro.graph.knowledge_graph.KnowledgeGraph` directly over those
-mapped columns, so a serve worker reopening a v3 snapshot carries **no**
-private copy of the adjacency: the hot consumer — neighborhood
-extraction (:mod:`repro.graph.neighborhood`) — runs on the int arrays
-and materializes :class:`~repro.graph.knowledge_graph.Edge` objects only
-for the edges that survive the reduction, and the Eq. 2 weights of those
+columns, so a serve worker reopening a snapshot carries **no** private
+copy of the adjacency: the hot consumer — neighborhood extraction
+(:mod:`repro.graph.neighborhood`) — runs on the int arrays and
+materializes :class:`~repro.graph.knowledge_graph.Edge` objects only for
+the edges that survive the reduction, and the Eq. 2 weights of those
 edges are computed on the same ids (:mod:`repro.graph.statistics`).  The
 string-keyed read API below (``has_edge``, ``out_edges``, ...) pays one
 vocabulary binary search per entity it is handed; a query calls it for
 its own entities only.
 
-Two ordering invariants make answers byte-identical to the dict-of-lists
-graph (and are guaranteed by the shard writer):
+Two ordering invariants tie the columns to the triple stream they were
+built from (and are guaranteed by both writers):
 
-* node id ``i`` is the ``i``-th node in the graph's insertion order —
-  exactly the id the store's vocabulary interned for it;
-* each node's out (in) slice lists its edges in the same order as the
-  original ``KnowledgeGraph``'s per-node adjacency lists.
-
-Pickling a mapped graph materializes an equivalent
-:class:`~repro.graph.knowledge_graph.KnowledgeGraph` (per-node adjacency
-orders preserved), so a pickle never holds a handle onto mapped pages.
+* node id ``i`` is the ``i``-th node in the stream's first-occurrence
+  (insertion) order;
+* each node's out (in) slice lists its edges in the same order as a
+  :class:`~repro.graph.knowledge_graph.KnowledgeGraph` of that stream
+  lists them in its per-node adjacency.
 """
 
 from __future__ import annotations
@@ -34,69 +32,20 @@ from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING
 
 from repro._kernels import kernels
-from repro.graph.knowledge_graph import Edge, KnowledgeGraph
+from repro.graph.knowledge_graph import Edge
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (storage imports us)
     from repro.storage.vocabulary import MappedVocabulary
 
 
-def _knowledge_graph_from_csr(
-    terms: Sequence[str],
-    labels: Sequence[str],
-    out_indptr: Sequence[int],
-    out_objects: Sequence[int],
-    out_labels: Sequence[int],
-    in_indptr: Sequence[int],
-    in_subjects: Sequence[int],
-    in_labels: Sequence[int],
-) -> KnowledgeGraph:
-    """Rebuild a real :class:`KnowledgeGraph` from CSR adjacency.
-
-    Fills the per-node adjacency lists directly (one shared
-    :class:`Edge` instance per triple) so both the out *and* in list
-    orders reproduce the original graph exactly — ``add_edge`` could
-    only reproduce one of the two.
-    """
-    graph = KnowledgeGraph()
-    for term in terms:
-        graph.add_node(term)
-    out_map = graph._out
-    in_map = graph._in
-    edges = graph._edges
-    label_counts = graph._label_counts
-    edge_cache: dict[Edge, Edge] = {}
-    for node_id, term in enumerate(terms):
-        bucket = out_map[term]
-        for position in range(out_indptr[node_id], out_indptr[node_id + 1]):
-            edge = Edge(
-                term,
-                labels[out_labels[position]],
-                terms[out_objects[position]],
-            )
-            edge = edge_cache.setdefault(edge, edge)
-            bucket.append(edge)
-            edges[edge] = None
-            label = edge.label
-            label_counts[label] = label_counts.get(label, 0) + 1
-    for node_id, term in enumerate(terms):
-        bucket = in_map[term]
-        for position in range(in_indptr[node_id], in_indptr[node_id + 1]):
-            edge = Edge(
-                terms[in_subjects[position]],
-                labels[in_labels[position]],
-                term,
-            )
-            bucket.append(edge_cache[edge])
-    return graph
-
-
 class MappedKnowledgeGraph:
-    """Read-only CSR adjacency over a mapped v3 snapshot graph shard.
+    """Read-only CSR adjacency over a graph shard's arrays.
 
-    Parameters are the mapped arrays exactly as the shard lays them out
-    (see :func:`repro.storage.shards.write_graph_shard`); ``vocabulary``
+    Parameters are the arrays exactly as the shard lays them out (see
+    :func:`repro.storage.shards.write_graph_shard`); ``vocabulary``
     decodes node ids to entity strings and back.  The instance owns no
-    array data — everything stays in the shared mapped pages.
+    array data — over a snapshot everything stays in the shared mapped
+    pages.
     """
 
     __slots__ = (
@@ -348,36 +297,6 @@ class MappedKnowledgeGraph:
             self.in_indptr,
             self.in_subjects,
         )
-
-    # ------------------------------------------------------------------
-    # materialization / pickling
-    # ------------------------------------------------------------------
-    def _csr_state(self) -> tuple:
-        term_of = self._vocabulary.term_of
-        return (
-            [term_of(node_id) for node_id in range(self.num_nodes)],
-            list(self._labels),
-            self.out_indptr.tolist(),
-            self.out_objects.tolist(),
-            self.out_label_ids.tolist(),
-            self.in_indptr.tolist(),
-            self.in_subjects.tolist(),
-            self.in_label_ids.tolist(),
-        )
-
-    def to_knowledge_graph(self) -> KnowledgeGraph:
-        """Materialize an equivalent owned :class:`KnowledgeGraph`.
-
-        Per-node adjacency list orders are preserved exactly, so a
-        materialized copy answers queries byte-identically.
-        """
-        return _knowledge_graph_from_csr(*self._csr_state())
-
-    # Mapped buffers must never leak into a pickle; a mapped graph
-    # serializes as the equivalent owned KnowledgeGraph (fork-free
-    # worker transports).
-    def __reduce__(self):
-        return (_knowledge_graph_from_csr, self._csr_state())
 
     def __contains__(self, item: object) -> bool:
         if isinstance(item, Edge):

@@ -18,17 +18,18 @@ node.  Then
 because an edge one of whose endpoints lies within ``d − 1`` hops of a query
 entity lies on an undirected path of length ≤ ``d`` starting at that entity.
 
-Over a :class:`~repro.graph.mapped.MappedKnowledgeGraph` (a v3 sharded
-snapshot) or a :class:`~repro.graph.delta.DeltaKnowledgeGraph` the BFS
-runs on the int64 CSR columns and ``H_t`` itself stays in id space
+The data graph is a :class:`~repro.graph.mapped.MappedKnowledgeGraph`
+(a snapshot, or a graph built in memory into the same arrays) or a
+:class:`~repro.graph.delta.DeltaKnowledgeGraph` overlay on one.  The BFS
+runs on its int64 CSR columns and ``H_t`` itself stays in id space
 (:class:`NeighborhoodColumns`), gathered with whole-array operations:
 most of it is noise the reduction of Sec. III-C is about to remove, so
 :class:`~repro.graph.knowledge_graph.Edge` objects are built only for
 the edges that survive it (or for all of ``H_t`` if someone asks for
-``.graph``).  The column orders mirror the dict-of-lists implementation
-exactly (out list then in list, per node, in per-node insertion order),
-so the neighborhood — and every answer downstream of it — is
-byte-identical across backings.
+``.graph``).  The column orders follow the graph's per-node adjacency
+orders (out list then in list, per node), so the neighborhood — and
+every answer downstream of it — is the same on every backing of one
+edge stream.
 """
 
 from __future__ import annotations
@@ -103,49 +104,36 @@ class NeighborhoodGraph:
 
     Attributes
     ----------
-    graph:
-        The subgraph ``H_t`` of the data graph.
     query_tuple:
         The query entities the neighborhood was grown from.
     d:
         The path-length threshold used.
-    distances:
-        ``dist_q(v)`` — minimum undirected distance from any query entity,
-        for every node of ``H_t``.
     columns:
-        ``H_t`` as :class:`NeighborhoodColumns` when it was extracted from
-        a mapped or delta graph, else ``None``.  ``graph`` and
-        ``distances`` are then decoded from the columns on first access;
-        the reduction and MQG discovery read the columns and never ask.
-        A *reduced* neighborhood of such an ``H_t`` is the same thing
-        over the rows and nodes that survived.  Row ``i`` of the edge
-        columns is the ``i``-th edge of ``graph.edges`` (the rows of
-        ``H_t`` are distinct triples, inserted in row order), and the
-        graph's nodes are the query entities followed by the other nodes
-        in the order the rows first mention them — for ``H_t`` itself
-        that is BFS order, the order of the node columns.
+        ``H_t`` as :class:`NeighborhoodColumns`.  The reduction and MQG
+        discovery read the columns; :attr:`graph` and :attr:`distances`
+        decode them on first access.  A *reduced* neighborhood is the
+        same thing over the rows and nodes that survived.  Row ``i`` of
+        the edge columns is the ``i``-th edge of ``graph.edges`` (the
+        rows of ``H_t`` are distinct triples, inserted in row order), and
+        the graph's nodes are the query entities followed by the other
+        nodes in the order the rows first mention them — for ``H_t``
+        itself that is BFS order, the order of the node columns.
     """
 
     __slots__ = ("query_tuple", "d", "columns", "_graph", "_distances")
 
     def __init__(
-        self,
-        *,
-        query_tuple: tuple[str, ...],
-        d: int,
-        graph: KnowledgeGraph | None = None,
-        distances: dict[str, int] | None = None,
-        columns: NeighborhoodColumns | None = None,
+        self, *, query_tuple: tuple[str, ...], d: int, columns: NeighborhoodColumns
     ) -> None:
         self.query_tuple = query_tuple
         self.d = d
         self.columns = columns
-        self._graph = graph
-        self._distances = distances
+        self._graph: KnowledgeGraph | None = None
+        self._distances: dict[str, int] | None = None
 
     @property
     def graph(self) -> KnowledgeGraph:
-        """``H_t`` as a :class:`KnowledgeGraph` (decoded once if columnar)."""
+        """``H_t`` as a :class:`KnowledgeGraph` (decoded once)."""
         if self._graph is None:
             graph = KnowledgeGraph()
             for entity in self.query_tuple:
@@ -157,7 +145,7 @@ class NeighborhoodGraph:
 
     @property
     def distances(self) -> dict[str, int]:
-        """``dist_q`` per node of ``H_t`` (decoded once if columnar)."""
+        """``dist_q`` per node of ``H_t`` (decoded once)."""
         if self._distances is None:
             columns = self.columns
             by_term = dict(zip(columns.terms(), columns.node_distances.tolist()))
@@ -166,17 +154,13 @@ class NeighborhoodGraph:
 
     @property
     def num_nodes(self) -> int:
-        """Number of nodes in ``H_t`` (read off the columns while undecoded)."""
-        if self._graph is None:
-            return len(self.columns.node_ids)
-        return self._graph.num_nodes
+        """Number of nodes in ``H_t``."""
+        return len(self.columns.node_ids)
 
     @property
     def num_edges(self) -> int:
-        """Number of edges in ``H_t`` (read off the columns while undecoded)."""
-        if self._graph is None:
-            return len(self.columns.subjects)
-        return self._graph.num_edges
+        """Number of edges in ``H_t``."""
+        return len(self.columns.subjects)
 
     def distance(self, node: str) -> int:
         """``dist_q(node)``; raises ``KeyError`` for nodes outside ``H_t``."""
@@ -187,7 +171,7 @@ class NeighborhoodGraph:
         return all(self.graph.has_node(entity) for entity in self.query_tuple)
 
 
-def _validate_query_tuple(graph: KnowledgeGraph, query_tuple: Sequence[str]) -> tuple[str, ...]:
+def _validate_query_tuple(graph, query_tuple: Sequence[str]) -> tuple[str, ...]:
     entities = tuple(query_tuple)
     if not entities:
         raise QueryError("query tuples must contain at least one entity")
@@ -235,7 +219,7 @@ def _mapped_distance_ids(
     the id -> BFS position map (0 unvisited, else position + 1).  Each
     depth is one whole-frontier gather (:func:`_gather_frontier`) that
     keeps the first occurrence of every unvisited id in gather order,
-    so the order is the adjacency-map path's exactly.
+    so the order is a per-node loop's exactly.
     """
     frontier = np.array([graph.node_id(entity) for entity in entities], dtype=np.int64)
     positions = np.zeros(graph.num_nodes, dtype=np.int32)
@@ -263,9 +247,9 @@ def _delta_distance_ids(
     returning what :func:`_mapped_distance_ids` returns.
 
     Per frontier node the expansion order is base out slice, delta out
-    appends, base in slice, delta in appends — exactly the adjacency
-    list order of the merged owned graph, so the BFS order (and every
-    answer downstream) is byte-identical to a fresh build of the union.
+    appends, base in slice, delta in appends — exactly the CSR slice
+    order of a fresh build of the merged stream, so the BFS order (and
+    every answer downstream) is byte-identical to that build's.
     The appends interleave per node, so this stays a per-node loop.
     """
     entity_ids = [graph.node_id(entity) for entity in entities]
@@ -313,50 +297,35 @@ def _delta_distance_ids(
     return node_ids, _level_distances(levels), positions
 
 
+def _distance_ids(
+    graph: MappedKnowledgeGraph | DeltaKnowledgeGraph,
+    entities: Sequence[str],
+    cutoff: int | None,
+) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+    if isinstance(graph, DeltaKnowledgeGraph):
+        return _delta_distance_ids(graph, entities, cutoff)
+    return _mapped_distance_ids(graph, entities, cutoff)
+
+
 def query_entity_distances(
-    graph: KnowledgeGraph, query_tuple: Sequence[str], cutoff: int | None = None
+    graph: MappedKnowledgeGraph | DeltaKnowledgeGraph,
+    query_tuple: Sequence[str],
+    cutoff: int | None = None,
 ) -> dict[str, int]:
     """Multi-source undirected BFS distance from the nearest query entity.
 
-    Only nodes within ``cutoff`` hops are returned (all nodes if ``None``).
+    Only nodes within ``cutoff`` hops are returned (all nodes if ``None``),
+    in BFS order.
     """
     entities = _validate_query_tuple(graph, query_tuple)
-    if isinstance(graph, (MappedKnowledgeGraph, DeltaKnowledgeGraph)):
-        bfs = (
-            _mapped_distance_ids
-            if isinstance(graph, MappedKnowledgeGraph)
-            else _delta_distance_ids
-        )
-        node_ids, node_distances, _ = bfs(graph, entities, cutoff)
-        return dict(zip(map(graph.term, node_ids.tolist()), node_distances.tolist()))
-    distances = {entity: 0 for entity in entities}
-    frontier = list(entities)
-    depth = 0
-    # Walk the adjacency lists directly instead of materializing a
-    # neighbor set per node (graph.neighbors builds one on every call);
-    # the `in distances` check deduplicates.
-    out_edges = graph.out_adjacency
-    in_edges = graph.in_adjacency
-    while frontier and (cutoff is None or depth < cutoff):
-        depth += 1
-        next_frontier: list[str] = []
-        for node in frontier:
-            for edge in out_edges.get(node, ()):
-                neighbor = edge.object
-                if neighbor not in distances:
-                    distances[neighbor] = depth
-                    next_frontier.append(neighbor)
-            for edge in in_edges.get(node, ()):
-                neighbor = edge.subject
-                if neighbor not in distances:
-                    distances[neighbor] = depth
-                    next_frontier.append(neighbor)
-        frontier = next_frontier
-    return distances
+    node_ids, node_distances, _ = _distance_ids(graph, entities, cutoff)
+    return dict(zip(map(graph.term, node_ids.tolist()), node_distances.tolist()))
 
 
 def neighborhood_graph(
-    graph: KnowledgeGraph, query_tuple: Sequence[str], d: int = 2
+    graph: MappedKnowledgeGraph | DeltaKnowledgeGraph,
+    query_tuple: Sequence[str],
+    d: int = 2,
 ) -> NeighborhoodGraph:
     """Extract the neighborhood graph ``H_t`` of ``query_tuple`` (Def. 1).
 
@@ -372,35 +341,9 @@ def neighborhood_graph(
     if d < 1:
         raise QueryError(f"path length threshold d must be >= 1, got {d}")
     entities = _validate_query_tuple(graph, query_tuple)
-    if isinstance(graph, MappedKnowledgeGraph):
-        columns = _neighborhood_columns(
-            graph, graph, *_mapped_distance_ids(graph, entities, d), d
-        )
-        return NeighborhoodGraph(query_tuple=entities, d=d, columns=columns)
-    if isinstance(graph, DeltaKnowledgeGraph):
-        columns = _neighborhood_columns(
-            graph, graph.base, *_delta_distance_ids(graph, entities, d), d
-        )
-        return NeighborhoodGraph(query_tuple=entities, d=d, columns=columns)
-    distances = query_entity_distances(graph, entities, cutoff=d)
-
-    subgraph = KnowledgeGraph()
-    for node in distances:
-        subgraph.add_node(node)
-    for node, dist in distances.items():
-        if dist > d - 1:
-            continue
-        # Every edge incident on a node within d-1 hops lies on a path of
-        # length <= d from a query entity, so it belongs to H_t.
-        for edge in graph.incident_edges(node):
-            other = edge.other(node)
-            if other in distances:
-                subgraph.add_edge_object(edge)
-
-    kept_distances = {node: distances[node] for node in subgraph.nodes}
-    return NeighborhoodGraph(
-        graph=subgraph, query_tuple=entities, d=d, distances=kept_distances
-    )
+    base = graph.base if isinstance(graph, DeltaKnowledgeGraph) else graph
+    columns = _neighborhood_columns(graph, base, *_distance_ids(graph, entities, d), d)
+    return NeighborhoodGraph(query_tuple=entities, d=d, columns=columns)
 
 
 def _csr_runs(
@@ -441,7 +384,7 @@ def _neighborhood_columns(
     """Gather ``H_t`` off the CSR columns as :class:`NeighborhoodColumns`.
 
     Every edge incident on a node within ``d - 1`` hops belongs to
-    ``H_t``.  The owned-graph construction visits those near nodes in BFS
+    ``H_t``.  Definition 1's construction visits those near nodes in BFS
     order, each one's out list then its in list (self-loops skipped), and
     keeps an edge the first time it comes up; an adjacency list here is
     the base CSR slice followed by the delta's appends (none over a plain

@@ -31,151 +31,16 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.exceptions import GraphError
-from repro.graph.knowledge_graph import Edge, KnowledgeGraph
+from repro.graph.knowledge_graph import Edge
 
 if TYPE_CHECKING:  # pragma: no cover - repro.graph.neighborhood imports the graphs
     from repro.graph.neighborhood import NeighborhoodColumns
 
 
-class GraphStatistics:
-    """Precomputed label-frequency and participation statistics for a graph.
+class _CountColumns:
+    """A ``(node, label) -> count`` mapping over two int64 columns.
 
-    Parameters
-    ----------
-    graph:
-        The data graph ``G``.  The statistics refer to the *whole* data
-        graph even when weights are later assigned to edges of a
-        neighborhood subgraph, exactly as the paper prescribes.
-    """
-
-    def __init__(self, graph: KnowledgeGraph) -> None:
-        if graph.num_edges == 0:
-            raise GraphError("cannot compute statistics of an empty graph")
-        self._graph = graph
-        self._total_edges = graph.num_edges
-        self._label_counts: dict[str, int] = graph.label_counts()
-        # (subject, label) -> number of edges from that subject with that label
-        self._out_label_counts: dict[tuple[str, str], int] = {}
-        # (object, label) -> number of edges into that object with that label
-        self._in_label_counts: dict[tuple[str, str], int] = {}
-        for edge in graph.edges:
-            out_key = (edge.subject, edge.label)
-            in_key = (edge.object, edge.label)
-            self._out_label_counts[out_key] = self._out_label_counts.get(out_key, 0) + 1
-            self._in_label_counts[in_key] = self._in_label_counts.get(in_key, 0) + 1
-        # Eq. 2 weights are pure functions of the (immutable) statistics
-        # and are requested for the same neighborhood edges query after
-        # query, so they are memoized per edge.
-        self._base_weight_cache: dict[Edge, float] = {}
-
-    # ------------------------------------------------------------------
-    @property
-    def graph(self) -> KnowledgeGraph:
-        """The data graph these statistics were computed from."""
-        return self._graph
-
-    @property
-    def total_edges(self) -> int:
-        """|E(G)| — the total number of edges in the data graph."""
-        return self._total_edges
-
-    def label_frequency(self, label: str) -> int:
-        """#label(e) — number of edges in G bearing ``label``."""
-        return self._label_counts.get(label, 0)
-
-    def inverse_edge_label_frequency(self, edge: Edge | str) -> float:
-        """ief(e) per Eq. 3; accepts an :class:`Edge` or a bare label.
-
-        Unknown labels are treated as having frequency 1 (the rarest
-        possible), which keeps the function total and monotone.
-        """
-        label = edge.label if isinstance(edge, Edge) else edge
-        frequency = max(self._label_counts.get(label, 1), 1)
-        return math.log(self._total_edges / frequency)
-
-    # Short aliases mirroring the paper's notation -----------------------
-    def ief(self, edge: Edge | str) -> float:
-        """Alias for :meth:`inverse_edge_label_frequency`."""
-        return self.inverse_edge_label_frequency(edge)
-
-    def participation_degree(self, edge: Edge) -> int:
-        """p(e) per Eq. 4 (at least 1, since ``e`` itself participates)."""
-        same_subject = self._out_label_counts.get((edge.subject, edge.label), 0)
-        same_object = self._in_label_counts.get((edge.object, edge.label), 0)
-        # Edges counted by both terms are exactly those with the same
-        # subject *and* object and the same label; in a set-of-triples
-        # multigraph that is just the edge itself (if present).
-        overlap = 1 if self._graph.has_edge(*edge) else 0
-        degree = same_subject + same_object - overlap
-        return max(degree, 1)
-
-    def p(self, edge: Edge) -> int:
-        """Alias for :meth:`participation_degree`."""
-        return self.participation_degree(edge)
-
-    # ------------------------------------------------------------------
-    # live ingest (delta overlay) support
-    # ------------------------------------------------------------------
-    def apply_edge(self, edge: Edge) -> None:
-        """Account one newly ingested edge (the caller deduplicated it).
-
-        Increments exactly the counters ``__init__`` would have produced
-        had ``edge`` been part of the original graph, so statistics over
-        (base + delta) equal a from-scratch rebuild of the merged graph.
-        The caller runs :meth:`finish_mutation` once per ingest batch.
-        """
-        self._total_edges += 1
-        self._label_counts[edge.label] = self._label_counts.get(edge.label, 0) + 1
-        out_key = (edge.subject, edge.label)
-        self._out_label_counts[out_key] = self._out_label_counts.get(out_key, 0) + 1
-        in_key = (edge.object, edge.label)
-        self._in_label_counts[in_key] = self._in_label_counts.get(in_key, 0) + 1
-
-    def finish_mutation(self) -> None:
-        """Drop memoized Eq. 2 weights after a mutation batch.
-
-        ``ief`` depends on the global edge total, so every memoized
-        weight is stale once any edge lands.
-        """
-        self._base_weight_cache.clear()
-
-    # ------------------------------------------------------------------
-    def base_edge_weight(self, edge: Edge) -> float:
-        """w(e) = ief(e) / p(e) — Eq. 2, used for MQG discovery (memoized)."""
-        weight = self._base_weight_cache.get(edge)
-        if weight is None:
-            weight = self.inverse_edge_label_frequency(edge) / self.participation_degree(edge)
-            self._base_weight_cache[edge] = weight
-        return weight
-
-    def weights_for(self, edges: Iterable[Edge]) -> dict[Edge, float]:
-        """Eq. 2 weights for every edge in ``edges`` — the discovery weights."""
-        return {edge: self.base_edge_weight(edge) for edge in edges}
-
-    def column_weights(self, columns: "NeighborhoodColumns") -> "np.ndarray":
-        """Eq. 2 for every row of a neighborhood's id columns, as one
-        float64 array.  Dict statistics have no use for ids: they decode
-        the rows and look every edge up by its strings, and are the
-        executable spec; :class:`MappedGraphStatistics` computes the same
-        floats on the ids."""
-        return np.array(
-            [self.base_edge_weight(edge) for edge in columns.decode()], dtype=np.float64
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(edges={self._total_edges}, "
-            f"labels={len(self._label_counts)})"
-        )
-
-
-# ----------------------------------------------------------------------
-# mapped statistics (v3 snapshots)
-# ----------------------------------------------------------------------
-class _MappedCountView:
-    """A ``(node, label) -> count`` mapping over mapped int64 columns.
-
-    The v3 snapshot persists each participation-count dict as a pair of
+    A snapshot persists each participation count of Eq. 4 as a pair of
     columns: sorted composite keys (``node_id * num_labels + label_id``)
     and their counts.  Node ids are the vocabulary's; label ids are the
     *statistics shard's own* (its label table is sorted, the graph
@@ -186,9 +51,8 @@ class _MappedCountView:
 
     Two read surfaces: :meth:`counts_of` answers a whole column of id
     pairs with one ``np.searchsorted`` and is what a query uses; the
-    string-keyed ``get`` / ``items`` of the dict these columns replace
-    serve the per-edge spec methods and resaves, at one vocabulary
-    binary search per key.
+    string-keyed :meth:`get` serves the per-edge spec methods, at one
+    vocabulary binary search per key.
     """
 
     __slots__ = ("_keys", "_counts", "_vocabulary", "_labels", "_label_ids", "_width", "_overlay")
@@ -197,10 +61,10 @@ class _MappedCountView:
         self._keys = keys
         self._counts = counts
         self._vocabulary = vocabulary
-        # Shared with the sibling view, so both agree on an ingested label's id.
+        # Shared with the sibling columns, so both agree on an ingested label's id.
         self._labels = labels
         self._label_ids = label_ids
-        self._width = max(len(labels), 1)  # write_statistics_shard's num_labels
+        self._width = max(len(labels), 1)  # the shard's num_labels
         self._overlay: dict[tuple[int, int], int] = {}
 
     def counts_of(self, node_ids: "np.ndarray", label_ids: "np.ndarray") -> "np.ndarray":
@@ -253,56 +117,42 @@ class _MappedCountView:
         node_id = self._vocabulary.intern(term)
         self._overlay[node_id, label_id] = self._count_at(node_id, label_id) + 1
 
-    def items(self):
-        """Every ``((term, label), count)`` pair, overlay winning.
-
-        Decoding the mapped columns back to string keys is an O(n)
-        sweep; only resaves and pickling (both already full-copy
-        operations) use it — queries never do.
-        """
-        term_of = self._vocabulary.term_of
-        labels = self._labels
-        overlay = self._overlay
-        for composite, count in zip(self._keys.tolist(), self._counts.tolist()):
-            id_key = divmod(composite, self._width)
-            if id_key not in overlay:
-                yield (term_of(id_key[0]), labels[id_key[1]]), count
-        for (node_id, label_id), count in overlay.items():
-            yield (term_of(node_id), labels[label_id]), count
-
-
-def _restore_plain_statistics(total_edges, label_counts, out_counts, in_counts):
-    """Pickle target: rebuild mapped statistics as a plain-dict instance."""
-    statistics = GraphStatistics.__new__(GraphStatistics)
-    statistics._graph = None
-    statistics._total_edges = total_edges
-    statistics._label_counts = label_counts
-    statistics._out_label_counts = out_counts
-    statistics._in_label_counts = in_counts
-    statistics._base_weight_cache = {}
-    return statistics
+    def rekeyed(self, label_map: "np.ndarray", width: int) -> tuple["np.ndarray", "np.ndarray"]:
+        """Sorted ``(keys, counts)`` columns with the overlay folded in,
+        label id ``l`` renumbered ``label_map[l]`` in keys of ``width``."""
+        nodes, labels = np.divmod(self._keys, self._width)
+        keys = nodes * width + label_map[labels]
+        counts = self._counts
+        if self._overlay:
+            pairs = np.array(list(self._overlay), dtype=np.int64)
+            extra = pairs[:, 0] * width + label_map[pairs[:, 1]]
+            kept = ~np.isin(keys, extra)
+            keys = np.concatenate((keys[kept], extra))
+            values = np.array(list(self._overlay.values()), dtype=np.int64)
+            counts = np.concatenate((counts[kept], values))
+        order = np.argsort(keys)
+        return keys[order], counts[order]
 
 
-class MappedGraphStatistics(GraphStatistics):
-    """Statistics whose participation counts live in mapped snapshot columns.
+class GraphStatistics:
+    """Label-frequency and participation statistics of a data graph.
 
-    A v3 snapshot persists the two ``(node, label)`` count dicts — the
-    last per-worker pickle of the format — as sorted composite-key /
-    count int64 column pairs that reopen as zero-copy ``mmap`` views, so
-    N serving workers over one snapshot share their physical pages.  The
-    lookups produce exactly the integers the dict version holds, which
-    keeps every Eq. 2 weight (and therefore every ranked answer)
-    byte-identical.  Live ingest accumulates into per-view overlay
-    dicts; pickling reduces to a plain :class:`GraphStatistics` (resaves
-    re-encode the merged counts instead).
+    The statistics refer to the *whole* data graph even when weights are
+    later assigned to edges of a neighborhood subgraph, exactly as the
+    paper prescribes.  The edge total and per-label counts are a small
+    header; the two ``(node, label)`` participation counts of Eq. 4 are
+    sorted composite-key / count int64 column pairs
+    (:class:`_CountColumns`), mapped zero-copy from a snapshot's
+    statistics shard (so N serving workers over one snapshot share their
+    physical pages) or computed in memory by ``GraphStore.build``.  Live
+    ingest accumulates into per-column overlay dicts.
 
     A query never hands these statistics a string: its neighborhood
-    comes from the same snapshot as id columns, and
-    :meth:`column_weights` computes Eq. 2 for all of its rows on those
-    ids.  The inherited per-edge methods
-    (``participation_degree`` / ``base_edge_weight``) still answer for
-    any :class:`Edge`, through one vocabulary binary search per lookup;
-    they are the spec the array path is tested against.
+    comes from the same graph as id columns, and :meth:`column_weights`
+    computes Eq. 2 for all of its rows on those ids.  The per-edge
+    methods (``ief`` / ``participation_degree`` / ``base_edge_weight``)
+    answer for any :class:`Edge`, through one vocabulary binary search
+    per lookup; they are the spec the array path is tested against.
     """
 
     def __init__(
@@ -318,27 +168,83 @@ class MappedGraphStatistics(GraphStatistics):
         in_counts,
     ) -> None:
         if total_edges <= 0:
-            raise GraphError("cannot map statistics of an empty graph")
+            raise GraphError("cannot compute statistics of an empty graph")
         self._graph = graph
         self._total_edges = int(total_edges)
         self._label_counts = dict(label_counts)
         labels = list(labels)
         self._label_ids = {label: index for index, label in enumerate(labels)}
-        self._out_label_counts = _MappedCountView(
+        self._out_label_counts = _CountColumns(
             out_keys, out_counts, vocabulary, labels, self._label_ids
         )
-        self._in_label_counts = _MappedCountView(
+        self._in_label_counts = _CountColumns(
             in_keys, in_counts, vocabulary, labels, self._label_ids
         )
-        # Per-edge spec calls memoize as in the dict class; a query never
-        # makes one (see column_weights), so serving does not fill this.
-        self._base_weight_cache = {}
+        # Per-edge spec calls are memoized; a query never makes one (see
+        # column_weights), so serving does not fill this.
+        self._base_weight_cache: dict[Edge, float] = {}
 
-    def apply_edge(self, edge: Edge) -> None:
-        self._total_edges += 1
-        self._label_counts[edge.label] = self._label_counts.get(edge.label, 0) + 1
-        self._out_label_counts.add_one((edge.subject, edge.label))
-        self._in_label_counts.add_one((edge.object, edge.label))
+    # ------------------------------------------------------------------
+    @property
+    def graph(self):
+        """The data graph these statistics were computed from."""
+        return self._graph
+
+    @property
+    def total_edges(self) -> int:
+        """|E(G)| — the total number of edges in the data graph."""
+        return self._total_edges
+
+    @property
+    def label_counts(self) -> dict[str, int]:
+        """#label per label, in the graph's first-seen label order."""
+        return dict(self._label_counts)
+
+    def label_frequency(self, label: str) -> int:
+        """#label(e) — number of edges in G bearing ``label``."""
+        return self._label_counts.get(label, 0)
+
+    def inverse_edge_label_frequency(self, edge: Edge | str) -> float:
+        """ief(e) per Eq. 3; accepts an :class:`Edge` or a bare label.
+
+        Unknown labels are treated as having frequency 1 (the rarest
+        possible), which keeps the function total and monotone.
+        """
+        label = edge.label if isinstance(edge, Edge) else edge
+        frequency = max(self._label_counts.get(label, 1), 1)
+        return math.log(self._total_edges / frequency)
+
+    # Short aliases mirroring the paper's notation -----------------------
+    def ief(self, edge: Edge | str) -> float:
+        """Alias for :meth:`inverse_edge_label_frequency`."""
+        return self.inverse_edge_label_frequency(edge)
+
+    def participation_degree(self, edge: Edge) -> int:
+        """p(e) per Eq. 4 (at least 1, since ``e`` itself participates)."""
+        same_subject = self._out_label_counts.get((edge.subject, edge.label), 0)
+        same_object = self._in_label_counts.get((edge.object, edge.label), 0)
+        # Edges counted by both terms are exactly those with the same
+        # subject *and* object and the same label; in a set-of-triples
+        # multigraph that is just the edge itself (if present).
+        overlap = 1 if self._graph.has_edge(*edge) else 0
+        degree = same_subject + same_object - overlap
+        return max(degree, 1)
+
+    def p(self, edge: Edge) -> int:
+        """Alias for :meth:`participation_degree`."""
+        return self.participation_degree(edge)
+
+    def base_edge_weight(self, edge: Edge) -> float:
+        """w(e) = ief(e) / p(e) — Eq. 2, used for MQG discovery (memoized)."""
+        weight = self._base_weight_cache.get(edge)
+        if weight is None:
+            weight = self.inverse_edge_label_frequency(edge) / self.participation_degree(edge)
+            self._base_weight_cache[edge] = weight
+        return weight
+
+    def weights_for(self, edges: Iterable[Edge]) -> dict[Edge, float]:
+        """Eq. 2 weights for every edge in ``edges`` — the discovery weights."""
+        return {edge: self.base_edge_weight(edge) for edge in edges}
 
     def column_weights(self, columns: "NeighborhoodColumns") -> "np.ndarray":
         """Eq. 2 for every row of ``columns``, as one float64 array.
@@ -367,16 +273,46 @@ class MappedGraphStatistics(GraphStatistics):
         )
         return ief[columns.labels] / np.maximum(same_subject + same_object - 1, 1)
 
-    def __reduce__(self):
-        # A pickled copy cannot carry the mmap-backed columns; it
-        # becomes an equivalent plain-dict GraphStatistics (any
-        # cross-process handoff hits this).
+    def count_columns(self) -> tuple[list[str], tuple["np.ndarray", ...]]:
+        """The participation counts as a statistics shard lays them out:
+        the sorted labels and ``(out_keys, out_counts, in_keys, in_counts)``,
+        overlay included."""
+        labels = sorted(self._label_ids)
+        order = {label: index for index, label in enumerate(labels)}
+        label_map = np.array(
+            [order[label] for label in self._out_label_counts._labels], dtype=np.int64
+        )
+        width = max(len(labels), 1)
+        return labels, (
+            *self._out_label_counts.rekeyed(label_map, width),
+            *self._in_label_counts.rekeyed(label_map, width),
+        )
+
+    # ------------------------------------------------------------------
+    # live ingest (delta overlay) support
+    # ------------------------------------------------------------------
+    def apply_edge(self, edge: Edge) -> None:
+        """Account one newly ingested edge (the caller deduplicated it).
+
+        Increments exactly the counters a from-scratch build of the
+        merged graph would hold.  The caller runs :meth:`finish_mutation`
+        once per ingest batch.
+        """
+        self._total_edges += 1
+        self._label_counts[edge.label] = self._label_counts.get(edge.label, 0) + 1
+        self._out_label_counts.add_one((edge.subject, edge.label))
+        self._in_label_counts.add_one((edge.object, edge.label))
+
+    def finish_mutation(self) -> None:
+        """Drop memoized Eq. 2 weights after a mutation batch.
+
+        ``ief`` depends on the global edge total, so every memoized
+        weight is stale once any edge lands.
+        """
+        self._base_weight_cache.clear()
+
+    def __repr__(self) -> str:
         return (
-            _restore_plain_statistics,
-            (
-                self._total_edges,
-                dict(self._label_counts),
-                dict(self._out_label_counts.items()),
-                dict(self._in_label_counts.items()),
-            ),
+            f"{type(self).__name__}(edges={self._total_edges}, "
+            f"labels={len(self._label_counts)})"
         )

@@ -29,7 +29,7 @@ Performance notes (the hot path of the Fig. 14/16 experiments):
 * join relations carry **interned int entity ids** (see
   :mod:`repro.storage.vocabulary`), and so does the ranking: score ties
   break on the vocabulary's string-order keys
-  (:meth:`~repro.storage.vocabulary.Vocabulary.order_keys`), so
+  (:meth:`~repro.storage.vocabulary.MappedVocabulary.order_keys`), so
   :meth:`AnswerAccumulator.ranked` decodes only the top-k answers it
   returns;
 * the per-answer scores live in arrays sorted by an answer key

@@ -51,10 +51,11 @@ from os import PathLike
 
 from repro.core.answer import QueryResult
 from repro.core.gqbe import GQBE
-from repro.exceptions import GQBEError
+from repro.exceptions import GQBEError, GraphError
 from repro.serving.batching import QueryBatcher
 from repro.serving.cache import AnswerCache
 from repro.storage.generations import next_generation_path, prune_generations
+from repro.storage.ingest import normalize_triples
 from repro.storage.snapshot import GraphStore
 
 logger = logging.getLogger("repro.serving")
@@ -300,19 +301,10 @@ class ServingCore:
                 '"triples" must be a non-empty list of '
                 "[subject, label, object] triples"
             )
-        triples: list[tuple[str, str, str]] = []
-        for position, entry in enumerate(raw):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 3
-                or not all(isinstance(item, str) and item for item in entry)
-            ):
-                raise ValueError(
-                    f"triple #{position} must be a [subject, label, object] "
-                    "list of non-empty strings"
-                )
-            triples.append((entry[0], entry[1], entry[2]))
-        return triples
+        try:
+            return normalize_triples(raw)
+        except GraphError as error:
+            raise ValueError(str(error)) from error
 
     def handle_ingest(self, payload) -> tuple[int, dict]:
         """Apply one ``POST /admin/ingest`` body; returns ``(status, body)``.
@@ -509,9 +501,12 @@ class ServingCore:
             tuples.append(tuple(entry))
         k = payload.get("k", 10)
         k_prime = payload.get("k_prime")
-        if not isinstance(k, int) or k < 1:
+        # bool is an int subclass: JSON true/false are not counts.
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise ValueError(f'"k" must be a positive integer, got {k!r}')
-        if k_prime is not None and (not isinstance(k_prime, int) or k_prime < 1):
+        if k_prime is not None and (
+            not isinstance(k_prime, int) or isinstance(k_prime, bool) or k_prime < 1
+        ):
             raise ValueError(f'"k_prime" must be a positive integer, got {k_prime!r}')
         return tuple(tuples), k, k_prime
 

@@ -9,8 +9,7 @@ is then a multi-way join over these tables; this package provides:
   are mapped to dense int ids once, offline, so the join engine hashes and
   compares machine ints instead of strings,
 * :class:`~repro.storage.table.ColumnarEdgeTable` — the per-label table:
-  parallel ``array('q')``/numpy id columns with lazily built sorted probe
-  indexes,
+  parallel numpy id columns with sorted probe indexes,
 * :class:`~repro.storage.store.VerticalPartitionStore` — the collection of
   all per-label tables for a data graph plus their shared vocabulary,
 * :mod:`repro.storage.plan` — join-order planning for a query graph,
@@ -32,11 +31,10 @@ from repro.storage.plan import JoinPlan, plan_join_order
 from repro.storage.snapshot import GraphStore, read_snapshot_meta
 from repro.storage.store import VerticalPartitionStore
 from repro.storage.table import ColumnarEdgeTable
-from repro.storage.vocabulary import MappedVocabulary, Vocabulary
+from repro.storage.vocabulary import MappedVocabulary
 
 __all__ = [
     "ColumnarEdgeTable",
-    "Vocabulary",
     "MappedVocabulary",
     "VerticalPartitionStore",
     "GraphStore",

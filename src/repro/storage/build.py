@@ -1,8 +1,8 @@
 """Out-of-core streaming build: triple dump → snapshot in bounded memory.
 
-``GraphStore.build`` materializes the whole :class:`KnowledgeGraph` in
-Python objects before saving, which caps the offline phase (paper Sec. V-A)
-at graphs that fit in one box's RAM.  :func:`build_streaming_snapshot`
+``GraphStore.build`` needs the whole :class:`KnowledgeGraph` in Python
+objects, which caps the offline phase (paper Sec. V-A) at graphs that fit
+in one box's RAM.  :func:`build_streaming_snapshot`
 produces the *byte-identical* snapshot directory from a triple file
 without ever holding the graph, the vocabulary dict, or more than one
 label's columns at a time:
@@ -12,9 +12,9 @@ Pass 1 — vocabulary (external merge sort)
     record each term's first global occurrence index.  Term buffers spill
     to byte-sorted runs on disk; a k-way merge dedups them (keeping the
     minimum occurrence), a second external sort re-orders the merged terms
-    by first occurrence — which *is* the dense-id order the in-memory
-    build assigns (``VerticalPartitionStore`` interns nodes in graph
-    insertion order: subject before object, duplicates skipped) — and the
+    by first occurrence — which *is* the dense-id order ``GraphStore.build``
+    assigns (graph insertion order: subject before object, duplicates
+    skipped) — and the
     ordered stream is written straight into the vocabulary arena shard
     through :class:`~repro.storage.shards.ShardStreamWriter`.
 
@@ -300,7 +300,7 @@ def _build_vocabulary_arena(
         runs.append(_spill_term_run(buffer, scratch, len(runs)))
         buffer = {}
     if triples == 0:
-        # Match the in-memory path: GraphStatistics refuses empty graphs.
+        # Match GraphStore.build, which refuses empty graphs.
         raise GraphError("cannot compute statistics of an empty graph")
 
     # Merge the byte-sorted runs: assign each distinct term its rank in
@@ -788,7 +788,7 @@ def build_streaming_snapshot(
 ) -> dict:
     """Build a snapshot from a triple dump without materializing the graph.
 
-    Parameters mirror ``gqbe build-index --streaming``: ``fmt`` is the
+    Parameters mirror ``gqbe build-index``: ``fmt`` is the
     triple file format (``auto`` sniffs, ``.gz`` decompresses
     transparently), ``workers`` fans the per-label shard writers out over
     processes, and ``memory_budget_mb`` bounds the streaming state (see

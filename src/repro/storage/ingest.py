@@ -12,17 +12,11 @@ ids, identical adjacency orders, and therefore byte-identical answers —
 a pool worker reopening the snapshot replays the parent's applied
 triples and lands in exactly the parent's state.
 
-Two graph shapes exist at runtime:
-
-* an **owned** :class:`~repro.graph.knowledge_graph.KnowledgeGraph`
-  (cold builds) mutates in place via
-  ``add_edge``; the store vocabulary interns subject-then-object
-  afterwards, matching the id order a from-scratch build of the merged
-  graph would produce;
-* a **mapped** :class:`~repro.graph.mapped.MappedKnowledgeGraph`
-  (snapshots) is immutable, so the first applied triple wraps it in
-  a :class:`~repro.graph.delta.DeltaKnowledgeGraph` union view — the
-  caller must adopt the returned graph.
+A bundle's graph is a :class:`~repro.graph.mapped.MappedKnowledgeGraph`
+(a snapshot, or a graph built in memory into the same arrays), which is
+immutable: the first ingest wraps it in a
+:class:`~repro.graph.delta.DeltaKnowledgeGraph` union view, and the
+caller must adopt the returned graph.
 """
 
 from __future__ import annotations
@@ -31,7 +25,7 @@ from collections.abc import Iterable, Sequence
 
 from repro.exceptions import GraphError
 from repro.graph.delta import DeltaKnowledgeGraph
-from repro.graph.knowledge_graph import Edge, KnowledgeGraph
+from repro.graph.knowledge_graph import Edge
 
 
 def normalize_triples(triples: Iterable[Sequence]) -> list[tuple[str, str, str]]:
@@ -80,22 +74,15 @@ def apply_triples(
     state.
     """
     normalized = normalize_triples(triples)
-    owned = isinstance(graph, KnowledgeGraph)
-    if not owned and not isinstance(graph, DeltaKnowledgeGraph):
+    if not isinstance(graph, DeltaKnowledgeGraph):
         graph = DeltaKnowledgeGraph(graph)
-    vocabulary = store.vocabulary
     applied: list[tuple[str, str, str]] = []
     duplicates = 0
     for subject, label, obj in normalized:
         if graph.has_edge(subject, label, obj):
             duplicates += 1
             continue
-        if owned:
-            graph.add_edge(subject, label, obj)
-            subject_id = vocabulary.intern(subject)
-            object_id = vocabulary.intern(obj)
-        else:
-            subject_id, object_id = graph.add_delta_edge(subject, label, obj)
+        subject_id, object_id = graph.add_delta_edge(subject, label, obj)
         store.ingest_row(label, subject_id, object_id)
         statistics.apply_edge(Edge(subject, label, obj))
         applied.append((subject, label, obj))

@@ -8,7 +8,7 @@ query nodes to the same data entity when ``injective=True`` (the default).
 
 Column names (the ``variables``) are query-graph node strings; the row
 *values* are the dense int ids of the store's
-:class:`~repro.storage.vocabulary.Vocabulary`.  Callers that need entity
+:class:`~repro.storage.vocabulary.MappedVocabulary`.  Callers that need entity
 strings decode rows through ``store.vocabulary`` when materializing
 answers.
 

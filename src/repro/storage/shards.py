@@ -43,7 +43,7 @@ verifiable files:
 ``statistics.counts``
     The ``(node, label)`` participation counts of Eq. 4 as sorted
     composite-key / count int64 column pairs, reopened as the columns of
-    a :class:`~repro.graph.statistics.MappedGraphStatistics`.
+    a :class:`~repro.graph.statistics.GraphStatistics`.
 
 So the only per-worker private memory is the two small sections plus
 interpreter state.  The manifest's ``format_version`` is
@@ -93,14 +93,15 @@ from collections.abc import Callable, Sequence
 from os import PathLike
 from pathlib import Path
 
-from repro.exceptions import SnapshotError
-from repro.graph.delta import DeltaKnowledgeGraph
-from repro.graph.mapped import MappedKnowledgeGraph
 import numpy as np
 
+from repro.exceptions import GraphError, SnapshotError
+from repro.graph.delta import DeltaKnowledgeGraph
+from repro.graph.knowledge_graph import KnowledgeGraph
+from repro.graph.mapped import MappedKnowledgeGraph
 from repro.storage.store import VerticalPartitionStore
 from repro.storage.table import ColumnarEdgeTable, _SortedGroupIndex
-from repro.storage.vocabulary import MappedVocabulary
+from repro.storage.vocabulary import MappedVocabulary, arena_arrays
 
 SHARD_MAGIC = b"GQBESHRD"
 SHARD_VERSION = 1
@@ -276,8 +277,8 @@ def _write_shard_file(
     return writer.close()
 
 
-def _table_arrays(table: ColumnarEdgeTable) -> tuple[dict[str, "np.ndarray"], int]:
-    """The arrays a shard persists for ``table`` (indexes prebuilt)."""
+def _table_shard(table: ColumnarEdgeTable) -> tuple[dict, dict[str, "np.ndarray"]]:
+    """The header and arrays a shard persists for ``table`` (indexes prebuilt)."""
     table.build_indexes()
     arrays: dict[str, np.ndarray] = {
         "subjects": np.ascontiguousarray(table.subject_ids(), dtype=_DTYPE),
@@ -296,7 +297,8 @@ def _table_arrays(table: ColumnarEdgeTable) -> tuple[dict[str, "np.ndarray"], in
         arrays["object_bounds"] = np.ascontiguousarray(object_index.bounds, dtype=_DTYPE)
         arrays["pair_keys"] = np.ascontiguousarray(table._pair_keys, dtype=_DTYPE)
         pair_stride = table._pair_stride
-    return arrays, pair_stride
+    header = {"label": table.label, "rows": len(table), "pair_stride": int(pair_stride)}
+    return header, arrays
 
 
 def write_table_shard(path: Path, table: ColumnarEdgeTable) -> dict:
@@ -306,189 +308,177 @@ def write_table_shard(path: Path, table: ColumnarEdgeTable) -> dict:
     where it put the file) carries ``sha256``, ``bytes``, ``rows`` and
     ``label`` for the manifest.
     """
-    arrays, pair_stride = _table_arrays(table)
-    entry = _write_shard_file(
-        path,
-        {
-            "label": table.label,
-            "rows": len(table),
-            "pair_stride": int(pair_stride),
-        },
-        arrays,
-    )
+    entry = _write_shard_file(path, *_table_shard(table))
     return {"label": table.label, "rows": len(table), **entry}
 
 
 def write_vocabulary_shard(path: Path, vocabulary) -> dict:
-    """Write a vocabulary as a mapped string arena; returns its manifest entry.
+    """Write a vocabulary as a string arena; returns its manifest entry.
 
-    ``vocabulary`` is anything iterating its terms in id order
-    (:class:`~repro.storage.vocabulary.Vocabulary` or a
-    :class:`~repro.storage.vocabulary.MappedVocabulary` being resaved).
+    ``vocabulary`` is anything iterating its terms in id order (a
+    :class:`~repro.storage.vocabulary.MappedVocabulary` with its ingest
+    overlay, when a snapshot is resaved).
     """
-    encoded = [term.encode("utf-8") for term in vocabulary]
-    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
-    if encoded:
-        np.cumsum([len(term) for term in encoded], out=offsets[1:])
-    blob = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-    # Sorted by UTF-8 bytes (not str order — they differ beyond ASCII);
-    # id_of binary-searches this permutation against encoded probes.
-    sorted_ids = np.array(
-        sorted(range(len(encoded)), key=encoded.__getitem__), dtype=np.int64
-    )
+    terms = list(vocabulary)
     entry = _write_shard_file(
-        path,
-        {"kind": "vocabulary", "terms": len(encoded)},
-        {"offsets": offsets, "sorted_ids": sorted_ids, "blob": blob},
+        path, {"kind": "vocabulary", "terms": len(terms)}, arena_arrays(terms)
     )
-    return {"terms": len(encoded), **entry}
+    return {"terms": len(terms), **entry}
 
 
-def _encode_count_column(
-    items, vocabulary, label_ids: dict[str, int], num_labels: int
-) -> tuple["np.ndarray", "np.ndarray"]:
-    """Sorted (composite key, count) columns for one participation dict."""
-    pairs = []
-    for (term, label), count in items:
-        node_id = vocabulary.id_of(term)
-        if node_id is None:
-            raise SnapshotError(
-                "cannot write a statistics shard: participation count "
-                f"references entity {term!r}, which is not in the "
-                "vocabulary (the statistics and store do not belong "
-                "together)"
-            )
-        pairs.append((node_id * num_labels + label_ids[label], int(count)))
-    pairs.sort()
-    keys = np.array([key for key, _ in pairs], dtype=np.int64)
-    counts = np.array([count for _, count in pairs], dtype=np.int64)
-    return keys, counts
+def _statistics_arrays(columns) -> dict[str, "np.ndarray"]:
+    return dict(zip(("out_keys", "out_counts", "in_keys", "in_counts"), columns))
 
 
-def write_statistics_shard(path: Path, out_counts, in_counts, vocabulary) -> dict:
+def write_statistics_shard(path: Path, statistics) -> dict:
     """Write the (node, label) participation counts as mapped columns.
 
-    ``out_counts`` / ``in_counts`` are the statistics' two participation
-    dicts (or mapped views being resaved — anything with ``.items()``
-    over ``((term, label), count)``).  Each becomes a pair of int64
-    columns — composite keys ``node_id * num_labels + label_id`` in
-    sorted order, and the counts — that reopen as zero-copy binary-
-    searchable views; the label list rides in the shard header.
+    Each count becomes a pair of int64 columns — composite keys
+    ``node_id * num_labels + label_id`` in sorted order, and the counts —
+    that reopen as zero-copy binary-searchable views; the sorted label
+    list rides in the shard header (see
+    :meth:`~repro.graph.statistics.GraphStatistics.count_columns`).
     """
-    labels = sorted(
-        {label for (_, label), _ in out_counts.items()}
-        | {label for (_, label), _ in in_counts.items()}
-    )
-    label_ids = {label: index for index, label in enumerate(labels)}
-    num_labels = max(len(labels), 1)
-    out_keys, out_values = _encode_count_column(
-        out_counts.items(), vocabulary, label_ids, num_labels
-    )
-    in_keys, in_values = _encode_count_column(
-        in_counts.items(), vocabulary, label_ids, num_labels
-    )
+    labels, columns = statistics.count_columns()
     entry = _write_shard_file(
-        path,
-        {"kind": "statistics", "labels": labels},
-        {
-            "out_keys": out_keys,
-            "out_counts": out_values,
-            "in_keys": in_keys,
-            "in_counts": in_values,
-        },
+        path, {"kind": "statistics", "labels": labels}, _statistics_arrays(columns)
     )
-    return {"entries": int(len(out_keys) + len(in_keys)), **entry}
+    return {"entries": int(len(columns[0]) + len(columns[2])), **entry}
 
 
-def _graph_csr_arrays(graph, vocabulary) -> tuple[list[str], dict[str, "np.ndarray"]]:
-    """CSR adjacency arrays for ``graph`` over ``vocabulary`` ids.
+_CSR_NAMES = ("out_indptr", "out_objects", "out_labels", "in_indptr", "in_subjects", "in_labels")
 
-    Per-node slices preserve the graph's adjacency-list orders — the
-    invariant that keeps mapped neighborhood extraction byte-identical.
+
+def _graph_csr_arrays(graph) -> tuple[list[str], dict[str, "np.ndarray"]]:
+    """CSR adjacency arrays of a mapped graph, or of a delta overlay folded
+    back into CSR form (compaction).
+
+    The merged per-node order of an overlay (base slice, then delta
+    appends) is the order every live reader saw, so the compacted
+    generation keeps answering byte-identically.
     """
-    if isinstance(graph, MappedKnowledgeGraph):
-        return list(graph.label_strings), {
-            "out_indptr": np.ascontiguousarray(graph.out_indptr, dtype=_DTYPE),
-            "out_objects": np.ascontiguousarray(graph.out_objects, dtype=_DTYPE),
-            "out_labels": np.ascontiguousarray(graph.out_label_ids, dtype=_DTYPE),
-            "in_indptr": np.ascontiguousarray(graph.in_indptr, dtype=_DTYPE),
-            "in_subjects": np.ascontiguousarray(graph.in_subjects, dtype=_DTYPE),
-            "in_labels": np.ascontiguousarray(graph.in_label_ids, dtype=_DTYPE),
-        }
     if isinstance(graph, DeltaKnowledgeGraph):
-        # Compaction: fold the delta overlay back into CSR columns.  The
-        # merged per-node order (base slice, then delta appends) is the
-        # order every live reader saw, so the compacted generation keeps
-        # answering byte-identically.
-        labels, out_indptr, out_objects, out_labels, in_indptr, in_subjects, in_labels = (
-            graph.csr_lists()
+        labels, *columns = graph.csr_lists()
+    else:
+        labels = list(graph.label_strings)
+        columns = (
+            graph.out_indptr,
+            graph.out_objects,
+            graph.out_label_ids,
+            graph.in_indptr,
+            graph.in_subjects,
+            graph.in_label_ids,
         )
-        return labels, {
-            "out_indptr": np.array(out_indptr, dtype=_DTYPE),
-            "out_objects": np.array(out_objects, dtype=_DTYPE),
-            "out_labels": np.array(out_labels, dtype=_DTYPE),
-            "in_indptr": np.array(in_indptr, dtype=_DTYPE),
-            "in_subjects": np.array(in_subjects, dtype=_DTYPE),
-            "in_labels": np.array(in_labels, dtype=_DTYPE),
-        }
-    labels = list(graph.labels)
-    label_ids = {label: index for index, label in enumerate(labels)}
-    num_nodes = graph.num_nodes
-    id_of = vocabulary.id_of
-    term_of = vocabulary.term_of
-    out_adjacency = graph.out_adjacency
-    in_adjacency = graph.in_adjacency
-    out_indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    in_indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    out_objects: list[int] = []
-    out_labels: list[int] = []
-    in_subjects: list[int] = []
-    in_labels: list[int] = []
-    for node_id in range(num_nodes):
-        term = term_of(node_id)
-        for edge in out_adjacency.get(term, ()):
-            out_objects.append(id_of(edge.object))
-            out_labels.append(label_ids[edge.label])
-        out_indptr[node_id + 1] = len(out_objects)
-        for edge in in_adjacency.get(term, ()):
-            in_subjects.append(id_of(edge.subject))
-            in_labels.append(label_ids[edge.label])
-        in_indptr[node_id + 1] = len(in_subjects)
     return labels, {
-        "out_indptr": out_indptr,
-        "out_objects": np.array(out_objects, dtype=np.int64),
-        "out_labels": np.array(out_labels, dtype=np.int64),
-        "in_indptr": in_indptr,
-        "in_subjects": np.array(in_subjects, dtype=np.int64),
-        "in_labels": np.array(in_labels, dtype=np.int64),
+        name: np.ascontiguousarray(column, dtype=_DTYPE)
+        for name, column in zip(_CSR_NAMES, columns)
     }
 
 
-def write_graph_shard(path: Path, graph, vocabulary) -> dict:
+def _graph_header(labels: list[str], nodes: int, edges: int) -> dict:
+    return {"kind": "graph", "nodes": nodes, "edges": edges, "labels": labels}
+
+
+def write_graph_shard(path: Path, graph) -> dict:
     """Write the data graph as a CSR adjacency shard; returns its entry.
 
-    Node ids are ``vocabulary`` ids, so the graph shard and the
-    vocabulary arena of one snapshot decode each other; the label list
-    rides in the shard header.
+    Node ids are vocabulary ids, so the graph shard and the vocabulary
+    arena of one snapshot decode each other; the label list rides in the
+    shard header.
     """
-    if len(vocabulary) < graph.num_nodes:
-        raise SnapshotError(
-            "cannot write a graph CSR shard: the vocabulary has "
-            f"{len(vocabulary)} terms but the graph has {graph.num_nodes} "
-            "nodes (the store and graph do not belong together)"
-        )
-    labels, arrays = _graph_csr_arrays(graph, vocabulary)
-    entry = _write_shard_file(
-        path,
-        {
-            "kind": "graph",
-            "nodes": graph.num_nodes,
-            "edges": graph.num_edges,
-            "labels": labels,
-        },
-        arrays,
-    )
+    labels, arrays = _graph_csr_arrays(graph)
+    header = _graph_header(labels, graph.num_nodes, graph.num_edges)
+    entry = _write_shard_file(path, header, arrays)
     return {"nodes": graph.num_nodes, "edges": graph.num_edges, **entry}
+
+
+def graph_shards(graph: KnowledgeGraph) -> "BuiltSnapshot":
+    """The offline phase for ``graph``, in memory: every array a snapshot
+    of it holds, served by a :class:`BuiltSnapshot`.
+
+    Node ids follow ``graph.nodes`` (insertion order), label ids of the
+    CSR ``graph.labels`` (first-seen order), each node's CSR slices its
+    adjacency lists and each label table ``graph.edges`` order — the
+    shards :func:`~repro.storage.build.build_streaming_snapshot` writes
+    for the graph's edge stream, byte for byte.
+    """
+    if graph.num_edges == 0:
+        raise GraphError("cannot compute statistics of an empty graph")
+    terms = list(graph.nodes)
+    ids = {term: index for index, term in enumerate(terms)}
+    labels = list(graph.labels)
+    label_ids = {label: index for index, label in enumerate(labels)}
+    csr = []
+    # Edge tuples are (subject, label, object): an out list's other end is
+    # field 2, an in list's field 0.
+    for adjacency, other in ((graph.out_adjacency, 2), (graph.in_adjacency, 0)):
+        lists = [adjacency.get(term, ()) for term in terms]
+        indptr = np.zeros(len(terms) + 1, dtype=np.int64)
+        np.cumsum([len(edges) for edges in lists], out=indptr[1:])
+        flat = [edge for edges in lists for edge in edges]
+        csr += [
+            indptr,
+            np.array([ids[edge[other]] for edge in flat], dtype=np.int64),
+            np.array([label_ids[edge[1]] for edge in flat], dtype=np.int64),
+        ]
+    files = {
+        "vocabulary.arena": ({"kind": "vocabulary", "terms": len(terms)}, arena_arrays(terms)),
+        "graph.csr": (
+            _graph_header(labels, len(terms), graph.num_edges),
+            dict(zip(_CSR_NAMES, csr)),
+        ),
+    }
+
+    # Every edge once, in graph.edges order: the rows of the label tables.
+    edges = list(graph.edges)
+    subjects = np.array([ids[edge.subject] for edge in edges], dtype=np.int64)
+    objects = np.array([ids[edge.object] for edge in edges], dtype=np.int64)
+    edge_labels = np.array([label_ids[edge.label] for edge in edges], dtype=np.int64)
+    tables = []
+    by_label = np.argsort(edge_labels, kind="stable")
+    bounds = np.searchsorted(edge_labels[by_label], np.arange(len(labels) + 1))
+    for label_id, label in enumerate(labels):
+        rows = by_label[bounds[label_id] : bounds[label_id + 1]]
+        name = f"tables/{label_id:05d}.shard"
+        table = ColumnarEdgeTable.from_mapped(label, subjects[rows], objects[rows])
+        files[name] = _table_shard(table)
+        tables.append({"label": label, "rows": len(rows), "file": name})
+
+    # Participation counts, keyed on the sorted label order.
+    stat_labels = sorted(labels)
+    stat_order = {label: index for index, label in enumerate(stat_labels)}
+    stat_ids = np.array([stat_order[label] for label in labels], dtype=np.int64)
+    width = max(len(labels), 1)
+    columns = []
+    for nodes in (subjects, objects):
+        columns += np.unique(nodes * width + stat_ids[edge_labels], return_counts=True)
+    files["statistics.counts"] = (
+        {"kind": "statistics", "labels": stat_labels},
+        _statistics_arrays(columns),
+    )
+    label_counts = graph.label_counts()
+    manifest = {
+        "meta": {"num_nodes": len(terms), "num_edges": len(edges), "num_labels": len(labels)},
+        "vocabulary": {"terms": len(terms), "file": "vocabulary.arena"},
+        "graph": {"nodes": len(terms), "edges": len(edges), "file": "graph.csr"},
+        "statistics_counts": {"file": "statistics.counts"},
+        "tables": tables,
+    }
+    sections = _section_payloads(len(edges), label_counts)
+    return BuiltSnapshot(manifest, files, sections)
+
+
+def _section_payloads(total_edges: int, label_counts: dict[str, int]) -> dict[str, bytes]:
+    """The two section pickles: the statistics header and the store skeleton."""
+    statistics_header = {
+        "kind": "mapped-statistics",
+        "total_edges": total_edges,
+        "label_counts": label_counts,
+    }
+    return {
+        "statistics": pickle.dumps(statistics_header, protocol=_PICKLE_PROTOCOL),
+        "store": pickle.dumps(VerticalPartitionStore(), protocol=_PICKLE_PROTOCOL),
+    }
 
 
 def write_manifest(
@@ -512,17 +502,7 @@ def write_manifest(
     and the streaming build, finish here, so their manifests are equal
     byte for byte whenever their shards are.
     """
-    statistics_header = {
-        "kind": "mapped-statistics",
-        "total_edges": total_edges,
-        "label_counts": label_counts,
-    }
-    payloads = {
-        "statistics": pickle.dumps(statistics_header, protocol=_PICKLE_PROTOCOL),
-        "store": pickle.dumps(
-            VerticalPartitionStore.skeleton(), protocol=_PICKLE_PROTOCOL
-        ),
-    }
+    payloads = _section_payloads(total_edges, label_counts)
     sections = {}
     for name, payload in payloads.items():
         file_name = f"{name}.section"
@@ -658,8 +638,11 @@ class ShardedSnapshotReader:
                     f"snapshot {self.directory!s} has no {name!r} shard in "
                     "its manifest — rebuild it with `gqbe build-index`"
                 )
+        self._adopt(manifest)
+
+    def _adopt(self, manifest: dict) -> None:
         self.manifest = manifest
-        self.format_version: int = version
+        self.format_version: int = FORMAT_VERSION
         self.meta: dict = dict(manifest.get("meta", {}))
         self._tables: dict[str, dict] = {
             entry["label"]: entry for entry in manifest.get("tables", [])
@@ -723,14 +706,11 @@ class ShardedSnapshotReader:
         return data
 
     # ------------------------------------------------------------------
-    def _map_shard(
-        self, entry: dict
-    ) -> tuple[Path, mmap.mmap, dict, Callable[[str], "np.ndarray | None"]]:
-        """Verify, map and parse one binary shard; returns its view factory.
+    def _load_shard(self, entry: dict, build: Callable):
+        """Verify, map and parse one binary shard; returns
+        ``build(path, header, view)``, whose views keep the map alive.
 
-        The caller must either adopt the mmap (append it to
-        :attr:`_maps`) or close it; on any :class:`SnapshotError` the
-        map is closed here.
+        On any :class:`SnapshotError` the map is closed again.
         """
         path = self._verify_file(entry["file"], entry["sha256"])
         try:
@@ -750,11 +730,12 @@ class ShardedSnapshotReader:
         except (AttributeError, ValueError, OSError):  # pragma: no cover
             pass
         try:
-            header, view = parse_shard(path, mapped)
+            result = build(path, *parse_shard(path, mapped))
         except SnapshotError:
             _close_quietly(mapped)
             raise
-        return path, mapped, header, view
+        self._maps.append(mapped)
+        return result
 
     # ------------------------------------------------------------------
     def load_table(self, label: str) -> ColumnarEdgeTable:
@@ -764,13 +745,12 @@ class ShardedSnapshotReader:
             raise SnapshotError(
                 f"snapshot {self.directory!s} has no shard for label {label!r}"
             )
-        path, mapped, header, view = self._map_shard(entry)
-        try:
-            table = self._table_from_header(path, header, view, label, entry["rows"])
-        except SnapshotError:
-            _close_quietly(mapped)
-            raise
-        self._maps.append(mapped)
+        table = self._load_shard(
+            entry,
+            lambda path, header, view: self._table_from_header(
+                path, header, view, label, entry["rows"]
+            ),
+        )
         self.opened_labels.append(label)
         return table
 
@@ -811,13 +791,9 @@ class ShardedSnapshotReader:
     # ------------------------------------------------------------------
     def load_vocabulary(self) -> MappedVocabulary:
         """Map the vocabulary arena as a :class:`MappedVocabulary`."""
-        path, mapped, header, view = self._map_shard(self.manifest["vocabulary"])
-        try:
-            vocabulary = self._vocabulary_from_header(path, header, view)
-        except SnapshotError:
-            _close_quietly(mapped)
-            raise
-        self._maps.append(mapped)
+        vocabulary = self._load_shard(
+            self.manifest["vocabulary"], self._vocabulary_from_header
+        )
         self.sections_loaded.append("vocabulary")
         return vocabulary
 
@@ -891,17 +867,11 @@ class ShardedSnapshotReader:
 
         ``columns`` is ``(out_keys, out_counts, in_keys, in_counts)`` —
         zero-copy int64 views ready for
-        :class:`~repro.graph.statistics.MappedGraphStatistics`.
+        :class:`~repro.graph.statistics.GraphStatistics`.
         """
-        path, mapped, header, view = self._map_shard(
-            self.manifest["statistics_counts"]
+        result = self._load_shard(
+            self.manifest["statistics_counts"], self._statistics_from_header
         )
-        try:
-            result = self._statistics_from_header(path, header, view)
-        except SnapshotError:
-            _close_quietly(mapped)
-            raise
-        self._maps.append(mapped)
         self.sections_loaded.append("statistics_counts")
         return result
 
@@ -939,13 +909,12 @@ class ShardedSnapshotReader:
     # ------------------------------------------------------------------
     def load_graph(self, vocabulary: MappedVocabulary) -> MappedKnowledgeGraph:
         """Map the graph CSR shard as a :class:`MappedKnowledgeGraph`."""
-        path, mapped, header, view = self._map_shard(self.manifest["graph"])
-        try:
-            graph = self._graph_from_header(path, header, view, vocabulary)
-        except SnapshotError:
-            _close_quietly(mapped)
-            raise
-        self._maps.append(mapped)
+        graph = self._load_shard(
+            self.manifest["graph"],
+            lambda path, header, view: self._graph_from_header(
+                path, header, view, vocabulary
+            ),
+        )
         self.sections_loaded.append("graph")
         return graph
 
@@ -1025,3 +994,28 @@ class ShardedSnapshotReader:
             arrays["in_subjects"],
             arrays["in_labels"],
         )
+
+
+class BuiltSnapshot(ShardedSnapshotReader):
+    """The shards of a graph built in memory (:func:`graph_shards`), handed
+    out like a snapshot directory's: the same header checks, the same
+    classes wrapped around the arrays, nothing on disk."""
+
+    def __init__(
+        self,
+        manifest: dict,
+        files: dict[str, tuple[dict, dict[str, "np.ndarray"]]],
+        sections: dict[str, bytes],
+    ) -> None:
+        self.directory = None
+        self._files = files
+        self._sections = sections
+        self._adopt(manifest)
+
+    def load_section(self, name: str) -> bytes:
+        self.sections_loaded.append(name)
+        return self._sections[name]
+
+    def _load_shard(self, entry: dict, build: Callable):
+        header, arrays = self._files[entry["file"]]
+        return build(Path(entry["file"]), header, arrays.get)

@@ -6,7 +6,9 @@ is query-independent, so it only ever needs to run once per data graph.
 :class:`GraphStore` bundles everything that phase produces (the data
 graph, its :class:`~repro.graph.statistics.GraphStatistics` and the
 :class:`~repro.storage.store.VerticalPartitionStore` with its vocabulary)
-and serializes the bundle to a snapshot directory.
+and serializes the bundle to a snapshot directory.  Built in memory
+(:meth:`GraphStore.build`) or mapped from disk (:meth:`GraphStore.load`),
+the bundle holds the same arrays in the same classes.
 
 A snapshot is a **rebuildable cache** of the offline phase, not a
 document format: there is one layout (the sharded directory of
@@ -20,7 +22,7 @@ The vocabulary arena, the graph CSR shard and the statistics counts
 shard map on first access (zero-copy, read-only ``mmap`` views shared
 between every process that opens the same snapshot), each label table
 maps its shard on first probe, and only two small pickles — the
-statistics header and the store skeleton — deserialize per process.
+statistics header and the empty store — deserialize per process.
 Every file is verified against the SHA-256 the manifest records the
 first time it is opened.  The section pickles make a snapshot a
 **trusted local artifact** — load only directories you built yourself,
@@ -48,9 +50,10 @@ from pathlib import Path
 
 from repro.exceptions import SnapshotError
 from repro.graph.knowledge_graph import KnowledgeGraph
-from repro.graph.statistics import GraphStatistics, MappedGraphStatistics
+from repro.graph.statistics import GraphStatistics
 from repro.storage.shards import (
     ShardedSnapshotReader,
+    graph_shards,
     write_graph_shard,
     write_manifest,
     write_statistics_shard,
@@ -69,31 +72,38 @@ class GraphStore:
     directory.  :class:`~repro.core.gqbe.GQBE` accepts a ``GraphStore``
     in place of a raw graph to skip the entire offline build.
 
-    A loaded bundle starts *lazy*: only the manifest has been read, and
-    each section maps (or, for the two small pickles, deserializes) on
-    first property access, so constructing a warm system is nearly free
-    and the cost lands on the first query that needs each section.
+    A bundle is one shape whichever way it came: a snapshot directory
+    mapped by :meth:`load`, or the same arrays computed in memory by
+    :meth:`build`.  It starts *lazy*: each section is wrapped (or, for
+    the two small pickles, deserialized) on first property access, so
+    constructing a warm system is nearly free and the cost lands on the
+    first query that needs each section.
     """
 
-    def __init__(
-        self,
-        graph: KnowledgeGraph | None,
-        statistics: GraphStatistics | None,
-        store: VerticalPartitionStore | None,
-        reader: ShardedSnapshotReader | None = None,
-    ) -> None:
-        self._graph = graph
-        self._statistics = statistics
-        self._store = store
+    def __init__(self, reader: ShardedSnapshotReader) -> None:
         self._reader = reader
-        self._meta: dict | None = dict(reader.meta) if reader is not None else None
+        self._meta: dict | None = dict(reader.meta)
+        self._graph = None
+        self._statistics: GraphStatistics | None = None
+        self._store: VerticalPartitionStore | None = None
         self._mapped_vocabulary = None
         self._delta_triples: list[tuple[str, str, str]] = []
 
     @classmethod
     def build(cls, graph: KnowledgeGraph) -> "GraphStore":
-        """Run the offline phase for ``graph`` (the cold-start path)."""
-        return cls(graph, GraphStatistics(graph), VerticalPartitionStore(graph))
+        """Run the offline phase for ``graph`` in memory (the cold start).
+
+        Computes the arrays :meth:`save` writes — vocabulary arena, graph
+        CSR, participation counts, label tables with their probe indexes
+        — and serves them as :meth:`load` serves a snapshot's, so a built
+        bundle is queried, ingested into and saved like a loaded one.
+
+        Raises
+        ------
+        GraphError
+            If ``graph`` has no edges.
+        """
+        return cls(graph_shards(graph))
 
     def _vocabulary_from_arena(self):
         """The snapshot's mapped vocabulary, shared by graph and store."""
@@ -105,12 +115,13 @@ class GraphStore:
     # sections (lazy)
     # ------------------------------------------------------------------
     @property
-    def graph(self) -> KnowledgeGraph:
+    def graph(self):
         """The data graph (mapped on first access).
 
-        From a snapshot this is a
-        :class:`~repro.graph.mapped.MappedKnowledgeGraph` over the graph
-        CSR shard's shared pages, not a private copy.
+        A :class:`~repro.graph.mapped.MappedKnowledgeGraph` over the graph
+        CSR arrays (a snapshot's shared pages, not a private copy), or
+        after an ingest the :class:`~repro.graph.delta.DeltaKnowledgeGraph`
+        over it.
         """
         if self._graph is None:
             self._graph = self._reader.load_graph(self._vocabulary_from_arena())
@@ -120,15 +131,14 @@ class GraphStore:
     def statistics(self) -> GraphStatistics:
         """The precomputed graph statistics (mapped on first access).
 
-        From a snapshot the two ``(node, label)`` participation dicts
-        are mapped binary-searchable columns (shared pages) and only the
-        small header — edge total and per-label counts — unpickles per
-        process.
+        The two ``(node, label)`` participation counts are mapped
+        binary-searchable columns (shared pages) and only the small
+        header — edge total and per-label counts — unpickles per process.
         """
         if self._statistics is None:
             header = pickle.loads(self._reader.load_section("statistics"))
             labels, columns = self._reader.load_statistics_counts()
-            self._statistics = MappedGraphStatistics(
+            self._statistics = GraphStatistics(
                 self.graph,
                 self._vocabulary_from_arena(),
                 labels,
@@ -142,9 +152,9 @@ class GraphStore:
     def store(self) -> VerticalPartitionStore:
         """The vertical-partition store (materialized on first access).
 
-        From a snapshot only the store *skeleton* deserializes here; it
-        adopts the mapped graph and vocabulary, and the per-label tables
-        stay as unopened shards that the reader maps on first probe.
+        Only the empty store deserializes here; it adopts the mapped
+        graph and vocabulary, and the per-label tables stay as unopened
+        shards that the reader maps on first probe.
         """
         if self._store is None:
             store = pickle.loads(self._reader.load_section("store"))
@@ -171,23 +181,14 @@ class GraphStore:
 
         Which sections were read and which label shards were mapped
         (``tables_opened`` / ``tables_total``).  Used by tests and
-        benchmarks to prove partial loading; a bundle built in memory
-        reports everything as loaded.
+        benchmarks to prove partial loading.
         """
-        if self._reader is not None:
-            return {
-                "format": f"v{self._reader.format_version}",
-                "sections_loaded": list(self._reader.sections_loaded),
-                "tables_opened": self._reader.tables_opened,
-                "tables_total": len(self._reader.label_rows()),
-                "opened_labels": list(self._reader.opened_labels),
-            }
         return {
-            "format": "built",
-            "sections_loaded": ["graph", "statistics", "store"],
-            "tables_opened": self._store.num_tables,
-            "tables_total": self._store.num_tables,
-            "opened_labels": sorted(self._store.labels()),
+            "format": f"v{self._reader.format_version}",
+            "sections_loaded": list(self._reader.sections_loaded),
+            "tables_opened": self._reader.tables_opened,
+            "tables_total": len(self._reader.label_rows()),
+            "opened_labels": list(self._reader.opened_labels),
         }
 
     # ------------------------------------------------------------------
@@ -218,9 +219,8 @@ class GraphStore:
 
         Materializes the three sections, routes them through
         :func:`repro.storage.ingest.apply_triples`, and adopts the
-        returned graph (a mapped graph gets wrapped in a
-        :class:`~repro.graph.delta.DeltaKnowledgeGraph` union view on
-        the first applied triple).  Returns ``{"applied": n,
+        returned graph (the mapped graph gets wrapped in a
+        :class:`~repro.graph.delta.DeltaKnowledgeGraph` union view).  Returns ``{"applied": n,
         "duplicates": m, "delta_edges": total}``.
         """
         from repro.storage.ingest import apply_triples
@@ -281,14 +281,9 @@ class GraphStore:
             vocabulary_entry = write_vocabulary_shard(
                 directory / "vocabulary.arena", vocabulary
             )
-            graph_entry = write_graph_shard(
-                directory / "graph.csr", self.graph, vocabulary
-            )
+            graph_entry = write_graph_shard(directory / "graph.csr", self.graph)
             statistics_entry = write_statistics_shard(
-                directory / "statistics.counts",
-                self.statistics._out_label_counts,
-                self.statistics._in_label_counts,
-                vocabulary,
+                directory / "statistics.counts", self.statistics
             )
             tables = []
             # Snapshot the label list first: resolving a lazy table in
@@ -301,7 +296,7 @@ class GraphStore:
                 directory,
                 meta=self.meta(),
                 total_edges=self.statistics.total_edges,
-                label_counts=dict(self.statistics._label_counts),
+                label_counts=self.statistics.label_counts,
                 vocabulary={**vocabulary_entry, "file": "vocabulary.arena"},
                 graph={**graph_entry, "file": "graph.csr"},
                 statistics_counts={**statistics_entry, "file": "statistics.counts"},
@@ -335,7 +330,7 @@ class GraphStore:
             missing, a regular file, an unreadable or foreign manifest,
             or one laid out by another version of the format.
         """
-        return cls(None, None, None, reader=ShardedSnapshotReader(path))
+        return cls(ShardedSnapshotReader(path))
 
 
 def read_snapshot_meta(path: str | PathLike) -> dict:

@@ -14,17 +14,18 @@ friends), and tiny probes from per-key dict buckets
 two column backings:
 
 * **owned** — mutable ``array('q')`` columns filled by :meth:`add_row`
-  (the cold offline build);
-* **mapped** — read-only int64 views over a memory-mapped snapshot
-  shard (:meth:`ColumnarEdgeTable.from_mapped`), including the persisted
-  probe indexes, so opening a table costs no copy and no sort.  The first
+  (the tables live ingest writes to);
+* **mapped** — read-only int64 views over a snapshot shard's arrays,
+  memory-mapped or built in memory (:meth:`ColumnarEdgeTable.from_mapped`),
+  including the persisted probe indexes, so opening a table costs no
+  copy and no sort.  The first
   mutation *promotes* the table copy-on-write: the mapped buffers are
   copied into fresh owned columns, the stale mapped indexes are dropped,
   and the table behaves like any owned table from then on (the backing
   file is never written through).
 
 Rows hold **interned entity ids** (dense ints produced by the store's
-:class:`~repro.storage.vocabulary.Vocabulary`), so every probe, membership
+:class:`~repro.storage.vocabulary.MappedVocabulary`), so every probe, membership
 test and injectivity check compares machine ints instead of entity
 strings.
 """
@@ -103,15 +104,11 @@ def _buckets(keys: Sequence[int], values: Sequence[int]) -> dict[int, tuple[int,
 class ColumnarEdgeTable:
     """All edges of one label as two parallel id columns (struct-of-arrays).
 
-    Rows are appended to ``array('q')`` columns at build time (no per-row
-    dict buckets), and the probe indexes are materialized lazily with
-    numpy sorts on first use — so the offline build pays only two C-level
-    appends per edge and the index cost is amortized at C speed.  Any
-    mutation after an index was built invalidates the cached indexes.
-
-    A table opened from a snapshot shard (:meth:`from_mapped`) holds
-    read-only mapped int64 views instead of owned columns; the first
-    :meth:`add_row` promotes it copy-on-write (see the module docstring).
+    A table opened from a shard (:meth:`from_mapped`) holds read-only
+    int64 views; the first :meth:`add_row` promotes it copy-on-write to
+    owned ``array('q')`` columns (see the module docstring), whose probe
+    indexes are then materialized lazily with numpy sorts on first use.
+    Any mutation after an index was built invalidates the cached indexes.
     """
 
     __slots__ = (

@@ -4,25 +4,25 @@ The join engine spends most of its time hashing and comparing entity
 identifiers — once per probe, per row, per injectivity check.  Hashing a
 Python string costs time proportional to its length, while hashing a small
 ``int`` is effectively free (CPython caches small ints and hashes them as
-themselves).  The :class:`Vocabulary` therefore maps every entity string to
-a dense integer id exactly once, offline, when the
-:class:`~repro.storage.store.VerticalPartitionStore` is built; all tables,
-hash indexes and intermediate join relations then carry ints, and answers
-are decoded back to entity strings only when they are materialized for the
-user (``lattice.exploration`` / ``core.answer``).
+themselves).  Every entity string therefore maps to a dense integer id
+exactly once, offline; all tables, hash indexes and intermediate join
+relations carry ints, and answers are decoded back to entity strings only
+when they are materialized for the user (``lattice.exploration`` /
+``core.answer``).
 
-:class:`MappedVocabulary` is the zero-copy variant behind the v3 sharded
-snapshot (:mod:`repro.storage.shards`): the terms live in one UTF-8 blob
-addressed by an int64 offset column, both memory-mapped straight out of
-the snapshot's vocabulary arena.  ``term_of`` is an offset slice + decode;
-``id_of`` is a binary search over a mapped sort permutation of the terms —
-no eager ``dict`` (or term list) is ever rebuilt, which is what keeps a
-serve worker's private RSS free of the vocabulary entirely.
+:class:`MappedVocabulary` is that mapping, over a string arena
+(:func:`arena_arrays`): the terms live in one UTF-8 blob addressed by an
+int64 offset column, memory-mapped straight out of a snapshot's
+vocabulary shard (:mod:`repro.storage.shards`) or computed in memory by
+``GraphStore.build``.  ``term_of`` is an offset slice + decode; ``id_of``
+is a binary search over a sort permutation of the terms — no eager
+``dict`` (or term list) is ever rebuilt, which is what keeps a serve
+worker's private RSS free of the vocabulary entirely.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,68 +54,28 @@ def _term_ranks(ids: "np.ndarray", term_of: Callable[[int], str]) -> "np.ndarray
     return ranks[inverse]
 
 
-class Vocabulary:
-    """A bidirectional ``entity string <-> dense int id`` mapping.
-
-    Ids are assigned in first-intern order starting at 0, so the reverse
-    mapping is a plain list and decoding is an O(1) index.  Interning past
-    :data:`MAX_ENTITY_ID` raises.
-    """
-
-    __slots__ = ("_ids", "_terms")
-
-    def __init__(self, terms: Iterable[str] = ()) -> None:
-        self._ids: dict[str, int] = {}
-        self._terms: list[str] = []
-        for term in terms:
-            self.intern(term)
-
-    def intern(self, term: str) -> int:
-        """Return the id of ``term``, assigning the next free id if new."""
-        entity_id = self._ids.get(term)
-        if entity_id is None:
-            entity_id = check_entity_id(len(self._terms))
-            self._ids[term] = entity_id
-            self._terms.append(term)
-        return entity_id
-
-    def id_of(self, term: str) -> int | None:
-        """The id of ``term`` if it has been interned, else ``None``."""
-        return self._ids.get(term)
-
-    def term_of(self, entity_id: int) -> str:
-        """The entity string for ``entity_id``; raises ``IndexError`` if unknown."""
-        return self._terms[entity_id]
-
-    def decode_row(self, row: Sequence[int]) -> tuple[str, ...]:
-        """Decode a tuple of ids back to the entity strings."""
-        terms = self._terms
-        return tuple(terms[entity_id] for entity_id in row)
-
-    def order_keys(self, ids: "np.ndarray") -> "np.ndarray":
-        """Int64 keys, one per id, whose order is the string order of the
-        terms (equal ids, equal keys).  Keys compare within one call only:
-        they rank the distinct terms of ``ids``, read off the term list."""
-        return _term_ranks(np.asarray(ids, dtype=np.int64), self._terms.__getitem__)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __contains__(self, term: object) -> bool:
-        return term in self._ids
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._terms)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(size={len(self._terms)})"
+def arena_arrays(terms: Sequence[str]) -> dict[str, "np.ndarray"]:
+    """The string arena of ``terms`` (id order): ``offsets``, ``sorted_ids``
+    and ``blob``, the arrays a vocabulary shard holds."""
+    encoded = [term.encode("utf-8") for term in terms]
+    check_entity_id(len(encoded) - 1)
+    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
+    if encoded:
+        np.cumsum([len(term) for term in encoded], out=offsets[1:])
+    # Sorted by UTF-8 bytes (not str order — they differ beyond ASCII);
+    # id_of binary-searches this permutation against encoded probes.
+    sorted_ids = np.array(
+        sorted(range(len(encoded)), key=encoded.__getitem__), dtype=np.int64
+    )
+    blob = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    return {"offsets": offsets, "sorted_ids": sorted_ids, "blob": blob}
 
 
 class MappedVocabulary:
     """A read-only vocabulary over a memory-mapped string arena.
 
-    Backed by three mapped arrays written by the v3 snapshot's vocabulary
-    arena shard (:func:`repro.storage.shards.write_vocabulary_shard`):
+    Backed by the three arrays of :func:`arena_arrays`, mapped from a
+    snapshot's vocabulary arena shard or held in memory:
 
     ``blob``
         Every term's UTF-8 bytes, concatenated in id order.
@@ -129,10 +89,8 @@ class MappedVocabulary:
         materialized ``dict``, and the order :meth:`order_keys` reads.
 
     The mapped portion is immutable; :meth:`intern` of a *new* term goes
-    to a small in-process overlay (ids continue past the mapped range),
-    which keeps the full :class:`Vocabulary` contract without ever
-    touching the snapshot.  Pickling materializes a plain
-    :class:`Vocabulary` so serialized stores stay self-contained.
+    to a small in-process overlay (ids continue past the mapped range,
+    up to :data:`MAX_ENTITY_ID`) without ever touching the snapshot.
     """
 
     #: Bound on the hot-term decode cache.  Neighborhood extraction
@@ -282,11 +240,6 @@ class MappedVocabulary:
         for entity_id in range(self._base):
             yield self._term_bytes(entity_id).decode("utf-8")
         yield from self._extra_terms
-
-    # A mapped vocabulary pickles as the equivalent owned Vocabulary:
-    # mapped buffers must never leak into a pickle.
-    def __reduce__(self):
-        return (Vocabulary, (list(self),))
 
     def __repr__(self) -> str:
         return (

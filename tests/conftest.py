@@ -17,7 +17,9 @@ from repro.core.gqbe import GQBE
 from repro.datasets.example_graph import figure1_excerpt, figure1_ground_truth
 from repro.datasets.synthetic import DBpediaLikeGenerator, FreebaseLikeGenerator
 from repro.graph.knowledge_graph import KnowledgeGraph
+from repro.graph.mapped import MappedKnowledgeGraph
 from repro.graph.statistics import GraphStatistics
+from repro.storage.snapshot import GraphStore
 from repro.storage.store import VerticalPartitionStore
 
 
@@ -139,13 +141,25 @@ def figure1_truth() -> list[tuple[str, str]]:
 
 
 @pytest.fixture(scope="session")
-def figure1_stats(figure1_graph: KnowledgeGraph) -> GraphStatistics:
-    return GraphStatistics(figure1_graph)
+def figure1_bundle(figure1_graph: KnowledgeGraph) -> GraphStore:
+    """The offline state of the Fig. 1 excerpt, built in memory."""
+    return GraphStore.build(figure1_graph)
 
 
 @pytest.fixture(scope="session")
-def figure1_store(figure1_graph: KnowledgeGraph) -> VerticalPartitionStore:
-    return VerticalPartitionStore(figure1_graph)
+def figure1_mapped(figure1_bundle: GraphStore) -> MappedKnowledgeGraph:
+    """The Fig. 1 excerpt as the engine reads it: CSR id columns."""
+    return figure1_bundle.graph
+
+
+@pytest.fixture(scope="session")
+def figure1_stats(figure1_bundle: GraphStore) -> GraphStatistics:
+    return figure1_bundle.statistics
+
+
+@pytest.fixture(scope="session")
+def figure1_store(figure1_bundle: GraphStore) -> VerticalPartitionStore:
+    return figure1_bundle.store
 
 
 @pytest.fixture(scope="session")
@@ -211,11 +225,12 @@ def _domain_split(dataset):
 
 @pytest.fixture(scope="session", params=["freebase", "dbpedia"])
 def domain_backings(request):
-    """(example tuples, owned graph, mapped v3 graph, delta overlay) of one
-    synthetic domain — the same edge set behind every backing."""
-    from graph_backings import three_backings
+    """(example tuples, triple container, mapped v3 bundle, delta-overlay
+    bundle) of one synthetic domain — the same edge set behind every
+    backing (see ``graph_backings.three_graph_stores``)."""
+    from graph_backings import three_graph_stores
 
     generator = FreebaseLikeGenerator if request.param == "freebase" else DBpediaLikeGenerator
     base, delta, tuples = _domain_split(generator(seed=5, scale=0.2).generate())
-    with three_backings(base, delta) as (owned, mapped, overlay):
+    with three_graph_stores(base, delta) as (owned, mapped, overlay):
         yield tuples, owned, mapped, overlay

@@ -1,9 +1,12 @@
 """One edge set behind each graph backing, and an order-sensitive comparison.
 
-The owned :class:`KnowledgeGraph` path is the executable spec of
-neighborhood extraction and reduction; the mapped v3 graph and the delta
-overlay run them on id columns.  Algorithm 1's tie-breaks read edge,
-adjacency and node order, so equivalence here means equal *sequences*.
+The engine runs on id columns: a graph built in memory, its snapshot
+mapped back from disk, and a snapshot of part of the edges with the rest
+ingested as a delta overlay.  Each helper also yields the edges as a
+:class:`KnowledgeGraph`, the triple container the reference
+implementations of ``tests/oracles.py`` read.  Algorithm 1's tie-breaks
+read edge, adjacency and node order, so equivalence here means equal
+*sequences*.
 """
 
 from __future__ import annotations
@@ -18,14 +21,13 @@ from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.graph.mapped import MappedKnowledgeGraph
 from repro.graph.neighborhood import NeighborhoodGraph
 from repro.storage.snapshot import GraphStore
-from repro.storage.store import VerticalPartitionStore
 
 Triple = tuple[str, str, str]
 
 
 @contextmanager
 def three_graph_stores(base: list[Triple], delta: list[Triple]):
-    """Yield ``base + delta`` as the owned graph and two loaded
+    """Yield ``base + delta`` as a :class:`KnowledgeGraph` and two loaded
     :class:`GraphStore` bundles (graph, statistics, join store): the merged
     stream's v3 snapshot, and ``base``'s with ``delta`` ingested on top."""
     owned = KnowledgeGraph(base + delta)
@@ -42,11 +44,11 @@ def three_graph_stores(base: list[Triple], delta: list[Triple]):
 
 @contextmanager
 def three_backings(base: list[Triple], delta: list[Triple]):
-    """Yield ``base + delta`` as (owned, mapped, overlay) graphs.
+    """Yield ``base + delta`` as (triple container, mapped, overlay) graphs.
 
-    ``owned`` is built from the merged stream, ``mapped`` is its v3
-    snapshot reopened, ``overlay`` is a v3 snapshot of ``base`` with
-    ``delta`` ingested on top.
+    ``owned`` is the :class:`KnowledgeGraph` of the merged stream,
+    ``mapped`` its v3 snapshot reopened, ``overlay`` a v3 snapshot of
+    ``base`` with ``delta`` ingested on top.
     """
     with three_graph_stores(base, delta) as (owned, merged_store, overlay_store):
         yield owned, merged_store.graph, overlay_store.graph
@@ -54,10 +56,10 @@ def three_backings(base: list[Triple], delta: list[Triple]):
 
 @contextmanager
 def three_stores(base: list[Triple], delta: list[Triple]):
-    """The join stores behind the same three backings: owned columns,
-    mapped shard tables, and mapped tables with ``delta`` ingested."""
+    """Three join stores over the same edges: built in memory, mapped shard
+    tables, and mapped tables with ``delta`` ingested."""
     with three_graph_stores(base, delta) as (owned, merged_store, overlay_store):
-        yield VerticalPartitionStore(owned), merged_store.store, overlay_store.store
+        yield GraphStore.build(owned).store, merged_store.store, overlay_store.store
 
 
 def ordered_view(neighborhood: NeighborhoodGraph) -> dict:

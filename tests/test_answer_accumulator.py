@@ -4,8 +4,8 @@
   (``answer_graph_score`` / ``content_score``), over random relations
   held as columns or as cached rows, with answer keys that are
   mixed-radix ints or, past the int64 radix, id tuples, and over every
-  vocabulary backing (owned, mapped, mapped with ingested overlay
-  terms): the oracle breaks score ties on decoded strings, the
+  vocabulary backing (built in memory, mapped, mapped with ingested
+  overlay terms): the oracle breaks score ties on decoded strings, the
   accumulator on the vocabulary's string-order keys;
 * the paper's exhaustive breadth-first Baseline, which must agree with
   best-first on the top-k wherever best-first is not cut short;
@@ -43,8 +43,7 @@ from repro.lattice.query_graph import LatticeSpace
 from repro.lattice.scoring import answer_graph_score, content_score
 from repro.storage.join import ColumnarRelation
 from repro.storage.snapshot import GraphStore
-from repro.storage.store import VerticalPartitionStore
-from repro.storage.vocabulary import MappedVocabulary, Vocabulary
+from repro.storage.vocabulary import MappedVocabulary, arena_arrays
 
 GOLDEN = Path(__file__).with_name("fixtures") / "ranked_answers.json"
 
@@ -127,7 +126,7 @@ def _star_space(query_tuple, edges, weights):
     return LatticeSpace(mqg)
 
 
-class _WideVocabulary(Vocabulary):
+class _WideVocabulary(MappedVocabulary):
     """Claims so many ids that a three-entity mixed-radix key cannot fit
     int64: the accumulator must fall back to id tuples over int ids."""
 
@@ -153,7 +152,8 @@ def _layouts(entities):
     """
     triples = [(entity, "exists", entity) for entity in entities]
     graph = KnowledgeGraph(triples)
-    wide = VerticalPartitionStore(graph, vocabulary=_WideVocabulary())
+    wide = GraphStore.build(graph).store
+    wide._vocabulary = _WideVocabulary(**arena_arrays(list(graph.nodes)))
     ordered = sorted(entities)
     ingested = {*ordered[::3], ordered[-1]}
     base = [triple for triple in triples if triple[0] not in ingested]
@@ -169,12 +169,12 @@ def _layouts(entities):
     def columnar_rows(store, variables, rows):
         return ColumnarRelation(variables, rows=ids(store, rows))
 
-    with three_stores(base, delta) as (owned, mapped, overlay):
+    with three_stores(base, delta) as (built, mapped, overlay):
         assert isinstance(overlay.vocabulary, MappedVocabulary)
         assert overlay.vocabulary.id_of(ordered[0]) >= len(base)
         yield [
-            ("columns", owned, columnar),
-            ("cached-rows", owned, columnar_rows),
+            ("columns", built, columnar),
+            ("cached-rows", built, columnar_rows),
             ("id-tuples", wide, columnar),
             ("mapped", mapped, columnar),
             ("overlay", overlay, columnar),
@@ -379,7 +379,7 @@ def test_an_equal_full_score_from_a_later_query_graph_does_not_replace():
     edges = [("q", "r1", "a"), ("q", "r2", "b")]
     space = _star_space(("q",), edges, [1.0, 1.0])
     first, second = 0b01, 0b10  # two query graphs with the same structure score
-    store = VerticalPartitionStore(KnowledgeGraph([("q", "r1", "a"), ("x", "r2", "b")]))
+    store = GraphStore.build(KnowledgeGraph([("q", "r1", "a"), ("x", "r2", "b")])).store
     accumulator = AnswerAccumulator(space, store, ())
     for mask, variables in ((first, ("q", "a")), (second, ("q", "b"))):
         ids = [tuple(store.vocabulary.id_of(e) for e in ("x", variables[1]))]
@@ -485,10 +485,10 @@ def test_generated_domain_ranked_answers_match_golden_in_a_fresh_process_over_v3
     script = (
         "import json, sys\n"
         "from repro.core.gqbe import GQBE\n"
-        "from repro.graph.statistics import MappedGraphStatistics\n"
+        "from repro.graph.statistics import GraphStatistics\n"
         "import test_answer_accumulator as tests\n"
         "system = GQBE.from_snapshot(sys.argv[1], tests.GENERATED_CONFIG)\n"
-        "assert isinstance(system.statistics, MappedGraphStatistics)\n"
+        "assert isinstance(system.statistics, GraphStatistics)\n"
         "json.dump(tests._ranked_rows(system, json.loads(sys.argv[2])), sys.stdout)\n"
     )
     answered = fresh_python(script, str(snapshot), json.dumps(list(golden)))

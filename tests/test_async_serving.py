@@ -338,6 +338,12 @@ def test_async_error_surface(async_server):
         async_server, "/query", {"tuple": ["Jerry Yang", "Yahoo!"], "k": "ten"}
     )
     assert status == 400 and "k" in body["error"]
+    for payload in (
+        {"tuple": ["Jerry Yang", "Yahoo!"], "k": True},
+        {"tuple": ["Jerry Yang", "Yahoo!"], "k_prime": True},
+    ):
+        status, body = _post(async_server, "/query", payload)
+        assert status == 400 and "positive integer" in body["error"]
     oversized = async_server.max_body_bytes + 1
     connection = http.client.HTTPConnection(
         async_server.host, async_server.port, timeout=30

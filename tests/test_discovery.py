@@ -12,6 +12,14 @@ from graph_backings import (
     three_backings,
     three_graph_stores,
 )
+from oracles import (
+    SpecNeighborhood,
+    definition1,
+    eq2_weight,
+    reduced,
+    removed_edges,
+    unimportant_edges,
+)
 
 from repro.discovery.merge import merge_maximal_query_graphs, virtual_entity
 from repro.discovery.mqg import (
@@ -20,11 +28,7 @@ from repro.discovery.mqg import (
     discover_maximal_query_graph,
     select_mqg_edges,
 )
-from repro.discovery.reduction import (
-    _removed_edges,
-    _unimportant_edges,
-    reduce_neighborhood_graph,
-)
+from repro.discovery.reduction import reduce_neighborhood_graph
 from repro.discovery.weights import edge_depths, mqg_edge_weights
 from repro.exceptions import DisconnectedQueryError, DiscoveryError
 from repro.graph.knowledge_graph import Edge, KnowledgeGraph
@@ -33,12 +37,12 @@ from repro.graph.neighborhood import (
     NeighborhoodGraph,
     neighborhood_graph,
 )
-from repro.graph.statistics import GraphStatistics
+from repro.storage.snapshot import GraphStore
 
 
 @pytest.fixture()
-def figure1_neighborhood(figure1_graph):
-    return neighborhood_graph(figure1_graph, ("Jerry Yang", "Yahoo!"), d=2)
+def figure1_neighborhood(figure1_mapped):
+    return neighborhood_graph(figure1_mapped, ("Jerry Yang", "Yahoo!"), d=2)
 
 
 class TestEdgeDepths:
@@ -84,7 +88,7 @@ class TestReduction:
         graph.add_edge("q1", "education", "Uni")
         for i in range(5):
             graph.add_edge(f"other{i}", "education", "Uni")
-        neighborhood = neighborhood_graph(graph, ("q1", "q2"), d=2)
+        neighborhood = neighborhood_graph(GraphStore.build(graph).graph, ("q1", "q2"), d=2)
         reduced = reduce_neighborhood_graph(neighborhood)
         assert reduced.graph.has_edge("q1", "education", "Uni")
         assert not reduced.graph.has_edge("other0", "education", "Uni")
@@ -95,33 +99,36 @@ class TestReduction:
 
 
 def _reduction_outcome(graph, query_tuple, d):
-    """The reduced neighborhood's ordered view, or the error it raises."""
-    neighborhood = neighborhood_graph(graph, query_tuple, d=d)
+    """The reduced neighborhood's ordered view, or the error it raises.
+
+    On a :class:`KnowledgeGraph` this is the string spec of
+    ``tests/oracles.py``, on any other graph the engine's reduction.
+    """
     try:
-        reduced = reduce_neighborhood_graph(neighborhood)
+        if isinstance(graph, KnowledgeGraph):
+            return ordered_view(reduced(definition1(graph, query_tuple, d)))
+        neighborhood = neighborhood_graph(graph, query_tuple, d=d)
+        result = reduce_neighborhood_graph(neighborhood)
     except DiscoveryError as error:
         return type(error), str(error)
-    if neighborhood.columns is None:
-        assert reduced.columns is None
-    else:
-        # The reduction read the id columns; nothing decoded H_t itself,
-        # and the surviving rows stay beside the edges decoded from them.
-        assert neighborhood._graph is None and neighborhood._distances is None
-        assert reduced.columns.decode() == list(reduced.graph.edges)
-    return ordered_view(reduced)
+    # The reduction read the id columns; nothing decoded H_t itself, and
+    # the surviving rows stay beside the edges decoded from them.
+    assert neighborhood._graph is None and neighborhood._distances is None
+    assert result.columns.decode() == list(result.graph.edges)
+    return ordered_view(result)
 
 
 class TestIdSpaceReduction:
     """Reduction over id columns (mapped, delta overlay) against the string
-    spec on the owned graph: equal reduced graphs as ordered sequences."""
+    spec of ``tests/oracles.py``: equal reduced graphs as ordered sequences."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_domains_match_string_spec(self, domain_backings, d):
         tuples, owned, mapped, overlay = domain_backings
         for query_tuple in tuples:
             spec = _reduction_outcome(owned, query_tuple, d)
-            assert _reduction_outcome(mapped, query_tuple, d) == spec
-            assert _reduction_outcome(overlay, query_tuple, d) == spec
+            assert _reduction_outcome(mapped.graph, query_tuple, d) == spec
+            assert _reduction_outcome(overlay.graph, query_tuple, d) == spec
 
     @pytest.mark.parametrize("seed", range(25))
     def test_random_multigraphs_match_string_spec(self, seed):
@@ -145,14 +152,13 @@ class TestIdSpaceReduction:
 
     def test_unreduced_ablation_discovers_the_same_mqg(self, domain_backings):
         tuples, owned, mapped, overlay = domain_backings
-        stats = GraphStatistics(owned)
         for query_tuple in tuples[:6]:
             mqgs = []
-            for graph in (owned, mapped, overlay):
-                neighborhood = neighborhood_graph(graph, query_tuple, d=2)
+            for bundle in (GraphStore.build(owned), mapped, overlay):
+                neighborhood = neighborhood_graph(bundle.graph, query_tuple, d=2)
                 try:
                     mqg = discover_maximal_query_graph(
-                        neighborhood, stats, r=8, reduce_first=False
+                        neighborhood, bundle.statistics, r=8, reduce_first=False
                     )
                 except DiscoveryError as error:
                     mqgs.append(type(error))
@@ -186,27 +192,25 @@ class TestIdSpaceReduction:
             objects=objects,
         )
         lazy = NeighborhoodGraph(query_tuple=("e0",), d=2, columns=columns)
-        spec = NeighborhoodGraph(
+        spec = SpecNeighborhood(
+            query_tuple=("e0",),
+            d=2,
             graph=KnowledgeGraph(
                 (f"e{s}", label_strings[label], f"e{o}") for s, label, o in rows
             ),
-            query_tuple=("e0",),
-            d=2,
             distances={f"e{rank}": dist for rank, dist in enumerate([0, 1, 1, 2, 2])},
         )
-        assert _removed_edges(spec) == {Edge("e3", label_strings[2**16 + 2], "e1")}
-        assert ordered_view(reduce_neighborhood_graph(lazy)) == ordered_view(
-            reduce_neighborhood_graph(spec)
-        )
+        assert removed_edges(spec) == {Edge("e3", label_strings[2**16 + 2], "e1")}
+        assert ordered_view(reduce_neighborhood_graph(lazy)) == ordered_view(reduced(spec))
 
     def test_two_pass_removal_matches_per_node_spec(self, domain_backings):
         tuples, owned, _mapped, _overlay = domain_backings
         for query_tuple in tuples[:4]:
-            neighborhood = neighborhood_graph(owned, query_tuple, d=2)
+            neighborhood = definition1(owned, query_tuple, 2)
             per_node = set()
             for node in neighborhood.graph.nodes:
-                per_node |= _unimportant_edges(neighborhood, node)
-            assert _removed_edges(neighborhood) == per_node
+                per_node |= unimportant_edges(neighborhood, node)
+            assert removed_edges(neighborhood) == per_node
 
 
 class TestMQGDiscovery:
@@ -237,18 +241,17 @@ class TestMQGDiscovery:
         assert mqg.core_edges  # two-entity query: core connects them
         assert all(edge in mqg.edge_weights for edge in mqg.core_edges)
 
-    def test_single_entity_mqg(self, figure1_graph, figure1_stats):
-        neighborhood = neighborhood_graph(figure1_graph, ("Stanford",), d=2)
+    def test_single_entity_mqg(self, figure1_mapped, figure1_stats):
+        neighborhood = neighborhood_graph(figure1_mapped, ("Stanford",), d=2)
         mqg = discover_maximal_query_graph(neighborhood, figure1_stats, r=8)
         assert mqg.graph.has_node("Stanford")
         assert mqg.num_edges >= 1
 
     def test_disconnected_entities_raise(self, figure1_stats):
-        graph = KnowledgeGraph([("a", "r", "b"), ("c", "r", "d")])
-        stats = GraphStatistics(graph)
-        neighborhood = neighborhood_graph(graph, ("a", "c"), d=2)
+        bundle = GraphStore.build(KnowledgeGraph([("a", "r", "b"), ("c", "r", "d")]))
+        neighborhood = neighborhood_graph(bundle.graph, ("a", "c"), d=2)
         with pytest.raises((DisconnectedQueryError, DiscoveryError)):
-            discover_maximal_query_graph(neighborhood, stats, r=5)
+            discover_maximal_query_graph(neighborhood, bundle.statistics, r=5)
 
     def test_select_mqg_edges_empty_tuple_raises(self, figure1_graph):
         with pytest.raises(DiscoveryError):
@@ -508,12 +511,13 @@ def _mqg_view(mqg):
     return sorted(mqg.graph.edges), mqg.edge_weights, mqg.core_edges, mqg.discovery_weights
 
 
-def _discover_reference(graph, stats, query_tuple, d, r, reduce_first):
-    """Discovery over an owned graph with the oracle in place of Alg. 1."""
-    working = neighborhood_graph(graph, query_tuple, d=d)
+def _discover_reference(graph, query_tuple, d, r, reduce_first):
+    """Discovery on strings: ``tests/oracles.py`` for ``H_t``, its reduction
+    and Eq. 2, the oracle above in place of Alg. 1."""
+    working = definition1(graph, query_tuple, d)
     if reduce_first:
-        working = reduce_neighborhood_graph(working)
-    weights = stats.weights_for(working.graph.edges)
+        working = reduced(working)
+    weights = {edge: eq2_weight(graph, edge) for edge in working.graph.edges}
     selected, core = _select_mqg_edges_reference(working.graph, query_tuple, weights, r)
     mqg_graph = KnowledgeGraph(selected)
     discovery_weights = {edge: weights[edge] for edge in selected}
@@ -526,17 +530,17 @@ def _discover_reference(graph, stats, query_tuple, d, r, reduce_first):
 
 
 class TestIdSpaceDiscovery:
-    """MQG discovery over id columns (mapped, ingested overlay) against the
-    owned graph, and the owned graph against the oracle."""
+    """MQG discovery over id columns (built, mapped, ingested overlay) alike,
+    and against discovery on strings."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_three_backings_discover_the_same_mqg(self, seed):
         base, delta, nodes = random_multigraph(seed)
         rng = random.Random(seed)
         with three_graph_stores(base, delta) as (owned, merged_store, overlay_store):
-            owned_stats = GraphStatistics(owned)
+            built = GraphStore.build(owned)
             backings = [
-                (owned, owned_stats),
+                (built.graph, built.statistics),
                 (merged_store.graph, merged_store.statistics),
                 (overlay_store.graph, overlay_store.statistics),
             ]
@@ -553,7 +557,7 @@ class TestIdSpaceDiscovery:
                         views.append(mqg if isinstance(mqg, type) else _mqg_view(mqg))
                     assert views[1] == views[0] and views[2] == views[0]
                     spec = _outcome(
-                        _discover_reference, owned, owned_stats, query_tuple, d, r, reduce_first
+                        _discover_reference, owned, query_tuple, d, r, reduce_first
                     )
                     if spec is DisconnectedQueryError:
                         # The oracle has no d to report; the type is the claim.
@@ -584,8 +588,9 @@ class TestIdSpaceDiscovery:
         base, delta, nodes = random_multigraph(seed)
         rng = random.Random(seed)
         with three_graph_stores(base, delta) as (owned, merged_store, overlay_store):
+            built = GraphStore.build(owned)
             backings = [
-                (owned, GraphStatistics(owned)),
+                (built.graph, built.statistics),
                 (merged_store.graph, merged_store.statistics),
                 (overlay_store.graph, overlay_store.statistics),
             ]

@@ -23,13 +23,10 @@ from repro.core.gqbe import GQBE
 from repro.datasets.synthetic import FreebaseLikeGenerator
 from repro.exceptions import LatticeError
 from repro.graph.knowledge_graph import Edge, KnowledgeGraph
-from repro.graph.statistics import GraphStatistics
 from repro.lattice.exploration import BestFirstExplorer
 from repro.lattice.query_graph import LatticeSpace
 from repro.storage.join import evaluate_query_edges, extend_with_edge
 from repro.storage.snapshot import GraphStore
-from repro.storage.store import VerticalPartitionStore
-from repro.storage.vocabulary import Vocabulary
 
 #: The regime each one is compared with: a forced regime against the
 #: other forced one, the shipped adaptive regime against the scalar tail.
@@ -142,7 +139,7 @@ class TestJoinsMatchDefinition3:
         graph = KnowledgeGraph(
             [("a", "likes", "a"), ("a", "likes", "b"), ("b", "likes", "a")]
         )
-        store = VerticalPartitionStore(graph)
+        store = GraphStore.build(graph).store
         for edges in ([Edge("x", "likes", "y")], [Edge("x", "likes", "x")]):
             relation = _regime_independent(
                 join_regime,
@@ -255,11 +252,17 @@ class TestAnswersDoNotDependOnTheRegime:
         )
 
 
-def _shuffled_ids_store(graph, seed) -> VerticalPartitionStore:
-    """A store whose vocabulary numbers the entities in a shuffled order."""
+def _shuffled_ids_bundle(graph, seed) -> GraphStore:
+    """The offline state of ``graph`` with the entities numbered in a
+    shuffled order: a build of the same edges, in the same order, with
+    every node added first."""
     terms = list(graph.nodes)
     random.Random(seed).shuffle(terms)
-    return VerticalPartitionStore(graph, vocabulary=Vocabulary(terms))
+    shuffled = KnowledgeGraph()
+    for term in terms:
+        shuffled.add_node(term)
+    shuffled.add_edges(graph.edges)
+    return GraphStore.build(shuffled)
 
 
 class TestAnswersDoNotDependOnIdAssignment:
@@ -271,9 +274,7 @@ class TestAnswersDoNotDependOnIdAssignment:
         system = GQBE(graph, config=config)
         shuffled = GQBE(
             config=config,
-            graph_store=GraphStore(
-                graph, GraphStatistics(graph), _shuffled_ids_store(graph, seed)
-            ),
+            graph_store=_shuffled_ids_bundle(graph, seed),
         )
         assert [shuffled.store.vocabulary.id_of(n) for n in graph.nodes] != list(
             range(graph.num_nodes)
@@ -291,9 +292,7 @@ class TestAnswersDoNotDependOnIdAssignment:
         config = GQBEConfig(**_CONFIG)
         shuffled = GQBE(
             config=config,
-            graph_store=GraphStore(
-                graph, GraphStatistics(graph), _shuffled_ids_store(graph, 3)
-            ),
+            graph_store=_shuffled_ids_bundle(graph, 3),
         )
         table = dataset.table(dataset.table_names()[0])
         tuples = [tuple(table[0]), tuple(table[1])]
@@ -304,7 +303,7 @@ class TestAnswersDoNotDependOnIdAssignment:
     def test_figure1_explorers(self, figure1_system, figure1_graph, figure1_store):
         query_tuple = ("Jerry Yang", "Yahoo!")
         space = LatticeSpace(figure1_system.discover_query_graph(query_tuple))
-        shuffled = _shuffled_ids_store(figure1_graph, 0)
+        shuffled = _shuffled_ids_bundle(figure1_graph, 0).store
         for explorer_cls in (BestFirstExplorer, BreadthFirstExplorer):
             runs = [
                 explorer_cls(space, store, k=10, excluded_tuples={query_tuple}).run()

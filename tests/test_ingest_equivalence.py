@@ -6,7 +6,7 @@ the merged edge set.  These tests split seeded random triple streams into
 (base, delta) at varying ratios and pin that promise across:
 
 * the mapped base (``DeltaKnowledgeGraph`` overlay over the CSR view),
-* the owned base of a cold build (in-place mutation of the owned graph),
+* the base of a cold build (built in memory into the same mapped arrays),
 * pooled execution (workers reopen the snapshot and replay the delta),
 * the compacted generation (the overlay folded back to disk and reloaded).
 
@@ -123,9 +123,9 @@ class TestOverlayEquivalence:
         result = overlay.ingest(delta + duplicates)
         assert result["applied"] == len(delta)
         assert result["duplicates"] == len(duplicates)
-        # A cold build owns its graph: the delta mutates it in place
-        # instead of stacking an overlay.
-        assert isinstance(overlay.graph, KnowledgeGraph)
+        # A cold build holds the same mapped arrays a snapshot does: the
+        # delta stacks an overlay on them.
+        assert isinstance(overlay.graph, DeltaKnowledgeGraph)
 
         reference = _merged_reference(config, base, delta)
         for query_tuple in _query_tuples(dataset, reference.graph):

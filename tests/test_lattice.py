@@ -26,7 +26,7 @@ from repro.lattice.scoring import (
     match_credit,
     structure_score,
 )
-from repro.storage.store import VerticalPartitionStore
+from repro.storage.snapshot import GraphStore
 
 
 def _make_mqg() -> MaximalQueryGraph:
@@ -317,7 +317,7 @@ class TestUpperFrontierAntichain:
             core_edges=frozenset(),
         )
         space = LatticeSpace(mqg)
-        explorer = BestFirstExplorer(space, VerticalPartitionStore(graph), k=1)
+        explorer = BestFirstExplorer(space, GraphStore.build(graph).store, k=1)
         mask_ab = space.mask_of([Edge("a", "r1", "b")])
         mask_cd = space.mask_of([Edge("c", "r3", "d")])
         candidate = space.mask_of([Edge("a", "r1", "b"), Edge("b", "r2", "c")])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from graph_backings import ordered_view, three_backings, three_graph_stores, three_stores
+from oracles import definition1, eq2_weight, reduced
 
 from repro.discovery.mqg import discover_maximal_query_graph
 from repro.discovery.reduction import reduce_neighborhood_graph
@@ -21,13 +22,12 @@ from repro.evaluation.metrics import (
 from repro.exceptions import DiscoveryError, LatticeError
 from repro.graph.knowledge_graph import Edge, KnowledgeGraph
 from repro.graph.neighborhood import neighborhood_graph
-from repro.graph.statistics import GraphStatistics
 from repro.graph.triples import format_triple, triples_from_strings
 from repro.lattice.query_graph import LatticeSpace
 from repro.discovery.mqg import MaximalQueryGraph
 from repro.storage import join as join_module
 from repro.storage.join import ColumnarRelation, evaluate_query_edges, extend_with_edge
-from repro.storage.store import VerticalPartitionStore
+from repro.storage.snapshot import GraphStore
 
 # ----------------------------------------------------------------------
 # strategies
@@ -72,7 +72,7 @@ def test_triple_roundtrip_through_both_formats(triples):
 @_slow
 def test_statistics_invariants(triples):
     graph = KnowledgeGraph(triples)
-    stats = GraphStatistics(graph)
+    stats = GraphStore.build(graph).statistics
     for edge in graph.edges:
         assert stats.ief(edge) >= 0.0
         assert 1 <= stats.p(edge) <= graph.num_edges
@@ -82,7 +82,7 @@ def test_statistics_invariants(triples):
 @given(_triples, st.integers(min_value=1, max_value=3))
 @_slow
 def test_neighborhood_is_monotone_in_d(triples, d):
-    graph = KnowledgeGraph(triples)
+    graph = GraphStore.build(KnowledgeGraph(triples)).graph
     entity = next(iter(graph.nodes))
     smaller = neighborhood_graph(graph, (entity,), d=d)
     larger = neighborhood_graph(graph, (entity,), d=d + 1)
@@ -100,7 +100,8 @@ def test_neighborhood_is_monotone_in_d(triples, d):
 @_slow
 def test_id_space_front_half_matches_string_spec(triples, cut, entities, d):
     """Neighborhood + reduction over the mapped graph and over a delta overlay
-    (any split of the stream) equal the owned-graph spec, order included."""
+    (any split of the stream) equal the string spec of ``tests/oracles.py``,
+    order included."""
     triples = list(dict.fromkeys(triples))
     cut = 1 + cut % len(triples)
     with three_backings(triples[:cut], triples[cut:]) as (owned, mapped, overlay):
@@ -109,13 +110,17 @@ def test_id_space_front_half_matches_string_spec(triples, cut, entities, d):
             return
         outcomes = []
         for graph in (owned, mapped, overlay):
-            neighborhood = neighborhood_graph(graph, query_tuple, d=d)
+            if graph is owned:
+                neighborhood, reduce = definition1(owned, query_tuple, d), reduced
+            else:
+                neighborhood = neighborhood_graph(graph, query_tuple, d=d)
+                reduce = reduce_neighborhood_graph
             try:
-                reduced = reduce_neighborhood_graph(neighborhood)
+                result = reduce(neighborhood)
             except DiscoveryError as error:
                 outcomes.append((None, str(error)))
                 continue
-            outcomes.append((ordered_view(neighborhood), ordered_view(reduced)))
+            outcomes.append((ordered_view(neighborhood), ordered_view(result)))
         assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
 
@@ -138,9 +143,10 @@ def _mqg_weights(neighborhood, statistics):
 @_slow
 def test_id_column_weights_equal_the_dict_statistics_bit_for_bit(triples, hub, cut, d):
     """Eq. 2 computed on the id columns of a mapped or ingested snapshot ==
-    ``GraphStatistics.base_edge_weight`` of a from-scratch build of the same
-    edges, for every edge of every neighborhood, reduced or not — and each
-    row of the columns is the edge at its place in ``graph.edges``.
+    Eq. 2 counted on the strings of the same edges (``oracles.eq2_weight``),
+    for every edge of every neighborhood, reduced or not — and each row of
+    the columns is the edge at its place in ``graph.edges``; the MQGs
+    discovered over those columns equal a from-scratch build's.
 
     The graphs have a hub (several nodes point at ``n0`` under one label),
     self-loops and parallel edges under different labels (eight nodes, four
@@ -159,7 +165,7 @@ def test_id_column_weights_equal_the_dict_statistics_bit_for_bit(triples, hub, c
         (subject, label, "fresh"), ("fresh", label, obj), ("fresh", "r_new", obj),
     ]
     with three_graph_stores(triples[:cut], delta) as (owned, merged, ingested):
-        spec = GraphStatistics(owned)
+        built = GraphStore.build(owned)
         for bundle in (merged, ingested):
             statistics = bundle.statistics
             for node in owned.nodes:
@@ -169,10 +175,10 @@ def test_id_column_weights_equal_the_dict_statistics_bit_for_bit(triples, hub, c
                     edges = list(columnar.graph.edges)
                     assert columnar.columns.decode() == edges
                     assert statistics.column_weights(columnar.columns).tolist() == [
-                        spec.base_edge_weight(edge) for edge in edges
+                        eq2_weight(owned, edge) for edge in edges
                     ]
                 assert _mqg_weights(neighborhood, statistics) == _mqg_weights(
-                    neighborhood_graph(owned, (node,), d=d), spec
+                    neighborhood_graph(built.graph, (node,), d=d), built.statistics
                 )
 
 
@@ -180,7 +186,7 @@ def test_id_column_weights_equal_the_dict_statistics_bit_for_bit(triples, hub, c
 @_slow
 def test_store_row_counts_match_graph(triples):
     graph = KnowledgeGraph(triples)
-    store = VerticalPartitionStore(graph)
+    store = GraphStore.build(graph).store
     assert store.num_rows == graph.num_edges
     for label in graph.labels:
         assert store.cardinality(label) == graph.label_count(label)
@@ -190,7 +196,7 @@ def test_store_row_counts_match_graph(triples):
 @_slow
 def test_single_edge_join_matches_label_table(triples):
     graph = KnowledgeGraph(triples)
-    store = VerticalPartitionStore(graph)
+    store = GraphStore.build(graph).store
     label = next(iter(graph.labels))
     relation = evaluate_query_edges(store, [Edge("u", label, "v")], injective=False)
     expected = {(e.subject, e.object) for e in graph.edges if e.label == label}
@@ -233,7 +239,7 @@ def test_row_cap_raises_iff_the_uncapped_join_is_larger(
 ):
     """``extend_with_edge(..., max_rows=c)`` raises iff the uncapped result
     has more than ``c`` rows and otherwise returns it unchanged, row order
-    included — over owned, mapped and ingested tables, on the scalar tail,
+    included — over built, mapped and ingested tables, on the scalar tail,
     the bulk path and the sliced bulk path, for caps around the true size."""
     triples = list(dict.fromkeys(triples))
     if hub:  # every node points at n0, and n0 at itself

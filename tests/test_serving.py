@@ -382,6 +382,13 @@ def test_serve_rejects_bad_requests(figure1_server):
     assert _post(figure1_server, "/query", {"k": 3})[0] == 400
     assert _post(figure1_server, "/query", {"tuple": []})[0] == 400
     assert _post(figure1_server, "/query", {"tuple": ["x"], "k": 0})[0] == 400
+    # JSON booleans are not counts, though bool is an int subclass.
+    for body in (
+        {"tuple": ["Jerry Yang", "Yahoo!"], "k": True},
+        {"tuple": ["Jerry Yang", "Yahoo!"], "k_prime": True},
+    ):
+        status, answer = _post(figure1_server, "/query", body)
+        assert status == 400 and "positive integer" in answer["error"]
     status, body = _post(figure1_server, "/query", {"tuple": ["NoSuchEntity"]})
     assert status == 400 and body["type"] == "UnknownEntityError"
     assert _get(figure1_server, "/nope")[0] == 404

@@ -38,7 +38,7 @@ from repro.graph.mapped import MappedKnowledgeGraph
 from repro.graph.neighborhood import neighborhood_graph
 from repro.storage.shards import MANIFEST_NAME, ShardedSnapshotReader
 from repro.storage.snapshot import GraphStore, read_snapshot_meta
-from repro.storage.vocabulary import MappedVocabulary, Vocabulary
+from repro.storage.vocabulary import MappedVocabulary
 
 
 @pytest.fixture(scope="module")
@@ -196,12 +196,14 @@ class TestV3MappedSections:
         assert not mapped.has_edge("no-such", "nope", "nothing")
         for node in list(graph.nodes)[:10]:
             assert mapped.has_node(node)
-            # Per-node adjacency lists match the original orders exactly.
-            assert mapped.out_edges(node) == graph.out_edges(node)
-            assert mapped.in_edges(node) == graph.in_edges(node)
             assert mapped.incident_edges(node) == graph.incident_edges(node)
             assert mapped.neighbors(node) == graph.neighbors(node)
-        assert mapped.to_knowledge_graph() == graph
+        # Node ids are insertion order and every per-node adjacency list
+        # keeps the original order exactly.
+        assert list(mapped.nodes) == list(graph.nodes)
+        for node in graph.nodes:
+            assert mapped.out_edges(node) == graph.out_edges(node)
+            assert mapped.in_edges(node) == graph.in_edges(node)
 
     def test_mapped_vocabulary_contract(self, snapshot_dir):
         vocabulary = GraphStore.load(snapshot_dir)._vocabulary_from_arena()
@@ -240,15 +242,6 @@ class TestV3MappedSections:
         ).read_bytes()
         system = GQBE.from_snapshot(target, config=config)
         assert _answer_key(system.query(query_tuple, k=5)) == reference
-
-    def test_v3_mapped_vocabulary_pickles_as_owned(self, snapshot_dir):
-        import pickle
-
-        vocabulary = GraphStore.load(snapshot_dir)._vocabulary_from_arena()
-        clone = pickle.loads(pickle.dumps(vocabulary))
-        assert isinstance(clone, Vocabulary)
-        assert list(clone) == list(vocabulary)
-        assert clone.id_of(next(iter(vocabulary))) == 0
 
     def test_meta_reads_without_touching_shards(self, dataset, snapshot_dir):
         meta = read_snapshot_meta(snapshot_dir)
@@ -559,3 +552,90 @@ class TestPartialGenerations:
         assert resolve_latest_generation(root) == root
         with pytest.raises(SnapshotError, match="not valid JSON"):
             GraphStore.load(gen1)
+
+
+def _bundle_arrays(bundle: GraphStore) -> dict:
+    """Every array a bundle's graph, statistics, vocabulary and label tables
+    hold, by name, as plain ndarrays."""
+    vocabulary = bundle.store.vocabulary
+    graph = bundle.graph
+    statistics = bundle.statistics
+    arrays = {
+        "vocabulary." + name: np.frombuffer(getattr(vocabulary, "_" + name), dtype=dtype)
+        for name, dtype in (("offsets", np.int64), ("sorted_ids", np.int64), ("blob", np.uint8))
+    }
+    for name in ("out_indptr", "out_objects", "out_label_ids", "in_indptr", "in_subjects", "in_label_ids"):
+        arrays["graph." + name] = getattr(graph, name)
+    for side in ("out", "in"):
+        columns = getattr(statistics, f"_{side}_label_counts")
+        arrays[f"statistics.{side}_keys"] = columns._keys
+        arrays[f"statistics.{side}_counts"] = columns._counts
+    for label in bundle.store.labels():
+        table = bundle.store.table(label)
+        arrays[f"{label}.subjects"] = table.subject_ids()
+        arrays[f"{label}.objects"] = table.object_ids()
+        arrays[f"{label}.pair_keys"] = table._pair_keys
+        arrays[f"{label}.pair_stride"] = np.array([table._pair_stride])
+        for side in ("subject", "object"):
+            index = getattr(table, f"_{side}_index")
+            for name in ("keys", "bounds", "order"):
+                arrays[f"{label}.{side}_{name}"] = getattr(index, name)
+    return arrays
+
+
+class TestBuildEqualsLoad:
+    """``GraphStore.build`` holds, in memory, exactly the arrays a snapshot
+    of the graph maps, and writes exactly what the streaming build writes
+    for the graph's edges in insertion order."""
+
+    @staticmethod
+    def _graphs():
+        from graph_backings import random_multigraph
+
+        from repro.datasets.example_graph import figure1_excerpt
+
+        yield "figure1", figure1_excerpt()
+        for seed in range(6):
+            base, delta, _nodes = random_multigraph(seed, hub_leaves=6 * (seed % 2))
+            yield f"multigraph{seed}", KnowledgeGraph(base + delta)
+
+    def test_built_arrays_equal_the_loaded_arrays(self, tmp_path):
+        for name, graph in self._graphs():
+            built = GraphStore.build(graph)
+            GraphStore.build(graph).save(tmp_path / name)
+            loaded = GraphStore.load(tmp_path / name)
+            built_arrays, loaded_arrays = _bundle_arrays(built), _bundle_arrays(loaded)
+            assert sorted(built_arrays) == sorted(loaded_arrays), name
+            for key, array in built_arrays.items():
+                assert array.dtype == loaded_arrays[key].dtype, (name, key)
+                assert np.array_equal(array, loaded_arrays[key]), (name, key)
+            assert built.meta() == loaded.meta()
+            assert built.statistics.label_counts == loaded.statistics.label_counts
+
+    def test_a_built_save_is_the_streaming_build(self, tmp_path):
+        from repro.graph.triples import write_triples
+        from repro.storage.build import build_streaming_snapshot
+
+        for name, graph in self._graphs():
+            GraphStore.build(graph).save(tmp_path / f"{name}.built")
+            write_triples(list(graph.edges), tmp_path / f"{name}.tsv")
+            build_streaming_snapshot(tmp_path / f"{name}.tsv", tmp_path / f"{name}.streamed")
+            files = {
+                directory: {
+                    path.relative_to(tmp_path / directory).as_posix(): path.read_bytes()
+                    for path in sorted((tmp_path / directory).rglob("*"))
+                    if path.is_file()
+                }
+                for directory in (f"{name}.built", f"{name}.streamed")
+            }
+            assert files[f"{name}.built"] == files[f"{name}.streamed"], name
+
+    def test_a_cold_system_runs_on_the_built_arrays(self, figure1_graph):
+        system = GQBE(figure1_graph)
+        assert isinstance(system.graph, MappedKnowledgeGraph)
+        assert isinstance(system.store.vocabulary, MappedVocabulary)
+        assert system.graph_store.lazy_report()["format"] == "v3"
+        system.ingest([("Jerry Yang", "founded", "Yahoo! Labs")])
+        from repro.graph.delta import DeltaKnowledgeGraph
+
+        assert isinstance(system.graph, DeltaKnowledgeGraph)

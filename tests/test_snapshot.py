@@ -58,7 +58,7 @@ class TestRoundTrip:
         cold = GQBE(graph.graph, config=config)
 
         path = tmp_path / "store.snap"
-        GraphStore(cold.graph, cold.statistics, cold.store).save(path)
+        cold.graph_store.save(path)
         warm = GQBE(config=config, graph_store=GraphStore.load(path))
 
         for table_name in graph.table_names()[:2]:

@@ -13,9 +13,16 @@ from repro.storage.join import (
     extend_with_edge,
 )
 from repro.storage.plan import plan_join_order
+from repro.storage import vocabulary as vocabulary_module
+from repro.storage.snapshot import GraphStore
 from repro.storage.store import VerticalPartitionStore
 from repro.storage.table import ColumnarEdgeTable
-from repro.storage.vocabulary import MAX_ENTITY_ID, MappedVocabulary, Vocabulary
+from repro.storage.vocabulary import MAX_ENTITY_ID, MappedVocabulary, arena_arrays
+
+
+def _store(graph: KnowledgeGraph) -> VerticalPartitionStore:
+    """The join store of ``graph``'s offline build, in memory."""
+    return GraphStore.build(graph).store
 
 
 class _Counted(list):
@@ -35,14 +42,14 @@ class _Counted(list):
 
 class TestVocabulary:
     def test_intern_assigns_dense_ids(self):
-        vocab = Vocabulary()
+        vocab = MappedVocabulary(**arena_arrays([]))
         assert vocab.intern("a") == 0
         assert vocab.intern("b") == 1
         assert vocab.intern("a") == 0
         assert len(vocab) == 2
 
     def test_lookup_and_decode(self):
-        vocab = Vocabulary(["x", "y"])
+        vocab = MappedVocabulary(**arena_arrays(["x", "y"]))
         assert vocab.id_of("x") == 0
         assert vocab.id_of("missing") is None
         assert vocab.term_of(1) == "y"
@@ -53,15 +60,14 @@ class TestVocabulary:
     def test_ceiling_is_the_int32_maximum(self):
         assert MAX_ENTITY_ID == np.iinfo(np.int32).max == 2**31 - 1
 
-    def test_owned_intern_refuses_an_id_past_the_ceiling(self):
-        vocab = Vocabulary(["a"])
-        vocab._terms = _Counted(MAX_ENTITY_ID)
-        assert vocab.intern("last") == MAX_ENTITY_ID
+    def test_arena_refuses_an_id_past_the_ceiling(self, monkeypatch):
+        """A built vocabulary numbers every term; with a ceiling of 2 a
+        fourth term's id, 3, is one too many."""
+        monkeypatch.setattr(vocabulary_module, "MAX_ENTITY_ID", 2)
+        assert len(arena_arrays(["a", "b", "c"])["sorted_ids"]) == 3
         with pytest.raises(EntityIdOverflowError) as info:
-            vocab.intern("one too many")
-        assert info.value.entity_id == MAX_ENTITY_ID + 1
-        assert vocab.id_of("one too many") is None
-        assert vocab.intern("last") == MAX_ENTITY_ID
+            arena_arrays(["a", "b", "c", "d"])
+        assert info.value.entity_id == 3
 
     def test_mapped_overlay_intern_refuses_an_id_past_the_ceiling(self):
         """The overlay ids live ingest assigns continue past the mapped
@@ -135,12 +141,12 @@ class TestColumnarEdgeTable:
 
 class TestStore:
     def test_one_table_per_label(self, figure1_graph):
-        store = VerticalPartitionStore(figure1_graph)
+        store = _store(figure1_graph)
         assert store.num_tables == figure1_graph.num_labels
         assert store.num_rows == figure1_graph.num_edges
 
     def test_vocabulary_covers_all_nodes(self, figure1_graph):
-        store = VerticalPartitionStore(figure1_graph)
+        store = _store(figure1_graph)
         assert len(store.vocabulary) == figure1_graph.num_nodes
         for node in figure1_graph.nodes:
             entity_id = store.vocabulary.id_of(node)
@@ -148,7 +154,7 @@ class TestStore:
             assert store.vocabulary.term_of(entity_id) == node
 
     def test_tables_store_interned_rows(self, figure1_graph):
-        store = VerticalPartitionStore(figure1_graph)
+        store = _store(figure1_graph)
         vocab = store.vocabulary
         founded = store.table("founded")
         assert founded.has_row(vocab.id_of("Jerry Yang"), vocab.id_of("Yahoo!"))
@@ -157,12 +163,12 @@ class TestStore:
         )
 
     def test_table_lookup(self, figure1_graph):
-        store = VerticalPartitionStore(figure1_graph)
+        store = _store(figure1_graph)
         founded = store.table("founded")
         assert store.cardinality("founded") == len(founded)
 
     def test_unknown_label(self, figure1_graph):
-        store = VerticalPartitionStore(figure1_graph)
+        store = _store(figure1_graph)
         with pytest.raises(GraphError):
             store.table("does_not_exist")
         assert len(store.table_or_empty("does_not_exist")) == 0
@@ -174,7 +180,7 @@ class TestStore:
         ``get(label) or ColumnarEdgeTable(label)`` replaced it with a
         throwaway."""
         graph = KnowledgeGraph([("a", "r", "b")])
-        store = VerticalPartitionStore(graph)
+        store = _store(graph)
         # Store an empty, indexed table (simulates a label whose rows were
         # all removed, e.g. by a future delete path).
         table = ColumnarEdgeTable("r")
@@ -287,19 +293,19 @@ class TestJoinEvaluation:
 
     def test_injectivity_enforced(self):
         graph = KnowledgeGraph([("a", "likes", "a"), ("a", "likes", "b")])
-        store = VerticalPartitionStore(graph)
+        store = _store(graph)
         relation = evaluate_query_edges(store, [Edge("x", "likes", "y")])
         assert _decoded(store, relation.rows) == {("a", "b")}
 
     def test_injectivity_can_be_disabled(self):
         graph = KnowledgeGraph([("a", "likes", "a")])
-        store = VerticalPartitionStore(graph)
+        store = _store(graph)
         relation = evaluate_query_edges(store, [Edge("x", "likes", "y")], injective=False)
         assert ("a", "a") in _decoded(store, relation.rows)
 
     def test_self_loop_query_edge(self):
         graph = KnowledgeGraph([("a", "likes", "a"), ("a", "likes", "b")])
-        store = VerticalPartitionStore(graph)
+        store = _store(graph)
         relation = evaluate_query_edges(store, [Edge("x", "likes", "x")])
         assert [store.vocabulary.decode_row(row) for row in relation.rows] == [("a",)]
 
@@ -317,7 +323,7 @@ class TestJoinEvaluation:
         graph = KnowledgeGraph()
         for i in range(10):
             graph.add_edge(f"n{i}", "self", f"n{i}")
-        store = VerticalPartitionStore(graph)
+        store = _store(graph)
         with pytest.raises(LatticeError):
             evaluate_query_edges(
                 store, [Edge("x", "self", "x")], injective=False, max_rows=3
@@ -378,7 +384,7 @@ class TestJoinPastTheRowCap:
         for i in range(1_000):
             rows.append((f"x{i}", f"h{i}"))
             triples.extend((f"h{i}", "r", target) for target in matches(i))
-        store = VerticalPartitionStore(KnowledgeGraph(triples + [(x, "at", h) for x, h in rows]))
+        store = _store(KnowledgeGraph(triples + [(x, "at", h) for x, h in rows]))
         id_of = store.vocabulary.id_of
         relation = ColumnarRelation(
             ("x", "h"), [np.array([id_of(value) for value in column]) for column in zip(*rows)]

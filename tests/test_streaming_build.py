@@ -310,14 +310,13 @@ class TestCLI:
                 "build-index",
                 str(dump),
                 str(tmp_path / "streamed"),
-                "--streaming",
                 "--memory-budget-mb",
                 "4",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "streaming" in out
+        assert "pass1" in out
         assert "rows/s" in out
         assert "spill runs" in out
         _build_in_memory(dump, tmp_path / "reference")
@@ -328,10 +327,17 @@ class TestCLI:
 
         dump = _write_dump(tmp_path, duplicates=0)
         code = main(
-            ["build-index", str(dump), str(tmp_path / "out"), "--streaming", "--quiet"]
+            ["build-index", str(dump), str(tmp_path / "out"), "--quiet"]
         )
         assert code == 0
         assert capsys.readouterr().out == ""
+
+    def test_streaming_flag_is_gone(self, tmp_path):
+        from repro.cli import main
+
+        dump = _write_dump(tmp_path, duplicates=0)
+        with pytest.raises(SystemExit):
+            main(["build-index", str(dump), str(tmp_path / "out"), "--streaming"])
 
 
 class TestBlockMerge:
