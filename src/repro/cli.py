@@ -280,12 +280,21 @@ def build_frontend(system: GQBE, snapshot_path: str | None, args: argparse.Names
     )
 
 
+def _refused(args: argparse.Namespace, error: ValueError) -> int:
+    """Report a serving setting the server refused, as a usage error."""
+    print(f"gqbe {args.command}: error: {error}", file=sys.stderr)
+    return 2
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     loaded = _load_system(args)
     if isinstance(loaded, int):
         return loaded
     system, snapshot_path = loaded
-    server = build_frontend(system, snapshot_path, args)
+    try:
+        server = build_frontend(system, snapshot_path, args)
+    except ValueError as error:
+        return _refused(args, error)
     meta = system.graph_store.meta()
     extras = (
         f", high water {args.high_water}"
@@ -355,8 +364,13 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
             return 2
         tuples = [t.split(",") for t in args.tuple]
 
-    server = build_frontend(system, snapshot_path, args).start()
+    server = None
     try:
+        try:
+            server = build_frontend(system, snapshot_path, args)
+        except ValueError as error:
+            return _refused(args, error)
+        server.start()
         report = bench_serve(
             server,
             tuples,
@@ -369,7 +383,8 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
             api_key=args.api_keys[0] if args.api_keys else None,
         )
     finally:
-        server.stop()
+        if server is not None:
+            server.stop()
         if scratch_dir is not None:
             import shutil
 
@@ -634,11 +649,10 @@ def build_parser() -> argparse.ArgumentParser:
             "declared Content-Lengths are refused with 413 before any "
             "body byte is read",
         )
-        defaults = GQBEConfig()
         parser.add_argument(
             "--high-water",
             type=int,
-            default=defaults.serve_high_water,
+            default=64,
             dest="high_water",
             help="admission high-water mark: requests "
             "past this many in flight are shed with 429 + Retry-After",
@@ -646,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "--deadline-ms",
             type=int,
-            default=defaults.serve_deadline_ms,
+            default=None,
             dest="deadline_ms",
             help="per-request engine deadline (ms); "
             "expired requests get 504 and their batch slot is abandoned "
@@ -655,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "--rate-limit-rps",
             type=float,
-            default=defaults.serve_rate_limit_rps,
+            default=None,
             dest="rate_limit_rps",
             help="per-client sustained rate limit (requests/second, token "
             "bucket keyed by API key); default: no rate limit",
@@ -663,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "--rate-limit-burst",
             type=int,
-            default=defaults.serve_rate_limit_burst,
+            default=32,
             dest="rate_limit_burst",
             help="token-bucket burst capacity per client",
         )
@@ -678,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "--cache-ttl-seconds",
             type=float,
-            default=defaults.serve_cache_ttl_seconds,
+            default=None,
             dest="cache_ttl_seconds",
             help="time-to-live for answer-cache entries "
             "(default: no TTL, pure LRU)",
@@ -686,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "--compact-threshold",
             type=int,
-            default=defaults.serve_compact_threshold,
+            default=None,
             dest="compact_threshold",
             help="start a background compaction once the in-memory ingest "
             "delta holds this many edges, folding base + delta into a "

@@ -2,7 +2,10 @@
 
 All tunables referenced in the paper are collected in one immutable
 dataclass so experiments can be described declaratively and compared in
-ablation benchmarks.
+ablation benchmarks.  Only what the engine reads lives here: the process
+pool and the admission, cache and compaction settings of the serving tier
+are constructor arguments of :class:`~repro.serving.server.ServingCore`
+and :class:`~repro.serving.async_server.AsyncGQBEServer`.
 """
 
 from __future__ import annotations
@@ -64,50 +67,6 @@ class GQBEConfig:
         overrides: ``GQBE_NATIVE_KERNELS`` decides what ``"auto"``
         means, and ``GQBE_FORCE_PURE=1`` forces the pure kernels
         unconditionally — even over ``"on"``.
-    execution:
-        Where :meth:`~repro.core.gqbe.GQBE.query_batch` runs.
-        ``"inline"`` (the default) evaluates the batch on the calling
-        thread.  ``"pool"`` shards the batch across a process pool
-        (:class:`~repro.serving.pool.WorkerPool`) of ``pool_workers``
-        workers — each worker opens the same snapshot (zero-copy shared
-        pages of the mapped snapshot), bypassing the GIL for
-        CPU-bound explorations.  Ranked answers are byte-identical
-        either way; single queries and multi-tuple queries always run
-        inline.
-    pool_workers:
-        Number of worker processes for ``execution="pool"``.  ``None``
-        picks ``os.cpu_count()`` (capped at 8).
-    serve_high_water:
-        Admission high-water mark of the serving frontend
-        (:class:`~repro.serving.async_server.AsyncGQBEServer`): the
-        maximum number of admitted in-flight requests.  Past it, new
-        queries are shed with ``429`` + ``Retry-After`` instead of
-        queueing unboundedly.  Only read by the serving tier (``gqbe
-        serve --high-water``); the engine itself ignores it.
-    serve_deadline_ms:
-        Per-request engine deadline of the serving frontend, in
-        milliseconds.  A request whose engine work has not finished
-        inside the deadline is answered ``504`` and its batcher slot
-        abandoned.  ``None`` disables deadlines (the serving
-        ``request_timeout`` still caps batcher waits with ``503``).
-    serve_rate_limit_rps:
-        Per-client sustained rate limit of the serving frontend, in
-        requests/second (token bucket keyed by API key).  ``None``
-        disables rate limiting.
-    serve_rate_limit_burst:
-        Token-bucket burst capacity per client — how many requests a
-        previously idle client may issue back-to-back before the
-        sustained ``serve_rate_limit_rps`` applies.
-    serve_cache_ttl_seconds:
-        Time-to-live for answer-cache entries of the serving frontend: an
-        entry older than this is treated as a miss and evicted on
-        access.  ``None`` keeps pure LRU (entries live until evicted or
-        invalidated by ``/admin/reload``).
-    serve_compact_threshold:
-        Delta size (edges ingested via ``/admin/ingest``) past which a
-        snapshot-backed server starts a background compaction, folding
-        base + delta into a fresh on-disk generation.  ``None`` leaves
-        compaction to explicit ``/admin/compact`` calls.
     """
 
     d: int = 2
@@ -119,14 +78,6 @@ class GQBEConfig:
     batch_join_memo: bool = True
     batch_memo_max_rows: int | None = 1_000_000
     native_kernels: str = "auto"
-    execution: str = "inline"
-    pool_workers: int | None = None
-    serve_high_water: int = 64
-    serve_deadline_ms: int | None = None
-    serve_rate_limit_rps: float | None = None
-    serve_rate_limit_burst: int = 32
-    serve_cache_ttl_seconds: float | None = None
-    serve_compact_threshold: int | None = None
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -149,44 +100,4 @@ class GQBEConfig:
             raise EvaluationError(
                 'native_kernels must be "auto", "on" or "off", '
                 f"got {self.native_kernels!r}"
-            )
-        if self.execution not in ("inline", "pool"):
-            raise EvaluationError(
-                f'execution must be "inline" or "pool", got {self.execution!r}'
-            )
-        if self.pool_workers is not None and self.pool_workers < 1:
-            raise EvaluationError(
-                f"pool_workers must be >= 1, got {self.pool_workers}"
-            )
-        if self.serve_high_water < 1:
-            raise EvaluationError(
-                f"serve_high_water must be >= 1, got {self.serve_high_water}"
-            )
-        if self.serve_deadline_ms is not None and self.serve_deadline_ms < 1:
-            raise EvaluationError(
-                f"serve_deadline_ms must be >= 1, got {self.serve_deadline_ms}"
-            )
-        if self.serve_rate_limit_rps is not None and self.serve_rate_limit_rps <= 0:
-            raise EvaluationError(
-                f"serve_rate_limit_rps must be > 0, got {self.serve_rate_limit_rps}"
-            )
-        if self.serve_rate_limit_burst < 1:
-            raise EvaluationError(
-                f"serve_rate_limit_burst must be >= 1, got {self.serve_rate_limit_burst}"
-            )
-        if (
-            self.serve_cache_ttl_seconds is not None
-            and self.serve_cache_ttl_seconds <= 0
-        ):
-            raise EvaluationError(
-                "serve_cache_ttl_seconds must be > 0, "
-                f"got {self.serve_cache_ttl_seconds}"
-            )
-        if (
-            self.serve_compact_threshold is not None
-            and self.serve_compact_threshold < 1
-        ):
-            raise EvaluationError(
-                "serve_compact_threshold must be >= 1, "
-                f"got {self.serve_compact_threshold}"
             )

@@ -15,7 +15,6 @@
 
 from __future__ import annotations
 
-import threading
 import time
 from collections.abc import Sequence
 from dataclasses import replace
@@ -53,12 +52,6 @@ class GQBE:
         # entrypoints re-assert the mode so systems with different modes
         # can interleave in one process.
         _kernels.select(self.config.native_kernels)
-        #: Where this system was loaded from (set by :meth:`from_snapshot`);
-        #: pooled execution hands it to the workers so each opens the same
-        #: memory-mapped snapshot itself.
-        self._snapshot_path: str | None = None
-        self._pool = None
-        self._pool_lock = threading.Lock()
         if graph_store is not None:
             # Warm start: adopt the precomputed offline state (a lazily
             # loaded bundle stays unmaterialized until the first query
@@ -118,9 +111,7 @@ class GQBE:
             system = GQBE.from_snapshot("data.snap")    # warm start
             result = system.query(("Jerry Yang", "Yahoo!"), k=10)
         """
-        system = cls(config=config, graph_store=GraphStore.load(path))
-        system._snapshot_path = str(path)
-        return system
+        return cls(config=config, graph_store=GraphStore.load(path))
 
     # ------------------------------------------------------------------
     # query graph discovery
@@ -259,7 +250,8 @@ class GQBE:
         The arena is controlled by ``GQBEConfig.batch_join_memo`` /
         ``batch_memo_max_rows`` and is discarded when the call returns.
         The serving layer (:mod:`repro.serving`) builds its request
-        batches on top of this method.
+        batches on top of this method, and each worker of a
+        :class:`~repro.serving.pool.WorkerPool` runs it over its chunk.
 
         Example::
 
@@ -274,19 +266,6 @@ class GQBE:
         for entities in tuples:
             if not entities:
                 raise QueryError("query tuples must contain at least one entity")
-        if not tuples:
-            return []
-        if self.config.execution == "pool" and len(tuples) > 1:
-            return self.worker_pool().query_batch(tuples, k=k, k_prime=k_prime)
-        return self._query_batch_inline(tuples, k, k_prime)
-
-    def _query_batch_inline(
-        self,
-        tuples: list[tuple[str, ...]],
-        k: int,
-        k_prime: int | None,
-    ) -> list[QueryResult]:
-        """The in-process batch path (what pool workers run per chunk)."""
         arena = (
             JoinMemoArena(
                 max_rows=self.config.max_join_rows,
@@ -337,61 +316,13 @@ class GQBE:
         vocabulary + tables + statistics, deduplicated against the
         current union), then drops every piece of derived state that
         described the pre-ingest graph: cached lattice spaces would
-        otherwise keep serving answers over stale join tables, and an
-        existing worker pool holds whole processes built from the old
-        state — the next pooled call rebuilds it with the delta
-        replayed.  Returns ``{"applied", "duplicates", "delta_edges"}``.
+        otherwise keep serving answers over stale join tables.  Returns
+        ``{"applied", "duplicates", "delta_edges"}``.
         """
         result = self._graph_store.ingest(triples)
         if result["applied"]:
             self._space_cache.clear()
-            self.close()
         return result
-
-    # ------------------------------------------------------------------
-    # pooled execution
-    # ------------------------------------------------------------------
-    def worker_pool(self):
-        """The process pool backing ``execution="pool"`` (built lazily).
-
-        Snapshot-loaded systems hand each worker the snapshot path to
-        reopen (zero-copy shared mapped pages), plus
-        any pending ingest delta to replay on top; graph-built systems
-        fall back to fork-time inheritance (the forked image already
-        contains the delta).  Call :meth:`close` to shut the workers
-        down.
-        """
-        # Double-checked under a lock: concurrent first callers must not
-        # each build (and then leak) a pool of worker processes.
-        if self._pool is None:
-            from repro.serving.pool import WorkerPool
-
-            with self._pool_lock:
-                if self._pool is None:
-                    self._pool = WorkerPool(
-                        workers=self.config.pool_workers,
-                        snapshot_path=self._snapshot_path,
-                        system=self if self._snapshot_path is None else None,
-                        config=replace(self.config, execution="inline"),
-                        delta_triples=(
-                            self.pending_delta
-                            if self._snapshot_path is not None
-                            else None
-                        ),
-                    )
-        return self._pool
-
-    def close(self) -> None:
-        """Release resources (the worker pool, if one was started)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self) -> "GQBE":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def _query_single(
         self,

@@ -20,8 +20,8 @@ north star is serving heavy traffic.  This package adds the missing layer:
   ``POST /admin/reload``;
 * :class:`~repro.serving.pool.WorkerPool` — a process pool that shards
   a batch across N workers, each holding the same memory-mapped
-  snapshot open, bypassing the GIL for CPU-bound explorations
-  (``gqbe serve --workers N``);
+  snapshot open, bypassing the GIL for CPU-bound explorations; the
+  core builds it for ``gqbe serve --workers N`` and is its only owner;
 * :mod:`~repro.serving.loadgen` — the ``gqbe bench-serve`` load driver
   (closed-loop capacity and open-loop overload arrivals) that measures
   serve throughput, latency percentiles and shed behavior.

@@ -129,21 +129,24 @@ class AsyncGQBEServer(ServingCore):
     ) -> None:
         if deadline_ms is not None and deadline_ms < 1:
             raise ValueError(f"deadline_ms must be >= 1 or None, got {deadline_ms}")
+        # The admission settings are validated before the core starts its
+        # batcher threads and worker processes, so a refused value leaks
+        # neither.
+        self._gate = AdmissionGate(high_water)
+        self._limiter = (
+            RateLimiter(rate_limit_rps, rate_limit_burst)
+            if rate_limit_rps is not None
+            else None
+        )
         super().__init__(system, snapshot_path=snapshot_path, **core_kwargs)
         self._requested_host = host
         self._requested_port = port
         self.high_water = high_water
         self.deadline_ms = deadline_ms
         self.api_keys = frozenset(api_keys) if api_keys else None
-        self._gate = AdmissionGate(high_water)
         # Loop-confined like the gate: only coroutines touch it, and the
         # /metrics gauge callback also renders on the loop thread.
         self._ingest_inflight = 0
-        self._limiter = (
-            RateLimiter(rate_limit_rps, rate_limit_burst)
-            if rate_limit_rps is not None
-            else None
-        )
         # The executor only ever holds admitted work (queries and
         # ingests both consume gate slots), so high_water plus a slot
         # for /admin/reload and one for /admin/compact bounds it

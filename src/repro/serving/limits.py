@@ -92,6 +92,12 @@ class RateLimiter:
         max_clients: int = 4096,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
+        # Checked here, not only in TokenBucket: buckets are built on a
+        # client's first request, too late to refuse a bad setting.
+        if rate <= 0:
+            raise ValueError(f"rate must be > 0 requests/second, got {rate}")
+        if burst < 1:
+            raise ValueError(f"burst must be >= 1 request, got {burst}")
         if max_clients < 1:
             raise ValueError(f"max_clients must be >= 1, got {max_clients}")
         self.rate = float(rate)

@@ -22,9 +22,10 @@ parent and fanned back out, and chunk results are merged in input
 order.  ``tests/test_pool_execution.py`` pins the equivalence
 (cold-built / snapshot-mapped, inline / pooled).
 
-Wired up by ``GQBEConfig(execution="pool", pool_workers=N)`` on the
-facade, and by ``gqbe serve --workers N`` /
-:class:`~repro.serving.batching.QueryBatcher` on the serve layer.
+Owned by :class:`~repro.serving.server.ServingCore` (``gqbe serve
+--workers N``), which hands it to its
+:class:`~repro.serving.batching.QueryBatcher` and rebuilds it after every
+ingest and reload.
 """
 
 from __future__ import annotations
@@ -49,9 +50,6 @@ from pathlib import Path
 from repro.core.answer import QueryResult
 from repro.exceptions import GQBEError
 
-#: Upper bound on the default worker count (``pool_workers=None``).
-DEFAULT_MAX_WORKERS = 8
-
 #: Hard ceiling on pool initialization (a worker fleet that cannot fork
 #: and open its snapshot within this is considered wedged).
 POOL_INIT_TIMEOUT = 120.0
@@ -59,11 +57,6 @@ POOL_INIT_TIMEOUT = 120.0
 # Worker-process state: the system this worker answers queries from.
 # Set once by the pool initializer.
 _WORKER_SYSTEM = None
-
-
-def default_worker_count() -> int:
-    """The worker count used when ``pool_workers`` is left ``None``."""
-    return max(1, min(DEFAULT_MAX_WORKERS, os.cpu_count() or 1))
 
 
 def _init_worker(
@@ -111,14 +104,8 @@ def _init_worker(
 def _run_chunk(
     tuples: list[tuple[str, ...]], k: int, k_prime: int | None
 ) -> list[QueryResult]:
-    """Execute one chunk of a sharded batch inside a worker process.
-
-    Always the *inline* batch path: a fork-inherited system may carry
-    ``execution="pool"``, and a worker must never spawn its own pool.
-    """
-    return _WORKER_SYSTEM._query_batch_inline(
-        [tuple(t) for t in tuples], k, k_prime
-    )
+    """Execute one chunk of a sharded batch inside a worker process."""
+    return _WORKER_SYSTEM.query_batch(tuples, k=k, k_prime=k_prime)
 
 
 def _chunk(items: list, parts: int) -> list[list]:
@@ -140,8 +127,7 @@ class WorkerPool:
     Parameters
     ----------
     workers:
-        Number of worker processes (``None`` →
-        :func:`default_worker_count`).
+        Number of worker processes.
     snapshot_path:
         Snapshot each worker opens itself (the shared-pages path).
         When omitted, ``system`` must be given and the platform must
@@ -160,7 +146,7 @@ class WorkerPool:
 
     def __init__(
         self,
-        workers: int | None = None,
+        workers: int,
         snapshot_path: str | PathLike | None = None,
         system=None,
         config=None,
@@ -169,9 +155,9 @@ class WorkerPool:
     ) -> None:
         if snapshot_path is None and system is None:
             raise GQBEError("WorkerPool needs a snapshot_path or a system")
-        self.workers = workers if workers is not None else default_worker_count()
-        if self.workers < 1:
-            raise GQBEError(f"workers must be >= 1, got {self.workers}")
+        if workers < 1:
+            raise GQBEError(f"workers must be >= 1, got {workers}")
+        self.workers = workers
         # Absolute: spawned/forkserver workers may not share the parent's
         # working directory by the time they open the snapshot.
         self.snapshot_path = (

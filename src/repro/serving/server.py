@@ -46,7 +46,6 @@ import os
 import shutil
 import threading
 import time
-from dataclasses import replace
 from os import PathLike
 
 from repro.core.answer import QueryResult
@@ -56,7 +55,6 @@ from repro.serving.batching import QueryBatcher
 from repro.serving.cache import AnswerCache
 from repro.storage.generations import next_generation_path, prune_generations
 from repro.storage.ingest import normalize_triples
-from repro.storage.snapshot import GraphStore
 
 logger = logging.getLogger("repro.serving")
 
@@ -119,12 +117,14 @@ class ServingCore:
         the body is read; a malformed ``Content-Length`` is a ``400``.
     workers:
         Process-pool width for batch execution (``gqbe serve
-        --workers``).  With ``workers > 1`` every batch runs on a
-        :class:`~repro.serving.pool.WorkerPool`, up to ``workers``
-        batches at once, sharded across workers that each open
-        the served snapshot (shared mapped pages),
-        bypassing the GIL for CPU-bound explorations; ``1`` keeps the
-        inline single-process path.
+        --workers``).  With ``workers > 1`` the core builds and owns a
+        :class:`~repro.serving.pool.WorkerPool` and every batch runs on
+        it, up to ``workers`` batches at once, bypassing the GIL for
+        CPU-bound explorations.  Its workers reopen the served snapshot
+        (shared mapped pages) and replay the ingested delta, or, when
+        no snapshot is served, are forked from the system; every ingest
+        and reload rebuilds the pool.  ``1`` keeps the inline
+        single-process path.
     compact_threshold:
         Trigger a background compaction once the in-memory delta holds
         at least this many edges (``gqbe serve --compact-threshold``).
@@ -212,7 +212,7 @@ class ServingCore:
             workers=self.workers,
             snapshot_path=self.snapshot_path,
             system=self._system if self.snapshot_path is None else None,
-            config=replace(self._system.config, execution="inline"),
+            config=self._system.config,
             # Spawned workers reopen the snapshot from disk, which lacks
             # any live delta — they replay it at init so pooled answers
             # match the parent's (base + delta) union exactly.
@@ -267,8 +267,7 @@ class ServingCore:
         """:meth:`load_snapshot` body; caller holds ``_mutate_lock``."""
         # The running config survives the reload (mqg_size, node_budget,
         # max_join_rows, ... are the operator's, not the snapshot's).
-        system = GQBE(config=self._system.config, graph_store=GraphStore.load(path))
-        system._snapshot_path = str(path)
+        system = GQBE.from_snapshot(path, config=self._system.config)
         old_pool = None
         with self._exec_lock:
             self._system = system

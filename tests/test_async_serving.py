@@ -15,15 +15,16 @@ Pins the serving-tier acceptance criteria for the asyncio frontend
 * ``GET /metrics`` renders a parseable Prometheus text exposition whose
   counters reconcile with the requests the test itself issued.
 
-The admission-control defaults live on ``GQBEConfig``
-(``serve_high_water``, ``serve_deadline_ms``, ``serve_rate_limit_rps``,
-``serve_rate_limit_burst``, ``serve_cache_ttl_seconds``); the CLI wiring
-tests at the bottom pin that each flag defaults from its config field.
+The serving defaults live on the ``AsyncGQBEServer`` / ``ServingCore``
+constructors, which also refuse bad values; the CLI tests at the bottom
+pin that each ``gqbe serve`` flag defaults to its constructor's default
+and that a refused value is a usage error (exit 2), not a traceback.
 """
 
 from __future__ import annotations
 
 import http.client
+import inspect
 import json
 import multiprocessing
 import socket
@@ -35,7 +36,8 @@ import pytest
 
 from repro.core.config import GQBEConfig
 from repro.core.gqbe import GQBE
-from repro.exceptions import EvaluationError
+from repro.datasets.example_graph import figure1_excerpt
+from repro.graph.triples import write_triples
 from repro.serving.async_server import AsyncGQBEServer
 from repro.serving.cache import AnswerCache
 from repro.serving.limits import (
@@ -86,6 +88,22 @@ def test_token_bucket_rejects_bad_parameters():
         TokenBucket(rate=0, burst=1)
     with pytest.raises(ValueError, match="burst"):
         TokenBucket(rate=1, burst=0)
+
+
+def test_rate_limiter_refuses_bad_parameters_up_front(figure1_graph):
+    """Buckets are built on a client's first request; a bad rate must be
+    refused when the limiter is built, not as a 500 on every query."""
+    for rate in (0, -3):
+        with pytest.raises(ValueError, match="rate must be > 0"):
+            RateLimiter(rate=rate, burst=1)
+    with pytest.raises(ValueError, match="burst must be >= 1"):
+        RateLimiter(rate=1.0, burst=0)
+    with pytest.raises(ValueError, match="rate must be > 0"):
+        AsyncGQBEServer(
+            GQBE(figure1_graph, config=GQBEConfig(mqg_size=10)),
+            port=0,
+            rate_limit_rps=0,
+        )
 
 
 def test_rate_limiter_check_and_refill():
@@ -499,9 +517,11 @@ def test_async_queue_full_429_never_touches_batcher(figure1_graph):
     ).start()
     inner = server._batcher._runner
     try:
+        entered = threading.Event()
         release = threading.Event()
 
         def slow_runner(tuples, k, k_prime):
+            entered.set()
             release.wait(timeout=30)
             return inner(tuples, k, k_prime)
 
@@ -515,10 +535,11 @@ def test_async_queue_full_429_never_touches_batcher(figure1_graph):
 
         holder = threading.Thread(target=occupy_slot)
         holder.start()
-        deadline = time.monotonic() + 10
-        while server._gate.depth < 1:
-            assert time.monotonic() < deadline, "first request never admitted"
-            time.sleep(0.005)
+        # Wait until the first request is inside the engine, not merely
+        # admitted: the batcher counts its batch when a dispatch thread
+        # takes it, which may come after the gate admits it.
+        assert entered.wait(timeout=10), "first request never reached the engine"
+        assert server._gate.depth == 1
 
         batcher_before = server._batcher.stats()
         status, headers, body = _request(
@@ -709,18 +730,28 @@ def test_deadline_abandoned_batcher_slot_does_not_leak(figure1_graph, held_runne
 
 
 # ----------------------------------------------------------------------
-# CLI wiring: every admission flag defaults from its GQBEConfig field
+# CLI wiring: every serving flag defaults to its constructor's default
 # ----------------------------------------------------------------------
-def test_cli_serve_admission_flags_default_from_config():
+def test_cli_serve_flags_default_from_the_constructors():
     from repro.cli import build_parser
+    from repro.serving.server import ServingCore
 
-    defaults = GQBEConfig()
     args = build_parser().parse_args(["serve", "--snapshot", "x.snap"])
-    assert args.high_water == defaults.serve_high_water == 64
-    assert args.deadline_ms == defaults.serve_deadline_ms is None
-    assert args.rate_limit_rps == defaults.serve_rate_limit_rps is None
-    assert args.rate_limit_burst == defaults.serve_rate_limit_burst == 32
-    assert args.cache_ttl_seconds == defaults.serve_cache_ttl_seconds is None
+    for owner, flags in (
+        (
+            AsyncGQBEServer,
+            ("host", "port", "high_water", "deadline_ms", "rate_limit_rps",
+             "rate_limit_burst"),
+        ),
+        (
+            ServingCore,
+            ("max_batch", "cache_size", "workers", "cache_ttl_seconds",
+             "compact_threshold"),
+        ),
+    ):
+        parameters = inspect.signature(owner.__init__).parameters
+        for flag in flags:
+            assert getattr(args, flag) == parameters[flag].default, flag
     assert args.api_keys is None
 
     args = build_parser().parse_args(
@@ -763,17 +794,42 @@ def test_cli_bench_serve_arrival_wiring():
     assert args.arrival == "open" and args.rate == 50.0
 
 
-def test_config_validates_serve_fields():
-    with pytest.raises(EvaluationError, match="serve_high_water"):
-        GQBEConfig(serve_high_water=0)
-    with pytest.raises(EvaluationError, match="serve_deadline_ms"):
-        GQBEConfig(serve_deadline_ms=0)
-    with pytest.raises(EvaluationError, match="serve_rate_limit_rps"):
-        GQBEConfig(serve_rate_limit_rps=0)
-    with pytest.raises(EvaluationError, match="serve_rate_limit_burst"):
-        GQBEConfig(serve_rate_limit_burst=0)
-    with pytest.raises(EvaluationError, match="serve_cache_ttl_seconds"):
-        GQBEConfig(serve_cache_ttl_seconds=0)
+@pytest.mark.parametrize("command", ["serve", "bench-serve"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--high-water", "0"),
+        ("--workers", "0"),
+        ("--deadline-ms", "0"),
+        ("--max-batch", "0"),
+        ("--cache-size", "-1"),
+        ("--cache-ttl-seconds", "0"),
+        ("--compact-threshold", "0"),
+        ("--rate-limit-rps", "0"),
+        ("--rate-limit-rps", "-3"),
+    ],
+)
+def test_cli_refused_serving_value_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, command, flag, value
+):
+    """A value the server refuses exits 2 with one line on stderr — no
+    traceback, and no server that starts only to fail every request."""
+    from repro.cli import main
+
+    def started(self):
+        raise AssertionError(f"server started with {flag} {value}")
+
+    monkeypatch.setattr(AsyncGQBEServer, "serve_forever", started)
+    monkeypatch.setattr(AsyncGQBEServer, "start", started)
+    path = tmp_path / "fig1.tsv"
+    write_triples(sorted(figure1_excerpt().edges), path)
+    argv = [command, str(path), "--port", "0", flag, value]
+    if command == "bench-serve":
+        argv += ["--tuple", "Jerry Yang,Yahoo!"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"gqbe {command}: error: ")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_build_frontend_wires_the_flags(figure1_graph):

@@ -354,16 +354,29 @@ def test_rule_silent_on_compliant_code(tmp_path, rule_id):
 # CFG rules need a small project tree, not a single file.
 
 
-def _write_config_project(tmp_path: Path, documented: bool, tested: bool):
+def _write_config_project(
+    tmp_path: Path, documented: bool, tested: bool, read: bool = True
+):
     src = tmp_path / "src"
     src.mkdir()
     (src / "config.py").write_text(
         "from dataclasses import dataclass\n\n\n"
         "@dataclass\nclass GQBEConfig:\n"
         "    d: int = 2\n"
-        "    mystery_knob: int = 5\n",
+        "    mystery_knob: int = 5\n\n"
+        "    def __post_init__(self):\n"
+        "        assert self.mystery_knob >= 0\n",
         encoding="utf-8",
     )
+    # The CLI's read never counts: only the engine's does.
+    (src / "cli.py").write_text(
+        "def build(config):\n    return config.mystery_knob\n",
+        encoding="utf-8",
+    )
+    engine = "def run(config):\n    depth = config.d\n"
+    if read:
+        engine += "    return depth * config.mystery_knob\n"
+    (src / "engine.py").write_text(engine, encoding="utf-8")
     doc = "# Configuration\n\nThe `d` field sets the neighborhood radius.\n"
     if documented:
         doc += "The `mystery_knob` field turns the mystery dial.\n"
@@ -393,6 +406,13 @@ def test_cfg_rules_silent_when_covered(tmp_path):
     found = rule_ids(check_paths([src], tmp_path))
     assert "CFG001" not in found
     assert "CFG002" not in found
+    assert "CFG003" not in found
+
+
+def test_cfg003_flags_a_field_only_the_config_and_cli_read(tmp_path):
+    src = _write_config_project(tmp_path, documented=True, tested=True, read=False)
+    findings = [f for f in check_paths([src], tmp_path) if f.rule_id == "CFG003"]
+    assert ["mystery_knob" in f.message for f in findings] == [True]
 
 
 def test_unparseable_file_reports_parse_finding(tmp_path):

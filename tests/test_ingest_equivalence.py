@@ -7,7 +7,9 @@ the merged edge set.  These tests split seeded random triple streams into
 
 * the mapped base (``DeltaKnowledgeGraph`` overlay over the CSR view),
 * the base of a cold build (built in memory into the same mapped arrays),
-* pooled execution (workers reopen the snapshot and replay the delta),
+* pooled serving (``ServingCore(workers=2)``: snapshot-backed workers
+  reopen the snapshot and replay the delta, fork-inherited workers are
+  forked from the ingested system, and a reload rebuilds the pool),
 * the compacted generation (the overlay folded back to disk and reloaded).
 
 Duplicate triples — re-sent base edges and re-sent delta edges — must be
@@ -17,8 +19,8 @@ order, statistics), which the byte-identity assertions would expose.
 
 from __future__ import annotations
 
+import multiprocessing
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -28,6 +30,7 @@ from repro.datasets.synthetic import FreebaseLikeGenerator
 from repro.exceptions import GraphError
 from repro.graph.delta import DeltaKnowledgeGraph
 from repro.graph.knowledge_graph import KnowledgeGraph
+from repro.serving.server import ServingCore
 from repro.storage.snapshot import GraphStore
 
 
@@ -159,24 +162,105 @@ class TestOverlayEquivalence:
         assert overlay.pending_delta == []
 
 
+def _served_key(body):
+    return [
+        (
+            a["rank"],
+            tuple(a["entities"]),
+            a["score"],
+            a["structure_score"],
+            a["content_score"],
+        )
+        for a in body["answers"]
+    ]
+
+
 class TestPooledEquivalence:
+    """``ServingCore(workers=2)`` owns the only worker pool and rebuilds
+    it after every ingest and reload; pooled answers must equal an inline
+    system over the same edges."""
+
+    @staticmethod
+    def _assert_serves(core, reference, tuples):
+        for query_tuple in tuples:
+            status, body = core.handle_query({"tuple": list(query_tuple), "k": 10})
+            assert status == 200, body
+            assert _served_key(body) == _answer_key(reference.query(query_tuple, k=10))
+
+    @staticmethod
+    def _ingest(core, triples):
+        status, body = core.handle_ingest({"triples": [list(t) for t in triples]})
+        assert status == 200 and body["applied"] == len(triples), body
+
     def test_pooled_workers_replay_the_delta(self, dataset, config, tmp_path):
         base, delta, _ = _split_stream(dataset, 0.5, seed=21)
         directory = tmp_path / "base.snapdir3"
         GraphStore.build(KnowledgeGraph(base)).save(directory)
-        pooled_config = replace(config, execution="pool", pool_workers=2)
-        pooled = GQBE.from_snapshot(directory, config=pooled_config)
+        core = ServingCore(
+            GQBE.from_snapshot(directory, config=config),
+            snapshot_path=directory,
+            cache_size=0,
+            workers=2,
+        )
         try:
-            pooled.ingest(delta)
+            self._ingest(core, delta)
+            pool = core.stats()["pool"]
+            assert pool["snapshot_backed"]
+            assert pool["delta_replayed"] == len(delta)
             reference = _merged_reference(config, base, delta)
-            tuples = _query_tuples(dataset, reference.graph)
-            results = pooled.query_batch([list(t) for t in tuples], k=10)
-            for query_tuple, result in zip(tuples, results):
-                assert _answer_key(result) == _answer_key(
-                    reference.query(query_tuple, k=10)
-                )
+            self._assert_serves(
+                core, reference, _query_tuples(dataset, reference.graph)
+            )
+            assert core.stats()["batcher"]["pooled_batches"] > 0
         finally:
-            pooled.close()
+            core.close_engine()
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="fork start method unavailable",
+    )
+    def test_fork_pool_inherits_the_delta(self, dataset, config):
+        base, delta, _ = _split_stream(dataset, 0.5, seed=22)
+        core = ServingCore(
+            GQBE(KnowledgeGraph(base), config=config), cache_size=0, workers=2
+        )
+        try:
+            self._ingest(core, delta)
+            pool = core.stats()["pool"]
+            assert not pool["snapshot_backed"]
+            assert pool["delta_replayed"] == 0  # the forked image holds it
+            reference = _merged_reference(config, base, delta)
+            self._assert_serves(
+                core, reference, _query_tuples(dataset, reference.graph)
+            )
+            assert core.stats()["batcher"]["pooled_batches"] > 0
+        finally:
+            core.close_engine()
+
+    def test_pooled_reload_drops_the_delta(self, dataset, config, tmp_path):
+        base, delta, _ = _split_stream(dataset, 0.5, seed=23)
+        base_dir = tmp_path / "base.snapdir3"
+        GraphStore.build(KnowledgeGraph(base)).save(base_dir)
+        reference = _merged_reference(config, base, delta)
+        merged_dir = tmp_path / "merged.snapdir3"
+        reference.graph_store.save(merged_dir)
+        core = ServingCore(
+            GQBE.from_snapshot(base_dir, config=config),
+            snapshot_path=base_dir,
+            cache_size=0,
+            workers=2,
+        )
+        try:
+            self._ingest(core, delta[:3])
+            assert core.stats()["pool"]["delta_replayed"] == 3
+            core.load_snapshot(merged_dir)
+            pool = core.stats()["pool"]
+            assert pool["snapshot_backed"] and pool["delta_replayed"] == 0
+            self._assert_serves(
+                core, reference, _query_tuples(dataset, reference.graph)
+            )
+        finally:
+            core.close_engine()
 
 
 class TestCompactedEquivalence:

@@ -13,7 +13,7 @@ Pins the operational guarantees of ``POST /admin/ingest`` and
   atomic rename; a writer crash mid-flush leaves the server answering
   from the live delta, and restart resolution picks the newest valid
   generation while sweeping ``.tmp`` wreckage;
-* ``--compact-threshold`` (``GQBEConfig.serve_compact_threshold``)
+* ``--compact-threshold`` (``ServingCore(compact_threshold=...)``)
   triggers the same fold automatically in the background;
 * ``/stats`` counters and ``/metrics`` series reconcile with the traffic
   the test itself issued.
@@ -31,7 +31,7 @@ import pytest
 from repro.core.config import GQBEConfig
 from repro.core.gqbe import GQBE
 from repro.datasets.example_graph import figure1_excerpt
-from repro.exceptions import EvaluationError, SnapshotError
+from repro.exceptions import SnapshotError
 from repro.serving.async_server import AsyncGQBEServer
 from repro.serving.metrics import parse_prometheus_text
 from repro.serving.server import ServingCore
@@ -494,12 +494,8 @@ class TestAsyncIngest:
             server.stop()
 
     def test_threshold_config_field_validates(self):
-        # The serving default comes from GQBEConfig.serve_compact_threshold
-        # (wired through `gqbe serve --compact-threshold`).
-        assert GQBEConfig().serve_compact_threshold is None
-        assert GQBEConfig(serve_compact_threshold=500).serve_compact_threshold == 500
-        with pytest.raises(EvaluationError, match="serve_compact_threshold"):
-            GQBEConfig(serve_compact_threshold=0)
+        # The threshold is a server setting (`gqbe serve
+        # --compact-threshold`), validated by the constructor.
         with pytest.raises(ValueError, match="compact_threshold"):
             AsyncGQBEServer(
                 GQBE(_merged(figure1_excerpt()), config=GQBEConfig(mqg_size=10)),

@@ -34,6 +34,7 @@ from repro.core.config import GQBEConfig
 from repro.core.gqbe import GQBE
 from repro.datasets.workloads import build_freebase_workload
 from repro.exceptions import EvaluationError
+from repro.serving.pool import WorkerPool
 from repro.storage.snapshot import GraphStore
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -183,21 +184,20 @@ def test_native_matches_fallback_across_formats_and_execution(
                 continue  # fork-inherited pools: tests/test_pool_execution.py
             by_mode = {}
             for mode in ("off", "on"):
-                config = GQBEConfig(
-                    **_CONFIG,
-                    native_kernels=mode,
-                    execution=execution,
-                    pool_workers=2 if execution == "pool" else None,
-                )
-                if backing == "built":
-                    system = GQBE(workload.dataset.graph, config=config)
+                config = GQBEConfig(**_CONFIG, native_kernels=mode)
+                if execution == "pool":
+                    with WorkerPool(
+                        workers=2, snapshot_path=snapshot, config=config
+                    ) as pool:
+                        results = pool.query_batch(tuples, k=5)
                 else:
-                    system = GQBE.from_snapshot(snapshot, config=config)
-                try:
+                    system = (
+                        GQBE(workload.dataset.graph, config=config)
+                        if backing == "built"
+                        else GQBE.from_snapshot(snapshot, config=config)
+                    )
                     results = system.query_batch(tuples, k=5)
-                    by_mode[mode] = [_answer_key(r) for r in results]
-                finally:
-                    system.close()
+                by_mode[mode] = [_answer_key(r) for r in results]
             cell = f"{backing}/{execution}"
             assert by_mode["on"] == by_mode["off"], cell
             if reference is None:

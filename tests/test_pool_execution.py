@@ -2,14 +2,15 @@
 
 The acceptance contract of the pooled backend (``serving/pool.py``):
 ranked answers — entities, scores, ranks — and their order are identical
-across **cold-built inline**, **snapshot-mapped inline** and **pooled**
-execution, for batch sizes 1, 2 and the full 20-query Fig. 14-style
-workload (mirroring
+across **cold-built inline**, **snapshot-mapped inline** and both kinds of
+:class:`WorkerPool` — **snapshot-backed** (workers reopen the snapshot)
+and **fork-inherited** (workers inherit a built system) — for batch
+sizes 1, 2 and the full 20-query Fig. 14-style workload (mirroring
 ``tests/test_batch_equivalence.py``).  Also covers duplicate fan-out
 through the pool, the serve layer's pooled dispatch, error handling
 (including a worker dying inside the fork-pool initializer, which must
 fail fast with a clean ``GQBEError`` instead of hanging on the startup
-barrier), and the config surface.
+barrier), and the constructor surface.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import pytest
 from repro.core.config import GQBEConfig
 from repro.core.gqbe import GQBE
 from repro.datasets.workloads import build_freebase_workload
-from repro.exceptions import EvaluationError, GQBEError
+from repro.exceptions import GQBEError
 from repro.serving.pool import WorkerPool, _chunk
 from repro.storage.snapshot import GraphStore
 
@@ -32,6 +33,11 @@ from repro.storage.snapshot import GraphStore
 POOL_WORKERS = 2
 
 _CONFIG = dict(mqg_size=8, k_prime=20, node_budget=500, max_join_rows=50_000)
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="fork start method unavailable",
+)
 
 
 @pytest.fixture(scope="module")
@@ -53,18 +59,30 @@ def snapshot(workload, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def systems(workload, snapshot):
-    """The execution variants of the acceptance criterion."""
-    inline_config = GQBEConfig(**_CONFIG)
-    pooled_config = GQBEConfig(
-        **_CONFIG, execution="pool", pool_workers=POOL_WORKERS
-    )
-    built = {
-        "inline": GQBE(workload.dataset.graph, config=inline_config),
-        "mapped": GQBE.from_snapshot(snapshot, config=inline_config),
-        "pooled": GQBE.from_snapshot(snapshot, config=pooled_config),
+    """The inline execution variants: cold-built and snapshot-mapped."""
+    config = GQBEConfig(**_CONFIG)
+    return {
+        "inline": GQBE(workload.dataset.graph, config=config),
+        "mapped": GQBE.from_snapshot(snapshot, config=config),
     }
+
+
+@pytest.fixture(scope="module")
+def pools(systems, snapshot):
+    """Both pool kinds: snapshot-backed, and fork-inherited (where fork
+    exists) from the cold-built system."""
+    built = {
+        "snapshot": WorkerPool(
+            workers=POOL_WORKERS,
+            snapshot_path=snapshot,
+            config=GQBEConfig(**_CONFIG),
+        )
+    }
+    if "fork" in multiprocessing.get_all_start_methods():
+        built["fork"] = WorkerPool(workers=POOL_WORKERS, system=systems["inline"])
     yield built
-    built["pooled"].close()
+    for pool in built.values():
+        pool.close()
 
 
 def answer_key(result):
@@ -75,20 +93,22 @@ def answer_key(result):
 
 
 @pytest.mark.parametrize("batch_size", [1, 2, 20])
-def test_format_and_execution_equivalence(systems, tuples, batch_size):
-    """Cold-built / snapshot-mapped × inline / pooled rank byte-identically."""
+def test_format_and_execution_equivalence(systems, pools, tuples, batch_size):
+    """Cold-built / snapshot-mapped inline and both pool kinds rank
+    byte-identically."""
     batch = tuples[:batch_size]
     assert len(batch) == batch_size
     reference = [answer_key(r) for r in systems["inline"].query_batch(batch, k=5)]
-    for name in ("mapped", "pooled"):
-        results = systems[name].query_batch(batch, k=5)
-        assert [answer_key(r) for r in results] == reference, name
+    results = {"mapped": systems["mapped"].query_batch(batch, k=5)}
+    for kind, pool in pools.items():
+        results[f"{kind} pool"] = pool.query_batch(batch, k=5)
+    for name, got in results.items():
+        assert [answer_key(r) for r in got] == reference, name
 
 
-def test_pooled_duplicates_collapse_and_fan_out(systems, tuples):
-    pooled = systems["pooled"]
+def test_pooled_duplicates_collapse_and_fan_out(systems, pools, tuples):
     batch = [tuples[0], tuples[1], tuples[0], tuples[2], tuples[0]]
-    results = pooled.query_batch(batch, k=5)
+    results = pools["snapshot"].query_batch(batch, k=5)
     assert len(results) == len(batch)
     reference = {
         t: answer_key(systems["inline"].query(t, k=5)) for t in set(batch)
@@ -101,54 +121,38 @@ def test_pooled_duplicates_collapse_and_fan_out(systems, tuples):
     assert results[0].statistics is not results[2].statistics
 
 
-def test_fork_inherited_pool_matches(systems, workload, tuples):
-    """A pool without a snapshot (fork-inherited system) is identical too."""
-    system = GQBE(
-        workload.dataset.graph,
-        config=GQBEConfig(**_CONFIG, execution="pool", pool_workers=POOL_WORKERS),
-    )
-    try:
-        results = system.query_batch(tuples[:4], k=5)
-        reference = systems["inline"].query_batch(tuples[:4], k=5)
-        assert [answer_key(r) for r in results] == [
-            answer_key(r) for r in reference
-        ]
-    finally:
-        system.close()
+@needs_fork
+def test_fork_inherited_pool_matches(systems, pools, tuples):
+    """A pool without a snapshot inherits the system through fork: it
+    replays nothing and answers like the system it forked from."""
+    pool = pools["fork"]
+    stats = pool.stats()
+    assert not stats["snapshot_backed"] and stats["delta_replayed"] == 0
+    assert len(pool.worker_pids()) == POOL_WORKERS  # forked eagerly
+    results = pool.query_batch(tuples[:4], k=5)
+    reference = systems["inline"].query_batch(tuples[:4], k=5)
+    assert [answer_key(r) for r in results] == [answer_key(r) for r in reference]
 
 
-def test_single_query_stays_inline(snapshot, tuples):
-    """One-element batches take the inline path — no pool is created
-    just for them."""
-    fresh = GQBE.from_snapshot(
-        snapshot,
-        config=GQBEConfig(**_CONFIG, execution="pool", pool_workers=POOL_WORKERS),
-    )
-    try:
-        fresh.query_batch([tuples[0]], k=2)
-        fresh.query(tuples[0], k=2)
-        assert fresh._pool is None
-    finally:
-        fresh.close()
-
-
-def test_pool_propagates_engine_errors(systems, snapshot):
-    pooled = GQBE.from_snapshot(
-        snapshot,
-        config=GQBEConfig(**_CONFIG, execution="pool", pool_workers=POOL_WORKERS),
-    )
-    try:
-        with pytest.raises(GQBEError):
-            pooled.query_batch(
-                [("F0", "C0"), ("no-such-entity", "nowhere")], k=3
-            )
-    finally:
-        pooled.close()
+def test_pool_propagates_engine_errors(pools):
+    with pytest.raises(GQBEError):
+        pools["snapshot"].query_batch(
+            [("F0", "C0"), ("no-such-entity", "nowhere")], k=3
+        )
 
 
 def test_worker_pool_requires_source():
     with pytest.raises(GQBEError, match="snapshot_path or a system"):
         WorkerPool(workers=2)
+
+
+def test_worker_pool_requires_a_worker_count(snapshot):
+    """The width is the owner's decision: there is no default to fall
+    back on, and it must be positive."""
+    with pytest.raises(TypeError):
+        WorkerPool(snapshot_path=snapshot)
+    with pytest.raises(GQBEError, match="workers must be >= 1"):
+        WorkerPool(workers=0, snapshot_path=snapshot)
 
 
 def _exit_first_worker(flag) -> None:
@@ -161,10 +165,7 @@ def _exit_first_worker(flag) -> None:
         os._exit(1)
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="fork start method unavailable",
-)
+@needs_fork
 def test_dying_worker_in_initializer_fails_fast(workload):
     """Satellite: a worker dying inside ``_init_worker`` must not leave
     its siblings blocked on the startup barrier for the 120s timeout —
@@ -212,19 +213,10 @@ def test_chunk_balancing():
     assert _chunk(list(range(4)), 4) == [[0], [1], [2], [3]]
 
 
-def test_config_validation():
-    with pytest.raises(EvaluationError, match="execution"):
-        GQBEConfig(execution="threads")
-    with pytest.raises(EvaluationError, match="pool_workers"):
-        GQBEConfig(pool_workers=0)
-    assert GQBEConfig(execution="pool", pool_workers=4).pool_workers == 4
-
-
-def test_pool_rss_reporting(systems, tuples):
+def test_pool_rss_reporting(pools, tuples):
     """Worker PIDs and RSS are observable (Linux procfs)."""
-    pooled = systems["pooled"]
-    pooled.query_batch(tuples[:4], k=5)  # ensure workers are spawned
-    pool = pooled.worker_pool()
+    pool = pools["snapshot"]
+    pool.query_batch(tuples[:4], k=5)  # ensure workers are spawned
     pids = pool.worker_pids()
     assert len(pids) == POOL_WORKERS
     stats = pool.stats()
