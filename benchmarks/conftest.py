@@ -1,13 +1,14 @@
 """Shared fixtures for the benchmark suite.
 
-Each benchmark file regenerates one table or figure of the paper's
-evaluation section (Sec. VI): it prints the same rows/series the paper
-reports (so the shape can be compared side by side) and uses
-pytest-benchmark to time the underlying computation.
+``bench_kernels.py`` reads the session ``harness`` fixture below: the
+experiment harness over the synthetic Freebase-like workload, whose
+queries it records and replays through both kernel backends.  The paper's
+evaluation claims are asserted by ``tests/test_paper_claims.py`` in the
+tier-1 suite, not here.
 
-The harness runs at a reduced scale by default so the whole suite finishes
-in minutes; set the environment variable ``GQBE_BENCH_SCALE`` to run larger
-graphs.
+The harness runs at a reduced scale by default; set the environment
+variable ``GQBE_BENCH_SCALE`` to run larger graphs (CI runs the
+micro-benchmarks at 2).
 """
 
 from __future__ import annotations

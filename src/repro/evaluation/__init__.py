@@ -1,11 +1,11 @@
-"""Evaluation: accuracy metrics, simulated user study, experiment harness.
+"""Evaluation: accuracy metrics and the experiment harness.
 
 * :mod:`repro.evaluation.metrics` — P@k, average precision / MAP, nDCG and
   the Pearson correlation coefficient, as defined in Sec. VI.
-* :mod:`repro.evaluation.user_study` — a simulated Mechanical-Turk worker
-  pool that produces the pairwise preferences behind Table IV's PCC values.
 * :mod:`repro.evaluation.harness` — runs GQBE / NESS / Baseline over the
-  workloads and regenerates every table and figure of the evaluation.
+  workloads and regenerates the tables and figures of the evaluation;
+  ``tests/test_paper_claims.py`` asserts the paper's claims on its rows.
+  Table IV, a crowdsourced user study, is not reproduced offline.
 * :mod:`repro.evaluation.reporting` — plain-text rendering of the tables.
 """
 
@@ -16,7 +16,6 @@ from repro.evaluation.metrics import (
     pearson_correlation,
     precision_at_k,
 )
-from repro.evaluation.user_study import SimulatedWorkerPool, pcc_for_ranking
 from repro.evaluation.harness import ExperimentHarness
 
 __all__ = [
@@ -25,7 +24,5 @@ __all__ = [
     "mean_average_precision",
     "ndcg_at_k",
     "pearson_correlation",
-    "SimulatedWorkerPool",
-    "pcc_for_ranking",
     "ExperimentHarness",
 ]

@@ -1,6 +1,6 @@
 """Plain-text rendering of experiment results (tables and figure series).
 
-The benchmark scripts use these helpers to print the same rows/series the
+``gqbe experiment`` uses these helpers to print the same rows/series the
 paper reports, so a reader can compare shapes side by side with the PDF.
 """
 
@@ -54,11 +54,3 @@ def format_answer_list(
         rendered = ", ".join(answer)
         lines.append(f"  {rank}. <{rendered}>")
     return "\n".join(lines)
-
-
-def summarize_ratio(label: str, numerator: float, denominator: float) -> str:
-    """One-line 'A is Nx better/worse than B' summary used by benches."""
-    if denominator == 0:
-        return f"{label}: denominator is zero"
-    ratio = numerator / denominator
-    return f"{label}: {ratio:.2f}x"

@@ -184,3 +184,18 @@ class TestCommittedBaseline:
         baseline = json.loads((REPO_ROOT / "benchmarks" / "baseline.json").read_text())
         assert set(baseline["medians"]) == defined
         assert not any("end_to_end" in name or "serving_window" in name for name in defined)
+
+    def test_ci_runs_every_benchmark_script(self):
+        # pytest's testpaths is tests/, so a script under benchmarks/ runs
+        # only if a CI step names it; otherwise what it asserts never runs.
+        workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        steps = "\n".join(
+            line for line in workflow.splitlines() if not line.lstrip().startswith("#")
+        )
+        scripts = sorted(
+            path.relative_to(REPO_ROOT).as_posix()
+            for pattern in ("bench_*.py", "check_*.py")
+            for path in (REPO_ROOT / "benchmarks").glob(pattern)
+        )
+        assert scripts
+        assert [script for script in scripts if script not in steps] == []

@@ -1,78 +1,27 @@
-"""Tests for the experiment harness, reporting helpers and the CLI."""
+"""Tests for the reporting helpers and the CLI.
+
+The experiment harness itself is exercised by ``tests/test_paper_claims.py``.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cli import build_parser, main
-from repro.evaluation.harness import ExperimentHarness, HarnessConfig
-from repro.evaluation.reporting import format_answer_list, format_table, summarize_ratio
+from repro.cli import _EXPERIMENTS, build_parser, main
+from repro.evaluation.reporting import format_answer_list, format_table
 from repro.graph.triples import write_triples
 from repro.datasets.example_graph import figure1_excerpt
 
-
-@pytest.fixture(scope="module")
-def harness() -> ExperimentHarness:
-    """A small, fast harness shared by the tests in this module."""
-    return ExperimentHarness(
-        HarnessConfig(scale=0.25, mqg_size=8, k_prime=15, node_budget=400)
-    )
-
-
-class TestHarness:
-    def test_table1_lists_all_queries(self, harness):
-        rows = harness.table1_workload_summary()
-        assert len(rows) == 28
-        assert all(row["table_size"] >= 1 for row in rows)
-
-    def test_table2_case_study_returns_topk(self, harness):
-        results = harness.table2_case_study(query_ids=("F18",), k=3)
-        assert set(results) == {"F18"}
-        assert 1 <= len(results["F18"]) <= 3
-
-    def test_figure13_gqbe_beats_ness(self, harness):
-        rows = harness.figure13_accuracy(k_values=(10,))
-        row = rows[0]
-        assert row["gqbe_p_at_k"] >= row["ness_p_at_k"]
-        assert row["gqbe_ndcg"] >= row["ness_ndcg"]
-        assert 0.0 <= row["gqbe_p_at_k"] <= 1.0
-
-    def test_table3_has_all_dbpedia_queries(self, harness):
-        rows = harness.table3_dbpedia_accuracy(k=10)
-        assert [row["query"] for row in rows] == [f"D{i}" for i in range(1, 9)]
-        assert all(0.0 <= row["p_at_k"] <= 1.0 for row in rows)
-
-    def test_table4_pcc_values_in_range(self, harness):
-        rows = harness.table4_user_study(k=20)
-        assert len(rows) == 20
-        for row in rows:
-            assert row["pcc"] is None or -1.0 <= row["pcc"] <= 1.0
-
-    def test_table5_multi_tuple_columns(self, harness):
-        rows = harness.table5_multi_tuple(query_ids=("F18",), k=10)
-        row = rows[0]
-        for column in ("tuple1_p_at_k", "tuple2_p_at_k", "combined12_p_at_k", "combined123_p_at_k"):
-            assert 0.0 <= row[column] <= 1.0
-
-    def test_figure14_15_rows(self, harness):
-        rows = harness.figure14_15_efficiency(k=5)
-        assert len(rows) == 20
-        for row in rows:
-            assert row["gqbe_nodes_evaluated"] >= 1
-            assert row["baseline_nodes_evaluated"] >= 1
-            assert row["gqbe_seconds"] >= 0.0
-
-    def test_table6_fig16_rows(self, harness):
-        rows = harness.table6_fig16_multituple_efficiency(query_ids=("F18", "F16"), k=5)
-        assert len(rows) == 2
-        for row in rows:
-            assert row["mqg1_seconds"] >= 0.0
-            assert row["merge_seconds"] >= 0.0
-            assert row["combined_processing_seconds"] >= 0.0
-
-    def test_unknown_dataset_rejected(self, harness):
-        with pytest.raises(ValueError):
-            harness.run_gqbe("wikidata", "F1")
+#: The first line ``gqbe experiment <name>`` prints.
+EXPERIMENT_TITLES = {
+    "table1": "Table I",
+    "table2": "Table II",
+    "fig13": "Figure 13",
+    "table3": "Table III",
+    "table5": "Table V",
+    "fig14": "Figures 14-15",
+    "table6": "Table VI / Figure 16",
+}
 
 
 class TestReporting:
@@ -95,10 +44,6 @@ class TestReporting:
         text = format_answer_list("F1", [("a", "b"), ("c", "d")])
         assert text.startswith("F1:")
         assert "1. <a, b>" in text
-
-    def test_summarize_ratio(self):
-        assert "2.00x" in summarize_ratio("speedup", 2.0, 1.0)
-        assert "zero" in summarize_ratio("speedup", 1.0, 0.0)
 
 
 class TestCLI:
@@ -125,7 +70,37 @@ class TestCLI:
         assert out.exists()
         assert "wrote" in capsys.readouterr().out
 
-    def test_experiment_command_table1(self, capsys):
-        code = main(["experiment", "table1", "--scale", "0.2"])
+    @pytest.mark.parametrize("name", sorted(EXPERIMENT_TITLES))
+    def test_experiment_command_prints_its_title(self, name, capsys):
+        code = main(["experiment", name, "--scale", "0.2"])
         assert code == 0
-        assert "Table I" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines()[0] == EXPERIMENT_TITLES[name]
+
+    def test_every_experiment_name_is_tested(self):
+        assert set(_EXPERIMENTS) == set(EXPERIMENT_TITLES)
+
+    def test_the_simulated_user_study_is_gone(self, capsys):
+        # Table IV was crowdsourced; a simulated crowd measured only its
+        # own random generator.
+        with pytest.raises(SystemExit) as refused:
+            main(["experiment", "table4"])
+        assert refused.value.code == 2
+        assert "invalid choice: 'table4'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "freebase", "{tmp}/out.tsv"],
+            ["experiment", "table1"],
+            ["bench-serve", "--workload", "freebase", "--port", "0"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_non_positive_scale_is_a_usage_error(self, argv, scale, tmp_path, capsys):
+        argv = [piece.format(tmp=tmp_path) for piece in argv]
+        with pytest.raises(SystemExit) as refused:
+            main([*argv, "--scale", scale])
+        assert refused.value.code == 2
+        error = capsys.readouterr().err
+        assert f"gqbe {argv[0]}: error: argument --scale: must be positive" in error

@@ -1,4 +1,4 @@
-"""Tests for the accuracy metrics and the simulated user study."""
+"""Tests for the accuracy metrics."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from repro.evaluation.metrics import (
     pearson_correlation,
     precision_at_k,
 )
-from repro.evaluation.user_study import SimulatedWorkerPool, pcc_for_ranking
 
 RESULTS = [("a",), ("b",), ("c",), ("d",)]
 TRUTH = [("a",), ("c",), ("x",)]
@@ -93,42 +92,3 @@ class TestPearson:
         assert correlation_strength(0.2) == "small"
         assert correlation_strength(0.05) == "none"
         assert correlation_strength(None) == "undefined"
-
-
-class TestSimulatedUserStudy:
-    def test_judgments_shape(self):
-        pool = SimulatedWorkerPool(workers_per_pair=10, noise=0.1, seed=1)
-        answers = [(f"answer{i}",) for i in range(10)]
-        judgments = pool.judge_pairs(answers, [("answer0",), ("answer1",)], num_pairs=20)
-        assert len(judgments) == 20
-        for judgment in judgments:
-            assert judgment.votes_for_first + judgment.votes_for_second == 10
-            assert judgment.first_rank != judgment.second_rank
-
-    def test_too_few_answers_gives_no_judgments(self):
-        pool = SimulatedWorkerPool()
-        assert pool.judge_pairs([("only",)], [], num_pairs=10) == []
-        assert pcc_for_ranking([("only",)], []) is None
-
-    def test_good_ranking_has_positive_pcc(self):
-        # Ranking that puts all ground-truth answers first should correlate
-        # positively with (low-noise) workers.
-        truth = [(f"good{i}",) for i in range(5)]
-        answers = truth + [(f"bad{i}",) for i in range(5)]
-        pool = SimulatedWorkerPool(noise=0.05, seed=3)
-        pcc = pcc_for_ranking(answers, truth, pool=pool, num_pairs=60)
-        assert pcc is not None
-        assert pcc > 0.3
-
-    def test_inverted_ranking_has_lower_pcc_than_good_ranking(self):
-        truth = [(f"good{i}",) for i in range(5)]
-        good = truth + [(f"bad{i}",) for i in range(5)]
-        bad = list(reversed(good))
-        good_pcc = pcc_for_ranking(good, truth, pool=SimulatedWorkerPool(noise=0.05, seed=3))
-        bad_pcc = pcc_for_ranking(bad, truth, pool=SimulatedWorkerPool(noise=0.05, seed=3))
-        assert good_pcc is not None and bad_pcc is not None
-        assert good_pcc > bad_pcc
-
-    def test_invalid_noise_rejected(self):
-        with pytest.raises(ValueError):
-            SimulatedWorkerPool(noise=1.5)
