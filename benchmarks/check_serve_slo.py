@@ -403,6 +403,19 @@ def main() -> int:
             problems,
             "post-soak answers equal a from-scratch merged build",
         )
+        # Ids do not move in a compaction, so the generation the server
+        # wrote under racing reads is the snapshot a build of the merged
+        # edges writes (the manifest hashes every shard).
+        merged_path = Path(scratch) / "merged.snapdir3"
+        GraphStore.build(merged).save(merged_path)
+        compacted_manifest = Path(str(compacted.get("snapshot", ""))) / "MANIFEST.json"
+        _check(
+            compacted_manifest.is_file()
+            and compacted_manifest.read_bytes()
+            == (merged_path / "MANIFEST.json").read_bytes(),
+            problems,
+            "compacted generation is byte-identical to a from-scratch merged build",
+        )
 
     # ------------------------------------------------------------------
     # report artifact (latency stays informational)

@@ -9,17 +9,17 @@ the vocabulary's existing overlay (``MappedVocabulary.intern``), new
 edges append to per-node extra-adjacency lists, and every reader sees
 the union *base slice first, delta appends after*.
 
-That ordering is the whole equivalence argument.  In a fresh build of
-the merged triple stream, a node's CSR slice holds its base-era edges
-(in base insertion order) followed by its delta-era edges (in ingest
-order) — exactly base-CSR-slice followed by the extras list here.  The
-BFS in :mod:`repro.graph.neighborhood` walks both representations in
-the same per-node order, so answers over (base + delta) are
-byte-identical to a from-scratch build of the merged graph
+A fresh build of the merged edge set sorts each node's slice by (label,
+other), so its slices hold the same edges as this union in another
+order.  No answer depends on that order
+(``tests/test_engine_invariance.py`` permutes every slice and table), and
+ids agree because the overlay interns new terms in ingest order, the
+order a build of base followed by delta meets them: answers over (base +
+delta) are byte-identical to a from-scratch build of the merged graph
 (``tests/test_ingest_equivalence.py`` pins this).
 
-Compaction folds the overlay back into CSR form via
-:meth:`DeltaKnowledgeGraph.csr_lists`.
+Compaction (``GraphStore.save``) writes the union's vocabulary and label
+tables through the build's finalize, which sorts them again.
 """
 
 from __future__ import annotations
@@ -349,50 +349,6 @@ class DeltaKnowledgeGraph:
             ids.extend(self._base.in_subjects[start:end].tolist())
         ids.extend(subject_id for _, subject_id in self.in_extras(node_id))
         return ids
-
-    # ------------------------------------------------------------------
-    # compaction
-    # ------------------------------------------------------------------
-    def csr_lists(self) -> tuple[list[str], list[int], list[int], list[int], list[int], list[int], list[int]]:
-        """The merged union as CSR lists (labels + six columns).
-
-        Per-node slices are base-slice-then-delta-appends — the same
-        order every live reader sees, so a compacted generation answers
-        byte-identically to the overlay it replaced.
-        """
-        out_indptr = [0]
-        out_objects: list[int] = []
-        out_labels: list[int] = []
-        in_indptr = [0]
-        in_subjects: list[int] = []
-        in_labels: list[int] = []
-        base = self._base
-        for node_id in range(self._num_nodes):
-            start, end = self._base_out_slice(node_id)
-            if end > start:
-                out_objects.extend(base.out_objects[start:end].tolist())
-                out_labels.extend(base.out_label_ids[start:end].tolist())
-            for label_id, object_id in self.out_extras(node_id):
-                out_objects.append(object_id)
-                out_labels.append(label_id)
-            out_indptr.append(len(out_objects))
-            start, end = self._base_in_slice(node_id)
-            if end > start:
-                in_subjects.extend(base.in_subjects[start:end].tolist())
-                in_labels.extend(base.in_label_ids[start:end].tolist())
-            for label_id, subject_id in self.in_extras(node_id):
-                in_subjects.append(subject_id)
-                in_labels.append(label_id)
-            in_indptr.append(len(in_subjects))
-        return (
-            list(self._labels),
-            out_indptr,
-            out_objects,
-            out_labels,
-            in_indptr,
-            in_subjects,
-            in_labels,
-        )
 
     def __contains__(self, item: object) -> bool:
         if isinstance(item, Edge):

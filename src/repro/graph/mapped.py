@@ -42,7 +42,7 @@ class MappedKnowledgeGraph:
     """Read-only CSR adjacency over a graph shard's arrays.
 
     Parameters are the arrays exactly as the shard lays them out (see
-    :func:`repro.storage.shards.write_graph_shard`); ``vocabulary``
+    :func:`repro.storage.shards.graph_shards`); ``vocabulary``
     decodes node ids to entity strings and back.  The instance owns no
     array data — over a snapshot everything stays in the shared mapped
     pages.

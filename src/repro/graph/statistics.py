@@ -117,22 +117,6 @@ class _CountColumns:
         node_id = self._vocabulary.intern(term)
         self._overlay[node_id, label_id] = self._count_at(node_id, label_id) + 1
 
-    def rekeyed(self, label_map: "np.ndarray", width: int) -> tuple["np.ndarray", "np.ndarray"]:
-        """Sorted ``(keys, counts)`` columns with the overlay folded in,
-        label id ``l`` renumbered ``label_map[l]`` in keys of ``width``."""
-        nodes, labels = np.divmod(self._keys, self._width)
-        keys = nodes * width + label_map[labels]
-        counts = self._counts
-        if self._overlay:
-            pairs = np.array(list(self._overlay), dtype=np.int64)
-            extra = pairs[:, 0] * width + label_map[pairs[:, 1]]
-            kept = ~np.isin(keys, extra)
-            keys = np.concatenate((keys[kept], extra))
-            values = np.array(list(self._overlay.values()), dtype=np.int64)
-            counts = np.concatenate((counts[kept], values))
-        order = np.argsort(keys)
-        return keys[order], counts[order]
-
 
 class GraphStatistics:
     """Label-frequency and participation statistics of a data graph.
@@ -272,21 +256,6 @@ class GraphStatistics:
             columns.node_ids[columns.objects], labels
         )
         return ief[columns.labels] / np.maximum(same_subject + same_object - 1, 1)
-
-    def count_columns(self) -> tuple[list[str], tuple["np.ndarray", ...]]:
-        """The participation counts as a statistics shard lays them out:
-        the sorted labels and ``(out_keys, out_counts, in_keys, in_counts)``,
-        overlay included."""
-        labels = sorted(self._label_ids)
-        order = {label: index for index, label in enumerate(labels)}
-        label_map = np.array(
-            [order[label] for label in self._out_label_counts._labels], dtype=np.int64
-        )
-        width = max(len(labels), 1)
-        return labels, (
-            *self._out_label_counts.rekeyed(label_map, width),
-            *self._in_label_counts.rekeyed(label_map, width),
-        )
 
     # ------------------------------------------------------------------
     # live ingest (delta overlay) support

@@ -18,34 +18,43 @@ Pass 1 — vocabulary (external merge sort)
     ordered stream is written straight into the vocabulary arena shard
     through :class:`~repro.storage.shards.ShardStreamWriter`.
 
-Pass 2 — tables (spill runs → per-label shards)
+Pass 2 — tables (spill runs → per-label row runs)
     Re-read the dump and map terms to dense ids through the *mapped*
     arena behind a bounded cache.  Ids are first-occurrence ranks and this
     pass reads the stream in pass 1's order, so a term the cache misses is
     usually new: one bytes compare against the arena term at the next id
     not yet met confirms it.  Only a term evicted from the cache is binary
-    searched.  ``(subject, object, seq)`` rows route to per-label spill
-    runs, each sorted and locally deduped with numpy before it hits disk.
+    searched.  ``(subject, object)`` rows route to per-label spill runs,
+    each sorted and locally deduped with numpy before it hits disk.
 
 Finalize — per label (parallelizable), then two block merges
-    Each label's run file is read whole and sorted with numpy; duplicates
-    collapse to their first occurrence, a stable re-sort by ``seq``
-    restores stream order, and the label's table shard is written through
-    the same ``write_table_shard`` as the in-memory path — so the shard
-    bytes cannot differ.  Workers own disjoint labels (``workers > 1``
-    fans the per-label work out over processes); each label also writes
-    sorted statistics runs and ``(node, seq)``-sorted CSR runs, which a
+    Each label's run file is read whole; one ``np.unique`` over its
+    ``(subject, object)`` keys drops the duplicates and sorts the rows,
+    and the label's table shard is written through the same
+    ``write_table_shard`` as the in-memory path — so the shard bytes
+    cannot differ.  Workers own disjoint labels (``workers > 1`` fans the
+    per-label work out over processes); each label also writes sorted
+    statistics runs and ``(node, label, other)``-sorted CSR runs, which a
     block-wise numpy merge (:func:`_merge_runs`) streams into the
-    statistics and graph shards.  ``MANIFEST.json`` is written last, so a
-    crash at any point leaves no torn snapshot — just an unreadable
+    statistics and graph shards.  ``MANIFEST.json`` is written last, and
+    one already in the output is unlinked before anything else, so a
+    crash at any point leaves no loadable snapshot — just an unreadable
     directory.
+
+A snapshot is a function of its edge set: rows are sorted, so no order of
+the dump survives but the one its ids carry.  That is what lets the
+finalize have a second source, :func:`write_bundle_snapshot`
+(``GraphStore.save``): a bundle's live vocabulary and each label's id
+rows, base and ingested delta alike.  Ids do not move, so compacting a
+snapshot with its delta writes the bytes a build of the base dump
+followed by the applied delta writes.
 
 Memory-budget semantics: ``memory_budget_mb`` bounds the *streaming state*
 — read chunks, spill buffers, the id-lookup cache and the merge blocks
 are all sized from it.  Footprints that scale with the data instead are
 the documented floor: one O(nodes) int64 array at a time (the arena
 permutation in pass 1, the CSR index pointers at the end), the mapped
-arena while pass 2 reads it, about 110 bytes per row routed to the
+arena while pass 2 reads it, about 100 bytes per row routed to the
 largest label while its shard is finalized (duplicate triples included:
 they are dropped only once its run is read and sorted), and the
 interpreter + numpy baseline.
@@ -57,11 +66,14 @@ import heapq
 import itertools
 import math
 import mmap
+import os
 import shutil
 import struct
 import tempfile
 import time
 from array import array
+from collections.abc import Iterable
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -69,10 +81,12 @@ import numpy as np
 from repro.exceptions import GraphError, SnapshotError
 from repro.graph.triples import iter_triples_chunked
 from repro.storage.shards import (
+    MANIFEST_NAME,
     ShardStreamWriter,
     parse_shard,
     write_manifest,
     write_table_shard,
+    write_vocabulary_shard,
 )
 from repro.storage.table import ColumnarEdgeTable
 from repro.storage.vocabulary import MappedVocabulary, check_entity_id
@@ -81,9 +95,15 @@ from repro.storage.vocabulary import MappedVocabulary, check_entity_id
 _TERM_RECORD = struct.Struct("<IQ")  # term length, occurrence — then term bytes
 _OCC_RECORD = struct.Struct("<QQI")  # occurrence, byte rank, term length — then term
 _ORDERED_RECORD = struct.Struct("<QI")  # byte rank, term length — then term bytes
-_ROW_WIDTH = 3  # (subject_id, object_id, seq) int64 row-run records
-_CSR_WIDTH = 4  # (node_id, seq, label_id, other_id) int64 CSR-run records
+_ROW_WIDTH = 2  # (subject_id, object_id) int64 row-run records
+_CSR_WIDTH = 3  # (node_id, label_id, other_id) int64 CSR-run records
 _STAT_WIDTH = 2  # (node_id * labels + stat_label_id, count) statistics-run records
+#: The memory budget of a save's finalize.  A compaction runs inside the
+#: serving process, beside the bundle it folds, so its merge buffers stay
+#: small; a build's budget is its caller's (``--memory-budget-mb``).
+_SAVE_BUDGET_MB = 16
+#: A sorted run of int64 records: ``(file, byte offset, records)``.
+Run = tuple[Path, int, int]
 
 _DTYPE = "<i8"
 _BYTE_DTYPE = "u1"
@@ -109,7 +129,7 @@ class BuildPlan:
         #: Pass-1 term-buffer entries before a spill (~150 B per dict slot
         #: + short string + int).
         self.term_buffer = max(1024, budget // 3 // 150)
-        #: Pass-2 buffered rows across all labels before a spill (24 B of
+        #: Pass-2 buffered rows across all labels before a spill (16 B of
         #: payload per row; array('q') storage, so no per-row objects).
         self.row_buffer = max(1024, budget // 3 // 48)
         #: Bounded term → id cache entries for pass-2 lookups (~120 B per
@@ -169,38 +189,38 @@ def _sorted_rows(parts: list[np.ndarray]) -> np.ndarray:
     return np.ascontiguousarray(columns.T[np.lexsort(columns[::-1])])
 
 
-def _merge_group(paths: list[Path], width: int, pool_rows: int):
-    """Merge a few sorted run files, each read ``pool_rows // len(paths)``
-    rows at a time into its own column-major block.  No unread row of a
+def _merge_group(runs: list[Run], width: int, pool_rows: int):
+    """Merge a few sorted runs, each read ``pool_rows // len(runs)`` rows
+    at a time into its own column-major block.  No unread row of a
     run sorts before the last row read from it, so a round takes from each
     block its prefix up to the smallest such row among the runs still on
     disk, sorts the union and refills the blocks it emptied: O(runs) numpy
     work plus a searchsorted per giving block, never a rescan."""
-    block_rows = max(1, pool_rows // len(paths))
-    sizes = [path.stat().st_size // (8 * width) for path in paths]
-    done = [0] * len(paths)
-    blocks = [np.empty((width, 0), dtype=np.int64)] * len(paths)
+    block_rows = max(1, pool_rows // len(runs))
+    done = [0] * len(runs)
+    blocks = [np.empty((width, 0), dtype=np.int64)] * len(runs)
     # The first column of each block's first unconsumed row (max if none).
-    heads = np.full(len(paths), np.iinfo(np.int64).max, dtype=np.int64)
+    heads = np.full(len(runs), np.iinfo(np.int64).max, dtype=np.int64)
     # Runs with rows still on disk -> the last row read from them.
     last: dict[int, tuple[int, ...]] = {}
 
     def read(run: int) -> None:
-        count = min(block_rows, sizes[run] - done[run])
+        path, offset, size = runs[run]
+        count = min(block_rows, size - done[run])
         if not count:
             return
         rows = np.fromfile(
-            paths[run], dtype=np.int64, count=count * width, offset=done[run] * width * 8
+            path, dtype=np.int64, count=count * width, offset=offset + done[run] * width * 8
         ).reshape(-1, width)
         done[run] += count
         blocks[run] = np.ascontiguousarray(rows.T)
         heads[run] = rows[0, 0]
-        if done[run] < sizes[run]:
+        if done[run] < size:
             last[run] = tuple(rows[-1].tolist())
         else:
             last.pop(run, None)
 
-    for run in range(len(paths)):
+    for run in range(len(runs)):
         read(run)
     while last:
         bound = min(last.values())
@@ -220,9 +240,9 @@ def _merge_group(paths: list[Path], width: int, pool_rows: int):
         yield _sorted_rows(parts)
 
 
-def _merge_runs(paths: list[Path], width: int, io_elements: int):
-    """Yield the rows of lexicographically sorted int64 run files, merged,
-    as sorted ``(n, width)`` blocks: the order ``heapq.merge`` gives their
+def _merge_runs(runs: list[Run], width: int, io_elements: int):
+    """Yield the rows of lexicographically sorted int64 runs, merged, as
+    sorted ``(n, width)`` blocks: the order ``heapq.merge`` gives their
     row tuples.
 
     About ``io_elements`` elements are buffered whatever the number of
@@ -233,21 +253,22 @@ def _merge_runs(paths: list[Path], width: int, io_elements: int):
     """
     pool_rows = max(1, io_elements // width)
     fan_in = max(2, math.isqrt(pool_rows))
-    level: list[Path] = []
-    while len(paths) > fan_in:
+    level: list[Run] = []
+    while len(runs) > fan_in:
         merged = []
-        for start in range(0, len(paths), fan_in):
-            group = paths[start : start + fan_in]
-            merged.append(group[0].with_name(group[0].name + ".merged"))
-            with open(merged[-1], "wb") as handle:
+        for start in range(0, len(runs), fan_in):
+            group = runs[start : start + fan_in]
+            path = group[0][0].with_name(f"{group[0][0].name}.{start}.merged")
+            with open(path, "wb") as handle:
                 for rows in _merge_group(group, width, pool_rows):
                     rows.tofile(handle)
-        for path in level:
+            merged.append((path, 0, sum(size for _, _, size in group)))
+        for path, _, _ in level:
             path.unlink()
-        level = paths = merged
-    if paths:
-        yield from _merge_group(paths, width, pool_rows)
-    for path in level:
+        level = runs = merged
+    if runs:
+        yield from _merge_group(runs, width, pool_rows)
+    for path, _, _ in level:
         path.unlink()
 
 
@@ -406,14 +427,18 @@ def _map_arena(path: Path) -> MappedVocabulary:
 # ----------------------------------------------------------------------
 # pass 2: route rows to per-label spill runs
 # ----------------------------------------------------------------------
-def _first_occurrences(rows: np.ndarray) -> np.ndarray:
-    """``(subject, object, seq)`` rows sorted, each triple kept once with
-    its minimum seq — so the eventual stream-order restore matches
-    add_edge's first-wins dedup."""
-    rows = rows[np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))]
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = (rows[1:, 0] != rows[:-1, 0]) | (rows[1:, 1] != rows[:-1, 1])
-    return rows[keep]
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an ``(n, 2)`` id array as ``(subjects,
+    objects)`` sorted by (subject, object): one sort of composite keys
+    (ids are below 2**31, so a key fits in int64), then equal neighbours
+    dropped — ``np.unique``'s own steps, without the ``numpy.ma`` import
+    it makes.  Duplicates are identical triples, so nothing chooses
+    between them."""
+    keys = np.sort((rows[:, 0] << 32) | rows[:, 1])
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    keys = keys[keep]
+    return keys >> 32, keys & 0xFFFFFFFF
 
 
 def _spill_row_buffers(
@@ -423,8 +448,8 @@ def _spill_row_buffers(
 ) -> None:
     """Sort, locally dedup, and append every label buffer to its run file."""
     for label_id in sorted(buffers):
-        rows = _first_occurrences(
-            np.frombuffer(buffers[label_id], dtype=np.int64).reshape(-1, _ROW_WIDTH)
+        rows = np.column_stack(
+            _unique_rows(np.frombuffer(buffers[label_id], dtype=np.int64).reshape(-1, _ROW_WIDTH))
         )
         with open(run_dir / f"{label_id:05d}.rows", "ab") as handle:
             rows.tofile(handle)
@@ -455,7 +480,7 @@ def _route_rows(
     buffers: dict[int, array] = {}
     cache: dict[str, int] = {}
     buffered_rows = 0
-    seq = 0
+    routed = 0
     next_id = 0
     terms = len(vocabulary)
     term_bytes = vocabulary._term_bytes
@@ -493,17 +518,16 @@ def _route_rows(
                 buffer = buffers.setdefault(label_id, array("q"))
             buffer.append(subject_id)
             buffer.append(object_id)
-            buffer.append(seq)
-            seq += 1
         buffered_rows += len(chunk)
+        routed += len(chunk)
         if buffered_rows >= plan.row_buffer:
             _spill_row_buffers(buffers, run_dir, segments)
             buffered_rows = 0
     if buffers:
         _spill_row_buffers(buffers, run_dir, segments)
-    if seq != expected_triples:
+    if routed != expected_triples:
         raise SnapshotError(
-            f"source yielded {seq} triples on pass 2 but {expected_triples} "
+            f"source yielded {routed} triples on pass 2 but {expected_triples} "
             "on pass 1; the dump changed while being built"
         )
     return list(label_ids), segments
@@ -513,59 +537,60 @@ def _route_rows(
 # finalize: per-label merge → table shard + statistics/CSR runs
 # ----------------------------------------------------------------------
 def _finalize_label(task: dict) -> dict:
-    """Merge one label's runs and write its table shard + side outputs.
+    """Sort one label's rows and write its table shard + side runs.
 
     Runs in a worker process when ``workers > 1`` — everything in ``task``
-    and the return value is plain picklable data.  The run is read whole
-    and sorted in numpy, so peak memory is about 110 bytes per row pass 2
-    routed to the label: duplicates count until that sort drops them.
+    and the return value is plain picklable data.  The rows are read whole
+    and sorted in numpy, so peak memory is about 100 bytes per row routed
+    to the label: duplicates count until that sort drops them.
     """
     label = task["label"]
-    run_path = Path(task["run_path"])
-    scratch = Path(task["scratch"])
     label_id = task["label_id"]
+    path, offset, count = task["rows"]
 
     # The run's segments are each sorted and deduped; one sort of them all
     # finishes the dedup across segments.
-    if run_path.stat().st_size != task["run_rows"] * _ROW_WIDTH * 8:
-        raise SnapshotError(f"row run {run_path!s} does not match its recorded segments")
-    rows = _first_occurrences(np.fromfile(run_path, dtype=np.int64).reshape(-1, _ROW_WIDTH))
-    subjects, objects, seqs = rows[:, 0], rows[:, 1], rows[:, 2]
+    rows = np.fromfile(path, dtype=np.int64, count=count * _ROW_WIDTH, offset=offset)
+    if len(rows) != count * _ROW_WIDTH:
+        raise SnapshotError(f"row run {path!s} does not match its recorded rows")
+    subjects, objects = _unique_rows(rows.reshape(-1, _ROW_WIDTH))
+    del rows
 
-    # CSR runs: this label's rows sorted by (node, seq); the global merge
-    # across labels then yields every node's adjacency in stream order —
-    # the per-node slice order the in-memory CSR writer preserves.
-    outputs = {}
-    label_column = np.full(len(rows), label_id, dtype=np.int64)
-    for direction, nodes, others in (("out", subjects, objects), ("in", objects, subjects)):
-        order = np.lexsort((seqs, nodes))
-        run = outputs[f"csr_{direction}"] = str(scratch / f"csr_{direction}.{label_id:05d}.run")
-        np.column_stack((nodes[order], seqs[order], label_column, others[order])).tofile(run)
-    del label_column, order
-
-    # Participation statistics: np.unique returns sorted nodes, so each
-    # label contributes a run of (composite key, count) rows already in
-    # the statistics shard's key order, for the assembly to merge.
+    # The label's four runs for the block merges go one after another onto
+    # the end of this process's side file.  CSR runs are (node, label,
+    # other) rows: the table's (subject, object) order already is the out
+    # run's, the in run takes one sort, and the merge across labels then
+    # yields every node's adjacency sorted by (label, other).  Statistics
+    # runs are (composite key, count) rows: np.unique returns sorted
+    # nodes, so each is already in the statistics shard's key order.
+    side = task["scratch"] / f"side.{os.getpid()}.run"
+    label_column = np.full(len(subjects), label_id, dtype=np.int64)
+    by_object = np.lexsort((subjects, objects))
+    runs = {
+        "csr_out": np.column_stack((subjects, label_column, objects)),
+        "csr_in": np.column_stack((objects[by_object], label_column, subjects[by_object])),
+    }
+    del label_column, by_object
     for direction, nodes in (("out", subjects), ("in", objects)):
         nodes, counts = np.unique(nodes, return_counts=True)
-        outputs[f"stats_{direction}"] = str(scratch / f"stats_{direction}.{label_id:05d}.run")
-        np.column_stack(
+        runs[f"stats_{direction}"] = np.column_stack(
             (nodes * task["stat_stride"] + task["stat_label_id"], counts)
-        ).tofile(outputs[f"stats_{direction}"])
-        outputs[f"{direction}_entries"] = int(len(nodes))
+        )
+    outputs = {}
+    with open(side, "ab") as handle:
+        offset = handle.tell()
+        for name, run in runs.items():
+            run.tofile(handle)
+            outputs[name] = (side, offset, len(run))
+            offset += run.nbytes
+    del runs
 
-    # Restore stream order: the in-memory table's row order is the order
-    # add_edge saw the (deduped) triples.
-    order = np.argsort(seqs, kind="stable")
-    final_subjects = subjects[order]
-    final_objects = objects[order]
-    del rows, subjects, objects, seqs, order
-    table = ColumnarEdgeTable.from_mapped(label, final_subjects, final_objects)
+    table = ColumnarEdgeTable.from_mapped(label, subjects, objects)
     return {
         "label": label,
         "label_id": label_id,
         "rows": len(table),
-        "entry": write_table_shard(Path(task["shard_path"]), table),
+        "entry": write_table_shard(task["shard_path"], table),
         **outputs,
     }
 
@@ -610,7 +635,7 @@ def _append_columns(
     spool.unlink()
 
 
-def _write_statistics_shard_streaming(
+def _write_statistics_shard(
     path: Path,
     results: list[dict],
     labels: list[str],
@@ -619,15 +644,14 @@ def _write_statistics_shard_streaming(
 ) -> dict:
     """Merge the per-label statistics runs into the statistics shard.
 
-    Reproduces ``write_statistics_shard`` byte-for-byte: stat labels are
-    sorted alphabetically, composite keys are ``node * num_labels +
-    label`` in globally sorted order (unique by construction, so a merge
-    of the per-label sorted runs is exactly the in-memory sort).  The
+    Stat labels are sorted alphabetically, composite keys are ``node *
+    num_labels + label`` in globally sorted order (unique by construction,
+    so a merge of the per-label sorted runs is exactly one sort).  The
     merged rows are spooled to scratch, so keys and counts can be written
     as two columns without holding either.
     """
-    out_total = sum(result["out_entries"] for result in results)
-    in_total = sum(result["in_entries"] for result in results)
+    out_total = sum(result["stats_out"][2] for result in results)
+    in_total = sum(result["stats_in"][2] for result in results)
     writer = ShardStreamWriter(
         path,
         {"kind": "statistics", "labels": sorted(labels)},
@@ -639,7 +663,7 @@ def _write_statistics_shard_streaming(
         ],
     )
     for direction in ("out", "in"):
-        runs = [Path(result[f"stats_{direction}"]) for result in results]
+        runs = [result[f"stats_{direction}"] for result in results]
         spool = scratch / f"stats_{direction}.merged"
         with open(spool, "wb") as handle:
             for rows in _merge_runs(runs, _STAT_WIDTH, plan.io_elements):
@@ -650,7 +674,7 @@ def _write_statistics_shard_streaming(
     return {"entries": int(out_total + in_total), **entry}
 
 
-def _write_graph_shard_streaming(
+def _write_graph_shard(
     path: Path,
     results: list[dict],
     labels: list[str],
@@ -661,7 +685,8 @@ def _write_graph_shard_streaming(
 ) -> dict:
     """Merge the per-label CSR runs into the graph CSR shard.
 
-    Per direction, one global ``(node, seq)`` merge is spooled to scratch;
+    Per direction, one global ``(node, label, other)`` merge is spooled to
+    scratch;
     the node degrees it passes accumulate into the index pointers (one
     O(nodes) int64 array, the documented floor), which precede the two
     adjacency columns read back from the spool in catalog order.
@@ -679,7 +704,7 @@ def _write_graph_shard_streaming(
         ],
     )
     for direction, other_name in (("out", "out_objects"), ("in", "in_subjects")):
-        runs = [Path(result[f"csr_{direction}"]) for result in results]
+        runs = [result[f"csr_{direction}"] for result in results]
         spool = scratch / f"csr_{direction}.merged"
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
         with open(spool, "wb") as handle:
@@ -690,43 +715,55 @@ def _write_graph_shard_streaming(
         np.cumsum(indptr, out=indptr)
         writer.append(f"{direction}_indptr", indptr)
         del indptr
-        columns = [(other_name, 3), (f"{direction}_labels", 2)]
+        columns = [(other_name, 2), (f"{direction}_labels", 1)]
         _append_columns(writer, spool, _CSR_WIDTH, columns, plan.io_elements)
     entry = writer.close()
     return {"nodes": num_nodes, "edges": num_edges, **entry}
 
 
-def _write_snapshot(
-    source: Path,
+@contextmanager
+def _work_area(output: Path, tmp_dir: str | Path | None):
+    """Open ``output`` for a write; yields a scratch directory (with an
+    empty ``rows/`` for the row runs) that is removed afterwards.
+
+    A ``MANIFEST.json`` already in ``output`` is unlinked before any shard
+    is written, so a write that fails over an old snapshot leaves a
+    directory no reader accepts rather than a manifest over torn shards.
+    Any ``OSError`` becomes a :class:`SnapshotError`.
+    """
+    try:
+        (output / "tables").mkdir(parents=True, exist_ok=True)
+        (output / MANIFEST_NAME).unlink(missing_ok=True)
+        scratch = Path(
+            tempfile.mkdtemp(
+                prefix="gqbe-build-",
+                dir=str(tmp_dir) if tmp_dir is not None else str(output.parent),
+            )
+        )
+        try:
+            (scratch / "rows").mkdir()
+            yield scratch
+        finally:
+            shutil.rmtree(scratch, ignore_errors=True)
+    except OSError as error:
+        raise SnapshotError(f"cannot write snapshot {output!s}: {error}") from error
+
+
+def _finalize(
     output: Path,
-    fmt: str,
+    vocabulary_entry: dict,
+    num_nodes: int,
+    labels: list[str],
+    rows: list[Run],
     workers: int,
     plan: BuildPlan,
     scratch: Path,
     report: dict,
 ) -> None:
-    """The out-of-core pipeline (see the module docstring for stages)."""
-    output.mkdir(parents=True, exist_ok=True)
-    (output / "tables").mkdir(exist_ok=True)
-    run_dir = scratch / "rows"
-    run_dir.mkdir()
-
-    started = time.perf_counter()
-    vocabulary_entry, num_nodes, total_triples = _build_vocabulary_arena(
-        source, fmt, output / "vocabulary.arena", scratch, plan
-    )
-    report["pass1_seconds"] = time.perf_counter() - started
-    report["triples_read"] = total_triples
-    report["nodes"] = num_nodes
-
-    started = time.perf_counter()
-    # The mapping lives for this pass only: its pages leave the RSS after.
-    labels, segments = _route_rows(
-        source, fmt, _map_arena(output / "vocabulary.arena"), run_dir, plan, total_triples
-    )
-    report["pass2_seconds"] = time.perf_counter() - started
-    report["spill_runs"] = sum(len(runs) for runs in segments.values())
-
+    """Both sources end here: the vocabulary arena is in ``output`` and
+    label ``i``'s ``(subject, object)`` id rows in ``rows[i]``, sorted or
+    not, duplicates or not.  Writes the table shards, the graph CSR, the
+    statistics counts and the manifest."""
     started = time.perf_counter()
     # The statistics shard numbers labels in sorted order.
     stat_ids = {label: index for index, label in enumerate(sorted(labels))}
@@ -734,12 +771,10 @@ def _write_snapshot(
         {
             "label": label,
             "label_id": label_id,
-            "run_path": str(run_dir / f"{label_id:05d}.rows"),
-            "run_rows": sum(segments[label_id]),
-            "scratch": str(scratch),
-            # Table order is label first-appearance order — identical to
-            # the in-memory save's enumerate(store.labels()).
-            "shard_path": str(output / "tables" / f"{label_id:05d}.shard"),
+            "rows": rows[label_id],
+            "scratch": scratch,
+            # Table shards are numbered by label id (first-seen order).
+            "shard_path": output / "tables" / f"{label_id:05d}.shard",
             "stat_label_id": stat_ids[label],
             "stat_stride": max(len(labels), 1),
         }
@@ -751,13 +786,12 @@ def _write_snapshot(
     report["finalize_labels_seconds"] = time.perf_counter() - started
     report["edges"] = num_edges
     report["labels"] = len(labels)
-    report["duplicates"] = total_triples - num_edges
 
     started = time.perf_counter()
-    graph_entry = _write_graph_shard_streaming(
+    graph_entry = _write_graph_shard(
         output / "graph.csr", results, labels, num_nodes, num_edges, scratch, plan
     )
-    statistics_entry = _write_statistics_shard_streaming(
+    statistics_entry = _write_statistics_shard(
         output / "statistics.counts", results, labels, scratch, plan
     )
     report["bytes_written"] = write_manifest(
@@ -814,19 +848,80 @@ def build_streaming_snapshot(
         "memory_budget_mb": memory_budget_mb,
     }
     overall = time.perf_counter()
-    scratch = Path(
-        tempfile.mkdtemp(
-            prefix="gqbe-build-",
-            dir=str(tmp_dir) if tmp_dir is not None else str(output.parent),
+    with _work_area(output, tmp_dir) as scratch:
+        started = time.perf_counter()
+        vocabulary_entry, num_nodes, total_triples = _build_vocabulary_arena(
+            source, fmt, output / "vocabulary.arena", scratch, plan
         )
-    )
-    try:
-        _write_snapshot(source, output, fmt, workers, plan, scratch, report)
-    except OSError as error:
-        raise SnapshotError(
-            f"streaming build of {output!s} failed: {error}"
-        ) from error
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
+        report["pass1_seconds"] = time.perf_counter() - started
+        report["triples_read"] = total_triples
+        report["nodes"] = num_nodes
+
+        started = time.perf_counter()
+        # The mapping lives for this pass only: its pages leave the RSS after.
+        labels, segments = _route_rows(
+            source,
+            fmt,
+            _map_arena(output / "vocabulary.arena"),
+            scratch / "rows",
+            plan,
+            total_triples,
+        )
+        report["pass2_seconds"] = time.perf_counter() - started
+        report["spill_runs"] = sum(len(runs) for runs in segments.values())
+
+        rows = [
+            (scratch / "rows" / f"{label_id:05d}.rows", 0, sum(segments[label_id]))
+            for label_id in range(len(labels))
+        ]
+        _finalize(
+            output, vocabulary_entry, num_nodes, labels, rows, workers, plan, scratch, report
+        )
+    report["duplicates"] = total_triples - report["edges"]
     report["total_seconds"] = time.perf_counter() - overall
     return report
+
+
+def write_bundle_snapshot(
+    output: str | Path,
+    vocabulary: Iterable[str],
+    num_nodes: int,
+    tables: Iterable[ColumnarEdgeTable],
+) -> int:
+    """Write a bundle's offline state through the build's finalize
+    (``GraphStore.save``); returns the bytes written.
+
+    ``vocabulary`` iterates the terms in id order (a mapped arena with its
+    ingest overlay) and becomes the arena as it is; ``tables`` come in
+    label-id order, and each table's id columns become its label's rows.
+    No id moves, so the result is the snapshot a build of the same edges
+    with the same ids writes.
+    """
+    output = Path(output)
+    report: dict = {}
+    with _work_area(output, None) as scratch:
+        vocabulary_entry = write_vocabulary_shard(output / "vocabulary.arena", vocabulary)
+        labels = []
+        rows = []
+        # Every label's rows in one file, one after another.
+        path = scratch / "rows" / "bundle.rows"
+        offset = 0
+        with open(path, "wb") as handle:
+            for table in tables:
+                run = np.column_stack((table.subject_ids(), table.object_ids()))
+                run.tofile(handle)
+                labels.append(table.label)
+                rows.append((path, offset, len(run)))
+                offset += run.nbytes
+        _finalize(
+            output,
+            vocabulary_entry,
+            num_nodes,
+            labels,
+            rows,
+            1,
+            BuildPlan(_SAVE_BUDGET_MB),
+            scratch,
+            report,
+        )
+    return report["bytes_written"]

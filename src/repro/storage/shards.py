@@ -36,10 +36,9 @@ verifiable files:
     The data graph as CSR adjacency over the interned ids: ``out_indptr``
     / ``out_objects`` / ``out_labels`` and ``in_indptr`` / ``in_subjects``
     / ``in_labels`` (label ids index the label list carried in the shard
-    header).  Per-node slices preserve the graph's adjacency-list
-    orders, which is what keeps neighborhood extraction — and therefore
-    every ranked answer — byte-identical to the in-memory graph.  Reopens
-    as a :class:`~repro.graph.mapped.MappedKnowledgeGraph`.
+    header).  Each node's slices are sorted by (label, other); no answer
+    depends on that order, it only makes the bytes a function of the
+    edge set.  Reopens as a :class:`~repro.graph.mapped.MappedKnowledgeGraph`.
 ``statistics.counts``
     The ``(node, label)`` participation counts of Eq. 4 as sorted
     composite-key / count int64 column pairs, reopened as the columns of
@@ -96,7 +95,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.exceptions import GraphError, SnapshotError
-from repro.graph.delta import DeltaKnowledgeGraph
 from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.graph.mapped import MappedKnowledgeGraph
 from repro.storage.store import VerticalPartitionStore
@@ -186,6 +184,9 @@ class ShardStreamWriter:
         self._written = 0  # elements written into the current array
         self._digest = hashlib.sha256()
         self._position = 0
+        # A new file, not the old one truncated: a process still mapping a
+        # shard written here before keeps its pages.
+        path.unlink(missing_ok=True)
         self._handle = open(path, "wb")
         prefix = bytearray(self._base)
         _SHARD_HEADER.pack_into(
@@ -326,81 +327,19 @@ def write_vocabulary_shard(path: Path, vocabulary) -> dict:
     return {"terms": len(terms), **entry}
 
 
-def _statistics_arrays(columns) -> dict[str, "np.ndarray"]:
-    return dict(zip(("out_keys", "out_counts", "in_keys", "in_counts"), columns))
-
-
-def write_statistics_shard(path: Path, statistics) -> dict:
-    """Write the (node, label) participation counts as mapped columns.
-
-    Each count becomes a pair of int64 columns — composite keys
-    ``node_id * num_labels + label_id`` in sorted order, and the counts —
-    that reopen as zero-copy binary-searchable views; the sorted label
-    list rides in the shard header (see
-    :meth:`~repro.graph.statistics.GraphStatistics.count_columns`).
-    """
-    labels, columns = statistics.count_columns()
-    entry = _write_shard_file(
-        path, {"kind": "statistics", "labels": labels}, _statistics_arrays(columns)
-    )
-    return {"entries": int(len(columns[0]) + len(columns[2])), **entry}
-
-
 _CSR_NAMES = ("out_indptr", "out_objects", "out_labels", "in_indptr", "in_subjects", "in_labels")
-
-
-def _graph_csr_arrays(graph) -> tuple[list[str], dict[str, "np.ndarray"]]:
-    """CSR adjacency arrays of a mapped graph, or of a delta overlay folded
-    back into CSR form (compaction).
-
-    The merged per-node order of an overlay (base slice, then delta
-    appends) is the order every live reader saw, so the compacted
-    generation keeps answering byte-identically.
-    """
-    if isinstance(graph, DeltaKnowledgeGraph):
-        labels, *columns = graph.csr_lists()
-    else:
-        labels = list(graph.label_strings)
-        columns = (
-            graph.out_indptr,
-            graph.out_objects,
-            graph.out_label_ids,
-            graph.in_indptr,
-            graph.in_subjects,
-            graph.in_label_ids,
-        )
-    return labels, {
-        name: np.ascontiguousarray(column, dtype=_DTYPE)
-        for name, column in zip(_CSR_NAMES, columns)
-    }
-
-
-def _graph_header(labels: list[str], nodes: int, edges: int) -> dict:
-    return {"kind": "graph", "nodes": nodes, "edges": edges, "labels": labels}
-
-
-def write_graph_shard(path: Path, graph) -> dict:
-    """Write the data graph as a CSR adjacency shard; returns its entry.
-
-    Node ids are vocabulary ids, so the graph shard and the vocabulary
-    arena of one snapshot decode each other; the label list rides in the
-    shard header.
-    """
-    labels, arrays = _graph_csr_arrays(graph)
-    header = _graph_header(labels, graph.num_nodes, graph.num_edges)
-    entry = _write_shard_file(path, header, arrays)
-    return {"nodes": graph.num_nodes, "edges": graph.num_edges, **entry}
 
 
 def graph_shards(graph: KnowledgeGraph) -> "BuiltSnapshot":
     """The offline phase for ``graph``, in memory: every array a snapshot
     of it holds, served by a :class:`BuiltSnapshot`.
 
-    Node ids follow ``graph.nodes`` (insertion order), label ids of the
-    CSR ``graph.labels`` (first-seen order), each node's CSR slices its
-    adjacency lists and each label table ``graph.edges`` order — the
-    shards :func:`~repro.storage.build.build_streaming_snapshot` writes
-    for the graph's edge stream, byte for byte.
+    Node ids follow ``graph.nodes`` (insertion order) and label ids
+    ``graph.labels`` (first-seen order).  Rows are sorted as the build's
+    finalize sorts them — each label table by (subject, object), each
+    node's CSR slices by (label, other) — so these are the shards
+    :func:`~repro.storage.build.build_streaming_snapshot` writes for the
+    graph's edge stream, byte for byte, whatever order the edges came in.
     """
     if graph.num_edges == 0:
         raise GraphError("cannot compute statistics of an empty graph")
@@ -408,35 +347,29 @@ def graph_shards(graph: KnowledgeGraph) -> "BuiltSnapshot":
     ids = {term: index for index, term in enumerate(terms)}
     labels = list(graph.labels)
     label_ids = {label: index for index, label in enumerate(labels)}
-    csr = []
-    # Edge tuples are (subject, label, object): an out list's other end is
-    # field 2, an in list's field 0.
-    for adjacency, other in ((graph.out_adjacency, 2), (graph.in_adjacency, 0)):
-        lists = [adjacency.get(term, ()) for term in terms]
-        indptr = np.zeros(len(terms) + 1, dtype=np.int64)
-        np.cumsum([len(edges) for edges in lists], out=indptr[1:])
-        flat = [edge for edges in lists for edge in edges]
-        csr += [
-            indptr,
-            np.array([ids[edge[other]] for edge in flat], dtype=np.int64),
-            np.array([label_ids[edge[1]] for edge in flat], dtype=np.int64),
-        ]
-    files = {
-        "vocabulary.arena": ({"kind": "vocabulary", "terms": len(terms)}, arena_arrays(terms)),
-        "graph.csr": (
-            _graph_header(labels, len(terms), graph.num_edges),
-            dict(zip(_CSR_NAMES, csr)),
-        ),
-    }
-
-    # Every edge once, in graph.edges order: the rows of the label tables.
     edges = list(graph.edges)
     subjects = np.array([ids[edge.subject] for edge in edges], dtype=np.int64)
     objects = np.array([ids[edge.object] for edge in edges], dtype=np.int64)
     edge_labels = np.array([label_ids[edge.label] for edge in edges], dtype=np.int64)
-    tables = []
-    by_label = np.argsort(edge_labels, kind="stable")
+
+    csr = []
+    for nodes, others in ((subjects, objects), (objects, subjects)):
+        order = np.lexsort((others, edge_labels, nodes))
+        indptr = np.zeros(len(terms) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(nodes, minlength=len(terms)), out=indptr[1:])
+        csr += [indptr, others[order], edge_labels[order]]
+    files = {
+        "vocabulary.arena": ({"kind": "vocabulary", "terms": len(terms)}, arena_arrays(terms)),
+        "graph.csr": (
+            {"kind": "graph", "nodes": len(terms), "edges": len(edges), "labels": labels},
+            dict(zip(_CSR_NAMES, csr)),
+        ),
+    }
+
+    # The label tables: rows grouped by label, each sorted by (subject, object).
+    by_label = np.lexsort((objects, subjects, edge_labels))
     bounds = np.searchsorted(edge_labels[by_label], np.arange(len(labels) + 1))
+    tables = []
     for label_id, label in enumerate(labels):
         rows = by_label[bounds[label_id] : bounds[label_id + 1]]
         name = f"tables/{label_id:05d}.shard"
@@ -454,7 +387,7 @@ def graph_shards(graph: KnowledgeGraph) -> "BuiltSnapshot":
         columns += np.unique(nodes * width + stat_ids[edge_labels], return_counts=True)
     files["statistics.counts"] = (
         {"kind": "statistics", "labels": stat_labels},
-        _statistics_arrays(columns),
+        dict(zip(("out_keys", "out_counts", "in_keys", "in_counts"), columns)),
     )
     label_counts = graph.label_counts()
     manifest = {
@@ -498,9 +431,8 @@ def write_manifest(
     skeleton — and then ``MANIFEST.json``, which catalogs them with the
     shard entries passed in (each carrying its ``file``).  The manifest
     is the commit point: until it lands, ``directory`` is an unreadable
-    work area, never a torn snapshot.  Both writers, ``GraphStore.save``
-    and the streaming build, finish here, so their manifests are equal
-    byte for byte whenever their shards are.
+    work area, never a torn snapshot.  The build's finalize, which both
+    ``GraphStore.save`` and ``gqbe build-index`` run, finishes here.
     """
     payloads = _section_payloads(total_edges, label_counts)
     sections = {}

@@ -51,15 +51,7 @@ from pathlib import Path
 from repro.exceptions import SnapshotError
 from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.graph.statistics import GraphStatistics
-from repro.storage.shards import (
-    ShardedSnapshotReader,
-    graph_shards,
-    write_graph_shard,
-    write_manifest,
-    write_statistics_shard,
-    write_table_shard,
-    write_vocabulary_shard,
-)
+from repro.storage.shards import ShardedSnapshotReader, graph_shards
 from repro.storage.store import VerticalPartitionStore
 
 
@@ -249,14 +241,17 @@ class GraphStore:
     def save(self, path: str | PathLike) -> int:
         """Write the bundle as a snapshot directory; returns the bytes written.
 
-        One memory-mappable shard per label table, the vocabulary as a
-        string arena, the data graph as a CSR adjacency shard and the
-        participation counts as sorted columns (see
-        :mod:`repro.storage.shards`) — what ``gqbe build-index``
-        produces.  Probe indexes are materialized first so the snapshot
-        carries them and a loaded store answers its first query without
-        an index-build pause.  ``MANIFEST.json`` is written last: a
-        crash leaves an unreadable directory, never a torn snapshot.
+        The write ``gqbe build-index`` finishes with (see
+        :mod:`repro.storage.build`): the live vocabulary as the arena,
+        then each label's id rows — base and ingested delta alike, in
+        :meth:`VerticalPartitionStore.labels` order — through the build's
+        finalize, which sorts them into the table shards (probe indexes
+        included), the graph CSR and the participation counts.  Ids do
+        not move, so a compacted generation is the snapshot a build of the
+        base dump followed by the applied delta writes, byte for byte.
+        ``MANIFEST.json`` is written last, and one already in ``path`` is
+        unlinked first: a crash leaves an unreadable directory, never a
+        torn snapshot.
 
         Example::
 
@@ -269,43 +264,26 @@ class GraphStore:
         Raises
         ------
         SnapshotError
-            If the directory cannot be written.
+            If the directory cannot be written, or is the one this bundle
+            maps (it reads the very shards the write would replace).
         """
+        from repro.storage.build import write_bundle_snapshot
+
         directory = Path(path)
+        mapped = self._reader.directory
+        if mapped is not None and directory.resolve() == mapped.resolve():
+            raise SnapshotError(
+                f"cannot write snapshot {directory!s}: this bundle maps its "
+                "shards; save to another directory"
+            )
         self.materialize()
         store = self.store
-        store.build_indexes()
-        vocabulary = store.vocabulary
-        try:
-            (directory / "tables").mkdir(parents=True, exist_ok=True)
-            vocabulary_entry = write_vocabulary_shard(
-                directory / "vocabulary.arena", vocabulary
-            )
-            graph_entry = write_graph_shard(directory / "graph.csr", self.graph)
-            statistics_entry = write_statistics_shard(
-                directory / "statistics.counts", self.statistics
-            )
-            tables = []
-            # Snapshot the label list first: resolving a lazy table in
-            # store.table() mutates the _tables dict mid-iteration.
-            for index, label in enumerate(list(store.labels())):
-                file_name = f"tables/{index:05d}.shard"
-                entry = write_table_shard(directory / file_name, store.table(label))
-                tables.append({**entry, "file": file_name})
-            return write_manifest(
-                directory,
-                meta=self.meta(),
-                total_edges=self.statistics.total_edges,
-                label_counts=self.statistics.label_counts,
-                vocabulary={**vocabulary_entry, "file": "vocabulary.arena"},
-                graph={**graph_entry, "file": "graph.csr"},
-                statistics_counts={**statistics_entry, "file": "statistics.counts"},
-                tables=tables,
-            )
-        except OSError as error:
-            raise SnapshotError(
-                f"cannot write snapshot {directory!s}: {error}"
-            ) from error
+        return write_bundle_snapshot(
+            directory,
+            store.vocabulary,
+            self.graph.num_nodes,
+            [store.table(label) for label in store.labels()],
+        )
 
     @classmethod
     def load(cls, path: str | PathLike) -> "GraphStore":

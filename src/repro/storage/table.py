@@ -152,8 +152,8 @@ class ColumnarEdgeTable:
 
         ``subjects``/``objects`` — and the optional persisted probe
         indexes — are adopted as-is, zero-copy.  The columns must be
-        parallel, deduplicated ``(subj, obj)`` rows in insertion order,
-        which is exactly what the shard writer persists.
+        parallel, deduplicated ``(subj, obj)`` rows, in any order (a
+        shard holds them sorted by ``(subj, obj)``).
         """
         table = cls.__new__(cls)
         table._label = label

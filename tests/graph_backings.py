@@ -4,9 +4,11 @@ The engine runs on id columns: a graph built in memory, its snapshot
 mapped back from disk, and a snapshot of part of the edges with the rest
 ingested as a delta overlay.  Each helper also yields the edges as a
 :class:`KnowledgeGraph`, the triple container the reference
-implementations of ``tests/oracles.py`` read.  Algorithm 1's tie-breaks
-read edge, adjacency and node order, so equivalence here means equal
-*sequences*.
+implementations of ``tests/oracles.py`` read.  Each backing reads its
+rows in a documented order, which :func:`row_order` rebuilds from the
+triples alone, so equivalence here means equal *sequences*.  No answer
+depends on that order (``tests/test_engine_invariance.py``); pinning it
+keeps the extraction and reduction checks exact.
 """
 
 from __future__ import annotations
@@ -60,6 +62,32 @@ def three_stores(base: list[Triple], delta: list[Triple]):
     tables, and mapped tables with ``delta`` ingested."""
     with three_graph_stores(base, delta) as (owned, merged_store, overlay_store):
         yield GraphStore.build(owned).store, merged_store.store, overlay_store.store
+
+
+def row_order(owned: KnowledgeGraph, graph) -> KnowledgeGraph:
+    """``owned``'s edges as ``graph`` reads them, as a triple container.
+
+    Node ids and label ids are ``owned``'s insertion orders, as a build of
+    its stream assigns them.  A snapshot stores each label table sorted by
+    (subject, object) and each node's slices by (label, other), which is
+    what inserting the edges sorted by (label, subject, object) gives every
+    adjacency list.  A delta overlay reads its base that way and then the
+    edges ingested after it, in ingest order: ``owned``'s last ones.
+    """
+    edges = list(owned.edges)
+    cut = graph.base.num_edges if isinstance(graph, DeltaKnowledgeGraph) else len(edges)
+    node_ids = {node: index for index, node in enumerate(owned.nodes)}
+    label_ids = {label: index for index, label in enumerate(owned.labels)}
+    spec = KnowledgeGraph()
+    for node in owned.nodes:
+        spec.add_node(node)
+    base = sorted(
+        edges[:cut],
+        key=lambda edge: (label_ids[edge.label], node_ids[edge.subject], node_ids[edge.object]),
+    )
+    for edge in base + edges[cut:]:
+        spec.add_edge_object(edge)
+    return spec
 
 
 def ordered_view(neighborhood: NeighborhoodGraph) -> dict:

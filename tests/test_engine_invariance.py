@@ -1,10 +1,11 @@
 """Answers do not depend on the join engine's free choices.
 
-The engine has two: which code path runs a join operation (the Python
+The engine has three: which code path runs a join operation (the Python
 scalar tail or the numpy kernels, by relation size; the ``join_regime``
-fixture forces either) and which int id the vocabulary gives an entity.
-Neither may change a join's rows, their order, the ranked answers or the
-work done to find them.
+fixture forces either), which int id the vocabulary gives an entity, and
+the order of the rows it reads (a label table's rows, a node's adjacency
+slice).  None may change a join's rows, their order, the ranked answers or
+the work done to find them.
 
 Join results are also checked against Definition 3 directly: a nested-loop
 enumeration of the injective mappings of the query edges into the triples,
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.baselines.breadth_first import BreadthFirstExplorer
@@ -26,7 +28,9 @@ from repro.graph.knowledge_graph import Edge, KnowledgeGraph
 from repro.lattice.exploration import BestFirstExplorer
 from repro.lattice.query_graph import LatticeSpace
 from repro.storage.join import evaluate_query_edges, extend_with_edge
+from repro.storage.shards import BuiltSnapshot, _table_shard, graph_shards
 from repro.storage.snapshot import GraphStore
+from repro.storage.table import ColumnarEdgeTable
 
 #: The regime each one is compared with: a forced regime against the
 #: other forced one, the shipped adaptive regime against the scalar tail.
@@ -316,3 +320,80 @@ class TestAnswersDoNotDependOnIdAssignment:
                 assert left.structure_score == right.structure_score
                 assert left.content_score == right.content_score
                 assert left.query_graph_mask == right.query_graph_mask
+
+
+def _permuted_rows_bundle(graph, seed) -> GraphStore:
+    """The offline state of ``graph`` with every row the engine reads
+    shuffled and every id kept: each label table's rows, and each node's
+    out- and in-adjacency slice of the CSR.  The built arrays are permuted,
+    not the build's input, so this stays unsorted data whatever order a
+    build writes: the order an older snapshot or a live delta presents."""
+    rng = np.random.default_rng(seed)
+    built = graph_shards(graph)
+    files = dict(built._files)
+    header, arrays = files["graph.csr"]
+    arrays = dict(arrays)
+    for side, others, labels in (
+        ("out", "out_objects", "out_labels"),
+        ("in", "in_subjects", "in_labels"),
+    ):
+        # Positions regrouped by node, in a random order within each node.
+        owner = np.repeat(np.arange(header["nodes"]), np.diff(arrays[f"{side}_indptr"]))
+        order = np.lexsort((rng.random(len(owner)), owner))
+        arrays[others] = arrays[others][order]
+        arrays[labels] = arrays[labels][order]
+    files["graph.csr"] = (header, arrays)
+    for entry in built.manifest["tables"]:
+        table_header, table_arrays = files[entry["file"]]
+        order = rng.permutation(table_header["rows"])
+        files[entry["file"]] = _table_shard(
+            ColumnarEdgeTable.from_mapped(
+                table_header["label"],
+                table_arrays["subjects"][order],
+                table_arrays["objects"][order],
+            )
+        )
+    return GraphStore(BuiltSnapshot(built.manifest, files, built._sections))
+
+
+def _rows_read(bundle: GraphStore):
+    """The rows a bundle hands the engine, in the order it hands them."""
+    graph = bundle.graph
+    return (
+        graph.out_objects.tolist(),
+        graph.in_subjects.tolist(),
+        [bundle.store.table(label).rows() for label in bundle.store.labels()],
+    )
+
+
+class TestAnswersDoNotDependOnRowOrder:
+    @pytest.mark.parametrize("seed", [2, 4, 6])
+    def test_random_synthetic_graphs(self, seed):
+        dataset = FreebaseLikeGenerator(seed=seed, scale=0.2).generate()
+        config = GQBEConfig(**_CONFIG)
+        built = GraphStore.build(dataset.graph)
+        permuted = _permuted_rows_bundle(dataset.graph, seed)
+        assert all(
+            left != right
+            for left, right in zip(_rows_read(built), _rows_read(permuted))
+        )
+        system = GQBE(config=config, graph_store=built)
+        shuffled = GQBE(config=config, graph_store=permuted)
+        for table_name in dataset.table_names()[:3]:
+            query_tuple = tuple(dataset.table(table_name)[0])
+            result = system.query(query_tuple, k=10)
+            reordered = shuffled.query(query_tuple, k=10)
+            assert result.answers and _answer_key(result) == _answer_key(reordered)
+            assert _work_key(result) == _work_key(reordered)
+
+    def test_multi_tuple_queries(self):
+        dataset = FreebaseLikeGenerator(seed=3, scale=0.2).generate()
+        config = GQBEConfig(**_CONFIG)
+        table = dataset.table(dataset.table_names()[0])
+        tuples = [tuple(table[0]), tuple(table[1])]
+        result = GQBE(dataset.graph, config=config).query_multi(tuples, k=10)
+        reordered = GQBE(
+            config=config, graph_store=_permuted_rows_bundle(dataset.graph, 3)
+        ).query_multi(tuples, k=10)
+        assert result.answers and _answer_key(result) == _answer_key(reordered)
+        assert _work_key(result) == _work_key(reordered)

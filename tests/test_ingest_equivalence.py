@@ -287,3 +287,10 @@ class TestCompactedEquivalence:
             assert _answer_key(compacted.query(query_tuple, k=10)) == _answer_key(
                 reference.query(query_tuple, k=10)
             )
+        # Ids do not move, so the compacted generation is the snapshot a
+        # build of base ++ applied delta writes, byte for byte.
+        applied = overlay.graph_store.delta_triples
+        GraphStore.build(KnowledgeGraph(base + applied)).save(tmp_path / "merged")
+        assert (compacted_path / "MANIFEST.json").read_bytes() == (
+            tmp_path / "merged" / "MANIFEST.json"
+        ).read_bytes()

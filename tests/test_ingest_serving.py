@@ -625,7 +625,7 @@ class TestCrashSafety:
                 raise SnapshotError("disk full mid-shard")
 
             monkeypatch.setattr(
-                "repro.storage.snapshot.write_table_shard", explode
+                "repro.storage.build.write_table_shard", explode
             )
             status, body = _post(server, "/admin/compact")
             assert status == 400

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from graph_backings import ordered_view, random_multigraph, three_backings
+from graph_backings import ordered_view, random_multigraph, row_order, three_backings
 from oracles import bfs_distances, definition1, walk_closure
 
 from repro.exceptions import QueryError, UnknownEntityError
@@ -118,14 +118,15 @@ def _check_lazy_neighborhood(spec, candidate):
 class TestIdSpaceNeighborhood:
     """Mapped and delta-overlay graphs extract ``H_t`` as id columns; decoded
     on demand it is Definition 1's ``H_t`` (``oracles.definition1``), every
-    order included."""
+    order included (in the row order each backing reads, ``row_order``)."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_domains_match_owned_graph(self, domain_backings, d):
         tuples, owned, mapped, overlay = domain_backings
-        for query_tuple in tuples:
-            spec = definition1(owned, query_tuple, d)
-            for graph in (mapped.graph, overlay.graph):
+        for graph in (mapped.graph, overlay.graph):
+            spec_graph = row_order(owned, graph)
+            for query_tuple in tuples:
+                spec = definition1(spec_graph, query_tuple, d)
                 _check_lazy_neighborhood(spec, neighborhood_graph(graph, query_tuple, d=d))
 
     @pytest.mark.parametrize("seed", range(25))
@@ -138,19 +139,21 @@ class TestIdSpaceNeighborhood:
         tuples = [tuple(rng.sample(nodes, arity)) for arity in (1, 2, 3)]
         tuples += [("h0",), ("h0", "h1"), ("leaf0", "leaf1", "n1")]
         with three_backings(base, delta) as (owned, mapped, overlay):
-            for query_tuple in tuples:
-                for d in (1, 2, 3):
-                    spec = definition1(owned, query_tuple, d)
-                    for graph in (mapped, overlay):
+            for graph in (mapped, overlay):
+                spec_graph = row_order(owned, graph)
+                for query_tuple in tuples:
+                    for d in (1, 2, 3):
                         _check_lazy_neighborhood(
-                            spec, neighborhood_graph(graph, query_tuple, d=d)
+                            definition1(spec_graph, query_tuple, d),
+                            neighborhood_graph(graph, query_tuple, d=d),
                         )
 
     def test_distances_match_across_backings(self, domain_backings):
         tuples, owned, mapped, overlay = domain_backings
-        for query_tuple in tuples[:4]:
-            spec = list(bfs_distances(owned, query_tuple, cutoff=2).items())
-            for graph in (mapped.graph, overlay.graph):
+        for graph in (mapped.graph, overlay.graph):
+            spec_graph = row_order(owned, graph)
+            for query_tuple in tuples[:4]:
+                spec = list(bfs_distances(spec_graph, query_tuple, cutoff=2).items())
                 assert list(query_entity_distances(graph, query_tuple, cutoff=2).items()) == spec
 
     def test_isolated_query_entity(self):
@@ -159,8 +162,8 @@ class TestIdSpaceNeighborhood:
         with three_backings([("a", "r", "b")], [("c", "r", "c")]) as backings:
             owned, mapped, overlay = backings
             for query_tuple in (("c",), ("a", "c")):
-                spec = definition1(owned, query_tuple, 2)
                 for graph in (mapped, overlay):
+                    spec = definition1(row_order(owned, graph), query_tuple, 2)
                     _check_lazy_neighborhood(spec, neighborhood_graph(graph, query_tuple, d=2))
 
 

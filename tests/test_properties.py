@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from graph_backings import ordered_view, three_backings, three_graph_stores, three_stores
+from graph_backings import (
+    ordered_view,
+    row_order,
+    three_backings,
+    three_graph_stores,
+    three_stores,
+)
 from oracles import definition1, eq2_weight, reduced
 
 from repro.discovery.mqg import discover_maximal_query_graph
@@ -101,27 +107,26 @@ def test_neighborhood_is_monotone_in_d(triples, d):
 def test_id_space_front_half_matches_string_spec(triples, cut, entities, d):
     """Neighborhood + reduction over the mapped graph and over a delta overlay
     (any split of the stream) equal the string spec of ``tests/oracles.py``,
-    order included."""
+    order included (in the row order each backing reads, ``row_order``)."""
     triples = list(dict.fromkeys(triples))
     cut = 1 + cut % len(triples)
     with three_backings(triples[:cut], triples[cut:]) as (owned, mapped, overlay):
         query_tuple = tuple(entity for entity in entities if owned.has_node(entity))
         if not query_tuple:
             return
-        outcomes = []
-        for graph in (owned, mapped, overlay):
-            if graph is owned:
-                neighborhood, reduce = definition1(owned, query_tuple, d), reduced
-            else:
-                neighborhood = neighborhood_graph(graph, query_tuple, d=d)
-                reduce = reduce_neighborhood_graph
+
+        def outcome(neighborhood, reduce):
             try:
                 result = reduce(neighborhood)
             except DiscoveryError as error:
-                outcomes.append((None, str(error)))
-                continue
-            outcomes.append((ordered_view(neighborhood), ordered_view(result)))
-        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+                return None, str(error)
+            return ordered_view(neighborhood), ordered_view(result)
+
+        for graph in (mapped, overlay):
+            spec = definition1(row_order(owned, graph), query_tuple, d)
+            assert outcome(
+                neighborhood_graph(graph, query_tuple, d=d), reduce_neighborhood_graph
+            ) == outcome(spec, reduced)
 
 
 def _mqg_weights(neighborhood, statistics):

@@ -28,7 +28,7 @@ import struct
 import numpy as np
 import pytest
 
-from graph_backings import copy_snapshot
+from graph_backings import copy_snapshot, row_order
 from repro.core.config import GQBEConfig
 from repro.core.gqbe import GQBE
 from repro.datasets.synthetic import FreebaseLikeGenerator
@@ -194,16 +194,17 @@ class TestV3MappedSections:
             assert mapped.has_edge(*edge)
             assert edge in mapped
         assert not mapped.has_edge("no-such", "nope", "nothing")
+        # Node ids are insertion order, and every per-node adjacency list
+        # holds the node's edges sorted by (label, other).
+        spec = row_order(graph, mapped)
         for node in list(graph.nodes)[:10]:
             assert mapped.has_node(node)
-            assert mapped.incident_edges(node) == graph.incident_edges(node)
+            assert mapped.incident_edges(node) == spec.incident_edges(node)
             assert mapped.neighbors(node) == graph.neighbors(node)
-        # Node ids are insertion order and every per-node adjacency list
-        # keeps the original order exactly.
         assert list(mapped.nodes) == list(graph.nodes)
         for node in graph.nodes:
-            assert mapped.out_edges(node) == graph.out_edges(node)
-            assert mapped.in_edges(node) == graph.in_edges(node)
+            assert mapped.out_edges(node) == spec.out_edges(node)
+            assert mapped.in_edges(node) == spec.in_edges(node)
 
     def test_mapped_vocabulary_contract(self, snapshot_dir):
         vocabulary = GraphStore.load(snapshot_dir)._vocabulary_from_arena()
@@ -242,6 +243,33 @@ class TestV3MappedSections:
         ).read_bytes()
         system = GQBE.from_snapshot(target, config=config)
         assert _answer_key(system.query(query_tuple, k=5)) == reference
+
+    def test_saving_onto_the_mapped_directory_is_refused(
+        self, figure1_graph, tmp_path, fresh_python
+    ):
+        """The bundle maps the directory's shards, so rewriting them in place
+        would truncate pages it reads (SIGBUS): refused before a byte is
+        written.  In a child process, so a crash fails this test only."""
+        path = tmp_path / "snap"
+        GraphStore.build(figure1_graph).save(path)
+        before = {item: item.read_bytes() for item in sorted(path.rglob("*")) if item.is_file()}
+        script = (
+            "import sys\n"
+            "from repro.core.gqbe import GQBE\n"
+            "from repro.exceptions import SnapshotError\n"
+            "system = GQBE.from_snapshot(sys.argv[1])\n"
+            "system.ingest([('Jerry Yang', 'founded', 'Yahoo! Labs')])\n"
+            "try:\n"
+            "    system.graph_store.save(sys.argv[1])\n"
+            "except SnapshotError as error:\n"
+            "    print('refused:', error)\n"
+            "print(len(system.query(('Jerry Yang', 'Yahoo!'), k=5).answers))\n"
+        )
+        refused, answers = fresh_python(script, str(path)).splitlines()
+        assert refused.startswith("refused:") and "maps its shards" in refused
+        assert int(answers) > 0
+        after = {item: item.read_bytes() for item in sorted(path.rglob("*")) if item.is_file()}
+        assert after == before
 
     def test_meta_reads_without_touching_shards(self, dataset, snapshot_dir):
         meta = read_snapshot_meta(snapshot_dir)
@@ -586,7 +614,8 @@ def _bundle_arrays(bundle: GraphStore) -> dict:
 class TestBuildEqualsLoad:
     """``GraphStore.build`` holds, in memory, exactly the arrays a snapshot
     of the graph maps, and writes exactly what the streaming build writes
-    for the graph's edges in insertion order."""
+    for the graph's edges; the order the edges came in does not reach the
+    bytes."""
 
     @staticmethod
     def _graphs():
@@ -629,6 +658,25 @@ class TestBuildEqualsLoad:
                 for directory in (f"{name}.built", f"{name}.streamed")
             }
             assert files[f"{name}.built"] == files[f"{name}.streamed"], name
+
+    def test_edge_order_does_not_reach_the_bytes(self, tmp_path):
+        """One edge set added in two orders, ids held fixed (every node
+        added first, each label's first edge in one fixed order): the two
+        snapshots are byte-identical."""
+        for name, graph in self._graphs():
+            edges = list(graph.edges)
+            firsts = list({edge.label: edge for edge in reversed(edges)}.values())[::-1]
+            rest = [edge for edge in edges if edge not in set(firsts)]
+            for order, tail in (("given", rest), ("reversed", rest[::-1])):
+                reordered = KnowledgeGraph()
+                for node in graph.nodes:
+                    reordered.add_node(node)
+                reordered.add_edges(firsts + tail)
+                GraphStore.build(reordered).save(tmp_path / f"{name}.{order}")
+            assert rest != rest[::-1], name
+            assert (tmp_path / f"{name}.given" / MANIFEST_NAME).read_bytes() == (
+                tmp_path / f"{name}.reversed" / MANIFEST_NAME
+            ).read_bytes(), name
 
     def test_a_cold_system_runs_on_the_built_arrays(self, figure1_graph):
         system = GQBE(figure1_graph)

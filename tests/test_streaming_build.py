@@ -259,35 +259,55 @@ class TestFailureModes:
             BuildPlan(-1)
 
     def test_crash_mid_build_leaves_no_manifest(self, tmp_path, monkeypatch):
-        """A crash before completion must not leave a loadable torn snapshot."""
+        """A crash before completion must not leave a loadable torn snapshot:
+        not in an empty output, and not in one that already holds a
+        snapshot (of another dump), whichever source writes — the dump's
+        build, or ``GraphStore.save`` of a bundle."""
         import repro.storage.build as build_module
 
         dump = _write_dump(tmp_path, duplicates=25)
-        output = tmp_path / "out"
+        reference = _build_in_memory(dump, tmp_path / "reference")
+        older = _build_in_memory(
+            _write_dump(tmp_path, seed=5, duplicates=0, name="older.tsv"), tmp_path / "older"
+        )
+        bundle = GraphStore.build(load_graph(dump))
+        writers = {
+            "build": lambda output: build_streaming_snapshot(
+                dump, output, snapshot_format="v3", memory_budget_mb=2
+            ),
+            "save": bundle.save,
+        }
 
         def boom(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(build_module, "_write_graph_shard_streaming", boom)
-        with pytest.raises(SnapshotError):
-            build_streaming_snapshot(
-                dump, output, snapshot_format="v3", memory_budget_mb=2
-            )
-        # The manifest is written last: a torn build has partial shards but
-        # no MANIFEST.json, so loading reports a clean, explicit failure.
-        assert not (output / "MANIFEST.json").exists()
-        with pytest.raises(SnapshotError):
-            GraphStore.load(output)
-        # No scratch directories may leak next to the output.
-        assert not list(tmp_path.glob("gqbe-build-*"))
+        for source, write in writers.items():
+            for holds_a_snapshot in (False, True):
+                output = tmp_path / f"{source}-{holds_a_snapshot}"
+                if holds_a_snapshot:
+                    shutil.copytree(older, output)
+                monkeypatch.setattr(build_module, "_write_graph_shard", boom)
+                with pytest.raises(SnapshotError):
+                    write(output)
+                monkeypatch.undo()
+                # The manifest is written last and an old one is unlinked
+                # first: a torn write has partial shards but no
+                # MANIFEST.json, so loading reports a clean, explicit
+                # failure.
+                assert not (output / "MANIFEST.json").exists()
+                with pytest.raises(SnapshotError):
+                    GraphStore.load(output)
+                # No scratch directories may leak next to the output.
+                assert not list(tmp_path.glob("gqbe-build-*"))
 
-        # A rebuild over the partial output succeeds and is byte-identical.
-        monkeypatch.undo()
-        build_streaming_snapshot(
-            dump, output, snapshot_format="v3", memory_budget_mb=2
-        )
-        _build_in_memory(dump, tmp_path / "reference")
-        _assert_identical(output, tmp_path / "reference")
+                # A rewrite over the partial output succeeds and is
+                # byte-identical (the manifest hashes every shard).
+                write(output)
+                assert (output / "MANIFEST.json").read_bytes() == (
+                    reference / "MANIFEST.json"
+                ).read_bytes()
+                if not holds_a_snapshot:
+                    _assert_identical(output, reference)
 
     def test_manifest_is_canonical_json(self, tmp_path):
         dump = _write_dump(tmp_path, duplicates=5)
@@ -354,7 +374,9 @@ class TestBlockMerge:
         for index, run in enumerate(runs):
             paths.append(directory / f"{index:05d}.run")
             run.astype(np.int64).tofile(paths[-1])
-        blocks = list(_merge_runs(paths, width, io_elements))
+        blocks = list(
+            _merge_runs([(path, 0, len(run)) for path, run in zip(paths, runs)], width, io_elements)
+        )
         merged = [tuple(row) for block in blocks for row in block.tolist()]
         assert merged == list(heapq.merge(*(map(tuple, run.tolist()) for run in runs)))
         assert all(0 < len(block) <= max(2, io_elements // width) for block in blocks)
