@@ -38,10 +38,9 @@ def test_bench_neighborhood_extraction(system, benchmark):
 def _reduced_neighborhood(graph, query_tuple):
     """Def. 1 extraction plus the Sec. III-C reduction: the query's front half.
 
-    Over a mapped or delta graph the neighborhood stays id columns until
-    the reduction has run, so timing ``neighborhood_graph`` alone would
-    time little more than the BFS; the reduced graph is the first thing
-    both backings hand on in the same form.
+    The neighborhood stays id columns until the reduction has run, so
+    timing ``neighborhood_graph`` alone would time little more than the
+    BFS.
     """
     return reduce_neighborhood_graph(neighborhood_graph(graph, query_tuple, 2))
 
@@ -55,12 +54,18 @@ def test_bench_reduced_neighborhood(system, benchmark):
 
 
 @pytest.fixture(scope="module")
-def mapped_graph(system, tmp_path_factory):
-    """The benchmark graph reopened as a v3 mapped CSR view."""
+def mapped_snapshot(system, tmp_path_factory):
+    """The benchmark graph saved as a v3 snapshot directory."""
     gqbe, _workload = system
     directory = tmp_path_factory.mktemp("bench_v3") / "freebase.snapdir3"
     gqbe.graph_store.save(directory)
-    return GraphStore.load(directory).graph
+    return directory
+
+
+@pytest.fixture(scope="module")
+def mapped_graph(mapped_snapshot):
+    """The benchmark graph reopened as a v3 mapped CSR view."""
+    return GraphStore.load(mapped_snapshot).graph
 
 
 def test_bench_mapped_neighborhood_extraction(system, mapped_graph, benchmark):
@@ -77,23 +82,23 @@ def test_bench_mapped_neighborhood_extraction(system, mapped_graph, benchmark):
 
 
 def test_bench_delta_overlay_neighborhood_extraction(
-    system, mapped_graph, benchmark
+    system, mapped_snapshot, benchmark
 ):
-    """The front half over a live (mapped base + delta) overlay.
+    """The front half over a mapped graph with an ingested delta.
 
-    The overlay adds per-node Python-list appends on top of the base CSR
-    slices; this gates the read-amplification live ingest introduces on
-    the hottest pipeline stage.
+    Eight edges ingested at the query's anchor give every frontier a
+    delta segment to read beside its base CSR slices; this gates the
+    read amplification live ingest introduces on the hottest pipeline
+    stage.
     """
-    from repro.graph.delta import DeltaKnowledgeGraph
-
     _gqbe, workload = system
     query = workload.query("F18")
-    overlay = DeltaKnowledgeGraph(mapped_graph)
+    bundle = GraphStore.load(mapped_snapshot)
     anchor = query.query_tuple[0]
-    for index in range(8):
-        overlay.add_delta_edge(anchor, "bench_delta_edge", f"DeltaNode_{index}")
-    result = benchmark(_reduced_neighborhood, overlay, query.query_tuple)
+    bundle.ingest(
+        [(anchor, "bench_delta_edge", f"DeltaNode_{index}") for index in range(8)]
+    )
+    result = benchmark(_reduced_neighborhood, bundle.graph, query.query_tuple)
     assert result.num_edges > 0
 
 

@@ -72,9 +72,8 @@ class GQBE:
 
     @property
     def graph(self):
-        """The data graph: a :class:`~repro.graph.mapped.MappedKnowledgeGraph`
-        (a :class:`~repro.graph.delta.DeltaKnowledgeGraph` after an ingest),
-        mapped on first access."""
+        """The data graph: a :class:`~repro.graph.mapped.MappedKnowledgeGraph`,
+        mapped on first access; :meth:`ingest` adds to its delta in place."""
         return self._graph_store.graph
 
     @property
@@ -314,7 +313,7 @@ class GQBE:
         Delegates the mutation to
         :meth:`~repro.storage.snapshot.GraphStore.ingest` (graph +
         vocabulary + tables + statistics, deduplicated against the
-        current union), then drops every piece of derived state that
+        current graph), then drops every piece of derived state that
         described the pre-ingest graph: cached lattice spaces would
         otherwise keep serving answers over stale join tables.  Returns
         ``{"applied", "duplicates", "delta_edges"}``.

@@ -19,10 +19,10 @@ because an edge one of whose endpoints lies within ``d − 1`` hops of a query
 entity lies on an undirected path of length ≤ ``d`` starting at that entity.
 
 The data graph is a :class:`~repro.graph.mapped.MappedKnowledgeGraph`
-(a snapshot, or a graph built in memory into the same arrays) or a
-:class:`~repro.graph.delta.DeltaKnowledgeGraph` overlay on one.  The BFS
-runs on its int64 CSR columns and ``H_t`` itself stays in id space
-(:class:`NeighborhoodColumns`), gathered with whole-array operations:
+(a snapshot, or a graph built in memory into the same arrays, plus
+whatever live ingest added).  The BFS runs on its int64 CSR columns and
+``H_t`` itself stays in id space (:class:`NeighborhoodColumns`),
+gathered with whole-array operations:
 most of it is noise the reduction of Sec. III-C is about to remove, so
 :class:`~repro.graph.knowledge_graph.Edge` objects are built only for
 the edges that survive it (or for all of ``H_t`` if someone asks for
@@ -40,14 +40,13 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.exceptions import QueryError, UnknownEntityError
-from repro.graph.delta import DeltaKnowledgeGraph
 from repro.graph.knowledge_graph import Edge, KnowledgeGraph
 from repro.graph.mapped import MappedKnowledgeGraph
 
 
 class NeighborhoodColumns(NamedTuple):
-    """``H_t`` in id space: what a mapped or delta graph's neighborhood is
-    until someone asks for strings.
+    """``H_t`` in id space: what a graph's neighborhood is until someone
+    asks for strings.
 
     ``node_ids`` / ``node_distances`` list the nodes of ``H_t`` in BFS
     order, so the ``near_count`` nodes within ``d - 1`` hops come first.
@@ -183,52 +182,33 @@ def _validate_query_tuple(graph, query_tuple: Sequence[str]) -> tuple[str, ...]:
     return entities
 
 
-def _gather_frontier(
-    frontier: "np.ndarray",
-    out_indptr: "np.ndarray",
-    out_objects: "np.ndarray",
-    in_indptr: "np.ndarray",
-    in_subjects: "np.ndarray",
-) -> "np.ndarray":
-    """All neighbors of ``frontier``, in per-node out-then-in slice order.
-
-    One gather per CSR direction; a stable sort on the owning frontier
-    index then lays them out as a per-node loop would visit them (each
-    node's out slice, then its in slice).
-    """
-    out_rows, out_owners = _csr_runs(out_indptr, frontier)
-    in_rows, in_owners = _csr_runs(in_indptr, frontier)
-    order = np.argsort(np.concatenate((out_owners, in_owners)), kind="stable")
-    return np.concatenate((out_objects[out_rows], in_subjects[in_rows]))[order]
-
-
 def _level_distances(levels: list["np.ndarray"]) -> "np.ndarray":
     """The distance of every node of the BFS levels, concatenated."""
     return np.repeat(np.arange(len(levels)), [len(level) for level in levels])
 
 
-def _mapped_distance_ids(
+def _breadth_first(
     graph: MappedKnowledgeGraph,
     entities: Sequence[str],
     cutoff: int | None,
 ) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-    """The BFS of :func:`query_entity_distances` over mapped CSR ids.
+    """The BFS of :func:`query_entity_distances` over CSR ids.
 
     Returns the reached node ids in BFS order, their distances, and one
     int32 array over the graph's nodes that is both the visited set and
     the id -> BFS position map (0 unvisited, else position + 1).  Each
-    depth is one whole-frontier gather (:func:`_gather_frontier`) that
-    keeps the first occurrence of every unvisited id in gather order,
-    so the order is a per-node loop's exactly.
+    depth is one whole-frontier gather (:func:`_adjacency`), laid out
+    in per-node adjacency order, that keeps the first occurrence of
+    every unvisited id, so the order is a per-node loop's exactly.
     """
     frontier = np.array([graph.node_id(entity) for entity in entities], dtype=np.int64)
     positions = np.zeros(graph.num_nodes, dtype=np.int32)
     positions[frontier] = np.arange(1, len(frontier) + 1)
     levels = [frontier]
     reached = len(frontier)
-    columns = (graph.out_indptr, graph.out_objects, graph.in_indptr, graph.in_subjects)
     while len(frontier) and (cutoff is None or len(levels) <= cutoff):
-        neighbors = _gather_frontier(frontier, *columns)
+        keys, _, neighbors = _adjacency(graph, frontier)
+        neighbors = neighbors[np.argsort(keys, kind="stable")]
         neighbors = neighbors[positions[neighbors] == 0]
         _, first = np.unique(neighbors, return_index=True)
         frontier = neighbors[np.sort(first)]
@@ -238,77 +218,8 @@ def _mapped_distance_ids(
     return np.concatenate(levels), _level_distances(levels), positions
 
 
-def _delta_distance_ids(
-    graph: DeltaKnowledgeGraph,
-    entities: Sequence[str],
-    cutoff: int | None,
-) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-    """The BFS of :func:`query_entity_distances` over a delta overlay,
-    returning what :func:`_mapped_distance_ids` returns.
-
-    Per frontier node the expansion order is base out slice, delta out
-    appends, base in slice, delta in appends — exactly the CSR slice
-    order of a fresh build of the merged stream, so the BFS order (and
-    every answer downstream) is byte-identical to that build's.
-    The appends interleave per node, so this stays a per-node loop.
-    """
-    entity_ids = [graph.node_id(entity) for entity in entities]
-    visited = set(entity_ids)
-    frontier = entity_ids
-    levels = [np.array(entity_ids, dtype=np.int64)]
-    base = graph.base
-    base_nodes = base.num_nodes
-    out_indptr = base.out_indptr
-    out_objects = base.out_objects
-    in_indptr = base.in_indptr
-    in_subjects = base.in_subjects
-    out_extras = graph.out_extras
-    in_extras = graph.in_extras
-    while frontier and (cutoff is None or len(levels) <= cutoff):
-        next_frontier: list[int] = []
-        for node_id in frontier:
-            if node_id < base_nodes:
-                start = int(out_indptr[node_id])
-                end = int(out_indptr[node_id + 1])
-                for neighbor in out_objects[start:end].tolist():
-                    if neighbor not in visited:
-                        visited.add(neighbor)
-                        next_frontier.append(neighbor)
-            for _, neighbor in out_extras(node_id):
-                if neighbor not in visited:
-                    visited.add(neighbor)
-                    next_frontier.append(neighbor)
-            if node_id < base_nodes:
-                start = int(in_indptr[node_id])
-                end = int(in_indptr[node_id + 1])
-                for neighbor in in_subjects[start:end].tolist():
-                    if neighbor not in visited:
-                        visited.add(neighbor)
-                        next_frontier.append(neighbor)
-            for _, neighbor in in_extras(node_id):
-                if neighbor not in visited:
-                    visited.add(neighbor)
-                    next_frontier.append(neighbor)
-        frontier = next_frontier
-        levels.append(np.array(frontier, dtype=np.int64))
-    node_ids = np.concatenate(levels)
-    positions = np.zeros(graph.num_nodes, dtype=np.int32)
-    positions[node_ids] = np.arange(1, len(node_ids) + 1)
-    return node_ids, _level_distances(levels), positions
-
-
-def _distance_ids(
-    graph: MappedKnowledgeGraph | DeltaKnowledgeGraph,
-    entities: Sequence[str],
-    cutoff: int | None,
-) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-    if isinstance(graph, DeltaKnowledgeGraph):
-        return _delta_distance_ids(graph, entities, cutoff)
-    return _mapped_distance_ids(graph, entities, cutoff)
-
-
 def query_entity_distances(
-    graph: MappedKnowledgeGraph | DeltaKnowledgeGraph,
+    graph: MappedKnowledgeGraph,
     query_tuple: Sequence[str],
     cutoff: int | None = None,
 ) -> dict[str, int]:
@@ -318,12 +229,12 @@ def query_entity_distances(
     in BFS order.
     """
     entities = _validate_query_tuple(graph, query_tuple)
-    node_ids, node_distances, _ = _distance_ids(graph, entities, cutoff)
+    node_ids, node_distances, _ = _breadth_first(graph, entities, cutoff)
     return dict(zip(map(graph.term, node_ids.tolist()), node_distances.tolist()))
 
 
 def neighborhood_graph(
-    graph: MappedKnowledgeGraph | DeltaKnowledgeGraph,
+    graph: MappedKnowledgeGraph,
     query_tuple: Sequence[str],
     d: int = 2,
 ) -> NeighborhoodGraph:
@@ -341,8 +252,7 @@ def neighborhood_graph(
     if d < 1:
         raise QueryError(f"path length threshold d must be >= 1, got {d}")
     entities = _validate_query_tuple(graph, query_tuple)
-    base = graph.base if isinstance(graph, DeltaKnowledgeGraph) else graph
-    columns = _neighborhood_columns(graph, base, *_distance_ids(graph, entities, d), d)
+    columns = _neighborhood_columns(graph, *_breadth_first(graph, entities, d), d)
     return NeighborhoodGraph(query_tuple=entities, d=d, columns=columns)
 
 
@@ -359,23 +269,43 @@ def _csr_runs(
     return positions, owners
 
 
-def _extra_runs(
-    extras: Callable[[int], list[tuple[int, int]]], nodes: list[int]
+def _adjacency(
+    graph: MappedKnowledgeGraph, nodes: "np.ndarray"
 ) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-    """A delta overlay's appended edges at ``nodes`` as (owner index,
-    label id, other node id) columns, in per-node append order."""
-    rows = [
-        (owner, label_id, other)
-        for owner, node_id in enumerate(nodes)
-        for label_id, other in extras(node_id)
-    ]
-    columns = np.array(rows, dtype=np.int64).reshape(len(rows), 3)
-    return columns[:, 0], columns[:, 1], columns[:, 2]
+    """Every adjacency-list entry of ``nodes`` as (sort key, label id,
+    other node id) columns, segment by segment.
+
+    A node's out list is its base CSR slice followed by its delta slice,
+    and so is its in list.  The entries of ``nodes[i]`` sort at ``4 * i
+    + s``, segment ``s`` being base out, delta out, base in, delta in,
+    so a stable sort on the keys lays the entries out as a walk over
+    each node's out list and then its in list meets them.  Without a
+    delta this reads the two base segments only.
+    """
+    based = None  # the nodes with a base slice, when some have none
+    if graph.num_nodes > graph.base_num_nodes:  # nodes the delta added have none
+        based = np.flatnonzero(nodes < graph.base_num_nodes)
+    pieces = []
+    for segment, indptr, label_ids, others in (
+        (0, graph.out_indptr, graph.out_label_ids, graph.out_objects),
+        (2, graph.in_indptr, graph.in_label_ids, graph.in_subjects),
+    ):
+        if based is None:
+            rows, owners = _csr_runs(indptr, nodes)
+        else:
+            rows, owners = _csr_runs(indptr, nodes[based])
+            owners = based[owners]
+        pieces.append((owners * 4 + segment, label_ids[rows], others[rows]))
+    for segment, delta in ((1, graph.delta_out), (3, graph.delta_in)):
+        if delta is not None:
+            rows, owners = _csr_runs(delta.indptr, delta.slots(nodes))
+            pieces.append((owners * 4 + segment, delta.label_ids[rows], delta.others[rows]))
+    keys, labels, others = (np.concatenate(column) for column in zip(*pieces))
+    return keys, labels, others
 
 
 def _neighborhood_columns(
-    graph: MappedKnowledgeGraph | DeltaKnowledgeGraph,
-    base: MappedKnowledgeGraph,
+    graph: MappedKnowledgeGraph,
     node_ids: "np.ndarray",
     node_distances: "np.ndarray",
     positions: "np.ndarray",
@@ -386,9 +316,8 @@ def _neighborhood_columns(
     Every edge incident on a node within ``d - 1`` hops belongs to
     ``H_t``.  Definition 1's construction visits those near nodes in BFS
     order, each one's out list then its in list (self-loops skipped), and
-    keeps an edge the first time it comes up; an adjacency list here is
-    the base CSR slice followed by the delta's appends (none over a plain
-    mapped graph).  An edge comes up twice exactly when both endpoints are
+    keeps an edge the first time it comes up (:func:`_adjacency` lays out
+    the lists).  An edge comes up twice exactly when both endpoints are
     near, so "first time" is: at the subject unless the object is earlier
     in BFS order, at the object only if it is strictly earlier.
     """
@@ -396,20 +325,7 @@ def _neighborhood_columns(
     near_count = int(np.searchsorted(node_distances, d - 1, side="right"))
     near = node_ids[:near_count]
 
-    # One piece per adjacency segment, each (sort key, label id, other
-    # node id); segment s of the near node at BFS position v sorts at
-    # 4 * v + s: base out, delta out, base in, delta in.
-    based = np.flatnonzero(near < base.num_nodes)  # nodes the delta added have no slice
-    rows, owners = _csr_runs(base.out_indptr, near[based])
-    pieces = [(based[owners] * 4, base.out_label_ids[rows], base.out_objects[rows])]
-    rows, owners = _csr_runs(base.in_indptr, near[based])
-    pieces.append((based[owners] * 4 + 2, base.in_label_ids[rows], base.in_subjects[rows]))
-    if graph is not base:
-        near_list = near.tolist()
-        for segment, extras in ((1, graph.out_extras), (3, graph.in_extras)):
-            owners, labels, others = _extra_runs(extras, near_list)
-            pieces.append((owners * 4 + segment, labels, others))
-    keys, labels, others = (np.concatenate(column) for column in zip(*pieces))
+    keys, labels, others = _adjacency(graph, near)
 
     # Node id -> BFS position: the BFS left position + 1 at every id it reached.
     others = positions[others] - 1

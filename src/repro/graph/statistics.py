@@ -47,15 +47,28 @@ class _CountColumns:
     shard's is in first-seen order), extended past ``num_labels`` by the
     labels live ingest brings.  Live-ingest writes (:meth:`add_one`)
     land in a small overlay dict of absolute values, keyed by the same
-    id pair, that reads prefer.
+    id pair, that reads prefer; :meth:`fold_overlay` lays it out as its
+    own pair of sorted key / count columns (key ``node_id << 32 |
+    label_id``, which leaves room for the ingested labels) once per
+    ingest batch.
 
     Two read surfaces: :meth:`counts_of` answers a whole column of id
-    pairs with one ``np.searchsorted`` and is what a query uses; the
-    string-keyed :meth:`get` serves the per-edge spec methods, at one
-    vocabulary binary search per key.
+    pairs with one ``np.searchsorted`` per column pair and is what a
+    query uses; the string-keyed :meth:`get` serves the per-edge spec
+    methods, at one vocabulary binary search per key.
     """
 
-    __slots__ = ("_keys", "_counts", "_vocabulary", "_labels", "_label_ids", "_width", "_overlay")
+    __slots__ = (
+        "_keys",
+        "_counts",
+        "_vocabulary",
+        "_labels",
+        "_label_ids",
+        "_width",
+        "_overlay",
+        "_overlay_keys",
+        "_overlay_counts",
+    )
 
     def __init__(self, keys, counts, vocabulary, labels, label_ids) -> None:
         self._keys = keys
@@ -66,6 +79,8 @@ class _CountColumns:
         self._label_ids = label_ids
         self._width = max(len(labels), 1)  # the shard's num_labels
         self._overlay: dict[tuple[int, int], int] = {}
+        self._overlay_keys = np.empty(0, dtype=np.int64)
+        self._overlay_counts = np.empty(0, dtype=np.int64)
 
     def counts_of(self, node_ids: "np.ndarray", label_ids: "np.ndarray") -> "np.ndarray":
         """The counts at ``(node_ids[i], label_ids[i])`` as one owned array
@@ -78,13 +93,13 @@ class _CountColumns:
         # node's composite lies past every key.)
         found = (keys.take(slots, mode="clip") == composite) & (label_ids < self._width)
         counts = np.where(found, self._counts.take(slots, mode="clip"), 0)
-        if self._overlay:
+        if len(self._overlay_keys):
             # Overlay values are absolute: laid over the base count, not added.
-            overlay = self._overlay.get
-            for row, key in enumerate(zip(node_ids.tolist(), label_ids.tolist())):
-                value = overlay(key)
-                if value is not None:
-                    counts[row] = value
+            keys = self._overlay_keys
+            composite = (node_ids << 32) | label_ids
+            slots = np.searchsorted(keys, composite)
+            found = keys.take(slots, mode="clip") == composite
+            counts = np.where(found, self._overlay_counts.take(slots, mode="clip"), counts)
         return counts
 
     def _count_at(self, node_id: int, label_id: int) -> int:
@@ -117,6 +132,16 @@ class _CountColumns:
         node_id = self._vocabulary.intern(term)
         self._overlay[node_id, label_id] = self._count_at(node_id, label_id) + 1
 
+    def fold_overlay(self) -> None:
+        """Lay the overlay out as the sorted columns :meth:`counts_of` reads."""
+        pairs = sorted(self._overlay)  # (node, label) order is composite-key order
+        self._overlay_keys = np.array(
+            [node_id << 32 | label_id for node_id, label_id in pairs], dtype=np.int64
+        )
+        self._overlay_counts = np.array(
+            [self._overlay[pair] for pair in pairs], dtype=np.int64
+        )
+
 
 class GraphStatistics:
     """Label-frequency and participation statistics of a data graph.
@@ -129,7 +154,8 @@ class GraphStatistics:
     (:class:`_CountColumns`), mapped zero-copy from a snapshot's
     statistics shard (so N serving workers over one snapshot share their
     physical pages) or computed in memory by ``GraphStore.build``.  Live
-    ingest accumulates into per-column overlay dicts.
+    ingest accumulates into per-column overlays, folded into sorted
+    columns once per batch.
 
     A query never hands these statistics a string: its neighborhood
     comes from the same graph as id columns, and :meth:`column_weights`
@@ -273,11 +299,14 @@ class GraphStatistics:
         self._in_label_counts.add_one((edge.object, edge.label))
 
     def finish_mutation(self) -> None:
-        """Drop memoized Eq. 2 weights after a mutation batch.
+        """Fold the batch's counts into the overlay columns and drop
+        memoized Eq. 2 weights after a mutation batch.
 
         ``ief`` depends on the global edge total, so every memoized
         weight is stale once any edge lands.
         """
+        self._out_label_counts.fold_overlay()
+        self._in_label_counts.fold_overlay()
         self._base_weight_cache.clear()
 
     def __repr__(self) -> str:

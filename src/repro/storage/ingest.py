@@ -2,9 +2,9 @@
 
 One shared core serves every ingest entry point (``GQBE.ingest``, the
 serving frontends, pool-worker delta replay): validate the triples,
-deduplicate them against the *current* union graph, then apply each
-survivor to the graph, the vocabulary, the per-label tables and the
-statistics in one deterministic order.
+deduplicate them against the *current* graph (base and delta), then
+apply the survivors to the graph, the vocabulary, the per-label tables
+and the statistics in one deterministic order.
 
 Determinism is what makes ingest testable and poolable: applying the
 same applied-triple sequence to the same base always produces identical
@@ -13,10 +13,12 @@ a pool worker reopening the snapshot replays the parent's applied
 triples and lands in exactly the parent's state.
 
 A bundle's graph is a :class:`~repro.graph.mapped.MappedKnowledgeGraph`
-(a snapshot, or a graph built in memory into the same arrays), which is
-immutable: the first ingest wraps it in a
-:class:`~repro.graph.delta.DeltaKnowledgeGraph` union view, and the
-caller must adopt the returned graph.
+(a snapshot, or a graph built in memory into the same arrays).  Its base
+arrays are never written: an ingest adds to the graph's own delta (id
+triples and a small CSR over them), replaces each touched label's table
+with one over its old columns followed by the new rows, and lays the
+new participation counts over the statistics' columns.  Every object of
+the bundle stays the one it was, so nothing has to adopt a new graph.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from repro.exceptions import GraphError
-from repro.graph.delta import DeltaKnowledgeGraph
 from repro.graph.knowledge_graph import Edge
 
 
@@ -60,32 +61,33 @@ def apply_triples(
     statistics,
     store,
     triples: Iterable[Sequence],
-):
-    """Apply ``triples`` to a loaded bundle; returns the updated graph.
+) -> tuple[list[tuple[str, str, str]], int]:
+    """Apply ``triples`` to a loaded bundle, in place.
 
-    Returns ``(graph, applied, duplicates)`` where ``graph`` is the
-    (possibly newly delta-wrapped) union graph the caller must adopt,
-    ``applied`` is the list of triples that actually landed (original
-    order, duplicates removed), and ``duplicates`` counts the rest.
-
-    A duplicate interns nothing and touches nothing — the same contract
-    as ``KnowledgeGraph.add_edge``, which deduplicates before adding
-    nodes — so replaying only the applied triples reproduces this exact
-    state.
+    Returns ``(applied, duplicates)``: the triples that actually landed
+    (original order, duplicates removed) and how many did not.  A
+    duplicate interns nothing and touches nothing — the same contract as
+    ``KnowledgeGraph.add_edge``, which deduplicates before adding nodes —
+    so replaying only the applied triples reproduces this exact state.
+    The graph and the statistics take each triple in order; each label's
+    table then takes the batch's rows at once, labels in the order the
+    batch first names them.
     """
     normalized = normalize_triples(triples)
-    if not isinstance(graph, DeltaKnowledgeGraph):
-        graph = DeltaKnowledgeGraph(graph)
     applied: list[tuple[str, str, str]] = []
-    duplicates = 0
+    rows: dict[str, tuple[list[int], list[int]]] = {}
     for subject, label, obj in normalized:
         if graph.has_edge(subject, label, obj):
-            duplicates += 1
             continue
         subject_id, object_id = graph.add_delta_edge(subject, label, obj)
-        store.ingest_row(label, subject_id, object_id)
+        subjects, objects = rows.setdefault(label, ([], []))
+        subjects.append(subject_id)
+        objects.append(object_id)
         statistics.apply_edge(Edge(subject, label, obj))
         applied.append((subject, label, obj))
     if applied:
+        graph.finish_mutation()
+        for label, (subjects, objects) in rows.items():
+            store.ingest_rows(label, subjects, objects)
         statistics.finish_mutation()
-    return graph, applied, duplicates
+    return applied, len(normalized) - len(applied)

@@ -111,9 +111,8 @@ class GraphStore:
         """The data graph (mapped on first access).
 
         A :class:`~repro.graph.mapped.MappedKnowledgeGraph` over the graph
-        CSR arrays (a snapshot's shared pages, not a private copy), or
-        after an ingest the :class:`~repro.graph.delta.DeltaKnowledgeGraph`
-        over it.
+        CSR arrays (a snapshot's shared pages, not a private copy), with
+        whatever :meth:`ingest` added as its delta.
         """
         if self._graph is None:
             self._graph = self._reader.load_graph(self._vocabulary_from_arena())
@@ -209,27 +208,22 @@ class GraphStore:
     def ingest(self, triples) -> dict:
         """Apply ``triples`` to the live bundle; returns what happened.
 
-        Materializes the three sections, routes them through
-        :func:`repro.storage.ingest.apply_triples`, and adopts the
-        returned graph (the mapped graph gets wrapped in a
-        :class:`~repro.graph.delta.DeltaKnowledgeGraph` union view).  Returns ``{"applied": n,
-        "duplicates": m, "delta_edges": total}``.
+        Materializes the three sections and routes them through
+        :func:`repro.storage.ingest.apply_triples`, which adds to each in
+        place: the graph's delta, the touched labels' tables, the
+        statistics' counts.  Returns ``{"applied": n, "duplicates": m,
+        "delta_edges": total}``.
         """
         from repro.storage.ingest import apply_triples
 
         self.materialize()
-        graph = self._graph
-        new_graph, applied, duplicates = apply_triples(
-            graph, self._statistics, self._store, triples
+        applied, duplicates = apply_triples(
+            self._graph, self._statistics, self._store, triples
         )
-        if new_graph is not graph:
-            self._graph = new_graph
-            self._statistics._graph = new_graph
-            self._store._graph = new_graph
         if applied:
             self._delta_triples.extend(applied)
             # Shape counters (num_nodes/num_edges/num_labels) are stale;
-            # meta() recomputes them from the live union graph.
+            # meta() recomputes them from the live graph.
             self._meta = None
         return {
             "applied": len(applied),

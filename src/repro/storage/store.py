@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
+import numpy as np
+
 from repro.exceptions import GraphError
 from repro.storage.table import ColumnarEdgeTable
 from repro.storage.vocabulary import MappedVocabulary
@@ -105,20 +107,23 @@ class VerticalPartitionStore:
         for table in self._tables.values():
             table.build_indexes()
 
-    def ingest_row(self, label: str, subject_id: int, object_id: int) -> None:
-        """Insert one interned row, creating the label's table if needed.
+    def ingest_rows(self, label: str, subject_ids: list[int], object_ids: list[int]) -> None:
+        """Append interned rows to ``label``'s table (live ingest).
 
-        The write path for live ingest: an existing table gets the row
-        appended (``add_row`` copy-on-write-promotes mapped columns); a
-        label the snapshot has never seen gets a fresh owned table.  Duplicate rows are table-level no-ops, but
-        callers deduplicate against the *graph* first so vocabulary and
+        The table is replaced by one over its old columns followed by the
+        new rows; a label the snapshot has never seen gets its first
+        table, after every existing label.  A table never changes under a
+        reader, so no index it built goes stale.  The rows must be new:
+        callers deduplicate against the *graph*, so vocabulary and
         statistics never see a duplicate either.
         """
+        subjects = np.array(subject_ids, dtype=np.int64)
+        objects = np.array(object_ids, dtype=np.int64)
         table = self._resolve_table(label)
-        if table is None:
-            table = ColumnarEdgeTable(label)
-            self._tables[label] = table
-        table.add_row(subject_id, object_id)
+        if table is not None:
+            subjects = np.concatenate((table.subject_ids(), subjects))
+            objects = np.concatenate((table.object_ids(), objects))
+        self._tables[label] = ColumnarEdgeTable.from_mapped(label, subjects, objects)
 
     def _delta_labels(self) -> list[str]:
         """Labels created by ingest that the shard manifest doesn't know."""
@@ -132,8 +137,8 @@ class VerticalPartitionStore:
     @property
     def num_rows(self) -> int:
         """Total number of rows across all tables (== number of edges)."""
-        # Loaded tables answer for themselves (they may have been
-        # mutated); unopened labels answer from the manifest; tables
+        # Loaded tables answer for themselves (ingest may have replaced
+        # them); unopened labels answer from the manifest; tables
         # ingest created exist only in ``_tables``.
         return sum(
             len(self._tables[label]) if label in self._tables else manifest_rows
@@ -145,7 +150,7 @@ class VerticalPartitionStore:
 
         Manifest (base) labels come first in manifest order, then labels
         ingest created, in creation order — the same label order the
-        union graph reports.
+        graph reports.
         """
         delta = self._delta_labels()
         if delta:

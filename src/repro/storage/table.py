@@ -10,19 +10,14 @@ columns; probes are answered from lazily built, numpy-sorted CSR-style
 group indexes so a whole *vector* of probe keys is matched in a handful
 of C-level array operations (:meth:`~ColumnarEdgeTable.probe_subject` and
 friends), and tiny probes from per-key dict buckets
-(:meth:`~ColumnarEdgeTable.subject_buckets`).  It works over either of
-two column backings:
-
-* **owned** — mutable ``array('q')`` columns filled by :meth:`add_row`
-  (the tables live ingest writes to);
-* **mapped** — read-only int64 views over a snapshot shard's arrays,
-  memory-mapped or built in memory (:meth:`ColumnarEdgeTable.from_mapped`),
-  including the persisted probe indexes, so opening a table costs no
-  copy and no sort.  The first
-  mutation *promotes* the table copy-on-write: the mapped buffers are
-  copied into fresh owned columns, the stale mapped indexes are dropped,
-  and the table behaves like any owned table from then on (the backing
-  file is never written through).
+(:meth:`~ColumnarEdgeTable.subject_buckets`).  The columns are read-only
+int64 views over a snapshot shard's arrays, memory-mapped or built in
+memory (:meth:`ColumnarEdgeTable.from_mapped`), including the persisted
+probe indexes, so opening a table costs no copy and no sort.  A table
+never changes: live ingest replaces a label's table with one over the old
+columns followed by the new rows
+(``VerticalPartitionStore.ingest_rows``), and the backing file is never
+written through.
 
 Rows hold **interned entity ids** (dense ints produced by the store's
 :class:`~repro.storage.vocabulary.MappedVocabulary`), so every probe, membership
@@ -32,7 +27,6 @@ strings.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -104,17 +98,15 @@ def _buckets(keys: Sequence[int], values: Sequence[int]) -> dict[int, tuple[int,
 class ColumnarEdgeTable:
     """All edges of one label as two parallel id columns (struct-of-arrays).
 
-    A table opened from a shard (:meth:`from_mapped`) holds read-only
-    int64 views; the first :meth:`add_row` promotes it copy-on-write to
-    owned ``array('q')`` columns (see the module docstring), whose probe
-    indexes are then materialized lazily with numpy sorts on first use.
-    Any mutation after an index was built invalidates the cached indexes.
+    The columns are int64 arrays the table never writes: a snapshot
+    shard's mapped views (:meth:`from_mapped`), the arrays a build
+    computed in memory, or a table live ingest put together from an old
+    table's columns and new rows.  The probe indexes are built lazily
+    with numpy sorts on first use, unless the shard persisted them.
     """
 
     __slots__ = (
         "_label",
-        "_subjects",
-        "_objects",
         "_row_set",
         "_subject_np",
         "_object_np",
@@ -124,18 +116,34 @@ class ColumnarEdgeTable:
         "_object_buckets",
         "_pair_keys",
         "_pair_stride",
-        "_mapped",
     )
 
     def __init__(self, label: str, rows: Iterable[tuple[int, int]] = ()) -> None:
+        """A table over ``rows``, duplicates dropped, in first-occurrence order."""
+        unique = list(dict.fromkeys(rows))
+        columns = np.array(unique, dtype=np.int64).reshape(len(unique), 2)
+        self._adopt(label, columns[:, 0].copy(), columns[:, 1].copy())
+
+    def _adopt(
+        self,
+        label: str,
+        subjects: "np.ndarray",
+        objects: "np.ndarray",
+        subject_index: _SortedGroupIndex | None = None,
+        object_index: _SortedGroupIndex | None = None,
+        pair_keys: "np.ndarray | None" = None,
+        pair_stride: int = 0,
+    ) -> None:
         self._label = label
-        self._subjects = array("q")
-        self._objects = array("q")
-        self._row_set: set[tuple[int, int]] = set()
-        self._mapped = False
-        self._invalidate()
-        for subject, obj in rows:
-            self.add_row(subject, obj)
+        self._row_set: set[tuple[int, int]] | None = None
+        self._subject_np = subjects
+        self._object_np = objects
+        self._subject_index = subject_index
+        self._object_index = object_index
+        self._subject_buckets: dict[int, tuple[int, ...]] | None = None
+        self._object_buckets: dict[int, tuple[int, ...]] | None = None
+        self._pair_keys = pair_keys
+        self._pair_stride = pair_stride
 
     @classmethod
     def from_mapped(
@@ -156,111 +164,28 @@ class ColumnarEdgeTable:
         shard holds them sorted by ``(subj, obj)``).
         """
         table = cls.__new__(cls)
-        table._label = label
-        table._subjects = None
-        table._objects = None
-        table._row_set = None
-        table._subject_np = subjects
-        table._object_np = objects
-        table._subject_index = subject_index
-        table._object_index = object_index
-        table._subject_buckets = None
-        table._object_buckets = None
-        table._pair_keys = pair_keys
-        table._pair_stride = pair_stride
-        table._mapped = True
+        table._adopt(
+            label, subjects, objects, subject_index, object_index, pair_keys, pair_stride
+        )
         return table
-
-    @property
-    def is_mapped(self) -> bool:
-        """Whether the columns are read-only mapped buffers (pre-promotion)."""
-        return self._mapped
-
-    def _promote_to_owned(self) -> None:
-        """Copy-on-write: turn mapped buffers into owned mutable columns.
-
-        The mapped probe indexes describe the pre-mutation columns, so
-        they are dropped with the rest of the derived state; the backing
-        snapshot file is never written through.  The dedup set is a pure
-        function of the (value-identical) columns, so a set the caller
-        already built survives promotion.
-        """
-        subjects = array("q", self._subject_np.tolist())
-        objects = array("q", self._object_np.tolist())
-        row_set = self._row_set
-        self._subjects = subjects
-        self._objects = objects
-        self._mapped = False
-        self._invalidate()
-        self._row_set = row_set
-
-    def _invalidate(self) -> None:
-        self._subject_np = None
-        self._object_np = None
-        self._subject_index = None
-        self._object_index = None
-        self._subject_buckets = None
-        self._object_buckets = None
-        self._pair_keys = None
-        self._pair_stride = 0
 
     def _dedup_set(self) -> set[tuple[int, int]]:
         if self._row_set is None:
             self._row_set = set(zip(*self._column_values()))
         return self._row_set
 
-    def _column_values(self) -> tuple[Sequence[int], Sequence[int]]:
-        """Both columns as plain-``int`` sequences, in insertion order.
-
-        Scalar consumers (dict buckets, dedup sets, row iteration) get
-        the same value types whether the table is owned or mapped, so
-        downstream hashing and answers stay byte-identical across modes.
-        """
-        if self._mapped:
-            return self._subject_np.tolist(), self._object_np.tolist()
-        return self._subjects, self._objects
+    def _column_values(self) -> tuple[list[int], list[int]]:
+        """Both columns as lists of plain ``int``, in row order (for the
+        scalar consumers: dict buckets, the dedup set, row iteration)."""
+        return self._subject_np.tolist(), self._object_np.tolist()
 
     @property
     def label(self) -> str:
         """The edge label this table stores."""
         return self._label
 
-    def _has_derived_state(self) -> bool:
-        return (
-            self._subject_np is not None
-            or self._object_np is not None
-            or self._subject_index is not None
-            or self._object_index is not None
-            or self._subject_buckets is not None
-            or self._object_buckets is not None
-            or self._pair_keys is not None
-        )
-
-    def add_row(self, subject: int, obj: int) -> None:
-        """Append one ``(subj, obj)`` row (duplicates are ignored).
-
-        On a mapped table the first accepted row triggers copy-on-write
-        promotion to owned columns.
-        """
-        row = (subject, obj)
-        dedup = self._dedup_set()
-        if row in dedup:
-            return
-        if self._mapped:
-            self._promote_to_owned()  # keeps the dedup set just built
-        dedup.add(row)
-        self._subjects.append(subject)
-        self._objects.append(obj)
-        # Every derived structure (numpy columns, sorted indexes, scalar
-        # buckets, the pair index) is a snapshot of the columns; drop them
-        # all as soon as any of them exists and the columns change.
-        if self._has_derived_state():
-            self._invalidate()
-
     def __len__(self) -> int:
-        if self._mapped:
-            return len(self._subject_np)
-        return len(self._subjects)
+        return len(self._subject_np)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return zip(*self._column_values())
@@ -288,21 +213,11 @@ class ColumnarEdgeTable:
     # columnar access (the vectorized join engine's surface)
     # ------------------------------------------------------------------
     def subject_ids(self) -> "np.ndarray":
-        """The ``subj`` column as an int64 array (cached copy).
-
-        Must be a real copy (``np.array``), not ``np.asarray``: the
-        latter returns a buffer-exporting *view* of the ``array('q')``,
-        which both pins the column against future appends (BufferError)
-        and would silently alias mutations.
-        """
-        if self._subject_np is None:
-            self._subject_np = np.array(self._subjects, dtype=np.int64)
+        """The ``subj`` column as an int64 array."""
         return self._subject_np
 
     def object_ids(self) -> "np.ndarray":
-        """The ``obj`` column as an int64 array (cached copy)."""
-        if self._object_np is None:
-            self._object_np = np.array(self._objects, dtype=np.int64)
+        """The ``obj`` column as an int64 array."""
         return self._object_np
 
     def _subject_group_index(self) -> _SortedGroupIndex:

@@ -18,7 +18,6 @@ import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
-from repro.graph.delta import DeltaKnowledgeGraph
 from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.graph.mapped import MappedKnowledgeGraph
 from repro.graph.neighborhood import NeighborhoodGraph
@@ -40,7 +39,7 @@ def three_graph_stores(base: list[Triple], delta: list[Triple]):
         overlay_store = GraphStore.load(Path(directory, "base"))
         overlay_store.ingest(delta)
         assert isinstance(merged_store.graph, MappedKnowledgeGraph)
-        assert isinstance(overlay_store.graph, DeltaKnowledgeGraph)
+        assert isinstance(overlay_store.graph, MappedKnowledgeGraph)
         yield owned, merged_store, overlay_store
 
 
@@ -75,7 +74,7 @@ def row_order(owned: KnowledgeGraph, graph) -> KnowledgeGraph:
     edges ingested after it, in ingest order: ``owned``'s last ones.
     """
     edges = list(owned.edges)
-    cut = graph.base.num_edges if isinstance(graph, DeltaKnowledgeGraph) else len(edges)
+    cut = len(graph.out_objects)  # the base's edges; the rest were ingested
     node_ids = {node: index for index, node in enumerate(owned.nodes)}
     label_ids = {label: index for index, label in enumerate(owned.labels)}
     spec = KnowledgeGraph()

@@ -5,7 +5,7 @@ delta) answers **byte-identically** to a system built from scratch over
 the merged edge set.  These tests split seeded random triple streams into
 (base, delta) at varying ratios and pin that promise across:
 
-* the mapped base (``DeltaKnowledgeGraph`` overlay over the CSR view),
+* the mapped base (the delta kept beside the CSR view, in the same graph),
 * the base of a cold build (built in memory into the same mapped arrays),
 * pooled serving (``ServingCore(workers=2)``: snapshot-backed workers
   reopen the snapshot and replay the delta, fork-inherited workers are
@@ -28,8 +28,8 @@ from repro.core.config import GQBEConfig
 from repro.core.gqbe import GQBE
 from repro.datasets.synthetic import FreebaseLikeGenerator
 from repro.exceptions import GraphError
-from repro.graph.delta import DeltaKnowledgeGraph
 from repro.graph.knowledge_graph import KnowledgeGraph
+from repro.graph.mapped import MappedKnowledgeGraph
 from repro.serving.server import ServingCore
 from repro.storage.snapshot import GraphStore
 
@@ -106,11 +106,13 @@ class TestOverlayEquivalence:
         GraphStore.build(KnowledgeGraph(base)).save(directory)
 
         overlay = GQBE(config=config, graph_store=GraphStore.load(directory))
+        graph = overlay.graph
         result = overlay.ingest(delta + duplicates)
         assert result["applied"] == len(delta)
         assert result["duplicates"] == len(duplicates)
         assert result["delta_edges"] == len(delta)
-        assert isinstance(overlay.graph, DeltaKnowledgeGraph)
+        # The delta lands in the mapped graph itself: nothing is swapped.
+        assert overlay.graph is graph and isinstance(graph, MappedKnowledgeGraph)
 
         reference = _merged_reference(config, base, delta)
         assert overlay.graph.num_edges == reference.graph.num_edges
@@ -123,12 +125,13 @@ class TestOverlayEquivalence:
     def test_owned_base_matches_merged_build(self, dataset, config):
         base, delta, duplicates = _split_stream(dataset, 0.5, seed=99)
         overlay = GQBE(KnowledgeGraph(base), config=config)
+        graph = overlay.graph
         result = overlay.ingest(delta + duplicates)
         assert result["applied"] == len(delta)
         assert result["duplicates"] == len(duplicates)
-        # A cold build holds the same mapped arrays a snapshot does: the
-        # delta stacks an overlay on them.
-        assert isinstance(overlay.graph, DeltaKnowledgeGraph)
+        # A cold build holds the same mapped arrays a snapshot does, and
+        # the delta lands beside them in the same graph.
+        assert overlay.graph is graph and isinstance(graph, MappedKnowledgeGraph)
 
         reference = _merged_reference(config, base, delta)
         for query_tuple in _query_tuples(dataset, reference.graph):

@@ -7,8 +7,8 @@ Pins the contracts the mmap path must guarantee:
 * warm starts are *partial* — only the manifest is read up front, and a
   query maps only the label shards its plan actually probes (asserted
   via the reader's lazy-load counters);
-* mapped tables promote copy-on-write on mutation and never write
-  through to the snapshot files;
+* an ingest gives a label a new table over the mapped rows followed by
+  the new ones, and never writes through to the snapshot files;
 * the vocabulary reopens as a :class:`MappedVocabulary` string arena and
   the graph as a :class:`MappedKnowledgeGraph` CSR view;
 * every corruption mode — truncated shard, checksum mismatch, missing
@@ -332,22 +332,24 @@ class TestLazyLoading:
         assert sum(rows.values()) == store.num_rows
         assert bundle.lazy_report()["tables_opened"] == 0
 
-    def test_mapped_table_promotes_on_mutation(self, snapshot_dir):
+    def test_ingest_replaces_a_mapped_table_and_leaves_its_shard(self, snapshot_dir):
         bundle = GraphStore.load(snapshot_dir)
         store = bundle.store
         label = next(iter(store.labels()))
         table = store.table(label)
-        assert table.is_mapped
         before_rows = table.rows()
         shard_bytes = {
             path: path.read_bytes()
             for path in (snapshot_dir / "tables").iterdir()
         }
-        table.add_row(999_999, 999_998)
-        assert not table.is_mapped
-        assert table.rows() == before_rows + [(999_999, 999_998)]
-        assert table.has_row(999_999, 999_998)
-        # Copy-on-write: the snapshot files never change.
+        bundle.ingest([("Ingested subject", label, "Ingested object")])
+        ids = store.vocabulary.id_of
+        row = (ids("Ingested subject"), ids("Ingested object"))
+        ingested = store.table(label)
+        assert ingested.rows() == before_rows + [row]
+        assert ingested.has_row(*row)
+        # The mapped table is left as it was, and so are the snapshot files.
+        assert table.rows() == before_rows and not table.has_row(*row)
         for path, original in shard_bytes.items():
             assert path.read_bytes() == original
 
@@ -683,7 +685,9 @@ class TestBuildEqualsLoad:
         assert isinstance(system.graph, MappedKnowledgeGraph)
         assert isinstance(system.store.vocabulary, MappedVocabulary)
         assert system.graph_store.lazy_report()["format"] == "v3"
+        graph = system.graph
         system.ingest([("Jerry Yang", "founded", "Yahoo! Labs")])
-        from repro.graph.delta import DeltaKnowledgeGraph
-
-        assert isinstance(system.graph, DeltaKnowledgeGraph)
+        # The ingested edge lands in the same graph, beside the built arrays.
+        assert system.graph is graph
+        assert graph.has_edge("Jerry Yang", "founded", "Yahoo! Labs")
+        assert len(graph.out_objects) == figure1_graph.num_edges

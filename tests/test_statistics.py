@@ -172,15 +172,15 @@ class TestMappedStatistics:
         ).read_bytes()
 
     def test_a_label_the_statistics_never_saw_counts_nothing(self, loaded):
-        # An edge put into an overlay behind the statistics' back: its label
-        # has no id in the counts columns, and must not pick up the count of
-        # whichever key its composite would land on.
-        from repro.graph.delta import DeltaKnowledgeGraph
+        # An edge put into the graph's delta behind the statistics' back: its
+        # label has no id in the counts columns, and must not pick up the
+        # count of whichever key its composite would land on.
         from repro.graph.neighborhood import neighborhood_graph
 
-        overlay = DeltaKnowledgeGraph(loaded.graph)
-        overlay.add_delta_edge("a", "unseen", "c")
-        neighborhood = neighborhood_graph(overlay, ("a",), d=1)
+        graph = loaded.graph
+        graph.add_delta_edge("a", "unseen", "c")
+        graph.finish_mutation()
+        neighborhood = neighborhood_graph(graph, ("a",), d=1)
         edges = neighborhood.columns.decode()
         assert Edge("a", "unseen", "c") in edges
         assert loaded.statistics.column_weights(neighborhood.columns).tolist() == [

@@ -87,15 +87,20 @@ class TestVocabulary:
 
 
 class TestColumnarEdgeTable:
-    def test_mutation_invalidates_scalar_buckets(self):
-        """Regression: buckets built before numpy columns existed went
-        stale because add_row only checked the numpy cache."""
-        table = ColumnarEdgeTable("r", [(1, 2)])
-        assert table.subject_buckets() == {1: (2,)}
-        assert table.object_buckets() == {2: (1,)}
-        table.add_row(1, 3)
-        assert table.subject_buckets() == {1: (2, 3)}
-        assert table.object_buckets() == {2: (1,), 3: (1,)}
+    def test_ingest_shows_in_scalar_buckets(self):
+        """Regression: buckets built before an ingest went stale, because
+        the per-row append only checked the numpy cache.  An ingest now
+        gives the label a new table; the old one keeps its rows."""
+        bundle = GraphStore.build(KnowledgeGraph([("a", "r", "b")]))
+        ids = bundle.store.vocabulary.id_of
+        table = bundle.store.table("r")
+        assert table.subject_buckets() == {ids("a"): (ids("b"),)}
+        assert table.object_buckets() == {ids("b"): (ids("a"),)}
+        bundle.ingest([("a", "r", "c")])
+        ingested = bundle.store.table("r")
+        assert ingested.subject_buckets() == {ids("a"): (ids("b"), ids("c"))}
+        assert ingested.object_buckets() == {ids("b"): (ids("a"),), ids("c"): (ids("a"),)}
+        assert table.subject_buckets() == {ids("a"): (ids("b"),)}
 
     def test_bucket_values_leave_the_cycle_collector(self):
         """A full collection walks every tracked container; the scalar probe
@@ -108,16 +113,25 @@ class TestColumnarEdgeTable:
         for index in buckets:
             assert index and not any(gc.is_tracked(values) for values in index.values())
 
-    def test_mutation_invalidates_vector_indexes(self):
-        table = ColumnarEdgeTable("r", [(1, 2), (1, 4), (5, 2)])
+    def test_ingest_shows_in_vector_indexes(self):
+        """Group indexes and the pair index of the ingested table cover the
+        new rows, which read after the base's (sorted) rows."""
+        bundle = GraphStore.build(
+            KnowledgeGraph([("s5", "r", "o2"), ("s1", "r", "o4"), ("s1", "r", "o2")])
+        )
+        ids = bundle.store.vocabulary.id_of
+        s1, o2, o4, s5 = ids("s1"), ids("o2"), ids("o4"), ids("s5")
+        table = bundle.store.table("r")
         table.build_indexes()
-        assert table.contains_pairs(np.array([1]), np.array([4])).all()
-        table.add_row(7, 8)
-        assert list(table.subject_ids()) == [1, 1, 5, 7]
-        assert table.contains_pairs(np.array([7]), np.array([8])).all()
-        probe_idx, objects = table.expand_subject(*table.probe_subject(np.array([7, 1])))
+        assert table.contains_pairs(np.array([s1]), np.array([o4])).all()
+        bundle.ingest([("s7", "r", "o8")])
+        table = bundle.store.table("r")
+        s7, o8 = ids("s7"), ids("o8")
+        assert table.rows() == sorted([(s5, o2), (s1, o4), (s1, o2)]) + [(s7, o8)]
+        assert table.contains_pairs(np.array([s7]), np.array([o8])).all()
+        probe_idx, objects = table.expand_subject(*table.probe_subject(np.array([s7, s1])))
         assert probe_idx.tolist() == [0, 1, 1]
-        assert objects.tolist() == [8, 2, 4]
+        assert objects.tolist() == [o8, *sorted([o2, o4])]
 
     def test_contains_pairs_widens_int32_columns_past_2_31(self):
         """Relation columns are int32 and the pair key is

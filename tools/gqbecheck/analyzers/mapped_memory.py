@@ -1,13 +1,14 @@
 """Mapped-write safety rules (contract ``snapshot-io``).
 
 Snapshot shards are served as zero-copy ``np.frombuffer`` views over
-``mmap`` regions; ``TripleTable.from_mapped`` wraps those views and
-every accessor (``subject_ids``, ``object_ids``, ...) hands them out
+``mmap`` regions; ``ColumnarEdgeTable.from_mapped`` wraps those views
+and every accessor (``subject_ids``, ``object_ids``, ...) hands them out
 read-only by convention.  Writing through such a view either raises
 (read-only buffer) or — worse, with a writable mapping — silently edits
-the snapshot file on disk for every process sharing it.  The sanctioned
-path is the copy-on-write promotion API (``_promote_to_owned``), which
-materializes a private copy before any mutation.
+the snapshot file on disk for every process sharing it.  No table's
+columns are ever written: live ingest gives a label a new table over
+new columns (``VerticalPartitionStore.ingest_rows``), and code that
+needs a changed array writes into a copy.
 
 Rules
 -----
@@ -42,7 +43,7 @@ MAP001 = Rule(
     rationale=(
         "arrays from frombuffer/from_mapped alias the snapshot file; "
         "writes raise on read-only buffers or corrupt the shared mapping "
-        "— promote to an owned copy first"
+        "— write into a copy instead"
     ),
 )
 MAP002 = Rule(
@@ -52,7 +53,7 @@ MAP002 = Rule(
     contract=CONTRACT,
     rationale=(
         "sort/fill/put/... mutate their receiver; on a mapped view that "
-        "is a write into the snapshot — promote to an owned copy first"
+        "is a write into the snapshot — work on a copy instead"
     ),
 )
 
@@ -182,8 +183,8 @@ def _check_scope(
                     yield source.finding(
                         MAP001,
                         target,
-                        "assignment into a mapped-origin array; promote to "
-                        "an owned copy (copy-on-write API) before mutating",
+                        "assignment into a mapped-origin array; write into "
+                        "a copy instead",
                     )
         if isinstance(node, ast.AugAssign):
             target = node.target
@@ -194,7 +195,7 @@ def _check_scope(
                     MAP001,
                     target,
                     "augmented assignment into a mapped-origin array; "
-                    "promote to an owned copy before mutating",
+                    "write into a copy instead",
                 )
             elif isinstance(target, ast.Name) and target.id in tainted:
                 # a += 1 on an ndarray is elementwise in-place.
@@ -202,7 +203,7 @@ def _check_scope(
                     MAP001,
                     node,
                     "in-place augmented assignment on a mapped-origin "
-                    "array mutates the mapping; promote to an owned copy",
+                    "array mutates the mapping; work on a copy instead",
                 )
         # MAP002 — mutating methods and out= sinks.
         if isinstance(node, ast.Call):
@@ -215,7 +216,7 @@ def _check_scope(
                     MAP002,
                     node,
                     f".{node.func.attr}() mutates a mapped-origin array in "
-                    "place; promote to an owned copy first",
+                    "place; work on a copy instead",
                 )
             for keyword in node.keywords:
                 if keyword.arg == "out" and _is_mapped_source(
