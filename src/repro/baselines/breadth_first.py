@@ -23,12 +23,10 @@ from repro.exceptions import LatticeError
 from repro.lattice.exploration import (
     AnswerAccumulator,
     ExplorationResult,
-    ExplorationStatistics,
     LatticeNodeEvaluator,
 )
 from repro.lattice.minimal_trees import minimal_query_trees
 from repro.lattice.query_graph import LatticeSpace
-from repro.storage.join import ColumnarRelation
 from repro.storage.store import VerticalPartitionStore
 
 
@@ -46,16 +44,13 @@ class BreadthFirstExplorer(LatticeNodeEvaluator):
     ) -> None:
         if k < 1:
             raise LatticeError(f"k must be positive, got {k}")
+        super().__init__()
         self.space = space
         self.store = store
         self.k = k
         self.max_rows = max_rows
         self.node_budget = node_budget
-
-        self._evaluated: dict[int, ColumnarRelation] = {}
-        self._null_masks: list[int] = []
         self._answers = AnswerAccumulator(space, store, excluded_tuples)
-        self._stats = ExplorationStatistics()
 
     def run(self) -> ExplorationResult:
         """Evaluate every unpruned lattice node, breadth-first, and rank answers."""
@@ -69,29 +64,39 @@ class BreadthFirstExplorer(LatticeNodeEvaluator):
 
         queue: deque[int] = deque(sorted(leaves))
         enqueued: set[int] = set(queue)
+        # Queued and not popped yet; a mask is queued at most once.
+        waiting: set[int] = set(queue)
 
         while queue:
             if self.node_budget is not None and self._stats.nodes_evaluated >= self.node_budget:
                 self._stats.node_budget_exhausted = True
                 break
             mask = queue.popleft()
+            waiting.discard(mask)
             if mask in self._evaluated or self._is_pruned(mask):
+                self._retire(mask)
                 continue
             relation = self._evaluate_mask(mask)
             self._stats.nodes_evaluated += 1
             if relation is None:
                 self._stats.nodes_skipped += 1
+                self._retire(mask)
                 continue
             if self._answers.is_null(relation):
                 self._stats.null_nodes += 1
                 self._add_null_mask(mask)
+                self._retire(mask)
                 continue
-            self._evaluated[mask] = relation
             self._answers.record(mask, relation)
-            for parent in self.space.parents_of(mask):
+            parents = self.space.parents_of(mask)
+            for parent in parents:
                 if parent not in enqueued and not self._is_pruned(parent):
                     enqueued.add(parent)
+                    waiting.add(parent)
                     queue.append(parent)
+            # An unqueued parent is pruned, and pruning is permanent.
+            self._hold(mask, relation, sum(parent in waiting for parent in parents))
+            self._retire(mask)
 
         self._stats.answers_found = len(self._answers)
         self._stats.elapsed_seconds = time.perf_counter() - start

@@ -51,9 +51,14 @@ Performance notes (the hot path of the Fig. 14/16 experiments):
 * structure scores are memoized per mask in the
   :class:`~repro.lattice.query_graph.LatticeSpace`;
 * the relations a node keeps in ``_evaluated`` (the probe relations of
-  its parents) set a query's peak memory, so they hold int32 ids: on
-  perfbench's ``single_r15`` one query keeps 576 of them, 2.11 M rows
-  for 582 answers, 62.5 MB (125.0 MB as int64).
+  its parents) set a query's peak memory, so they hold int32 ids, and a
+  node's relation is released once the last of its parents has left the
+  lower frontier (:meth:`LatticeNodeEvaluator._retire`): what a query
+  holds at once is bounded by the frontier, not by the lattice.  On
+  perfbench's ``single_r15`` the heaviest query keeps 576 relations,
+  2.11 M rows for 582 answers (62.5 MB; 125.0 MB as int64), and holds
+  at most 714 839 of those rows at once, 21.7 MB
+  (:attr:`ExplorationStatistics.peak_retained_rows`).
 
 A node relation is *not* projected onto the columns its answers and its
 parents' join keys read, nor deduplicated on them: that would change
@@ -115,6 +120,9 @@ class ExplorationStatistics:
     nodes_evaluated: int = 0
     null_nodes: int = 0
     nodes_skipped: int = 0
+    #: The most match-relation rows held at once, counted right after a
+    #: node is kept and before the relations it was the last reader of go.
+    peak_retained_rows: int = 0
     upper_frontier_recomputations: int = 0
     answers_found: int = 0
     terminated_early: bool = False
@@ -459,17 +467,77 @@ class AnswerAccumulator:
 
 
 class LatticeNodeEvaluator:
-    """Null-node pruning and node materialization shared by the explorers.
+    """Null-node pruning, node materialization and relation retention
+    shared by the explorers.
 
-    Subclasses provide ``space``, ``store``, ``max_rows``, an
-    ``_evaluated`` mask-to-relation dict and a ``_null_masks`` list.  They
-    may also set ``arena`` (a batch-scoped
+    Subclasses call ``__init__`` and provide ``space``, ``store`` and
+    ``max_rows``.  They may also set ``arena`` (a batch-scoped
     :class:`~repro.storage.batch.JoinMemoArena`) to share from-scratch
     evaluation work with other explorations of the same batch.
+
+    A kept node's relation is read only as the probe relation of its
+    parents (Sec. V-B), so it is held just while one of them can still be
+    popped: :meth:`_hold` counts the parents waiting to be popped, every
+    mask that leaves the frontier for good is passed to :meth:`_retire`,
+    which counts it off each of its children, and a child whose count
+    reaches zero is released.  A released mask stays in ``_evaluated``
+    (as ``None``), so it is never queued again.  No parent is left to
+    read it, so every parent joins from the same child as it would with
+    every relation held.
+
+    The counts are exact because a mask is queued only while a child of
+    it is being kept, and popped at most once: breadth-first queues a
+    mask once, and best-first pops a mask only after all of its queued
+    descendants (each has a bound at least as high and fewer edges), so
+    no child of a popped mask is kept later to queue it again.
     """
 
     #: Optional cross-query join memo; ``None`` keeps every evaluation local.
     arena = None
+
+    def __init__(self) -> None:
+        #: mask -> its match relation while a parent may read it, then None.
+        self._evaluated: dict[int, ColumnarRelation | None] = {}
+        #: held mask -> how many of its parents are still to be popped.
+        self._readers: dict[int, int] = {}
+        self._held_rows = 0
+        self._null_masks: list[int] = []
+        self._stats = ExplorationStatistics()
+
+    def _hold(self, mask: int, relation: ColumnarRelation, readers: int) -> None:
+        """Keep ``mask``'s relation for the ``readers`` parents still to pop."""
+        self._evaluated[mask] = relation
+        self._readers[mask] = readers
+        self._held_rows += relation.num_rows
+        if self._held_rows > self._stats.peak_retained_rows:
+            self._stats.peak_retained_rows = self._held_rows
+
+    def _retire(self, mask: int) -> None:
+        """``mask`` leaves the frontier for good: popped (whatever its
+        outcome) or dropped unpopped.  Each held child counts one reader
+        fewer and is released at zero; so is ``mask`` if it has none.
+        """
+        readers = self._readers
+        remaining = mask
+        while remaining:
+            low = remaining & -remaining
+            remaining ^= low
+            child = mask ^ low
+            count = readers.get(child)
+            if count is None:
+                continue
+            if count > 1:
+                readers[child] = count - 1
+            else:
+                self._release(child)
+        if readers.get(mask) == 0:
+            self._release(mask)
+
+    def _release(self, mask: int) -> None:
+        """Drop a held relation; ``mask`` stays marked as evaluated."""
+        del self._readers[mask]
+        self._held_rows -= self._evaluated[mask].num_rows
+        self._evaluated[mask] = None
 
     def _is_pruned(self, mask: int) -> bool:
         """Whether ``mask`` subsumes some null node (Property 3)."""
@@ -579,6 +647,7 @@ class BestFirstExplorer(LatticeNodeEvaluator):
     ) -> None:
         if k < 1:
             raise LatticeError(f"k must be positive, got {k}")
+        super().__init__()
         self.space = space
         self.store = store
         self.k = k
@@ -596,8 +665,6 @@ class BestFirstExplorer(LatticeNodeEvaluator):
             arena.intern_edges(space.edge_list) if arena is not None else None
         )
 
-        self._evaluated: dict[int, ColumnarRelation] = {}
-        self._null_masks: list[int] = []
         self._upper_frontier: set[int] = {space.full_mask}
         #: mask -> current upper bound; the source of truth for LF
         #: membership.  ``_lf_heap`` mirrors it as a lazy-deletion max-heap
@@ -609,7 +676,6 @@ class BestFirstExplorer(LatticeNodeEvaluator):
         #: The k'-th best structure score so far (the stage-one threshold
         #: of Theorem 4), ``None`` while fewer than k' answers are known.
         self._threshold: float | None = None
-        self._stats = ExplorationStatistics()
 
     # ------------------------------------------------------------------
     # upper bounds
@@ -718,9 +784,12 @@ class BestFirstExplorer(LatticeNodeEvaluator):
         # surviving members and the new candidates are subsets of those),
         # and the only newly pruned LF masks are the ones subsuming this
         # null node — everything else keeps its bound.
+        # A mask dropped here is never queued again (pruning and a missing
+        # bound are both permanent), so it is retired unpopped.
         for mask in list(self._lower_frontier):
             if (mask & null_mask) == null_mask:
                 del self._lower_frontier[mask]
+                self._retire(mask)
                 continue
             if not any(
                 (frontier_mask & mask) == mask for frontier_mask in pruned_frontier
@@ -729,6 +798,7 @@ class BestFirstExplorer(LatticeNodeEvaluator):
             bound = self._upper_bound(mask)
             if bound is None:
                 del self._lower_frontier[mask]
+                self._retire(mask)
             elif bound != self._lower_frontier[mask]:
                 self._lower_frontier[mask] = bound
                 heapq.heappush(self._lf_heap, (-bound, mask.bit_count(), -mask))
@@ -776,7 +846,6 @@ class BestFirstExplorer(LatticeNodeEvaluator):
         # touches repeatedly is bound to a local first.
         stats = self._stats
         frontier = self._lower_frontier
-        evaluated = self._evaluated
         node_budget = self.node_budget
         null_masks = self._null_masks
         pop_best = self._pop_best_mask
@@ -789,6 +858,8 @@ class BestFirstExplorer(LatticeNodeEvaluator):
         structure_of = self.space.weight_of_mask
         parents_of = self.space.parents_of
         add_to_frontier = self._add_to_lower_frontier
+        hold = self._hold
+        retire = self._retire
         should_terminate = self._should_terminate
         nodes_evaluated = 0
 
@@ -800,6 +871,7 @@ class BestFirstExplorer(LatticeNodeEvaluator):
             if best_mask is None:
                 break
             if null_masks and is_pruned(best_mask):
+                retire(best_mask)
                 continue
 
             relation = evaluate(best_mask)
@@ -808,6 +880,7 @@ class BestFirstExplorer(LatticeNodeEvaluator):
                 # Too expensive to materialize under the row cap; skip it
                 # without pruning (it may still have answers).
                 stats.nodes_skipped += 1
+                retire(best_mask)
                 continue
 
             # The trivial self-match does not count as an answer graph
@@ -820,7 +893,6 @@ class BestFirstExplorer(LatticeNodeEvaluator):
                 self._recompute_upper_frontier(best_mask)
                 null_masks = self._null_masks  # _add_null_mask rebinds it
             else:
-                evaluated[best_mask] = relation
                 # Scores only rise, so the k'-th best moves only when this
                 # node lifted some answer, and only if it scores above it.
                 threshold = self._threshold
@@ -828,8 +900,13 @@ class BestFirstExplorer(LatticeNodeEvaluator):
                     threshold is None or structure_of(best_mask) > threshold
                 ):
                     self._threshold = threshold_of(k_prime)
-                for parent in parents_of(best_mask):
+                parents = parents_of(best_mask)
+                for parent in parents:
                     add_to_frontier(parent)
+                # A parent not in the LF now never will be: it was popped,
+                # is pruned or has no upper bound.
+                hold(best_mask, relation, sum(parent in frontier for parent in parents))
+            retire(best_mask)
 
             if should_terminate():
                 stats.terminated_early = bool(frontier)

@@ -438,7 +438,11 @@ def write_manifest(
     sections = {}
     for name, payload in payloads.items():
         file_name = f"{name}.section"
-        (directory / file_name).write_bytes(payload)
+        # A new file, as for the shards: ext4 flushes a file truncated
+        # and rewritten in place when it is closed, 25-70 ms a section.
+        path = directory / file_name
+        path.unlink(missing_ok=True)
+        path.write_bytes(payload)
         sections[name] = {
             "file": file_name,
             "bytes": len(payload),

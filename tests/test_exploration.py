@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
-import pytest
+import random
+from unittest import mock
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.lattice.exploration as exploration_module
+from graph_backings import random_multigraph
 from repro.baselines.breadth_first import BreadthFirstExplorer
-from repro.exceptions import LatticeError
+from repro.core.config import GQBEConfig
+from repro.core.gqbe import GQBE
+from repro.exceptions import DiscoveryError, LatticeError
+from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.lattice.exploration import BestFirstExplorer
 from repro.lattice.query_graph import LatticeSpace
 
@@ -129,3 +139,143 @@ class TestAgainstBreadthFirstBaseline:
         ).run()
         assert result.statistics.nodes_evaluated <= 2
         assert result.statistics.node_budget_exhausted
+
+
+# ----------------------------------------------------------------------
+# relation release: a node's matches go once no parent can read them
+# ----------------------------------------------------------------------
+class _Recording:
+    """Logs every ``_evaluate_mask`` call and the child mask whose held
+    relation its extension probes (``None`` for a from-scratch join)."""
+
+    def run(self):
+        self.log = []
+        return super().run()
+
+    def _evaluate_mask(self, mask):
+        self.log.append([mask, None])
+        _EXTENDING.append(self)
+        try:
+            return super()._evaluate_mask(mask)
+        finally:
+            _EXTENDING.pop()
+
+
+class _NeverReleasing:
+    """Holds every kept relation to the end of the run."""
+
+    def _release(self, mask):
+        pass
+
+
+_EXTENDING: list = []
+_extend_with_edge = exploration_module.extend_with_edge
+
+
+def _recording_extend(store, relation, edge, **options):
+    explorer = _EXTENDING[-1]
+    (child,) = [
+        mask for mask, held in explorer._evaluated.items() if held is relation
+    ]
+    explorer.log[-1][1] = child
+    return _extend_with_edge(store, relation, edge, **options)
+
+
+_EXPLORERS = {
+    name: (
+        type(f"Releasing{name}", (_Recording, explorer), {}),
+        type(f"Holding{name}", (_NeverReleasing, _Recording, explorer), {}),
+    )
+    for name, explorer in (
+        ("BestFirst", BestFirstExplorer),
+        ("BreadthFirst", BreadthFirstExplorer),
+    )
+}
+
+
+class TestRelationRelease:
+    """Releasing a relation once its last parent has left the frontier
+    changes no join: every parent is extended from the same child as
+    when every relation is held to the end."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        hub_leaves=st.sampled_from([0, 6, 20]),
+        mqg_size=st.sampled_from([6, 10, 15]),
+        arity=st.integers(1, 2),
+        max_rows=st.sampled_from([1, 10, None]),
+        explorer=st.sampled_from(sorted(_EXPLORERS)),
+    )
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_same_joins_and_answers_as_holding_every_relation(
+        self, seed, hub_leaves, mqg_size, arity, max_rows, explorer
+    ):
+        base, delta, nodes = random_multigraph(seed, hub_leaves=hub_leaves)
+        system = GQBE(KnowledgeGraph(base + delta), config=GQBEConfig(mqg_size=mqg_size))
+        query_tuple = tuple(random.Random(seed).sample(nodes, arity))
+        try:
+            space = LatticeSpace(system.discover_query_graph(query_tuple))
+        except DiscoveryError:
+            return
+        runs = []
+        with mock.patch.object(exploration_module, "extend_with_edge", _recording_extend):
+            for cls in _EXPLORERS[explorer]:
+                instance = cls(
+                    space,
+                    system.store,
+                    k=5,
+                    excluded_tuples={query_tuple},
+                    max_rows=max_rows,
+                )
+                runs.append((instance, instance.run()))
+        (releasing, released), (holding, held) = runs
+        masks = [mask for mask, _ in releasing.log]
+        assert len(masks) == len(set(masks))
+        assert releasing.log == holding.log
+        assert released.answers == held.answers
+        counts = [
+            (s.nodes_evaluated, s.null_nodes, s.nodes_skipped)
+            for s in (released.statistics, held.statistics)
+        ]
+        assert counts[0] == counts[1]
+        assert released.statistics.peak_retained_rows <= held.statistics.peak_retained_rows
+
+
+class TestPeakRetainedRows:
+    """``peak_retained_rows`` is the most rows held at once."""
+
+    @pytest.mark.parametrize("explorer", [BestFirstExplorer, BreadthFirstExplorer])
+    @pytest.mark.parametrize("max_rows", [None, 5])
+    def test_matches_the_rows_held_after_every_step(
+        self, jerry_space, figure1_store, explorer, max_rows
+    ):
+        class Summing(explorer):
+            def run(self):
+                self.kept = self.most = 0
+                return super().run()
+
+            def _held(self):
+                held = sum(
+                    r.num_rows for r in self._evaluated.values() if r is not None
+                )
+                self.most = max(self.most, held)
+
+            def _hold(self, mask, relation, readers):
+                super()._hold(mask, relation, readers)
+                self.kept += relation.num_rows
+                self._held()
+
+            def _retire(self, mask):
+                super()._retire(mask)
+                self._held()
+
+        instance = Summing(
+            jerry_space,
+            figure1_store,
+            k=5,
+            excluded_tuples={("Jerry Yang", "Yahoo!")},
+            max_rows=max_rows,
+        )
+        peak = instance.run().statistics.peak_retained_rows
+        assert peak == instance.most
+        assert 0 < peak < instance.kept

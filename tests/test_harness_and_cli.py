@@ -62,6 +62,8 @@ class TestCLI:
         output = capsys.readouterr().out
         assert "Top-3 answers" in output
         assert "MQG edges" in output
+        peak = output.split("peak retained rows: ")[1].split()[0]
+        assert int(peak) > 0
 
     def test_generate_command(self, tmp_path, capsys):
         out = tmp_path / "synthetic.tsv"

@@ -347,7 +347,8 @@ class TestUpperFrontierAntichain:
 
 
 class TestRetainedRelations:
-    """The match relations a node keeps for its parents are int32."""
+    """The match relations a node keeps for its parents are int32, and a
+    node's relation is released once no parent can still read it."""
 
     def test_club_owners_r15_keeps_int32_relations_and_golden_answers(self, monkeypatch):
         from test_answer_accumulator import (
@@ -359,10 +360,21 @@ class TestRetainedRelations:
 
         explorers = []
 
+        def check(relation):
+            matrix = relation.columns
+            assert matrix.dtype == np.int32
+            assert matrix.nbytes == 4 * len(relation.variables) * relation.num_rows
+
         class Capturing(BestFirstExplorer):
             def run(self):
+                self.kept_rows = 0
                 explorers.append(self)
                 return super().run()
+
+            def _hold(self, mask, relation, readers):
+                check(relation)
+                self.kept_rows += relation.num_rows
+                super()._hold(mask, relation, readers)
 
         monkeypatch.setattr(gqbe_module, "BestFirstExplorer", Capturing)
         dataset = FreebaseLikeGenerator(seed=3, scale=0.2).generate()
@@ -381,9 +393,10 @@ class TestRetainedRelations:
             if mqg_size == GENERATED_CONFIG.mqg_size:
                 _check_against_golden(rows, {key: golden[key]})
             assert rows[key]
-            evaluated = explorers[-1]._evaluated
-            assert len(evaluated) > 1
-            for relation in evaluated.values():
-                matrix = relation.columns
-                assert matrix.dtype == np.int32
-                assert matrix.nbytes == 4 * len(relation.variables) * relation.num_rows
+            explorer = explorers[-1]
+            assert len(explorer._evaluated) > 1
+            held = [r for r in explorer._evaluated.values() if r is not None]
+            for relation in held:
+                check(relation)
+            if mqg_size == 15:
+                assert sum(r.num_rows for r in held) < explorer.kept_rows

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pickle
 import struct
 
@@ -243,6 +244,31 @@ class TestV3MappedSections:
         ).read_bytes()
         system = GQBE.from_snapshot(target, config=config)
         assert _answer_key(system.query(query_tuple, k=5)) == reference
+
+    def test_a_second_save_writes_new_files(self, figure1_graph, tmp_path):
+        """Saving into a used directory creates every section and shard
+        anew instead of truncating the old file: a reader holding one
+        keeps its bytes.  The old files stay open, so no inode is free
+        for the filesystem to hand back."""
+        path = tmp_path / "snap"
+        store = GraphStore.build(figure1_graph)
+        store.save(path)
+        old = {
+            item: item.open("rb")
+            for item in sorted(path.rglob("*"))
+            if item.is_file() and item.name != MANIFEST_NAME
+        }
+        assert any(item.suffix == ".section" for item in old)
+        try:
+            before = {item: handle.read() for item, handle in old.items()}
+            store.save(path)
+            for item, handle in old.items():
+                assert item.stat().st_ino != os.fstat(handle.fileno()).st_ino, item
+                handle.seek(0)
+                assert handle.read() == before[item] == item.read_bytes()
+        finally:
+            for handle in old.values():
+                handle.close()
 
     def test_saving_onto_the_mapped_directory_is_refused(
         self, figure1_graph, tmp_path, fresh_python
