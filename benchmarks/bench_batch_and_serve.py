@@ -105,7 +105,7 @@ def worker_pool(v3_snapshot, batch_system):
     pool = WorkerPool(
         workers=POOL_WORKERS, snapshot_path=v3_snapshot, config=config
     )
-    pool.query_batch(tuples, k=10)  # fork workers, map shards, warm memos
+    pool.query_batch(tuples, k=10)  # fork workers, map shards, fault pages in
     yield pool
     pool.close()
 

@@ -3,8 +3,8 @@
 Demonstrates the two layers this repo adds on top of the paper's
 single-query engine:
 
-1. :meth:`GQBE.query_batch` — answer many queries in one call, sharing
-   join work across them (byte-identical to sequential ``query`` calls);
+1. :meth:`GQBE.query_batch` — answer many queries in one call, running
+   each distinct tuple once (byte-identical to sequential ``query`` calls);
 2. :class:`~repro.serving.async_server.AsyncGQBEServer` — the asyncio
    HTTP server with request micro-batching and an LRU answer cache,
    queried here over real sockets.

@@ -95,6 +95,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     print(
         f"\nMQG edges: {result.mqg.num_edges}  "
         f"lattice nodes evaluated: {result.statistics.nodes_evaluated}  "
+        f"lattice nodes skipped (join cap): {result.statistics.nodes_skipped}  "
         f"peak retained rows: {result.statistics.peak_retained_rows}  "
         f"total time: {result.total_seconds:.3f}s"
     )

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field, replace
 
 from repro.discovery.mqg import MaximalQueryGraph
 from repro.lattice.exploration import ExplorationStatistics
@@ -89,3 +90,33 @@ class QueryResult:
     def top(self, n: int) -> list[AnswerTuple]:
         """The first ``n`` answers."""
         return self.answers[:n]
+
+
+def fan_out(
+    tuples: Sequence[tuple[str, ...]],
+    by_tuple: Mapping[tuple[str, ...], QueryResult],
+) -> list[QueryResult]:
+    """``by_tuple``'s result for each of ``tuples``, in input order.
+
+    A batch runs each distinct tuple once; the pipeline is deterministic,
+    so a repeat would return the same answers.  The first occurrence
+    gets the result itself, every later one a copy with fresh mutable
+    containers (answers, statistics, timings) over the same answers.
+    """
+    results: list[QueryResult] = []
+    emitted: set[tuple[str, ...]] = set()
+    for entities in tuples:
+        result = by_tuple[entities]
+        if entities in emitted:
+            result = replace(
+                result,
+                answers=list(result.answers),
+                statistics=replace(result.statistics),
+                per_tuple_discovery_seconds=list(
+                    result.per_tuple_discovery_seconds
+                ),
+            )
+        else:
+            emitted.add(entities)
+        results.append(result)
+    return results

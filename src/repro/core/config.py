@@ -42,19 +42,6 @@ class GQBEConfig:
     node_budget:
         Optional cap on the number of lattice nodes evaluated per query;
         ``None`` disables the cap.
-    batch_join_memo:
-        Share join work across the queries of one
-        :meth:`~repro.core.gqbe.GQBE.query_batch` call through a
-        batch-scoped :class:`~repro.storage.batch.JoinMemoArena`
-        (memoized join plans, plan-prefix relations and first-edge
-        scans).  Answers are byte-identical either way; disabling it
-        makes ``query_batch`` a plain loop over ``query`` (useful to
-        measure the batching win, or to bound memory on huge graphs).
-    batch_memo_max_rows:
-        Per-relation cap on what the batch arena may cache: intermediate
-        relations with more rows are recomputed instead of memoized, so
-        a single hub-heavy prefix cannot pin an arbitrarily large array
-        for the lifetime of the batch.  ``None`` caches everything.
     native_kernels:
         Backend for the engine's innermost scalar loops (CSR frontier
         expansion, the scalar join-probe tail).  ``"auto"`` (the
@@ -75,8 +62,6 @@ class GQBEConfig:
     reduce_neighborhood: bool = True
     max_join_rows: int | None = None
     node_budget: int | None = None
-    batch_join_memo: bool = True
-    batch_memo_max_rows: int | None = 1_000_000
     native_kernels: str = "auto"
 
     def __post_init__(self) -> None:
@@ -92,10 +77,6 @@ class GQBEConfig:
             )
         if self.node_budget is not None and self.node_budget < 1:
             raise EvaluationError(f"node_budget must be >= 1, got {self.node_budget}")
-        if self.batch_memo_max_rows is not None and self.batch_memo_max_rows < 0:
-            raise EvaluationError(
-                f"batch_memo_max_rows must be >= 0, got {self.batch_memo_max_rows}"
-            )
         if self.native_kernels not in ("auto", "on", "off"):
             raise EvaluationError(
                 'native_kernels must be "auto", "on" or "off", '

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from dataclasses import replace
 from os import PathLike
 
 from repro import _kernels
-from repro.core.answer import AnswerTuple, QueryResult
+from repro.core.answer import AnswerTuple, QueryResult, fan_out
 from repro.core.config import GQBEConfig
 from repro.discovery.merge import merge_maximal_query_graphs
 from repro.discovery.mqg import MaximalQueryGraph, discover_maximal_query_graph
@@ -31,7 +30,6 @@ from repro.graph.neighborhood import neighborhood_graph
 from repro.graph.statistics import GraphStatistics
 from repro.lattice.exploration import BestFirstExplorer, ExplorationResult
 from repro.lattice.query_graph import LatticeSpace
-from repro.storage.batch import JoinMemoArena
 from repro.storage.snapshot import GraphStore
 from repro.storage.store import VerticalPartitionStore
 
@@ -153,15 +151,12 @@ class GQBE:
         k: int = 10,
         excluded_tuples: set[tuple[str, ...]] = frozenset(),
         k_prime: int | None = None,
-        arena: JoinMemoArena | None = None,
     ) -> ExplorationResult:
         """Run the best-first lattice exploration over an existing MQG.
 
         Lets callers that cache or share discovered MQGs (e.g. the
         experiment harness, which feeds the same MQG to every compared
         system) skip re-discovery and pay only for query processing.
-        ``arena`` optionally shares from-scratch join work with other
-        explorations of one batch (see :meth:`query_batch`).
         """
         _kernels.select(self.config.native_kernels)
         entry = self._space_cache.get(id(mqg))
@@ -180,7 +175,6 @@ class GQBE:
             excluded_tuples=excluded_tuples,
             max_rows=self.config.max_join_rows,
             node_budget=self.config.node_budget,
-            arena=arena,
         )
         return explorer.run()
 
@@ -220,7 +214,26 @@ class GQBE:
         entities = tuple(query_tuple)
         if not entities:
             raise QueryError("query tuples must contain at least one entity")
-        return self._query_single(entities, k, k_prime, arena=None)
+        started = time.perf_counter()
+        mqg = self.discover_query_graph(entities)
+        discovery_seconds = time.perf_counter() - started
+
+        started = time.perf_counter()
+        exploration = self.explore_mqg(
+            mqg, k, excluded_tuples={entities}, k_prime=k_prime
+        )
+        processing_seconds = time.perf_counter() - started
+
+        return QueryResult(
+            query_tuples=(entities,),
+            answers=self._to_answer_tuples(exploration),
+            mqg=mqg,
+            statistics=exploration.statistics,
+            discovery_seconds=discovery_seconds,
+            processing_seconds=processing_seconds,
+            per_tuple_discovery_seconds=[discovery_seconds],
+            merge_seconds=0.0,
+        )
 
     def query_batch(
         self,
@@ -228,28 +241,17 @@ class GQBE:
         k: int = 10,
         k_prime: int | None = None,
     ) -> list[QueryResult]:
-        """Answer a batch of single-tuple queries, sharing join work.
+        """Answer a batch of single-tuple queries, in input order.
 
-        Returns one :class:`~repro.core.answer.QueryResult` per input
-        tuple, in input order, with ranked answers **byte-identical** to
-        calling :meth:`query` once per tuple (pinned by
-        ``tests/test_batch_equivalence.py``).  The batch is cheaper than
-        the sequential loop in two exact ways:
-
-        * a batch-scoped :class:`~repro.storage.batch.JoinMemoArena`
-          evaluates each shared join-plan prefix once — across the
-          lattice nodes of one query *and* across queries whose maximal
-          query graphs overlap (MQG nodes are data-graph entities, so
-          queries about nearby entities produce literally identical
-          edges) — and caches every per-label first-edge table scan;
-        * duplicate query tuples are evaluated once and fanned back out
-          (the pipeline is deterministic, so a repeat run would return
-          the same answers anyway).
-
-        The arena is controlled by ``GQBEConfig.batch_join_memo`` /
-        ``batch_memo_max_rows`` and is discarded when the call returns.
-        The serving layer (:mod:`repro.serving`) builds its request
-        batches on top of this method, and each worker of a
+        Every tuple is validated first; each distinct tuple is then run
+        once through :meth:`query` and its result fanned back out to
+        every position that asked for it
+        (:func:`~repro.core.answer.fan_out`), so the ranked answers are
+        those of calling :meth:`query` once per tuple (pinned by
+        ``tests/test_batch_equivalence.py``).  Queries share no join
+        state: a batch holds at most one query's match relations at a
+        time.  The serving layer (:mod:`repro.serving`) builds its
+        request batches on top of this method, and each worker of a
         :class:`~repro.serving.pool.WorkerPool` runs it over its chunk.
 
         Example::
@@ -265,35 +267,11 @@ class GQBE:
         for entities in tuples:
             if not entities:
                 raise QueryError("query tuples must contain at least one entity")
-        arena = (
-            JoinMemoArena(
-                max_rows=self.config.max_join_rows,
-                cache_row_cap=self.config.batch_memo_max_rows,
-            )
-            if self.config.batch_join_memo
-            else None
-        )
-        first_runs: dict[tuple[str, ...], QueryResult] = {}
-        results: list[QueryResult] = []
-        for entities in tuples:
-            result = first_runs.get(entities)
-            if result is None:
-                result = self._query_single(entities, k, k_prime, arena=arena)
-                first_runs[entities] = result
-            else:
-                # Deterministic pipeline: a re-run would reproduce these
-                # answers, so duplicates share them — fresh result and
-                # statistics objects (both mutable), same ranked answers.
-                result = replace(
-                    result,
-                    answers=list(result.answers),
-                    statistics=replace(result.statistics),
-                    per_tuple_discovery_seconds=list(
-                        result.per_tuple_discovery_seconds
-                    ),
-                )
-            results.append(result)
-        return results
+        by_tuple = {
+            entities: self.query(entities, k, k_prime)
+            for entities in dict.fromkeys(tuples)
+        }
+        return fan_out(tuples, by_tuple)
 
     # ------------------------------------------------------------------
     # live ingest (delta overlay)
@@ -322,35 +300,6 @@ class GQBE:
         if result["applied"]:
             self._space_cache.clear()
         return result
-
-    def _query_single(
-        self,
-        entities: tuple[str, ...],
-        k: int,
-        k_prime: int | None,
-        arena: JoinMemoArena | None,
-    ) -> QueryResult:
-        """One single-tuple query, optionally inside a batch arena."""
-        started = time.perf_counter()
-        mqg = self.discover_query_graph(entities)
-        discovery_seconds = time.perf_counter() - started
-
-        started = time.perf_counter()
-        exploration = self.explore_mqg(
-            mqg, k, excluded_tuples={entities}, k_prime=k_prime, arena=arena
-        )
-        processing_seconds = time.perf_counter() - started
-
-        return QueryResult(
-            query_tuples=(entities,),
-            answers=self._to_answer_tuples(exploration),
-            mqg=mqg,
-            statistics=exploration.statistics,
-            discovery_seconds=discovery_seconds,
-            processing_seconds=processing_seconds,
-            per_tuple_discovery_seconds=[discovery_seconds],
-            merge_seconds=0.0,
-        )
 
     def query_multi(
         self,

@@ -80,12 +80,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import LatticeError
-from repro.storage.batch import OVERFLOW
 from repro.lattice.minimal_trees import minimal_query_trees
 from repro.lattice.query_graph import LatticeSpace
 from repro.lattice.scoring import match_credit
 from repro.storage.join import (
-    _SCALAR_TAIL_ROWS,
     ColumnarRelation,
     _columns_from_rows,
     evaluate_query_edges,
@@ -471,9 +469,7 @@ class LatticeNodeEvaluator:
     shared by the explorers.
 
     Subclasses call ``__init__`` and provide ``space``, ``store`` and
-    ``max_rows``.  They may also set ``arena`` (a batch-scoped
-    :class:`~repro.storage.batch.JoinMemoArena`) to share from-scratch
-    evaluation work with other explorations of the same batch.
+    ``max_rows``.
 
     A kept node's relation is read only as the probe relation of its
     parents (Sec. V-B), so it is held just while one of them can still be
@@ -491,9 +487,6 @@ class LatticeNodeEvaluator:
     descendants (each has a bound at least as high and fewer edges), so
     no child of a popped mask is kept later to queue it again.
     """
-
-    #: Optional cross-query join memo; ``None`` keeps every evaluation local.
-    arena = None
 
     def __init__(self) -> None:
         #: mask -> its match relation while a parent may read it, then None.
@@ -583,49 +576,17 @@ class LatticeNodeEvaluator:
                 rows = child_relation.num_rows
                 if best_child is None or rows < best_child[0]:
                     best_child = (rows, low)
-        arena = self.arena
-        if best_child is not None:
-            # A child extension's outcome (row multiset, overflow) is a
-            # pure function of the mask's edge set, so a batch arena may
-            # replay another query's extension result here — see
-            # ``JoinMemoArena.extended_get`` for the equivalence argument.
-            # Only extensions of probe relations past the scalar-tail
-            # threshold are memoized: for tiny children the extension is
-            # cheaper than the memo-key bookkeeping itself.
-            key = None
-            if arena is not None and best_child[0] > _SCALAR_TAIL_ROWS:
-                edge_ids = self._arena_edge_ids
-                ids = []
-                remaining = mask
-                while remaining:
-                    low = remaining & -remaining
-                    remaining ^= low
-                    ids.append(edge_ids[low.bit_length() - 1])
-                key = frozenset(ids)
-                cached = arena.extended_get(key)
-                if cached is not None:
-                    return None if cached is OVERFLOW else cached
-            low = best_child[1]
-            try:
-                relation = extend_with_edge(
+        try:
+            if best_child is not None:
+                low = best_child[1]
+                return extend_with_edge(
                     self.store,
                     evaluated[mask ^ low],
                     edge_list[low.bit_length() - 1],
                     max_rows=self.max_rows,
                 )
-            except LatticeError:
-                if key is not None:
-                    arena.extended_put(key, OVERFLOW)
-                return None
-            if key is not None:
-                arena.extended_put(key, relation)
-            return relation
-        try:
             return evaluate_query_edges(
-                self.store,
-                self.space.edges_of(mask),
-                max_rows=self.max_rows,
-                arena=arena,
+                self.store, self.space.edges_of(mask), max_rows=self.max_rows
             )
         except LatticeError:
             return None
@@ -643,7 +604,6 @@ class BestFirstExplorer(LatticeNodeEvaluator):
         excluded_tuples: Iterable[tuple[str, ...]] = (),
         max_rows: int | None = None,
         node_budget: int | None = None,
-        arena=None,
     ) -> None:
         if k < 1:
             raise LatticeError(f"k must be positive, got {k}")
@@ -656,14 +616,6 @@ class BestFirstExplorer(LatticeNodeEvaluator):
         self.k_prime = max(k_prime, k) if k_prime is not None else max(DEFAULT_K_PRIME, 4 * k)
         self.max_rows = max_rows
         self.node_budget = node_budget
-        #: Batch-scoped join memo shared across the explorations of one
-        #: :meth:`~repro.core.gqbe.GQBE.query_batch`; ``None`` outside one.
-        self.arena = arena
-        #: Arena-interned ids of this space's edges (bit order), so the
-        #: per-evaluation memo keys hash small ints, not Edge tuples.
-        self._arena_edge_ids = (
-            arena.intern_edges(space.edge_list) if arena is not None else None
-        )
 
         self._upper_frontier: set[int] = {space.full_mask}
         #: mask -> current upper bound; the source of truth for LF

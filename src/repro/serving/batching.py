@@ -2,9 +2,8 @@
 
 Requests that queue while the engine is busy are grouped and executed as
 one :meth:`~repro.core.gqbe.GQBE.query_batch` call: duplicates collapse
-to a single evaluation and shared join prefixes are paid once, while
-every caller still receives the exact answers a standalone
-:meth:`~repro.core.gqbe.GQBE.query` would have produced.
+to a single evaluation, and every caller receives the exact answers a
+standalone :meth:`~repro.core.gqbe.GQBE.query` would have produced.
 
 The batcher owns one daemon dispatch thread per batch that may run at
 once: one inline, one per pool worker up to the CPU count (more would

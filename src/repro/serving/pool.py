@@ -43,11 +43,10 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from dataclasses import replace
 from os import PathLike
 from pathlib import Path
 
-from repro.core.answer import QueryResult
+from repro.core.answer import QueryResult, fan_out
 from repro.exceptions import GQBEError
 
 #: Hard ceiling on pool initialization (a worker fleet that cannot fork
@@ -299,23 +298,17 @@ class WorkerPool:
         """Answer a batch, sharded across the pool, in input order.
 
         Duplicate tuples are collapsed before sharding and fanned back
-        out afterwards — the same exact-replay argument as
+        out afterwards by :func:`~repro.core.answer.fan_out`, as
         :meth:`GQBE.query_batch <repro.core.gqbe.GQBE.query_batch>`
-        (the pipeline is deterministic), so the merged ranked answers
-        are byte-identical to inline execution.
+        does, so the merged ranked answers are byte-identical to inline
+        execution.
         """
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
         tuples = [tuple(t) for t in query_tuples]
         if not tuples:
             return []
-        unique: list[tuple[str, ...]] = []
-        seen: set[tuple[str, ...]] = set()
-        for entities in tuples:
-            if entities not in seen:
-                seen.add(entities)
-                unique.append(entities)
-        chunks = _chunk(unique, self.workers)
+        chunks = _chunk(list(dict.fromkeys(tuples)), self.workers)
         futures = [
             self._executor.submit(_run_chunk, chunk, k, k_prime)
             for chunk in chunks
@@ -337,25 +330,7 @@ class WorkerPool:
                 by_tuple[entities] = result
         if first_error is not None:
             raise first_error
-        results = []
-        emitted: set[tuple[str, ...]] = set()
-        for entities in tuples:
-            result = by_tuple[entities]
-            if entities in emitted:
-                # Fan-out duplicates get fresh mutable containers, same
-                # ranked answers — mirroring GQBE.query_batch.
-                result = replace(
-                    result,
-                    answers=list(result.answers),
-                    statistics=replace(result.statistics),
-                    per_tuple_discovery_seconds=list(
-                        result.per_tuple_discovery_seconds
-                    ),
-                )
-            else:
-                emitted.add(entities)
-            results.append(result)
-        return results
+        return fan_out(tuples, by_tuple)
 
     # ------------------------------------------------------------------
     def worker_pids(self) -> list[int]:

@@ -439,68 +439,24 @@ def evaluate_query_edges(
     edges: Sequence[Edge],
     injective: bool = True,
     max_rows: int | None = None,
-    arena=None,
 ) -> ColumnarRelation:
     """Evaluate a weakly connected query graph given as a list of edges.
 
     Returns the relation whose columns are the query graph's nodes and whose
     rows are all matches (answer-graph node mappings).  The relation is
     empty if the query graph has no answers.
-
-    ``arena`` — an optional :class:`~repro.storage.batch.JoinMemoArena` —
-    memoizes the join plan and every plan-prefix relation so overlapping
-    evaluations (across the lattice nodes of one query and across the
-    queries of a batch) pay for each shared prefix once.  Results are
-    byte-identical with or without an arena; an arena whose ``max_rows``
-    does not match this call's (or a non-injective call) is ignored, since
-    its memos would describe a different join.
     """
     if not edges:
         return _empty_relation()
-    if arena is not None and (not injective or max_rows != arena.max_rows):
-        arena = None
-    if arena is None:
-        plan = plan_join_order(edges, store)
-        # Read-ahead: open (and madvise) every shard this plan will probe
-        # before execution starts; a no-op on non-sharded stores.
-        store.prefetch_labels({edge.label for edge in plan.order})
-        relation = _empty_relation()
-        for edge in plan:
-            relation = extend_with_edge(
-                store, relation, edge, injective=injective, max_rows=max_rows
-            )
-            if relation.is_empty():
-                return _pad_empty_schema(relation, plan)
-        return relation
-
-    order = arena.plan_for(edges, store).order
-    store.prefetch_labels({edge.label for edge in order})
-    start, cached = arena.longest_prefix(order)
-    if cached is not None:
-        from repro.storage.batch import OVERFLOW
-
-        if cached is OVERFLOW:
-            _raise_max_rows(max_rows)
-        relation = cached
-    else:
-        relation = arena.first_edge_relation(store, order[0], injective)
-        if max_rows is not None and relation.num_rows > max_rows:
-            _raise_max_rows(max_rows)
-        arena.remember_prefix(order[:1], relation)
-        start = 1
-    if relation.is_empty():
-        return _pad_empty_schema(relation, order)
-    for at in range(start, len(order)):
-        try:
-            relation = extend_with_edge(
-                store, relation, order[at], injective=injective, max_rows=max_rows
-            )
-        except LatticeError:
-            from repro.storage.batch import OVERFLOW
-
-            arena.remember_prefix(order[: at + 1], OVERFLOW)
-            raise
-        arena.remember_prefix(order[: at + 1], relation)
+    plan = plan_join_order(edges, store)
+    # Read-ahead: open (and madvise) every shard this plan will probe
+    # before execution starts; a no-op on non-sharded stores.
+    store.prefetch_labels({edge.label for edge in plan.order})
+    relation = _empty_relation()
+    for edge in plan:
+        relation = extend_with_edge(
+            store, relation, edge, injective=injective, max_rows=max_rows
+        )
         if relation.is_empty():
-            return _pad_empty_schema(relation, order)
+            return _pad_empty_schema(relation, plan)
     return relation

@@ -328,6 +328,19 @@ def test_async_answers_match_direct(async_server, figure1_system):
     ]
 
 
+def test_async_reports_nodes_the_join_cap_skipped(figure1_graph):
+    capped = GQBE(figure1_graph, config=GQBEConfig(mqg_size=10, max_join_rows=1))
+    server = AsyncGQBEServer(capped, port=0).start()
+    try:
+        status, body = _post(
+            server, "/query", {"tuple": ["Jerry Yang", "Yahoo!"], "k": 3}
+        )
+    finally:
+        server.stop()
+    assert status == 200
+    assert body["nodes_skipped"] > 0
+
+
 def test_async_cache_hit_bypasses_admission(async_server):
     payload = {"tuple": ["Jerry Yang", "Yahoo!"], "k": 7}
     _, first = _post(async_server, "/query", payload)

@@ -1,27 +1,28 @@
 """`query_batch` must be byte-identical to sequential `query()` calls.
 
-The batch arena (:mod:`repro.storage.batch`) memoizes join plans,
-plan-prefix relations, first-edge scans and child-extension relations
-across the queries of one batch.  Every memo replays work a sequential
-query would have computed identically, so the ranked answers — entities,
-scores, ranks — and the exploration statistics must match exactly, for
-every batch size and join dispatch regime (the ``join_regime`` fixture:
-the Python scalar tail, the numpy kernels, or the adaptive mix that
-ships).  These tests pin that contract on the Fig. 14-style synthetic
-workload (batch sizes 1, 2 and the full 20-query workload) and on the
-Fig. 1 running example.
+A batch runs each distinct tuple once through ``query()`` and fans the
+result out to its duplicates, so the ranked answers — entities, scores,
+ranks — and the exploration statistics must match exactly, for every
+batch size and join dispatch regime (the ``join_regime`` fixture: the
+Python scalar tail, the numpy kernels, or the adaptive mix that ships).
+These tests pin that contract on the Fig. 14-style synthetic workload
+(batch sizes 1, 2 and the full 20-query workload) and on the Fig. 1
+running example, and that queries of one batch share no join state: no
+match relation of one query outlives it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import gc
+import weakref
+
 import pytest
 
 from repro.core.config import GQBEConfig
 from repro.core.gqbe import GQBE
 from repro.datasets.workloads import build_freebase_workload
 from repro.exceptions import QueryError
-from repro.storage.batch import JoinMemoArena
+from repro.lattice.exploration import LatticeNodeEvaluator
 
 
 @pytest.fixture(scope="module")
@@ -86,40 +87,6 @@ def test_batch_matches_sequential_with_k_prime_override(system, workload, join_r
         assert stats_key(seq) == stats_key(bat)
 
 
-def test_batch_with_memo_disabled_matches(system, workload):
-    """batch_join_memo=False must take the plain per-query path."""
-    config = GQBEConfig(
-        mqg_size=8,
-        k_prime=20,
-        node_budget=500,
-        max_join_rows=50_000,
-        batch_join_memo=False,
-    )
-    batching = GQBE(workload.dataset.graph, config=config)
-    tuples = [query.query_tuple for query in workload.queries][:5]
-    batched = batching.query_batch(tuples, k=5)
-    sequential = [system.query(t, k=5) for t in tuples]
-    for seq, bat in zip(sequential, batched):
-        assert answer_key(seq) == answer_key(bat)
-
-
-def test_batch_with_memo_row_cap_zero_matches(system, workload):
-    """batch_memo_max_rows=0 caches nothing yet answers stay identical."""
-    config = GQBEConfig(
-        mqg_size=8,
-        k_prime=20,
-        node_budget=500,
-        max_join_rows=50_000,
-        batch_memo_max_rows=0,
-    )
-    batching = GQBE(workload.dataset.graph, config=config)
-    tuples = [query.query_tuple for query in workload.queries][:5]
-    batched = batching.query_batch(tuples, k=5)
-    sequential = [system.query(t, k=5) for t in tuples]
-    for seq, bat in zip(sequential, batched):
-        assert answer_key(seq) == answer_key(bat)
-
-
 def test_duplicate_queries_collapse_and_fan_out(system, workload):
     """Duplicates are evaluated once but every caller gets full answers."""
     base = workload.queries[0].query_tuple
@@ -138,34 +105,45 @@ def test_duplicate_queries_collapse_and_fan_out(system, workload):
     assert results[0].statistics is not results[2].statistics
 
 
-def test_arena_replayed_first_edges_are_int32(system, workload, monkeypatch):
-    """First-edge scans replayed from the arena keep the int32 matrix, and
-    the batch that replays them still equals sequential ``query()``."""
-    tuples = [query.query_tuple for query in workload.queries]
-    sequential = [system.query(t, k=5) for t in tuples]
+def test_no_relation_of_one_query_outlives_it(workload, monkeypatch):
+    """When the next query of a batch starts, every match relation the
+    earlier ones held is garbage: a batch holds one query's joins at a
+    time, whatever their size."""
+    # At r = 15 the first query holds a 234-row relation.
+    system = GQBE(
+        workload.dataset.graph,
+        config=GQBEConfig(k_prime=20, node_budget=500, max_join_rows=50_000),
+    )
+    tuples = [workload.queries[i].query_tuple for i in (6, 0, 1)]
+    started: list[tuple[str, ...]] = []
+    #: (index of the query that held it, rows, weakref to its matrix)
+    held: list[tuple[int, int, weakref.ref]] = []
+    hold = LatticeNodeEvaluator._hold
+    discover = GQBE.discover_query_graph
 
-    replayed = []
-    first_edge_relation = JoinMemoArena.first_edge_relation
+    def spy_hold(self, mask, relation, readers):
+        matrix = weakref.ref(relation.columns)
+        held.append((len(started) - 1, relation.num_rows, matrix))
+        hold(self, mask, relation, readers)
 
-    def spy(arena, store, edge, injective):
-        hits = arena.first_edge_hits
-        relation = first_edge_relation(arena, store, edge, injective)
-        if arena.first_edge_hits > hits:
-            replayed.append(relation)
-        return relation
+    def spy_discover(self, query_tuple):
+        gc.collect()
+        alive = [(query, rows) for query, rows, ref in held if ref() is not None]
+        assert alive == [], f"relations outlived their query: {alive}"
+        started.append(tuple(query_tuple))
+        return discover(self, query_tuple)
 
-    monkeypatch.setattr(JoinMemoArena, "first_edge_relation", spy)
-    batched = system.query_batch(tuples, k=5)
-    assert replayed
-    for relation in replayed:
-        assert relation.columns.dtype == np.int32
-    for seq, bat in zip(sequential, batched):
-        assert answer_key(seq) == answer_key(bat)
-        assert stats_key(seq) == stats_key(bat)
+    monkeypatch.setattr(LatticeNodeEvaluator, "_hold", spy_hold)
+    monkeypatch.setattr(GQBE, "discover_query_graph", spy_discover)
+    system.query_batch(tuples, k=5)
+    assert started == tuples
+    # The first query held a relation past the scalar tail's 64 rows.
+    assert max(rows for query, rows, _ref in held if query == 0) > 64
 
 
 def test_batch_arena_is_discarded_between_calls(system, workload):
-    """Two identical batch calls return identical answers (no state leak)."""
+    """No state leaks between calls: two identical batch calls return
+    identical answers and statistics."""
     tuples = [query.query_tuple for query in workload.queries][:6]
     first = system.query_batch(tuples, k=5)
     second = system.query_batch(tuples, k=5)

@@ -600,3 +600,20 @@ def test_repo_baseline_has_no_placeholder_justifications():
         if entry.get("justification", "").startswith("TODO")
     ]
     assert placeholders == [], "baseline entries must carry real justifications"
+
+
+def test_every_contract_path_names_a_source_file():
+    """A deleted module cannot leave a dead contract entry behind."""
+    from tools.gqbecheck.project import CONTRACT_PATHS
+
+    sources = [
+        path.relative_to(REPO_ROOT).as_posix()
+        for path in (REPO_ROOT / "src").rglob("*.py")
+    ]
+    dead = [
+        fragment
+        for fragments in CONTRACT_PATHS.values()
+        for fragment in fragments
+        if not any(fragment in source for source in sources)
+    ]
+    assert dead == []

@@ -64,6 +64,8 @@ class TestCLI:
         assert "MQG edges" in output
         peak = output.split("peak retained rows: ")[1].split()[0]
         assert int(peak) > 0
+        skipped = output.split("lattice nodes skipped (join cap): ")[1].split()[0]
+        assert int(skipped) == 0
 
     def test_generate_command(self, tmp_path, capsys):
         out = tmp_path / "synthetic.tsv"

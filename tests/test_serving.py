@@ -602,6 +602,20 @@ def test_serve_in_flight_result_cannot_poison_cache_after_reload(
         server.close_engine()
 
 
+def test_serve_reports_nodes_the_join_cap_skipped(figure1_server, figure1_graph):
+    """A query whose joins overflow ``max_join_rows`` says so in its body."""
+    payload = {"tuple": ["Jerry Yang", "Yahoo!"], "k": 3}
+    assert _post(figure1_server, "/query", payload)[1]["nodes_skipped"] == 0
+    capped = GQBE(figure1_graph, config=GQBEConfig(mqg_size=10, max_join_rows=1))
+    core = ServingCore(capped)
+    try:
+        status, body = core.handle_query(payload)
+    finally:
+        core.close_engine()
+    assert status == 200
+    assert body["nodes_skipped"] > 0
+
+
 # ----------------------------------------------------------------------
 # bench-serve load driver + CLI plumbing
 # ----------------------------------------------------------------------

@@ -1,13 +1,12 @@
 """Determinism rules (contract ``deterministic``).
 
 The equivalence-pinned modules — lattice exploration/scoring,
-``storage/join.py``, ``storage/batch.py`` and the NESS/breadth-first
-baselines — carry the repo's headline guarantee: ranked answers are
-byte-identical across cold builds, mapped snapshots, live ingest, join
-dispatch regimes, entity id assignments, batched and inline/pooled
-execution, and under any ``PYTHONHASHSEED``.  That guarantee dies
-quietly the moment answer-feeding code iterates an unordered collection,
-consults a
+``storage/join.py`` and the NESS/breadth-first baselines — carry the
+repo's headline guarantee: ranked answers are byte-identical across
+cold builds, mapped snapshots, live ingest, join dispatch regimes,
+entity id assignments, batched and inline/pooled execution, and under
+any ``PYTHONHASHSEED``.  That guarantee dies quietly the moment
+answer-feeding code iterates an unordered collection, consults a
 clock or RNG, or plucks "the first" element of a set.  CPython's set
 iteration order depends on insertion history *and* on hash
 randomization for str keys, so such a bug can pass every local run and

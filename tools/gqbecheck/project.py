@@ -31,7 +31,6 @@ CONTRACT_PATHS: dict[str, tuple[str, ...]] = {
     "deterministic": (
         "repro/lattice/",
         "repro/storage/join.py",
-        "repro/storage/batch.py",
         "repro/baselines/",
     ),
     "concurrent": ("repro/serving/",),
