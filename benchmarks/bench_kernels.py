@@ -1,22 +1,23 @@
-"""Native vs pure-Python kernel backends on the Fig. 14 workload.
+"""The native CSR neighbor kernel against its pure-Python twin, and the
+Fig. 14 lattice exploration.
 
-Two benchmark pairs, gated by ``check_regression.py --speedup-pair``:
+* ``test_ness_csr_neighbors_{python,native}`` — replays, over a v3 mapped
+  snapshot, one ``csr_neighbors`` call for every neighbor list the NESS
+  baseline asks for while it answers the full Fig. 14 Freebase workload
+  (candidate refinement and the pivot neighborhoods), against one
+  backend.  ``csr_neighbors`` is the one kernel left, and a mapped
+  graph's ``neighbors()`` is its only caller (NESS itself runs on the
+  owned graph, whose ``neighbors()`` the trace records); CI gates the
+  native side at >= 2x the pure side (``check_regression.py
+  --speedup-pair``).
+* ``test_fig14_explore_python`` — the end-to-end lattice exploration of
+  the same workload.  Exploration calls no kernel (every join is
+  whole-array numpy), so it has no native twin; the baseline gate times
+  it alone.
 
-* ``test_fig14_kernel_hot_paths_{python,native}`` — replays the exact
-  kernel-call trace of the full Fig. 14 Freebase workload over a v3
-  mapped snapshot (every ``csr_neighbors``, ``probe_tail`` and
-  ``filter_pairs`` call the 20 queries make, with the same arguments)
-  against one backend.  This
-  isolates the interpreter loops the native extension replaces; CI
-  gates the native side at >= 2x the pure side.
-* ``test_fig14_explore_{python,native}`` — the end-to-end lattice
-  exploration of the same workload per backend.  The explore phase is
-  numpy-dominated (the vectorized join core), so the honest end-to-end
-  win is modest; CI gates only that native never loses to pure.
-
-The trace is captured once by substituting recording wrappers into the
-live kernel namespace and running every workload query below the GQBE
-facade (which would re-assert its kernel mode and unbind the recorder).
+The trace is captured once by running NESS over the workload's graph
+with ``KnowledgeGraph.neighbors`` wrapped to log the node each lookup
+asks for; each node becomes the kernel call a mapped graph makes for it.
 Each replay starts from prebound backend callables, rebuilt in the
 benchmark's untimed setup phase, so the timed region runs kernel calls
 only.
@@ -25,25 +26,24 @@ only.
 from __future__ import annotations
 
 import os
+from unittest import mock
 
 import pytest
 
 from repro import _kernels
-from repro._kernels import kernels
-from repro.discovery.mqg import discover_maximal_query_graph
+from repro.baselines.ness import NESSMatcher
 from repro.evaluation.harness import ExperimentHarness, HarnessConfig
-from repro.graph.neighborhood import neighborhood_graph
+from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.lattice.exploration import BestFirstExplorer
 from repro.lattice.query_graph import LatticeSpace
 from repro.storage.snapshot import GraphStore
 
-#: Floor on the trace's workload scale.  The kernels' win grows with the
-#: size of the scalar loops; at the CI smoke scale (0.25) the replayed
-#: loops are short enough that per-call dispatch overhead drags the
-#: hot-path ratio under its 2x gate.  The gated pair therefore always
-#: records its trace at >= 0.5 — the suite's default scale, where the
-#: documented speedups were measured — while still following any larger
-#: GQBE_BENCH_SCALE.  (Same default as benchmarks/conftest.py.)
+#: Floor on the trace's workload scale.  The kernel's win grows with the
+#: length of the neighbor lists; at the CI smoke scale (0.25) per-call
+#: dispatch overhead drags the ratio toward its 2x gate.  The gated pair
+#: therefore always records its trace at >= 0.5, the suite's default
+#: scale, while still following any larger GQBE_BENCH_SCALE.  (Same
+#: default as benchmarks/conftest.py.)
 TRACE_SCALE = max(float(os.environ.get("GQBE_BENCH_SCALE", "0.5")), 0.5)
 
 # ---------------------------------------------------------------------------
@@ -51,99 +51,22 @@ TRACE_SCALE = max(float(os.environ.get("GQBE_BENCH_SCALE", "0.5")), 0.5)
 # ---------------------------------------------------------------------------
 
 
-class _Recorder:
-    """Records every kernel call issued by the engine into a trace.
+def _ness_neighbor_lookups(harness) -> list[str]:
+    """The node of every ``neighbors()`` call NESS makes on the workload."""
+    bundle = harness._bundle("freebase")
+    matcher = NESSMatcher(bundle.workload.dataset.graph)
+    neighbors = KnowledgeGraph.neighbors
+    nodes: list[str] = []
 
-    Each trace entry is ``(op, args...)``.
-    """
+    def recording(graph, node):
+        nodes.append(node)
+        return neighbors(graph, node)
 
-    def __init__(self, backend):
-        self.backend = backend
-        self.trace: list[tuple] = []
-
-    def csr_neighbors(self, node_id, out_indptr, out_objects, in_indptr,
-                      in_subjects):
-        self.trace.append(("csr_neighbors", node_id, out_indptr, out_objects,
-                           in_indptr, in_subjects))
-        return self.backend.csr_neighbors(node_id, out_indptr, out_objects,
-                                          in_indptr, in_subjects)
-
-    def probe_tail(self, rows, buckets, bound_col, injective, max_rows):
-        self.trace.append(("probe_tail", rows, buckets, bound_col, injective,
-                           max_rows))
-        return self.backend.probe_tail(rows, buckets, bound_col, injective,
-                                       max_rows)
-
-    def filter_pairs(self, rows, subject_col, object_col, pairs):
-        self.trace.append(("filter_pairs", rows, subject_col, object_col,
-                           pairs))
-        return self.backend.filter_pairs(rows, subject_col, object_col, pairs)
-
-
-def _record_workload_trace(harness, graph_store):
-    """Run every Fig. 14 query over the mapped snapshot, capturing calls."""
-    queries = harness._bundle("freebase").workload.queries
-    graph = graph_store.graph
-    statistics = graph_store.statistics
-    store = graph_store.store
-    recorder = _Recorder(_kernels._pure)
-    saved_mode = "on" if kernels.backend == "native" else "off"
-    kernels._bind(recorder, "recording")
-    try:
-        for query in queries:
-            neighborhood = neighborhood_graph(graph, query.query_tuple, d=2)
-            mqg = discover_maximal_query_graph(
-                neighborhood, statistics, r=harness.config.mqg_size)
-            explorer = BestFirstExplorer(
-                LatticeSpace(mqg),
-                store,
-                k=10,
-                k_prime=harness.config.k_prime,
-                excluded_tuples={query.query_tuple},
-                max_rows=harness.config.max_join_rows,
-                node_budget=harness.config.node_budget,
-            )
-            explorer.run()
-    finally:
-        # select() with a real mode restores the real function bindings.
-        _kernels.select(saved_mode)
-    return recorder.trace
-
-
-def _materialize(trace, backend):
-    """Per-op call batches.
-
-    Built in the benchmark's untimed setup phase so the timed region is
-    nothing but kernel calls: per-op loops with exact arities (direct
-    vectorcalls, no ``*args`` unpacking) and prebound backend callables.
-    Replay order is per-op instead of interleaved; no kernel mutates its
-    inputs, so the work per call is unchanged.
-    """
-    csr, probe, filt = [], [], []
-    for entry in trace:
-        op = entry[0]
-        if op == "csr_neighbors":
-            csr.append(entry[1:])
-        elif op == "probe_tail":
-            probe.append(entry[1:])
-        elif op == "filter_pairs":
-            filt.append(entry[1:])
-    return backend, (csr, probe, filt)
-
-
-def _replay(backend, batches):
-    """Run every traced kernel call; the whole loop is kernel time."""
-    csr, probe, filt = batches
-    csr_neighbors = backend.csr_neighbors
-    for node_id, out_ip, out_obj, in_ip, in_subj in csr:
-        csr_neighbors(node_id, out_ip, out_obj, in_ip, in_subj)
-    probe_tail = backend.probe_tail
-    for rows, buckets, bound_col, injective, max_rows in probe:
-        probe_tail(rows, buckets, bound_col, injective, max_rows)
-    filter_pairs = backend.filter_pairs
-    for rows, subject_col, object_col, pairs in filt:
-        filter_pairs(rows, subject_col, object_col, pairs)
-    return sum(map(len, batches))
+    with mock.patch.object(KnowledgeGraph, "neighbors", recording):
+        for query in bundle.workload.queries:
+            mqg = harness._mqg("freebase", query.query_tuple)
+            matcher.query(mqg, k=30, excluded_tuples={query.query_tuple})
+    return nodes
 
 
 @pytest.fixture(scope="module")
@@ -165,37 +88,49 @@ def trace_harness(harness):
 
 @pytest.fixture(scope="module")
 def kernel_trace(trace_harness, tmp_path_factory):
-    """The Fig. 14 workload's kernel-call trace over a v3 snapshot."""
+    """``csr_neighbors`` argument tuples over a v3 mapped snapshot."""
     workload = trace_harness.freebase_workload()
     path = tmp_path_factory.mktemp("kernel-bench") / "freebase.snap"
     GraphStore.build(workload.dataset.graph).save(path)
-    trace = _record_workload_trace(trace_harness, GraphStore.load(path))
-    assert trace, "the Fig. 14 workload issued no kernel calls"
+    graph = GraphStore.load(path).graph
+    columns = (graph.out_indptr, graph.out_objects, graph.in_indptr, graph.in_subjects)
+    trace = [
+        (graph.node_id(node), *columns)
+        for node in _ness_neighbor_lookups(trace_harness)
+    ]
+    assert trace, "NESS made no neighbor lookup on the Fig. 14 workload"
     return trace
 
 
-def _bench_hot_paths(benchmark, kernel_trace, backend):
+def _replay(csr_neighbors, trace):
+    """Run every traced kernel call; the whole loop is kernel time."""
+    for node_id, out_ip, out_obj, in_ip, in_subj in trace:
+        csr_neighbors(node_id, out_ip, out_obj, in_ip, in_subj)
+    return len(trace)
+
+
+def _bench_hot_path(benchmark, kernel_trace, backend):
     calls = benchmark.pedantic(
         _replay,
-        setup=lambda: (_materialize(kernel_trace, backend), {}),
+        setup=lambda: ((backend.csr_neighbors, kernel_trace), {}),
         rounds=25,
     )
     print(f"\n{calls} kernel calls replayed per round")
 
 
-def test_fig14_kernel_hot_paths_python(benchmark, kernel_trace):
-    _bench_hot_paths(benchmark, kernel_trace, _kernels._pure)
+def test_ness_csr_neighbors_python(benchmark, kernel_trace):
+    _bench_hot_path(benchmark, kernel_trace, _kernels._pure)
 
 
-def test_fig14_kernel_hot_paths_native(benchmark, kernel_trace):
+def test_ness_csr_neighbors_native(benchmark, kernel_trace):
     if not _kernels.native_available():
         pytest.skip(f"native extension unavailable: "
                     f"{_kernels.native_import_error()}")
-    _bench_hot_paths(benchmark, kernel_trace, _kernels._probe_native())
+    _bench_hot_path(benchmark, kernel_trace, _kernels._probe_native())
 
 
 # ---------------------------------------------------------------------------
-# end-to-end explore pair
+# end-to-end exploration
 # ---------------------------------------------------------------------------
 
 
@@ -213,27 +148,11 @@ def _explore_workload(harness, bundle, mqgs):
         explorer.run()
 
 
-def _bench_explore(benchmark, harness, mode):
+def test_fig14_explore_python(benchmark, harness):
     bundle = harness._bundle("freebase")
     mqgs = [
         (query, harness._mqg("freebase", query.query_tuple))
         for query in bundle.workload.queries
     ]
-    previous = kernels.backend
-    _kernels.select(mode)
-    try:
-        benchmark.pedantic(_explore_workload, (harness, bundle, mqgs),
-                           rounds=10, warmup_rounds=1)
-    finally:
-        _kernels.select("on" if previous == "native" else "off")
-
-
-def test_fig14_explore_python(benchmark, harness):
-    _bench_explore(benchmark, harness, "off")
-
-
-def test_fig14_explore_native(benchmark, harness):
-    if not _kernels.native_available():
-        pytest.skip(f"native extension unavailable: "
-                    f"{_kernels.native_import_error()}")
-    _bench_explore(benchmark, harness, "on")
+    benchmark.pedantic(_explore_workload, (harness, bundle, mqgs),
+                       rounds=10, warmup_rounds=1)

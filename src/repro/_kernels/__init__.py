@@ -1,11 +1,11 @@
 """Kernel backend selection: native C extension vs pure-Python fallback.
 
-The engine's innermost scalar loops (a node's CSR neighbor list, and
-the ≤64-row scalar join-probe tail and pair filter) exist twice: as the
-pure-Python reference in :mod:`repro._kernels._pure` and as a C
-extension in ``repro._kernels._native`` (built by ``pip install``;
-optional, the build may fail or be skipped).  Both implement the same
-functions with the same signatures and byte-identical outputs
+The engine's one innermost scalar loop, a node's CSR neighbor list (read
+by ``MappedKnowledgeGraph.neighbors()``; no GQBE query calls it), exists
+twice: as the pure-Python reference in :mod:`repro._kernels._pure` and
+as a C extension in ``repro._kernels._native`` (built by ``pip
+install``; optional, the build may fail or be skipped).  Both implement the same
+function with the same signature and byte-identical outputs
 (``tests/test_native_kernels.py``).
 
 Call sites import the module-level :data:`kernels` namespace and read
@@ -70,22 +70,15 @@ def native_import_error() -> BaseException | None:
 class _KernelNamespace:
     """The active backend's kernel functions, re-bound by :func:`select`."""
 
-    __slots__ = (
-        "backend",
-        "csr_neighbors",
-        "probe_tail",
-        "filter_pairs",
-    )
+    __slots__ = ("backend", "csr_neighbors")
 
     def _bind(self, module, backend: str) -> None:
         self.backend = backend
         self.csr_neighbors = module.csr_neighbors
-        self.probe_tail = module.probe_tail
-        self.filter_pairs = module.filter_pairs
 
 
 #: The active backend.  Read attributes at call time (never ``from
-#: kernels import probe_tail``) so a later :func:`select` takes effect.
+#: kernels import csr_neighbors``) so a later :func:`select` takes effect.
 kernels = _KernelNamespace()
 
 

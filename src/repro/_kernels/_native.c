@@ -1,16 +1,13 @@
-/* Native kernels for the engine's innermost scalar loops.
+/* Native kernel for the engine's one remaining scalar loop.
  *
- * Each function here is the compiled twin of one function in
- * repro/_kernels/_pure.py and must stay byte-identical to it: same
- * match/visit order, same overflow timing, same Python object
- * semantics (tuple concat, membership tests).
- * tests/test_native_kernels.py pins every pair.
+ * csr_neighbors is the compiled twin of the function of the same name
+ * in repro/_kernels/_pure.py and must stay byte-identical to it: same
+ * visit order, same Python ints out.  tests/test_native_kernels.py pins
+ * the pair.
  *
  * Int64 columns arrive as C-contiguous read-only buffers (numpy arrays
- * or mmap-backed views); row data arrives as the interpreter objects
- * the pure path loops over (lists of tuples, dict buckets, sets), so
- * the win is purely the removal of interpreter dispatch, not a data
- * layout change.
+ * or mmap-backed views), so the win is purely the removal of
+ * interpreter dispatch, not a data layout change.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -49,7 +46,7 @@ i64_release(I64Buffer *buffer)
     PyBuffer_Release(&buffer->view);
 }
 
-/* All entry points use METH_FASTCALL: the kernels run thousands of
+/* The entry point uses METH_FASTCALL: the kernel runs thousands of
  * times per query on small inputs, where the argument-tuple pack and
  * PyArg_ParseTuple format scan are a visible fraction of the call. */
 
@@ -59,16 +56,6 @@ check_arity(const char *name, Py_ssize_t nargs, Py_ssize_t expected)
     if (nargs != expected) {
         PyErr_Format(PyExc_TypeError, "%s expected %zd arguments, got %zd",
                      name, expected, nargs);
-        return -1;
-    }
-    return 0;
-}
-
-static int
-check_dict(const char *name, PyObject *obj)
-{
-    if (!PyDict_Check(obj)) {
-        PyErr_Format(PyExc_TypeError, "%s must be a dict", name);
         return -1;
     }
     return 0;
@@ -148,265 +135,6 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
-/* probe_tail                                                         */
-/* ------------------------------------------------------------------ */
-
-static PyObject *
-kernel_probe_tail(PyObject *Py_UNUSED(module), PyObject *const *args,
-                  Py_ssize_t nargs)
-{
-    if (check_arity("probe_tail", nargs, 5) < 0)
-        return NULL;
-    PyObject *rows = args[0], *buckets = args[1];
-    if (check_dict("buckets", buckets) < 0)
-        return NULL;
-    Py_ssize_t bound_col = PyLong_AsSsize_t(args[2]);
-    if (bound_col == -1 && PyErr_Occurred())
-        return NULL;
-    int injective = PyObject_IsTrue(args[3]);
-    if (injective < 0)
-        return NULL;
-    Py_ssize_t max_rows = PyLong_AsSsize_t(args[4]);
-    if (max_rows == -1 && PyErr_Occurred())
-        return NULL;
-
-    PyObject *fast = PySequence_Fast(rows, "rows must be a sequence");
-    if (fast == NULL)
-        return NULL;
-
-    Py_ssize_t n_rows = PySequence_Fast_GET_SIZE(fast);
-    PyObject **row_items = PySequence_Fast_ITEMS(fast);
-
-    /* Phase 1: probe every row's bucket once, remember the match tuples
-     * (owned — a user __eq__ in the injective scan may mutate buckets,
-     * and the pure loop's local binding keeps its tuple alive the same
-     * way), and sum an output upper bound.  The tail is at most the
-     * vectorization threshold (64 rows); larger inputs spill to the
-     * heap rather than being rejected. */
-    PyObject *matches_stack[64];
-    PyObject **matches_by_row = matches_stack;
-    if (n_rows > 64) {
-        matches_by_row = PyMem_New(PyObject *, (size_t)n_rows);
-        if (matches_by_row == NULL) {
-            Py_DECREF(fast);
-            return PyErr_NoMemory();
-        }
-    }
-    Py_ssize_t upper = 0;
-    Py_ssize_t n_probed = 0;
-    PyObject *out = NULL;
-    for (Py_ssize_t i = 0; i < n_rows; i++) {
-        PyObject *row = row_items[i];
-        if (!PyTuple_Check(row) || bound_col >= PyTuple_GET_SIZE(row)) {
-            PyErr_SetString(PyExc_TypeError,
-                            "rows must be tuples covering bound_col");
-            goto fail;
-        }
-        PyObject *matches = PyDict_GetItemWithError(
-            buckets, PyTuple_GET_ITEM(row, bound_col));
-        if (matches == NULL && PyErr_Occurred())
-            goto fail;
-        if (matches != NULL) {
-            if (!PyTuple_Check(matches)) {
-                PyErr_SetString(PyExc_TypeError,
-                                "bucket values must be tuples");
-                goto fail;
-            }
-            upper += PyTuple_GET_SIZE(matches);
-            Py_INCREF(matches);
-        }
-        matches_by_row[i] = matches;
-        n_probed = i + 1;
-    }
-
-    /* Phase 2: fill a pre-sized list — no per-output append calls.
-     * The list briefly holds NULL slots beyond `used`; list_traverse
-     * and list_dealloc both tolerate that, and the final Py_SET_SIZE
-     * hides any slots the injective filter skipped. */
-    out = PyList_New(upper);
-    if (out == NULL)
-        goto fail;
-    Py_ssize_t used = 0;
-    for (Py_ssize_t i = 0; i < n_rows; i++) {
-        PyObject *matches = matches_by_row[i];
-        if (matches == NULL)
-            continue;
-        Py_ssize_t n_matches = PyTuple_GET_SIZE(matches);
-        if (n_matches == 0)
-            continue;
-        PyObject *row = row_items[i];
-        Py_ssize_t row_len = PyTuple_GET_SIZE(row);
-        /* Mapped rows hold machine-sized ints, so the injective scan
-         * can run over an int64 image of the row extracted once and
-         * shared by every match — cells_known is computed lazily on the
-         * first injective match (-1 pending, 0 mixed/wide, 1 all-int).
-         * Any non-int or overflowing cell or value falls back to the
-         * object scan, whose int==int semantics the fast path matches
-         * exactly (bools are not CheckExact and take the fallback). */
-        int64_t cells[64];
-        int cells_known = -1;
-        for (Py_ssize_t m = 0; m < n_matches; m++) {
-            PyObject *value = PyTuple_GET_ITEM(matches, m);
-            if (injective) {
-                if (cells_known < 0) {
-                    cells_known = row_len <= 64;
-                    for (Py_ssize_t c = 0; cells_known && c < row_len;
-                         c++) {
-                        PyObject *cell = PyTuple_GET_ITEM(row, c);
-                        if (!PyLong_CheckExact(cell)) {
-                            cells_known = 0;
-                            break;
-                        }
-                        int overflow = 0;
-                        long long v =
-                            PyLong_AsLongLongAndOverflow(cell, &overflow);
-                        if (v == -1 && PyErr_Occurred())
-                            goto fail;
-                        if (overflow) {
-                            cells_known = 0;
-                            break;
-                        }
-                        cells[c] = v;
-                    }
-                }
-                int present = 0;
-                int scanned = 0;
-                if (cells_known && PyLong_CheckExact(value)) {
-                    int overflow = 0;
-                    long long v =
-                        PyLong_AsLongLongAndOverflow(value, &overflow);
-                    if (v == -1 && PyErr_Occurred())
-                        goto fail;
-                    if (!overflow) {
-                        scanned = 1;
-                        for (Py_ssize_t c = 0; c < row_len; c++) {
-                            if (cells[c] == v) {
-                                present = 1;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if (!scanned) {
-                    /* Object scan with an identity check ahead of the
-                     * rich-compare call: the interned engine reuses
-                     * node objects, so equal cells are usually the
-                     * same object. */
-                    for (Py_ssize_t c = 0; c < row_len; c++) {
-                        PyObject *cell = PyTuple_GET_ITEM(row, c);
-                        if (cell == value) {
-                            present = 1;
-                            break;
-                        }
-                        present =
-                            PyObject_RichCompareBool(cell, value, Py_EQ);
-                        if (present)
-                            break;
-                    }
-                }
-                if (present < 0)
-                    goto fail;
-                if (present)
-                    continue;
-            }
-            PyObject *extended = PyTuple_New(row_len + 1);
-            if (extended == NULL)
-                goto fail;
-            for (Py_ssize_t c = 0; c < row_len; c++) {
-                PyObject *cell = PyTuple_GET_ITEM(row, c);
-                Py_INCREF(cell);
-                PyTuple_SET_ITEM(extended, c, cell);
-            }
-            Py_INCREF(value);
-            PyTuple_SET_ITEM(extended, row_len, value);
-            PyList_SET_ITEM(out, used, extended);
-            used++;
-        }
-        if (max_rows >= 0 && used > max_rows) {
-            /* Overflow: the caller raises its documented error. */
-            Py_SET_SIZE(out, used);
-            Py_CLEAR(out);
-            goto cleanup;
-        }
-    }
-    Py_SET_SIZE(out, used);
-    goto cleanup;
-
-fail:
-    /* list_dealloc Py_XDECREFs every slot, so NULL tails are fine. */
-    Py_CLEAR(out);
-
-cleanup:
-    for (Py_ssize_t i = 0; i < n_probed; i++)
-        Py_XDECREF(matches_by_row[i]);
-    if (matches_by_row != matches_stack)
-        PyMem_Free(matches_by_row);
-    Py_DECREF(fast);
-    if (out != NULL)
-        return out;
-    if (PyErr_Occurred())
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-/* ------------------------------------------------------------------ */
-/* filter_pairs                                                       */
-/* ------------------------------------------------------------------ */
-
-static PyObject *
-kernel_filter_pairs(PyObject *Py_UNUSED(module), PyObject *const *args,
-                    Py_ssize_t nargs)
-{
-    if (check_arity("filter_pairs", nargs, 4) < 0)
-        return NULL;
-    PyObject *rows = args[0], *pairs = args[3];
-    Py_ssize_t subject_col = PyLong_AsSsize_t(args[1]);
-    if (subject_col == -1 && PyErr_Occurred())
-        return NULL;
-    Py_ssize_t object_col = PyLong_AsSsize_t(args[2]);
-    if (object_col == -1 && PyErr_Occurred())
-        return NULL;
-
-    PyObject *fast = PySequence_Fast(rows, "rows must be a sequence");
-    if (fast == NULL)
-        return NULL;
-    PyObject *out = PyList_New(0);
-    if (out == NULL) {
-        Py_DECREF(fast);
-        return NULL;
-    }
-
-    Py_ssize_t n_rows = PySequence_Fast_GET_SIZE(fast);
-    PyObject **row_items = PySequence_Fast_ITEMS(fast);
-    for (Py_ssize_t i = 0; i < n_rows; i++) {
-        PyObject *row = row_items[i];
-        if (!PyTuple_Check(row) || subject_col >= PyTuple_GET_SIZE(row) ||
-            object_col >= PyTuple_GET_SIZE(row)) {
-            PyErr_SetString(PyExc_TypeError,
-                            "rows must be tuples covering both columns");
-            goto fail;
-        }
-        PyObject *pair = PyTuple_Pack(2, PyTuple_GET_ITEM(row, subject_col),
-                                      PyTuple_GET_ITEM(row, object_col));
-        if (pair == NULL)
-            goto fail;
-        int present = PySet_Contains(pairs, pair);
-        Py_DECREF(pair);
-        if (present < 0)
-            goto fail;
-        if (present && PyList_Append(out, row) < 0)
-            goto fail;
-    }
-    Py_DECREF(fast);
-    return out;
-
-fail:
-    Py_DECREF(out);
-    Py_DECREF(fast);
-    return NULL;
-}
-
-/* ------------------------------------------------------------------ */
 /* module                                                             */
 /* ------------------------------------------------------------------ */
 
@@ -414,19 +142,13 @@ static PyMethodDef module_methods[] = {
     {"csr_neighbors", (PyCFunction)(void (*)(void))kernel_csr_neighbors,
      METH_FASTCALL,
      "Undirected neighbor ids of one node, out slice then in slice."},
-    {"probe_tail", (PyCFunction)(void (*)(void))kernel_probe_tail,
-     METH_FASTCALL,
-     "Scalar one-sided join-probe tail over dict buckets."},
-    {"filter_pairs", (PyCFunction)(void (*)(void))kernel_filter_pairs,
-     METH_FASTCALL,
-     "Scalar both-endpoints-bound join filter over a pair set."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef native_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro._kernels._native",
-    .m_doc = "Native kernels for the neighborhood and join hot paths.",
+    .m_doc = "Native kernel for the CSR neighbor list.",
     .m_size = -1,
     .m_methods = module_methods,
 };

@@ -79,7 +79,7 @@ class BreadthFirstExplorer(LatticeNodeEvaluator):
             relation = self._evaluate_mask(mask)
             self._stats.nodes_evaluated += 1
             if relation is None:
-                self._stats.nodes_skipped += 1
+                self._mark_skipped(mask)
                 self._retire(mask)
                 continue
             if self._answers.is_null(relation):

@@ -264,8 +264,9 @@ class AnswerAccumulator:
         """Whether ``relation`` holds no match besides the trivial one."""
         if relation.num_rows > 1:
             return False
-        rows = relation.to_rows()
-        return not rows or list(rows[0]) == self.identity_row(relation.variables)
+        return not relation.num_rows or (
+            relation.columns[:, 0].tolist() == self.identity_row(relation.variables)
+        )
 
     def _answer_keys(self, columns: "Sequence[np.ndarray]") -> "np.ndarray":
         """One sortable key per row of the query-entity ``columns``."""
@@ -481,11 +482,13 @@ class LatticeNodeEvaluator:
     read it, so every parent joins from the same child as it would with
     every relation held.
 
-    The counts are exact because a mask is queued only while a child of
-    it is being kept, and popped at most once: breadth-first queues a
-    mask once, and best-first pops a mask only after all of its queued
-    descendants (each has a bound at least as high and fewer edges), so
-    no child of a popped mask is kept later to queue it again.
+    Every mask that reaches :meth:`_evaluate_mask` is marked in
+    ``_evaluated`` once it returns: a kept node with its relation, an
+    overflow-skipped node with ``None`` (:meth:`_mark_skipped`); a null
+    node is pruned instead, which is as permanent.  Neither explorer
+    queues a marked or pruned mask, so whatever the order, a mask is
+    popped and joined at most once, and the reader counts are exact: a
+    mask is queued only while a child of it is being kept.
     """
 
     def __init__(self) -> None:
@@ -525,6 +528,11 @@ class LatticeNodeEvaluator:
                 self._release(child)
         if readers.get(mask) == 0:
             self._release(mask)
+
+    def _mark_skipped(self, mask: int) -> None:
+        """``mask`` overflowed the join cap: never queue or join it again."""
+        self._stats.nodes_skipped += 1
+        self._evaluated[mask] = None
 
     def _release(self, mask: int) -> None:
         """Drop a held relation; ``mask`` stays marked as evaluated."""
@@ -831,7 +839,7 @@ class BestFirstExplorer(LatticeNodeEvaluator):
             if relation is None:
                 # Too expensive to materialize under the row cap; skip it
                 # without pruning (it may still have answers).
-                stats.nodes_skipped += 1
+                self._mark_skipped(best_mask)
                 retire(best_mask)
                 continue
 

@@ -81,6 +81,7 @@ def _result_payload(result: QueryResult) -> dict:
         "mqg_edges": result.mqg.num_edges,
         "nodes_evaluated": result.statistics.nodes_evaluated,
         "nodes_skipped": result.statistics.nodes_skipped,
+        "peak_retained_rows": result.statistics.peak_retained_rows,
         "timing": {
             "discovery_seconds": result.discovery_seconds,
             "processing_seconds": result.processing_seconds,

@@ -13,8 +13,8 @@ is then a multi-way join over these tables; this package provides:
 * :class:`~repro.storage.store.VerticalPartitionStore` — the collection of
   all per-label tables for a data graph plus their shared vocabulary,
 * :mod:`repro.storage.plan` — join-order planning for a query graph,
-* :mod:`repro.storage.join` — the hash-join evaluator (vectorized numpy
-  kernels with scalar tails for tiny relations), including the one-edge
+* :mod:`repro.storage.join` — the hash-join evaluator (whole-array numpy
+  operations over the tables' sorted indexes), including the one-edge
   *extension* step used by the lattice exploration to reuse a child query
   graph's materialized answers,
 * :mod:`repro.storage.snapshot` — on-disk snapshots of the whole

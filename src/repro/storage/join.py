@@ -17,9 +17,9 @@ row per variable.  Entity ids are dense vocabulary indexes capped at
 ``2**31 - 1`` (:data:`~repro.storage.vocabulary.MAX_ENTITY_ID`), so a
 node's retained matches cost half what int64 ids would; the label tables
 stay int64, and the values a probe matches are narrowed once per
-expansion slice.  Probes, filters and injectivity checks run as
-whole-array operations (:func:`extend_with_edge`), with a scalar tail over
-dict buckets for tiny probe relations (:func:`_extend_columnar_scalar`).
+expansion slice.  Every join, of a one-row relation too, runs as
+whole-array operations over the label table's sorted group index
+(:func:`extend_with_edge`); no per-row Python index of a table is built.
 
 Two entry points:
 
@@ -29,10 +29,9 @@ Two entry points:
   exploration (Sec. V-B): take the materialized answers of a child query
   graph ``Q' = Q − e`` as the probe relation and join one more edge ``e``.
 
-The scalar tail, the bulk path and its sliced variant return the same
-rows in the same order and raise ``max_rows`` overflow on the same
-inputs; the brute-force Definition 3 join in ``tests/test_properties.py``
-pins each of them.
+The whole and the sliced expansion return the same rows in the same
+order and raise ``max_rows`` overflow on the same inputs; the brute-force
+Definition 3 join in ``tests/test_properties.py`` pins both.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from itertools import chain
 
 import numpy as np
 
-from repro._kernels import kernels
 from repro.exceptions import LatticeError
 from repro.graph.knowledge_graph import Edge
 from repro.storage.plan import plan_join_order
@@ -53,48 +51,34 @@ from repro.storage.store import VerticalPartitionStore
 #: intermediate array before the ``max_rows`` cap gets a chance to fire.
 _EXPANSION_CHUNK_ROWS = 1 << 20
 
-#: Probe relations at or below this many rows take the scalar tail of the
-#: engine: python loops over dict buckets.  Fixed numpy call overhead (~a
-#: few µs per kernel) dominates whole-array wins below roughly this size,
-#: and lattice explorations evaluate thousands of such tiny relations per
-#: query.
-_SCALAR_TAIL_ROWS = 64
-
 
 class ColumnarRelation:
-    """A set of variable bindings with a dual columnar/row layout.
+    """A set of variable bindings as one int32 matrix.
 
-    Logically an ordered multiset of rows, physically stored as one
-    ``(width, rows)`` int32 matrix (``columns[i]`` binds ``variables[i]``),
-    as a cached list of python-int tuple rows, or both.  The engine's bulk kernels read
-    :attr:`columns`; its scalar tails (tiny relations, where fixed numpy
-    call overhead dominates) read :meth:`to_rows`.  Each layout
-    materializes lazily from the other on first use and is then cached,
-    so a chain of scalar extensions joins without numpy and a chain of
-    bulk extensions never builds tuples (the exploration's answer table
-    reads the matrix of every node it keeps).  Callers must treat both
-    layouts as immutable.
+    Logically an ordered multiset of rows, physically one ``(width,
+    rows)`` int32 matrix: ``columns[i]`` binds ``variables[i]``.  The
+    engine reads only the matrix; :meth:`to_rows` decodes python-int
+    tuples on each call, for tests and diagnostics.  Callers must treat
+    the matrix as immutable.
     """
 
-    __slots__ = ("variables", "_columns", "_rows", "_index")
+    __slots__ = ("variables", "columns", "_index")
 
     def __init__(
         self,
         variables: tuple[str, ...],
-        columns: "np.ndarray | Sequence[np.ndarray] | None" = None,
+        columns: "np.ndarray | Sequence[np.ndarray]",
         index: dict[str, int] | None = None,
-        rows: list[tuple[int, ...]] | None = None,
     ) -> None:
-        if columns is None and rows is None:
-            raise ValueError("a ColumnarRelation needs columns or rows")
         self.variables = variables
-        if columns is not None and not isinstance(columns, np.ndarray):
+        if not isinstance(columns, np.ndarray):
             # A list of column arrays (tests, callers outside the engine).
             columns = np.array(columns, dtype=np.int32).reshape(
                 len(variables), len(columns[0]) if columns else 0
             )
-        self._columns = columns
-        self._rows = rows
+        #: The ``(width, rows)`` matrix: row ``i`` is the column of
+        #: ``variables[i]``.
+        self.columns = columns
         self._index = (
             index
             if index is not None
@@ -108,19 +92,9 @@ class ColumnarRelation:
         )
 
     @property
-    def columns(self) -> "np.ndarray":
-        """The ``(width, rows)`` matrix: row ``i`` is the column of
-        ``variables[i]`` (materialized from cached rows if needed)."""
-        if self._columns is None:
-            self._columns = _columns_from_rows(self._rows, len(self.variables))
-        return self._columns
-
-    @property
     def num_rows(self) -> int:
         """Number of binding rows."""
-        if self._rows is not None:
-            return len(self._rows)
-        return self._columns.shape[1]
+        return self.columns.shape[1]
 
     def is_empty(self) -> bool:
         """Whether the relation has no rows."""
@@ -138,17 +112,9 @@ class ColumnarRelation:
         """The binding column of ``variable`` (the array itself)."""
         return self.columns[self._index[variable]]
 
-    @property
-    def rows(self) -> list[tuple[int, ...]]:
-        """The rows as python-int tuples (cached; treat as read-only)."""
-        return self.to_rows()
-
     def to_rows(self) -> list[tuple[int, ...]]:
-        """The rows as a list of python-int tuples (row order preserved,
-        materialized from the columns on first call, then cached)."""
-        if self._rows is None:
-            self._rows = list(zip(*self._columns.tolist()))
-        return self._rows
+        """The rows as a new list of python-int tuples, row order preserved."""
+        return list(zip(*self.columns.tolist()))
 
     def bindings(self) -> Iterable[dict[str, int]]:
         """Yield each row as a ``{variable: entity id}`` mapping."""
@@ -164,15 +130,6 @@ class ColumnarRelation:
         """Distinct projection of rows onto ``variables``."""
         return set(self.project(variables))
 
-    def prefers_columns(self) -> bool:
-        """Whether bulk (vectorized) processing should be used.
-
-        True for relations that are already column-backed and larger than
-        the scalar-tail threshold; rows-backed or tiny relations are
-        cheaper to process with the scalar code paths.
-        """
-        return self._columns is not None and self.num_rows > _SCALAR_TAIL_ROWS
-
 
 def _empty_relation() -> ColumnarRelation:
     return ColumnarRelation(variables=(), columns=[])
@@ -186,70 +143,6 @@ def _columns_from_rows(rows: list[tuple[int, ...]], width: int) -> "np.ndarray":
     """Materialized tuple rows as one ``(width, len(rows))`` int32 matrix."""
     flat = np.fromiter(chain.from_iterable(rows), np.int32, len(rows) * width)
     return flat.reshape(len(rows), width).T
-
-
-def _extend_columnar_scalar(
-    table,
-    relation: ColumnarRelation,
-    subject_var: str,
-    object_var: str,
-    has_subject: bool,
-    has_object: bool,
-    injective: bool,
-    max_rows: int | None,
-) -> ColumnarRelation:
-    """The scalar tail of the engine, for tiny probe relations.
-
-    Python loops over the table's lazy dict buckets, with the bulk path's
-    match order and ``max_rows`` verdict.  Inputs and outputs use the
-    relation's row layout; the column arrays materialize lazily when a
-    bulk consumer asks for them.
-    """
-    in_rows = relation.to_rows()
-    if has_subject and has_object:
-        out_rows = kernels.filter_pairs(
-            in_rows,
-            relation.column(subject_var),
-            relation.column(object_var),
-            table._dedup_set(),
-        )
-        if max_rows is not None and len(out_rows) > max_rows:
-            _raise_max_rows(max_rows)
-        return ColumnarRelation(
-            relation.variables, rows=out_rows, index=relation._index
-        )
-
-    if has_subject:
-        buckets = table.subject_buckets()
-        bound_col = relation.column(subject_var)
-        new_variable = object_var
-    else:
-        buckets = table.object_buckets()
-        bound_col = relation.column(object_var)
-        new_variable = subject_var
-    new_variables = relation.variables + (new_variable,)
-
-    if max_rows is not None:
-        # The floor of extend_with_edge's counts pre-pass, read off the
-        # bucket lengths: a hub bucket is not expanded just to be discarded.
-        counts = [
-            len(matches) for row in in_rows if (matches := buckets.get(row[bound_col]))
-        ]
-        if sum(counts) > max_rows:
-            spare = len(relation.variables) if injective else 0
-            if sum(count - spare for count in counts if count > spare) > max_rows:
-                _raise_max_rows(max_rows)
-    out_rows = kernels.probe_tail(
-        in_rows, buckets, bound_col, injective,
-        -1 if max_rows is None else max_rows,
-    )
-    if out_rows is None:
-        _raise_max_rows(max_rows)
-    return ColumnarRelation(
-        new_variables,
-        rows=out_rows,
-        index={**relation._index, new_variable: len(relation.variables)},
-    )
 
 
 def extend_with_edge(
@@ -284,9 +177,7 @@ def extend_with_edge(
         (``subject_var == object_var``) path of the first edge.
 
     Three branches: first edge, pure filter (both endpoints bound) and
-    one-sided probe; a probe relation held as rows, or of at most
-    ``_SCALAR_TAIL_ROWS`` rows, takes :func:`_extend_columnar_scalar`.
-    The ``max_rows`` cap raises
+    one-sided probe.  The ``max_rows`` cap raises
     exactly when the surviving row count exceeds it, but most overflows
     are decided from the per-probe-row match counts alone, before
     anything is expanded: a table holds distinct ``(subj, obj)``
@@ -323,12 +214,6 @@ def extend_with_edge(
         raise LatticeError(
             f"edge {edge!r} shares no variable with the probe relation "
             f"{relation.variables!r}; join plans must stay connected"
-        )
-
-    if not relation.prefers_columns():
-        return _extend_columnar_scalar(
-            table, relation, subject_var, object_var,
-            has_subject, has_object, injective, max_rows,
         )
 
     if has_subject and has_object:

@@ -9,8 +9,8 @@ A :class:`ColumnarEdgeTable` keeps its rows as two parallel int64 id
 columns; probes are answered from lazily built, numpy-sorted CSR-style
 group indexes so a whole *vector* of probe keys is matched in a handful
 of C-level array operations (:meth:`~ColumnarEdgeTable.probe_subject` and
-friends), and tiny probes from per-key dict buckets
-(:meth:`~ColumnarEdgeTable.subject_buckets`).  The columns are read-only
+friends), and row membership from a sorted pair-key index
+(:meth:`~ColumnarEdgeTable.contains_pairs`).  The columns are read-only
 int64 views over a snapshot shard's arrays, memory-mapped or built in
 memory (:meth:`ColumnarEdgeTable.from_mapped`), including the persisted
 probe indexes, so opening a table costs no copy and no sort.  A table
@@ -27,7 +27,7 @@ strings.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -36,10 +36,10 @@ class _SortedGroupIndex:
     """CSR-style group index over one id column.
 
     ``order`` is a stable permutation sorting the column; equal keys keep
-    their insertion order, so expanding a probe enumerates matches in the
-    same order as the table's dict buckets.  ``keys`` holds the
-    distinct sorted key values and ``bounds[i]:bounds[i+1]`` delimits the
-    rows of ``keys[i]`` inside ``order``.
+    their row order, so expanding a probe enumerates a key's matches in
+    row order.  ``keys`` holds the distinct sorted key values and
+    ``bounds[i]:bounds[i+1]`` delimits the rows of ``keys[i]`` inside
+    ``order``.
     """
 
     __slots__ = ("keys", "bounds", "order")
@@ -81,20 +81,6 @@ class _SortedGroupIndex:
         return counts, starts
 
 
-def _buckets(keys: Sequence[int], values: Sequence[int]) -> dict[int, tuple[int, ...]]:
-    """``key -> values`` in row order.  The values are tuples of ints: the
-    cycle collector stops tracking those the first time it sees them, so a
-    full collection does not walk one container per distinct key."""
-    buckets: dict[int, list[int]] = {}
-    for key, value in zip(keys, values):
-        bucket = buckets.get(key)
-        if bucket is None:
-            buckets[key] = [value]
-        else:
-            bucket.append(value)
-    return {key: tuple(bucket) for key, bucket in buckets.items()}
-
-
 class ColumnarEdgeTable:
     """All edges of one label as two parallel id columns (struct-of-arrays).
 
@@ -107,13 +93,10 @@ class ColumnarEdgeTable:
 
     __slots__ = (
         "_label",
-        "_row_set",
         "_subject_np",
         "_object_np",
         "_subject_index",
         "_object_index",
-        "_subject_buckets",
-        "_object_buckets",
         "_pair_keys",
         "_pair_stride",
     )
@@ -135,13 +118,10 @@ class ColumnarEdgeTable:
         pair_stride: int = 0,
     ) -> None:
         self._label = label
-        self._row_set: set[tuple[int, int]] | None = None
         self._subject_np = subjects
         self._object_np = objects
         self._subject_index = subject_index
         self._object_index = object_index
-        self._subject_buckets: dict[int, tuple[int, ...]] | None = None
-        self._object_buckets: dict[int, tuple[int, ...]] | None = None
         self._pair_keys = pair_keys
         self._pair_stride = pair_stride
 
@@ -169,16 +149,6 @@ class ColumnarEdgeTable:
         )
         return table
 
-    def _dedup_set(self) -> set[tuple[int, int]]:
-        if self._row_set is None:
-            self._row_set = set(zip(*self._column_values()))
-        return self._row_set
-
-    def _column_values(self) -> tuple[list[int], list[int]]:
-        """Both columns as lists of plain ``int``, in row order (for the
-        scalar consumers: dict buckets, the dedup set, row iteration)."""
-        return self._subject_np.tolist(), self._object_np.tolist()
-
     @property
     def label(self) -> str:
         """The edge label this table stores."""
@@ -188,26 +158,26 @@ class ColumnarEdgeTable:
         return len(self._subject_np)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return zip(*self._column_values())
+        return iter(self.rows())
 
-    def __contains__(self, row: object) -> bool:
-        return row in self._dedup_set()
+    def __contains__(self, row: tuple[int, int]) -> bool:
+        return self.has_row(*row)
 
     def rows(self) -> list[tuple[int, int]]:
-        """All rows as tuples, in insertion order (tests and diagnostics)."""
-        return list(zip(*self._column_values()))
+        """All rows as tuples, in row order (tests and diagnostics)."""
+        return list(zip(self._subject_np.tolist(), self._object_np.tolist()))
 
     def has_row(self, subject: int, obj: int) -> bool:
         """Whether the exact ``(subject, obj)`` row exists."""
-        return (subject, obj) in self._dedup_set()
+        return bool(self.contains_pairs(np.array([subject]), np.array([obj]))[0])
 
     def subjects(self) -> set[int]:
         """Distinct values in the ``subj`` column."""
-        return set(self._column_values()[0])
+        return set(np.unique(self._subject_np).tolist())
 
     def objects(self) -> set[int]:
         """Distinct values in the ``obj`` column."""
-        return set(self._column_values()[1])
+        return set(np.unique(self._object_np).tolist())
 
     # ------------------------------------------------------------------
     # columnar access (the vectorized join engine's surface)
@@ -237,23 +207,6 @@ class ColumnarEdgeTable:
             self._subject_group_index()
             self._object_group_index()
             self._ensure_pair_index()
-
-    def subject_buckets(self) -> dict[int, tuple[int, ...]]:
-        """Scalar probe index: subject -> matched ``obj`` values, in row
-        insertion order (lazy; used by the join's small-relation tail,
-        where per-key dict lookups beat whole-array numpy calls)."""
-        if self._subject_buckets is None:
-            subjects, objects = self._column_values()
-            self._subject_buckets = _buckets(subjects, objects)
-        return self._subject_buckets
-
-    def object_buckets(self) -> dict[int, tuple[int, ...]]:
-        """Scalar probe index: object -> matched ``subj`` values, in row
-        insertion order (lazy)."""
-        if self._object_buckets is None:
-            subjects, objects = self._column_values()
-            self._object_buckets = _buckets(objects, subjects)
-        return self._object_buckets
 
     def probe_subject(self, keys: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
         """Vectorized subject probe: ``(counts, starts)`` per probe key.
@@ -299,8 +252,7 @@ class ColumnarEdgeTable:
 
         Returns ``(probe_idx, objects)``: for every match, the position of
         the probe key that produced it and the matched row's ``obj`` value.
-        Matches of one key appear in row insertion order, exactly like
-        :meth:`subject_buckets`.
+        Matches of one key appear in row order.
         """
         if not len(self):
             empty = np.empty(0, dtype=np.int64)

@@ -99,18 +99,22 @@ def held_runner():
 
 
 class JoinRegime:
-    """The join engine's dispatch regime for one test.
+    """How the join engine slices a one-sided probe's expansion, for one test.
 
-    ``adaptive`` is the shipped behavior (the Python scalar tail below
-    ``_SCALAR_TAIL_ROWS`` rows, the numpy kernels above); ``vectorized``
-    sends every join operation through the numpy kernels and ``scalar``
-    through the Python tail.  :meth:`use` switches regime mid-test.
+    ``extend_with_edge`` expands a capped probe in slices of at most
+    ``_EXPANSION_CHUNK_ROWS`` candidates (and of one more than the cap).
+    ``vectorized`` keeps the shipped size, so every expansion the tests
+    make runs in one numpy pass up to the cap; ``scalar`` cuts a slice
+    after every candidate, so a join goes about one probe row at a time;
+    ``adaptive`` uses slices of 64 candidates, one pass for small
+    expansions and many for large ones.  None may change a join's rows,
+    their order or an overflow.  :meth:`use` switches regime mid-test.
     """
 
-    THRESHOLDS = {
-        "adaptive": join_module._SCALAR_TAIL_ROWS,
-        "vectorized": -1,
-        "scalar": 1 << 60,
+    CHUNK_ROWS = {
+        "adaptive": 64,
+        "vectorized": join_module._EXPANSION_CHUNK_ROWS,
+        "scalar": 1,
     }
 
     def __init__(self, name: str, monkeypatch) -> None:
@@ -119,12 +123,12 @@ class JoinRegime:
         self.use(name)
 
     def use(self, name: str) -> None:
-        self._monkeypatch.setattr(join_module, "_SCALAR_TAIL_ROWS", self.THRESHOLDS[name])
+        self._monkeypatch.setattr(join_module, "_EXPANSION_CHUNK_ROWS", self.CHUNK_ROWS[name])
 
 
-@pytest.fixture(params=sorted(JoinRegime.THRESHOLDS))
+@pytest.fixture(params=sorted(JoinRegime.CHUNK_ROWS))
 def join_regime(request, monkeypatch) -> JoinRegime:
-    """Run the test once per join dispatch regime."""
+    """Run the test once per expansion slicing regime."""
     return JoinRegime(request.param, monkeypatch)
 
 

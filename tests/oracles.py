@@ -14,7 +14,9 @@ in-memory triple container, by its strings and share no code with it:
   per-node spec; :func:`removed_edges` is its two-pass union and
   :func:`reduced` the reduced neighborhood graph built from it;
 * :func:`eq2_weight` — Eq. 2 from Eqs. 3 and 4, counted by scanning every
-  edge of the graph.
+  edge of the graph;
+* :func:`extension` — Definition 3's one-edge join step, by scanning the
+  edge label's pairs for every probe row.
 """
 
 from __future__ import annotations
@@ -199,3 +201,30 @@ def eq2_weight(graph: KnowledgeGraph, edge: Edge) -> float:
         for other in edges
     )
     return math.log(len(edges) / frequency) / max(participation, 1)
+
+
+def extension(pairs, variables, rows, edge: Edge, injective: bool) -> list[tuple]:
+    """The rows ``rows`` (bindings of ``variables``) grow to by ``edge``.
+
+    ``pairs`` are the ``(subject, object)`` values of ``edge.label``.  A
+    row grows by every pair that agrees with its bindings, binding the
+    edge's unbound endpoints in ``(subject, object)`` order; a self-loop
+    edge binds one node.  An injective join drops a pair whose new values
+    repeat a value of the row, or each other.  Rows come in probe order,
+    each row's in ``pairs`` order.  A first edge probes one empty row:
+    ``variables == ()`` and ``rows == [()]``.
+    """
+    out = []
+    for row in rows:
+        binding = dict(zip(variables, row))
+        for subject, obj in pairs:
+            grown = dict(binding)
+            if grown.setdefault(edge.subject, subject) != subject:
+                continue
+            if grown.setdefault(edge.object, obj) != obj:
+                continue
+            new = tuple(value for name, value in grown.items() if name not in binding)
+            if injective and (any(value in row for value in new) or len(set(new)) < len(new)):
+                continue
+            out.append(row + new)
+    return out

@@ -166,15 +166,11 @@ def _layouts(entities):
         matrix = np.array(ids(store, rows), dtype=np.int64).reshape(len(rows), len(variables))
         return ColumnarRelation(variables, [matrix[:, i].copy() for i in range(len(variables))])
 
-    def columnar_rows(store, variables, rows):
-        return ColumnarRelation(variables, rows=ids(store, rows))
-
     with three_stores(base, delta) as (built, mapped, overlay):
         assert isinstance(overlay.vocabulary, MappedVocabulary)
         assert overlay.vocabulary.id_of(ordered[0]) >= len(base)
         yield [
             ("columns", built, columnar),
-            ("cached-rows", built, columnar_rows),
             ("id-tuples", wide, columnar),
             ("mapped", mapped, columnar),
             ("overlay", overlay, columnar),
@@ -382,8 +378,8 @@ def test_an_equal_full_score_from_a_later_query_graph_does_not_replace():
     store = GraphStore.build(KnowledgeGraph([("q", "r1", "a"), ("x", "r2", "b")])).store
     accumulator = AnswerAccumulator(space, store, ())
     for mask, variables in ((first, ("q", "a")), (second, ("q", "b"))):
-        ids = [tuple(store.vocabulary.id_of(e) for e in ("x", variables[1]))]
-        accumulator.record(mask, ColumnarRelation(variables, rows=ids))
+        ids = [[store.vocabulary.id_of(e)] for e in ("x", variables[1])]
+        accumulator.record(mask, ColumnarRelation(variables, ids))
     (answer,) = accumulator.ranked(5)
     assert answer.query_graph_mask == first
     assert answer.content_score == 1.0 and answer.score == 2.0

@@ -339,6 +339,8 @@ def test_async_reports_nodes_the_join_cap_skipped(figure1_graph):
         server.stop()
     assert status == 200
     assert body["nodes_skipped"] > 0
+    direct = capped.query(("Jerry Yang", "Yahoo!"), k=3)
+    assert body["peak_retained_rows"] == direct.statistics.peak_retained_rows
 
 
 def test_async_cache_hit_bypasses_admission(async_server):

@@ -3,12 +3,13 @@
 A batch runs each distinct tuple once through ``query()`` and fans the
 result out to its duplicates, so the ranked answers — entities, scores,
 ranks — and the exploration statistics must match exactly, for every
-batch size and join dispatch regime (the ``join_regime`` fixture: the
-Python scalar tail, the numpy kernels, or the adaptive mix that ships).
-These tests pin that contract on the Fig. 14-style synthetic workload
-(batch sizes 1, 2 and the full 20-query workload) and on the Fig. 1
-running example, and that queries of one batch share no join state: no
-match relation of one query outlives it.
+batch size and every way a capped join slices its probe expansion (the
+``join_regime`` fixture: about one probe row per slice, slices of 64
+candidates, or the shipped single pass up to the cap).  These tests pin
+that contract on the Fig. 14-style synthetic workload (batch sizes 1, 2
+and the full 20-query workload) and on the Fig. 1 running example, and
+that queries of one batch share no join state: no match relation of one
+query outlives it.
 """
 
 from __future__ import annotations

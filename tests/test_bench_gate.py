@@ -160,8 +160,8 @@ class TestCommittedBaseline:
             "test_bench_offline_precomputation",
             "test_bench_v3_warm_start",
             "test_bench_cold_start_from_triples",
-            "test_fig14_kernel_hot_paths_python",
-            "test_fig14_kernel_hot_paths_native",
+            "test_ness_csr_neighbors_python",
+            "test_ness_csr_neighbors_native",
         ):
             assert required in medians
 

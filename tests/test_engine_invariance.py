@@ -1,23 +1,30 @@
 """Answers do not depend on the join engine's free choices.
 
-The engine has three: which code path runs a join operation (the Python
-scalar tail or the numpy kernels, by relation size; the ``join_regime``
-fixture forces either), which int id the vocabulary gives an entity, and
-the order of the rows it reads (a label table's rows, a node's adjacency
-slice).  None may change a join's rows, their order, the ranked answers or
-the work done to find them.
+The engine has three: how a capped one-sided probe slices its expansion
+(the ``join_regime`` fixture: about one probe row per slice, slices of 64
+candidates, or the shipped single pass up to the cap), which int id the
+vocabulary gives an entity, and the order of the rows it reads (a label
+table's rows, a node's adjacency slice).  None may change a join's rows,
+the ranked answers or the work done to find them; the slicing may not
+change the rows' order either.
 
 Join results are also checked against Definition 3 directly: a nested-loop
 enumeration of the injective mappings of the query edges into the triples,
-which shares no code with ``storage/join.py``.
+which shares no code with ``storage/join.py``.  Whole queries run once on
+the engine and once with every join of the exploration computed from the
+triples by :class:`_Definition3Joins`; the answers and the work must be
+the same.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
+from oracles import extension
 
 from repro.baselines.breadth_first import BreadthFirstExplorer
 from repro.core.config import GQBEConfig
@@ -25,16 +32,21 @@ from repro.core.gqbe import GQBE
 from repro.datasets.synthetic import FreebaseLikeGenerator
 from repro.exceptions import LatticeError
 from repro.graph.knowledge_graph import Edge, KnowledgeGraph
+from repro.lattice import exploration as exploration_module
 from repro.lattice.exploration import BestFirstExplorer
 from repro.lattice.query_graph import LatticeSpace
-from repro.storage.join import evaluate_query_edges, extend_with_edge
+from repro.storage.join import ColumnarRelation, evaluate_query_edges, extend_with_edge
+from repro.storage.plan import plan_join_order
 from repro.storage.shards import BuiltSnapshot, _table_shard, graph_shards
 from repro.storage.snapshot import GraphStore
 from repro.storage.table import ColumnarEdgeTable
 
-#: The regime each one is compared with: a forced regime against the
-#: other forced one, the shipped adaptive regime against the scalar tail.
-_CONTRAST = {"adaptive": "scalar", "vectorized": "scalar", "scalar": "vectorized"}
+#: The regime each one is compared with: a slicing regime against the
+#: shipped single pass, the single pass against row-at-a-time slices.
+_CONTRAST = {"adaptive": "vectorized", "scalar": "vectorized", "vectorized": "scalar"}
+
+#: A join cap no test reaches; a capped expansion is sliced by the regime.
+_NO_CAP = 1 << 30
 
 _CONFIG = {"mqg_size": 8, "k_prime": 25, "max_join_rows": 100_000}
 
@@ -71,19 +83,28 @@ def _definition3(graph, edges, variables, injective=True):
     return sorted(tuple(mapping[v] for v in variables) for mapping in mappings)
 
 
+def _nodes_of(edges):
+    """The query nodes of ``edges``, in first-seen order."""
+    return tuple(dict.fromkeys(node for e in edges for node in (e.subject, e.object)))
+
+
 def _decoded(store, relation):
     return sorted(store.vocabulary.decode_row(row) for row in relation.to_rows())
 
 
 def _regime_independent(join_regime, compute):
-    """``compute()`` under the test's regime, after checking that its
-    contrast regime returns the same variables and rows in the same order."""
-    relation = compute()
+    """``compute(max_rows)`` under the test's regime with a cap no join
+    reaches, so each probe expansion goes through the regime's slices,
+    after checking that the uncapped join and the contrast regime return
+    the same variables and rows in the same order."""
+    relation = compute(_NO_CAP)
+    uncapped = compute(None)
     join_regime.use(_CONTRAST[join_regime.name])
-    contrast = compute()
+    contrast = compute(_NO_CAP)
     join_regime.use(join_regime.name)
-    assert relation.variables == contrast.variables
-    assert relation.to_rows() == contrast.to_rows()
+    for other in (uncapped, contrast):
+        assert relation.variables == other.variables
+        assert relation.to_rows() == other.to_rows()
     return relation
 
 
@@ -91,7 +112,7 @@ class TestJoinsMatchDefinition3:
     def test_single_edge_and_projection(self, figure1_graph, figure1_store, join_regime):
         edges = [Edge("q_person", "founded", "q_company")]
         relation = _regime_independent(
-            join_regime, lambda: evaluate_query_edges(figure1_store, edges)
+            join_regime, lambda cap: evaluate_query_edges(figure1_store, edges, max_rows=cap)
         )
         expected = _definition3(figure1_graph, edges, relation.variables)
         assert _decoded(figure1_store, relation) == expected
@@ -111,7 +132,7 @@ class TestJoinsMatchDefinition3:
             Edge("hq", "in_state", "state"),
         ]
         relation = _regime_independent(
-            join_regime, lambda: evaluate_query_edges(figure1_store, edges)
+            join_regime, lambda cap: evaluate_query_edges(figure1_store, edges, max_rows=cap)
         )
         expected = _definition3(figure1_graph, edges, relation.variables)
         assert expected and _decoded(figure1_store, relation) == expected
@@ -131,8 +152,11 @@ class TestJoinsMatchDefinition3:
     ):
         relation = _regime_independent(
             join_regime,
-            lambda: extend_with_edge(
-                figure1_store, evaluate_query_edges(figure1_store, [base]), extension
+            lambda cap: extend_with_edge(
+                figure1_store,
+                evaluate_query_edges(figure1_store, [base]),
+                extension,
+                max_rows=cap,
             ),
         )
         expected = _definition3(figure1_graph, [base, extension], relation.variables)
@@ -147,7 +171,9 @@ class TestJoinsMatchDefinition3:
         for edges in ([Edge("x", "likes", "y")], [Edge("x", "likes", "x")]):
             relation = _regime_independent(
                 join_regime,
-                lambda: evaluate_query_edges(store, edges, injective=injective),
+                lambda cap: evaluate_query_edges(
+                    store, edges, injective=injective, max_rows=cap
+                ),
             )
             expected = _definition3(graph, edges, relation.variables, injective)
             assert _decoded(store, relation) == expected
@@ -156,10 +182,11 @@ class TestJoinsMatchDefinition3:
         base = [Edge("person", "founded", "company")]
         relation = _regime_independent(
             join_regime,
-            lambda: extend_with_edge(
+            lambda cap: extend_with_edge(
                 figure1_store,
                 evaluate_query_edges(figure1_store, base),
                 Edge("person", "never_seen_label", "thing"),
+                max_rows=cap,
             ),
         )
         assert relation.is_empty()
@@ -167,28 +194,30 @@ class TestJoinsMatchDefinition3:
 
     @pytest.mark.parametrize("max_rows", [1, 2, 4, 1000])
     def test_max_rows(self, figure1_graph, figure1_store, max_rows, join_regime):
+        """Each join step checks the cap: the evaluation raises iff some
+        prefix of the plan has more than ``max_rows`` matches, whatever
+        the slicing, and otherwise returns the rows of the uncapped join
+        in the same order."""
         edges = [
             Edge("person", "nationality", "country"),
             Edge("person", "founded", "company"),
         ]
-        outcomes = []
-        for regime in (join_regime.name, _CONTRAST[join_regime.name]):
-            join_regime.use(regime)
-            try:
-                relation = evaluate_query_edges(figure1_store, edges, max_rows=max_rows)
-                outcomes.append((relation.variables, relation.to_rows()))
-            except LatticeError:
-                outcomes.append("overflow")
-        assert outcomes[0] == outcomes[1]
-        expected = _definition3(figure1_graph, edges, ("person", "country", "company"))
-        if len(expected) > max_rows:
-            assert outcomes[0] == "overflow"
-        if outcomes[0] != "overflow":
-            variables, rows = outcomes[0]
-            decode = figure1_store.vocabulary.decode_row
-            assert sorted(decode(row) for row in rows) == _definition3(
-                figure1_graph, edges, variables
-            )
+        plan = list(plan_join_order(edges, figure1_store))
+        prefix_sizes = [
+            len(_definition3(figure1_graph, plan[:end], _nodes_of(plan[:end])))
+            for end in range(1, len(plan) + 1)
+        ]
+        if max(prefix_sizes) > max_rows:
+            with pytest.raises(LatticeError, match=f"max_rows={max_rows}"):
+                evaluate_query_edges(figure1_store, edges, max_rows=max_rows)
+            return
+        relation = evaluate_query_edges(figure1_store, edges, max_rows=max_rows)
+        uncapped = evaluate_query_edges(figure1_store, edges)
+        assert relation.variables == uncapped.variables
+        assert relation.to_rows() == uncapped.to_rows()
+        assert _decoded(figure1_store, relation) == _definition3(
+            figure1_graph, edges, relation.variables
+        )
 
     @pytest.mark.parametrize("seed", [1, 5, 9])
     def test_maximal_query_graphs(self, seed, join_regime):
@@ -199,7 +228,8 @@ class TestJoinsMatchDefinition3:
             mqg = system.discover_query_graph(tuple(dataset.table(table_name)[0]))
             edges = sorted(mqg.graph.edges)
             relation = _regime_independent(
-                join_regime, lambda: evaluate_query_edges(system.store, edges)
+                join_regime,
+                lambda cap: evaluate_query_edges(system.store, edges, max_rows=cap),
             )
             expected = _definition3(dataset.graph, edges, relation.variables)
             assert expected and _decoded(system.store, relation) == expected
@@ -217,13 +247,68 @@ def _work_key(result):
     return stats.nodes_evaluated, stats.null_nodes, stats.nodes_skipped
 
 
+class _Definition3Joins:
+    """The exploration's two join entry points, computed from the graph's
+    triples instead of the label tables.
+
+    Each step is :func:`oracles.extension` over the ids of the edge
+    label's triples.  An evaluation from scratch joins the edges in the
+    engine's planned order and overflows where any step has more than
+    ``max_rows`` rows.  Rows may come in another order than the engine's;
+    nothing the exploration computes reads it.
+    """
+
+    def __init__(self, graph, vocabulary):
+        self._by_label = defaultdict(list)
+        for edge in sorted(graph.edges):
+            self._by_label[edge.label].append(
+                (vocabulary.id_of(edge.subject), vocabulary.id_of(edge.object))
+            )
+
+    def extend(self, store, relation, edge, injective=True, max_rows=None):
+        variables = relation.variables
+        rows = extension(
+            self._by_label[edge.label],
+            variables,
+            relation.to_rows() if variables else [()],
+            edge,
+            injective,
+        )
+        if max_rows is not None and len(rows) > max_rows:
+            raise LatticeError(f"intermediate relation exceeded max_rows={max_rows}")
+        variables += tuple(node for node in _nodes_of([edge]) if node not in variables)
+        columns = np.array(rows, dtype=np.int32).reshape(len(rows), len(variables)).T
+        return ColumnarRelation(variables, columns)
+
+    def evaluate(self, store, edges, injective=True, max_rows=None):
+        plan = list(plan_join_order(edges, store))
+        relation = ColumnarRelation((), [])
+        for edge in plan:
+            relation = self.extend(store, relation, edge, injective, max_rows)
+            if relation.is_empty():
+                variables = relation.variables + tuple(
+                    node for node in _nodes_of(plan) if node not in relation.variables
+                )
+                return ColumnarRelation(variables, np.empty((len(variables), 0), np.int32))
+        return relation
+
+
 class TestAnswersDoNotDependOnTheRegime:
-    def _assert_same_in_contrast(self, join_regime, run):
+    """Under every slicing regime, a query gives the same answers, and
+    evaluates, nulls and skips the same lattice nodes, as when every join
+    is computed from the triples."""
+
+    def _assert_same_as_the_oracle(self, system, graph, run):
         result = run()
-        join_regime.use(_CONTRAST[join_regime.name])
-        contrast = run()
-        assert result.answers and _answer_key(result) == _answer_key(contrast)
-        assert _work_key(result) == _work_key(contrast)
+        oracle = _Definition3Joins(graph, system.store.vocabulary)
+        with mock.patch.multiple(
+            exploration_module,
+            extend_with_edge=oracle.extend,
+            evaluate_query_edges=oracle.evaluate,
+        ):
+            expected = run()
+        assert result.answers and _answer_key(result) == _answer_key(expected)
+        assert _work_key(result) == _work_key(expected)
 
     @pytest.mark.parametrize("seed", [1, 5, 9, 13, 42])
     def test_random_synthetic_graphs(self, seed, join_regime):
@@ -231,29 +316,32 @@ class TestAnswersDoNotDependOnTheRegime:
         system = GQBE(dataset.graph, config=GQBEConfig(**_CONFIG))
         for table_name in dataset.table_names()[:3]:
             query_tuple = tuple(dataset.table(table_name)[0])
-            self._assert_same_in_contrast(
-                join_regime, lambda: system.query(query_tuple, k=10)
+            self._assert_same_as_the_oracle(
+                system, dataset.graph, lambda: system.query(query_tuple, k=10)
             )
-            join_regime.use(join_regime.name)
 
     def test_multi_tuple_queries(self, join_regime):
         dataset = FreebaseLikeGenerator(seed=3, scale=0.2).generate()
         system = GQBE(dataset.graph, config=GQBEConfig(**_CONFIG))
         table = dataset.table(dataset.table_names()[0])
         tuples = [tuple(table[0]), tuple(table[1])]
-        self._assert_same_in_contrast(
-            join_regime, lambda: system.query_multi(tuples, k=10)
+        self._assert_same_as_the_oracle(
+            system, dataset.graph, lambda: system.query_multi(tuples, k=10)
         )
 
     def test_tight_join_caps(self, join_regime):
         """A ``max_join_rows`` small enough to skip lattice nodes."""
         dataset = FreebaseLikeGenerator(seed=11, scale=0.2).generate()
-        config = GQBEConfig(mqg_size=8, k_prime=20, max_join_rows=40)
+        config = GQBEConfig(mqg_size=12, k_prime=20, max_join_rows=40)
         system = GQBE(dataset.graph, config=config)
-        query_tuple = tuple(dataset.table(dataset.table_names()[0])[0])
-        self._assert_same_in_contrast(
-            join_regime, lambda: system.query(query_tuple, k=10)
-        )
+        skipped = 0
+        for table_name in dataset.table_names()[:3]:
+            query_tuple = tuple(dataset.table(table_name)[0])
+            self._assert_same_as_the_oracle(
+                system, dataset.graph, lambda: system.query(query_tuple, k=10)
+            )
+            skipped += system.query(query_tuple, k=10).statistics.nodes_skipped
+        assert skipped
 
 
 def _shuffled_ids_bundle(graph, seed) -> GraphStore:

@@ -241,6 +241,45 @@ class TestRelationRelease:
         assert released.statistics.peak_retained_rows <= held.statistics.peak_retained_rows
 
 
+class TestEachMaskJoinedOnce:
+    """An overflow-skipped mask is marked evaluated, so no exploration
+    order can queue and join it again: under a join cap that skips many
+    nodes, no mask reaches ``_evaluate_mask`` twice, in either explorer."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        hub_leaves=st.sampled_from([6, 20]),
+        mqg_size=st.sampled_from([10, 15]),
+        arity=st.integers(1, 2),
+        max_rows=st.sampled_from([1, 10]),
+        explorer=st.sampled_from([BestFirstExplorer, BreadthFirstExplorer]),
+    )
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_no_mask_is_evaluated_twice(
+        self, seed, hub_leaves, mqg_size, arity, max_rows, explorer
+    ):
+        base, delta, nodes = random_multigraph(seed, hub_leaves=hub_leaves)
+        system = GQBE(KnowledgeGraph(base + delta), config=GQBEConfig(mqg_size=mqg_size))
+        query_tuple = tuple(random.Random(seed).sample(nodes, arity))
+        try:
+            space = LatticeSpace(system.discover_query_graph(query_tuple))
+        except DiscoveryError:
+            return
+
+        class Counting(explorer):
+            def _evaluate_mask(self, mask):
+                self.evaluated.append(mask)
+                return super()._evaluate_mask(mask)
+
+        instance = Counting(
+            space, system.store, k=5, excluded_tuples={query_tuple}, max_rows=max_rows
+        )
+        instance.evaluated = []
+        statistics = instance.run().statistics
+        assert len(instance.evaluated) == len(set(instance.evaluated))
+        assert len(instance.evaluated) == statistics.nodes_evaluated
+
+
 class TestPeakRetainedRows:
     """``peak_retained_rows`` is the most rows held at once."""
 

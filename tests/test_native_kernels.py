@@ -1,11 +1,11 @@
 """Native kernels must be byte-identical to the pure-Python fallback.
 
 The C extension (``repro._kernels._native``) reimplements the engine's
-innermost loops; its acceptance contract is *pinned equivalence* with the
+one innermost loop, the CSR neighbor list; its acceptance contract is *pinned equivalence* with the
 pure reference (``repro._kernels._pure``):
 
-* per-kernel parity — each kernel, fed identical inputs, produces
-  identical outputs on both backends;
+* kernel parity — fed identical inputs, the kernel produces identical
+  outputs on both backends;
 * end-to-end parity — ranked answers are identical across the whole
   built / snapshot × inline / pooled matrix with ``native_kernels="on"``
   versus ``"off"`` (the same matrix ``test_pool_execution.py`` pins);
@@ -13,7 +13,7 @@ pure reference (``repro._kernels._pure``):
   in a fresh interpreter even under ``native_kernels="on"``, and
   ``GQBEConfig.native_kernels`` validates its three modes.
 
-Per-kernel parity tests skip when the extension is not built (the CI
+The kernel parity tests skip when the extension is not built (the CI
 fallback leg); the selection and config tests run everywhere.
 """
 
@@ -88,65 +88,6 @@ class TestBFSKernels:
             assert native.csr_neighbors(node, *columns) == _pure.csr_neighbors(
                 node, *columns
             ), node
-
-
-@needs_native
-class TestProbeTailKernel:
-    def _rows_and_buckets(self, rng, *, values):
-        rows = [
-            tuple(rng.choice(values) for _ in range(rng.randrange(1, 6)))
-            for _ in range(80)
-        ]
-        buckets = {
-            value: tuple(rng.choice(values) for _ in range(rng.randrange(0, 4)))
-            for value in values
-        }
-        return rows, buckets
-
-    @pytest.mark.parametrize("injective", [True, False])
-    @pytest.mark.parametrize("kind", ["ints", "strings", "mixed"])
-    def test_probe_tail_parity(self, injective, kind):
-        rng = random.Random(hash((injective, kind)) & 0xFFFF)
-        values = {
-            "ints": list(range(30)),
-            "strings": [f"node{i}" for i in range(30)],
-            # bools and big ints defeat the native int64 fast path;
-            # parity must hold on the object-scan fallback too.
-            "mixed": [0, 1, True, False, 2**70, -(2**70), "x", 3.5] + list(range(10)),
-        }[kind]
-        rows, buckets = self._rows_and_buckets(rng, values=values)
-        bound_col = 0
-        assert native.probe_tail(
-            rows, buckets, bound_col, injective, -1
-        ) == _pure.probe_tail(rows, buckets, bound_col, injective, -1)
-
-    def test_probe_tail_overflow_returns_none(self):
-        rows = [(1,)] * 10
-        buckets = {1: (2, 3)}
-        assert _pure.probe_tail(rows, buckets, 0, False, 5) is None
-        assert native.probe_tail(rows, buckets, 0, False, 5) is None
-        # At exactly the cap the output survives on both backends.
-        assert native.probe_tail(rows, buckets, 0, False, 20) == _pure.probe_tail(
-            rows, buckets, 0, False, 20
-        )
-
-    def test_probe_tail_empty_and_missing_buckets(self):
-        rows = [(1, 2), (9, 9), (3, 1)]
-        buckets = {1: (), 3: (7,)}
-        assert native.probe_tail(rows, buckets, 0, True, -1) == _pure.probe_tail(
-            rows, buckets, 0, True, -1
-        )
-
-    def test_filter_pairs_parity(self):
-        rng = random.Random(11)
-        rows = [
-            (rng.randrange(10), rng.randrange(10), rng.randrange(10))
-            for _ in range(200)
-        ]
-        pairs = {(rng.randrange(10), rng.randrange(10)) for _ in range(30)}
-        assert native.filter_pairs(rows, 0, 2, pairs) == _pure.filter_pairs(
-            rows, 0, 2, pairs
-        )
 
 
 # ----------------------------------------------------------------------
@@ -230,15 +171,15 @@ class TestBackendSelection:
         assert _kernels.resolve_backend("on") == "pure"
         assert _kernels.select("on") == "pure"
         assert _kernels.kernels.backend == "pure"
-        assert _kernels.kernels.probe_tail is _pure.probe_tail
+        assert _kernels.kernels.csr_neighbors is _pure.csr_neighbors
 
     @needs_native
     def test_select_rebinds_namespace(self, monkeypatch):
         monkeypatch.delenv("GQBE_FORCE_PURE", raising=False)
         assert _kernels.select("on") == "native"
-        assert _kernels.kernels.probe_tail is native.probe_tail
+        assert _kernels.kernels.csr_neighbors is native.csr_neighbors
         assert _kernels.select("off") == "pure"
-        assert _kernels.kernels.probe_tail is _pure.probe_tail
+        assert _kernels.kernels.csr_neighbors is _pure.csr_neighbors
 
     def test_invalid_mode_raises(self):
         with pytest.raises(EvaluationError, match="native_kernels"):

@@ -15,7 +15,7 @@ from graph_backings import (
     three_graph_stores,
     three_stores,
 )
-from oracles import definition1, eq2_weight, reduced
+from oracles import definition1, eq2_weight, extension, reduced
 
 from repro.discovery.mqg import discover_maximal_query_graph
 from repro.discovery.reduction import reduce_neighborhood_graph
@@ -205,80 +205,70 @@ def test_single_edge_join_matches_label_table(triples):
     label = next(iter(graph.labels))
     relation = evaluate_query_edges(store, [Edge("u", label, "v")], injective=False)
     expected = {(e.subject, e.object) for e in graph.edges if e.label == label}
-    decoded = {store.vocabulary.decode_row(row) for row in relation.rows}
+    decoded = {store.vocabulary.decode_row(row) for row in relation.to_rows()}
     assert decoded == expected
 
 
-def _brute_force_extension(triples, variables, rows, edge, injective):
-    """Rows of ``extend_with_edge`` by definition, as a sorted multiset."""
-    pairs = sorted({(s, o) for s, label, o in triples if label == edge.label})
-    out = []
-    for row in rows:
-        binding = dict(zip(variables, row))
-        for subject, obj in pairs:
-            if binding.get(edge.subject, subject) != subject:
-                continue
-            if binding.get(edge.object, obj) != obj:
-                continue
-            new = [v for name, v in ((edge.subject, subject), (edge.object, obj))
-                   if name not in binding]
-            if injective and any(value in row for value in new):
-                continue
-            out.append(row + tuple(new))
-    return sorted(out)
+_probe_rows = st.one_of(
+    st.just([]),
+    st.lists(st.tuples(_node, _node, _node), min_size=1, max_size=1),
+    st.lists(st.tuples(_node, _node, _node), min_size=2, max_size=64),
+)
 
 
 @given(
     _triples,
     st.booleans(),
     st.integers(min_value=0, max_value=30),
-    st.lists(st.tuples(_node, _node, _node), min_size=1, max_size=12),
+    _probe_rows,
     st.integers(min_value=1, max_value=3),
-    st.sampled_from(["subject", "object", "both"]),
+    st.sampled_from(["first", "subject", "object", "both"]),
     _label,
     st.booleans(),
+    st.sampled_from([1, 2, 3, 7]),
 )
-@_slow
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_row_cap_raises_iff_the_uncapped_join_is_larger(
-    triples, hub, cut, rows, width, bound, label, injective
+    triples, hub, cut, rows, width, bound, label, injective, chunk
 ):
     """``extend_with_edge(..., max_rows=c)`` raises iff the uncapped result
     has more than ``c`` rows and otherwise returns it unchanged, row order
-    included — over built, mapped and ingested tables, on the scalar tail,
-    the bulk path and the sliced bulk path, for caps around the true size."""
+    included — over built, mapped and ingested tables, with the probe rows
+    expanded whole and in slices of ``chunk`` candidates, for caps around
+    the true size.  Probe relations of 0, 1 and up to 64 rows, first edges
+    (self-loops included) and both-bound filters are all drawn."""
     triples = list(dict.fromkeys(triples))
     if hub:  # every node points at n0, and n0 at itself
         triples += [t for t in ((f"n{i}", label, "n0") for i in range(8)) if t not in triples]
     cut = 1 + cut % len(triples)
     variables = ("a", "b", "c")[:width]
     rows = [row[:width] for row in rows]
-    if bound == "both" and width == 1:
+    if bound == "first":
+        variables, rows = (), [()]
+        edge = Edge("a", label, "a") if width == 1 else Edge("a", label, "b")
+    elif bound == "both" and width == 1:
         edge = Edge("a", label, "a")  # a self-loop filter
     elif bound == "both":
         edge = Edge("a", label, "b")
     else:
         edge = Edge("a", label, "new") if bound == "subject" else Edge("new", label, "a")
-    expected = _brute_force_extension(triples, variables, rows, edge, injective)
+    pairs = sorted({(s, o) for s, name, o in triples if name == label})
+    expected = sorted(extension(pairs, variables, rows, edge, injective))
 
-    def probes(store):
+    def probe_relation(store):
         id_of = store.vocabulary.id_of
         ids = [tuple(id_of(node) for node in row) for row in rows]
         ids = [row for row in ids if None not in row]
-        columns = [np.array([row[i] for row in ids], dtype=np.int64) for i in range(width)]
-        whole = join_module._EXPANSION_CHUNK_ROWS
-        for path, tail, chunk, relation in (
-            ("scalar tail", 64, whole, ColumnarRelation(variables, rows=ids)),
-            ("bulk", -1, whole, ColumnarRelation(variables, columns)),
-            ("sliced bulk", -1, 3, ColumnarRelation(variables, columns)),
-        ):
-            yield path, {"_SCALAR_TAIL_ROWS": tail, "_EXPANSION_CHUNK_ROWS": chunk}, relation
+        columns = [np.array([row[i] for row in ids], dtype=np.int64) for i in range(len(variables))]
+        return ColumnarRelation(variables, columns)
 
     with three_stores(triples[:cut], triples[cut:]) as stores:
         for store in stores:
             known = set(store.vocabulary)
-            expected_here = [row for row in expected if known.issuperset(row[:width])]
-            for path, patched, relation in probes(store):
-                with mock.patch.multiple(join_module, **patched):
+            expected_here = [row for row in expected if known.issuperset(row[:len(variables)])]
+            relation = probe_relation(store)
+            for path in (join_module._EXPANSION_CHUNK_ROWS, chunk):
+                with mock.patch.object(join_module, "_EXPANSION_CHUNK_ROWS", path):
                     uncapped = extend_with_edge(store, relation, edge, injective=injective)
                     full = uncapped.to_rows()
                     decoded = sorted(store.vocabulary.decode_row(row) for row in full)

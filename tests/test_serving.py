@@ -616,6 +616,15 @@ def test_serve_reports_nodes_the_join_cap_skipped(figure1_server, figure1_graph)
     assert body["nodes_skipped"] > 0
 
 
+def test_serve_reports_the_peak_retained_rows(figure1_server, figure1_graph):
+    """The ``/query`` body carries the exploration's peak retained rows."""
+    payload = {"tuple": ["Jerry Yang", "Yahoo!"], "k": 3}
+    body = _post(figure1_server, "/query", payload)[1]
+    system = GQBE(figure1_graph, config=GQBEConfig(mqg_size=10))
+    direct = system.query(("Jerry Yang", "Yahoo!"), k=3)
+    assert body["peak_retained_rows"] == direct.statistics.peak_retained_rows > 0
+
+
 # ----------------------------------------------------------------------
 # bench-serve load driver + CLI plumbing
 # ----------------------------------------------------------------------

@@ -97,7 +97,6 @@ _SET_RETURNING_METHODS = {
     "subjects",
     "objects",
     "row_set",
-    "_dedup_set",
     "distinct_rows",
 }
 
