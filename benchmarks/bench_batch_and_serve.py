@@ -11,8 +11,8 @@
   parallelism; with N cores the batch parallelizes up to
   min(N, workers)×;
 * one steady-state **serve-layer load pass** over HTTP (asyncio
-  frontend: admission control + metrics on the request path, batcher,
-  answer cache).  The absolute serve-throughput artifact for CI comes
+  frontend: admission control + metrics on the request path, engine
+  executor, answer cache).  The absolute serve-throughput artifact for CI comes
   from ``gqbe bench-serve`` (see ``.github/workflows/ci.yml``).
 
 Inline sequential / batched query latency is not timed here:
@@ -123,7 +123,8 @@ def test_bench_fig14_pooled_query_batch(worker_pool, batch_system, benchmark):
 
 def test_bench_async_serve_layer_load_pass(batch_system, benchmark):
     """One steady-state, cache-hot HTTP load pass: event loop, admission
-    control (gate, metrics, per-stage timers), batcher, answer cache."""
+    control (gate, metrics, per-stage timers), engine executor, answer
+    cache."""
     from repro.serving.async_server import AsyncGQBEServer
     from repro.serving.loadgen import run_load
 

@@ -24,6 +24,10 @@ informational numbers):
    swap), the ingest/compaction counters on ``/metrics`` reconcile
    with the wire, and the post-soak answers are identical to a system
    built from scratch over the merged edge set.
+6. **Pooled** — a snapshot-backed server with ``workers=2`` (single-tuple
+   misses run on its process pool, one engine thread per worker) passes
+   the equivalence check of 1 with every engine call answered by the
+   pool, and a closed-loop capacity run with every request answered 200.
 
 Usage::
 
@@ -121,10 +125,9 @@ def main() -> int:
         finally:
             connection.close()
 
-    async_server = AsyncGQBEServer(system, port=0, cache_size=0).start()
-    try:
+    def check_equivalence(server, leg: str) -> None:
         for query in tuples:
-            served = fetch(async_server.host, async_server.port, query)
+            served = fetch(server.host, server.port, query)
             direct = system.query(tuple(query), k=10)
             expected = {
                 "answers": [
@@ -144,8 +147,34 @@ def main() -> int:
                 _check(
                     served.get(field) == value,
                     problems,
-                    f"{field} served for {query} equal the direct query's",
+                    f"{leg}: {field} served for {query} equal the direct query's",
                 )
+
+    def check_capacity(server, leg: str) -> dict:
+        capacity = run_load(
+            server.host,
+            server.port,
+            tuples,
+            requests=args.requests,
+            concurrency=args.concurrency,
+            timeout=120.0,
+        )
+        _check(
+            capacity["status_counts"] == {"200": args.requests},
+            problems,
+            f"{leg}: all {args.requests} capacity requests answered 200 "
+            f"(got {capacity['status_counts']})",
+        )
+        _check(
+            capacity["transport_errors"] == 0,
+            problems,
+            f"{leg}: zero transport errors under capacity",
+        )
+        return capacity
+
+    async_server = AsyncGQBEServer(system, port=0, cache_size=0).start()
+    try:
+        check_equivalence(async_server, "inline")
     finally:
         async_server.stop()
 
@@ -157,29 +186,11 @@ def main() -> int:
     server = AsyncGQBEServer(system, port=0, high_water=64).start()
     try:
         before = _query_counts(_scrape_metrics(server.host, server.port))
-        capacity = run_load(
-            server.host,
-            server.port,
-            tuples,
-            requests=args.requests,
-            concurrency=args.concurrency,
-            timeout=120.0,
-        )
+        capacity = check_capacity(server, "inline")
         after = _query_counts(_scrape_metrics(server.host, server.port))
     finally:
         server.stop()
     report["capacity"] = capacity
-    _check(
-        capacity["status_counts"] == {"200": args.requests},
-        problems,
-        f"all {args.requests} capacity requests answered 200 "
-        f"(got {capacity['status_counts']})",
-    )
-    _check(
-        capacity["transport_errors"] == 0,
-        problems,
-        "zero transport errors under capacity",
-    )
     deltas = {
         code: after.get(code, 0) - before.get(code, 0)
         for code in set(before) | set(after)
@@ -416,6 +427,28 @@ def main() -> int:
             problems,
             "compacted generation is byte-identical to a from-scratch merged build",
         )
+
+    # ------------------------------------------------------------------
+    # 5. pooled: equivalence and capacity with workers=2
+    # ------------------------------------------------------------------
+    print("phase 5: pooled (workers=2): equivalence and capacity")
+    with tempfile.TemporaryDirectory() as scratch:
+        snapshot_path = Path(scratch) / "pooled.snapdir3"
+        GraphStore.build(workload.dataset.graph).save(snapshot_path)
+        server = AsyncGQBEServer.from_snapshot(
+            snapshot_path, port=0, cache_size=0, workers=2
+        ).start()
+        try:
+            check_equivalence(server, "pooled")
+            engine = server.stats()["batcher"]
+            _check(
+                engine["pooled_batches"] == engine["batches_run"] == len(tuples),
+                problems,
+                f"pooled: the pool answered every engine call ({engine})",
+            )
+            report["pooled_capacity"] = check_capacity(server, "pooled")
+        finally:
+            server.stop()
 
     # ------------------------------------------------------------------
     # report artifact (latency stays informational)

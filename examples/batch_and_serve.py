@@ -6,7 +6,7 @@ single-query engine:
 1. :meth:`GQBE.query_batch` — answer many queries in one call, running
    each distinct tuple once (byte-identical to sequential ``query`` calls);
 2. :class:`~repro.serving.async_server.AsyncGQBEServer` — the asyncio
-   HTTP server with request micro-batching and an LRU answer cache,
+   HTTP server with an LRU answer cache in front of one engine thread,
    queried here over real sockets.
 
 Run with::
@@ -82,7 +82,7 @@ def main() -> None:
         print(
             f"  server stats: {stats['requests_served']} served, "
             f"cache hits {stats['cache']['hits']}, "
-            f"batches {stats['batcher']['batches_run']}"
+            f"engine calls {stats['batcher']['batches_run']}"
         )
     finally:
         connection.close()

@@ -14,8 +14,8 @@ Subcommands
         gqbe build-index data.tsv data.snap
 ``gqbe serve``
     Start the long-lived HTTP serving frontend over one warm snapshot
-    (request batching + LRU answer cache; ``--workers N`` runs the
-    batches on a process pool; see :mod:`repro.serving`)::
+    (LRU answer cache in front of the engine; ``--workers N`` runs
+    queries on a process pool; see :mod:`repro.serving`)::
 
         gqbe serve --snapshot data.snap --port 8080 --workers 4
 ``gqbe bench-serve``
@@ -272,7 +272,6 @@ def build_frontend(system: GQBE, snapshot_path: str | None, args: argparse.Names
         snapshot_path=snapshot_path,
         host=args.host,
         port=args.port,
-        max_batch=args.max_batch,
         cache_size=args.cache_size,
         workers=args.workers,
         compact_threshold=args.compact_threshold,
@@ -310,7 +309,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"serving {meta.get('num_edges')} edges ({meta.get('num_nodes')} nodes) "
         f"on http://{server.host}:{server.port}  "
-        f"[max batch {args.max_batch}, cache {args.cache_size}, "
+        f"[cache {args.cache_size}, "
         f"workers {args.workers}{extras}]"
     )
     try:
@@ -422,13 +421,11 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
         f"mean {latency['mean']:.2f}  p50 {latency['p50']:.2f}  "
         f"p95 {latency['p95']:.2f}  p99 {latency['p99']:.2f}"
     )
-    batcher = report.get("server_stats", {}).get("batcher", {})
-    if batcher:
+    engine = report.get("server_stats", {}).get("batcher", {})
+    if engine:
         print(
-            f"batches {batcher.get('batches_run')}  "
-            f"mean batch size {batcher.get('mean_batch_size', 0):.2f}  "
-            f"largest {batcher.get('largest_batch')}  "
-            f"pooled {batcher.get('pooled_batches', 0)}"
+            f"engine calls {engine.get('batches_run')}  "
+            f"pooled {engine.get('pooled_batches', 0)}"
         )
     memory = report.get("memory", {})
     if memory.get("parent_rss_bytes"):
@@ -616,14 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="TCP port (0 picks an ephemeral port)",
         )
         parser.add_argument(
-            "--max-batch",
-            type=int,
-            default=64,
-            dest="max_batch",
-            help="maximum requests per batched execution (a batch is "
-            "whatever queued while the engine was busy)",
-        )
-        parser.add_argument(
             "--cache-size",
             type=int,
             default=1024,
@@ -634,9 +623,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=1,
-            help="process-pool width for batch execution: each worker opens "
-            "the served snapshot (shared mapped pages) "
-            "and up to N batches run on them at once; 1 = inline",
+            help="process-pool width for query execution: each worker opens "
+            "the served snapshot (shared mapped pages) and up to "
+            "min(N, CPUs) queries run on them at once; 1 = inline",
         )
         parser.add_argument(
             "--max-body-bytes",
@@ -661,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             dest="deadline_ms",
             help="per-request engine deadline (ms); "
-            "expired requests get 504 and their batch slot is abandoned "
+            "expired requests get 504 and their engine call is cancelled "
             "(default: no deadline)",
         )
         parser.add_argument(

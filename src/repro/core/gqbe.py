@@ -250,9 +250,8 @@ class GQBE:
         those of calling :meth:`query` once per tuple (pinned by
         ``tests/test_batch_equivalence.py``).  Queries share no join
         state: a batch holds at most one query's match relations at a
-        time.  The serving layer (:mod:`repro.serving`) builds its
-        request batches on top of this method, and each worker of a
-        :class:`~repro.serving.pool.WorkerPool` runs it over its chunk.
+        time.  Each worker of a :class:`~repro.serving.pool.WorkerPool`
+        runs it over its chunk.
 
         Example::
 

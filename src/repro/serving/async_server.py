@@ -18,17 +18,18 @@ request is allowed to touch the engine:
    (:class:`~repro.serving.limits.AdmissionGate`); past the high-water
    mark the request is shed with ``429`` + ``Retry-After`` instead of
    queueing unboundedly.
-5. **Deadline** — with ``deadline_ms`` set, a request whose engine work
-   has not finished inside the deadline is answered ``504`` and its
-   batcher slot abandoned (the batcher drops timed-out entries before
-   dispatch; a request already inside ``query_batch`` finishes on the
-   executor thread and is discarded).
+5. **Deadline** — with ``deadline_ms`` set, a request whose engine call
+   has not finished inside the deadline is answered ``504`` and the call
+   cancelled: one still queued never runs, one already running finishes
+   on its engine thread and is discarded.
 
-Admitted work runs on a thread pool via ``run_in_executor`` feeding the
-:class:`~repro.serving.server.ServingCore` this class extends — answers
-are byte-identical to calling the engine directly (the SLO gate asserts
-this per commit).  ``GET /metrics`` exposes the Prometheus text
-exposition built by :mod:`repro.serving.metrics`.
+An admitted query is one task on the engine executor of the
+:class:`~repro.serving.server.ServingCore` this class extends, awaited
+on the loop; ingests, reloads and compactions run on a separate handler
+thread pool via ``run_in_executor``.  Answers are byte-identical to
+calling the engine directly (the SLO gate asserts this per commit).
+``GET /metrics`` exposes the Prometheus text exposition built by
+:mod:`repro.serving.metrics`.
 
 Event-loop confinement: the rate limiter and admission gate are only
 touched from coroutines on the loop thread and therefore hold no locks;
@@ -49,16 +50,8 @@ from os import PathLike
 from repro.core.gqbe import GQBE
 from repro.exceptions import GQBEError
 from repro.serving.limits import AdmissionGate, RateLimiter, retry_after_header
-from repro.serving.metrics import (
-    BATCH_SIZE_BUCKETS,
-    LATENCY_BUCKETS,
-    MetricsRegistry,
-)
-from repro.serving.server import (
-    DEFAULT_MAX_BODY_BYTES,
-    ServingCore,
-    _result_payload,
-)
+from repro.serving.metrics import LATENCY_BUCKETS, MetricsRegistry
+from repro.serving.server import DEFAULT_MAX_BODY_BYTES, ServingCore
 
 logger = logging.getLogger("repro.serving.async")
 
@@ -105,7 +98,7 @@ class AsyncGQBEServer(ServingCore):
         Maximum admitted in-flight requests; past it, ``429``.
     deadline_ms:
         Per-request engine deadline (``None`` disables; the core's
-        ``request_timeout`` still caps batcher waits with ``503``).
+        ``request_timeout`` still caps each engine call with ``503``).
     rate_limit_rps / rate_limit_burst:
         Per-client token-bucket rate limit (``rate_limit_rps=None``
         disables rate limiting).
@@ -130,7 +123,7 @@ class AsyncGQBEServer(ServingCore):
         if deadline_ms is not None and deadline_ms < 1:
             raise ValueError(f"deadline_ms must be >= 1 or None, got {deadline_ms}")
         # The admission settings are validated before the core starts its
-        # batcher threads and worker processes, so a refused value leaks
+        # engine executor and worker processes, so a refused value leaks
         # neither.
         self._gate = AdmissionGate(high_water)
         self._limiter = (
@@ -147,10 +140,10 @@ class AsyncGQBEServer(ServingCore):
         # Loop-confined like the gate: only coroutines touch it, and the
         # /metrics gauge callback also renders on the loop thread.
         self._ingest_inflight = 0
-        # The executor only ever holds admitted work (queries and
-        # ingests both consume gate slots), so high_water plus a slot
-        # for /admin/reload and one for /admin/compact bounds it
-        # exactly; nothing queues here.
+        # Handler threads for ingests, reloads and compactions (queries
+        # run on the core's engine executor).  Ingests consume gate
+        # slots, so high_water plus a slot for /admin/reload and one for
+        # /admin/compact bounds it exactly; nothing queues here.
         self._executor = ThreadPoolExecutor(
             max_workers=high_water + 2, thread_name_prefix="gqbe-async"
         )
@@ -180,7 +173,7 @@ class AsyncGQBEServer(ServingCore):
         )
         self._m_timeouts = registry.counter(
             "gqbe_http_timeouts_total",
-            "Requests that hit the deadline (504) or batcher timeout (503).",
+            "Requests that hit the deadline (504) or request timeout (503).",
             ("kind",),
         )
         self._m_internal = registry.counter(
@@ -236,23 +229,16 @@ class AsyncGQBEServer(ServingCore):
             "Answer-cache generation (bumps on /admin/reload).",
             callback=lambda: self._cache.generation,
         )
-        self._m_batch_size = registry.histogram(
-            "gqbe_batch_size",
-            "Requests per engine batch call, inline or pooled.",
-            buckets=BATCH_SIZE_BUCKETS,
-        )
         self._m_stage_seconds = registry.histogram(
             "gqbe_stage_seconds",
-            "Per-stage latency of POST /query: admission, queue (batcher "
-            "wait), execute (engine batch call) and total (handler).",
+            "Per-stage latency of POST /query: admission, queue (submit to "
+            "engine start), execute (engine call) and total (handler).",
             buckets=LATENCY_BUCKETS,
             label_names=("stage",),
         )
 
-    def _observe_batch(self, size, queue_waits, execute_seconds):
-        self._m_batch_size.observe(size)
-        for wait in queue_waits:
-            self._m_stage_seconds.observe(wait, stage="queue")
+    def _observe_engine_call(self, queue_seconds, execute_seconds):
+        self._m_stage_seconds.observe(queue_seconds, stage="queue")
         self._m_stage_seconds.observe(execute_seconds, stage="execute")
 
     # ------------------------------------------------------------------
@@ -296,7 +282,7 @@ class AsyncGQBEServer(ServingCore):
             self.close_engine()
 
     def stop(self) -> None:
-        """Stop the loop, the executor, the batching worker and the pool."""
+        """Stop the loop, the handler threads, the engine and the pool."""
         if self._loop is not None and self._shutdown is not None:
             loop, shutdown = self._loop, self._shutdown
             try:
@@ -554,16 +540,14 @@ class AsyncGQBEServer(ServingCore):
         self._admit(client_id)
         payload = self._parse_json(body)
         try:
-            tuples, k, k_prime = self._parse_query_payload(payload)
+            key = self._parse_query_payload(payload)
         except ValueError as error:
             self._count("request_errors")
             return 400, {"error": str(error)}, {}
-        key = (tuples, k, k_prime)
-        cached = self._cache.get(key)
+        cached = self._cached_answer(key)
         if cached is not None:
             self._m_cache_hits.inc()
-            self._count("requests_served")
-            return 200, {**cached, "cached": True}, {}
+            return 200, cached, {}
         self._m_cache_misses.inc()
         # Admission is checked only after the cache: duplicate-heavy
         # traffic is absorbed without holding a slot.
@@ -576,51 +560,29 @@ class AsyncGQBEServer(ServingCore):
             )
         self._m_stage_seconds.observe(time.monotonic() - started, stage="admission")
         try:
-            return await self._execute_admitted(tuples, k, k_prime, key, started)
+            return await self._execute_admitted(key, started)
         finally:
             self._gate.leave()
 
-    async def _execute_admitted(
-        self, tuples, k: int, k_prime, key, started: float
-    ) -> tuple[int, object, dict]:
-        # The generation must be read before computing: if a snapshot
-        # reload lands mid-flight, this answer describes the old graph
-        # and the put below is dropped (tests/test_serving.py pins it).
+    async def _execute_admitted(self, key, started: float) -> tuple[int, object, dict]:
+        # Read before computing: a reload landing mid-flight makes the
+        # answer's put a no-op (tests/test_serving.py pins it).
         generation = self._cache.generation
-        loop = asyncio.get_running_loop()
-        deadline_seconds = (
-            self.deadline_ms / 1000.0 if self.deadline_ms is not None else None
-        )
-        if len(tuples) == 1:
-            # The batcher enforces its own timeout and *abandons* the
-            # entry (it is dropped before dispatch if the deadline fires
-            # first), so the executor thread is released promptly.
-            budget = self.request_timeout
-            if deadline_seconds is not None:
-                budget = min(budget, deadline_seconds)
-            work = loop.run_in_executor(
-                self._executor,
-                lambda: self._batcher.submit(
-                    tuples[0], k=k, k_prime=k_prime, timeout=budget
-                ),
+        budget = self.request_timeout
+        if self.deadline_ms is not None:
+            budget = min(
+                budget, self.deadline_ms / 1000.0 - (time.monotonic() - started)
             )
-        else:
-            work = loop.run_in_executor(
-                self._executor,
-                lambda: self._run_multi(tuples, k, k_prime),
-            )
+        future = self._submit_query(*key)
         try:
-            if deadline_seconds is not None:
-                remaining = deadline_seconds - (time.monotonic() - started)
-                result = await asyncio.wait_for(work, timeout=max(remaining, 0.001))
-            else:
-                result = await work
-        except (TimeoutError, asyncio.TimeoutError):
-            # Deadline expiry: the batcher entry was (or will be)
-            # abandoned; a multi-tuple query keeps its executor thread
-            # until the engine returns, but the response is discarded.
+            result = await asyncio.wait_for(
+                asyncio.wrap_future(future), timeout=max(budget, 0.001)
+            )
+        except TimeoutError:
+            # wait_for cancelled the engine call: still queued, it never
+            # runs; already running, its answer is discarded.
             self._count("request_errors")
-            if deadline_seconds is not None:
+            if self.deadline_ms is not None:
                 self._m_timeouts.inc(kind="deadline")
                 return (
                     504,
@@ -632,24 +594,7 @@ class AsyncGQBEServer(ServingCore):
         except GQBEError as error:
             self._count("request_errors")
             return 400, {"error": str(error), "type": type(error).__name__}, {}
-        body = {
-            "query": [list(t) for t in tuples],
-            "k": k,
-            "k_prime": k_prime,
-            "generation": generation,
-            **_result_payload(result),
-        }
-        self._cache.put(key, body, generation)
-        self._count("requests_served")
-        return 200, {**body, "cached": False}, {}
-
-    def _run_multi(self, tuples, k, k_prime):
-        # Multi-tuple (merged-MQG) queries are rare and heavier; they run
-        # directly under the execution lock instead of the batcher.
-        with self._exec_lock:
-            return self._system.query_multi(
-                [list(t) for t in tuples], k=k, k_prime=k_prime
-            )
+        return 200, self._fresh_answer(key, generation, result), {}
 
     async def _handle_reload(
         self, headers: dict, body: bytes

@@ -3,7 +3,7 @@
 Two levers, applied by
 :class:`~repro.serving.async_server.AsyncGQBEServer` (around the answer
 cache, which absorbs duplicates between them) before a request is allowed
-to touch the batcher/pool:
+to touch the engine/pool:
 
 1. :class:`RateLimiter` — per-client token buckets keyed by API key
    (``Authorization`` header).  A client above its sustained rate is

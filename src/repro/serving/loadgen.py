@@ -2,7 +2,7 @@
 
 Fires ``requests`` HTTP queries at a running server, measures
 per-request latency, and folds in the server's own ``/stats`` counters
-(cache hit rate, batch sizes).  The report is printed as a table by the
+(cache hit rate, engine calls).  The report is printed as a table by the
 CLI and written as JSON for CI to upload next to the bench-gate
 artifact.
 

@@ -2,9 +2,9 @@
 
 The async frontend (:mod:`repro.serving.async_server`) exposes a
 ``GET /metrics`` endpoint in the Prometheus text exposition format
-(version 0.0.4) so a standard scraper can watch queue depth, batch
-sizes, cache effectiveness, per-stage latency and the shed/timeout/error
-counters without any client library.  Everything here is stdlib.
+(version 0.0.4) so a standard scraper can watch queue depth, cache
+effectiveness, per-stage latency and the shed/timeout/error counters
+without any client library.  Everything here is stdlib.
 
 Three metric kinds, the Prometheus core set:
 
@@ -14,11 +14,11 @@ Three metric kinds, the Prometheus core set:
   may carry a ``callback`` so its value is *pulled* at render time from
   live state instead of being pushed on every change;
 * :class:`Histogram` — bucketed observations with ``_bucket``/``_sum``/
-  ``_count`` series (request latency per stage, batch sizes).
+  ``_count`` series (request latency per stage).
 
-Thread safety: metrics are updated from the event loop, from executor
-threads and from the batcher worker thread, so every mutation and every
-render holds the metric's lock.  :func:`parse_prometheus_text` is the
+Thread safety: metrics are updated from the event loop, from handler
+threads and from the engine threads, so every mutation and every render
+holds the metric's lock.  :func:`parse_prometheus_text` is the
 inverse of :meth:`MetricsRegistry.render` — the SLO gate
 (``benchmarks/check_serve_slo.py``) uses it to reconcile the server's
 counters against the load generator's ground truth.
@@ -34,9 +34,6 @@ from collections.abc import Callable, Sequence
 LATENCY_BUCKETS = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
-
-#: Default batch-size buckets (requests per executed batch).
-BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 
 def _format_number(value: float) -> str:

@@ -23,8 +23,8 @@ order.  ``tests/test_pool_execution.py`` pins the equivalence
 (cold-built / snapshot-mapped, inline / pooled).
 
 Owned by :class:`~repro.serving.server.ServingCore` (``gqbe serve
---workers N``), which hands it to its
-:class:`~repro.serving.batching.QueryBatcher` and rebuilds it after every
+--workers N``), whose engine threads send it one single-tuple query at a
+time, up to ``min(N, CPUs)`` at once, and which rebuilds it after every
 ingest and reload.
 """
 
@@ -186,7 +186,7 @@ class WorkerPool:
         # passes initargs by reference — nothing is pickled).  Fork pools
         # also get a startup barrier so all workers fork *now*, in
         # __init__, rather than lazily at first submit — by then the
-        # caller (e.g. the serving frontend) may be running batcher/HTTP
+        # caller (e.g. the serving frontend) may be running engine/HTTP
         # threads, and forking a multi-threaded parent risks child
         # deadlock on whatever locks those threads hold.
         inherited = system if self.snapshot_path is None else None

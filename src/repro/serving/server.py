@@ -1,12 +1,12 @@
-"""The serving engine behind the HTTP frontend: cache, batcher, pool, reload.
+"""The serving engine behind the HTTP frontend: cache, engine, pool, reload.
 
 :class:`ServingCore` owns everything about serving GQBE queries from one
-warm snapshot that is not a socket: single-tuple queries funnel through
-the shared :class:`~repro.serving.batching.QueryBatcher` (so concurrent
-requests are executed as one :meth:`~repro.core.gqbe.GQBE.query_batch`),
-a generation-guarded :class:`~repro.serving.cache.AnswerCache`
-short-cuts repeat queries entirely, and snapshot reloads, live ingest
-and compaction swap the engine under one lock order.  The transport —
+warm snapshot that is not a socket: every ``/query`` engine call, single-
+or multi-tuple, is one task on the core's engine executor (a thread pool
+of one thread inline, one per pool worker up to the CPU count), a
+generation-guarded :class:`~repro.serving.cache.AnswerCache` short-cuts
+repeat queries entirely, and snapshot reloads, live ingest and
+compaction swap the engine under one lock order.  The transport —
 :class:`~repro.serving.async_server.AsyncGQBEServer`, which ``gqbe serve
 --snapshot data.snap`` wires up — subclasses it and maps these routes
 onto its methods:
@@ -20,7 +20,7 @@ onto its methods:
     Liveness plus snapshot metadata (cheap: never materializes lazy
     snapshot sections).
 ``GET /stats``
-    Serve counters: cache hits/misses, batch sizes, request totals.
+    Serve counters: cache hits/misses, engine calls, request totals.
 ``POST /admin/reload``
     Body ``{"snapshot": "path"}`` — load a new snapshot, swap it in and
     invalidate the answer cache (in-flight computations against the old
@@ -46,12 +46,12 @@ import os
 import shutil
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from os import PathLike
 
 from repro.core.answer import QueryResult
 from repro.core.gqbe import GQBE
 from repro.exceptions import GQBEError, GraphError
-from repro.serving.batching import QueryBatcher
 from repro.serving.cache import AnswerCache
 from repro.storage.generations import next_generation_path, prune_generations
 from repro.storage.ingest import normalize_triples
@@ -91,7 +91,7 @@ def _result_payload(result: QueryResult) -> dict:
 
 
 class ServingCore:
-    """The transport-agnostic serving engine: cache, batcher, pool, reload.
+    """The transport-agnostic serving engine: cache, engine, pool, reload.
 
     :class:`~repro.serving.async_server.AsyncGQBEServer` is the HTTP
     transport over this core; :meth:`handle_query` and friends are
@@ -104,28 +104,27 @@ class ServingCore:
         The (already built or snapshot-loaded) engine to serve.
     snapshot_path:
         Recorded for ``/healthz`` and reload bookkeeping (optional).
-    max_batch:
-        Cap on requests per batch (see
-        :class:`~repro.serving.batching.QueryBatcher`).
     cache_size:
         LRU answer-cache capacity (``0`` disables caching).
     cache_ttl_seconds:
         TTL for answer-cache entries (``None`` keeps pure LRU).
     request_timeout:
-        Per-request cap on waiting for a batch slot plus execution.
+        Per-request cap on an engine call, from submit to its answer
+        (queue wait plus execution); past it the request is answered
+        ``503`` and its call, if it has not started, never runs.
     max_body_bytes:
         Cap on ``POST`` request bodies.  A larger declared
         ``Content-Length`` is refused with ``413`` before any byte of
         the body is read; a malformed ``Content-Length`` is a ``400``.
     workers:
-        Process-pool width for batch execution (``gqbe serve
+        Process-pool width for query execution (``gqbe serve
         --workers``).  With ``workers > 1`` the core builds and owns a
-        :class:`~repro.serving.pool.WorkerPool` and every batch runs on
-        it, up to ``workers`` batches at once, bypassing the GIL for
-        CPU-bound explorations.  Its workers reopen the served snapshot
-        (shared mapped pages) and replay the ingested delta, or, when
-        no snapshot is served, are forked from the system; every ingest
-        and reload rebuilds the pool.  ``1`` keeps the inline
+        :class:`~repro.serving.pool.WorkerPool` and every single-tuple
+        query runs on it, up to ``min(workers, CPUs)`` at once,
+        bypassing the GIL for CPU-bound explorations.  Its workers
+        reopen the served snapshot (shared mapped pages) and replay the
+        ingested delta, or, when no snapshot is served, are forked from
+        the system; every ingest and reload rebuilds the pool.  ``1`` keeps the inline
         single-process path.
     compact_threshold:
         Trigger a background compaction once the in-memory delta holds
@@ -138,7 +137,6 @@ class ServingCore:
         self,
         system: GQBE,
         snapshot_path: str | PathLike | None = None,
-        max_batch: int = 64,
         cache_size: int = 1024,
         request_timeout: float = 60.0,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
@@ -168,11 +166,13 @@ class ServingCore:
         self._mutate_lock = threading.Lock()
         self._cache = AnswerCache(cache_size, ttl_seconds=cache_ttl_seconds)
         self._pool = self._make_pool()
-        self._batcher = QueryBatcher(
-            self._run_batch,
-            max_batch=max_batch,
-            pool=self._pool,
-            on_batch=self._observe_batch,
+        # The engine executor: every /query engine call is one task on
+        # it.  Inline one thread (queries serialize on _exec_lock); with
+        # a pool one per worker up to the CPU count (more would only
+        # time-share cores).
+        self._engine = ThreadPoolExecutor(
+            max_workers=min(workers, os.cpu_count() or 1),
+            thread_name_prefix="gqbe-engine",
         )
         self._started_at = time.monotonic()
         # Executor threads are concurrent; counter updates take this lock
@@ -185,6 +185,8 @@ class ServingCore:
         self.triples_applied = 0
         self.triples_duplicate = 0
         self.compactions = 0
+        self.engine_calls = 0
+        self.pooled_calls = 0
         self._compact_thread: threading.Thread | None = None
 
     def _count(self, counter: str) -> None:
@@ -242,9 +244,10 @@ class ServingCore:
         return self._system
 
     def close_engine(self) -> None:
-        """Shut the batching worker and the pool down (the transport
-        calls this from its own ``stop``)."""
-        self._batcher.close()
+        """Shut the engine executor and the pool down (the transport
+        calls this from its own ``stop``).  Queued engine calls are
+        cancelled and later submissions raise ``RuntimeError``."""
+        self._engine.shutdown(wait=False, cancel_futures=True)
         if self._pool is not None:
             self._pool.close()
             self._pool = None
@@ -256,11 +259,11 @@ class ServingCore:
         """Swap in a new snapshot; returns the new cache generation.
 
         The swap holds the execution lock, so it serializes against any
-        running batch; requests computed against the old snapshot can no
-        longer enter the cache because their recorded generation is
-        outdated after :meth:`AnswerCache.invalidate`.  Any live delta
-        overlay is discarded: a reload is an explicit statement that
-        ``path`` is the truth.
+        running inline query; requests computed against the old
+        snapshot can no longer enter the cache because their recorded
+        generation is outdated after :meth:`AnswerCache.invalidate`.
+        Any live delta overlay is discarded: a reload is an explicit
+        statement that ``path`` is the truth.
         """
         with self._mutate_lock:
             return self._load_snapshot_locked(path)
@@ -277,14 +280,13 @@ class ServingCore:
             if self.workers > 1:
                 # Rebuild the pool over the new snapshot, under the same
                 # lock as the system swap so two concurrent reloads
-                # cannot interleave (one would wire a just-closed pool
-                # into the batcher and leak the other).
+                # cannot interleave (one would close the pool the other
+                # just installed and leak its own).
                 old_pool = self._pool
                 self._pool = self._make_pool()
-                self._batcher.pool = self._pool
         if old_pool is not None:
             # Closed outside the lock: shutdown waits for in-flight
-            # pooled batches to drain (their results are dropped by the
+            # pooled queries to drain (their results are dropped by the
             # cache's generation guard, same as inline in-flight work).
             old_pool.close()
         return self._cache.invalidate()
@@ -311,7 +313,7 @@ class ServingCore:
         """Apply one ``POST /admin/ingest`` body; returns ``(status, body)``.
 
         The triples land in the engine's in-memory delta overlay under
-        the execution lock, so no query batch runs against a
+        the execution lock, so no inline query runs against a
         half-applied state; the answer cache is invalidated afterwards,
         so every response sent after this ack reflects the new edges.
         """
@@ -335,7 +337,6 @@ class ServingCore:
                     # as the mutation (mirrors load_snapshot).
                     old_pool = self._pool
                     self._pool = self._make_pool()
-                    self._batcher.pool = self._pool
             if old_pool is not None:
                 old_pool.close()
             generation = (
@@ -416,12 +417,13 @@ class ServingCore:
         """Hook for the transport to observe compactions (metrics); called
         with the new generation on disk, just before it is swapped in."""
 
-    def _observe_batch(
-        self, size: int, queue_waits: list[float], execute_seconds: float
+    def _observe_engine_call(
+        self, queue_seconds: float, execute_seconds: float
     ) -> None:
         """Hook for the transport to observe each engine call, inline or
-        pooled (the batcher's ``on_batch``; see
-        :class:`~repro.serving.batching.QueryBatcher`)."""
+        pooled: seconds from submit to its start, and its own seconds.
+        Called on the engine thread before the caller is woken; an
+        exception it raises reaches that caller like an engine error."""
 
     def _maybe_start_compaction(self, delta_edges: int) -> bool:
         """Kick off a background compaction when the delta is big enough.
@@ -457,28 +459,57 @@ class ServingCore:
     # ------------------------------------------------------------------
     # query execution
     # ------------------------------------------------------------------
-    def _run_batch(self, tuples, k, k_prime):
-        """Batcher runner: one ``query_batch`` under the execution lock.
+    def _submit_query(self, tuples, k: int, k_prime: int | None) -> Future:
+        """Queue one ``/query`` engine call; its future holds the result.
 
-        Falls back to per-query execution when the batch raises (e.g. one
-        tuple references an unknown entity) so each caller receives its
-        own result or its own error.
+        A caller that stops waiting cancels the future, so a call that
+        has not started never runs (one already running finishes and is
+        discarded).
         """
-        with self._exec_lock:
-            # Read the system inside the lock: a snapshot reload swaps it
-            # under the same lock, so a batch never computes against the
-            # pre-reload engine after the reload was acknowledged.
-            system = self._system
-            try:
-                return system.query_batch(list(tuples), k=k, k_prime=k_prime)
-            except GQBEError:
-                results: list[QueryResult | BaseException] = []
-                for query_tuple in tuples:
-                    try:
-                        results.append(system.query(query_tuple, k=k, k_prime=k_prime))
-                    except GQBEError as error:
-                        results.append(error)
-                return results
+        return self._engine.submit(
+            self._run_query, tuples, k, k_prime, time.monotonic()
+        )
+
+    def _run_query(self, tuples, k: int, k_prime: int | None, submitted: float):
+        """One ``/query`` engine call, on an engine thread.
+
+        A single tuple runs on the pool when there is one; a pool failure
+        of any kind (broken worker, engine error) falls back to inline,
+        which raises the engine's own error.  Inline is ``query`` or
+        ``query_multi`` under the execution lock.
+        """
+        started = time.monotonic()
+        pooled = False
+        try:
+            pool = self._pool
+            if pool is not None and len(tuples) == 1:
+                try:
+                    result = pool.query_batch(tuples, k=k, k_prime=k_prime)[0]
+                    pooled = True
+                # gqbe: ignore[EXC001] -- deliberate degrade path: any pool
+                # failure (broken worker, pickling error, engine fault)
+                # falls back to inline, which raises the engine's own error.
+                except Exception:  # noqa: BLE001 - degrade to inline
+                    pass
+            if not pooled:
+                with self._exec_lock:
+                    # Read the system inside the lock: a snapshot reload
+                    # swaps it under the same lock, so a query never
+                    # computes against the pre-reload engine after the
+                    # reload was acknowledged.
+                    system = self._system
+                    if len(tuples) == 1:
+                        result = system.query(tuples[0], k=k, k_prime=k_prime)
+                    else:
+                        result = system.query_multi(
+                            [list(t) for t in tuples], k=k, k_prime=k_prime
+                        )
+        finally:
+            with self._counter_lock:
+                self.engine_calls += 1
+                self.pooled_calls += pooled
+            self._observe_engine_call(started - submitted, time.monotonic() - started)
+        return result
 
     @staticmethod
     def _parse_query_payload(payload) -> tuple[tuple[tuple[str, ...], ...], int, int | None]:
@@ -511,45 +542,22 @@ class ServingCore:
             raise ValueError(f'"k_prime" must be a positive integer, got {k_prime!r}')
         return tuple(tuples), k, k_prime
 
-    def handle_query(self, payload) -> tuple[int, dict]:
-        """Answer one ``POST /query`` body; returns ``(status, response)``.
-
-        Exposed as a method so tests can exercise request handling
-        without sockets.
-        """
-        try:
-            tuples, k, k_prime = self._parse_query_payload(payload)
-        except ValueError as error:
-            self._count("request_errors")
-            return 400, {"error": str(error)}
-        key = (tuples, k, k_prime)
+    def _cached_answer(self, key) -> dict | None:
+        """The cached ``/query`` body for ``key`` (counted as served), or None."""
         cached = self._cache.get(key)
-        if cached is not None:
-            self._count("requests_served")
-            return 200, {**cached, "cached": True}
-        # The generation must be read before computing: if a snapshot
-        # reload lands mid-flight, this answer describes the old graph
-        # and the put below is dropped.
-        generation = self._cache.generation
-        try:
-            if len(tuples) == 1:
-                result = self._batcher.submit(
-                    tuples[0], k=k, k_prime=k_prime, timeout=self.request_timeout
-                )
-            else:
-                # Multi-tuple (merged-MQG) queries are rare and heavier;
-                # they run directly under the execution lock instead of
-                # passing through the single-tuple batcher.
-                with self._exec_lock:
-                    result = self._system.query_multi(
-                        [list(t) for t in tuples], k=k, k_prime=k_prime
-                    )
-        except GQBEError as error:
-            self._count("request_errors")
-            return 400, {"error": str(error), "type": type(error).__name__}
-        except TimeoutError as error:
-            self._count("request_errors")
-            return 503, {"error": str(error)}
+        if cached is None:
+            return None
+        self._count("requests_served")
+        return {**cached, "cached": True}
+
+    def _fresh_answer(self, key, generation: int, result: QueryResult) -> dict:
+        """The ``/query`` body for a computed result, put in the cache.
+
+        ``generation`` is the one read before the engine call: if a
+        reload landed meanwhile, the answer describes the old graph and
+        the cache drops the put.
+        """
+        tuples, k, k_prime = key
         body = {
             "query": [list(t) for t in tuples],
             "k": k,
@@ -559,7 +567,34 @@ class ServingCore:
         }
         self._cache.put(key, body, generation)
         self._count("requests_served")
-        return 200, {**body, "cached": False}
+        return {**body, "cached": False}
+
+    def handle_query(self, payload) -> tuple[int, dict]:
+        """Answer one ``POST /query`` body; returns ``(status, response)``.
+
+        Exposed as a method so tests can exercise request handling
+        without sockets.
+        """
+        try:
+            key = self._parse_query_payload(payload)
+        except ValueError as error:
+            self._count("request_errors")
+            return 400, {"error": str(error)}
+        cached = self._cached_answer(key)
+        if cached is not None:
+            return 200, cached
+        generation = self._cache.generation
+        future = self._submit_query(*key)
+        try:
+            result = future.result(timeout=self.request_timeout)
+        except GQBEError as error:
+            self._count("request_errors")
+            return 400, {"error": str(error), "type": type(error).__name__}
+        except TimeoutError:
+            future.cancel()
+            self._count("request_errors")
+            return 503, {"error": f"query timed out after {self.request_timeout}s"}
+        return 200, self._fresh_answer(key, generation, result)
 
     # ------------------------------------------------------------------
     # info endpoints
@@ -587,7 +622,14 @@ class ServingCore:
             "request_errors": self.request_errors,
             "internal_errors": self.internal_errors,
             "cache": self._cache.stats(),
-            "batcher": self._batcher.stats(),
+            # Kept for perfbench, which reads batches_run and
+            # mean_batch_size; every engine call is one query.
+            "batcher": {
+                "batches_run": self.engine_calls,
+                "queries_batched": self.engine_calls,
+                "mean_batch_size": 1.0 if self.engine_calls else 0.0,
+                "pooled_batches": self.pooled_calls,
+            },
             "ingest": {
                 "requests": self.ingest_requests,
                 "triples_applied": self.triples_applied,

@@ -46,37 +46,40 @@ def fresh_python():
 
 
 class HeldRunner:
-    """A batcher runner whose first call blocks until :meth:`release`.
+    """An engine entry point whose first call blocks until :meth:`release`.
 
-    While the worker is held inside that call, later submissions queue
-    up, so the batch after it is exactly what queued meanwhile: batch
-    composition without a wall-clock window.  ``calls`` records every
-    ``(tuples, k, k_prime)`` the runner saw.
+    Wraps ``inner`` (``GQBE.query``, ``query_multi`` or a pool's
+    ``query_batch``).  While an engine thread is held inside that call,
+    later engine calls queue on the core's engine executor, so a test
+    fixes what waits behind it without a wall-clock window.  ``calls``
+    records every call's first argument (its query tuple or tuples) and
+    ``k``.
     """
 
     def __init__(self, inner):
         self.inner = inner
-        self.calls: list[tuple[list, int, int | None]] = []
+        self.calls: list[tuple[object, int | None]] = []
         self.entered = threading.Event()
         self._release = threading.Event()
 
-    def __call__(self, tuples, k, k_prime):
-        self.calls.append((list(tuples), k, k_prime))
+    def __call__(self, *args, **kwargs):
+        self.calls.append((args[0], kwargs.get("k")))
         if not self.entered.is_set():
             self.entered.set()
             self._release.wait(timeout=30)
-        return self.inner(tuples, k, k_prime)
+        return self.inner(*args, **kwargs)
 
     def release(self) -> None:
         self._release.set()
 
     @staticmethod
-    def wait_queued(batcher, count: int, timeout: float = 10.0) -> None:
-        """Block until ``count`` submissions wait in ``batcher``'s queue."""
+    def wait_queued(core, count: int, timeout: float = 10.0) -> None:
+        """Block until ``count`` engine calls wait in ``core``'s engine
+        executor queue (a cancelled call stays counted until an engine
+        thread pops it)."""
         deadline = time.monotonic() + timeout
         while True:
-            with batcher._condition:
-                queued = len(batcher._pending)
+            queued = core._engine._work_queue.qsize()
             if queued == count:
                 return
             assert time.monotonic() < deadline, f"{queued} queued, expected {count}"
@@ -84,13 +87,16 @@ class HeldRunner:
 
 
 @pytest.fixture()
-def held_runner():
-    """``held_runner(inner)`` -> a :class:`HeldRunner`; every one made is
-    released at teardown so no batcher worker stays blocked."""
+def held_runner(monkeypatch):
+    """``held_runner(owner, name)`` -> a :class:`HeldRunner` installed as
+    ``owner.name`` (e.g. ``server.system, "query"``); every one made is
+    released at teardown so no engine thread stays blocked, and the
+    attribute is restored."""
     made: list[HeldRunner] = []
 
-    def make(inner) -> HeldRunner:
-        made.append(HeldRunner(inner))
+    def make(owner, name: str) -> HeldRunner:
+        made.append(HeldRunner(getattr(owner, name)))
+        monkeypatch.setattr(owner, name, made[-1])
         return made[-1]
 
     yield make

@@ -5,7 +5,7 @@ Pins the serving-tier acceptance criteria for the asyncio frontend
 
 * answers are byte-identical to a direct ``GQBE.query`` call;
 * a shed request (``429`` past the high-water mark) carries
-  ``Retry-After`` and never touches the batcher;
+  ``Retry-After`` and never touches the engine;
 * rate-limited clients recover as their token bucket refills;
 * a deadline expiry answers ``504`` while the cache generation guard
   stays intact — the abandoned result can never be served later;
@@ -405,11 +405,15 @@ def test_async_stats_and_metrics_endpoints(async_server):
     assert after[("gqbe_queue_high_water", ())] == async_server.high_water
     assert after[("gqbe_queue_depth", ())] == 0
     assert after[("gqbe_snapshot_generation", ())] == async_server._cache.generation
-    # Every engine execution lands in the batch-size histogram.
-    count_key = ("gqbe_batch_size_count", ())
+    # Every engine call lands in the execute stage.
+    count_key = ("gqbe_stage_seconds_count", (("stage", "execute"),))
     assert after[count_key] >= before.get(count_key, 0) + 1
     total_key = ("gqbe_stage_seconds_count", (("stage", "total"),))
     assert after[total_key] > before.get(total_key, 0)
+    # perfbench reads these two keys from every serve run.
+    engine = _get(async_server, "/stats")[1]["batcher"]
+    assert engine["batches_run"] >= 1
+    assert engine["mean_batch_size"] == 1.0
 
 
 def test_total_stage_is_observed_for_query_requests_only(async_server):
@@ -427,7 +431,8 @@ def test_total_stage_is_observed_for_query_requests_only(async_server):
 
 
 # ----------------------------------------------------------------------
-# The batcher is the one place a batch is observed, inline or pooled
+# The engine executor is the one place an engine call is observed,
+# inline or pooled
 # ----------------------------------------------------------------------
 _FOUNDERS = [
     ["Jerry Yang", "Yahoo!"],
@@ -452,9 +457,9 @@ _FOUNDERS = [
     ],
 )
 def test_every_batch_reaches_metrics(figure1_graph, workers):
-    """``gqbe_batch_size`` and the ``queue`` / ``execute`` stages reconcile
-    with ``/stats`` for four concurrent misses, whatever batches they
-    form, on the inline runner and on the pool alike."""
+    """The ``queue`` / ``execute`` stages reconcile with ``/stats`` for
+    four concurrent misses, one engine call each, inline and on the pool
+    alike."""
     server = AsyncGQBEServer(
         GQBE(figure1_graph, config=GQBEConfig(mqg_size=10)),
         port=0,
@@ -471,11 +476,10 @@ def test_every_batch_reaches_metrics(figure1_graph, workers):
             )
         assert [status for status, _ in responses] == [200] * len(_FOUNDERS)
         stats = server.stats()["batcher"]
-        assert stats["queries_batched"] == len(_FOUNDERS)
+        assert stats["batches_run"] == stats["queries_batched"] == len(_FOUNDERS)
         assert stats["pooled_batches"] == (stats["batches_run"] if workers > 1 else 0)
         metrics = _scrape(server)
-        assert metrics[("gqbe_batch_size_count", ())] == stats["batches_run"]
-        assert metrics[("gqbe_batch_size_sum", ())] == stats["queries_batched"]
+        assert not [key for key in metrics if key[0].startswith("gqbe_batch_size")]
         stage = "gqbe_stage_seconds_count"
         assert metrics[(stage, (("stage", "execute"),))] == stats["batches_run"]
         assert metrics[(stage, (("stage", "queue"),))] == stats["queries_batched"]
@@ -521,26 +525,17 @@ def test_client_hangup_mid_request_is_not_a_server_error(figure1_graph, caplog):
 
 
 # ----------------------------------------------------------------------
-# Admission gate over HTTP: 429 never touches the batcher
+# Admission gate over HTTP: 429 never touches the engine
 # ----------------------------------------------------------------------
-def test_async_queue_full_429_never_touches_batcher(figure1_graph):
+def test_async_queue_full_429_never_touches_batcher(figure1_graph, held_runner):
     server = AsyncGQBEServer(
         GQBE(figure1_graph, config=GQBEConfig(mqg_size=10)),
         port=0,
         high_water=1,
         cache_size=0,
     ).start()
-    inner = server._batcher._runner
+    held = held_runner(server.system, "query")
     try:
-        entered = threading.Event()
-        release = threading.Event()
-
-        def slow_runner(tuples, k, k_prime):
-            entered.set()
-            release.wait(timeout=30)
-            return inner(tuples, k, k_prime)
-
-        server._batcher._runner = slow_runner
         first: dict = {}
 
         def occupy_slot():
@@ -551,31 +546,30 @@ def test_async_queue_full_429_never_touches_batcher(figure1_graph):
         holder = threading.Thread(target=occupy_slot)
         holder.start()
         # Wait until the first request is inside the engine, not merely
-        # admitted: the batcher counts its batch when a dispatch thread
-        # takes it, which may come after the gate admits it.
-        assert entered.wait(timeout=10), "first request never reached the engine"
+        # admitted.
+        assert held.entered.wait(timeout=10), "first request never reached the engine"
         assert server._gate.depth == 1
 
-        batcher_before = server._batcher.stats()
         status, headers, body = _request(
             server, "POST", "/query", {"tuple": ["Sergey Brin", "Google"], "k": 3}
         )
         assert status == 429
         assert int(headers["Retry-After"]) >= 1
         assert "capacity" in body["error"]
-        # The shed request was refused before the engine: no new batcher
-        # submissions, no new batches.
-        assert server._batcher.stats() == batcher_before
+        # The shed request was refused before the engine: no engine call
+        # queued or run.
+        assert server._engine._work_queue.qsize() == 0
+        held.release()
+        holder.join(timeout=30)
+        assert server.stats()["batcher"]["batches_run"] == 1
+        assert held.calls == [(("Jerry Yang", "Yahoo!"), 3)]
         shed = _scrape(server)[
             ("gqbe_http_shed_total", (("reason", "queue_full"),))
         ]
         assert shed == 1
-
-        release.set()
-        holder.join(timeout=30)
         assert first["response"][0] == 200
     finally:
-        server._batcher._runner = inner
+        held.release()
         server.stop()
 
 
@@ -652,20 +646,21 @@ def test_async_api_key_allowlist(figure1_graph):
 # ----------------------------------------------------------------------
 # Deadlines: 504 with the generation guard intact
 # ----------------------------------------------------------------------
-def test_async_deadline_expiry_504_generation_guard_intact(figure1_graph):
+def test_async_deadline_expiry_504_generation_guard_intact(figure1_graph, monkeypatch):
     server = AsyncGQBEServer(
         GQBE(figure1_graph, config=GQBEConfig(mqg_size=10)),
         port=0,
         deadline_ms=100,
         cache_size=64,
     ).start()
-    inner = server._batcher._runner
+    system = server.system
+    inner = system.query
     try:
-        def slow_runner(tuples, k, k_prime):
+        def slow_query(*args, **kwargs):
             time.sleep(0.5)
-            return inner(tuples, k, k_prime)
+            return inner(*args, **kwargs)
 
-        server._batcher._runner = slow_runner
+        monkeypatch.setattr(system, "query", slow_query)
         generation_before = server._cache.generation
 
         status, headers, body = _request(
@@ -684,9 +679,9 @@ def test_async_deadline_expiry_504_generation_guard_intact(figure1_graph):
         assert len(server._cache) == 0
         assert server._gate.depth == 0
 
-        # Once the slow batch drains, the same query computes fresh —
+        # Once the slow call drains, the same query computes fresh —
         # the abandoned result is never served.
-        server._batcher._runner = inner
+        monkeypatch.setattr(system, "query", inner)
         time.sleep(0.6)
         status, after = _post(
             server, "/query", {"tuple": ["Jerry Yang", "Yahoo!"], "k": 3}
@@ -694,24 +689,21 @@ def test_async_deadline_expiry_504_generation_guard_intact(figure1_graph):
         assert status == 200 and after["cached"] is False
         assert after["generation"] == generation_before
     finally:
-        server._batcher._runner = inner
         server.stop()
 
 
 def test_deadline_abandoned_batcher_slot_does_not_leak(figure1_graph, held_runner):
     """Fault: a request queued behind a held engine call misses its
-    deadline.  It is answered 504, leaves the batcher queue without ever
-    reaching the runner, frees its admission slot, and the server then
-    answers the next query 200 in bounded time."""
+    deadline.  It is answered 504, its engine call is cancelled and never
+    runs, it frees its admission slot, and the server then answers the
+    next query 200 in bounded time."""
     server = AsyncGQBEServer(
         GQBE(figure1_graph, config=GQBEConfig(mqg_size=10)),
         port=0,
         deadline_ms=100,
         cache_size=0,
     ).start()
-    batcher = server._batcher
-    runner = held_runner(batcher._runner)
-    batcher._runner = runner
+    runner = held_runner(server.system, "query")
     try:
         with ThreadPoolExecutor(max_workers=1) as pool:
             first = pool.submit(
@@ -723,8 +715,8 @@ def test_deadline_abandoned_batcher_slot_does_not_leak(figure1_graph, held_runne
             )
             assert status == 504 and "deadline" in body["error"]
             assert first.result(timeout=10)[0] == 504
-        # The abandoned entry leaves the queue before the worker is free.
-        runner.wait_queued(batcher, 0)
+        # The abandoned call still sits in the queue, cancelled.
+        runner.wait_queued(server, 1)
         runner.release()
 
         started = time.monotonic()
@@ -733,9 +725,9 @@ def test_deadline_abandoned_batcher_slot_does_not_leak(figure1_graph, held_runne
         )
         assert status == 200 and body["answers"]
         assert time.monotonic() - started < 10
-        assert [tuples for tuples, _, _ in runner.calls] == [
-            [("Jerry Yang", "Yahoo!")],
-            [("Steve Wozniak", "Apple Inc.")],
+        assert [query for query, _ in runner.calls] == [
+            ("Jerry Yang", "Yahoo!"),
+            ("Steve Wozniak", "Apple Inc."),
         ]
         metrics = _scrape(server)
         assert metrics[("gqbe_queue_depth", ())] == 0
@@ -760,7 +752,7 @@ def test_cli_serve_flags_default_from_the_constructors():
         ),
         (
             ServingCore,
-            ("max_batch", "cache_size", "workers", "cache_ttl_seconds",
+            ("cache_size", "workers", "cache_ttl_seconds",
              "compact_threshold"),
         ),
     ):
@@ -816,7 +808,6 @@ def test_cli_bench_serve_arrival_wiring():
         ("--high-water", "0"),
         ("--workers", "0"),
         ("--deadline-ms", "0"),
-        ("--max-batch", "0"),
         ("--cache-size", "-1"),
         ("--cache-ttl-seconds", "0"),
         ("--compact-threshold", "0"),
@@ -872,4 +863,4 @@ def test_build_frontend_wires_the_flags(figure1_graph):
         assert server.stats()["cache"]["ttl_seconds"] == 30.0
     finally:
         server._executor.shutdown(wait=False)
-        server._batcher.close()
+        server.close_engine()

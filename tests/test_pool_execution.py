@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -89,6 +90,17 @@ def answer_key(result):
     return [
         (a.rank, a.entities, a.score, a.structure_score, a.content_score)
         for a in result.answers
+    ]
+
+
+def _body_key(body):
+    """:func:`answer_key` of a ``/query`` response body."""
+    return [
+        (
+            a["rank"], tuple(a["entities"]), a["score"],
+            a["structure_score"], a["content_score"],
+        )
+        for a in body["answers"]
     ]
 
 
@@ -257,39 +269,67 @@ class TestServingPoolDispatch:
         finally:
             server.close_engine()
 
-    def test_batcher_pool_failure_falls_back(self, systems, tuples):
-        """A broken pool degrades to the inline runner, not to errors."""
+    def test_batcher_pool_failure_falls_back(self, systems, tuples, monkeypatch):
+        """A broken pool degrades to inline, not to errors; and every
+        engine call, inline, multi-tuple and pool fallback, runs on an
+        engine thread, never on the caller's."""
         from concurrent.futures import ThreadPoolExecutor
 
-        from repro.serving.batching import QueryBatcher
+        from repro.serving.server import ServingCore
 
         inline = systems["inline"]
-        pool_calls = []
-        runner_calls = []
+        singles = tuples[:3]
+        references = [answer_key(inline.query(t, k=5)) for t in singles]
+        multi_reference = answer_key(inline.query_multi(singles[:2], k=5))
+        calls = []  # (entry point, first argument, thread name)
+
+        def recorded(kind, inner):
+            def run(*args, **kwargs):
+                calls.append((kind, args[0], threading.current_thread().name))
+                return inner(*args, **kwargs)
+
+            return run
 
         class _ExplodingPool:
             workers = 2
+            query_batch = staticmethod(
+                recorded("pool", lambda *args, **kwargs: 1 / 0)
+            )
 
-            def query_batch(self, batch, **kwargs):
-                pool_calls.append(list(batch))
-                raise RuntimeError("pool is broken")
+            def close(self):
+                pass
 
-        def runner(batch, k, k_prime):
-            runner_calls.append(list(batch))
-            return inline.query_batch(list(batch), k=k, k_prime=k_prime)
-
-        batcher = QueryBatcher(runner, max_batch=8, pool=_ExplodingPool())
+        monkeypatch.setattr(inline, "query", recorded("query", inline.query))
+        monkeypatch.setattr(
+            inline, "query_multi", recorded("multi", inline.query_multi)
+        )
+        monkeypatch.setattr(ServingCore, "_make_pool", lambda self: _ExplodingPool())
+        core = ServingCore(inline, cache_size=0, workers=2)
         try:
             with ThreadPoolExecutor(max_workers=3) as executor:
-                futures = {
-                    t: executor.submit(batcher.submit, t, 5, None, 30)
-                    for t in tuples[:3]
-                }
-                results = {t: f.result(timeout=30) for t, f in futures.items()}
-            # Every batch, lone queries included, went to the pool first.
-            assert sorted(pool_calls) == sorted(runner_calls)
-            assert sorted(t for batch in pool_calls for t in batch) == sorted(tuples[:3])
-            for t, result in results.items():
-                assert answer_key(result) == answer_key(inline.query(t, k=5))
+                responses = list(
+                    executor.map(
+                        lambda t: core.handle_query({"tuple": list(t), "k": 5}),
+                        singles,
+                    )
+                )
+            multi_status, multi = core.handle_query(
+                {"tuples": [list(t) for t in singles[:2]], "k": 5}
+            )
         finally:
-            batcher.close()
+            core.close_engine()
+        # Every single-tuple query went to the pool first, then inline;
+        # the multi-tuple one runs inline only.
+        by_kind = {
+            kind: sorted(first for k, first, _ in calls if k == kind)
+            for kind in ("pool", "query", "multi")
+        }
+        assert by_kind["pool"] == sorted((t,) for t in singles)
+        assert by_kind["query"] == sorted(singles)
+        assert by_kind["multi"] == [[list(t) for t in singles[:2]]]
+        # An engine thread runs every call, whoever waits on it.
+        assert all(thread.startswith("gqbe-engine") for _, _, thread in calls)
+        for (status, body), reference in zip(responses, references):
+            assert status == 200
+            assert _body_key(body) == reference
+        assert multi_status == 200 and _body_key(multi) == multi_reference

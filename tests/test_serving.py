@@ -1,8 +1,8 @@
-"""Serve-layer tests: HTTP frontend, micro-batcher, LRU answer cache.
+"""Serve-layer tests: HTTP frontend, engine executor, LRU answer cache.
 
 Covers the serving acceptance criteria: concurrent JSON queries answered
-from one warm snapshot load, request batching through
-``GQBE.query_batch``, and — critically — that the LRU answer cache never
+from one warm snapshot load, one engine call per request on the core's
+engine executor, and — critically — that the LRU answer cache never
 serves a stale answer after a new snapshot is loaded (generation guard).
 """
 
@@ -22,7 +22,6 @@ from repro.core.config import GQBEConfig
 from repro.core.gqbe import GQBE
 from repro.exceptions import UnknownEntityError
 from repro.graph.knowledge_graph import KnowledgeGraph
-from repro.serving.batching import QueryBatcher
 from repro.serving.async_server import AsyncGQBEServer
 from repro.serving.cache import AnswerCache
 from repro.serving.metrics import parse_prometheus_text
@@ -64,197 +63,183 @@ def test_cache_zero_capacity_disables_caching():
 
 
 # ----------------------------------------------------------------------
-# QueryBatcher
+# The engine executor: one task per /query engine call
 # ----------------------------------------------------------------------
-def _echo(tuples, k, k_prime):
-    return [("result", tuple(t), k, k_prime) for t in tuples]
+_JERRY = ("Jerry Yang", "Yahoo!")
+_SERGEY = ("Sergey Brin", "Google")
+_STEVE = ("Steve Wozniak", "Apple Inc.")
+_BILL = ("Bill Gates", "Microsoft")
 
 
-def test_batcher_groups_concurrent_submissions(held_runner):
-    """Natural batching: the first submission runs alone, at once, and
-    the N that queued behind it form exactly the next batch.  The
-    observer sees each engine call once, with one queue wait per member."""
-    observed = []
-    runner = held_runner(_echo)
-    batcher = QueryBatcher(
-        runner,
-        max_batch=16,
-        on_batch=lambda size, waits, execute: observed.append(
-            (size, len(waits), execute)
-        ),
+@pytest.fixture()
+def engine_core(figure1_graph):
+    core = ServingCore(
+        GQBE(figure1_graph, config=GQBEConfig(mqg_size=10)), cache_size=0
     )
-    try:
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            first = pool.submit(batcher.submit, ("entity", "first"), 3)
-            # No window to sit out: the lone request is already running.
-            assert runner.entered.wait(timeout=10)
-            runner.wait_queued(batcher, 0)
-            futures = [
-                pool.submit(batcher.submit, ("entity", str(i)), 3) for i in range(5)
-            ]
-            runner.wait_queued(batcher, 5)
-            runner.release()
-            results = [future.result(timeout=10) for future in futures]
-        assert first.result()[1] == ("entity", "first")
-        assert [r[1] for r in results] == [("entity", str(i)) for i in range(5)]
-        # The five that queued behind the held call: one batched runner call.
-        assert [len(tuples) for tuples, _, _ in runner.calls] == [1, 5]
-        assert [(size, waits) for size, waits, _ in observed] == [(1, 1), (5, 5)]
-        assert all(execute >= 0 for _, _, execute in observed)
-        stats = batcher.stats()
-        assert (stats["batches_run"], stats["queries_batched"]) == (2, 6)
-        assert stats["largest_batch"] == 5
-    finally:
-        batcher.close()
+    yield core
+    core.close_engine()
 
 
-def test_batcher_caps_a_batch_at_max_batch(held_runner):
-    runner = held_runner(_echo)
-    batcher = QueryBatcher(runner, max_batch=4)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            pool.submit(batcher.submit, ("first",), 3)
-            assert runner.entered.wait(timeout=10)
-            queued = [pool.submit(batcher.submit, (str(i),), 3) for i in range(6)]
-            runner.wait_queued(batcher, 6)
-            runner.release()
-            for future in queued:
-                future.result(timeout=10)
-        assert [len(tuples) for tuples, _, _ in runner.calls] == [1, 4, 2]
-    finally:
-        batcher.close()
+def _ask(core, query, k=3):
+    return core.handle_query({"tuple": list(query), "k": k})
 
 
-def test_batcher_groups_by_ranking_parameters(held_runner):
-    runner = held_runner(lambda tuples, k, k_prime: [("ok", k) for _ in tuples])
-    batcher = QueryBatcher(runner, max_batch=16)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            pool.submit(batcher.submit, ("first",), 5)
-            assert runner.entered.wait(timeout=10)
-            futures = [
-                pool.submit(batcher.submit, ("e",), 5),
-                pool.submit(batcher.submit, ("f",), 5),
-                pool.submit(batcher.submit, ("g",), 9),
-            ]
-            runner.wait_queued(batcher, 3)
-            runner.release()
-            results = [f.result(timeout=10) for f in futures]
-        assert sorted(r[1] for r in results) == [5, 5, 9]
-        # One batch of three, one runner call per (k, k_prime) in it.
-        assert sorted((len(tuples), k) for tuples, k, _ in runner.calls[1:]) == [
-            (1, 9),
-            (2, 5),
+def test_batcher_groups_by_ranking_parameters(engine_core, held_runner):
+    """Requests queued behind a held engine call each run as their own
+    call with their own ``k``: no call mixes requests or parameters."""
+    held = held_runner(engine_core.system, "query")
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        first = pool.submit(_ask, engine_core, _JERRY, 5)
+        assert held.entered.wait(timeout=10)
+        queued = [
+            pool.submit(_ask, engine_core, query, k)
+            for query, k in ((_SERGEY, 5), (_STEVE, 5), (_BILL, 9))
         ]
-        assert batcher.stats()["batches_run"] == 2
-    finally:
-        batcher.close()
+        held.wait_queued(engine_core, 3)
+        held.release()
+        responses = [future.result(timeout=10) for future in [first, *queued]]
+    assert [(status, body["k"]) for status, body in responses] == [
+        (200, 5), (200, 5), (200, 5), (200, 9)
+    ]
+    assert held.calls[0] == (_JERRY, 5)
+    assert sorted(held.calls[1:]) == [(_BILL, 9), (_SERGEY, 5), (_STEVE, 5)]
+    stats = engine_core.stats()["batcher"]
+    assert (stats["batches_run"], stats["mean_batch_size"]) == (4, 1.0)
 
 
-def test_batcher_wakes_each_ranking_group_as_soon_as_it_has_run(held_runner):
-    """In a batch with mixed ``k``, a caller whose group is done has its
-    answer while a later group of the same batch is still running."""
+def test_batcher_wakes_each_ranking_group_as_soon_as_it_has_run(
+    engine_core, held_runner, monkeypatch
+):
+    """A caller is answered as soon as its own engine call has run, while
+    the call queued after it is still running."""
     slow_entered, slow_gate = threading.Event(), threading.Event()
+    system = engine_core.system
+    inner = system.query
 
-    def inner(tuples, k, k_prime):
+    def query(query_tuple, k, k_prime):
         if k == 9:
             slow_entered.set()
             slow_gate.wait(timeout=30)
-        return _echo(tuples, k, k_prime)
+        return inner(query_tuple, k=k, k_prime=k_prime)
 
-    runner = held_runner(inner)
-    batcher = QueryBatcher(runner, max_batch=16)
+    monkeypatch.setattr(system, "query", query)
+    held = held_runner(system, "query")
     try:
         with ThreadPoolExecutor(max_workers=3) as pool:
-            pool.submit(batcher.submit, ("first",), 3)
-            assert runner.entered.wait(timeout=10)
-            quick = pool.submit(batcher.submit, ("quick",), 5)
-            runner.wait_queued(batcher, 1)
-            slow = pool.submit(batcher.submit, ("slow",), 9)
-            runner.wait_queued(batcher, 2)
-            runner.release()
+            pool.submit(_ask, engine_core, _JERRY)
+            assert held.entered.wait(timeout=10)
+            quick = pool.submit(_ask, engine_core, _SERGEY, 5)
+            held.wait_queued(engine_core, 1)
+            slow = pool.submit(_ask, engine_core, _STEVE, 9)
+            held.wait_queued(engine_core, 2)
+            held.release()
             assert slow_entered.wait(timeout=10)
             # The k=9 call is still held: the k=5 caller is answered anyway.
-            assert quick.result(timeout=10) == ("result", ("quick",), 5, None)
+            status, body = quick.result(timeout=10)
+            assert (status, body["query"]) == (200, [list(_SERGEY)])
             assert not slow.done()
             slow_gate.set()
-            assert slow.result(timeout=10) == ("result", ("slow",), 9, None)
-        assert batcher.stats()["batches_run"] == 2
+            assert slow.result(timeout=10)[0] == 200
     finally:
         slow_gate.set()
-        batcher.close()
 
 
-def test_batcher_per_query_errors_do_not_poison_batchmates(held_runner):
-    def inner(tuples, k, k_prime):
-        out = []
-        for t in tuples:
-            if t[0] == "bad":
-                out.append(UnknownEntityError("bad"))
-            else:
-                out.append(("ok", t))
-        return out
-
-    runner = held_runner(inner)
-    batcher = QueryBatcher(runner, max_batch=8)
-    try:
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            pool.submit(batcher.submit, ("first",), 3)
-            assert runner.entered.wait(timeout=10)
-            good = pool.submit(batcher.submit, ("good",), 3)
-            bad = pool.submit(batcher.submit, ("bad",), 3)
-            runner.wait_queued(batcher, 2)
-            runner.release()
-            assert good.result(timeout=10) == ("ok", ("good",))
-            with pytest.raises(UnknownEntityError):
-                bad.result(timeout=10)
-        # Both rode in one runner call.
-        assert len(runner.calls) == 2 and len(runner.calls[1][0]) == 2
-    finally:
-        batcher.close()
+def test_batcher_per_query_errors_do_not_poison_batchmates(engine_core, held_runner):
+    held = held_runner(engine_core.system, "query")
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        pool.submit(_ask, engine_core, _JERRY)
+        assert held.entered.wait(timeout=10)
+        good = pool.submit(_ask, engine_core, _SERGEY)
+        bad = pool.submit(_ask, engine_core, ("Nobody", "Nowhere"))
+        held.wait_queued(engine_core, 2)
+        held.release()
+        assert good.result(timeout=10)[0] == 200
+        status, body = bad.result(timeout=10)
+        assert (status, body["type"]) == (400, UnknownEntityError.__name__)
+    # Both queued behind the held call; each ran as its own call.
+    assert len(held.calls) == 3
 
 
-def test_batcher_observer_failure_reaches_callers_not_the_dispatcher():
+def test_batcher_observer_failure_reaches_callers_not_the_dispatcher(figure1_graph):
     failures = iter([RuntimeError("observer broke")])
 
-    def on_batch(size, waits, execute):
-        failure = next(failures, None)
-        if failure is not None:
-            raise failure
+    class Core(ServingCore):
+        def _observe_engine_call(self, queue_seconds, execute_seconds):
+            failure = next(failures, None)
+            if failure is not None:
+                raise failure
 
-    batcher = QueryBatcher(_echo, on_batch=on_batch)
+    core = Core(GQBE(figure1_graph, config=GQBEConfig(mqg_size=10)), cache_size=0)
     try:
         with pytest.raises(RuntimeError, match="observer broke"):
-            batcher.submit(("first",), 3, timeout=10)
-        assert batcher.submit(("second",), 3, timeout=10)[1] == ("second",)
+            _ask(core, _JERRY)
+        assert _ask(core, _JERRY)[0] == 200
     finally:
-        batcher.close()
+        core.close_engine()
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one batch in flight per CPU")
-def test_batcher_keeps_one_batch_in_flight_per_pool_worker(held_runner):
-    """With a pool, a lone request does not wait for an unrelated batch:
-    while one pool call is held, the next request runs beside it."""
-    pool = SimpleNamespace(workers=2, query_batch=held_runner(_echo))
-    batcher = QueryBatcher(_echo, pool=pool)
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one engine thread per CPU")
+def test_batcher_keeps_one_batch_in_flight_per_pool_worker(
+    figure1_graph, held_runner, monkeypatch
+):
+    """With a pool, a lone request does not wait for an unrelated one:
+    while one pool call is held, the next runs beside it."""
+    system = GQBE(figure1_graph, config=GQBEConfig(mqg_size=10))
+    pool = SimpleNamespace(
+        workers=2, query_batch=system.query_batch, close=dict, stats=dict
+    )
+    held = held_runner(pool, "query_batch")
+    monkeypatch.setattr(ServingCore, "_make_pool", lambda self: pool)
+    core = ServingCore(system, cache_size=0, workers=2)
     try:
         with ThreadPoolExecutor(max_workers=1) as executor:
-            held = executor.submit(batcher.submit, ("held",), 3)
-            assert pool.query_batch.entered.wait(timeout=10)
-            assert batcher.submit(("next",), 3, timeout=10)[1] == ("next",)
-            assert not held.done()
-            pool.query_batch.release()
-            assert held.result(timeout=10)[1] == ("held",)
-        assert batcher.stats()["pooled_batches"] == 2
+            first = executor.submit(_ask, core, _JERRY)
+            assert held.entered.wait(timeout=10)
+            assert _ask(core, _SERGEY)[0] == 200
+            assert not first.done()
+            held.release()
+            assert first.result(timeout=10)[0] == 200
+        assert core.stats()["batcher"]["pooled_batches"] == 2
     finally:
-        batcher.close()
+        core.close_engine()
 
 
-def test_batcher_close_rejects_new_submissions():
-    batcher = QueryBatcher(lambda tuples, k, kp: [None for _ in tuples])
-    batcher.close()
+def test_batcher_close_rejects_new_submissions(engine_core):
+    engine_core.close_engine()
     with pytest.raises(RuntimeError):
-        batcher.submit(("x",), 3)
+        _ask(engine_core, _JERRY)
+
+
+@pytest.mark.parametrize("transport", ["handle_query", "http"])
+def test_multi_tuple_query_honours_request_timeout(figure1_graph, transport):
+    """A multi-tuple request behind a held engine shares the single-tuple
+    budget: it is answered 503 at ``request_timeout``, not once the
+    engine is free."""
+    server = AsyncGQBEServer(
+        GQBE(figure1_graph, config=GQBEConfig(mqg_size=10)),
+        port=0,
+        cache_size=0,
+        request_timeout=0.2,
+    )
+    if transport == "http":
+        server.start()
+    payload = {"tuples": [list(_JERRY), list(_SERGEY)], "k": 3}
+
+    def ask():
+        if transport == "http":
+            return _post(server, "/query", payload)
+        return server.handle_query(payload)
+
+    try:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            with server._exec_lock:
+                started = time.monotonic()
+                status, body = pool.submit(ask).result(timeout=1.0)
+                elapsed = time.monotonic() - started
+        assert status == 503, body
+        assert elapsed < 1.0
+    finally:
+        server.stop()
 
 
 # ----------------------------------------------------------------------
@@ -684,11 +669,10 @@ def test_cli_serve_parser_wiring():
     from repro.cli import build_parser
 
     args = build_parser().parse_args(
-        ["serve", "--snapshot", "x.snap", "--port", "0", "--max-batch", "8"]
+        ["serve", "--snapshot", "x.snap", "--port", "0"]
     )
     assert args.snapshot == "x.snap"
     assert args.port == 0
-    assert args.max_batch == 8
     assert args.max_body_bytes is None  # server default (4 MiB) applies
     assert args.func.__name__ == "_cmd_serve"
 
@@ -707,10 +691,11 @@ def test_cli_serve_parser_wiring():
         ["build-index", "in.tsv", "out.snap", "--rows"],
         ["serve", "--snapshot", "x.snap", "--batch-window-ms", "2"],
         ["bench-serve", "--workload", "freebase", "--batch-window-ms", "0"],
+        ["serve", "--max-batch", "8"],
     ],
 )
 def test_cli_retired_selectors_are_gone(argv, capsys):
-    """One format, one frontend, no batching window: the flags that chose
+    """One format, one frontend, no batching: the flags that chose
     another are usage errors, not silently ignored."""
     from repro.cli import build_parser
 

@@ -1,8 +1,7 @@
 """Concurrency and fork-hygiene rules (contract ``concurrent``).
 
-The serving layer mixes a threading HTTP server, a query batcher with
-handler threads parked on a condition variable, and a forkserver-based
-process pool.  The invariants these rules police:
+The serving layer mixes an asyncio HTTP server, handler and engine
+thread pools, and a forkserver-based process pool.  The invariants these rules police:
 
 - shared mutable state (module globals, ``self`` attributes read by
   other threads) is only read-modify-written under a lock;
