@@ -5,9 +5,11 @@
  * visit order, same Python ints out.  tests/test_native_kernels.py pins
  * the pair.
  *
- * Int64 columns arrive as C-contiguous read-only buffers (numpy arrays
- * or mmap-backed views), so the win is purely the removal of
- * interpreter dispatch, not a data layout change.
+ * Integer columns arrive as C-contiguous read-only buffers (numpy
+ * arrays or mmap-backed views) of int32 (what a snapshot stores) or
+ * int64 (a snapshot written before its arrays were narrowed), so the
+ * win is purely the removal of interpreter dispatch, not a data layout
+ * change.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -15,33 +17,42 @@
 #include <stdint.h>
 
 /* ------------------------------------------------------------------ */
-/* int64 buffer access                                                */
+/* int32 / int64 buffer access                                        */
 /* ------------------------------------------------------------------ */
 
 typedef struct {
     Py_buffer view;
-    const int64_t *data;
     Py_ssize_t len;
-} I64Buffer;
+} IntBuffer;
 
 static int
-i64_acquire(PyObject *obj, I64Buffer *buffer)
+int_acquire(PyObject *obj, IntBuffer *buffer)
 {
+    /* No PyBUF_FORMAT: asking for the format string costs more than the
+     * lookup itself, and the exporter still reports its item size. */
     if (PyObject_GetBuffer(obj, &buffer->view, PyBUF_SIMPLE) < 0)
         return -1;
-    if (buffer->view.len % (Py_ssize_t)sizeof(int64_t)) {
+    Py_ssize_t itemsize = buffer->view.itemsize;
+    if ((itemsize != 4 && itemsize != 8) || buffer->view.len % itemsize) {
         PyBuffer_Release(&buffer->view);
         PyErr_SetString(PyExc_ValueError,
-                        "expected a contiguous int64 buffer");
+                        "expected a contiguous int32 or int64 buffer");
         return -1;
     }
-    buffer->data = (const int64_t *)buffer->view.buf;
-    buffer->len = buffer->view.len / (Py_ssize_t)sizeof(int64_t);
+    buffer->len = buffer->view.len / itemsize;
     return 0;
 }
 
+static inline int64_t
+int_at(const IntBuffer *buffer, int64_t index)
+{
+    if (buffer->view.itemsize == 4)
+        return ((const int32_t *)buffer->view.buf)[index];
+    return ((const int64_t *)buffer->view.buf)[index];
+}
+
 static void
-i64_release(I64Buffer *buffer)
+int_release(IntBuffer *buffer)
 {
     PyBuffer_Release(&buffer->view);
 }
@@ -66,10 +77,10 @@ check_arity(const char *name, Py_ssize_t nargs, Py_ssize_t expected)
 /* ------------------------------------------------------------------ */
 
 static int
-append_slice(const int64_t *arr, int64_t start, int64_t end, PyObject *out)
+append_slice(const IntBuffer *arr, int64_t start, int64_t end, PyObject *out)
 {
     for (int64_t j = start; j < end; j++) {
-        PyObject *value = PyLong_FromLongLong((long long)arr[j]);
+        PyObject *value = PyLong_FromLongLong((long long)int_at(arr, j));
         if (value == NULL)
             return -1;
         if (PyList_Append(out, value) < 0) {
@@ -93,22 +104,22 @@ kernel_csr_neighbors(PyObject *Py_UNUSED(module), PyObject *const *args,
     PyObject *out_indptr_obj = args[1], *out_objects_obj = args[2];
     PyObject *in_indptr_obj = args[3], *in_subjects_obj = args[4];
 
-    I64Buffer out_indptr, out_objects, in_indptr, in_subjects;
-    if (i64_acquire(out_indptr_obj, &out_indptr) < 0)
+    IntBuffer out_indptr, out_objects, in_indptr, in_subjects;
+    if (int_acquire(out_indptr_obj, &out_indptr) < 0)
         return NULL;
-    if (i64_acquire(out_objects_obj, &out_objects) < 0) {
-        i64_release(&out_indptr);
-        return NULL;
-    }
-    if (i64_acquire(in_indptr_obj, &in_indptr) < 0) {
-        i64_release(&out_indptr);
-        i64_release(&out_objects);
+    if (int_acquire(out_objects_obj, &out_objects) < 0) {
+        int_release(&out_indptr);
         return NULL;
     }
-    if (i64_acquire(in_subjects_obj, &in_subjects) < 0) {
-        i64_release(&out_indptr);
-        i64_release(&out_objects);
-        i64_release(&in_indptr);
+    if (int_acquire(in_indptr_obj, &in_indptr) < 0) {
+        int_release(&out_indptr);
+        int_release(&out_objects);
+        return NULL;
+    }
+    if (int_acquire(in_subjects_obj, &in_subjects) < 0) {
+        int_release(&out_indptr);
+        int_release(&out_objects);
+        int_release(&in_indptr);
         return NULL;
     }
 
@@ -120,17 +131,17 @@ kernel_csr_neighbors(PyObject *Py_UNUSED(module), PyObject *const *args,
     out = PyList_New(0);
     if (out == NULL)
         goto done;
-    if (append_slice(out_objects.data, out_indptr.data[node],
-                     out_indptr.data[node + 1], out) < 0 ||
-        append_slice(in_subjects.data, in_indptr.data[node],
-                     in_indptr.data[node + 1], out) < 0)
+    if (append_slice(&out_objects, int_at(&out_indptr, node),
+                     int_at(&out_indptr, node + 1), out) < 0 ||
+        append_slice(&in_subjects, int_at(&in_indptr, node),
+                     int_at(&in_indptr, node + 1), out) < 0)
         Py_CLEAR(out);
 
 done:
-    i64_release(&out_indptr);
-    i64_release(&out_objects);
-    i64_release(&in_indptr);
-    i64_release(&in_subjects);
+    int_release(&out_indptr);
+    int_release(&out_objects);
+    int_release(&in_indptr);
+    int_release(&in_subjects);
     return out;
 }
 

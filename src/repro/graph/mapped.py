@@ -1,9 +1,10 @@
 """A knowledge-graph view over CSR adjacency arrays, plus an ingested delta.
 
 A snapshot (:mod:`repro.storage.shards`) persists the data graph as six
-int64 columns — out- and in-adjacency in CSR form over the vocabulary's
-entity ids — plus the label strings; ``GraphStore.build`` computes the
-same columns in memory.  This module's :class:`MappedKnowledgeGraph`
+columns — out- and in-adjacency in CSR form over the vocabulary's
+entity ids: int32 ids and label ids under index pointers as wide as the
+edge count needs — plus the label strings; ``GraphStore.build``
+computes the same columns in memory.  This module's :class:`MappedKnowledgeGraph`
 serves the read API of
 :class:`~repro.graph.knowledge_graph.KnowledgeGraph` directly over those
 columns, so a serve worker reopening a snapshot carries **no** private
@@ -28,8 +29,9 @@ The base columns are never written.  Live ingest (``POST /admin/ingest``)
 adds a **delta**: new terms intern into the vocabulary's overlay
 (``MappedVocabulary.intern``), so new nodes take the ids past the base's,
 and the delta's edges are kept as id triples in ingest order with a small
-CSR per direction over them (:class:`DeltaSlices`), rebuilt once per
-ingest batch (:meth:`MappedKnowledgeGraph.finish_mutation`).  Every
+CSR per direction over them (:class:`DeltaSlices`, int32 ids like the
+base's), rebuilt once per ingest batch
+(:meth:`MappedKnowledgeGraph.finish_mutation`).  Every
 reader sees a node's base slice first and its delta slice after it.
 A fresh build of the merged edge set sorts each slice, so it holds the
 same edges in another order; no answer depends on that order
@@ -238,7 +240,8 @@ class MappedKnowledgeGraph:
     def finish_mutation(self) -> None:
         """Rebuild the delta's slices after an ingest batch."""
         if self._delta_triples:
-            subjects, labels, objects = np.array(self._delta_triples, dtype=np.int64).T
+            # Ids at the snapshot's width: every id is at most MAX_ENTITY_ID.
+            subjects, labels, objects = np.array(self._delta_triples, dtype=np.int32).T
             self.delta_out = DeltaSlices(subjects, labels, objects)
             self.delta_in = DeltaSlices(objects, labels, subjects)
 

@@ -20,7 +20,7 @@ entity lies on an undirected path of length ≤ ``d`` starting at that entity.
 
 The data graph is a :class:`~repro.graph.mapped.MappedKnowledgeGraph`
 (a snapshot, or a graph built in memory into the same arrays, plus
-whatever live ingest added).  The BFS runs on its int64 CSR columns and
+whatever live ingest added).  The BFS runs on its CSR id columns and
 ``H_t`` itself stays in id space (:class:`NeighborhoodColumns`),
 gathered with whole-array operations:
 most of it is noise the reduction of Sec. III-C is about to remove, so

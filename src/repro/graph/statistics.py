@@ -37,12 +37,30 @@ if TYPE_CHECKING:  # pragma: no cover - repro.graph.neighborhood imports the gra
     from repro.graph.neighborhood import NeighborhoodColumns
 
 
+def searchsorted_within(keys: "np.ndarray", needles: "np.ndarray") -> "np.ndarray":
+    """``np.searchsorted(keys, needles)`` for non-negative integer
+    ``needles`` of any width, without widening ``keys``.
+
+    numpy searches in the two arrays' common type, so an int64 needle
+    column would copy a whole int32 key column on every call.  A needle
+    past the keys' range is searched as the range's maximum; callers
+    compare the key at each slot with the wide needle, which rejects it.
+    """
+    dtype = keys.dtype
+    if needles.dtype != dtype:
+        if needles.dtype.itemsize > dtype.itemsize:
+            needles = np.minimum(needles, np.iinfo(dtype).max)
+        needles = needles.astype(dtype)
+    return np.searchsorted(keys, needles)
+
+
 class _CountColumns:
-    """A ``(node, label) -> count`` mapping over two int64 columns.
+    """A ``(node, label) -> count`` mapping over two integer columns.
 
     A snapshot persists each participation count of Eq. 4 as a pair of
     columns: sorted composite keys (``node_id * num_labels + label_id``)
-    and their counts.  Node ids are the vocabulary's; label ids are the
+    and their counts, each int32 when its bound (nodes × labels, the edge
+    count) fits.  Node ids are the vocabulary's; label ids are the
     *statistics shard's own* (its label table is sorted, the graph
     shard's is in first-seen order), extended past ``num_labels`` by the
     labels live ingest brings.  Live-ingest writes (:meth:`add_one`)
@@ -50,7 +68,9 @@ class _CountColumns:
     id pair, that reads prefer; :meth:`fold_overlay` lays it out as its
     own pair of sorted key / count columns (key ``node_id << 32 |
     label_id``, which leaves room for the ingested labels) once per
-    ingest batch.
+    ingest batch.  Both keys are built in int64 from ids of any width,
+    and searched at the key column's own width
+    (:func:`searchsorted_within`).
 
     Two read surfaces: :meth:`counts_of` answers a whole column of id
     pairs with one ``np.searchsorted`` per column pair and is what a
@@ -85,9 +105,12 @@ class _CountColumns:
     def counts_of(self, node_ids: "np.ndarray", label_ids: "np.ndarray") -> "np.ndarray":
         """The counts at ``(node_ids[i], label_ids[i])`` as one owned array
         (0 where there is none)."""
+        # Keys are built in int64 whatever the ids' width: an int32
+        # ``node * width`` wraps, and ``node << 32`` is 0.
+        node_ids = node_ids.astype(np.int64)
         keys = self._keys
         composite = node_ids * self._width + label_ids
-        slots = np.searchsorted(keys, composite)  # past the end: clipped below
+        slots = searchsorted_within(keys, composite)  # past the end: clipped below
         # A label that came with an ingest has no base key at all: its
         # composite would alias a key of the next node.  (An ingested
         # node's composite lies past every key.)
@@ -97,7 +120,7 @@ class _CountColumns:
             # Overlay values are absolute: laid over the base count, not added.
             keys = self._overlay_keys
             composite = (node_ids << 32) | label_ids
-            slots = np.searchsorted(keys, composite)
+            slots = searchsorted_within(keys, composite)
             found = keys.take(slots, mode="clip") == composite
             counts = np.where(found, self._overlay_counts.take(slots, mode="clip"), counts)
         return counts
@@ -107,10 +130,14 @@ class _CountColumns:
         twice per triple; a one-row array costs several times this)."""
         value = self._overlay.get((node_id, label_id))
         if value is None and label_id < self._width:
+            keys = self._keys
             composite = node_id * self._width + label_id
-            slot = int(np.searchsorted(self._keys, composite))
-            if slot < len(self._keys) and int(self._keys[slot]) == composite:
-                return int(self._counts[slot])
+            # An ingested node's composite lies past every key, and past
+            # the range of narrow keys: it is not searched.
+            if len(keys) and composite <= int(keys[-1]):
+                slot = int(np.searchsorted(keys, composite))
+                if int(keys[slot]) == composite:
+                    return int(self._counts[slot])
         return value or 0
 
     def get(self, key: tuple[str, str], default: int = 0):
@@ -150,7 +177,7 @@ class GraphStatistics:
     later assigned to edges of a neighborhood subgraph, exactly as the
     paper prescribes.  The edge total and per-label counts are a small
     header; the two ``(node, label)`` participation counts of Eq. 4 are
-    sorted composite-key / count int64 column pairs
+    sorted composite-key / count column pairs
     (:class:`_CountColumns`), mapped zero-copy from a snapshot's
     statistics shard (so N serving workers over one snapshot share their
     physical pages) or computed in memory by ``GraphStore.build``.  Live

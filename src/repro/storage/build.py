@@ -36,7 +36,11 @@ Finalize — per label (parallelizable), then two block merges
     per-label work out over processes); each label also writes sorted
     statistics runs and ``(node, label, other)``-sorted CSR runs, which a
     block-wise numpy merge (:func:`_merge_runs`) streams into the
-    statistics and graph shards.  ``MANIFEST.json`` is written last, and
+    statistics and graph shards.  Scratch runs are int64 records; each
+    shard array is written at the width its catalog declares
+    (:func:`~repro.storage.shards.int_dtype` of a bound known before the
+    first chunk), and a chunk that width cannot hold is refused.
+    ``MANIFEST.json`` is written last, and
     one already in the output is unlinked before anything else, so a
     crash at any point leaves no loadable snapshot — just an unreadable
     directory.
@@ -52,8 +56,9 @@ followed by the applied delta writes.
 Memory-budget semantics: ``memory_budget_mb`` bounds the *streaming state*
 — read chunks, spill buffers, the id-lookup cache and the merge blocks
 are all sized from it.  Footprints that scale with the data instead are
-the documented floor: one O(nodes) int64 array at a time (the arena
-permutation in pass 1, the CSR index pointers at the end), the mapped
+the documented floor: one O(nodes) array at a time (the arena
+permutation in pass 1, the CSR index pointers at the end; each at its
+shard width, int32 while ids and the edge count fit), the mapped
 arena while pass 2 reads it, about 100 bytes per row routed to the
 largest label while its shard is finalized (duplicate triples included:
 they are dropped only once its run is read and sorted), and the
@@ -81,9 +86,13 @@ import numpy as np
 from repro.exceptions import GraphError, SnapshotError
 from repro.graph.triples import iter_triples_chunked
 from repro.storage.shards import (
+    ID_DTYPE,
     MANIFEST_NAME,
     ShardStreamWriter,
+    arena_dtypes,
+    graph_dtypes,
     parse_shard,
+    statistics_dtypes,
     write_manifest,
     write_table_shard,
     write_vocabulary_shard,
@@ -104,9 +113,6 @@ _STAT_WIDTH = 2  # (node_id * labels + stat_label_id, count) statistics-run reco
 _SAVE_BUDGET_MB = 16
 #: A sorted run of int64 records: ``(file, byte offset, records)``.
 Run = tuple[Path, int, int]
-
-_DTYPE = "<i8"
-_BYTE_DTYPE = "u1"
 
 
 class BuildPlan:
@@ -299,7 +305,7 @@ def _build_vocabulary_arena(
 
     Returns ``(manifest entry, term count, raw triple count)``.  Peak
     memory is one term buffer + one occurrence buffer; the only O(nodes)
-    structure is the int64 sort permutation the arena itself stores.
+    structure is the id sort permutation the arena itself stores.
     """
     buffer: dict[str, int] = {}
     runs: list[Path] = []
@@ -369,18 +375,19 @@ def _build_vocabulary_arena(
     for path in occ_runs:
         path.unlink()
 
+    dtypes = arena_dtypes(blob_bytes)
     writer = ShardStreamWriter(
         arena_path,
         {"kind": "vocabulary", "terms": terms},
         [
-            ("offsets", terms + 1, _DTYPE),
-            ("sorted_ids", terms, _DTYPE),
-            ("blob", blob_bytes, _BYTE_DTYPE),
+            ("offsets", terms + 1, dtypes["offsets"]),
+            ("sorted_ids", terms, dtypes["sorted_ids"]),
+            ("blob", blob_bytes, dtypes["blob"]),
         ],
     )
-    # sorted_ids[rank] = id — the inverse permutation, O(terms) int64 by
+    # sorted_ids[rank] = id — the inverse permutation, O(terms) ids by
     # construction (the arena stores exactly this array).
-    sorted_ids = np.empty(terms, dtype=np.int64)
+    sorted_ids = np.empty(terms, dtype=ID_DTYPE)
     offsets = array("q", [0])
     position = 0
     with open(ordered_path, "rb", buffering=1 << 20) as handle:
@@ -639,6 +646,8 @@ def _write_statistics_shard(
     path: Path,
     results: list[dict],
     labels: list[str],
+    num_nodes: int,
+    num_edges: int,
     scratch: Path,
     plan: BuildPlan,
 ) -> dict:
@@ -650,16 +659,17 @@ def _write_statistics_shard(
     merged rows are spooled to scratch, so keys and counts can be written
     as two columns without holding either.
     """
-    out_total = sum(result["stats_out"][2] for result in results)
-    in_total = sum(result["stats_in"][2] for result in results)
+    totals = {
+        direction: sum(result[f"stats_{direction}"][2] for result in results)
+        for direction in ("out", "in")
+    }
+    dtypes = statistics_dtypes(num_nodes, num_edges, len(labels))
     writer = ShardStreamWriter(
         path,
         {"kind": "statistics", "labels": sorted(labels)},
         [
-            ("out_keys", out_total, _DTYPE),
-            ("out_counts", out_total, _DTYPE),
-            ("in_keys", in_total, _DTYPE),
-            ("in_counts", in_total, _DTYPE),
+            (name, totals[name.split("_")[0]], dtype)
+            for name, dtype in dtypes.items()
         ],
     )
     for direction in ("out", "in"):
@@ -671,7 +681,7 @@ def _write_statistics_shard(
         columns = [(f"{direction}_keys", 0), (f"{direction}_counts", 1)]
         _append_columns(writer, spool, _STAT_WIDTH, columns, plan.io_elements)
     entry = writer.close()
-    return {"entries": int(out_total + in_total), **entry}
+    return {"entries": int(totals["out"] + totals["in"]), **entry}
 
 
 def _write_graph_shard(
@@ -686,27 +696,24 @@ def _write_graph_shard(
     """Merge the per-label CSR runs into the graph CSR shard.
 
     Per direction, one global ``(node, label, other)`` merge is spooled to
-    scratch;
-    the node degrees it passes accumulate into the index pointers (one
-    O(nodes) int64 array, the documented floor), which precede the two
-    adjacency columns read back from the spool in catalog order.
+    scratch; the node degrees it passes accumulate into the index
+    pointers (one O(nodes) array at its shard width, the documented
+    floor), which precede the two adjacency columns read back from the
+    spool in catalog order.
     """
+    dtypes = graph_dtypes(num_edges, len(labels))
     writer = ShardStreamWriter(
         path,
         {"kind": "graph", "nodes": num_nodes, "edges": num_edges, "labels": labels},
         [
-            ("out_indptr", num_nodes + 1, _DTYPE),
-            ("out_objects", num_edges, _DTYPE),
-            ("out_labels", num_edges, _DTYPE),
-            ("in_indptr", num_nodes + 1, _DTYPE),
-            ("in_subjects", num_edges, _DTYPE),
-            ("in_labels", num_edges, _DTYPE),
+            (name, num_nodes + 1 if name.endswith("indptr") else num_edges, dtype)
+            for name, dtype in dtypes.items()
         ],
     )
     for direction, other_name in (("out", "out_objects"), ("in", "in_subjects")):
         runs = [result[f"csr_{direction}"] for result in results]
         spool = scratch / f"csr_{direction}.merged"
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        indptr = np.zeros(num_nodes + 1, dtype=dtypes[f"{direction}_indptr"])
         with open(spool, "wb") as handle:
             for rows in _merge_runs(runs, _CSR_WIDTH, plan.io_elements):
                 rows.tofile(handle)
@@ -792,7 +799,7 @@ def _finalize(
         output / "graph.csr", results, labels, num_nodes, num_edges, scratch, plan
     )
     statistics_entry = _write_statistics_shard(
-        output / "statistics.counts", results, labels, scratch, plan
+        output / "statistics.counts", results, labels, num_nodes, num_edges, scratch, plan
     )
     report["bytes_written"] = write_manifest(
         output,
@@ -908,7 +915,10 @@ def write_bundle_snapshot(
         offset = 0
         with open(path, "wb") as handle:
             for table in tables:
-                run = np.column_stack((table.subject_ids(), table.object_ids()))
+                # Row runs are int64 whatever width the table holds.
+                run = np.column_stack((table.subject_ids(), table.object_ids())).astype(
+                    np.int64, copy=False
+                )
                 run.tofile(handle)
                 labels.append(table.label)
                 rows.append((path, offset, len(run)))

@@ -15,9 +15,9 @@ answers.
 A :class:`ColumnarRelation` holds one ``(width, rows)`` int32 matrix, a
 row per variable.  Entity ids are dense vocabulary indexes capped at
 ``2**31 - 1`` (:data:`~repro.storage.vocabulary.MAX_ENTITY_ID`), so a
-node's retained matches cost half what int64 ids would; the label tables
-stay int64, and the values a probe matches are narrowed once per
-expansion slice.  Every join, of a one-row relation too, runs as
+node's retained matches cost half what int64 ids would.  The label
+tables hold int32 ids too, so the values a probe matches go into the
+relation as they are.  Every join, of a one-row relation too, runs as
 whole-array operations over the label table's sorted group index
 (:func:`extend_with_edge`); no per-row Python index of a table is built.
 
@@ -197,7 +197,7 @@ def extend_with_edge(
     if not relation.variables:
         subjects, objects = table.subject_ids(), table.object_ids()
         if subject_var == object_var:
-            loops = subjects[subjects == objects].astype(np.int32)
+            loops = subjects[subjects == objects].astype(np.int32, copy=False)
             out = ColumnarRelation((subject_var,), loops[None, :])
         else:
             pairs = np.array([subjects, objects], dtype=np.int32)
@@ -257,8 +257,6 @@ def extend_with_edge(
 
     def probe_slice(lo: int, hi: int) -> tuple["np.ndarray", "np.ndarray"]:
         probe_idx, new_values = expand(counts[lo:hi], starts[lo:hi])
-        # The table's int64 values, narrowed to the relation's int32 once.
-        new_values = new_values.astype(np.int32)
         if injective and len(new_values):
             violates = np.zeros(len(new_values), dtype=bool)
             for column in relation.columns:

@@ -16,7 +16,7 @@ verifiable files:
     access.
 ``tables/NNNNN.shard``
     One binary shard per label's
-    :class:`~repro.storage.table.ColumnarEdgeTable`: the two int64 id
+    :class:`~repro.storage.table.ColumnarEdgeTable`: the two int32 id
     columns **plus the persisted probe indexes** (both CSR-style sorted
     group indexes and the pair-membership index), written as raw
     little-endian arrays at 64-byte-aligned offsets.  A shard is opened
@@ -27,9 +27,9 @@ verifiable files:
     faulted in at all.
 ``vocabulary.arena``
     The entity vocabulary as a string arena: every term's UTF-8 bytes
-    concatenated in id order (``blob``), an int64 offset column
-    (``offsets``, ``n + 1`` entries) and a byte-order sort permutation
-    of the ids (``sorted_ids``).  Reopens as a zero-copy
+    concatenated in id order (``blob``), an offset column (``offsets``,
+    ``n + 1`` entries) and a byte-order sort permutation of the ids
+    (``sorted_ids``).  Reopens as a zero-copy
     :class:`~repro.storage.vocabulary.MappedVocabulary`: ``term_of`` is
     an offset slice, ``id_of`` a binary search — no dict rebuild.
 ``graph.csr``
@@ -41,8 +41,8 @@ verifiable files:
     edge set.  Reopens as a :class:`~repro.graph.mapped.MappedKnowledgeGraph`.
 ``statistics.counts``
     The ``(node, label)`` participation counts of Eq. 4 as sorted
-    composite-key / count int64 column pairs, reopened as the columns of
-    a :class:`~repro.graph.statistics.GraphStatistics`.
+    composite-key / count column pairs, reopened as the columns of a
+    :class:`~repro.graph.statistics.GraphStatistics`.
 
 So the only per-worker private memory is the two small sections plus
 interpreter state.  The manifest's ``format_version`` is
@@ -61,9 +61,18 @@ Shard binary layout (little-endian)::
 
 The header's ``arrays`` mapping gives each array's item count, byte
 offset *relative to the data base* — the first 64-byte boundary after
-the header — and dtype (``"<i8"`` int64, the default, or ``"u1"`` raw
-bytes for the vocabulary blob), so header length and array layout never
-depend on each other.
+the header — and dtype, so header length and array layout never depend
+on each other.  A dtype is ``"<i4"`` int32, ``"<i8"`` int64 (the
+default when none is named) or ``"u1"`` raw bytes (the vocabulary blob);
+a catalog naming any other is refused.  Every integer array is int32
+when a bound its writer knows before writing it fits int32, else int64
+(:func:`int_dtype`): ids are at most
+:data:`~repro.storage.vocabulary.MAX_ENTITY_ID`, so id columns are
+always int32; positions (CSR index pointers, arena offsets, probe-index
+orders and bounds) and counts are bounded by the array's row, edge or
+byte count, and composite keys by the product of their radixes.  Readers
+take each array at the dtype its catalog names, so a snapshot written
+all-int64 opens and answers the same.
 
 Integrity: every file's SHA-256 is recorded in the manifest.  Sections
 are verified when they deserialize; a binary shard is verified the first
@@ -99,7 +108,7 @@ from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.graph.mapped import MappedKnowledgeGraph
 from repro.storage.store import VerticalPartitionStore
 from repro.storage.table import ColumnarEdgeTable, _SortedGroupIndex
-from repro.storage.vocabulary import MappedVocabulary, arena_arrays
+from repro.storage.vocabulary import MAX_ENTITY_ID, MappedVocabulary, arena_arrays
 
 SHARD_MAGIC = b"GQBESHRD"
 SHARD_VERSION = 1
@@ -111,11 +120,78 @@ _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 _ALIGNMENT = 64
 _SHARD_HEADER = struct.Struct("<8sII")
 
-#: int64, little-endian — the default dtype of a shard array.
+#: int64, little-endian — the dtype of an array whose catalog names none.
 _DTYPE = "<i8"
+#: int32, little-endian — what an integer array is stored as when it fits.
+_NARROW_DTYPE = "<i4"
 #: Raw bytes — the vocabulary blob's dtype.
 _BYTE_DTYPE = "u1"
-_ITEMSIZES = {_DTYPE: 8, _BYTE_DTYPE: 1}
+#: Every dtype a shard array may have; a catalog naming another is corrupt.
+_ITEMSIZES = {_DTYPE: 8, _NARROW_DTYPE: 4, _BYTE_DTYPE: 1}
+
+
+def int_dtype(bound: int) -> str:
+    """The shard dtype of an integer array whose values lie in ``[0,
+    bound]``: ``"<i4"`` when ``bound`` fits int32, ``"<i8"`` otherwise.
+
+    Every integer array of a snapshot is written at the width this gives
+    for a bound its writer knows before the first value: ids are capped
+    at :data:`~repro.storage.vocabulary.MAX_ENTITY_ID`, positions at the
+    array's row, edge or byte count, composite keys at the product of
+    their radixes.
+    """
+    return _NARROW_DTYPE if bound <= np.iinfo(np.int32).max else _DTYPE
+
+
+#: The dtype of an entity id array: every id is at most MAX_ENTITY_ID.
+ID_DTYPE = int_dtype(MAX_ENTITY_ID)
+
+
+def arena_dtypes(blob_bytes: int) -> dict[str, str]:
+    """The dtypes of a vocabulary arena's arrays over a ``blob_bytes`` blob."""
+    return {"offsets": int_dtype(blob_bytes), "sorted_ids": ID_DTYPE, "blob": _BYTE_DTYPE}
+
+
+def graph_dtypes(edges: int, labels: int) -> dict[str, str]:
+    """The dtypes of a graph CSR shard's arrays."""
+    positions, label_ids = int_dtype(edges), int_dtype(labels)
+    return {
+        "out_indptr": positions,
+        "out_objects": ID_DTYPE,
+        "out_labels": label_ids,
+        "in_indptr": positions,
+        "in_subjects": ID_DTYPE,
+        "in_labels": label_ids,
+    }
+
+
+def statistics_dtypes(nodes: int, edges: int, labels: int) -> dict[str, str]:
+    """The dtypes of a statistics counts shard's arrays: keys below
+    ``nodes * labels``, counts at most ``edges``."""
+    keys, counts = int_dtype(nodes * max(labels, 1)), int_dtype(edges)
+    return {"out_keys": keys, "out_counts": counts, "in_keys": keys, "in_counts": counts}
+
+
+def _as_dtype(name: str, data, dtype: str) -> "np.ndarray":
+    """``data`` as a contiguous array of ``dtype``; refuses a value the
+    dtype cannot hold rather than let a cast wrap it."""
+    array = np.asarray(data)
+    target = np.dtype(dtype)
+    if array.dtype != target and (
+        array.dtype.kind not in "iu"
+        or len(array)
+        and not (np.iinfo(target).min <= array.min() and array.max() <= np.iinfo(target).max)
+    ):
+        raise SnapshotError(
+            f"shard array {name!r} holds a value outside its declared dtype {dtype!r}"
+        )
+    return np.ascontiguousarray(array, dtype=target)
+
+
+def _narrowed(arrays: dict[str, "np.ndarray"], dtypes: dict[str, str]) -> dict[str, "np.ndarray"]:
+    """``arrays``, each cast to its dtype in ``dtypes``: the in-memory
+    build holds the widths a written shard has."""
+    return {name: _as_dtype(name, array, dtypes[name]) for name, array in arrays.items()}
 
 
 def _sha256_file(path: Path) -> str:
@@ -225,10 +301,7 @@ class ShardStreamWriter:
         if self._cursor >= len(self._order):
             raise SnapshotError(f"shard array {name!r} is not in the catalog")
         entry = self._catalog[name]
-        itemsize = _ITEMSIZES[entry["dtype"]]
-        chunk = np.ascontiguousarray(
-            data, dtype=np.uint8 if itemsize == 1 else np.int64
-        )
+        chunk = _as_dtype(name, data, entry["dtype"])
         if self._written == 0:
             self._pad_to(self._base + entry["offset"])
         if self._written + len(chunk) > entry["count"]:
@@ -257,12 +330,12 @@ def _write_shard_file(
 ) -> dict:
     """Write one binary shard; returns ``{"bytes", "sha256"}`` for the manifest.
 
-    ``arrays`` may mix int64 and uint8 (byte-blob) arrays; each lands at
-    a 64-byte-aligned offset and is cataloged in the header JSON with its
-    dtype, so readers never guess a layout.
+    ``arrays`` may mix int32, int64 and uint8 (byte-blob) arrays; each
+    lands at a 64-byte-aligned offset and is cataloged in the header JSON
+    with its own dtype, so readers never guess a layout.
     """
     specs = [
-        (name, len(data), _BYTE_DTYPE if data.dtype.itemsize == 1 else _DTYPE)
+        (name, len(data), _BYTE_DTYPE if data.dtype.itemsize == 1 else data.dtype.str)
         for name, data in arrays.items()
     ]
     writer = ShardStreamWriter(path, header_fields, specs)
@@ -282,24 +355,26 @@ def _table_shard(table: ColumnarEdgeTable) -> tuple[dict, dict[str, "np.ndarray"
     """The header and arrays a shard persists for ``table`` (indexes prebuilt)."""
     table.build_indexes()
     arrays: dict[str, np.ndarray] = {
-        "subjects": np.ascontiguousarray(table.subject_ids(), dtype=_DTYPE),
-        "objects": np.ascontiguousarray(table.object_ids(), dtype=_DTYPE),
+        "subjects": table.subject_ids(),
+        "objects": table.object_ids(),
     }
+    dtypes = {"subjects": ID_DTYPE, "objects": ID_DTYPE}
     pair_stride = 0
     if len(table):
-        subject_index = table._subject_group_index()
-        object_index = table._object_group_index()
         table._ensure_pair_index()
-        arrays["subject_order"] = np.ascontiguousarray(subject_index.order, dtype=_DTYPE)
-        arrays["subject_keys"] = np.ascontiguousarray(subject_index.keys, dtype=_DTYPE)
-        arrays["subject_bounds"] = np.ascontiguousarray(subject_index.bounds, dtype=_DTYPE)
-        arrays["object_order"] = np.ascontiguousarray(object_index.order, dtype=_DTYPE)
-        arrays["object_keys"] = np.ascontiguousarray(object_index.keys, dtype=_DTYPE)
-        arrays["object_bounds"] = np.ascontiguousarray(object_index.bounds, dtype=_DTYPE)
-        arrays["pair_keys"] = np.ascontiguousarray(table._pair_keys, dtype=_DTYPE)
         pair_stride = table._pair_stride
+        rows = int_dtype(len(table))
+        for side, index in (
+            ("subject", table._subject_group_index()),
+            ("object", table._object_group_index()),
+        ):
+            for name, dtype in (("order", rows), ("keys", ID_DTYPE), ("bounds", rows)):
+                arrays[f"{side}_{name}"] = getattr(index, name)
+                dtypes[f"{side}_{name}"] = dtype
+        arrays["pair_keys"] = table._pair_keys
+        dtypes["pair_keys"] = int_dtype((int(table.subject_ids().max()) + 1) * pair_stride)
     header = {"label": table.label, "rows": len(table), "pair_stride": int(pair_stride)}
-    return header, arrays
+    return header, _narrowed(arrays, dtypes)
 
 
 def write_table_shard(path: Path, table: ColumnarEdgeTable) -> dict:
@@ -322,9 +397,14 @@ def write_vocabulary_shard(path: Path, vocabulary) -> dict:
     """
     terms = list(vocabulary)
     entry = _write_shard_file(
-        path, {"kind": "vocabulary", "terms": len(terms)}, arena_arrays(terms)
+        path, {"kind": "vocabulary", "terms": len(terms)}, _arena(terms)
     )
     return {"terms": len(terms), **entry}
+
+
+def _arena(terms: list[str]) -> dict[str, "np.ndarray"]:
+    arrays = arena_arrays(terms)
+    return _narrowed(arrays, arena_dtypes(len(arrays["blob"])))
 
 
 _CSR_NAMES = ("out_indptr", "out_objects", "out_labels", "in_indptr", "in_subjects", "in_labels")
@@ -359,10 +439,10 @@ def graph_shards(graph: KnowledgeGraph) -> "BuiltSnapshot":
         np.cumsum(np.bincount(nodes, minlength=len(terms)), out=indptr[1:])
         csr += [indptr, others[order], edge_labels[order]]
     files = {
-        "vocabulary.arena": ({"kind": "vocabulary", "terms": len(terms)}, arena_arrays(terms)),
+        "vocabulary.arena": ({"kind": "vocabulary", "terms": len(terms)}, _arena(terms)),
         "graph.csr": (
             {"kind": "graph", "nodes": len(terms), "edges": len(edges), "labels": labels},
-            dict(zip(_CSR_NAMES, csr)),
+            _narrowed(dict(zip(_CSR_NAMES, csr)), graph_dtypes(len(edges), len(labels))),
         ),
     }
 
@@ -387,7 +467,10 @@ def graph_shards(graph: KnowledgeGraph) -> "BuiltSnapshot":
         columns += np.unique(nodes * width + stat_ids[edge_labels], return_counts=True)
     files["statistics.counts"] = (
         {"kind": "statistics", "labels": stat_labels},
-        dict(zip(("out_keys", "out_counts", "in_keys", "in_counts"), columns)),
+        _narrowed(
+            dict(zip(("out_keys", "out_counts", "in_keys", "in_counts"), columns)),
+            statistics_dtypes(len(terms), len(edges), len(labels)),
+        ),
     )
     label_counts = graph.label_counts()
     manifest = {
@@ -509,8 +592,13 @@ def parse_shard(
         if spec is None:
             return None
         dtype = spec.get("dtype", _DTYPE)
+        if dtype not in _ITEMSIZES:
+            raise SnapshotError(
+                f"snapshot shard {path!s} catalogs array {name!r} with "
+                f"dtype {dtype!r}; a shard array is one of {sorted(_ITEMSIZES)}"
+            )
         start = base + spec["offset"]
-        end = start + spec["count"] * _ITEMSIZES.get(dtype, 8)
+        end = start + spec["count"] * _ITEMSIZES[dtype]
         if end > len(mapped):
             raise SnapshotError(
                 f"snapshot shard {path!s} is truncated: array {name!r} "
@@ -802,7 +890,7 @@ class ShardedSnapshotReader:
         """Map the statistics counts shard; returns ``(labels, columns)``.
 
         ``columns`` is ``(out_keys, out_counts, in_keys, in_counts)`` —
-        zero-copy int64 views ready for
+        zero-copy views ready for
         :class:`~repro.graph.statistics.GraphStatistics`.
         """
         result = self._load_shard(

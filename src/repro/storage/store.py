@@ -117,8 +117,9 @@ class VerticalPartitionStore:
         callers deduplicate against the *graph*, so vocabulary and
         statistics never see a duplicate either.
         """
-        subjects = np.array(subject_ids, dtype=np.int64)
-        objects = np.array(object_ids, dtype=np.int64)
+        # Ids at the snapshot's width: every id is at most MAX_ENTITY_ID.
+        subjects = np.array(subject_ids, dtype=np.int32)
+        objects = np.array(object_ids, dtype=np.int32)
         table = self._resolve_table(label)
         if table is not None:
             subjects = np.concatenate((table.subject_ids(), subjects))

@@ -5,13 +5,13 @@ The vertical-partitioning scheme stores every edge label as its own
 per-column lookup indexes, mirroring the paper's description of building
 both hash tables before any query arrives.
 
-A :class:`ColumnarEdgeTable` keeps its rows as two parallel int64 id
+A :class:`ColumnarEdgeTable` keeps its rows as two parallel int32 id
 columns; probes are answered from lazily built, numpy-sorted CSR-style
 group indexes so a whole *vector* of probe keys is matched in a handful
 of C-level array operations (:meth:`~ColumnarEdgeTable.probe_subject` and
 friends), and row membership from a sorted pair-key index
 (:meth:`~ColumnarEdgeTable.contains_pairs`).  The columns are read-only
-int64 views over a snapshot shard's arrays, memory-mapped or built in
+views over a snapshot shard's arrays, memory-mapped or built in
 memory (:meth:`ColumnarEdgeTable.from_mapped`), including the persisted
 probe indexes, so opening a table costs no copy and no sort.  A table
 never changes: live ingest replaces a label's table with one over the old
@@ -30,6 +30,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 import numpy as np
+
+from repro.graph.statistics import searchsorted_within
 
 
 class _SortedGroupIndex:
@@ -71,12 +73,14 @@ class _SortedGroupIndex:
 
         Keys absent from the column get count 0 (their start is unused).
         The index is only built for non-empty columns, so ``keys`` always
-        has at least one entry.
+        has at least one entry.  Both come back as int64 whatever width
+        the bounds are stored at: the join sums, repeats and offsets
+        them, and numpy would widen an int32 copy for each of those.
         """
         position = np.searchsorted(self.keys, probe)
         safe = np.minimum(position, len(self.keys) - 1)
         found = self.keys[safe] == probe
-        starts = self.bounds[safe]
+        starts = self.bounds[safe].astype(np.int64)
         counts = np.where(found, self.bounds[safe + 1] - starts, 0)
         return counts, starts
 
@@ -84,8 +88,9 @@ class _SortedGroupIndex:
 class ColumnarEdgeTable:
     """All edges of one label as two parallel id columns (struct-of-arrays).
 
-    The columns are int64 arrays the table never writes: a snapshot
-    shard's mapped views (:meth:`from_mapped`), the arrays a build
+    The columns are int32 arrays the table never writes (int64 in a
+    snapshot written before shards were narrowed): a snapshot shard's
+    mapped views (:meth:`from_mapped`), the arrays a build
     computed in memory, or a table live ingest put together from an old
     table's columns and new rows.  The probe indexes are built lazily
     with numpy sorts on first use, unless the shard persisted them.
@@ -104,7 +109,7 @@ class ColumnarEdgeTable:
     def __init__(self, label: str, rows: Iterable[tuple[int, int]] = ()) -> None:
         """A table over ``rows``, duplicates dropped, in first-occurrence order."""
         unique = list(dict.fromkeys(rows))
-        columns = np.array(unique, dtype=np.int64).reshape(len(unique), 2)
+        columns = np.array(unique, dtype=np.int32).reshape(len(unique), 2)
         self._adopt(label, columns[:, 0].copy(), columns[:, 1].copy())
 
     def _adopt(
@@ -136,7 +141,7 @@ class ColumnarEdgeTable:
         pair_keys: "np.ndarray | None" = None,
         pair_stride: int = 0,
     ) -> "ColumnarEdgeTable":
-        """Open a table over read-only (memory-mapped) int64 columns.
+        """Open a table over read-only (memory-mapped) id columns.
 
         ``subjects``/``objects`` — and the optional persisted probe
         indexes — are adopted as-is, zero-copy.  The columns must be
@@ -183,11 +188,11 @@ class ColumnarEdgeTable:
     # columnar access (the vectorized join engine's surface)
     # ------------------------------------------------------------------
     def subject_ids(self) -> "np.ndarray":
-        """The ``subj`` column as an int64 array."""
+        """The ``subj`` column as an id array."""
         return self._subject_np
 
     def object_ids(self) -> "np.ndarray":
-        """The ``obj`` column as an int64 array."""
+        """The ``obj`` column as an id array."""
         return self._object_np
 
     def _subject_group_index(self) -> _SortedGroupIndex:
@@ -243,7 +248,8 @@ class ColumnarEdgeTable:
         # group position starts[key] + i = j + (starts - first slot)[key].
         shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
         source_rows = index.order[np.arange(total, dtype=np.int64) + shift]
-        return probe_idx, values[source_rows]
+        # ``take``: indexing with int32 rows pays a fixed cost to widen them.
+        return probe_idx, values.take(source_rows)
 
     def expand_subject(
         self, counts: "np.ndarray", starts: "np.ndarray"
@@ -270,31 +276,31 @@ class ColumnarEdgeTable:
 
     def _ensure_pair_index(self) -> None:
         if self._pair_keys is None:
-            # Encode (subj, obj) as subj * stride + obj.  Ids are dense
-            # vocabulary indexes, so stride fits comfortably in int64
-            # (overflow would need ~3e9 distinct entities).
+            # Encode (subj, obj) as subj * stride + obj, in int64: ids are
+            # below 2**31, so a key fits, but an int32 product would wrap.
             self._pair_stride = int(self.object_ids().max()) + 1 if len(self) else 1
             self._pair_keys = np.sort(
-                self.subject_ids() * self._pair_stride + self.object_ids()
+                self.subject_ids().astype(np.int64) * self._pair_stride + self.object_ids()
             )
 
     def contains_pairs(
         self, subjects: "np.ndarray", objects: "np.ndarray"
     ) -> "np.ndarray":
         """Vectorized row membership: a bool per ``(subjects[i], objects[i])``
-        (int32 relation columns or int64 table columns alike)."""
+        (id columns of either width)."""
         if not len(self):
             return np.zeros(len(subjects), dtype=bool)
         self._ensure_pair_index()
-        # Relations hold int32 ids.  Widen them first: in int32 a product
-        # past 2**31 (subject and stride ~46 k each) wraps, and can land
-        # on another pair's key.
+        pair_keys = self._pair_keys
+        # Ids are int32.  Widen them first: in int32 a product past 2**31
+        # (subject and stride ~46 k each) wraps, and can land on another
+        # pair's key.
         keys = subjects.astype(np.int64) * self._pair_stride + objects
         # Objects outside the stride cannot encode an existing pair.
         in_range = (objects >= 0) & (objects < self._pair_stride)
-        position = np.searchsorted(self._pair_keys, keys)
-        safe = np.minimum(position, len(self._pair_keys) - 1)
-        return in_range & (self._pair_keys[safe] == keys)
+        position = searchsorted_within(pair_keys, keys)
+        safe = np.minimum(position, len(pair_keys) - 1)
+        return in_range & (pair_keys[safe] == keys)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(label={self._label!r}, rows={len(self)})"

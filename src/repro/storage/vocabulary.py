@@ -12,7 +12,7 @@ when they are materialized for the user (``lattice.exploration`` /
 
 :class:`MappedVocabulary` is that mapping, over a string arena
 (:func:`arena_arrays`): the terms live in one UTF-8 blob addressed by an
-int64 offset column, memory-mapped straight out of a snapshot's
+offset column, memory-mapped straight out of a snapshot's
 vocabulary shard (:mod:`repro.storage.shards`) or computed in memory by
 ``GraphStore.build``.  ``term_of`` is an offset slice + decode; ``id_of``
 is a binary search over a sort permutation of the terms — no eager
@@ -31,9 +31,10 @@ from repro.exceptions import EntityIdOverflowError
 #: An entity identifier inside the engine: a dense vocabulary index.
 EntityId = int
 
-#: The largest id any vocabulary assigns.  Join relations hold entity ids
-#: as int32 (:class:`~repro.storage.join.ColumnarRelation`); tables and
-#: snapshot shards stay int64.
+#: The largest id any vocabulary assigns.  Join relations, label tables
+#: and snapshot shards hold entity ids as int32
+#: (:class:`~repro.storage.join.ColumnarRelation`,
+#: :func:`~repro.storage.shards.int_dtype`).
 MAX_ENTITY_ID = 2**31 - 1
 
 
@@ -80,7 +81,7 @@ class MappedVocabulary:
     ``blob``
         Every term's UTF-8 bytes, concatenated in id order.
     ``offsets``
-        ``n + 1`` int64 offsets; term ``i`` is ``blob[offsets[i] :
+        ``n + 1`` offsets; term ``i`` is ``blob[offsets[i] :
         offsets[i + 1]]``.
     ``sorted_ids``
         The term ids sorted by UTF-8 byte order (which is code point
@@ -122,8 +123,8 @@ class MappedVocabulary:
         # Per-element reads go through memoryviews of the mapped arrays:
         # indexing one yields a plain int (or a byte slice) where indexing
         # the ndarray would box a numpy scalar.
-        self._offsets = memoryview(np.ascontiguousarray(offsets, dtype=np.int64))
-        self._sorted_ids = memoryview(np.ascontiguousarray(sorted_ids, dtype=np.int64))
+        self._offsets = memoryview(np.ascontiguousarray(offsets))
+        self._sorted_ids = memoryview(np.ascontiguousarray(sorted_ids))
         self._blob = memoryview(np.ascontiguousarray(blob, dtype=np.uint8))
         self._base = len(offsets) - 1
         self._extra_ids: dict[str, int] = {}
@@ -217,7 +218,7 @@ class MappedVocabulary:
         ids = np.asarray(ids, dtype=np.int64)
         if self._ranks is None:
             self._ranks = np.empty(self._base, dtype=np.int64)
-            self._ranks[np.frombuffer(self._sorted_ids, dtype=np.int64)] = np.arange(self._base)
+            self._ranks[np.asarray(self._sorted_ids)] = np.arange(self._base)
         keys = np.full(len(ids), MAX_ENTITY_ID, dtype=np.int64)
         mapped = ids < self._base
         keys[mapped] += self._ranks[ids[mapped]] << 31

@@ -58,8 +58,8 @@ def _restore_backend():
 # ----------------------------------------------------------------------
 # per-kernel parity
 # ----------------------------------------------------------------------
-def _random_csr(rng, num_nodes, num_edges):
-    """A random mapped graph as the four CSR int64 columns."""
+def _random_csr(rng, num_nodes, num_edges, dtype=np.int64):
+    """A random mapped graph as the four CSR columns, at ``dtype``."""
     subjects = np.array(
         sorted(rng.randrange(num_nodes) for _ in range(num_edges)), dtype=np.int64
     )
@@ -76,17 +76,39 @@ def _random_csr(rng, num_nodes, num_edges):
     in_indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.add.at(in_indptr, in_objects + 1, 1)
     in_indptr = np.cumsum(in_indptr, dtype=np.int64)
-    return out_indptr, objects, in_indptr, in_subjects
+    return tuple(
+        column.astype(dtype) for column in (out_indptr, objects, in_indptr, in_subjects)
+    )
 
 
 @needs_native
 class TestBFSKernels:
-    def test_csr_neighbors_parity(self):
+    # int32 is what a snapshot stores; int64 what one written before its
+    # arrays were narrowed stores.
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_csr_neighbors_parity(self, dtype):
         rng = random.Random(5)
-        columns = _random_csr(rng, num_nodes=50, num_edges=400)
+        columns = _random_csr(rng, num_nodes=50, num_edges=400, dtype=dtype)
         for node in range(50):
             assert native.csr_neighbors(node, *columns) == _pure.csr_neighbors(
                 node, *columns
+            ), node
+
+    def test_csr_neighbors_refuses_other_buffers(self):
+        columns = list(_random_csr(random.Random(5), num_nodes=5, num_edges=10))
+        columns[1] = columns[1].astype(np.int16)
+        with pytest.raises(ValueError, match="int32 or int64"):
+            native.csr_neighbors(0, *columns)
+
+    def test_mapped_graph_neighbors_on_both_backends(self, figure1_graph):
+        graph = GraphStore.build(figure1_graph).graph
+        assert graph.out_objects.dtype == np.int32
+        for node in list(figure1_graph.nodes):
+            node_id = graph.node_id(node)
+            assert native.csr_neighbors(
+                node_id, graph.out_indptr, graph.out_objects, graph.in_indptr, graph.in_subjects
+            ) == _pure.csr_neighbors(
+                node_id, graph.out_indptr, graph.out_objects, graph.in_indptr, graph.in_subjects
             ), node
 
 

@@ -1,0 +1,371 @@
+"""Snapshot arrays are stored at the narrowest of int32 / int64 that holds them.
+
+* every array of a built bundle and of a saved snapshot has the dtype
+  the width rule gives (restated here, not imported): ids are int32,
+  positions follow their row / edge / byte count, composite keys the
+  product of their radixes — also with the int32 limit lowered so that
+  one small graph mixes both widths;
+* a snapshot whose shards are rewritten all-int64 (the layout written
+  before shards were narrowed) answers, ingests and saves exactly as the
+  narrow one;
+* every place that combines int32 ids into a larger number widens first:
+  the statistics' base and overlay keys, a table's pair keys and the
+  answer keys, fed ids next to ``MAX_ENTITY_ID``;
+* the shard writer refuses a chunk that its declared width cannot hold.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import struct
+
+import numpy as np
+import pytest
+
+from graph_backings import copy_snapshot, random_multigraph
+from repro.core.config import GQBEConfig
+from repro.core.gqbe import GQBE
+from repro.datasets.example_graph import figure1_excerpt
+from repro.datasets.synthetic import FreebaseLikeGenerator
+from repro.exceptions import SnapshotError
+from repro.graph.knowledge_graph import KnowledgeGraph
+from repro.graph.statistics import _CountColumns
+from repro.lattice.exploration import AnswerAccumulator
+from repro.storage import shards
+from repro.storage.shards import MANIFEST_NAME, ShardStreamWriter
+from repro.storage.snapshot import GraphStore
+from repro.storage.table import ColumnarEdgeTable
+from repro.storage.vocabulary import MAX_ENTITY_ID
+
+_HEADER = struct.Struct("<8sII")
+_INT32_MAX = 2**31 - 1
+
+
+def _align(offset: int) -> int:
+    return (offset + 63) // 64 * 64
+
+
+def _read_shard(path):
+    """A shard file's header and arrays, parsed from the documented layout."""
+    data = path.read_bytes()
+    _magic, _version, length = _HEADER.unpack_from(data, 0)
+    header = json.loads(data[_HEADER.size : _HEADER.size + length])
+    base = _align(_HEADER.size + length)
+    arrays = {}
+    for name, spec in sorted(header["arrays"].items(), key=lambda item: item[1]["offset"]):
+        arrays[name] = np.frombuffer(
+            data, dtype=spec["dtype"], count=spec["count"], offset=base + spec["offset"]
+        )
+    return header, arrays
+
+
+def _write_wide_shard(path, header, arrays) -> None:
+    """Lay ``arrays`` out again with every integer array int64."""
+    catalog = {}
+    relative = 0
+    for name, array in arrays.items():
+        dtype = "u1" if array.dtype.itemsize == 1 else "<i8"
+        relative = _align(relative)
+        catalog[name] = {"offset": relative, "count": len(array), "dtype": dtype}
+        relative += len(array) * np.dtype(dtype).itemsize
+    header_bytes = json.dumps({**header, "arrays": catalog}, sort_keys=True).encode("utf-8")
+    base = _align(_HEADER.size + len(header_bytes))
+    data = bytearray(base + relative)
+    _HEADER.pack_into(data, 0, b"GQBESHRD", 1, len(header_bytes))
+    data[_HEADER.size : _HEADER.size + len(header_bytes)] = header_bytes
+    for name, array in arrays.items():
+        start = base + catalog[name]["offset"]
+        wide = array.astype(catalog[name]["dtype"]).tobytes()
+        data[start : start + len(wide)] = wide
+    path.write_bytes(bytes(data))
+
+
+def _shard_entries(manifest: dict) -> list[dict]:
+    return [
+        manifest["vocabulary"],
+        manifest["graph"],
+        manifest["statistics_counts"],
+        *manifest["tables"],
+    ]
+
+
+def _widen_snapshot(source, target):
+    """A copy of ``source`` with every shard rewritten all-int64."""
+    copy_snapshot(source, target)
+    manifest = json.loads((target / MANIFEST_NAME).read_text())
+    for entry in _shard_entries(manifest):
+        path = target / entry["file"]
+        header, arrays = _read_shard(path)
+        header.pop("arrays")
+        _write_wide_shard(path, header, arrays)
+        entry["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        entry["bytes"] = path.stat().st_size
+    (target / MANIFEST_NAME).write_text(json.dumps(manifest))
+    return target
+
+
+def _expected_dtypes(files: dict, limit: int) -> dict:
+    """Per ``(file, array)``, the dtype the width rule gives."""
+
+    def fits(bound: int) -> np.dtype:
+        return np.dtype("<i4" if bound <= limit else "<i8")
+
+    ids = np.dtype("<i4")  # MAX_ENTITY_ID = 2**31 - 1
+    graph_header = files["graph.csr"][0]
+    nodes, edges = graph_header["nodes"], graph_header["edges"]
+    labels = len(graph_header["labels"])
+    expected = {}
+    for file, (header, arrays) in files.items():
+        if file == "vocabulary.arena":
+            rule = {"offsets": fits(len(arrays["blob"])), "sorted_ids": ids, "blob": np.dtype("u1")}
+        elif file == "graph.csr":
+            rule = {
+                name: fits(edges) if name.endswith("indptr")
+                else fits(labels) if name.endswith("labels")
+                else ids
+                for name in arrays
+            }
+        elif file == "statistics.counts":
+            rule = {
+                name: fits(nodes * labels) if name.endswith("keys") else fits(edges)
+                for name in arrays
+            }
+        else:
+            rows = fits(header["rows"])
+            rule = {"subjects": ids, "objects": ids}
+            if header["rows"]:
+                pairs = (int(arrays["subjects"].max()) + 1) * header["pair_stride"]
+                rule["pair_keys"] = fits(pairs)
+                for side in ("subject", "object"):
+                    rule.update(
+                        {f"{side}_keys": ids, f"{side}_order": rows, f"{side}_bounds": rows}
+                    )
+        assert sorted(rule) == sorted(arrays), file
+        expected.update({(file, name): dtype for name, dtype in rule.items()})
+    return expected
+
+
+def _saved_files(directory) -> dict:
+    manifest = json.loads((directory / MANIFEST_NAME).read_text())
+    return {
+        entry["file"]: _read_shard(directory / entry["file"])
+        for entry in _shard_entries(manifest)
+    }
+
+
+def _graphs():
+    yield "figure1", figure1_excerpt()
+    for seed in range(4):
+        base, delta, _nodes = random_multigraph(seed, hub_leaves=6 * (seed % 2))
+        yield f"multigraph{seed}", KnowledgeGraph(base + delta)
+
+
+def _dtypes(files: dict) -> dict:
+    return {
+        (file, name): np.dtype(array.dtype)
+        for file, (_header, arrays) in files.items()
+        for name, array in arrays.items()
+    }
+
+
+class TestWidthRule:
+    @pytest.mark.parametrize("limit", [_INT32_MAX, 40])
+    def test_built_and_saved_arrays_have_the_rule_dtypes(self, limit, monkeypatch, tmp_path):
+        """At the real int32 limit every array of these graphs is int32
+        (the blob bytes); at a limit of 40 the positions and keys past it
+        are int64 and the rest stay int32, in memory and on disk alike."""
+        monkeypatch.setattr(
+            shards, "int_dtype", lambda bound: "<i4" if bound <= limit else "<i8"
+        )
+        widths = set()
+        for name, graph in _graphs():
+            built = GraphStore.build(graph)
+            built.save(tmp_path / name)
+            built_files, saved_files = built._reader._files, _saved_files(tmp_path / name)
+            assert _dtypes(built_files) == _expected_dtypes(built_files, limit), name
+            assert _dtypes(saved_files) == _expected_dtypes(saved_files, limit), name
+            widths.update(_dtypes(saved_files).values())
+        assert widths == (
+            {np.dtype("<i4"), np.dtype("u1")}
+            if limit == _INT32_MAX
+            else {np.dtype("<i4"), np.dtype("<i8"), np.dtype("u1")}
+        )
+
+    def test_mixed_widths_answer_like_narrow_ones(self, monkeypatch, tmp_path):
+        graph = figure1_excerpt()
+        query = ("Jerry Yang", "Yahoo!")
+        narrow = GQBE(graph).query(query, k=10).answers
+        monkeypatch.setattr(shards, "int_dtype", lambda bound: "<i4" if bound <= 40 else "<i8")
+        GraphStore.build(graph).save(tmp_path / "mixed")
+        assert GQBE(graph).query(query, k=10).answers == narrow
+        assert GQBE.from_snapshot(tmp_path / "mixed").query(query, k=10).answers == narrow
+
+    def test_int_dtype_boundary(self):
+        assert shards.int_dtype(_INT32_MAX) == "<i4"
+        assert shards.int_dtype(_INT32_MAX + 1) == "<i8"
+        assert shards.ID_DTYPE == "<i4"
+
+    def test_a_wide_pair_key_bound_is_int64(self, tmp_path):
+        """A table whose ids are small but whose pair keys pass int32."""
+        big = 60_000  # (60_000 + 1) * (60_000 + 1) > 2**31
+        table = ColumnarEdgeTable.from_mapped(
+            "r", np.array([0, big], dtype=np.int32), np.array([big, 1], dtype=np.int32)
+        )
+        header, arrays = shards._table_shard(table)
+        assert arrays["pair_keys"].dtype == np.dtype("<i8")
+        assert {arrays[name].dtype for name in arrays if name != "pair_keys"} == {np.dtype("<i4")}
+        shards.write_table_shard(tmp_path / "r.shard", table)
+        assert _read_shard(tmp_path / "r.shard")[1]["pair_keys"].dtype == np.dtype("<i8")
+        assert table.has_row(big, 1) and not table.has_row(big, 0)
+
+
+class TestAllInt64Snapshot:
+    """A snapshot laid out all-int64 still opens and answers the same."""
+
+    @pytest.fixture(scope="class")
+    def snapshots(self, tmp_path_factory):
+        dataset = FreebaseLikeGenerator(seed=5, scale=0.2).generate()
+        root = tmp_path_factory.mktemp("widths")
+        GraphStore.build(dataset.graph).save(root / "narrow")
+        _widen_snapshot(root / "narrow", root / "wide")
+        return dataset, root
+
+    def _systems(self, root):
+        config = GQBEConfig(mqg_size=8, k_prime=25, max_join_rows=100_000)
+        return (
+            GQBE.from_snapshot(root / "narrow", config=config),
+            GQBE.from_snapshot(root / "wide", config=config),
+        )
+
+    def test_the_rewrite_is_all_int64(self, snapshots):
+        _dataset, root = snapshots
+        assert set(_dtypes(_saved_files(root / "wide")).values()) == {
+            np.dtype("<i8"),
+            np.dtype("u1"),
+        }
+        wide = GraphStore.load(root / "wide")
+        assert wide.graph.out_objects.dtype == np.int64
+
+    def test_answers_ingest_and_save_match(self, snapshots, tmp_path):
+        dataset, root = snapshots
+        narrow, wide = self._systems(root)
+        queries = [tuple(dataset.table(name)[0]) for name in dataset.table_names()[:3]]
+        for query in queries:
+            assert wide.query(query, k=10).answers == narrow.query(query, k=10).answers
+        subject = queries[0][0]
+        triples = [(subject, "founded", "Fresh Company"), ("Fresh Company", "located_in", subject)]
+        assert wide.ingest(triples) == narrow.ingest(triples)
+        for query in queries:
+            assert wide.query(query, k=10).answers == narrow.query(query, k=10).answers
+        # A save of either writes the narrow layout, byte for byte.
+        narrow.graph_store.save(tmp_path / "from_narrow")
+        wide.graph_store.save(tmp_path / "from_wide")
+        assert (tmp_path / "from_narrow" / MANIFEST_NAME).read_bytes() == (
+            tmp_path / "from_wide" / MANIFEST_NAME
+        ).read_bytes()
+
+
+def _count_columns(keys, counts, labels: int) -> _CountColumns:
+    """Count columns over ``labels`` labels (no vocabulary: ids only)."""
+    names = [f"r{i}" for i in range(labels)]
+    return _CountColumns(np.array(keys), np.array(counts), None, names, {})
+
+
+class TestIdsWidenBeforeTheyCombine:
+    """int32 ids next to MAX_ENTITY_ID give exact int64 keys."""
+
+    def test_statistics_base_keys(self):
+        # Four labels: at int32, node 2**30 + 1 gives (2**30 + 1) * 4 + 1,
+        # which wraps to 5 — node 1's key for label 1.
+        columns = _count_columns(np.array([5], dtype=np.int32), np.array([7], dtype=np.int32), 4)
+        nodes = np.array([1, 2**30 + 1, MAX_ENTITY_ID], dtype=np.int32)
+        labels = np.array([1, 1, 3], dtype=np.int64)
+        assert columns.counts_of(nodes, labels).tolist() == [7, 0, 0]
+        wide = (MAX_ENTITY_ID * 4 + 3, (2**30 + 1) * 4 + 1)
+        columns = _count_columns(sorted(wide), [2, 3], 4)
+        assert columns.counts_of(nodes, labels).tolist() == [0, 2, 3]
+        assert columns._count_at(MAX_ENTITY_ID, 3) == 3
+
+    def test_statistics_overlay_keys(self):
+        columns = _count_columns(np.array([5], dtype=np.int32), np.array([7], dtype=np.int32), 2)
+        # At int32, ``node << 32`` is 0: every node would read node 0's count.
+        columns._overlay = {(0, 2): 3, (MAX_ENTITY_ID, 2): 9}
+        columns.fold_overlay()
+        assert columns._overlay_keys.tolist() == [2, (MAX_ENTITY_ID << 32) | 2]
+        nodes = np.array([MAX_ENTITY_ID, 0, MAX_ENTITY_ID - 1], dtype=np.int32)
+        labels = np.array([2, 2, 2], dtype=np.int64)
+        assert columns.counts_of(nodes, labels).tolist() == [9, 3, 0]
+
+    def test_table_pair_keys(self):
+        top = MAX_ENTITY_ID
+        table = ColumnarEdgeTable.from_mapped(
+            "r",
+            np.array([top - 1, top, 3], dtype=np.int32),
+            np.array([top, 2, top - 1], dtype=np.int32),
+        )
+        table._ensure_pair_index()
+        stride = top + 1
+        assert table._pair_keys.dtype == np.int64
+        assert table._pair_keys.tolist() == sorted(
+            [(top - 1) * stride + top, top * stride + 2, 3 * stride + top - 1]
+        )
+        subjects = np.array([top - 1, top, 3, top, 0], dtype=np.int32)
+        objects = np.array([top, 2, top - 1, top - 1, 2], dtype=np.int32)
+        assert table.contains_pairs(subjects, objects).tolist() == [True, True, True, False, False]
+
+    def test_narrow_pair_keys_against_wide_probes(self):
+        """int32 pair keys from a shard; a probe key past int32 matches nothing."""
+        table = ColumnarEdgeTable.from_mapped(
+            "r",
+            np.array([0, 1], dtype=np.int32),
+            np.array([1, 0], dtype=np.int32),
+            pair_keys=np.array([1, 2], dtype=np.int32),
+            pair_stride=2,
+        )
+        subjects = np.array([0, 1, MAX_ENTITY_ID, 2**31 - 2], dtype=np.int32)
+        objects = np.array([1, 0, 1, 0], dtype=np.int32)
+        assert table.contains_pairs(subjects, objects).tolist() == [True, True, False, False]
+
+    def test_answer_keys(self):
+        accumulator = AnswerAccumulator.__new__(AnswerAccumulator)
+        accumulator._radix = MAX_ENTITY_ID + 1
+        accumulator._arity = 2
+        firsts = np.array([MAX_ENTITY_ID, 0, MAX_ENTITY_ID - 1], dtype=np.int32)
+        seconds = np.array([MAX_ENTITY_ID - 1, MAX_ENTITY_ID, 0], dtype=np.int32)
+        keys = accumulator._answer_keys([firsts, seconds])
+        assert keys.dtype == np.int64
+        radix = MAX_ENTITY_ID + 1
+        assert keys.tolist() == [
+            first * radix + second for first, second in zip(firsts.tolist(), seconds.tolist())
+        ]
+        assert accumulator._entity_ids(keys).tolist() == [firsts.tolist(), seconds.tolist()]
+
+
+class TestWriterWidthGuard:
+    def test_a_chunk_past_its_declared_width_is_refused(self, tmp_path):
+        writer = ShardStreamWriter(tmp_path / "x.shard", {"kind": "test"}, [("ids", 4, "<i4")])
+        writer.append("ids", np.array([0, _INT32_MAX], dtype=np.int64))
+        with pytest.raises(SnapshotError, match="outside its declared dtype"):
+            writer.append("ids", np.array([1, _INT32_MAX + 1], dtype=np.int64))
+        writer.abort()
+
+    def test_negative_and_fractional_values_are_refused(self, tmp_path):
+        writer = ShardStreamWriter(tmp_path / "y.shard", {"kind": "test"}, [("ids", 2, "<i4")])
+        with pytest.raises(SnapshotError, match="outside its declared dtype"):
+            writer.append("ids", np.array([-(2**40)], dtype=np.int64))
+        with pytest.raises(SnapshotError, match="outside its declared dtype"):
+            writer.append("ids", np.array([0.5]))
+        writer.abort()
+
+    def test_in_range_chunks_are_written_narrow(self, tmp_path):
+        path = tmp_path / "z.shard"
+        writer = ShardStreamWriter(path, {"kind": "test"}, [("ids", 3, "<i4"), ("wide", 1, "<i8")])
+        writer.append("ids", np.array([0, _INT32_MAX], dtype=np.int64))
+        writer.append("ids", np.array([7], dtype=np.int32))
+        writer.append("wide", np.array([2**40], dtype=np.int64))
+        writer.close()
+        _header, arrays = _read_shard(path)
+        assert arrays["ids"].dtype == np.dtype("<i4")
+        assert arrays["ids"].tolist() == [0, _INT32_MAX, 7]
+        assert arrays["wide"].tolist() == [2**40]

@@ -73,10 +73,9 @@ def _patch_shard_array(path, name, transform):
     header = json.loads(bytes(data[16 : 16 + header_length]))
     base = (16 + header_length + 63) // 64 * 64
     spec = header["arrays"][name]
-    dtype = spec.get("dtype", "<i8")
-    itemsize = 1 if dtype == "u1" else 8
+    dtype = np.dtype(spec.get("dtype", "<i8"))
     start = base + spec["offset"]
-    end = start + spec["count"] * itemsize
+    end = start + spec["count"] * dtype.itemsize
     array = np.frombuffer(bytes(data[start:end]), dtype=dtype).copy()
     transform(array)
     data[start:end] = array.tobytes()
@@ -542,11 +541,29 @@ class TestCorruptionPaths:
         broken = self._broken_v3(snapshot_dir, tmp_path, "badids")
 
         def escape(objects):
-            objects[0] = 2**40  # far outside the node-id range
+            objects[0] = np.iinfo(objects.dtype).max  # far outside the node-id range
 
         _patch_shard_array(broken / "graph.csr", "out_objects", escape)
         _refresh_manifest_sha(broken, "graph")
         with pytest.raises(SnapshotError, match="outside") as excinfo:
+            GraphStore.load(broken).graph
+        assert "graph.csr" in str(excinfo.value)
+
+    def test_unknown_array_dtype(self, snapshot_dir, tmp_path):
+        """A catalog dtype outside the shard format's own is refused, not
+        handed to numpy (``"<f8"`` would read the ids as floats)."""
+        broken = self._broken_v3(snapshot_dir, tmp_path, "floatids")
+        shard = broken / "graph.csr"
+        data = bytearray(shard.read_bytes())
+        _magic, _version, header_length = struct.unpack_from("<8sII", data, 0)
+        header = json.loads(bytes(data[16 : 16 + header_length]))
+        header["arrays"]["out_objects"]["dtype"] = "<f8"
+        rewritten = json.dumps(header, sort_keys=True).encode("utf-8")
+        assert len(rewritten) == header_length
+        data[16 : 16 + header_length] = rewritten
+        shard.write_bytes(bytes(data))
+        _refresh_manifest_sha(broken, "graph")
+        with pytest.raises(SnapshotError, match="dtype '<f8'") as excinfo:
             GraphStore.load(broken).graph
         assert "graph.csr" in str(excinfo.value)
 
@@ -617,8 +634,8 @@ def _bundle_arrays(bundle: GraphStore) -> dict:
     graph = bundle.graph
     statistics = bundle.statistics
     arrays = {
-        "vocabulary." + name: np.frombuffer(getattr(vocabulary, "_" + name), dtype=dtype)
-        for name, dtype in (("offsets", np.int64), ("sorted_ids", np.int64), ("blob", np.uint8))
+        "vocabulary." + name: np.asarray(getattr(vocabulary, "_" + name))
+        for name in ("offsets", "sorted_ids", "blob")
     }
     for name in ("out_indptr", "out_objects", "out_label_ids", "in_indptr", "in_subjects", "in_label_ids"):
         arrays["graph." + name] = getattr(graph, name)
