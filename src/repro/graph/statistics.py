@@ -37,21 +37,25 @@ if TYPE_CHECKING:  # pragma: no cover - repro.graph.neighborhood imports the gra
     from repro.graph.neighborhood import NeighborhoodColumns
 
 
-def searchsorted_within(keys: "np.ndarray", needles: "np.ndarray") -> "np.ndarray":
-    """``np.searchsorted(keys, needles)`` for non-negative integer
+def searchsorted_within(
+    keys: "np.ndarray", needles: "np.ndarray", side: str = "left"
+) -> "np.ndarray":
+    """``np.searchsorted(keys, needles, side)`` for non-negative integer
     ``needles`` of any width, without widening ``keys``.
 
     numpy searches in the two arrays' common type, so an int64 needle
     column would copy a whole int32 key column on every call.  A needle
-    past the keys' range is searched as the range's maximum; callers
-    compare the key at each slot with the wide needle, which rejects it.
+    past the keys' dtype lies past every key: its slot is ``len(keys)``
+    on either side.
     """
     dtype = keys.dtype
-    if needles.dtype != dtype:
-        if needles.dtype.itemsize > dtype.itemsize:
-            needles = np.minimum(needles, np.iinfo(dtype).max)
-        needles = needles.astype(dtype)
-    return np.searchsorted(keys, needles)
+    if needles.dtype == dtype:
+        return np.searchsorted(keys, needles, side=side)
+    if needles.dtype.itemsize <= dtype.itemsize:
+        return np.searchsorted(keys, needles.astype(dtype), side=side)
+    limit = np.iinfo(dtype).max
+    slots = np.searchsorted(keys, np.minimum(needles, limit).astype(dtype), side=side)
+    return np.where(needles > limit, len(keys), slots)
 
 
 class _CountColumns:

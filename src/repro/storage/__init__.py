@@ -2,19 +2,20 @@
 
 GQBE stores the data graph with the *vertical partitioning* scheme
 (Sec. V-A): one two-column ``(subj, obj)`` table per distinct edge label,
-hash-indexed on both columns and kept in memory.  Evaluating a query graph
+sorted by (subject, object), with a probe index on the object column,
+and kept in memory.  Evaluating a query graph
 is then a multi-way join over these tables; this package provides:
 
 * :mod:`repro.storage.vocabulary` — the entity interning layer: entities
   are mapped to dense int ids once, offline, so the join engine hashes and
   compares machine ints instead of strings,
 * :class:`~repro.storage.table.ColumnarEdgeTable` — the per-label table:
-  parallel numpy id columns with sorted probe indexes,
+  parallel sorted numpy id columns and an object probe index,
 * :class:`~repro.storage.store.VerticalPartitionStore` — the collection of
   all per-label tables for a data graph plus their shared vocabulary,
 * :mod:`repro.storage.plan` — join-order planning for a query graph,
-* :mod:`repro.storage.join` — the hash-join evaluator (whole-array numpy
-  operations over the tables' sorted indexes), including the one-edge
+* :mod:`repro.storage.join` — the join evaluator (whole-array numpy
+  operations over the sorted columns and indexes), including the one-edge
   *extension* step used by the lattice exploration to reuse a child query
   graph's materialized answers,
 * :mod:`repro.storage.snapshot` — on-disk snapshots of the whole

@@ -835,12 +835,13 @@ def build_streaming_snapshot(
     processes, and ``memory_budget_mb`` bounds the streaming state (see
     the module docstring for exactly what scales with data instead).
 
-    ``snapshot_format`` names the one layout there is (``"v3"``) and
-    rejects anything else.  Returns a report dict with row counts,
-    per-stage timings and spill statistics.  The output is byte-identical
-    to ``GraphStore.build`` + ``save`` over ``load_graph`` of the same
-    dump — the repo's standing equivalence discipline, enforced by
-    ``tests/test_streaming_build.py``.
+    ``snapshot_format`` names the sharded directory layout (``"v3"``,
+    whatever the manifest's ``format_version``) and rejects anything
+    else; ROADMAP 5(a) deletes the argument.  Returns a report dict with
+    row counts, per-stage timings and spill statistics.  The output is
+    byte-identical to ``GraphStore.build`` + ``save`` over ``load_graph``
+    of the same dump — the repo's standing equivalence discipline,
+    enforced by ``tests/test_streaming_build.py``.
     """
     source = Path(source)
     output = Path(output)

@@ -8,9 +8,8 @@ fresh, fully self-contained snapshot written **next to** the base:
     serve-data.snap.gen1     <- first compaction
     serve-data.snap.gen2     <- second compaction, and so on
 
-Each generation is an ordinary snapshot (v3 directory or v1 file —
-``GraphStore.load`` auto-detects), so every existing tool opens it
-directly.  Crash safety comes from two rules:
+Each generation is an ordinary snapshot directory, so every existing
+tool opens it directly.  Crash safety comes from two rules:
 
 * a generation is written to ``<target>.tmp`` first and moved into
   place with one atomic ``os.replace`` — a half-written generation is

@@ -17,9 +17,10 @@ verifiable files:
 ``tables/NNNNN.shard``
     One binary shard per label's
     :class:`~repro.storage.table.ColumnarEdgeTable`: the two int32 id
-    columns **plus the persisted probe indexes** (both CSR-style sorted
-    group indexes and the pair-membership index), written as raw
-    little-endian arrays at 64-byte-aligned offsets.  A shard is opened
+    columns, sorted by (subject, object), **plus the persisted object
+    probe index** (a CSR-style sorted group index; the sorted subject
+    column is its own), written as raw little-endian arrays at
+    64-byte-aligned offsets.  A shard is opened
     with one ``mmap`` and the arrays become zero-copy read-only
     ``np.frombuffer`` views — no deserialization, no sorting, no copy —
     so N worker processes mapping the same snapshot share one set of
@@ -114,8 +115,9 @@ SHARD_MAGIC = b"GQBESHRD"
 SHARD_VERSION = 1
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_MAGIC = "GQBESNAP2"
-#: The manifest ``format_version`` this build writes and reads.
-FORMAT_VERSION = 3
+#: The manifest ``format_version`` this build writes and reads.  Version
+#: 3 tables may be unsorted, which a sorted-column search answers wrongly.
+FORMAT_VERSION = 4
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 _ALIGNMENT = 64
 _SHARD_HEADER = struct.Struct("<8sII")
@@ -352,28 +354,20 @@ def _write_shard_file(
 
 
 def _table_shard(table: ColumnarEdgeTable) -> tuple[dict, dict[str, "np.ndarray"]]:
-    """The header and arrays a shard persists for ``table`` (indexes prebuilt)."""
-    table.build_indexes()
+    """The header and arrays a shard persists for ``table``: its sorted
+    columns and its object index, prebuilt."""
     arrays: dict[str, np.ndarray] = {
         "subjects": table.subject_ids(),
         "objects": table.object_ids(),
     }
     dtypes = {"subjects": ID_DTYPE, "objects": ID_DTYPE}
-    pair_stride = 0
     if len(table):
-        table._ensure_pair_index()
-        pair_stride = table._pair_stride
         rows = int_dtype(len(table))
-        for side, index in (
-            ("subject", table._subject_group_index()),
-            ("object", table._object_group_index()),
-        ):
-            for name, dtype in (("order", rows), ("keys", ID_DTYPE), ("bounds", rows)):
-                arrays[f"{side}_{name}"] = getattr(index, name)
-                dtypes[f"{side}_{name}"] = dtype
-        arrays["pair_keys"] = table._pair_keys
-        dtypes["pair_keys"] = int_dtype((int(table.subject_ids().max()) + 1) * pair_stride)
-    header = {"label": table.label, "rows": len(table), "pair_stride": int(pair_stride)}
+        index = table._object_group_index()
+        for name, dtype in (("order", rows), ("keys", ID_DTYPE), ("bounds", rows)):
+            arrays[f"object_{name}"] = getattr(index, name)
+            dtypes[f"object_{name}"] = dtype
+    header = {"label": table.label, "rows": len(table)}
     return header, _narrowed(arrays, dtypes)
 
 
@@ -793,24 +787,13 @@ class ShardedSnapshotReader:
             raise SnapshotError(
                 f"snapshot shard {path!s} is missing its id columns"
             )
-        subject_index = object_index = None
-        order = view("subject_order")
+        object_index = None
+        order = view("object_order")
         if order is not None:
-            subject_index = _SortedGroupIndex.from_arrays(
-                view("subject_keys"), view("subject_bounds"), order
-            )
             object_index = _SortedGroupIndex.from_arrays(
-                view("object_keys"), view("object_bounds"), view("object_order")
+                view("object_keys"), view("object_bounds"), order
             )
-        return ColumnarEdgeTable.from_mapped(
-            label,
-            subjects,
-            objects,
-            subject_index=subject_index,
-            object_index=object_index,
-            pair_keys=view("pair_keys"),
-            pair_stride=int(header.get("pair_stride", 0)),
-        )
+        return ColumnarEdgeTable.from_mapped(label, subjects, objects, object_index)
 
     # ------------------------------------------------------------------
     def load_vocabulary(self) -> MappedVocabulary:

@@ -159,8 +159,8 @@ class GraphStore:
         """Force all three sections to load now; returns ``self``.
 
         Lazily sharded tables are *not* resolved here — that is what
-        keeps partial loading useful; call ``store.build_indexes()``
-        (or :meth:`save`) to force every shard open.
+        keeps partial loading useful; ``store.table(label)`` opens one
+        (:meth:`save` opens them all).
         """
         _ = self.graph
         _ = self.statistics

@@ -94,28 +94,16 @@ class VerticalPartitionStore:
         """The entity vocabulary the tables were interned with."""
         return self._vocabulary
 
-    def build_indexes(self) -> None:
-        """Materialize every lazy probe index now.
-
-        Queries build indexes on demand; ``GraphStore.save`` calls this
-        so the written tables carry warm indexes and a loaded snapshot
-        answers its first query without an index-build pause.  Every
-        pending table is resolved first.
-        """
-        for label in self._lazy_rows:
-            self._resolve_table(label)
-        for table in self._tables.values():
-            table.build_indexes()
-
     def ingest_rows(self, label: str, subject_ids: list[int], object_ids: list[int]) -> None:
         """Append interned rows to ``label``'s table (live ingest).
 
-        The table is replaced by one over its old columns followed by the
-        new rows; a label the snapshot has never seen gets its first
-        table, after every existing label.  A table never changes under a
-        reader, so no index it built goes stale.  The rows must be new:
-        callers deduplicate against the *graph*, so vocabulary and
-        statistics never see a duplicate either.
+        The table is replaced by one over its old and new rows, sorted
+        by (subject, object) into new arrays (the old columns may be a
+        shard's mapped views); a label the snapshot has never seen gets
+        its first table, after every existing label.  A table never
+        changes under a reader, so no index it built goes stale.  The
+        rows must be new: callers deduplicate against the *graph*, so
+        vocabulary and statistics never see a duplicate either.
         """
         # Ids at the snapshot's width: every id is at most MAX_ENTITY_ID.
         subjects = np.array(subject_ids, dtype=np.int32)
@@ -124,7 +112,10 @@ class VerticalPartitionStore:
         if table is not None:
             subjects = np.concatenate((table.subject_ids(), subjects))
             objects = np.concatenate((table.object_ids(), objects))
-        self._tables[label] = ColumnarEdgeTable.from_mapped(label, subjects, objects)
+        order = np.lexsort((objects, subjects))
+        self._tables[label] = ColumnarEdgeTable.from_mapped(
+            label, subjects[order], objects[order]
+        )
 
     def _delta_labels(self) -> list[str]:
         """Labels created by ingest that the shard manifest doesn't know."""

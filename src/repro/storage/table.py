@@ -1,23 +1,24 @@
-"""Per-label two-column edge tables with hash indexes (Sec. V-A).
+"""Per-label two-column edge tables with probe indexes (Sec. V-A).
 
 The vertical-partitioning scheme stores every edge label as its own
-``(subj, obj)`` table.  For efficient hash joins, each table carries
-per-column lookup indexes, mirroring the paper's description of building
-both hash tables before any query arrives.
+``(subj, obj)`` table.  The paper builds a probe index on both columns
+before any query arrives; here a table's rows are sorted by (subject,
+object), so the subject column is its own index and only the object
+side needs one.
 
 A :class:`ColumnarEdgeTable` keeps its rows as two parallel int32 id
-columns; probes are answered from lazily built, numpy-sorted CSR-style
-group indexes so a whole *vector* of probe keys is matched in a handful
-of C-level array operations (:meth:`~ColumnarEdgeTable.probe_subject` and
-friends), and row membership from a sorted pair-key index
+columns.  A whole *vector* of probe keys is matched in a handful of
+C-level array operations (:meth:`~ColumnarEdgeTable.probe_subject` and
+friends): subject probes are binary searches of the sorted subject
+column, object probes read a CSR-style group index, and row membership
+searches ``subject * stride + object`` keys, which ascend with the rows
 (:meth:`~ColumnarEdgeTable.contains_pairs`).  The columns are read-only
-views over a snapshot shard's arrays, memory-mapped or built in
-memory (:meth:`ColumnarEdgeTable.from_mapped`), including the persisted
-probe indexes, so opening a table costs no copy and no sort.  A table
-never changes: live ingest replaces a label's table with one over the old
-columns followed by the new rows
-(``VerticalPartitionStore.ingest_rows``), and the backing file is never
-written through.
+views over a snapshot shard's arrays, memory-mapped or built in memory
+(:meth:`ColumnarEdgeTable.from_mapped`), including the persisted object
+index, so opening a table costs no copy and no sort.  A table never
+changes: live ingest replaces a label's table with one over the old and
+new rows in sorted order (``VerticalPartitionStore.ingest_rows``), and
+the backing file is never written through.
 
 Rows hold **interned entity ids** (dense ints produced by the store's
 :class:`~repro.storage.vocabulary.MappedVocabulary`), so every probe, membership
@@ -35,7 +36,7 @@ from repro.graph.statistics import searchsorted_within
 
 
 class _SortedGroupIndex:
-    """CSR-style group index over one id column.
+    """CSR-style group index over the object column.
 
     ``order`` is a stable permutation sorting the column; equal keys keep
     their row order, so expanding a probe enumerates a key's matches in
@@ -88,28 +89,27 @@ class _SortedGroupIndex:
 class ColumnarEdgeTable:
     """All edges of one label as two parallel id columns (struct-of-arrays).
 
-    The columns are int32 arrays the table never writes (int64 in a
-    snapshot written before shards were narrowed): a snapshot shard's
-    mapped views (:meth:`from_mapped`), the arrays a build
+    The rows are distinct and sorted by (subject, object), whichever way
+    the table came.  The columns are int32 arrays the table never writes
+    (int64 in a snapshot written before shards were narrowed): a snapshot
+    shard's mapped views (:meth:`from_mapped`), the arrays a build
     computed in memory, or a table live ingest put together from an old
-    table's columns and new rows.  The probe indexes are built lazily
-    with numpy sorts on first use, unless the shard persisted them.
+    table's rows and new ones.  The object index is built with a numpy
+    sort on first use, unless the shard persisted it.
     """
 
     __slots__ = (
         "_label",
         "_subject_np",
         "_object_np",
-        "_subject_index",
         "_object_index",
-        "_pair_keys",
-        "_pair_stride",
+        "_row_keys",
+        "_row_stride",
     )
 
     def __init__(self, label: str, rows: Iterable[tuple[int, int]] = ()) -> None:
-        """A table over ``rows``, duplicates dropped, in first-occurrence order."""
-        unique = list(dict.fromkeys(rows))
-        columns = np.array(unique, dtype=np.int32).reshape(len(unique), 2)
+        """A table over the distinct ``rows``, sorted by (subject, object)."""
+        columns = np.unique(np.array(list(rows), dtype=np.int32).reshape(-1, 2), axis=0)
         self._adopt(label, columns[:, 0].copy(), columns[:, 1].copy())
 
     def _adopt(
@@ -117,18 +117,14 @@ class ColumnarEdgeTable:
         label: str,
         subjects: "np.ndarray",
         objects: "np.ndarray",
-        subject_index: _SortedGroupIndex | None = None,
         object_index: _SortedGroupIndex | None = None,
-        pair_keys: "np.ndarray | None" = None,
-        pair_stride: int = 0,
     ) -> None:
         self._label = label
         self._subject_np = subjects
         self._object_np = objects
-        self._subject_index = subject_index
         self._object_index = object_index
-        self._pair_keys = pair_keys
-        self._pair_stride = pair_stride
+        self._row_keys = None
+        self._row_stride = 0
 
     @classmethod
     def from_mapped(
@@ -136,22 +132,18 @@ class ColumnarEdgeTable:
         label: str,
         subjects: "np.ndarray",
         objects: "np.ndarray",
-        subject_index: _SortedGroupIndex | None = None,
         object_index: _SortedGroupIndex | None = None,
-        pair_keys: "np.ndarray | None" = None,
-        pair_stride: int = 0,
     ) -> "ColumnarEdgeTable":
         """Open a table over read-only (memory-mapped) id columns.
 
-        ``subjects``/``objects`` — and the optional persisted probe
-        indexes — are adopted as-is, zero-copy.  The columns must be
-        parallel, deduplicated ``(subj, obj)`` rows, in any order (a
-        shard holds them sorted by ``(subj, obj)``).
+        ``subjects``/``objects`` — and the optional persisted object
+        index — are adopted as-is, zero-copy.  The columns must be
+        parallel ``(subj, obj)`` rows, distinct and sorted by (subject,
+        object): subject probes and membership tests search them as they
+        are, and would return wrong matches over unsorted rows.
         """
         table = cls.__new__(cls)
-        table._adopt(
-            label, subjects, objects, subject_index, object_index, pair_keys, pair_stride
-        )
+        table._adopt(label, subjects, objects, object_index)
         return table
 
     @property
@@ -188,17 +180,12 @@ class ColumnarEdgeTable:
     # columnar access (the vectorized join engine's surface)
     # ------------------------------------------------------------------
     def subject_ids(self) -> "np.ndarray":
-        """The ``subj`` column as an id array."""
+        """The ``subj`` column as an id array, in ascending order."""
         return self._subject_np
 
     def object_ids(self) -> "np.ndarray":
         """The ``obj`` column as an id array."""
         return self._object_np
-
-    def _subject_group_index(self) -> _SortedGroupIndex:
-        if self._subject_index is None:
-            self._subject_index = _SortedGroupIndex(self.subject_ids())
-        return self._subject_index
 
     def _object_group_index(self) -> _SortedGroupIndex:
         if self._object_index is None:
@@ -206,38 +193,33 @@ class ColumnarEdgeTable:
         return self._object_index
 
     def build_indexes(self) -> None:
-        """Materialize every lazy index now (snapshot builds call this so a
-        loaded snapshot starts with warm probe indexes)."""
+        """Materialize the object index now (the subject column is its own)."""
         if len(self):
-            self._subject_group_index()
             self._object_group_index()
-            self._ensure_pair_index()
 
     def probe_subject(self, keys: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
         """Vectorized subject probe: ``(counts, starts)`` per probe key.
 
         ``counts`` is the number of rows matching each key — enough to size
-        a join before paying for it; ``starts`` locates each key's run in
-        the group index, for :meth:`expand_subject`.
+        a join before paying for it; ``starts`` is the first of each key's
+        rows, for :meth:`expand_subject`.
         """
-        if not len(self):  # the group index is only built for non-empty columns
-            none = np.zeros(len(keys), dtype=np.int64)
-            return none, none
-        return self._subject_group_index().lookup(keys)
+        starts = searchsorted_within(self._subject_np, keys)
+        return searchsorted_within(self._subject_np, keys, side="right") - starts, starts
 
     def probe_object(self, keys: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
         """Vectorized object probe: ``(counts, starts)`` per probe key."""
-        if not len(self):
+        if not len(self):  # the group index is only built for non-empty columns
             none = np.zeros(len(keys), dtype=np.int64)
             return none, none
         return self._object_group_index().lookup(keys)
 
+    @staticmethod
     def _expand(
-        self,
-        index: _SortedGroupIndex,
         counts: "np.ndarray",
         starts: "np.ndarray",
         values: "np.ndarray",
+        order: "np.ndarray | None" = None,
     ) -> tuple["np.ndarray", "np.ndarray"]:
         total = int(counts.sum())
         if total == 0:
@@ -245,9 +227,11 @@ class ColumnarEdgeTable:
             return empty, empty
         probe_idx = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
         # Slot j of the expansion, the i-th match of its probe key, reads
-        # group position starts[key] + i = j + (starts - first slot)[key].
+        # position starts[key] + i = j + (starts - first slot)[key].
         shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        source_rows = index.order[np.arange(total, dtype=np.int64) + shift]
+        source_rows = np.arange(total, dtype=np.int64) + shift
+        if order is not None:
+            source_rows = order[source_rows]
         # ``take``: indexing with int32 rows pays a fixed cost to widen them.
         return probe_idx, values.take(source_rows)
 
@@ -260,10 +244,7 @@ class ColumnarEdgeTable:
         the probe key that produced it and the matched row's ``obj`` value.
         Matches of one key appear in row order.
         """
-        if not len(self):
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        return self._expand(self._subject_group_index(), counts, starts, self.object_ids())
+        return self._expand(counts, starts, self._object_np)
 
     def expand_object(
         self, counts: "np.ndarray", starts: "np.ndarray"
@@ -272,16 +253,7 @@ class ColumnarEdgeTable:
         if not len(self):
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        return self._expand(self._object_group_index(), counts, starts, self.subject_ids())
-
-    def _ensure_pair_index(self) -> None:
-        if self._pair_keys is None:
-            # Encode (subj, obj) as subj * stride + obj, in int64: ids are
-            # below 2**31, so a key fits, but an int32 product would wrap.
-            self._pair_stride = int(self.object_ids().max()) + 1 if len(self) else 1
-            self._pair_keys = np.sort(
-                self.subject_ids().astype(np.int64) * self._pair_stride + self.object_ids()
-            )
+        return self._expand(counts, starts, self._subject_np, self._object_group_index().order)
 
     def contains_pairs(
         self, subjects: "np.ndarray", objects: "np.ndarray"
@@ -290,17 +262,23 @@ class ColumnarEdgeTable:
         (id columns of either width)."""
         if not len(self):
             return np.zeros(len(subjects), dtype=bool)
-        self._ensure_pair_index()
-        pair_keys = self._pair_keys
+        if self._row_keys is None:
+            # Encode (subj, obj) as subj * stride + obj, in int64: ids are
+            # below 2**31, so a key fits, but an int32 product would wrap.
+            # Every object is below the stride, so the keys ascend with
+            # the sorted rows.
+            self._row_stride = int(self._object_np.max()) + 1
+            self._row_keys = self._subject_np.astype(np.int64) * self._row_stride + self._object_np
+        row_keys = self._row_keys
         # Ids are int32.  Widen them first: in int32 a product past 2**31
         # (subject and stride ~46 k each) wraps, and can land on another
         # pair's key.
-        keys = subjects.astype(np.int64) * self._pair_stride + objects
+        keys = subjects.astype(np.int64) * self._row_stride + objects
         # Objects outside the stride cannot encode an existing pair.
-        in_range = (objects >= 0) & (objects < self._pair_stride)
-        position = searchsorted_within(pair_keys, keys)
-        safe = np.minimum(position, len(pair_keys) - 1)
-        return in_range & (pair_keys[safe] == keys)
+        in_range = (objects >= 0) & (objects < self._row_stride)
+        position = searchsorted_within(row_keys, keys)
+        safe = np.minimum(position, len(row_keys) - 1)
+        return in_range & (row_keys[safe] == keys)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(label={self._label!r}, rows={len(self)})"

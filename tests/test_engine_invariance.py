@@ -3,8 +3,9 @@
 The engine has three: how a capped one-sided probe slices its expansion
 (the ``join_regime`` fixture: about one probe row per slice, slices of 64
 candidates, or the shipped single pass up to the cap), which int id the
-vocabulary gives an entity, and the order of the rows it reads (a label
-table's rows, a node's adjacency slice).  None may change a join's rows,
+vocabulary gives an entity, and the order of the rows it reads in a
+node's adjacency slice (a label table is always sorted by (subject,
+object)).  None may change a join's rows,
 the ranked answers or the work done to find them; the slicing may not
 change the rows' order either.
 
@@ -37,9 +38,8 @@ from repro.lattice.exploration import BestFirstExplorer
 from repro.lattice.query_graph import LatticeSpace
 from repro.storage.join import ColumnarRelation, evaluate_query_edges, extend_with_edge
 from repro.storage.plan import plan_join_order
-from repro.storage.shards import BuiltSnapshot, _table_shard, graph_shards
+from repro.storage.shards import BuiltSnapshot, graph_shards
 from repro.storage.snapshot import GraphStore
-from repro.storage.table import ColumnarEdgeTable
 
 #: The regime each one is compared with: a slicing regime against the
 #: shipped single pass, the single pass against row-at-a-time slices.
@@ -411,11 +411,12 @@ class TestAnswersDoNotDependOnIdAssignment:
 
 
 def _permuted_rows_bundle(graph, seed) -> GraphStore:
-    """The offline state of ``graph`` with every row the engine reads
-    shuffled and every id kept: each label table's rows, and each node's
-    out- and in-adjacency slice of the CSR.  The built arrays are permuted,
-    not the build's input, so this stays unsorted data whatever order a
-    build writes: the order an older snapshot or a live delta presents."""
+    """The offline state of ``graph`` with each node's out- and
+    in-adjacency slice of the CSR shuffled and every id kept.  The built
+    arrays are permuted, not the build's input, so this stays unsorted
+    data whatever order a build writes: the order a live delta presents.
+    Label tables keep their rows: a table is sorted by (subject, object)
+    however it came, so an unsorted one is not a state the engine meets."""
     rng = np.random.default_rng(seed)
     built = graph_shards(graph)
     files = dict(built._files)
@@ -431,27 +432,13 @@ def _permuted_rows_bundle(graph, seed) -> GraphStore:
         arrays[others] = arrays[others][order]
         arrays[labels] = arrays[labels][order]
     files["graph.csr"] = (header, arrays)
-    for entry in built.manifest["tables"]:
-        table_header, table_arrays = files[entry["file"]]
-        order = rng.permutation(table_header["rows"])
-        files[entry["file"]] = _table_shard(
-            ColumnarEdgeTable.from_mapped(
-                table_header["label"],
-                table_arrays["subjects"][order],
-                table_arrays["objects"][order],
-            )
-        )
     return GraphStore(BuiltSnapshot(built.manifest, files, built._sections))
 
 
 def _rows_read(bundle: GraphStore):
-    """The rows a bundle hands the engine, in the order it hands them."""
+    """The adjacency rows a bundle hands the engine, in the order it hands them."""
     graph = bundle.graph
-    return (
-        graph.out_objects.tolist(),
-        graph.in_subjects.tolist(),
-        [bundle.store.table(label).rows() for label in bundle.store.labels()],
-    )
+    return graph.out_objects.tolist(), graph.in_subjects.tolist()
 
 
 class TestAnswersDoNotDependOnRowOrder:

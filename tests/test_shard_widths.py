@@ -9,8 +9,8 @@
   before shards were narrowed) answers, ingests and saves exactly as the
   narrow one;
 * every place that combines int32 ids into a larger number widens first:
-  the statistics' base and overlay keys, a table's pair keys and the
-  answer keys, fed ids next to ``MAX_ENTITY_ID``;
+  the statistics' base and overlay keys, a table's in-memory membership
+  keys and the answer keys, fed ids next to ``MAX_ENTITY_ID``;
 * the shard writer refuses a chunk that its declared width cannot hold.
 """
 
@@ -135,12 +135,7 @@ def _expected_dtypes(files: dict, limit: int) -> dict:
             rows = fits(header["rows"])
             rule = {"subjects": ids, "objects": ids}
             if header["rows"]:
-                pairs = (int(arrays["subjects"].max()) + 1) * header["pair_stride"]
-                rule["pair_keys"] = fits(pairs)
-                for side in ("subject", "object"):
-                    rule.update(
-                        {f"{side}_keys": ids, f"{side}_order": rows, f"{side}_bounds": rows}
-                    )
+                rule.update({"object_keys": ids, "object_order": rows, "object_bounds": rows})
         assert sorted(rule) == sorted(arrays), file
         expected.update({(file, name): dtype for name, dtype in rule.items()})
     return expected
@@ -205,19 +200,6 @@ class TestWidthRule:
         assert shards.int_dtype(_INT32_MAX) == "<i4"
         assert shards.int_dtype(_INT32_MAX + 1) == "<i8"
         assert shards.ID_DTYPE == "<i4"
-
-    def test_a_wide_pair_key_bound_is_int64(self, tmp_path):
-        """A table whose ids are small but whose pair keys pass int32."""
-        big = 60_000  # (60_000 + 1) * (60_000 + 1) > 2**31
-        table = ColumnarEdgeTable.from_mapped(
-            "r", np.array([0, big], dtype=np.int32), np.array([big, 1], dtype=np.int32)
-        )
-        header, arrays = shards._table_shard(table)
-        assert arrays["pair_keys"].dtype == np.dtype("<i8")
-        assert {arrays[name].dtype for name in arrays if name != "pair_keys"} == {np.dtype("<i4")}
-        shards.write_table_shard(tmp_path / "r.shard", table)
-        assert _read_shard(tmp_path / "r.shard")[1]["pair_keys"].dtype == np.dtype("<i8")
-        assert table.has_row(big, 1) and not table.has_row(big, 0)
 
 
 class TestAllInt64Snapshot:
@@ -298,34 +280,48 @@ class TestIdsWidenBeforeTheyCombine:
         assert columns.counts_of(nodes, labels).tolist() == [9, 3, 0]
 
     def test_table_pair_keys(self):
+        """The membership keys a table computes from its sorted int32
+        columns are int64 and ascend with the rows, with no sort."""
         top = MAX_ENTITY_ID
         table = ColumnarEdgeTable.from_mapped(
             "r",
-            np.array([top - 1, top, 3], dtype=np.int32),
-            np.array([top, 2, top - 1], dtype=np.int32),
-        )
-        table._ensure_pair_index()
-        stride = top + 1
-        assert table._pair_keys.dtype == np.int64
-        assert table._pair_keys.tolist() == sorted(
-            [(top - 1) * stride + top, top * stride + 2, 3 * stride + top - 1]
+            np.array([3, top - 1, top], dtype=np.int32),
+            np.array([top - 1, top, 2], dtype=np.int32),
         )
         subjects = np.array([top - 1, top, 3, top, 0], dtype=np.int32)
         objects = np.array([top, 2, top - 1, top - 1, 2], dtype=np.int32)
         assert table.contains_pairs(subjects, objects).tolist() == [True, True, True, False, False]
+        stride = top + 1
+        assert table._row_keys.dtype == np.int64
+        assert table._row_keys.tolist() == [
+            3 * stride + top - 1,
+            (top - 1) * stride + top,
+            top * stride + 2,
+        ]
 
     def test_narrow_pair_keys_against_wide_probes(self):
-        """int32 pair keys from a shard; a probe key past int32 matches nothing."""
+        """int32 columns whose keys fit int32; a probe key past int32
+        matches nothing."""
         table = ColumnarEdgeTable.from_mapped(
-            "r",
-            np.array([0, 1], dtype=np.int32),
-            np.array([1, 0], dtype=np.int32),
-            pair_keys=np.array([1, 2], dtype=np.int32),
-            pair_stride=2,
+            "r", np.array([0, 1], dtype=np.int32), np.array([1, 0], dtype=np.int32)
         )
         subjects = np.array([0, 1, MAX_ENTITY_ID, 2**31 - 2], dtype=np.int32)
         objects = np.array([1, 0, 1, 0], dtype=np.int32)
         assert table.contains_pairs(subjects, objects).tolist() == [True, True, False, False]
+        assert table._row_keys.tolist() == [1, 2]
+
+    def test_subject_probe_against_wide_keys(self):
+        """An int32 subject column holding ``MAX_ENTITY_ID``: an int64
+        probe key past int32 matches no row on either search side."""
+        top = MAX_ENTITY_ID
+        table = ColumnarEdgeTable.from_mapped(
+            "r", np.array([0, top, top], dtype=np.int32), np.array([1, 0, 1], dtype=np.int32)
+        )
+        keys = np.array([top, 2**31, 2**32 + top, 0], dtype=np.int64)
+        counts, starts = table.probe_subject(keys)
+        assert counts.tolist() == [2, 0, 0, 1]
+        probe_idx, objects = table.expand_subject(counts, starts)
+        assert probe_idx.tolist() == [0, 0, 3] and objects.tolist() == [0, 1, 1]
 
     def test_answer_keys(self):
         accumulator = AnswerAccumulator.__new__(AnswerAccumulator)

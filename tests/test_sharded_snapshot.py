@@ -167,7 +167,7 @@ class TestV3MappedSections:
         assert isinstance(system.graph, MappedKnowledgeGraph)
         assert isinstance(system.store.vocabulary, MappedVocabulary)
         report = bundle.lazy_report()
-        assert report["format"] == "v3"
+        assert report["format"] == "v4"
         assert "vocabulary" in report["sections_loaded"]
         assert "graph" in report["sections_loaded"]
         # The store skeleton carries no vocabulary and there is no
@@ -647,12 +647,8 @@ def _bundle_arrays(bundle: GraphStore) -> dict:
         table = bundle.store.table(label)
         arrays[f"{label}.subjects"] = table.subject_ids()
         arrays[f"{label}.objects"] = table.object_ids()
-        arrays[f"{label}.pair_keys"] = table._pair_keys
-        arrays[f"{label}.pair_stride"] = np.array([table._pair_stride])
-        for side in ("subject", "object"):
-            index = getattr(table, f"_{side}_index")
-            for name in ("keys", "bounds", "order"):
-                arrays[f"{label}.{side}_{name}"] = getattr(index, name)
+        for name in ("keys", "bounds", "order"):
+            arrays[f"{label}.object_{name}"] = getattr(table._object_index, name)
     return arrays
 
 
@@ -727,7 +723,7 @@ class TestBuildEqualsLoad:
         system = GQBE(figure1_graph)
         assert isinstance(system.graph, MappedKnowledgeGraph)
         assert isinstance(system.store.vocabulary, MappedVocabulary)
-        assert system.graph_store.lazy_report()["format"] == "v3"
+        assert system.graph_store.lazy_report()["format"] == "v4"
         graph = system.graph
         system.ingest([("Jerry Yang", "founded", "Yahoo! Labs")])
         # The ingested edge lands in the same graph, beside the built arrays.

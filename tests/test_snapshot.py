@@ -82,7 +82,8 @@ class TestRoundTrip:
 
 def _touch_everything(path):
     bundle = GraphStore.load(path).materialize()
-    bundle.store.build_indexes()
+    for label in bundle.store.labels():
+        bundle.store.table(label)
 
 
 #: One file of every kind a snapshot directory holds, manifest aside.
@@ -106,13 +107,17 @@ class TestEnvelopeFailureModes:
         manifest = json.loads((target / MANIFEST_NAME).read_text())
         if kind == "v2-manifest":
             manifest["format_version"] = 2
+        elif kind == "v3-manifest":
+            # Version 3 tables may be unsorted: searched as sorted, they
+            # would answer wrongly without any error.
+            manifest["format_version"] = 3
         else:
             del manifest["statistics_counts"]
         (target / MANIFEST_NAME).write_text(json.dumps(manifest))
         return target
 
     @pytest.mark.parametrize(
-        "kind", ["single-file", "v2-manifest", "v3-without-statistics-counts"]
+        "kind", ["single-file", "v2-manifest", "v3-manifest", "v3-without-statistics-counts"]
     )
     def test_retired_input_is_refused(self, kind, snapshot_path, tmp_path):
         """A snapshot is a rebuildable cache: what this build does not

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from graph_backings import random_multigraph, three_graph_stores
 from repro.exceptions import EntityIdOverflowError, GraphError, LatticeError
 from repro.graph.knowledge_graph import Edge, KnowledgeGraph
 from repro.storage.join import (
@@ -126,6 +127,48 @@ class TestColumnarEdgeTable:
         assert (2, 3) in table and (3, 2) not in table and (2, 99) not in table
         assert table.subjects() == {0, 2}
         assert table.objects() == {1, 3}
+
+
+def _strictly_sorted(table: ColumnarEdgeTable) -> bool:
+    """Whether the rows strictly increase in (subject, object)."""
+    subjects = table.subject_ids().astype(np.int64)
+    objects = table.object_ids().astype(np.int64)
+    later, earlier = slice(1, None), slice(None, -1)
+    return bool(
+        (
+            (subjects[later] > subjects[earlier])
+            | ((subjects[later] == subjects[earlier]) & (objects[later] > objects[earlier]))
+        ).all()
+    )
+
+
+class TestTablesAreSortedRows:
+    """Every table holds distinct rows sorted by (subject, object),
+    whichever way it came: the subject probes and the membership keys
+    search the columns as they are."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_built_loaded_and_ingested_tables(self, seed, tmp_path):
+        base, delta, _nodes = random_multigraph(seed, hub_leaves=6 * (seed % 2))
+        with three_graph_stores(base, delta) as (owned, merged, ingested):
+            built = GraphStore.build(owned)
+            for bundle in (built, merged, ingested):
+                for label in bundle.store.labels():
+                    assert _strictly_sorted(bundle.store.table(label)), (seed, label)
+            # An ingested table holds the rows its compacted generation does.
+            ingested.save(tmp_path / "compacted")
+            compacted = GraphStore.load(tmp_path / "compacted").store
+            assert list(compacted.labels()) == list(ingested.store.labels())
+            for label in ingested.store.labels():
+                table, saved = ingested.store.table(label), compacted.table(label)
+                assert table.subject_ids().tolist() == saved.subject_ids().tolist()
+                assert table.object_ids().tolist() == saved.object_ids().tolist()
+
+    def test_a_table_over_rows_sorts_them(self):
+        rows = [(3, 1), (0, 9), (3, 0), (0, 9), (2**31 - 1, 0), (1, 2**31 - 1), (0, 2)]
+        table = ColumnarEdgeTable("r", rows)
+        assert _strictly_sorted(table)
+        assert table.rows() == sorted(set(rows))
 
 
 class TestStore:
