@@ -87,6 +87,8 @@ class BreadthFirstExplorer(LatticeNodeEvaluator):
                 self._add_null_mask(mask)
                 self._retire(mask)
                 continue
+            # No stage-one threshold and no tie order: neither count
+            # ``record`` returns is read here.
             self._answers.record(mask, relation)
             parents = self.space.parents_of(mask)
             for parent in parents:

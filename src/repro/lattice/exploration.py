@@ -5,7 +5,18 @@ evaluated, pruned and unevaluated — plus two frontiers:
 
 * the **lower frontier** ``LF``: unevaluated, unpruned candidates that are
   either minimal query trees or have an evaluated child; the next node to
-  evaluate (``Q_best``) is the LF node with the highest upper-bound score;
+  evaluate (``Q_best``) is the LF node with the highest upper-bound score.
+  Sec. V names no order among equal bounds, and until a null node turns
+  up every bound is ``weight(MQG)``.  Ties here follow the evidence,
+  which fills that gap without departing from Alg. 2 (every pop is still
+  an LF node of the highest bound): a parent of a kept node with more
+  than k' distinct answers is *promising* and goes first, the larger
+  first; any other node goes smaller first
+  (:meth:`BestFirstExplorer._tie`).  By Property 1 only such a node can
+  lead to k' exact matches higher up, so where the MQG itself has more
+  than k' answers the climb from the smallest minimal query tree to the
+  MQG is one chain.  Smaller-first alone visits the lattice level by
+  level, which is the breadth-first Baseline's order;
 * the **upper frontier** ``UF``: maximal unpruned nodes; the upper bound of
   an LF node is the best structure score among the UF nodes that subsume it
   (Definitions 8–9).  The UF is kept an *antichain*: adding a candidate
@@ -55,10 +66,13 @@ Performance notes (the hot path of the Fig. 14/16 experiments):
   node's relation is released once the last of its parents has left the
   lower frontier (:meth:`LatticeNodeEvaluator._retire`): what a query
   holds at once is bounded by the frontier, not by the lattice.  On
-  perfbench's ``single_r15`` the heaviest query keeps 576 relations,
-  2.11 M rows for 582 answers (62.5 MB; 125.0 MB as int64), and holds
-  at most 714 839 of those rows at once, 21.7 MB
-  (:attr:`ExplorationStatistics.peak_retained_rows`).
+  perfbench's ``single_r15`` the heaviest query, F8.2, keeps 576
+  relations, 2.11 M rows for 582 answers (62.5 MB; 125.0 MB as int64),
+  and holds at most 11 745 of those rows at once, 0.37 MB
+  (:attr:`ExplorationStatistics.peak_retained_rows`).  It evaluates the
+  same 960 nodes under smaller-first ties alone, but in level order, so
+  a level's relations wait for the next level: 714 839 rows (21.7 MB).
+  The most any query holds at once is F6.0's 187 990 rows (6.4 MB).
 
 A node relation is *not* projected onto the columns its answers and its
 parents' join keys read, nor deduplicated on them: that would change
@@ -284,7 +298,7 @@ class AnswerAccumulator:
             keys = keys * radix + column
         return keys
 
-    def record(self, mask: int, relation: ColumnarRelation) -> int:
+    def record(self, mask: int, relation: ColumnarRelation) -> tuple[int, int]:
         """Fold the match relation of query graph ``mask`` into the table.
 
         Every row but the trivial one (:meth:`identity_row`) contributes
@@ -304,8 +318,13 @@ class AnswerAccumulator:
         holding an equal or better full score keeps it, content and query
         graph included.
 
-        Returns how many answers' best structure score strictly rose (the
-        best-first explorer re-reads its stage-one threshold only then).
+        Returns ``(rose, distinct)``: how many answers' best structure
+        score strictly rose (the best-first explorer re-reads its
+        stage-one threshold only then), and how many distinct tuples the
+        rows project to once the dead rows are gone, excluded tuples
+        other than the query tuple included (the best-first explorer's
+        tie order reads it: by Property 1 a parent's answers are a subset
+        of these).
 
         The relation is read as one ``(columns, rows)`` matrix, so the
         number of numpy calls does not grow with its width: most lattice
@@ -319,10 +338,10 @@ class AnswerAccumulator:
         except KeyError:
             # A valid query graph always covers the query entities; missing
             # columns mean the relation is degenerate (empty schema).
-            return 0
+            return 0, 0
         matrix = relation.columns
         if not matrix.shape[1]:
-            return 0
+            return 0, 0
         # The matrix's own dtype: comparing against an int64 row would
         # upcast the whole int32 ``(width, rows)`` matrix first.
         identity = np.array(self.identity_row(variables), dtype=matrix.dtype)
@@ -338,7 +357,7 @@ class AnswerAccumulator:
         keep = (signature & dead) != dead
         keys, signature = keys[keep], signature[keep]
         if not len(keys):
-            return 0
+            return 0, 0
 
         content = np.zeros(len(keys))
         matched = signature.nonzero()[0]
@@ -380,7 +399,7 @@ class AnswerAccumulator:
             table[_FULL, at] = full[better]
             table[_CONTENT, at] = content[better]
             table[_RECORDED, at] = recorded
-        return len(rose)
+        return len(rose), len(answers)
 
     def _content_scores(
         self, mask: int, columns: dict[str, int], signatures: list[int]
@@ -488,7 +507,12 @@ class LatticeNodeEvaluator:
     node is pruned instead, which is as permanent.  Neither explorer
     queues a marked or pruned mask, so whatever the order, a mask is
     popped and joined at most once, and the reader counts are exact: a
-    mask is queued only while a child of it is being kept.
+    mask is queued only while a child of it is being kept.  The
+    best-first heap may hold several entries for one mask (a new bound,
+    or a new tie key once it turns promising), but a pop takes the mask
+    out of the lower frontier, which is what membership means, and any
+    later entry for it is skipped; readers are counted by that
+    membership, not by heap entries.
     """
 
     def __init__(self) -> None:
@@ -628,10 +652,13 @@ class BestFirstExplorer(LatticeNodeEvaluator):
         self._upper_frontier: set[int] = {space.full_mask}
         #: mask -> current upper bound; the source of truth for LF
         #: membership.  ``_lf_heap`` mirrors it as a lazy-deletion max-heap
-        #: of ``(-bound, popcount, -mask)`` entries; stale entries (bound
-        #: changed or mask removed) are skipped on pop.
+        #: of ``(-bound, tie, -mask)`` entries (:meth:`_push`); stale
+        #: entries (bound changed, or mask removed) are skipped on pop.
         self._lower_frontier: dict[int, float] = {}
         self._lf_heap: list[tuple[float, int, int]] = []
+        #: Parents of a kept node with more than k' distinct answers: the
+        #: masks that tie larger-first (:meth:`_tie`).
+        self._promising: set[int] = set()
         self._answers = AnswerAccumulator(space, store, excluded_tuples)
         #: The k'-th best structure score so far (the stage-one threshold
         #: of Theorem 4), ``None`` while fewer than k' answers are known.
@@ -663,14 +690,48 @@ class BestFirstExplorer(LatticeNodeEvaluator):
         if bound is None:
             return
         self._lower_frontier[mask] = bound
-        heapq.heappush(self._lf_heap, (-bound, mask.bit_count(), -mask))
+        self._push(mask, bound)
+
+    def _tie(self, mask: int) -> int:
+        """The heap key that orders LF nodes of equal upper bound.
+
+        A promising mask (:meth:`_promote`) goes larger-first and ahead of
+        every other mask: its child already has more than k' answers, and
+        climbing towards the MQG is how k' exact matches are reached.
+        Every other mask goes smaller-first: it is cheaper to join and, if
+        null, prunes more.
+        """
+        count = mask.bit_count()
+        return -count if mask in self._promising else count
+
+    def _push(self, mask: int, bound: float) -> None:
+        heapq.heappush(self._lf_heap, (-bound, self._tie(mask), -mask))
+
+    def _promote(self, parents: Iterable[int]) -> None:
+        """Mark ``parents`` promising: their child has more than k' answers.
+
+        By Property 1 a parent's answers are a subset of each child's, so
+        only such a child can lead to k' exact matches higher up.  A parent
+        already in the LF is pushed again under its new key; that key
+        sorts before the old one, so the old entry is reached only after
+        the mask has left the LF, and is skipped then.
+        """
+        promising = self._promising
+        frontier = self._lower_frontier
+        for parent in parents:
+            if parent in promising:
+                continue
+            promising.add(parent)
+            bound = frontier.get(parent)
+            if bound is not None:
+                self._push(parent, bound)
 
     def _pop_best_mask(self) -> int | None:
         """Pop the LF node with the highest upper bound (lazy deletion).
 
-        Ties prefer the smaller query graph — it is cheaper to join and,
-        if null, prunes more — then the larger mask, matching the ordering
-        of the pre-heap ``max()`` scan.
+        Ties go by :meth:`_tie` (promising masks larger-first, then every
+        other mask smaller-first), then to the larger mask: the pop is the
+        maximum over the LF of ``(bound, -tie, mask)``.
         """
         frontier = self._lower_frontier
         heap = self._lf_heap
@@ -761,7 +822,7 @@ class BestFirstExplorer(LatticeNodeEvaluator):
                 self._retire(mask)
             elif bound != self._lower_frontier[mask]:
                 self._lower_frontier[mask] = bound
-                heapq.heappush(self._lf_heap, (-bound, mask.bit_count(), -mask))
+                self._push(mask, bound)
 
     # ------------------------------------------------------------------
     # termination
@@ -818,6 +879,7 @@ class BestFirstExplorer(LatticeNodeEvaluator):
         structure_of = self.space.weight_of_mask
         parents_of = self.space.parents_of
         add_to_frontier = self._add_to_lower_frontier
+        promote = self._promote
         hold = self._hold
         retire = self._retire
         should_terminate = self._should_terminate
@@ -855,12 +917,13 @@ class BestFirstExplorer(LatticeNodeEvaluator):
             else:
                 # Scores only rise, so the k'-th best moves only when this
                 # node lifted some answer, and only if it scores above it.
+                rose, distinct = record(best_mask, relation)
                 threshold = self._threshold
-                if record(best_mask, relation) and (
-                    threshold is None or structure_of(best_mask) > threshold
-                ):
+                if rose and (threshold is None or structure_of(best_mask) > threshold):
                     self._threshold = threshold_of(k_prime)
                 parents = parents_of(best_mask)
+                if distinct > k_prime:
+                    promote(parents)
                 for parent in parents:
                     add_to_frontier(parent)
                 # A parent not in the LF now never will be: it was popped,

@@ -66,16 +66,22 @@ class RowByRowOracle:
         self.best: dict[tuple, list] = {}  # entities -> [structure, full, content, mask]
 
     def record(self, mask, variables, rows):
-        """Returns the answers whose structure score strictly rose."""
+        """Returns the answers whose structure score strictly rose, and how
+        many distinct answers the rows project to: every row but the
+        trivial one counts, excluded tuples too, except that an excluded
+        query tuple does not."""
         space = self.space
         identity = tuple(variables)
         structure = space.weight_of_mask(mask)
         positions = [variables.index(entity) for entity in space.query_tuple]
         candidates: dict[tuple, tuple[float, float]] = {}
+        projected = set()
         for row in rows:
             if row == identity:
                 continue
             answer = tuple(row[i] for i in positions)
+            if answer != space.query_tuple or answer not in self.excluded:
+                projected.add(answer)
             if answer in self.excluded:
                 continue
             binding = dict(zip(variables, row))
@@ -97,7 +103,7 @@ class RowByRowOracle:
                 rose.add(answer)
             if full > held[1]:
                 held[1:] = [full, content, mask]
-        return rose
+        return rose, len(projected)
 
     def ranked(self, k, k_prime=None):
         items = sorted(self.best.items(), key=lambda item: (-item[1][0], item[0]))
@@ -221,15 +227,15 @@ def test_matches_row_by_row_fold_on_random_relations(shape, seed):
         recordings.append((mask, variables, rows))
 
     oracle = RowByRowOracle(space, excluded)
-    expected_rises = [oracle.record(*recording) for recording in recordings]
+    expected_counts = [oracle.record(*recording) for recording in recordings]
     assert oracle.best, "the generated relations produced no answer at all"
 
     with _layouts(universe) as layouts:
         for name, store, relation_of in layouts:
             accumulator = AnswerAccumulator(space, store, excluded)
-            for (mask, variables, rows), expected in zip(recordings, expected_rises):
-                rose = accumulator.record(mask, relation_of(store, variables, rows))
-                assert rose == len(expected), name
+            for (mask, variables, rows), (rose, distinct) in zip(recordings, expected_counts):
+                counts = accumulator.record(mask, relation_of(store, variables, rows))
+                assert counts == (len(rose), distinct), name
             assert len(accumulator) == len(oracle.best), name
             assert sorted(accumulator.structure_scores().tolist()) == sorted(
                 held[0] for held in oracle.best.values()
@@ -367,7 +373,8 @@ def test_the_widest_query_graph_the_config_allows():
     with _layouts(universe) as layouts:
         for name, store, relation_of in layouts:
             accumulator = AnswerAccumulator(space, store, ())
-            assert accumulator.record(space.full_mask, relation_of(store, variables, rows)) == 3
+            counts = accumulator.record(space.full_mask, relation_of(store, variables, rows))
+            assert counts == (3, 3), name
             assert _as_tuples(accumulator.ranked(5)) == oracle.ranked(5), name
 
 

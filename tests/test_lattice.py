@@ -225,9 +225,11 @@ class TestScoring:
 class _CrossCheckingExplorer(BestFirstExplorer):
     """Asserts the LF heap and the k'-threshold match naive scans.
 
-    The LF pop must be the naive maximum over the lower frontier, and the
-    stage-one threshold the k'-th largest of every answer's structure
-    score, each time the explorer reads it.
+    The LF pop must be the naive maximum over the lower frontier (highest
+    bound; on a tie a promising mask before any other, the larger one
+    first, and the smaller of two others first; then the larger mask),
+    and the stage-one threshold the k'-th largest of every answer's
+    structure score, each time the explorer reads it.
     """
 
     def __init__(self, *args, **kwargs):
@@ -239,7 +241,11 @@ class _CrossCheckingExplorer(BestFirstExplorer):
         if self._lower_frontier:
             expected = max(
                 self._lower_frontier,
-                key=lambda m: (self._lower_frontier[m], -m.bit_count(), m),
+                key=lambda m: (
+                    self._lower_frontier[m],
+                    m.bit_count() if m in self._promising else -m.bit_count(),
+                    m,
+                ),
             )
         popped = super()._pop_best_mask()
         assert popped == expected

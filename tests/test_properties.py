@@ -6,10 +6,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from graph_backings import (
     ordered_view,
+    random_multigraph,
     row_order,
     three_backings,
     three_graph_stores,
@@ -17,6 +18,9 @@ from graph_backings import (
 )
 from oracles import definition1, eq2_weight, extension, reduced
 
+from repro.baselines.breadth_first import BreadthFirstExplorer
+from repro.core.config import GQBEConfig
+from repro.core.gqbe import GQBE
 from repro.discovery.mqg import discover_maximal_query_graph
 from repro.discovery.reduction import reduce_neighborhood_graph
 from repro.evaluation.metrics import (
@@ -29,6 +33,8 @@ from repro.exceptions import DiscoveryError, LatticeError
 from repro.graph.knowledge_graph import Edge, KnowledgeGraph
 from repro.graph.neighborhood import neighborhood_graph
 from repro.graph.triples import format_triple, triples_from_strings
+from repro.lattice.exploration import BestFirstExplorer
+from repro.lattice.minimal_trees import minimal_query_trees
 from repro.lattice.query_graph import LatticeSpace
 from repro.discovery.mqg import MaximalQueryGraph
 from repro.storage import join as join_module
@@ -313,6 +319,47 @@ def test_lattice_structure_score_monotone(triples):
         child = full & ~(1 << i)
         if child:
             assert space.weight_of_mask(child) < space.weight_of_mask(full)
+
+
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=2, max_value=10),
+    st.sampled_from(["leaf0", "h0"]),
+)
+@_slow
+def test_best_first_climbs_one_chain_when_the_mqg_has_more_than_k_prime_answers(
+    seed, hub_leaves, entity
+):
+    """With k = k' = 1 and an MQG with more than k' answers besides the
+    query tuple, best-first evaluates the smallest minimal query tree and
+    then one node per level up to the MQG: |E(MQG)| - t + 1 nodes, t the
+    tree's edge count.  This is never more than the Baseline's count.
+
+    By Property 1 every node on the climb has a superset of the MQG's
+    answers, so each has more than k' and its parents tie larger-first;
+    no null node is met, so every bound stays weight(MQG), and Theorem 4's
+    stop fires at the MQG.  The graphs have two hubs sharing leaves
+    (``random_multigraph``), so a leaf or a hub often has look-alikes.
+    """
+    base, delta, _nodes = random_multigraph(seed, hub_leaves=hub_leaves)
+    system = GQBE(KnowledgeGraph(base + delta), config=GQBEConfig(mqg_size=8))
+    query_tuple = (entity,)
+    space = LatticeSpace(system.discover_query_graph(query_tuple))
+    store = system.store
+    full = evaluate_query_edges(store, space.edges_of(space.full_mask))
+    column = full.columns[full.column(entity)].tolist()
+    answers = {store.vocabulary.decode_row([entity_id]) for entity_id in column}
+    assume(len(answers - {query_tuple}) > 1)
+
+    smallest_tree = min(mask.bit_count() for mask in minimal_query_trees(space))
+    best_first = BestFirstExplorer(
+        space, store, k=1, k_prime=1, excluded_tuples={query_tuple}
+    ).run()
+    baseline = BreadthFirstExplorer(space, store, k=1, excluded_tuples={query_tuple}).run()
+    nodes = best_first.statistics.nodes_evaluated
+    assert nodes == space.num_edges - smallest_tree + 1
+    assert nodes <= baseline.statistics.nodes_evaluated
+    assert best_first.statistics.null_nodes == 0
 
 
 # ----------------------------------------------------------------------
