@@ -19,6 +19,8 @@ from repro.core.gqbe import GQBE
 from repro.discovery.mqg import discover_maximal_query_graph
 from repro.discovery.reduction import reduce_neighborhood_graph
 from repro.graph.neighborhood import neighborhood_graph
+from repro.lattice.exploration import BestFirstExplorer
+from repro.lattice.query_graph import LatticeSpace
 from repro.storage.snapshot import GraphStore
 
 
@@ -290,3 +292,29 @@ def test_bench_streaming_build(harness, benchmark, tmp_path_factory):
 
     report = benchmark(build)
     assert report["edges"] == graph.num_edges
+
+
+def _explore_workload(harness, bundle, mqgs):
+    for query, mqg in mqgs:
+        explorer = BestFirstExplorer(
+            LatticeSpace(mqg),
+            bundle.gqbe.store,
+            k=10,
+            k_prime=harness.config.k_prime,
+            excluded_tuples={query.query_tuple},
+            max_rows=harness.config.max_join_rows,
+            node_budget=harness.config.node_budget,
+        )
+        explorer.run()
+
+
+def test_fig14_explore_python(benchmark, harness):
+    """The lattice exploration (Alg. 2/3) of every Fig. 14 Freebase query,
+    over MQGs discovered before the timed rounds."""
+    bundle = harness._bundle("freebase")
+    mqgs = [
+        (query, harness._mqg("freebase", query.query_tuple))
+        for query in bundle.workload.queries
+    ]
+    benchmark.pedantic(_explore_workload, (harness, bundle, mqgs),
+                       rounds=10, warmup_rounds=1)

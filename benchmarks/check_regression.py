@@ -24,16 +24,13 @@ The baseline format is ``{"meta": {...}, "medians": {name: seconds}}``;
 comparable.
 
 ``--speedup-pair SLOW:FAST:RATIO`` (repeatable) additionally requires
-the results to show ``min(SLOW) / min(FAST) >= RATIO`` — used to gate
-the native-kernel speedup pairs from ``bench_kernels.py``.  Speedup
-pairs compare minima rather than medians: scheduler noise on shared CI
+the results to show ``min(SLOW) / min(FAST) >= RATIO``.  Speedup pairs
+compare minima rather than medians: scheduler noise on shared CI
 runners only ever inflates a round, so each leg's best round is the
 noise-robust estimate of its true cost, and a ratio of minima does not
 flap when one leg's median happens to absorb more interference than the
-other's.  A pair with either leg absent from the results (e.g. the
-native leg was skipped because the extension is not built) is reported
-and ignored, not failed, so the pure-fallback CI leg passes the same
-invocation.
+other's.  A pair with either leg absent from the results is reported
+and ignored, not failed.
 """
 
 from __future__ import annotations

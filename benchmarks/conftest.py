@@ -1,10 +1,9 @@
 """Shared fixtures for the benchmark suite.
 
-``bench_kernels.py`` reads the session ``harness`` fixture below: the
-experiment harness over the synthetic Freebase-like workload, whose
-queries it records and replays through both kernel backends.  The paper's
-evaluation claims are asserted by ``tests/test_paper_claims.py`` in the
-tier-1 suite, not here.
+The session ``harness`` fixture below is the experiment harness over the
+synthetic Freebase-like workload; the benchmarks time its queries' stages.
+The paper's evaluation claims are asserted by ``tests/test_paper_claims.py``
+in the tier-1 suite, not here.
 
 The harness runs at a reduced scale by default; set the environment
 variable ``GQBE_BENCH_SCALE`` to run larger graphs (CI runs the

@@ -1,23 +1,10 @@
-"""Setup shim: extension build plus PEP 660 fallback.
+"""Setup shim: PEP 660 fallback.
 
-The canonical metadata lives in ``pyproject.toml``; this file declares the
-optional native-kernel extension (``repro._kernels._native``) and keeps
-``python setup.py develop`` working on machines where the ``wheel`` package
-is unavailable (offline build environments).
-
-The extension is ``optional``: a missing compiler or failed build must not
-fail the install — the engine falls back to the pure-Python kernels in
-``repro._kernels._pure`` (see docs/native-kernels.md).
+The canonical metadata lives in ``pyproject.toml``; this file keeps
+``python setup.py develop`` working on machines where the ``wheel``
+package is unavailable (offline build environments).
 """
 
-from setuptools import Extension, setup
+from setuptools import setup
 
-setup(
-    ext_modules=[
-        Extension(
-            "repro._kernels._native",
-            sources=["src/repro/_kernels/_native.c"],
-            optional=True,
-        )
-    ]
-)
+setup()

@@ -42,18 +42,6 @@ class GQBEConfig:
     node_budget:
         Optional cap on the number of lattice nodes evaluated per query;
         ``None`` disables the cap.
-    native_kernels:
-        Backend for the engine's innermost scalar loops (CSR frontier
-        expansion, the scalar join-probe tail).  ``"auto"`` (the
-        default) uses the compiled extension
-        (``repro._kernels._native``) when it imported and falls back to
-        the pure-Python kernels otherwise; ``"on"`` requires the
-        extension (raising if it is unavailable); ``"off"`` forces the
-        pure-Python kernels.  Answers are byte-identical either way
-        (the native-parity equivalence tests pin this).  Environment
-        overrides: ``GQBE_NATIVE_KERNELS`` decides what ``"auto"``
-        means, and ``GQBE_FORCE_PURE=1`` forces the pure kernels
-        unconditionally — even over ``"on"``.
     """
 
     d: int = 2
@@ -62,7 +50,6 @@ class GQBEConfig:
     reduce_neighborhood: bool = True
     max_join_rows: int | None = None
     node_budget: int | None = None
-    native_kernels: str = "auto"
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -77,8 +64,3 @@ class GQBEConfig:
             )
         if self.node_budget is not None and self.node_budget < 1:
             raise EvaluationError(f"node_budget must be >= 1, got {self.node_budget}")
-        if self.native_kernels not in ("auto", "on", "off"):
-            raise EvaluationError(
-                'native_kernels must be "auto", "on" or "off", '
-                f"got {self.native_kernels!r}"
-            )

@@ -19,7 +19,6 @@ import time
 from collections.abc import Sequence
 from os import PathLike
 
-from repro import _kernels
 from repro.core.answer import AnswerTuple, QueryResult, fan_out
 from repro.core.config import GQBEConfig
 from repro.discovery.merge import merge_maximal_query_graphs
@@ -46,10 +45,6 @@ class GQBE:
         if (graph is None) == (graph_store is None):
             raise QueryError("pass exactly one of graph or graph_store")
         self.config = config or GQBEConfig()
-        # Fail fast on native_kernels="on" without the extension; query
-        # entrypoints re-assert the mode so systems with different modes
-        # can interleave in one process.
-        _kernels.select(self.config.native_kernels)
         if graph_store is not None:
             # Warm start: adopt the precomputed offline state (a lazily
             # loaded bundle stays unmaterialized until the first query
@@ -115,7 +110,6 @@ class GQBE:
     # ------------------------------------------------------------------
     def discover_query_graph(self, query_tuple: Sequence[str]) -> MaximalQueryGraph:
         """Discover the maximal query graph of one example tuple."""
-        _kernels.select(self.config.native_kernels)
         neighborhood = neighborhood_graph(self.graph, query_tuple, d=self.config.d)
         return discover_maximal_query_graph(
             neighborhood,
@@ -158,7 +152,6 @@ class GQBE:
         experiment harness, which feeds the same MQG to every compared
         system) skip re-discovery and pay only for query processing.
         """
-        _kernels.select(self.config.native_kernels)
         entry = self._space_cache.get(id(mqg))
         if entry is not None and entry[0] is mqg:
             space = entry[1]

@@ -59,7 +59,6 @@ class HarnessConfig:
     d: int = 2
     node_budget: int | None = 1500
     max_join_rows: int | None = 100_000
-    native_kernels: str = "auto"
 
     def gqbe_config(self) -> GQBEConfig:
         """The GQBE configuration implied by the harness settings."""
@@ -69,7 +68,6 @@ class HarnessConfig:
             k_prime=self.k_prime,
             node_budget=self.node_budget,
             max_join_rows=self.max_join_rows,
-            native_kernels=self.native_kernels,
         )
 
 

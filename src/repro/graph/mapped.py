@@ -47,7 +47,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro._kernels import kernels
 from repro.graph.knowledge_graph import Edge
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (storage imports us)
@@ -410,16 +409,26 @@ class MappedKnowledgeGraph:
         return adjacent
 
     def neighbor_ids(self, node_id: int) -> list[int]:
-        """Undirected neighbor ids: the out list, then the in list."""
-        if self.delta_out is None:
-            return kernels.csr_neighbors(
-                node_id,
-                self.out_indptr,
-                self.out_objects,
-                self.in_indptr,
-                self.in_subjects,
-            )
-        return self._adjacent(node_id, True)[1] + self._adjacent(node_id, False)[1]
+        """Undirected neighbor ids: the out list, then the in list, each
+        its base slice, then its delta slice (what :meth:`_adjacent`
+        returns, without the label ids)."""
+        ids: list[int] = []
+        base = node_id < self._base_nodes
+        if base:
+            indptr = self.out_indptr
+            ids = self.out_objects[indptr[node_id]:indptr[node_id + 1]].tolist()
+        delta = self.delta_out
+        if delta is not None:
+            start, end = delta.slice(node_id)
+            ids += delta.others[start:end].tolist()
+        if base:
+            indptr = self.in_indptr
+            ids += self.in_subjects[indptr[node_id]:indptr[node_id + 1]].tolist()
+        delta = self.delta_in
+        if delta is not None:
+            start, end = delta.slice(node_id)
+            ids += delta.others[start:end].tolist()
+        return ids
 
     def __contains__(self, item: object) -> bool:
         if isinstance(item, Edge):

@@ -837,8 +837,10 @@ def build_streaming_snapshot(
 
     ``snapshot_format`` names the sharded directory layout (``"v3"``,
     whatever the manifest's ``format_version``) and rejects anything
-    else; ROADMAP 5(a) deletes the argument.  Returns a report dict with
-    row counts, per-stage timings and spill statistics.  The output is
+    else; it stays because ``perfbench/child.py`` passes it, and the
+    ROADMAP ``[benchmark]`` item that edits perfbench deletes it.
+    Returns a report dict with row counts, per-stage timings and spill
+    statistics.  The output is
     byte-identical to ``GraphStore.build`` + ``save`` over ``load_graph``
     of the same dump — the repo's standing equivalence discipline,
     enforced by ``tests/test_streaming_build.py``.

@@ -115,6 +115,8 @@ class TestValidationAndConfig:
             GQBEConfig(max_join_rows=0)
         with pytest.raises(EvaluationError):
             GQBEConfig(node_budget=0)
+        with pytest.raises(TypeError):  # one kernel backend: nothing chooses it
+            GQBEConfig(native_kernels="auto")
 
     def test_k_prime_below_k_still_returns_k_answers(self, figure1_graph):
         """Stage one oversamples (k' >= k, Sec. V-B): a k' below k, passed
@@ -181,3 +183,24 @@ def test_importing_the_engine_leaves_out_what_a_restart_never_runs(fresh_python)
         "print(__version__)\n"
     )
     assert fresh_python(script).strip()
+
+
+def test_kernel_backend_is_pure_and_a_native_request_is_refused(fresh_python):
+    """``repro._kernels`` names the one backend perfbench records, and an
+    import under ``GQBE_NATIVE_KERNELS=on`` (a backend that does not
+    exist) raises ``EvaluationError``."""
+    script = (
+        "import os, sys\n"
+        "os.environ.pop('GQBE_NATIVE_KERNELS', None)\n"
+        "if sys.argv[1:]:\n"
+        "    os.environ['GQBE_NATIVE_KERNELS'] = sys.argv[1]\n"
+        "from repro.exceptions import EvaluationError\n"
+        "try:\n"
+        "    from repro import _kernels\n"
+        "except EvaluationError as error:\n"
+        "    print('refused', error)\n"
+        "else:\n"
+        "    print(_kernels.resolve_backend(), _kernels.native_available())\n"
+    )
+    assert fresh_python(script, "on").startswith("refused GQBE_NATIVE_KERNELS=on")
+    assert fresh_python(script).split() == ["pure", "False"]

@@ -337,6 +337,53 @@ class TestV3MappedSections:
         assert made["hub"] == made["leaf"] <= 4 + (mqg_size + 1)
 
 
+class TestNeighborIds:
+    """``MappedKnowledgeGraph.neighbor_ids`` (what NESS's refinement reads
+    through ``neighbors()``) is a list: the node's out list, then its in
+    list, each the CSR slice in CSR order and then its ingested edges in
+    ingest order."""
+
+    @staticmethod
+    def _spec(graph, node_id, ingested):
+        out_ids: list[int] = []
+        in_ids: list[int] = []
+        if node_id < len(graph.out_indptr) - 1:
+            out = graph.out_indptr
+            out_ids = [int(graph.out_objects[p]) for p in range(out[node_id], out[node_id + 1])]
+            inc = graph.in_indptr
+            in_ids = [int(graph.in_subjects[p]) for p in range(inc[node_id], inc[node_id + 1])]
+        out_ids += [o for s, o in ingested if s == node_id]
+        in_ids += [s for s, o in ingested if o == node_id]
+        return out_ids + in_ids
+
+    def _check_every_node(self, graph, ingested):
+        assert graph.out_objects.dtype == np.int32
+        assert graph.in_subjects.dtype == np.int32
+        for node_id in range(graph.num_nodes):
+            ids = graph.neighbor_ids(node_id)
+            assert type(ids) is list
+            assert all(type(neighbor) is int for neighbor in ids)
+            assert ids == self._spec(graph, node_id, ingested), node_id
+
+    def test_built_graph(self, figure1_graph):
+        self._check_every_node(GraphStore.build(figure1_graph).graph, [])
+
+    def test_after_an_ingest(self, figure1_graph):
+        bundle = GraphStore.build(figure1_graph)
+        graph = bundle.graph
+        base_nodes = graph.num_nodes
+        triples = [
+            ("Jerry Yang", "advises", "David Filo"),
+            ("Jerry Yang", "mentors", "Ada Newcomer"),
+            ("Ada Newcomer", "founded", "Yahoo!"),
+        ]
+        assert bundle.ingest(triples)["applied"] == 3
+        assert graph.num_nodes == base_nodes + 1
+        ingested = [(graph.node_id(s), graph.node_id(o)) for s, _, o in triples]
+        assert ingested[1][1] >= base_nodes
+        self._check_every_node(graph, ingested)
+
+
 class TestLazyLoading:
     def test_query_maps_only_probed_shards(self, dataset, config, snapshot_dir):
         store_bundle = GraphStore.load(snapshot_dir)
