@@ -1,7 +1,7 @@
 """Warm starts, the pooled batch and the serve layer (Fig. 14 workload).
 
-* the **snapshot warm start** pair: a manifest-only open (no section
-  deserialization, no shard maps) and a cold open through the first
+* the **snapshot warm start** pair: a manifest-only open (no shard
+  maps) and a cold open through the first
   answered query, which maps the vocabulary (string arena), the graph
   (CSR) and the participation statistics and runs its front half on id
   columns;
@@ -59,8 +59,8 @@ def v3_snapshot(batch_system, tmp_path_factory):
 def test_bench_v3_warm_start(v3_snapshot, benchmark):
     """Opening a snapshot: manifest read + system wiring, nothing else.
 
-    The contract being timed: no section pickles, no shard maps, no
-    vocabulary/graph arena until a query needs them.
+    The contract being timed: no shard maps, no vocabulary/graph arena
+    until a query needs them, and nothing unpickled at all.
     """
 
     def warm_start():
@@ -68,7 +68,7 @@ def test_bench_v3_warm_start(v3_snapshot, benchmark):
         return system.graph_store.lazy_report()
 
     report = benchmark(warm_start)
-    assert report["format"] == "v4"
+    assert report["format"] == "v5"
     assert report["tables_opened"] == 0
     assert report["sections_loaded"] == []
 

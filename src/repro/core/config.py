@@ -33,9 +33,6 @@ class GQBEConfig:
         Stage-one oversampling for the two-stage ranking (Sec. V-B).
         ``None`` lets the explorer pick ``max(100, 4·k)``; a value below
         a query's ``k`` counts as ``k``.
-    reduce_neighborhood:
-        Apply the unimportant-edge reduction of Sec. III-C before MQG
-        discovery.  Disabling it is only useful for ablation studies.
     max_join_rows:
         Optional cap on the size of intermediate join relations; ``None``
         disables the cap.
@@ -47,7 +44,6 @@ class GQBEConfig:
     d: int = 2
     mqg_size: int = 15
     k_prime: int | None = None
-    reduce_neighborhood: bool = True
     max_join_rows: int | None = None
     node_budget: int | None = None
 

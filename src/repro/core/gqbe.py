@@ -112,10 +112,7 @@ class GQBE:
         """Discover the maximal query graph of one example tuple."""
         neighborhood = neighborhood_graph(self.graph, query_tuple, d=self.config.d)
         return discover_maximal_query_graph(
-            neighborhood,
-            self.statistics,
-            r=self.config.mqg_size,
-            reduce_first=self.config.reduce_neighborhood,
+            neighborhood, self.statistics, r=self.config.mqg_size
         )
 
     def discover_merged_query_graph(

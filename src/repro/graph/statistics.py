@@ -179,14 +179,14 @@ class GraphStatistics:
 
     The statistics refer to the *whole* data graph even when weights are
     later assigned to edges of a neighborhood subgraph, exactly as the
-    paper prescribes.  The edge total and per-label counts are a small
-    header; the two ``(node, label)`` participation counts of Eq. 4 are
-    sorted composite-key / count column pairs
-    (:class:`_CountColumns`), mapped zero-copy from a snapshot's
-    statistics shard (so N serving workers over one snapshot share their
-    physical pages) or computed in memory by ``GraphStore.build``.  Live
-    ingest accumulates into per-column overlays, folded into sorted
-    columns once per batch.
+    paper prescribes.  The per-label counts are the snapshot manifest's
+    table row counts, and the edge total is their sum; the two ``(node,
+    label)`` participation counts of Eq. 4 are sorted composite-key /
+    count column pairs (:class:`_CountColumns`), mapped zero-copy from a
+    snapshot's statistics shard (so N serving workers over one snapshot
+    share their physical pages) or computed in memory by
+    ``GraphStore.build``.  Live ingest accumulates into per-column
+    overlays, folded into sorted columns once per batch.
 
     A query never hands these statistics a string: its neighborhood
     comes from the same graph as id columns, and :meth:`column_weights`
@@ -201,13 +201,13 @@ class GraphStatistics:
         graph,
         vocabulary,
         labels: list[str],
-        total_edges: int,
         label_counts: dict[str, int],
         out_keys,
         out_counts,
         in_keys,
         in_counts,
     ) -> None:
+        total_edges = sum(label_counts.values())
         if total_edges <= 0:
             raise GraphError("cannot compute statistics of an empty graph")
         self._graph = graph

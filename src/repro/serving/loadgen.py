@@ -324,11 +324,11 @@ def bench_serve(
     report["memory"] = server.memory_stats()
     if server.snapshot_path is not None:
         # The *structural* per-worker footprint: a fresh process that
-        # opens the snapshot and touches every section/shard, minus the
+        # opens the snapshot and touches every shard, minus the
         # interpreter+numpy floor.  Live worker RSS is dominated by
         # transient query allocations; this figure isolates what the
         # snapshot itself costs each worker (every shard is mapped, so
-        # it tends toward the two section pickles alone).
+        # it tends toward the parsed manifest alone).
         from repro.serving.pool import (
             interpreter_floor_rss_bytes,
             snapshot_worker_structural_rss_bytes,

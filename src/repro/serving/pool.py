@@ -459,8 +459,8 @@ def snapshot_worker_structural_rss_bytes(snapshot_path) -> int | None:
     dwarf the sections under load).  Subtract
     :func:`interpreter_floor_rss_bytes` to get the incremental bytes a
     worker pays for the graph itself; the mapped shards are shared
-    pages, so that figure is the two small section pickles plus python
-    objects.  ``None`` when the probe cannot run.
+    pages, so that figure is the parsed manifest plus python objects.
+    ``None`` when the probe cannot run.
     """
     samples = []
     for _ in range(2):  # min of two runs damps allocator/procfs noise

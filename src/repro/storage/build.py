@@ -804,8 +804,6 @@ def _finalize(
     report["bytes_written"] = write_manifest(
         output,
         meta={"num_nodes": num_nodes, "num_edges": num_edges, "num_labels": len(labels)},
-        total_edges=num_edges,
-        label_counts={result["label"]: result["rows"] for result in results},
         vocabulary={**vocabulary_entry, "file": "vocabulary.arena"},
         graph={**graph_entry, "file": "graph.csr"},
         statistics_counts={**statistics_entry, "file": "statistics.counts"},

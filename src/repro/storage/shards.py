@@ -6,14 +6,11 @@ verifiable files:
 ``MANIFEST.json``
     The envelope: magic, format version, the snapshot ``meta`` mapping,
     and a catalog of every other file with its SHA-256 digest, byte size
-    and (for table shards) label and row count.  Reading the manifest is
-    the whole cost of opening a snapshot.  It is written last, so a
-    directory without a valid one is a build that never finished.
-``statistics.section`` / ``store.section``
-    Two small pickles: the statistics header (edge total and per-label
-    counts) and the store *skeleton* (no graph, vocabulary or tables;
-    loading attaches the mapped ones).  Each deserializes lazily on first
-    access.
+    and (for table shards) label and row count.  The row counts are also
+    the statistics' per-label edge counts, and |E| is their sum.  Reading
+    the manifest is the whole cost of opening a snapshot.  It is written
+    last, so a directory without a valid one is a build that never
+    finished.
 ``tables/NNNNN.shard``
     One binary shard per label's
     :class:`~repro.storage.table.ColumnarEdgeTable`: the two int32 id
@@ -45,11 +42,12 @@ verifiable files:
     composite-key / count column pairs, reopened as the columns of a
     :class:`~repro.graph.statistics.GraphStatistics`.
 
-So the only per-worker private memory is the two small sections plus
-interpreter state.  The manifest's ``format_version`` is
-:data:`FORMAT_VERSION`; a directory that says anything else, or lacks
-one of the three mapped-shard entries, is refused — a snapshot is a
-cache of the offline build, and the fix is to rebuild it.
+So the only per-worker private memory is the parsed manifest plus
+interpreter state, and loading unpickles nothing.  The manifest's
+``format_version`` is :data:`FORMAT_VERSION`; a directory that says
+anything else, or lacks one of the three mapped-shard entries, is
+refused — a snapshot is a cache of the offline build, and the fix is to
+rebuild it.
 
 Shard binary layout (little-endian)::
 
@@ -75,14 +73,12 @@ byte count, and composite keys by the product of their radixes.  Readers
 take each array at the dtype its catalog names, so a snapshot written
 all-int64 opens and answers the same.
 
-Integrity: every file's SHA-256 is recorded in the manifest.  Sections
-are verified when they deserialize; a binary shard is verified the first
-time it is opened (one streamed read that also warms the page cache),
-then structurally validated (offset bounds, CSR monotonicity) before any
-view is handed out, so corruption is still caught per shard without
-forcing an eager read of shards the workload never touches.  The section
-pickles are **trusted local artifacts** — load only snapshots you built
-yourself.
+Integrity: every file's SHA-256 is recorded in the manifest.  A shard
+is verified the first time it is opened (one streamed read that also
+warms the page cache), then structurally validated (offset bounds, CSR
+monotonicity) before any view is handed out, so corruption is still
+caught per shard without forcing an eager read of shards the workload
+never touches.
 
 Opened shards are hinted with ``madvise(MADV_WILLNEED)`` (where the
 platform supports it) so the kernel reads ahead while the engine is
@@ -96,7 +92,6 @@ from __future__ import annotations
 import hashlib
 import json
 import mmap
-import pickle
 import struct
 from collections.abc import Callable, Sequence
 from os import PathLike
@@ -107,7 +102,6 @@ import numpy as np
 from repro.exceptions import GraphError, SnapshotError
 from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.graph.mapped import MappedKnowledgeGraph
-from repro.storage.store import VerticalPartitionStore
 from repro.storage.table import ColumnarEdgeTable, _SortedGroupIndex
 from repro.storage.vocabulary import MAX_ENTITY_ID, MappedVocabulary, arena_arrays
 
@@ -116,9 +110,10 @@ SHARD_VERSION = 1
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_MAGIC = "GQBESNAP2"
 #: The manifest ``format_version`` this build writes and reads.  Version
-#: 3 tables may be unsorted, which a sorted-column search answers wrongly.
-FORMAT_VERSION = 4
-_PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
+#: 3 tables may be unsorted, which a sorted-column search answers wrongly;
+#: version 4 directories carry pickled sections, which this build never
+#: unpickles.
+FORMAT_VERSION = 5
 _ALIGNMENT = 64
 _SHARD_HEADER = struct.Struct("<8sII")
 
@@ -466,7 +461,6 @@ def graph_shards(graph: KnowledgeGraph) -> "BuiltSnapshot":
             statistics_dtypes(len(terms), len(edges), len(labels)),
         ),
     )
-    label_counts = graph.label_counts()
     manifest = {
         "meta": {"num_nodes": len(terms), "num_edges": len(edges), "num_labels": len(labels)},
         "vocabulary": {"terms": len(terms), "file": "vocabulary.arena"},
@@ -474,29 +468,13 @@ def graph_shards(graph: KnowledgeGraph) -> "BuiltSnapshot":
         "statistics_counts": {"file": "statistics.counts"},
         "tables": tables,
     }
-    sections = _section_payloads(len(edges), label_counts)
-    return BuiltSnapshot(manifest, files, sections)
-
-
-def _section_payloads(total_edges: int, label_counts: dict[str, int]) -> dict[str, bytes]:
-    """The two section pickles: the statistics header and the store skeleton."""
-    statistics_header = {
-        "kind": "mapped-statistics",
-        "total_edges": total_edges,
-        "label_counts": label_counts,
-    }
-    return {
-        "statistics": pickle.dumps(statistics_header, protocol=_PICKLE_PROTOCOL),
-        "store": pickle.dumps(VerticalPartitionStore(), protocol=_PICKLE_PROTOCOL),
-    }
+    return BuiltSnapshot(manifest, files)
 
 
 def write_manifest(
     directory: Path,
     *,
     meta: dict,
-    total_edges: int,
-    label_counts: dict[str, int],
     vocabulary: dict,
     graph: dict,
     statistics_counts: dict,
@@ -504,33 +482,16 @@ def write_manifest(
 ) -> int:
     """Finish a snapshot whose shards are on disk; returns its total bytes.
 
-    Writes the two section pickles — the statistics header and the store
-    skeleton — and then ``MANIFEST.json``, which catalogs them with the
-    shard entries passed in (each carrying its ``file``).  The manifest
-    is the commit point: until it lands, ``directory`` is an unreadable
-    work area, never a torn snapshot.  The build's finalize, which both
-    ``GraphStore.save`` and ``gqbe build-index`` run, finishes here.
+    Writes ``MANIFEST.json``, which catalogs the shard entries passed in
+    (each carrying its ``file``).  The manifest is the commit point: until
+    it lands, ``directory`` is an unreadable work area, never a torn
+    snapshot.  The build's finalize, which both ``GraphStore.save`` and
+    ``gqbe build-index`` run, finishes here.
     """
-    payloads = _section_payloads(total_edges, label_counts)
-    sections = {}
-    for name, payload in payloads.items():
-        file_name = f"{name}.section"
-        # A new file, as for the shards: ext4 flushes a file truncated
-        # and rewritten in place when it is closed, 25-70 ms a section.
-        path = directory / file_name
-        path.unlink(missing_ok=True)
-        path.write_bytes(payload)
-        sections[name] = {
-            "file": file_name,
-            "bytes": len(payload),
-            "sha256": hashlib.sha256(payload).hexdigest(),
-        }
     manifest = {
         "magic": MANIFEST_MAGIC,
         "format_version": FORMAT_VERSION,
-        "pickle_protocol": _PICKLE_PROTOCOL,
         "meta": meta,
-        "sections": sections,
         "vocabulary": vocabulary,
         "graph": graph,
         "statistics_counts": statistics_counts,
@@ -540,7 +501,7 @@ def write_manifest(
     (directory / MANIFEST_NAME).write_bytes(manifest_bytes)
     return sum(
         entry["bytes"]
-        for entry in (*sections.values(), vocabulary, graph, statistics_counts, *tables)
+        for entry in (vocabulary, graph, statistics_counts, *tables)
     ) + len(manifest_bytes)
 
 
@@ -604,12 +565,12 @@ def parse_shard(
 
 
 class ShardedSnapshotReader:
-    """Opens a snapshot directory and hands out sections and shards.
+    """Opens a snapshot directory and hands out its shards.
 
-    Construction reads and validates only ``MANIFEST.json``.  Sections,
-    table shards, the vocabulary arena, the graph CSR and the statistics
-    counts load lazily through :meth:`load_section` /
-    :meth:`load_table` / :meth:`load_vocabulary` / :meth:`load_graph` /
+    Construction reads and validates only ``MANIFEST.json``.  Table
+    shards, the vocabulary arena, the graph CSR and the statistics
+    counts load lazily through :meth:`load_table` /
+    :meth:`load_vocabulary` / :meth:`load_graph` /
     :meth:`load_statistics_counts`; the reader counts what it opened
     (:attr:`tables_opened`, :attr:`opened_labels`,
     :attr:`sections_loaded`) so tests can prove that a warm start
@@ -656,6 +617,19 @@ class ShardedSnapshotReader:
                     f"snapshot {self.directory!s} has no {name!r} shard in "
                     "its manifest — rebuild it with `gqbe build-index`"
                 )
+        # The row counts are also the statistics' label counts and |E|.
+        tables = manifest.get("tables")
+        if not isinstance(tables, list) or not all(
+            isinstance(entry, dict)
+            and isinstance(entry.get("label"), str)
+            and type(entry.get("rows")) is int
+            and entry["rows"] >= 0
+            for entry in tables
+        ):
+            raise SnapshotError(
+                f"snapshot {self.directory!s} has a malformed table catalog in "
+                "its manifest — rebuild it with `gqbe build-index`"
+            )
         self._adopt(manifest)
 
     def _adopt(self, manifest: dict) -> None:
@@ -695,33 +669,6 @@ class ShardedSnapshotReader:
                 f"snapshot shard {path!s} is corrupt (checksum mismatch)"
             )
         return path
-
-    def load_section(self, name: str) -> bytes:
-        """Read and verify one section file; returns its pickle bytes.
-
-        One read: the returned bytes are exactly the bytes that were
-        hashed (no verify-then-reread window, and no double I/O on the
-        biggest non-shard files).
-        """
-        sections = self.manifest.get("sections", {})
-        entry = sections.get(name)
-        if entry is None:
-            raise SnapshotError(
-                f"snapshot {self.directory!s} has no {name!r} section in its manifest"
-            )
-        path = self.directory / entry["file"]
-        try:
-            data = path.read_bytes()
-        except OSError as error:
-            raise SnapshotError(
-                f"cannot read snapshot shard {path!s}: {error}"
-            ) from error
-        if hashlib.sha256(data).hexdigest() != entry["sha256"]:
-            raise SnapshotError(
-                f"snapshot shard {path!s} is corrupt (checksum mismatch)"
-            )
-        self.sections_loaded.append(name)
-        return data
 
     # ------------------------------------------------------------------
     def _load_shard(self, entry: dict, build: Callable):
@@ -941,14 +888,7 @@ class ShardedSnapshotReader:
                 f"snapshot shard {path!s} has a malformed graph CSR header"
             )
         arrays = {}
-        for name in (
-            "out_indptr",
-            "out_objects",
-            "out_labels",
-            "in_indptr",
-            "in_subjects",
-            "in_labels",
-        ):
+        for name in _CSR_NAMES:
             array = view(name)
             if array is None:
                 raise SnapshotError(
@@ -991,16 +931,7 @@ class ShardedSnapshotReader:
                     f"snapshot shard {path!s} has a corrupt graph CSR: "
                     f"{name} references ids outside [0, {bound})"
                 )
-        return MappedKnowledgeGraph(
-            vocabulary,
-            labels,
-            arrays["out_indptr"],
-            arrays["out_objects"],
-            arrays["out_labels"],
-            arrays["in_indptr"],
-            arrays["in_subjects"],
-            arrays["in_labels"],
-        )
+        return MappedKnowledgeGraph(vocabulary, labels, *(arrays[name] for name in _CSR_NAMES))
 
 
 class BuiltSnapshot(ShardedSnapshotReader):
@@ -1009,19 +940,11 @@ class BuiltSnapshot(ShardedSnapshotReader):
     classes wrapped around the arrays, nothing on disk."""
 
     def __init__(
-        self,
-        manifest: dict,
-        files: dict[str, tuple[dict, dict[str, "np.ndarray"]]],
-        sections: dict[str, bytes],
+        self, manifest: dict, files: dict[str, tuple[dict, dict[str, "np.ndarray"]]]
     ) -> None:
         self.directory = None
         self._files = files
-        self._sections = sections
         self._adopt(manifest)
-
-    def load_section(self, name: str) -> bytes:
-        self.sections_loaded.append(name)
-        return self._sections[name]
 
     def _load_shard(self, entry: dict, build: Callable):
         header, arrays = self._files[entry["file"]]

@@ -21,12 +21,11 @@ Loading is **lazy**: :meth:`GraphStore.load` reads only the manifest.
 The vocabulary arena, the graph CSR shard and the statistics counts
 shard map on first access (zero-copy, read-only ``mmap`` views shared
 between every process that opens the same snapshot), each label table
-maps its shard on first probe, and only two small pickles — the
-statistics header and the empty store — deserialize per process.
-Every file is verified against the SHA-256 the manifest records the
-first time it is opened.  The section pickles make a snapshot a
-**trusted local artifact** — load only directories you built yourself,
-like any cache directory.
+maps its shard on first probe.  Nothing is unpickled: the edge total
+and per-label counts are the manifest's table row counts, and the store
+is constructed over the mapped graph and vocabulary.  Every file is
+verified against the SHA-256 the manifest records the first time it is
+opened.
 
 CLI workflow
 ------------
@@ -44,7 +43,6 @@ Programmatically::
 
 from __future__ import annotations
 
-import pickle
 from os import PathLike
 from pathlib import Path
 
@@ -66,10 +64,9 @@ class GraphStore:
 
     A bundle is one shape whichever way it came: a snapshot directory
     mapped by :meth:`load`, or the same arrays computed in memory by
-    :meth:`build`.  It starts *lazy*: each section is wrapped (or, for
-    the two small pickles, deserialized) on first property access, so
-    constructing a warm system is nearly free and the cost lands on the
-    first query that needs each section.
+    :meth:`build`.  It starts *lazy*: each section is wrapped on first
+    property access, so constructing a warm system is nearly free and the
+    cost lands on the first query that needs each section.
     """
 
     def __init__(self, reader: ShardedSnapshotReader) -> None:
@@ -123,36 +120,32 @@ class GraphStore:
         """The precomputed graph statistics (mapped on first access).
 
         The two ``(node, label)`` participation counts are mapped
-        binary-searchable columns (shared pages) and only the small
-        header — edge total and per-label counts — unpickles per process.
+        binary-searchable columns (shared pages); the per-label counts
+        are the manifest's table row counts, in table order.
         """
         if self._statistics is None:
-            header = pickle.loads(self._reader.load_section("statistics"))
             labels, columns = self._reader.load_statistics_counts()
             self._statistics = GraphStatistics(
                 self.graph,
                 self._vocabulary_from_arena(),
                 labels,
-                header["total_edges"],
-                header["label_counts"],
+                self._reader.label_rows(),
                 *columns,
             )
         return self._statistics
 
     @property
     def store(self) -> VerticalPartitionStore:
-        """The vertical-partition store (materialized on first access).
+        """The vertical-partition store (constructed on first access).
 
-        Only the empty store deserializes here; it adopts the mapped
-        graph and vocabulary, and the per-label tables stay as unopened
-        shards that the reader maps on first probe.
+        It holds the mapped graph and vocabulary; the per-label tables
+        stay unopened shards that the reader maps on first probe.
         """
         if self._store is None:
-            store = pickle.loads(self._reader.load_section("store"))
-            store._graph = self.graph
-            store._vocabulary = self._vocabulary_from_arena()
-            store._attach_lazy_tables(self._reader, self._reader.label_rows())
-            self._store = store
+            reader = self._reader
+            self._store = VerticalPartitionStore(
+                self.graph, self._vocabulary_from_arena(), reader, reader.label_rows()
+            )
         return self._store
 
     def materialize(self) -> "GraphStore":

@@ -9,9 +9,9 @@ that the vectorized numpy join engine runs on, so query-time joins never
 touch an entity string; decoding happens only when answers are
 materialized.
 
-A store starts empty; :class:`~repro.storage.snapshot.GraphStore` gives
-it the graph, the vocabulary and a loader that hands out each label's
-table on first use — mapped from a snapshot shard, or built in memory.
+:class:`~repro.storage.snapshot.GraphStore` constructs a store from the
+graph, the vocabulary and a loader that hands out each label's table on
+first use — mapped from a snapshot shard, or built in memory.
 """
 
 from __future__ import annotations
@@ -28,26 +28,10 @@ from repro.storage.vocabulary import MappedVocabulary
 class VerticalPartitionStore:
     """All per-label edge tables of a data graph, opened per label on demand."""
 
-    def __init__(self) -> None:
-        # An empty store is what a snapshot's ``store.section`` pickles;
-        # GraphStore attaches the graph, vocabulary and table loader.
-        self._graph = None
-        self._vocabulary: MappedVocabulary | None = None
-        self._tables: dict[str, ColumnarEdgeTable] = {}
-        self._lazy_loader = None
-        self._lazy_rows: dict[str, int] | None = None
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        # Keys a ``store.section`` written by an older build still carries.
-        self.__dict__.pop("_columnar", None)
-        self.__dict__.pop("_prefetch_hints", None)
-
-    # ------------------------------------------------------------------
-    # lazy table resolution (snapshot shards)
-    # ------------------------------------------------------------------
-    def _attach_lazy_tables(self, loader, label_rows: dict[str, int]) -> None:
-        """Adopt a shard loader: tables materialize per label on demand.
+    def __init__(
+        self, graph, vocabulary: MappedVocabulary, loader, label_rows: dict[str, int]
+    ) -> None:
+        """A store over ``graph`` whose tables ``loader`` opens per label.
 
         ``loader`` must expose ``load_table(label) -> table``;
         ``label_rows`` is the manifest's per-label row count, which backs
@@ -56,9 +40,15 @@ class VerticalPartitionStore:
         cardinality *before* deciding which tables to probe, so this is
         what keeps unprobed shards unmapped).
         """
+        self._graph = graph
+        self._vocabulary = vocabulary
+        self._tables: dict[str, ColumnarEdgeTable] = {}
         self._lazy_loader = loader
         self._lazy_rows = dict(label_rows)
 
+    # ------------------------------------------------------------------
+    # lazy table resolution (snapshot shards)
+    # ------------------------------------------------------------------
     def _resolve_table(self, label: str):
         """The table for ``label``, mapping its shard on first access."""
         table = self._tables.get(label)

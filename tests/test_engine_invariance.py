@@ -432,7 +432,7 @@ def _permuted_rows_bundle(graph, seed) -> GraphStore:
         arrays[others] = arrays[others][order]
         arrays[labels] = arrays[labels][order]
     files["graph.csr"] = (header, arrays)
-    return GraphStore(BuiltSnapshot(built.manifest, files, built._sections))
+    return GraphStore(BuiltSnapshot(built.manifest, files))
 
 
 def _rows_read(bundle: GraphStore):

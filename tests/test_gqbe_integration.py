@@ -117,6 +117,8 @@ class TestValidationAndConfig:
             GQBEConfig(node_budget=0)
         with pytest.raises(TypeError):  # one kernel backend: nothing chooses it
             GQBEConfig(native_kernels="auto")
+        with pytest.raises(TypeError):  # a query always reduces its neighborhood
+            GQBEConfig(reduce_neighborhood=False)
 
     def test_k_prime_below_k_still_returns_k_answers(self, figure1_graph):
         """Stage one oversamples (k' >= k, Sec. V-B): a k' below k, passed
@@ -133,11 +135,6 @@ class TestValidationAndConfig:
         system = GQBE(figure1_graph)
         assert system.config.d == 2
         assert system.config.mqg_size == 15
-
-    def test_reduction_can_be_disabled(self, figure1_graph):
-        system = GQBE(figure1_graph, config=GQBEConfig(reduce_neighborhood=False))
-        result = system.query(("Jerry Yang", "Yahoo!"), k=5)
-        assert result.answers
 
 
 class TestSyntheticIntegration:

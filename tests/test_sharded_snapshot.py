@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import struct
 
 import numpy as np
@@ -122,7 +121,7 @@ class TestRoundTrip:
 class TestRetiredEngineFlags:
     """``GQBEConfig`` once had two engine flags, ``intern_entities`` and
     ``columnar``; a snapshot written then carries them in its manifest
-    ``meta`` and as store attributes in ``store.section``."""
+    ``meta``."""
 
     def test_config_refuses_the_flags(self):
         for flag in ("intern_entities", "columnar"):
@@ -135,21 +134,9 @@ class TestRetiredEngineFlags:
         old = copy_snapshot(snapshot_dir, tmp_path / "old.snapdir")
         manifest = json.loads((old / MANIFEST_NAME).read_text())
         manifest["meta"].update(intern_entities=True, columnar=True)
-        section = old / manifest["sections"]["store"]["file"]
-        skeleton = pickle.loads(section.read_bytes())
-        skeleton.__dict__.update(_columnar=True, _prefetch_hints=True)
-        payload = pickle.dumps(skeleton, protocol=manifest["pickle_protocol"])
-        assert b"_columnar" in payload and b"_prefetch_hints" in payload
-        section.write_bytes(payload)
-        manifest["sections"]["store"].update(
-            sha256=hashlib.sha256(payload).hexdigest(), bytes=len(payload)
-        )
         (old / MANIFEST_NAME).write_text(json.dumps(manifest))
 
         patched = GQBE.from_snapshot(old, config)
-        store = patched.store
-        assert not hasattr(store, "_columnar")
-        assert not hasattr(store, "_prefetch_hints")
         unpatched = GQBE.from_snapshot(snapshot_dir, config)
         for table_name in dataset.table_names()[:2]:
             query_tuple = tuple(dataset.table(table_name)[0])
@@ -167,12 +154,9 @@ class TestV3MappedSections:
         assert isinstance(system.graph, MappedKnowledgeGraph)
         assert isinstance(system.store.vocabulary, MappedVocabulary)
         report = bundle.lazy_report()
-        assert report["format"] == "v4"
+        assert report["format"] == "v5"
         assert "vocabulary" in report["sections_loaded"]
         assert "graph" in report["sections_loaded"]
-        # The store skeleton carries no vocabulary and there is no
-        # pickled graph section at all.
-        assert not (snapshot_dir / "graph.section").exists()
         assert (snapshot_dir / "vocabulary.arena").exists()
         assert (snapshot_dir / "graph.csr").exists()
 
@@ -245,7 +229,7 @@ class TestV3MappedSections:
         assert _answer_key(system.query(query_tuple, k=5)) == reference
 
     def test_a_second_save_writes_new_files(self, figure1_graph, tmp_path):
-        """Saving into a used directory creates every section and shard
+        """Saving into a used directory creates every shard
         anew instead of truncating the old file: a reader holding one
         keeps its bytes.  The old files stay open, so no inode is free
         for the filesystem to hand back."""
@@ -257,7 +241,11 @@ class TestV3MappedSections:
             for item in sorted(path.rglob("*"))
             if item.is_file() and item.name != MANIFEST_NAME
         }
-        assert any(item.suffix == ".section" for item in old)
+        assert {item.name for item in old} >= {
+            "vocabulary.arena",
+            "graph.csr",
+            "statistics.counts",
+        }
         try:
             before = {item: handle.read() for item, handle in old.items()}
             store.save(path)
@@ -486,6 +474,28 @@ class TestCorruptionPaths:
         with pytest.raises(SnapshotError, match="format version 99"):
             GraphStore.load(broken)
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda tables: tables[0].update(rows="12"),
+            lambda tables: tables[0].update(rows=-1),
+            lambda tables: tables[0].pop("rows"),
+            lambda tables: tables[0].pop("label"),
+            lambda tables: tables.append("not an entry"),
+        ],
+        ids=["rows-string", "rows-negative", "rows-missing", "label-missing", "not-a-dict"],
+    )
+    def test_malformed_table_catalog(self, snapshot_dir, tmp_path, damage):
+        """The table rows are the statistics' label counts and |E|, so a
+        catalog that cannot say them is refused at open, not mid-query."""
+        broken = copy_snapshot(snapshot_dir, tmp_path / "badtables")
+        manifest = json.loads((broken / MANIFEST_NAME).read_text())
+        damage(manifest["tables"])
+        (broken / MANIFEST_NAME).write_text(json.dumps(manifest))
+        for entry_point in (GraphStore.load, read_snapshot_meta):
+            with pytest.raises(SnapshotError, match="malformed table catalog"):
+                entry_point(broken)
+
     def test_manifest_not_json(self, snapshot_dir, tmp_path):
         broken = copy_snapshot(snapshot_dir, tmp_path / "badjson")
         (broken / MANIFEST_NAME).write_text("{not json")
@@ -498,16 +508,6 @@ class TestCorruptionPaths:
         with pytest.raises(SnapshotError, match="cannot read") as excinfo:
             GraphStore.load(empty)
         assert MANIFEST_NAME in str(excinfo.value)
-
-    def test_corrupt_section(self, snapshot_dir, tmp_path):
-        broken = copy_snapshot(snapshot_dir, tmp_path / "badsection")
-        section = broken / "statistics.section"
-        data = bytearray(section.read_bytes())
-        data[0] ^= 0xFF
-        section.write_bytes(bytes(data))
-        bundle = GraphStore.load(broken)
-        with pytest.raises(SnapshotError, match="statistics.section"):
-            _ = bundle.statistics
 
     # --- mapped-section shards (vocabulary arena + graph CSR) ---------
     def _broken_v3(self, snapshot_dir, tmp_path, name):
@@ -652,13 +652,13 @@ class TestPartialGenerations:
 
         root, gen1 = self._family(snapshot_dir, tmp_path)
         copy_snapshot(snapshot_dir, gen1)
-        section = gen1 / "statistics.section"
-        section.write_bytes(section.read_bytes()[:10])
+        counts = gen1 / "statistics.counts"
+        counts.write_bytes(counts.read_bytes()[:10])
         # The manifest is intact, so resolution (manifest-only) accepts
-        # the generation — but materializing the torn section still
+        # the generation — but materializing the torn statistics still
         # fails closed with SnapshotError, never silent garbage.
         assert resolve_latest_generation(root) == gen1
-        with pytest.raises(SnapshotError, match="statistics.section"):
+        with pytest.raises(SnapshotError, match="statistics.counts"):
             _ = GraphStore.load(gen1).statistics
 
     def test_generation_with_corrupt_manifest_is_skipped(
@@ -770,7 +770,7 @@ class TestBuildEqualsLoad:
         system = GQBE(figure1_graph)
         assert isinstance(system.graph, MappedKnowledgeGraph)
         assert isinstance(system.store.vocabulary, MappedVocabulary)
-        assert system.graph_store.lazy_report()["format"] == "v4"
+        assert system.graph_store.lazy_report()["format"] == "v5"
         graph = system.graph
         system.ingest([("Jerry Yang", "founded", "Yahoo! Labs")])
         # The ingested edge lands in the same graph, beside the built arrays.

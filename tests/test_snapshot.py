@@ -5,13 +5,15 @@ snapshot answers queries byte-identically to the cold build it was saved
 from, on random synthetic graphs — plus the failure modes of the one
 format: a retired layout (a single file, an older manifest), truncation,
 bit-level corruption and missing files, all surfaced as ``SnapshotError``
-before any pickle bytes are trusted.  ``tests/test_sharded_snapshot.py``
-holds the structural checks on what the shards contain.
+— and that loading, querying and ingesting never unpickle.
+``tests/test_sharded_snapshot.py`` holds the structural checks on what
+the shards contain.
 """
 
 from __future__ import annotations
 
 import json
+import pickle
 import time
 
 import pytest
@@ -73,6 +75,11 @@ class TestRoundTrip:
         assert loaded.graph.num_nodes == dataset.graph.num_nodes
         assert loaded.store.num_rows == dataset.graph.num_edges
         assert loaded.statistics.total_edges == dataset.graph.num_edges
+        # The per-label counts come from the manifest's table rows, in the
+        # graph's first-seen label order.
+        expected = list(dataset.graph.label_counts().items())
+        for bundle in (GraphStore.build(dataset.graph), loaded):
+            assert list(bundle.statistics.label_counts.items()) == expected
 
     def test_meta_readable_without_adopting_store(self, snapshot_path, dataset):
         meta = read_snapshot_meta(snapshot_path)
@@ -88,8 +95,6 @@ def _touch_everything(path):
 
 #: One file of every kind a snapshot directory holds, manifest aside.
 _SNAPSHOT_FILES = [
-    "store.section",
-    "statistics.section",
     "vocabulary.arena",
     "graph.csr",
     "statistics.counts",
@@ -111,13 +116,24 @@ class TestEnvelopeFailureModes:
             # Version 3 tables may be unsorted: searched as sorted, they
             # would answer wrongly without any error.
             manifest["format_version"] = 3
+        elif kind == "v4-manifest":
+            # Version 4 carried two pickled sections; this build never
+            # unpickles a file.
+            manifest["format_version"] = 4
         else:
             del manifest["statistics_counts"]
         (target / MANIFEST_NAME).write_text(json.dumps(manifest))
         return target
 
     @pytest.mark.parametrize(
-        "kind", ["single-file", "v2-manifest", "v3-manifest", "v3-without-statistics-counts"]
+        "kind",
+        [
+            "single-file",
+            "v2-manifest",
+            "v3-manifest",
+            "v4-manifest",
+            "v3-without-statistics-counts",
+        ],
     )
     def test_retired_input_is_refused(self, kind, snapshot_path, tmp_path):
         """A snapshot is a rebuildable cache: what this build does not
@@ -182,6 +198,41 @@ class TestEnvelopeFailureModes:
     def test_meta_reader_wraps_read_errors(self, tmp_path):
         with pytest.raises(SnapshotError, match="cannot read"):
             read_snapshot_meta(tmp_path / "does_not_exist.snap")
+
+
+#: Everything a snapshot directory holds: the manifest and the shards.
+_SNAPSHOT_LAYOUT = {MANIFEST_NAME, "vocabulary.arena", "graph.csr", "statistics.counts", "tables"}
+
+
+class TestNoPickle:
+    def test_build_index_and_save_write_only_shards(self, dataset, snapshot_path, tmp_path):
+        dump = tmp_path / "data.tsv"
+        write_triples(dataset.graph.edges, dump)
+        built = tmp_path / "built.snap"
+        assert main(["build-index", str(dump), str(built)]) == 0
+        for directory in (built, snapshot_path):
+            assert {item.name for item in directory.iterdir()} == _SNAPSHOT_LAYOUT
+            assert {item.suffix for item in (directory / "tables").iterdir()} == {".shard"}
+            manifest = json.loads((directory / MANIFEST_NAME).read_text())
+            assert "sections" not in manifest
+            assert "pickle_protocol" not in manifest
+
+    def test_load_query_and_ingest_never_unpickle(self, dataset, snapshot_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a snapshot load unpickled")
+
+        for name in ("load", "loads", "Unpickler"):
+            monkeypatch.setattr(pickle, name, refuse)
+        bundle = GraphStore.load(snapshot_path).materialize()
+        config = GQBEConfig(mqg_size=8, k_prime=25, max_join_rows=100_000)
+        system = GQBE(config=config, graph_store=bundle)
+        query_tuple = tuple(dataset.table(dataset.table_names()[0])[0])
+        assert system.query(query_tuple, k=10).answers
+        label = "a label the snapshot lacks"
+        assert not bundle.store.has_label(label)
+        assert system.ingest([(query_tuple[0], label, query_tuple[1])])["applied"] == 1
+        assert bundle.statistics.label_counts[label] == 1
+        assert system.query(query_tuple, k=10).answers
 
 
 class TestCLIWorkflow:
