@@ -1,7 +1,8 @@
 """Offline, query-independent graph statistics (Sec. III-B of the paper).
 
-Two statistics drive GQBE's edge weighting and are precomputed once per
-data graph because they do not depend on the query:
+Two statistics drive GQBE's edge weighting.  They do not depend on the
+query, and both are read off the per-label edge tables the offline phase
+builds once per data graph (Sec. V-A):
 
 * **Inverse edge-label frequency** (Eq. 3)::
 
@@ -33,145 +34,9 @@ import numpy as np
 from repro.exceptions import GraphError
 from repro.graph.knowledge_graph import Edge
 
-if TYPE_CHECKING:  # pragma: no cover - repro.graph.neighborhood imports the graphs
+if TYPE_CHECKING:  # pragma: no cover - both modules import the graphs
     from repro.graph.neighborhood import NeighborhoodColumns
-
-
-def searchsorted_within(
-    keys: "np.ndarray", needles: "np.ndarray", side: str = "left"
-) -> "np.ndarray":
-    """``np.searchsorted(keys, needles, side)`` for non-negative integer
-    ``needles`` of any width, without widening ``keys``.
-
-    numpy searches in the two arrays' common type, so an int64 needle
-    column would copy a whole int32 key column on every call.  A needle
-    past the keys' dtype lies past every key: its slot is ``len(keys)``
-    on either side.
-    """
-    dtype = keys.dtype
-    if needles.dtype == dtype:
-        return np.searchsorted(keys, needles, side=side)
-    if needles.dtype.itemsize <= dtype.itemsize:
-        return np.searchsorted(keys, needles.astype(dtype), side=side)
-    limit = np.iinfo(dtype).max
-    slots = np.searchsorted(keys, np.minimum(needles, limit).astype(dtype), side=side)
-    return np.where(needles > limit, len(keys), slots)
-
-
-class _CountColumns:
-    """A ``(node, label) -> count`` mapping over two integer columns.
-
-    A snapshot persists each participation count of Eq. 4 as a pair of
-    columns: sorted composite keys (``node_id * num_labels + label_id``)
-    and their counts, each int32 when its bound (nodes × labels, the edge
-    count) fits.  Node ids are the vocabulary's; label ids are the
-    *statistics shard's own* (its label table is sorted, the graph
-    shard's is in first-seen order), extended past ``num_labels`` by the
-    labels live ingest brings.  Live-ingest writes (:meth:`add_one`)
-    land in a small overlay dict of absolute values, keyed by the same
-    id pair, that reads prefer; :meth:`fold_overlay` lays it out as its
-    own pair of sorted key / count columns (key ``node_id << 32 |
-    label_id``, which leaves room for the ingested labels) once per
-    ingest batch.  Both keys are built in int64 from ids of any width,
-    and searched at the key column's own width
-    (:func:`searchsorted_within`).
-
-    Two read surfaces: :meth:`counts_of` answers a whole column of id
-    pairs with one ``np.searchsorted`` per column pair and is what a
-    query uses; the string-keyed :meth:`get` serves the per-edge spec
-    methods, at one vocabulary binary search per key.
-    """
-
-    __slots__ = (
-        "_keys",
-        "_counts",
-        "_vocabulary",
-        "_labels",
-        "_label_ids",
-        "_width",
-        "_overlay",
-        "_overlay_keys",
-        "_overlay_counts",
-    )
-
-    def __init__(self, keys, counts, vocabulary, labels, label_ids) -> None:
-        self._keys = keys
-        self._counts = counts
-        self._vocabulary = vocabulary
-        # Shared with the sibling columns, so both agree on an ingested label's id.
-        self._labels = labels
-        self._label_ids = label_ids
-        self._width = max(len(labels), 1)  # the shard's num_labels
-        self._overlay: dict[tuple[int, int], int] = {}
-        self._overlay_keys = np.empty(0, dtype=np.int64)
-        self._overlay_counts = np.empty(0, dtype=np.int64)
-
-    def counts_of(self, node_ids: "np.ndarray", label_ids: "np.ndarray") -> "np.ndarray":
-        """The counts at ``(node_ids[i], label_ids[i])`` as one owned array
-        (0 where there is none)."""
-        # Keys are built in int64 whatever the ids' width: an int32
-        # ``node * width`` wraps, and ``node << 32`` is 0.
-        node_ids = node_ids.astype(np.int64)
-        keys = self._keys
-        composite = node_ids * self._width + label_ids
-        slots = searchsorted_within(keys, composite)  # past the end: clipped below
-        # A label that came with an ingest has no base key at all: its
-        # composite would alias a key of the next node.  (An ingested
-        # node's composite lies past every key.)
-        found = (keys.take(slots, mode="clip") == composite) & (label_ids < self._width)
-        counts = np.where(found, self._counts.take(slots, mode="clip"), 0)
-        if len(self._overlay_keys):
-            # Overlay values are absolute: laid over the base count, not added.
-            keys = self._overlay_keys
-            composite = (node_ids << 32) | label_ids
-            slots = searchsorted_within(keys, composite)
-            found = keys.take(slots, mode="clip") == composite
-            counts = np.where(found, self._overlay_counts.take(slots, mode="clip"), counts)
-        return counts
-
-    def _count_at(self, node_id: int, label_id: int) -> int:
-        """:meth:`counts_of` for one id pair, on Python ints (ingest asks
-        twice per triple; a one-row array costs several times this)."""
-        value = self._overlay.get((node_id, label_id))
-        if value is None and label_id < self._width:
-            keys = self._keys
-            composite = node_id * self._width + label_id
-            # An ingested node's composite lies past every key, and past
-            # the range of narrow keys: it is not searched.
-            if len(keys) and composite <= int(keys[-1]):
-                slot = int(np.searchsorted(keys, composite))
-                if int(keys[slot]) == composite:
-                    return int(self._counts[slot])
-        return value or 0
-
-    def get(self, key: tuple[str, str], default: int = 0):
-        term, label = key
-        label_id = self._label_ids.get(label)
-        node_id = None if label_id is None else self._vocabulary.id_of(term)
-        if node_id is None:
-            return default
-        return self._count_at(node_id, label_id) or default
-
-    def add_one(self, key: tuple[str, str]) -> None:
-        """Count one more edge at ``key`` (live ingest); a label or an
-        entity the snapshot never saw gets its id here."""
-        term, label = key
-        label_id = self._label_ids.get(label)
-        if label_id is None:
-            label_id = self._label_ids[label] = len(self._labels)
-            self._labels.append(label)
-        node_id = self._vocabulary.intern(term)
-        self._overlay[node_id, label_id] = self._count_at(node_id, label_id) + 1
-
-    def fold_overlay(self) -> None:
-        """Lay the overlay out as the sorted columns :meth:`counts_of` reads."""
-        pairs = sorted(self._overlay)  # (node, label) order is composite-key order
-        self._overlay_keys = np.array(
-            [node_id << 32 | label_id for node_id, label_id in pairs], dtype=np.int64
-        )
-        self._overlay_counts = np.array(
-            [self._overlay[pair] for pair in pairs], dtype=np.int64
-        )
+    from repro.storage.store import VerticalPartitionStore
 
 
 class GraphStatistics:
@@ -179,48 +44,29 @@ class GraphStatistics:
 
     The statistics refer to the *whole* data graph even when weights are
     later assigned to edges of a neighborhood subgraph, exactly as the
-    paper prescribes.  The per-label counts are the snapshot manifest's
-    table row counts, and the edge total is their sum; the two ``(node,
-    label)`` participation counts of Eq. 4 are sorted composite-key /
-    count column pairs (:class:`_CountColumns`), mapped zero-copy from a
-    snapshot's statistics shard (so N serving workers over one snapshot
-    share their physical pages) or computed in memory by
-    ``GraphStore.build``.  Live ingest accumulates into per-column
-    overlays, folded into sorted columns once per batch.
+    paper prescribes.  They are a view over the
+    :class:`~repro.storage.store.VerticalPartitionStore` and keep no
+    counts of their own: #label is a table's row count (the snapshot
+    manifest's, until the table is opened) and |E| their sum; the two
+    terms of Eq. 4 are a subject probe and an object probe of ``e``'s
+    label table, whose rows are the label's distinct edges sorted by
+    (subject, object) with a persisted object index.  Live ingest
+    replaces the tables it touches, so the counts follow; only the
+    cached |E| is refreshed (:meth:`finish_mutation`).
 
     A query never hands these statistics a string: its neighborhood
     comes from the same graph as id columns, and :meth:`column_weights`
     computes Eq. 2 for all of its rows on those ids.  The per-edge
     methods (``ief`` / ``participation_degree`` / ``base_edge_weight``)
     answer for any :class:`Edge`, through one vocabulary binary search
-    per lookup; they are the spec the array path is tested against.
+    per endpoint; they are the spec the array path is tested against.
     """
 
-    def __init__(
-        self,
-        graph,
-        vocabulary,
-        labels: list[str],
-        label_counts: dict[str, int],
-        out_keys,
-        out_counts,
-        in_keys,
-        in_counts,
-    ) -> None:
-        total_edges = sum(label_counts.values())
-        if total_edges <= 0:
+    def __init__(self, store: "VerticalPartitionStore") -> None:
+        self._store = store
+        self._total_edges = store.num_rows
+        if self._total_edges <= 0:
             raise GraphError("cannot compute statistics of an empty graph")
-        self._graph = graph
-        self._total_edges = int(total_edges)
-        self._label_counts = dict(label_counts)
-        labels = list(labels)
-        self._label_ids = {label: index for index, label in enumerate(labels)}
-        self._out_label_counts = _CountColumns(
-            out_keys, out_counts, vocabulary, labels, self._label_ids
-        )
-        self._in_label_counts = _CountColumns(
-            in_keys, in_counts, vocabulary, labels, self._label_ids
-        )
         # Per-edge spec calls are memoized; a query never makes one (see
         # column_weights), so serving does not fill this.
         self._base_weight_cache: dict[Edge, float] = {}
@@ -229,7 +75,7 @@ class GraphStatistics:
     @property
     def graph(self):
         """The data graph these statistics were computed from."""
-        return self._graph
+        return self._store.graph
 
     @property
     def total_edges(self) -> int:
@@ -239,11 +85,12 @@ class GraphStatistics:
     @property
     def label_counts(self) -> dict[str, int]:
         """#label per label, in the graph's first-seen label order."""
-        return dict(self._label_counts)
+        store = self._store
+        return {label: store.cardinality(label) for label in store.labels()}
 
     def label_frequency(self, label: str) -> int:
         """#label(e) — number of edges in G bearing ``label``."""
-        return self._label_counts.get(label, 0)
+        return self._store.cardinality(label)
 
     def inverse_edge_label_frequency(self, edge: Edge | str) -> float:
         """ief(e) per Eq. 3; accepts an :class:`Edge` or a bare label.
@@ -252,7 +99,7 @@ class GraphStatistics:
         possible), which keeps the function total and monotone.
         """
         label = edge.label if isinstance(edge, Edge) else edge
-        frequency = max(self._label_counts.get(label, 1), 1)
+        frequency = max(self._store.cardinality(label), 1)
         return math.log(self._total_edges / frequency)
 
     # Short aliases mirroring the paper's notation -----------------------
@@ -262,12 +109,19 @@ class GraphStatistics:
 
     def participation_degree(self, edge: Edge) -> int:
         """p(e) per Eq. 4 (at least 1, since ``e`` itself participates)."""
-        same_subject = self._out_label_counts.get((edge.subject, edge.label), 0)
-        same_object = self._in_label_counts.get((edge.object, edge.label), 0)
+        table = self._store.table_or_empty(edge.label)
+        vocabulary = self._store.vocabulary
+        same_subject = same_object = 0
+        subject_id = vocabulary.id_of(edge.subject)
+        if subject_id is not None:
+            same_subject = int(table.probe_subject(np.array([subject_id], np.int32))[0][0])
+        object_id = vocabulary.id_of(edge.object)
+        if object_id is not None:
+            same_object = int(table.probe_object(np.array([object_id], np.int32))[0][0])
         # Edges counted by both terms are exactly those with the same
         # subject *and* object and the same label; in a set-of-triples
         # multigraph that is just the edge itself (if present).
-        overlap = 1 if self._graph.has_edge(*edge) else 0
+        overlap = 1 if self.graph.has_edge(*edge) else 0
         degree = same_subject + same_object - overlap
         return max(degree, 1)
 
@@ -293,55 +147,48 @@ class GraphStatistics:
         Bit for bit what :meth:`base_edge_weight` returns for the decoded
         rows: the same integers, ``ief`` from the same ``math.log``, one
         float64 division.  A row of ``H_t`` *is* an edge of the graph, so
-        the overlap term of Eq. 4 is 1 without a membership probe.
+        the overlap term of Eq. 4 is 1 without a membership probe.  The
+        rows are grouped by label once, and each group probes its label's
+        table: only the tables of labels in ``H_t`` are opened.
         """
-        graph_labels = columns.label_strings
-        # Graph label id -> this shard's label id and ief, per label in use.
-        # A label the statistics never saw has no count anywhere.
-        unseen = len(self._label_ids)
-        own_ids = np.full(len(graph_labels), unseen, dtype=np.int64)
-        ief = np.zeros(len(graph_labels))
-        for label_id in set(columns.labels.tolist()):
-            label = graph_labels[label_id]
-            own_ids[label_id] = self._label_ids.get(label, unseen)
-            ief[label_id] = self.inverse_edge_label_frequency(label)
-        labels = own_ids[columns.labels]
-        same_subject = self._out_label_counts.counts_of(
-            columns.node_ids[columns.subjects], labels
-        )
-        same_object = self._in_label_counts.counts_of(
-            columns.node_ids[columns.objects], labels
-        )
-        return ief[columns.labels] / np.maximum(same_subject + same_object - 1, 1)
+        order = np.argsort(columns.labels, kind="stable")
+        labels = columns.labels[order]
+        in_use, starts = np.unique(labels, return_index=True)
+        bounds = np.append(starts, len(labels)).tolist()
+        # Every id is at most MAX_ENTITY_ID, ingested ones too: at the
+        # tables' int32 width a probe searches without a widening pass.
+        node_ids = columns.node_ids.astype(np.int32)
+        subjects = node_ids[columns.subjects[order]]
+        objects = node_ids[columns.objects[order]]
+        ief = np.empty(len(labels))
+        degrees = np.empty(len(labels), dtype=np.int64)
+        store = self._store
+        for index, label_id in enumerate(in_use.tolist()):
+            label = columns.label_strings[label_id]
+            rows = slice(bounds[index], bounds[index + 1])
+            # A label the store never saw has no rows anywhere.
+            table = store.table_or_empty(label)
+            same_subject = table.probe_subject(subjects[rows])[0]
+            same_object = table.probe_object(objects[rows])[0]
+            degrees[rows] = same_subject + same_object - 1
+            ief[rows] = self.inverse_edge_label_frequency(label)
+        weights = np.empty(len(labels))
+        weights[order] = ief / np.maximum(degrees, 1)
+        return weights
 
     # ------------------------------------------------------------------
-    # live ingest (delta overlay) support
-    # ------------------------------------------------------------------
-    def apply_edge(self, edge: Edge) -> None:
-        """Account one newly ingested edge (the caller deduplicated it).
-
-        Increments exactly the counters a from-scratch build of the
-        merged graph would hold.  The caller runs :meth:`finish_mutation`
-        once per ingest batch.
-        """
-        self._total_edges += 1
-        self._label_counts[edge.label] = self._label_counts.get(edge.label, 0) + 1
-        self._out_label_counts.add_one((edge.subject, edge.label))
-        self._in_label_counts.add_one((edge.object, edge.label))
-
     def finish_mutation(self) -> None:
-        """Fold the batch's counts into the overlay columns and drop
-        memoized Eq. 2 weights after a mutation batch.
+        """Refresh |E| and drop memoized Eq. 2 weights after an ingest
+        batch reached the store.
 
         ``ief`` depends on the global edge total, so every memoized
         weight is stale once any edge lands.
         """
-        self._out_label_counts.fold_overlay()
-        self._in_label_counts.fold_overlay()
+        self._total_edges = self._store.num_rows
         self._base_weight_cache.clear()
 
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(edges={self._total_edges}, "
-            f"labels={len(self._label_counts)})"
+            f"labels={self._store.num_tables})"
         )

@@ -33,10 +33,11 @@ Finalize — per label (parallelizable), then two block merges
     and the label's table shard is written through the same
     ``write_table_shard`` as the in-memory path — so the shard bytes
     cannot differ.  Workers own disjoint labels (``workers > 1`` fans the
-    per-label work out over processes); each label also writes sorted
-    statistics runs and ``(node, label, other)``-sorted CSR runs, which a
-    block-wise numpy merge (:func:`_merge_runs`) streams into the
-    statistics and graph shards.  Scratch runs are int64 records; each
+    per-label work out over processes); each label also writes
+    ``(node, label, other)``-sorted CSR runs, which a block-wise numpy
+    merge (:func:`_merge_runs`) streams into the graph shard.  The table
+    shards are also the statistics' participation counts, so no counts
+    are written.  Scratch runs are int64 records; each
     shard array is written at the width its catalog declares
     (:func:`~repro.storage.shards.int_dtype` of a bound known before the
     first chunk), and a chunk that width cannot hold is refused.
@@ -92,7 +93,6 @@ from repro.storage.shards import (
     arena_dtypes,
     graph_dtypes,
     parse_shard,
-    statistics_dtypes,
     write_manifest,
     write_table_shard,
     write_vocabulary_shard,
@@ -106,7 +106,6 @@ _OCC_RECORD = struct.Struct("<QQI")  # occurrence, byte rank, term length — th
 _ORDERED_RECORD = struct.Struct("<QI")  # byte rank, term length — then term bytes
 _ROW_WIDTH = 2  # (subject_id, object_id) int64 row-run records
 _CSR_WIDTH = 3  # (node_id, label_id, other_id) int64 CSR-run records
-_STAT_WIDTH = 2  # (node_id * labels + stat_label_id, count) statistics-run records
 #: The memory budget of a save's finalize.  A compaction runs inside the
 #: serving process, beside the bundle it folds, so its merge buffers stay
 #: small; a build's budget is its caller's (``--memory-budget-mb``).
@@ -541,7 +540,7 @@ def _route_rows(
 
 
 # ----------------------------------------------------------------------
-# finalize: per-label merge → table shard + statistics/CSR runs
+# finalize: per-label merge → table shard + CSR runs
 # ----------------------------------------------------------------------
 def _finalize_label(task: dict) -> dict:
     """Sort one label's rows and write its table shard + side runs.
@@ -563,13 +562,11 @@ def _finalize_label(task: dict) -> dict:
     subjects, objects = _unique_rows(rows.reshape(-1, _ROW_WIDTH))
     del rows
 
-    # The label's four runs for the block merges go one after another onto
+    # The label's two runs for the block merges go one after another onto
     # the end of this process's side file.  CSR runs are (node, label,
     # other) rows: the table's (subject, object) order already is the out
     # run's, the in run takes one sort, and the merge across labels then
-    # yields every node's adjacency sorted by (label, other).  Statistics
-    # runs are (composite key, count) rows: np.unique returns sorted
-    # nodes, so each is already in the statistics shard's key order.
+    # yields every node's adjacency sorted by (label, other).
     side = task["scratch"] / f"side.{os.getpid()}.run"
     label_column = np.full(len(subjects), label_id, dtype=np.int64)
     by_object = np.lexsort((subjects, objects))
@@ -578,11 +575,6 @@ def _finalize_label(task: dict) -> dict:
         "csr_in": np.column_stack((objects[by_object], label_column, subjects[by_object])),
     }
     del label_column, by_object
-    for direction, nodes in (("out", subjects), ("in", objects)):
-        nodes, counts = np.unique(nodes, return_counts=True)
-        runs[f"stats_{direction}"] = np.column_stack(
-            (nodes * task["stat_stride"] + task["stat_label_id"], counts)
-        )
     outputs = {}
     with open(side, "ab") as handle:
         offset = handle.tell()
@@ -620,7 +612,7 @@ def _run_label_partitions(
 
 
 # ----------------------------------------------------------------------
-# finalize: statistics + graph CSR shards
+# finalize: graph CSR shard
 # ----------------------------------------------------------------------
 def _append_columns(
     writer: ShardStreamWriter,
@@ -640,48 +632,6 @@ def _append_columns(
                     break
                 writer.append(name, np.ascontiguousarray(rows.reshape(-1, width)[:, column]))
     spool.unlink()
-
-
-def _write_statistics_shard(
-    path: Path,
-    results: list[dict],
-    labels: list[str],
-    num_nodes: int,
-    num_edges: int,
-    scratch: Path,
-    plan: BuildPlan,
-) -> dict:
-    """Merge the per-label statistics runs into the statistics shard.
-
-    Stat labels are sorted alphabetically, composite keys are ``node *
-    num_labels + label`` in globally sorted order (unique by construction,
-    so a merge of the per-label sorted runs is exactly one sort).  The
-    merged rows are spooled to scratch, so keys and counts can be written
-    as two columns without holding either.
-    """
-    totals = {
-        direction: sum(result[f"stats_{direction}"][2] for result in results)
-        for direction in ("out", "in")
-    }
-    dtypes = statistics_dtypes(num_nodes, num_edges, len(labels))
-    writer = ShardStreamWriter(
-        path,
-        {"kind": "statistics", "labels": sorted(labels)},
-        [
-            (name, totals[name.split("_")[0]], dtype)
-            for name, dtype in dtypes.items()
-        ],
-    )
-    for direction in ("out", "in"):
-        runs = [result[f"stats_{direction}"] for result in results]
-        spool = scratch / f"stats_{direction}.merged"
-        with open(spool, "wb") as handle:
-            for rows in _merge_runs(runs, _STAT_WIDTH, plan.io_elements):
-                rows.tofile(handle)
-        columns = [(f"{direction}_keys", 0), (f"{direction}_counts", 1)]
-        _append_columns(writer, spool, _STAT_WIDTH, columns, plan.io_elements)
-    entry = writer.close()
-    return {"entries": int(totals["out"] + totals["in"]), **entry}
 
 
 def _write_graph_shard(
@@ -769,11 +719,9 @@ def _finalize(
 ) -> None:
     """Both sources end here: the vocabulary arena is in ``output`` and
     label ``i``'s ``(subject, object)`` id rows in ``rows[i]``, sorted or
-    not, duplicates or not.  Writes the table shards, the graph CSR, the
-    statistics counts and the manifest."""
+    not, duplicates or not.  Writes the table shards, the graph CSR and
+    the manifest."""
     started = time.perf_counter()
-    # The statistics shard numbers labels in sorted order.
-    stat_ids = {label: index for index, label in enumerate(sorted(labels))}
     tasks = [
         {
             "label": label,
@@ -782,8 +730,6 @@ def _finalize(
             "scratch": scratch,
             # Table shards are numbered by label id (first-seen order).
             "shard_path": output / "tables" / f"{label_id:05d}.shard",
-            "stat_label_id": stat_ids[label],
-            "stat_stride": max(len(labels), 1),
         }
         for label_id, label in enumerate(labels)
     ]
@@ -798,15 +744,11 @@ def _finalize(
     graph_entry = _write_graph_shard(
         output / "graph.csr", results, labels, num_nodes, num_edges, scratch, plan
     )
-    statistics_entry = _write_statistics_shard(
-        output / "statistics.counts", results, labels, num_nodes, num_edges, scratch, plan
-    )
     report["bytes_written"] = write_manifest(
         output,
         meta={"num_nodes": num_nodes, "num_edges": num_edges, "num_labels": len(labels)},
         vocabulary={**vocabulary_entry, "file": "vocabulary.arena"},
         graph={**graph_entry, "file": "graph.csr"},
-        statistics_counts={**statistics_entry, "file": "statistics.counts"},
         tables=[
             {**result["entry"], "file": f"tables/{result['label_id']:05d}.shard"}
             for result in results

@@ -3,8 +3,8 @@
 One shared core serves every ingest entry point (``GQBE.ingest``, the
 serving frontends, pool-worker delta replay): validate the triples,
 deduplicate them against the *current* graph (base and delta), then
-apply the survivors to the graph, the vocabulary, the per-label tables
-and the statistics in one deterministic order.
+apply the survivors to the graph, the vocabulary and the per-label
+tables in one deterministic order.
 
 Determinism is what makes ingest testable and poolable: applying the
 same applied-triple sequence to the same base always produces identical
@@ -15,10 +15,11 @@ triples and lands in exactly the parent's state.
 A bundle's graph is a :class:`~repro.graph.mapped.MappedKnowledgeGraph`
 (a snapshot, or a graph built in memory into the same arrays).  Its base
 arrays are never written: an ingest adds to the graph's own delta (id
-triples and a small CSR over them), replaces each touched label's table
-with one over its old columns followed by the new rows, and lays the
-new participation counts over the statistics' columns.  Every object of
-the bundle stays the one it was, so nothing has to adopt a new graph.
+triples and a small CSR over them) and replaces each touched label's
+table with one over its old and new rows.  The statistics hold no counts
+of their own: they probe those tables, and only refresh |E| and drop
+their memoized weights.  Every object of the bundle stays the one it
+was, so nothing has to adopt a new graph.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ def apply_triples(
     duplicate interns nothing and touches nothing — the same contract as
     ``KnowledgeGraph.add_edge``, which deduplicates before adding nodes —
     so replaying only the applied triples reproduces this exact state.
-    The graph and the statistics take each triple in order; each label's
-    table then takes the batch's rows at once, labels in the order the
-    batch first names them.
+    The graph takes each triple in order; each label's table then takes
+    the batch's rows at once, labels in the order the batch first names
+    them, and the statistics read the new tables.
     """
     normalized = normalize_triples(triples)
     applied: list[tuple[str, str, str]] = []
@@ -83,7 +84,6 @@ def apply_triples(
         subjects, objects = rows.setdefault(label, ([], []))
         subjects.append(subject_id)
         objects.append(object_id)
-        statistics.apply_edge(Edge(subject, label, obj))
         applied.append((subject, label, obj))
     if applied:
         graph.finish_mutation()

@@ -5,12 +5,12 @@ verifiable files:
 
 ``MANIFEST.json``
     The envelope: magic, format version, the snapshot ``meta`` mapping,
-    and a catalog of every other file with its SHA-256 digest, byte size
-    and (for table shards) label and row count.  The row counts are also
-    the statistics' per-label edge counts, and |E| is their sum.  Reading
-    the manifest is the whole cost of opening a snapshot.  It is written
-    last, so a directory without a valid one is a build that never
-    finished.
+    and a catalog of every other file with its path, SHA-256 digest, byte
+    size and (for table shards) label and row count.  The row counts are
+    also the statistics' per-label edge counts, and |E| is their sum.
+    Reading and checking the manifest is the whole cost of opening a
+    snapshot.  It is written last, so a directory without a valid one is
+    a build that never finished.
 ``tables/NNNNN.shard``
     One binary shard per label's
     :class:`~repro.storage.table.ColumnarEdgeTable`: the two int32 id
@@ -22,7 +22,9 @@ verifiable files:
     ``np.frombuffer`` views — no deserialization, no sorting, no copy —
     so N worker processes mapping the same snapshot share one set of
     physical pages, and a label table that no query probes is never
-    faulted in at all.
+    faulted in at all.  The table is also the statistics' participation
+    counts of Eq. 4: a subject probe and an object probe of a label's
+    table count the edges that leave a subject and enter an object.
 ``vocabulary.arena``
     The entity vocabulary as a string arena: every term's UTF-8 bytes
     concatenated in id order (``blob``), an offset column (``offsets``,
@@ -37,17 +39,14 @@ verifiable files:
     header).  Each node's slices are sorted by (label, other); no answer
     depends on that order, it only makes the bytes a function of the
     edge set.  Reopens as a :class:`~repro.graph.mapped.MappedKnowledgeGraph`.
-``statistics.counts``
-    The ``(node, label)`` participation counts of Eq. 4 as sorted
-    composite-key / count column pairs, reopened as the columns of a
-    :class:`~repro.graph.statistics.GraphStatistics`.
 
 So the only per-worker private memory is the parsed manifest plus
 interpreter state, and loading unpickles nothing.  The manifest's
 ``format_version`` is :data:`FORMAT_VERSION`; a directory that says
-anything else, or lacks one of the three mapped-shard entries, is
-refused — a snapshot is a cache of the offline build, and the fix is to
-rebuild it.
+anything else, or whose ``vocabulary``, ``graph`` or table entries do
+not each name a file inside the directory with a SHA-256 digest and
+integer sizes, is refused at open — a snapshot is a cache of the
+offline build, and the fix is to rebuild it.
 
 Shard binary layout (little-endian)::
 
@@ -68,10 +67,9 @@ when a bound its writer knows before writing it fits int32, else int64
 (:func:`int_dtype`): ids are at most
 :data:`~repro.storage.vocabulary.MAX_ENTITY_ID`, so id columns are
 always int32; positions (CSR index pointers, arena offsets, probe-index
-orders and bounds) and counts are bounded by the array's row, edge or
-byte count, and composite keys by the product of their radixes.  Readers
-take each array at the dtype its catalog names, so a snapshot written
-all-int64 opens and answers the same.
+orders and bounds) are bounded by the array's row, edge or byte count.
+Readers take each array at the dtype its catalog names, so a snapshot
+written all-int64 opens and answers the same.
 
 Integrity: every file's SHA-256 is recorded in the manifest.  A shard
 is verified the first time it is opened (one streamed read that also
@@ -112,8 +110,9 @@ MANIFEST_MAGIC = "GQBESNAP2"
 #: The manifest ``format_version`` this build writes and reads.  Version
 #: 3 tables may be unsorted, which a sorted-column search answers wrongly;
 #: version 4 directories carry pickled sections, which this build never
-#: unpickles.
-FORMAT_VERSION = 5
+#: unpickles; version 5 directories carry a participation-counts shard
+#: that this build neither writes nor reads.
+FORMAT_VERSION = 6
 _ALIGNMENT = 64
 _SHARD_HEADER = struct.Struct("<8sII")
 
@@ -134,8 +133,7 @@ def int_dtype(bound: int) -> str:
     Every integer array of a snapshot is written at the width this gives
     for a bound its writer knows before the first value: ids are capped
     at :data:`~repro.storage.vocabulary.MAX_ENTITY_ID`, positions at the
-    array's row, edge or byte count, composite keys at the product of
-    their radixes.
+    array's row, edge or byte count.
     """
     return _NARROW_DTYPE if bound <= np.iinfo(np.int32).max else _DTYPE
 
@@ -160,13 +158,6 @@ def graph_dtypes(edges: int, labels: int) -> dict[str, str]:
         "in_subjects": ID_DTYPE,
         "in_labels": label_ids,
     }
-
-
-def statistics_dtypes(nodes: int, edges: int, labels: int) -> dict[str, str]:
-    """The dtypes of a statistics counts shard's arrays: keys below
-    ``nodes * labels``, counts at most ``edges``."""
-    keys, counts = int_dtype(nodes * max(labels, 1)), int_dtype(edges)
-    return {"out_keys": keys, "out_counts": counts, "in_keys": keys, "in_counts": counts}
 
 
 def _as_dtype(name: str, data, dtype: str) -> "np.ndarray":
@@ -446,26 +437,10 @@ def graph_shards(graph: KnowledgeGraph) -> "BuiltSnapshot":
         files[name] = _table_shard(table)
         tables.append({"label": label, "rows": len(rows), "file": name})
 
-    # Participation counts, keyed on the sorted label order.
-    stat_labels = sorted(labels)
-    stat_order = {label: index for index, label in enumerate(stat_labels)}
-    stat_ids = np.array([stat_order[label] for label in labels], dtype=np.int64)
-    width = max(len(labels), 1)
-    columns = []
-    for nodes in (subjects, objects):
-        columns += np.unique(nodes * width + stat_ids[edge_labels], return_counts=True)
-    files["statistics.counts"] = (
-        {"kind": "statistics", "labels": stat_labels},
-        _narrowed(
-            dict(zip(("out_keys", "out_counts", "in_keys", "in_counts"), columns)),
-            statistics_dtypes(len(terms), len(edges), len(labels)),
-        ),
-    )
     manifest = {
         "meta": {"num_nodes": len(terms), "num_edges": len(edges), "num_labels": len(labels)},
         "vocabulary": {"terms": len(terms), "file": "vocabulary.arena"},
         "graph": {"nodes": len(terms), "edges": len(edges), "file": "graph.csr"},
-        "statistics_counts": {"file": "statistics.counts"},
         "tables": tables,
     }
     return BuiltSnapshot(manifest, files)
@@ -477,7 +452,6 @@ def write_manifest(
     meta: dict,
     vocabulary: dict,
     graph: dict,
-    statistics_counts: dict,
     tables: list[dict],
 ) -> int:
     """Finish a snapshot whose shards are on disk; returns its total bytes.
@@ -494,14 +468,13 @@ def write_manifest(
         "meta": meta,
         "vocabulary": vocabulary,
         "graph": graph,
-        "statistics_counts": statistics_counts,
         "tables": tables,
     }
     manifest_bytes = json.dumps(manifest, indent=1, sort_keys=True).encode("utf-8")
     (directory / MANIFEST_NAME).write_bytes(manifest_bytes)
     return sum(
         entry["bytes"]
-        for entry in (vocabulary, graph, statistics_counts, *tables)
+        for entry in (vocabulary, graph, *tables)
     ) + len(manifest_bytes)
 
 
@@ -564,14 +537,51 @@ def parse_shard(
     return header, view
 
 
+def _catalog_fault(entries: list, counts: tuple[str, ...] = ()) -> str | None:
+    """What is wrong with some manifest shard entries, or ``None``.
+
+    Each must be a mapping whose ``file`` is a relative path that stays
+    inside the snapshot directory, whose ``sha256`` is 64 lowercase hex
+    digits, and whose ``bytes`` and each of ``counts`` are non-negative
+    ints.  A manifest has an entry per label, so each check is one pass
+    over all of them in C-level builtins: opening a snapshot stays well
+    under a millisecond.
+    """
+    if set(map(type, entries)) - {dict}:
+        return "an entry is not a mapping"
+    files = [entry.get("file") for entry in entries]
+    # Joined by "/", the files' path parts are exactly the parts of each.
+    if (
+        set(map(type, files)) - {str}
+        or not all(files)
+        or "/" in {file[0] for file in files}
+        or ".." in "/".join(files).split("/")
+    ):
+        return "a file is not a relative path inside the snapshot"
+    digests = [entry.get("sha256") for entry in entries]
+    if entries and (
+        set(map(type, digests)) != {str}
+        or set(map(len, digests)) != {64}
+        # Left with nothing once the hex digits are deleted.
+        or "".join(digests).encode().translate(None, b"0123456789abcdef")
+    ):
+        return "a sha256 is not 64 hex digits"
+    for key in ("bytes", *counts):
+        values = [entry.get(key) for entry in entries]
+        if set(map(type, values)) - {int} or (values and min(values) < 0):
+            return f"a {key} is not a non-negative int"
+    return None
+
+
 class ShardedSnapshotReader:
     """Opens a snapshot directory and hands out its shards.
 
-    Construction reads and validates only ``MANIFEST.json``.  Table
-    shards, the vocabulary arena, the graph CSR and the statistics
-    counts load lazily through :meth:`load_table` /
-    :meth:`load_vocabulary` / :meth:`load_graph` /
-    :meth:`load_statistics_counts`; the reader counts what it opened
+    Construction reads and validates only ``MANIFEST.json``: every shard
+    entry it will ever open is checked there (:func:`_catalog_fault`),
+    so a malformed catalog fails at open, not at the first query that
+    reaches it.  Table shards, the vocabulary arena and the graph CSR
+    load lazily through :meth:`load_table` / :meth:`load_vocabulary` /
+    :meth:`load_graph`; the reader counts what it opened
     (:attr:`tables_opened`, :attr:`opened_labels`,
     :attr:`sections_loaded`) so tests can prove that a warm start
     touched nothing it did not need.
@@ -611,24 +621,26 @@ class ShardedSnapshotReader:
                 f"this build supports version {FORMAT_VERSION} — rebuild it "
                 "with `gqbe build-index`"
             )
-        for name in ("vocabulary", "graph", "statistics_counts"):
-            if not isinstance(manifest.get(name), dict):
+        for name in ("vocabulary", "graph"):
+            fault = _catalog_fault([manifest.get(name)])
+            if fault:
                 raise SnapshotError(
-                    f"snapshot {self.directory!s} has no {name!r} shard in "
-                    "its manifest — rebuild it with `gqbe build-index`"
+                    f"snapshot {self.directory!s} has a malformed {name!r} "
+                    f"shard entry in its manifest ({fault}) — rebuild it with "
+                    "`gqbe build-index`"
                 )
         # The row counts are also the statistics' label counts and |E|.
         tables = manifest.get("tables")
-        if not isinstance(tables, list) or not all(
-            isinstance(entry, dict)
-            and isinstance(entry.get("label"), str)
-            and type(entry.get("rows")) is int
-            and entry["rows"] >= 0
-            for entry in tables
-        ):
+        if not isinstance(tables, list):
+            fault = "the catalog is not a list"
+        else:
+            fault = _catalog_fault(tables, ("rows",))
+            if fault is None and {type(entry.get("label")) for entry in tables} - {str}:
+                fault = "a table has no string label"
+        if fault:
             raise SnapshotError(
                 f"snapshot {self.directory!s} has a malformed table catalog in "
-                "its manifest — rebuild it with `gqbe build-index`"
+                f"its manifest ({fault}) — rebuild it with `gqbe build-index`"
             )
         self._adopt(manifest)
 
@@ -814,51 +826,6 @@ class ShardedSnapshotReader:
                     "arena: the sort permutation is not in term byte order"
                 )
         return MappedVocabulary(offsets, sorted_ids, blob)
-
-    # ------------------------------------------------------------------
-    def load_statistics_counts(self) -> tuple[list[str], tuple]:
-        """Map the statistics counts shard; returns ``(labels, columns)``.
-
-        ``columns`` is ``(out_keys, out_counts, in_keys, in_counts)`` —
-        zero-copy views ready for
-        :class:`~repro.graph.statistics.GraphStatistics`.
-        """
-        result = self._load_shard(
-            self.manifest["statistics_counts"], self._statistics_from_header
-        )
-        self.sections_loaded.append("statistics_counts")
-        return result
-
-    def _statistics_from_header(self, path: Path, header: dict, view):
-        if header.get("kind") != "statistics":
-            raise SnapshotError(
-                f"snapshot shard {path!s} is not a statistics counts shard "
-                f"(kind {header.get('kind')!r})"
-            )
-        labels = header.get("labels")
-        if not isinstance(labels, list):
-            raise SnapshotError(
-                f"snapshot shard {path!s} has a malformed statistics header"
-            )
-        columns = []
-        for side in ("out", "in"):
-            keys = view(f"{side}_keys")
-            counts = view(f"{side}_counts")
-            if keys is None or counts is None or len(keys) != len(counts):
-                raise SnapshotError(
-                    f"snapshot shard {path!s} is missing its {side} "
-                    "participation columns"
-                )
-            if len(keys) and (
-                bool((np.diff(keys) <= 0).any()) or int(counts.min()) < 1
-            ):
-                raise SnapshotError(
-                    f"snapshot shard {path!s} has corrupt statistics "
-                    f"columns: {side} keys must be strictly increasing "
-                    "and counts positive"
-                )
-            columns.extend((keys, counts))
-        return labels, tuple(columns)
 
     # ------------------------------------------------------------------
     def load_graph(self, vocabulary: MappedVocabulary) -> MappedKnowledgeGraph:

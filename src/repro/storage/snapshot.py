@@ -1,8 +1,9 @@
 """On-disk index snapshots: persist the offline build for instant warm starts.
 
 GQBE's offline phase — interning the vocabulary, filling the per-label
-edge tables, building probe indexes and computing the graph statistics —
-is query-independent, so it only ever needs to run once per data graph.
+edge tables and building their probe indexes, which the graph
+statistics read — is query-independent, so it only ever needs to run
+once per data graph.
 :class:`GraphStore` bundles everything that phase produces (the data
 graph, its :class:`~repro.graph.statistics.GraphStatistics` and the
 :class:`~repro.storage.store.VerticalPartitionStore` with its vocabulary)
@@ -18,14 +19,14 @@ by a build that laid it out differently is refused with a
 ``gqbe build-index``.
 
 Loading is **lazy**: :meth:`GraphStore.load` reads only the manifest.
-The vocabulary arena, the graph CSR shard and the statistics counts
-shard map on first access (zero-copy, read-only ``mmap`` views shared
-between every process that opens the same snapshot), each label table
-maps its shard on first probe.  Nothing is unpickled: the edge total
-and per-label counts are the manifest's table row counts, and the store
-is constructed over the mapped graph and vocabulary.  Every file is
-verified against the SHA-256 the manifest records the first time it is
-opened.
+The vocabulary arena and the graph CSR shard map on first access
+(zero-copy, read-only ``mmap`` views shared between every process that
+opens the same snapshot), each label table maps its shard on first
+probe.  Nothing is unpickled: the store is constructed over the mapped
+graph and vocabulary, and the statistics are a view over the store (the
+edge total and per-label counts are the manifest's table row counts,
+the participation counts probes of the tables).  Every file is verified
+against the SHA-256 the manifest records the first time it is opened.
 
 CLI workflow
 ------------
@@ -56,7 +57,7 @@ from repro.storage.store import VerticalPartitionStore
 class GraphStore:
     """The complete offline state of GQBE for one data graph.
 
-    Bundles the data graph, its precomputed statistics and the
+    Bundles the data graph, its statistics and the
     vertical-partition store (which owns the vocabulary and the probe
     indexes), and knows how to round-trip the bundle through a snapshot
     directory.  :class:`~repro.core.gqbe.GQBE` accepts a ``GraphStore``
@@ -83,9 +84,9 @@ class GraphStore:
         """Run the offline phase for ``graph`` in memory (the cold start).
 
         Computes the arrays :meth:`save` writes — vocabulary arena, graph
-        CSR, participation counts, label tables with their probe indexes
-        — and serves them as :meth:`load` serves a snapshot's, so a built
-        bundle is queried, ingested into and saved like a loaded one.
+        CSR, label tables with their probe indexes — and serves them as
+        :meth:`load` serves a snapshot's, so a built bundle is queried,
+        ingested into and saved like a loaded one.
 
         Raises
         ------
@@ -117,21 +118,10 @@ class GraphStore:
 
     @property
     def statistics(self) -> GraphStatistics:
-        """The precomputed graph statistics (mapped on first access).
-
-        The two ``(node, label)`` participation counts are mapped
-        binary-searchable columns (shared pages); the per-label counts
-        are the manifest's table row counts, in table order.
-        """
+        """The graph statistics: a view over :attr:`store`, which opens
+        no shard of its own (a table maps when a count first probes it)."""
         if self._statistics is None:
-            labels, columns = self._reader.load_statistics_counts()
-            self._statistics = GraphStatistics(
-                self.graph,
-                self._vocabulary_from_arena(),
-                labels,
-                self._reader.label_rows(),
-                *columns,
-            )
+            self._statistics = GraphStatistics(self.store)
         return self._statistics
 
     @property
@@ -203,8 +193,8 @@ class GraphStore:
 
         Materializes the three sections and routes them through
         :func:`repro.storage.ingest.apply_triples`, which adds to each in
-        place: the graph's delta, the touched labels' tables, the
-        statistics' counts.  Returns ``{"applied": n, "duplicates": m,
+        place: the graph's delta and the touched labels' tables, which
+        the statistics read.  Returns ``{"applied": n, "duplicates": m,
         "delta_edges": total}``.
         """
         from repro.storage.ingest import apply_triples
@@ -233,7 +223,7 @@ class GraphStore:
         then each label's id rows — base and ingested delta alike, in
         :meth:`VerticalPartitionStore.labels` order — through the build's
         finalize, which sorts them into the table shards (probe indexes
-        included), the graph CSR and the participation counts.  Ids do
+        included) and the graph CSR.  Ids do
         not move, so a compacted generation is the snapshot a build of the
         base dump followed by the applied delta writes, byte for byte.
         ``MANIFEST.json`` is written last, and one already in ``path`` is

@@ -32,7 +32,26 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from repro.graph.statistics import searchsorted_within
+
+def searchsorted_within(
+    keys: "np.ndarray", needles: "np.ndarray", side: str = "left"
+) -> "np.ndarray":
+    """``np.searchsorted(keys, needles, side)`` for non-negative integer
+    ``needles`` of any width, without widening ``keys``.
+
+    numpy searches in the two arrays' common type, so an int64 needle
+    column would copy a whole int32 key column on every call.  A needle
+    past the keys' dtype lies past every key: its slot is ``len(keys)``
+    on either side.
+    """
+    dtype = keys.dtype
+    if needles.dtype == dtype:
+        return np.searchsorted(keys, needles, side=side)
+    if needles.dtype.itemsize <= dtype.itemsize:
+        return np.searchsorted(keys, needles.astype(dtype), side=side)
+    limit = np.iinfo(dtype).max
+    slots = np.searchsorted(keys, np.minimum(needles, limit).astype(dtype), side=side)
+    return np.where(needles > limit, len(keys), slots)
 
 
 class _SortedGroupIndex:
@@ -72,17 +91,15 @@ class _SortedGroupIndex:
     def lookup(self, probe: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
         """Per-probe-key ``(counts, starts)`` into :attr:`order`.
 
-        Keys absent from the column get count 0 (their start is unused).
-        The index is only built for non-empty columns, so ``keys`` always
-        has at least one entry.  Both come back as int64 whatever width
-        the bounds are stored at: the join sums, repeats and offsets
-        them, and numpy would widen an int32 copy for each of those.
+        ``keys`` are distinct, so a probe key's rows run from ``bounds``
+        at its left search slot to ``bounds`` at its right one: an empty
+        span, count 0, for a key absent from the column (its start is
+        unused).  Both come back as int64 whatever width the bounds are
+        stored at: the join sums, repeats and offsets them, and numpy
+        would widen an int32 copy for each of those.
         """
-        position = np.searchsorted(self.keys, probe)
-        safe = np.minimum(position, len(self.keys) - 1)
-        found = self.keys[safe] == probe
-        starts = self.bounds[safe].astype(np.int64)
-        counts = np.where(found, self.bounds[safe + 1] - starts, 0)
+        starts = self.bounds[np.searchsorted(self.keys, probe)].astype(np.int64)
+        counts = self.bounds[np.searchsorted(self.keys, probe, side="right")] - starts
         return counts, starts
 
 

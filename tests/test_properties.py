@@ -161,11 +161,11 @@ def test_id_column_weights_equal_the_dict_statistics_bit_for_bit(triples, hub, c
 
     The graphs have a hub (several nodes point at ``n0`` under one label),
     self-loops and parallel edges under different labels (eight nodes, four
-    labels).  The first label seen sorts last, so the graph shard's label
-    ids and the statistics shard's differ.  The ingested part always brings
-    a new entity, a new label, and a second edge onto an existing
-    ``(subject, label)`` and an existing ``(object, label)`` key, so an
-    overlay count sits on top of a base count.
+    labels).  The first label seen sorts last, so first-seen and sorted
+    label order differ.  The ingested part always brings a new entity, a
+    new label, and a second edge onto an existing ``(subject, label)`` and
+    an existing ``(object, label)`` key, so a probe of an ingested table
+    counts base and new rows together.
     """
     triples = list(dict.fromkeys(
         [("n0", "z_first", "n1")] + [(node, "r1", "n0") for node in sorted(hub)] + triples

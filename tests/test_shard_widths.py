@@ -8,9 +8,10 @@
 * a snapshot whose shards are rewritten all-int64 (the layout written
   before shards were narrowed) answers, ingests and saves exactly as the
   narrow one;
-* every place that combines int32 ids into a larger number widens first:
-  the statistics' base and overlay keys, a table's in-memory membership
-  keys and the answer keys, fed ids next to ``MAX_ENTITY_ID``;
+* ids next to ``MAX_ENTITY_ID`` stay exact wherever they are narrowed or
+  combined: the statistics' probes of base and ingested tables (the ids
+  cast to int32, the columns int32 or int64), and a table's in-memory
+  membership keys and the answer keys, which widen first;
 * the shard writer refuses a chunk that its declared width cannot hold.
 """
 
@@ -18,7 +19,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,12 +32,14 @@ from repro.core.gqbe import GQBE
 from repro.datasets.example_graph import figure1_excerpt
 from repro.datasets.synthetic import FreebaseLikeGenerator
 from repro.exceptions import SnapshotError
-from repro.graph.knowledge_graph import KnowledgeGraph
-from repro.graph.statistics import _CountColumns
+from repro.graph.knowledge_graph import Edge, KnowledgeGraph
+from repro.graph.neighborhood import NeighborhoodColumns
+from repro.graph.statistics import GraphStatistics
 from repro.lattice.exploration import AnswerAccumulator
 from repro.storage import shards
 from repro.storage.shards import MANIFEST_NAME, ShardStreamWriter
 from repro.storage.snapshot import GraphStore
+from repro.storage.store import VerticalPartitionStore
 from repro.storage.table import ColumnarEdgeTable
 from repro.storage.vocabulary import MAX_ENTITY_ID
 
@@ -82,12 +87,7 @@ def _write_wide_shard(path, header, arrays) -> None:
 
 
 def _shard_entries(manifest: dict) -> list[dict]:
-    return [
-        manifest["vocabulary"],
-        manifest["graph"],
-        manifest["statistics_counts"],
-        *manifest["tables"],
-    ]
+    return [manifest["vocabulary"], manifest["graph"], *manifest["tables"]]
 
 
 def _widen_snapshot(source, target):
@@ -113,8 +113,7 @@ def _expected_dtypes(files: dict, limit: int) -> dict:
 
     ids = np.dtype("<i4")  # MAX_ENTITY_ID = 2**31 - 1
     graph_header = files["graph.csr"][0]
-    nodes, edges = graph_header["nodes"], graph_header["edges"]
-    labels = len(graph_header["labels"])
+    edges, labels = graph_header["edges"], len(graph_header["labels"])
     expected = {}
     for file, (header, arrays) in files.items():
         if file == "vocabulary.arena":
@@ -124,11 +123,6 @@ def _expected_dtypes(files: dict, limit: int) -> dict:
                 name: fits(edges) if name.endswith("indptr")
                 else fits(labels) if name.endswith("labels")
                 else ids
-                for name in arrays
-            }
-        elif file == "statistics.counts":
-            rule = {
-                name: fits(nodes * labels) if name.endswith("keys") else fits(edges)
                 for name in arrays
             }
         else:
@@ -248,36 +242,112 @@ class TestAllInt64Snapshot:
         ).read_bytes()
 
 
-def _count_columns(keys, counts, labels: int) -> _CountColumns:
-    """Count columns over ``labels`` labels (no vocabulary: ids only)."""
-    names = [f"r{i}" for i in range(labels)]
-    return _CountColumns(np.array(keys), np.array(counts), None, names, {})
+_TOP = MAX_ENTITY_ID
+#: At int32, ``_WIDE * 4 + 1`` wraps to 5 and ``_TOP << 32`` is 0.
+_WIDE = 2**30 + 1
+#: Label ``r1``'s rows, up to the top of the id range; ``r0`` has one low row.
+_ROWS = {"r0": [(0, 1)], "r1": [(1, 5), (_WIDE, 5), (_TOP, _WIDE), (_TOP, _TOP)]}
+_NODES = [0, 1, 5, _WIDE, _TOP - 1, _TOP]
+
+
+class _Tables:
+    """A store loader over prebuilt tables."""
+
+    def __init__(self, tables: dict) -> None:
+        self._tables = tables
+
+    def load_table(self, label: str) -> ColumnarEdgeTable:
+        return self._tables[label]
+
+
+def _wide_statistics(dtype) -> tuple[GraphStatistics, VerticalPartitionStore]:
+    """Statistics over :data:`_ROWS`, the id columns at ``dtype``; a term
+    is its id's decimal string."""
+    tables = {}
+    for label, rows in _ROWS.items():
+        columns = np.array(rows, dtype=dtype)
+        tables[label] = ColumnarEdgeTable.from_mapped(label, columns[:, 0], columns[:, 1])
+    graph = SimpleNamespace()
+    store = VerticalPartitionStore(
+        graph,
+        SimpleNamespace(id_of=int),
+        _Tables(tables),
+        {label: len(rows) for label, rows in _ROWS.items()},
+    )
+    graph.has_edge = lambda subject, label, obj: store.has_label(label) and store.table(
+        label
+    ).has_row(int(subject), int(obj))
+    return GraphStatistics(store), store
+
+
+def _assert_counts(statistics: GraphStatistics, rows: dict) -> None:
+    """Eq. 2 / Eq. 4 against counts over ``rows``: per edge for every id
+    pair, and for a neighborhood of every row plus one of a label no table
+    holds, its ids an int64 column."""
+    total = sum(len(label_rows) for label_rows in rows.values())
+    assert statistics.total_edges == total
+    for label, label_rows in rows.items():
+        for subject in _NODES:
+            for obj in _NODES:
+                degree = (
+                    sum(row[0] == subject for row in label_rows)
+                    + sum(row[1] == obj for row in label_rows)
+                    - ((subject, obj) in label_rows)
+                )
+                edge = Edge(str(subject), label, str(obj))
+                assert statistics.participation_degree(edge) == max(degree, 1), edge
+    labels = [*rows, "unseen"]
+    edges = [
+        (subject, label_id, obj)
+        for label_id, label in enumerate(labels)
+        for subject, obj in rows.get(label, [(1, _TOP)])
+    ]
+    position = {node: index for index, node in enumerate(_NODES)}
+    columns = NeighborhoodColumns(
+        term_of=str,
+        label_strings=labels,
+        node_ids=np.array(_NODES, dtype=np.int64),
+        node_distances=np.zeros(len(_NODES), dtype=np.int64),
+        near_count=len(_NODES),
+        subjects=np.array([position[edge[0]] for edge in edges]),
+        labels=np.array([edge[1] for edge in edges]),
+        objects=np.array([position[edge[2]] for edge in edges]),
+    )
+    expected = []
+    for subject, label_id, obj in edges:
+        label_rows = rows.get(labels[label_id], [])
+        degree = sum(row[0] == subject for row in label_rows) + sum(
+            row[1] == obj for row in label_rows
+        )
+        ief = math.log(total / max(len(label_rows), 1))
+        expected.append(ief / max(degree - 1, 1))
+    assert statistics.column_weights(columns).tolist() == expected
 
 
 class TestIdsWidenBeforeTheyCombine:
-    """int32 ids next to MAX_ENTITY_ID give exact int64 keys."""
+    """int32 ids next to MAX_ENTITY_ID give exact counts and int64 keys."""
 
     def test_statistics_base_keys(self):
-        # Four labels: at int32, node 2**30 + 1 gives (2**30 + 1) * 4 + 1,
-        # which wraps to 5 — node 1's key for label 1.
-        columns = _count_columns(np.array([5], dtype=np.int32), np.array([7], dtype=np.int32), 4)
-        nodes = np.array([1, 2**30 + 1, MAX_ENTITY_ID], dtype=np.int32)
-        labels = np.array([1, 1, 3], dtype=np.int64)
-        assert columns.counts_of(nodes, labels).tolist() == [7, 0, 0]
-        wide = (MAX_ENTITY_ID * 4 + 3, (2**30 + 1) * 4 + 1)
-        columns = _count_columns(sorted(wide), [2, 3], 4)
-        assert columns.counts_of(nodes, labels).tolist() == [0, 2, 3]
-        assert columns._count_at(MAX_ENTITY_ID, 3) == 3
+        """The statistics probe a snapshot's tables, int32 or (written
+        before shards were narrowed) int64, with ids cast to int32: ids at
+        ``2**30 + 1`` and ``MAX_ENTITY_ID`` count their own rows only."""
+        for dtype in (np.int32, np.int64):
+            statistics, _store = _wide_statistics(dtype)
+            _assert_counts(statistics, _ROWS)
 
     def test_statistics_overlay_keys(self):
-        columns = _count_columns(np.array([5], dtype=np.int32), np.array([7], dtype=np.int32), 2)
-        # At int32, ``node << 32`` is 0: every node would read node 0's count.
-        columns._overlay = {(0, 2): 3, (MAX_ENTITY_ID, 2): 9}
-        columns.fold_overlay()
-        assert columns._overlay_keys.tolist() == [2, (MAX_ENTITY_ID << 32) | 2]
-        nodes = np.array([MAX_ENTITY_ID, 0, MAX_ENTITY_ID - 1], dtype=np.int32)
-        labels = np.array([2, 2, 2], dtype=np.int64)
-        assert columns.counts_of(nodes, labels).tolist() == [9, 3, 0]
+        """After an ingest the statistics probe the table it rebuilt in
+        memory (no persisted object index) and one it created, with rows at
+        the top of the id range."""
+        for dtype in (np.int32, np.int64):
+            statistics, store = _wide_statistics(dtype)
+            store.ingest_rows("r1", [_TOP, 0], [1, _TOP])
+            store.ingest_rows("r_new", [_TOP], [_TOP])
+            statistics.finish_mutation()
+            _assert_counts(
+                statistics,
+                {**_ROWS, "r1": [*_ROWS["r1"], (_TOP, 1), (0, _TOP)], "r_new": [(_TOP, _TOP)]},
+            )
 
     def test_table_pair_keys(self):
         """The membership keys a table computes from its sorted int32

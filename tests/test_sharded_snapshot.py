@@ -154,7 +154,7 @@ class TestV3MappedSections:
         assert isinstance(system.graph, MappedKnowledgeGraph)
         assert isinstance(system.store.vocabulary, MappedVocabulary)
         report = bundle.lazy_report()
-        assert report["format"] == "v5"
+        assert report["format"] == "v6"
         assert "vocabulary" in report["sections_loaded"]
         assert "graph" in report["sections_loaded"]
         assert (snapshot_dir / "vocabulary.arena").exists()
@@ -241,11 +241,7 @@ class TestV3MappedSections:
             for item in sorted(path.rglob("*"))
             if item.is_file() and item.name != MANIFEST_NAME
         }
-        assert {item.name for item in old} >= {
-            "vocabulary.arena",
-            "graph.csr",
-            "statistics.counts",
-        }
+        assert {item.name for item in old} >= {"vocabulary.arena", "graph.csr"}
         try:
             before = {item: handle.read() for item, handle in old.items()}
             store.save(path)
@@ -385,6 +381,22 @@ class TestLazyLoading:
         # was opened twice.
         assert len(set(report["opened_labels"])) == report["tables_opened"]
 
+    def test_statistics_open_only_what_the_neighborhood_touches(
+        self, dataset, config, snapshot_dir
+    ):
+        """Weighing ``H_t`` probes the tables of its labels: a cold MQG
+        discovery maps the vocabulary, the graph and those tables, and no
+        other file."""
+        bundle = GraphStore.load(snapshot_dir)
+        system = GQBE(config=config, graph_store=bundle)
+        query_tuple = tuple(dataset.table(dataset.table_names()[0])[0])
+        system.discover_query_graph(query_tuple)
+        report = bundle.lazy_report()
+        assert sorted(report["sections_loaded"]) == ["graph", "vocabulary"]
+        columns = neighborhood_graph(system.graph, query_tuple, d=config.d).columns
+        labels = {columns.label_strings[label] for label in columns.labels.tolist()}
+        assert report["opened_labels"] and set(report["opened_labels"]) <= labels
+
     def test_cardinality_is_shard_free(self, snapshot_dir):
         bundle = GraphStore.load(snapshot_dir)
         store = bundle.store
@@ -482,18 +494,64 @@ class TestCorruptionPaths:
             lambda tables: tables[0].pop("rows"),
             lambda tables: tables[0].pop("label"),
             lambda tables: tables.append("not an entry"),
+            lambda tables: tables[0].pop("file"),
+            lambda tables: tables[0].update(file="/etc/passwd"),
+            lambda tables: tables[0].update(file="../other/tables/00000.shard"),
+            lambda tables: tables[0].update(sha256="abc123"),
+            lambda tables: tables[0].update(bytes="4096"),
         ],
-        ids=["rows-string", "rows-negative", "rows-missing", "label-missing", "not-a-dict"],
+        ids=[
+            "rows-string",
+            "rows-negative",
+            "rows-missing",
+            "label-missing",
+            "not-a-dict",
+            "file-missing",
+            "file-absolute",
+            "file-outside",
+            "sha256-short",
+            "bytes-string",
+        ],
     )
     def test_malformed_table_catalog(self, snapshot_dir, tmp_path, damage):
-        """The table rows are the statistics' label counts and |E|, so a
-        catalog that cannot say them is refused at open, not mid-query."""
+        """The table rows are the statistics' label counts and |E|, and
+        each entry names the shard a probe maps, so a catalog that cannot
+        say them is refused at open, not mid-query."""
         broken = copy_snapshot(snapshot_dir, tmp_path / "badtables")
         manifest = json.loads((broken / MANIFEST_NAME).read_text())
         damage(manifest["tables"])
         (broken / MANIFEST_NAME).write_text(json.dumps(manifest))
         for entry_point in (GraphStore.load, read_snapshot_meta):
             with pytest.raises(SnapshotError, match="malformed table catalog"):
+                entry_point(broken)
+
+    @pytest.mark.parametrize(
+        "name, damage",
+        [
+            ("vocabulary", lambda entry: entry.clear()),
+            ("graph", lambda entry: entry.update(file="../other/graph.csr")),
+            ("vocabulary", lambda entry: entry.update(file="/srv/vocabulary.arena")),
+            ("graph", lambda entry: entry.update(sha256=entry["sha256"].upper())),
+            ("vocabulary", lambda entry: entry.update(bytes=None)),
+        ],
+        ids=[
+            "vocabulary-empty",
+            "graph-outside",
+            "vocabulary-absolute",
+            "graph-sha256-upper",
+            "vocabulary-bytes-null",
+        ],
+    )
+    def test_malformed_section_entry(self, snapshot_dir, tmp_path, name, damage):
+        """The vocabulary and graph entries are checked at open as the
+        table entries are: a file inside the directory, its digest, its
+        size."""
+        broken = copy_snapshot(snapshot_dir, tmp_path / "badsection")
+        manifest = json.loads((broken / MANIFEST_NAME).read_text())
+        damage(manifest[name])
+        (broken / MANIFEST_NAME).write_text(json.dumps(manifest))
+        for entry_point in (GraphStore.load, read_snapshot_meta):
+            with pytest.raises(SnapshotError, match=f"malformed '{name}' shard entry"):
                 entry_point(broken)
 
     def test_manifest_not_json(self, snapshot_dir, tmp_path):
@@ -652,14 +710,14 @@ class TestPartialGenerations:
 
         root, gen1 = self._family(snapshot_dir, tmp_path)
         copy_snapshot(snapshot_dir, gen1)
-        counts = gen1 / "statistics.counts"
-        counts.write_bytes(counts.read_bytes()[:10])
+        csr = gen1 / "graph.csr"
+        csr.write_bytes(csr.read_bytes()[:10])
         # The manifest is intact, so resolution (manifest-only) accepts
-        # the generation — but materializing the torn statistics still
-        # fails closed with SnapshotError, never silent garbage.
+        # the generation — but materializing the torn graph still fails
+        # closed with SnapshotError, never silent garbage.
         assert resolve_latest_generation(root) == gen1
-        with pytest.raises(SnapshotError, match="statistics.counts"):
-            _ = GraphStore.load(gen1).statistics
+        with pytest.raises(SnapshotError, match="graph.csr"):
+            _ = GraphStore.load(gen1).graph
 
     def test_generation_with_corrupt_manifest_is_skipped(
         self, snapshot_dir, tmp_path
@@ -675,21 +733,16 @@ class TestPartialGenerations:
 
 
 def _bundle_arrays(bundle: GraphStore) -> dict:
-    """Every array a bundle's graph, statistics, vocabulary and label tables
-    hold, by name, as plain ndarrays."""
+    """Every array a bundle's graph, vocabulary and label tables hold, by
+    name, as plain ndarrays."""
     vocabulary = bundle.store.vocabulary
     graph = bundle.graph
-    statistics = bundle.statistics
     arrays = {
         "vocabulary." + name: np.asarray(getattr(vocabulary, "_" + name))
         for name in ("offsets", "sorted_ids", "blob")
     }
     for name in ("out_indptr", "out_objects", "out_label_ids", "in_indptr", "in_subjects", "in_label_ids"):
         arrays["graph." + name] = getattr(graph, name)
-    for side in ("out", "in"):
-        columns = getattr(statistics, f"_{side}_label_counts")
-        arrays[f"statistics.{side}_keys"] = columns._keys
-        arrays[f"statistics.{side}_counts"] = columns._counts
     for label in bundle.store.labels():
         table = bundle.store.table(label)
         arrays[f"{label}.subjects"] = table.subject_ids()
@@ -770,7 +823,7 @@ class TestBuildEqualsLoad:
         system = GQBE(figure1_graph)
         assert isinstance(system.graph, MappedKnowledgeGraph)
         assert isinstance(system.store.vocabulary, MappedVocabulary)
-        assert system.graph_store.lazy_report()["format"] == "v5"
+        assert system.graph_store.lazy_report()["format"] == "v6"
         graph = system.graph
         system.ingest([("Jerry Yang", "founded", "Yahoo! Labs")])
         # The ingested edge lands in the same graph, beside the built arrays.

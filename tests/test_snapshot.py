@@ -97,7 +97,6 @@ def _touch_everything(path):
 _SNAPSHOT_FILES = [
     "vocabulary.arena",
     "graph.csr",
-    "statistics.counts",
     "tables/00000.shard",
 ]
 
@@ -121,7 +120,9 @@ class TestEnvelopeFailureModes:
             # unpickles a file.
             manifest["format_version"] = 4
         else:
-            del manifest["statistics_counts"]
+            # Version 5 carried the participation counts in a file of their
+            # own, which the label tables now answer.
+            manifest["format_version"] = 5
         (target / MANIFEST_NAME).write_text(json.dumps(manifest))
         return target
 
@@ -132,7 +133,7 @@ class TestEnvelopeFailureModes:
             "v2-manifest",
             "v3-manifest",
             "v4-manifest",
-            "v3-without-statistics-counts",
+            "v5-manifest",
         ],
     )
     def test_retired_input_is_refused(self, kind, snapshot_path, tmp_path):
@@ -201,7 +202,7 @@ class TestEnvelopeFailureModes:
 
 
 #: Everything a snapshot directory holds: the manifest and the shards.
-_SNAPSHOT_LAYOUT = {MANIFEST_NAME, "vocabulary.arena", "graph.csr", "statistics.counts", "tables"}
+_SNAPSHOT_LAYOUT = {MANIFEST_NAME, "vocabulary.arena", "graph.csr", "tables"}
 
 
 class TestNoPickle:

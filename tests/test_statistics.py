@@ -11,6 +11,7 @@ from oracles import eq2_weight
 from repro.exceptions import GraphError
 from repro.graph.knowledge_graph import Edge, KnowledgeGraph
 from repro.graph.statistics import GraphStatistics
+from repro.storage.shards import MANIFEST_NAME
 from repro.storage.snapshot import GraphStore
 
 
@@ -125,12 +126,11 @@ class TestBaseWeight:
 
 
 class TestMappedStatistics:
-    """The v3 snapshot's statistics: counts in mapped id columns."""
+    """A snapshot's statistics: counts probed from the mapped label tables."""
 
-    #: ``z`` is seen first and sorts last, so the graph shard's label ids
-    #: (first-seen order) and the statistics shard's (sorted) differ.  ``b``
-    #: is the node after ``a`` and has three out-edges under the label that
-    #: sorts first: the key ``(a, one past the last label)`` would alias.
+    #: ``z`` is seen first and sorts last, so first-seen and sorted label
+    #: order differ.  ``b`` is the node after ``a`` and has three out-edges
+    #: (one a self-loop) under the label that sorts first.
     TRIPLES = [
         ("a", "z", "b"), ("b", "e", "c"), ("b", "e", "a"), ("b", "e", "b"), ("c", "q", "a"),
     ]
@@ -153,28 +153,31 @@ class TestMappedStatistics:
         loaded.ingest(delta)
         spec = KnowledgeGraph(self.TRIPLES + delta)
         statistics = loaded.statistics
-        for node in spec.nodes:
+        # Every (subject, label, object) over the merged graph's terms, edge
+        # or not: both terms of Eq. 4 counted on the spec's edges.
+        for subject in spec.nodes:
             for label in spec.labels:
-                assert statistics._out_label_counts.get((node, label)) == sum(
-                    edge.subject == node for edge in spec.edges_with_label(label)
-                )
-                assert statistics._in_label_counts.get((node, label)) == sum(
-                    edge.object == node for edge in spec.edges_with_label(label)
-                )
+                edges = list(spec.edges_with_label(label))
+                same_subject = sum(edge.subject == subject for edge in edges)
+                for obj in spec.nodes:
+                    same_object = sum(edge.object == obj for edge in edges)
+                    overlap = int(spec.has_edge(subject, label, obj))
+                    assert statistics.participation_degree(Edge(subject, label, obj)) == max(
+                        same_subject + same_object - overlap, 1
+                    )
         for edge in spec.edges:
             assert statistics.base_edge_weight(edge) == eq2_weight(spec, edge)
-        # A resave folds the overlay into the counts shard a build of the
-        # merged stream writes, byte for byte.
+        # A resave writes the tables a build of the merged stream writes,
+        # byte for byte (the manifest hashes every shard).
         loaded.save(tmp_path / "resaved")
         GraphStore.build(spec).save(tmp_path / "merged")
-        assert (tmp_path / "resaved" / "statistics.counts").read_bytes() == (
-            tmp_path / "merged" / "statistics.counts"
+        assert (tmp_path / "resaved" / MANIFEST_NAME).read_bytes() == (
+            tmp_path / "merged" / MANIFEST_NAME
         ).read_bytes()
 
     def test_a_label_the_statistics_never_saw_counts_nothing(self, loaded):
-        # An edge put into the graph's delta behind the statistics' back: its
-        # label has no id in the counts columns, and must not pick up the
-        # count of whichever key its composite would land on.
+        # An edge put into the graph's delta behind the store's back: its
+        # label has no table, so both terms of Eq. 4 count nothing.
         from repro.graph.neighborhood import neighborhood_graph
 
         graph = loaded.graph

@@ -317,7 +317,7 @@ class TestFailureModes:
         raw = (tmp_path / "out" / "MANIFEST.json").read_text(encoding="utf-8")
         manifest = json.loads(raw)
         assert raw == json.dumps(manifest, indent=1, sort_keys=True)
-        assert manifest["format_version"] == 5
+        assert manifest["format_version"] == 6
 
 
 class TestCLI:
