@@ -68,7 +68,7 @@ def test_bench_v3_warm_start(v3_snapshot, benchmark):
         return system.graph_store.lazy_report()
 
     report = benchmark(warm_start)
-    assert report["format"] == "v6"
+    assert report["format"] == "v7"
     assert report["tables_opened"] == 0
     assert report["sections_loaded"] == []
 

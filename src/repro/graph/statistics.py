@@ -50,7 +50,7 @@ class GraphStatistics:
     manifest's, until the table is opened) and |E| their sum; the two
     terms of Eq. 4 are a subject probe and an object probe of ``e``'s
     label table, whose rows are the label's distinct edges sorted by
-    (subject, object) with a persisted object index.  Live ingest
+    (subject, object) with a persisted object order.  Live ingest
     replaces the tables it touches, so the counts follow; only the
     cached |E| is refreshed (:meth:`finish_mutation`).
 

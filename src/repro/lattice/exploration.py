@@ -51,9 +51,16 @@ Performance notes (the hot path of the Fig. 14/16 experiments):
   which is what a node of a handful of rows pays for; Python touches
   only the node's distinct self-match signatures, each summed from
   per-edge credit tables built once per accumulator;
-* a node's trivial self-match, and the rows of an excluded query tuple,
-  are dropped inside that fold by their signature bits instead of being
-  filtered out of every column first;
+* answers ride the join: each row's self-match signature is carried by
+  the join (one gather and one compare per extension, not a compare of
+  every cell per node), and a relation evaluated from scratch is sorted
+  once by its answer key (:meth:`AnswerAccumulator.sort_rows`), which
+  every relation extended from it inherits, so the fold groups rows
+  without a sort.  On perfbench's ``single_r15`` this took ``record``
+  from 0.80-0.84 to 0.56-0.60 s of a warm pass (2-core Xeon @ 2.1 GHz);
+* the rows of an excluded query tuple are one run of sorted keys, cut
+  out with two searches; otherwise only the trivial self-match goes, by
+  its signature;
 * ``Q_best`` selection uses a lazy-deletion max-heap instead of scanning
   every LF node per iteration;
 * the stage-one k'-threshold is read off the score table with one
@@ -168,6 +175,10 @@ def _run_starts(ordered: "np.ndarray") -> "np.ndarray":
 _STRUCTURE, _FULL, _CONTENT, _RECORDED = range(4)
 _UNSEEN = np.array([[-np.inf], [-np.inf], [0.0], [-1.0]])
 
+#: Signatures below this are read through a per-node score table of
+#: that many entries at most; wider ones through their sorted distinct set.
+_SIGNATURE_TABLE_LIMIT = 1 << 16
+
 #: Column ``i`` bound to its own query node sets bit ``i`` of a row's
 #: signature.  A connected query graph of at most 62 edges (the cap on
 #: ``GQBEConfig.mqg_size``) has at most 63 nodes, one weight each.
@@ -183,9 +194,9 @@ class AnswerAccumulator:
     answer, the best full score (Eq. 5), and the content score and query
     graph behind that best full score (the graph as an ordinal into the
     list of recorded masks, which are unbounded ints; ordinals are exact
-    in a float64).  The key, an int64 widened from the relations' int32
-    ids, is the interned entity id for single-entity query tuples and a
-    mixed-radix number over ``len(vocabulary)`` otherwise; where the radix
+    in a float64).  The key is the interned entity id itself, at the
+    relations' int32 width, for single-entity query tuples, and otherwise
+    an int64 mixed-radix number over ``len(vocabulary)``; where the radix
     would not fit an int64, the same code runs on an object-dtype array
     of id tuples.  Keys are decoded to entity strings only in
     :meth:`ranked`, and only for the answers it returns.
@@ -218,8 +229,14 @@ class AnswerAccumulator:
                 if len(ids) == arity and None not in ids
             }
         )
+        query_ids = tuple(map(id_of, space.query_tuple))
         #: Whether the query tuple itself is excluded (it usually is).
-        self._query_excluded = tuple(map(id_of, space.query_tuple)) in excluded
+        self._query_excluded = query_ids in excluded
+        #: The query tuple's answer key as a one-entry array, ``None`` when
+        #: a query entity is not in the data graph: no row can bind it.
+        self._query_key = (
+            None if None in query_ids else self._answer_keys(_columns_from_rows([query_ids], arity))
+        )
         # Sorted id tuples give sorted keys: the radix key is monotone in them.
         self._keys = self._answer_keys(_columns_from_rows(excluded, arity))
         self._num_excluded = len(self._keys)
@@ -291,12 +308,37 @@ class AnswerAccumulator:
                 dtype=object,
                 count=len(columns[0]),
             )
-        # Relation columns are int32; the key is built in int64 whatever
-        # the arity, so ``keys * radix`` cannot wrap.
+        if len(columns) == 1:
+            return columns[0]
+        # Relation columns are int32; a key of several is built in int64,
+        # so ``keys * radix`` cannot wrap.
         keys = columns[0].astype(np.int64)
         for column in columns[1:]:
             keys = keys * radix + column
         return keys
+
+    def sort_rows(self, relation: ColumnarRelation) -> ColumnarRelation:
+        """``relation`` with its rows in answer-key order.
+
+        The join keeps probe-row order when it expands and row order when
+        it filters, and a child's query-entity columns are its parent's:
+        every relation extended from a sorted one is sorted too, and
+        :meth:`record` folds it without a sort.  Nothing reads the order
+        of rows within one answer.
+        """
+        if relation.num_rows < 2 or not all(map(relation.has_variable, self.space.query_tuple)):
+            return relation
+        matrix = relation.columns
+        order = self._answer_keys(
+            [matrix[relation.column(entity)] for entity in self.space.query_tuple]
+        ).argsort()
+        signature = relation.signature
+        return ColumnarRelation(
+            relation.variables,
+            matrix[:, order],
+            index=relation._index,
+            signature=None if signature is None else signature[order],
+        )
 
     def record(self, mask: int, relation: ColumnarRelation) -> tuple[int, int]:
         """Fold the match relation of query graph ``mask`` into the table.
@@ -306,9 +348,11 @@ class AnswerAccumulator:
         structure score is the query graph's; the content score depends
         only on the row's *signature* — which columns are bound to their
         own query node — so it is computed once per distinct signature
-        (:meth:`_content_scores`).  Rows are reduced to one best content
-        score per distinct answer with one sort, and the distinct answers
-        are merged into the table with one binary search.
+        (:meth:`_content_scores`).  The signature is the one the join
+        carried, or one compare of the matrix where it carried none.
+        Rows sorted by answer key (:meth:`sort_rows`) are grouped as they
+        come; any other order is sorted first.  The distinct answers are
+        merged into the table with one binary search.
 
         ``content_score`` does not depend on row order: ``structure +
         content`` grows with ``content``, so the best content also gives
@@ -342,38 +386,56 @@ class AnswerAccumulator:
         matrix = relation.columns
         if not matrix.shape[1]:
             return 0, 0
-        # The matrix's own dtype: comparing against an int64 row would
-        # upcast the whole int32 ``(width, rows)`` matrix first.
-        identity = np.array(self.identity_row(variables), dtype=matrix.dtype)
         keys = self._answer_keys([matrix[i] for i in entity_columns])
-        signature = _BIT_WEIGHTS[: len(variables)] @ (matrix == identity[:, None])
-        # A row that binds every query entity to itself projects to the
-        # query tuple.  Most self-matching rows do, and the query tuple is
-        # usually excluded: they go before anything is scored.  Otherwise
-        # only the trivial row goes, the one with every bit set.
-        dead = (1 << len(variables)) - 1
-        if self._query_excluded:
-            dead = sum({1 << column for column in entity_columns})
-        keep = (signature & dead) != dead
-        keys, signature = keys[keep], signature[keep]
+        signature = relation.signature
+        if signature is None:
+            # The matrix's own dtype: comparing against an int64 row would
+            # upcast the whole int32 ``(width, rows)`` matrix first.
+            identity = np.array(self.identity_row(variables), dtype=matrix.dtype)
+            signature = _BIT_WEIGHTS[: len(variables)] @ (matrix == identity[:, None])
+        if len(keys) > 1 and (keys[1:] < keys[:-1]).any():
+            order = keys.argsort()
+            keys, signature = keys[order], signature[order]
+        # The rows that project to the query tuple are one run of keys.
+        # If the query tuple is excluded they all go before anything is
+        # scored; otherwise only the trivial row goes, the one with every
+        # bit set.
+        query_key = self._query_key
+        if query_key is not None:
+            low = int(keys.searchsorted(query_key)[0])
+            high = int(keys.searchsorted(query_key, side="right")[0])
+            if not self._query_excluded:
+                # Rows are distinct, so at most one is trivial: the run to
+                # cut is that row, or nothing.
+                trivial = (signature[low:high] == (1 << len(variables)) - 1).nonzero()[0]
+                low = high = low + int(trivial[0]) if len(trivial) else 0
+                high += len(trivial)
+            if low < high:
+                keys = np.concatenate((keys[:low], keys[high:]))
+                signature = np.concatenate((signature[:low], signature[high:]))
         if not len(keys):
             return 0, 0
 
-        content = np.zeros(len(keys))
-        matched = signature.nonzero()[0]
-        if len(matched):
-            bits = signature[matched]
-            distinct = sorted(set(bits.tolist()))
-            content[matched] = self._content_scores(mask, relation._index, distinct)[
-                np.array(distinct).searchsorted(bits)
+        # One content score per distinct signature, read back per row
+        # through a table indexed by the signature while that stays small.
+        top = int(signature.max())
+        if not top:
+            content = np.zeros(len(keys))
+        elif top < _SIGNATURE_TABLE_LIMIT:
+            distinct = np.bincount(signature).nonzero()[0]
+            scores = np.zeros(top + 1)
+            scores[distinct] = self._content_scores(mask, relation._index, distinct.tolist())
+            content = scores.take(signature)
+        else:
+            distinct = sorted(set(signature.tolist()))
+            content = self._content_scores(mask, relation._index, distinct)[
+                np.searchsorted(distinct, signature)
             ]
 
-        # Group the rows by answer; the maximum does not need a stable sort.
-        order = keys.argsort()
-        keys = keys[order]
+        # Group the rows by answer.
         starts = _run_starts(keys)
         answers = keys[starts]
-        content = np.maximum.reduceat(content[order], starts)
+        content = np.maximum.reduceat(content, starts)
 
         structure = space.weight_of_mask(mask)
         full = structure + content
@@ -381,14 +443,22 @@ class AnswerAccumulator:
         self._masks.append(mask)
         slots = self._keys.searchsorted(answers)
         if len(self._keys):
-            unseen = (self._keys.take(slots, mode="clip") != answers).nonzero()[0]
+            unseen = self._keys.take(slots, mode="clip") != answers
         else:
-            unseen = np.arange(len(answers))
-        if len(unseen):
-            # New answers enter below every score and rise with the rest.
-            self._keys = np.insert(self._keys, slots[unseen], answers[unseen])
-            self._table = np.insert(self._table, slots[unseen], _UNSEEN, axis=1)
-            slots = self._keys.searchsorted(answers)
+            unseen = np.ones(len(answers), dtype=bool)
+        if unseen.any():
+            # New answers enter below every score and rise with the rest:
+            # one merge of two sorted runs.  By Property 1 an extension
+            # node's answers are its child's, so mostly a node evaluated
+            # from scratch gets here.
+            slots += np.cumsum(unseen) - unseen
+            fresh = np.zeros(len(self._keys) + int(unseen.sum()), dtype=bool)
+            fresh[slots[unseen]] = True
+            keys = np.empty(len(fresh), dtype=self._keys.dtype)
+            keys[fresh], keys[~fresh] = answers[unseen], self._keys
+            table = np.empty((4, len(fresh)))
+            table[:, fresh], table[:, ~fresh] = _UNSEEN, self._table
+            self._keys, self._table = keys, table
         table = self._table
         rose = (structure > table[_STRUCTURE][slots]).nonzero()[0]
         if len(rose):
@@ -439,6 +509,7 @@ class AnswerAccumulator:
         if radix is None:
             return np.array(keys.tolist(), dtype=np.int64).reshape(len(keys), self._arity).T
         ids = np.empty((self._arity, len(keys)), dtype=np.int64)
+        keys = keys.astype(np.int64, copy=False)
         for column in range(self._arity - 1, -1, -1):
             keys, ids[column] = np.divmod(keys, radix)
         return ids
@@ -488,8 +559,9 @@ class LatticeNodeEvaluator:
     """Null-node pruning, node materialization and relation retention
     shared by the explorers.
 
-    Subclasses call ``__init__`` and provide ``space``, ``store`` and
-    ``max_rows``.
+    Subclasses call ``__init__`` and provide ``space``, ``store``,
+    ``max_rows`` and ``_answers``, the :class:`AnswerAccumulator` whose
+    node ids the joins carry signatures with.
 
     A kept node's relation is read only as the probe relation of its
     parents (Sec. V-B), so it is held just while one of them can still be
@@ -608,6 +680,7 @@ class LatticeNodeEvaluator:
                 rows = child_relation.num_rows
                 if best_child is None or rows < best_child[0]:
                     best_child = (rows, low)
+        node_ids = self._answers._node_ids
         try:
             if best_child is not None:
                 low = best_child[1]
@@ -616,12 +689,16 @@ class LatticeNodeEvaluator:
                     evaluated[mask ^ low],
                     edge_list[low.bit_length() - 1],
                     max_rows=self.max_rows,
+                    node_ids=node_ids,
                 )
-            return evaluate_query_edges(
-                self.store, self.space.edges_of(mask), max_rows=self.max_rows
+            relation = evaluate_query_edges(
+                self.store, self.space.edges_of(mask), max_rows=self.max_rows, node_ids=node_ids
             )
         except LatticeError:
             return None
+        # Sorted once here, the relation and every one extended from it
+        # reach ``record`` in answer-key order.
+        return self._answers.sort_rows(relation)
 
 
 class BestFirstExplorer(LatticeNodeEvaluator):

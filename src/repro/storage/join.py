@@ -18,8 +18,16 @@ row per variable.  Entity ids are dense vocabulary indexes capped at
 node's retained matches cost half what int64 ids would.  The label
 tables hold int32 ids too, so the values a probe matches go into the
 relation as they are.  Every join, of a one-row relation too, runs as
-whole-array operations over the label table's sorted group index
-(:func:`extend_with_edge`); no per-row Python index of a table is built.
+whole-array operations over the label table's probe index of the bound
+side (:func:`extend_with_edge`); no per-row Python index of a table is
+built.
+
+A join that is handed the query nodes' own ids carries each row's
+self-match signature along (:class:`ColumnarRelation`), and keeps row
+order: an expansion emits each probe row's matches in probe-row order,
+and a filter keeps the rows it keeps in order.  So a relation sorted by
+its query-entity columns stays sorted through every extension, which is
+how the lattice's answer fold reads it without a compare or a sort.
 
 Two entry points:
 
@@ -36,7 +44,7 @@ Definition 3 join in ``tests/test_properties.py`` pins both.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain
 
 import numpy as np
@@ -60,17 +68,26 @@ class ColumnarRelation:
     engine reads only the matrix; :meth:`to_rows` decodes python-int
     tuples on each call, for tests and diagnostics.  Callers must treat
     the matrix as immutable.
+
+    A relation the join built with the query nodes' own ids
+    (``node_ids``) also carries each row's *self-match signature*: bit
+    ``i`` is set where ``columns[i]`` holds ``variables[i]``'s own id.
+    It is int32 up to width 31 and int64 past that
+    (:func:`_signature_dtype`), and ``None`` on a relation built any other
+    way.
     """
 
-    __slots__ = ("variables", "columns", "_index")
+    __slots__ = ("variables", "columns", "_index", "signature")
 
     def __init__(
         self,
         variables: tuple[str, ...],
         columns: "np.ndarray | Sequence[np.ndarray]",
         index: dict[str, int] | None = None,
+        signature: "np.ndarray | None" = None,
     ) -> None:
         self.variables = variables
+        self.signature = signature
         if not isinstance(columns, np.ndarray):
             # A list of column arrays (tests, callers outside the engine).
             columns = np.array(columns, dtype=np.int32).reshape(
@@ -139,6 +156,17 @@ def _raise_max_rows(max_rows: int) -> None:
     raise LatticeError(f"intermediate relation exceeded max_rows={max_rows}")
 
 
+def _signature_dtype(width: int) -> type:
+    """The dtype of a width-``width`` relation's self-match signature."""
+    return np.int32 if width <= 31 else np.int64
+
+
+def _self_bit(values: "np.ndarray", own: int, column: int, width: int) -> "np.ndarray":
+    """Bit ``column`` of a width-``width`` signature, set where ``values``
+    holds ``own``."""
+    return (values == own).astype(_signature_dtype(width)) << column
+
+
 def _columns_from_rows(rows: list[tuple[int, ...]], width: int) -> "np.ndarray":
     """Materialized tuple rows as one ``(width, len(rows))`` int32 matrix."""
     flat = np.fromiter(chain.from_iterable(rows), np.int32, len(rows) * width)
@@ -151,6 +179,7 @@ def extend_with_edge(
     edge: Edge,
     injective: bool = True,
     max_rows: int | None = None,
+    node_ids: Mapping[str, int] | None = None,
 ) -> ColumnarRelation:
     """Join one more query-graph ``edge`` onto an existing ``relation``.
 
@@ -175,6 +204,13 @@ def extend_with_edge(
         abort gracefully rather than exhaust memory.  The cap is enforced
         on every appended row, including the self-loop
         (``subject_var == object_var``) path of the first edge.
+    node_ids:
+        Each query node's own entity id (-1 for none).  With it, the
+        output carries its rows' self-match signature: the first edge
+        compares its columns, a filter keeps the signature of the rows it
+        keeps, and a probe gathers its probe rows' and sets one bit for
+        the new column.  A probe relation without a signature gives an
+        output without one.
 
     Three branches: first edge, pure filter (both endpoints bound) and
     one-sided probe.  The ``max_rows`` cap raises
@@ -198,12 +234,19 @@ def extend_with_edge(
         subjects, objects = table.subject_ids(), table.object_ids()
         if subject_var == object_var:
             loops = subjects[subjects == objects].astype(np.int32, copy=False)
-            out = ColumnarRelation((subject_var,), loops[None, :])
+            signature = None
+            if node_ids is not None:
+                signature = _self_bit(loops, node_ids[subject_var], 0, 1)
+            out = ColumnarRelation((subject_var,), loops[None, :], signature=signature)
         else:
             pairs = np.array([subjects, objects], dtype=np.int32)
             if injective:
                 pairs = pairs[:, subjects != objects]
-            out = ColumnarRelation((subject_var, object_var), pairs)
+            signature = None
+            if node_ids is not None:
+                signature = _self_bit(pairs[0], node_ids[subject_var], 0, 2)
+                signature |= _self_bit(pairs[1], node_ids[object_var], 1, 2)
+            out = ColumnarRelation((subject_var, object_var), pairs, signature=signature)
         if max_rows is not None and out.num_rows > max_rows:
             _raise_max_rows(max_rows)
         return out
@@ -221,8 +264,12 @@ def extend_with_edge(
             relation.columns[relation.column(subject_var)],
             relation.columns[relation.column(object_var)],
         )
+        signature = relation.signature
         out = ColumnarRelation(
-            relation.variables, relation.columns[:, keep], index=relation._index
+            relation.variables,
+            relation.columns[:, keep],
+            index=relation._index,
+            signature=None if signature is None else signature[keep],
         )
         if max_rows is not None and out.num_rows > max_rows:
             _raise_max_rows(max_rows)
@@ -296,7 +343,14 @@ def extend_with_edge(
     # mode="clip" only skips numpy's bounce buffer; the indices are valid.
     np.take(relation.columns, probe_idx, axis=1, out=out[:-1], mode="clip")
     out[-1] = new_values
-    return ColumnarRelation(new_variables, out)
+    signature = relation.signature
+    if signature is not None and node_ids is not None:
+        width = len(new_variables)
+        signature = signature.take(probe_idx).astype(_signature_dtype(width), copy=False)
+        signature |= _self_bit(new_values, node_ids[new_variable], width - 1, width)
+    else:
+        signature = None
+    return ColumnarRelation(new_variables, out, signature=signature)
 
 
 def _pad_empty_schema(
@@ -322,12 +376,15 @@ def evaluate_query_edges(
     edges: Sequence[Edge],
     injective: bool = True,
     max_rows: int | None = None,
+    node_ids: Mapping[str, int] | None = None,
 ) -> ColumnarRelation:
     """Evaluate a weakly connected query graph given as a list of edges.
 
     Returns the relation whose columns are the query graph's nodes and whose
     rows are all matches (answer-graph node mappings).  The relation is
-    empty if the query graph has no answers.
+    empty if the query graph has no answers.  With ``node_ids`` a
+    non-empty result carries its self-match signature
+    (:func:`extend_with_edge`).
     """
     if not edges:
         return _empty_relation()
@@ -338,7 +395,7 @@ def evaluate_query_edges(
     relation = _empty_relation()
     for edge in plan:
         relation = extend_with_edge(
-            store, relation, edge, injective=injective, max_rows=max_rows
+            store, relation, edge, injective=injective, max_rows=max_rows, node_ids=node_ids
         )
         if relation.is_empty():
             return _pad_empty_schema(relation, plan)

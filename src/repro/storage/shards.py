@@ -14,15 +14,15 @@ verifiable files:
 ``tables/NNNNN.shard``
     One binary shard per label's
     :class:`~repro.storage.table.ColumnarEdgeTable`: the two int32 id
-    columns, sorted by (subject, object), **plus the persisted object
-    probe index** (a CSR-style sorted group index; the sorted subject
-    column is its own), written as raw little-endian arrays at
-    64-byte-aligned offsets.  A shard is opened
-    with one ``mmap`` and the arrays become zero-copy read-only
-    ``np.frombuffer`` views — no deserialization, no sorting, no copy —
-    so N worker processes mapping the same snapshot share one set of
-    physical pages, and a label table that no query probes is never
-    faulted in at all.  The table is also the statistics' participation
+    columns, sorted by (subject, object), plus ``object_order``, the
+    stable permutation that sorts the objects, written as raw
+    little-endian arrays at 64-byte-aligned offsets.  Each side's probe
+    index is rebuilt from its sorted keys on the side's first probe.
+    A shard is opened with one ``mmap`` and the arrays become zero-copy
+    read-only ``np.frombuffer`` views — no deserialization, no sorting,
+    no copy — so N worker processes mapping the same snapshot share one
+    set of physical pages, and a label table that no query probes is
+    never faulted in at all.  The table is also the statistics' participation
     counts of Eq. 4: a subject probe and an object probe of a label's
     table count the edges that leave a subject and enter an object.
 ``vocabulary.arena``
@@ -66,8 +66,8 @@ a catalog naming any other is refused.  Every integer array is int32
 when a bound its writer knows before writing it fits int32, else int64
 (:func:`int_dtype`): ids are at most
 :data:`~repro.storage.vocabulary.MAX_ENTITY_ID`, so id columns are
-always int32; positions (CSR index pointers, arena offsets, probe-index
-orders and bounds) are bounded by the array's row, edge or byte count.
+always int32; positions (CSR index pointers, arena offsets, the object
+order) are bounded by the array's row, edge or byte count.
 Readers take each array at the dtype its catalog names, so a snapshot
 written all-int64 opens and answers the same.
 
@@ -100,7 +100,7 @@ import numpy as np
 from repro.exceptions import GraphError, SnapshotError
 from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.graph.mapped import MappedKnowledgeGraph
-from repro.storage.table import ColumnarEdgeTable, _SortedGroupIndex
+from repro.storage.table import ColumnarEdgeTable
 from repro.storage.vocabulary import MAX_ENTITY_ID, MappedVocabulary, arena_arrays
 
 SHARD_MAGIC = b"GQBESHRD"
@@ -111,8 +111,9 @@ MANIFEST_MAGIC = "GQBESNAP2"
 #: 3 tables may be unsorted, which a sorted-column search answers wrongly;
 #: version 4 directories carry pickled sections, which this build never
 #: unpickles; version 5 directories carry a participation-counts shard
-#: that this build neither writes nor reads.
-FORMAT_VERSION = 6
+#: that this build neither writes nor reads; version 6 table shards carry
+#: object keys and bounds, which this build derives from the columns.
+FORMAT_VERSION = 7
 _ALIGNMENT = 64
 _SHARD_HEADER = struct.Struct("<8sII")
 
@@ -341,18 +342,15 @@ def _write_shard_file(
 
 def _table_shard(table: ColumnarEdgeTable) -> tuple[dict, dict[str, "np.ndarray"]]:
     """The header and arrays a shard persists for ``table``: its sorted
-    columns and its object index, prebuilt."""
+    columns and the permutation sorting its objects."""
     arrays: dict[str, np.ndarray] = {
         "subjects": table.subject_ids(),
         "objects": table.object_ids(),
     }
     dtypes = {"subjects": ID_DTYPE, "objects": ID_DTYPE}
     if len(table):
-        rows = int_dtype(len(table))
-        index = table._object_group_index()
-        for name, dtype in (("order", rows), ("keys", ID_DTYPE), ("bounds", rows)):
-            arrays[f"object_{name}"] = getattr(index, name)
-            dtypes[f"object_{name}"] = dtype
+        arrays["object_order"] = table.object_order()
+        dtypes["object_order"] = int_dtype(len(table))
     header = {"label": table.label, "rows": len(table)}
     return header, _narrowed(arrays, dtypes)
 
@@ -742,17 +740,17 @@ class ShardedSnapshotReader:
             )
         subjects = view("subjects")
         objects = view("objects")
-        if subjects is None or objects is None or len(subjects) != rows:
+        order = view("object_order")
+        if (
+            subjects is None
+            or objects is None
+            or not len(subjects) == len(objects) == rows
+            or (order is not None and len(order) != rows)
+        ):
             raise SnapshotError(
                 f"snapshot shard {path!s} is missing its id columns"
             )
-        object_index = None
-        order = view("object_order")
-        if order is not None:
-            object_index = _SortedGroupIndex.from_arrays(
-                view("object_keys"), view("object_bounds"), order
-            )
-        return ColumnarEdgeTable.from_mapped(label, subjects, objects, object_index)
+        return ColumnarEdgeTable.from_mapped(label, subjects, objects, order)
 
     # ------------------------------------------------------------------
     def load_vocabulary(self) -> MappedVocabulary:

@@ -2,23 +2,29 @@
 
 The vertical-partitioning scheme stores every edge label as its own
 ``(subj, obj)`` table.  The paper builds a probe index on both columns
-before any query arrives; here a table's rows are sorted by (subject,
-object), so the subject column is its own index and only the object
-side needs one.
+before any query arrives.  Here a table's rows are sorted by (subject,
+object), and a stable permutation sorts its objects, so each side's keys
+are already in order: the subject column itself, and the objects taken
+in that order.  Each side builds one probe index from them on its first
+probe (:func:`_probe_index`): *dense offsets* over the keys' ``[min,
+max]`` (:class:`_DenseIndex`, a lookup is two gathers) when they take at
+most twice the bytes of the two id columns, else the *run heads*
+(:class:`_RunIndex`, one search per probe key).  The build checks that
+the keys do not descend, so a corrupt shard is refused rather than
+answered wrongly.
 
 A :class:`ColumnarEdgeTable` keeps its rows as two parallel int32 id
 columns.  A whole *vector* of probe keys is matched in a handful of
 C-level array operations (:meth:`~ColumnarEdgeTable.probe_subject` and
-friends): subject probes are binary searches of the sorted subject
-column, object probes read a CSR-style group index, and row membership
-searches ``subject * stride + object`` keys, which ascend with the rows
-(:meth:`~ColumnarEdgeTable.contains_pairs`).  The columns are read-only
-views over a snapshot shard's arrays, memory-mapped or built in memory
-(:meth:`ColumnarEdgeTable.from_mapped`), including the persisted object
-index, so opening a table costs no copy and no sort.  A table never
-changes: live ingest replaces a label's table with one over the old and
-new rows in sorted order (``VerticalPartitionStore.ingest_rows``), and
-the backing file is never written through.
+friends), and row membership searches ``subject * stride + object``
+keys, which ascend with the rows
+(:meth:`~ColumnarEdgeTable.contains_pairs`).  The columns and the object
+order are read-only views over a snapshot shard's arrays, memory-mapped
+or built in memory (:meth:`ColumnarEdgeTable.from_mapped`), so opening a
+table costs no copy and no sort.  A table never changes: live ingest
+replaces a label's table with one over the old and new rows in sorted
+order (``VerticalPartitionStore.ingest_rows``), whose indexes are built
+anew, and the backing file is never written through.
 
 Rows hold **interned entity ids** (dense ints produced by the store's
 :class:`~repro.storage.vocabulary.MappedVocabulary`), so every probe, membership
@@ -31,6 +37,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 import numpy as np
+
+from repro.exceptions import SnapshotError
 
 
 def searchsorted_within(
@@ -46,61 +54,108 @@ def searchsorted_within(
     """
     dtype = keys.dtype
     if needles.dtype == dtype:
-        return np.searchsorted(keys, needles, side=side)
+        return keys.searchsorted(needles, side=side)
     if needles.dtype.itemsize <= dtype.itemsize:
-        return np.searchsorted(keys, needles.astype(dtype), side=side)
+        return keys.searchsorted(needles.astype(dtype), side=side)
     limit = np.iinfo(dtype).max
-    slots = np.searchsorted(keys, np.minimum(needles, limit).astype(dtype), side=side)
+    slots = keys.searchsorted(np.minimum(needles, limit).astype(dtype), side=side)
     return np.where(needles > limit, len(keys), slots)
 
 
-class _SortedGroupIndex:
-    """CSR-style group index over the object column.
+class _DenseIndex:
+    """Probe index over a non-decreasing key column as dense offsets.
 
-    ``order`` is a stable permutation sorting the column; equal keys keep
-    their row order, so expanding a probe enumerates a key's matches in
-    row order.  ``keys`` holds the distinct sorted key values and
-    ``bounds[i]:bounds[i+1]`` delimits the rows of ``keys[i]`` inside
-    ``order``.
+    ``offsets[key - low + 1]`` is the position of ``key``'s first row and
+    ``ends[key - low + 1]`` one past its last, for every key of ``[low,
+    high]``.  The first and the last slot span no row, and a gather
+    clipped to the slots reads one of them for every key outside ``[low,
+    high]``.  A lookup is two gathers.
     """
 
-    __slots__ = ("keys", "bounds", "order")
+    __slots__ = ("low", "offsets", "ends")
 
-    def __init__(self, column: "np.ndarray") -> None:
-        self.order = np.argsort(column, kind="stable")
-        sorted_keys = column[self.order]
-        self.keys, starts = np.unique(sorted_keys, return_index=True)
-        self.bounds = np.append(starts, len(sorted_keys))
+    def __init__(self, keys: "np.ndarray") -> None:
+        self.low = low = int(keys[0])
+        span = int(keys[-1]) - low + 1
+        offsets = np.zeros(span + 2, dtype=_position_dtype(len(keys)))
+        np.cumsum(np.bincount(keys - low, minlength=span), out=offsets[2:])
+        self.offsets = offsets
+        self.ends = offsets[1:]
 
-    @classmethod
-    def from_arrays(
-        cls, keys: "np.ndarray", bounds: "np.ndarray", order: "np.ndarray"
-    ) -> "_SortedGroupIndex":
-        """Adopt prebuilt (possibly memory-mapped, read-only) index arrays.
-
-        The snapshot shards persist the three arrays exactly as this
-        class lays them out, so a warm start rebuilds nothing: the index
-        is a handle over the mapped buffers.
-        """
-        index = cls.__new__(cls)
-        index.keys = keys
-        index.bounds = bounds
-        index.order = order
-        return index
+    @staticmethod
+    def nbytes_for(keys: "np.ndarray") -> int:
+        """What the index over ``keys`` holds, before building it."""
+        span = int(keys[-1]) - int(keys[0]) + 1
+        return (span + 2) * np.dtype(_position_dtype(len(keys))).itemsize
 
     def lookup(self, probe: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
-        """Per-probe-key ``(counts, starts)`` into :attr:`order`.
+        # At an int32 probe's width ``key - low + 1`` wraps only for key
+        # 2**31 - 1 over low 0, a span no dense index takes
+        # (:func:`_probe_index`); it then reads as below the column.
+        slots = probe - (self.low - 1)
+        starts = self.offsets.take(slots, mode="clip").astype(np.int64)
+        return self.ends.take(slots, mode="clip") - starts, starts
 
-        ``keys`` are distinct, so a probe key's rows run from ``bounds``
-        at its left search slot to ``bounds`` at its right one: an empty
-        span, count 0, for a key absent from the column (its start is
-        unused).  Both come back as int64 whatever width the bounds are
-        stored at: the join sums, repeats and offsets them, and numpy
-        would widen an int32 copy for each of those.
-        """
-        starts = self.bounds[np.searchsorted(self.keys, probe)].astype(np.int64)
-        counts = self.bounds[np.searchsorted(self.keys, probe, side="right")] - starts
+
+class _RunIndex:
+    """Probe index over a non-decreasing key column as its run heads.
+
+    ``keys`` holds the distinct keys and ``bounds[i]:bounds[i+1]``
+    delimits the rows of ``keys[i]``: one search per probe key, where the
+    dense offsets of a sparse column would outgrow the table.
+    """
+
+    __slots__ = ("keys", "bounds", "ends")
+
+    def __init__(self, keys: "np.ndarray") -> None:
+        heads = np.empty(len(keys), dtype=bool)
+        heads[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=heads[1:])
+        starts = heads.nonzero()[0]
+        self.keys = keys[starts]
+        self.bounds = np.append(starts, len(keys)).astype(_position_dtype(len(keys)))
+        self.ends = self.bounds[1:]
+
+    def lookup(self, probe: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
+        # A probe past every key searches to slot ``len(keys)``: clipped,
+        # it reads the last run, whose key it does not equal.
+        slots = searchsorted_within(self.keys, probe)
+        starts = self.bounds.take(slots).astype(np.int64)
+        counts = self.ends.take(slots, mode="clip") - starts
+        counts[self.keys.take(slots, mode="clip") != probe] = 0
         return counts, starts
+
+
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+def _position_dtype(rows: int) -> type:
+    """The narrowest dtype holding every row position ``0..rows``."""
+    if rows <= np.iinfo(np.uint16).max:
+        return np.uint16
+    return np.int32 if rows <= _INT32_MAX else np.int64
+
+
+def _probe_index(
+    label: str, side: str, keys: "np.ndarray", budget: int
+) -> "_DenseIndex | _RunIndex":
+    """The probe index of one table side, whose keys in row order are
+    ``keys``: dense offsets when they hold at most ``budget`` bytes, else
+    the run heads.
+
+    ``keys`` must be non-decreasing, which is checked here, in one pass
+    over what the index reads anyway: a shard whose column is out of
+    order would otherwise answer probes with wrong rows, silently.
+    """
+    if bool((keys[1:] < keys[:-1]).any()):
+        raise SnapshotError(
+            f"the {side} column of label {label!r} is not sorted; the snapshot "
+            "is corrupt — rebuild it with `gqbe build-index`"
+        )
+    # A span of 2**31 keys would wrap an int32 probe's dense slot.
+    if int(keys[-1]) - int(keys[0]) < _INT32_MAX and _DenseIndex.nbytes_for(keys) <= budget:
+        return _DenseIndex(keys)
+    return _RunIndex(keys)
 
 
 class ColumnarEdgeTable:
@@ -109,16 +164,19 @@ class ColumnarEdgeTable:
     The rows are distinct and sorted by (subject, object), whichever way
     the table came.  The columns are int32 arrays the table never writes
     (int64 in a snapshot written before shards were narrowed): a snapshot
-    shard's mapped views (:meth:`from_mapped`), the arrays a build
-    computed in memory, or a table live ingest put together from an old
-    table's rows and new ones.  The object index is built with a numpy
-    sort on first use, unless the shard persisted it.
+    shard's mapped views (:meth:`from_mapped`), the arrays a
+    build computed in memory, or a table live ingest put together from an
+    old table's rows and new ones.  The object order is the shard's, or
+    a numpy sort on first use; each side's probe index is built from its
+    sorted keys on its first probe.
     """
 
     __slots__ = (
         "_label",
         "_subject_np",
         "_object_np",
+        "_object_order",
+        "_subject_index",
         "_object_index",
         "_row_keys",
         "_row_stride",
@@ -134,12 +192,14 @@ class ColumnarEdgeTable:
         label: str,
         subjects: "np.ndarray",
         objects: "np.ndarray",
-        object_index: _SortedGroupIndex | None = None,
+        object_order: "np.ndarray | None" = None,
     ) -> None:
         self._label = label
         self._subject_np = subjects
         self._object_np = objects
-        self._object_index = object_index
+        self._object_order = object_order
+        self._subject_index = None
+        self._object_index = None
         self._row_keys = None
         self._row_stride = 0
 
@@ -149,18 +209,19 @@ class ColumnarEdgeTable:
         label: str,
         subjects: "np.ndarray",
         objects: "np.ndarray",
-        object_index: _SortedGroupIndex | None = None,
+        object_order: "np.ndarray | None" = None,
     ) -> "ColumnarEdgeTable":
         """Open a table over read-only (memory-mapped) id columns.
 
         ``subjects``/``objects`` — and the optional persisted object
-        index — are adopted as-is, zero-copy.  The columns must be
+        order — are adopted as-is, zero-copy.  The columns must be
         parallel ``(subj, obj)`` rows, distinct and sorted by (subject,
-        object): subject probes and membership tests search them as they
-        are, and would return wrong matches over unsorted rows.
+        object): membership tests search them as they are.  A probe index
+        refuses a side whose keys are out of order
+        (:class:`~repro.exceptions.SnapshotError`).
         """
         table = cls.__new__(cls)
-        table._adopt(label, subjects, objects, object_index)
+        table._adopt(label, subjects, objects, object_order)
         return table
 
     @property
@@ -204,32 +265,62 @@ class ColumnarEdgeTable:
         """The ``obj`` column as an id array."""
         return self._object_np
 
-    def _object_group_index(self) -> _SortedGroupIndex:
+    def object_order(self) -> "np.ndarray":
+        """A stable permutation sorting the ``obj`` column: equal objects
+        keep their row order, so an object probe expands in row order."""
+        if self._object_order is None:
+            self._object_order = np.argsort(self._object_np, kind="stable")
+        return self._object_order
+
+    def _index_budget(self) -> int:
+        """The most bytes a probe index may hold: twice the id columns."""
+        return 2 * (self._subject_np.nbytes + self._object_np.nbytes)
+
+    def _subject_probe_index(self) -> "_DenseIndex | _RunIndex":
+        if self._subject_index is None:
+            self._subject_index = _probe_index(
+                self._label, "subject", self._subject_np, self._index_budget()
+            )
+        return self._subject_index
+
+    def _object_probe_index(self) -> "_DenseIndex | _RunIndex":
         if self._object_index is None:
-            self._object_index = _SortedGroupIndex(self.object_ids())
+            try:
+                keys = self._object_np.take(self.object_order())
+            except IndexError as error:
+                raise SnapshotError(
+                    f"the object order of label {self._label!r} points past its "
+                    "rows; the snapshot is corrupt — rebuild it with `gqbe build-index`"
+                ) from error
+            self._object_index = _probe_index(self._label, "object", keys, self._index_budget())
         return self._object_index
 
     def build_indexes(self) -> None:
-        """Materialize the object index now (the subject column is its own)."""
+        """Build both sides' probe indexes now."""
         if len(self):
-            self._object_group_index()
+            self._subject_probe_index()
+            self._object_probe_index()
 
     def probe_subject(self, keys: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
-        """Vectorized subject probe: ``(counts, starts)`` per probe key.
+        """Vectorized subject probe: ``(counts, starts)`` per probe key, both
+        int64 (the join sums, repeats and offsets them).
 
         ``counts`` is the number of rows matching each key — enough to size
         a join before paying for it; ``starts`` is the first of each key's
-        rows, for :meth:`expand_subject`.
+        rows, for :meth:`expand_subject` (unused where the count is 0).
         """
-        starts = searchsorted_within(self._subject_np, keys)
-        return searchsorted_within(self._subject_np, keys, side="right") - starts, starts
-
-    def probe_object(self, keys: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
-        """Vectorized object probe: ``(counts, starts)`` per probe key."""
-        if not len(self):  # the group index is only built for non-empty columns
+        if not len(self):
             none = np.zeros(len(keys), dtype=np.int64)
             return none, none
-        return self._object_group_index().lookup(keys)
+        return self._subject_probe_index().lookup(keys)
+
+    def probe_object(self, keys: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
+        """Vectorized object probe: ``(counts, starts)`` per probe key, the
+        starts into :meth:`object_order`."""
+        if not len(self):
+            none = np.zeros(len(keys), dtype=np.int64)
+            return none, none
+        return self._object_probe_index().lookup(keys)
 
     @staticmethod
     def _expand(
@@ -270,7 +361,7 @@ class ColumnarEdgeTable:
         if not len(self):
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        return self._expand(counts, starts, self._subject_np, self._object_group_index().order)
+        return self._expand(counts, starts, self._subject_np, self.object_order())
 
     def contains_pairs(
         self, subjects: "np.ndarray", objects: "np.ndarray"

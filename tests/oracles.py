@@ -16,7 +16,10 @@ in-memory triple container, by its strings and share no code with it:
 * :func:`eq2_weight` — Eq. 2 from Eqs. 3 and 4, counted by scanning every
   edge of the graph;
 * :func:`extension` — Definition 3's one-edge join step, by scanning the
-  edge label's pairs for every probe row.
+  edge label's pairs for every probe row;
+* :func:`stage_one` — the k' best answers of an MQG by Eq. 1, from every
+  connected edge subset that covers the query entities, each evaluated
+  with :func:`extension`.
 """
 
 from __future__ import annotations
@@ -228,3 +231,74 @@ def extension(pairs, variables, rows, edge: Edge, injective: bool) -> list[tuple
                 continue
             out.append(row + new)
     return out
+
+
+def _connected_order(edges: Sequence[Edge]) -> list[Edge] | None:
+    """``edges`` in an order where each shares a node with those before
+    it, or ``None`` if they are not weakly connected."""
+    ordered, remaining = [edges[0]], list(edges[1:])
+    bound = {edges[0].subject, edges[0].object}
+    while remaining:
+        for position, edge in enumerate(remaining):
+            if edge.subject in bound or edge.object in bound:
+                break
+        else:
+            return None
+        ordered.append(remaining.pop(position))
+        bound |= {edge.subject, edge.object}
+    return ordered
+
+
+def stage_one(
+    graph: KnowledgeGraph,
+    edges: Sequence[Edge],
+    weights: Sequence[float],
+    query_tuple: tuple[str, ...],
+    k_prime: int,
+    excluded: set[tuple[str, ...]],
+) -> list[tuple[tuple[str, ...], float]]:
+    """The ``k_prime`` best ``(answer, structure score)`` pairs of the MQG
+    whose edges are ``edges`` (at most 8), each of weight ``weights[i]``.
+
+    Every connected subset of the edges that covers the query entities is
+    a query graph.  Its matches are evaluated from ``graph``'s triples
+    with :func:`extension` (injective), the trivial match that maps every
+    node to itself is dropped (Definition 3), and each other match
+    projects to an answer tuple.  An answer's score is the best weight
+    (Eq. 1) among the query graphs producing it; a subset's weight adds
+    its edges' weights in edge order.  Answers in ``excluded`` are left
+    out, and ties at the cut break on the entity names.
+    """
+    if len(edges) > 8:
+        raise ValueError(f"an exhaustive stage one takes at most 8 edges, got {len(edges)}")
+    pairs = {
+        label: [(edge.subject, edge.object) for edge in graph.edges if edge.label == label]
+        for label in {edge.label for edge in edges}
+    }
+    best: dict[tuple[str, ...], float] = {}
+    for mask in range(1, 1 << len(edges)):
+        chosen = [edge for bit, edge in enumerate(edges) if mask >> bit & 1]
+        order = _connected_order(chosen)
+        if order is None or not set(query_tuple) <= {
+            node for edge in chosen for node in (edge.subject, edge.object)
+        }:
+            continue
+        variables: tuple[str, ...] = ()
+        rows: list[tuple] = [()]
+        for edge in order:
+            rows = extension(pairs[edge.label], variables, rows, edge, injective=True)
+            variables += tuple(
+                node for node in dict.fromkeys((edge.subject, edge.object)) if node not in variables
+            )
+        score = 0.0
+        for bit, weight in enumerate(weights):
+            if mask >> bit & 1:
+                score += weight
+        positions = [variables.index(entity) for entity in query_tuple]
+        for row in rows:
+            if row == variables:
+                continue
+            answer = tuple(row[position] for position in positions)
+            if answer not in excluded and score > best.get(answer, -math.inf):
+                best[answer] = score
+    return sorted(best.items(), key=lambda item: (-item[1], item[0]))[:k_prime]

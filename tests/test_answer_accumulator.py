@@ -41,7 +41,7 @@ from repro.graph.knowledge_graph import Edge, KnowledgeGraph
 from repro.lattice.exploration import AnswerAccumulator, BestFirstExplorer
 from repro.lattice.query_graph import LatticeSpace
 from repro.lattice.scoring import answer_graph_score, content_score
-from repro.storage.join import ColumnarRelation
+from repro.storage.join import ColumnarRelation, evaluate_query_edges
 from repro.storage.snapshot import GraphStore
 from repro.storage.vocabulary import MappedVocabulary, arena_arrays
 
@@ -431,6 +431,57 @@ def test_best_first_agrees_with_breadth_first_baseline(generated):
             ] == [(a.entities, a.score, a.structure_score) for a in baseline.answers]
             arities.add(arity)
     assert arities == {1, 2, 3}
+
+
+def _compared_signature(accumulator, relation):
+    """Each row's self-match signature, by comparing every cell."""
+    identity = np.array(accumulator.identity_row(relation.variables))[:, None]
+    weights = np.array([1 << i for i in range(len(relation.variables))], dtype=object)
+    return [int(bits) for bits in weights @ (relation.columns == identity).astype(object)]
+
+
+def test_relations_reach_record_sorted_and_carrying_their_signature(generated, monkeypatch):
+    """Both explorers hand ``record`` relations in answer-key order, with
+    the signature the joins carried equal to one compared from the
+    matrix: ``record`` neither compares every cell nor sorts."""
+    dataset, system = generated
+    original = AnswerAccumulator.record
+    folded = []
+
+    def checking(self, mask, relation):
+        assert relation.signature.tolist() == _compared_signature(self, relation)
+        keys = self._answer_keys(
+            [relation.column_values(entity) for entity in self.space.query_tuple]
+        )
+        assert not (keys[1:] < keys[:-1]).any()
+        folded.append(relation.num_rows)
+        return original(self, mask, relation)
+
+    monkeypatch.setattr(AnswerAccumulator, "record", checking)
+    for name in dataset.table_names()[:4]:
+        row = tuple(dataset.table(name)[0])
+        for query_tuple in (row[:1], row[:2]):
+            space = LatticeSpace(system.discover_query_graph(query_tuple))
+            for explorer in (BestFirstExplorer, BreadthFirstExplorer):
+                explorer(space, system.store, k=10, excluded_tuples={query_tuple}).run()
+    assert len(folded) > 50 and sum(folded) > 1_000
+
+
+def test_a_signature_past_31_columns_is_int64():
+    """A 40-edge star joins into 41 columns: the carried signature widens
+    to int64 at the 32nd and keeps every bit."""
+    leaves = [f"n{i}" for i in range(40)]
+    edges = [("q", f"r{i}", leaf) for i, leaf in enumerate(leaves)]
+    triples = edges + [("x", f"r{i}", leaf) for i, leaf in enumerate(leaves)]
+    store = GraphStore.build(KnowledgeGraph(triples)).store
+    space = _star_space(("q",), edges, [1.0] * 40)
+    accumulator = AnswerAccumulator(space, store, ())
+    relation = evaluate_query_edges(
+        store, space.edges_of(space.full_mask), node_ids=accumulator._node_ids
+    )
+    assert relation.num_rows == 2 and relation.signature.dtype == np.int64
+    assert relation.signature.tolist() == _compared_signature(accumulator, relation)
+    assert max(relation.signature.tolist()) == (1 << 41) - 1
 
 
 # ----------------------------------------------------------------------

@@ -265,7 +265,7 @@ class _Definition3Joins:
                 (vocabulary.id_of(edge.subject), vocabulary.id_of(edge.object))
             )
 
-    def extend(self, store, relation, edge, injective=True, max_rows=None):
+    def extend(self, store, relation, edge, injective=True, max_rows=None, node_ids=None):
         variables = relation.variables
         rows = extension(
             self._by_label[edge.label],
@@ -280,7 +280,7 @@ class _Definition3Joins:
         columns = np.array(rows, dtype=np.int32).reshape(len(rows), len(variables)).T
         return ColumnarRelation(variables, columns)
 
-    def evaluate(self, store, edges, injective=True, max_rows=None):
+    def evaluate(self, store, edges, injective=True, max_rows=None, node_ids=None):
         plan = list(plan_join_order(edges, store))
         relation = ColumnarRelation((), [])
         for edge in plan:

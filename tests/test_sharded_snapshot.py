@@ -14,7 +14,9 @@ Pins the contracts the mmap path must guarantee:
 * every corruption mode — truncated shard, checksum mismatch, missing
   shard file, a manifest carrying a foreign magic, a truncated
   vocabulary arena, out-of-range arena offsets, a non-monotonic CSR
-  indptr — raises ``SnapshotError`` naming the offending path
+  indptr, an object order that no longer sorts the objects — raises
+  ``SnapshotError`` naming the offending path (the label, for the
+  object order)
   (``tests/test_snapshot.py`` damages every file kind wholesale).
 """
 
@@ -154,7 +156,7 @@ class TestV3MappedSections:
         assert isinstance(system.graph, MappedKnowledgeGraph)
         assert isinstance(system.store.vocabulary, MappedVocabulary)
         report = bundle.lazy_report()
-        assert report["format"] == "v6"
+        assert report["format"] == "v7"
         assert "vocabulary" in report["sections_loaded"]
         assert "graph" in report["sections_loaded"]
         assert (snapshot_dir / "vocabulary.arena").exists()
@@ -654,6 +656,30 @@ class TestCorruptionPaths:
             GraphStore.load(broken).graph
         assert "graph.csr" in str(excinfo.value)
 
+    def test_unsorted_object_order_is_refused(self, snapshot_dir, tmp_path):
+        """An object order that no longer sorts the objects is refused at
+        the first object probe, naming the label, instead of answering
+        with the rows it happens to point at."""
+        broken = self._broken_v3(snapshot_dir, tmp_path, "unsortedorder")
+        manifest = json.loads((broken / MANIFEST_NAME).read_text())
+        store = GraphStore.load(snapshot_dir).store
+        position, entry = next(
+            (position, entry)
+            for position, entry in enumerate(manifest["tables"])
+            if len(store.table(entry["label"]).objects()) >= 2
+        )
+
+        def swap_ends(order):
+            order[0], order[-1] = order[-1], order[0]
+
+        _patch_shard_array(broken / entry["file"], "object_order", swap_ends)
+        _refresh_manifest_sha(broken, "tables", position)
+        table = GraphStore.load(broken).store.table(entry["label"])
+        some_object = table.object_ids()[:1]
+        with pytest.raises(SnapshotError, match="not sorted") as excinfo:
+            table.probe_object(some_object)
+        assert repr(entry["label"]) in str(excinfo.value)
+
     def test_unknown_array_dtype(self, snapshot_dir, tmp_path):
         """A catalog dtype outside the shard format's own is refused, not
         handed to numpy (``"<f8"`` would read the ids as floats)."""
@@ -747,8 +773,7 @@ def _bundle_arrays(bundle: GraphStore) -> dict:
         table = bundle.store.table(label)
         arrays[f"{label}.subjects"] = table.subject_ids()
         arrays[f"{label}.objects"] = table.object_ids()
-        for name in ("keys", "bounds", "order"):
-            arrays[f"{label}.object_{name}"] = getattr(table._object_index, name)
+        arrays[f"{label}.object_order"] = table.object_order()
     return arrays
 
 
@@ -823,7 +848,7 @@ class TestBuildEqualsLoad:
         system = GQBE(figure1_graph)
         assert isinstance(system.graph, MappedKnowledgeGraph)
         assert isinstance(system.store.vocabulary, MappedVocabulary)
-        assert system.graph_store.lazy_report()["format"] == "v6"
+        assert system.graph_store.lazy_report()["format"] == "v7"
         graph = system.graph
         system.ingest([("Jerry Yang", "founded", "Yahoo! Labs")])
         # The ingested edge lands in the same graph, beside the built arrays.

@@ -119,10 +119,14 @@ class TestEnvelopeFailureModes:
             # Version 4 carried two pickled sections; this build never
             # unpickles a file.
             manifest["format_version"] = 4
-        else:
+        elif kind == "v5-manifest":
             # Version 5 carried the participation counts in a file of their
             # own, which the label tables now answer.
             manifest["format_version"] = 5
+        else:
+            # Version 6 table shards carried object keys and bounds, which
+            # the tables now derive from their sorted columns.
+            manifest["format_version"] = 6
         (target / MANIFEST_NAME).write_text(json.dumps(manifest))
         return target
 
@@ -134,6 +138,7 @@ class TestEnvelopeFailureModes:
             "v3-manifest",
             "v4-manifest",
             "v5-manifest",
+            "v6-manifest",
         ],
     )
     def test_retired_input_is_refused(self, kind, snapshot_path, tmp_path):
