@@ -57,7 +57,7 @@ Performance notes (the hot path of the Fig. 14/16 experiments):
   once by its answer key (:meth:`AnswerAccumulator.sort_rows`), which
   every relation extended from it inherits, so the fold groups rows
   without a sort.  On perfbench's ``single_r15`` this took ``record``
-  from 0.80-0.84 to 0.56-0.60 s of a warm pass (2-core Xeon @ 2.1 GHz);
+  from 0.71-0.77 to 0.57-0.61 s of a warm pass (2-core Xeon @ 2.1 GHz);
 * the rows of an excluded query tuple are one run of sorted keys, cut
   out with two searches; otherwise only the trivial self-match goes, by
   its signature;
@@ -174,10 +174,6 @@ def _run_starts(ordered: "np.ndarray") -> "np.ndarray":
 #: enters with: below every score, recorded by no query graph yet.
 _STRUCTURE, _FULL, _CONTENT, _RECORDED = range(4)
 _UNSEEN = np.array([[-np.inf], [-np.inf], [0.0], [-1.0]])
-
-#: Signatures below this are read through a per-node score table of
-#: that many entries at most; wider ones through their sorted distinct set.
-_SIGNATURE_TABLE_LIMIT = 1 << 16
 
 #: Column ``i`` bound to its own query node sets bit ``i`` of a row's
 #: signature.  A connected query graph of at most 62 edges (the cap on
@@ -416,20 +412,15 @@ class AnswerAccumulator:
         if not len(keys):
             return 0, 0
 
-        # One content score per distinct signature, read back per row
-        # through a table indexed by the signature while that stays small.
-        top = int(signature.max())
-        if not top:
-            content = np.zeros(len(keys))
-        elif top < _SIGNATURE_TABLE_LIMIT:
-            distinct = np.bincount(signature).nonzero()[0]
-            scores = np.zeros(top + 1)
-            scores[distinct] = self._content_scores(mask, relation._index, distinct.tolist())
-            content = scores.take(signature)
-        else:
-            distinct = sorted(set(signature.tolist()))
-            content = self._content_scores(mask, relation._index, distinct)[
-                np.searchsorted(distinct, signature)
+        # One content score per distinct signature, read back per row;
+        # a row bound to no query node of its own scores 0.
+        content = np.zeros(len(keys))
+        matched = signature.nonzero()[0]
+        if len(matched):
+            bits = signature[matched]
+            distinct = sorted(set(bits.tolist()))
+            content[matched] = self._content_scores(mask, relation._index, distinct)[
+                np.array(distinct).searchsorted(bits)
             ]
 
         # Group the rows by answer.

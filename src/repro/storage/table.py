@@ -6,12 +6,12 @@ before any query arrives.  Here a table's rows are sorted by (subject,
 object), and a stable permutation sorts its objects, so each side's keys
 are already in order: the subject column itself, and the objects taken
 in that order.  Each side builds one probe index from them on its first
-probe (:func:`_probe_index`): *dense offsets* over the keys' ``[min,
-max]`` (:class:`_DenseIndex`, a lookup is two gathers) when they take at
-most twice the bytes of the two id columns, else the *run heads*
-(:class:`_RunIndex`, one search per probe key).  The build checks that
-the keys do not descend, so a corrupt shard is refused rather than
-answered wrongly.
+probe (:func:`_probe_index`): the run heads, the distinct keys and where
+each one's rows begin (:class:`_RunIndex`), searched once per probe key.
+The build checks that the keys do not descend, and that the object order
+is a stable permutation of the rows, so a corrupt shard is refused
+rather than answered wrongly.  The index lives in the process that
+probes, not in the shard: each process builds its own.
 
 A :class:`ColumnarEdgeTable` keeps its rows as two parallel int32 id
 columns.  A whole *vector* of probe keys is matched in a handful of
@@ -62,47 +62,13 @@ def searchsorted_within(
     return np.where(needles > limit, len(keys), slots)
 
 
-class _DenseIndex:
-    """Probe index over a non-decreasing key column as dense offsets.
-
-    ``offsets[key - low + 1]`` is the position of ``key``'s first row and
-    ``ends[key - low + 1]`` one past its last, for every key of ``[low,
-    high]``.  The first and the last slot span no row, and a gather
-    clipped to the slots reads one of them for every key outside ``[low,
-    high]``.  A lookup is two gathers.
-    """
-
-    __slots__ = ("low", "offsets", "ends")
-
-    def __init__(self, keys: "np.ndarray") -> None:
-        self.low = low = int(keys[0])
-        span = int(keys[-1]) - low + 1
-        offsets = np.zeros(span + 2, dtype=_position_dtype(len(keys)))
-        np.cumsum(np.bincount(keys - low, minlength=span), out=offsets[2:])
-        self.offsets = offsets
-        self.ends = offsets[1:]
-
-    @staticmethod
-    def nbytes_for(keys: "np.ndarray") -> int:
-        """What the index over ``keys`` holds, before building it."""
-        span = int(keys[-1]) - int(keys[0]) + 1
-        return (span + 2) * np.dtype(_position_dtype(len(keys))).itemsize
-
-    def lookup(self, probe: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
-        # At an int32 probe's width ``key - low + 1`` wraps only for key
-        # 2**31 - 1 over low 0, a span no dense index takes
-        # (:func:`_probe_index`); it then reads as below the column.
-        slots = probe - (self.low - 1)
-        starts = self.offsets.take(slots, mode="clip").astype(np.int64)
-        return self.ends.take(slots, mode="clip") - starts, starts
-
-
 class _RunIndex:
     """Probe index over a non-decreasing key column as its run heads.
 
     ``keys`` holds the distinct keys and ``bounds[i]:bounds[i+1]``
-    delimits the rows of ``keys[i]``: one search per probe key, where the
-    dense offsets of a sparse column would outgrow the table.
+    delimits the rows of ``keys[i]``: one search per probe key.  It holds
+    at most one key and one row position per row of the column, and one
+    more position.
     """
 
     __slots__ = ("keys", "bounds", "ends")
@@ -126,35 +92,32 @@ class _RunIndex:
         return counts, starts
 
 
-_INT32_MAX = np.iinfo(np.int32).max
-
-
 def _position_dtype(rows: int) -> type:
     """The narrowest dtype holding every row position ``0..rows``."""
-    if rows <= np.iinfo(np.uint16).max:
-        return np.uint16
-    return np.int32 if rows <= _INT32_MAX else np.int64
+    return np.int32 if rows <= np.iinfo(np.int32).max else np.int64
 
 
 def _probe_index(
-    label: str, side: str, keys: "np.ndarray", budget: int
-) -> "_DenseIndex | _RunIndex":
+    label: str, side: str, keys: "np.ndarray", order: "np.ndarray | None" = None
+) -> _RunIndex:
     """The probe index of one table side, whose keys in row order are
-    ``keys``: dense offsets when they hold at most ``budget`` bytes, else
-    the run heads.
+    ``keys``, taken through the stable sort ``order`` if there is one.
 
-    ``keys`` must be non-decreasing, which is checked here, in one pass
-    over what the index reads anyway: a shard whose column is out of
-    order would otherwise answer probes with wrong rows, silently.
+    ``keys`` must be non-decreasing and ``order`` must ascend within each
+    run of equal keys, which is checked here, in one pass over what the
+    index reads anyway: a shard whose column is out of order would
+    otherwise answer probes with wrong rows, silently.  With the keys in
+    order, two entries of ``order`` naming the same row sit in one run,
+    so an order that ascends there takes no row twice.
     """
-    if bool((keys[1:] < keys[:-1]).any()):
+    descends = keys[1:] < keys[:-1]
+    if order is not None:
+        descends |= (keys[1:] == keys[:-1]) & (order[1:] <= order[:-1])
+    if bool(descends.any()):
         raise SnapshotError(
             f"the {side} column of label {label!r} is not sorted; the snapshot "
             "is corrupt — rebuild it with `gqbe build-index`"
         )
-    # A span of 2**31 keys would wrap an int32 probe's dense slot.
-    if int(keys[-1]) - int(keys[0]) < _INT32_MAX and _DenseIndex.nbytes_for(keys) <= budget:
-        return _DenseIndex(keys)
     return _RunIndex(keys)
 
 
@@ -272,27 +235,26 @@ class ColumnarEdgeTable:
             self._object_order = np.argsort(self._object_np, kind="stable")
         return self._object_order
 
-    def _index_budget(self) -> int:
-        """The most bytes a probe index may hold: twice the id columns."""
-        return 2 * (self._subject_np.nbytes + self._object_np.nbytes)
-
-    def _subject_probe_index(self) -> "_DenseIndex | _RunIndex":
+    def _subject_probe_index(self) -> _RunIndex:
         if self._subject_index is None:
-            self._subject_index = _probe_index(
-                self._label, "subject", self._subject_np, self._index_budget()
-            )
+            self._subject_index = _probe_index(self._label, "subject", self._subject_np)
         return self._subject_index
 
-    def _object_probe_index(self) -> "_DenseIndex | _RunIndex":
+    def _object_probe_index(self) -> _RunIndex:
         if self._object_index is None:
+            order = self.object_order()
+            # ``take`` reads a negative entry from the end, so a past-the-end
+            # one raises but a negative one must be looked for.
             try:
-                keys = self._object_np.take(self.object_order())
-            except IndexError as error:
+                keys = self._object_np.take(order)
+            except IndexError:
+                keys = None
+            if keys is None or (len(order) and int(order.min()) < 0):
                 raise SnapshotError(
-                    f"the object order of label {self._label!r} points past its "
+                    f"the object order of label {self._label!r} points outside its "
                     "rows; the snapshot is corrupt — rebuild it with `gqbe build-index`"
-                ) from error
-            self._object_index = _probe_index(self._label, "object", keys, self._index_budget())
+                )
+            self._object_index = _probe_index(self._label, "object", keys, order)
         return self._object_index
 
     def build_indexes(self) -> None:

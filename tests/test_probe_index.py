@@ -1,21 +1,23 @@
 """A label table's probe indexes against a scan of its rows.
 
 Each side of a :class:`~repro.storage.table.ColumnarEdgeTable` is probed
-through an index rebuilt from that side's sorted keys: dense offsets
-over ``[min, max]`` where those hold at most twice the bytes of the id
-columns, else the run heads searched once per probe key.  Whatever form
-a column takes, ``probe_*`` then ``expand_*`` must return, for every
-needle of either width, exactly the rows a scan finds, in row order.
+through an index rebuilt from that side's sorted keys: the run heads,
+searched once per probe key.  ``probe_*`` then ``expand_*`` must return,
+for every needle of either width, exactly the rows a scan finds, in row
+order, and the index must stay within twice the bytes of the id columns
+however widely the keys spread.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import SnapshotError
 from repro.storage.store import VerticalPartitionStore
-from repro.storage.table import ColumnarEdgeTable, _DenseIndex, _RunIndex
+from repro.storage.table import ColumnarEdgeTable, _RunIndex
 from repro.storage.vocabulary import MAX_ENTITY_ID
 
 #: Ids from a small dense range, from the whole id space, and both ends.
@@ -70,9 +72,7 @@ def _assert_probes_match_a_scan(table: ColumnarEdgeTable, keys: list[int]) -> No
 def _assert_index_within_budget(table: ColumnarEdgeTable) -> None:
     budget = 2 * (table.subject_ids().nbytes + table.object_ids().nbytes)
     for index in (table._subject_index, table._object_index):
-        if isinstance(index, _DenseIndex):
-            assert index.offsets.nbytes <= budget
-        elif isinstance(index, _RunIndex):
+        if isinstance(index, _RunIndex):
             assert index.keys.nbytes + index.bounds.nbytes <= budget
         else:
             assert index is None and not len(table)
@@ -98,22 +98,31 @@ def test_int64_columns_probe_like_int32_ones(rows):
     _assert_index_within_budget(wide)
 
 
-def test_a_dense_column_takes_dense_offsets_and_a_sparse_one_the_run_heads():
-    """Three rows spanning the whole id space would ask for 2**31 offsets;
-    they take the search form.  A column of consecutive ids takes the
-    offsets."""
+def test_keys_spanning_the_id_space_index_only_their_runs():
+    """Three rows spanning the whole id space: the index holds their two
+    runs, not an entry per id of the span."""
     top = MAX_ENTITY_ID
-    sparse = ColumnarEdgeTable.from_mapped(
+    table = ColumnarEdgeTable.from_mapped(
         "r", np.array([0, top, top], dtype=np.int32), np.array([1, 0, 1], dtype=np.int32)
     )
-    sparse.build_indexes()
-    assert isinstance(sparse._subject_index, _RunIndex)
-    dense = ColumnarEdgeTable("r", [(subject, subject % 3) for subject in range(50)])
-    dense.build_indexes()
-    assert isinstance(dense._subject_index, _DenseIndex)
-    assert isinstance(dense._object_index, _DenseIndex)
-    _assert_index_within_budget(sparse)
-    _assert_index_within_budget(dense)
+    table.build_indexes()
+    assert table._subject_index.keys.tolist() == [0, top]
+    assert table._subject_index.bounds.tolist() == [0, 1, 3]
+    _assert_index_within_budget(table)
+    _assert_probes_match_a_scan(table, [0, 1, top, 2**31])
+
+
+@pytest.mark.parametrize("entry", [-3, 3])
+def test_an_object_order_entry_outside_the_rows_is_refused(entry):
+    """``take`` would read ``-3`` as row 0 again, and leave row 2 out."""
+    table = ColumnarEdgeTable.from_mapped(
+        "r",
+        np.array([1, 2, 3], dtype=np.int32),
+        np.array([5, 5, 5], dtype=np.int32),
+        np.array([entry, 0, 1], dtype=np.int32),
+    )
+    with pytest.raises(SnapshotError, match="outside its rows"):
+        table.probe_object(np.array([5], dtype=np.int32))
 
 
 def test_an_ingest_is_probed_through_a_rebuilt_index():

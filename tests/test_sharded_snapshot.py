@@ -14,7 +14,8 @@ Pins the contracts the mmap path must guarantee:
 * every corruption mode — truncated shard, checksum mismatch, missing
   shard file, a manifest carrying a foreign magic, a truncated
   vocabulary arena, out-of-range arena offsets, a non-monotonic CSR
-  indptr, an object order that no longer sorts the objects — raises
+  indptr, an object order that no longer sorts the objects or that
+  names a row twice — raises
   ``SnapshotError`` naming the offending path (the label, for the
   object order)
   (``tests/test_snapshot.py`` damages every file kind wholesale).
@@ -678,6 +679,33 @@ class TestCorruptionPaths:
         some_object = table.object_ids()[:1]
         with pytest.raises(SnapshotError, match="not sorted") as excinfo:
             table.probe_object(some_object)
+        assert repr(entry["label"]) in str(excinfo.value)
+
+    def test_a_repeated_object_order_entry_is_refused(self, snapshot_dir, tmp_path):
+        """An object order naming one row twice, between rows of one
+        object, still sorts the objects but would expand that row twice
+        and another never; it is refused at the first object probe."""
+        broken = self._broken_v3(snapshot_dir, tmp_path, "repeatedorder")
+        manifest = json.loads((broken / MANIFEST_NAME).read_text())
+        store = GraphStore.load(snapshot_dir).store
+        for position, entry in enumerate(manifest["tables"]):
+            table = store.table(entry["label"])
+            keys = table.object_ids()[table.object_order()]
+            same = (keys[1:] == keys[:-1]).nonzero()[0]
+            if len(same):
+                at = int(same[0])
+                break
+        else:
+            pytest.fail("no table holds one object on two rows")
+
+        def repeat(order):
+            order[at + 1] = order[at]
+
+        _patch_shard_array(broken / entry["file"], "object_order", repeat)
+        _refresh_manifest_sha(broken, "tables", position)
+        table = GraphStore.load(broken).store.table(entry["label"])
+        with pytest.raises(SnapshotError, match="not sorted") as excinfo:
+            table.probe_object(table.object_ids()[:1])
         assert repr(entry["label"]) in str(excinfo.value)
 
     def test_unknown_array_dtype(self, snapshot_dir, tmp_path):
